@@ -360,7 +360,11 @@ type Output struct {
 func (e *Engine) Plan(b *query.Block, mode Mode) (*optimizer.Result, error) {
 	opts := optimizer.DefaultOptions(e.cfg.ScaleFactor)
 	opts.Mode = mode
-	return optimizer.Optimize(b, opts)
+	res, err := optimizer.Optimize(b, opts)
+	if err == nil {
+		e.metrics.PlanTime.ObserveDuration(res.PlanningTime)
+	}
+	return res, err
 }
 
 // Run optimizes and executes a block under the given mode.

@@ -149,11 +149,17 @@ func (p Params) HashJoin(outerRows, innerRows float64) (float64, Streaming) {
 
 // MergeJoin costs sorting both inputs plus a linear merge.
 func (p Params) MergeJoin(outerRows, innerRows float64) float64 {
-	return p.sortCost(outerRows) + p.sortCost(innerRows) +
-		(outerRows+innerRows)*p.MergeScanCost
+	return p.MergeSorted(p.SortCost(outerRows), p.SortCost(innerRows), outerRows, innerRows)
 }
 
-func (p Params) sortCost(n float64) float64 {
+// MergeSorted is MergeJoin given each input's SortCost: an enumerator joins
+// one sub-plan many times and need take its logarithm only once.
+func (p Params) MergeSorted(outerSort, innerSort, outerRows, innerRows float64) float64 {
+	return outerSort + innerSort + (outerRows+innerRows)*p.MergeScanCost
+}
+
+// SortCost is the cost of sorting n rows for a merge join.
+func (p Params) SortCost(n float64) float64 {
 	if n < 2 {
 		return p.MergeScanCost
 	}

@@ -17,6 +17,7 @@ type Metrics struct {
 	QueryLatency *Histogram // end-to-end run latency, seconds
 	QueueWait    *Histogram // admission-queue wait per query, seconds
 	SlotWait     *Histogram // summed worker slot-wait per query, seconds
+	PlanTime     *Histogram // optimizer latency per planned block, seconds
 
 	// Scheduler occupancy, folded from sched.Stat at query end. Nanosecond
 	// counters stay integers (allocation-free atomics); the exposition name
@@ -60,6 +61,7 @@ func NewMetrics(reg *Registry) *Metrics {
 		QueryLatency: reg.NewHistogram("bfcbo_query_latency_seconds", "End-to-end query latency.", LatencyBuckets),
 		QueueWait:    reg.NewHistogram("bfcbo_queue_wait_seconds", "Admission-queue wait per query.", LatencyBuckets),
 		SlotWait:     reg.NewHistogram("bfcbo_slot_wait_seconds", "Summed worker slot wait per query.", LatencyBuckets),
+		PlanTime:     reg.NewHistogram("bfcbo_plan_seconds", "Optimizer latency per planned block.", LatencyBuckets),
 
 		SlotBusyNanos: reg.NewCounter("bfcbo_slot_busy_nanos_total", "Time integral of held worker slots, nanoseconds."),
 		SlotHandoffs:  reg.NewCounter("bfcbo_slot_handoffs_total", "Fair-share slot handoffs at morsel boundaries."),

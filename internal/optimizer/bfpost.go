@@ -1,7 +1,8 @@
 package optimizer
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"bfcbo/internal/plan"
 	"bfcbo/internal/query"
@@ -104,6 +105,6 @@ func (o *optimizer) postProcess(p *plan.Plan) {
 		}
 	}
 	if added {
-		sort.Slice(p.Blooms, func(i, k int) bool { return p.Blooms[i].ID < p.Blooms[k].ID })
+		slices.SortFunc(p.Blooms, func(x, y plan.BloomSpec) int { return cmp.Compare(x.ID, y.ID) })
 	}
 }

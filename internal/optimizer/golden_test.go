@@ -1,0 +1,103 @@
+package optimizer
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"bfcbo/internal/query"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/plans.golden from the current optimizer")
+
+// goldenModes are the four configurations the benchmark's plan_heavy
+// workload times.
+var goldenModes = []struct {
+	name string
+	mode Mode
+	h7   int
+}{
+	{"nobf", NoBF, 0},
+	{"bfpost", BFPost, 0},
+	{"bfcbo", BFCBO, 0},
+	{"bfcbo_h7", BFCBO, 4},
+}
+
+// goldenCase is one block to plan, built fresh per Optimize call.
+type goldenCase struct {
+	name  string
+	sf    float64
+	build func(testing.TB) *query.Block
+}
+
+func goldenCases() []goldenCase {
+	var cs []goldenCase
+	for q := 1; q <= 22; q++ {
+		cs = append(cs, goldenCase{fmt.Sprintf("tpch_q%d", q), tpchSF,
+			func(tb testing.TB) *query.Block { return tpchBlock(tb, q) }})
+	}
+	// Catalog-only graphs sized like SF 100 tables, hence sf = 100.
+	cs = append(cs,
+		goldenCase{"chain12", 100, func(testing.TB) *query.Block { return chainGraph(12, 1201) }},
+		goldenCase{"star10", 100, func(testing.TB) *query.Block { return starGraph("star", 10, 0, 1001) }},
+		goldenCase{"snowflake11", 100, func(testing.TB) *query.Block { return snowflakeGraph(11, 1101) }},
+		goldenCase{"clique6", 100, func(testing.TB) *query.Block { return cliqueGraph(6, 601) }},
+	)
+	return cs
+}
+
+// goldenLine renders the plan-identity record of one (block, mode): join
+// order, root cost to the last bit, and the search-space counters.
+func goldenLine(name, mode string, res *Result) string {
+	return fmt.Sprintf("%s %s order=%s cost=%s kept=%d phase1=%d cands=%d blooms=%d",
+		name, mode, res.Plan.JoinOrderSignature(),
+		strconv.FormatFloat(res.Plan.Root.EstCost(), 'g', -1, 64),
+		res.PlansKept, res.Phase1Pairs, res.Candidates, res.Plan.CountBlooms())
+}
+
+// TestGoldenPlans pins every plan the enumerator picks — and the size of
+// the search it ran to pick it — to the values recorded before the join
+// graph index replaced the per-subset clause scans. Regenerate with
+// `go test ./internal/optimizer -run TestGoldenPlans -update`.
+func TestGoldenPlans(t *testing.T) {
+	var got []string
+	for _, c := range goldenCases() {
+		for _, m := range goldenModes {
+			opts := DefaultOptions(c.sf)
+			opts.Mode = m.mode
+			opts.Heuristics.H7MaxSubPlans = m.h7
+			res, err := Optimize(c.build(t), opts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", c.name, m.name, err)
+			}
+			got = append(got, goldenLine(c.name, m.name, res))
+		}
+	}
+	path := filepath.Join("testdata", "plans.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(want) != len(got) {
+		t.Fatalf("%s has %d records, the test produced %d", path, len(want), len(got))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("record %d differs:\n got  %s\n want %s", i+1, got[i], want[i])
+		}
+	}
+}

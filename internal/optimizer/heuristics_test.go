@@ -63,7 +63,7 @@ func TestMarkCandidatesH1Off(t *testing.T) {
 	b := exampleBlock()
 	opts := exampleOptions(BFCBO)
 	opts.Heuristics.H1LargerOnly = false
-	o := &optimizer{block: b, est: newEst(t, b), opts: opts}
+	o := newTestOptimizer(t, b, opts)
 	o.markCandidates()
 	// With H1 off, every inner clause contributes candidates in both
 	// directions (subject to H2): t1<->t2 both pass (both large enough),
@@ -95,9 +95,8 @@ func TestMultiwayEquivalenceBuildsFromSmallest(t *testing.T) {
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	b.AddTransitiveClauses()
 	opts := exampleOptions(BFCBO)
-	o := &optimizer{block: b, est: newEst(t, b), opts: opts}
+	o := newTestOptimizer(t, b, opts)
 	o.markCandidates()
 	if len(o.cands) != 2 {
 		t.Fatalf("want 2 candidates (a and b), got %d: %+v", len(o.cands), o.cands)
@@ -130,7 +129,7 @@ func TestLeftJoinCandidateDirection(t *testing.T) {
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	o := &optimizer{block: b, est: newEst(t, b), opts: exampleOptions(BFCBO)}
+	o := newTestOptimizer(t, b, exampleOptions(BFCBO))
 	o.markCandidates()
 	for _, c := range o.cands {
 		if c.applyRel == 0 {

@@ -90,7 +90,7 @@ func multiOptions(multi bool) Options {
 
 func TestMultiColumnCandidateMarked(t *testing.T) {
 	_, b := compositeDB(t)
-	o := &optimizer{block: b, est: newEst(t, b), opts: multiOptions(true)}
+	o := newTestOptimizer(t, b, multiOptions(true))
 	o.markCandidates()
 	var composite *candidate
 	for _, c := range o.cands {
@@ -109,7 +109,7 @@ func TestMultiColumnCandidateMarked(t *testing.T) {
 		t.Fatalf("composite columns wrong: %+v", composite)
 	}
 	// Without the flag, no composite candidates appear.
-	o2 := &optimizer{block: b, est: newEst(t, b), opts: multiOptions(false)}
+	o2 := newTestOptimizer(t, b, multiOptions(false))
 	o2.markCandidates()
 	for _, c := range o2.cands {
 		if c.applyCol2 != "" {

@@ -43,9 +43,10 @@ func (o *optimizer) addNaiveBasePlans(rel int, l *planList) {
 		}
 		sortPending(pending)
 		cst := o.scanCost(rel, len(pending))
+		pendIDs, pendNeed := summarizePending(pending)
 		l.insert(&subPlan{
-			rels: query.NewRelSet(rel), rows: rows, cost: cst,
-			pending: pending, uncosted: true,
+			rows: rows, cost: cst,
+			pending: pending, pendIDs: pendIDs, pendNeed: pendNeed, uncosted: true,
 			node: o.newScanNode(rel, rows, cst, ids),
 		})
 	}
@@ -54,8 +55,8 @@ func (o *optimizer) addNaiveBasePlans(rel int, l *planList) {
 // combineNaive joins two sub-plans at least one of which carries unknown-δ
 // Bloom filters. Resolution assigns δ = inner set and triggers the
 // "necessarily recursive" re-costing of the outer sub-plan tree (§3.1).
-func (o *optimizer) combineNaive(s query.RelSet, jt query.JoinType, conds []plan.Cond, pa, pb *subPlan, list *planList) {
-	inner := pb.rels
+func (o *optimizer) combineNaive(j *joinSite, pa, pb *subPlan, list *planList) {
+	jt, conds, inner := j.joinType, j.conds, j.inner
 
 	var resolved, carried []pendingBF
 	var factors []naiveFactor
@@ -109,7 +110,7 @@ func (o *optimizer) combineNaive(s query.RelSet, jt query.JoinType, conds []plan
 		paRows, paCost = o.recostNaive(pa.node, factors)
 	}
 
-	rows := o.est.JoinCard(s)
+	rows := j.card
 	var buildIDs []int
 	for _, p := range resolved {
 		buildIDs = append(buildIDs, p.bloomID)
@@ -121,13 +122,18 @@ func (o *optimizer) combineNaive(s query.RelSet, jt query.JoinType, conds []plan
 		Conds: conds, BuildBlooms: buildIDs, Streaming: streaming,
 		Rows: rows, Cost: total,
 	}
-	list.insert(&subPlan{rels: s, rows: rows, cost: total, pending: carried, node: node, uncosted: stillUncosted})
+	pendIDs, pendNeed := summarizePending(carried)
+	list.insert(&subPlan{
+		rows: rows, cost: total, node: node, uncosted: stillUncosted,
+		pending: carried, pendIDs: pendIDs, pendNeed: pendNeed,
+	})
 	if mustHash || stillUncosted {
 		return
 	}
 	mc := o.opts.Cost.MergeJoin(paRows, pb.rows)
 	list.insert(&subPlan{
-		rels: s, rows: rows, cost: paCost + pb.cost + mc, pending: carried,
+		rows: rows, cost: paCost + pb.cost + mc,
+		pending: carried, pendIDs: pendIDs, pendNeed: pendNeed,
 		node: &plan.Join{Method: plan.MergeJoin, JoinType: jt, Outer: pa.node, Inner: pb.node, Conds: conds, Rows: rows, Cost: paCost + pb.cost + mc},
 	})
 }

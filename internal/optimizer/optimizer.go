@@ -1,10 +1,11 @@
 package optimizer
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"math/bits"
-	"sort"
+	"slices"
+	"strconv"
 	"time"
 
 	"bfcbo/internal/plan"
@@ -25,17 +26,36 @@ type Result struct {
 	// PlansKept is the total number of sub-plans retained across all plan
 	// lists — the search-space size the paper's heuristics try to bound.
 	PlansKept int
+	// ConnectedSets is the number of relation sets that got a plan list:
+	// the connected sub-graphs no non-inner unit splits, single relations
+	// included.
+	ConnectedSets int
+	// JoinPairs is the number of legal ordered (outer, inner) pairs over
+	// those sets — what every bottom-up pass iterates, in any mode.
+	JoinPairs int
 }
 
 // ErrSearchSpaceExceeded is returned when a plan list outgrows
 // Options.MaxPlansPerSet (realistically only in Naive mode).
 var ErrSearchSpaceExceeded = errors.New("optimizer: plan list exceeded MaxPlansPerSet (naive search-space explosion)")
 
-// Optimize plans a single SPJ block under the given options.
+// maxRelations bounds the blocks Optimize accepts: the join graph index
+// keeps one int32 per subset of the block's relations (256 MiB at the
+// limit), and bottom-up enumeration of a graph that large would not
+// finish anyway.
+const maxRelations = 26
+
+// Optimize plans a single SPJ block under the given options. The block is
+// only read: the transitive closure of its join clauses lives in the
+// optimizer's own index, so one block may be planned by several goroutines
+// at once and plans the same way every time.
 func Optimize(b *query.Block, opts Options) (*Result, error) {
 	start := time.Now()
 	if err := b.Validate(); err != nil {
 		return nil, err
+	}
+	if len(b.Relations) > maxRelations {
+		return nil, fmt.Errorf("optimizer: block %q joins %d relations; at most %d can be enumerated", b.Name, len(b.Relations), maxRelations)
 	}
 	if opts.MaxPlansPerSet <= 0 {
 		opts.MaxPlansPerSet = 200_000
@@ -43,20 +63,12 @@ func Optimize(b *query.Block, opts Options) (*Result, error) {
 	if !opts.Cost.Validate() {
 		return nil, fmt.Errorf("optimizer: invalid cost parameters")
 	}
-	b.AddTransitiveClauses()
-	o := &optimizer{
-		block: b,
-		est:   stats.NewEstimator(b),
-		opts:  opts,
-		lists: make(map[query.RelSet]*planList),
-		specs: make(map[int]plan.BloomSpec),
-	}
+	o := newOptimizer(b, opts)
 
-	res := &Result{}
 	switch opts.Mode {
 	case BFCBO:
 		o.markCandidates()
-		o.phase1(res)
+		o.phase1()
 		o.applyHeuristic8()
 		o.makeBasePlans(true, false)
 	case Naive:
@@ -65,12 +77,11 @@ func Optimize(b *query.Block, opts Options) (*Result, error) {
 	default:
 		o.makeBasePlans(false, false)
 	}
-	res.Candidates = len(o.cands)
 
 	if err := o.enumerate(); err != nil {
 		return nil, err
 	}
-	best := o.lists[b.AllRels()].best()
+	best := o.lists[o.graph.ord(b.AllRels())].best()
 	if best == nil {
 		return nil, fmt.Errorf("optimizer: no complete plan found for block %q", b.Name)
 	}
@@ -85,27 +96,62 @@ func Optimize(b *query.Block, opts Options) (*Result, error) {
 		o.postProcess(p)
 	}
 
-	for _, l := range o.lists {
-		res.PlansKept += l.len()
+	res := &Result{
+		Plan:          p,
+		Candidates:    len(o.cands),
+		Phase1Pairs:   o.phase1Pairs,
+		ConnectedSets: len(o.graph.sets),
+		JoinPairs:     len(o.graph.pairs),
 	}
-	res.Plan = p
+	for i := range o.lists {
+		res.PlansKept += o.lists[i].len()
+	}
 	res.PlanningTime = time.Since(start)
 	p.PlanningTime = res.PlanningTime.Seconds()
 	return res, nil
 }
 
 type optimizer struct {
+	// block is a private copy of the caller's block whose clause list is
+	// the index's closed one; the estimator reads it too.
 	block *query.Block
+	graph *joinGraph
 	est   *stats.Estimator
 	opts  Options
 
 	cands  []*candidate
-	lists  map[query.RelSet]*planList
+	lists  []planList // by set ordinal in graph.sets
 	specs  map[int]plan.BloomSpec
 	nextID int
 
 	phase1Pairs   int
 	joinInputCard float64 // H8 accumulator
+
+	// pending is combine's scratch buffer for a join's merged pending
+	// list, resolved the one for the Bloom filter ids the join would
+	// build; enumerate sizes both for the longest list possible.
+	pending  []pendingBF
+	resolved []int
+	// free holds the joinPlans the plan lists have evicted, for combine to
+	// build its next plans in.
+	free []*joinPlan
+}
+
+// newOptimizer indexes a validated block's join graph and sets up the
+// state every pass shares. It is the only way to make an optimizer: the
+// enumerator cannot run without the index.
+func newOptimizer(b *query.Block, opts Options) *optimizer {
+	g := newJoinGraph(b)
+	closed := *b
+	closed.Clauses = g.clauses
+	return &optimizer{
+		block: &closed,
+		graph: g,
+		est:   stats.NewEstimator(&closed),
+		opts:  opts,
+		lists: make([]planList, len(g.sets)),
+		specs: make(map[int]plan.BloomSpec),
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -141,28 +187,27 @@ func (o *optimizer) markCandidates() {
 	// Group inner-clause endpoints into equivalence classes to honour the
 	// multi-way rule: "we only consider building a Bloom filter from the
 	// smallest table and applying it to the larger tables" (§3.3).
-	classes := o.equivalenceClasses()
-	inMultiway := make(map[string]bool)
-	for _, cls := range classes {
+	inMultiway := make(map[query.Endpoint]bool)
+	for _, cls := range o.candidateClasses() {
 		if len(cls) < 3 {
 			continue
 		}
 		smallest := cls[0]
 		for _, e := range cls[1:] {
-			if o.est.BaseRows(e.rel) < o.est.BaseRows(smallest.rel) {
+			if o.est.BaseRows(e.Rel) < o.est.BaseRows(smallest.Rel) {
 				smallest = e
 			}
 		}
 		for _, e := range cls {
-			inMultiway[endpointKey(e)] = true
+			inMultiway[e] = true
 			if e == smallest {
 				continue
 			}
 			if h.H1LargerOnly && !h.H9BothSides &&
-				o.est.BaseRows(e.rel) < o.est.BaseRows(smallest.rel) {
+				o.est.BaseRows(e.Rel) < o.est.BaseRows(smallest.Rel) {
 				continue
 			}
-			add(e.rel, e.col, smallest.rel, smallest.col, query.Inner, false)
+			add(e.Rel, e.Col, smallest.Rel, smallest.Col, query.Inner, false)
 		}
 	}
 
@@ -185,8 +230,8 @@ func (o *optimizer) markCandidates() {
 		}
 		// Inner clause: skip endpoints already covered by a multi-way
 		// class; otherwise H1 (or H9) decides the direction(s).
-		if inMultiway[fmt.Sprintf("%d.%s", c.LeftRel, c.LeftCol)] ||
-			inMultiway[fmt.Sprintf("%d.%s", c.RightRel, c.RightCol)] {
+		if inMultiway[query.Endpoint{Rel: c.LeftRel, Col: c.LeftCol}] ||
+			inMultiway[query.Endpoint{Rel: c.RightRel, Col: c.RightCol}] {
 			continue
 		}
 		lRows, rRows := o.est.BaseRows(c.LeftRel), o.est.BaseRows(c.RightRel)
@@ -243,10 +288,15 @@ func (o *optimizer) markCompositeCandidates() {
 			p.lc[n], p.rc[n] = c.RightCol, c.LeftCol
 		}
 	}
+	// Each pair renumbers the candidates, so pairs go in a fixed order.
+	keys := make([]query.RelSet, 0, len(counts))
 	for key, n := range counts {
-		if n < 2 {
-			continue
+		if n >= 2 {
+			keys = append(keys, key)
 		}
+	}
+	slices.Sort(keys)
+	for _, key := range keys {
 		p := pairs[key]
 		m := key.Members()
 		loRel, hiRel := m[0], m[1]
@@ -283,94 +333,65 @@ func (o *optimizer) markCompositeCandidates() {
 	}
 }
 
-type endpoint struct {
-	rel int
-	col string
-}
-
-func endpointKey(e endpoint) string { return fmt.Sprintf("%d.%s", e.rel, e.col) }
-
-// equivalenceClasses groups inner equi-join endpoints that must be equal.
-func (o *optimizer) equivalenceClasses() [][]endpoint {
-	parent := make(map[endpoint]endpoint)
-	var find func(endpoint) endpoint
-	find = func(e endpoint) endpoint {
-		p, ok := parent[e]
-		if !ok || p == e {
-			parent[e] = e
-			return e
+// candidateClasses returns the index's equivalence classes in the order
+// candidates are numbered in: by the first member's relation index compared
+// as decimal text ("10" sorts before "2"), then by its column. Candidate ids
+// fix Bloom filter ids and which δ combinations a capped enumeration keeps,
+// so the order is kept as it has always been rather than made numeric.
+func (o *optimizer) candidateClasses() [][]query.Endpoint {
+	classes := slices.Clone(o.graph.classes)
+	slices.SortFunc(classes, func(x, y []query.Endpoint) int {
+		if c := cmp.Compare(strconv.Itoa(x[0].Rel), strconv.Itoa(y[0].Rel)); c != 0 {
+			return c
 		}
-		r := find(p)
-		parent[e] = r
-		return r
-	}
-	for _, c := range o.block.Clauses {
-		if c.Type != query.Inner {
-			continue
-		}
-		a, b := endpoint{c.LeftRel, c.LeftCol}, endpoint{c.RightRel, c.RightCol}
-		parent[find(a)] = find(b)
-	}
-	groups := make(map[endpoint][]endpoint)
-	for e := range parent {
-		r := find(e)
-		groups[r] = append(groups[r], e)
-	}
-	out := make([][]endpoint, 0, len(groups))
-	for _, g := range groups {
-		sort.Slice(g, func(i, j int) bool {
-			if g[i].rel != g[j].rel {
-				return g[i].rel < g[j].rel
-			}
-			return g[i].col < g[j].col
-		})
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return endpointKey(out[i][0]) < endpointKey(out[j][0]) })
-	return out
+		return cmp.Compare(x[0].Col, y[0].Col)
+	})
+	return classes
 }
 
 // ---------------------------------------------------------------------------
 // First bottom-up phase (§3.4): populate Δ without costing anything.
 
-func (o *optimizer) phase1(res *Result) {
-	all := o.block.AllRels()
-	for _, s := range subsetsByPopcount(all, 2) {
-		if !o.block.ConnectedSet(s) || !o.block.NonInnerUnitOK(s) {
-			continue
+// phase1 walks the pair list once to collect, per candidate, the build
+// sides δ it can be resolved against.
+func (o *optimizer) phase1() {
+	g, h := o.graph, o.opts.Heuristics
+	o.phase1Pairs = len(g.pairs)
+	// Whether a build side δ is valid for a candidate depends on the two
+	// alone, not on the outer it was seen with: decide each (candidate, δ)
+	// once, at its first visit, which is also its place in Δ.
+	words := (len(g.sets) + 63) / 64
+	decided := make([]uint64, words*len(o.cands))
+	for i := range g.pairs {
+		p := &g.pairs[i]
+		outer, inner := g.sets[p.outer], g.sets[p.inner]
+		if h.H8MinJoinInputCard > 0 {
+			o.joinInputCard += o.est.JoinCard(outer) + o.est.JoinCard(inner)
 		}
-		o.forEachSplit(s, func(a, b query.RelSet) {
-			for _, or := range [2][2]query.RelSet{{a, b}, {b, a}} {
-				outer, inner := or[0], or[1]
-				if !o.legalJoin(outer, inner) {
-					continue
-				}
-				o.phase1Pairs++
-				if o.opts.Heuristics.H8MinJoinInputCard > 0 {
-					o.joinInputCard += o.est.JoinCard(outer) + o.est.JoinCard(inner)
-				}
-				for _, c := range o.cands {
-					if !outer.Has(c.applyRel) || !inner.Has(c.buildRel) {
-						continue
-					}
-					// Heuristic 3: an FK apply column referencing a PK
-					// build column that stays lossless under this δ will
-					// filter nothing — prune the δ.
-					if o.opts.Heuristics.H3FKLosslessPK && c.applyCol2 == "" &&
-						o.est.LosslessPK(c.applyRel, c.applyCol, c.buildRel, c.buildCol, inner) {
-						continue
-					}
-					// Heuristic 9's guard: only keep δs whose build side
-					// is smaller than the apply relation.
-					if c.fromH9 && o.est.JoinCard(inner) >= o.est.BaseRows(c.applyRel) {
-						continue
-					}
-					c.addDelta(inner)
-				}
+		for ci, c := range o.cands {
+			if !outer.Has(c.applyRel) || !inner.Has(c.buildRel) {
+				continue
 			}
-		})
+			word, bit := &decided[ci*words+int(p.inner>>6)], uint64(1)<<(uint(p.inner)&63)
+			if *word&bit != 0 {
+				continue
+			}
+			*word |= bit
+			// Heuristic 3: an FK apply column referencing a PK build
+			// column that stays lossless under this δ will filter
+			// nothing — prune the δ.
+			if h.H3FKLosslessPK && c.applyCol2 == "" &&
+				o.est.LosslessPK(c.applyRel, c.applyCol, c.buildRel, c.buildCol, inner) {
+				continue
+			}
+			// Heuristic 9's guard: only keep δs whose build side is
+			// smaller than the apply relation.
+			if c.fromH9 && o.est.JoinCard(inner) >= o.est.BaseRows(c.applyRel) {
+				continue
+			}
+			c.deltas = append(c.deltas, inner)
+		}
 	}
-	res.Phase1Pairs = o.phase1Pairs
 }
 
 // applyHeuristic8 clears all candidates when the observed total join-input
@@ -440,12 +461,10 @@ func (o *optimizer) newScanNode(rel int, rows, cst float64, bloomIDs []int) *pla
 func (o *optimizer) makeBasePlans(withBF, naive bool) {
 	h := o.opts.Heuristics
 	for rel := range o.block.Relations {
-		s := query.NewRelSet(rel)
-		l := &planList{}
-		o.lists[s] = l
+		l := &o.lists[rel] // a relation's index is its singleton's ordinal
 		rows := o.est.BaseRows(rel)
 		l.insert(&subPlan{
-			rels: s, rows: rows, cost: o.scanCost(rel, 0),
+			rows: rows, cost: o.scanCost(rel, 0),
 			node: o.newScanNode(rel, rows, o.scanCost(rel, 0), nil),
 		})
 
@@ -483,13 +502,11 @@ func (o *optimizer) makeBasePlans(withBF, naive bool) {
 				continue
 			}
 			// Strongest δ first, so capped enumeration keeps the best.
-			sort.Slice(ok, func(i, j int) bool {
-				fi := o.keptFraction(c, ok[i])
-				fj := o.keptFraction(c, ok[j])
-				if fi != fj {
-					return fi < fj
+			slices.SortFunc(ok, func(x, y query.RelSet) int {
+				if d := cmp.Compare(o.keptFraction(c, x), o.keptFraction(c, y)); d != 0 {
+					return d
 				}
-				return ok[i].Count() < ok[j].Count()
+				return cmp.Compare(x.Count(), y.Count())
 			})
 			choices = append(choices, choice{c, ok})
 		}
@@ -531,19 +548,21 @@ func (o *optimizer) makeBasePlans(withBF, naive bool) {
 			}
 			sortPending(pending)
 			cst := o.scanCost(rel, len(pending))
+			pendIDs, pendNeed := summarizePending(pending)
 			bfPlans = append(bfPlans, &subPlan{
-				rels: s, rows: prodRows, cost: cst, pending: pending,
+				rows: prodRows, cost: cst,
+				pending: pending, pendIDs: pendIDs, pendNeed: pendNeed,
 				node: o.newScanNode(rel, prodRows, cst, ids),
 			})
 		}
 		// Heuristic 7: cap the number of Bloom filter sub-plans kept for
 		// one relation, retaining the one with fewest rows (then cheapest).
 		if h.H7MaxSubPlans > 0 && len(bfPlans) > h.H7MaxSubPlans {
-			sort.Slice(bfPlans, func(i, j int) bool {
-				if bfPlans[i].rows != bfPlans[j].rows {
-					return bfPlans[i].rows < bfPlans[j].rows
+			slices.SortFunc(bfPlans, func(x, y *subPlan) int {
+				if c := cmp.Compare(x.rows, y.rows); c != 0 {
+					return c
 				}
-				return bfPlans[i].cost < bfPlans[j].cost
+				return cmp.Compare(x.cost, y.cost)
 			})
 			bfPlans = bfPlans[:1]
 		}
@@ -568,253 +587,172 @@ func (o *optimizer) allocBloom(c *candidate, delta query.RelSet) int {
 }
 
 // ---------------------------------------------------------------------------
-// Shared bottom-up enumeration (plain CBO, and phase 2 of BF-CBO, §3.6).
+// Shared bottom-up enumeration (plain CBO, Naive, and phase 2 of BF-CBO,
+// §3.6).
 
-// subsetsByPopcount returns all non-empty subsets of universe with at least
-// minSize members, ordered by population count (bottom-up DP order).
-func subsetsByPopcount(universe query.RelSet, minSize int) []query.RelSet {
-	var subs []query.RelSet
-	u := uint64(universe)
-	for s := u; ; s = (s - 1) & u {
-		if bits.OnesCount64(s) >= minSize {
-			subs = append(subs, query.RelSet(s))
-		}
-		if s == 0 {
-			break
-		}
-	}
-	sort.Slice(subs, func(i, j int) bool {
-		ci, cj := subs[i].Count(), subs[j].Count()
-		if ci != cj {
-			return ci < cj
-		}
-		return subs[i] < subs[j]
-	})
-	return subs
-}
-
-// forEachSplit visits each unordered split of s into two non-empty,
-// connected halves that are joinable (share a clause) and respect the
-// non-inner units.
-func (o *optimizer) forEachSplit(s query.RelSet, fn func(a, b query.RelSet)) {
-	u := uint64(s)
-	for sub := (u - 1) & u; sub != 0; sub = (sub - 1) & u {
-		a := query.RelSet(sub)
-		if !a.Has(s.First()) {
-			continue
-		}
-		b := s.Minus(a)
-		if b.Empty() {
-			continue
-		}
-		if !o.block.ConnectedSet(a) || !o.block.ConnectedSet(b) {
-			continue
-		}
-		if !o.block.NonInnerUnitOK(a) || !o.block.NonInnerUnitOK(b) {
-			continue
-		}
-		if len(o.block.ClausesBetween(a, b)) == 0 {
-			continue
-		}
-		fn(a, b)
-	}
-}
-
-// legalJoin reports whether (outer, inner) is a valid orientation: every
-// non-inner clause spanning the split must have its preserve side on the
-// outer and its entire subquery unit as the inner.
-func (o *optimizer) legalJoin(outer, inner query.RelSet) bool {
-	for _, c := range o.block.ClausesBetween(outer, inner) {
-		if c.Type == query.Inner {
-			continue
-		}
-		if !outer.Has(c.LeftRel) || inner != c.SubRels {
-			return false
-		}
-	}
-	return true
-}
-
-// spanningJoinType returns the join type of the (outer, inner) pair: the
-// non-inner clause type if one spans the split, else Inner.
-func (o *optimizer) spanningJoinType(outer, inner query.RelSet) query.JoinType {
-	for _, c := range o.block.ClausesBetween(outer, inner) {
-		if c.Type != query.Inner {
-			return c.Type
-		}
-	}
-	return query.Inner
-}
-
-// conds builds the physical equi-join conditions for the (outer, inner)
-// orientation.
-func (o *optimizer) conds(outer, inner query.RelSet) []plan.Cond {
-	var out []plan.Cond
-	for _, c := range o.block.ClausesBetween(outer, inner) {
-		if outer.Has(c.LeftRel) {
-			out = append(out, plan.Cond{OuterRel: c.LeftRel, OuterCol: c.LeftCol, InnerRel: c.RightRel, InnerCol: c.RightCol})
-		} else {
-			out = append(out, plan.Cond{OuterRel: c.RightRel, OuterCol: c.RightCol, InnerRel: c.LeftRel, InnerCol: c.LeftCol})
-		}
-	}
-	return out
-}
-
+// enumerate runs one bottom-up pass over the index's pair list, costing
+// every sub-plan combination of every legal ordered pair.
 func (o *optimizer) enumerate() error {
-	all := o.block.AllRels()
-	if all.Single() {
-		return nil
-	}
-	for _, s := range subsetsByPopcount(all, 2) {
-		if !o.block.ConnectedSet(s) || !o.block.NonInnerUnitOK(s) {
-			continue
+	g := o.graph
+	o.pending = make([]pendingBF, 0, len(o.cands))
+	o.resolved = make([]int, 0, len(o.cands))
+	site := joinSite{set: -1}
+	for i := range g.pairs {
+		p := &g.pairs[i]
+		if p.set != site.set {
+			site.set = p.set
+			site.card = o.est.JoinCard(g.sets[p.set])
 		}
-		list := &planList{}
-		o.lists[s] = list
-		var err error
-		o.forEachSplit(s, func(a, b query.RelSet) {
-			if err != nil {
-				return
-			}
-			for _, or := range [2][2]query.RelSet{{a, b}, {b, a}} {
-				outer, inner := or[0], or[1]
-				if !o.legalJoin(outer, inner) {
-					continue
-				}
-				if e := o.joinPair(s, outer, inner, list); e != nil {
-					err = e
-					return
+		site.outer, site.inner = g.sets[p.outer], g.sets[p.inner]
+		site.joinType, site.conds = p.joinType, g.pairConds(p)
+		list := &o.lists[p.set]
+		for _, pa := range o.lists[p.outer].plans {
+			for _, pb := range o.lists[p.inner].plans {
+				o.combine(&site, pa, pb, list)
+				if list.len() > o.opts.MaxPlansPerSet {
+					return ErrSearchSpaceExceeded
 				}
 			}
-		})
-		if err != nil {
-			return err
 		}
 	}
 	return nil
 }
 
-// joinPair evaluates every sub-plan combination for one ordered join pair
-// and inserts the resulting join sub-plans into the target list.
-func (o *optimizer) joinPair(s, outer, inner query.RelSet, list *planList) error {
-	lo, ok1 := o.lists[outer]
-	li, ok2 := o.lists[inner]
-	if !ok1 || !ok2 {
-		return nil
-	}
-	jt := o.spanningJoinType(outer, inner)
-	conds := o.conds(outer, inner)
-	for _, pa := range lo.plans {
-		for _, pb := range li.plans {
-			o.combine(s, outer, inner, jt, conds, pa, pb, list)
-			if list.len() > o.opts.MaxPlansPerSet {
-				return ErrSearchSpaceExceeded
-			}
-		}
-	}
-	return nil
+// joinSite is one ordered join pair as combine sees it.
+type joinSite struct {
+	set          int32 // ordinal of the joined set
+	outer, inner query.RelSet
+	joinType     query.JoinType
+	conds        []plan.Cond
+	card         float64 // the estimator's canonical cardinality of the joined set
 }
 
 // combine implements §3.6's sub-plan join rules for one (outer, inner)
-// sub-plan pair, trying every admissible join method.
-func (o *optimizer) combine(s, outer, inner query.RelSet, jt query.JoinType, conds []plan.Cond, pa, pb *subPlan, list *planList) {
+// sub-plan pair. It decides everything about the join — whether the pending
+// Bloom filters allow it, its rows, pending list and cheapest admissible
+// method — and asks the plan list whether such a plan would survive before
+// it allocates anything.
+func (o *optimizer) combine(j *joinSite, pa, pb *subPlan, list *planList) {
 	// Inner-side pending filters must remain resolvable: their build
 	// relations may not already sit inside the joined set's outer half.
-	for _, p := range pb.pending {
-		need := p.delta
-		if p.delta.Empty() { // naive unknown δ: only the build rel is fixed
-			need = query.NewRelSet(p.cand.buildRel)
-		}
-		if need.Overlaps(outer) {
-			return
-		}
+	if pb.pendNeed.Overlaps(j.outer) {
+		return
 	}
-
 	if pa.uncosted || pb.uncosted {
-		o.combineNaive(s, jt, conds, pa, pb, list)
+		o.combineNaive(j, pa, pb, list)
 		return
 	}
 
-	// Classify the outer side's pending Bloom filters.
-	var resolved, carried []pendingBF
-	mustHash := jt != query.Inner
+	// Classify the outer side's pending Bloom filters: resolved here, or
+	// carried upwards, merged in candidate order with the inner side's
+	// (both lists are sorted already). A plan holds at most one pending
+	// filter per candidate, so the scratch buffers never grow.
+	merged, resolved := o.pending[:0], o.resolved[:0]
+	carried := 0
+	pendIDs, pendNeed := pb.pendIDs, pb.pendNeed
+	rest := pb.pending
 	for _, p := range pa.pending {
 		switch {
-		case p.delta.SubsetOf(inner):
+		case p.delta.SubsetOf(j.inner):
 			// Fully resolvable here; this join builds the filter.
-			resolved = append(resolved, p)
-			mustHash = true
-		case p.delta.Overlaps(inner):
+			resolved = append(resolved, p.bloomID)
+		case p.delta.Overlaps(j.inner):
 			// Partial overlap: only legal under the Fig. 3 exception —
 			// the build relation itself must be on this build side (its
 			// column populates the filter here), and the outstanding δ
 			// relations must be promised by the inner side's own pending
-			// filters.
-			if !inner.Has(p.cand.buildRel) {
+			// filters. Otherwise Fig. 3(b): an illegal combination.
+			if !j.inner.Has(p.cand.buildRel) || !p.delta.Minus(j.inner).SubsetOf(pb.pendNeed) {
 				return
 			}
-			outstanding := p.delta.Minus(inner)
-			promised := query.RelSet(0)
-			for _, q := range pb.pending {
-				promised = promised.Union(q.delta)
-			}
-			if !outstanding.SubsetOf(promised) {
-				return // Fig. 3(b): illegal combination
-			}
-			resolved = append(resolved, p)
-			mustHash = true
+			resolved = append(resolved, p.bloomID)
 		default:
-			carried = append(carried, p)
+			for len(rest) > 0 && rest[0].cand.id < p.cand.id {
+				merged, rest = append(merged, rest[0]), rest[1:]
+			}
+			merged = append(merged, p)
+			carried++
+			pendIDs |= 1 << (uint(p.cand.id) & 63)
+			pendNeed = pendNeed.Union(p.delta)
 		}
 	}
-	carried = append(carried, pb.pending...)
-	sortPending(carried)
+	merged = append(merged, rest...)
 
-	rows := o.est.JoinCard(s)
-	for _, p := range carried {
+	// Pending lists are immutable, so a join that carries one side's list
+	// unchanged shares it; only a real merge needs a copy, if kept.
+	pending, scratch := merged, true
+	switch {
+	case carried == 0:
+		pending, scratch = pb.pending, false
+	case len(pb.pending) == 0 && carried == len(pa.pending):
+		pending, scratch = pa.pending, false
+	}
+
+	rows := j.card
+	for _, p := range pending {
 		rows *= p.factor
 	}
 
-	var buildIDs []int
-	for _, p := range resolved {
-		buildIDs = append(buildIDs, p.bloomID)
-	}
-
-	// Hash join (always admissible; mandatory when resolving or non-inner).
-	{
-		hc, streaming := o.opts.Cost.HashJoin(pa.rows, pb.rows)
-		hc += o.opts.Cost.BloomBuild(pb.rows, len(resolved))
-		total := pa.cost + pb.cost + hc
-		node := &plan.Join{
-			Method: plan.HashJoin, JoinType: jt, Outer: pa.node, Inner: pb.node,
-			Conds: conds, BuildBlooms: buildIDs, Streaming: streaming,
-			Rows: rows, Cost: total,
+	// The admissible methods share rows and pending, so only the cheapest
+	// can survive in the plan list; ties go to the first, as inserting
+	// all three in this order would have it. Hash join is always
+	// admissible, and mandatory when resolving a filter or non-inner.
+	inputs := pa.cost + pb.cost
+	hc, streaming := o.opts.Cost.HashJoin(pa.rows, pb.rows)
+	hc += o.opts.Cost.BloomBuild(pb.rows, len(resolved))
+	method, total := plan.HashJoin, inputs+hc
+	if j.joinType == query.Inner && len(resolved) == 0 {
+		if c := inputs + o.opts.Cost.MergeSorted(o.sortCost(pa), o.sortCost(pb), pa.rows, pb.rows); c < total {
+			method, total = plan.MergeJoin, c
 		}
-		list.insert(&subPlan{rels: s, rows: rows, cost: total, pending: carried, node: node})
+		if c := inputs + o.opts.Cost.NestLoop(pa.rows, pb.rows); c < total {
+			method, total = plan.NestLoopJoin, c
+		}
 	}
-	if mustHash {
+	if !list.admits(total, rows, pending, pendIDs) {
 		return
 	}
-	// Merge join.
-	{
-		mc := o.opts.Cost.MergeJoin(pa.rows, pb.rows)
-		total := pa.cost + pb.cost + mc
-		node := &plan.Join{
-			Method: plan.MergeJoin, JoinType: jt, Outer: pa.node, Inner: pb.node,
-			Conds: conds, Rows: rows, Cost: total,
-		}
-		list.insert(&subPlan{rels: s, rows: rows, cost: total, pending: carried, node: node})
+
+	// The sub-plan and its plan node are one allocation, and a plan this
+	// set's list has evicted (about three in five of those admitted) gives
+	// its own to the next.
+	var kept *joinPlan
+	if n := len(o.free); n > 0 {
+		kept, o.free = o.free[n-1], o.free[:n-1]
+	} else {
+		kept = new(joinPlan)
 	}
-	// Nested loop join.
-	{
-		nc := o.opts.Cost.NestLoop(pa.rows, pb.rows)
-		total := pa.cost + pb.cost + nc
-		node := &plan.Join{
-			Method: plan.NestLoopJoin, JoinType: jt, Outer: pa.node, Inner: pb.node,
-			Conds: conds, Rows: rows, Cost: total,
-		}
-		list.insert(&subPlan{rels: s, rows: rows, cost: total, pending: carried, node: node})
+	*kept = joinPlan{
+		subPlan: subPlan{
+			rows: rows, cost: total,
+			pending: pending, pendIDs: pendIDs, pendNeed: pendNeed,
+			owner: kept,
+		},
+		join: plan.Join{
+			Method: method, JoinType: j.joinType, Outer: pa.node, Inner: pb.node,
+			Conds: j.conds, Rows: rows, Cost: total,
+		},
 	}
+	if method == plan.HashJoin {
+		kept.join.Streaming = streaming
+		if len(resolved) > 0 {
+			kept.join.BuildBlooms = slices.Clone(resolved)
+		}
+	}
+	if scratch {
+		kept.pending = slices.Clone(pending)
+	}
+	kept.node = &kept.join
+	list.add(&kept.subPlan, &o.free)
+}
+
+// sortCost is the cost of sorting p's output for a merge join, computed
+// when p first becomes a join input and kept for the many joins after.
+func (o *optimizer) sortCost(p *subPlan) float64 {
+	if p.sortCost == 0 {
+		p.sortCost = o.opts.Cost.SortCost(p.rows)
+	}
+	return p.sortCost
 }
 
 // collectSpecs gathers the BloomSpecs referenced by the final tree.
@@ -831,6 +769,6 @@ func (o *optimizer) collectSpecs(p *plan.Plan) {
 			specs = append(specs, sp)
 		}
 	}
-	sort.Slice(specs, func(i, j int) bool { return specs[i].ID < specs[j].ID })
+	slices.SortFunc(specs, func(x, y plan.BloomSpec) int { return cmp.Compare(x.ID, y.ID) })
 	p.Blooms = specs
 }

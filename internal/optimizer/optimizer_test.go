@@ -82,7 +82,7 @@ func TestNoBFProducesPlan(t *testing.T) {
 // Example 3.1: BFCs go on t1 (larger than t2) and t3 (larger than t2).
 func TestMarkCandidatesExample31(t *testing.T) {
 	b := exampleBlock()
-	o := &optimizer{block: b, est: newEst(t, b), opts: exampleOptions(BFCBO)}
+	o := newTestOptimizer(t, b, exampleOptions(BFCBO))
 	o.markCandidates()
 	if len(o.cands) != 2 {
 		t.Fatalf("got %d candidates, want 2: %+v", len(o.cands), o.cands)
@@ -104,12 +104,14 @@ func TestMarkCandidatesExample31(t *testing.T) {
 	}
 }
 
-func newEst(t *testing.T, b *query.Block) *stats.Estimator {
+// newTestOptimizer validates b and builds the optimizer the way Optimize
+// does, so a test can drive single passes on fully initialised state.
+func newTestOptimizer(t *testing.T, b *query.Block, opts Options) *optimizer {
 	t.Helper()
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return stats.NewEstimator(b)
+	return newOptimizer(b, opts)
 }
 
 // Example 3.2: phase 1 populates Δ = [{t2}, {t2,t3}] for t1.bfc1 and
@@ -117,9 +119,9 @@ func newEst(t *testing.T, b *query.Block) *stats.Estimator {
 func TestPhase1DeltasExample32(t *testing.T) {
 	b := exampleBlock()
 	opts := exampleOptions(BFCBO)
-	o := &optimizer{block: b, est: newEst(t, b), opts: opts}
+	o := newTestOptimizer(t, b, opts)
 	o.markCandidates()
-	o.phase1(&Result{})
+	o.phase1()
 	var t1c, t3c *candidate
 	for _, c := range o.cands {
 		switch c.applyRel {
@@ -156,13 +158,12 @@ func TestPhase1DeltasExample32(t *testing.T) {
 func TestCostingPrunesUselessLargerDelta(t *testing.T) {
 	b := exampleBlock()
 	opts := exampleOptions(BFCBO)
-	o := &optimizer{block: b, est: newEst(t, b), opts: opts,
-		lists: map[query.RelSet]*planList{}, specs: map[int]plan.BloomSpec{}}
+	o := newTestOptimizer(t, b, opts)
 	o.markCandidates()
-	o.phase1(&Result{})
+	o.phase1()
 	o.makeBasePlans(true, false)
 
-	l := o.lists[query.NewRelSet(0)]
+	l := &o.lists[0] // t1: a relation's index is its list's ordinal
 	var bfPlans []*subPlan
 	for _, p := range l.plans {
 		if len(p.pending) > 0 {
@@ -647,5 +648,44 @@ func TestSubPlanDomination(t *testing.T) {
 	}
 	if l.insert(mk(30, 200, nil, false)) {
 		t.Fatal("dominated insert should be rejected")
+	}
+}
+
+// combine builds a new plan in the joinPlan of a plan its list has evicted.
+// No kept plan may be the one overwritten: after a whole BF-CBO pass every
+// stored plan is its own object, its tree covers exactly its list's set, and
+// the tree's root carries the rows and cost the plan list pruned by.
+func TestRecycledPlansStayConsistent(t *testing.T) {
+	for _, c := range goldenCases()[22:] {
+		opts := DefaultOptions(c.sf)
+		opts.Mode = BFCBO
+		o := newTestOptimizer(t, c.build(t), opts)
+		o.markCandidates()
+		o.phase1()
+		o.makeBasePlans(true, false)
+		if err := o.enumerate(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		seen := make(map[*subPlan]bool)
+		for i := range o.lists {
+			for _, p := range o.lists[i].plans {
+				if seen[p] {
+					t.Fatalf("%s: one sub-plan is stored twice", c.name)
+				}
+				seen[p] = true
+				if got, want := p.node.Rels(), o.graph.sets[i]; got != want {
+					t.Fatalf("%s: a plan of set %s covers %s", c.name, want, got)
+				}
+				if p.node.EstRows() != p.rows || p.node.EstCost() != p.cost {
+					t.Fatalf("%s set %s: node says rows %g cost %g, plan list %g and %g",
+						c.name, o.graph.sets[i], p.node.EstRows(), p.node.EstCost(), p.rows, p.cost)
+				}
+			}
+		}
+		for _, p := range o.free {
+			if seen[&p.subPlan] {
+				t.Fatalf("%s: a stored plan is also on the free list", c.name)
+			}
+		}
 	}
 }

@@ -1,7 +1,8 @@
 package optimizer
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"bfcbo/internal/plan"
 	"bfcbo/internal/query"
@@ -25,18 +26,9 @@ type candidate struct {
 	clauseType query.JoinType
 	// fromH9 marks candidates produced by the permissive Heuristic 9.
 	fromH9 bool
-	// deltas is Δ: the valid build-side relation sets observed in phase 1.
+	// deltas is Δ: the valid build-side relation sets observed in phase 1,
+	// each once, in visit order.
 	deltas []query.RelSet
-}
-
-// addDelta appends δ if not already present.
-func (c *candidate) addDelta(d query.RelSet) {
-	for _, x := range c.deltas {
-		if x == d {
-			return
-		}
-	}
-	c.deltas = append(c.deltas, d)
 }
 
 // pendingBF is one applied-but-unresolved Bloom filter carried by a
@@ -55,28 +47,54 @@ type pendingBF struct {
 // subPlan is one entry in a relation set's plan-list: a costed physical
 // alternative with its Bloom filter property set.
 type subPlan struct {
-	rels    query.RelSet
-	rows    float64
+	// The fields the plan-list scans and combine's early exits read come
+	// first, to share a cache line.
 	cost    float64
-	pending []pendingBF // sorted by cand.id; empty for plain plans
-	node    plan.Node
+	rows    float64
+	pending []pendingBF // sorted by cand.id; empty for plain plans; never mutated
+	// pendIDs and pendNeed summarise pending (see summarizePending); every
+	// constructor sets them together with pending.
+	pendIDs  uint64
+	pendNeed query.RelSet
 	// uncosted marks Naive-mode plans whose Bloom filters have unknown δ:
 	// their row estimate is not final and they are exempt from pruning,
 	// which is precisely what makes the naive approach explode (§3.1).
 	uncosted bool
+	// sortCost caches optimizer.sortCost; zero until first asked for.
+	sortCost float64
+	node     plan.Node
+	// owner is the joinPlan this sub-plan is the head of; nil for base
+	// plans and Naive-mode joins, which are never recycled.
+	owner *joinPlan
 }
 
-// pendingFactor is the product of all unresolved Bloom reduction factors.
-func (p *subPlan) pendingFactor() float64 {
-	f := 1.0
-	for _, b := range p.pending {
-		f *= b.factor
+// joinPlan is a costed join's sub-plan and its plan node in one allocation.
+type joinPlan struct {
+	subPlan
+	join plan.Join
+}
+
+// summarizePending folds a pending list into two bitmasks. ids has bit
+// cand.id mod 64 set for every pending filter: ids(a) ⊄ ids(b) proves
+// pendingEasier(a, b) false in one instruction. need is the union of the
+// relations the filters still wait for (δ, or just the build relation
+// while δ is unknown): an inner-side plan whose need overlaps the outer
+// side can never resolve them.
+func summarizePending(ps []pendingBF) (ids uint64, need query.RelSet) {
+	for _, p := range ps {
+		ids |= 1 << (uint(p.cand.id) & 63)
+		if p.delta.Empty() {
+			need = need.Add(p.cand.buildRel)
+		} else {
+			need = need.Union(p.delta)
+		}
 	}
-	return f
+	return ids, need
 }
 
+// sortPending orders a freshly built pending list by candidate id.
 func sortPending(ps []pendingBF) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].cand.id < ps[j].cand.id })
+	slices.SortFunc(ps, func(a, b pendingBF) int { return cmp.Compare(a.cand.id, b.cand.id) })
 }
 
 // pendingEasier reports whether a's Bloom constraints are no harder than
@@ -107,7 +125,8 @@ func dominates(a, b *subPlan) bool {
 	if a.uncosted || b.uncosted {
 		return false
 	}
-	return a.cost <= b.cost && a.rows <= b.rows && pendingEasier(a.pending, b.pending)
+	return a.cost <= b.cost && a.rows <= b.rows && a.pendIDs&^b.pendIDs == 0 &&
+		pendingEasier(a.pending, b.pending)
 }
 
 // planList holds the Pareto-optimal sub-plans for one relation set.
@@ -115,21 +134,52 @@ type planList struct {
 	plans []*subPlan
 }
 
-// insert adds p unless dominated; it evicts plans p dominates. Reports
-// whether p was kept.
-func (l *planList) insert(p *subPlan) bool {
+// admits reports whether a costed plan with the given properties would be
+// kept: no stored plan dominates it. The enumerator asks before it
+// allocates the plan, which most of the time it then does not have to.
+func (l *planList) admits(cost, rows float64, pending []pendingBF, pendIDs uint64) bool {
 	for _, q := range l.plans {
-		if dominates(q, p) {
+		if q.cost <= cost && q.rows <= rows && q.pendIDs&^pendIDs == 0 &&
+			!q.uncosted && pendingEasier(q.pending, pending) {
 			return false
 		}
 	}
-	kept := l.plans[:0]
-	for _, q := range l.plans {
-		if !dominates(p, q) {
-			kept = append(kept, q)
-		}
+	return true
+}
+
+// add stores a plan the list admits, evicting the plans it dominates. The
+// evicted joinPlans go to free, when given, for the caller to build its next
+// plans in. That is safe while the list's set is still being enumerated:
+// only plans of larger sets, which come later, point at this list's.
+func (l *planList) add(p *subPlan, free *[]*joinPlan) {
+	plans := l.plans
+	// Most plans evict nothing: look before moving anything.
+	n := 0
+	for n < len(plans) && !dominates(p, plans[n]) {
+		n++
 	}
-	l.plans = append(kept, p)
+	if n < len(plans) {
+		for _, q := range plans[n:] {
+			if !dominates(p, q) {
+				plans[n] = q
+				n++
+			} else if free != nil && q.owner != nil {
+				*free = append(*free, q.owner)
+			}
+		}
+		// Clear the evicted tail so the dropped plans can be collected.
+		clear(plans[n:])
+	}
+	l.plans = append(plans[:n], p)
+}
+
+// insert adds p unless dominated; it evicts plans p dominates. Reports
+// whether p was kept.
+func (l *planList) insert(p *subPlan) bool {
+	if !p.uncosted && !l.admits(p.cost, p.rows, p.pending, p.pendIDs) {
+		return false
+	}
+	l.add(p, nil)
 	return true
 }
 

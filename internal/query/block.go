@@ -1,7 +1,9 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"bfcbo/internal/catalog"
@@ -174,81 +176,32 @@ func (b *Block) connected() bool {
 	return reach == b.AllRels()
 }
 
-// ClausesBetween returns the clauses with one endpoint in each of the two
-// disjoint sets, normalised so LeftRel ∈ s1.
-func (b *Block) ClausesBetween(s1, s2 RelSet) []JoinClause {
-	var out []JoinClause
-	for _, c := range b.Clauses {
-		switch {
-		case s1.Has(c.LeftRel) && s2.Has(c.RightRel):
-			out = append(out, c)
-		case s2.Has(c.LeftRel) && s1.Has(c.RightRel):
-			// Non-inner clauses are direction-sensitive; keep orientation
-			// but let the caller see the clause (it checks sides itself).
-			out = append(out, c)
-		}
-	}
-	return out
+// Endpoint is one side of an equi-join clause: a column of a relation.
+type Endpoint struct {
+	Rel int
+	Col string
 }
 
-// ConnectedSet reports whether the relations in s form a connected subgraph
-// of the join graph.
-func (b *Block) ConnectedSet(s RelSet) bool {
-	if s.Empty() {
-		return false
+func compareEndpoints(a, b Endpoint) int {
+	if c := cmp.Compare(a.Rel, b.Rel); c != 0 {
+		return c
 	}
-	if s.Single() {
-		return true
-	}
-	reach := NewRelSet(s.First())
-	for changed := true; changed; {
-		changed = false
-		for _, c := range b.Clauses {
-			if !s.Has(c.LeftRel) || !s.Has(c.RightRel) {
-				continue
-			}
-			l, r := reach.Has(c.LeftRel), reach.Has(c.RightRel)
-			if l != r {
-				reach = reach.Add(c.LeftRel).Add(c.RightRel)
-				changed = true
-			}
-		}
-	}
-	return reach == s
+	return cmp.Compare(a.Col, b.Col)
 }
 
-// NonInnerUnitOK enforces the block's reordering fence: a candidate subset s
-// is plan-able only if, for every non-inner clause, s contains none of the
-// clause's SubRels, all of them, or is itself fully inside them. This treats
-// each subquery/nullable side as an indivisible planning unit, the standard
-// conservative rule for semi/anti/outer joins.
-func (b *Block) NonInnerUnitOK(s RelSet) bool {
-	for _, c := range b.Clauses {
-		if c.Type == Inner {
-			continue
-		}
-		inter := s.Intersect(c.SubRels)
-		if inter.Empty() || inter == c.SubRels || s.SubsetOf(c.SubRels) {
-			continue
-		}
-		return false
-	}
-	return true
-}
-
-// AddTransitiveClauses computes the transitive closure of the Inner
-// equi-join clauses (equivalence classes à la PostgreSQL) and appends any
-// implied clauses that are missing, marked Derived. For example, from
-// s_suppkey = l_suppkey and ps_suppkey = l_suppkey it derives
-// s_suppkey = ps_suppkey, enabling the supplier–partsupp join order.
-func (b *Block) AddTransitiveClauses() {
-	type endpoint struct {
-		rel int
-		col string
-	}
-	parent := make(map[endpoint]endpoint)
-	var find func(e endpoint) endpoint
-	find = func(e endpoint) endpoint {
+// TransitiveClosure computes the equivalence classes of the Inner equi-join
+// endpoints (à la PostgreSQL) and returns a fresh clause list — the given
+// clauses followed by every implied clause that is missing, marked Derived —
+// together with the classes. For example, from s_suppkey = l_suppkey and
+// ps_suppkey = l_suppkey it derives s_suppkey = ps_suppkey, enabling the
+// supplier–partsupp join order. Classes, their members and therefore the
+// derived clauses are sorted by (relation, column): the result is a pure
+// function of the input, which plans, EXPLAIN text and fingerprints built
+// from it rely on.
+func TransitiveClosure(clauses []JoinClause) ([]JoinClause, [][]Endpoint) {
+	parent := make(map[Endpoint]Endpoint)
+	var find func(e Endpoint) Endpoint
+	find = func(e Endpoint) Endpoint {
 		p, ok := parent[e]
 		if !ok || p == e {
 			parent[e] = e
@@ -258,50 +211,49 @@ func (b *Block) AddTransitiveClauses() {
 		parent[e] = root
 		return root
 	}
-	union := func(a, c endpoint) { parent[find(a)] = find(c) }
-
-	for _, c := range b.Clauses {
+	have := make(map[[2]Endpoint]bool)
+	for _, c := range clauses {
 		if c.Type != Inner {
 			continue
 		}
-		union(endpoint{c.LeftRel, c.LeftCol}, endpoint{c.RightRel, c.RightCol})
+		l, r := Endpoint{c.LeftRel, c.LeftCol}, Endpoint{c.RightRel, c.RightCol}
+		parent[find(l)] = find(r)
+		have[[2]Endpoint{l, r}], have[[2]Endpoint{r, l}] = true, true
 	}
-	classes := make(map[endpoint][]endpoint)
+	byRoot := make(map[Endpoint][]Endpoint)
 	for e := range parent {
 		r := find(e)
-		classes[r] = append(classes[r], e)
+		byRoot[r] = append(byRoot[r], e)
 	}
-	have := make(map[string]bool)
-	key := func(a, c endpoint) string {
-		if a.rel > c.rel || (a.rel == c.rel && a.col > c.col) {
-			a, c = c, a
-		}
-		return fmt.Sprintf("%d.%s=%d.%s", a.rel, a.col, c.rel, c.col)
+	classes := make([][]Endpoint, 0, len(byRoot))
+	for _, members := range byRoot {
+		slices.SortFunc(members, compareEndpoints)
+		classes = append(classes, members)
 	}
-	for _, c := range b.Clauses {
-		if c.Type == Inner {
-			have[key(endpoint{c.LeftRel, c.LeftCol}, endpoint{c.RightRel, c.RightCol})] = true
-		}
-	}
+	slices.SortFunc(classes, func(x, y []Endpoint) int { return compareEndpoints(x[0], y[0]) })
+
+	closed := slices.Clone(clauses)
 	for _, members := range classes {
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				a, c := members[i], members[j]
-				if a.rel == c.rel {
+		for i, l := range members {
+			for _, r := range members[i+1:] {
+				if l.Rel == r.Rel || have[[2]Endpoint{l, r}] {
 					continue
 				}
-				k := key(a, c)
-				if have[k] {
-					continue
-				}
-				have[k] = true
-				b.Clauses = append(b.Clauses, JoinClause{
-					Type: Inner, LeftRel: a.rel, LeftCol: a.col,
-					RightRel: c.rel, RightCol: c.col, Derived: true,
+				closed = append(closed, JoinClause{
+					Type: Inner, LeftRel: l.Rel, LeftCol: l.Col,
+					RightRel: r.Rel, RightCol: r.Col, Derived: true,
 				})
 			}
 		}
 	}
+	return closed, classes
+}
+
+// AddTransitiveClauses appends the block's missing implied clauses (see
+// TransitiveClosure) to b.Clauses. The optimizer does not need it called:
+// it closes a private copy of the clause list and leaves the block alone.
+func (b *Block) AddTransitiveClauses() {
+	b.Clauses, _ = TransitiveClosure(b.Clauses)
 }
 
 // String renders a compact description for EXPLAIN/debug output.

@@ -28,7 +28,7 @@ func NewEstimator(b *query.Block) *Estimator {
 		Block:    b,
 		baseRows: make([]float64, len(b.Relations)),
 		baseSel:  make([]float64, len(b.Relations)),
-		joinCard: make(map[query.RelSet]float64, 1<<uint(len(b.Relations))),
+		joinCard: make(map[query.RelSet]float64),
 	}
 	for i, r := range b.Relations {
 		sel := PredicateSelectivity(r.Table, r.Pred)

@@ -119,7 +119,8 @@ func TestTraceSpanTreeDOP1(t *testing.T) {
 // match the number of runs, the slot-busy counter matches the summed
 // SchedStat occupancy within 1%, and the latency-histogram sum matches the
 // summed per-query exec walls within 2% (the histogram's window starts a
-// hair inside RunContext's).
+// hair inside RunContext's), and the plan-time histogram holds exactly the
+// reported planning times.
 func TestMetricsAgreeWithSchedStats(t *testing.T) {
 	e, err := Open(Config{ScaleFactor: 0.003, Seed: 9, DOP: 4})
 	if err != nil {
@@ -130,7 +131,7 @@ func TestMetricsAgreeWithSchedStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	const runs = 6
-	var sumWall, sumBusy time.Duration
+	var sumWall, sumBusy, sumPlan time.Duration
 	for i := 0; i < runs; i++ {
 		out, err := e.Run(b, BFCBO)
 		if err != nil {
@@ -138,6 +139,7 @@ func TestMetricsAgreeWithSchedStats(t *testing.T) {
 		}
 		sumWall += out.ExecTime + out.Sched.QueueWait
 		sumBusy += out.Sched.SlotBusy
+		sumPlan += out.PlanningTime
 	}
 	snap := e.MetricsRegistry().Snapshot()
 	if n := snap.Counters["bfcbo_queries_total"]; n != runs {
@@ -157,6 +159,10 @@ func TestMetricsAgreeWithSchedStats(t *testing.T) {
 	if relErr(lat.Sum, sumWall.Seconds()) > 2 {
 		t.Fatalf("latency histogram sum %.6fs vs summed walls %.6fs: >2%% apart",
 			lat.Sum, sumWall.Seconds())
+	}
+	// Planning time sits beside query latency: one observation per plan.
+	if pl := snap.Histograms["bfcbo_plan_seconds"]; pl.Count != runs || relErr(pl.Sum, sumPlan.Seconds()) > 0.001 {
+		t.Fatalf("plan histogram count %d sum %.9fs, want %d and %.9fs", pl.Count, pl.Sum, runs, sumPlan.Seconds())
 	}
 	// Live gauges: an idle engine holds no slots but still reports capacity.
 	if got := snap.Gauges["bfcbo_sched_slots"]; got != 4 {
