@@ -1,507 +1,136 @@
 // Command bench regenerates the paper's tables and figures on the
-// in-memory TPC-H substrate.
+// in-memory TPC-H substrate and checks the claim each one makes.
 //
 //	bench -experiment table2   # Table 2 + Fig. 5: No-BF vs BF-Post vs BF-CBO
 //	bench -experiment table3   # Table 3: same with Heuristic 7 enabled
 //	bench -experiment fig1     # Figure 1: Q12 plan analysis
+//	bench -experiment fig4     # Figure 4: §3 running example (Q12 is its TPC-H instance)
 //	bench -experiment fig6     # Figure 6: Q7 plan analysis
-//	bench -experiment fig4     # Figure 4: §3 running example on TPC-H Q12-like shape
 //	bench -experiment naive    # §3.1 naive planning-time blow-up
 //	bench -experiment mae      # Table 2's cardinality-MAE comparison
 //	bench -experiment ablation # per-heuristic ablation
-//	bench -experiment scaling  # DOP {1,2,4,8} executor scaling on Bloom-heavy queries
-//	bench -experiment memory   # memory-budget × DOP spill grid (BENCH_PR3.json)
-//	bench -experiment concurrency # multi-stream throughput grid (BENCH_PR4.json)
-//	bench -experiment hashtable # map-vs-flat hash-kernel ablation (BENCH_PR5.json)
-//	bench -experiment scan     # scalar-vs-vectorized scan ablation (BENCH_PR6.json)
-//	bench -experiment joinagg  # scalar-vs-batched probe/fold ablation (BENCH_PR7.json)
-//	bench -experiment observability # metrics-vs-stats agreement + trace export (BENCH_PR8.json)
-//	bench -experiment workload # live-inspector + fingerprint-history audit (BENCH_PR9.json)
-//	bench -experiment faults   # fault-injection chaos + disabled-injector anchors (BENCH_PR10.json)
 //	bench -experiment all      # everything
 //
-// A global -mem-budget (e.g. "64MB") constrains the executor in every
-// experiment; -validate <path> checks a BENCH_PR3-style memory report, a
-// BENCH_PR4-style concurrency report, a BENCH_PR8-style observability
-// report, a BENCH_PR9-style workload report, a BENCH_PR10-style faults
-// report, or a Chrome trace-event file (dispatching on content) and
-// exits (the CI bench smoke). -streams
-// narrows the concurrency grid. -obs-listen serves the workload
-// experiment's live endpoints (/debug/queries/live, /debug/workload,
-// /debug/pprof/) while its streams run, so they can be scraped mid-bench.
+// Each experiment prints its table and then runs the result's Check; a
+// claim that no longer reproduces is reported on stderr and the exit
+// status is non-zero. The checks read deterministic quantities only, so
+// the printed latencies are for reading — performance is measured by
+// `bash benchmark/run.sh`.
 package main
 
 import (
-	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"net/http"
+	"io"
 	"os"
-	"strconv"
-	"strings"
-	"time"
 
 	"bfcbo/internal/bench"
-	"bfcbo/internal/mem"
-	"bfcbo/internal/obs"
 )
 
 func main() {
+	def := bench.DefaultConfig()
 	var (
-		sf       = flag.Float64("sf", 0.02, "TPC-H scale factor")
-		seed     = flag.Uint64("seed", 2025, "data generation seed")
-		dop      = flag.Int("dop", 8, "degree of parallelism")
-		reps     = flag.Int("reps", 3, "repetitions per query (first is warm-up)")
-		exp      = flag.String("experiment", "all", "table2|table3|fig1|fig6|naive|mae|ablation|scaling|memory|concurrency|hashtable|scan|joinagg|observability|workload|faults|all")
-		jout     = flag.String("json", "", "machine-readable report path (default: BENCH_PR2.json for table2, BENCH_PR3.json for memory, BENCH_PR4.json for concurrency, BENCH_PR5.json for hashtable, BENCH_PR6.json for scan, BENCH_PR7.json for joinagg; empty = default, \"-\" disables)")
-		budget   = flag.String("mem-budget", "", `executor memory budget for all experiments, e.g. "64MB" (empty = unlimited)`)
-		streams  = flag.String("streams", "", `concurrency experiment stream counts, e.g. "1,2,4,8" (empty = default; the streams=1 anchor and one multi-stream cell are always included)`)
-		iters    = flag.Int("iters", 0, "concurrency experiment queries per stream (0 = default)")
-		validate = flag.String("validate", "", "validate a memory or concurrency report at this path and exit")
-		obsAddr  = flag.String("obs-listen", "", `serve the workload experiment's observability endpoints on this address (e.g. "127.0.0.1:8099") while it runs`)
+		sf   = flag.Float64("sf", def.ScaleFactor, "TPC-H scale factor")
+		seed = flag.Uint64("seed", def.Seed, "data generation seed")
+		dop  = flag.Int("dop", def.DOP, "degree of parallelism")
+		reps = flag.Int("reps", def.Reps, "repetitions per query (first is warm-up)")
+		exp  = flag.String("experiment", "all", "table2|table3|fig1|fig4|fig6|naive|mae|ablation|all")
 	)
 	flag.Parse()
-	if *validate != "" {
-		// Chrome trace-event files have no report wrapper — sniff and check
-		// them before the report dispatch.
-		if data, err := os.ReadFile(*validate); err == nil && obs.IsChromeTrace(data) {
-			if err := obs.ValidateChrome(data); err != nil {
-				fmt.Fprintln(os.Stderr, "bench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("%s: well-formed Chrome trace\n", *validate)
-			return
-		}
-		kind, check := "memory report", bench.ValidateMemoryJSON
-		switch {
-		case bench.IsFaultsReport(*validate):
-			kind, check = "faults report", bench.ValidateFaultsJSON
-		case bench.IsWorkloadReport(*validate):
-			kind, check = "workload report", bench.ValidateWorkloadJSON
-		case bench.IsObservabilityReport(*validate):
-			kind, check = "observability report", bench.ValidateObservabilityJSON
-		case bench.IsConcurrencyReport(*validate):
-			kind, check = "concurrency report", bench.ValidateConcurrencyJSON
-		case bench.IsHashtableReport(*validate):
-			kind, check = "hashtable report", bench.ValidateHashtableJSON
-		case bench.IsScanReport(*validate):
-			kind, check = "scan report", bench.ValidateScanJSON
-		case bench.IsJoinAggReport(*validate):
-			kind, check = "joinagg report", bench.ValidateJoinAggJSON
-		}
-		if err := check(*validate); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: well-formed %s\n", *validate, kind)
-		return
-	}
-	if err := run(*sf, *seed, *dop, *reps, *exp, *jout, *budget, *streams, *iters, *obsAddr); err != nil {
+	cfg := bench.Config{ScaleFactor: *sf, Seed: *seed, DOP: *dop, Reps: *reps}
+	if err := run(os.Stdout, cfg, *exp); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
 }
 
-// parseInts parses a comma-separated int list ("" = nil).
-func parseInts(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad int list %q", s)
-		}
-		out = append(out, n)
-	}
-	return out, nil
+// experiment runs one of the paper's experiments on h, prints it to w and
+// returns the outcome of its check.
+type experiment struct {
+	name string
+	h7   bool // plan with the Heuristic 7 sub-plan cap (Table 3)
+	run  func(w io.Writer, h *bench.Harness) error
 }
 
-func run(sf float64, seed uint64, dop, reps int, exp, jsonPath, budget, streamsList string, iters int, obsAddr string) error {
-	memBudget, err := mem.ParseBytes(budget)
-	if err != nil {
-		return err
-	}
-	mk := func(h7 bool) (*bench.Harness, error) {
-		return bench.NewHarness(bench.Config{
-			ScaleFactor: sf, Seed: seed, DOP: dop, Reps: reps, Heuristic7: h7,
-			MemBudget: memBudget,
-		})
-	}
-	// Per-experiment default report paths; "-" disables JSON output. Under
-	// -experiment all every report keeps its default path — a single
-	// explicit -json would make table2 and memory clobber each other.
-	allMode := exp == "all"
-	pathFor := func(def string) string {
-		switch {
-		case jsonPath == "-":
-			return ""
-		case jsonPath == "" || allMode:
-			return def
-		default:
-			return jsonPath
-		}
-	}
-	w := os.Stdout
-
-	runTable2 := func() error {
-		h, err := mk(false)
-		if err != nil {
-			return err
-		}
-		t, err := h.RunTable2(nil)
-		if err != nil {
-			return err
-		}
-		t.Print(w, fmt.Sprintf("Table 2 / Figure 5 — normalized TPC-H latencies (SF %g, DOP %d)", sf, dop))
-		var scaling []bench.ScalingRow
-		if out := pathFor("BENCH_PR2.json"); out != "" {
-			// The JSON report carries the DOP scaling table alongside the
-			// Table 2 cells so one file tracks the PR's perf trajectory.
-			scaling, err = h.RunScaling(nil, nil)
-			if err != nil {
-				return err
-			}
-			bench.PrintScaling(w, scaling)
-			if err := h.WriteJSON(out, t, scaling); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", out)
-		}
-		return nil
-	}
-	runMemory := func() error {
-		h, err := mk(false)
-		if err != nil {
-			return err
-		}
-		// A global -mem-budget narrows the grid to {unlimited, that budget}
-		// instead of the default budget sweep.
-		var budgets []int64
-		if memBudget > 0 {
-			budgets = []int64{0, memBudget}
-		}
-		rows, err := h.RunMemory(nil, nil, budgets)
-		if err != nil {
-			return err
-		}
-		bench.PrintMemory(w, rows)
-		if out := pathFor("BENCH_PR3.json"); out != "" {
-			if err := h.WriteMemoryJSON(out, rows); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", out)
-		}
-		return nil
-	}
-	runConcurrency := func() error {
-		h, err := mk(false)
-		if err != nil {
-			return err
-		}
-		streams, err := parseInts(streamsList)
-		if err != nil {
-			return err
-		}
-		rows, single, err := h.RunConcurrency(nil, streams, nil, iters)
-		if err != nil {
-			return err
-		}
-		bench.PrintConcurrency(w, rows)
-		if out := pathFor("BENCH_PR4.json"); out != "" {
-			if err := h.WriteConcurrencyJSON(out, rows, single); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", out)
-		}
-		return nil
-	}
-	runHashtable := func() error {
-		h, err := mk(false)
-		if err != nil {
-			return err
-		}
-		rows, err := h.RunHashtable(nil, nil)
-		if err != nil {
-			return err
-		}
-		bench.PrintHashtable(w, rows)
-		if out := pathFor("BENCH_PR5.json"); out != "" {
-			if err := h.WriteHashtableJSON(out, rows); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", out)
-		}
-		return nil
-	}
-	runScan := func() error {
-		h, err := mk(false)
-		if err != nil {
-			return err
-		}
-		rows, err := h.RunScan(nil, nil)
-		if err != nil {
-			return err
-		}
-		bench.PrintScan(w, rows)
-		if out := pathFor("BENCH_PR6.json"); out != "" {
-			if err := h.WriteScanJSON(out, rows); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", out)
-		}
-		return nil
-	}
-	runJoinAgg := func() error {
-		h, err := mk(false)
-		if err != nil {
-			return err
-		}
-		rows, err := h.RunJoinAgg(nil, nil)
-		if err != nil {
-			return err
-		}
-		bench.PrintJoinAgg(w, rows)
-		if out := pathFor("BENCH_PR7.json"); out != "" {
-			if err := h.WriteJoinAggJSON(out, rows); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", out)
-		}
-		return nil
-	}
-	runObservability := func() error {
-		h, err := mk(false)
-		if err != nil {
-			return err
-		}
-		rep, traces, err := h.RunObservability(nil, 4, iters)
-		if err != nil {
-			return err
-		}
-		bench.PrintObservability(w, rep)
-		if out := pathFor("BENCH_PR8.json"); out != "" {
-			if err := h.WriteObservabilityJSON(out, rep); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", out)
-			// The final repetition's traces ride along as a Chrome
-			// trace-event file next to the report.
-			tracePath := strings.TrimSuffix(out, ".json") + "_trace.json"
-			f, err := os.Create(tracePath)
-			if err != nil {
-				return err
-			}
-			if err := obs.WriteChromeAll(f, traces); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", tracePath)
-		}
-		return nil
-	}
-	runWorkload := func() error {
-		h, err := mk(false)
-		if err != nil {
-			return err
-		}
-		// The sinks are created up front so -obs-listen can serve them while
-		// the experiment's streams are still running — the CI smoke curls
-		// /debug/queries/live, /debug/workload and /debug/pprof/profile
-		// mid-bench.
-		sinks := &bench.ObsSinks{
-			Registry:  obs.NewRegistry(),
-			Inspector: obs.NewInspector(),
-			Workload:  obs.NewWorkloadStore(0),
-		}
-		if obsAddr != "" {
-			srv := &http.Server{Addr: obsAddr, Handler: &obs.Handler{
-				Registry: sinks.Registry, Inspector: sinks.Inspector, Workload: sinks.Workload,
-			}}
-			lnErr := make(chan error, 1)
-			go func() {
-				err := srv.ListenAndServe()
-				if err == http.ErrServerClosed {
-					err = nil
-				}
-				lnErr <- err
-			}()
-			select {
-			case err := <-lnErr:
-				if err == nil {
-					err = fmt.Errorf("server closed before serving")
-				}
-				return fmt.Errorf("obs-listen: %w", err)
-			case <-time.After(50 * time.Millisecond):
-				fmt.Fprintf(w, "serving observability on http://%s/ during the workload experiment\n", obsAddr)
-			}
-			defer func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-				defer cancel()
-				if err := srv.Shutdown(ctx); err != nil {
-					fmt.Fprintf(os.Stderr, "bench: obs-listen shutdown: %v\n", err)
-				}
-				<-lnErr
-			}()
-		}
-		rep, err := h.RunWorkload(nil, 4, iters, sinks)
-		if err != nil {
-			return err
-		}
-		bench.PrintWorkload(w, rep)
-		if out := pathFor("BENCH_PR9.json"); out != "" {
-			if err := bench.WriteWorkloadJSON(out, rep); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", out)
-		}
-		return nil
-	}
-	runFaults := func() error {
-		h, err := mk(false)
-		if err != nil {
-			return err
-		}
-		rep, err := h.RunFaults(nil, 4, iters)
-		if err != nil {
-			return err
-		}
-		bench.PrintFaults(w, rep)
-		if out := pathFor("BENCH_PR10.json"); out != "" {
-			if err := bench.WriteFaultsJSON(out, rep); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", out)
-		}
-		return nil
-	}
-	runScaling := func() error {
-		h, err := mk(false)
-		if err != nil {
-			return err
-		}
-		rows, err := h.RunScaling(nil, nil)
-		if err != nil {
-			return err
-		}
-		bench.PrintScaling(w, rows)
-		return nil
-	}
-	runTable3 := func() error {
-		h, err := mk(true)
-		if err != nil {
-			return err
-		}
-		t, err := h.RunTable2(nil)
-		if err != nil {
-			return err
-		}
-		t.Print(w, fmt.Sprintf("Table 3 — Heuristic 7 enabled (SF %g, DOP %d)", sf, dop))
-		return nil
-	}
-	runFig := func(q int, label string) error {
-		h, err := mk(false)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%s\n", label)
-		return h.FigureReport(w, q)
-	}
-	runNaive := func() error {
-		h, err := mk(false)
-		if err != nil {
-			return err
-		}
+var experiments = []experiment{
+	{name: "table2", run: table(func(t *bench.Table2, w io.Writer) {
+		t.Print(w, "Table 2 / Figure 5 — normalized TPC-H latencies")
+	})},
+	{name: "table3", h7: true, run: table(func(t *bench.Table2, w io.Writer) {
+		t.Print(w, "Table 3 — Heuristic 7 enabled")
+	})},
+	{name: "fig1", run: figure(12, "Figure 1 — TPC-H Q12 join order with/without BF-CBO")},
+	{name: "fig4", run: figure(12, "Figure 4 — running-example shape (Q12 as the 2-join instance)")},
+	{name: "fig6", run: figure(7, "Figure 6 — TPC-H Q7 join order and predicate transfer")},
+	{name: "naive", run: func(w io.Writer, h *bench.Harness) error {
 		rows, err := h.RunNaiveBlowup(3, 6, 2_000_000)
 		if err != nil {
 			return err
 		}
-		bench.PrintNaive(w, rows)
-		return nil
-	}
-	runMAE := func() error {
-		h, err := mk(false)
-		if err != nil {
-			return err
-		}
-		t, err := h.RunTable2(nil)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "cardinality estimation MAE (intermediate plan nodes)\n")
-		fmt.Fprintf(w, "%-4s %14s %14s\n", "Q#", "BF-Post", "BF-CBO")
-		for _, r := range t.Rows {
-			fmt.Fprintf(w, "%-4d %14.1f %14.1f\n", r.Query, r.MAEPost, r.MAECBO)
-		}
-		fmt.Fprintf(w, "mean: BF-Post %.4g  BF-CBO %.4g  improvement %.1f%%\n",
-			t.MeanMAEPost, t.MeanMAECBO, t.MAEImprovementPct)
-		return nil
-	}
-	runAblation := func() error {
-		h, err := mk(false)
-		if err != nil {
-			return err
-		}
+		rows.Print(w)
+		return rows.Check()
+	}},
+	{name: "mae", run: table((*bench.Table2).PrintMAE)},
+	{name: "ablation", run: func(w io.Writer, h *bench.Harness) error {
 		rows, err := h.RunAblation(nil)
 		if err != nil {
 			return err
 		}
-		bench.PrintAblation(w, rows)
-		return nil
-	}
+		rows.Print(w)
+		return rows.Check()
+	}},
+}
 
-	switch exp {
-	case "table2":
-		return runTable2()
-	case "table3":
-		return runTable3()
-	case "fig1":
-		return runFig(12, "Figure 1 — TPC-H Q12 join order with/without BF-CBO")
-	case "fig6":
-		return runFig(7, "Figure 6 — TPC-H Q7 join order and predicate transfer")
-	case "fig4":
-		return runFig(12, "Figure 4 — running-example shape (Q12 as the 2-join instance)")
-	case "naive":
-		return runNaive()
-	case "mae":
-		return runMAE()
-	case "ablation":
-		return runAblation()
-	case "scaling":
-		return runScaling()
-	case "memory":
-		return runMemory()
-	case "concurrency":
-		return runConcurrency()
-	case "hashtable":
-		return runHashtable()
-	case "scan":
-		return runScan()
-	case "joinagg":
-		return runJoinAgg()
-	case "observability":
-		return runObservability()
-	case "workload":
-		return runWorkload()
-	case "faults":
-		return runFaults()
-	case "all":
-		// runTable2 already covers the DOP scaling table in its JSON report.
-		for _, f := range []func() error{runTable2, runTable3,
-			func() error { return runFig(12, "Figure 1 — Q12") },
-			func() error { return runFig(7, "Figure 6 — Q7") },
-			runNaive, runMAE, runAblation, runMemory, runConcurrency, runHashtable, runScan, runJoinAgg, runObservability, runWorkload, runFaults} {
-			if err := f(); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
+// table runs the three-mode comparison; Tables 2 and 3 and the MAE
+// listing are three prints of it.
+func table(render func(*bench.Table2, io.Writer)) func(io.Writer, *bench.Harness) error {
+	return func(w io.Writer, h *bench.Harness) error {
+		t, err := h.RunTable2(nil)
+		if err != nil {
+			return err
 		}
-		return nil
-	default:
+		render(t, w)
+		return t.Check()
+	}
+}
+
+func figure(q int, title string) func(io.Writer, *bench.Harness) error {
+	return func(w io.Writer, h *bench.Harness) error {
+		f, err := h.RunFigure(q)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, title)
+		f.Print(w)
+		return f.Check()
+	}
+}
+
+// run executes the named experiment, or every one under "all" — there it
+// keeps going past a failed claim so one run reports them all.
+func run(w io.Writer, cfg bench.Config, exp string) error {
+	var selected []experiment
+	for _, e := range experiments {
+		if exp == "all" || exp == e.name {
+			selected = append(selected, e)
+		}
+	}
+	if len(selected) == 0 {
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
+	fmt.Fprintf(w, "SF %g, seed %d, DOP %d, %d rep(s) per query\n\n", cfg.ScaleFactor, cfg.Seed, cfg.DOP, cfg.Reps)
+	var errs []error
+	for _, e := range selected {
+		cfg.Heuristic7 = e.h7
+		h, err := bench.NewHarness(cfg)
+		if err != nil {
+			return err
+		}
+		if err := e.run(w, h); err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", e.name, err))
+		}
+		fmt.Fprintln(w)
+	}
+	return errors.Join(errs...)
 }

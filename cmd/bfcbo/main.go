@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -226,15 +227,7 @@ func run(rc runConfig) error {
 			bs.ID, bs.Strategy, bs.Inserted, bs.Tested, bs.Passed, bs.Saturation)
 	}
 	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteChromeAll(f, traces); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeTrace(traceOut, traces); err != nil {
 			return err
 		}
 		fmt.Printf("trace written to %s (%d queries)\n", traceOut, len(traces))
@@ -250,6 +243,20 @@ func run(rc runConfig) error {
 		fmt.Println("\nshutting down observability server")
 	}
 	return shutdown()
+}
+
+// writeTrace exports the traces as one Chrome trace-event file at path. The
+// bytes are checked by the validator behind /debug/trace/<id> first, so a
+// malformed export is an error here, not a surprise in chrome://tracing.
+func writeTrace(path string, traces []*obs.Trace) error {
+	var buf bytes.Buffer
+	if err := obs.WriteChromeAll(&buf, traces); err != nil {
+		return err
+	}
+	if err := obs.ValidateChrome(buf.Bytes()); err != nil {
+		return fmt.Errorf("trace-out: %w", err)
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 func parseMode(s string) (bfcbo.Mode, error) {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -16,12 +17,18 @@ type AblationRow struct {
 	TotalLatency   time.Duration
 	TotalPlannerMS float64
 	TotalBlooms    int
+	// TotalRows sums the suite's output rows: a heuristic may change the
+	// plan, never the answer.
+	TotalRows int
 }
+
+// Ablation is the per-heuristic ablation; the first row is the baseline.
+type Ablation []AblationRow
 
 // RunAblation toggles each search-space heuristic individually and reports
 // total suite latency, planner time and Bloom filter counts — the tuning
 // trade-off the paper's §5 flags as future work.
-func (h *Harness) RunAblation(queries []int) ([]AblationRow, error) {
+func (h *Harness) RunAblation(queries []int) (Ablation, error) {
 	if len(queries) == 0 {
 		queries = tpch.Analyzed()
 	}
@@ -41,7 +48,7 @@ func (h *Harness) RunAblation(queries []int) ([]AblationRow, error) {
 		{"multi-column BFs (§5 ext.)", func(o *optimizer.Options) { o.Heuristics.MultiColumn = true }},
 		{"no post-pass (§3.7 off)", func(o *optimizer.Options) { o.DisablePostPass = true }},
 	}
-	var out []AblationRow
+	var out Ablation
 	for _, v := range variants {
 		row := AblationRow{Name: v.name}
 		for _, num := range queries {
@@ -59,22 +66,38 @@ func (h *Harness) RunAblation(queries []int) ([]AblationRow, error) {
 			row.TotalPlannerMS += res.PlanningTime.Seconds() * 1000
 			row.TotalBlooms += res.Plan.CountBlooms()
 			start := time.Now()
-			if _, err := exec.Run(h.ds.DB, block, res.Plan, exec.Options{DOP: h.cfg.DOP}); err != nil {
+			r, err := exec.Run(h.ds.DB, block, res.Plan, exec.Options{DOP: h.cfg.DOP})
+			if err != nil {
 				return nil, fmt.Errorf("bench: ablation %q Q%d exec: %w", v.name, num, err)
 			}
 			row.TotalLatency += time.Since(start)
+			row.TotalRows += r.Rows
 		}
 		out = append(out, row)
 	}
 	return out, nil
 }
 
-// PrintAblation renders the ablation table.
-func PrintAblation(w io.Writer, rows []AblationRow) {
-	fmt.Fprintf(w, "heuristic ablation (BF-CBO over analyzed TPC-H queries)\n")
-	fmt.Fprintf(w, "%-32s %14s %12s %8s\n", "variant", "total-latency", "planner-ms", "blooms")
+// Check states what the ablation relies on: every variant planned and
+// executed the suite (RunAblation fails otherwise) and returned the
+// baseline's rows.
+func (rows Ablation) Check() error {
+	var errs []error
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-32s %14s %12.2f %8d\n",
-			r.Name, r.TotalLatency.Round(time.Microsecond), r.TotalPlannerMS, r.TotalBlooms)
+		if r.TotalRows != rows[0].TotalRows {
+			errs = append(errs, fmt.Errorf("ablation: %q returns %d rows over the suite, %q %d",
+				r.Name, r.TotalRows, rows[0].Name, rows[0].TotalRows))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// Print renders the ablation table.
+func (rows Ablation) Print(w io.Writer) {
+	fmt.Fprintf(w, "heuristic ablation (BF-CBO over analyzed TPC-H queries)\n")
+	fmt.Fprintf(w, "%-32s %14s %12s %8s %8s\n", "variant", "total-latency", "planner-ms", "blooms", "rows")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-32s %14s %12.2f %8d %8d\n",
+			r.Name, r.TotalLatency.Round(time.Microsecond), r.TotalPlannerMS, r.TotalBlooms, r.TotalRows)
 	}
 }

@@ -4,13 +4,21 @@
 // Table 2), the Heuristic-7 variant (Table 3), the Q12 and Q7 plan analyses
 // (Figs. 1 and 6), the naive-approach planning-time blow-up (§3.1), and the
 // cardinality-estimation MAE comparison.
+//
+// Every result type carries a Check method stating the paper's claim for
+// that experiment over deterministic quantities only — estimated cost,
+// join-order signature, Bloom filter counts, sub-plans kept, MAE from
+// exact row counts. Latencies are printed, never asserted: performance is
+// measured in benchmark/, which has a noise floor.
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
 	"sort"
+	"strconv"
 	"time"
 
 	"bfcbo/internal/catalog"
@@ -33,10 +41,6 @@ type Config struct {
 	Reps int
 	// Heuristic7 enables the sub-plan cap of Table 3.
 	Heuristic7 bool
-	// MemBudget bounds executor memory (0 = unlimited); joins and sorts
-	// over budget spill to temp files under SpillDir.
-	MemBudget int64
-	SpillDir  string
 }
 
 // DefaultConfig is sized to finish in seconds on a laptop.
@@ -62,14 +66,14 @@ func NewHarness(cfg Config) (*Harness, error) {
 	return &Harness{cfg: cfg, ds: ds}, nil
 }
 
-// Dataset exposes the generated data (for examples and tests).
-func (h *Harness) Dataset() *datagen.Dataset { return h.ds }
+// h7MaxSubPlans is the sub-plan cap Table 3 runs Heuristic 7 with.
+const h7MaxSubPlans = 4
 
 func (h *Harness) options(mode optimizer.Mode) optimizer.Options {
 	opts := optimizer.DefaultOptions(h.cfg.ScaleFactor)
 	opts.Mode = mode
 	if h.cfg.Heuristic7 {
-		opts.Heuristics.H7MaxSubPlans = 4
+		opts.Heuristics.H7MaxSubPlans = h7MaxSubPlans
 	}
 	return opts
 }
@@ -83,9 +87,8 @@ type QueryRun struct {
 	// ExecTime is the median executor-only latency (Latency minus the
 	// planning component).
 	ExecTime time.Duration
-	// Pipelines reports the morsel-driven executor's per-pipeline timings
-	// for the measured run.
-	Pipelines    []exec.PipelineStat
+	// EstCost is the optimizer's estimated cost of the plan root.
+	EstCost      float64
 	Blooms       int
 	OutputRows   int
 	JoinOrderSig string
@@ -117,9 +120,7 @@ func (h *Harness) RunQuery(num int, mode optimizer.Mode) (*QueryRun, error) {
 	for rep := 0; rep < h.cfg.Reps; rep++ {
 		runtime.GC() // keep allocator noise out of the measurement
 		start := time.Now()
-		r, err = exec.Run(h.ds.DB, block, res.Plan, exec.Options{
-			DOP: h.cfg.DOP, MemBudget: h.cfg.MemBudget, SpillDir: h.cfg.SpillDir,
-		})
+		r, err = exec.Run(h.ds.DB, block, res.Plan, exec.Options{DOP: h.cfg.DOP})
 		elapsed := time.Since(start)
 		if err != nil {
 			return nil, fmt.Errorf("bench: Q%d %s exec: %w", num, mode, err)
@@ -138,7 +139,7 @@ func (h *Harness) RunQuery(num int, mode optimizer.Mode) (*QueryRun, error) {
 		Latency:      med + res.PlanningTime,
 		PlannerTime:  res.PlanningTime,
 		ExecTime:     med,
-		Pipelines:    r.Pipelines,
+		EstCost:      res.Plan.Root.EstCost(),
 		Blooms:       res.Plan.CountBlooms(),
 		OutputRows:   r.Rows,
 		JoinOrderSig: res.Plan.JoinOrderSignature(),
@@ -193,65 +194,58 @@ type Row struct {
 	MAECBO         float64
 }
 
-// PipelineCell is the machine-readable form of one executed pipeline's
-// timings, including the breaker finish phases (merge/sort/build/bloom)
-// and any spill activity under a memory budget.
-type PipelineCell struct {
-	ID      int     `json:"id"`
-	Label   string  `json:"label"`
-	Workers int     `json:"workers"`
-	Rows    int64   `json:"rows"`
-	WallMS  float64 `json:"wall_ms"`
-	// FinishMS is the sink's finish (breaker) time within WallMS.
-	FinishMS       float64 `json:"finish_ms"`
-	MergeMS        float64 `json:"merge_ms,omitempty"`
-	SortMS         float64 `json:"sort_ms,omitempty"`
-	BuildMS        float64 `json:"build_ms,omitempty"`
-	BloomMS        float64 `json:"bloom_ms,omitempty"`
-	SpillBytes     int64   `json:"spill_bytes,omitempty"`
-	SpillReadBytes int64   `json:"spill_read_bytes,omitempty"`
-	SpillParts     int     `json:"spill_partitions,omitempty"`
-	SpillDepth     int     `json:"spill_depth,omitempty"`
+// PlanRow compares the optimizer's own outputs on one TPC-H block, nothing
+// executed: root estimated cost under BF-Post and BF-CBO, and the sub-plans
+// BF-CBO keeps with and without the Heuristic 7 cap. All four are
+// deterministic, so Table2.Check can assert on them.
+type PlanRow struct {
+	Query             int
+	CostPost, CostCBO float64
+	PlansKept         int // BF-CBO, §4.1 default heuristics
+	PlansKeptH7       int // BF-CBO, H7MaxSubPlans = h7MaxSubPlans
 }
 
-func pipelineCells(stats []exec.PipelineStat) []PipelineCell {
-	out := make([]PipelineCell, 0, len(stats))
-	ms := func(d time.Duration) float64 { return d.Seconds() * 1000 }
-	for _, ps := range stats {
-		out = append(out, PipelineCell{
-			ID: ps.ID, Label: ps.Label, Workers: ps.Workers, Rows: ps.Rows,
-			WallMS: ms(ps.Wall), FinishMS: ms(ps.FinishWall),
-			MergeMS: ms(ps.Phases.Merge), SortMS: ms(ps.Phases.Sort),
-			BuildMS: ms(ps.Phases.Build), BloomMS: ms(ps.Phases.Bloom),
-			SpillBytes: ps.Spill.Bytes, SpillReadBytes: ps.Spill.BytesRead,
-			SpillParts: ps.Spill.Partitions, SpillDepth: ps.Spill.Depth,
+// planRows plans every TPC-H block (not only the analyzed ones: the cost
+// claim is about the search, not about which queries gain).
+func (h *Harness) planRows() ([]PlanRow, error) {
+	var out []PlanRow
+	for _, q := range tpch.All() {
+		optimize := func(mode optimizer.Mode, h7Cap int) (*optimizer.Result, error) {
+			opts := h.options(mode)
+			opts.Heuristics.H7MaxSubPlans = h7Cap // both settings, whatever h.cfg.Heuristic7 says
+			res, err := optimizer.Optimize(q.Build(h.ds.Schema), opts)
+			if err != nil {
+				return nil, fmt.Errorf("bench: Q%d %s: %w", q.Num, mode, err)
+			}
+			return res, nil
+		}
+		post, err := optimize(optimizer.BFPost, 0)
+		if err != nil {
+			return nil, err
+		}
+		cbo, err := optimize(optimizer.BFCBO, 0)
+		if err != nil {
+			return nil, err
+		}
+		capped, err := optimize(optimizer.BFCBO, h7MaxSubPlans)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, PlanRow{
+			Query:    q.Num,
+			CostPost: post.Plan.Root.EstCost(), CostCBO: cbo.Plan.Root.EstCost(),
+			PlansKept: cbo.PlansKept, PlansKeptH7: capped.PlansKept,
 		})
 	}
-	return out
-}
-
-// Cell is one raw (query, mode) measurement kept alongside the normalized
-// Table 2 rows, for machine-readable reports.
-type Cell struct {
-	Query     int     `json:"query"`
-	Mode      string  `json:"mode"`
-	PlanMS    float64 `json:"plan_ms"`
-	ExecMS    float64 `json:"exec_ms"`
-	Blooms    int     `json:"blooms"`
-	Rows      int     `json:"rows"`
-	MAE       float64 `json:"mae"`
-	JoinOrder string  `json:"join_order"`
-	// Pipelines reports the measured run's pipeline schedule with
-	// per-breaker phase timings.
-	Pipelines []PipelineCell `json:"pipelines,omitempty"`
+	return out, nil
 }
 
 // Table2 reproduces the paper's Table 2 (and Fig. 5): normalized latencies
 // and planner times across the analyzed queries.
 type Table2 struct {
 	Rows []Row
-	// Cells holds the raw per-(query, mode) measurements behind Rows.
-	Cells []Cell
+	// Plans holds the plan-only comparison over all 22 TPC-H blocks.
+	Plans []PlanRow
 	// Totals mirror the paper's "total" line.
 	TotalNormPost, TotalNormCBO, TotalPct      float64
 	TotalPlannerPostMS, TotalPlannerCBOMS      float64
@@ -265,6 +259,10 @@ func (h *Harness) RunTable2(queries []int) (*Table2, error) {
 		queries = tpch.Analyzed()
 	}
 	t := &Table2{}
+	var err error
+	if t.Plans, err = h.planRows(); err != nil {
+		return nil, err
+	}
 	var sumNoBF, sumPost, sumCBO time.Duration
 	var maePostSum, maeCBOSum float64
 	for _, num := range queries {
@@ -283,19 +281,6 @@ func (h *Harness) RunTable2(queries []int) (*Table2, error) {
 		if post.OutputRows != noBF.OutputRows || cbo.OutputRows != noBF.OutputRows {
 			return nil, fmt.Errorf("bench: Q%d result mismatch across modes: %d/%d/%d rows",
 				num, noBF.OutputRows, post.OutputRows, cbo.OutputRows)
-		}
-		for _, qr := range []*QueryRun{noBF, post, cbo} {
-			t.Cells = append(t.Cells, Cell{
-				Query:     qr.Query,
-				Mode:      qr.Mode.String(),
-				PlanMS:    qr.PlannerTime.Seconds() * 1000,
-				ExecMS:    qr.ExecTime.Seconds() * 1000,
-				Blooms:    qr.Blooms,
-				Rows:      qr.OutputRows,
-				MAE:       qr.MAE,
-				JoinOrder: qr.JoinOrderSig,
-				Pipelines: pipelineCells(qr.Pipelines),
-			})
 		}
 		base := noBF.Latency.Seconds()
 		if base <= 0 {
@@ -334,6 +319,30 @@ func (h *Harness) RunTable2(queries []int) (*Table2, error) {
 	return t, nil
 }
 
+// Check states Table 2's and Table 3's claims: searching with Bloom
+// filters never yields a costlier plan than adding them afterwards, on any
+// TPC-H block; Heuristic 7 never keeps more sub-plans than the default;
+// and BF-CBO's cardinality estimates are closer to the observed rows than
+// BF-Post's across the executed queries.
+func (t *Table2) Check() error {
+	var errs []error
+	for _, p := range t.Plans {
+		if p.CostCBO > p.CostPost {
+			errs = append(errs, fmt.Errorf("plan cost: Q%d BF-CBO est. cost %.6g above BF-Post's %.6g",
+				p.Query, p.CostCBO, p.CostPost))
+		}
+		if p.PlansKeptH7 > p.PlansKept {
+			errs = append(errs, fmt.Errorf("Heuristic 7: Q%d keeps %d sub-plans under the cap, %d without",
+				p.Query, p.PlansKeptH7, p.PlansKept))
+		}
+	}
+	if t.MeanMAECBO >= t.MeanMAEPost {
+		errs = append(errs, fmt.Errorf("estimate MAE: BF-CBO mean %.4g not below BF-Post's %.4g",
+			t.MeanMAECBO, t.MeanMAEPost))
+	}
+	return errors.Join(errs...)
+}
+
 // Print renders the table in the paper's layout.
 func (t *Table2) Print(w io.Writer, title string) {
 	fmt.Fprintf(w, "%s\n", title)
@@ -351,154 +360,129 @@ func (t *Table2) Print(w io.Writer, title string) {
 	fmt.Fprintf(w, "%-4s %9.3f %9.3f %7.1f %12.2f %12.2f\n",
 		"tot", t.TotalNormPost, t.TotalNormCBO, t.TotalPct,
 		t.TotalPlannerPostMS, t.TotalPlannerCBOMS)
-	fmt.Fprintf(w, "cardinality MAE: BF-Post %.3g, BF-CBO %.3g (%.1f%% improvement)\n",
-		t.MeanMAEPost, t.MeanMAECBO, t.MAEImprovementPct)
+	t.printMAESummary(w)
 	fmt.Fprintf(w, "(* = BF-CBO selected a different join order than BF-Post)\n")
+	var cheaper, kept, keptH7 int
+	for _, p := range t.Plans {
+		if p.CostCBO <= p.CostPost {
+			cheaper++
+		}
+		kept += p.PlansKept
+		keptH7 += p.PlansKeptH7
+	}
+	fmt.Fprintf(w, "plan search, all %d TPC-H blocks: BF-CBO est. cost <= BF-Post on %d; sub-plans kept %d, %d under Heuristic 7 (cap %d)\n",
+		len(t.Plans), cheaper, kept, keptH7, h7MaxSubPlans)
 }
 
-// FigureReport renders the paper's figure-style plan analysis for one query
-// (Figs. 1 and 6): plans and observed per-node input row counts for BF-Post
-// versus BF-CBO.
-func (h *Harness) FigureReport(w io.Writer, num int) error {
-	for _, mode := range []optimizer.Mode{optimizer.BFPost, optimizer.BFCBO} {
-		qr, err := h.RunQuery(num, mode)
-		if err != nil {
-			return err
+// PrintMAE renders the per-query cardinality-estimation comparison behind
+// Table 2's MAE line.
+func (t *Table2) PrintMAE(w io.Writer) {
+	fmt.Fprintf(w, "cardinality estimation MAE (plan nodes, est. vs observed rows)\n")
+	fmt.Fprintf(w, "%-4s %14s %14s\n", "Q#", "BF-Post", "BF-CBO")
+	for _, r := range t.Rows {
+		fmt.Fprintf(w, "%-4d %14.1f %14.1f\n", r.Query, r.MAEPost, r.MAECBO)
+	}
+	t.printMAESummary(w)
+}
+
+func (t *Table2) printMAESummary(w io.Writer) {
+	fmt.Fprintf(w, "cardinality MAE: BF-Post %.4g, BF-CBO %.4g (%.1f%% improvement)\n",
+		t.MeanMAEPost, t.MeanMAECBO, t.MAEImprovementPct)
+}
+
+// Figure is the paper's figure-style plan analysis for one query (Figs. 1,
+// 4 and 6): the same query planned and executed under BF-Post and BF-CBO.
+type Figure struct {
+	Post, CBO *QueryRun
+}
+
+// RunFigure runs one query under both Bloom-filter modes.
+func (h *Harness) RunFigure(num int) (*Figure, error) {
+	post, err := h.RunQuery(num, optimizer.BFPost)
+	if err != nil {
+		return nil, err
+	}
+	cbo, err := h.RunQuery(num, optimizer.BFCBO)
+	if err != nil {
+		return nil, err
+	}
+	return &Figure{Post: post, CBO: cbo}, nil
+}
+
+// Check states what the figures show: with Bloom filters inside the search
+// the optimizer picks a different join order that is no costlier by its
+// own estimate, the plan carries filters that actually run, and the answer
+// is unchanged. Figure 1 additionally shows BF-Post finding no filter at
+// all on Q12 (Heuristic 3 forbids the only candidate of its join order);
+// Figure 6 shows predicate transfer on Q7, which takes a chain of filters.
+func (f *Figure) Check() error {
+	q := f.CBO.Query
+	var errs []error
+	if f.Post.OutputRows != f.CBO.OutputRows {
+		errs = append(errs, fmt.Errorf("same answer: Q%d returns %d rows under BF-Post, %d under BF-CBO",
+			q, f.Post.OutputRows, f.CBO.OutputRows))
+	}
+	if f.Post.JoinOrderSig == f.CBO.JoinOrderSig {
+		errs = append(errs, fmt.Errorf("join-order flip: Q%d is %s under both BF-Post and BF-CBO",
+			q, f.CBO.JoinOrderSig))
+	}
+	if f.CBO.EstCost > f.Post.EstCost {
+		errs = append(errs, fmt.Errorf("plan cost: Q%d BF-CBO est. cost %.6g above BF-Post's %.6g",
+			q, f.CBO.EstCost, f.Post.EstCost))
+	}
+	if f.CBO.Blooms == 0 {
+		errs = append(errs, fmt.Errorf("Bloom filters: Q%d lost its Bloom filter under BF-CBO", q))
+	} else if len(f.CBO.Actuals.BloomStats) == 0 {
+		errs = append(errs, fmt.Errorf("Bloom filters: Q%d plans %d under BF-CBO but none reported at run time",
+			q, f.CBO.Blooms))
+	}
+	switch q {
+	case 12:
+		if f.Post.Blooms != 0 {
+			errs = append(errs, fmt.Errorf("Figure 1: BF-Post should find no Bloom filter on Q12, has %d", f.Post.Blooms))
 		}
+	case 7:
+		if f.CBO.Blooms < 2 {
+			errs = append(errs, fmt.Errorf("Figure 6: predicate transfer on Q7 needs a chain of Bloom filters, BF-CBO has %d", f.CBO.Blooms))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// Print renders plans and observed per-node input row counts for BF-Post
+// versus BF-CBO.
+func (f *Figure) Print(w io.Writer) {
+	for _, qr := range []*QueryRun{f.Post, f.CBO} {
 		fmt.Fprintf(w, "=== Q%d  %s  latency=%s  planner=%s  blooms=%d\n",
-			num, mode, qr.Latency.Round(time.Microsecond), qr.PlannerTime.Round(time.Microsecond), qr.Blooms)
+			qr.Query, qr.Mode, qr.Latency.Round(time.Microsecond), qr.PlannerTime.Round(time.Microsecond), qr.Blooms)
 		fmt.Fprint(w, qr.Plan.Explain())
 		fmt.Fprintln(w, "observed rows per node (est -> actual):")
-		h.printActuals(w, qr.Plan.Root, qr, 1)
+		printActuals(w, qr.Plan.Root, qr.Actuals, 1)
 		for _, bs := range qr.Actuals.BloomStats {
 			fmt.Fprintf(w, "  BF#%d [%s] inserted=%d tested=%d passed=%d saturation=%.3f\n",
 				bs.ID, bs.Strategy, bs.Inserted, bs.Tested, bs.Passed, bs.Saturation)
 		}
-		if len(qr.Pipelines) > 0 {
+		if len(qr.Actuals.Pipelines) > 0 {
 			fmt.Fprintf(w, "pipelines (last measured run):\n")
-			for _, ps := range qr.Pipelines {
+			for _, ps := range qr.Actuals.Pipelines {
 				fmt.Fprintf(w, "  %s  workers=%d rows=%d wall=%s\n",
 					ps.Label, ps.Workers, ps.Rows, ps.Wall.Round(time.Microsecond))
 			}
 		}
 	}
-	return nil
 }
 
-func (h *Harness) printActuals(w io.Writer, n plan.Node, qr *QueryRun, depth int) {
+func printActuals(w io.Writer, n plan.Node, r *exec.Result, depth int) {
 	for i := 0; i < depth; i++ {
 		fmt.Fprint(w, "  ")
 	}
 	switch t := n.(type) {
 	case *plan.Scan:
-		fmt.Fprintf(w, "scan %-10s %12.0f -> %12.0f\n", t.Alias, t.EstRows(), qr.Actuals.ActualFor(n))
+		fmt.Fprintf(w, "scan %-10s %12.0f -> %12.0f\n", t.Alias, t.EstRows(), r.ActualFor(n))
 	case *plan.Join:
-		fmt.Fprintf(w, "%s %-11s %12.0f -> %12.0f\n", t.Method, "("+t.Streaming.String()+")", t.EstRows(), qr.Actuals.ActualFor(n))
-		h.printActuals(w, t.Outer, qr, depth+1)
-		h.printActuals(w, t.Inner, qr, depth+1)
-	}
-}
-
-// ScalingRow is one (query, DOP) cell of the executor scaling experiment:
-// the same BF-CBO plan executed at varying DOP through the DAG-scheduled
-// pipelined executor, with the breaker finish phases broken out so the
-// parallel-sink speedup is measurable.
-type ScalingRow struct {
-	Query  int     `json:"query"`
-	DOP    int     `json:"dop"`
-	ExecMS float64 `json:"exec_ms"`
-	// FinishMS sums the breaker finish walls across pipelines; the phase
-	// columns split it by breaker kind. Pipelines are DAG-scheduled, so
-	// concurrent finishes overlap: the sum can exceed ExecMS's share and
-	// individual walls inflate under core contention — ExecMS is the
-	// ground truth for scaling.
-	FinishMS float64 `json:"finish_ms"`
-	MergeMS  float64 `json:"merge_ms"`
-	SortMS   float64 `json:"sort_ms"`
-	BuildMS  float64 `json:"build_ms"`
-	BloomMS  float64 `json:"bloom_ms"`
-	Rows     int     `json:"rows"`
-}
-
-// DefaultScalingQueries are Bloom-heavy join queries where breaker work
-// dominates: the paper's Q12 plan analysis, the wide Bloom-rich joins Q5
-// and Q21 (big hash builds + Bloom population), and Q8/Q9 whose BF-CBO
-// plans pick merge joins (exercising the parallel sort breaker).
-func DefaultScalingQueries() []int { return []int{5, 8, 9, 12, 21} }
-
-// RunScaling plans each query once under BF-CBO and executes the plan at
-// each DOP, recording the median executor latency and per-breaker phase
-// times of the measured run.
-func (h *Harness) RunScaling(queries []int, dops []int) ([]ScalingRow, error) {
-	if len(queries) == 0 {
-		queries = DefaultScalingQueries()
-	}
-	if len(dops) == 0 {
-		dops = []int{1, 2, 4, 8}
-	}
-	var out []ScalingRow
-	for _, num := range queries {
-		q, ok := tpch.Get(num)
-		if !ok {
-			return nil, fmt.Errorf("bench: unknown TPC-H query %d", num)
-		}
-		block := q.Build(h.ds.Schema)
-		res, err := optimizer.Optimize(block, h.options(optimizer.BFCBO))
-		if err != nil {
-			return nil, fmt.Errorf("bench: scaling Q%d: %w", num, err)
-		}
-		for _, dop := range dops {
-			// Keep each rep's Result so the phase columns come from the
-			// same run as the reported median latency.
-			type sample struct {
-				d time.Duration
-				r *exec.Result
-			}
-			var samples []sample
-			for rep := 0; rep < h.cfg.Reps; rep++ {
-				runtime.GC()
-				start := time.Now()
-				r, err := exec.Run(h.ds.DB, block, res.Plan, exec.Options{
-					DOP: dop, MemBudget: h.cfg.MemBudget, SpillDir: h.cfg.SpillDir,
-				})
-				elapsed := time.Since(start)
-				if err != nil {
-					return nil, fmt.Errorf("bench: scaling Q%d dop %d: %w", num, dop, err)
-				}
-				if h.cfg.Reps > 1 && rep == 0 {
-					continue
-				}
-				samples = append(samples, sample{d: elapsed, r: r})
-			}
-			sort.Slice(samples, func(i, j int) bool { return samples[i].d < samples[j].d })
-			med := samples[len(samples)/2]
-			row := ScalingRow{
-				Query: num, DOP: dop,
-				ExecMS: med.d.Seconds() * 1000,
-				Rows:   med.r.Rows,
-			}
-			for _, ps := range med.r.Pipelines {
-				ms := func(d time.Duration) float64 { return d.Seconds() * 1000 }
-				row.FinishMS += ms(ps.FinishWall)
-				row.MergeMS += ms(ps.Phases.Merge)
-				row.SortMS += ms(ps.Phases.Sort)
-				row.BuildMS += ms(ps.Phases.Build)
-				row.BloomMS += ms(ps.Phases.Bloom)
-			}
-			out = append(out, row)
-		}
-	}
-	return out, nil
-}
-
-// PrintScaling renders the DOP scaling table.
-func PrintScaling(w io.Writer, rows []ScalingRow) {
-	fmt.Fprintf(w, "executor DOP scaling, BF-CBO plans (exec / breaker-finish ms)\n")
-	fmt.Fprintf(w, "%-4s %4s %9s %9s %8s %8s %8s %8s\n",
-		"Q#", "DOP", "exec-ms", "finish", "merge", "sort", "build", "bloom")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-4d %4d %9.3f %9.3f %8.3f %8.3f %8.3f %8.3f\n",
-			r.Query, r.DOP, r.ExecMS, r.FinishMS, r.MergeMS, r.SortMS, r.BuildMS, r.BloomMS)
+		fmt.Fprintf(w, "%s %-11s %12.0f -> %12.0f\n", t.Method, "("+t.Streaming.String()+")", t.EstRows(), r.ActualFor(n))
+		printActuals(w, t.Outer, r, depth+1)
+		printActuals(w, t.Inner, r, depth+1)
 	}
 }
 
@@ -512,11 +496,15 @@ type NaiveRow struct {
 	NaiveDNF      bool
 }
 
+// NaiveBlowup is the §3.1 experiment, one row per chain length in
+// ascending order.
+type NaiveBlowup []NaiveRow
+
 // RunNaiveBlowup measures planner latency of the naive single-pass approach
 // versus the two-phase BF-CBO on synthetic chain joins of growing size,
 // reproducing the 28 ms / 375 ms / 56 s / DNF progression of §3.1 in shape.
-func (h *Harness) RunNaiveBlowup(minTables, maxTables int, capPlans int) ([]NaiveRow, error) {
-	var out []NaiveRow
+func (h *Harness) RunNaiveBlowup(minTables, maxTables int, capPlans int) (NaiveBlowup, error) {
+	var out NaiveBlowup
 	for n := minTables; n <= maxTables; n++ {
 		row := NaiveRow{Tables: n}
 
@@ -580,16 +568,44 @@ func chainTable(name string, rows float64) *catalog.Table {
 	return t
 }
 
-// PrintNaive renders the blow-up table.
-func PrintNaive(w io.Writer, rows []NaiveRow) {
+// Check states §3.1's claim in sub-plans kept, the quantity the planning
+// times follow: the naive search space grows with every added table and,
+// from four tables on, exceeds what the two-phase search keeps. Hitting the
+// plan cap (DNF) counts as larger than any finite count.
+func (rows NaiveBlowup) Check() error {
+	var errs []error
+	for i, r := range rows {
+		if i > 0 {
+			prev := rows[i-1]
+			if !r.NaiveDNF && (prev.NaiveDNF || r.NaivePlans <= prev.NaivePlans) {
+				errs = append(errs, fmt.Errorf("naive blow-up: %d plans kept on %d tables, not above the %s on %d tables",
+					r.NaivePlans, r.Tables, prev.naivePlans(), prev.Tables))
+			}
+		}
+		if r.Tables >= 4 && !r.NaiveDNF && r.NaivePlans <= r.TwoPhasePlans {
+			errs = append(errs, fmt.Errorf("naive blow-up: on %d tables naive keeps %d plans, two-phase %d",
+				r.Tables, r.NaivePlans, r.TwoPhasePlans))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// Print renders the blow-up table.
+func (rows NaiveBlowup) Print(w io.Writer) {
 	fmt.Fprintf(w, "naive vs two-phase planning time (chain joins)\n")
 	fmt.Fprintf(w, "%-7s %12s %12s %12s %12s\n", "tables", "naive-ms", "2phase-ms", "naive-plans", "2phase-plans")
 	for _, r := range rows {
 		naive := fmt.Sprintf("%.2f", r.NaiveMS)
-		plans := fmt.Sprintf("%d", r.NaivePlans)
 		if r.NaiveDNF {
-			naive, plans = "DNF", "-"
+			naive = "DNF"
 		}
-		fmt.Fprintf(w, "%-7d %12s %12.2f %12s %12d\n", r.Tables, naive, r.TwoPhaseMS, plans, r.TwoPhasePlans)
+		fmt.Fprintf(w, "%-7d %12s %12.2f %12s %12d\n", r.Tables, naive, r.TwoPhaseMS, r.naivePlans(), r.TwoPhasePlans)
 	}
+}
+
+func (r NaiveRow) naivePlans() string {
+	if r.NaiveDNF {
+		return "DNF"
+	}
+	return strconv.Itoa(r.NaivePlans)
 }

@@ -5,12 +5,18 @@ import (
 	"strings"
 	"testing"
 
+	"bfcbo/internal/exec"
 	"bfcbo/internal/optimizer"
 )
 
 func tinyHarness(t *testing.T) *Harness {
 	t.Helper()
-	h, err := NewHarness(Config{ScaleFactor: 0.004, Seed: 5, DOP: 4, Reps: 1})
+	return tinyHarnessH7(t, false)
+}
+
+func tinyHarnessH7(t *testing.T, h7 bool) *Harness {
+	t.Helper()
+	h, err := NewHarness(Config{ScaleFactor: 0.004, Seed: 5, DOP: 4, Reps: 1, Heuristic7: h7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,106 +55,209 @@ func TestTable2SubsetRuns(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	tbl.Print(&buf, "test table")
+	tbl.PrintMAE(&buf)
 	out := buf.String()
-	for _, want := range []string{"Q#", "tot", "MAE"} {
+	for _, want := range []string{"Q#", "tot", "MAE", "plan search"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Print output missing %q:\n%s", want, out)
 		}
 	}
 }
 
-// The headline reproduction property at harness level: on Q12 BF-CBO must
-// estimate better than BF-Post (lower MAE) and must apply at least one
-// Bloom filter where BF-Post applies none.
-func TestQ12HeadlineProperties(t *testing.T) {
-	h := tinyHarness(t)
-	post, err := h.RunQuery(12, optimizer.BFPost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cbo, err := h.RunQuery(12, optimizer.BFCBO)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if post.Blooms != 0 {
-		t.Fatalf("BF-Post should have no Bloom filters on Q12, has %d", post.Blooms)
-	}
-	if cbo.Blooms == 0 {
-		t.Fatal("BF-CBO should have Bloom filters on Q12")
-	}
-}
-
-// The paper's MAE claim is aggregate: across queries where BF-Post does
-// place Bloom filters, its scan estimates ignore the filtering while
-// BF-CBO's account for it, so BF-CBO's mean MAE must come out lower.
-func TestAggregateMAEImproves(t *testing.T) {
-	h := tinyHarness(t)
-	tbl, err := h.RunTable2([]int{3, 5, 7, 10, 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.MeanMAECBO >= tbl.MeanMAEPost {
-		t.Fatalf("BF-CBO mean MAE %v should be below BF-Post's %v",
-			tbl.MeanMAECBO, tbl.MeanMAEPost)
-	}
-	if tbl.MAEImprovementPct <= 0 {
-		t.Fatalf("MAE improvement = %v%%", tbl.MAEImprovementPct)
-	}
-}
-
-func TestFigureReport(t *testing.T) {
-	h := tinyHarness(t)
-	var buf bytes.Buffer
-	if err := h.FigureReport(&buf, 12); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"BF-Post", "BF-CBO", "observed rows"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("figure report missing %q:\n%s", want, out)
+// Tables 2 and 3 and the MAE comparison: BF-CBO's plan is never costlier
+// than BF-Post's on any of the 22 blocks, Heuristic 7 never keeps more
+// sub-plans than the default, and BF-CBO's mean estimate error over the
+// analyzed queries is below BF-Post's.
+func TestTable2Claims(t *testing.T) {
+	for _, h7 := range []bool{false, true} {
+		tbl, err := tinyHarnessH7(t, h7).RunTable2(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tbl.Plans) != 22 {
+			t.Fatalf("plan comparison covers %d blocks, want all 22", len(tbl.Plans))
+		}
+		if err := tbl.Check(); err != nil {
+			t.Fatalf("Heuristic7=%v: %v", h7, err)
 		}
 	}
 }
 
-func TestNaiveBlowupShape(t *testing.T) {
+// Figures 1, 4 and 6: Q12 gets no Bloom filter under BF-Post and a filter
+// plus the opposite join order under BF-CBO; Q7 changes join order and
+// carries a chain of filters.
+func TestFigureClaims(t *testing.T) {
 	h := tinyHarness(t)
-	rows, err := h.RunNaiveBlowup(3, 5, 500_000)
+	for _, num := range []int{12, 7} {
+		f, err := h.RunFigure(num)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Check(); err != nil {
+			t.Fatalf("Q%d: %v", num, err)
+		}
+		var buf bytes.Buffer
+		f.Print(&buf)
+		for _, want := range []string{"BF-Post", "BF-CBO", "observed rows"} {
+			if !strings.Contains(buf.String(), want) {
+				t.Fatalf("figure report missing %q:\n%s", want, buf.String())
+			}
+		}
+	}
+}
+
+func TestNaiveBlowupClaim(t *testing.T) {
+	rows, err := tinyHarness(t).RunNaiveBlowup(3, 5, 500_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	// The naive search space must grow strictly with table count and
-	// dominate two-phase at 5 tables.
-	if !rows[2].NaiveDNF {
-		if rows[2].NaivePlans <= rows[1].NaivePlans || rows[1].NaivePlans <= rows[0].NaivePlans {
-			t.Fatalf("naive plan counts not growing: %+v", rows)
-		}
-		if rows[2].NaivePlans <= rows[2].TwoPhasePlans {
-			t.Fatalf("naive (%d) should keep more plans than two-phase (%d) at 5 tables",
-				rows[2].NaivePlans, rows[2].TwoPhasePlans)
-		}
+	if err := rows.Check(); err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	PrintNaive(&buf, rows)
+	rows.Print(&buf)
 	if !strings.Contains(buf.String(), "naive") {
-		t.Fatal("PrintNaive output malformed")
+		t.Fatal("naive blow-up output malformed")
 	}
 }
 
-func TestAblationRuns(t *testing.T) {
-	h := tinyHarness(t)
-	rows, err := h.RunAblation([]int{12, 3})
+func TestAblationClaim(t *testing.T) {
+	rows, err := tinyHarness(t).RunAblation([]int{12, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 10 {
 		t.Fatalf("ablation variants = %d, want 10", len(rows))
 	}
+	if err := rows.Check(); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	PrintAblation(&buf, rows)
+	rows.Print(&buf)
 	if !strings.Contains(buf.String(), "baseline") {
 		t.Fatal("ablation output malformed")
+	}
+}
+
+// Every Check must be able to fail: each case hands it a result doctored to
+// break one claim and requires an error that names that claim.
+func TestChecksRejectDoctoredResults(t *testing.T) {
+	goodTable := func() *Table2 {
+		return &Table2{
+			Plans:       []PlanRow{{Query: 3, CostPost: 10, CostCBO: 9, PlansKept: 8, PlansKeptH7: 6}},
+			MeanMAEPost: 100, MeanMAECBO: 60,
+		}
+	}
+	goodFigure := func(q int) *Figure {
+		run := func(sig string, cost float64, blooms int) *QueryRun {
+			r := &exec.Result{BloomStats: make([]exec.BloomRuntime, blooms)}
+			return &QueryRun{Query: q, JoinOrderSig: sig, EstCost: cost, Blooms: blooms, OutputRows: 7, Actuals: r}
+		}
+		return &Figure{Post: run("(l o)", 10, 0), CBO: run("(o l)", 9, 2)}
+	}
+	goodNaive := func() NaiveBlowup {
+		return NaiveBlowup{
+			{Tables: 3, NaivePlans: 15, TwoPhasePlans: 12},
+			{Tables: 4, NaivePlans: 114, TwoPhasePlans: 37},
+			{Tables: 5, NaiveDNF: true, TwoPhasePlans: 142},
+		}
+	}
+	goodAblation := func() Ablation {
+		return Ablation{{Name: "baseline", TotalRows: 50}, {Name: "H1 off", TotalRows: 50}}
+	}
+	type checker interface{ Check() error }
+	for _, good := range []checker{goodTable(), goodFigure(12), goodFigure(7), goodNaive(), goodAblation()} {
+		if err := good.Check(); err != nil {
+			t.Fatalf("undoctored %T rejected: %v", good, err)
+		}
+	}
+
+	cases := []struct {
+		name   string
+		result checker
+		claim  string // must appear in the error
+	}{
+		{"BF-CBO cost above BF-Post on one block", func() checker {
+			tbl := goodTable()
+			tbl.Plans = append(tbl.Plans, PlanRow{Query: 9, CostPost: 10, CostCBO: 10.5})
+			return tbl
+		}(), "plan cost: Q9"},
+		{"Heuristic 7 keeps more sub-plans", func() checker {
+			tbl := goodTable()
+			tbl.Plans[0].PlansKeptH7 = 9
+			return tbl
+		}(), "Heuristic 7: Q3"},
+		{"MAE not improved", func() checker {
+			tbl := goodTable()
+			tbl.MeanMAECBO = tbl.MeanMAEPost
+			return tbl
+		}(), "estimate MAE"},
+		{"equal Q12 signatures", func() checker {
+			f := goodFigure(12)
+			f.CBO.JoinOrderSig = f.Post.JoinOrderSig
+			return f
+		}(), "join-order flip: Q12"},
+		{"BF-Post finds a filter on Q12", func() checker {
+			f := goodFigure(12)
+			f.Post.Blooms = 1
+			return f
+		}(), "Figure 1"},
+		{"running example lost its Bloom filter", func() checker {
+			f := goodFigure(12)
+			f.CBO.Blooms = 0
+			return f
+		}(), "lost its Bloom filter"},
+		{"no Bloom runtime stats", func() checker {
+			f := goodFigure(12)
+			f.CBO.Actuals = &exec.Result{}
+			return f
+		}(), "none reported at run time"},
+		{"Q7 without a filter chain", func() checker {
+			f := goodFigure(7)
+			f.CBO.Blooms = 1
+			return f
+		}(), "Figure 6"},
+		{"answers differ", func() checker {
+			f := goodFigure(7)
+			f.CBO.OutputRows++
+			return f
+		}(), "same answer: Q7"},
+		{"figure plan costlier", func() checker {
+			f := goodFigure(7)
+			f.CBO.EstCost = 11
+			return f
+		}(), "plan cost: Q7"},
+		{"non-growing naive counts", func() checker {
+			rows := goodNaive()
+			rows[1].NaivePlans = rows[0].NaivePlans
+			return rows
+		}(), "naive blow-up: 15 plans kept on 4 tables"},
+		{"naive finishes after a DNF", func() checker {
+			rows := goodNaive()
+			rows[1].NaiveDNF = true
+			rows[2] = NaiveRow{Tables: 5, NaivePlans: 1927, TwoPhasePlans: 142}
+			return rows
+		}(), "1927 plans kept on 5 tables, not above the DNF on 4 tables"},
+		{"naive below two-phase at 4 tables", func() checker {
+			rows := goodNaive()
+			rows[1].TwoPhasePlans = 200
+			return rows
+		}(), "on 4 tables naive keeps 114 plans, two-phase 200"},
+		{"ablation variant changes the answer", func() checker {
+			rows := goodAblation()
+			rows[1].TotalRows = 49
+			return rows
+		}(), `ablation: "H1 off" returns 49 rows`},
+	}
+	for _, tc := range cases {
+		err := tc.result.Check()
+		if err == nil {
+			t.Errorf("%s: Check accepted a doctored result", tc.name)
+		} else if !strings.Contains(err.Error(), tc.claim) {
+			t.Errorf("%s: error %q does not name the claim %q", tc.name, err, tc.claim)
+		}
 	}
 }

@@ -287,12 +287,12 @@ type Options struct {
 	Priority bool
 	// MapKernels selects the Go-map-based join and aggregation kernels
 	// the flat hashtab tables replaced — the baseline side of the
-	// map-vs-flat ablation (cmd/bench -experiment hashtable). Results
-	// are bit-identical across kernels; only the data layout differs.
+	// map-vs-flat A/B suite (kernels_test.go). Results are bit-identical
+	// across kernels; only the data layout differs.
 	MapKernels bool
 	// ScalarScan selects the row-at-a-time scan baseline the vectorized
-	// kernel chains replaced — the baseline side of the scan ablation
-	// (cmd/bench -experiment scan). Columns are still bound once at Open,
+	// kernel chains replaced — the baseline side of the scan A/B suite
+	// (scan_test.go). Columns are still bound once at Open,
 	// but predicates evaluate row by row with an interface call each, no
 	// zone-map morsel skipping, and Bloom filters probe per key rather
 	// than per hashed batch. Results are bit-identical across modes.
@@ -319,7 +319,7 @@ type Options struct {
 	Fingerprint uint64
 	// ScalarProbe selects the row-at-a-time join-probe and aggregation-fold
 	// baseline the vectorized batch kernels replaced — the baseline side of
-	// the join/agg ablation (cmd/bench -experiment joinagg). Probes hash,
+	// the join/agg A/B suite (probe_vec_test.go). Probes hash,
 	// look up, verify and emit per row, folds intern and accumulate per
 	// row, and batches carry no hash/dictCode side channels. Results are
 	// bit-identical across modes, including the grace spill-reload path.

@@ -222,8 +222,11 @@ func TestValidateChromeRejects(t *testing.T) {
 			t.Errorf("accepted invalid trace %s", tc)
 		}
 	}
-	if !IsChromeTrace([]byte(`{"traceEvents":[]}`)) || IsChromeTrace([]byte(`{"cells":[]}`)) {
-		t.Fatal("IsChromeTrace dispatch wrong")
+	if err := ValidateChrome([]byte(`{"traceEvents":[]}`)); err != nil {
+		t.Fatalf("rejected an empty but well-formed trace: %v", err)
+	}
+	if err := ValidateChrome([]byte(`{"cells":[]}`)); err == nil {
+		t.Fatal("accepted a JSON object that is not a trace")
 	}
 }
 

@@ -152,7 +152,7 @@ func WriteChromeAll(w io.Writer, traces []*Trace) error {
 // ValidateChrome checks that data is a loadable Chrome trace-event JSON
 // object: a traceEvents array whose complete ("X") events carry
 // non-negative timestamps and durations and a known phase. It is the
-// shared checker behind the trace tests and `cmd/bench -validate`.
+// shared checker behind the trace tests and `cmd/bfcbo -trace-out`.
 func ValidateChrome(data []byte) error {
 	var f struct {
 		TraceEvents []struct {
@@ -189,15 +189,4 @@ func ValidateChrome(data []byte) error {
 		}
 	}
 	return nil
-}
-
-// IsChromeTrace reports whether data looks like a Chrome trace-event file
-// (used by `cmd/bench -validate` dispatch).
-func IsChromeTrace(data []byte) bool {
-	var probe map[string]json.RawMessage
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return false
-	}
-	_, ok := probe["traceEvents"]
-	return ok
 }
