@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"bfcbo/internal/hashtab"
@@ -11,83 +10,26 @@ import (
 	"bfcbo/internal/storage"
 )
 
-// This file provides the small aggregation layer that sits on top of a
-// joined RowSet — enough to compute the TPC-H answer expressions (revenue
-// sums, group counts) that the paper's queries report above their join
-// blocks. Full GROUP BY planning is outside the reproduction's scope; these
-// helpers aggregate the executor's final row set directly.
+// This file is the aggregation layer above the join block — enough to
+// compute the TPC-H answer expressions (counts, revenue sums, per-group
+// counts and sums) the paper's queries report. Full GROUP BY planning is
+// outside the reproduction's scope.
 //
-// The streaming sink's group hot loops run on flat hashtab.AggTables
-// keyed by interned group codes; Go maps survive only in setup (the
-// interning dictionary), in result materialization (AggValue's public
-// map fields, O(groups) once per query), in the post-hoc helpers below
-// (map-based reference implementations the kernel A/B tests diff
-// against), and in the Options.MapKernels ablation baseline.
-
-// SumFloat sums a float64 column of one relation over all result rows.
-func SumFloat(rs *RowSet, tbl *storage.Table, rel int, col string) (float64, error) {
-	c, err := tbl.Column(col)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, id := range rs.Col(rel) {
-		if id < 0 {
-			continue // null-extended outer-join row
-		}
-		sum += c.Floats[id]
-	}
-	return sum, nil
-}
-
-// SumRevenue computes the TPC-H revenue expression
-// Σ price·(1 − discount) over the result rows of one relation.
-func SumRevenue(rs *RowSet, tbl *storage.Table, rel int, priceCol, discCol string) (float64, error) {
-	p, err := tbl.Column(priceCol)
-	if err != nil {
-		return 0, err
-	}
-	d, err := tbl.Column(discCol)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, id := range rs.Col(rel) {
-		if id < 0 {
-			continue
-		}
-		sum += p.Floats[id] * (1 - d.Floats[id])
-	}
-	return sum, nil
-}
-
-// GroupCount counts result rows grouped by a string column of one relation
-// (e.g. rows per nation name).
-func GroupCount(rs *RowSet, tbl *storage.Table, rel int, col string) (map[string]int, error) {
-	c, err := tbl.Column(col)
-	if err != nil {
-		return nil, err
-	}
-	if c.Strings == nil {
-		return nil, fmt.Errorf("exec: GroupCount needs a string column, %s.%s is not", tbl.Name, col)
-	}
-	out := make(map[string]int)
-	for _, id := range rs.Col(rel) {
-		if id < 0 {
-			out["<null>"]++
-			continue
-		}
-		out[c.Strings[id]]++
-	}
-	return out, nil
-}
-
-// ---------------------------------------------------------------------------
-// Streaming aggregation: the pipelined counterpart of the helpers above.
-// When Options.Aggregates is set, the root pipeline's result sink is an
-// aggregation operator — each worker folds its batches into private
-// partials which are merged once at the end, so the final join output is
-// never materialized.
+// When Options.Aggregates is set, the root pipeline's result sink is the
+// streaming aggSink: each worker folds its batches into private partials,
+// merged once at the end, so the final join output is never materialized.
+// The legacy interpreter folds its materialized result through the same
+// accumulators (aggregateRowSet). Every number reported is an integer
+// count or a hashtab.Sum — integers added with carry and rounded to
+// float64 once, at result assembly — so a value depends only on the
+// multiset of rows folded: not on which worker claimed which morsel, the
+// DOP, the morsel size, or whether a join spilled. Streaming, legacy and
+// every schedule agree bit for bit.
+//
+// Group keys are interned to dense int codes once per run (groupDict), so
+// the per-row group path is an integer probe of a flat hashtab.AggTable;
+// Go maps appear only in that interning step and in AggValue's result
+// fields, O(groups) once per query.
 
 // AggKind selects the aggregate computed by one AggSpec.
 type AggKind int
@@ -156,8 +98,7 @@ const nullGroupName = "<null>"
 // int32 remap pass — no per-row string hashing at all; map interning
 // remains as the fallback. Setup-only either way: the per-row fold path
 // never hashes a string again. Group-code assignment order is immaterial
-// to results (groups are reported by name, and every mode of one run
-// shares this cached dictionary).
+// to results (groups are reported by name).
 func (ex *executor) groupDictFor(rel int, col string, vals []string) *groupDict {
 	key := fmt.Sprintf("%d.%s", rel, col)
 	ex.smu.Lock()
@@ -189,7 +130,7 @@ func groupDictFromStorage(tbl *storage.Table, col string) *groupDict {
 	for i, v := range sd.Values {
 		if v == nullGroupName {
 			// A literal "<null>" value must share the null-extended rows'
-			// code, exactly as the map kernels merge both under one key.
+			// code: both report under the one "<null>" group.
 			remap[i] = int32(nullGroupCode)
 			continue
 		}
@@ -236,8 +177,7 @@ type aggCols struct {
 	spec        AggSpec
 	vals        []float64 // AggSum value column
 	price, disc []float64
-	keys        []string
-	dict        *groupDict // interned group key column (flat kernels)
+	dict        *groupDict // interned group key column
 }
 
 func (ex *executor) resolveAgg(spec AggSpec) (aggCols, error) {
@@ -277,29 +217,34 @@ func (ex *executor) resolveAgg(spec AggSpec) (aggCols, error) {
 			return a, fmt.Errorf("exec: aggregate group key must be a string column, %s.%s is not",
 				ex.tables[spec.KeyRel].Name, spec.KeyCol)
 		}
-		a.keys = c.Strings
-		if !ex.mapKernels {
-			a.dict = ex.groupDictFor(spec.KeyRel, spec.KeyCol, c.Strings)
-		}
+		a.dict = ex.groupDictFor(spec.KeyRel, spec.KeyCol, c.Strings)
 	}
 	return a, nil
 }
 
-// aggPartial is one worker's accumulator for one spec. Group aggregates
-// accumulate in a flat hashtab.AggTable keyed by interned group codes;
-// the map fields are the Options.MapKernels ablation baseline.
+// aggPartial is one accumulator for one spec: a worker's share of the
+// stream, the cross-worker merge of those, or the legacy interpreter's
+// whole result. Group aggregates accumulate in a flat hashtab.AggTable
+// keyed by interned group codes.
 type aggPartial struct {
-	count     int64
-	sum       float64
-	tab       *hashtab.AggTable
-	groups    map[string]int
-	groupSums map[string]float64
+	count int64
+	sum   hashtab.Sum
+	tab   *hashtab.AggTable
 }
 
-// fold accumulates one batch into the partial, row at a time — the
-// Options.ScalarProbe ablation baseline, the MapKernels fallback, and the
-// legacy aggregateRowSet path. The group paths with flat kernels cost one
-// code load, one hash mix and one integer directory probe per row.
+// groupTab returns the partial's group table, created on first use.
+func (a *aggCols) groupTab(p *aggPartial) *hashtab.AggTable {
+	if p.tab == nil {
+		p.tab = hashtab.NewAgg(len(a.dict.names) + 1)
+	}
+	return p.tab
+}
+
+// fold accumulates a row set into the partial, row at a time: the legacy
+// interpreter's path (aggregateRowSet) and the streaming sink's path for
+// the non-group kinds, which are single column loops already. The group
+// kinds cost one code load, one hash mix and one integer directory probe
+// per row.
 func (a *aggCols) fold(p *aggPartial, b *RowSet) {
 	switch a.spec.Kind {
 	case AggCountStar:
@@ -309,66 +254,54 @@ func (a *aggCols) fold(p *aggPartial, b *RowSet) {
 			if id < 0 {
 				continue
 			}
-			p.sum += a.vals[id]
+			p.sum.Add(a.vals[id])
 		}
 	case AggRevenue:
 		for _, id := range b.Col(a.spec.Rel) {
 			if id < 0 {
 				continue
 			}
-			p.sum += a.price[id] * (1 - a.disc[id])
+			p.sum.Add(a.price[id] * (1 - a.disc[id]))
 		}
 	case AggGroupCount:
-		if a.dict != nil {
-			if p.tab == nil {
-				p.tab = hashtab.NewAgg(len(a.dict.names) + 1)
-			}
-			codes := a.dict.codes
-			for _, id := range b.Col(a.spec.KeyRel) {
-				code := nullGroupCode
-				if id >= 0 {
-					code = int64(codes[id])
-				}
-				p.tab.Add(code, 1, 0)
-			}
-			return
-		}
-		if p.groups == nil {
-			p.groups = make(map[string]int)
-		}
+		tab, codes := a.groupTab(p), a.dict.codes
 		for _, id := range b.Col(a.spec.KeyRel) {
-			if id < 0 {
-				p.groups[nullGroupName]++
-				continue
+			code := nullGroupCode
+			if id >= 0 {
+				code = int64(codes[id])
 			}
-			p.groups[a.keys[id]]++
+			tab.Add(code, 1, 0)
 		}
 	case AggGroupRevenue:
 		keys := b.Col(a.spec.KeyRel)
 		vals := b.Col(a.spec.Rel)
-		if a.dict != nil {
-			if p.tab == nil {
-				p.tab = hashtab.NewAgg(len(a.dict.names) + 1)
-			}
-			codes := a.dict.codes
-			for i := range keys {
-				if keys[i] < 0 || vals[i] < 0 {
-					continue
-				}
-				p.tab.Add(int64(codes[keys[i]]), 0, a.price[vals[i]]*(1-a.disc[vals[i]]))
-			}
-			return
-		}
-		if p.groupSums == nil {
-			p.groupSums = make(map[string]float64)
-		}
+		tab, codes := a.groupTab(p), a.dict.codes
 		for i := range keys {
 			if keys[i] < 0 || vals[i] < 0 {
 				continue
 			}
-			p.groupSums[a.keys[keys[i]]] += a.price[vals[i]] * (1 - a.disc[vals[i]])
+			tab.Add(int64(codes[keys[i]]), 0, a.price[vals[i]]*(1-a.disc[vals[i]]))
 		}
 	}
+}
+
+// value assembles the reported result from a fully accumulated partial:
+// the one place sums are rounded to float64 and group codes turn back
+// into names.
+func (a *aggCols) value(p *aggPartial) AggValue {
+	v := AggValue{Count: p.count, Sum: p.sum.Float64()}
+	if p.tab.Len() == 0 {
+		return v
+	}
+	switch a.spec.Kind {
+	case AggGroupCount:
+		v.Groups = make(map[string]int, p.tab.Len())
+		p.tab.Each(func(k, c int64, _ hashtab.Sum) { v.Groups[a.dict.name(k)] = int(c) })
+	case AggGroupRevenue:
+		v.GroupSums = make(map[string]float64, p.tab.Len())
+		p.tab.Each(func(k, _ int64, sum hashtab.Sum) { v.GroupSums[a.dict.name(k)] = sum.Float64() })
+	}
+	return v
 }
 
 // aggScratch is one worker's reusable fold scratch: the per-batch group
@@ -392,20 +325,13 @@ func (scr *aggScratch) ensure(n int) {
 // measure vectors once per batch — straight off the batch's dictCodes
 // side channel when it covers the key column, else through the interned
 // dictionary — hash the whole code vector once via HashVec, and fold
-// through AggTable.AddHash in a tight loop. Gather order is the scalar
-// fold's row order, so float addition order and the directory layout
-// (which depends only on the distinct keys) are bit-identical to fold's.
-// Non-group kinds are already single-pass column loops and delegate.
-// Returns the number of rows whose group code rode the batch channel.
+// through AggTable.AddHash in a tight loop. Non-group kinds are already
+// single-pass column loops and delegate to fold. Returns the number of
+// rows whose group code rode the batch channel.
 func (a *aggCols) foldBatch(p *aggPartial, b *Batch, scr *aggScratch) int64 {
 	switch a.spec.Kind {
 	case AggGroupCount:
-		if a.dict == nil {
-			break
-		}
-		if p.tab == nil {
-			p.tab = hashtab.NewAgg(len(a.dict.names) + 1)
-		}
+		tab := a.groupTab(p)
 		n := b.rows.Len()
 		scr.ensure(n)
 		codes := scr.codes[:n]
@@ -427,16 +353,11 @@ func (a *aggCols) foldBatch(p *aggPartial, b *Batch, scr *aggScratch) int64 {
 		}
 		scr.hashes = hashtab.HashVec(codes, scr.hashes)
 		for i, c := range codes {
-			p.tab.AddHash(c, scr.hashes[i], 1, 0)
+			tab.AddHash(c, scr.hashes[i], 1, 0)
 		}
 		return reused
 	case AggGroupRevenue:
-		if a.dict == nil {
-			break
-		}
-		if p.tab == nil {
-			p.tab = hashtab.NewAgg(len(a.dict.names) + 1)
-		}
+		tab := a.groupTab(p)
 		keys := b.rows.Col(a.spec.KeyRel)
 		vals := b.rows.Col(a.spec.Rel)
 		scr.ensure(len(keys))
@@ -464,7 +385,7 @@ func (a *aggCols) foldBatch(p *aggPartial, b *Batch, scr *aggScratch) int64 {
 		scr.codes, scr.meas = codes, meas // keep the grown backing arrays
 		scr.hashes = hashtab.HashVec(codes, scr.hashes)
 		for i, c := range codes {
-			p.tab.AddHash(c, scr.hashes[i], 0, meas[i])
+			tab.AddHash(c, scr.hashes[i], 0, meas[i])
 		}
 		return reused
 	}
@@ -473,20 +394,18 @@ func (a *aggCols) foldBatch(p *aggPartial, b *Batch, scr *aggScratch) int64 {
 }
 
 // aggSink is the streaming-aggregation result sink: partials per (worker,
-// spec), merged in finish. The group-aggregate merge is shared-nothing:
-// per-worker maps are sharded by group hash and the shards merge in
-// parallel, so high-cardinality GROUP BYs finish across DOP workers like
-// the other breakers.
+// spec), merged in finish. Above the breaker fan-out threshold the group
+// merge is sharded by group hash and the shards merge in parallel, so
+// high-cardinality GROUP BYs finish across DOP workers like the other
+// breakers.
 type aggSink struct {
 	ex       *executor
 	cols     []aggCols
 	partials [][]aggPartial // [worker][spec]
 	rowsSeen []int64        // per worker
-	// scalar selects the row-at-a-time fold (Options.ScalarProbe); scrs is
-	// the per-worker vectorized-fold scratch, foldNanos / codeReused the
+	// scrs is the per-worker fold scratch, foldNanos / codeReused the
 	// per-worker fold wall time and dictCode-channel hit counts, summed
 	// into Phases.Fold and PipelineStat.FoldCodeReused at finish.
-	scalar     bool
 	scrs       []aggScratch
 	foldNanos  []int64
 	codeReused []int64
@@ -496,8 +415,9 @@ type aggSink struct {
 }
 
 const (
-	// aggGroupBytes approximates one group entry's footprint in a partial
-	// map: string header, hash bucket share, and the accumulator.
+	// aggGroupBytes approximates one group entry's footprint — in a
+	// partial table for the up-front estimate, in a result map (string
+	// header, hash bucket share, value) for the final top-up.
 	aggGroupBytes = 64
 	// defaultAggEstGroups sizes the up-front reservation when a spec
 	// carries no group-count estimate.
@@ -509,7 +429,6 @@ func (ex *executor) newAggSink(rels query.RelSet, workers int) (sink, error) {
 		ex:         ex,
 		partials:   make([][]aggPartial, workers),
 		rowsSeen:   make([]int64, workers),
-		scalar:     ex.scalarProbe,
 		scrs:       make([]aggScratch, workers),
 		foldNanos:  make([]int64, workers),
 		codeReused: make([]int64, workers),
@@ -524,7 +443,7 @@ func (ex *executor) newAggSink(rels query.RelSet, workers int) (sink, error) {
 	for w := range s.partials {
 		s.partials[w] = make([]aggPartial, len(s.cols))
 	}
-	// Broker-account the per-worker partial maps: Force (not Grow) because
+	// Broker-account the per-worker partial tables: Force (not Grow) because
 	// the sink cannot spill yet, sized from the group-count estimate so
 	// Used/Peak reporting is truthful for GROUP BY state. finish tops the
 	// reservation up to the observed group count. This is the accounting
@@ -551,77 +470,40 @@ func (s *aggSink) phases() BreakerPhases { return s.ph }
 func (s *aggSink) consume(w int, b *Batch) {
 	start := time.Now()
 	s.rowsSeen[w] += int64(b.Len())
-	if s.scalar {
-		for i := range s.cols {
-			s.cols[i].fold(&s.partials[w][i], b.rows)
-		}
-	} else {
-		for i := range s.cols {
-			s.codeReused[w] += s.cols[i].foldBatch(&s.partials[w][i], b, &s.scrs[w])
-		}
+	for i := range s.cols {
+		s.codeReused[w] += s.cols[i].foldBatch(&s.partials[w][i], b, &s.scrs[w])
 	}
 	s.foldNanos[w] += int64(time.Since(start))
 }
 
 func (s *aggSink) finish() error {
 	start := time.Now()
-	dop := s.ex.dop
 	out := make([]AggValue, len(s.cols))
 	for i := range s.cols {
-		v := &out[i]
+		// Counts and Sums merge by integer addition, so the worker order
+		// here — and which rows each worker happened to fold — cannot show
+		// in the result.
+		var merged aggPartial
 		for w := range s.partials {
 			p := &s.partials[w][i]
-			v.Count += p.count
-			v.Sum += p.sum
+			merged.count += p.count
+			merged.sum.Merge(p.sum)
 		}
-		switch s.cols[i].spec.Kind {
-		case AggGroupCount:
-			if dict := s.cols[i].dict; dict != nil {
-				if merged := s.mergeFlat(i, dop); merged != nil {
-					v.Groups = make(map[string]int, merged.Len())
-					merged.Each(func(k, c int64, _ float64) {
-						v.Groups[dict.name(k)] = int(c)
-					})
-				}
-				break
-			}
-			parts := make([]map[string]int, len(s.partials))
-			for w := range s.partials {
-				parts[w] = s.partials[w][i].groups
-			}
-			v.Groups = mergeGroupsPar(parts, dop)
-		case AggGroupRevenue:
-			if dict := s.cols[i].dict; dict != nil {
-				if merged := s.mergeFlat(i, dop); merged != nil {
-					v.GroupSums = make(map[string]float64, merged.Len())
-					merged.Each(func(k, _ int64, sum float64) {
-						v.GroupSums[dict.name(k)] = sum
-					})
-				}
-				break
-			}
-			parts := make([]map[string]float64, len(s.partials))
-			for w := range s.partials {
-				parts[w] = s.partials[w][i].groupSums
-			}
-			v.GroupSums = mergeGroupsPar(parts, dop)
-		}
+		merged.tab = s.mergeFlat(i, s.ex.dop)
+		out[i] = s.cols[i].value(&merged)
 	}
 	s.ph.Merge = time.Since(start)
 	for _, ns := range s.foldNanos {
 		s.ph.Fold += time.Duration(ns)
 	}
 	// Top the reservation up to the observed state — exact directory
-	// footprints for the flat partial tables, the aggGroupBytes
-	// approximation for the map baseline and the merged result maps — so
-	// budget reports stay truthful when the estimate ran low on a
-	// high-cardinality GROUP BY.
+	// footprints for the partial tables, the aggGroupBytes approximation
+	// for the merged result maps — so budget reports stay truthful when
+	// the estimate ran low on a high-cardinality GROUP BY.
 	var actual int64
 	for w := range s.partials {
 		for i := range s.partials[w] {
-			p := &s.partials[w][i]
-			actual += p.tab.Bytes()
-			actual += int64(len(p.groups)+len(p.groupSums)) * aggGroupBytes
+			actual += s.partials[w][i].tab.Bytes()
 		}
 	}
 	for i := range out {
@@ -652,9 +534,8 @@ func (s *aggSink) mergeFlat(i, dop int) *hashtab.AggTable {
 // serial; above the breaker fan-out threshold each of dop shard workers
 // scans every table and folds its hash-share of the keys — scanning a
 // flat directory is a contiguous array walk, so the redundant scans are
-// cheaper than a shuffle. Per key, the addition order is ascending
-// worker in both paths — exactly the serial order — so float results are
-// bit-identical to the serial merge (and to the map baseline's).
+// cheaper than a shuffle. Either way each key's counts and sums add as
+// integers, so the two paths give identical tables.
 func mergeAggTables(parts []*hashtab.AggTable, dop int) *hashtab.AggTable {
 	total := 0
 	for _, t := range parts {
@@ -663,128 +544,37 @@ func mergeAggTables(parts []*hashtab.AggTable, dop int) *hashtab.AggTable {
 	if total == 0 {
 		return nil
 	}
-	// Weight 8: one directory probe per group entry, like the map merge.
+	// Weight 8: one directory probe per group entry.
 	if !parallelFinishThreshold(total, 8, dop) {
 		out := hashtab.NewAgg(total)
 		for _, t := range parts {
-			t.Each(out.Add)
+			t.Each(out.Merge)
 		}
 		return out
 	}
 	nsh := dop
 	shards := make([]*hashtab.AggTable, nsh)
-	var wg sync.WaitGroup
-	var trap panicTrap
-	for sh := 0; sh < nsh; sh++ {
-		wg.Add(1)
-		go func(sh int) {
-			defer wg.Done()
-			defer trap.catch()
-			out := hashtab.NewAgg(total/nsh + 1)
-			for _, t := range parts { // ascending worker order per key
-				t.Each(func(k, c int64, sum float64) {
-					if int(hashtab.Hash(k)%uint64(nsh)) == sh {
-						out.Add(k, c, sum)
-					}
-				})
-			}
-			shards[sh] = out
-		}(sh)
-	}
-	wg.Wait()
-	trap.rethrow()
+	parallelFor(nsh, func(sh int) {
+		out := hashtab.NewAgg(total/nsh + 1)
+		for _, t := range parts {
+			t.Each(func(k, c int64, sum hashtab.Sum) {
+				if int(hashtab.Hash(k)%uint64(nsh)) == sh {
+					out.Merge(k, c, sum)
+				}
+			})
+		}
+		shards[sh] = out
+	})
 	out := hashtab.NewAgg(total)
 	for _, t := range shards { // shards hold disjoint keys
-		t.Each(out.Add)
+		t.Each(out.Merge)
 	}
 	return out
 }
 
-// hashShard assigns a group key to one of n merge shards, through the
-// shared hashtab mixer family (the engine keeps exactly one hash family
-// across its hot paths; this was the last ad-hoc string mixer).
-func hashShard(s string, n int) int {
-	return int(hashtab.HashString(s) % uint64(n))
-}
-
-// mergeGroupsPar merges per-worker group maps. Small merges stay serial;
-// above the breaker fan-out threshold the merge is shared-nothing: each
-// worker's map is sharded by group hash (parallel over workers), each
-// shard merges across workers in ascending worker order (parallel over
-// shards), and the disjoint shards assemble into the result. Per key, the
-// addition order is ascending worker — exactly the serial order — so
-// float results are bit-identical to the serial merge.
-func mergeGroupsPar[T int | float64](parts []map[string]T, dop int) map[string]T {
-	total := 0
-	for _, m := range parts {
-		total += len(m)
-	}
-	if total == 0 {
-		return nil
-	}
-	// Weight 8: hashing plus a map insert per group entry.
-	if !parallelFinishThreshold(total, 8, dop) {
-		out := make(map[string]T, total)
-		for _, m := range parts {
-			for k, v := range m {
-				out[k] += v
-			}
-		}
-		return out
-	}
-	nsh := dop
-	sub := make([][]map[string]T, len(parts)) // [worker][shard]
-	var wg sync.WaitGroup
-	var trap panicTrap
-	for w, m := range parts {
-		sub[w] = make([]map[string]T, nsh)
-		if len(m) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(sh []map[string]T, m map[string]T) {
-			defer wg.Done()
-			defer trap.catch()
-			for k, v := range m {
-				i := hashShard(k, nsh)
-				if sh[i] == nil {
-					sh[i] = make(map[string]T)
-				}
-				sh[i][k] = v // keys are unique within one worker's map
-			}
-		}(sub[w], m)
-	}
-	wg.Wait()
-	trap.rethrow()
-	shards := make([]map[string]T, nsh)
-	for i := 0; i < nsh; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer trap.catch()
-			out := make(map[string]T)
-			for w := range sub {
-				for k, v := range sub[w][i] {
-					out[k] += v
-				}
-			}
-			shards[i] = out
-		}(i)
-	}
-	wg.Wait()
-	trap.rethrow()
-	out := make(map[string]T, total)
-	for _, m := range shards {
-		for k, v := range m {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// aggregateRowSet computes the same aggregates post-hoc from a
-// materialized result — the legacy executor's path, kept so A/B tests can
-// diff it against the streaming sink.
+// aggregateRowSet computes the aggregates post-hoc from a materialized
+// result — the legacy interpreter's path, folding row at a time into the
+// same accumulators the streaming sink uses.
 func (ex *executor) aggregateRowSet(rs *RowSet, specs []AggSpec) ([]AggValue, error) {
 	out := make([]AggValue, len(specs))
 	for i, spec := range specs {
@@ -794,49 +584,7 @@ func (ex *executor) aggregateRowSet(rs *RowSet, specs []AggSpec) ([]AggValue, er
 		}
 		var p aggPartial
 		a.fold(&p, rs)
-		v := AggValue{Count: p.count, Sum: p.sum, Groups: p.groups, GroupSums: p.groupSums}
-		if p.tab.Len() > 0 {
-			switch spec.Kind {
-			case AggGroupCount:
-				v.Groups = make(map[string]int, p.tab.Len())
-				p.tab.Each(func(k, c int64, _ float64) { v.Groups[a.dict.name(k)] = int(c) })
-			case AggGroupRevenue:
-				v.GroupSums = make(map[string]float64, p.tab.Len())
-				p.tab.Each(func(k, _ int64, sum float64) { v.GroupSums[a.dict.name(k)] = sum })
-			}
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// GroupRevenue computes Σ price·(1 − discount) per group key, the shape of
-// Q5's and Q7's reported answers (revenue by nation / by nation pair).
-func GroupRevenue(rs *RowSet, keyTbl *storage.Table, keyRel int, keyCol string,
-	valTbl *storage.Table, valRel int, priceCol, discCol string) (map[string]float64, error) {
-	k, err := keyTbl.Column(keyCol)
-	if err != nil {
-		return nil, err
-	}
-	if k.Strings == nil {
-		return nil, fmt.Errorf("exec: GroupRevenue needs a string key column")
-	}
-	p, err := valTbl.Column(priceCol)
-	if err != nil {
-		return nil, err
-	}
-	d, err := valTbl.Column(discCol)
-	if err != nil {
-		return nil, err
-	}
-	keys := rs.Col(keyRel)
-	vals := rs.Col(valRel)
-	out := make(map[string]float64)
-	for i := range keys {
-		if keys[i] < 0 || vals[i] < 0 {
-			continue
-		}
-		out[k.Strings[keys[i]]] += p.Floats[vals[i]] * (1 - d.Floats[vals[i]])
+		out[i] = a.value(&p)
 	}
 	return out, nil
 }

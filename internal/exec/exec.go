@@ -107,9 +107,8 @@ type PredRuntime struct {
 
 // ScanRuntime reports one scan source's vectorized-execution counters.
 type ScanRuntime struct {
-	Rel        int
-	Alias      string
-	Vectorized bool
+	Rel   int
+	Alias string
 	// Morsels is the number of morsels claimed (including skipped ones);
 	// ZoneSkipped / ZoneSkippedRows count morsels (and their rows)
 	// eliminated by zone-map bounds before any row was touched.
@@ -136,14 +135,11 @@ type bloomHandle interface {
 }
 
 type executor struct {
-	db          *storage.Database
-	block       *query.Block
-	dop         int
-	satLimit    float64
-	morsel      int
-	mapKernels  bool
-	scalarScan  bool
-	scalarProbe bool
+	db       *storage.Database
+	block    *query.Block
+	dop      int
+	satLimit float64
+	morsel   int
 
 	tables  []*storage.Table // by relation index
 	filters map[int]bloomHandle
@@ -250,8 +246,9 @@ type Options struct {
 	SaturationLimit float64
 	// Legacy selects the original operator-at-a-time interpreter that
 	// fully materializes every intermediate row set. The default is the
-	// morsel-driven pipelined executor; the legacy path exists so A/B
-	// correctness tests can diff the two on identical plans.
+	// morsel-driven pipelined executor; the legacy interpreter is the one
+	// reference implementation the equivalence tests diff it against on
+	// identical plans.
 	Legacy bool
 	// MorselSize overrides the rows-per-morsel granularity of the
 	// pipelined executor; 0 means DefaultMorselSize.
@@ -282,21 +279,6 @@ type Options struct {
 	// from. When nil, the run gets a private scheduler with DOP slots —
 	// the single-query behaviour of earlier versions.
 	Sched *sched.Scheduler
-	// Priority routes the query through the scheduler's priority lane
-	// (admission and slot arbitration).
-	Priority bool
-	// MapKernels selects the Go-map-based join and aggregation kernels
-	// the flat hashtab tables replaced — the baseline side of the
-	// map-vs-flat A/B suite (kernels_test.go). Results are bit-identical
-	// across kernels; only the data layout differs.
-	MapKernels bool
-	// ScalarScan selects the row-at-a-time scan baseline the vectorized
-	// kernel chains replaced — the baseline side of the scan A/B suite
-	// (scan_test.go). Columns are still bound once at Open,
-	// but predicates evaluate row by row with an interface call each, no
-	// zone-map morsel skipping, and Bloom filters probe per key rather
-	// than per hashed batch. Results are bit-identical across modes.
-	ScalarScan bool
 	// Metrics, when non-nil, receives the run's folded totals — latency,
 	// scheduler stats, scan/probe/fold counters, spill bytes — in one cold
 	// pass when the run ends. Nothing on the per-row or per-batch hot path
@@ -317,13 +299,6 @@ type Options struct {
 	// (plan.Fingerprint), shown by the inspector and stamped on the
 	// workers' pprof labels.
 	Fingerprint uint64
-	// ScalarProbe selects the row-at-a-time join-probe and aggregation-fold
-	// baseline the vectorized batch kernels replaced — the baseline side of
-	// the join/agg A/B suite (probe_vec_test.go). Probes hash,
-	// look up, verify and emit per row, folds intern and accumulate per
-	// row, and batches carry no hash/dictCode side channels. Results are
-	// bit-identical across modes, including the grace spill-reload path.
-	ScalarProbe bool
 
 	// injectOp, when set (tests only), wraps each worker's operator chain
 	// of every pipeline — the failure-injection hook for cancellation and
@@ -376,7 +351,7 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	// Decomposition happens before admission on purpose: it is cheap, needs
 	// no execution resources, and its summary (spillable breakers) sizes
 	// the minimum memory grant the admission gate checks.
-	desc := sched.QueryDesc{Label: block.Name, Priority: opts.Priority}
+	desc := sched.QueryDesc{Label: block.Name}
 	var pipes []*plan.Pipeline
 	if !opts.Legacy {
 		if pipes, err = plan.Decompose(p); err != nil {
@@ -434,9 +409,6 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	ex := &executor{
 		db: db, block: block, dop: dop, satLimit: opts.SaturationLimit,
 		morsel:      morsel,
-		mapKernels:  opts.MapKernels,
-		scalarScan:  opts.ScalarScan,
-		scalarProbe: opts.ScalarProbe,
 		filters:     make(map[int]bloomHandle),
 		fstats:      make(map[int]*BloomRuntime),
 		specs:       make(map[int]plan.BloomSpec),
@@ -668,52 +640,42 @@ func (ex *executor) scan(s *plan.Scan) (*RowSet, error) {
 	parts := make([]*RowSet, chunks)
 	tested := make([]int64, len(bfs))
 	passed := make([]int64, len(bfs))
-	var wg sync.WaitGroup
 	var tmu sync.Mutex
-	var trap panicTrap
-	for c := 0; c < chunks; c++ {
-		lo := c * n / chunks
-		hi := (c + 1) * n / chunks
+	parallelFor(chunks, func(c int) {
+		lo, hi := c*n/chunks, (c+1)*n/chunks
 		part := NewRowSet(query.NewRelSet(s.Rel))
 		parts[c] = part
-		wg.Add(1)
-		go func(lo, hi int, part *RowSet) {
-			defer wg.Done()
-			defer trap.catch()
-			col := part.cols[0]
-			localTested := make([]int64, len(bfs))
-			localPassed := make([]int64, len(bfs))
-		rows:
-			for i := lo; i < hi; i++ {
-				for _, kn := range kernels {
-					if !kn.EvalRow(int32(i)) {
-						continue rows
-					}
+		col := part.cols[0]
+		localTested := make([]int64, len(bfs))
+		localPassed := make([]int64, len(bfs))
+	rows:
+		for i := lo; i < hi; i++ {
+			for _, kn := range kernels {
+				if !kn.EvalRow(int32(i)) {
+					continue rows
 				}
-				for k := range bfs {
-					localTested[k]++
-					key := bfs[k].vals[i]
-					if bfs[k].vals2 != nil {
-						key = bloom.CombineKeys(key, bfs[k].vals2[i])
-					}
-					if !bfs[k].h.MayContainHash(bloom.KeyHash(key)) {
-						continue rows
-					}
-					localPassed[k]++
-				}
-				col = append(col, int32(i))
 			}
-			part.cols[0] = col
-			tmu.Lock()
 			for k := range bfs {
-				tested[k] += localTested[k]
-				passed[k] += localPassed[k]
+				localTested[k]++
+				key := bfs[k].vals[i]
+				if bfs[k].vals2 != nil {
+					key = bloom.CombineKeys(key, bfs[k].vals2[i])
+				}
+				if !bfs[k].h.MayContainHash(bloom.KeyHash(key)) {
+					continue rows
+				}
+				localPassed[k]++
 			}
-			tmu.Unlock()
-		}(lo, hi, part)
-	}
-	wg.Wait()
-	trap.rethrow()
+			col = append(col, int32(i))
+		}
+		part.cols[0] = col
+		tmu.Lock()
+		for k := range bfs {
+			tested[k] += localTested[k]
+			passed[k] += localPassed[k]
+		}
+		tmu.Unlock()
+	})
 	for k := range bfs {
 		if bfs[k].st != nil {
 			bfs[k].st.Tested += tested[k]
@@ -849,49 +811,31 @@ func (ex *executor) buildBloomsShared(j *plan.Join, inner *RowSet, ht *hashTable
 			if err != nil {
 				return err
 			}
-			var wg sync.WaitGroup
-			var trap panicTrap
 			// The shuffle carries hashes, not keys: the hash selects the
 			// partition and sets the partition filter's bits, so each key
 			// is mixed exactly once even through the exchange.
 			chunks := make([][][]uint64, ex.dop) // producer -> partition -> key hashes
 			n := len(ids)
-			for c := 0; c < ex.dop; c++ {
-				lo := c * n / ex.dop
-				hi := (c + 1) * n / ex.dop
+			parallelFor(ex.dop, func(c int) {
 				chunks[c] = make([][]uint64, ex.dop)
-				wg.Add(1)
-				go func(c, lo, hi int) {
-					defer wg.Done()
-					defer trap.catch()
-					for i := lo; i < hi; i++ {
-						h := bloom.KeyHash(keyOf(ids[i]))
-						if hashes != nil {
-							h = hashes[i]
-						}
-						part := int(h % uint64(ex.dop))
-						chunks[c][part] = append(chunks[c][part], h)
+				for i, hi := c*n/ex.dop, (c+1)*n/ex.dop; i < hi; i++ {
+					h := bloom.KeyHash(keyOf(ids[i]))
+					if hashes != nil {
+						h = hashes[i]
 					}
-				}(c, lo, hi)
-			}
-			wg.Wait()
-			trap.rethrow()
+					part := int(h % uint64(ex.dop))
+					chunks[c][part] = append(chunks[c][part], h)
+				}
+			})
 			// Each partition owner inserts its shuffled key hashes.
-			for part := 0; part < ex.dop; part++ {
-				wg.Add(1)
-				go func(part int) {
-					defer wg.Done()
-					defer trap.catch()
-					f := pf.Part(part)
-					for c := 0; c < ex.dop; c++ {
-						for _, h := range chunks[c][part] {
-							f.AddHash(h)
-						}
+			parallelFor(ex.dop, func(part int) {
+				f := pf.Part(part)
+				for c := 0; c < ex.dop; c++ {
+					for _, h := range chunks[c][part] {
+						f.AddHash(h)
 					}
-				}(part)
-			}
-			wg.Wait()
-			trap.rethrow()
+				}
+			})
 			handle, st.Strategy, st.Inserted, st.Saturation = pf, "partitioned", pf.Inserted(), pf.Saturation()
 		}
 		// Future-work extension (§5): monitor bit-vector saturation and
@@ -934,20 +878,10 @@ func bloomFromIDs(ids []int32, keyOf func(int32) int64, hashes []uint64, ndv uin
 		return f, nil
 	}
 	partials := make([]*bloom.Filter, dop)
-	var wg sync.WaitGroup
-	var trap panicTrap
-	for c := 0; c < dop; c++ {
+	parallelFor(dop, func(c int) {
 		partials[c] = bloom.NewForNDV(ndv)
-		lo, hi := c*n/dop, (c+1)*n/dop
-		wg.Add(1)
-		go func(f *bloom.Filter, lo, hi int) {
-			defer wg.Done()
-			defer trap.catch()
-			insertRange(f, lo, hi)
-		}(partials[c], lo, hi)
-	}
-	wg.Wait()
-	trap.rethrow()
+		insertRange(partials[c], c*n/dop, (c+1)*n/dop)
+	})
 	merged := partials[0]
 	for _, f := range partials[1:] {
 		if err := merged.Union(f); err != nil {

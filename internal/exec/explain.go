@@ -27,12 +27,8 @@ func (r *Result) ExplainAnalyze(p *plan.Plan) string {
 		}
 	}
 	for _, sc := range r.Scans {
-		mode := "vectorized"
-		if !sc.Vectorized {
-			mode = "scalar"
-		}
-		fmt.Fprintf(&b, "  scan %s [%s] morsels=%d zone-skipped=%d (%d rows)\n",
-			sc.Alias, mode, sc.Morsels, sc.ZoneSkipped, sc.ZoneSkippedRows)
+		fmt.Fprintf(&b, "  scan %s morsels=%d zone-skipped=%d (%d rows)\n",
+			sc.Alias, sc.Morsels, sc.ZoneSkipped, sc.ZoneSkippedRows)
 		for _, pr := range sc.Preds {
 			pct := 100.0
 			if pr.In > 0 {
@@ -122,8 +118,8 @@ func (r *Result) explainNode(b *strings.Builder, n plan.Node, depth int) {
 	if st := r.StatFor(n); st != nil {
 		fmt.Fprintf(b, " actual=%d batches=%d wall=%s",
 			st.RowsOut, st.Batches, st.Wall.Round(time.Microsecond))
-		// Vectorized-probe sub-phases and the hash-carry counter; all zero
-		// for non-join operators and the ScalarProbe ablation.
+		// Probe sub-phases and the hash-carry counter; all zero for
+		// non-join operators.
 		if st.Gather > 0 || st.Probe > 0 || st.Emit > 0 {
 			fmt.Fprintf(b, " [gather=%s probe=%s emit=%s]",
 				st.Gather.Round(time.Microsecond),

@@ -320,9 +320,7 @@ func (o *probeOp) graceNext() (*Batch, error) {
 				scratch.cols[c] = scratch.cols[c][:0]
 			}
 			appendRawChunk(scratch, cols)
-			// Reloaded chunks carry no side channels: the probe re-hashes
-			// exactly as the in-memory scalar path would, so grace output
-			// stays bit-identical in both probe modes.
+			// Reloaded chunks carry no side channels: the probe re-hashes.
 			w.inBatch = Batch{rows: scratch}
 			out := sh.probeBatch(w.act.ht, &w.inBatch, &w.scr)
 			// Probe rows were already counted as RowsIn while routing;

@@ -2,19 +2,11 @@ package exec
 
 import (
 	"fmt"
-	"sync"
 
 	"bfcbo/internal/hashtab"
 	"bfcbo/internal/plan"
 	"bfcbo/internal/query"
 )
-
-// hashKey is the shared key mixer for table placement — hashtab.Hash,
-// the same mixer the flat join/aggregation directories and the Bloom
-// runtime's first hash use, so a key hashed once per batch serves every
-// consumer. (The spill router keeps its own independent family; see
-// spillHash.)
-func hashKey(k int64) uint64 { return hashtab.Hash(k) }
 
 // hashJoin executes an equi hash join. The first condition supplies the hash
 // key; remaining conditions are verified per candidate pair. Inner joins run
@@ -67,20 +59,11 @@ func (ex *executor) hashJoin(j *plan.Join, outer, inner *RowSet) (*RowSet, error
 		iIds, iOffs := partitionIdx(innerHashes, dop)
 		parts := make([]*RowSet, dop)
 		errs := make([]error, dop)
-		var wg sync.WaitGroup
-		var trap panicTrap
-		for p := 0; p < dop; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				defer trap.catch()
-				parts[p], errs[p] = joinPartition(j.JoinType, out, outer, inner,
-					outerKeys, innerKeys, outerHashes, innerHashes,
-					oIds[oOffs[p]:oOffs[p+1]], iIds[iOffs[p]:iOffs[p+1]], match)
-			}(p)
-		}
-		wg.Wait()
-		trap.rethrow()
+		parallelFor(dop, func(p int) {
+			parts[p], errs[p] = joinPartition(j.JoinType, out, outer, inner,
+				outerKeys, innerKeys, outerHashes, innerHashes,
+				oIds[oOffs[p]:oOffs[p+1]], iIds[iOffs[p]:iOffs[p+1]], match)
+		})
 		for _, err := range errs {
 			if err != nil {
 				return nil, err

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -10,7 +9,9 @@ import (
 	"bfcbo/internal/optimizer"
 	"bfcbo/internal/plan"
 	"bfcbo/internal/query"
+	"bfcbo/internal/sched"
 	"bfcbo/internal/storage"
+	"bfcbo/internal/tpch"
 )
 
 // The pipelined executor must expose per-operator runtime stats and an
@@ -57,6 +58,36 @@ func TestPipelinedOpStatsAndExplainAnalyze(t *testing.T) {
 	}
 	if !strings.Contains(lr.ExplainAnalyze(res.Plan), "actual=") {
 		t.Fatal("legacy ExplainAnalyze missing actuals")
+	}
+}
+
+// TestLegacyExplainAnalyzeSchedulerLine: the legacy interpreter is admitted
+// through the shared scheduler and holds one worker slot for its whole
+// run, so it reports slot occupancy — and EXPLAIN ANALYZE renders the
+// scheduler line — like any other query.
+func TestLegacyExplainAnalyzeSchedulerLine(t *testing.T) {
+	ds := equivalenceDataset(t)
+	q, _ := tpch.Get(12)
+	block := q.Build(ds.Schema)
+	opts := optimizer.DefaultOptions(0.01)
+	opts.Mode = optimizer.BFCBO
+	res, err := optimizer.Optimize(block, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheduler := sched.New(sched.Config{Slots: 4})
+	r, err := Run(ds.DB, block, res.Plan, Options{Legacy: true, DOP: 4, Sched: scheduler})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ea := r.ExplainAnalyze(res.Plan); !strings.Contains(ea, "scheduler:") {
+		t.Fatalf("legacy EXPLAIN ANALYZE omits scheduler line:\n%s", ea)
+	}
+	if r.Sched.SlotBusy <= 0 {
+		t.Fatalf("legacy run reports no slot occupancy: %+v", r.Sched)
+	}
+	if n := scheduler.InUse(); n != 0 {
+		t.Fatalf("legacy run left %d slots leased", n)
 	}
 }
 
@@ -152,8 +183,9 @@ func aggBlockFixture(t *testing.T) (*storage.Database, *query.Block, *plan.Plan)
 	return db, b, &plan.Plan{Root: root}
 }
 
-// The streaming aggregation sink must match the legacy post-hoc helpers
-// exactly, without materializing the final row set.
+// The streaming aggregation sink must match the legacy interpreter's
+// post-hoc aggregation bit for bit, without materializing the final row
+// set.
 func TestStreamingAggregationMatchesLegacy(t *testing.T) {
 	db, b, p := aggBlockFixture(t)
 	specs := []AggSpec{
@@ -178,24 +210,8 @@ func TestStreamingAggregationMatchesLegacy(t *testing.T) {
 		if piped.Rows != legacy.Rows {
 			t.Fatalf("dop %d: rows diverge: %d vs %d", dop, piped.Rows, legacy.Rows)
 		}
-		for i := range specs {
-			l, g := legacy.Aggregates[i], piped.Aggregates[i]
-			if l.Count != g.Count || math.Abs(l.Sum-g.Sum) > 1e-6 {
-				t.Fatalf("dop %d spec %d: %+v vs %+v", dop, i, l, g)
-			}
-			if len(l.Groups) != len(g.Groups) || len(l.GroupSums) != len(g.GroupSums) {
-				t.Fatalf("dop %d spec %d: group shapes diverge: %+v vs %+v", dop, i, l, g)
-			}
-			for k, v := range l.Groups {
-				if g.Groups[k] != v {
-					t.Fatalf("dop %d spec %d: group %q: %d vs %d", dop, i, k, v, g.Groups[k])
-				}
-			}
-			for k, v := range l.GroupSums {
-				if math.Abs(g.GroupSums[k]-v) > 1e-6 {
-					t.Fatalf("dop %d spec %d: group sum %q: %v vs %v", dop, i, k, v, g.GroupSums[k])
-				}
-			}
+		if d := diffAggregates(legacy.Aggregates, piped.Aggregates); d != "" {
+			t.Fatalf("dop %d: legacy vs streaming: %s", dop, d)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"bfcbo/internal/catalog"
@@ -13,50 +12,15 @@ import (
 	"bfcbo/internal/plan"
 	"bfcbo/internal/query"
 	"bfcbo/internal/storage"
-	"bfcbo/internal/tpch"
 )
 
-// The probe/fold A/B suite: the vectorized batch kernels (the default)
-// must be bit-identical to the row-at-a-time baseline they replaced
-// (Options.ScalarProbe) — the three-phase probe over every join type,
-// extra non-hash conditions, duplicate keys and empty batches, and the
-// vectorized aggregation fold including NaN float measures. Both kernels
-// share one match order (ascending outer position, ascending build row id
-// per key) and one fold order, so comparisons are exact.
-
-// orderedRows fingerprints a row set in its materialized order — the
-// strictest comparison, used where a single worker makes the order
-// deterministic. Columns of relations in skip are excluded, as in
-// canonicalRows.
-func orderedRows(rs *RowSet, skip query.RelSet) []string {
-	if rs == nil {
-		return nil
-	}
-	cols := make([][]int32, 0, len(rs.cols))
-	for _, rel := range rs.rels.Members() {
-		if !skip.Has(rel) {
-			cols = append(cols, rs.Col(rel))
-		}
-	}
-	rows := make([]string, rs.Len())
-	var sb strings.Builder
-	for i := range rows {
-		sb.Reset()
-		for _, col := range cols {
-			fmt.Fprintf(&sb, "%d,", col[i])
-		}
-		rows[i] = sb.String()
-	}
-	return rows
-}
-
-// TestScalarVsVectorProbeRandom is the property suite: randomized join
-// inputs — duplicate-heavy and sparse key domains, extra non-hash
-// conditions, selective and build-emptying predicates (which drive the
-// probe through long runs of empty batches) — across all four join types.
-// DOP 1 runs compare in materialized row order; DOP 3 runs compare
-// canonical forms (worker interleaving reorders result parts).
-func TestScalarVsVectorProbeRandom(t *testing.T) {
+// TestProbeRandomMatchesLegacy is the probe kernel's property suite:
+// randomized join inputs — duplicate-heavy and sparse key domains, extra
+// non-hash conditions, selective and build-emptying predicates (which
+// drive the probe through long runs of empty batches) — across all four
+// join types, at DOP 1 and 3, against the legacy interpreter. Results
+// compare as canonical multisets (worker interleaving reorders parts).
+func TestProbeRandomMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
 		nOuter := 1 + rng.Intn(2000)
@@ -140,147 +104,34 @@ func TestScalarVsVectorProbeRandom(t *testing.T) {
 				Inner: &plan.Scan{Rel: 1, Alias: "i", Table: "pi", Pred: innerPred},
 				Conds: conds,
 			}}
-			vec1, err := Run(db, b, p, Options{DOP: 1, MorselSize: morsel})
-			if err != nil {
-				t.Fatalf("trial %d %s: vector dop 1: %v", trial, jt, err)
-			}
-			scl1, err := Run(db, b, p, Options{DOP: 1, MorselSize: morsel, ScalarProbe: true})
-			if err != nil {
-				t.Fatalf("trial %d %s: scalar dop 1: %v", trial, jt, err)
-			}
-			vr, sr := orderedRows(vec1.Out, skip), orderedRows(scl1.Out, skip)
-			if len(vr) != len(sr) {
-				t.Fatalf("trial %d %s dop 1: rows diverge: vector=%d scalar=%d",
-					trial, jt, len(vr), len(sr))
-			}
-			for i := range sr {
-				if vr[i] != sr[i] {
-					t.Fatalf("trial %d %s dop 1: row %d diverges in order: vector=%q scalar=%q",
-						trial, jt, i, vr[i], sr[i])
+			for _, dop := range []int{1, 3} {
+				ref, err := Run(db, b, p, Options{DOP: dop, Legacy: true})
+				if err != nil {
+					t.Fatalf("trial %d %s: legacy dop %d: %v", trial, jt, dop, err)
 				}
-			}
-			vec3, err := Run(db, b, p, Options{DOP: 3, MorselSize: morsel})
-			if err != nil {
-				t.Fatalf("trial %d %s: vector dop 3: %v", trial, jt, err)
-			}
-			scl3, err := Run(db, b, p, Options{DOP: 3, MorselSize: morsel, ScalarProbe: true})
-			if err != nil {
-				t.Fatalf("trial %d %s: scalar dop 3: %v", trial, jt, err)
-			}
-			vc, sc := canonicalRows(vec3.Out, skip), canonicalRows(scl3.Out, skip)
-			if len(vc) != len(sc) {
-				t.Fatalf("trial %d %s dop 3: rows diverge: vector=%d scalar=%d",
-					trial, jt, len(vc), len(sc))
-			}
-			for i := range sc {
-				if vc[i] != sc[i] {
-					t.Fatalf("trial %d %s dop 3: tuple %d diverges: vector=%q scalar=%q",
-						trial, jt, i, vc[i], sc[i])
+				got, err := Run(db, b, p, Options{DOP: dop, MorselSize: morsel})
+				if err != nil {
+					t.Fatalf("trial %d %s: pipelined dop %d: %v", trial, jt, dop, err)
+				}
+				want, have := canonicalRows(ref.Out, skip), canonicalRows(got.Out, skip)
+				if len(have) != len(want) {
+					t.Fatalf("trial %d %s dop %d: rows diverge: pipelined=%d legacy=%d",
+						trial, jt, dop, len(have), len(want))
+				}
+				for i := range want {
+					if have[i] != want[i] {
+						t.Fatalf("trial %d %s dop %d: tuple %d diverges: pipelined=%q legacy=%q",
+							trial, jt, dop, i, have[i], want[i])
+					}
 				}
 			}
 		}
 	}
-}
-
-func TestScalarVsVectorProbeTPCH(t *testing.T) {
-	ds := equivalenceDataset(t)
-	for _, q := range tpch.All() {
-		block := q.Build(ds.Schema)
-		opts := optimizer.DefaultOptions(0.01)
-		opts.Mode = optimizer.BFCBO
-		res, err := optimizer.Optimize(block, opts)
-		if err != nil {
-			t.Fatalf("Q%d: optimize: %v", q.Num, err)
-		}
-		skip := phantomRels(res.Plan)
-		for _, dop := range []int{1, 4} {
-			vec, err := Run(ds.DB, block, res.Plan, Options{DOP: dop})
-			if err != nil {
-				t.Fatalf("Q%d dop %d: vectorized probe: %v", q.Num, dop, err)
-			}
-			scl, err := Run(ds.DB, block, res.Plan, Options{DOP: dop, ScalarProbe: true})
-			if err != nil {
-				t.Fatalf("Q%d dop %d: scalar probe: %v", q.Num, dop, err)
-			}
-			if vec.Rows != scl.Rows {
-				t.Fatalf("Q%d dop %d: rows diverge: vector=%d scalar=%d",
-					q.Num, dop, vec.Rows, scl.Rows)
-			}
-			for _, na := range scl.Actuals {
-				if got := vec.ActualFor(na.Node); got != na.Actual {
-					t.Errorf("Q%d dop %d: node actual diverges: vector=%v scalar=%v",
-						q.Num, dop, got, na.Actual)
-				}
-			}
-			vr := canonicalRows(vec.Out, skip)
-			sr := canonicalRows(scl.Out, skip)
-			for i := range sr {
-				if vr[i] != sr[i] {
-					t.Fatalf("Q%d dop %d: output row %d diverges: vector=%q scalar=%q",
-						q.Num, dop, i, vr[i], sr[i])
-				}
-			}
-			// The ablation run must never enter the vectorized kernel: its
-			// probe sub-phase timers and carry counters stay zero.
-			for _, st := range scl.OpStats {
-				if st.Gather > 0 || st.Probe > 0 || st.Emit > 0 || st.HashReusedKeys > 0 {
-					t.Errorf("Q%d dop %d: scalar run has vector probe stats: %+v", q.Num, dop, st)
-				}
-			}
-		}
-	}
-}
-
-// The grace spill-reload path probes reloaded partition chunks through the
-// same batch kernel dispatch; a tiny budget forces every join through
-// spill/reload under both kernels, and results must stay identical.
-func TestScalarVsVectorProbeGrace(t *testing.T) {
-	ds := equivalenceDataset(t)
-	spillRoot := t.TempDir()
-	for _, num := range []int{5, 12, 21} {
-		q, _ := tpch.Get(num)
-		block := q.Build(ds.Schema)
-		opts := optimizer.DefaultOptions(0.01)
-		opts.Mode = optimizer.BFCBO
-		res, err := optimizer.Optimize(block, opts)
-		if err != nil {
-			t.Fatalf("Q%d: optimize: %v", num, err)
-		}
-		skip := phantomRels(res.Plan)
-		for _, dop := range []int{1, 4} {
-			vec, err := Run(ds.DB, block, res.Plan, Options{
-				DOP: dop, MemBudget: tinyBudget, SpillDir: spillRoot})
-			if err != nil {
-				t.Fatalf("Q%d dop %d: vector grace: %v", num, dop, err)
-			}
-			scl, err := Run(ds.DB, block, res.Plan, Options{
-				DOP: dop, MemBudget: tinyBudget, SpillDir: spillRoot, ScalarProbe: true})
-			if err != nil {
-				t.Fatalf("Q%d dop %d: scalar grace: %v", num, dop, err)
-			}
-			if vec.TotalSpill().Bytes == 0 {
-				t.Fatalf("Q%d dop %d: tiny budget did not spill", num, dop)
-			}
-			if vec.Rows != scl.Rows {
-				t.Fatalf("Q%d dop %d: grace rows diverge: vector=%d scalar=%d",
-					num, dop, vec.Rows, scl.Rows)
-			}
-			vr := canonicalRows(vec.Out, skip)
-			sr := canonicalRows(scl.Out, skip)
-			for i := range sr {
-				if vr[i] != sr[i] {
-					t.Fatalf("Q%d dop %d: grace row %d diverges: vector=%q scalar=%q",
-						num, dop, i, vr[i], sr[i])
-				}
-			}
-		}
-	}
-	assertNoSpillFiles(t, spillRoot)
 }
 
 // A Bloom-filtered probe-spine scan shares its hash work with the join:
-// the vectorized run must report carried hashes, and carrying must not
-// change results.
+// the run must report carried hashes (that carrying does not change
+// results is the equivalence suite's business: Q7 and Q12 carry).
 func TestProbeHashCarry(t *testing.T) {
 	db, schema := fixture(t)
 	b := factDimBlock(schema, query.Inner)
@@ -294,134 +145,43 @@ func TestProbeHashCarry(t *testing.T) {
 	}
 }
 
-// The streaming aggregation sink must produce bit-identical counts and
-// float sums across the vectorized fold and the scalar ablation: the
-// vectorized gather preserves the scalar fold's row order and the AddHash
-// directory layout depends only on the distinct keys.
-func TestScalarVsVectorFoldAggregates(t *testing.T) {
-	db, b, p := aggBlockFixture(t)
-	specs := []AggSpec{
-		{Kind: AggCountStar},
-		{Kind: AggGroupCount, KeyRel: 1, KeyCol: "name", EstGroups: 8},
-		{Kind: AggGroupRevenue, KeyRel: 1, KeyCol: "name", Rel: 0, PriceCol: "price", DiscCol: "disc"},
-	}
-	for _, dop := range []int{1, 4} {
-		for _, morsel := range []int{16, 0} {
-			vec, err := Run(db, b, p, Options{DOP: dop, MorselSize: morsel, Aggregates: specs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			scl, err := Run(db, b, p, Options{DOP: dop, MorselSize: morsel, Aggregates: specs, ScalarProbe: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range specs {
-				v, s := vec.Aggregates[i], scl.Aggregates[i]
-				if v.Count != s.Count {
-					t.Fatalf("dop %d spec %d: count %d vs %d", dop, i, v.Count, s.Count)
-				}
-				if len(v.Groups) != len(s.Groups) || len(v.GroupSums) != len(s.GroupSums) {
-					t.Fatalf("dop %d spec %d: group shapes diverge: %+v vs %+v", dop, i, v, s)
-				}
-				for k, n := range s.Groups {
-					if v.Groups[k] != n {
-						t.Fatalf("dop %d spec %d: group %q: %d vs %d", dop, i, k, v.Groups[k], n)
-					}
-				}
-				for k, sum := range s.GroupSums {
-					if math.Float64bits(v.GroupSums[k]) != math.Float64bits(sum) {
-						t.Fatalf("dop %d spec %d: group sum %q: %v vs %v (must be bit-identical)",
-							dop, i, k, v.GroupSums[k], sum)
-					}
-				}
-			}
-		}
-	}
-}
-
 // Scan-produced dictionary codes must ride the batch into the fold when
 // the group key column is on the probe spine — and the carried codes must
-// not change any group result.
+// give exactly the groups the legacy interpreter interns row by row.
 func TestFoldDictCarryFromScan(t *testing.T) {
-	const n = 4000
-	g := make([]string, n)
-	price := make([]float64, n)
-	disc := make([]float64, n)
-	for i := range g {
-		g[i] = fmt.Sprintf("g%d", i%8)
-		price[i] = float64(100 + i%50)
-		disc[i] = float64(i%4) / 10
-	}
-	tbl, err := storage.NewTable("dcarry", []storage.Column{
-		{Name: "g", Kind: catalog.String, Strings: g},
-		{Name: "p", Kind: catalog.Float64, Floats: price},
-		{Name: "d", Kind: catalog.Float64, Floats: disc},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := storage.NewDatabase()
-	if err := db.AddTable(tbl); err != nil {
-		t.Fatal(err)
-	}
-	schema := catalog.NewSchema()
-	if err := schema.AddTable(storage.Analyze(tbl)); err != nil {
-		t.Fatal(err)
-	}
-	b := &query.Block{
-		Name:      "dictcarry",
-		Relations: []query.Relation{{Alias: "t", Table: schema.MustTable("dcarry")}},
-	}
-	p := &plan.Plan{Root: &plan.Scan{Rel: 0, Alias: "t", Table: "dcarry"}}
+	db, b, p := dictCarryFixture(t)
 	specs := []AggSpec{
 		{Kind: AggGroupCount, KeyRel: 0, KeyCol: "g"},
 		{Kind: AggGroupRevenue, KeyRel: 0, KeyCol: "g", Rel: 0, PriceCol: "p", DiscCol: "d"},
 	}
+	legacy, err := Run(db, b, p, Options{DOP: 1, Legacy: true, Aggregates: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if legacy.Aggregates[0].Groups["g0"] != 4000/8 {
+		t.Fatalf("group g0 = %d, want %d", legacy.Aggregates[0].Groups["g0"], 4000/8)
+	}
 	for _, dop := range []int{1, 2} {
-		vec, err := Run(db, b, p, Options{DOP: dop, MorselSize: 256, Aggregates: specs})
+		r, err := Run(db, b, p, Options{DOP: dop, MorselSize: 256, Aggregates: specs})
 		if err != nil {
 			t.Fatal(err)
 		}
-		scl, err := Run(db, b, p, Options{DOP: dop, MorselSize: 256, Aggregates: specs, ScalarProbe: true})
-		if err != nil {
-			t.Fatal(err)
+		var carried int64
+		for _, ps := range r.Pipelines {
+			carried += ps.FoldCodeReused
 		}
-		var vecCarried, sclCarried int64
-		for _, ps := range vec.Pipelines {
-			vecCarried += ps.FoldCodeReused
+		if carried == 0 {
+			t.Fatalf("dop %d: no fold codes carried from the scan dictionary: %+v", dop, r.Pipelines)
 		}
-		for _, ps := range scl.Pipelines {
-			sclCarried += ps.FoldCodeReused
-		}
-		if vecCarried == 0 {
-			t.Fatalf("dop %d: no fold codes carried from the scan dictionary: %+v", dop, vec.Pipelines)
-		}
-		if sclCarried != 0 {
-			t.Fatalf("dop %d: scalar ablation carried %d fold codes", dop, sclCarried)
-		}
-		for i := range specs {
-			v, s := vec.Aggregates[i], scl.Aggregates[i]
-			for k, cnt := range s.Groups {
-				if v.Groups[k] != cnt {
-					t.Fatalf("dop %d spec %d: group %q: %d vs %d", dop, i, k, v.Groups[k], cnt)
-				}
-			}
-			for k, sum := range s.GroupSums {
-				if math.Float64bits(v.GroupSums[k]) != math.Float64bits(sum) {
-					t.Fatalf("dop %d spec %d: group sum %q diverges bitwise", dop, i, k)
-				}
-			}
-		}
-		if vec.Aggregates[0].Groups["g0"] != n/8 {
-			t.Fatalf("group g0 = %d, want %d", vec.Aggregates[0].Groups["g0"], n/8)
+		if d := diffAggregates(legacy.Aggregates, r.Aggregates); d != "" {
+			t.Fatalf("dop %d: legacy vs carried codes: %s", dop, d)
 		}
 	}
 }
 
-// NaN measures: the vectorized fold must propagate NaN partial sums
-// bit-identically to the scalar fold. Finite measures are powers of two
-// (exact float addition), so bit-identity holds at any DOP and morsel
-// interleaving; the poisoned group must come out NaN in both modes.
+// NaN measures: a NaN poisons exactly the sums it was added to — the
+// total and its own group — identically in the streaming fold and the
+// legacy interpreter, at any DOP; the other groups stay finite.
 func TestFoldNaNMeasures(t *testing.T) {
 	const n = 2000
 	g := make([]string, n)
@@ -459,30 +219,25 @@ func TestFoldNaNMeasures(t *testing.T) {
 		{Kind: AggSum, Rel: 0, Col: "p"},
 		{Kind: AggGroupRevenue, KeyRel: 0, KeyCol: "g", Rel: 0, PriceCol: "p", DiscCol: "d"},
 	}
+	legacy, err := Run(db, b, p, Options{DOP: 1, Legacy: true, Aggregates: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, dop := range []int{1, 4} {
-		vec, err := Run(db, b, p, Options{DOP: dop, MorselSize: 64, Aggregates: specs})
+		r, err := Run(db, b, p, Options{DOP: dop, MorselSize: 64, Aggregates: specs})
 		if err != nil {
 			t.Fatal(err)
 		}
-		scl, err := Run(db, b, p, Options{DOP: dop, MorselSize: 64, Aggregates: specs, ScalarProbe: true})
-		if err != nil {
-			t.Fatal(err)
+		if d := diffAggregates(legacy.Aggregates, r.Aggregates); d != "" {
+			t.Fatalf("dop %d: legacy vs streaming: %s", dop, d)
 		}
-		if math.Float64bits(vec.Aggregates[0].Sum) != math.Float64bits(scl.Aggregates[0].Sum) {
-			t.Fatalf("dop %d: NaN sum diverges bitwise: %v vs %v",
-				dop, vec.Aggregates[0].Sum, scl.Aggregates[0].Sum)
+		if !math.IsNaN(r.Aggregates[0].Sum) {
+			t.Fatalf("dop %d: total = %v, want NaN", dop, r.Aggregates[0].Sum)
 		}
-		vg, sg := vec.Aggregates[1].GroupSums, scl.Aggregates[1].GroupSums
-		if len(vg) != len(sg) {
-			t.Fatalf("dop %d: group count diverges: %d vs %d", dop, len(vg), len(sg))
-		}
-		for k, sum := range sg {
-			if math.Float64bits(vg[k]) != math.Float64bits(sum) {
-				t.Fatalf("dop %d: group %q sum diverges bitwise: %v vs %v", dop, k, vg[k], sum)
+		for k, sum := range r.Aggregates[1].GroupSums {
+			if math.IsNaN(sum) != (k == "g3") {
+				t.Fatalf("dop %d: group %q sum = %v; only g3 is poisoned", dop, k, sum)
 			}
-		}
-		if !math.IsNaN(vg["g3"]) {
-			t.Fatalf("dop %d: poisoned group g3 = %v, want NaN", dop, vg["g3"])
 		}
 	}
 }
@@ -543,7 +298,7 @@ func benchProbeFixture(extras bool) (*probeShared, *hashTable, *Batch, *probeScr
 	return sh, ht, &Batch{rows: inRS}, &probeScratch{}
 }
 
-// BenchmarkProbeBatch measures the steady-state vectorized probe kernel.
+// BenchmarkProbeBatch measures the steady-state probe kernel.
 // CI gates on 0 allocs/op: the per-worker scratch must absorb every
 // batch after warm-up.
 func BenchmarkProbeBatch(b *testing.B) {
@@ -568,7 +323,7 @@ func BenchmarkProbeBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkAggFold measures the steady-state vectorized group fold. CI
+// BenchmarkAggFold measures the steady-state group fold. CI
 // gates on 0 allocs/op once the partial's table and the fold scratch are
 // warm.
 func BenchmarkAggFold(b *testing.B) {

@@ -55,11 +55,8 @@ type trappedPanic struct {
 }
 
 // panicTrap carries a panic out of forked helper goroutines back to the
-// fork-join caller. Each helper defers catch(); the caller calls
-// rethrow() after its WaitGroup join, re-panicking on its own stack —
-// which sits under one of the executor's top-level recover shims. This
-// keeps every parallel helper panic-transparent without threading the
-// executor through them.
+// fork-join caller: each helper defers catch(), the caller calls rethrow()
+// after the join. Only parallelFor uses it.
 type panicTrap struct {
 	once  sync.Once
 	val   any
@@ -80,6 +77,39 @@ func (t *panicTrap) rethrow() {
 	if t.val != nil {
 		panic(&trappedPanic{val: t.val, stack: t.stack})
 	}
+}
+
+// parallelFor is the executor's one fork-join helper: it runs fn(0) …
+// fn(n-1), each on its own goroutine, and returns when all have. Every
+// breaker finish phase and legacy-interpreter fan-out goes through it, so
+// this is the single place that spawns helper goroutines — and the single
+// place they would lease scheduler slots from.
+//
+// A panic in any body is trapped, the remaining bodies still run to
+// completion, and the first trapped panic is re-raised on the caller's
+// goroutine as a *trappedPanic carrying the original value and stack —
+// the caller sits under one of the executor's recover shims, which turns
+// it into the query's *PanicError. With n ≤ 1 the body runs inline on the
+// caller, where a panic reaches the same shim directly.
+func parallelFor(n int, fn func(i int)) {
+	if n <= 1 {
+		if n == 1 {
+			fn(0)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	var trap panicTrap
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			defer trap.catch()
+			fn(i)
+		}(i)
+	}
+	wg.Wait()
+	trap.rethrow()
 }
 
 // panicErr converts a recovered panic value into the query's typed

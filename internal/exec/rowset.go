@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"bfcbo/internal/query"
 	"bfcbo/internal/storage"
@@ -209,23 +209,17 @@ func concatPar(rels query.RelSet, parts []*RowSet, dop int) *RowSet {
 	for pos := range out.cols {
 		out.cols[pos] = make([]int32, total)
 	}
-	sem := make(chan struct{}, dop)
-	var wg sync.WaitGroup
-	var trap panicTrap
-	for pos := range out.cols {
-		for i, p := range live {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(dst []int32, src []int32) {
-				defer wg.Done()
-				defer trap.catch()
-				defer func() { <-sem }() // release even on panic: the spawner must not deadlock
-				copy(dst, src)
-			}(out.cols[pos][offs[i]:], p.cols[pos])
+	// One copy task per (column, part), numbered column-major; at most dop
+	// copiers pull them from a shared cursor, so no more than dop copies
+	// are ever in flight.
+	ntasks := len(out.cols) * len(live)
+	var next atomic.Int64
+	parallelFor(min(dop, ntasks), func(int) {
+		for t := int(next.Add(1)) - 1; t < ntasks; t = int(next.Add(1)) - 1 {
+			pos, i := t/len(live), t%len(live)
+			copy(out.cols[pos][offs[i]:], live[i].cols[pos])
 		}
-	}
-	wg.Wait()
-	trap.rethrow()
+	})
 	return out
 }
 
@@ -267,24 +261,11 @@ func keyColumnPar(rs *RowSet, tbl *storage.Table, rel int, col string, dop int) 
 	}
 	vals := tbl.MustColumn(col).Ints
 	out := make([]int64, n)
-	var wg sync.WaitGroup
-	var trap panicTrap
-	for c := 0; c < dop; c++ {
-		lo, hi := c*n/dop, (c+1)*n/dop
-		if lo == hi {
-			continue
+	parallelFor(dop, func(c int) {
+		for i, hi := c*n/dop, (c+1)*n/dop; i < hi; i++ {
+			out[i] = vals[ids[i]]
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer trap.catch()
-			for i := lo; i < hi; i++ {
-				out[i] = vals[ids[i]]
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	trap.rethrow()
+	})
 	return out
 }
 
@@ -344,18 +325,9 @@ func sortByKeyPar(keys []int64, bounds []int, dop int) []int {
 		return sortByKey(keys)
 	}
 	runs := make([][]int, nruns)
-	var wg sync.WaitGroup
-	var trap panicTrap
-	for r := 0; r < nruns; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			defer trap.catch()
-			runs[r] = sortKeyRange(keys, bounds[r], bounds[r+1])
-		}(r)
-	}
-	wg.Wait()
-	trap.rethrow()
+	parallelFor(nruns, func(r int) {
+		runs[r] = sortKeyRange(keys, bounds[r], bounds[r+1])
+	})
 	return mergeRuns(keys, runs, dop)
 }
 
@@ -432,26 +404,17 @@ func mergeRuns(keys []int64, runs [][]int, dop int) []int {
 		}
 	}
 
-	var wg sync.WaitGroup
-	var trap panicTrap
-	for s := 0; s < nseg; s++ {
+	parallelFor(nseg, func(s int) {
 		if segOff[s] == segOff[s+1] {
-			continue
+			return
 		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			defer trap.catch()
-			lo := make([]int, len(runs))
-			hi := make([]int, len(runs))
-			for r := range runs {
-				lo[r], hi[r] = bound[r][s], bound[r][s+1]
-			}
-			mergeSegment(keys, runs, lo, hi, out[segOff[s]:segOff[s+1]])
-		}(s)
-	}
-	wg.Wait()
-	trap.rethrow()
+		lo := make([]int, len(runs))
+		hi := make([]int, len(runs))
+		for r := range runs {
+			lo[r], hi[r] = bound[r][s], bound[r][s+1]
+		}
+		mergeSegment(keys, runs, lo, hi, out[segOff[s]:segOff[s+1]])
+	})
 	return out
 }
 

@@ -12,103 +12,11 @@ import (
 	"bfcbo/internal/tpch"
 )
 
-// The scan A/B suite: the vectorized kernel-chain scan (the default) must
-// be bit-identical to the row-at-a-time baseline it replaced
-// (Options.ScalarScan) over the TPC-H plans — zone-map morsel skipping,
-// adaptive predicate reordering, dictionary string compares and batched
-// Bloom probes are all pure optimizations, never visible in results.
-
-func TestScalarVsVectorScanTPCH(t *testing.T) {
-	ds := equivalenceDataset(t)
-	for _, q := range tpch.All() {
-		block := q.Build(ds.Schema)
-		opts := optimizer.DefaultOptions(0.01)
-		opts.Mode = optimizer.BFCBO
-		res, err := optimizer.Optimize(block, opts)
-		if err != nil {
-			t.Fatalf("Q%d: optimize: %v", q.Num, err)
-		}
-		skip := phantomRels(res.Plan)
-		for _, dop := range []int{1, 4} {
-			vec, err := Run(ds.DB, block, res.Plan, Options{DOP: dop})
-			if err != nil {
-				t.Fatalf("Q%d dop %d: vectorized scan: %v", q.Num, dop, err)
-			}
-			scl, err := Run(ds.DB, block, res.Plan, Options{DOP: dop, ScalarScan: true})
-			if err != nil {
-				t.Fatalf("Q%d dop %d: scalar scan: %v", q.Num, dop, err)
-			}
-			if vec.Rows != scl.Rows {
-				t.Fatalf("Q%d dop %d: rows diverge: vector=%d scalar=%d",
-					q.Num, dop, vec.Rows, scl.Rows)
-			}
-			for _, na := range scl.Actuals {
-				if got := vec.ActualFor(na.Node); got != na.Actual {
-					t.Errorf("Q%d dop %d: node actual diverges: vector=%v scalar=%v",
-						q.Num, dop, got, na.Actual)
-				}
-			}
-			vr := canonicalRows(vec.Out, skip)
-			sr := canonicalRows(scl.Out, skip)
-			for i := range sr {
-				if vr[i] != sr[i] {
-					t.Fatalf("Q%d dop %d: output row %d diverges: vector=%q scalar=%q",
-						q.Num, dop, i, vr[i], sr[i])
-				}
-			}
-			// Both runs report per-scan counters with the right mode flag.
-			if len(vec.Scans) != len(res.Plan.Scans()) || len(scl.Scans) != len(res.Plan.Scans()) {
-				t.Fatalf("Q%d dop %d: scan runtimes: vector=%d scalar=%d, want %d",
-					q.Num, dop, len(vec.Scans), len(scl.Scans), len(res.Plan.Scans()))
-			}
-			for _, sc := range vec.Scans {
-				if !sc.Vectorized {
-					t.Errorf("Q%d: scan %s not marked vectorized", q.Num, sc.Alias)
-				}
-			}
-			for _, sc := range scl.Scans {
-				if sc.Vectorized {
-					t.Errorf("Q%d: scalar-run scan %s marked vectorized", q.Num, sc.Alias)
-				}
-			}
-		}
-	}
-}
-
-// Morsel-size variation exercises partial morsels, zone-block misalignment
-// (morsels smaller and larger than ZoneBlockRows) and chain reorders at
-// different batch cadences.
-func TestScalarVsVectorScanMorselSizes(t *testing.T) {
-	ds := equivalenceDataset(t)
-	for _, num := range []int{6, 7} {
-		q, _ := tpch.Get(num)
-		block := q.Build(ds.Schema)
-		opts := optimizer.DefaultOptions(0.01)
-		opts.Mode = optimizer.BFCBO
-		res, err := optimizer.Optimize(block, opts)
-		if err != nil {
-			t.Fatalf("Q%d: optimize: %v", num, err)
-		}
-		for _, morsel := range []int{64, 1500, 5000} {
-			vec, err := Run(ds.DB, block, res.Plan, Options{DOP: 2, MorselSize: morsel})
-			if err != nil {
-				t.Fatalf("Q%d morsel %d: vectorized: %v", num, morsel, err)
-			}
-			scl, err := Run(ds.DB, block, res.Plan, Options{DOP: 2, MorselSize: morsel, ScalarScan: true})
-			if err != nil {
-				t.Fatalf("Q%d morsel %d: scalar: %v", num, morsel, err)
-			}
-			if vec.Rows != scl.Rows {
-				t.Fatalf("Q%d morsel %d: rows diverge: vector=%d scalar=%d",
-					num, morsel, vec.Rows, scl.Rows)
-			}
-		}
-	}
-}
-
 // Zone-map skipping on clustered data: a sorted column with a narrow range
 // predicate must eliminate most morsels before any row is touched, with
-// results identical to the scalar baseline.
+// results identical to the legacy interpreter's (which never consults a
+// zone map) — also when morsels are smaller or larger than a zone block
+// and end mid-block.
 func TestScanZoneMapSkip(t *testing.T) {
 	const n = 40 * storage.ZoneBlockRows
 	ints := make([]int64, n)
@@ -136,37 +44,46 @@ func TestScanZoneMapSkip(t *testing.T) {
 	}
 	p := &plan.Plan{Root: &plan.Scan{Rel: 0, Alias: "z", Table: "ztab", Pred: pred}}
 	for _, dop := range []int{1, 4} {
-		vec, err := Run(db, b, p, Options{DOP: dop})
+		ref, err := Run(db, b, p, Options{DOP: dop, Legacy: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		scl, err := Run(db, b, p, Options{DOP: dop, ScalarScan: true})
-		if err != nil {
-			t.Fatal(err)
+		want := canonicalRows(ref.Out, 0)
+		if len(want) != 201 {
+			t.Fatalf("dop %d: legacy rows = %d, want 201", dop, len(want))
 		}
-		if vec.Rows != 201 || scl.Rows != 201 {
-			t.Fatalf("dop %d: rows vector=%d scalar=%d, want 201", dop, vec.Rows, scl.Rows)
-		}
-		if len(vec.Scans) != 1 {
-			t.Fatalf("dop %d: %d scan runtimes, want 1", dop, len(vec.Scans))
-		}
-		sc := vec.Scans[0]
-		// Rows [100,300] live in the first zone block; every other whole
-		// morsel is skippable. Exact counts depend on morsel claiming, but
-		// the vast majority of the 40 blocks must be skipped.
-		if sc.ZoneSkipped < 30 {
-			t.Fatalf("dop %d: only %d morsels zone-skipped (%d rows): %+v",
-				dop, sc.ZoneSkipped, sc.ZoneSkippedRows, sc)
-		}
-		if sc.Morsels == 0 || sc.ZoneSkippedRows == 0 {
-			t.Fatalf("dop %d: empty scan counters: %+v", dop, sc)
-		}
-		if len(sc.Preds) != 1 || sc.Preds[0].Out != 201 {
-			t.Fatalf("dop %d: predicate counters %+v, want one kernel with Out=201", dop, sc.Preds)
-		}
-		// The scalar baseline never consults zone maps.
-		if scl.Scans[0].ZoneSkipped != 0 {
-			t.Fatalf("dop %d: scalar run skipped %d morsels", dop, scl.Scans[0].ZoneSkipped)
+		for _, morsel := range []int{0, 64, 1500, 5000} {
+			r, err := Run(db, b, p, Options{DOP: dop, MorselSize: morsel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := canonicalRows(r.Out, 0)
+			if len(got) != len(want) {
+				t.Fatalf("dop %d morsel %d: rows = %d, want %d", dop, morsel, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("dop %d morsel %d: row %d = %s, want %s", dop, morsel, i, got[i], want[i])
+				}
+			}
+			if len(r.Scans) != 1 {
+				t.Fatalf("dop %d morsel %d: %d scan runtimes, want 1", dop, morsel, len(r.Scans))
+			}
+			sc := r.Scans[0]
+			if sc.Morsels == 0 || sc.ZoneSkipped == 0 || sc.ZoneSkippedRows == 0 {
+				t.Fatalf("dop %d morsel %d: empty scan counters: %+v", dop, morsel, sc)
+			}
+			if len(sc.Preds) != 1 || sc.Preds[0].Out != 201 {
+				t.Fatalf("dop %d morsel %d: predicate counters %+v, want one kernel with Out=201", dop, morsel, sc.Preds)
+			}
+			// Rows [100,300] live in the first zone block; at the default
+			// morsel size (one zone block) every other morsel is skippable.
+			// Exact counts depend on morsel claiming, but the vast majority
+			// of the 40 blocks must be skipped.
+			if morsel == 0 && sc.ZoneSkipped < 30 {
+				t.Fatalf("dop %d: only %d morsels zone-skipped (%d rows): %+v",
+					dop, sc.ZoneSkipped, sc.ZoneSkippedRows, sc)
+			}
 		}
 	}
 }

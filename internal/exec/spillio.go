@@ -40,9 +40,9 @@ func batchBytes(b *RowSet) int64 { return rowSetBytes(b.Len(), len(b.cols)) }
 
 // spillHash mixes a join key with the grace-recursion level so every level
 // partitions on independent bits (splitmix64 finalizer); level 0 must also
-// stay independent of hashKey (the hashtab mixer, a splitmix stream at a
-// different additive offset), which routes rows inside the in-memory hash
-// table and its flat directory.
+// stay independent of hashtab.Hash (a splitmix stream at a different
+// additive offset), which routes rows inside the in-memory hash table and
+// its flat directory.
 func spillHash(k int64, level int) uint64 {
 	x := uint64(k) + 0x9e3779b97f4a7c15*uint64(level+2)
 	x ^= x >> 30

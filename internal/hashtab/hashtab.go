@@ -67,31 +67,6 @@ func HashVec(keys []int64, dst []uint64) []uint64 {
 	return dst
 }
 
-// HashString mixes a string through the shared Hash family: 8-byte
-// little-endian chunks folded through the int64 mixer, seeded with the
-// length so prefixes of each other hash apart. It exists so string-keyed
-// paths (group-merge sharding) draw from the same mixer as every integer
-// hot path instead of keeping a private hash function.
-func HashString(s string) uint64 {
-	h := Hash(int64(len(s)))
-	for len(s) >= 8 {
-		var w uint64
-		for i := 0; i < 8; i++ {
-			w |= uint64(s[i]) << (8 * i)
-		}
-		h = Hash(int64(w ^ h))
-		s = s[8:]
-	}
-	if len(s) > 0 {
-		var w uint64
-		for i := 0; i < len(s); i++ {
-			w |= uint64(s[i]) << (8 * i)
-		}
-		h = Hash(int64(w ^ h))
-	}
-	return h
-}
-
 // tagOf derives the 8-bit directory tag from a hash. It reads bits
 // 24–31 — disjoint from both the directory index (top bits) and the
 // partition selector (h mod nparts, low bits) — and forces the high bit
@@ -237,18 +212,21 @@ func (t *JoinTable) Bytes() int64 {
 // ---------------------------------------------------------------------------
 
 // AggTable is the flat aggregation table: an open-addressing directory
-// keyed by raw int64 group codes, each slot carrying a count and a float
-// sum accumulator. Group-by-string sinks intern the key column into
-// dense codes once (setup), then every fold is an integer probe — no
-// string hashing, no map buckets on the per-row path. The table grows by
-// doubling at 3/4 load.
+// keyed by raw int64 group codes, each slot carrying a count and a Sum
+// accumulator. Group-by-string sinks intern the key column into dense
+// codes once (setup), then every fold is an integer probe — no string
+// hashing, no map buckets on the per-row path. The table grows by
+// doubling at 3/4 load. Counts and sums are integers added with carry, so
+// a table's contents depend only on the multiset of (key, cnt, x) folded
+// into it — not on the order, nor on how the rows were split across
+// tables that were later merged.
 type AggTable struct {
 	shift uint
 	mask  uint64
 	tags  []uint8
 	keys  []int64
 	cnts  []int64
-	sums  []float64
+	sums  []Sum
 	n     int
 }
 
@@ -266,43 +244,58 @@ func (t *AggTable) init(dir uint64) {
 	t.tags = make([]uint8, dir)
 	t.keys = make([]int64, dir)
 	t.cnts = make([]int64, dir)
-	t.sums = make([]float64, dir)
+	t.sums = make([]Sum, dir)
 }
 
-// Add folds (cnt, sum) into key's accumulators, creating the group on
-// first touch.
-func (t *AggTable) Add(key int64, cnt int64, sum float64) {
-	t.AddHash(key, Hash(key), cnt, sum)
+// slot returns key's directory slot, claiming an empty one on first touch
+// (h must equal Hash(key)). The caller has made room (reserve) first. Kept
+// small enough to inline into the per-row AddHash.
+func (t *AggTable) slot(key int64, h uint64) uint64 {
+	tag := tagOf(h)
+	s := h >> t.shift
+	for t.tags[s] != tag || t.keys[s] != key {
+		if t.tags[s] == 0 {
+			t.tags[s], t.keys[s] = tag, key
+			t.n++
+			break
+		}
+		s = (s + 1) & t.mask
+	}
+	return s
+}
+
+// reserve grows the directory when one more key would pass 3/4 load.
+func (t *AggTable) reserve() {
+	if uint64(4*(t.n+1)) > 3*uint64(len(t.tags)) {
+		t.grow()
+	}
+}
+
+// Add folds cnt rows and the measure x into key's accumulators, creating
+// the group on first touch.
+func (t *AggTable) Add(key int64, cnt int64, x float64) {
+	t.AddHash(key, Hash(key), cnt, x)
 }
 
 // AddHash is Add with the key's hash precomputed (h must equal
 // Hash(key)). The vectorized fold hashes a whole code vector once per
-// batch via HashVec and feeds each value here; because the directory's
-// layout depends only on the distinct keys and their hashes, a table fed
-// through AddHash is bit-identical to one fed through Add.
-func (t *AggTable) AddHash(key int64, h uint64, cnt int64, sum float64) {
-	if uint64(4*(t.n+1)) > 3*uint64(len(t.tags)) {
-		t.grow()
+// batch via HashVec and feeds each value here.
+func (t *AggTable) AddHash(key int64, h uint64, cnt int64, x float64) {
+	t.reserve()
+	s := t.slot(key, h)
+	t.cnts[s] += cnt
+	if x != 0 { // count-only folds pass 0 and skip the conversion
+		t.sums[s].Add(x)
 	}
-	tag := tagOf(h)
-	s := h >> t.shift
-	for {
-		tg := t.tags[s]
-		if tg == 0 {
-			t.tags[s] = tag
-			t.keys[s] = key
-			t.cnts[s] = cnt
-			t.sums[s] = sum
-			t.n++
-			return
-		}
-		if tg == tag && t.keys[s] == key {
-			t.cnts[s] += cnt
-			t.sums[s] += sum
-			return
-		}
-		s = (s + 1) & t.mask
-	}
+}
+
+// Merge folds another table's (cnt, sum) pair for key into this one —
+// the cross-worker merge step: t.Each(out.Merge).
+func (t *AggTable) Merge(key int64, cnt int64, sum Sum) {
+	t.reserve()
+	s := t.slot(key, Hash(key))
+	t.cnts[s] += cnt
+	t.sums[s].Merge(sum)
 }
 
 // grow doubles the directory and reinserts every occupied slot.
@@ -333,8 +326,9 @@ func (t *AggTable) Len() int {
 	return t.n
 }
 
-// Each calls fn for every group, in directory-slot order.
-func (t *AggTable) Each(fn func(key int64, cnt int64, sum float64)) {
+// Each calls fn for every group, in directory-slot order. sum.Float64()
+// is the group's reported value.
+func (t *AggTable) Each(fn func(key int64, cnt int64, sum Sum)) {
 	if t == nil {
 		return
 	}
@@ -345,12 +339,15 @@ func (t *AggTable) Each(fn func(key int64, cnt int64, sum float64)) {
 	}
 }
 
+// aggSlotBytes is one directory slot's footprint: tag, key, count, Sum.
+const aggSlotBytes = 1 + 8 + 8 + sumBytes
+
 // Bytes reports the exact heap footprint of the directory.
 func (t *AggTable) Bytes() int64 {
 	if t == nil {
 		return 0
 	}
-	return int64(len(t.tags)) * (1 + 8 + 8 + 8)
+	return int64(len(t.tags)) * aggSlotBytes
 }
 
 // checkRows is the >2^31 guard behind Build, split out so the bound is

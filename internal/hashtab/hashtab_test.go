@@ -140,44 +140,41 @@ func TestRowCountGuard(t *testing.T) {
 	}
 }
 
-// aggRef is the map-based reference for the aggregation table.
-type aggRef struct {
-	cnts map[int64]int64
-	sums map[int64]float64
-}
-
+// TestAggTableRandom checks the table against a map of exact references:
+// counts add as integers, and each group's sum must be the correctly
+// rounded exact total of its quantized inputs (see exactSum), through
+// directory growth.
 func TestAggTableRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		tab := NewAgg(rng.Intn(8)) // tiny hints force growth
-		ref := aggRef{cnts: map[int64]int64{}, sums: map[int64]float64{}}
+		cnts := map[int64]int64{}
+		vals := map[int64][]float64{}
 		n := 1 + rng.Intn(20000)
 		dom := int64(1 + rng.Intn(n))
 		for i := 0; i < n; i++ {
 			k := rng.Int63n(dom) - dom/2
 			c := int64(rng.Intn(3))
-			s := rng.NormFloat64()
-			tab.Add(k, c, s)
-			ref.cnts[k] += c
-			ref.sums[k] += s
+			x := rng.NormFloat64()
+			tab.Add(k, c, x)
+			cnts[k] += c
+			vals[k] = append(vals[k], x)
 		}
-		if tab.Len() != len(ref.cnts) {
-			t.Fatalf("Len = %d, want %d", tab.Len(), len(ref.cnts))
+		if tab.Len() != len(cnts) {
+			t.Fatalf("Len = %d, want %d", tab.Len(), len(cnts))
 		}
 		got := 0
-		tab.Each(func(k, c int64, s float64) {
+		tab.Each(func(k, c int64, s Sum) {
 			got++
-			if c != ref.cnts[k] {
-				t.Fatalf("key %d: cnt %d, want %d", k, c, ref.cnts[k])
+			if c != cnts[k] {
+				t.Fatalf("key %d: cnt %d, want %d", k, c, cnts[k])
 			}
-			// Both sides accumulate in identical input order: the float
-			// sums must be bit-identical, not just close.
-			if s != ref.sums[k] {
-				t.Fatalf("key %d: sum %v, want bit-identical %v", k, s, ref.sums[k])
+			if want := exactSum(vals[k]); math.Float64bits(s.Float64()) != math.Float64bits(want) {
+				t.Fatalf("key %d: sum %v, want the exact %v", k, s.Float64(), want)
 			}
 		})
-		if got != len(ref.cnts) {
-			t.Fatalf("Each visited %d groups, want %d", got, len(ref.cnts))
+		if got != len(cnts) {
+			t.Fatalf("Each visited %d groups, want %d", got, len(cnts))
 		}
 	}
 }
@@ -187,7 +184,7 @@ func TestAggTableNilSafety(t *testing.T) {
 	if tab.Len() != 0 || tab.Bytes() != 0 {
 		t.Fatal("nil AggTable must report empty")
 	}
-	tab.Each(func(int64, int64, float64) { t.Fatal("nil AggTable must not iterate") })
+	tab.Each(func(int64, int64, Sum) { t.Fatal("nil AggTable must not iterate") })
 }
 
 // FuzzJoinTable decodes the fuzz input as int64 keys and requires the

@@ -190,30 +190,6 @@ func TestMetricsAgreeWithSchedStats(t *testing.T) {
 	}
 }
 
-// TestLegacyExplainAnalyzeSchedulerLine: the legacy interpreter now holds a
-// worker slot for its whole run, so EXPLAIN ANALYZE must report the
-// scheduler line there too (it used to be silently omitted).
-func TestLegacyExplainAnalyzeSchedulerLine(t *testing.T) {
-	e, err := Open(Config{ScaleFactor: 0.003, Seed: 9, DOP: 4, LegacyExecutor: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := e.TPCH(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := e.Run(b, BFCBO)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.ExplainAnalyze, "scheduler:") {
-		t.Fatalf("legacy EXPLAIN ANALYZE omits scheduler line:\n%s", out.ExplainAnalyze)
-	}
-	if out.Sched.SlotBusy <= 0 {
-		t.Fatalf("legacy run reports no slot occupancy: %+v", out.Sched)
-	}
-}
-
 // TestFlightRecorderOnEngine: every finished query lands in the recorder
 // with its EXPLAIN ANALYZE and trace attached; a negative SlowQueryLog
 // disables recording.
