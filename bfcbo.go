@@ -236,8 +236,6 @@ func registerEngineMetrics(reg *obs.Registry, sch *sched.Scheduler, broker *mem.
 		func() int64 { return sch.Totals().Finished })
 	reg.NewCounterFunc("bfcbo_sched_queue_timeouts_total", "Admissions failed by queue timeout.",
 		func() int64 { return sch.Totals().Timeouts })
-	reg.NewCounterFunc("bfcbo_sched_rejected_total", "Admissions rejected outright.",
-		func() int64 { return sch.Totals().Rejections })
 	reg.NewGaugeFunc("bfcbo_mem_budget_bytes", "Executor memory budget (0 = unlimited).",
 		func() float64 { return float64(broker.Budget()) })
 	reg.NewGaugeFunc("bfcbo_mem_used_bytes", "Bytes currently reserved from the broker.",

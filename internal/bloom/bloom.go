@@ -2,7 +2,7 @@
 // executor: a flat bit-vector filter with exactly two hash functions (the
 // paper fixes the hash count at two for performance, §3.5), plus a
 // partitioned variant used by the partition-join streaming strategies of
-// §3.9 and a bit-vector union used to merge per-thread filters.
+// §3.9 and a bit-vector union used to merge per-worker partial filters.
 package bloom
 
 import (
@@ -55,9 +55,6 @@ func NewForNDV(ndv uint64) *Filter {
 // NBits reports the size of the bit vector in bits.
 func (f *Filter) NBits() uint64 { return f.mask + 1 }
 
-// SizeBytes reports the memory footprint of the bit vector.
-func (f *Filter) SizeBytes() uint64 { return (f.mask + 1) / 8 }
-
 // Inserted reports how many Add calls have been made (not distinct keys).
 func (f *Filter) Inserted() uint64 { return f.inserted }
 
@@ -67,9 +64,6 @@ func (f *Filter) Inserted() uint64 { return f.inserted }
 // the same value to the Bloom probe (via MayContainHash) and the join
 // probe, instead of each path rehashing independently.
 func KeyHash(key int64) uint64 { return hashtab.Hash(key) }
-
-// hash1 is KeyHash; kept as the package-internal spelling.
-func hash1(key int64) uint64 { return hashtab.Hash(key) }
 
 // rehash derives the filter's second probe position from the primary
 // hash (murmur3 finalizer step), so both of the §3.5 "exactly two" hash
@@ -117,17 +111,6 @@ func (f *Filter) MayContainHash(h uint64) bool {
 	}
 	h2 := rehash(h) & f.mask
 	return f.bitsArr[h2>>6]&(1<<(h2&63)) != 0
-}
-
-// FilterBatch appends to dst the indices i in keys for which keys[i] may be
-// present, returning the extended slice. It is the executor's batch probe.
-func (f *Filter) FilterBatch(keys []int64, dst []int) []int {
-	for i, k := range keys {
-		if f.MayContain(k) {
-			dst = append(dst, i)
-		}
-	}
-	return dst
 }
 
 // FilterSelHashes is the vectorized scan probe: hashes[i] is the
@@ -179,9 +162,8 @@ func (f *Filter) FilterSelHashesCarry(hashes []uint64, sel []int32, carry []uint
 	return sel[:n], carry[:n]
 }
 
-// Union ORs other into f. Both filters must have identical bit counts; this
-// is the merge operation used when per-thread filters must be combined
-// before applying to a single-threaded probe side (§3.9, strategy 2).
+// Union ORs other into f. Both filters must have identical bit counts; the
+// executor builds one filter from per-worker partials this way.
 func (f *Filter) Union(other *Filter) error {
 	if other == nil {
 		return errors.New("bloom: union with nil filter")
@@ -198,19 +180,13 @@ func (f *Filter) Union(other *Filter) error {
 
 // Saturation reports the fraction of set bits in [0,1]. The paper's future
 // work (§5) proposes monitoring saturation to detect useless filters; the
-// executor exposes it for that purpose.
+// executor reports it per filter.
 func (f *Filter) Saturation() float64 {
 	set := 0
 	for _, w := range f.bitsArr {
 		set += bits.OnesCount64(w)
 	}
 	return float64(set) / float64(f.NBits())
-}
-
-// EstimatedFPR returns the classic false-positive-rate estimate
-// (1 - e^{-k·n/m})^k for k=2 given the number of inserted keys.
-func (f *Filter) EstimatedFPR() float64 {
-	return FPR(f.inserted, f.NBits())
 }
 
 // FPR computes the theoretical false positive rate of a 2-hash Bloom filter
@@ -243,7 +219,7 @@ func BitsForNDV(ndv uint64) uint64 {
 // multi-column Bloom filters could be added"). Build and apply sides must
 // use the same combination, which this shared helper guarantees.
 func CombineKeys(a, b int64) int64 {
-	return int64(hash1(a) ^ hash2(b))
+	return int64(KeyHash(a) ^ hash2(b))
 }
 
 func nextPow2(v uint64) uint64 {

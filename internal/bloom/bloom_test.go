@@ -29,7 +29,7 @@ func TestFalsePositiveRateNearTheory(t *testing.T) {
 		inserted[k] = true
 		f.Add(k)
 	}
-	theory := f.EstimatedFPR()
+	theory := FPR(f.Inserted(), f.NBits())
 	probes, fps := 0, 0
 	for probes < 200_000 {
 		k := rng.Int63()
@@ -109,29 +109,6 @@ func TestUnionErrors(t *testing.T) {
 	}
 	if err := a.Union(New(256)); err == nil {
 		t.Fatal("expected error for size mismatch")
-	}
-}
-
-func TestFilterBatch(t *testing.T) {
-	f := NewForNDV(100)
-	for i := int64(0); i < 100; i += 2 {
-		f.Add(i)
-	}
-	keys := []int64{0, 1, 2, 3, 4, 98, 99}
-	got := f.FilterBatch(keys, nil)
-	// Every even key must be kept; odd keys may leak through as false
-	// positives but the even positions must all be present.
-	want := map[int]bool{0: true, 2: true, 4: true, 5: true}
-	for idx := range want {
-		found := false
-		for _, g := range got {
-			if g == idx {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("FilterBatch dropped inserted key at index %d: got %v", idx, got)
-		}
 	}
 }
 
@@ -224,37 +201,23 @@ func TestPartitionedRouting(t *testing.T) {
 	}
 }
 
+// TestPartitionedAlignedProbe pins the routing contract the executor's
+// parallel build relies on: a partition owner that inserts hash h straight
+// into Part(h mod n) and a probe that routes by the key itself must meet in
+// the same partial filter.
 func TestPartitionedAlignedProbe(t *testing.T) {
-	p, err := NewPartitioned(4, 1000)
+	const n = 4
+	p, err := NewPartitioned(n, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 2000; i++ {
-		p.Add(i)
+		h := KeyHash(i)
+		p.Part(int(h % n)).AddHash(h)
 	}
 	for i := int64(0); i < 2000; i++ {
-		part := p.PartitionOf(i)
-		if !p.MayContainAligned(part, i) {
-			t.Fatalf("aligned probe false negative for %d in partition %d", i, part)
-		}
-	}
-}
-
-func TestPartitionedMerge(t *testing.T) {
-	p, err := NewPartitioned(6, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 3000; i++ {
-		p.Add(i * 3)
-	}
-	m, err := p.Merge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 3000; i++ {
-		if !m.MayContain(i * 3) {
-			t.Fatalf("merged filter lost key %d", i*3)
+		if !p.MayContain(i) {
+			t.Fatalf("owner-built partition lost key %d", i)
 		}
 	}
 }

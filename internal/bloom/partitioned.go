@@ -1,16 +1,13 @@
 package bloom
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Partitioned is a set of n partial Bloom filters, one per hash-join
 // partition, as built by the partition-join streaming strategies of §3.9.
 // Keys are routed to a partition by the same partitioning function the
 // exchange operator uses (hash of the partition column modulo n), so the
-// apply side can either look up the right partition (aligned / distributed
-// lookup) or merge all partitions into one filter (fallback).
+// apply side looks up the right partition from the key itself (distributed
+// lookup).
 type Partitioned struct {
 	parts []*Filter
 }
@@ -28,18 +25,9 @@ func NewPartitioned(n int, ndvPerPart uint64) (*Partitioned, error) {
 	return p, nil
 }
 
-// Parts reports the number of partitions.
-func (p *Partitioned) Parts() int { return len(p.parts) }
-
 // Part returns the i-th partial filter; the executor builds into it from the
 // thread that owns partition i.
 func (p *Partitioned) Part(i int) *Filter { return p.parts[i] }
-
-// PartitionOf returns the partition index for a key, using the same
-// hash as the exchange redistribution so build and apply agree.
-func (p *Partitioned) PartitionOf(key int64) int {
-	return int(hash1(key) % uint64(len(p.parts)))
-}
 
 // Add routes the key to its partition's filter.
 func (p *Partitioned) Add(key int64) { p.AddHash(KeyHash(key)) }
@@ -95,26 +83,6 @@ func (p *Partitioned) FilterSelHashesCarry(hashes []uint64, sel []int32, carry [
 		}
 	}
 	return sel[:n], carry[:n]
-}
-
-// MayContainAligned probes partition part directly (§3.9 strategy 4,
-// "partition-aligned": the apply-side relation is partitioned the same way
-// as the hash-join build side).
-func (p *Partitioned) MayContainAligned(part int, key int64) bool {
-	return p.parts[part].MayContain(key)
-}
-
-// Merge unions all partitions into a single filter (§3.9: "When unavailable,
-// we can use the bit vector merging strategy"). All partitions must share a
-// bit count; they do when built by NewPartitioned.
-func (p *Partitioned) Merge() (*Filter, error) {
-	merged := New(p.parts[0].NBits())
-	for i, f := range p.parts {
-		if err := merged.Union(f); err != nil {
-			return nil, fmt.Errorf("bloom: merging partition %d: %w", i, err)
-		}
-	}
-	return merged, nil
 }
 
 // Inserted reports total Add calls across partitions.

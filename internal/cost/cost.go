@@ -90,6 +90,8 @@ func (p Params) BloomBuild(buildRows float64, nFilters int) float64 {
 }
 
 // Streaming identifies how join inputs are moved across threads (§3.9).
+// It is a planner cost annotation: the executor reads it only to pick the
+// Bloom build strategy (one filter vs one partial filter per partition).
 type Streaming int
 
 const (
@@ -101,10 +103,6 @@ const (
 	// Redistribute shuffles both sides by join-key hash
 	// (§3.9 strategies 3/4: n partial Bloom filters, distributed lookup).
 	Redistribute
-	// BroadcastOuter replicates the probe side while the build side stays
-	// partitioned in place — no movement of the (large) build input at all
-	// (§3.9 strategy 2: n partial Bloom filters merged by bit-vector union).
-	BroadcastOuter
 )
 
 func (s Streaming) String() string {
@@ -115,8 +113,6 @@ func (s Streaming) String() string {
 		return "BC"
 	case Redistribute:
 		return "RD"
-	case BroadcastOuter:
-		return "BC-probe"
 	default:
 		return "Streaming(?)"
 	}
@@ -126,10 +122,8 @@ func (s Streaming) String() string {
 // the cheaper of the two costed streaming strategies. Work terms model
 // total work across all threads: BroadcastInner replicates the build input
 // (and its hash table) on every thread; Redistribute shuffles both inputs
-// once. BroadcastOuter (probe-side broadcast, §3.9 strategy 2) remains an
-// executor capability but — like the paper, which left streaming strategies
-// out of the Bloom filter cost model — it is not in the planner's menu:
-// priced naively it would build every large input in place, and the
+// once. Probe-side broadcast (§3.9 strategy 2) is not in the menu: priced
+// naively it would build every large input in place, and the
 // dimension-table build sides the paper's baseline plans show would never
 // arise.
 func (p Params) HashJoin(outerRows, innerRows float64) (float64, Streaming) {

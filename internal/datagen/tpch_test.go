@@ -1,8 +1,6 @@
 package datagen
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -280,41 +278,5 @@ func TestRNGUniformity(t *testing.T) {
 	}
 	if r.intn(0) != 0 || r.intn(-1) != 0 {
 		t.Fatal("intn with n<=0 should return 0")
-	}
-}
-
-func TestExportTBL(t *testing.T) {
-	ds := small(t)
-	dir := t.TempDir()
-	if err := ExportTBL(ds, dir); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "nation.tbl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 25 {
-		t.Fatalf("nation.tbl lines = %d, want 25", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "0|ALGERIA|0|") {
-		t.Fatalf("nation.tbl first line = %q", lines[0])
-	}
-	// Date columns must render as yyyy-mm-dd.
-	data, err = os.ReadFile(filepath.Join(dir, "orders.tbl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := strings.SplitN(string(data), "\n", 2)[0]
-	fields := strings.Split(first, "|")
-	// o_orderkey|o_custkey|o_orderstatus|o_orderdate|...
-	if len(fields[3]) != 10 || fields[3][4] != '-' || fields[3][7] != '-' {
-		t.Fatalf("o_orderdate not rendered as date: %q", fields[3])
-	}
-	// Every table file must exist.
-	for _, name := range ds.DB.TableNames() {
-		if _, err := os.Stat(filepath.Join(dir, name+".tbl")); err != nil {
-			t.Fatalf("missing export for %s: %v", name, err)
-		}
 	}
 }

@@ -18,12 +18,12 @@ import (
 // When Options.Aggregates is set, the root pipeline's result sink is the
 // streaming aggSink: each worker folds its batches into private partials,
 // merged once at the end, so the final join output is never materialized.
-// The legacy interpreter folds its materialized result through the same
-// accumulators (aggregateRowSet). Every number reported is an integer
+// The reference interpreter folds its materialized result through the same
+// accumulators (runReference). Every number reported is an integer
 // count or a hashtab.Sum — integers added with carry and rounded to
 // float64 once, at result assembly — so a value depends only on the
 // multiset of rows folded: not on which worker claimed which morsel, the
-// DOP, the morsel size, or whether a join spilled. Streaming, legacy and
+// DOP, the morsel size, or whether a join spilled. Streaming, reference and
 // every schedule agree bit for bit.
 //
 // Group keys are interned to dense int codes once per run (groupDict), so
@@ -106,10 +106,7 @@ func (ex *executor) groupDictFor(rel int, col string, vals []string) *groupDict 
 	if d, ok := ex.dicts[key]; ok {
 		return d
 	}
-	d := groupDictFromStorage(ex.tables[rel], col)
-	if d == nil {
-		d = internGroupDict(vals)
-	}
+	d := newGroupDict(ex.tables[rel], col, vals)
 	if ex.dicts == nil {
 		ex.dicts = make(map[string]*groupDict)
 	}
@@ -117,13 +114,14 @@ func (ex *executor) groupDictFor(rel int, col string, vals []string) *groupDict 
 	return d
 }
 
-// groupDictFromStorage builds the group dictionary from the table's
-// dictionary encoding: the distinct values are already known, so the
-// per-row pass is an int32 code remap instead of a map probe per string.
-func groupDictFromStorage(tbl *storage.Table, col string) *groupDict {
+// newGroupDict builds the group dictionary of tbl.col, whose values are
+// vals: from the table's dictionary encoding when it has one — the
+// distinct values are already known, so the per-row pass is an int32 code
+// remap instead of a map probe per string — else by map interning.
+func newGroupDict(tbl *storage.Table, col string, vals []string) *groupDict {
 	sd, err := tbl.Dict(col)
 	if err != nil {
-		return nil
+		return internGroupDict(vals)
 	}
 	d := &groupDict{codes: make([]int32, len(sd.Codes))}
 	remap := make([]int32, len(sd.Values))
@@ -180,16 +178,19 @@ type aggCols struct {
 	dict        *groupDict // interned group key column
 }
 
-func (ex *executor) resolveAgg(spec AggSpec) (aggCols, error) {
+// resolveAgg binds one spec's columns; dictFor supplies the interned
+// dictionary of a group-key column.
+func resolveAgg(tables []*storage.Table, spec AggSpec,
+	dictFor func(rel int, col string, vals []string) *groupDict) (aggCols, error) {
 	a := aggCols{spec: spec}
 	var err error
 	floatCol := func(rel int, name string) ([]float64, error) {
-		c, err := ex.tables[rel].Column(name)
+		c, err := tables[rel].Column(name)
 		if err != nil {
 			return nil, err
 		}
 		if c.Floats == nil {
-			return nil, fmt.Errorf("exec: aggregate needs a float column, %s.%s is not", ex.tables[rel].Name, name)
+			return nil, fmt.Errorf("exec: aggregate needs a float column, %s.%s is not", tables[rel].Name, name)
 		}
 		return c.Floats, nil
 	}
@@ -209,21 +210,21 @@ func (ex *executor) resolveAgg(spec AggSpec) (aggCols, error) {
 	}
 	switch spec.Kind {
 	case AggGroupCount, AggGroupRevenue:
-		c, err := ex.tables[spec.KeyRel].Column(spec.KeyCol)
+		c, err := tables[spec.KeyRel].Column(spec.KeyCol)
 		if err != nil {
 			return a, err
 		}
 		if c.Strings == nil {
 			return a, fmt.Errorf("exec: aggregate group key must be a string column, %s.%s is not",
-				ex.tables[spec.KeyRel].Name, spec.KeyCol)
+				tables[spec.KeyRel].Name, spec.KeyCol)
 		}
-		a.dict = ex.groupDictFor(spec.KeyRel, spec.KeyCol, c.Strings)
+		a.dict = dictFor(spec.KeyRel, spec.KeyCol, c.Strings)
 	}
 	return a, nil
 }
 
 // aggPartial is one accumulator for one spec: a worker's share of the
-// stream, the cross-worker merge of those, or the legacy interpreter's
+// stream, the cross-worker merge of those, or the reference interpreter's
 // whole result. Group aggregates accumulate in a flat hashtab.AggTable
 // keyed by interned group codes.
 type aggPartial struct {
@@ -240,8 +241,8 @@ func (a *aggCols) groupTab(p *aggPartial) *hashtab.AggTable {
 	return p.tab
 }
 
-// fold accumulates a row set into the partial, row at a time: the legacy
-// interpreter's path (aggregateRowSet) and the streaming sink's path for
+// fold accumulates a row set into the partial, row at a time: the
+// reference interpreter's path and the streaming sink's path for
 // the non-group kinds, which are single column loops already. The group
 // kinds cost one code load, one hash mix and one integer directory probe
 // per row.
@@ -434,7 +435,7 @@ func (ex *executor) newAggSink(rels query.RelSet, workers int) (sink, error) {
 		codeReused: make([]int64, workers),
 	}
 	for _, spec := range ex.aggSpecs {
-		a, err := ex.resolveAgg(spec)
+		a, err := resolveAgg(ex.tables, spec, ex.groupDictFor)
 		if err != nil {
 			return nil, err
 		}
@@ -570,21 +571,4 @@ func mergeAggTables(parts []*hashtab.AggTable, dop int) *hashtab.AggTable {
 		t.Each(out.Merge)
 	}
 	return out
-}
-
-// aggregateRowSet computes the aggregates post-hoc from a materialized
-// result — the legacy interpreter's path, folding row at a time into the
-// same accumulators the streaming sink uses.
-func (ex *executor) aggregateRowSet(rs *RowSet, specs []AggSpec) ([]AggValue, error) {
-	out := make([]AggValue, len(specs))
-	for i, spec := range specs {
-		a, err := ex.resolveAgg(spec)
-		if err != nil {
-			return nil, err
-		}
-		var p aggPartial
-		a.fold(&p, rs)
-		out[i] = a.value(&p)
-	}
-	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bfcbo/internal/catalog"
+	"bfcbo/internal/mem"
 	"bfcbo/internal/optimizer"
 	"bfcbo/internal/plan"
 	"bfcbo/internal/query"
@@ -151,7 +152,7 @@ func TestAggregatesIndependentOfSchedule(t *testing.T) {
 		}
 		for _, morsel := range []int{16, 256, 0} {
 			for i := 0; i < runs; i++ {
-				r, err := Run(c.db, c.b, c.p, Options{DOP: 4, MorselSize: morsel, Aggregates: c.specs})
+				r, err := Run(c.db, c.b, c.p, Options{DOP: 4, morselSize: morsel, Aggregates: c.specs})
 				if err != nil {
 					t.Fatalf("%s morsel %d: %v", c.name, morsel, err)
 				}
@@ -164,7 +165,7 @@ func TestAggregatesIndependentOfSchedule(t *testing.T) {
 			continue
 		}
 		r, err := Run(c.db, c.b, c.p, Options{DOP: 4, Aggregates: c.specs,
-			MemBudget: tinyBudget, SpillDir: t.TempDir()})
+			Broker: mem.NewBroker(tinyBudget), SpillDir: t.TempDir()})
 		if err != nil {
 			t.Fatalf("%s spilled: %v", c.name, err)
 		}

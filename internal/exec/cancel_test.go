@@ -117,7 +117,7 @@ func TestWorkerErrorCancelsSiblings(t *testing.T) {
 	db, b, p := bigScanFixture(t, rows)
 	injected := errors.New("injected mid-pipeline failure")
 	var opens, closes, batches atomic.Int64
-	opts := Options{DOP: 8, MorselSize: 1}
+	opts := Options{DOP: 8, morselSize: 1}
 	opts.injectOp = func(pl *plan.Pipeline, worker int, op PhysicalOperator) PhysicalOperator {
 		f := &faultOp{child: op, err: injected,
 			opens: &opens, closes: &closes, batches: &batches,
@@ -150,7 +150,7 @@ func TestOpenFailureStillCloses(t *testing.T) {
 	db, b, p := bigScanFixture(t, 100)
 	injected := errors.New("injected open failure")
 	var opens, closes, batches atomic.Int64
-	opts := Options{DOP: 4, MorselSize: 8}
+	opts := Options{DOP: 4, morselSize: 8}
 	opts.injectOp = func(pl *plan.Pipeline, worker int, op PhysicalOperator) PhysicalOperator {
 		return &faultOp{child: op, err: injected, failOpen: true,
 			opens: &opens, closes: &closes, batches: &batches}
@@ -228,7 +228,7 @@ func TestDAGSurfacesFirstErrorDeterministically(t *testing.T) {
 	db, b, p := mergeJoinFixture(t)
 	injected := errors.New("injected sort-pipeline failure")
 	for i := 0; i < 50; i++ {
-		opts := Options{DOP: 4, MorselSize: 16}
+		opts := Options{DOP: 4, morselSize: 16}
 		opts.injectOp = func(pl *plan.Pipeline, worker int, op PhysicalOperator) PhysicalOperator {
 			var opens, closes, batches atomic.Int64
 			f := &faultOp{child: op, err: injected,
@@ -258,7 +258,7 @@ func TestDAGMergeJoinMatchesLegacy(t *testing.T) {
 	}
 	for _, dop := range []int{1, 2, 4, 8} {
 		for _, morsel := range []int{1, 37, 4096} {
-			r, err := Run(db, b, p, Options{DOP: dop, MorselSize: morsel})
+			r, err := Run(db, b, p, Options{DOP: dop, morselSize: morsel})
 			if err != nil {
 				t.Fatalf("dop %d morsel %d: %v", dop, morsel, err)
 			}

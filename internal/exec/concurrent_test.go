@@ -158,7 +158,7 @@ func TestConcurrentCancelWhileQueued(t *testing.T) {
 	release := make(chan struct{})
 	holderDone := make(chan error, 1)
 	go func() {
-		opts := Options{DOP: 2, MorselSize: 4, Sched: scheduler}
+		opts := Options{DOP: 2, morselSize: 4, Sched: scheduler}
 		opts.injectOp = func(pl *plan.Pipeline, worker int, op PhysicalOperator) PhysicalOperator {
 			return &stallOp{child: op, gate: release}
 		}
@@ -218,7 +218,7 @@ func TestConcurrentDeadlineExpiry(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	opts := Options{DOP: 4, MorselSize: 1, Sched: scheduler}
+	opts := Options{DOP: 4, morselSize: 1, Sched: scheduler}
 	opts.injectOp = func(pl *plan.Pipeline, worker int, op PhysicalOperator) PhysicalOperator {
 		return &faultOp{child: op, batchDelay: 200 * time.Microsecond,
 			opens: new(atomic.Int64), closes: new(atomic.Int64), batches: new(atomic.Int64)}
@@ -246,7 +246,7 @@ func TestConcurrentQueueTimeout(t *testing.T) {
 	release := make(chan struct{})
 	holderDone := make(chan error, 1)
 	go func() {
-		opts := Options{DOP: 1, MorselSize: 4, Sched: scheduler}
+		opts := Options{DOP: 1, morselSize: 4, Sched: scheduler}
 		opts.injectOp = func(pl *plan.Pipeline, worker int, op PhysicalOperator) PhysicalOperator {
 			return &stallOp{child: op, gate: release}
 		}

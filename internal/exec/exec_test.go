@@ -287,9 +287,9 @@ func TestRowSetBasics(t *testing.T) {
 	src := NewRowSet(query.NewRelSet(0, 2))
 	src.cols[0] = []int32{7}
 	src.cols[1] = []int32{9}
-	rs.appendFrom(src, 0)
+	rs.appendBatch(src)
 	if rs.Len() != 1 || rs.Col(0)[0] != 7 || rs.Col(2)[0] != 9 {
-		t.Fatalf("appendFrom wrong: %+v", rs.cols)
+		t.Fatalf("appendBatch wrong: %+v", rs.cols)
 	}
 	defer func() {
 		if recover() == nil {
@@ -297,53 +297,4 @@ func TestRowSetBasics(t *testing.T) {
 		}
 	}()
 	rs.Col(1)
-}
-
-// The §5 extension: an over-saturated filter (built from far more distinct
-// keys than estimated) is skipped at runtime instead of testing every row
-// for nothing.
-func TestSaturationLimitSkipsDenseFilters(t *testing.T) {
-	db, schema := fixture(t)
-	b := factDimBlock(schema, query.Inner)
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// A hand-built plan whose Bloom spec wildly underestimates the build
-	// NDV: the 100-key dim column goes into a filter sized for 2 keys.
-	scanF := &plan.Scan{Rel: 0, Alias: "f", Table: "fact", ApplyBlooms: []int{7}}
-	scanD := &plan.Scan{Rel: 1, Alias: "d", Table: "dim"}
-	root := &plan.Join{
-		Method: plan.HashJoin, JoinType: query.Inner,
-		Outer: scanF, Inner: scanD,
-		Conds:       []plan.Cond{{OuterRel: 0, OuterCol: "fk", InnerRel: 1, InnerCol: "pk"}},
-		BuildBlooms: []int{7},
-	}
-	p := &plan.Plan{Root: root, Blooms: []plan.BloomSpec{{
-		ID: 7, ApplyRel: 0, ApplyCol: "fk", BuildRel: 1, BuildCol: "pk", EstBuildNDV: 2,
-	}}}
-
-	strict, err := Run(db, b, p, Options{DOP: 1, SaturationLimit: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(strict.BloomStats) != 1 || strict.BloomStats[0].Strategy != "skipped" {
-		t.Fatalf("over-saturated filter not skipped: %+v", strict.BloomStats)
-	}
-	// Skipping must not change results: all 1000 fact rows join unfiltered
-	// dim (each fk matches one pk).
-	if strict.Out.Len() != 1000 {
-		t.Fatalf("rows = %d, want 1000", strict.Out.Len())
-	}
-	// Without the limit the same dense filter is applied (and, saturated,
-	// passes nearly everything).
-	loose, err := Run(db, b, p, Options{DOP: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loose.BloomStats[0].Strategy == "skipped" {
-		t.Fatal("filter skipped without a saturation limit")
-	}
-	if loose.Out.Len() != 1000 {
-		t.Fatalf("saturated filter changed results: %d rows", loose.Out.Len())
-	}
 }

@@ -13,7 +13,7 @@ import (
 // ExplainAnalyze renders the plan tree annotated with observed runtime —
 // actual rows next to the planner's estimates, plus batch counts and
 // in-operator wall time from the pipelined executor — followed by the
-// per-pipeline schedule and Bloom filter runtime. For legacy runs (no
+// per-pipeline schedule and Bloom filter runtime. For reference runs (no
 // operator stats) it falls back to est→actual rows only.
 func (r *Result) ExplainAnalyze(p *plan.Plan) string {
 	var b strings.Builder
@@ -59,19 +59,10 @@ func breakerSuffix(ps PipelineStat) string {
 	var b strings.Builder
 	if ps.FinishWall > 0 {
 		fmt.Fprintf(&b, " finish=%s", ps.FinishWall.Round(time.Microsecond))
-		type phase struct {
-			name string
-			d    time.Duration
-		}
 		var parts []string
-		for _, p := range []phase{
-			{"merge", ps.Phases.Merge}, {"sort", ps.Phases.Sort},
-			{"build", ps.Phases.Build}, {"bloom", ps.Phases.Bloom},
-		} {
-			if p.d > 0 {
-				parts = append(parts, fmt.Sprintf("%s=%s", p.name, p.d.Round(time.Microsecond)))
-			}
-		}
+		ps.Phases.eachFinish(func(name string, d time.Duration) {
+			parts = append(parts, fmt.Sprintf("%s=%s", name, d.Round(time.Microsecond)))
+		})
 		if len(parts) > 0 {
 			fmt.Fprintf(&b, " [%s]", strings.Join(parts, " "))
 		}

@@ -6,8 +6,6 @@ import (
 
 	"sync/atomic"
 
-	"bfcbo/internal/bloom"
-	"bfcbo/internal/cost"
 	"bfcbo/internal/mem"
 	"bfcbo/internal/plan"
 	"bfcbo/internal/query"
@@ -59,17 +57,6 @@ type graceHashJoin struct {
 	cursor      atomic.Int64
 }
 
-// relColPos returns the spill-layout column position of rel within rels
-// (columns are stored in ascending relation order).
-func relColPos(rels query.RelSet, rel int) int {
-	for i, r := range rels.Members() {
-		if r == rel {
-			return i
-		}
-	}
-	return -1
-}
-
 // newGraceBuild opens the build-side partition files for join j. estRows
 // is the planner's build-input estimate, which sizes the partition count.
 func (ex *executor) newGraceBuild(j *plan.Join, estRows float64, rec *spillCounters) (*graceHashJoin, error) {
@@ -90,7 +77,7 @@ func (ex *executor) newGraceBuild(j *plan.Join, estRows float64, rec *spillCount
 		ex: ex, j: j,
 		nparts:       spillPartitionCount(estRows, buildRels.Count(), ex.budget),
 		buildRels:    buildRels,
-		buildKeyPos:  relColPos(buildRels, c0.InnerRel),
+		buildKeyPos:  buildRels.Rank(c0.InnerRel),
 		buildKeyVals: col.Ints,
 		buildRec:     rec,
 	}
@@ -143,7 +130,7 @@ func (g *graceHashJoin) initProbe(inRels query.RelSet, keyRel int, keyVals []int
 	}
 	g.probeRels = inRels
 	g.probeKeyRel = keyRel
-	g.probeKeyPos = relColPos(inRels, keyRel)
+	g.probeKeyPos = inRels.Rank(keyRel)
 	g.probeKeyVals = keyVals
 	if g.probe, err = partitionWriters(d, "probe", g.nparts, inRels.Count()); err != nil {
 		return err
@@ -457,44 +444,26 @@ func (g *graceHashJoin) repartition(p spillPair, w *graceProbeWorker) error {
 		return err
 	}
 	g.probeRec.addParts(2 * graceSubParts)
-	route := func(src *spill.Writer, keyPos int, vals []int64, dst []*spill.Writer, rec *spillCounters) error {
-		r, err := src.Reader()
+	route := func(src *spill.Writer, keyPos int, vals []int64, dst []*spill.Writer) error {
+		var keys []int64
+		err := eachChunk(src, g.probeRec, func(cols [][]int32) error {
+			keys = keys[:0]
+			for _, id := range cols[keyPos] {
+				keys = append(keys, vals[id])
+			}
+			written, err := routeCols(cols, keys, level+1, dst)
+			g.probeRec.addBytes(written)
+			return err
+		})
 		if err != nil {
 			return err
 		}
-		defer func() {
-			rec.addBytesRead(r.BytesRead())
-			r.Close()
-		}()
-		var keys []int64
-		for {
-			cols, err := r.Next()
-			if err != nil {
-				return err
-			}
-			if cols == nil {
-				break
-			}
-			n := len(cols[keyPos])
-			if cap(keys) < n {
-				keys = make([]int64, n)
-			}
-			keys = keys[:n]
-			for i, id := range cols[keyPos] {
-				keys[i] = vals[id]
-			}
-			written, err := routeCols(cols, keys, level+1, dst)
-			rec.addBytes(written)
-			if err != nil {
-				return err
-			}
-		}
 		return src.Remove()
 	}
-	if err := route(bw, g.buildKeyPos, g.buildKeyVals, subB, g.probeRec); err != nil {
+	if err := route(bw, g.buildKeyPos, g.buildKeyVals, subB); err != nil {
 		return err
 	}
-	if err := route(pw, g.probeKeyPos, g.probeKeyVals, subP, g.probeRec); err != nil {
+	if err := route(pw, g.probeKeyPos, g.probeKeyVals, subP); err != nil {
 		return err
 	}
 	for i := 0; i < graceSubParts; i++ {
@@ -509,124 +478,31 @@ func (g *graceHashJoin) repartition(p spillPair, w *graceProbeWorker) error {
 	return nil
 }
 
-// buildBloomsSpilled populates join j's Bloom filters by streaming the
-// spilled build partitions — the out-of-memory counterpart of buildBlooms.
-// One pass over the files feeds every filter; strategy selection matches
-// the in-memory path exactly, and because Bloom bits are order-independent
-// the resulting filters (and their Inserted counts) are identical to an
-// in-memory build over the same rows.
-func (ex *executor) buildBloomsSpilled(j *plan.Join, g *graceHashJoin) error {
-	type spec struct {
-		id     int
-		pos    int // column position of BuildRel in the spill layout
-		vals   []int64
-		vals2  []int64 // second column of a multi-column filter, or nil
-		insert func(key int64)
-		handle bloomHandle
-		st     *BloomRuntime
-	}
-	var specs []spec
-	totalRows := int64(0)
+// buildRows is the build side's total row count across partitions.
+func (g *graceHashJoin) buildRows() int {
+	var n int64
 	for _, w := range g.build {
-		totalRows += w.Rows()
+		n += w.Rows()
 	}
-	for _, id := range j.BuildBlooms {
-		sp, ok := ex.specs[id]
-		if !ok {
-			return fmt.Errorf("exec: join builds unknown Bloom filter %d", id)
-		}
-		tbl := ex.tables[sp.BuildRel]
-		col, err := tbl.Column(sp.BuildCol)
-		if err != nil {
-			return fmt.Errorf("exec: bloom %d build column: %w", id, err)
-		}
-		s := spec{
-			id:   id,
-			pos:  relColPos(g.buildRels, sp.BuildRel),
-			vals: col.Ints,
-			st:   &BloomRuntime{ID: id},
-		}
-		if sp.BuildCol2 != "" {
-			col2, err := tbl.Column(sp.BuildCol2)
-			if err != nil {
-				return fmt.Errorf("exec: bloom %d build column: %w", id, err)
-			}
-			s.vals2 = col2.Ints
-		}
-		ndv := uint64(sp.EstBuildNDV)
-		if ndv == 0 {
-			ndv = uint64(totalRows) + 1
-		}
-		// Strategy selection mirrors buildBlooms; serial streaming inserts
-		// produce bit-identical filters (OR is order-independent).
-		switch {
-		case ex.dop <= 1, j.Streaming == cost.BroadcastInner:
-			f := bloom.NewForNDV(ndv)
-			s.insert = f.Add
-			s.handle = f
-			s.st.Strategy = "single"
-		case j.Streaming == cost.BroadcastOuter:
-			f := bloom.NewForNDV(ndv)
-			s.insert = f.Add
-			s.handle = f
-			s.st.Strategy = "merged"
-		default:
-			perPart := (2*ndv)/uint64(ex.dop) + 16
-			pf, err := bloom.NewPartitioned(ex.dop, perPart)
-			if err != nil {
-				return err
-			}
-			s.insert = pf.Add
-			s.handle = pf
-			s.st.Strategy = "partitioned"
-		}
-		specs = append(specs, s)
-	}
+	return int(n)
+}
+
+// feedBuildChunks is the Bloom build's chunk feeder — the out-of-memory
+// counterpart of bloomSet.feedVector: one streaming pass over the spilled
+// build partitions feeds every filter. Bloom bits are order-independent,
+// so the filters (and their Inserted counts) equal an in-memory build over
+// the same rows.
+func (g *graceHashJoin) feedBuildChunks(builds []*bloomBuild) error {
 	for _, w := range g.build {
-		r, err := w.Reader()
+		err := eachChunk(w, g.buildRec, func(cols [][]int32) error {
+			for _, b := range builds {
+				b.insert(b.bloomTarget, cols[g.buildRels.Rank(b.rel)], nil)
+			}
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		for {
-			cols, err := r.Next()
-			if err != nil {
-				g.buildRec.addBytesRead(r.BytesRead())
-				r.Close()
-				return err
-			}
-			if cols == nil {
-				break
-			}
-			for i := range specs {
-				s := &specs[i]
-				for _, id := range cols[s.pos] {
-					key := s.vals[id]
-					if s.vals2 != nil {
-						key = bloom.CombineKeys(key, s.vals2[id])
-					}
-					s.insert(key)
-				}
-			}
-		}
-		g.buildRec.addBytesRead(r.BytesRead())
-		r.Close()
-	}
-	for _, s := range specs {
-		var inserted uint64
-		var sat float64
-		switch h := s.handle.(type) {
-		case *bloom.Filter:
-			inserted, sat = h.Inserted(), h.Saturation()
-		case *bloom.Partitioned:
-			inserted, sat = h.Inserted(), h.Saturation()
-		}
-		s.st.Inserted, s.st.Saturation = inserted, sat
-		if ex.satLimit > 0 && ex.satLimit < 1 && sat > ex.satLimit {
-			s.st.Strategy = "skipped"
-			ex.setFilter(s.id, passAllFilter{}, s.st)
-			continue
-		}
-		ex.setFilter(s.id, s.handle, s.st)
 	}
 	return nil
 }

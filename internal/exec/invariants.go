@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"time"
 
 	"bfcbo/internal/mem"
 	"bfcbo/internal/sched"
@@ -78,22 +76,4 @@ func leftoverSpill(root string) []string {
 		return nil
 	})
 	return left
-}
-
-// WaitGoroutines polls until the process goroutine count is back at or
-// below baseline, returning an error when it is still above after
-// timeout — the leak check for worker, watcher, and helper goroutines
-// spun up by a query. Runtime-internal goroutines can appear between
-// samples, so the check waits rather than comparing one snapshot.
-func WaitGoroutines(baseline int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	n := runtime.NumGoroutine()
-	for n > baseline {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("exec: %d goroutines still running (baseline %d) after %s", n, baseline, timeout)
-		}
-		time.Sleep(2 * time.Millisecond)
-		n = runtime.NumGoroutine()
-	}
-	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"bfcbo/internal/catalog"
+	"bfcbo/internal/mem"
 	"bfcbo/internal/optimizer"
 	"bfcbo/internal/plan"
 	"bfcbo/internal/query"
@@ -125,7 +126,7 @@ func TestExecutorEquivalenceMemBudget(t *testing.T) {
 			want := canonicalRows(baseline.Out, skip)
 			spillRoot := t.TempDir()
 			r, err := Run(ds.DB, block, res.Plan, Options{
-				DOP: dop, MemBudget: tinyBudget, SpillDir: spillRoot,
+				DOP: dop, Broker: mem.NewBroker(tinyBudget), SpillDir: spillRoot,
 			})
 			if err != nil {
 				t.Fatalf("Q%d dop %d: budgeted run: %v", num, dop, err)
@@ -242,7 +243,7 @@ func TestGraceJoinRecursionDepthCap(t *testing.T) {
 	const buildRows, probeRows = graceMinPartRows + 1000, 10
 	db, b, p := skewJoinFixture(t, buildRows, probeRows)
 	spillRoot := t.TempDir()
-	r, err := Run(db, b, p, Options{DOP: 4, MemBudget: tinyBudget, SpillDir: spillRoot})
+	r, err := Run(db, b, p, Options{DOP: 4, Broker: mem.NewBroker(tinyBudget), SpillDir: spillRoot})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestExternalSortMatchesInMemory(t *testing.T) {
 	}
 	for _, dop := range []int{1, 4} {
 		spillRoot := t.TempDir()
-		r, err := Run(db, b, p, Options{DOP: dop, MemBudget: tinyBudget, SpillDir: spillRoot})
+		r, err := Run(db, b, p, Options{DOP: dop, Broker: mem.NewBroker(tinyBudget), SpillDir: spillRoot})
 		if err != nil {
 			t.Fatalf("dop %d: %v", dop, err)
 		}
@@ -305,7 +306,7 @@ func TestCancelMidSpillLeavesNoTempFiles(t *testing.T) {
 	}
 	injected := errors.New("injected mid-spill failure")
 	spillRoot := t.TempDir()
-	ropts := Options{DOP: 4, MemBudget: tinyBudget, SpillDir: spillRoot}
+	ropts := Options{DOP: 4, Broker: mem.NewBroker(tinyBudget), SpillDir: spillRoot}
 	ropts.injectOp = func(pl *plan.Pipeline, worker int, op PhysicalOperator) PhysicalOperator {
 		// Fail the result pipeline's workers: by then the hash builds have
 		// spilled their partitions and the probe side is mid-flight.

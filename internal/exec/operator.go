@@ -121,6 +121,19 @@ type BreakerPhases struct {
 	Fold time.Duration
 }
 
+// eachFinish calls fn for every measured finish phase, in the order the
+// breakers run them.
+func (p BreakerPhases) eachFinish(fn func(name string, d time.Duration)) {
+	for _, ph := range []struct {
+		name string
+		d    time.Duration
+	}{{"merge", p.Merge}, {"sort", p.Sort}, {"build", p.Build}, {"bloom", p.Bloom}} {
+		if ph.d > 0 {
+			fn(ph.name, ph.d)
+		}
+	}
+}
+
 // SpillStat reports one pipeline's spill activity under a memory budget.
 // All zero when the pipeline's reservations were never denied.
 type SpillStat struct {

@@ -22,11 +22,7 @@ import (
 // Workers accumulate in per-worker locals and fold into the atomics once at
 // Close, so the probe loop itself performs no atomic operations.
 type scanBloom struct {
-	h      bloomHandle
-	col    string // the filtered column (the first, for multi-column)
-	vals   []int64
-	vals2  []int64 // second column of a multi-column filter, or nil
-	st     *BloomRuntime
+	bloomProbe
 	tested atomic.Int64
 	passed atomic.Int64
 }
@@ -105,25 +101,12 @@ func (ex *executor) newScanSource(s *plan.Scan, stats *opStats) (*scanSource, er
 			src.zones = append(src.zones, scanZone{zm: zm, skipFloat: zp.SkipFloat})
 		}
 	}
-	for _, id := range s.ApplyBlooms {
-		h, st, ok := ex.filter(id)
-		if !ok {
-			return nil, fmt.Errorf("exec: scan of %s requires Bloom filter %d which was never built (plan bug)", s.Alias, id)
-		}
-		spec := ex.specs[id]
-		col, err := tbl.Column(spec.ApplyCol)
-		if err != nil {
-			return nil, fmt.Errorf("exec: bloom %d: %w", id, err)
-		}
-		entry := &scanBloom{h: h, col: spec.ApplyCol, vals: col.Ints, st: st}
-		if spec.ApplyCol2 != "" {
-			col2, err := tbl.Column(spec.ApplyCol2)
-			if err != nil {
-				return nil, fmt.Errorf("exec: bloom %d: %w", id, err)
-			}
-			entry.vals2 = col2.Ints
-		}
-		src.bfs = append(src.bfs, entry)
+	probes, err := ex.blooms.probesFor(s)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range probes {
+		src.bfs = append(src.bfs, &scanBloom{bloomProbe: p})
 	}
 	return src, nil
 }
@@ -172,10 +155,8 @@ func (src *scanSource) skipMorsel(lo, hi int) bool {
 // called once, after the pipeline's workers have all finished.
 func (src *scanSource) flushBloomStats() {
 	for _, b := range src.bfs {
-		if b.st != nil {
-			b.st.Tested += b.tested.Load()
-			b.st.Passed += b.passed.Load()
-		}
+		b.st.Tested += b.tested.Load()
+		b.st.Passed += b.passed.Load()
 	}
 }
 
@@ -428,9 +409,6 @@ func gatherBuildKeys(ex *executor, j *plan.Join, inner *RowSet) (*hashTable, err
 	}
 	c0 := j.Conds[0]
 	dop := ex.dop
-	if dop < 1 {
-		dop = 1
-	}
 	ht := &hashTable{
 		inner:     inner,
 		innerKeys: keyColumnPar(inner, ex.tables[c0.InnerRel], c0.InnerRel, c0.InnerCol, dop),
@@ -457,9 +435,6 @@ func gatherBuildKeys(ex *executor, j *plan.Join, inner *RowSet) (*hashTable, err
 func buildHashTableFrom(ex *executor, ht *hashTable) (*hashTable, error) {
 	n := len(ht.innerKeys)
 	nparts := ex.dop
-	if nparts < 1 {
-		nparts = 1
-	}
 	// The hash vector is transient build state (probes hash per batch);
 	// release it once the directory is built.
 	defer func() { ht.innerHashes = nil }()
@@ -956,7 +931,7 @@ func (o *nlProbeOp) NextBatch() (*Batch, error) {
 type sortedInput struct {
 	rs *RowSet
 	// idx is the row order sorted by keys; keys/extras are indexed by raw
-	// row position (pre-sort), like the legacy merge.
+	// row position (pre-sort).
 	idx    []int
 	keys   []int64
 	extras [][]int64

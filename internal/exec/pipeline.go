@@ -122,10 +122,10 @@ func (s *resultSink) finish() error {
 }
 
 // hashBuildSink materializes a hash join's build side, populates its Bloom
-// filters (reusing the §3.9 strategy selection), and builds the shared
-// hash table the probe pipeline reads. Every finish phase — the part
-// merge, the Bloom population, the hash-table build — runs across DOP
-// workers; there is no intermediate serial merged() copy.
+// filters (bloomSet.build), and builds the shared hash table the probe
+// pipeline reads. Every finish phase — the part merge, the Bloom
+// population, the hash-table build — runs across DOP workers; there is no
+// intermediate serial merged() copy.
 //
 // Under a memory budget the sink is the grace hash join's entry point:
 // when a grant is denied, the worker's buffered part spills to hash
@@ -238,7 +238,7 @@ func (s *hashBuildSink) finish() error {
 			gatherWall := time.Since(start)
 			if len(s.j.BuildBlooms) > 0 {
 				start := time.Now()
-				if err := s.ex.buildBloomsShared(s.j, inner, ht); err != nil {
+				if err := s.ex.blooms.build(s.j, totalRows, s.ex.blooms.feedVector(inner, ht.innerHashes, s.ex.dop)); err != nil {
 					return err
 				}
 				s.ph.Bloom = time.Since(start)
@@ -280,7 +280,7 @@ func (s *hashBuildSink) finish() error {
 	}
 	if len(s.j.BuildBlooms) > 0 {
 		start := time.Now()
-		if err := s.ex.buildBloomsSpilled(s.j, g); err != nil {
+		if err := s.ex.blooms.build(s.j, g.buildRows(), g.feedBuildChunks); err != nil {
 			return err
 		}
 		s.ph.Bloom = time.Since(start)
@@ -321,6 +321,14 @@ type sortSink struct {
 	spillErr onceErr
 }
 
+// side returns this sink's (relation, column) of join condition c.
+func (s *sortSink) side(c plan.Cond) (rel int, col string) {
+	if s.isInner {
+		return c.InnerRel, c.InnerCol
+	}
+	return c.OuterRel, c.OuterCol
+}
+
 // sortKeyVals resolves the base-table key column this sink sorts on. It
 // is resolved eagerly at sink construction (so concurrent spillRun calls
 // only read it); the lazy path remains for the no-conditions error case.
@@ -331,11 +339,7 @@ func (s *sortSink) sortKeyVals() ([]int64, error) {
 	if len(s.j.Conds) == 0 {
 		return nil, fmt.Errorf("exec: merge join with no conditions")
 	}
-	c := s.j.Conds[0]
-	rel, col := c.OuterRel, c.OuterCol
-	if s.isInner {
-		rel, col = c.InnerRel, c.InnerCol
-	}
+	rel, col := s.side(s.j.Conds[0])
 	cc, err := s.ex.tables[rel].Column(col)
 	if err != nil {
 		return nil, fmt.Errorf("exec: sort key column: %w", err)
@@ -357,10 +361,7 @@ func (s *sortSink) spillRun(w int) int64 {
 		s.ex.fail(err)
 		return 0
 	}
-	rel := s.j.Conds[0].OuterRel
-	if s.isInner {
-		rel = s.j.Conds[0].InnerRel
-	}
+	rel, _ := s.side(s.j.Conds[0])
 	ids := part.Col(rel)
 	keys := make([]int64, len(ids))
 	for i, id := range ids {
@@ -405,9 +406,6 @@ func (s *sortSink) consume(w int, b *Batch) {
 }
 
 func (s *sortSink) finish() error {
-	if len(s.j.BuildBlooms) > 0 {
-		return fmt.Errorf("exec: Bloom filters can only be built at hash joins, got %s", s.j.Method)
-	}
 	if s.j.JoinType != query.Inner {
 		return fmt.Errorf("exec: merge join supports inner joins only, got %s", s.j.JoinType)
 	}
@@ -429,10 +427,7 @@ func (s *sortSink) finish() error {
 		start := time.Now()
 		in = &sortedInput{rs: rs}
 		for i, c := range s.j.Conds {
-			rel, col := c.OuterRel, c.OuterCol
-			if s.isInner {
-				rel, col = c.InnerRel, c.InnerCol
-			}
+			rel, col := s.side(c)
 			keys := keyColumnPar(rs, s.ex.tables[rel], rel, col, dop)
 			if i == 0 {
 				in.keys = keys
@@ -493,35 +488,21 @@ func (s *sortSink) finishExternal() (*sortedInput, error) {
 	if err != nil {
 		return nil, err
 	}
-	keyRel := s.j.Conds[0].OuterRel
-	if s.isInner {
-		keyRel = s.j.Conds[0].InnerRel
-	}
-	keyPos := relColPos(s.rels, keyRel)
+	keyRel, _ := s.side(s.j.Conds[0])
+	keyPos := s.rels.Rank(keyRel)
 	runsIdx := make([][]int, len(s.runs))
 	off := 0
 	for ri, w := range s.runs {
-		r, err := w.Reader()
-		if err != nil {
-			return nil, err
-		}
-		for {
-			cols, err := r.Next()
-			if err != nil {
-				s.rec.addBytesRead(r.BytesRead())
-				r.Close()
-				return nil, err
-			}
-			if cols == nil {
-				break
-			}
+		err := eachChunk(w, s.rec, func(cols [][]int32) error {
 			appendRawChunk(rs, cols)
 			for _, id := range cols[keyPos] {
 				keys = append(keys, vals[id])
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		s.rec.addBytesRead(r.BytesRead())
-		r.Close()
 		w.Remove()
 		n := rs.Len() - off
 		idx := make([]int, n)
@@ -534,10 +515,7 @@ func (s *sortSink) finishExternal() (*sortedInput, error) {
 	in := &sortedInput{rs: rs, keys: keys}
 	in.idx = mergeRuns(keys, runsIdx, dop)
 	for _, c := range s.j.Conds[1:] {
-		rel, col := c.OuterRel, c.OuterCol
-		if s.isInner {
-			rel, col = c.InnerRel, c.InnerCol
-		}
+		rel, col := s.side(c)
 		in.extras = append(in.extras, keyColumnPar(rs, s.ex.tables[rel], rel, col, dop))
 	}
 	s.ph.Sort = time.Since(start)
@@ -553,9 +531,6 @@ type materializeSink struct {
 }
 
 func (s *materializeSink) finish() error {
-	if len(s.j.BuildBlooms) > 0 {
-		return fmt.Errorf("exec: Bloom filters can only be built at hash joins, got %s", s.j.Method)
-	}
 	rs := s.mergedPar(s.ex.dop)
 	mat := &nlInner{rs: rs}
 	for _, c := range s.j.Conds {
@@ -663,9 +638,6 @@ func (ex *executor) runDAG(pipes []*plan.Pipeline) error {
 func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 	start := time.Now()
 	workers := ex.dop
-	if workers < 1 {
-		workers = 1
-	}
 
 	var pstats []*opStats
 	reg := func(label string, n plan.Node) *opStats {
@@ -801,10 +773,6 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 	// shape fingerprint, and this pipeline; set once per worker launch.
 	labels := pprof.Labels("query", ex.queryTag,
 		"fingerprint", ex.fpHex, "pipeline", fmt.Sprintf("P%d", pl.ID))
-	lctx := ex.pctx
-	if lctx == nil {
-		lctx = context.Background()
-	}
 
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -825,7 +793,7 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 					ex.fail(perr)
 				}
 			}()
-			pprof.Do(lctx, labels, func(context.Context) { ex.workerLoop(pl, w, newSource, factories, snk, lp, srcStats, errs) })
+			pprof.Do(ex.pctx, labels, func(context.Context) { ex.workerLoop(pl, w, newSource, factories, snk, lp, srcStats, errs) })
 		}(w)
 	}
 	wg.Wait()
@@ -887,18 +855,10 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 		if finishWall > 0 {
 			ex.trace.Add("finish", "breaker", tid, finishStart, finishWall)
 			at := finishStart
-			for _, ph := range []struct {
-				name string
-				d    time.Duration
-			}{
-				{"merge", ps.Phases.Merge}, {"sort", ps.Phases.Sort},
-				{"build", ps.Phases.Build}, {"bloom", ps.Phases.Bloom},
-			} {
-				if ph.d > 0 {
-					ex.trace.Add(ph.name, "phase", tid, at, ph.d)
-					at = at.Add(ph.d)
-				}
-			}
+			ps.Phases.eachFinish(func(name string, d time.Duration) {
+				ex.trace.Add(name, "phase", tid, at, d)
+				at = at.Add(d)
+			})
 		}
 	}
 	ex.smu.Lock()
@@ -1006,6 +966,9 @@ func (ex *executor) workerLoop(pl *plan.Pipeline, w int,
 // materialize sinks force-account their bytes, since their output cannot
 // spill.
 func (ex *executor) newSink(pl *plan.Pipeline, rels query.RelSet, workers int, rec *spillCounters) (sink, error) {
+	if j := pl.SinkJoin; j != nil && pl.Sink != plan.SinkHashBuild && len(j.BuildBlooms) > 0 {
+		return nil, fmt.Errorf("exec: Bloom filters can only be built at hash joins, got %s", j.Method)
+	}
 	base := newPartsSink(rels, workers)
 	if pl.Sink == plan.SinkResult && len(ex.aggSpecs) > 0 {
 		// The aggregation sink's state is O(groups), not O(rows); its

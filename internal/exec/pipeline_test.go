@@ -9,9 +9,7 @@ import (
 	"bfcbo/internal/optimizer"
 	"bfcbo/internal/plan"
 	"bfcbo/internal/query"
-	"bfcbo/internal/sched"
 	"bfcbo/internal/storage"
-	"bfcbo/internal/tpch"
 )
 
 // The pipelined executor must expose per-operator runtime stats and an
@@ -61,36 +59,6 @@ func TestPipelinedOpStatsAndExplainAnalyze(t *testing.T) {
 	}
 }
 
-// TestLegacyExplainAnalyzeSchedulerLine: the legacy interpreter is admitted
-// through the shared scheduler and holds one worker slot for its whole
-// run, so it reports slot occupancy — and EXPLAIN ANALYZE renders the
-// scheduler line — like any other query.
-func TestLegacyExplainAnalyzeSchedulerLine(t *testing.T) {
-	ds := equivalenceDataset(t)
-	q, _ := tpch.Get(12)
-	block := q.Build(ds.Schema)
-	opts := optimizer.DefaultOptions(0.01)
-	opts.Mode = optimizer.BFCBO
-	res, err := optimizer.Optimize(block, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheduler := sched.New(sched.Config{Slots: 4})
-	r, err := Run(ds.DB, block, res.Plan, Options{Legacy: true, DOP: 4, Sched: scheduler})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ea := r.ExplainAnalyze(res.Plan); !strings.Contains(ea, "scheduler:") {
-		t.Fatalf("legacy EXPLAIN ANALYZE omits scheduler line:\n%s", ea)
-	}
-	if r.Sched.SlotBusy <= 0 {
-		t.Fatalf("legacy run reports no slot occupancy: %+v", r.Sched)
-	}
-	if n := scheduler.InUse(); n != 0 {
-		t.Fatalf("legacy run left %d slots leased", n)
-	}
-}
-
 // Tiny morsels force many batches through a scan→probe chain; results must
 // not depend on the morsel granularity.
 func TestMorselSizeInvariance(t *testing.T) {
@@ -106,7 +74,7 @@ func TestMorselSizeInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, morsel := range []int{1, 7, 64, 100_000} {
-		r, err := Run(db, b, res.Plan, Options{DOP: 3, MorselSize: morsel})
+		r, err := Run(db, b, res.Plan, Options{DOP: 3, morselSize: morsel})
 		if err != nil {
 			t.Fatalf("morsel %d: %v", morsel, err)
 		}
@@ -200,7 +168,7 @@ func TestStreamingAggregationMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		piped, err := Run(db, b, p, Options{DOP: dop, Aggregates: specs, MorselSize: 64})
+		piped, err := Run(db, b, p, Options{DOP: dop, Aggregates: specs, morselSize: 64})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -109,7 +109,7 @@ func TestProbeRandomMatchesLegacy(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d %s: legacy dop %d: %v", trial, jt, dop, err)
 				}
-				got, err := Run(db, b, p, Options{DOP: dop, MorselSize: morsel})
+				got, err := Run(db, b, p, Options{DOP: dop, morselSize: morsel})
 				if err != nil {
 					t.Fatalf("trial %d %s: pipelined dop %d: %v", trial, jt, dop, err)
 				}
@@ -162,7 +162,7 @@ func TestFoldDictCarryFromScan(t *testing.T) {
 		t.Fatalf("group g0 = %d, want %d", legacy.Aggregates[0].Groups["g0"], 4000/8)
 	}
 	for _, dop := range []int{1, 2} {
-		r, err := Run(db, b, p, Options{DOP: dop, MorselSize: 256, Aggregates: specs})
+		r, err := Run(db, b, p, Options{DOP: dop, morselSize: 256, Aggregates: specs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func TestFoldNaNMeasures(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dop := range []int{1, 4} {
-		r, err := Run(db, b, p, Options{DOP: dop, MorselSize: 64, Aggregates: specs})
+		r, err := Run(db, b, p, Options{DOP: dop, morselSize: 64, Aggregates: specs})
 		if err != nil {
 			t.Fatal(err)
 		}

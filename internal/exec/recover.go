@@ -81,9 +81,9 @@ func (t *panicTrap) rethrow() {
 
 // parallelFor is the executor's one fork-join helper: it runs fn(0) …
 // fn(n-1), each on its own goroutine, and returns when all have. Every
-// breaker finish phase and legacy-interpreter fan-out goes through it, so
-// this is the single place that spawns helper goroutines — and the single
-// place they would lease scheduler slots from.
+// breaker finish phase goes through it, so this is the single place that
+// spawns helper goroutines — and the single place they would lease
+// scheduler slots from.
 //
 // A panic in any body is trapped, the remaining bodies still run to
 // completion, and the first trapped panic is re-raised on the caller's

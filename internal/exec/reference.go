@@ -1,0 +1,274 @@
+package exec
+
+import (
+	"context"
+	"fmt"
+
+	"bfcbo/internal/hashtab"
+	"bfcbo/internal/plan"
+	"bfcbo/internal/query"
+	"bfcbo/internal/storage"
+)
+
+// This file is the reference interpreter — the oracle the equivalence
+// suites and the benchmark's answer check diff the engine against. It
+// evaluates the plan tree operator at a time on the calling goroutine,
+// materializing every intermediate row set, and touches none of the
+// engine's machinery: no admission, worker slots, memory accounting,
+// spilling, metrics or live introspection. A result is a function of
+// (database, plan, dop) and nothing else.
+
+type reference struct {
+	ctx     context.Context
+	tables  []*storage.Table
+	blooms  *bloomSet
+	actuals []NodeActual
+}
+
+// runReference evaluates p serially. dop only selects the Bloom build
+// strategy, so the oracle builds the filters the engine would at that dop
+// and their tested/passed tallies stay comparable; aggregates are computed
+// post-hoc from the materialized output through the engine's accumulators.
+func runReference(ctx context.Context, db *storage.Database, block *query.Block, p *plan.Plan, dop int, aggs []AggSpec) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	tables, err := resolveTables(db, block)
+	if err != nil {
+		return nil, err
+	}
+	r := &reference{ctx: ctx, tables: tables, blooms: newBloomSet(tables, p.Blooms, effectiveDOP(dop))}
+	out, err := r.node(p.Root)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Out: out, Rows: out.Len(), Actuals: r.actuals, BloomStats: r.blooms.stats(p.Blooms)}
+	for _, spec := range aggs {
+		a, err := resolveAgg(tables, spec, func(rel int, col string, vals []string) *groupDict {
+			return newGroupDict(tables[rel], col, vals)
+		})
+		if err != nil {
+			return nil, err
+		}
+		var acc aggPartial
+		a.fold(&acc, out)
+		res.Aggregates = append(res.Aggregates, a.value(&acc))
+	}
+	return res, nil
+}
+
+// node evaluates one plan node and records its output cardinality.
+// Cancellation is node-granular: an expired context surfaces between
+// operator evaluations.
+func (r *reference) node(n plan.Node) (*RowSet, error) {
+	if err := r.ctx.Err(); err != nil {
+		return nil, err
+	}
+	var rs *RowSet
+	var err error
+	switch t := n.(type) {
+	case *plan.Scan:
+		rs, err = r.scan(t)
+	case *plan.Join:
+		rs, err = r.join(t)
+	default:
+		return nil, fmt.Errorf("exec: unknown plan node %T", n)
+	}
+	if err != nil {
+		return nil, err
+	}
+	r.actuals = append(r.actuals, NodeActual{Node: n, Actual: float64(rs.Len())})
+	return rs, nil
+}
+
+// scan reads a base table row by row, applying the local predicate and
+// then each Bloom filter in plan order.
+func (r *reference) scan(s *plan.Scan) (*RowSet, error) {
+	tbl := r.tables[s.Rel]
+	kernels, err := query.Compile(s.Pred, tbl)
+	if err != nil {
+		return nil, fmt.Errorf("exec: scan of %s: %w", s.Alias, err)
+	}
+	probes, err := r.blooms.probesFor(s)
+	if err != nil {
+		return nil, err
+	}
+	out := NewRowSet(query.NewRelSet(s.Rel))
+	var ids []int32
+rows:
+	for i, n := int32(0), int32(tbl.NumRows()); i < n; i++ {
+		for _, kn := range kernels {
+			if !kn.EvalRow(i) {
+				continue rows
+			}
+		}
+		for _, p := range probes {
+			p.st.Tested++
+			if !p.h.MayContainHash(p.hashOf(i)) {
+				continue rows
+			}
+			p.st.Passed++
+		}
+		ids = append(ids, i)
+	}
+	out.cols[0] = ids
+	return out, nil
+}
+
+// join evaluates the inner (build) side first, which is what guarantees a
+// join's Bloom filters are complete before any outer-side scan that
+// applies them runs.
+func (r *reference) join(j *plan.Join) (*RowSet, error) {
+	inner, err := r.node(j.Inner)
+	if err != nil {
+		return nil, err
+	}
+	if len(j.BuildBlooms) > 0 {
+		if err := r.blooms.build(j, inner.Len(), r.blooms.feedVector(inner, nil, 1)); err != nil {
+			return nil, err
+		}
+	}
+	outer, err := r.node(j.Outer)
+	if err != nil {
+		return nil, err
+	}
+	if len(j.Conds) == 0 && j.Method != plan.NestLoopJoin {
+		return nil, fmt.Errorf("exec: %s with no conditions", j.Method)
+	}
+	// Every condition's key values, per side, indexed by row position: the
+	// first condition drives the hash or the merge, the rest verify pairs.
+	conds := make([]condKeys, len(j.Conds))
+	for c, cond := range j.Conds {
+		conds[c] = condKeys{
+			o: keyColumn(outer, r.tables[cond.OuterRel], cond.OuterRel, cond.OuterCol),
+			i: keyColumn(inner, r.tables[cond.InnerRel], cond.InnerRel, cond.InnerCol),
+		}
+	}
+	rels := outer.rels.Union(inner.rels)
+	pj := pairJoin{
+		out:    NewRowSetCap(rels, outer.Len()),
+		wiring: newColWiring(rels, outer.rels, inner.rels),
+		outer:  outer, inner: inner, conds: conds,
+	}
+	switch {
+	case j.Method == plan.HashJoin:
+		err = pj.hash(j.JoinType)
+	case j.JoinType != query.Inner:
+		err = fmt.Errorf("exec: %s supports inner joins only, got %s", j.Method, j.JoinType)
+	case j.Method == plan.MergeJoin:
+		pj.merge()
+	case j.Method == plan.NestLoopJoin:
+		pj.nestLoop()
+	default:
+		err = fmt.Errorf("exec: unknown join method %v", j.Method)
+	}
+	return pj.out, err
+}
+
+type condKeys struct{ o, i []int64 }
+
+// pairJoin is one join evaluation: both materialized inputs, the key
+// columns of every condition, and the output under construction.
+type pairJoin struct {
+	out          *RowSet
+	wiring       *colWiring
+	outer, inner *RowSet
+	conds        []condKeys
+}
+
+// match verifies conditions from onward for outer row oi and inner row ii.
+func (pj *pairJoin) match(from, oi, ii int) bool {
+	for _, c := range pj.conds[from:] {
+		if c.o[oi] != c.i[ii] {
+			return false
+		}
+	}
+	return true
+}
+
+// emit appends outer row oi joined with inner row ii (ii < 0 null-extends
+// the inner side).
+func (pj *pairJoin) emit(oi, ii int) {
+	pj.out.appendJoined(pj.wiring, pj.outer, oi, pj.inner, ii)
+}
+
+// hash probes a table over the inner rows once per outer row. Inner and
+// left joins emit every match, semi joins the first; anti and left joins
+// null-extend an outer row without one. (Semi and anti outputs still carry
+// the inner side's columns — a matched row id or -1 — which downstream
+// nodes never read.)
+func (pj *pairJoin) hash(jt query.JoinType) error {
+	switch jt {
+	case query.Inner, query.Semi, query.Anti, query.Left:
+	default:
+		return fmt.Errorf("exec: unsupported hash join type %s", jt)
+	}
+	keys := pj.conds[0]
+	ht, err := hashtab.Build(keys.i, hashtab.HashVec(keys.i, nil), nil)
+	if err != nil {
+		return err
+	}
+	for oi, key := range keys.o {
+		matched := false
+		for _, ii := range ht.Lookup(key, hashtab.Hash(key)) {
+			if !pj.match(1, oi, int(ii)) {
+				continue
+			}
+			matched = true
+			if jt != query.Anti {
+				pj.emit(oi, int(ii))
+			}
+			if jt == query.Semi || jt == query.Anti {
+				break
+			}
+		}
+		if !matched && (jt == query.Anti || jt == query.Left) {
+			pj.emit(oi, -1)
+		}
+	}
+	return nil
+}
+
+// merge sorts both inputs on the first condition and emits the product of
+// every equal-key run.
+func (pj *pairJoin) merge() {
+	ok, ik := pj.conds[0].o, pj.conds[0].i
+	oIdx, iIdx := sortByKey(ok), sortByKey(ik)
+	oi, ii := 0, 0
+	for oi < len(oIdx) && ii < len(iIdx) {
+		k := ok[oIdx[oi]]
+		switch {
+		case k < ik[iIdx[ii]]:
+			oi++
+		case k > ik[iIdx[ii]]:
+			ii++
+		default:
+			oe, ie := oi, ii
+			for oe < len(oIdx) && ok[oIdx[oe]] == k {
+				oe++
+			}
+			for ie < len(iIdx) && ik[iIdx[ie]] == k {
+				ie++
+			}
+			for _, a := range oIdx[oi:oe] {
+				for _, b := range iIdx[ii:ie] {
+					if pj.match(1, a, b) {
+						pj.emit(a, b)
+					}
+				}
+			}
+			oi, ii = oe, ie
+		}
+	}
+}
+
+// nestLoop is the quadratic fallback: every pair, every condition.
+func (pj *pairJoin) nestLoop() {
+	for oi := 0; oi < pj.outer.Len(); oi++ {
+		for ii := 0; ii < pj.inner.Len(); ii++ {
+			if pj.match(0, oi, ii) {
+				pj.emit(oi, ii)
+			}
+		}
+	}
+}

@@ -48,9 +48,6 @@ func NewRowSetCap(rels query.RelSet, capacity int) *RowSet {
 	return rs
 }
 
-// Rels reports which relations the row set covers.
-func (rs *RowSet) Rels() query.RelSet { return rs.rels }
-
 // Len reports the number of rows.
 func (rs *RowSet) Len() int {
 	if len(rs.cols) == 0 {
@@ -114,14 +111,6 @@ func (rs *RowSet) appendJoined(w *colWiring, outer *RowSet, oi int, inner *RowSe
 			v = inner.cols[w.srcPos[c]][ii]
 		}
 		rs.cols[c] = append(rs.cols[c], v)
-	}
-}
-
-// appendFrom copies row i of src (same relation coverage, so columns are
-// position-aligned).
-func (rs *RowSet) appendFrom(src *RowSet, i int) {
-	for c := range rs.cols {
-		rs.cols[c] = append(rs.cols[c], src.cols[c][i])
 	}
 }
 

@@ -53,7 +53,7 @@ func TestScanZoneMapSkip(t *testing.T) {
 			t.Fatalf("dop %d: legacy rows = %d, want 201", dop, len(want))
 		}
 		for _, morsel := range []int{0, 64, 1500, 5000} {
-			r, err := Run(db, b, p, Options{DOP: dop, MorselSize: morsel})
+			r, err := Run(db, b, p, Options{DOP: dop, morselSize: morsel})
 			if err != nil {
 				t.Fatal(err)
 			}

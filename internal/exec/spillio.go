@@ -154,30 +154,37 @@ func appendRawChunk(rs *RowSet, cols [][]int32) {
 	}
 }
 
-// readSpill materializes a whole spill file as one row set covering rels,
-// accounting the decoded bytes to rec (nil = unaccounted).
-func readSpill(w *spill.Writer, rels query.RelSet, rec *spillCounters) (*RowSet, error) {
+// eachChunk streams a finished spill file's chunks to fn in file order,
+// accounting the decoded bytes to rec and closing the reader however the
+// pass ends.
+func eachChunk(w *spill.Writer, rec *spillCounters, fn func(cols [][]int32) error) error {
 	r, err := w.Reader()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer func() {
-		if rec != nil {
-			rec.addBytesRead(r.BytesRead())
-		}
+		rec.addBytesRead(r.BytesRead())
 		r.Close()
 	}()
-	rs := NewRowSetCap(rels, int(w.Rows()))
 	for {
 		cols, err := r.Next()
-		if err != nil {
-			return nil, err
+		if err != nil || cols == nil {
+			return err
 		}
-		if cols == nil {
-			return rs, nil
+		if err := fn(cols); err != nil {
+			return err
 		}
-		appendRawChunk(rs, cols)
 	}
+}
+
+// readSpill materializes a whole spill file as one row set covering rels.
+func readSpill(w *spill.Writer, rels query.RelSet, rec *spillCounters) (*RowSet, error) {
+	rs := NewRowSetCap(rels, int(w.Rows()))
+	err := eachChunk(w, rec, func(cols [][]int32) error {
+		appendRawChunk(rs, cols)
+		return nil
+	})
+	return rs, err
 }
 
 // routeCols routes the rows of one chunk into per-partition writers by

@@ -43,7 +43,6 @@ func TestStreamingStrategiesSection39(t *testing.T) {
 		{cost.None, 1, "single"},              // serial
 		{cost.BroadcastInner, 4, "single"},    // strategy 1: redundant copies, one filter
 		{cost.Redistribute, 4, "partitioned"}, // strategies 3/4: n partial filters
-		{cost.BroadcastOuter, 4, "merged"},    // strategy 2: partials unioned
 	}
 	for _, c := range cases {
 		p := handPlan(c.streaming)

@@ -1,8 +1,6 @@
 package plan
 
 import (
-	"strconv"
-
 	"bfcbo/internal/query"
 )
 
@@ -174,15 +172,6 @@ func nodeShape(h *fpHash, n Node) {
 	}
 }
 
-// BlockShape hashes just the normalized query-block shape (no plan, no
-// mode): the pre-planning half of a plan-cache key, usable before the
-// optimizer has run.
-func BlockShape(b *query.Block) uint64 {
-	h := fpHash(fnvOffset)
-	blockShape(&h, b)
-	return uint64(h)
-}
-
 // Fingerprint returns the query's workload identity: the normalized
 // block shape, the optimizer mode that produced the plan, and the plan's
 // tree shape, all parameterized on literals. Computed once per run at
@@ -211,14 +200,4 @@ func FingerprintHex(fp uint64) string {
 		fp >>= 4
 	}
 	return string(buf[:])
-}
-
-// ParseFingerprint inverts FingerprintHex (for the HTTP kill/lookup
-// endpoints). Returns 0 for anything that is not 1–16 hex digits.
-func ParseFingerprint(s string) uint64 {
-	v, err := strconv.ParseUint(s, 16, 64)
-	if err != nil {
-		return 0
-	}
-	return v
 }

@@ -233,14 +233,10 @@ func (d *decomposer) build(n Node) (*Pipeline, error) {
 }
 
 // DAGStats summarizes a decomposed pipeline DAG — the registration record
-// a process-wide scheduler needs to admit the query: its size, its
-// dependency structure, and how many breakers participate in the
-// memory-budget/spill subsystem (which sizes the query's minimum memory
-// grant).
+// a process-wide scheduler needs to admit the query: how many breakers
+// participate in the memory-budget/spill subsystem (which sizes the
+// query's minimum memory grant).
 type DAGStats struct {
-	// Pipelines and Edges are the DAG's node and dependency-edge counts.
-	Pipelines int
-	Edges     int
 	// SpillableSinks counts pipelines whose breaker can spill (see
 	// SinkKind.Spillable) — each needs a minimum grant to run usefully.
 	SpillableSinks int
@@ -250,9 +246,7 @@ type DAGStats struct {
 // plan.
 func SummarizeDAG(pipes []*Pipeline) DAGStats {
 	var d DAGStats
-	d.Pipelines = len(pipes)
 	for _, pl := range pipes {
-		d.Edges += len(pl.Deps)
 		if pl.Sink.Spillable() {
 			d.SpillableSinks++
 		}
@@ -301,19 +295,4 @@ func depList(deps []int) string {
 		parts[i] = fmt.Sprintf("P%d", d)
 	}
 	return strings.Join(parts, ",")
-}
-
-// ExplainPipelines renders the pipeline DAG of the plan in execution
-// order, one line per pipeline.
-func (p *Plan) ExplainPipelines() string {
-	pls, err := Decompose(p)
-	if err != nil {
-		return "pipelines: " + err.Error() + "\n"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "pipelines (%d):\n", len(pls))
-	for _, pl := range pls {
-		fmt.Fprintf(&b, "  %s\n", pl.Describe())
-	}
-	return b.String()
 }

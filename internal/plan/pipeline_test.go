@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"strings"
 	"testing"
 
 	"bfcbo/internal/query"
@@ -84,14 +83,23 @@ func TestDecomposeMergeAndNestLoop(t *testing.T) {
 	}
 }
 
+// TestExplainPipelines pins the one-line pipeline labels EXPLAIN ANALYZE
+// prints under "pipelines (n):".
 func TestExplainPipelines(t *testing.T) {
 	j := &Join{Method: HashJoin, JoinType: query.Inner,
 		Outer: scanNode(0, "a"), Inner: scanNode(1, "b"),
 		Conds: []Cond{{OuterRel: 0, OuterCol: "x", InnerRel: 1, InnerCol: "x"}}}
-	out := (&Plan{Root: j}).ExplainPipelines()
-	for _, want := range []string{"pipelines (2):", "P0: Scan b -> hash-build", "P1: Scan a -> HashJoin(inner) probe(x) -> result (after P0)"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("ExplainPipelines missing %q:\n%s", want, out)
+	pls, err := Decompose(&Plan{Root: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"P0: Scan b -> hash-build", "P1: Scan a -> HashJoin(inner) probe(x) -> result (after P0)"}
+	if len(pls) != len(want) {
+		t.Fatalf("pipelines = %d, want %d", len(pls), len(want))
+	}
+	for i, pl := range pls {
+		if got := pl.Describe(); got != want[i] {
+			t.Fatalf("P%d describes as %q, want %q", i, got, want[i])
 		}
 	}
 }

@@ -35,13 +35,6 @@ func TestOverloadShedsOnQueueWaitP95(t *testing.T) {
 	if got := s.Totals().Shed; got != 1 {
 		t.Fatalf("Totals.Shed = %d, want 1", got)
 	}
-
-	// Priority lane is exempt from shedding.
-	q, err := s.Admit(context.Background(), QueryDesc{Label: "prio", Priority: true})
-	if err != nil {
-		t.Fatalf("priority admission shed: %v", err)
-	}
-	q.Finish()
 }
 
 // TestOverloadShedsOnFreeFraction trips the broker free-fraction signal.

@@ -2,19 +2,17 @@
 // front of the engine plus one global worker-slot pool shared by every
 // concurrently admitted query.
 //
-// Admission: queries enter a FIFO queue (with an optional priority lane)
-// and are admitted while the concurrency cap has room and — when a memory
+// Admission: queries enter a FIFO queue and are admitted while the concurrency cap has room and — when a memory
 // broker with a finite budget is attached — while the sum of admitted
 // queries' minimum memory grants still fits the budget, so a query that
 // could only run by thrashing the spill path queues instead. Queued
-// queries time out after Config.QueueTimeout (or their context deadline),
-// or are rejected immediately under Config.Reject.
+// queries time out after Config.QueueTimeout (or their context deadline).
 //
 // Slot leasing: the pool holds Config.Slots worker slots (the engine DOP).
 // Pipeline workers Acquire a slot before running and Release it when done;
 // the pool is work-conserving — a free slot is always granted immediately —
 // and fairness applies under contention: a freed slot goes to the waiting
-// query holding the fewest slots (priority queries first, FIFO tie-break),
+// query holding the fewest slots (FIFO tie-break),
 // and a worker of a query holding more than its fair share hands its slot
 // off at the next morsel boundary via MaybeYield. Because pipelines are
 // morsel-granular, this time-slices the pool across concurrent queries
@@ -39,9 +37,6 @@ var (
 	// ErrQueueTimeout is returned by Admit when a queued query waited
 	// longer than Config.QueueTimeout.
 	ErrQueueTimeout = errors.New("sched: admission queue timeout")
-	// ErrRejected is returned by Admit under Config.Reject when the query
-	// cannot be admitted immediately.
-	ErrRejected = errors.New("sched: admission rejected (scheduler at capacity)")
 	// ErrOverloaded is the load-shedding sentinel: the overload controller
 	// (or the sched.admit fault site) turned the query away before it
 	// queued. The concrete error is an *OverloadError carrying a computed
@@ -144,15 +139,12 @@ type Config struct {
 	// QueueTimeout bounds how long a query may wait in the admission
 	// queue; 0 means wait until the caller's context cancels.
 	QueueTimeout time.Duration
-	// Reject switches the full-queue policy from wait to immediate
-	// ErrRejected.
-	Reject bool
 	// Broker, when non-nil and budgeted, coordinates admission with the
 	// memory broker: a query is only admitted while its QueryDesc.MinMemory
 	// fits what the budget can still grant.
 	Broker *mem.Broker
 	// Overload configures the load-shedding controller (zero disables):
-	// when a pressure signal trips, non-priority admissions fail fast
+	// when a pressure signal trips, admissions fail fast
 	// with a typed *OverloadError instead of queueing into a timeout.
 	Overload OverloadConfig
 }
@@ -161,16 +153,9 @@ type Config struct {
 type QueryDesc struct {
 	// Label names the query for diagnostics.
 	Label string
-	// Priority routes the query through the priority lane: it queues ahead
-	// of non-priority admissions and its workers win contended slots.
-	Priority bool
 	// MinMemory is the smallest broker grant the query needs to run
 	// without thrashing the spill path (0 = no memory requirement).
 	MinMemory int64
-	// Pipelines / Edges describe the registered pipeline DAG (see
-	// plan.SummarizeDAG); diagnostics only.
-	Pipelines int
-	Edges     int
 }
 
 // Stat is the per-query scheduling report.
@@ -195,9 +180,8 @@ type Stat struct {
 type Totals struct {
 	// Admitted / Finished count queries past admission and past Finish.
 	Admitted, Finished int64
-	// Timeouts counts admissions abandoned on queue timeout, Rejections
-	// those turned away immediately under Config.Reject.
-	Timeouts, Rejections int64
+	// Timeouts counts admissions abandoned on queue timeout.
+	Timeouts int64
 	// Shed counts queries turned away by the overload controller (or the
 	// sched.admit fault site) with ErrOverloaded.
 	Shed int64
@@ -209,12 +193,11 @@ type Scheduler struct {
 	nextID atomic.Int64
 
 	// Cumulative lifetime counters; see Totals.
-	totAdmitted   atomic.Int64
-	totFinished   atomic.Int64
-	totTimeouts   atomic.Int64
-	totRejections atomic.Int64
-	totShed       atomic.Int64
-	waits         queueWaitRing
+	totAdmitted atomic.Int64
+	totFinished atomic.Int64
+	totTimeouts atomic.Int64
+	totShed     atomic.Int64
+	waits       queueWaitRing
 	// nwait mirrors len(slotQ) so MaybeYield's per-batch fast path can
 	// skip the mutex while the pool is uncontended.
 	nwait atomic.Int32
@@ -266,11 +249,10 @@ func (s *Scheduler) SlotWaiters() int { return int(s.nwait.Load()) }
 // Totals snapshots the scheduler's cumulative lifetime counters.
 func (s *Scheduler) Totals() Totals {
 	return Totals{
-		Admitted:   s.totAdmitted.Load(),
-		Finished:   s.totFinished.Load(),
-		Timeouts:   s.totTimeouts.Load(),
-		Rejections: s.totRejections.Load(),
-		Shed:       s.totShed.Load(),
+		Admitted: s.totAdmitted.Load(),
+		Finished: s.totFinished.Load(),
+		Timeouts: s.totTimeouts.Load(),
+		Shed:     s.totShed.Load(),
 	}
 }
 
@@ -289,14 +271,10 @@ func clampRetry(d time.Duration) time.Duration {
 	return min(max(d, minRetryAfter), maxRetryAfter)
 }
 
-// shedLocked-free overload check: returns a non-nil *OverloadError when
-// a pressure signal (or the sched.admit fault site) says this admission
-// should be shed. Priority queries are exempt — the priority lane is
-// for work that must run even under pressure.
-func (s *Scheduler) shedCheck(d QueryDesc) *OverloadError {
-	if d.Priority {
-		return nil
-	}
+// shedCheck is the lock-free overload check: it returns a non-nil
+// *OverloadError when a pressure signal (or the sched.admit fault site)
+// says this admission should be shed.
+func (s *Scheduler) shedCheck() *OverloadError {
 	if fault := faults.Hit(faults.SchedAdmit); fault != nil {
 		return &OverloadError{After: clampRetry(0), Reason: "injected admission perturbation", cause: fault}
 	}
@@ -337,11 +315,10 @@ type admitWaiter struct {
 // slots from and the carrier of its scheduling stats. Finish must be
 // called exactly once when the query completes (idempotent).
 type Query struct {
-	s        *Scheduler
-	id       int64
-	label    string
-	priority bool
-	minMem   int64
+	s      *Scheduler
+	id     int64
+	label  string
+	minMem int64
 
 	queueWait     time.Duration
 	slotWaitNanos atomic.Int64
@@ -397,7 +374,7 @@ func (s *Scheduler) Admit(ctx context.Context, d QueryDesc) (*Query, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err // already canceled/expired: never admit
 	}
-	if shed := s.shedCheck(d); shed != nil {
+	if shed := s.shedCheck(); shed != nil {
 		s.totShed.Add(1)
 		return nil, shed
 	}
@@ -411,23 +388,9 @@ func (s *Scheduler) Admit(ctx context.Context, d QueryDesc) (*Query, error) {
 		s.waits.record(time.Since(start))
 		return q, nil
 	}
-	if s.cfg.Reject {
-		s.mu.Unlock()
-		s.totRejections.Add(1)
-		return nil, ErrRejected
-	}
 	w := &admitWaiter{d: d, ready: make(chan *Query, 1)}
-	// Priority lane: ahead of every non-priority waiter, behind earlier
-	// priority ones.
-	pos := len(s.admitQ)
-	if d.Priority {
-		pos = 0
-		for pos < len(s.admitQ) && s.admitQ[pos].d.Priority {
-			pos++
-		}
-	}
-	s.admitQ = slices.Insert(s.admitQ, pos, w)
-	s.pumpLocked() // the insert may itself be admissible (priority jump)
+	s.admitQ = append(s.admitQ, w)
+	s.pumpLocked() // broker memory freed since the last event may admit the head
 	s.mu.Unlock()
 
 	var timeout <-chan time.Time
@@ -513,7 +476,7 @@ func (s *Scheduler) admissibleLocked(d QueryDesc) bool {
 func (s *Scheduler) admitLocked(d QueryDesc) *Query {
 	q := &Query{
 		s: s, id: s.nextID.Add(1), label: d.Label,
-		priority: d.Priority, minMem: max(0, d.MinMemory),
+		minMem:     max(0, d.MinMemory),
 		lastChange: time.Now(),
 	}
 	s.admitted[q] = struct{}{}
@@ -667,11 +630,10 @@ func (q *Query) MaybeYield(stop <-chan struct{}) bool {
 }
 
 // shouldYieldLocked: yield only when over fair share and the freed slot
-// would actually go to another query. grantLocked picks priority first,
-// then fewest-held (as held will stand after this release), FIFO on ties
-// — if that winner is one of q's own waiters (e.g. a priority query's own
-// workers queued behind it), the handoff would be a no-op round-trip, so
-// the slot is kept.
+// would actually go to another query. grantLocked picks fewest-held (as
+// held will stand after this release), FIFO on ties — if that winner is
+// one of q's own waiters, the handoff would be a no-op round-trip, so the
+// slot is kept.
 func (s *Scheduler) shouldYieldLocked(q *Query) bool {
 	if q.held <= s.shareLocked() {
 		return false
@@ -687,10 +649,6 @@ func (s *Scheduler) shouldYieldLocked(q *Query) bool {
 		switch {
 		case best == nil:
 			best = w
-		case w.q.priority != best.q.priority:
-			if w.q.priority {
-				best = w
-			}
 		case heldAfter(w) != heldAfter(best):
 			if heldAfter(w) < heldAfter(best) {
 				best = w
@@ -722,9 +680,8 @@ func (s *Scheduler) shareLocked() int {
 	return share
 }
 
-// grantLocked hands free slots to waiters: priority queries first, then
-// the query holding the fewest slots (furthest below its share), FIFO on
-// ties.
+// grantLocked hands free slots to waiters: the query holding the fewest
+// slots (furthest below its share) first, FIFO on ties.
 func (s *Scheduler) grantLocked() {
 	for s.free > 0 && len(s.slotQ) > 0 {
 		best := -1
@@ -749,9 +706,6 @@ func (s *Scheduler) grantLocked() {
 }
 
 func betterWaiter(a, b *slotWaiter) bool {
-	if a.q.priority != b.q.priority {
-		return a.q.priority
-	}
 	if a.q.held != b.q.held {
 		return a.q.held < b.q.held
 	}

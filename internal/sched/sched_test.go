@@ -139,34 +139,6 @@ func TestConcurrentAdmissionFIFO(t *testing.T) {
 	r.q.Finish()
 }
 
-// A priority admission must jump the non-priority queue.
-func TestConcurrentPriorityLane(t *testing.T) {
-	s := New(Config{Slots: 2, MaxConcurrent: 1})
-	first := mustAdmit(t, s, QueryDesc{Label: "first"})
-	out := make(chan string, 2)
-	go func() {
-		q := mustAdmit(t, s, QueryDesc{Label: "normal"})
-		out <- "normal"
-		q.Finish()
-	}()
-	for s.Queued() < 1 {
-		time.Sleep(time.Millisecond)
-	}
-	go func() {
-		q := mustAdmit(t, s, QueryDesc{Label: "prio", Priority: true})
-		out <- "prio"
-		q.Finish()
-	}()
-	for s.Queued() < 2 {
-		time.Sleep(time.Millisecond)
-	}
-	first.Finish()
-	if got := <-out; got != "prio" {
-		t.Fatalf("first admitted = %q, want the priority query", got)
-	}
-	<-out
-}
-
 // QueueTimeout must surface ErrQueueTimeout; context cancellation must
 // surface the context error; both must drain the queue.
 func TestConcurrentQueueTimeoutAndCancel(t *testing.T) {
@@ -192,17 +164,6 @@ func TestConcurrentQueueTimeoutAndCancel(t *testing.T) {
 		t.Fatalf("queue not drained after cancel: %d", s.Queued())
 	}
 	first.Finish()
-}
-
-// Reject policy must fail immediately instead of queueing.
-func TestConcurrentRejectPolicy(t *testing.T) {
-	s := New(Config{Slots: 1, MaxConcurrent: 1, Reject: true})
-	first := mustAdmit(t, s, QueryDesc{Label: "first"})
-	if _, err := s.Admit(context.Background(), QueryDesc{Label: "extra"}); !errors.Is(err, ErrRejected) {
-		t.Fatalf("err = %v, want ErrRejected", err)
-	}
-	first.Finish()
-	mustAdmit(t, s, QueryDesc{Label: "after"}).Finish()
 }
 
 // Memory coordination: a query whose minimum grant does not fit the
@@ -259,9 +220,9 @@ func TestConcurrentPoolStress(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			q := mustAdmit(t, s, QueryDesc{Label: "q", Priority: i%3 == 0})
+			q := mustAdmit(t, s, QueryDesc{Label: "q"})
 			defer q.Finish()
 			for k := 0; k < 200; k++ {
 				if !q.Acquire(never) {
@@ -274,7 +235,7 @@ func TestConcurrentPoolStress(t *testing.T) {
 				}
 				q.Release()
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
 	if s.InUse() != 0 || s.Admitted() != 0 || s.SlotWaiters() != 0 {

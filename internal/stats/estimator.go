@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"bfcbo/internal/bloom"
@@ -44,9 +45,6 @@ func NewEstimator(b *query.Block) *Estimator {
 
 // BaseRows returns the estimated rows of relation i after local predicates.
 func (e *Estimator) BaseRows(i int) float64 { return e.baseRows[i] }
-
-// LocalSelectivity returns the local predicate selectivity of relation i.
-func (e *Estimator) LocalSelectivity(i int) float64 { return e.baseSel[i] }
 
 // colNDV returns the base NDV of rel.col (before local predicates),
 // defaulting to the table row count when statistics are absent.
@@ -117,21 +115,32 @@ func (e *Estimator) JoinCard(s query.RelSet) float64 {
 	// lineitem ⋈ partsupp on partkey AND suppkey) are highly correlated;
 	// assuming independence would underestimate by orders of magnitude, so
 	// selectivities beyond the most selective clause per pair enter with
-	// exponential backoff (s, √s, ∜s, ...), as SQL Server does.
-	perPair := make(map[query.RelSet][]float64)
+	// exponential backoff (s, √s, ∜s, ...), as SQL Server does. Pairs are
+	// kept in clause order: float multiplication is not associative, so a
+	// map's iteration order would show in the estimate's last bits.
+	type pairSels struct {
+		pair query.RelSet
+		sels []float64
+	}
+	var perPair []pairSels
 	for _, c := range e.Block.Clauses {
 		if c.Type != query.Inner || c.Derived {
 			continue
 		}
 		if counted.Has(c.LeftRel) && counted.Has(c.RightRel) {
 			pair := query.NewRelSet(c.LeftRel, c.RightRel)
-			perPair[pair] = append(perPair[pair], e.ClauseSelectivity(c))
+			i := slices.IndexFunc(perPair, func(p pairSels) bool { return p.pair == pair })
+			if i < 0 {
+				i = len(perPair)
+				perPair = append(perPair, pairSels{pair: pair})
+			}
+			perPair[i].sels = append(perPair[i].sels, e.ClauseSelectivity(c))
 		}
 	}
-	for _, sels := range perPair {
-		sort.Float64s(sels)
+	for _, p := range perPair {
+		sort.Float64s(p.sels)
 		exp := 1.0
-		for _, s := range sels {
+		for _, s := range p.sels {
 			rows *= math.Pow(s, exp)
 			exp /= 2
 		}

@@ -3,12 +3,12 @@ package bfcbo
 import (
 	"errors"
 	"io"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"bfcbo/internal/obs"
-	"bfcbo/internal/plan"
 	"bfcbo/internal/query"
 )
 
@@ -261,8 +261,8 @@ func TestWorkloadHistoryAgreesWithRecorder(t *testing.T) {
 		}
 		// The store's hex keys parse back to live fingerprints findable via
 		// the typed API.
-		fp := plan.ParseFingerprint(entry.Fingerprint)
-		if fp == 0 {
+		fp, err := strconv.ParseUint(entry.Fingerprint, 16, 64)
+		if err != nil || fp == 0 {
 			t.Fatalf("shape key %q does not parse", entry.Fingerprint)
 		}
 		if found, ok := e.Workload().Find(fp); !ok || found.Count != entry.Count {

@@ -2,12 +2,14 @@ package bfcbo
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"bfcbo/internal/obs"
+	"bfcbo/internal/plan"
 )
 
 // TestTraceSpanTreeDOP1 checks the lifecycle trace of a DOP-1 run: span
@@ -130,6 +132,7 @@ func TestMetricsAgreeWithSchedStats(t *testing.T) {
 	}
 	const runs = 6
 	var sumWall, sumBusy, sumPlan time.Duration
+	var hashProbeRows int64
 	for i := 0; i < runs; i++ {
 		out, err := e.Run(b, BFCBO)
 		if err != nil {
@@ -138,8 +141,16 @@ func TestMetricsAgreeWithSchedStats(t *testing.T) {
 		sumWall += out.ExecTime + out.Sched.QueueWait
 		sumBusy += out.Sched.SlotBusy
 		sumPlan += out.PlanningTime
+		for _, st := range out.OpStats {
+			if j, ok := st.Node.(*plan.Join); ok && j.Method == plan.HashJoin {
+				hashProbeRows += st.RowsIn
+			}
+		}
 	}
 	snap := e.MetricsRegistry().Snapshot()
+	if got := snap.Counters["bfcbo_probe_rows_total"]; got != hashProbeRows || got == 0 {
+		t.Fatalf("bfcbo_probe_rows_total = %d, hash probes read %d rows", got, hashProbeRows)
+	}
 	if n := snap.Counters["bfcbo_queries_total"]; n != runs {
 		t.Fatalf("bfcbo_queries_total = %d, want %d", n, runs)
 	}
@@ -187,6 +198,27 @@ func TestMetricsAgreeWithSchedStats(t *testing.T) {
 	}
 	if err := obs.LintProm(&buf); err != nil {
 		t.Fatalf("/metrics output fails lint: %v", err)
+	}
+
+	// bfcbo_probe_rows_total is the denominator of the hash-carry hit rate,
+	// so it counts hash-probe input only: the same query with its join run
+	// as a nested loop — whose probe can never carry a hash — adds nothing.
+	res, err := e.Plan(b, NoBF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range res.Plan.Joins() {
+		j.Method = plan.NestLoopJoin
+	}
+	out, err := e.runOnce(context.Background(), b, NoBF, res, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.Explain, "NestLoop(inner) probe") {
+		t.Fatalf("forced plan ran no nested-loop probe:\n%s", out.Explain)
+	}
+	if got := e.MetricsRegistry().Snapshot().Counters["bfcbo_probe_rows_total"]; got != hashProbeRows {
+		t.Fatalf("a nested-loop probe moved bfcbo_probe_rows_total from %d to %d", hashProbeRows, got)
 	}
 }
 
