@@ -503,7 +503,7 @@ func (e *Engine) runOnce(ctx context.Context, b *query.Block, mode Mode, res *op
 		Explain:   analyzed,
 		QueueWait: r.Sched.QueueWait, SlotWait: r.Sched.SlotWait,
 		SlotBusy: r.Sched.SlotBusy, Handoffs: r.Sched.Handoffs,
-		MemPeak:    e.broker.Peak(),
+		MemPeak:    r.MemPeak,
 		SpillBytes: sp.Bytes, SpillRead: sp.BytesRead,
 		SpillParts: int64(sp.Partitions), SpillDepth: int64(sp.Depth),
 		Trace: tr,

@@ -200,20 +200,6 @@ func FPR(n, m uint64) float64 {
 	return p * p
 }
 
-// BitsForNDV returns the bit count New/NewForNDV would allocate for an NDV
-// upper bound, exposed so the planner can cost Heuristic 5 (size threshold)
-// with the exact runtime sizing.
-func BitsForNDV(ndv uint64) uint64 {
-	if ndv == 0 {
-		ndv = 1
-	}
-	n := 8 * ndv
-	if n < 64 {
-		n = 64
-	}
-	return nextPow2(n)
-}
-
 // CombineKeys folds a two-column composite join key into one 64-bit key
 // for multi-column Bloom filters (§5 future work: "support for
 // multi-column Bloom filters could be added"). Build and apply sides must

@@ -73,15 +73,6 @@ func TestNewRoundsToPowerOfTwo(t *testing.T) {
 	}
 }
 
-func TestBitsForNDVMatchesNewForNDV(t *testing.T) {
-	for _, ndv := range []uint64{0, 1, 5, 1000, 123_456} {
-		if BitsForNDV(ndv) != NewForNDV(ndv).NBits() {
-			t.Errorf("BitsForNDV(%d) = %d disagrees with NewForNDV bits %d",
-				ndv, BitsForNDV(ndv), NewForNDV(ndv).NBits())
-		}
-	}
-}
-
 func TestUnionPreservesMembers(t *testing.T) {
 	a := New(1 << 14)
 	b := New(1 << 14)

@@ -1,7 +1,7 @@
 package exec
 
 // Batch is the unit of data flow between pipeline operators: the
-// (rowset, sel, hashes, dictCodes) contract. The rowset carries one
+// (rowset, sel, hashes) contract. The rowset carries one
 // row-id column per covered relation; the optional side channels let
 // downstream operators skip recomputing work the producer already did:
 //
@@ -12,11 +12,6 @@ package exec
 //     row i. A scan fills it when a Bloom probe already hashed the
 //     column a downstream join probes on; the probe then skips its
 //     HashVec pass.
-//   - dictCodes: dictCodes[i] is the groupDict code of the
-//     (codeRel, codeCol) string at row i, gathered from the table's
-//     dictionary at scan time. Join probes re-gather it through their
-//     match-pair vectors so the aggregation fold can skip group-key
-//     interning entirely.
 //
 // Ownership: a batch (and every slice it carries) is scratch owned by
 // the producing operator and is valid only until that operator's next
@@ -29,10 +24,6 @@ type Batch struct {
 	hashes  []uint64
 	hashRel int
 	hashCol string
-
-	dictCodes []int32
-	codeRel   int
-	codeCol   string
 }
 
 // Len reports the number of rows in the batch (nil-safe).
@@ -49,12 +40,4 @@ func (b *Batch) hashesFor(rel int, col string) []uint64 {
 		return nil
 	}
 	return b.hashes
-}
-
-// codesFor returns the cached group-code vector if it covers (rel, col).
-func (b *Batch) codesFor(rel int, col string) []int32 {
-	if b == nil || b.dictCodes == nil || b.codeRel != rel || b.codeCol != col {
-		return nil
-	}
-	return b.dictCodes
 }

@@ -201,8 +201,8 @@ func TestAuditDetectsViolations(t *testing.T) {
 	if err := Audit(AuditState{Broker: broker, Sched: scheduler, SpillDir: dir}); err != nil {
 		t.Fatalf("clean state audited dirty: %v", err)
 	}
-	q := broker.NewQuery("audit-test")
-	r := q.Reserve("op")
+	q := broker.NewQuery()
+	r := q.Reserve()
 	if !r.Grow(64, nil) {
 		t.Fatal("unlimited broker denied a grow")
 	}

@@ -70,6 +70,13 @@ func TestExecutorEquivalenceTPCH(t *testing.T) {
 						q.Num, mode, dop, legacy.Rows, piped.Rows)
 				}
 				rowsAtDOP[dop] = piped.Rows
+				// Every successful run materializes its rows.
+				for i, r := range []*Result{legacy, piped} {
+					if r.Out == nil || r.Out.Len() != r.Rows {
+						t.Fatalf("Q%d %s dop %d: run %d (legacy, pipelined): Out is nil or disagrees with Rows=%d",
+							q.Num, mode, dop, i, r.Rows)
+					}
+				}
 				// Same tuples, not just as many: scan kernels, zone-map
 				// skips, Bloom and hash carries, the flat tables and the
 				// pair-driven emit may reorder the output but never change it.

@@ -26,10 +26,10 @@ type NodeActual struct {
 
 // Result is the outcome of executing a plan.
 type Result struct {
-	// Out is the materialized final row set. It is nil when the run used
-	// streaming aggregation (Options.Aggregates); use Rows then.
+	// Out is the materialized final row set, non-nil on every successful
+	// run.
 	Out *RowSet
-	// Rows is the final output row count, set on every run.
+	// Rows is the final output row count (Out.Len()).
 	Rows int
 	// Actuals records observed output rows per plan node, in execution
 	// order, for estimate-vs-actual analysis (the paper's MAE metric).
@@ -45,8 +45,9 @@ type Result struct {
 	Scans []ScanRuntime
 	// Pipelines reports each executed pipeline (empty for reference runs).
 	Pipelines []PipelineStat
-	// Aggregates holds one value per Options.Aggregates spec.
-	Aggregates []AggValue
+	// MemPeak is the high-water mark of the bytes this run held on its
+	// memory broker (zero for reference runs, which account nothing).
+	MemPeak int64
 	// Sched is the run's scheduling report: admission queue wait, worker
 	// slot occupancy and waits, and preempted-slot handoffs under
 	// concurrent queries (zero for reference runs, which are never
@@ -116,22 +117,16 @@ type executor struct {
 
 	// Pipelined-execution state: breaker outputs keyed by their join, the
 	// per-operator stat registry, and the final output.
-	builds   map[*plan.Join]*hashTable
-	sorted   map[*plan.Join]*mergePair
-	mats     map[*plan.Join]*nlInner
-	graces   map[*plan.Join]*graceHashJoin
-	stats    []*opStats
-	pipes    []PipelineStat
-	aggSpecs []AggSpec
-	aggs     []AggValue
-	out      *RowSet
-	rows     int
+	builds map[*plan.Join]*hashTable
+	sorted map[*plan.Join]*mergePair
+	mats   map[*plan.Join]*nlInner
+	graces map[*plan.Join]*graceHashJoin
+	stats  []*opStats
+	pipes  []PipelineStat
+	out    *RowSet
 	// scanRt collects per-scan runtime counters; appended under smu as
 	// scan pipelines finish (concurrently), sorted by relation at the end.
 	scanRt []ScanRuntime
-	// dicts caches interned group-key columns (rel.col -> dictionary)
-	// for the flat aggregation kernels; guarded by smu.
-	dicts map[string]*groupDict
 
 	// Memory-budget state: the per-query account on the memory broker, the
 	// configured budget (for partition sizing), and the run's lazily
@@ -191,15 +186,10 @@ type Options struct {
 	DOP int
 	// Legacy runs the reference interpreter (reference.go) instead of the
 	// engine: a serial pure function of the plan that reads DOP (to build
-	// the filters the engine would) and Aggregates, and ignores every other
-	// option. It is the one implementation the equivalence tests and the
-	// benchmark's answer check diff the engine against.
+	// the filters the engine would) and ignores every other option. It is
+	// the one implementation the equivalence tests and the benchmark's
+	// answer check diff the engine against.
 	Legacy bool
-	// Aggregates, when non-empty, replaces final-result materialization
-	// with streaming aggregation: Result.Out stays nil and
-	// Result.Aggregates holds one value per spec. The reference computes
-	// the same values post-hoc from its materialized output.
-	Aggregates []AggSpec
 	// SpillDir is the parent directory for the run's spill files
 	// ("" = os.TempDir()). Each run creates — and always removes — its own
 	// subdirectory, even on error or cancellation.
@@ -219,7 +209,7 @@ type Options struct {
 	// the single-query behaviour of earlier versions.
 	Sched *sched.Scheduler
 	// Metrics, when non-nil, receives the run's folded totals — latency,
-	// scheduler stats, scan/probe/fold counters, spill bytes — in one cold
+	// scheduler stats, scan/probe counters, spill bytes — in one cold
 	// pass when the run ends. Nothing on the per-row or per-batch hot path
 	// touches it (the per-worker local fold pattern).
 	Metrics *obs.Metrics
@@ -268,7 +258,7 @@ func Run(db *storage.Database, block *query.Block, p *plan.Plan, opts Options) (
 // ctx.Err().
 func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p *plan.Plan, opts Options) (res *Result, err error) {
 	if opts.Legacy {
-		return runReference(ctx, db, block, p, opts.DOP, opts.Aggregates)
+		return runReference(ctx, db, block, p, opts.DOP)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -296,7 +286,6 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	}
 	admitStart := time.Now()
 	ticket, err := scheduler.Admit(ctx, sched.QueryDesc{
-		Label:     block.Name,
 		MinMemory: sched.MinMemoryFor(broker, plan.SummarizeDAG(pipes).SpillableSinks, minSpillableGrant),
 	})
 	if err != nil {
@@ -348,10 +337,9 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 		sorted:      make(map[*plan.Join]*mergePair),
 		mats:        make(map[*plan.Join]*nlInner),
 		graces:      make(map[*plan.Join]*graceHashJoin),
-		aggSpecs:    opts.Aggregates,
 		injectOp:    opts.injectOp,
 		pipeStats:   make(map[int][]*opStats),
-		memq:        broker.NewQuery(block.Name),
+		memq:        broker.NewQuery(),
 		budget:      broker.Budget(),
 		spillParent: opts.SpillDir,
 		stopCh:      make(chan struct{}),
@@ -435,9 +423,10 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	// collected runtimes so reports are deterministic.
 	sort.Slice(ex.scanRt, func(i, j int) bool { return ex.scanRt[i].Rel < ex.scanRt[j].Rel })
 	res = &Result{
-		Out: ex.out, Rows: ex.rows, Actuals: ex.actuals,
-		Pipelines: ex.pipes, Aggregates: ex.aggs,
+		Out: ex.out, Rows: ex.out.Len(), Actuals: ex.actuals,
+		Pipelines:  ex.pipes,
 		Scans:      ex.scanRt,
+		MemPeak:    ex.memq.Peak(),
 		Sched:      ticket.Stats(),
 		BloomStats: ex.blooms.stats(p.Blooms),
 	}
@@ -502,14 +491,6 @@ func foldResultMetrics(m *obs.Metrics, r *Result) {
 		if j, ok := st.Node.(*plan.Join); ok && j.Method == plan.HashJoin {
 			m.ProbeRows.Add(st.RowsIn)
 			m.HashCarried.Add(st.HashReusedKeys)
-		}
-	}
-	for _, p := range r.Pipelines {
-		// Fold activity is only identifiable by its in-stream fold time or
-		// carried codes; pipelines without either contribute nothing here.
-		if p.Phases.Fold > 0 || p.FoldCodeReused > 0 {
-			m.FoldRows.Add(p.Rows)
-			m.DictCarried.Add(p.FoldCodeReused)
 		}
 	}
 	sp := r.TotalSpill()

@@ -67,14 +67,6 @@ func breakerSuffix(ps PipelineStat) string {
 			fmt.Fprintf(&b, " [%s]", strings.Join(parts, " "))
 		}
 	}
-	// Fold is in-stream (summed across workers, overlapping the pipeline's
-	// streaming phase), so it renders beside FinishWall, not inside it.
-	if ps.Phases.Fold > 0 {
-		fmt.Fprintf(&b, " fold=%s", ps.Phases.Fold.Round(time.Microsecond))
-	}
-	if ps.FoldCodeReused > 0 {
-		fmt.Fprintf(&b, " dict-carried=%d", ps.FoldCodeReused)
-	}
 	if ps.Spill.Spilled() {
 		fmt.Fprintf(&b, " spill[bytes=%s parts=%d", mem.FormatBytes(ps.Spill.Bytes), ps.Spill.Partitions)
 		if ps.Spill.BytesRead > 0 {

@@ -16,7 +16,7 @@ const DefaultMorselSize = 1024
 // PhysicalOperator is the morsel-driven execution interface. Each worker
 // of a pipeline owns a private operator chain; NextBatch pulls the next
 // batch (a small RowSet in the usual late-materialization layout plus the
-// sel/hashes/dictCodes side channels — see Batch) or nil at end of
+// sel/hashes side channels — see Batch) or nil at end of
 // stream. Shared state behind the per-worker instances (the morsel
 // cursor, hash tables, sorted runs) is owned by the pipeline.
 type PhysicalOperator interface {
@@ -115,9 +115,9 @@ type BreakerPhases struct {
 	Build time.Duration
 	// Bloom is the Bloom-filter population time (per-worker partials).
 	Bloom time.Duration
-	// Fold is the summed in-stream aggregation fold time across workers
-	// (unlike the finish phases above it overlaps the pipeline's streaming
-	// work, so it can exceed FinishWall).
+	// Fold is always zero: no sink folds. The field remains because
+	// benchmark/engine_traced.go reads it for exec.phase_ms.fold, and it
+	// goes when that metric does.
 	Fold time.Duration
 }
 
@@ -184,10 +184,6 @@ type PipelineStat struct {
 	FinishWall time.Duration
 	// Phases splits FinishWall into the breaker's measured phases.
 	Phases BreakerPhases
-	// FoldCodeReused counts aggregation-fold input rows whose group code
-	// arrived on the batch's dictCodes side channel (scan dictionary →
-	// fold carry); zero for non-aggregating pipelines.
-	FoldCodeReused int64
 	// Spill reports the pipeline's spill activity under a memory budget.
 	Spill SpillStat
 }

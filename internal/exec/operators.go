@@ -60,17 +60,13 @@ type scanSource struct {
 	zoneSkippedRows atomic.Int64
 	predIn, predOut []atomic.Int64 // one pair per kernel, compile order
 
-	// Batch side-channel requests, set by runPipeline after construction
-	// (they depend on the pipeline's downstream operators). carryIdx names
+	// Batch side-channel request, set by runPipeline after construction
+	// (it depends on the pipeline's downstream operators). carryIdx names
 	// the Bloom probe whose per-batch hash vector doubles as the batch's
 	// hash channel — the first probe operator keys on the same column, so
-	// its HashVec pass becomes redundant. codeDict/codeCol ask the scan to
-	// gather group-dictionary codes for an aggregation group key that lives
-	// on this relation.
+	// its HashVec pass becomes redundant.
 	carryIdx int // index into bfs, -1 when no hash carry
 	hashCol  string
-	codeDict *groupDict
-	codeCol  string
 }
 
 func (ex *executor) newScanSource(s *plan.Scan, stats *opStats) (*scanSource, error) {
@@ -122,16 +118,6 @@ func (src *scanSource) requestHashCarry(col string) {
 			src.carryIdx, src.hashCol = k, col
 		}
 	}
-}
-
-// requestDictCodes asks the scan to gather the group-dictionary codes of
-// col for every emitted row, so a downstream aggregation fold can skip
-// group-key interning (the dictCodes side channel).
-func (src *scanSource) requestDictCodes(col string, d *groupDict) {
-	if d == nil {
-		return
-	}
-	src.codeDict, src.codeCol = d, col
 }
 
 // skipMorsel consults the zone maps covering rows [lo, hi): true when some
@@ -191,8 +177,7 @@ type scanOp struct {
 	hs    []uint64
 	carry []uint64 // hash side channel scratch (separate from hs: later
 	// Bloom probes overwrite hs, the carry must survive them)
-	codes []int32 // dictCodes side channel scratch
-	out   Batch   // reused output batch header
+	out Batch // reused output batch header
 
 	localTested  []int64
 	localPassed  []int64
@@ -219,9 +204,6 @@ func (o *scanOp) Open() error {
 	}
 	if src.carryIdx >= 0 {
 		o.carry = make([]uint64, src.morsel)
-	}
-	if src.codeDict != nil {
-		o.codes = make([]int32, src.morsel)
 	}
 	return nil
 }
@@ -252,8 +234,8 @@ func (o *scanOp) Close() error {
 // NextBatch is the batch kernel path: claim a morsel, consult the zone
 // maps, run the adaptive kernel chain over the selection vector, then probe
 // the Bloom filters over gathered key batches hashed once per batch. When
-// a side channel was requested, the batch also carries the surviving hash
-// vector of the carry Bloom probe and/or gathered group-dictionary codes.
+// the hash side channel was requested, the batch also carries the surviving
+// hash vector of the carry Bloom probe.
 func (o *scanOp) NextBatch() (*Batch, error) {
 	src := o.src
 	for {
@@ -326,14 +308,6 @@ func (o *scanOp) NextBatch() (*Batch, error) {
 		o.out = Batch{rows: out, sel: out.cols[0]}
 		if carry != nil {
 			o.out.hashes, o.out.hashRel, o.out.hashCol = carry, src.s.Rel, src.hashCol
-		}
-		if src.codeDict != nil {
-			codes := o.codes[:len(sel)]
-			gd := src.codeDict.codes
-			for i, r := range sel {
-				codes[i] = gd[r]
-			}
-			o.out.dictCodes, o.out.codeRel, o.out.codeCol = codes, src.s.Rel, src.codeCol
 		}
 		return &o.out, nil
 	}
@@ -537,8 +511,7 @@ func (ex *executor) newProbeShared(j *plan.Join, ht *hashTable, g *graceHashJoin
 		sh.outerRels = append(sh.outerRels, c.OuterRel)
 	}
 	if g != nil {
-		res := ex.memq.Reserve(fmt.Sprintf("grace drain %s", j.Method))
-		if err := g.initProbe(inRels, sh.outerRels[0], sh.outerVals[0], workers, rec, res); err != nil {
+		if err := g.initProbe(inRels, sh.outerRels[0], sh.outerVals[0], workers, rec, ex.memq.Reserve()); err != nil {
 			return nil, err
 		}
 		sh.grace = g
@@ -561,7 +534,6 @@ type probeScratch struct {
 	// hold the gap-filled pairs of a Left join after the extras filter.
 	candO, candI []int32
 	outO, outI   []int32
-	codes        []int32
 	out          *RowSet
 	outBatch     Batch
 }
@@ -768,20 +740,6 @@ func (sh *probeShared) probeBatch(ht *hashTable, in *Batch, scr *probeScratch) *
 		}
 	}
 	scr.outBatch = Batch{rows: out}
-	if in.dictCodes != nil {
-		// Re-gather the group-code channel through the pair vectors; the
-		// code relation always sits on the outer (probe) spine, so pairO
-		// indexes it even for null-extended rows.
-		if cap(scr.codes) < np {
-			scr.codes = make([]int32, np)
-		}
-		codes := scr.codes[:np]
-		for k, oi := range pairO {
-			codes[k] = in.dictCodes[oi]
-		}
-		scr.outBatch.dictCodes = codes
-		scr.outBatch.codeRel, scr.outBatch.codeCol = in.codeRel, in.codeCol
-	}
 	sh.stats.observePhases(gatherWall, probeWall, time.Since(emitStart), reused)
 	return &scr.outBatch
 }

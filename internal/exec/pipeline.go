@@ -26,10 +26,10 @@ import (
 // private operator chain rooted at a shared morsel source and push batches
 // into a thread-safe sink. Sinks are the pipeline breakers — hash-table
 // build (+ Bloom filter population), sort for merge join, nested-loop
-// materialization, result collection, streaming aggregation — and their
-// finish phases are themselves parallel, so the executor has no
-// single-threaded breaker tail (the Amdahl bottleneck §3.9's parallel
-// build strategies are designed to avoid).
+// materialization, result collection — and their finish phases are
+// themselves parallel, so the executor has no single-threaded breaker tail
+// (the Amdahl bottleneck §3.9's parallel build strategies are designed to
+// avoid).
 
 // errCanceled marks a pipeline that wound down because another pipeline's
 // failure set the run-wide stop flag; it is never surfaced to callers.
@@ -117,7 +117,6 @@ type resultSink struct {
 
 func (s *resultSink) finish() error {
 	s.ex.out = s.mergedPar(s.ex.dop)
-	s.ex.rows = s.ex.out.Len()
 	return nil
 }
 
@@ -729,29 +728,12 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 		}
 	}
 
-	// Batch side-channel requests onto the scan source: the first hash
-	// probe keyed on a scan column can reuse the scan's Bloom hash vector,
-	// and an aggregation group key living on the scan relation can ride the
-	// batch as dictionary codes so the fold skips interning.
-	if scanSrc != nil {
-		if len(pl.Ops) > 0 {
-			if j := pl.Ops[0]; j.Method == plan.HashJoin && len(j.Conds) > 0 &&
-				j.Conds[0].OuterRel == scanSrc.s.Rel {
-				scanSrc.requestHashCarry(j.Conds[0].OuterCol)
-			}
-		}
-		if pl.Sink == plan.SinkResult {
-			for _, spec := range ex.aggSpecs {
-				if spec.Kind != AggGroupCount && spec.Kind != AggGroupRevenue {
-					continue
-				}
-				if spec.KeyRel != scanSrc.s.Rel {
-					continue
-				}
-				if c, err := ex.tables[spec.KeyRel].Column(spec.KeyCol); err == nil && c.Strings != nil {
-					scanSrc.requestDictCodes(spec.KeyCol, ex.groupDictFor(spec.KeyRel, spec.KeyCol, c.Strings))
-				}
-			}
+	// Batch side-channel request onto the scan source: the first hash
+	// probe keyed on a scan column can reuse the scan's Bloom hash vector.
+	if scanSrc != nil && len(pl.Ops) > 0 {
+		if j := pl.Ops[0]; j.Method == plan.HashJoin && len(j.Conds) > 0 &&
+			j.Conds[0].OuterRel == scanSrc.s.Rel {
+			scanSrc.requestHashCarry(j.Conds[0].OuterCol)
 		}
 	}
 
@@ -839,11 +821,6 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 		FinishWall: finishWall,
 		Phases:     snk.phases(),
 		Spill:      rec.snapshot(),
-	}
-	if as, ok := snk.(*aggSink); ok {
-		for _, n := range as.codeReused {
-			ps.FoldCodeReused += n
-		}
 	}
 	if ex.trace != nil {
 		// One span per pipeline plus its breaker finish and measured finish
@@ -970,14 +947,7 @@ func (ex *executor) newSink(pl *plan.Pipeline, rels query.RelSet, workers int, r
 		return nil, fmt.Errorf("exec: Bloom filters can only be built at hash joins, got %s", j.Method)
 	}
 	base := newPartsSink(rels, workers)
-	if pl.Sink == plan.SinkResult && len(ex.aggSpecs) > 0 {
-		// The aggregation sink's state is O(groups), not O(rows); its
-		// per-worker partial maps are force-accounted against the budget
-		// inside newAggSink (the accounting step toward the ROADMAP's
-		// "spilling aggregation").
-		return ex.newAggSink(rels, workers)
-	}
-	res := ex.memq.Reserve(fmt.Sprintf("P%d %s", pl.ID, pl.Sink))
+	res := ex.memq.Reserve()
 	if !pl.Sink.Spillable() {
 		// Non-spillable breakers (plan.SinkKind.Spillable is the source of
 		// truth) force-account their bytes: their output must stay

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -145,103 +143,6 @@ func TestProbeHashCarry(t *testing.T) {
 	}
 }
 
-// Scan-produced dictionary codes must ride the batch into the fold when
-// the group key column is on the probe spine — and the carried codes must
-// give exactly the groups the legacy interpreter interns row by row.
-func TestFoldDictCarryFromScan(t *testing.T) {
-	db, b, p := dictCarryFixture(t)
-	specs := []AggSpec{
-		{Kind: AggGroupCount, KeyRel: 0, KeyCol: "g"},
-		{Kind: AggGroupRevenue, KeyRel: 0, KeyCol: "g", Rel: 0, PriceCol: "p", DiscCol: "d"},
-	}
-	legacy, err := Run(db, b, p, Options{DOP: 1, Legacy: true, Aggregates: specs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Aggregates[0].Groups["g0"] != 4000/8 {
-		t.Fatalf("group g0 = %d, want %d", legacy.Aggregates[0].Groups["g0"], 4000/8)
-	}
-	for _, dop := range []int{1, 2} {
-		r, err := Run(db, b, p, Options{DOP: dop, morselSize: 256, Aggregates: specs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var carried int64
-		for _, ps := range r.Pipelines {
-			carried += ps.FoldCodeReused
-		}
-		if carried == 0 {
-			t.Fatalf("dop %d: no fold codes carried from the scan dictionary: %+v", dop, r.Pipelines)
-		}
-		if d := diffAggregates(legacy.Aggregates, r.Aggregates); d != "" {
-			t.Fatalf("dop %d: legacy vs carried codes: %s", dop, d)
-		}
-	}
-}
-
-// NaN measures: a NaN poisons exactly the sums it was added to — the
-// total and its own group — identically in the streaming fold and the
-// legacy interpreter, at any DOP; the other groups stay finite.
-func TestFoldNaNMeasures(t *testing.T) {
-	const n = 2000
-	g := make([]string, n)
-	price := make([]float64, n)
-	disc := make([]float64, n)
-	for i := range g {
-		g[i] = fmt.Sprintf("g%d", i%5)
-		price[i] = math.Pow(2, float64(i%10))
-		if i%5 == 3 && i%7 == 0 {
-			price[i] = math.NaN()
-		}
-	}
-	tbl, err := storage.NewTable("nanf", []storage.Column{
-		{Name: "g", Kind: catalog.String, Strings: g},
-		{Name: "p", Kind: catalog.Float64, Floats: price},
-		{Name: "d", Kind: catalog.Float64, Floats: disc},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := storage.NewDatabase()
-	if err := db.AddTable(tbl); err != nil {
-		t.Fatal(err)
-	}
-	schema := catalog.NewSchema()
-	if err := schema.AddTable(storage.Analyze(tbl)); err != nil {
-		t.Fatal(err)
-	}
-	b := &query.Block{
-		Name:      "nan",
-		Relations: []query.Relation{{Alias: "t", Table: schema.MustTable("nanf")}},
-	}
-	p := &plan.Plan{Root: &plan.Scan{Rel: 0, Alias: "t", Table: "nanf"}}
-	specs := []AggSpec{
-		{Kind: AggSum, Rel: 0, Col: "p"},
-		{Kind: AggGroupRevenue, KeyRel: 0, KeyCol: "g", Rel: 0, PriceCol: "p", DiscCol: "d"},
-	}
-	legacy, err := Run(db, b, p, Options{DOP: 1, Legacy: true, Aggregates: specs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dop := range []int{1, 4} {
-		r, err := Run(db, b, p, Options{DOP: dop, morselSize: 64, Aggregates: specs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := diffAggregates(legacy.Aggregates, r.Aggregates); d != "" {
-			t.Fatalf("dop %d: legacy vs streaming: %s", dop, d)
-		}
-		if !math.IsNaN(r.Aggregates[0].Sum) {
-			t.Fatalf("dop %d: total = %v, want NaN", dop, r.Aggregates[0].Sum)
-		}
-		for k, sum := range r.Aggregates[1].GroupSums {
-			if math.IsNaN(sum) != (k == "g3") {
-				t.Fatalf("dop %d: group %q sum = %v; only g3 is poisoned", dop, k, sum)
-			}
-		}
-	}
-}
-
 // benchProbeFixture builds a standalone probe kernel: a 1024-row build
 // side keyed over 512 distinct values and a 1024-row probe batch, the
 // steady-state shape the CI 0-allocs gate measures.
@@ -318,52 +219,6 @@ func BenchmarkProbeBatch(b *testing.B) {
 				if out.Len() == 0 {
 					b.Fatal("probe produced no rows")
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkAggFold measures the steady-state group fold. CI
-// gates on 0 allocs/op once the partial's table and the fold scratch are
-// warm.
-func BenchmarkAggFold(b *testing.B) {
-	const n, groups = 1024, 16
-	names := make([]string, groups)
-	for i := range names {
-		names[i] = fmt.Sprintf("g%d", i)
-	}
-	codes := make([]int32, n)
-	price := make([]float64, n)
-	disc := make([]float64, n)
-	for i := 0; i < n; i++ {
-		codes[i] = int32(i % groups)
-		price[i] = float64(100 + i)
-		disc[i] = float64(i%5) / 10
-	}
-	rs := NewRowSet(query.NewRelSet(0))
-	ids := make([]int32, n)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	rs.cols[0] = ids
-	batch := &Batch{rows: rs}
-	dict := &groupDict{names: names, codes: codes}
-	for _, cfg := range []struct {
-		name string
-		spec AggSpec
-	}{
-		{"group-count", AggSpec{Kind: AggGroupCount, KeyRel: 0, KeyCol: "g"}},
-		{"group-revenue", AggSpec{Kind: AggGroupRevenue, KeyRel: 0, KeyCol: "g", Rel: 0, PriceCol: "p", DiscCol: "d"}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			a := &aggCols{spec: cfg.spec, price: price, disc: disc, dict: dict}
-			p := &aggPartial{}
-			scr := &aggScratch{}
-			a.foldBatch(p, batch, scr)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a.foldBatch(p, batch, scr)
 			}
 		})
 	}

@@ -27,9 +27,8 @@ type reference struct {
 
 // runReference evaluates p serially. dop only selects the Bloom build
 // strategy, so the oracle builds the filters the engine would at that dop
-// and their tested/passed tallies stay comparable; aggregates are computed
-// post-hoc from the materialized output through the engine's accumulators.
-func runReference(ctx context.Context, db *storage.Database, block *query.Block, p *plan.Plan, dop int, aggs []AggSpec) (*Result, error) {
+// and their tested/passed tallies stay comparable.
+func runReference(ctx context.Context, db *storage.Database, block *query.Block, p *plan.Plan, dop int) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -42,19 +41,7 @@ func runReference(ctx context.Context, db *storage.Database, block *query.Block,
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Out: out, Rows: out.Len(), Actuals: r.actuals, BloomStats: r.blooms.stats(p.Blooms)}
-	for _, spec := range aggs {
-		a, err := resolveAgg(tables, spec, func(rel int, col string, vals []string) *groupDict {
-			return newGroupDict(tables[rel], col, vals)
-		})
-		if err != nil {
-			return nil, err
-		}
-		var acc aggPartial
-		a.fold(&acc, out)
-		res.Aggregates = append(res.Aggregates, a.value(&acc))
-	}
-	return res, nil
+	return &Result{Out: out, Rows: out.Len(), Actuals: r.actuals, BloomStats: r.blooms.stats(p.Blooms)}, nil
 }
 
 // node evaluates one plan node and records its output cardinality.

@@ -117,9 +117,6 @@ func Enable(inj *Injector) { active.Store(inj) }
 // Disable uninstalls any active injector.
 func Disable() { active.Store(nil) }
 
-// Enabled reports whether an injector is installed.
-func Enabled() bool { return active.Load() != nil }
-
 // splitmix64 is the usual finalizer-quality mixer; good enough to turn
 // (seed, site, seq) into an independent uniform draw.
 func splitmix64(x uint64) uint64 {
@@ -211,9 +208,6 @@ func (inj *Injector) Stats() []SiteStat {
 	}
 	return out
 }
-
-// Seed returns the injector's seed (logged by tests for replay).
-func (inj *Injector) Seed() uint64 { return inj.seed }
 
 // TotalFired sums fired counts across all sites of the active injector;
 // 0 when disabled. Exported as an obs CounterFunc.

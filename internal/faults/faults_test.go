@@ -63,7 +63,7 @@ func TestDisabledPathsReturnNil(t *testing.T) {
 	if Hit(ExecPanic) != nil || SlotDelay() != 0 || ChargeSpillBytes(1<<20) != nil {
 		t.Fatal("disabled injector produced a fault")
 	}
-	if Enabled() || TotalFired() != 0 {
+	if active.Load() != nil || TotalFired() != 0 {
 		t.Fatal("disabled injector reports activity")
 	}
 }

@@ -82,7 +82,7 @@ func (b *Broker) Free() int64 {
 // grant attempts to reserve n bytes; force bypasses the budget check.
 func (b *Broker) grant(n int64, force bool) bool {
 	if force || b.budget <= 0 {
-		b.bumpPeak(b.used.Add(n))
+		bumpPeak(&b.peak, b.used.Add(n))
 		return true
 	}
 	for {
@@ -91,16 +91,17 @@ func (b *Broker) grant(n int64, force bool) bool {
 			return false
 		}
 		if b.used.CompareAndSwap(used, used+n) {
-			b.bumpPeak(used + n)
+			bumpPeak(&b.peak, used+n)
 			return true
 		}
 	}
 }
 
-func (b *Broker) bumpPeak(used int64) {
+// bumpPeak raises a high-water mark to used if it is below it.
+func bumpPeak(peak *atomic.Int64, used int64) {
 	for {
-		peak := b.peak.Load()
-		if used <= peak || b.peak.CompareAndSwap(peak, used) {
+		p := peak.Load()
+		if used <= p || peak.CompareAndSwap(p, used) {
 			return
 		}
 	}
@@ -118,8 +119,13 @@ func (b *Broker) noteDenial() {
 // every reservation the query still holds, which is what guarantees a
 // failed or cancelled run returns its bytes.
 type Query struct {
-	br    *Broker
-	label string
+	br *Broker
+
+	// used mirrors the sum of the query's reservations and peak is its
+	// high-water mark; both move wherever a Reservation's held does, at
+	// batch granularity like the broker's own counters.
+	used atomic.Int64
+	peak atomic.Int64
 
 	mu   sync.Mutex
 	res  []*Reservation
@@ -127,24 +133,21 @@ type Query struct {
 }
 
 // NewQuery opens a per-query account drawing from the broker's budget.
-func (b *Broker) NewQuery(label string) *Query {
-	return &Query{br: b, label: label}
+func (b *Broker) NewQuery() *Query {
+	return &Query{br: b}
 }
 
 // Used returns the bytes this query currently holds.
-func (q *Query) Used() int64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var sum int64
-	for _, r := range q.res {
-		sum += r.Held()
-	}
-	return sum
-}
+func (q *Query) Used() int64 { return q.used.Load() }
 
-// Reserve opens a per-operator grant handle labelled for diagnostics.
-func (q *Query) Reserve(label string) *Reservation {
-	r := &Reservation{q: q, label: label}
+// Peak returns the high-water mark of the bytes this query held — the
+// per-query counterpart of Broker.Peak, which spans every query the
+// broker ever served.
+func (q *Query) Peak() int64 { return q.peak.Load() }
+
+// Reserve opens a per-operator grant handle.
+func (q *Query) Reserve() *Reservation {
+	r := &Reservation{q: q}
 	q.mu.Lock()
 	q.res = append(q.res, r)
 	q.mu.Unlock()
@@ -166,16 +169,24 @@ func (q *Query) Close() {
 // called concurrently from many workers of the operator; like the broker,
 // the handle is lock-free because it sits on the per-batch hot path.
 type Reservation struct {
-	q     *Query
-	label string
-	held  atomic.Int64
+	q    *Query
+	held atomic.Int64
 }
-
-// Label returns the diagnostic label of the reservation.
-func (r *Reservation) Label() string { return r.label }
 
 // Held returns the bytes the reservation currently holds.
 func (r *Reservation) Held() int64 { return r.held.Load() }
+
+// take books n granted bytes on the reservation and its query.
+func (r *Reservation) take(n int64) {
+	r.held.Add(n)
+	bumpPeak(&r.q.peak, r.q.used.Add(n))
+}
+
+// give returns n held bytes to the query and the broker.
+func (r *Reservation) give(n int64) {
+	r.q.used.Add(-n)
+	r.q.br.release(n)
+}
 
 // Grow asks for n more bytes. When the budget cannot cover the request and
 // onDeny is non-nil, onDeny is invoked — it should spill caller state and
@@ -195,14 +206,14 @@ func (r *Reservation) Grow(n int64, onDeny SpillFunc) bool {
 	// result. Results are bit-identical across spill strategies, which
 	// is what lets the chaos soak assert equality under this site.
 	if faults.Hit(faults.MemDeny) == nil && r.q.br.grant(n, false) {
-		r.held.Add(n)
+		r.take(n)
 		return true
 	}
 	if onDeny != nil {
 		r.q.br.spillTriggers.Add(1)
 		onDeny(n)
 		if r.q.br.grant(n, false) {
-			r.held.Add(n)
+			r.take(n)
 			return true
 		}
 	}
@@ -218,7 +229,7 @@ func (r *Reservation) Force(n int64) {
 		return
 	}
 	r.q.br.grant(n, true)
-	r.held.Add(n)
+	r.take(n)
 }
 
 // Release returns n bytes to the broker (clamped to the held amount, so a
@@ -237,7 +248,7 @@ func (r *Reservation) Release(n int64) {
 			return
 		}
 		if r.held.CompareAndSwap(held, held-take) {
-			r.q.br.release(take)
+			r.give(take)
 			return
 		}
 	}
@@ -246,7 +257,7 @@ func (r *Reservation) Release(n int64) {
 // Free releases everything the reservation holds. Idempotent.
 func (r *Reservation) Free() {
 	if n := r.held.Swap(0); n > 0 {
-		r.q.br.release(n)
+		r.give(n)
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 
 func TestGrowWithinBudget(t *testing.T) {
 	b := NewBroker(1000)
-	q := b.NewQuery("q")
+	q := b.NewQuery()
 	defer q.Close()
-	r := q.Reserve("op")
+	r := q.Reserve()
 	if !r.Grow(600, nil) {
 		t.Fatal("first grant within budget denied")
 	}
@@ -39,7 +39,7 @@ func TestUnlimitedBrokerGrantsEverything(t *testing.T) {
 	if !b.Unlimited() {
 		t.Fatal("budget 0 should be unlimited")
 	}
-	r := b.NewQuery("q").Reserve("op")
+	r := b.NewQuery().Reserve()
 	if !r.Grow(1<<40, nil) {
 		t.Fatal("unlimited broker denied a grant")
 	}
@@ -52,9 +52,9 @@ func TestUnlimitedBrokerGrantsEverything(t *testing.T) {
 // callback frees enough.
 func TestSpillCallbackOnDenial(t *testing.T) {
 	b := NewBroker(1000)
-	q := b.NewQuery("q")
+	q := b.NewQuery()
 	defer q.Close()
-	r := q.Reserve("op")
+	r := q.Reserve()
 	r.Force(900)
 	spilled := false
 	ok := r.Grow(400, func(need int64) int64 {
@@ -82,9 +82,9 @@ func TestSpillCallbackOnDenial(t *testing.T) {
 
 func TestForceOverBudgetIsAccounted(t *testing.T) {
 	b := NewBroker(100)
-	q := b.NewQuery("q")
+	q := b.NewQuery()
 	defer q.Close()
-	r := q.Reserve("result")
+	r := q.Reserve()
 	r.Force(500)
 	if got := b.Used(); got != 500 {
 		t.Fatalf("Used = %d, want 500 (forced overage must be accounted)", got)
@@ -97,15 +97,29 @@ func TestForceOverBudgetIsAccounted(t *testing.T) {
 
 func TestQueryCloseReleasesEverything(t *testing.T) {
 	b := NewBroker(1000)
-	q := b.NewQuery("q")
-	r1 := q.Reserve("a")
-	r2 := q.Reserve("b")
+	q := b.NewQuery()
+	r1 := q.Reserve()
+	r2 := q.Reserve()
 	r1.Grow(300, nil)
 	r2.Force(2000)
+	r1.Release(100)
+	if used, peak := q.Used(), q.Peak(); used != 2200 || peak != 2300 {
+		t.Fatalf("query used/peak = %d/%d, want 2200/2300", used, peak)
+	}
 	q.Close()
 	if got := b.Used(); got != 0 {
 		t.Fatalf("Used after Close = %d, want 0", got)
 	}
+	if used, peak := q.Used(), q.Peak(); used != 0 || peak != 2300 {
+		t.Fatalf("query used/peak after Close = %d/%d, want 0/2300", used, peak)
+	}
+	// A later query's peak is its own, not the broker's lifetime mark.
+	q2 := b.NewQuery()
+	q2.Reserve().Force(10)
+	if q2.Peak() != 10 || b.Peak() != 2300 {
+		t.Fatalf("second query peak = %d (broker %d), want 10 (2300)", q2.Peak(), b.Peak())
+	}
+	q2.Close()
 	q.Close() // idempotent
 	// Double free on a reservation must not go negative.
 	r1.Free()
@@ -116,11 +130,11 @@ func TestQueryCloseReleasesEverything(t *testing.T) {
 
 func TestConcurrentGrowRelease(t *testing.T) {
 	b := NewBroker(1 << 20)
-	q := b.NewQuery("q")
+	q := b.NewQuery()
 	defer q.Close()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
-		r := q.Reserve("op")
+		r := q.Reserve()
 		wg.Add(1)
 		go func(r *Reservation) {
 			defer wg.Done()

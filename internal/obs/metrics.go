@@ -36,8 +36,6 @@ type Metrics struct {
 	// Carry hit rates (numerator/denominator pairs; rates derived at read).
 	ProbeRows   *Counter // join-probe input rows
 	HashCarried *Counter // probe rows whose hash arrived on the batch
-	FoldRows    *Counter // aggregation-fold input rows
-	DictCarried *Counter // fold rows whose group code arrived dict-carried
 
 	// Out-of-core activity.
 	SpillBytes     *Counter // encoded bytes written to spill files
@@ -74,8 +72,6 @@ func NewMetrics(reg *Registry) *Metrics {
 
 		ProbeRows:   reg.NewCounter("bfcbo_probe_rows_total", "Join-probe input rows."),
 		HashCarried: reg.NewCounter("bfcbo_probe_hash_carried_rows_total", "Probe rows with a batch-carried hash."),
-		FoldRows:    reg.NewCounter("bfcbo_fold_rows_total", "Aggregation-fold input rows."),
-		DictCarried: reg.NewCounter("bfcbo_fold_dict_carried_rows_total", "Fold rows with a dictionary-carried group code."),
 
 		SpillBytes:     reg.NewCounter("bfcbo_spill_bytes_total", "Encoded bytes written to spill files."),
 		SpillReadBytes: reg.NewCounter("bfcbo_spill_read_bytes_total", "Encoded bytes read back from spill files."),
@@ -89,7 +85,7 @@ func NewMetrics(reg *Registry) *Metrics {
 
 // ObserveQuery folds one finished query's top-line numbers: latency plus
 // the scheduler stats every query carries. The executor adds the
-// scan/probe/fold/spill totals itself from its stat structs.
+// scan/probe/spill totals itself from its stat structs.
 func (m *Metrics) ObserveQuery(latency, queueWait, slotWait, slotBusy time.Duration, handoffs int64, rows int, err bool) {
 	if m == nil {
 		return

@@ -18,7 +18,7 @@ func TestOverloadShedsOnQueueWaitP95(t *testing.T) {
 	for i := 0; i < ringSize; i++ {
 		s.waits.record(50 * time.Millisecond)
 	}
-	_, err := s.Admit(context.Background(), QueryDesc{Label: "shed-me"})
+	_, err := s.Admit(context.Background(), QueryDesc{})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("Admit = %v, want ErrOverloaded", err)
 	}
@@ -41,18 +41,18 @@ func TestOverloadShedsOnQueueWaitP95(t *testing.T) {
 func TestOverloadShedsOnFreeFraction(t *testing.T) {
 	b := mem.NewBroker(1 << 20)
 	s := New(Config{Slots: 1, Broker: b, Overload: OverloadConfig{MinFreeFraction: 0.5}})
-	hog := b.NewQuery("hog")
+	hog := b.NewQuery()
 	defer hog.Close()
-	res := hog.Reserve("state")
+	res := hog.Reserve()
 	if !res.Grow(900<<10, nil) {
 		t.Fatal("grow failed")
 	}
-	_, err := s.Admit(context.Background(), QueryDesc{Label: "shed"})
+	_, err := s.Admit(context.Background(), QueryDesc{})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("Admit = %v, want ErrOverloaded", err)
 	}
 	res.Free()
-	q, err := s.Admit(context.Background(), QueryDesc{Label: "ok"})
+	q, err := s.Admit(context.Background(), QueryDesc{})
 	if err != nil {
 		t.Fatalf("Admit after pressure lifted: %v", err)
 	}
@@ -66,7 +66,7 @@ func TestColdControllerNeverSheds(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.waits.record(time.Second)
 	}
-	q, err := s.Admit(context.Background(), QueryDesc{Label: "cold"})
+	q, err := s.Admit(context.Background(), QueryDesc{})
 	if err != nil {
 		t.Fatalf("cold controller shed: %v", err)
 	}
@@ -89,7 +89,7 @@ func TestP95Decays(t *testing.T) {
 	if s.QueueWaitP95() != 0 {
 		t.Fatalf("p95 after decay = %s", s.QueueWaitP95())
 	}
-	q, err := s.Admit(context.Background(), QueryDesc{Label: "recovered"})
+	q, err := s.Admit(context.Background(), QueryDesc{})
 	if err != nil {
 		t.Fatalf("Admit after decay: %v", err)
 	}
@@ -103,7 +103,7 @@ func TestInjectedAdmissionShed(t *testing.T) {
 	faults.Enable(faults.New(11, map[faults.Site]float64{faults.SchedAdmit: 1}))
 	defer faults.Disable()
 	s := New(Config{Slots: 1})
-	_, err := s.Admit(context.Background(), QueryDesc{Label: "inj"})
+	_, err := s.Admit(context.Background(), QueryDesc{})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("Admit = %v, want ErrOverloaded", err)
 	}

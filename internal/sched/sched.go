@@ -151,8 +151,6 @@ type Config struct {
 
 // QueryDesc registers one query with the scheduler at admission time.
 type QueryDesc struct {
-	// Label names the query for diagnostics.
-	Label string
 	// MinMemory is the smallest broker grant the query needs to run
 	// without thrashing the spill path (0 = no memory requirement).
 	MinMemory int64
@@ -317,7 +315,6 @@ type admitWaiter struct {
 type Query struct {
 	s      *Scheduler
 	id     int64
-	label  string
 	minMem int64
 
 	queueWait     time.Duration
@@ -335,9 +332,6 @@ type Query struct {
 // ID returns the query's scheduler-unique id (used e.g. to scope spill
 // directories per query).
 func (q *Query) ID() int64 { return q.id }
-
-// Label returns the admission label.
-func (q *Query) Label() string { return q.label }
 
 // Stats snapshots the query's scheduling report.
 func (q *Query) Stats() Stat {
@@ -475,7 +469,7 @@ func (s *Scheduler) admissibleLocked(d QueryDesc) bool {
 
 func (s *Scheduler) admitLocked(d QueryDesc) *Query {
 	q := &Query{
-		s: s, id: s.nextID.Add(1), label: d.Label,
+		s: s, id: s.nextID.Add(1),
 		minMem:     max(0, d.MinMemory),
 		lastChange: time.Now(),
 	}

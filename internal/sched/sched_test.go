@@ -17,7 +17,7 @@ func mustAdmit(t *testing.T, s *Scheduler, d QueryDesc) *Query {
 	t.Helper()
 	q, err := s.Admit(context.Background(), d)
 	if err != nil {
-		t.Fatalf("admit %q: %v", d.Label, err)
+		t.Fatalf("admit %+v: %v", d, err)
 	}
 	return q
 }
@@ -26,7 +26,7 @@ func mustAdmit(t *testing.T, s *Scheduler, d QueryDesc) *Query {
 // fair share) and accounting must return to zero.
 func TestConcurrentSlotPoolWorkConserving(t *testing.T) {
 	s := New(Config{Slots: 4})
-	q := mustAdmit(t, s, QueryDesc{Label: "a"})
+	q := mustAdmit(t, s, QueryDesc{})
 	for i := 0; i < 4; i++ {
 		if !q.Acquire(never) {
 			t.Fatalf("acquire %d failed on an empty pool", i)
@@ -50,8 +50,8 @@ func TestConcurrentSlotPoolWorkConserving(t *testing.T) {
 // the handoffs must be counted.
 func TestConcurrentFairShareHandoff(t *testing.T) {
 	s := New(Config{Slots: 4})
-	a := mustAdmit(t, s, QueryDesc{Label: "a"})
-	b := mustAdmit(t, s, QueryDesc{Label: "b"})
+	a := mustAdmit(t, s, QueryDesc{})
+	b := mustAdmit(t, s, QueryDesc{})
 	for i := 0; i < 4; i++ {
 		a.Acquire(never)
 	}
@@ -104,7 +104,7 @@ func TestConcurrentFairShareHandoff(t *testing.T) {
 // MaxConcurrent must queue FIFO and admit on Finish.
 func TestConcurrentAdmissionFIFO(t *testing.T) {
 	s := New(Config{Slots: 2, MaxConcurrent: 1})
-	first := mustAdmit(t, s, QueryDesc{Label: "first"})
+	first := mustAdmit(t, s, QueryDesc{})
 	type res struct {
 		q   *Query
 		err error
@@ -112,7 +112,7 @@ func TestConcurrentAdmissionFIFO(t *testing.T) {
 	}
 	out := make(chan res, 2)
 	admit := func(tag string) {
-		q, err := s.Admit(context.Background(), QueryDesc{Label: tag})
+		q, err := s.Admit(context.Background(), QueryDesc{})
 		out <- res{q, err, tag}
 	}
 	go admit("second")
@@ -143,14 +143,14 @@ func TestConcurrentAdmissionFIFO(t *testing.T) {
 // surface the context error; both must drain the queue.
 func TestConcurrentQueueTimeoutAndCancel(t *testing.T) {
 	s := New(Config{Slots: 1, MaxConcurrent: 1, QueueTimeout: 20 * time.Millisecond})
-	first := mustAdmit(t, s, QueryDesc{Label: "first"})
-	if _, err := s.Admit(context.Background(), QueryDesc{Label: "timed"}); !errors.Is(err, ErrQueueTimeout) {
+	first := mustAdmit(t, s, QueryDesc{})
+	if _, err := s.Admit(context.Background(), QueryDesc{}); !errors.Is(err, ErrQueueTimeout) {
 		t.Fatalf("err = %v, want ErrQueueTimeout", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.Admit(ctx, QueryDesc{Label: "canceled"})
+		_, err := s.Admit(ctx, QueryDesc{})
 		done <- err
 	}()
 	for s.Queued() < 1 {
@@ -172,9 +172,9 @@ func TestConcurrentQueueTimeoutAndCancel(t *testing.T) {
 func TestConcurrentMemoryAdmission(t *testing.T) {
 	b := mem.NewBroker(100)
 	s := New(Config{Slots: 2, Broker: b})
-	big := mustAdmit(t, s, QueryDesc{Label: "big", MinMemory: 1000}) // first always admits
+	big := mustAdmit(t, s, QueryDesc{MinMemory: 1000}) // first always admits
 	done := make(chan *Query, 1)
-	go func() { done <- mustAdmit(t, s, QueryDesc{Label: "waiting", MinMemory: 50}) }()
+	go func() { done <- mustAdmit(t, s, QueryDesc{MinMemory: 50}) }()
 	select {
 	case <-done:
 		t.Fatal("second query admitted into exhausted memory")
@@ -183,7 +183,7 @@ func TestConcurrentMemoryAdmission(t *testing.T) {
 	big.Finish()
 	q := <-done
 	// A third small query fits alongside (50 + 40 <= 100).
-	mustAdmit(t, s, QueryDesc{Label: "fits", MinMemory: 40}).Finish()
+	mustAdmit(t, s, QueryDesc{MinMemory: 40}).Finish()
 	q.Finish()
 }
 
@@ -191,7 +191,7 @@ func TestConcurrentMemoryAdmission(t *testing.T) {
 // its waiter up.
 func TestConcurrentAcquireCancel(t *testing.T) {
 	s := New(Config{Slots: 1})
-	a := mustAdmit(t, s, QueryDesc{Label: "a"})
+	a := mustAdmit(t, s, QueryDesc{})
 	a.Acquire(never)
 	stop := make(chan struct{})
 	done := make(chan bool, 1)
@@ -222,7 +222,7 @@ func TestConcurrentPoolStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			q := mustAdmit(t, s, QueryDesc{Label: "q"})
+			q := mustAdmit(t, s, QueryDesc{})
 			defer q.Finish()
 			for k := 0; k < 200; k++ {
 				if !q.Acquire(never) {
@@ -248,8 +248,8 @@ func TestConcurrentPoolStress(t *testing.T) {
 // SlotBusy; waiting must show up in SlotWait.
 func TestConcurrentStatsAccounting(t *testing.T) {
 	s := New(Config{Slots: 1})
-	a := mustAdmit(t, s, QueryDesc{Label: "a"})
-	b := mustAdmit(t, s, QueryDesc{Label: "b"})
+	a := mustAdmit(t, s, QueryDesc{})
+	b := mustAdmit(t, s, QueryDesc{})
 	a.Acquire(never)
 	done := make(chan struct{})
 	go func() {

@@ -182,9 +182,6 @@ func (w *Writer) fail(op string, cause error) error {
 	return err
 }
 
-// Cols returns the fixed column count of the file.
-func (w *Writer) Cols() int { return w.cols }
-
 // Rows returns the total rows appended so far.
 func (w *Writer) Rows() int64 {
 	w.mu.Lock()

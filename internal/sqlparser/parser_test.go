@@ -10,7 +10,7 @@ import (
 	"bfcbo/internal/query"
 )
 
-func schema(t *testing.T) *datagen.Dataset {
+func schema(t testing.TB) *datagen.Dataset {
 	t.Helper()
 	ds, err := datagen.Generate(datagen.Config{ScaleFactor: 0.003, Seed: 3})
 	if err != nil {
@@ -19,14 +19,70 @@ func schema(t *testing.T) *datagen.Dataset {
 	return ds
 }
 
-func TestParseSimpleJoin(t *testing.T) {
-	ds := schema(t)
-	b, err := Parse(ds.Schema, `
+// The statements under test are package-level so FuzzParse can seed its
+// corpus with every one of them.
+const (
+	sqlSimpleJoin = `
 		SELECT * FROM orders o, lineitem l
 		WHERE o.o_orderkey = l.l_orderkey
 		  AND l.l_shipmode IN ('MAIL', 'SHIP')
 		  AND l.l_commitdate < l.l_receiptdate
-		  AND l.l_receiptdate BETWEEN DATE '1994-01-01' AND DATE '1994-12-31'`)
+		  AND l.l_receiptdate BETWEEN DATE '1994-01-01' AND DATE '1994-12-31'`
+	sqlQ12 = `
+		SELECT * FROM orders o, lineitem l
+		WHERE o.o_orderkey = l.l_orderkey
+		  AND l.l_shipmode IN ('MAIL', 'SHIP')
+		  AND l.l_commitdate < l.l_receiptdate
+		  AND l.l_shipdate < l.l_commitdate
+		  AND l.l_receiptdate BETWEEN DATE '1994-01-01' AND DATE '1994-12-31'`
+	sqlBareColumns = `
+		SELECT s_name FROM supplier AS s, nation
+		WHERE s_nationkey = n_nationkey AND n_name = 'GERMANY'`
+	sqlOrGroup = `
+		SELECT * FROM part WHERE (p_brand = 'Brand#12' OR p_brand = 'Brand#23') AND p_size < 20`
+	sqlNot     = `SELECT * FROM part WHERE NOT p_type LIKE 'MEDIUM POLISHED%'`
+	sqlNumeric = `
+		SELECT * FROM lineitem WHERE l_quantity < 24 AND l_discount BETWEEN 0.05 AND 0.07`
+	// l_orderkey exists only in lineitem, but joining lineitem twice makes
+	// the bare name ambiguous.
+	sqlAmbiguous = `
+		SELECT * FROM lineitem l1, lineitem l2 WHERE l_orderkey = l2.l_orderkey`
+)
+
+var likeCases = []struct {
+	sql  string
+	want string // type name fragment
+}{
+	{`SELECT * FROM part WHERE p_name LIKE 'forest%'`, "StrPrefix"},
+	{`SELECT * FROM part WHERE p_type LIKE '%BRASS%'`, "StrContains"},
+	{`SELECT * FROM part WHERE p_container LIKE 'MED BOX'`, "StrEq"},
+	{`SELECT * FROM part WHERE p_name LIKE 'a%b%'`, "And"},
+}
+
+var badStatements = []string{
+	``,
+	`SELECT *`,
+	`SELECT * FROM nosuchtable`,
+	`SELECT * FROM part WHERE nosuchcol = 1`,
+	`SELECT * FROM part, supplier WHERE p_partkey < s_suppkey`,               // non-equi join
+	`SELECT * FROM part WHERE p_name = 42`,                                   // type mismatch
+	`SELECT * FROM part WHERE p_size = 'big'`,                                // type mismatch
+	`SELECT * FROM part WHERE p_size LIKE 'x%'`,                              // LIKE on int
+	`SELECT * FROM part WHERE p_size IN (1, 'two')`,                          // mixed IN
+	`SELECT * FROM part WHERE p_name LIKE '%'`,                               // vacuous pattern
+	`SELECT * FROM orders o, lineitem l WHERE o_orderkey = l_orderkey extra`, // trailing
+	`SELECT * FROM part WHERE p_size BETWEEN 1 AND 'x'`,
+	`SELECT * FROM part WHERE p_size = `,
+	`SELECT * FROM part WHERE p_size = 1.5`,                                    // fractional vs int column
+	`SELECT * FROM lineitem, part WHERE (l_partkey = p_partkey OR p_size = 1)`, // join in OR
+	`SELECT * FROM part WHERE p_name = 'unterminated`,
+	`SELECT * FROM part WHERE p_size ~ 3`,
+	`SELECT * FROM orders WHERE o_orderdate = DATE 'not-a-date'`,
+}
+
+func TestParseSimpleJoin(t *testing.T) {
+	ds := schema(t)
+	b, err := Parse(ds.Schema, sqlSimpleJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +103,7 @@ func TestParseSimpleJoin(t *testing.T) {
 
 func TestParsedQueryMatchesProgrammaticQ12(t *testing.T) {
 	ds := schema(t)
-	sql := `
-		SELECT * FROM orders o, lineitem l
-		WHERE o.o_orderkey = l.l_orderkey
-		  AND l.l_shipmode IN ('MAIL', 'SHIP')
-		  AND l.l_commitdate < l.l_receiptdate
-		  AND l.l_shipdate < l.l_commitdate
-		  AND l.l_receiptdate BETWEEN DATE '1994-01-01' AND DATE '1994-12-31'`
-	b, err := Parse(ds.Schema, sql)
+	b, err := Parse(ds.Schema, sqlQ12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +126,7 @@ func TestParsedQueryMatchesProgrammaticQ12(t *testing.T) {
 
 func TestParseBareColumnsAndAliases(t *testing.T) {
 	ds := schema(t)
-	b, err := Parse(ds.Schema, `
-		SELECT s_name FROM supplier AS s, nation
-		WHERE s_nationkey = n_nationkey AND n_name = 'GERMANY'`)
+	b, err := Parse(ds.Schema, sqlBareColumns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,16 +143,7 @@ func TestParseBareColumnsAndAliases(t *testing.T) {
 
 func TestParseLikeShapes(t *testing.T) {
 	ds := schema(t)
-	cases := []struct {
-		sql  string
-		want string // type name fragment
-	}{
-		{`SELECT * FROM part WHERE p_name LIKE 'forest%'`, "StrPrefix"},
-		{`SELECT * FROM part WHERE p_type LIKE '%BRASS%'`, "StrContains"},
-		{`SELECT * FROM part WHERE p_container LIKE 'MED BOX'`, "StrEq"},
-		{`SELECT * FROM part WHERE p_name LIKE 'a%b%'`, "And"},
-	}
-	for _, c := range cases {
+	for _, c := range likeCases {
 		b, err := Parse(ds.Schema, c.sql)
 		if err != nil {
 			t.Fatalf("%s: %v", c.sql, err)
@@ -143,8 +181,7 @@ func typeOf(v interface{}) string {
 
 func TestParseOrGroup(t *testing.T) {
 	ds := schema(t)
-	b, err := Parse(ds.Schema, `
-		SELECT * FROM part WHERE (p_brand = 'Brand#12' OR p_brand = 'Brand#23') AND p_size < 20`)
+	b, err := Parse(ds.Schema, sqlOrGroup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +193,7 @@ func TestParseOrGroup(t *testing.T) {
 
 func TestParseNot(t *testing.T) {
 	ds := schema(t)
-	b, err := Parse(ds.Schema, `SELECT * FROM part WHERE NOT p_type LIKE 'MEDIUM POLISHED%'`)
+	b, err := Parse(ds.Schema, sqlNot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +204,7 @@ func TestParseNot(t *testing.T) {
 
 func TestParseNumericComparisons(t *testing.T) {
 	ds := schema(t)
-	b, err := Parse(ds.Schema, `
-		SELECT * FROM lineitem WHERE l_quantity < 24 AND l_discount BETWEEN 0.05 AND 0.07`)
+	b, err := Parse(ds.Schema, sqlNumeric)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,27 +222,7 @@ func TestParseNumericComparisons(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	ds := schema(t)
-	bad := []string{
-		``,
-		`SELECT *`,
-		`SELECT * FROM nosuchtable`,
-		`SELECT * FROM part WHERE nosuchcol = 1`,
-		`SELECT * FROM part, supplier WHERE p_partkey < s_suppkey`,               // non-equi join
-		`SELECT * FROM part WHERE p_name = 42`,                                   // type mismatch
-		`SELECT * FROM part WHERE p_size = 'big'`,                                // type mismatch
-		`SELECT * FROM part WHERE p_size LIKE 'x%'`,                              // LIKE on int
-		`SELECT * FROM part WHERE p_size IN (1, 'two')`,                          // mixed IN
-		`SELECT * FROM part WHERE p_name LIKE '%'`,                               // vacuous pattern
-		`SELECT * FROM orders o, lineitem l WHERE o_orderkey = l_orderkey extra`, // trailing
-		`SELECT * FROM part WHERE p_size BETWEEN 1 AND 'x'`,
-		`SELECT * FROM part WHERE p_size = `,
-		`SELECT * FROM part WHERE p_size = 1.5`,                                    // fractional vs int column
-		`SELECT * FROM lineitem, part WHERE (l_partkey = p_partkey OR p_size = 1)`, // join in OR
-		`SELECT * FROM part WHERE p_name = 'unterminated`,
-		`SELECT * FROM part WHERE p_size ~ 3`,
-		`SELECT * FROM orders WHERE o_orderdate = DATE 'not-a-date'`,
-	}
-	for _, sql := range bad {
+	for _, sql := range badStatements {
 		if _, err := Parse(ds.Schema, sql); err == nil {
 			t.Errorf("expected error for %q", sql)
 		}
@@ -215,10 +231,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestParseAmbiguousColumn(t *testing.T) {
 	ds := schema(t)
-	// l_orderkey exists only in lineitem, but joining lineitem twice makes
-	// the bare name ambiguous.
-	_, err := Parse(ds.Schema, `
-		SELECT * FROM lineitem l1, lineitem l2 WHERE l_orderkey = l2.l_orderkey`)
+	_, err := Parse(ds.Schema, sqlAmbiguous)
 	if err == nil || !strings.Contains(err.Error(), "ambiguous") {
 		t.Fatalf("expected ambiguity error, got %v", err)
 	}

@@ -272,3 +272,34 @@ func TestFlightRecorderOnEngine(t *testing.T) {
 		t.Fatal(err) // nil recorder must not panic the run path
 	}
 }
+
+// TestFlightRecorderMemPeakIsPerQuery: a record's MemPeak is that query's
+// own high-water mark, not the broker's lifetime one — a two-small-table
+// block run after Q9 must not inherit Q9's footprint.
+func TestFlightRecorderMemPeakIsPerQuery(t *testing.T) {
+	e, err := Open(Config{ScaleFactor: 0.005, Seed: 9, DOP: 2, SlowQueryLog: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q9, err := e.TPCH(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(q9, BFCBO); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RunSQL(`SELECT * FROM nation n, region r WHERE n.n_regionkey = r.r_regionkey`, BFCBO); err != nil {
+		t.Fatal(err)
+	}
+	recs := e.FlightRecorder().Recent()
+	if len(recs) != 2 {
+		t.Fatalf("recorder has %d entries, want 2", len(recs))
+	}
+	big, small, lifetime := recs[0].MemPeak, recs[1].MemPeak, e.MemoryBroker().Peak()
+	if small <= 0 || small >= big {
+		t.Fatalf("nation ⋈ region peaked at %d B, Q9 at %d B: want 0 < small < big", small, big)
+	}
+	if big > lifetime {
+		t.Fatalf("Q9's peak %d B exceeds the broker's lifetime peak %d B", big, lifetime)
+	}
+}
