@@ -334,6 +334,9 @@ type Output struct {
 	// entries with disjoint dependency chains ran concurrently, so their
 	// walls can overlap.
 	Pipelines []exec.PipelineStat
+	// Work totals the rows built, probed, Bloom-tested and scanned: the
+	// run in exact counts that repeat at a given DOP, next to its times.
+	Work exec.Work
 	// Spill totals the run's spill activity under Config.MemBudget (all
 	// zero for unlimited-budget runs).
 	Spill exec.SpillStat
@@ -347,7 +350,9 @@ type Output struct {
 	Trace *obs.Trace
 }
 
-// Plan optimizes a block without executing it.
+// Plan optimizes a block without executing it, under the cost profile of
+// this executor (optimizer.DefaultOptions; the paper's profile is
+// optimizer.PaperOptions, for reproducing its figures).
 func (e *Engine) Plan(b *query.Block, mode Mode) (*optimizer.Result, error) {
 	opts := optimizer.DefaultOptions(e.cfg.ScaleFactor)
 	opts.Mode = mode
@@ -479,7 +484,7 @@ func (e *Engine) runOnce(ctx context.Context, b *query.Block, mode Mode, res *op
 			e.metrics.QueriesShed.Inc()
 		}
 		e.rec.Record(obs.QueryRecord{
-			ID: tr.QueryID, Label: tr.Label, Mode: mode.String(),
+			ID: tr.QueryID, Label: tr.Label, Mode: mode.String(), CostProfile: res.Plan.CostProfile,
 			Fingerprint: plan.FingerprintHex(fp),
 			Start:       start, Latency: execTime, Err: err.Error(), Trace: tr,
 		})
@@ -497,7 +502,7 @@ func (e *Engine) runOnce(ctx context.Context, b *query.Block, mode Mode, res *op
 	analyzed := r.ExplainAnalyze(res.Plan)
 	sp := r.TotalSpill()
 	e.rec.Record(obs.QueryRecord{
-		ID: tr.QueryID, Label: tr.Label, Mode: mode.String(),
+		ID: tr.QueryID, Label: tr.Label, Mode: mode.String(), CostProfile: res.Plan.CostProfile,
 		Fingerprint: plan.FingerprintHex(fp),
 		Start:       start, Latency: execTime + r.Sched.QueueWait, Rows: r.Rows,
 		Explain:   analyzed,
@@ -533,6 +538,7 @@ func (e *Engine) runOnce(ctx context.Context, b *query.Block, mode Mode, res *op
 		ExplainAnalyze: analyzed,
 		OpStats:        r.OpStats,
 		Pipelines:      r.Pipelines,
+		Work:           r.Work,
 		Spill:          sp,
 		Sched:          r.Sched,
 		Trace:          tr,

@@ -157,4 +157,9 @@ func TestPlanOnly(t *testing.T) {
 	if res.PlanningTime <= 0 || res.Plan == nil {
 		t.Fatalf("degenerate plan result: %+v", res)
 	}
+	// The engine plans for the executor it runs, and says so wherever an
+	// estimated cost is shown.
+	if !strings.Contains(res.Plan.Explain(), "plan (BF-CBO)  profile=engine") {
+		t.Fatalf("EXPLAIN header does not name the engine cost profile:\n%s", res.Plan.Explain())
+	}
 }

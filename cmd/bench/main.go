@@ -1,5 +1,9 @@
 // Command bench regenerates the paper's tables and figures on the
-// in-memory TPC-H substrate and checks the claim each one makes.
+// in-memory TPC-H substrate and checks the claim each one makes. The claims
+// are about the paper's environment, so every experiment plans under the
+// paper cost profile (optimizer.PaperOptions); calibrate alone also plans
+// under the engine's own (optimizer.DefaultOptions) and holds the two
+// against each other.
 //
 //	bench -experiment table2   # Table 2 + Fig. 5: No-BF vs BF-Post vs BF-CBO
 //	bench -experiment table3   # Table 3: same with Heuristic 7 enabled
@@ -9,6 +13,7 @@
 //	bench -experiment naive    # §3.1 naive planning-time blow-up
 //	bench -experiment mae      # Table 2's cardinality-MAE comparison
 //	bench -experiment ablation # per-heuristic ablation
+//	bench -experiment calibrate # both cost profiles x {BF-Post, BF-CBO}: build sides and work
 //	bench -experiment all      # everything
 //
 // Each experiment prints its table and then runs the result's Check; a
@@ -35,7 +40,7 @@ func main() {
 		seed = flag.Uint64("seed", def.Seed, "data generation seed")
 		dop  = flag.Int("dop", def.DOP, "degree of parallelism")
 		reps = flag.Int("reps", def.Reps, "repetitions per query (first is warm-up)")
-		exp  = flag.String("experiment", "all", "table2|table3|fig1|fig4|fig6|naive|mae|ablation|all")
+		exp  = flag.String("experiment", "all", "table2|table3|fig1|fig4|fig6|naive|mae|ablation|calibrate|all")
 	)
 	flag.Parse()
 	cfg := bench.Config{ScaleFactor: *sf, Seed: *seed, DOP: *dop, Reps: *reps}
@@ -80,6 +85,14 @@ var experiments = []experiment{
 		rows.Print(w)
 		return rows.Check()
 	}},
+	{name: "calibrate", run: func(w io.Writer, h *bench.Harness) error {
+		c, err := h.RunCalibration()
+		if err != nil {
+			return err
+		}
+		c.Print(w)
+		return c.Check()
+	}},
 }
 
 // table runs the three-mode comparison; Tables 2 and 3 and the MAE
@@ -119,7 +132,8 @@ func run(w io.Writer, cfg bench.Config, exp string) error {
 	if len(selected) == 0 {
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
-	fmt.Fprintf(w, "SF %g, seed %d, DOP %d, %d rep(s) per query\n\n", cfg.ScaleFactor, cfg.Seed, cfg.DOP, cfg.Reps)
+	fmt.Fprintf(w, "SF %g, seed %d, DOP %d, %d rep(s) per query; plans costed under the paper profile (calibrate: under both)\n\n",
+		cfg.ScaleFactor, cfg.Seed, cfg.DOP, cfg.Reps)
 	var errs []error
 	for _, e := range selected {
 		cfg.Heuristic7 = e.h7

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -142,6 +143,56 @@ func TestAblationClaim(t *testing.T) {
 	}
 }
 
+// The calibration: under BF-Post the engine profile builds at most 60 % of
+// the rows the paper profile builds, under BF-CBO no more; the four
+// configurations return the same rows; BF-CBO is no costlier than BF-Post
+// under either profile.
+func TestCalibrationClaim(t *testing.T) {
+	c, err := tinyHarness(t).RunCalibration()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Rows) != 22 {
+		t.Fatalf("calibration covers %d blocks, want all 22", len(c.Rows))
+	}
+	if err := c.Check(); err != nil {
+		t.Fatal(err)
+	}
+	// The same results with the profiles' labels exchanged must not pass:
+	// the claim is about which profile builds less.
+	swapped := &Calibration{}
+	for _, r := range c.Rows {
+		swapped.Rows = append(swapped.Rows, CalibRow{Query: r.Query, Paper: r.Engine, Engine: r.Paper})
+	}
+	if err := swapped.Check(); err == nil || !strings.Contains(err.Error(), "build work: BF-Post") {
+		t.Fatalf("Check accepted the profiles swapped: %v", err)
+	}
+	var buf bytes.Buffer
+	c.Print(&buf)
+	for _, want := range []string{"engine  BF-CBO", "paper   BF-Post", "hash build sides", "engine ÷ paper profile, BF-Post", "rho"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("calibration report missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+func TestSpearman(t *testing.T) {
+	for _, c := range []struct {
+		x, y []float64
+		want float64
+	}{
+		{[]float64{1, 2, 3, 4}, []float64{10, 20, 30, 40}, 1},
+		{[]float64{1, 2, 3, 4}, []float64{4, 3, 2, 1}, -1},
+		{[]float64{1, 2, 3}, []float64{1, 1000, 2}, 0.5},
+		{[]float64{1, 1, 2, 2}, []float64{1, 1, 2, 2}, 1}, // ties share a rank
+		{[]float64{1, 2, 3}, []float64{5, 5, 5}, 0},       // no variance, no correlation
+	} {
+		if got := spearman(c.x, c.y); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("spearman(%v, %v) = %v, want %v", c.x, c.y, got, c.want)
+		}
+	}
+}
+
 // Every Check must be able to fail: each case hands it a result doctored to
 // break one claim and requires an error that names that claim.
 func TestChecksRejectDoctoredResults(t *testing.T) {
@@ -168,8 +219,18 @@ func TestChecksRejectDoctoredResults(t *testing.T) {
 	goodAblation := func() Ablation {
 		return Ablation{{Name: "baseline", TotalRows: 50}, {Name: "H1 off", TotalRows: 50}}
 	}
+	goodCalibration := func() *Calibration {
+		cell := func(cost float64, build int64) CalibCell {
+			return CalibCell{EstCost: cost, Rows: 7, Work: exec.Work{Build: build}}
+		}
+		return &Calibration{Rows: []CalibRow{{
+			Query:  3,
+			Paper:  CalibPair{Post: cell(10, 1000), CBO: cell(9, 800)},
+			Engine: CalibPair{Post: cell(30, 500), CBO: cell(28, 500)},
+		}}}
+	}
 	type checker interface{ Check() error }
-	for _, good := range []checker{goodTable(), goodFigure(12), goodFigure(7), goodNaive(), goodAblation()} {
+	for _, good := range []checker{goodTable(), goodFigure(12), goodFigure(7), goodNaive(), goodAblation(), goodCalibration()} {
 		if err := good.Check(); err != nil {
 			t.Fatalf("undoctored %T rejected: %v", good, err)
 		}
@@ -251,6 +312,26 @@ func TestChecksRejectDoctoredResults(t *testing.T) {
 			rows[1].TotalRows = 49
 			return rows
 		}(), `ablation: "H1 off" returns 49 rows`},
+		{"engine profile builds the big sides", func() checker {
+			c := goodCalibration()
+			c.Rows[0].Paper, c.Rows[0].Engine = c.Rows[0].Engine, c.Rows[0].Paper
+			return c
+		}(), "build work: BF-Post builds 1000 rows under the engine profile"},
+		{"engine profile builds more under BF-CBO", func() checker {
+			c := goodCalibration()
+			c.Rows[0].Engine.CBO.Work.Build = 801
+			return c
+		}(), "build work: BF-CBO builds 801 rows under the engine profile"},
+		{"a profile changes the answer", func() checker {
+			c := goodCalibration()
+			c.Rows[0].Engine.CBO.Rows++
+			return c
+		}(), "same answer: Q3 returns 8 rows under engine/BF-CBO"},
+		{"BF-CBO costlier under the engine profile", func() checker {
+			c := goodCalibration()
+			c.Rows[0].Engine.CBO.EstCost = 31
+			return c
+		}(), "plan cost (engine profile): Q3"},
 	}
 	for _, tc := range cases {
 		err := tc.result.Check()

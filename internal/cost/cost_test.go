@@ -1,31 +1,97 @@
 package cost
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// profiles are the two named parameter sets; tests of the model's
+// algebra hold for both.
+var profiles = []Params{Paper(), Engine()}
+
 func TestDefaultValid(t *testing.T) {
-	if !Default().Validate() {
-		t.Fatal("Default params must validate")
+	for _, p := range profiles {
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%s profile must validate: %v", p.Name, err)
+		}
+	}
+	if Paper().Name != "paper" || Engine().Name != "engine" {
+		t.Fatalf("profile names %q, %q", Paper().Name, Engine().Name)
+	}
+}
+
+// The paper profile is pinned field by field: plans.golden and every
+// reproduced claim are stated under exactly these numbers.
+func TestPaperProfilePinned(t *testing.T) {
+	want := Params{
+		Name: "paper", CPUTupleCost: 0.01, CPUOperatorCost: 0.0025,
+		HashBuildCost: 0.008, HashProbeCost: 0.01,
+		MergeSortCost: 0.002, MergeScanCost: 0.005, NLPairCost: 0.02,
+		BloomApplyCost: 0.004, BloomBuildCost: 0, TransferCost: 0.012, DOP: 48,
+	}
+	if got := Paper(); got != want {
+		t.Fatalf("Paper() = %+v, want %+v", got, want)
+	}
+}
+
+// What makes the engine profile the engine's: nothing is charged for
+// moving rows between threads, and a build row is dearer than a probe key
+// — so the smaller input builds, and every parallel hash join
+// redistributes (a broadcast would only replicate the build).
+func TestEngineProfileShape(t *testing.T) {
+	p := Engine()
+	if p.TransferCost != 0 {
+		t.Fatalf("engine TransferCost = %g: shared memory moves no rows", p.TransferCost)
+	}
+	if p.HashBuildCost <= p.HashProbeCost {
+		t.Fatalf("engine build %g not above probe %g", p.HashBuildCost, p.HashProbeCost)
+	}
+	small, big := 30_000.0, 300_000.0 // Q12's filtered lineitem and orders, in shape
+	buildSmall, s := p.HashJoin(big, small)
+	buildBig, _ := p.HashJoin(small, big)
+	if buildSmall >= buildBig {
+		t.Fatalf("building the small side costs %g, the big side %g", buildSmall, buildBig)
+	}
+	if s != Redistribute {
+		t.Fatalf("engine hash join streams %s, want RD", s)
+	}
+	// Between inputs of comparable size the paper profile prefers the
+	// opposite orientation: that is the Figure 1(a) baseline.
+	pp := Paper()
+	buildSmall, _ = pp.HashJoin(big, small)
+	buildBig, _ = pp.HashJoin(small, big)
+	if buildBig >= buildSmall {
+		t.Fatalf("paper profile: building the big side costs %g, the small side %g", buildBig, buildSmall)
 	}
 }
 
 func TestValidateRejectsBadParams(t *testing.T) {
-	p := Default()
-	p.BloomApplyCost = p.HashProbeCost * 2
-	if p.Validate() {
-		t.Fatal("Bloom apply dearer than hash probe must be invalid")
-	}
-	p = Default()
-	p.DOP = 0
-	if p.Validate() {
-		t.Fatal("DOP 0 must be invalid")
+	for _, c := range []struct {
+		name   string
+		break_ func(*Params)
+		want   string
+	}{
+		{"bloom dearer than probe", func(p *Params) { p.BloomApplyCost = p.HashProbeCost * 2 }, "BloomApplyCost"},
+		{"DOP 0", func(p *Params) { p.DOP = 0 }, "DOP"},
+		{"free scan", func(p *Params) { p.CPUTupleCost = 0 }, "CPUTupleCost"},
+		{"free probe", func(p *Params) { p.HashProbeCost, p.BloomApplyCost = 0, -1 }, "HashProbeCost"},
+	} {
+		for _, p := range profiles {
+			c.break_(&p)
+			err := p.Validate()
+			if err == nil {
+				t.Fatalf("%s (%s): must be invalid", c.name, p.Name)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%s (%s): error %q does not name %s", c.name, p.Name, err, c.want)
+			}
+		}
 	}
 }
 
 func TestScanCostComposition(t *testing.T) {
-	p := Default()
+	p := Paper()
 	base := p.Scan(1000, 0, 0)
 	withPred := p.Scan(1000, 2, 0)
 	withBloom := p.Scan(1000, 2, 1)
@@ -41,19 +107,24 @@ func TestScanCostComposition(t *testing.T) {
 }
 
 func TestBloomApplyCheaperThanProbe(t *testing.T) {
-	p := Default()
+	for _, p := range profiles {
+		bloomApplyCheaperThanProbe(t, p)
+	}
+}
+
+func bloomApplyCheaperThanProbe(t *testing.T, p Params) {
 	// Filtering 1M rows down to 100K before a hash probe must beat
 	// probing all 1M rows, when the filter is effective.
 	noBF, _ := p.HashJoin(1_000_000, 1000)
 	bfScanExtra := p.Scan(1_000_000, 0, 1) - p.Scan(1_000_000, 0, 0)
 	withBF, _ := p.HashJoin(100_000, 1000)
 	if bfScanExtra+withBF >= noBF {
-		t.Fatalf("effective Bloom filter should pay off: %v + %v vs %v", bfScanExtra, withBF, noBF)
+		t.Fatalf("%s: effective Bloom filter should pay off: %v + %v vs %v", p.Name, bfScanExtra, withBF, noBF)
 	}
 }
 
 func TestHashJoinStreamingChoice(t *testing.T) {
-	p := Default()
+	p := Paper()
 	p.DOP = 8
 	// Tiny build side, huge probe: broadcast should win.
 	_, s := p.HashJoin(10_000_000, 100)
@@ -74,7 +145,7 @@ func TestHashJoinStreamingChoice(t *testing.T) {
 }
 
 func TestJoinMethodOrdering(t *testing.T) {
-	p := Default()
+	p := Paper()
 	// For large equal inputs, hash join should beat nested loop by far.
 	hj, _ := p.HashJoin(100_000, 100_000)
 	nl := p.NestLoop(100_000, 100_000)
@@ -91,7 +162,7 @@ func TestJoinMethodOrdering(t *testing.T) {
 }
 
 func TestMergeJoinGrowsSuperlinearly(t *testing.T) {
-	p := Default()
+	p := Engine()
 	small := p.MergeJoin(1000, 1000)
 	big := p.MergeJoin(10_000, 10_000)
 	if big <= 10*small {
@@ -103,10 +174,12 @@ func TestMergeJoinGrowsSuperlinearly(t *testing.T) {
 }
 
 func TestBloomBuildDefaultFree(t *testing.T) {
-	p := Default()
-	if p.BloomBuild(1e9, 5) != 0 {
-		t.Fatal("default Bloom build cost should be zero per the paper")
+	for _, p := range profiles {
+		if p.BloomBuild(1e9, 5) != 0 {
+			t.Fatalf("%s: Bloom build cost should be zero (§3.5)", p.Name)
+		}
 	}
+	p := Paper()
 	p.BloomBuildCost = 0.001
 	if p.BloomBuild(1000, 2) != 2.0 {
 		t.Fatalf("BloomBuild = %v", p.BloomBuild(1000, 2))
@@ -121,7 +194,12 @@ func TestStreamingString(t *testing.T) {
 
 // Property: costs are non-negative and monotone in input size.
 func TestQuickCostMonotone(t *testing.T) {
-	p := Default()
+	for _, p := range profiles {
+		quickCostMonotone(t, p)
+	}
+}
+
+func quickCostMonotone(t *testing.T, p Params) {
 	prop := func(aSeed, bSeed uint32) bool {
 		a, b := float64(aSeed%1_000_000), float64(bSeed%1_000_000)
 		hj1, _ := p.HashJoin(a, b)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -14,7 +15,11 @@ import (
 // implementation — must produce the same result tuples, the same per-node
 // row counts, and identical Bloom filter tested/passed tallies (which are
 // deterministic at a fixed DOP), for every built-in TPC-H query under all
-// four optimizer modes, at DOP 1 and 4.
+// four optimizer modes, at DOP 1 and 4 — under the engine cost profile,
+// whose hash joins are all costed Redistribute (one partial Bloom filter
+// per partition at DOP > 1), and at DOP 4 under the paper profile, whose
+// BroadcastInner joins are the only plans that reach the single-filter
+// strategy at DOP > 1.
 
 var (
 	eqOnce sync.Once
@@ -34,12 +39,35 @@ func equivalenceDataset(t *testing.T) *datagen.Dataset {
 }
 
 func TestExecutorEquivalenceTPCH(t *testing.T) {
-	ds := equivalenceDataset(t)
+	strategies := map[string]int{}
 	modes := []optimizer.Mode{optimizer.NoBF, optimizer.BFPost, optimizer.BFCBO, optimizer.Naive}
+	t.Run("engine", func(t *testing.T) {
+		executorEquivalenceTPCH(t, optimizer.DefaultOptions(0.01), modes, []int{1, 4}, strategies)
+	})
+	// Without Naive: most of its searches abort at the cap, after seconds
+	// of planning, and what survives adds no strategy.
+	t.Run("paper", func(t *testing.T) {
+		executorEquivalenceTPCH(t, optimizer.PaperOptions(0.01), modes[:3], []int{4}, strategies)
+	})
+	for _, want := range []string{"engine/dop1/single", "engine/dop4/partitioned", "paper/dop4/single", "paper/dop4/partitioned"} {
+		if strategies[want] == 0 {
+			t.Errorf("no Bloom filter ran as %s: %v", want, strategies)
+		}
+	}
+	if n := strategies["engine/dop4/single"]; n != 0 {
+		t.Errorf("%d engine-profile filters ran single at DOP 4; its joins are all Redistribute", n)
+	}
+}
+
+// executorEquivalenceTPCH diffs the engine against the reference on every
+// TPC-H block planned under profile in each mode, at each DOP, and tallies
+// the Bloom strategies that ran under "profile/dopN/strategy".
+func executorEquivalenceTPCH(t *testing.T, profile optimizer.Options, modes []optimizer.Mode, dops []int, strategies map[string]int) {
+	ds := equivalenceDataset(t)
 	for _, q := range tpch.All() {
 		block := q.Build(ds.Schema)
 		for _, mode := range modes {
-			opts := optimizer.DefaultOptions(0.01)
+			opts := profile
 			opts.Mode = mode
 			if mode == optimizer.Naive {
 				// The naive strawman's search space explodes on the wider
@@ -56,7 +84,7 @@ func TestExecutorEquivalenceTPCH(t *testing.T) {
 			}
 			rowsAtDOP := map[int]int{}
 			skip := phantomRels(res.Plan)
-			for _, dop := range []int{1, 4} {
+			for _, dop := range dops {
 				legacy, err := Run(ds.DB, block, res.Plan, Options{DOP: dop, Legacy: true})
 				if err != nil {
 					t.Fatalf("Q%d %s dop %d: legacy exec: %v", q.Num, mode, dop, err)
@@ -110,6 +138,7 @@ func TestExecutorEquivalenceTPCH(t *testing.T) {
 						t.Errorf("Q%d %s dop %d: bloom %d missing from pipelined run", q.Num, mode, dop, id)
 						continue
 					}
+					strategies[fmt.Sprintf("%s/dop%d/%s", profile.Cost.Name, dop, p.Strategy)]++
 					if l.Strategy != p.Strategy || l.Inserted != p.Inserted ||
 						l.Tested != p.Tested || l.Passed != p.Passed {
 						t.Errorf("Q%d %s dop %d: bloom %d diverges: legacy=%+v pipelined=%+v",
@@ -117,7 +146,7 @@ func TestExecutorEquivalenceTPCH(t *testing.T) {
 					}
 				}
 			}
-			if rowsAtDOP[1] != rowsAtDOP[4] {
+			if len(dops) > 1 && rowsAtDOP[1] != rowsAtDOP[4] {
 				t.Errorf("Q%d %s: pipelined rows differ across DOP: dop1=%d dop4=%d",
 					q.Num, mode, rowsAtDOP[1], rowsAtDOP[4])
 			}

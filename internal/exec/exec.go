@@ -45,6 +45,9 @@ type Result struct {
 	Scans []ScanRuntime
 	// Pipelines reports each executed pipeline (empty for reference runs).
 	Pipelines []PipelineStat
+	// Work totals the rows the run pushed through each kind of operator
+	// the cost model prices (zero for reference runs).
+	Work Work
 	// MemPeak is the high-water mark of the bytes this run held on its
 	// memory broker (zero for reference runs, which account nothing).
 	MemPeak int64
@@ -53,6 +56,53 @@ type Result struct {
 	// concurrent queries (zero for reference runs, which are never
 	// admitted).
 	Sched sched.Stat
+}
+
+// Work is what a run did, in rows: exact counts that repeat bit for bit at
+// a given DOP, whatever the schedule or the host — the deterministic
+// counterpart of the run's wall time, and what a cost profile is checked
+// against. Plans without Bloom filters do the same Work at every DOP; with
+// filters, Build, Probe and Tested follow the filters' false positives, and
+// filter sizing follows DOP (§3.9).
+type Work struct {
+	// Build is the rows inserted into hash-join build sides, in memory or
+	// through grace partitions.
+	Build int64
+	// Probe is the keys looked up: rows entering hash-join probes.
+	Probe int64
+	// Tested is the Bloom filter tests run inside scans.
+	Tested int64
+	// Scanned is the base-table rows scans read; morsels the zone maps
+	// skipped are not read.
+	Scanned int64
+}
+
+// Add returns the sum of two work vectors.
+func (w Work) Add(o Work) Work {
+	return Work{w.Build + o.Build, w.Probe + o.Probe, w.Tested + o.Tested, w.Scanned + o.Scanned}
+}
+
+// foldWork totals the per-node counters r already holds.
+func foldWork(r *Result) Work {
+	var w Work
+	for _, st := range r.OpStats {
+		switch n := st.Node.(type) {
+		case *plan.Scan:
+			w.Scanned += st.RowsIn
+		case *plan.Join:
+			if n.Method == plan.HashJoin {
+				w.Probe += st.RowsIn
+				w.Build += int64(r.ActualFor(n.Inner))
+			}
+		}
+	}
+	for _, sc := range r.Scans {
+		w.Scanned -= sc.ZoneSkippedRows
+	}
+	for _, b := range r.BloomStats {
+		w.Tested += b.Tested
+	}
+	return w
 }
 
 // StatFor returns the runtime counters recorded for a plan node, or nil
@@ -433,6 +483,7 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	for _, st := range ex.stats {
 		res.OpStats = append(res.OpStats, st.snapshot())
 	}
+	res.Work = foldWork(res)
 	return res, nil
 }
 

@@ -82,7 +82,7 @@ func optimizeAndRun(t *testing.T, db *storage.Database, b *query.Block, mode opt
 	t.Helper()
 	opts := optimizer.Options{
 		Mode: mode,
-		Cost: cost.Default(),
+		Cost: cost.Paper(),
 		Heuristics: optimizer.Heuristics{
 			H1LargerOnly: true, H2MinApplyRows: 10, H3FKLosslessPK: true,
 			H5MaxBuildNDV: 1e9, H6MaxKeepFraction: 0.9,

@@ -17,7 +17,11 @@ import (
 // operator stats) it falls back to est→actual rows only.
 func (r *Result) ExplainAnalyze(p *plan.Plan) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "executed (%s)  rows=%d  blooms=%d\n", p.Mode, r.Rows, len(p.Blooms))
+	fmt.Fprintf(&b, "executed (%s)  rows=%d  blooms=%d", p.Mode, r.Rows, len(p.Blooms))
+	if r.Work != (Work{}) {
+		fmt.Fprintf(&b, "  work[build=%d probe=%d tested=%d scanned=%d]", r.Work.Build, r.Work.Probe, r.Work.Tested, r.Work.Scanned)
+	}
+	b.WriteByte('\n')
 	r.explainNode(&b, p.Root, 1)
 	if len(r.Pipelines) > 0 {
 		fmt.Fprintf(&b, "pipelines (%d):\n", len(r.Pipelines))

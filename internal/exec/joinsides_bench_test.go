@@ -1,0 +1,252 @@
+package exec
+
+import (
+	"fmt"
+	"testing"
+
+	"bfcbo/internal/catalog"
+	"bfcbo/internal/mem"
+	"bfcbo/internal/plan"
+	"bfcbo/internal/query"
+	"bfcbo/internal/storage"
+)
+
+// joinSidesFixture is one hash join taken apart: a probe table of
+// probeRows foreign keys drawn uniformly from a build table of buildRows
+// distinct keys (every probe key hits exactly one build row, the FK → PK
+// shape of the TPC-H joins), and an executor wired by hand so that the
+// build sink and the probe operator run alone, without the pipeline
+// driver, the scheduler or the scans around them.
+type joinSidesFixture struct {
+	ex   *executor
+	j    *plan.Join
+	scan *plan.Scan // of the probe table, with a predicate every row passes
+	// buildBatches and probeBatches are what the two sides' scans would
+	// hand downstream: morsel-sized batches of row ids.
+	buildBatches, probeBatches []*Batch
+}
+
+const (
+	joinSidesProbeRel  = 0
+	joinSidesBuildRel  = 1
+	joinSidesProbeRows = 1 << 18
+)
+
+func newJoinSidesFixture(tb testing.TB, buildRows, dop int) *joinSidesFixture {
+	tb.Helper()
+	// xorshift: deterministic, and off the measured path.
+	x := uint64(88172645463325252)
+	next := func() uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
+	}
+	// Build keys are a permutation of 0..n-1, so row order is not key order.
+	pk := make([]int64, buildRows)
+	for i := range pk {
+		pk[i] = int64(i)
+	}
+	for i := len(pk) - 1; i > 0; i-- {
+		k := int(next() % uint64(i+1))
+		pk[i], pk[k] = pk[k], pk[i]
+	}
+	fk := make([]int64, joinSidesProbeRows)
+	for i := range fk {
+		fk[i] = int64(next() % uint64(buildRows))
+	}
+	mk := func(name, col string, vals []int64) *storage.Table {
+		t, err := storage.NewTable(name, []storage.Column{{Name: col, Kind: catalog.Int64, Ints: vals}})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return t
+	}
+	tables := []*storage.Table{mk("probe_side", "fk", fk), mk("build_side", "pk", pk)}
+	f := &joinSidesFixture{
+		ex: &executor{
+			dop: dop, morsel: DefaultMorselSize, tables: tables,
+			blooms: newBloomSet(tables, nil, dop),
+			builds: make(map[*plan.Join]*hashTable),
+			memq:   mem.NewBroker(0).NewQuery(),
+		},
+		scan: &plan.Scan{Rel: joinSidesProbeRel, Alias: "p", Table: "probe_side",
+			Pred: query.CmpInt{Col: "fk", Op: query.GE, Val: 0}},
+	}
+	f.j = &plan.Join{
+		Method: plan.HashJoin, JoinType: query.Inner,
+		Outer: f.scan,
+		Inner: &plan.Scan{Rel: joinSidesBuildRel, Alias: "b", Table: "build_side"},
+		Conds: []plan.Cond{{OuterRel: joinSidesProbeRel, OuterCol: "fk", InnerRel: joinSidesBuildRel, InnerCol: "pk"}},
+	}
+	f.buildBatches = rowIDBatches(joinSidesBuildRel, buildRows, f.ex.morsel)
+	f.probeBatches = rowIDBatches(joinSidesProbeRel, joinSidesProbeRows, f.ex.morsel)
+	return f
+}
+
+// rowIDBatches cuts row ids 0..n-1 of relation rel into morsel-sized
+// batches, as an unfiltered scan emits them.
+func rowIDBatches(rel, n, morsel int) []*Batch {
+	var out []*Batch
+	for lo := 0; lo < n; lo += morsel {
+		rs := NewRowSetCap(query.NewRelSet(rel), morsel)
+		for id := lo; id < min(lo+morsel, n); id++ {
+			rs.cols[0] = append(rs.cols[0], int32(id))
+		}
+		out = append(out, &Batch{rows: rs})
+	}
+	return out
+}
+
+// build runs the real hash-build sink over the build batches — consume by
+// the worker each batch would arrive on, then finish: concat, key gather,
+// hash, partition scatter, directory — and returns the published table.
+func (f *joinSidesFixture) build() (*hashTable, error) {
+	snk := &hashBuildSink{
+		partsSink: newPartsSink(query.NewRelSet(joinSidesBuildRel), f.ex.dop),
+		ex:        f.ex, j: f.j, estRows: float64(f.ex.tables[joinSidesBuildRel].NumRows()),
+		res: f.ex.memq.Reserve(), rec: &spillCounters{},
+	}
+	for i, b := range f.buildBatches {
+		snk.consume(i%f.ex.dop, b)
+	}
+	if err := snk.finish(); err != nil {
+		return nil, err
+	}
+	return f.ex.builds[f.j], nil
+}
+
+// buildBloom builds, through bloomSet.build, a filter over the build
+// table's keys and has scan apply it to the probe table's: every row is
+// tested and every row passes (both probe positions are read).
+func (f *joinSidesFixture) buildBloom(scan *plan.Scan) error {
+	spec := plan.BloomSpec{ID: 1, ApplyRel: joinSidesProbeRel, ApplyCol: "fk", BuildRel: joinSidesBuildRel, BuildCol: "pk"}
+	f.ex.blooms = newBloomSet(f.ex.tables, []plan.BloomSpec{spec}, f.ex.dop)
+	j := *f.j
+	j.BuildBlooms = []int{spec.ID}
+	inner := f.buildBatches[0].rows
+	for _, b := range f.buildBatches[1:] {
+		inner.appendBatch(b.rows)
+	}
+	scan.ApplyBlooms = []int{spec.ID}
+	return f.ex.blooms.build(&j, inner.Len(), f.ex.blooms.feedVector(inner, nil, f.ex.dop))
+}
+
+// batchSource replays prepared batches: the probe operator's child.
+type batchSource struct {
+	batches []*Batch
+	next    int
+}
+
+func (s *batchSource) Open() error  { s.next = 0; return nil }
+func (s *batchSource) Close() error { return nil }
+func (s *batchSource) NextBatch() (*Batch, error) {
+	if s.next == len(s.batches) {
+		return nil, nil
+	}
+	s.next++
+	return s.batches[s.next-1], nil
+}
+
+// drain pulls op dry and returns the rows it produced.
+func drain(op PhysicalOperator) (int, error) {
+	if err := op.Open(); err != nil {
+		return 0, err
+	}
+	rows := 0
+	for {
+		b, err := op.NextBatch()
+		if err != nil {
+			return 0, err
+		}
+		if b == nil {
+			return rows, op.Close()
+		}
+		rows += b.Len()
+	}
+}
+
+// BenchmarkJoinSides is where cost.Engine's constants come from. It prices,
+// on this executor's own operators, the per-row quantities the cost model
+// charges for:
+//
+//   - scan/plain: a row through a scan (CPUTupleCost, the unit);
+//     scan/pred and scan/bloom add one predicate kernel and one Bloom
+//     filter test per row, so their excess over scan/plain is
+//     CPUOperatorCost and BloomApplyCost;
+//   - build: a row into a hash join's build side (HashBuildCost) — the
+//     real sink's consume and finish: part append, concat, key gather,
+//     hash, partition scatter, directory;
+//   - probe: a key through the probe operator (HashProbeCost) — gather,
+//     directory probe and emit, one match per key, keys in random order;
+//
+// the join sides at a cache-resident (16 Ki rows) and a memory-resident
+// (1 Mi rows) build side. One worker, so wall time is CPU time. The
+// figures are copied into internal/cost by hand (see cost.Engine): nothing
+// calibrates at run time, so a plan stays a pure function of its inputs.
+// CI runs this for its allocation ceiling only.
+func BenchmarkJoinSides(b *testing.B) {
+	for _, sc := range []struct {
+		name        string
+		pred, bloom bool
+	}{{"plain", false, false}, {"pred", true, false}, {"bloom", false, true}} {
+		b.Run("scan/"+sc.name, func(b *testing.B) {
+			f := newJoinSidesFixture(b, 1<<14, 1)
+			scan := *f.scan
+			if !sc.pred {
+				scan.Pred = nil
+			}
+			if sc.bloom {
+				if err := f.buildBloom(&scan); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src, err := f.ex.newScanSource(&scan, &opStats{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rows, err := drain(&scanOp{src: src}); err != nil || rows != joinSidesProbeRows {
+					b.Fatalf("scan: %d rows, %v", rows, err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/joinSidesProbeRows, "ns/row")
+		})
+	}
+	for _, size := range []int{1 << 14, 1 << 20} {
+		name := fmt.Sprintf("%dKi", size>>10)
+		b.Run("build/"+name, func(b *testing.B) {
+			f := newJoinSidesFixture(b, size, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := f.build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(size), "ns/row")
+		})
+		b.Run("probe/"+name, func(b *testing.B) {
+			f := newJoinSidesFixture(b, size, 1)
+			ht, err := f.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			sh, err := f.ex.newProbeShared(f.j, ht, nil, query.NewRelSet(joinSidesProbeRel), &opStats{}, 1, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			op := &probeOp{sh: sh, child: &batchSource{batches: f.probeBatches}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rows, err := drain(op); err != nil || rows != joinSidesProbeRows {
+					b.Fatalf("probe: %d rows, %v", rows, err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/joinSidesProbeRows, "ns/key")
+		})
+	}
+}

@@ -40,7 +40,7 @@ func TestPipelinedOpStatsAndExplainAnalyze(t *testing.T) {
 	}
 	// Legacy runs fall back to est→actual without operator stats.
 	res, err := optimizer.Optimize(factDimBlock(schema, query.Inner), optimizer.Options{
-		Mode: optimizer.NoBF, Cost: cost.Default(), MaxPlansPerSet: 100_000,
+		Mode: optimizer.NoBF, Cost: cost.Paper(), MaxPlansPerSet: 100_000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestMorselSizeInvariance(t *testing.T) {
 	db, schema := fixture(t)
 	b := factDimBlock(schema, query.Inner)
 	res, err := optimizer.Optimize(b, optimizer.Options{
-		Mode: optimizer.BFCBO, Cost: cost.Default(),
+		Mode: optimizer.BFCBO, Cost: cost.Paper(),
 		Heuristics: optimizer.Heuristics{H1LargerOnly: true, H2MinApplyRows: 10,
 			H3FKLosslessPK: true, H5MaxBuildNDV: 1e9, H6MaxKeepFraction: 0.9},
 		MaxPlansPerSet: 100_000,

@@ -1,0 +1,67 @@
+package exec
+
+import (
+	"strings"
+	"testing"
+
+	"bfcbo/internal/optimizer"
+	"bfcbo/internal/tpch"
+)
+
+// Result.Work is the deterministic account of a run. Over all 22 TPC-H
+// blocks under the engine profile: a repeated run at the same DOP does the
+// same work to the row; Build is the rows the hash-build pipelines
+// delivered to their sinks and Tested the filters' own tallies; a plan
+// without Bloom filters does the same work at DOP 1 and DOP 4; and with
+// filters, whose sizing follows DOP (§3.9) and so whose false positives do,
+// the scans still read the same rows. CI repeats this with -count=3, which
+// covers repetition across processes.
+func TestWorkIsExact(t *testing.T) {
+	ds := equivalenceDataset(t)
+	for _, q := range tpch.All() {
+		block := q.Build(ds.Schema)
+		for _, mode := range []optimizer.Mode{optimizer.NoBF, optimizer.BFCBO} {
+			opts := optimizer.DefaultOptions(0.01)
+			opts.Mode = mode
+			res, err := optimizer.Optimize(block, opts)
+			if err != nil {
+				t.Fatalf("Q%d %s: optimize: %v", q.Num, mode, err)
+			}
+			run := func(dop int) *Result {
+				r, err := Run(ds.DB, block, res.Plan, Options{DOP: dop})
+				if err != nil {
+					t.Fatalf("Q%d %s dop %d: %v", q.Num, mode, dop, err)
+				}
+				return r
+			}
+			serial, par, again := run(1), run(4), run(4)
+			if par.Work != again.Work {
+				t.Errorf("Q%d %s: two runs at DOP 4 did %+v and %+v", q.Num, mode, par.Work, again.Work)
+			}
+			if res.Plan.CountBlooms() == 0 && serial.Work != par.Work {
+				t.Errorf("Q%d %s: no Bloom filters, yet DOP 1 did %+v and DOP 4 %+v", q.Num, mode, serial.Work, par.Work)
+			}
+			if serial.Work.Scanned != par.Work.Scanned {
+				t.Errorf("Q%d %s: scanned %d rows at DOP 1, %d at DOP 4", q.Num, mode, serial.Work.Scanned, par.Work.Scanned)
+			}
+			for _, r := range []*Result{serial, par} {
+				var built, tested int64
+				for _, ps := range r.Pipelines {
+					if strings.Contains(ps.Label, "-> hash-build") {
+						built += ps.Rows
+					}
+				}
+				for _, bs := range r.BloomStats {
+					tested += bs.Tested
+				}
+				if r.Work.Build != built || r.Work.Tested != tested {
+					t.Errorf("Q%d %s: Work %+v, but hash-build sinks took %d rows and filters tested %d",
+						q.Num, mode, r.Work, built, tested)
+				}
+			}
+			if mode == optimizer.NoBF && len(res.Plan.Joins()) > 0 && par.Work.Build+par.Work.Probe == 0 {
+				t.Errorf("Q%d: a join plan built and probed nothing: %+v", q.Num, par.Work)
+			}
+		}
+	}
+}

@@ -14,6 +14,9 @@ type QueryRecord struct {
 	ID    int64  `json:"id"`
 	Label string `json:"label"`
 	Mode  string `json:"mode,omitempty"`
+	// CostProfile names the cost profile the plan was costed under; the
+	// estimated costs in Explain compare only within one profile.
+	CostProfile string `json:"cost_profile,omitempty"`
 	// Fingerprint is the query's normalized shape identity (16 hex
 	// digits), the key joining recorder entries to the workload history.
 	Fingerprint string        `json:"fingerprint,omitempty"`

@@ -16,10 +16,16 @@ import (
 // minted several fingerprints each and shared-key cliques printed several
 // EXPLAIN texts for one plan.
 func TestPlanningIsDeterministic(t *testing.T) {
+	for _, p := range goldenProfiles {
+		t.Run(p.name, func(t *testing.T) { planningIsDeterministic(t, p.options) })
+	}
+}
+
+func planningIsDeterministic(t *testing.T, options func(sf float64) Options) {
 	cases := goldenCases()[:22] // the TPC-H blocks
 	cases = append(cases, goldenCase{"clique6", 100, func(testing.TB) *query.Block { return cliqueGraph(6, 601) }})
 	for _, c := range cases {
-		opts := DefaultOptions(c.sf)
+		opts := options(c.sf)
 		var want string
 		for cycle := 0; cycle < 50; cycle++ {
 			b := c.build(t)
@@ -62,7 +68,7 @@ func TestCompositeCandidatesDeterministic(t *testing.T) {
 		}
 		return g.block()
 	}
-	opts := DefaultOptions(100)
+	opts := DefaultOptions(100) // marking candidates reads no cost
 	opts.Heuristics.MultiColumn = true
 	var want string
 	for cycle := 0; cycle < 50; cycle++ {
@@ -90,8 +96,13 @@ func TestCompositeCandidatesDeterministic(t *testing.T) {
 // Optimize only reads its block, so goroutines may plan one block at once
 // (run under -race).
 func TestConcurrentOptimizeSameBlock(t *testing.T) {
+	for _, p := range goldenProfiles {
+		t.Run(p.name, func(t *testing.T) { concurrentOptimizeSameBlock(t, p.options(tpchSF)) })
+	}
+}
+
+func concurrentOptimizeSameBlock(t *testing.T, opts Options) {
 	for _, b := range []*query.Block{tpchBlock(t, 9), cliqueGraph(5, 501)} {
-		opts := DefaultOptions(tpchSF)
 		var wg sync.WaitGroup
 		explains := make([]string, 4)
 		errs := make([]error, len(explains))

@@ -12,7 +12,7 @@ import (
 	"bfcbo/internal/query"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/plans.golden from the current optimizer")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/plans.golden and testdata/plans_engine.golden from the current optimizer")
 
 // goldenModes are the four configurations the benchmark's plan_heavy
 // workload times.
@@ -25,6 +25,18 @@ var goldenModes = []struct {
 	{"bfpost", BFPost, 0},
 	{"bfcbo", BFCBO, 0},
 	{"bfcbo_h7", BFCBO, 4},
+}
+
+// goldenProfiles are the two cost profiles, each with the file its plans
+// are pinned in. plans.golden is the paper profile's and predates the
+// engine profile: a change that leaves it byte-identical changed no search,
+// only data. Diffing the two files shows what the engine profile flips.
+var goldenProfiles = []struct {
+	name, file string
+	options    func(sf float64) Options
+}{
+	{"paper", "plans.golden", PaperOptions},
+	{"engine", "plans_engine.golden", DefaultOptions},
 }
 
 // goldenCase is one block to plan, built fresh per Optimize call.
@@ -60,44 +72,47 @@ func goldenLine(name, mode string, res *Result) string {
 }
 
 // TestGoldenPlans pins every plan the enumerator picks — and the size of
-// the search it ran to pick it — to the values recorded before the join
-// graph index replaced the per-subset clause scans. Regenerate with
-// `go test ./internal/optimizer -run TestGoldenPlans -update`.
+// the search it ran to pick it — under both cost profiles. Regenerate both
+// files with `go test ./internal/optimizer -run TestGoldenPlans -update`.
 func TestGoldenPlans(t *testing.T) {
-	var got []string
-	for _, c := range goldenCases() {
-		for _, m := range goldenModes {
-			opts := DefaultOptions(c.sf)
-			opts.Mode = m.mode
-			opts.Heuristics.H7MaxSubPlans = m.h7
-			res, err := Optimize(c.build(t), opts)
-			if err != nil {
-				t.Fatalf("%s %s: %v", c.name, m.name, err)
+	for _, p := range goldenProfiles {
+		t.Run(p.name, func(t *testing.T) {
+			var got []string
+			for _, c := range goldenCases() {
+				for _, m := range goldenModes {
+					opts := p.options(c.sf)
+					opts.Mode = m.mode
+					opts.Heuristics.H7MaxSubPlans = m.h7
+					res, err := Optimize(c.build(t), opts)
+					if err != nil {
+						t.Fatalf("%s %s: %v", c.name, m.name, err)
+					}
+					got = append(got, goldenLine(c.name, m.name, res))
+				}
 			}
-			got = append(got, goldenLine(c.name, m.name, res))
-		}
-	}
-	path := filepath.Join("testdata", "plans.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if len(want) != len(got) {
-		t.Fatalf("%s has %d records, the test produced %d", path, len(want), len(got))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("record %d differs:\n got  %s\n want %s", i+1, got[i], want[i])
-		}
+			path := filepath.Join("testdata", p.file)
+			if *updateGolden {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+			if len(want) != len(got) {
+				t.Fatalf("%s has %d records, the test produced %d", path, len(want), len(got))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("record %d differs:\n got  %s\n want %s", i+1, got[i], want[i])
+				}
+			}
+		})
 	}
 }

@@ -60,8 +60,8 @@ func Optimize(b *query.Block, opts Options) (*Result, error) {
 	if opts.MaxPlansPerSet <= 0 {
 		opts.MaxPlansPerSet = 200_000
 	}
-	if !opts.Cost.Validate() {
-		return nil, fmt.Errorf("optimizer: invalid cost parameters")
+	if err := opts.Cost.Validate(); err != nil {
+		return nil, fmt.Errorf("optimizer: invalid cost parameters: %w", err)
 	}
 	o := newOptimizer(b, opts)
 
@@ -85,7 +85,7 @@ func Optimize(b *query.Block, opts Options) (*Result, error) {
 	if best == nil {
 		return nil, fmt.Errorf("optimizer: no complete plan found for block %q", b.Name)
 	}
-	p := &plan.Plan{Root: best.node, Mode: opts.Mode.String()}
+	p := &plan.Plan{Root: best.node, Mode: opts.Mode.String(), CostProfile: opts.Cost.Name}
 	o.collectSpecs(p)
 
 	// §3.7: the post-processing application of Bloom filters is retained

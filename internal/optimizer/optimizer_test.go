@@ -50,7 +50,7 @@ func exampleBlock() *query.Block {
 func exampleOptions(mode Mode) Options {
 	o := Options{
 		Mode: mode,
-		Cost: cost.Default(),
+		Cost: cost.Paper(),
 		Heuristics: Heuristics{
 			H1LargerOnly:      true,
 			H2MinApplyRows:    10_000,
@@ -416,7 +416,7 @@ func chainedBlock(n int, filterLast bool) *query.Block {
 func chainOptions(m Mode) Options {
 	o := Options{
 		Mode: m,
-		Cost: cost.Default(),
+		Cost: cost.Paper(),
 		Heuristics: Heuristics{
 			H1LargerOnly:      true,
 			H2MinApplyRows:    100,
@@ -600,8 +600,13 @@ func TestDefaultHeuristicsScaling(t *testing.T) {
 	if h01.H2MinApplyRows < 20 || h01.H5MaxBuildNDV < 2000 {
 		t.Fatalf("scaled thresholds below floors: %+v", h01)
 	}
-	if !DefaultOptions(1).Cost.Validate() {
-		t.Fatal("default options invalid")
+	for _, o := range []Options{DefaultOptions(1), PaperOptions(1)} {
+		if err := o.Cost.Validate(); err != nil {
+			t.Fatalf("%s options invalid: %v", o.Cost.Name, err)
+		}
+	}
+	if e, p := DefaultOptions(1), PaperOptions(1); e.Cost.Name != "engine" || p.Cost.Name != "paper" || e.Heuristics != p.Heuristics {
+		t.Fatalf("DefaultOptions is the %q profile, PaperOptions the %q; they must differ in Cost only", e.Cost.Name, p.Cost.Name)
 	}
 }
 

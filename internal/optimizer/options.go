@@ -127,12 +127,24 @@ type Options struct {
 }
 
 // DefaultOptions returns BF-CBO with paper-default heuristics at the given
-// scale factor.
+// scale factor, costed for the executor this repository runs
+// (cost.Engine). It is what the engine, the CLI and the benchmark plan
+// with.
 func DefaultOptions(scaleFactor float64) Options {
 	return Options{
 		Mode:           BFCBO,
-		Cost:           cost.Default(),
+		Cost:           cost.Engine(),
 		Heuristics:     DefaultHeuristics(scaleFactor),
 		MaxPlansPerSet: 200_000,
 	}
+}
+
+// PaperOptions is DefaultOptions costed for the paper's environment
+// (cost.Paper): the reproduction — internal/bench, cmd/bench,
+// plans.golden, the Fig. 1/4/6 tests — plans with it, because those
+// claims are about that environment.
+func PaperOptions(scaleFactor float64) Options {
+	o := DefaultOptions(scaleFactor)
+	o.Cost = cost.Paper()
+	return o
 }

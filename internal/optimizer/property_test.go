@@ -80,13 +80,16 @@ func randomDatabase(seed uint64) (*storage.Database, *query.Block) {
 // exactly the same result cardinality — Bloom filters and join-order changes
 // must never alter query answers.
 func TestPropertyModesAgreeOnRandomBlocks(t *testing.T) {
+	// The plans are executed, so they are the engine profile's; the Naive
+	// searches make a second profile cost seconds for no new code path.
+	profile := cost.Engine()
 	for seed := uint64(1); seed <= 25; seed++ {
 		db, b := randomDatabase(seed)
 		if err := b.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		opts := Options{
-			Mode: NoBF, Cost: costDefault(),
+			Mode: NoBF, Cost: profile,
 			Heuristics: Heuristics{
 				H1LargerOnly: true, H2MinApplyRows: 30, H3FKLosslessPK: true,
 				H5MaxBuildNDV: 1e9, H6MaxKeepFraction: 0.9,
@@ -126,11 +129,13 @@ func TestPropertyModesAgreeOnRandomBlocks(t *testing.T) {
 
 // Property: BF-CBO's final cost never exceeds plain CBO's — the expanded
 // plan space strictly contains the original one.
-func TestPropertyBFCBOCostNoWorse(t *testing.T) {
+func TestPropertyBFCBOCostNoWorse(t *testing.T) { eachProfile(t, propertyBFCBOCostNoWorse) }
+
+func propertyBFCBOCostNoWorse(t *testing.T, profile cost.Params) {
 	for seed := uint64(100); seed <= 120; seed++ {
 		_, b := randomDatabase(seed)
 		opts := Options{
-			Mode: NoBF, Cost: costDefault(),
+			Mode: NoBF, Cost: profile,
 			Heuristics: Heuristics{
 				H1LargerOnly: true, H2MinApplyRows: 30, H3FKLosslessPK: true,
 				H5MaxBuildNDV: 1e9, H6MaxKeepFraction: 0.9,
@@ -159,11 +164,13 @@ func TestPropertyBFCBOCostNoWorse(t *testing.T) {
 // Property: in any BF-CBO plan, every Bloom filter's build relation appears
 // on the inner side of the hash join that builds it, and the apply relation
 // in its outer subtree — the structural soundness condition of §3.6.
-func TestPropertyBloomPlacementSound(t *testing.T) {
+func TestPropertyBloomPlacementSound(t *testing.T) { eachProfile(t, propertyBloomPlacementSound) }
+
+func propertyBloomPlacementSound(t *testing.T, profile cost.Params) {
 	for seed := uint64(200); seed <= 230; seed++ {
 		_, b := randomDatabase(seed)
 		opts := Options{
-			Mode: BFCBO, Cost: costDefault(),
+			Mode: BFCBO, Cost: profile,
 			Heuristics: Heuristics{
 				H1LargerOnly: true, H2MinApplyRows: 30, H3FKLosslessPK: true,
 				H5MaxBuildNDV: 1e9, H6MaxKeepFraction: 0.9,
@@ -208,11 +215,17 @@ func TestPropertyBloomPlacementSound(t *testing.T) {
 	}
 }
 
+// eachProfile runs a property under both cost profiles: the properties are
+// about the search, not about either calibration.
+func eachProfile(t *testing.T, prop func(*testing.T, cost.Params)) {
+	for _, p := range []cost.Params{cost.Paper(), cost.Engine()} {
+		t.Run(p.Name, func(t *testing.T) { prop(t, p) })
+	}
+}
+
 func cloneBlock(b *query.Block) *query.Block {
 	nb := &query.Block{Name: b.Name}
 	nb.Relations = append(nb.Relations, b.Relations...)
 	nb.Clauses = append(nb.Clauses, b.Clauses...)
 	return nb
 }
-
-func costDefault() cost.Params { return cost.Default() }

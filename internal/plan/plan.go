@@ -123,6 +123,10 @@ type Plan struct {
 	Blooms []BloomSpec
 	// Mode records which optimizer mode produced the plan (for reports).
 	Mode string
+	// CostProfile names the cost.Params the plan was costed under ("paper",
+	// "engine"; empty for hand-built plans). Estimated costs compare only
+	// within one profile, so every rendering of a plan carries it.
+	CostProfile string
 	// PlanningTime in seconds, measured by the optimizer.
 	PlanningTime float64
 }
@@ -176,8 +180,12 @@ func (p *Plan) CountBlooms() int { return len(p.Blooms) }
 // annotations, in the spirit of the paper's figures.
 func (p *Plan) Explain() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "plan (%s)  estRows=%.0f  estCost=%.0f  blooms=%d\n",
-		p.Mode, p.Root.EstRows(), p.Root.EstCost(), len(p.Blooms))
+	profile := ""
+	if p.CostProfile != "" {
+		profile = "  profile=" + p.CostProfile
+	}
+	fmt.Fprintf(&b, "plan (%s)%s  estRows=%.0f  estCost=%.0f  blooms=%d\n",
+		p.Mode, profile, p.Root.EstRows(), p.Root.EstCost(), len(p.Blooms))
 	p.explainNode(&b, p.Root, 1)
 	for _, bf := range p.Blooms {
 		fmt.Fprintf(&b, "  BF#%d: build rel%d.%s (δ=%s, ndv≈%.0f) -> apply rel%d.%s\n",

@@ -253,6 +253,9 @@ func TestFlightRecorderOnEngine(t *testing.T) {
 		if qr.Trace == nil {
 			t.Fatalf("record %d has no trace", qr.ID)
 		}
+		if qr.CostProfile != "engine" {
+			t.Fatalf("record %d names cost profile %q, want the engine's", qr.ID, qr.CostProfile)
+		}
 		if qr.Latency <= 0 || qr.Rows <= 0 {
 			t.Fatalf("degenerate record: %+v", qr)
 		}
