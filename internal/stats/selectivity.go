@@ -108,33 +108,47 @@ func cmpSelectivity(t *catalog.Table, col string, op query.CmpOp, val float64) f
 		return 1 - eqSelectivity(t, col)
 	}
 	c, err := t.Column(col)
-	if err != nil {
+	if err != nil || c.Stats.Max <= c.Stats.Min {
 		return defaultIneqSel
 	}
-	mn, mx := c.Stats.Min, c.Stats.Max
-	if mx <= mn {
-		return defaultIneqSel
-	}
-	frac := (val - mn) / (mx - mn) // fraction of rows with value < val (uniform)
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	eq := eqSelectivity(t, col)
 	switch op {
 	case query.LT:
-		return frac
+		return fractionBelow(c.Stats, val, false)
 	case query.LE:
-		return frac + eq
+		return fractionBelow(c.Stats, val, true)
 	case query.GT:
-		return 1 - frac - eq
+		return 1 - fractionBelow(c.Stats, val, true)
 	case query.GE:
-		return 1 - frac
+		return 1 - fractionBelow(c.Stats, val, false)
 	default:
 		return defaultIneqSel
 	}
+}
+
+// fractionBelow estimates the fraction of rows whose value is below val —
+// at or below it when inclusive — for a column with Max > Min. With a known
+// NDV the column is modelled as that many equally likely values evenly
+// spaced over [Min, Max], so the rows strictly below val are the uniform
+// fraction scaled by (ndv−1)/ndv and val itself carries 1/ndv: a 50-value
+// column has 2 % of its rows above 49, not the 0.04 % a continuous domain
+// minus an equality mass would give. Without an NDV the domain is continuous
+// and a single value has no mass.
+func fractionBelow(st catalog.ColumnStats, val float64, inclusive bool) float64 {
+	switch {
+	case val < st.Min || (val == st.Min && !inclusive):
+		return 0
+	case val > st.Max || (val == st.Max && inclusive):
+		return 1
+	}
+	f := (val - st.Min) / (st.Max - st.Min)
+	if st.NDV <= 0 {
+		return f
+	}
+	f *= (st.NDV - 1) / st.NDV
+	if inclusive {
+		f += 1 / st.NDV
+	}
+	return f
 }
 
 func rangeFraction(t *catalog.Table, col string, lo, hi float64) float64 {
@@ -142,16 +156,13 @@ func rangeFraction(t *catalog.Table, col string, lo, hi float64) float64 {
 	if err != nil {
 		return defaultIneqSel * defaultIneqSel
 	}
-	mn, mx := c.Stats.Min, c.Stats.Max
-	if mx <= mn {
+	if c.Stats.Max <= c.Stats.Min {
 		return defaultIneqSel
 	}
-	l := math.Max(lo, mn)
-	h := math.Min(hi, mx)
-	if h < l {
+	if hi < lo {
 		return 0
 	}
-	return (h - l) / (mx - mn)
+	return fractionBelow(c.Stats, hi, true) - fractionBelow(c.Stats, lo, false)
 }
 
 // NDVAfterFilter applies Yao's formula: given a column with d distinct

@@ -36,13 +36,41 @@ func TestPredicateSelectivity(t *testing.T) {
 	approx("in 3", query.InInt{Col: "k", Vals: []int64{1, 2, 3}}, 0.03, 1e-9)
 	approx("streq", query.StrEq{Col: "s", Val: "x"}, 0.25, 1e-9)
 	approx("strin", query.StrIn{Col: "s", Vals: []string{"a", "b"}}, 0.5, 1e-9)
-	approx("float between", query.BetweenFloat{Col: "f", Lo: 0, Hi: 5}, 0.5, 1e-9)
+	// 50 values over [0, 10]: 49/50 of the uniform half plus the endpoint.
+	approx("float between", query.BetweenFloat{Col: "f", Lo: 0, Hi: 5}, 0.51, 1e-9)
 	approx("not", query.Not{P: query.StrEq{Col: "s", Val: "x"}}, 0.75, 1e-9)
 	approx("and", query.And{Ps: []query.Predicate{
 		query.CmpInt{Col: "k", Op: query.EQ, Val: 1}, query.StrEq{Col: "s", Val: "x"}}}, 0.0025, 1e-9)
 	approx("or", query.Or{Ps: []query.Predicate{
 		query.StrEq{Col: "s", Val: "x"}, query.StrEq{Col: "s", Val: "y"}}}, 1-0.75*0.75, 1e-9)
 	approx("nil", nil, 1, 0)
+}
+
+// TestDiscreteRangeSelectivity pins the inequality estimates on a column of
+// 50 equally likely values (l_quantity's shape) at both ends of its domain:
+// each is the exact fraction of the values 1..50 that qualify.
+func TestDiscreteRangeSelectivity(t *testing.T) {
+	tb := catalog.NewTable("t", 1000, []catalog.Column{
+		{Name: "q", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: 50, Min: 1, Max: 50}},
+	})
+	cmp := func(op query.CmpOp, v int64) query.Predicate { return query.CmpInt{Col: "q", Op: op, Val: v} }
+	between := func(lo, hi int64) query.Predicate { return query.BetweenInt{Col: "q", Lo: lo, Hi: hi} }
+	for _, tc := range []struct {
+		p    query.Predicate
+		want float64
+	}{
+		{cmp(query.GT, 49), 1.0 / 50}, {cmp(query.GT, 50), 0}, {cmp(query.GT, 1), 49.0 / 50}, {cmp(query.GT, 0), 1},
+		{cmp(query.GE, 49), 2.0 / 50}, {cmp(query.GE, 50), 1.0 / 50}, {cmp(query.GE, 1), 1}, {cmp(query.GE, 51), 0},
+		{cmp(query.LT, 2), 1.0 / 50}, {cmp(query.LT, 1), 0}, {cmp(query.LT, 50), 49.0 / 50}, {cmp(query.LT, 51), 1},
+		{cmp(query.LE, 2), 2.0 / 50}, {cmp(query.LE, 1), 1.0 / 50}, {cmp(query.LE, 50), 1}, {cmp(query.LE, 0), 0},
+		{between(1, 1), 1.0 / 50}, {between(1, 11), 11.0 / 50}, {between(49, 50), 2.0 / 50}, {between(50, 50), 1.0 / 50},
+		{between(1, 50), 1}, {between(-5, 60), 1}, {between(51, 60), 0}, {between(11, 10), 0},
+	} {
+		want := math.Max(tc.want, minSel)
+		if got := PredicateSelectivity(tb, tc.p); math.Abs(got-want) > 1e-12 {
+			t.Errorf("%v: sel = %v, want %v", tc.p, got, want)
+		}
+	}
 }
 
 func TestSelectivityBounds(t *testing.T) {

@@ -279,3 +279,36 @@ func TestPlannerEstimatesSaneOnAllQueries(t *testing.T) {
 		}
 	}
 }
+
+// Q18's subquery side keeps the lineitems of one quantity in fifty. The
+// estimate sizes three Bloom filters, so it has to be about right: a
+// continuous reading of the 50-value column put it fifty times too low.
+func TestQ18SubqueryEstimate(t *testing.T) {
+	ds, err := datagen.Generate(datagen.Config{ScaleFactor: 0.01, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, _ := Get(18)
+	b := q.Build(ds.Schema)
+	opts := optimizer.DefaultOptions(0.01)
+	opts.Mode = optimizer.NoBF
+	res, err := optimizer.Optimize(b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := exec.Run(ds.DB, b, res.Plan, exec.Options{DOP: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range res.Plan.Scans() {
+		if s.Alias != "l2" {
+			continue
+		}
+		actual := r.ActualFor(s)
+		if actual <= 0 || s.Rows < 0.95*actual || s.Rows > 1.05*actual {
+			t.Errorf("Q18 l2: estimated %.0f rows, actual %.0f; want within 5 %%", s.Rows, actual)
+		}
+		return
+	}
+	t.Fatal("Q18 plan has no scan of l2")
+}
