@@ -144,7 +144,8 @@ func TestAblationClaim(t *testing.T) {
 }
 
 // The calibration: under BF-Post the engine profile builds at most 60 % of
-// the rows the paper profile builds, under BF-CBO no more; the four
+// the rows the paper profile builds, under BF-CBO no more; over its semi,
+// anti and left joins it builds no more rows than it probes with; the four
 // configurations return the same rows; BF-CBO is no costlier than BF-Post
 // under either profile.
 func TestCalibrationClaim(t *testing.T) {
@@ -169,7 +170,8 @@ func TestCalibrationClaim(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	c.Print(&buf)
-	for _, want := range []string{"engine  BF-CBO", "paper   BF-Post", "hash build sides", "engine ÷ paper profile, BF-Post", "rho"} {
+	for _, want := range []string{"engine  BF-CBO", "paper   BF-Post", "hash build sides", "engine ÷ paper profile, BF-Post", "rho",
+		"[right semi]", "engine profile, semi/anti/left joins"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("calibration report missing %q:\n%s", want, buf.String())
 		}
@@ -221,7 +223,7 @@ func TestChecksRejectDoctoredResults(t *testing.T) {
 	}
 	goodCalibration := func() *Calibration {
 		cell := func(cost float64, build int64) CalibCell {
-			return CalibCell{EstCost: cost, Rows: 7, Work: exec.Work{Build: build}}
+			return CalibCell{EstCost: cost, Rows: 7, Work: exec.Work{Build: build}, UnitBuild: 20, UnitProbe: 300}
 		}
 		return &Calibration{Rows: []CalibRow{{
 			Query:  3,
@@ -322,6 +324,11 @@ func TestChecksRejectDoctoredResults(t *testing.T) {
 			c.Rows[0].Engine.CBO.Work.Build = 801
 			return c
 		}(), "build work: BF-CBO builds 801 rows under the engine profile"},
+		{"engine profile builds the subquery side of a semi join", func() checker {
+			c := goodCalibration()
+			c.Rows[0].Engine.CBO.UnitBuild, c.Rows[0].Engine.CBO.UnitProbe = 300, 20
+			return c
+		}(), "build side of semi/anti/left joins: under the engine profile BF-CBO builds 300 rows to probe with 20 keys"},
 		{"a profile changes the answer", func() checker {
 			c := goodCalibration()
 			c.Rows[0].Engine.CBO.Rows++

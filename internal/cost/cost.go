@@ -98,6 +98,15 @@ func Paper() Params {
 //	probe/16Ki      25 ns/key         HashProbeCost
 //	build/1024Ki    65 ns/row         (not charged: see below)
 //	probe/1024Ki    145 ns/key        (not charged: see below)
+//	mirror/semi     23.5 ns/key       HashProbeCost (probe and mark)
+//	                2.5 ns/swept row  CPUTupleCost  (a build row emitted)
+//	mirror/left     25.5 ns/key       HashProbeCost (probe, mark, emit pair)
+//	                1.3 ns/swept row  CPUTupleCost  (a build row passed over)
+//
+// A mirrored join — a semi, anti or left join built on its preserve side —
+// is therefore priced as the hash join it is plus one scanned row per build
+// row for the sweep that follows the probe (optimizer.hashJoinCost): no
+// constant of its own.
 //
 // benchmark/'s own kernels agree where they overlap: bloom.test_ns_per_key
 // 8.2 ns, query.filter_ns_per_row 6.6 ns for TPC-H's multi-conjunct
@@ -107,10 +116,11 @@ func Paper() Params {
 // The constants are flat, taken at the cache-resident size, which is where
 // the plans this profile picks put their build sides. A probe against a
 // 1 Mi-row table costs 5.8 times one against 16 Ki rows when the keys arrive
-// in random order, but a step in the probe term above 128 Ki build rows
-// changes none of the 22 TPC-H plans at SF 0.2: the only build sides that
-// large are the ones a semi, anti or left join pins there, whose
-// orientation the planner does not choose. So there is no step.
+// in random order, but there is no build side left for a step in the probe
+// term to move: the planner chooses the build side of semi, anti and left
+// joins too, and at SF 0.2 the largest table any of the 22 TPC-H plans
+// builds holds 69 689 rows (Q9; before, Q21's semi join pinned 1.2 M rows
+// of lineitem there). So there is no step.
 const (
 	nsScanRow   = 2.5
 	nsPredRow   = 1.3

@@ -83,7 +83,6 @@ func executorEquivalenceTPCH(t *testing.T, profile optimizer.Options, modes []op
 				t.Fatalf("Q%d %s: optimize: %v", q.Num, mode, err)
 			}
 			rowsAtDOP := map[int]int{}
-			skip := phantomRels(res.Plan)
 			for _, dop := range dops {
 				legacy, err := Run(ds.DB, block, res.Plan, Options{DOP: dop, Legacy: true})
 				if err != nil {
@@ -108,7 +107,7 @@ func executorEquivalenceTPCH(t *testing.T, profile optimizer.Options, modes []op
 				// Same tuples, not just as many: scan kernels, zone-map
 				// skips, Bloom and hash carries, the flat tables and the
 				// pair-driven emit may reorder the output but never change it.
-				want, got := canonicalRows(legacy.Out, skip), canonicalRows(piped.Out, skip)
+				want, got := canonicalRows(legacy.Out), canonicalRows(piped.Out)
 				for i := 0; i < len(want) && i < len(got); i++ {
 					if got[i] != want[i] {
 						t.Errorf("Q%d %s dop %d: tuple %d diverges: legacy=%q pipelined=%q",

@@ -94,7 +94,7 @@ func (r *Result) explainNode(b *strings.Builder, n plan.Node, depth int) {
 			head += fmt.Sprintf("  blooms=%v", t.ApplyBlooms)
 		}
 	case *plan.Join:
-		head = fmt.Sprintf("%s(%s) %s", t.Method, t.JoinType, t.Streaming)
+		head = fmt.Sprintf("%s(%s) %s", t.Method, t.Kind(), t.Streaming)
 		if len(t.BuildBlooms) > 0 {
 			head += fmt.Sprintf("  buildBF=%v", t.BuildBlooms)
 		}

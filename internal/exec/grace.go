@@ -22,7 +22,9 @@ import (
 // partition, building its table with the existing two-phase parallel
 // buildHashTable, and streaming the probe partition through the shared
 // probeBatch kernel, so all join types (inner/semi/anti/left) and extra
-// conditions work unchanged. A partition pair whose grant is denied again
+// conditions work unchanged. A mirrored join marks and sweeps pair by pair:
+// equal keys share a partition, so a pair's build rows owe nothing to any
+// other pair's probe rows. A partition pair whose grant is denied again
 // repartitions recursively with a level-salted hash, up to graceMaxDepth.
 
 // graceHashJoin is the shared state of one spilled hash join, created by
@@ -183,6 +185,10 @@ type activePair struct {
 	probe   *spill.Writer
 	est     int64
 	scratch *RowSet
+	// A mirrored join's pair also holds the marks of its build rows and,
+	// once the probe file is drained (sweepAt >= 0), the sweep's position.
+	marks   buildMarks
+	sweepAt int
 }
 
 // graceProbeWorker is one probe worker's private grace state: route
@@ -288,28 +294,39 @@ func (o *probeOp) graceNext() (*Batch, error) {
 			w.closeActive()
 			return nil, nil
 		}
-		if w.act != nil {
+		if act := w.act; act != nil {
 			start := time.Now()
-			cols, err := w.act.r.Next()
-			if err != nil {
-				return nil, err
-			}
-			if cols == nil {
-				g.probeRec.addBytesRead(w.act.r.BytesRead())
-				w.act.r.Close()
-				w.act.probe.Remove()
-				g.res.Release(w.act.est)
-				w.act = nil
+			var out *Batch
+			switch {
+			case act.sweepAt < 0:
+				cols, err := act.r.Next()
+				if err != nil {
+					return nil, err
+				}
+				if cols == nil {
+					// Drained; only a mirrored join's pair still owes rows.
+					act.sweepAt = act.ht.inner.Len()
+					if act.marks != nil {
+						act.sweepAt = 0
+					}
+					continue
+				}
+				scratch := act.scratch
+				for c := range scratch.cols {
+					scratch.cols[c] = scratch.cols[c][:0]
+				}
+				appendRawChunk(scratch, cols)
+				// Reloaded chunks carry no side channels: the probe re-hashes.
+				w.inBatch = Batch{rows: scratch}
+				out = sh.probeBatch(act.ht, &w.inBatch, &w.scr, act.marks)
+			case act.sweepAt < act.ht.inner.Len():
+				out, act.sweepAt = sh.sweepBatch(act.ht, act.marks, act.sweepAt, &w.scr)
+			default:
+				w.closeActive()
+				act.probe.Remove()
+				g.res.Release(act.est)
 				continue
 			}
-			scratch := w.act.scratch
-			for c := range scratch.cols {
-				scratch.cols[c] = scratch.cols[c][:0]
-			}
-			appendRawChunk(scratch, cols)
-			// Reloaded chunks carry no side channels: the probe re-hashes.
-			w.inBatch = Batch{rows: scratch}
-			out := sh.probeBatch(w.act.ht, &w.inBatch, &w.scr)
 			// Probe rows were already counted as RowsIn while routing;
 			// the drain only adds output rows.
 			sh.stats.observe(0, out.Len(), time.Since(start))
@@ -373,9 +390,14 @@ func (o *probeOp) graceNext() (*Batch, error) {
 func (g *graceHashJoin) startPair(p spillPair, w *graceProbeWorker) error {
 	bRows, pRows := int(p.build.Rows()), int(p.probe.Rows())
 	jt := g.j.JoinType
-	if pRows == 0 || (bRows == 0 && (jt == query.Inner || jt == query.Semi)) {
-		// No probe rows never produce output; an empty build side only
-		// matters for anti/left, which emit unmatched probe rows.
+	preserved, unit := pRows, bRows
+	if g.j.BuildPreserved {
+		preserved, unit = bRows, pRows
+	}
+	if preserved == 0 || (unit == 0 && (jt == query.Inner || jt == query.Semi)) {
+		// Output rows come from the preserve side, whichever side that is;
+		// an empty unit only matters for anti/left, which keep the
+		// preserved rows it leaves unmatched.
 		p.build.Remove()
 		p.probe.Remove()
 		return nil
@@ -411,6 +433,11 @@ func (g *graceHashJoin) startPair(p spillPair, w *graceProbeWorker) error {
 	// probe stream drains.
 	exact := rowSetBytes(bRows, g.buildRels.Count()) +
 		ht.tableBytes() + 8*int64(bRows)*int64(1+len(ht.innerExtras))
+	var marks buildMarks
+	if g.j.BuildPreserved {
+		marks = newBuildMarks(bRows)
+		exact += marks.bytes()
+	}
 	if exact > est {
 		g.res.Force(exact - est)
 	} else {
@@ -422,7 +449,7 @@ func (g *graceHashJoin) startPair(p spillPair, w *graceProbeWorker) error {
 		g.res.Release(est)
 		return err
 	}
-	w.act = &activePair{ht: ht, r: r, probe: p.probe, est: est, scratch: NewRowSet(g.probeRels)}
+	w.act = &activePair{ht: ht, r: r, probe: p.probe, est: est, scratch: NewRowSet(g.probeRels), marks: marks, sweepAt: -1}
 	return nil
 }
 

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"bfcbo/internal/catalog"
 	"bfcbo/internal/mem"
@@ -174,11 +175,18 @@ func drain(op PhysicalOperator) (int, error) {
 //     scan/pred and scan/bloom add one predicate kernel and one Bloom
 //     filter test per row, so their excess over scan/plain is
 //     CPUOperatorCost and BloomApplyCost;
+//
 //   - build: a row into a hash join's build side (HashBuildCost) — the
 //     real sink's consume and finish: part append, concat, key gather,
 //     hash, partition scatter, directory;
+//
 //   - probe: a key through the probe operator (HashProbeCost) — gather,
 //     directory probe and emit, one match per key, keys in random order;
+//
+//   - mirror: the same join with its preserve side building (a right semi
+//     and a right outer join): a key through the probe-and-mark kernel,
+//     and a build row through the sweep that follows — what the planner
+//     prices as a probe key and as one more scanned row;
 //
 // the join sides at a cache-resident (16 Ki rows) and a memory-resident
 // (1 Mi rows) build side. One worker, so wall time is CPU time. The
@@ -247,6 +255,53 @@ func BenchmarkJoinSides(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/joinSidesProbeRows, "ns/key")
+		})
+	}
+	for _, jt := range []query.JoinType{query.Semi, query.Left} {
+		b.Run("mirror/"+jt.String(), func(b *testing.B) {
+			const size = 1 << 14
+			f := newJoinSidesFixture(b, size, 1)
+			ht, err := f.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			j := *f.j
+			j.JoinType, j.BuildPreserved = jt, true
+			sh, err := f.ex.newProbeShared(&j, ht, nil, query.NewRelSet(joinSidesProbeRel), &opStats{}, 1, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Every build key is drawn by some probe row, so a semi join
+			// sweeps out every build row and a left join none.
+			wantPairs, wantSwept := 0, size
+			if jt == query.Left {
+				wantPairs, wantSwept = joinSidesProbeRows, 0
+			}
+			marks, scr := newBuildMarks(size), &probeScratch{}
+			var probing, sweeping time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clear(marks)
+				pairs, swept := 0, 0
+				start := time.Now()
+				for _, in := range f.probeBatches {
+					pairs += sh.probeBatch(ht, in, scr, marks).Len()
+				}
+				probing += time.Since(start)
+				start = time.Now()
+				for at := 0; at < size; {
+					var out *Batch
+					out, at = sh.sweepBatch(ht, marks, at, scr)
+					swept += out.Len()
+				}
+				sweeping += time.Since(start)
+				if pairs != wantPairs || swept != wantSwept {
+					b.Fatalf("mirrored %s join: %d pairs, %d swept rows; want %d and %d", jt, pairs, swept, wantPairs, wantSwept)
+				}
+			}
+			b.ReportMetric(float64(probing.Nanoseconds())/float64(b.N)/joinSidesProbeRows, "ns/key")
+			b.ReportMetric(float64(sweeping.Nanoseconds())/float64(b.N)/size, "ns/swept-row")
 		})
 	}
 }

@@ -36,20 +36,14 @@ const tinyBudget = 1
 
 // canonicalRows fingerprints a row set as a sorted multiset of tuples, so
 // outputs can be compared across runs whose row order differs (spilling
-// reorders partitions; worker interleaving reorders parts). Columns of
-// relations in skip are excluded: semi/anti joins allocate their inner
-// side's columns but fill them with *a* matching row id — which match is
-// first depends on build order, and downstream never reads them.
-func canonicalRows(rs *RowSet, skip query.RelSet) []string {
+// reorders partitions; worker interleaving reorders parts; the planner may
+// build either side of a semi, anti or left join). Every column counts: the
+// subquery side of a semi or anti join is null in every row.
+func canonicalRows(rs *RowSet) []string {
 	if rs == nil {
 		return nil
 	}
-	cols := make([][]int32, 0, len(rs.cols))
-	for _, rel := range rs.rels.Members() {
-		if !skip.Has(rel) {
-			cols = append(cols, rs.Col(rel))
-		}
-	}
+	cols := rs.cols
 	n := rs.Len()
 	rows := make([]string, n)
 	var sb strings.Builder
@@ -62,18 +56,6 @@ func canonicalRows(rs *RowSet, skip query.RelSet) []string {
 	}
 	sort.Strings(rows)
 	return rows
-}
-
-// phantomRels collects the relations under semi/anti join inner sides —
-// the columns whose values are unexposed implementation detail.
-func phantomRels(p *plan.Plan) query.RelSet {
-	var skip query.RelSet
-	for _, j := range p.Joins() {
-		if j.JoinType == query.Semi || j.JoinType == query.Anti {
-			skip = skip.Union(j.Inner.Rels())
-		}
-	}
-	return skip
 }
 
 func assertNoSpillFiles(t *testing.T, root string) {
@@ -122,8 +104,7 @@ func TestExecutorEquivalenceMemBudget(t *testing.T) {
 			if s := baseline.TotalSpill(); s.Spilled() {
 				t.Errorf("Q%d dop %d: unlimited-budget run spilled: %+v", num, dop, s)
 			}
-			skip := phantomRels(res.Plan)
-			want := canonicalRows(baseline.Out, skip)
+			want := canonicalRows(baseline.Out)
 			spillRoot := t.TempDir()
 			r, err := Run(ds.DB, block, res.Plan, Options{
 				DOP: dop, Broker: mem.NewBroker(tinyBudget), SpillDir: spillRoot,
@@ -134,7 +115,7 @@ func TestExecutorEquivalenceMemBudget(t *testing.T) {
 			if r.Rows != baseline.Rows {
 				t.Errorf("Q%d dop %d: rows = %d, want %d", num, dop, r.Rows, baseline.Rows)
 			}
-			got := canonicalRows(r.Out, skip)
+			got := canonicalRows(r.Out)
 			if len(got) != len(want) {
 				t.Errorf("Q%d dop %d: %d tuples, want %d", num, dop, len(got), len(want))
 			} else {
@@ -280,8 +261,8 @@ func TestExternalSortMatchesInMemory(t *testing.T) {
 		if s := r.TotalSpill(); !s.Spilled() {
 			t.Fatalf("dop %d: merge-join sort never spilled under tiny budget", dop)
 		}
-		gw := canonicalRows(want.Out, 0)
-		gr := canonicalRows(r.Out, 0)
+		gw := canonicalRows(want.Out)
+		gr := canonicalRows(r.Out)
 		for i := range gw {
 			if gr[i] != gw[i] {
 				t.Fatalf("dop %d: tuple %d diverges", dop, i)

@@ -350,6 +350,18 @@ func (ht *hashTable) tableBytes() int64 {
 	return b
 }
 
+// buildMarks is a mirrored join's match bitmap, one bit per build row. Each
+// probe worker sets bits in a bitmap of its own, so the probe loop needs no
+// atomics; the bitmaps meet once, when a worker retires (probeShared.retire)
+// — or never, in grace mode, where a partition pair belongs to one worker.
+type buildMarks []uint64
+
+func newBuildMarks(rows int) buildMarks { return make(buildMarks, (rows+63)/64) }
+
+func (m buildMarks) set(i int32)      { m[i>>6] |= 1 << (uint(i) & 63) }
+func (m buildMarks) has(i int32) bool { return m[i>>6]&(1<<(uint(i)&63)) != 0 }
+func (m buildMarks) bytes() int64     { return 8 * int64(len(m)) }
+
 // hashVecPar computes hashtab.Hash for every key, fanning the mix across dop
 // workers above the finish threshold. The vector is computed once per
 // build side and shared by Bloom population, partition routing, and the
@@ -492,6 +504,14 @@ type probeShared struct {
 	outerVals [][]int64
 	outerRels []int
 	stats     *opStats
+
+	// Mirrored joins over an in-memory table (j.BuildPreserved, ht != nil):
+	// probing counts the workers whose input is not yet exhausted, marks is
+	// the union of the retired workers' bitmaps, and the worker that brings
+	// probing to zero sweeps the build rows.
+	probing atomic.Int32
+	mu      sync.Mutex
+	marks   buildMarks
 }
 
 func (ex *executor) newProbeShared(j *plan.Join, ht *hashTable, g *graceHashJoin,
@@ -515,8 +535,25 @@ func (ex *executor) newProbeShared(j *plan.Join, ht *hashTable, g *graceHashJoin
 			return nil, err
 		}
 		sh.grace = g
+	} else if j.BuildPreserved {
+		sh.probing.Store(int32(workers))
+		sh.marks = newBuildMarks(ht.inner.Len())
+		// One bitmap per worker plus their union: they must stay resident.
+		ex.memq.Reserve().Force(int64(workers+1) * sh.marks.bytes())
 	}
 	return sh, nil
+}
+
+// retire folds one worker's marks into the shared bitmap after its input ran
+// dry, and reports whether it was the last worker still probing: that one
+// sweeps. The mutex orders every earlier fold before the sweeper's reads.
+func (sh *probeShared) retire(marks buildMarks) bool {
+	sh.mu.Lock()
+	for w, bits := range marks {
+		sh.marks[w] |= bits
+	}
+	sh.mu.Unlock()
+	return sh.probing.Add(-1) == 0
 }
 
 // probeScratch is one worker's reusable probe-batch scratch: the
@@ -561,11 +598,20 @@ type probeOp struct {
 	child PhysicalOperator
 	scr   probeScratch
 	gw    *graceProbeWorker
+
+	// Mirrored join, in-memory table: this worker's marks (nil once it has
+	// retired them) and — for the one worker that sweeps — the next build
+	// row to look at (-1: not sweeping).
+	marks   buildMarks
+	sweepAt int
 }
 
 func (o *probeOp) Open() error {
+	o.sweepAt = -1
 	if o.sh.grace != nil {
 		o.gw = newGraceProbeWorker(o.sh.grace)
+	} else if o.sh.j.BuildPreserved {
+		o.marks = newBuildMarks(o.sh.ht.inner.Len())
 	}
 	return o.child.Open()
 }
@@ -610,7 +656,12 @@ func (sh *probeShared) matchIn(ht *hashTable, outerIDs [][]int32, oi int, ii int
 // gathers driven by the pair vectors materialize the output columns
 // through the precomputed wiring. Output row order is ascending outer
 // position, ascending build row id within a key (the payload order).
-func (sh *probeShared) probeBatch(ht *hashTable, in *Batch, scr *probeScratch) *Batch {
+//
+// A mirrored join (sh.j.BuildPreserved) probes with the unit's rows and
+// records every verified match in marks, the caller's bitmap over ht's build
+// rows: its semi and anti forms emit nothing here, its left form the matched
+// pairs; sweepBatch emits the build rows afterwards.
+func (sh *probeShared) probeBatch(ht *hashTable, in *Batch, scr *probeScratch, marks buildMarks) *Batch {
 	n := in.rows.Len()
 	gatherStart := time.Now()
 	if cap(scr.outerIDs) < len(sh.outerRels) {
@@ -643,8 +694,8 @@ func (sh *probeShared) probeBatch(ht *hashTable, in *Batch, scr *probeScratch) *
 	probeStart := time.Now()
 	extras := len(sh.outerVals) > 1
 	candO, candI := scr.candO[:0], scr.candI[:0]
-	switch sh.j.JoinType {
-	case query.Inner:
+	switch {
+	case sh.j.BuildPreserved && sh.j.JoinType == query.Left:
 		for oi := 0; oi < n; oi++ {
 			for _, ii := range ht.lookup(keys[oi], hs[oi]) {
 				candO = append(candO, int32(oi))
@@ -654,20 +705,43 @@ func (sh *probeShared) probeBatch(ht *hashTable, in *Batch, scr *probeScratch) *
 		if extras {
 			candO, candI = sh.filterExtras(ht, outerIDs, candO, candI)
 		}
-	case query.Semi:
-		// First passing match per outer row; the extras check inlines
-		// because it decides which candidate is "first".
+		for _, ii := range candI {
+			marks.set(ii)
+		}
+	case sh.j.BuildPreserved:
+		// Semi and anti: every build row with a verified match gets its
+		// mark — no stopping at the first, the key's other rows match too.
+		for oi := 0; oi < n; oi++ {
+			for _, ii := range ht.lookup(keys[oi], hs[oi]) {
+				if !marks.has(ii) && (!extras || sh.matchIn(ht, outerIDs, oi, ii)) {
+					marks.set(ii)
+				}
+			}
+		}
+	case sh.j.JoinType == query.Inner:
+		for oi := 0; oi < n; oi++ {
+			for _, ii := range ht.lookup(keys[oi], hs[oi]) {
+				candO = append(candO, int32(oi))
+				candI = append(candI, ii)
+			}
+		}
+		if extras {
+			candO, candI = sh.filterExtras(ht, outerIDs, candO, candI)
+		}
+	case sh.j.JoinType == query.Semi:
+		// One output row per outer row with a passing match; the unit's
+		// columns are null, as after an anti join.
 		for oi := 0; oi < n; oi++ {
 			for _, ii := range ht.lookup(keys[oi], hs[oi]) {
 				if extras && !sh.matchIn(ht, outerIDs, oi, ii) {
 					continue
 				}
 				candO = append(candO, int32(oi))
-				candI = append(candI, ii)
+				candI = append(candI, nullRow)
 				break
 			}
 		}
-	case query.Anti:
+	case sh.j.JoinType == query.Anti:
 		for oi := 0; oi < n; oi++ {
 			found := false
 			for _, ii := range ht.lookup(keys[oi], hs[oi]) {
@@ -681,7 +755,7 @@ func (sh *probeShared) probeBatch(ht *hashTable, in *Batch, scr *probeScratch) *
 				candI = append(candI, nullRow)
 			}
 		}
-	case query.Left:
+	case sh.j.JoinType == query.Left:
 		for oi := 0; oi < n; oi++ {
 			for _, ii := range ht.lookup(keys[oi], hs[oi]) {
 				candO = append(candO, int32(oi))
@@ -694,7 +768,7 @@ func (sh *probeShared) probeBatch(ht *hashTable, in *Batch, scr *probeScratch) *
 	}
 	scr.candO, scr.candI = candO, candI // keep grown backing arrays
 	pairO, pairI := candO, candI
-	if sh.j.JoinType == query.Left {
+	if sh.j.JoinType == query.Left && !sh.j.BuildPreserved {
 		// Gap fill: candO is ascending, so one merge walk emits every
 		// surviving match and null-extends outer rows with none.
 		outO, outI := scr.outO[:0], scr.outI[:0]
@@ -762,6 +836,39 @@ func (sh *probeShared) filterExtras(ht *hashTable, outerIDs [][]int32, candO, ca
 	return candO, candI
 }
 
+// sweepBatch is the second half of a mirrored join: it emits up to one
+// morsel of the build rows at or after position at that the join type keeps
+// — the marked ones of a semi join, the unmarked ones of an anti or left
+// join — with nulls in the probe side's columns, and returns the position
+// to resume from. The batch is scr-backed scratch, like probeBatch's.
+func (sh *probeShared) sweepBatch(ht *hashTable, marks buildMarks, at int, scr *probeScratch) (*Batch, int) {
+	wantMarked := sh.j.JoinType == query.Semi
+	sel := scr.candI[:0]
+	n := ht.inner.Len()
+	for ; at < n && len(sel) < DefaultMorselSize; at++ {
+		if marks.has(int32(at)) == wantMarked {
+			sel = append(sel, int32(at))
+		}
+	}
+	scr.candI = sel
+	out := scr.ensureOut(sh.outRels, len(sel))
+	w := sh.wiring
+	for c, dst := range out.cols {
+		if w.fromOuter[c] {
+			for k := range dst {
+				dst[k] = nullRow
+			}
+			continue
+		}
+		src := ht.inner.cols[w.srcPos[c]]
+		for k, ii := range sel {
+			dst[k] = src[ii]
+		}
+	}
+	scr.outBatch = Batch{rows: out}
+	return &scr.outBatch, at
+}
+
 func (o *probeOp) NextBatch() (*Batch, error) {
 	if o.gw != nil {
 		return o.graceNext()
@@ -775,13 +882,40 @@ func (o *probeOp) NextBatch() (*Batch, error) {
 		if o.ex != nil && o.ex.stop.Load() {
 			return nil, nil
 		}
-		in, err := o.child.NextBatch()
-		if err != nil || in == nil {
-			return nil, err
+		var in *Batch
+		if o.sweepAt < 0 {
+			var err error
+			if in, err = o.child.NextBatch(); err != nil {
+				return nil, err
+			}
+			if in == nil {
+				// A mirrored join owes its build rows once every worker's
+				// input is exhausted; the last worker to get here emits
+				// them. A source cut short by the stop flag also returns
+				// nil: a cancelled run never sweeps.
+				if o.marks == nil || (o.ex != nil && o.ex.stop.Load()) {
+					return nil, nil
+				}
+				last := sh.retire(o.marks)
+				o.marks = nil
+				if !last {
+					return nil, nil
+				}
+				o.sweepAt = 0
+			}
 		}
 		start := time.Now()
-		out := sh.probeBatch(sh.ht, in, &o.scr)
-		sh.stats.observe(in.Len(), out.Len(), time.Since(start))
+		var out *Batch
+		rowsIn := 0
+		if in != nil {
+			rowsIn = in.Len()
+			out = sh.probeBatch(sh.ht, in, &o.scr, o.marks)
+		} else if o.sweepAt < sh.ht.inner.Len() {
+			out, o.sweepAt = sh.sweepBatch(sh.ht, sh.marks, o.sweepAt, &o.scr)
+		} else {
+			return nil, nil
+		}
+		sh.stats.observe(rowsIn, out.Len(), time.Since(start))
 		if out.Len() > 0 {
 			return out, nil
 		}

@@ -82,9 +82,9 @@ func TestProbeRandomMatchesLegacy(t *testing.T) {
 		morsel := []int{0, 64, 257}[trial%3]
 
 		for _, jt := range []query.JoinType{query.Inner, query.Left, query.Semi, query.Anti} {
-			var skip query.RelSet
-			if jt == query.Semi || jt == query.Anti {
-				skip = query.NewRelSet(1)
+			var unit query.RelSet
+			if jt != query.Inner {
+				unit = query.NewRelSet(1)
 			}
 			b := &query.Block{
 				Name: "prop",
@@ -93,7 +93,7 @@ func TestProbeRandomMatchesLegacy(t *testing.T) {
 					{Alias: "i", Table: schema.MustTable("pi"), Pred: innerPred},
 				},
 				Clauses: []query.JoinClause{
-					{Type: jt, LeftRel: 0, LeftCol: "k1", RightRel: 1, RightCol: "k1", SubRels: skip},
+					{Type: jt, LeftRel: 0, LeftCol: "k1", RightRel: 1, RightCol: "k1", SubRels: unit},
 				},
 			}
 			p := &plan.Plan{Root: &plan.Join{
@@ -111,7 +111,7 @@ func TestProbeRandomMatchesLegacy(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d %s: pipelined dop %d: %v", trial, jt, dop, err)
 				}
-				want, have := canonicalRows(ref.Out, skip), canonicalRows(got.Out, skip)
+				want, have := canonicalRows(ref.Out), canonicalRows(got.Out)
 				if len(have) != len(want) {
 					t.Fatalf("trial %d %s dop %d: rows diverge: pipelined=%d legacy=%d",
 						trial, jt, dop, len(have), len(want))
@@ -209,13 +209,13 @@ func BenchmarkProbeBatch(b *testing.B) {
 	}{{"hash-only", false}, {"extra-cond", true}} {
 		b.Run(cfg.name, func(b *testing.B) {
 			sh, ht, in, scr := benchProbeFixture(cfg.extras)
-			if out := sh.probeBatch(ht, in, scr); out.Len() == 0 {
+			if out := sh.probeBatch(ht, in, scr, nil); out.Len() == 0 {
 				b.Fatal("probe produced no rows")
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out := sh.probeBatch(ht, in, scr)
+				out := sh.probeBatch(ht, in, scr, nil)
 				if out.Len() == 0 {
 					b.Fatal("probe produced no rows")
 				}

@@ -139,7 +139,7 @@ func (r *reference) join(j *plan.Join) (*RowSet, error) {
 	}
 	switch {
 	case j.Method == plan.HashJoin:
-		err = pj.hash(j.JoinType)
+		err = pj.hash(j.JoinType, j.BuildPreserved)
 	case j.JoinType != query.Inner:
 		err = fmt.Errorf("exec: %s supports inner joins only, got %s", j.Method, j.JoinType)
 	case j.Method == plan.MergeJoin:
@@ -173,20 +173,24 @@ func (pj *pairJoin) match(from, oi, ii int) bool {
 	return true
 }
 
-// emit appends outer row oi joined with inner row ii (ii < 0 null-extends
-// the inner side).
+// emit appends outer row oi joined with inner row ii; a negative index
+// null-extends that side.
 func (pj *pairJoin) emit(oi, ii int) {
 	pj.out.appendJoined(pj.wiring, pj.outer, oi, pj.inner, ii)
 }
 
-// hash probes a table over the inner rows once per outer row. Inner and
-// left joins emit every match, semi joins the first; anti and left joins
-// null-extend an outer row without one. (Semi and anti outputs still carry
-// the inner side's columns — a matched row id or -1 — which downstream
-// nodes never read.)
-func (pj *pairJoin) hash(jt query.JoinType) error {
+// hash probes a table over the inner rows once per outer row: inner and left
+// joins emit every match, a semi join its outer row once; anti and left
+// joins null-extend an outer row without a match. A semi or anti join's
+// output carries nulls in the unit's columns whichever side was built
+// (hashMirrored is the other one), so a block's rows do not depend on it.
+func (pj *pairJoin) hash(jt query.JoinType, buildPreserved bool) error {
 	switch jt {
-	case query.Inner, query.Semi, query.Anti, query.Left:
+	case query.Semi, query.Anti, query.Left:
+	case query.Inner:
+		if buildPreserved {
+			return fmt.Errorf("exec: inner hash join marked build-preserved (plan bug)")
+		}
 	default:
 		return fmt.Errorf("exec: unsupported hash join type %s", jt)
 	}
@@ -195,6 +199,10 @@ func (pj *pairJoin) hash(jt query.JoinType) error {
 	if err != nil {
 		return err
 	}
+	if buildPreserved {
+		pj.hashMirrored(jt, ht)
+		return nil
+	}
 	for oi, key := range keys.o {
 		matched := false
 		for _, ii := range ht.Lookup(key, hashtab.Hash(key)) {
@@ -202,18 +210,46 @@ func (pj *pairJoin) hash(jt query.JoinType) error {
 				continue
 			}
 			matched = true
-			if jt != query.Anti {
+			switch jt {
+			case query.Inner, query.Left:
 				pj.emit(oi, int(ii))
+				continue
+			case query.Semi:
+				pj.emit(oi, -1)
 			}
-			if jt == query.Semi || jt == query.Anti {
-				break
-			}
+			break
 		}
 		if !matched && (jt == query.Anti || jt == query.Left) {
 			pj.emit(oi, -1)
 		}
 	}
 	return nil
+}
+
+// hashMirrored is hash with the preserve side building: the outer rows are
+// the unit's, each match marks its inner row — a left join also emits the
+// pair — and once the outer side is exhausted the inner rows the type keeps
+// follow: the marked ones of a semi join, the unmarked ones of an anti join,
+// the unmarked ones null-extended of a left join.
+func (pj *pairJoin) hashMirrored(jt query.JoinType, ht *hashtab.JoinTable) {
+	keys := pj.conds[0]
+	marked := make([]bool, len(keys.i))
+	for oi, key := range keys.o {
+		for _, ii := range ht.Lookup(key, hashtab.Hash(key)) {
+			if !pj.match(1, oi, int(ii)) {
+				continue
+			}
+			marked[ii] = true
+			if jt == query.Left {
+				pj.emit(oi, int(ii))
+			}
+		}
+	}
+	for ii, m := range marked {
+		if m == (jt == query.Semi) {
+			pj.emit(-1, ii)
+		}
+	}
 }
 
 // merge sorts both inputs on the first condition and emits the product of

@@ -16,7 +16,9 @@ import (
 	"bfcbo/internal/storage"
 )
 
-// nullRow marks the inner side of an unmatched left-outer row.
+// nullRow fills the columns of a join side a result row has no row from:
+// the nullable side of an unmatched left-outer row, and the subquery side of
+// every semi and anti join row.
 const nullRow int32 = -1
 
 // RowSet is an intermediate result: for each relation it covers, a parallel
@@ -97,17 +99,17 @@ func newColWiring(out, outer, inner query.RelSet) *colWiring {
 	return w
 }
 
-// appendJoined copies row oi of outer combined with row ii of inner
-// (ii < 0 null-extends the inner side) through the precomputed wiring.
+// appendJoined copies row oi of outer combined with row ii of inner through
+// the precomputed wiring; a negative index null-extends that side.
 func (rs *RowSet) appendJoined(w *colWiring, outer *RowSet, oi int, inner *RowSet, ii int) {
 	for c := range rs.cols {
-		var v int32
+		v := nullRow
 		switch {
 		case w.fromOuter[c]:
-			v = outer.cols[w.srcPos[c]][oi]
-		case ii < 0:
-			v = nullRow
-		default:
+			if oi >= 0 {
+				v = outer.cols[w.srcPos[c]][oi]
+			}
+		case ii >= 0:
 			v = inner.cols[w.srcPos[c]][ii]
 		}
 		rs.cols[c] = append(rs.cols[c], v)

@@ -48,7 +48,7 @@ func TestScanZoneMapSkip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := canonicalRows(ref.Out, 0)
+		want := canonicalRows(ref.Out)
 		if len(want) != 201 {
 			t.Fatalf("dop %d: legacy rows = %d, want 201", dop, len(want))
 		}
@@ -57,7 +57,7 @@ func TestScanZoneMapSkip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := canonicalRows(r.Out, 0)
+			got := canonicalRows(r.Out)
 			if len(got) != len(want) {
 				t.Fatalf("dop %d morsel %d: rows = %d, want %d", dop, morsel, len(got), len(want))
 			}

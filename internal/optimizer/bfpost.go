@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"bfcbo/internal/plan"
-	"bfcbo/internal/query"
 )
 
 // postProcess implements the traditional post-optimization Bloom filter
@@ -53,10 +52,7 @@ func (o *optimizer) postProcess(p *plan.Plan) {
 		if j.Method != plan.HashJoin {
 			continue
 		}
-		if j.JoinType != query.Inner && j.JoinType != query.Semi {
-			// Anti joins must not transfer filters; left outer joins must
-			// not filter the row-preserving (outer) side, and the probe
-			// side here is the preserving side.
+		if !bloomMayFilterProbe(j.JoinType, j.BuildPreserved) {
 			continue
 		}
 		innerRels := j.Inner.Rels()

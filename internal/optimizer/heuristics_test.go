@@ -1,6 +1,8 @@
 package optimizer
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"bfcbo/internal/catalog"
@@ -138,6 +140,58 @@ func TestLeftJoinCandidateDirection(t *testing.T) {
 	}
 	if len(o.cands) != 1 || o.cands[0].applyRel != 1 {
 		t.Fatalf("want exactly one candidate on the nullable side, got %+v", o.cands)
+	}
+	// The candidate resolves where the preserve side builds: a tenth of the
+	// nullable side's keys can match, so the mirrored join takes the filter.
+	res, err := Optimize(b, exampleOptions(BFCBO))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := res.Plan.Joins()[0]
+	if !j.BuildPreserved || j.Inner.Rels() != query.NewRelSet(0) || len(j.BuildBlooms) != 1 || res.Plan.Blooms[0].ApplyRel != 1 {
+		t.Fatalf("want a right outer join building one filter for the nullable side:\n%s", res.Plan.Explain())
+	}
+}
+
+// Heuristic 4 applies all of a relation's candidates at once — except a
+// mirrored one, which commits the unit's join to an orientation: TPC-H Q20's
+// shape (s semi-joins ps ⋈ p) must keep offering partsupp filtered from part
+// alone, the only Bloom sub-plan the unmirrored join can use.
+func TestMirroredCandidateIsOptional(t *testing.T) {
+	mk := func(name string, rows, ndv float64) *catalog.Table {
+		return catalog.NewTable(name, rows, []catalog.Column{
+			{Name: "k", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: ndv, Min: 0, Max: ndv}},
+			{Name: "j", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: ndv, Min: 0, Max: ndv}},
+			{Name: "v", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: 100, Min: 0, Max: 99}}})
+	}
+	b := &query.Block{
+		Name: "q20-like",
+		Relations: []query.Relation{
+			{Alias: "s", Table: mk("s", 1e4, 1e4), Pred: query.CmpInt{Col: "v", Op: query.LT, Val: 10}},
+			{Alias: "ps", Table: mk("ps", 8e5, 1e4)},
+			{Alias: "p", Table: mk("p", 2e5, 2e5), Pred: query.CmpInt{Col: "v", Op: query.LT, Val: 5}},
+		},
+		Clauses: []query.JoinClause{
+			{Type: query.Semi, LeftRel: 0, LeftCol: "k", RightRel: 1, RightCol: "k", SubRels: query.NewRelSet(1, 2)},
+			{Type: query.Inner, LeftRel: 1, LeftCol: "j", RightRel: 2, RightCol: "j"},
+		},
+	}
+	o := newTestOptimizer(t, b, exampleOptions(BFCBO))
+	o.markCandidates()
+	o.phase1()
+	o.makeBasePlans(true, false)
+	var got []string
+	for _, p := range o.lists[1].plans {
+		sig := ""
+		for _, pb := range p.pending {
+			sig += fmt.Sprintf("[from %d mirrored=%v]", pb.cand.buildRel, pb.cand.mirrored)
+		}
+		got = append(got, sig)
+	}
+	want := []string{"", "[from 0 mirrored=true][from 2 mirrored=false]", "[from 2 mirrored=false]"}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("partsupp's sub-plans carry %q, want %q", got, want)
 	}
 }
 

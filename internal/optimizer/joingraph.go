@@ -15,9 +15,10 @@ import (
 // Visit-order contract: sets are ordered by population count, then
 // numerically; a set's pairs are ordered by descending outer-candidate
 // submask a (a always holds the set's lowest relation), (a, b) before
-// (b, a). Plan lists break cost ties by insertion order, so this order is
-// part of the optimizer's observable behaviour: change it and equal-cost
-// plans swap.
+// (b, a); a non-inner split's one legal orientation comes before its
+// mirrored twin. Plan lists break cost ties by insertion order, so this
+// order is part of the optimizer's observable behaviour: change it and
+// equal-cost plans swap.
 type joinGraph struct {
 	// clauses is the block's clause list followed by the transitive closure
 	// of its inner equi-joins (marked Derived), in a canonical order.
@@ -46,7 +47,12 @@ type joinGraph struct {
 type joinPair struct {
 	set, outer, inner int32 // ordinals into joinGraph.sets
 	condOff, condLen  int32 // the pair's conditions in joinGraph.conds
-	joinType          query.JoinType
+	// mirrored marks a non-inner pair whose outer is the clause's whole
+	// unit and whose inner is its preserve side: a hash join only, built on
+	// the preserved rows (plan.Join.BuildPreserved). It sits in the padding
+	// before joinType: a pair stays 32 bytes.
+	mirrored bool
+	joinType query.JoinType
 }
 
 // newJoinGraph indexes a validated block. The block is read, never written.
@@ -127,8 +133,9 @@ func fenced(s query.RelSet, fences []query.RelSet) bool {
 
 // enumeratePairs lists, for every plannable set of two or more relations,
 // its splits into two plannable halves (which share a clause, the set being
-// connected) in both orientations, dropping orientations a non-inner clause
-// forbids.
+// connected) in both orientations; a split a non-inner clause spans keeps
+// both only when one side is the clause's whole unit, the second of them
+// mirrored.
 func (g *joinGraph) enumeratePairs() {
 	// Count first: grown by appending, the list would be copied — and
 	// allocated — several times over.
@@ -164,7 +171,9 @@ func (g *joinGraph) forEachSplit(fn func(set int32, a, b query.RelSet, ao, bo in
 // addSplit appends the legal orientations of the split (a, b). An
 // orientation is legal when every non-inner clause spanning the split has
 // its preserve side on the outer and its whole unit as the inner; the
-// pair's join type is that of the first such clause, else Inner.
+// pair's join type is that of the first such clause, else Inner. A
+// non-inner split has one such orientation at most, and is followed by the
+// other one marked mirrored: the same join with the preserve side building.
 func (g *joinGraph) addSplit(set int32, a, b query.RelSet, ao, bo int32) {
 	// A split stores at most two conditions per clause. Make room by
 	// doubling: append's 1.25x steps would copy a large buffer many times.
@@ -205,16 +214,22 @@ func (g *joinGraph) addSplit(set int32, a, b query.RelSet, ao, bo int32) {
 		// the pairs share the clause's entries and store nothing.
 		ab, ba = entry, entry^1
 		g.conds = g.conds[:start]
-	case baOK:
+	case baOK || jt != query.Inner:
 		for _, c := range g.conds[ab:ba] {
 			g.conds = append(g.conds, flipCond(c))
 		}
 	}
-	if abOK {
-		g.pairs = append(g.pairs, joinPair{set: set, outer: ao, inner: bo, condOff: int32(ab), condLen: int32(n), joinType: jt})
-	}
-	if baOK {
-		g.pairs = append(g.pairs, joinPair{set: set, outer: bo, inner: ao, condOff: int32(ba), condLen: int32(n), joinType: jt})
+	abPair := joinPair{set: set, outer: ao, inner: bo, condOff: int32(ab), condLen: int32(n), joinType: jt}
+	baPair := joinPair{set: set, outer: bo, inner: ao, condOff: int32(ba), condLen: int32(n), joinType: jt}
+	switch {
+	case jt == query.Inner:
+		g.pairs = append(g.pairs, abPair, baPair)
+	case abOK:
+		baPair.mirrored = true
+		g.pairs = append(g.pairs, abPair, baPair)
+	default:
+		abPair.mirrored = true
+		g.pairs = append(g.pairs, baPair, abPair)
 	}
 }
 

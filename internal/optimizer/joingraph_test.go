@@ -91,7 +91,8 @@ func TestJoinGraphPairConds(t *testing.T) {
 }
 
 // A semi/anti/left unit is planned whole: sets that split it get no plan
-// list, and the unit joins only as the inner of its preserve side.
+// list, and every split the clause spans yields exactly two pairs — the unit
+// as the inner of its preserve side, then the same two sides mirrored.
 func TestJoinGraphNonInnerUnit(t *testing.T) {
 	// 0 inner-joins 1; 0 semi-joins {2,3} (a two-table subquery side).
 	mk := func(name string) *catalog.Table {
@@ -127,16 +128,44 @@ func TestJoinGraphNonInnerUnit(t *testing.T) {
 		}
 	}
 	unit := query.NewRelSet(2, 3)
-	for i := range g.pairs {
+	crossing := 0
+	for i := 0; i < len(g.pairs); i++ {
 		p := &g.pairs[i]
 		outer, inner := g.sets[p.outer], g.sets[p.inner]
 		// The semi clause spans the split when t0 and the unit part ways.
 		if !(outer.Has(0) && inner.Overlaps(unit)) && !(inner.Has(0) && outer.Overlaps(unit)) {
+			if p.mirrored || p.joinType != query.Inner {
+				t.Errorf("pair (%s, %s) is %s, mirrored=%v, without spanning the semi clause", outer, inner, p.joinType, p.mirrored)
+			}
 			continue
 		}
-		if inner != unit || !outer.Has(0) || p.joinType != query.Semi {
-			t.Errorf("pair (%s, %s) type %s crosses the semi join the wrong way", outer, inner, p.joinType)
+		crossing++
+		if inner != unit || !outer.Has(0) || p.joinType != query.Semi || p.mirrored {
+			t.Fatalf("pair (%s, %s) type %s mirrored=%v: want the unit as the inner of its preserve side first", outer, inner, p.joinType, p.mirrored)
 		}
+		// Its twin follows at once: same set, sides and conditions swapped.
+		i++
+		if i == len(g.pairs) {
+			t.Fatalf("pair (%s, %s) has no mirrored twin", outer, inner)
+		}
+		m := &g.pairs[i]
+		if m.set != p.set || m.outer != p.inner || m.inner != p.outer || m.joinType != query.Semi || !m.mirrored {
+			t.Fatalf("after (%s, %s): pair (%s, %s) type %s mirrored=%v, want its mirrored twin",
+				outer, inner, g.sets[m.outer], g.sets[m.inner], m.joinType, m.mirrored)
+		}
+		pc, mc := g.pairConds(p), g.pairConds(m)
+		if len(pc) != len(mc) {
+			t.Fatalf("(%s, %s): %d conditions, its twin has %d", outer, inner, len(pc), len(mc))
+		}
+		for k := range pc {
+			if mc[k] != flipCond(pc[k]) {
+				t.Errorf("(%s, %s): twin condition %d is %+v, want %+v flipped", outer, inner, k, mc[k], pc[k])
+			}
+		}
+	}
+	// {0} and {0,1} each meet the unit once.
+	if crossing != 2 {
+		t.Errorf("%d splits span the semi clause, want 2", crossing)
 	}
 }
 

@@ -115,10 +115,10 @@ func (o *optimizer) combineNaive(j *joinSite, pa, pb *subPlan, list *planList) {
 	for _, p := range resolved {
 		buildIDs = append(buildIDs, p.bloomID)
 	}
-	hc, streaming := o.opts.Cost.HashJoin(paRows, pb.rows)
+	hc, streaming := o.hashJoinCost(j.mirrored, paRows, pb.rows)
 	total := paCost + pb.cost + hc
 	node := &plan.Join{
-		Method: plan.HashJoin, JoinType: jt, Outer: pa.node, Inner: pb.node,
+		Method: plan.HashJoin, JoinType: jt, BuildPreserved: j.mirrored, Outer: pa.node, Inner: pb.node,
 		Conds: conds, BuildBlooms: buildIDs, Streaming: streaming,
 		Rows: rows, Cost: total,
 	}
@@ -173,7 +173,7 @@ func (o *optimizer) recostNaive(n plan.Node, factors []naiveFactor) (float64, fl
 		var mc float64
 		switch t.Method {
 		case plan.HashJoin:
-			mc, _ = o.opts.Cost.HashJoin(ro, ri)
+			mc, _ = o.hashJoinCost(t.BuildPreserved, ro, ri)
 		case plan.MergeJoin:
 			mc = o.opts.Cost.MergeJoin(ro, ri)
 		default:

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"bfcbo/internal/cost"
 	"bfcbo/internal/plan"
 	"bfcbo/internal/query"
 	"bfcbo/internal/stats"
@@ -157,13 +158,23 @@ func newOptimizer(b *query.Block, opts Options) *optimizer {
 // ---------------------------------------------------------------------------
 // Marking Bloom filter candidates (§3.3)
 
+// bloomMayFilterProbe is §3.3's correctness restriction, for both
+// orientations of a hash join: a Bloom filter built on the join's build side
+// may filter its probe side unless the probe side is the preserve side of an
+// anti or left join — those keep probe rows that find no match, the very
+// rows a filter drops. When the preserve side builds (mirrored), the probe
+// side is the unit, whose unmatched rows no join type keeps.
+func bloomMayFilterProbe(jt query.JoinType, mirrored bool) bool {
+	return mirrored || jt == query.Inner || jt == query.Semi
+}
+
 // markCandidates attaches Bloom filter candidates to base relations based on
 // the block's hashable join clauses, applying H1/H2/H9 and the outer/anti
 // join correctness restrictions.
 func (o *optimizer) markCandidates() {
 	h := o.opts.Heuristics
 	seen := make(map[[2]int]map[[2]string]bool)
-	add := func(applyRel int, applyCol string, buildRel int, buildCol string, jt query.JoinType, fromH9 bool) {
+	add := func(applyRel int, applyCol string, buildRel int, buildCol string, mirrored, fromH9 bool) {
 		if h.H2MinApplyRows > 0 && o.est.BaseRows(applyRel) <= h.H2MinApplyRows {
 			return
 		}
@@ -180,7 +191,7 @@ func (o *optimizer) markCandidates() {
 			id:       len(o.cands),
 			applyRel: applyRel, applyCol: applyCol,
 			buildRel: buildRel, buildCol: buildCol,
-			clauseType: jt, fromH9: fromH9,
+			mirrored: mirrored, fromH9: fromH9,
 		})
 	}
 
@@ -207,25 +218,21 @@ func (o *optimizer) markCandidates() {
 				o.est.BaseRows(e.Rel) < o.est.BaseRows(smallest.Rel) {
 				continue
 			}
-			add(e.Rel, e.Col, smallest.Rel, smallest.Col, query.Inner, false)
+			add(e.Rel, e.Col, smallest.Rel, smallest.Col, false, false)
 		}
 	}
 
 	for _, c := range o.block.Clauses {
-		switch c.Type {
-		case query.Anti:
-			// Correctness: a Bloom filter must not cross an anti join.
-			continue
-		case query.Left:
-			// Correctness: the apply column must not be on the
-			// row-preserving (left) side. Build from preserve, apply to
-			// nullable.
-			add(c.RightRel, c.RightCol, c.LeftRel, c.LeftCol, query.Left, false)
-			continue
-		case query.Semi:
-			// The hash join orientation is fixed (subquery side builds),
-			// so only the preserve side can receive a filter.
-			add(c.LeftRel, c.LeftCol, c.RightRel, c.RightCol, query.Semi, false)
+		if c.Type != query.Inner {
+			// The clause's left side preserves rows, its right side is the
+			// unit; whichever of the two a hash join builds on may filter
+			// the other, where bloomMayFilterProbe allows it.
+			if bloomMayFilterProbe(c.Type, false) {
+				add(c.LeftRel, c.LeftCol, c.RightRel, c.RightCol, false, false)
+			}
+			if bloomMayFilterProbe(c.Type, true) {
+				add(c.RightRel, c.RightCol, c.LeftRel, c.LeftCol, true, false)
+			}
 			continue
 		}
 		// Inner clause: skip endpoints already covered by a multi-way
@@ -236,20 +243,20 @@ func (o *optimizer) markCandidates() {
 		}
 		lRows, rRows := o.est.BaseRows(c.LeftRel), o.est.BaseRows(c.RightRel)
 		if h.H9BothSides {
-			add(c.LeftRel, c.LeftCol, c.RightRel, c.RightCol, query.Inner, lRows < rRows)
-			add(c.RightRel, c.RightCol, c.LeftRel, c.LeftCol, query.Inner, rRows < lRows)
+			add(c.LeftRel, c.LeftCol, c.RightRel, c.RightCol, false, lRows < rRows)
+			add(c.RightRel, c.RightCol, c.LeftRel, c.LeftCol, false, rRows < lRows)
 			continue
 		}
 		if h.H1LargerOnly {
 			if lRows >= rRows {
-				add(c.LeftRel, c.LeftCol, c.RightRel, c.RightCol, query.Inner, false)
+				add(c.LeftRel, c.LeftCol, c.RightRel, c.RightCol, false, false)
 			} else {
-				add(c.RightRel, c.RightCol, c.LeftRel, c.LeftCol, query.Inner, false)
+				add(c.RightRel, c.RightCol, c.LeftRel, c.LeftCol, false, false)
 			}
 			continue
 		}
-		add(c.LeftRel, c.LeftCol, c.RightRel, c.RightCol, query.Inner, false)
-		add(c.RightRel, c.RightCol, c.LeftRel, c.LeftCol, query.Inner, false)
+		add(c.LeftRel, c.LeftCol, c.RightRel, c.RightCol, false, false)
+		add(c.RightRel, c.RightCol, c.LeftRel, c.LeftCol, false, false)
 	}
 
 	if h.MultiColumn {
@@ -328,7 +335,6 @@ func (o *optimizer) markCompositeCandidates() {
 			id:       len(o.cands),
 			applyRel: applyRel, applyCol: applyCols[0], applyCol2: applyCols[1],
 			buildRel: buildRel, buildCol: buildCols[0], buildCol2: buildCols[1],
-			clauseType: query.Inner,
 		})
 	}
 }
@@ -477,11 +483,7 @@ func (o *optimizer) makeBasePlans(withBF, naive bool) {
 		}
 
 		// Collect this relation's candidates and their surviving δs.
-		type choice struct {
-			cand   *candidate
-			deltas []query.RelSet
-		}
-		var choices []choice
+		var choices []bloomChoice
 		for _, c := range o.cands {
 			if c.applyRel != rel || len(c.deltas) == 0 {
 				continue
@@ -508,52 +510,22 @@ func (o *optimizer) makeBasePlans(withBF, naive bool) {
 				}
 				return cmp.Compare(x.Count(), y.Count())
 			})
-			choices = append(choices, choice{c, ok})
+			choices = append(choices, bloomChoice{c, ok})
 		}
 		if len(choices) == 0 {
 			continue
 		}
 
 		// Heuristic 4: all candidates are applied simultaneously; we only
-		// enumerate combinations of δs (capped).
-		const maxCombos = 32
-		combos := [][]query.RelSet{nil}
-		for _, ch := range choices {
-			var next [][]query.RelSet
-			for _, base := range combos {
-				for _, d := range ch.deltas {
-					next = append(next, append(append([]query.RelSet{}, base...), d))
-					if len(next) >= maxCombos {
-						break
-					}
-				}
-				if len(next) >= maxCombos {
-					break
-				}
-			}
-			combos = next
-		}
-		var bfPlans []*subPlan
-		for _, combo := range combos {
-			pending := make([]pendingBF, len(choices))
-			prodRows := rows
-			ids := make([]int, len(choices))
-			for i, ch := range choices {
-				d := combo[i]
-				f := o.keptFraction(ch.cand, d)
-				id := o.allocBloom(ch.cand, d)
-				pending[i] = pendingBF{cand: ch.cand, delta: d, factor: f, bloomID: id}
-				prodRows *= f
-				ids[i] = id
-			}
-			sortPending(pending)
-			cst := o.scanCost(rel, len(pending))
-			pendIDs, pendNeed := summarizePending(pending)
-			bfPlans = append(bfPlans, &subPlan{
-				rows: prodRows, cost: cst,
-				pending: pending, pendIDs: pendIDs, pendNeed: pendNeed,
-				node: o.newScanNode(rel, prodRows, cst, ids),
-			})
+		// enumerate combinations of δs (capped). A mirrored candidate is the
+		// exception: applying it commits the unit's join to building its
+		// preserve side, so the relation's other candidates are also
+		// offered without it — or the new orientation would cost BF-CBO
+		// plans it had before.
+		bfPlans := o.appendBloomScans(nil, rel, rows, choices)
+		plain := slices.DeleteFunc(slices.Clone(choices), func(ch bloomChoice) bool { return ch.cand.mirrored })
+		if len(plain) > 0 && len(plain) < len(choices) {
+			bfPlans = o.appendBloomScans(bfPlans, rel, rows, plain)
 		}
 		// Heuristic 7: cap the number of Bloom filter sub-plans kept for
 		// one relation, retaining the one with fewest rows (then cheapest).
@@ -570,6 +542,58 @@ func (o *optimizer) makeBasePlans(withBF, naive bool) {
 			l.insert(p)
 		}
 	}
+}
+
+// bloomChoice is one candidate of a relation with the δs that survived
+// Heuristics 5 and 6, strongest first.
+type bloomChoice struct {
+	cand   *candidate
+	deltas []query.RelSet
+}
+
+// appendBloomScans appends one Bloom filter scan sub-plan of rel per
+// combination of the choices' δs (at most maxCombos), every choice applied
+// in each.
+func (o *optimizer) appendBloomScans(bfPlans []*subPlan, rel int, rows float64, choices []bloomChoice) []*subPlan {
+	const maxCombos = 32
+	combos := [][]query.RelSet{nil}
+	for _, ch := range choices {
+		var next [][]query.RelSet
+		for _, base := range combos {
+			for _, d := range ch.deltas {
+				next = append(next, append(append([]query.RelSet{}, base...), d))
+				if len(next) >= maxCombos {
+					break
+				}
+			}
+			if len(next) >= maxCombos {
+				break
+			}
+		}
+		combos = next
+	}
+	for _, combo := range combos {
+		pending := make([]pendingBF, len(choices))
+		prodRows := rows
+		ids := make([]int, len(choices))
+		for i, ch := range choices {
+			d := combo[i]
+			f := o.keptFraction(ch.cand, d)
+			id := o.allocBloom(ch.cand, d)
+			pending[i] = pendingBF{cand: ch.cand, delta: d, factor: f, bloomID: id}
+			prodRows *= f
+			ids[i] = id
+		}
+		sortPending(pending)
+		cst := o.scanCost(rel, len(pending))
+		pendIDs, pendNeed := summarizePending(pending)
+		bfPlans = append(bfPlans, &subPlan{
+			rows: prodRows, cost: cst,
+			pending: pending, pendIDs: pendIDs, pendNeed: pendNeed,
+			node: o.newScanNode(rel, prodRows, cst, ids),
+		})
+	}
+	return bfPlans
 }
 
 func (o *optimizer) allocBloom(c *candidate, delta query.RelSet) int {
@@ -604,7 +628,7 @@ func (o *optimizer) enumerate() error {
 			site.card = o.est.JoinCard(g.sets[p.set])
 		}
 		site.outer, site.inner = g.sets[p.outer], g.sets[p.inner]
-		site.joinType, site.conds = p.joinType, g.pairConds(p)
+		site.joinType, site.mirrored, site.conds = p.joinType, p.mirrored, g.pairConds(p)
 		list := &o.lists[p.set]
 		for _, pa := range o.lists[p.outer].plans {
 			for _, pb := range o.lists[p.inner].plans {
@@ -623,6 +647,7 @@ type joinSite struct {
 	set          int32 // ordinal of the joined set
 	outer, inner query.RelSet
 	joinType     query.JoinType
+	mirrored     bool // the pair's outer is the clause's unit, its inner the preserve side
 	conds        []plan.Cond
 	card         float64 // the estimator's canonical cardinality of the joined set
 }
@@ -698,7 +723,7 @@ func (o *optimizer) combine(j *joinSite, pa, pb *subPlan, list *planList) {
 	// all three in this order would have it. Hash join is always
 	// admissible, and mandatory when resolving a filter or non-inner.
 	inputs := pa.cost + pb.cost
-	hc, streaming := o.opts.Cost.HashJoin(pa.rows, pb.rows)
+	hc, streaming := o.hashJoinCost(j.mirrored, pa.rows, pb.rows)
 	hc += o.opts.Cost.BloomBuild(pb.rows, len(resolved))
 	method, total := plan.HashJoin, inputs+hc
 	if j.joinType == query.Inner && len(resolved) == 0 {
@@ -729,7 +754,8 @@ func (o *optimizer) combine(j *joinSite, pa, pb *subPlan, list *planList) {
 			owner: kept,
 		},
 		join: plan.Join{
-			Method: method, JoinType: j.joinType, Outer: pa.node, Inner: pb.node,
+			Method: method, JoinType: j.joinType, BuildPreserved: j.mirrored,
+			Outer: pa.node, Inner: pb.node,
 			Conds: j.conds, Rows: rows, Cost: total,
 		},
 	}
@@ -744,6 +770,17 @@ func (o *optimizer) combine(j *joinSite, pa, pb *subPlan, list *planList) {
 	}
 	kept.node = &kept.join
 	list.add(&kept.subPlan, &o.free)
+}
+
+// hashJoinCost prices a hash join of outerRows probing innerRows. A mirrored
+// join emits from its build side after the last probe: one more pass over
+// the build rows, priced as a scan of them.
+func (o *optimizer) hashJoinCost(mirrored bool, outerRows, innerRows float64) (float64, cost.Streaming) {
+	c, streaming := o.opts.Cost.HashJoin(outerRows, innerRows)
+	if mirrored {
+		c += innerRows * o.opts.Cost.CPUTupleCost
+	}
+	return c, streaming
 }
 
 // sortCost is the cost of sorting p's output for a merge join, computed

@@ -489,36 +489,58 @@ func TestHeuristic5SizeLimit(t *testing.T) {
 	}
 }
 
-func TestAntiJoinGetsNoBloomCandidates(t *testing.T) {
+// An anti join keeps the preserve-side rows a filter would drop, so its one
+// candidate filters the unit from the preserve side — which only the
+// mirrored join can build. With the big side preserved the planner keeps
+// the unit building and plans no filter; with the small side preserved it
+// mirrors the join and filters the unit's scan.
+func TestAntiJoinBloomOnlyWhenPreserveSideBuilds(t *testing.T) {
 	mk := func(name string, rows float64) *catalog.Table {
 		return catalog.NewTable(name, rows, []catalog.Column{
 			{Name: "k", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: rows, Min: 0, Max: rows}}})
 	}
-	b := &query.Block{
-		Name: "anti",
-		Relations: []query.Relation{
-			{Alias: "a", Table: mk("a", 1e6)},
-			{Alias: "b", Table: mk("b", 1e5)},
-		},
-		Clauses: []query.JoinClause{
-			{Type: query.Anti, LeftRel: 0, LeftCol: "k", RightRel: 1, RightCol: "k", SubRels: query.NewRelSet(1)},
-		},
-	}
-	res, err := Optimize(b, exampleOptions(BFCBO))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Candidates != 0 || res.Plan.CountBlooms() != 0 {
-		t.Fatalf("anti join must not produce Bloom filters: cands=%d blooms=%d",
-			res.Candidates, res.Plan.CountBlooms())
-	}
-	// And the join itself must be a hash anti join with preserve side outer.
-	joins := res.Plan.Joins()
-	if len(joins) != 1 || joins[0].JoinType != query.Anti || joins[0].Method != plan.HashJoin {
-		t.Fatalf("unexpected join shape: %+v", joins[0])
-	}
-	if joins[0].Outer.Rels() != query.NewRelSet(0) {
-		t.Fatalf("anti join preserve side must be outer, got %s", joins[0].Outer.Rels())
+	for _, c := range []struct {
+		name                   string
+		preserveRows, unitRows float64
+		mirrored               bool
+	}{
+		{"big side preserved", 1e6, 1e5, false},
+		{"small side preserved", 1e5, 1e6, true},
+	} {
+		b := &query.Block{
+			Name: "anti",
+			Relations: []query.Relation{
+				{Alias: "a", Table: mk("a", c.preserveRows)},
+				{Alias: "b", Table: mk("b", c.unitRows)},
+			},
+			Clauses: []query.JoinClause{
+				{Type: query.Anti, LeftRel: 0, LeftCol: "k", RightRel: 1, RightCol: "k", SubRels: query.NewRelSet(1)},
+			},
+		}
+		res, err := Optimize(b, exampleOptions(BFCBO))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Candidates != 1 {
+			t.Fatalf("%s: %d candidates, want the one on the unit", c.name, res.Candidates)
+		}
+		joins := res.Plan.Joins()
+		if len(joins) != 1 || joins[0].JoinType != query.Anti || joins[0].Method != plan.HashJoin {
+			t.Fatalf("%s: unexpected join shape:\n%s", c.name, res.Plan.Explain())
+		}
+		j := joins[0]
+		if j.BuildPreserved != c.mirrored {
+			t.Fatalf("%s: BuildPreserved = %v:\n%s", c.name, j.BuildPreserved, res.Plan.Explain())
+		}
+		// Either way the side that builds is the inner one.
+		if build := query.NewRelSet(1); c.mirrored {
+			build = query.NewRelSet(0)
+			if j.Inner.Rels() != build || res.Plan.CountBlooms() != 1 || res.Plan.Blooms[0].ApplyRel != 1 {
+				t.Fatalf("%s: want the preserve side building one filter for the unit:\n%s", c.name, res.Plan.Explain())
+			}
+		} else if j.Inner.Rels() != build || res.Plan.CountBlooms() != 0 {
+			t.Fatalf("%s: want the unit building and no filter:\n%s", c.name, res.Plan.Explain())
+		}
 	}
 }
 

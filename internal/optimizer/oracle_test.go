@@ -169,6 +169,7 @@ func oracleConds(b *query.Block, outer, inner query.RelSet) []plan.Cond {
 type oraclePair struct {
 	set, outer, inner query.RelSet
 	joinType          query.JoinType
+	mirrored          bool
 	conds             []plan.Cond
 }
 
@@ -187,8 +188,13 @@ func oraclePairs(b *query.Block) (sets []query.RelSet, pairs []oraclePair) {
 				if !oracleLegalJoin(b, outer, inner) {
 					continue
 				}
-				pairs = append(pairs, oraclePair{s, outer, inner,
-					oracleSpanningJoinType(b, outer, inner), oracleConds(b, outer, inner)})
+				jt := oracleSpanningJoinType(b, outer, inner)
+				pairs = append(pairs, oraclePair{s, outer, inner, jt, false, oracleConds(b, outer, inner)})
+				if jt != query.Inner {
+					// The one legal orientation of a non-inner split, then
+					// the same join built on its preserve side.
+					pairs = append(pairs, oraclePair{s, inner, outer, jt, true, oracleConds(b, inner, outer)})
+				}
 			}
 		})
 	}
@@ -236,7 +242,7 @@ func checkIndexAgainstOracle(t *testing.T, b *query.Block) {
 	}
 	for i := range g.pairs {
 		p, w := &g.pairs[i], wantPairs[i]
-		got := oraclePair{g.sets[p.set], g.sets[p.outer], g.sets[p.inner], p.joinType, g.pairConds(p)}
+		got := oraclePair{g.sets[p.set], g.sets[p.outer], g.sets[p.inner], p.joinType, p.mirrored, g.pairConds(p)}
 		if fmt.Sprint(got) != fmt.Sprint(w) {
 			t.Fatalf("%s: pair %d is %v, oracle has %v", b.Name, i, got, w)
 		}

@@ -75,6 +75,18 @@ func randomDatabase(seed uint64) (*storage.Database, *query.Block) {
 	return db, b
 }
 
+// randomUnitDatabase is randomDatabase with its last relation — a leaf of
+// the join graph by construction — turned into the one-relation unit of a
+// semi, anti or left join, so the planner has both orientations to choose
+// from and the executor both to run.
+func randomUnitDatabase(seed uint64) (*storage.Database, *query.Block) {
+	db, b := randomDatabase(seed)
+	c := &b.Clauses[len(b.Clauses)-1]
+	c.Type = []query.JoinType{query.Semi, query.Anti, query.Left}[seed%3]
+	c.SubRels = query.NewRelSet(c.RightRel)
+	return db, b
+}
+
 // Property: for random join graphs, every optimizer mode produces a plan
 // that (a) covers all relations, (b) executes without error, and (c) yields
 // exactly the same result cardinality — Bloom filters and join-order changes
@@ -83,8 +95,13 @@ func TestPropertyModesAgreeOnRandomBlocks(t *testing.T) {
 	// The plans are executed, so they are the engine profile's; the Naive
 	// searches make a second profile cost seconds for no new code path.
 	profile := cost.Engine()
-	for seed := uint64(1); seed <= 25; seed++ {
+	// Seeds 26 to 43 get a semi, anti or left unit; 44 draws a 65 M-row
+	// left join.
+	for seed := uint64(1); seed <= 43; seed++ {
 		db, b := randomDatabase(seed)
+		if seed > 25 {
+			db, b = randomUnitDatabase(seed)
+		}
 		if err := b.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -132,8 +149,13 @@ func TestPropertyModesAgreeOnRandomBlocks(t *testing.T) {
 func TestPropertyBFCBOCostNoWorse(t *testing.T) { eachProfile(t, propertyBFCBOCostNoWorse) }
 
 func propertyBFCBOCostNoWorse(t *testing.T, profile cost.Params) {
-	for seed := uint64(100); seed <= 120; seed++ {
+	for seed := uint64(100); seed <= 150; seed++ {
 		_, b := randomDatabase(seed)
+		if seed > 120 {
+			// A unit's mirrored candidate must not cost the search the
+			// plans that do without it.
+			_, b = randomUnitDatabase(seed)
+		}
 		opts := Options{
 			Mode: NoBF, Cost: profile,
 			Heuristics: Heuristics{
@@ -163,12 +185,20 @@ func propertyBFCBOCostNoWorse(t *testing.T, profile cost.Params) {
 
 // Property: in any BF-CBO plan, every Bloom filter's build relation appears
 // on the inner side of the hash join that builds it, and the apply relation
-// in its outer subtree — the structural soundness condition of §3.6.
+// in its outer subtree — the structural soundness condition of §3.6. Across
+// a semi, anti or left join, in either orientation, that leaves §3.3's
+// restriction to check: an anti or left join whose preserve side probes
+// builds no filter, and a filter built on a preserve side reaches the unit
+// only through the mirrored join.
 func TestPropertyBloomPlacementSound(t *testing.T) { eachProfile(t, propertyBloomPlacementSound) }
 
 func propertyBloomPlacementSound(t *testing.T, profile cost.Params) {
-	for seed := uint64(200); seed <= 230; seed++ {
+	mirrored, unitFilters := 0, 0
+	for seed := uint64(200); seed <= 290; seed++ {
 		_, b := randomDatabase(seed)
+		if seed > 230 {
+			_, b = randomUnitDatabase(seed)
+		}
 		opts := Options{
 			Mode: BFCBO, Cost: profile,
 			Heuristics: Heuristics{
@@ -183,6 +213,24 @@ func propertyBloomPlacementSound(t *testing.T, profile cost.Params) {
 		}
 		p := res.Plan
 		for _, j := range p.Joins() {
+			if j.JoinType != query.Inner {
+				unit := b.Clauses[len(b.Clauses)-1].SubRels
+				probing, building := "preserve side", j.Inner.Rels()
+				if j.BuildPreserved {
+					probing, building = "unit", j.Outer.Rels()
+					mirrored++
+					unitFilters += len(j.BuildBlooms)
+				}
+				if building != unit {
+					t.Fatalf("seed %d: %s join with its %s probing does not have the unit %s on the other side:\n%s",
+						seed, j.JoinType, probing, unit, p.Explain())
+				}
+				if !j.BuildPreserved && j.JoinType != query.Semi && len(j.BuildBlooms) > 0 {
+					t.Fatalf("seed %d: %s join filters its preserve side with %v:\n%s", seed, j.JoinType, j.BuildBlooms, p.Explain())
+				}
+			} else if j.BuildPreserved {
+				t.Fatalf("seed %d: inner join marked build-preserved:\n%s", seed, p.Explain())
+			}
 			for _, id := range j.BuildBlooms {
 				spec := p.BloomByID(id)
 				if spec == nil {
@@ -212,6 +260,9 @@ func propertyBloomPlacementSound(t *testing.T, profile cost.Params) {
 				}
 			}
 		}
+	}
+	if mirrored == 0 || unitFilters == 0 {
+		t.Errorf("%d mirrored joins building %d filters: the property never saw a preserve-built filter reach a unit", mirrored, unitFilters)
 	}
 }
 

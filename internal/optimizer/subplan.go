@@ -21,9 +21,10 @@ type candidate struct {
 	// extension): the filter key is the composite of both columns.
 	applyCol2 string
 	buildCol2 string
-	// clauseType is the join type of the originating clause; it gates the
-	// correctness restrictions of §3.3.
-	clauseType query.JoinType
+	// mirrored marks the candidate of a semi, anti or left clause that
+	// filters the clause's unit from its preserve side: it resolves only at
+	// the mirrored join, where the preserve side builds.
+	mirrored bool
 	// fromH9 marks candidates produced by the permissive Heuristic 9.
 	fromH9 bool
 	// deltas is Δ: the valid build-side relation sets observed in phase 1,

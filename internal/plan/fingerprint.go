@@ -157,6 +157,9 @@ func nodeShape(h *fpHash, n Node) {
 		h.str("j")
 		h.int(int(t.Method))
 		h.int(int(t.JoinType))
+		if t.BuildPreserved {
+			h.byte(1)
+		}
 		h.int(len(t.BuildBlooms))
 		h.int(len(t.Conds))
 		for _, c := range t.Conds {

@@ -121,6 +121,17 @@ func TestFingerprintSeparatesShapes(t *testing.T) {
 	if in2 == in3 {
 		t.Error("IN-list length not part of the fingerprint")
 	}
+	// The side a semi join builds is part of the shape: the same join with
+	// its preserve side building is another plan, with other costs.
+	semi := func(buildPreserved bool) uint64 {
+		p := fpPlan("bfcbo", 1)
+		j := p.Root.(*Join)
+		j.JoinType, j.BuildPreserved = query.Semi, buildPreserved
+		return Fingerprint(fpBlock("q", "lineitem", nil), p)
+	}
+	if semi(false) == semi(true) {
+		t.Error("the build side of a semi join is not part of the fingerprint")
+	}
 	// Stability: the same inputs always produce the same fingerprint.
 	if base() != b {
 		t.Error("fingerprint is not deterministic")

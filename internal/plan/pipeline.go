@@ -260,7 +260,7 @@ func describe(n Node) string {
 	case *Scan:
 		return fmt.Sprintf("Scan %s", t.Alias)
 	case *Join:
-		return fmt.Sprintf("%s(%s)", t.Method, t.JoinType)
+		return fmt.Sprintf("%s(%s)", t.Method, t.Kind())
 	default:
 		return fmt.Sprintf("%T", n)
 	}

@@ -97,13 +97,22 @@ func (s *Scan) EstRows() float64   { return s.Rows }
 func (s *Scan) EstCost() float64   { return s.Cost }
 
 // Join combines two subtrees. For HashJoin the Inner side is the build side
-// (the paper's convention: build/inner on the right).
+// (the paper's convention: build/inner on the right) and the Outer side
+// probes, whatever the join type.
 type Join struct {
 	Method   JoinMethod
 	JoinType query.JoinType
-	Outer    Node
-	Inner    Node
-	Conds    []Cond
+	// BuildPreserved marks the mirrored orientation of a semi, anti or left
+	// hash join: Inner — the build side — is the clause's row-preserving
+	// side and Outer, the probing side, is its whole subquery/nullable unit
+	// (a right semi / right anti / right outer join). Probing marks the
+	// build rows that found a match; the rows the join type keeps are
+	// emitted from the build side once the probe input is exhausted. When
+	// false the preserve side probes, as in every inner join.
+	BuildPreserved bool
+	Outer          Node
+	Inner          Node
+	Conds          []Cond
 	// BuildBlooms are filter IDs whose bit vectors are populated from this
 	// join's build side.
 	BuildBlooms []int
@@ -116,6 +125,20 @@ type Join struct {
 func (j *Join) Rels() query.RelSet { return j.Outer.Rels().Union(j.Inner.Rels()) }
 func (j *Join) EstRows() float64   { return j.Rows }
 func (j *Join) EstCost() float64   { return j.Cost }
+
+// Kind names the join's type and orientation the way plans print it:
+// "inner", "semi", "anti", "left", and for the mirrored orientation "right
+// semi", "right anti", "right outer" (the build side is the preserved one).
+func (j *Join) Kind() string {
+	switch {
+	case !j.BuildPreserved:
+		return j.JoinType.String()
+	case j.JoinType == query.Left:
+		return "right outer"
+	default:
+		return "right " + j.JoinType.String()
+	}
+}
 
 // Plan is a complete physical plan for one query block.
 type Plan struct {
@@ -215,7 +238,7 @@ func (p *Plan) explainNode(b *strings.Builder, n Node, depth int) {
 		if len(t.BuildBlooms) > 0 {
 			build = fmt.Sprintf("  buildBF=%v", t.BuildBlooms)
 		}
-		fmt.Fprintf(b, "%s%s(%s) %s  rows=%.0f%s\n", ind, t.Method, t.JoinType, t.Streaming, t.Rows, build)
+		fmt.Fprintf(b, "%s%s(%s) %s  rows=%.0f%s\n", ind, t.Method, t.Kind(), t.Streaming, t.Rows, build)
 		p.explainNode(b, t.Outer, depth+1)
 		p.explainNode(b, t.Inner, depth+1)
 	}
