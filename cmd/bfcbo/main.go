@@ -35,7 +35,7 @@ func main() {
 		qnum      = flag.Int("q", 0, "TPC-H query number (1-22)")
 		sql       = flag.String("sql", "", "SQL text (overrides -q)")
 		modeS     = flag.String("mode", "bfcbo", "optimizer mode: nobf | bfpost | bfcbo | naive")
-		budget    = flag.String("mem-budget", "", `executor memory budget, e.g. "64MB" (empty = unlimited); joins and sorts over budget spill to temp files`)
+		budget    = flag.String("mem-budget", "", `executor memory budget, e.g. "64MB" (empty = unlimited); under a budget every join runs as a hash join, and one over budget spills to temp files`)
 		timeout   = flag.Duration("timeout", 0, "per-query deadline (0 = none); expiry cancels the run mid-pipeline")
 		streams   = flag.Int("streams", 1, "run the query this many times concurrently through the engine scheduler")
 		maxConc   = flag.Int("max-concurrent", 0, "admission cap on concurrent queries (0 = unlimited)")

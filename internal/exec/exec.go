@@ -66,7 +66,8 @@ type Result struct {
 // filter sizing follows DOP (§3.9).
 type Work struct {
 	// Build is the rows inserted into hash-join build sides, in memory or
-	// through grace partitions.
+	// through grace partitions. Build and Probe count the joins that ran as
+	// hash joins (OpStat.HashProbe), whatever method their nodes name.
 	Build int64
 	// Probe is the keys looked up: rows entering hash-join probes.
 	Probe int64
@@ -90,7 +91,7 @@ func foldWork(r *Result) Work {
 		case *plan.Scan:
 			w.Scanned += st.RowsIn
 		case *plan.Join:
-			if n.Method == plan.HashJoin {
+			if st.HashProbe {
 				w.Probe += st.RowsIn
 				w.Build += int64(r.ActualFor(n.Inner))
 			}
@@ -246,11 +247,12 @@ type Options struct {
 	SpillDir string
 	// Broker, when non-nil, is the memory broker the run's per-query
 	// reservation draws from; its budget bounds the bytes of operator state
-	// held in RAM, shared with every other query on the same broker. When a
-	// breaker's grant is denied, it spills: hash joins run as grace hash
-	// joins over partition files, sorts as external merge sorts over sorted
-	// runs. The final result (and other mandatory allocations) are
-	// accounted but never denied. Nil means unlimited.
+	// held in RAM, shared with every other query on the same broker. Under
+	// a finite budget every join with a condition runs as a hash join,
+	// whatever method its plan node names (plan.DecomposeBounded), and a
+	// hash build whose grant is denied spills: the join runs as a grace hash
+	// join over partition files. The final result (and other mandatory
+	// allocations) are accounted but never denied. Nil means unlimited.
 	Broker *mem.Broker
 	// Sched, when non-nil, is the process-wide query scheduler the run is
 	// admitted through: admission control (max concurrent queries, queue
@@ -290,8 +292,8 @@ type Options struct {
 
 // minSpillableGrant is the per-spillable-breaker memory floor used to
 // register a query's minimum grant with the scheduler: roughly the
-// partition-routing working set a grace join or external sort needs to
-// make progress instead of thrashing.
+// partition-routing working set a grace join needs to make progress
+// instead of thrashing.
 const minSpillableGrant = 256 << 10
 
 // Run executes a physical plan over the database and returns the final row
@@ -329,8 +331,15 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	// Register the pipeline DAG with the scheduler and wait for admission.
 	// Decomposition happens before admission on purpose: it is cheap, needs
 	// no execution resources, and its summary (spillable breakers) sizes
-	// the minimum memory grant the admission gate checks.
-	pipes, err := plan.Decompose(p)
+	// the minimum memory grant the admission gate checks. This is the one
+	// rule that keeps a join inside a budget: under one, every join with a
+	// condition is laid out as the hash join, the operator that spills;
+	// unlimited, every join runs as planned.
+	decompose := plan.Decompose
+	if broker.Budget() > 0 {
+		decompose = plan.DecomposeBounded
+	}
+	pipes, err := decompose(p)
 	if err != nil {
 		return nil, err
 	}
@@ -539,7 +548,7 @@ func foldResultMetrics(m *obs.Metrics, r *Result) {
 		m.RowsZoneSkipped.Add(sc.ZoneSkippedRows)
 	}
 	for _, st := range r.OpStats {
-		if j, ok := st.Node.(*plan.Join); ok && j.Method == plan.HashJoin {
+		if st.HashProbe {
 			m.ProbeRows.Add(st.RowsIn)
 			m.HashCarried.Add(st.HashReusedKeys)
 		}

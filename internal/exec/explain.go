@@ -95,6 +95,9 @@ func (r *Result) explainNode(b *strings.Builder, n plan.Node, depth int) {
 		}
 	case *plan.Join:
 		head = fmt.Sprintf("%s(%s) %s", t.Method, t.Kind(), t.Streaming)
+		if st := r.StatFor(t); st != nil && st.HashProbe && t.Method != plan.HashJoin {
+			head = st.Label // what ran: "HashJoin(inner) probe [planned MergeJoin]"
+		}
 		if len(t.BuildBlooms) > 0 {
 			head += fmt.Sprintf("  buildBF=%v", t.BuildBlooms)
 		}

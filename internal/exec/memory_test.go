@@ -241,35 +241,124 @@ func TestGraceJoinRecursionDepthCap(t *testing.T) {
 	assertNoSpillFiles(t, spillRoot)
 }
 
-// The external sort must agree with the in-memory sort through a merge
-// join at every DOP.
-func TestExternalSortMatchesInMemory(t *testing.T) {
-	db, b, p := mergeJoinFixture(t)
-	want, err := Run(db, b, p, Options{DOP: 4})
-	if err != nil {
-		t.Fatal(err)
+// sameTuples fails the test when two canonicalRows lists differ.
+func sameTuples(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d tuples, want %d", what, len(got), len(want))
 	}
-	for _, dop := range []int{1, 4} {
-		spillRoot := t.TempDir()
-		r, err := Run(db, b, p, Options{DOP: dop, Broker: mem.NewBroker(tinyBudget), SpillDir: spillRoot})
-		if err != nil {
-			t.Fatalf("dop %d: %v", dop, err)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: tuple %d = %s, want %s", what, i, got[i], want[i])
 		}
-		if r.Rows != want.Rows {
-			t.Fatalf("dop %d: rows = %d, want %d", dop, r.Rows, want.Rows)
-		}
-		if s := r.TotalSpill(); !s.Spilled() {
-			t.Fatalf("dop %d: merge-join sort never spilled under tiny budget", dop)
-		}
-		gw := canonicalRows(want.Out)
-		gr := canonicalRows(r.Out)
-		for i := range gw {
-			if gr[i] != gw[i] {
-				t.Fatalf("dop %d: tuple %d diverges", dop, i)
+	}
+}
+
+// Under a memory budget a merge join and a nested-loop join are laid out as
+// the hash join, so they spill the one way anything spills — grace
+// partitions — and return the unlimited run's tuples at every DOP. The
+// unlimited run is the planned operator: its pipelines sort or materialize.
+func TestBudgetedMergeAndNestLoopSpillAsGraceJoin(t *testing.T) {
+	for _, method := range []plan.JoinMethod{plan.MergeJoin, plan.NestLoopJoin} {
+		db, b, p := mergeJoinFixture(t)
+		root := p.Root.(*plan.Join)
+		root.Method = method
+		for _, dop := range []int{1, 4} {
+			what := fmt.Sprintf("%s dop %d", method, dop)
+			want, err := Run(db, b, p, Options{DOP: dop})
+			if err != nil {
+				t.Fatalf("%s: unlimited run: %v", what, err)
 			}
+			if st := want.StatFor(root); st == nil || st.HashProbe || want.TotalSpill().Spilled() {
+				t.Fatalf("%s: the unlimited run did not run the planned operator: %+v", what, st)
+			}
+			broker := mem.NewBroker(tinyBudget)
+			spillRoot := t.TempDir()
+			r, err := Run(db, b, p, Options{DOP: dop, Broker: broker, SpillDir: spillRoot})
+			if err != nil {
+				t.Fatalf("%s: budgeted run: %v", what, err)
+			}
+			sameTuples(t, what, canonicalRows(r.Out), canonicalRows(want.Out))
+			if got := r.ActualFor(root); got != want.ActualFor(root) {
+				t.Errorf("%s: join actual %v under budget, %v unlimited", what, got, want.ActualFor(root))
+			}
+			if s := r.TotalSpill(); s.Partitions == 0 || s.Bytes == 0 {
+				t.Errorf("%s: no grace partitions under the tiny budget: %+v", what, s)
+			}
+			if st := r.StatFor(root); st == nil || !st.HashProbe {
+				t.Errorf("%s: the budgeted run did not probe a hash table: %+v", what, st)
+			}
+			if err := Audit(AuditState{Broker: broker, SpillDir: spillRoot}); err != nil {
+				t.Errorf("%s: %v", what, err)
+			}
+			assertNoSpillFiles(t, spillRoot)
 		}
-		assertNoSpillFiles(t, spillRoot)
 	}
+}
+
+// Every TPC-H block under the paper's cost profile — the one that picks
+// merge joins (Q2, Q5, Q7, Q8, Q9, Q11, Q20, Q21) — runs under a budget with
+// hash builds as its only join breakers, and returns the unlimited run's
+// tuples.
+func TestBudgetedRunHasOneBreakerKind(t *testing.T) {
+	ds := equivalenceDataset(t)
+	planned := 0
+	for _, q := range tpch.All() {
+		block := q.Build(ds.Schema)
+		for _, mode := range []optimizer.Mode{optimizer.BFPost, optimizer.BFCBO} {
+			opts := optimizer.PaperOptions(0.01)
+			opts.Mode = mode
+			res, err := optimizer.Optimize(block, opts)
+			if err != nil {
+				t.Fatalf("Q%d %s: optimize: %v", q.Num, mode, err)
+			}
+			for _, j := range res.Plan.Joins() {
+				if j.Method != plan.HashJoin {
+					planned++
+				}
+			}
+			what := fmt.Sprintf("Q%d %s", q.Num, mode)
+			want, err := Run(ds.DB, block, res.Plan, Options{DOP: 2})
+			if err != nil {
+				t.Fatalf("%s: unlimited run: %v", what, err)
+			}
+			spillRoot := t.TempDir()
+			r, err := Run(ds.DB, block, res.Plan, Options{DOP: 2, Broker: mem.NewBroker(tinyBudget), SpillDir: spillRoot})
+			if err != nil {
+				t.Fatalf("%s: budgeted run: %v", what, err)
+			}
+			sameTuples(t, what, canonicalRows(r.Out), canonicalRows(want.Out))
+			for _, ps := range r.Pipelines {
+				for _, kind := range []string{"sort-outer", "sort-inner", "materialize"} {
+					if strings.Contains(ps.Label, kind) {
+						t.Errorf("%s: budgeted run has a %s breaker: %s", what, kind, ps.Label)
+					}
+				}
+			}
+			assertNoSpillFiles(t, spillRoot)
+		}
+	}
+	if planned == 0 {
+		t.Error("the paper profile planned no merge or nested-loop join: the test lost its subject")
+	}
+}
+
+// A join with no condition has no hash key, so DecomposeBounded leaves it its
+// planned layout — and under a budget the breaker that layout needs is
+// refused with a typed error instead of running unbounded.
+func TestUnspillableBreakerUnderBudgetIsTyped(t *testing.T) {
+	db, b, p := mergeJoinFixture(t)
+	root := p.Root.(*plan.Join)
+	root.Method, root.Conds = plan.NestLoopJoin, nil
+	if _, err := Run(db, b, p, Options{DOP: 2}); err != nil {
+		t.Fatalf("unlimited cross join: %v", err)
+	}
+	spillRoot := t.TempDir()
+	_, err := Run(db, b, p, Options{DOP: 2, Broker: mem.NewBroker(tinyBudget), SpillDir: spillRoot})
+	if !errors.Is(err, ErrUnspillableBreaker) {
+		t.Fatalf("budgeted cross join: error = %v, want ErrUnspillableBreaker", err)
+	}
+	assertNoSpillFiles(t, spillRoot)
 }
 
 // A worker failure in the middle of a spilling run must cancel cleanly:

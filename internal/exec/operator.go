@@ -33,8 +33,11 @@ type PhysicalOperator interface {
 // opStats are the shared runtime counters of one plan operator, updated
 // with one atomic add per batch by every worker that runs an instance.
 type opStats struct {
-	label     string
-	node      plan.Node
+	label string
+	node  plan.Node
+	// hashProbe records what ran: set once, where runPipeline constructs
+	// the node's probeOp, whatever join method the node names.
+	hashProbe bool
 	rowsIn    atomic.Int64
 	rowsOut   atomic.Int64
 	batches   atomic.Int64
@@ -70,6 +73,11 @@ type OpStat struct {
 	Label string
 	// Node is the plan node the operator implements.
 	Node plan.Node
+	// HashProbe says the operator ran as a hash-join probe, over an
+	// in-memory table or grace partitions. Under a memory budget that
+	// includes merge and nested-loop nodes (plan.DecomposeBounded); the
+	// run's Work and probe metrics count by this, not by Node's Method.
+	HashProbe bool
 	// RowsIn / RowsOut are total input and output rows across all workers.
 	// For sources RowsIn counts rows scanned before filtering.
 	RowsIn, RowsOut int64
@@ -90,6 +98,7 @@ func (s *opStats) snapshot() OpStat {
 	return OpStat{
 		Label:          s.label,
 		Node:           s.node,
+		HashProbe:      s.hashProbe,
 		RowsIn:         s.rowsIn.Load(),
 		RowsOut:        s.rowsOut.Load(),
 		Batches:        s.batches.Load(),
@@ -138,16 +147,16 @@ func (p BreakerPhases) eachFinish(fn func(name string, d time.Duration)) {
 // All zero when the pipeline's reservations were never denied.
 type SpillStat struct {
 	// Bytes is the encoded bytes written to spill files (build/probe
-	// partitions, sorted runs, recursive repartition passes).
+	// partitions, recursive repartition passes).
 	Bytes int64
 	// BytesRead is the encoded bytes read back from spill files: grace
 	// partition loads and probe drains, repartition passes (which read a
-	// level to write the next), external-sort run merges, and spilled
-	// Bloom builds. A repartitioned byte is counted once per pass on each
-	// side, so BytesRead > Bytes signals recursion, not double counting.
+	// level to write the next), and spilled Bloom builds. A repartitioned
+	// byte is counted once per pass on each side, so BytesRead > Bytes
+	// signals recursion, not double counting.
 	BytesRead int64
 	// Partitions counts the spill files created: grace-join partition
-	// files (both sides, all levels) or external-sort runs.
+	// files (both sides, all levels).
 	Partitions int
 	// Depth is the maximum grace-join repartition recursion depth (0 when
 	// no partition pair needed a second split).

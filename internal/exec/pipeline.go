@@ -14,7 +14,6 @@ import (
 	"bfcbo/internal/obs"
 	"bfcbo/internal/plan"
 	"bfcbo/internal/query"
-	"bfcbo/internal/spill"
 )
 
 // This file is the morsel-driven pipeline driver. Pipelines (decomposed by
@@ -34,6 +33,12 @@ import (
 // errCanceled marks a pipeline that wound down because another pipeline's
 // failure set the run-wide stop flag; it is never surfaced to callers.
 var errCanceled = errors.New("exec: run canceled by concurrent pipeline failure")
+
+// ErrUnspillableBreaker reports a sort or materialize breaker in a run under
+// a memory budget. RunContext lays such a run out with plan.DecomposeBounded,
+// which leaves one only at a merge or nested-loop join with no condition to
+// hash on — a plan the optimizer never emits.
+var ErrUnspillableBreaker = errors.New("exec: breaker cannot spill (plan bug)")
 
 // errSlotLost marks a worker whose yielded slot could not be re-acquired
 // because the run was canceled while it waited; the worker exits holding
@@ -73,10 +78,10 @@ type sink interface {
 
 // partsSink accumulates per-worker row sets, merged on demand. It backs
 // every materializing sink and carries the breaker phase timings. When
-// forceRes is set (result and nested-loop materialize sinks, whose output
-// cannot spill), consumed bytes are force-accounted against the memory
-// budget so reports stay honest; budget-aware sinks override consume and
-// leave forceRes nil.
+// forceRes is set (every sink but the hash build: their output cannot
+// spill), consumed bytes are force-accounted against the memory budget so
+// reports stay honest; the hash build overrides consume and leaves
+// forceRes nil.
 type partsSink struct {
 	rels     query.RelSet
 	parts    []*RowSet
@@ -320,25 +325,14 @@ type mergePair struct {
 // condition — the sort is the pipeline breaker. Each worker's part is a
 // contiguous range of the merged input, sorted as an independent run, and
 // the runs are combined by a parallel multiway merge — replacing the
-// single-threaded sortByKey tail.
-//
-// Under a memory budget the sink is an external merge sort: a worker
-// whose grant is denied sorts its buffered part and spills it as a sorted
-// run; finish reads the runs back and feeds them — they are contiguous
-// presorted ranges — to the same splitter-partitioned multiway merge the
-// in-memory path uses.
+// single-threaded sortByKey tail. It cannot spill (the merge source
+// random-accesses the sorted input), so it exists only in unbudgeted runs:
+// see newSink.
 type sortSink struct {
 	partsSink
 	ex      *executor
 	j       *plan.Join
 	isInner bool
-	res     *mem.Reservation
-	rec     *spillCounters
-	keyVals []int64 // base-table key column of this side's first condition
-
-	mu       sync.Mutex
-	runs     []*spill.Writer
-	spillErr onceErr
 }
 
 // side returns this sink's (relation, column) of join condition c.
@@ -349,82 +343,6 @@ func (s *sortSink) side(c plan.Cond) (rel int, col string) {
 	return c.OuterRel, c.OuterCol
 }
 
-// sortKeyVals resolves the base-table key column this sink sorts on. It
-// is resolved eagerly at sink construction (so concurrent spillRun calls
-// only read it); the lazy path remains for the no-conditions error case.
-func (s *sortSink) sortKeyVals() ([]int64, error) {
-	if s.keyVals != nil {
-		return s.keyVals, nil
-	}
-	if len(s.j.Conds) == 0 {
-		return nil, fmt.Errorf("exec: merge join with no conditions")
-	}
-	rel, col := s.side(s.j.Conds[0])
-	cc, err := s.ex.tables[rel].Column(col)
-	if err != nil {
-		return nil, fmt.Errorf("exec: sort key column: %w", err)
-	}
-	s.keyVals = cc.Ints
-	return s.keyVals, nil
-}
-
-// spillRun sorts worker w's buffered part by key and spills it as one
-// sorted run, releasing its bytes; the sink's spill callback.
-func (s *sortSink) spillRun(w int) int64 {
-	part := s.parts[w]
-	if part == nil || part.Len() == 0 {
-		return 0
-	}
-	vals, err := s.sortKeyVals()
-	if err != nil {
-		s.spillErr.set(err)
-		s.ex.fail(err)
-		return 0
-	}
-	rel, _ := s.side(s.j.Conds[0])
-	ids := part.Col(rel)
-	keys := make([]int64, len(ids))
-	for i, id := range ids {
-		keys[i] = vals[id]
-	}
-	idx := sortByKey(keys)
-	dir, err := s.ex.spillFiles()
-	if err == nil {
-		var wtr *spill.Writer
-		if wtr, err = dir.NewWriter("run", s.rels.Count()); err == nil {
-			var written int64
-			if written, err = spillSorted(part, idx, wtr); err == nil {
-				err = wtr.Finish()
-				s.rec.addBytes(written)
-				s.rec.addParts(1)
-				s.mu.Lock()
-				s.runs = append(s.runs, wtr)
-				s.mu.Unlock()
-			}
-		}
-	}
-	if err != nil {
-		s.spillErr.set(err)
-		s.ex.fail(err)
-		return 0
-	}
-	freed := batchBytes(part)
-	s.parts[w] = nil
-	s.res.Release(freed)
-	return freed
-}
-
-func (s *sortSink) consume(w int, b *Batch) {
-	delta := batchBytes(b.rows)
-	if !s.res.Grow(delta, func(int64) int64 { return s.spillRun(w) }) {
-		// Even an empty buffer cannot make room: the batch itself exceeds
-		// the remaining budget. Take the overage — the rows will be
-		// spilled as a run at the next denial or at finish.
-		s.res.Force(delta)
-	}
-	s.partsSink.consume(w, b)
-}
-
 func (s *sortSink) finish() error {
 	if s.j.JoinType != query.Inner {
 		return fmt.Errorf("exec: merge join supports inner joins only, got %s", s.j.JoinType)
@@ -432,38 +350,27 @@ func (s *sortSink) finish() error {
 	if len(s.j.Conds) == 0 {
 		return fmt.Errorf("exec: merge join with no conditions")
 	}
-	if err := s.spillErr.get(); err != nil {
-		return err
-	}
+	// Per-worker ranges of the merged input sorted as independent runs,
+	// combined by the parallel multiway merge.
 	dop := s.ex.dop
-	var in *sortedInput
-	if len(s.runs) == 0 {
-		// In-memory path: per-worker ranges of the merged input sorted as
-		// independent runs, combined by the parallel multiway merge.
-		_, offs := partOffsets(s.parts)
-		rs := s.mergedPar(dop)
-		s.res.Force(batchBytes(rs) + 8*int64(rs.Len())) // merged copy + keys
+	_, offs := partOffsets(s.parts)
+	rs := s.mergedPar(dop)
+	s.forceRes.Force(batchBytes(rs) + 8*int64(rs.Len())) // merged copy + keys
 
-		start := time.Now()
-		in = &sortedInput{rs: rs}
-		for i, c := range s.j.Conds {
-			rel, col := s.side(c)
-			keys := keyColumnPar(rs, s.ex.tables[rel], rel, col, dop)
-			if i == 0 {
-				in.keys = keys
-				bounds := append(append(make([]int, 0, len(offs)+1), offs...), rs.Len())
-				in.idx = sortByKeyPar(keys, bounds, dop)
-			} else {
-				in.extras = append(in.extras, keys)
-			}
-		}
-		s.ph.Sort = time.Since(start)
-	} else {
-		var err error
-		if in, err = s.finishExternal(); err != nil {
-			return err
+	start := time.Now()
+	in := &sortedInput{rs: rs}
+	for i, c := range s.j.Conds {
+		rel, col := s.side(c)
+		keys := keyColumnPar(rs, s.ex.tables[rel], rel, col, dop)
+		if i == 0 {
+			in.keys = keys
+			bounds := append(append(make([]int, 0, len(offs)+1), offs...), rs.Len())
+			in.idx = sortByKeyPar(keys, bounds, dop)
+		} else {
+			in.extras = append(in.extras, keys)
 		}
 	}
+	s.ph.Sort = time.Since(start)
 
 	s.ex.smu.Lock()
 	pair := s.ex.sorted[s.j]
@@ -478,68 +385,6 @@ func (s *sortSink) finish() error {
 	}
 	s.ex.smu.Unlock()
 	return nil
-}
-
-// finishExternal completes a spilled sort: any leftover in-memory parts
-// spill as final sorted runs, then the runs are read back — each run a
-// contiguous presorted index range — and combined by the same
-// splitter-partitioned multiway merge as the in-memory path. The merged
-// input must materialize either way (the merge-join source random-accesses
-// it), so the read-back is force-accounted; what the external sort bounds
-// is the accumulate-and-sort phase, whose working set stays within budget.
-func (s *sortSink) finishExternal() (*sortedInput, error) {
-	start := time.Now()
-	for w := range s.parts {
-		s.spillRun(w)
-	}
-	if err := s.spillErr.get(); err != nil {
-		return nil, err
-	}
-	dop := s.ex.dop
-	total := 0
-	for _, r := range s.runs {
-		total += int(r.Rows())
-	}
-	// Merged row set + keys (8B) + merge index and run indices (2×8B).
-	s.res.Force(rowSetBytes(total, s.rels.Count()) + 24*int64(total))
-	rs := NewRowSetCap(s.rels, total)
-	keys := make([]int64, 0, total)
-	vals, err := s.sortKeyVals()
-	if err != nil {
-		return nil, err
-	}
-	keyRel, _ := s.side(s.j.Conds[0])
-	keyPos := s.rels.Rank(keyRel)
-	runsIdx := make([][]int, len(s.runs))
-	off := 0
-	for ri, w := range s.runs {
-		err := eachChunk(w, s.rec, func(cols [][]int32) error {
-			appendRawChunk(rs, cols)
-			for _, id := range cols[keyPos] {
-				keys = append(keys, vals[id])
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		w.Remove()
-		n := rs.Len() - off
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = off + i
-		}
-		runsIdx[ri] = idx
-		off = rs.Len()
-	}
-	in := &sortedInput{rs: rs, keys: keys}
-	in.idx = mergeRuns(keys, runsIdx, dop)
-	for _, c := range s.j.Conds[1:] {
-		rel, col := s.side(c)
-		in.extras = append(in.extras, keyColumnPar(rs, s.ex.tables[rel], rel, col, dop))
-	}
-	s.ph.Sort = time.Since(start)
-	return in, nil
 }
 
 // materializeSink materializes a nested-loop join's inner input with its
@@ -708,16 +553,22 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 	opStatsList := make([]*opStats, 0, len(pl.Ops))
 	inRels := pl.Source.Rels()
 	for _, j := range pl.Ops {
-		switch j.Method {
-		case plan.HashJoin:
-			ex.smu.Lock()
-			ht := ex.builds[j]
-			g := ex.graces[j]
-			ex.smu.Unlock()
-			if ht == nil && g == nil {
-				return fmt.Errorf("exec: hash table for %s was never built (plan bug)", j.Method)
+		// What the inner side's breaker built decides the operator, not the
+		// method the plan names: under a memory budget merge and nested-loop
+		// joins are laid out as hash joins (plan.DecomposeBounded).
+		ex.smu.Lock()
+		ht, g, mat := ex.builds[j], ex.graces[j], ex.mats[j]
+		ex.smu.Unlock()
+		var st *opStats
+		var outRels query.RelSet
+		switch {
+		case ht != nil || g != nil:
+			label := fmt.Sprintf("HashJoin(%s) probe", j.Kind())
+			if j.Method != plan.HashJoin {
+				label += fmt.Sprintf(" [planned %s]", j.Method)
 			}
-			st := reg(fmt.Sprintf("HashJoin(%s) probe", j.Kind()), j)
+			st = reg(label, j)
+			st.hashProbe = true
 			sh, err := ex.newProbeShared(j, ht, g, inRels, st, workers, rec)
 			if err != nil {
 				return err
@@ -725,16 +576,9 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 			factories = append(factories, func(c PhysicalOperator) PhysicalOperator {
 				return &probeOp{sh: sh, ex: ex, child: c}
 			})
-			opStatsList = append(opStatsList, st)
-			inRels = sh.outRels
-		case plan.NestLoopJoin:
-			ex.smu.Lock()
-			mat := ex.mats[j]
-			ex.smu.Unlock()
-			if mat == nil {
-				return fmt.Errorf("exec: nested-loop inner was never materialized (plan bug)")
-			}
-			st := reg(fmt.Sprintf("NestLoop(%s) probe", j.JoinType), j)
+			outRels = sh.outRels
+		case mat != nil:
+			st = reg(fmt.Sprintf("NestLoop(%s) probe", j.JoinType), j)
 			sh, err := ex.newNLShared(j, mat, inRels, st)
 			if err != nil {
 				return err
@@ -742,19 +586,19 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 			factories = append(factories, func(c PhysicalOperator) PhysicalOperator {
 				return &nlProbeOp{sh: sh, child: c}
 			})
-			opStatsList = append(opStatsList, st)
-			inRels = sh.outRels
+			outRels = sh.outRels
 		default:
-			return fmt.Errorf("exec: join %s cannot stream inside a pipeline (plan bug)", j.Method)
+			return fmt.Errorf("exec: inner side of %s was never built (plan bug)", j.Method)
 		}
+		opStatsList = append(opStatsList, st)
+		inRels = outRels
 	}
 
 	// Batch side-channel request onto the scan source: the first hash
 	// probe keyed on a scan column can reuse the scan's Bloom hash vector.
-	if scanSrc != nil && len(pl.Ops) > 0 {
-		if j := pl.Ops[0]; j.Method == plan.HashJoin && len(j.Conds) > 0 &&
-			j.Conds[0].OuterRel == scanSrc.s.Rel {
-			scanSrc.requestHashCarry(j.Conds[0].OuterCol)
+	if scanSrc != nil && len(pl.Ops) > 0 && opStatsList[0].hashProbe {
+		if c := pl.Ops[0].Conds[0]; c.OuterRel == scanSrc.s.Rel {
+			scanSrc.requestHashCarry(c.OuterCol)
 		}
 	}
 
@@ -958,11 +802,12 @@ func (ex *executor) workerLoop(pl *plan.Pipeline, w int,
 	}
 }
 
-// newSink builds the pipeline's sink for its breaker kind. Spillable
-// breakers (hash builds and sorts — see plan.SinkKind.Spillable) get a
-// memory reservation they check before growing state; the result and
-// materialize sinks force-account their bytes, since their output cannot
-// spill.
+// newSink builds the pipeline's sink for its breaker kind. The hash build
+// (the one breaker that spills — see plan.SinkKind.Spillable) gets a memory
+// reservation it checks before growing state; every other sink
+// force-accounts its bytes, since its output must stay resident. The result
+// sink is accounted and never denied; sort and materialize sinks exist only
+// in unbudgeted runs.
 func (ex *executor) newSink(pl *plan.Pipeline, rels query.RelSet, workers int, rec *spillCounters) (sink, error) {
 	if j := pl.SinkJoin; j != nil && pl.Sink != plan.SinkHashBuild && len(j.BuildBlooms) > 0 {
 		return nil, fmt.Errorf("exec: Bloom filters can only be built at hash joins, got %s", j.Method)
@@ -970,9 +815,6 @@ func (ex *executor) newSink(pl *plan.Pipeline, rels query.RelSet, workers int, r
 	base := newPartsSink(rels, workers)
 	res := ex.memq.Reserve()
 	if !pl.Sink.Spillable() {
-		// Non-spillable breakers (plan.SinkKind.Spillable is the source of
-		// truth) force-account their bytes: their output must stay
-		// resident for random access.
 		base.forceRes = res
 	}
 	switch pl.Sink {
@@ -981,17 +823,16 @@ func (ex *executor) newSink(pl *plan.Pipeline, rels query.RelSet, workers int, r
 	case plan.SinkHashBuild:
 		return &hashBuildSink{partsSink: base, ex: ex, j: pl.SinkJoin,
 			estRows: pl.EstSinkRows(), res: res, rec: rec}, nil
-	case plan.SinkSortOuter, plan.SinkSortInner:
-		s := &sortSink{partsSink: base, ex: ex, j: pl.SinkJoin,
-			isInner: pl.Sink == plan.SinkSortInner, res: res, rec: rec}
-		if len(s.j.Conds) > 0 {
-			if _, err := s.sortKeyVals(); err != nil {
-				return nil, err
-			}
+	case plan.SinkSortOuter, plan.SinkSortInner, plan.SinkMaterialize:
+		if ex.budget > 0 {
+			return nil, fmt.Errorf("%w: %s for %s under a %d-byte budget",
+				ErrUnspillableBreaker, pl.Sink, pl.SinkJoin.Method, ex.budget)
 		}
-		return s, nil
-	case plan.SinkMaterialize:
-		return &materializeSink{partsSink: base, ex: ex, j: pl.SinkJoin}, nil
+		if pl.Sink == plan.SinkMaterialize {
+			return &materializeSink{partsSink: base, ex: ex, j: pl.SinkJoin}, nil
+		}
+		return &sortSink{partsSink: base, ex: ex, j: pl.SinkJoin,
+			isInner: pl.Sink == plan.SinkSortInner}, nil
 	default:
 		return nil, fmt.Errorf("exec: unknown sink kind %v", pl.Sink)
 	}

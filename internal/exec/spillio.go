@@ -219,33 +219,6 @@ func routeCols(cols [][]int32, keys []int64, level int, ws []*spill.Writer) (int
 	return written, nil
 }
 
-// spillSorted writes the rows of rs in idx order to w as a sorted run,
-// chunked at spillChunkRows. Returns the encoded bytes written.
-func spillSorted(rs *RowSet, idx []int, w *spill.Writer) (int64, error) {
-	ncols := len(rs.cols)
-	var written int64
-	cols := make([][]int32, ncols)
-	for lo := 0; lo < len(idx); lo += spillChunkRows {
-		hi := lo + spillChunkRows
-		if hi > len(idx) {
-			hi = len(idx)
-		}
-		for c := 0; c < ncols; c++ {
-			col := make([]int32, hi-lo)
-			src := rs.cols[c]
-			for j, i := range idx[lo:hi] {
-				col[j] = src[i]
-			}
-			cols[c] = col
-		}
-		if err := w.AppendChunk(cols); err != nil {
-			return written, err
-		}
-		written += int64(4 + 4*(hi-lo)*ncols)
-	}
-	return written, nil
-}
-
 // partitionWriters creates one spill writer per partition.
 func partitionWriters(d *spill.Dir, name string, nparts, cols int) ([]*spill.Writer, error) {
 	ws := make([]*spill.Writer, nparts)

@@ -1,10 +1,14 @@
 package exec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"bfcbo/internal/mem"
+	"bfcbo/internal/obs"
 	"bfcbo/internal/optimizer"
+	"bfcbo/internal/plan"
 	"bfcbo/internal/tpch"
 )
 
@@ -61,6 +65,40 @@ func TestWorkIsExact(t *testing.T) {
 			}
 			if mode == optimizer.NoBF && len(res.Plan.Joins()) > 0 && par.Work.Build+par.Work.Probe == 0 {
 				t.Errorf("Q%d: a join plan built and probed nothing: %+v", q.Num, par.Work)
+			}
+		}
+	}
+}
+
+// Work, the probe metrics and EXPLAIN ANALYZE report what ran, not what was
+// planned: a merge or nested-loop node builds and probes nothing when it
+// runs as planned, and under a budget — laid out as a hash join — builds its
+// inner rows and probes its outer rows.
+func TestWorkCountsWhatRan(t *testing.T) {
+	for _, method := range []plan.JoinMethod{plan.MergeJoin, plan.NestLoopJoin} {
+		db, b, p := mergeJoinFixture(t)
+		root := p.Root.(*plan.Join)
+		root.Method = method
+		for _, budget := range []int64{0, tinyBudget} {
+			m := obs.NewMetrics(obs.NewRegistry())
+			r, err := Run(db, b, p, Options{DOP: 2, Broker: mem.NewBroker(budget), SpillDir: t.TempDir(), Metrics: m})
+			if err != nil {
+				t.Fatalf("%s budget %d: %v", method, budget, err)
+			}
+			var wantBuild, wantProbe int64
+			head := fmt.Sprintf("%s(inner)", method)
+			if budget > 0 {
+				wantBuild, wantProbe = int64(r.ActualFor(root.Inner)), int64(r.ActualFor(root.Outer))
+				head = fmt.Sprintf("HashJoin(inner) probe [planned %s]", method)
+			}
+			if r.Work.Build != wantBuild || r.Work.Probe != wantProbe {
+				t.Errorf("%s budget %d: Work %+v, want build %d probe %d", method, budget, r.Work, wantBuild, wantProbe)
+			}
+			if got := m.ProbeRows.Value(); got != wantProbe {
+				t.Errorf("%s budget %d: probe-rows metric %d, want %d", method, budget, got, wantProbe)
+			}
+			if out := r.ExplainAnalyze(p); !strings.Contains(out, "  "+head+" ") {
+				t.Errorf("%s budget %d: EXPLAIN ANALYZE does not show the node as %q:\n%s", method, budget, head, out)
 			}
 		}
 	}

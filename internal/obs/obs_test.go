@@ -20,12 +20,6 @@ func TestCounterGauge(t *testing.T) {
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	g := reg.NewGauge("g", "a gauge")
-	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge = %g, want 1.5", got)
-	}
 	// Idempotent registration returns the same metric.
 	if reg.NewCounter("c_total", "dup") != c {
 		t.Fatal("re-registering a counter returned a new instance")

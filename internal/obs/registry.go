@@ -7,8 +7,9 @@
 // queries.
 //
 // Design rule: nothing in this package may allocate on a per-event hot
-// path. Counters and gauges are single atomic adds; histogram observation
-// is a linear scan over a small fixed bounds array plus two atomic adds;
+// path. Counters are single atomic adds and gauges are functions read at
+// exposition time; histogram observation is a linear scan over a small
+// fixed bounds array plus two atomic adds;
 // span recording appends into a preallocated slice under a mutex (the
 // executor records spans at pipeline granularity, never per batch — hot
 // per-row/per-batch counters are folded from per-worker locals at Close,
@@ -68,32 +69,6 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a metric that can go up and down. Stored as float64 bits so
-// fractional gauges (seconds, ratios) work; Set/Add are atomic.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// SetInt replaces the gauge value with an integer.
-func (g *Gauge) SetInt(v int64) { g.Set(float64(v)) }
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Histogram is a fixed-bucket histogram: cumulative bucket counts over the
 // configured upper bounds plus an implicit +Inf bucket, with a running sum.
 // Observation is allocation-free: a linear scan over the (small) bounds
@@ -145,7 +120,6 @@ type metric struct {
 	kind Kind
 
 	counter *Counter
-	gauge   *Gauge
 	gfn     func() float64 // gauge func (live state, read at exposition)
 	cfn     func() int64   // counter func (cumulative state owned elsewhere)
 	hist    *Histogram
@@ -208,18 +182,6 @@ func (r *Registry) NewCounterFunc(name, help string, fn func() int64) {
 		return
 	}
 	r.add(&metric{name: name, help: help, kind: KindCounter, cfn: fn})
-}
-
-// NewGauge registers (or returns the existing) gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.lookup(name, KindGauge); ok && m.gauge != nil {
-		return m.gauge
-	}
-	g := &Gauge{}
-	r.add(&metric{name: name, help: help, kind: KindGauge, gauge: g})
-	return g
 }
 
 // NewGaugeFunc registers a gauge read from live state at exposition time
@@ -327,12 +289,7 @@ func (r *Registry) Snapshot() Snapshot {
 				s.Counters[m.name] = m.cfn()
 			}
 		case KindGauge:
-			switch {
-			case m.gauge != nil:
-				s.Gauges[m.name] = m.gauge.Value()
-			case m.gfn != nil:
-				s.Gauges[m.name] = m.gfn()
-			}
+			s.Gauges[m.name] = m.gfn()
 		case KindHistogram:
 			h := m.hist
 			hs := HistSnapshot{
@@ -375,14 +332,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 			}
 			fmt.Fprintf(&b, "%s %d\n", m.name, v)
 		case KindGauge:
-			var v float64
-			switch {
-			case m.gauge != nil:
-				v = m.gauge.Value()
-			case m.gfn != nil:
-				v = m.gfn()
-			}
-			fmt.Fprintf(&b, "%s %s\n", m.name, formatProm(v))
+			fmt.Fprintf(&b, "%s %s\n", m.name, formatProm(m.gfn()))
 		case KindHistogram:
 			h := m.hist
 			var cum int64

@@ -17,6 +17,11 @@ import (
 // inner (build) sides strictly before the pipelines that consume them —
 // which is also what guarantees every Bloom filter is fully built before
 // any probe-side scan that waits on it runs (§3.9).
+//
+// Only the hash build can spill (the grace hash join), so a run under a
+// memory budget is laid out by DecomposeBounded: every join with a
+// condition, whatever method the planner named, gets the hash join's
+// layout, and no sort or materialize breaker exists.
 
 // SinkKind says where a pipeline's output goes.
 type SinkKind int
@@ -35,20 +40,12 @@ const (
 	SinkMaterialize
 )
 
-// Spillable annotates the breaker kinds that materialize unbounded state
-// and therefore participate in the memory-budget/spill subsystem: hash
-// builds (grace hash join) and merge-join sorts (external merge sort).
-// Result collection and nested-loop materialization must stay resident —
-// their consumers random-access them — so the executor force-accounts them
-// instead.
-func (k SinkKind) Spillable() bool {
-	switch k {
-	case SinkHashBuild, SinkSortOuter, SinkSortInner:
-		return true
-	default:
-		return false
-	}
-}
+// Spillable reports whether the breaker takes part in the memory-budget /
+// spill subsystem. Only the hash build does: denied a grant, it becomes a
+// grace hash join. Every other breaker's output must stay resident — its
+// consumer random-accesses it — so the executor force-accounts it, and
+// DecomposeBounded lays a budgeted run out without sorts or materializes.
+func (k SinkKind) Spillable() bool { return k == SinkHashBuild }
 
 func (k SinkKind) String() string {
 	switch k {
@@ -77,6 +74,9 @@ type Pipeline struct {
 	// Ops are the streaming operators applied to every batch in order:
 	// hash-join probes and nested-loop probes.
 	Ops []*Join
+	// bounded marks a pipeline of DecomposeBounded: each of its Ops with a
+	// condition probes a hash table, whatever its Method.
+	bounded bool
 	// Sink says where batches end up; SinkJoin is the consuming join for
 	// every kind except SinkResult.
 	Sink     SinkKind
@@ -109,11 +109,23 @@ func (pl *Pipeline) EstSinkRows() float64 {
 	return pl.Source.EstRows()
 }
 
-// Decompose splits a plan into pipelines in execution order. It never
-// fails on the node shapes the optimizer emits; unknown node types are an
-// error so the executor can surface plan bugs instead of panicking.
-func Decompose(p *Plan) ([]*Pipeline, error) {
-	d := &decomposer{}
+// Decompose splits a plan into pipelines in execution order, every join
+// laid out as its planned method. It never fails on the node shapes the
+// optimizer emits; unknown node types are an error so the executor can
+// surface plan bugs instead of panicking.
+func Decompose(p *Plan) ([]*Pipeline, error) { return decompose(p, false) }
+
+// DecomposeBounded is Decompose for a run under a memory budget: every join
+// with a condition is laid out as a hash join — inner side into a hash
+// build, probe fused into the outer pipeline — because that is the one
+// breaker that spills. Merge and nested-loop joins are inner equi-joins, so
+// the hash join computes the same rows; the nodes keep their Method, and
+// Describe says what was planned. A join with no condition has no hash key
+// and keeps its planned layout.
+func DecomposeBounded(p *Plan) ([]*Pipeline, error) { return decompose(p, true) }
+
+func decompose(p *Plan, bounded bool) ([]*Pipeline, error) {
+	d := &decomposer{bounded: bounded}
 	last, err := d.build(p.Root)
 	if err != nil {
 		return nil, err
@@ -164,11 +176,13 @@ func addDep(deps []int, id int) []int {
 }
 
 type decomposer struct {
-	out []*Pipeline
+	out     []*Pipeline
+	bounded bool
 }
 
 func (d *decomposer) emit(pl *Pipeline) *Pipeline {
 	pl.ID = len(d.out)
+	pl.bounded = d.bounded
 	d.out = append(d.out, pl)
 	return pl
 }
@@ -181,7 +195,11 @@ func (d *decomposer) build(n Node) (*Pipeline, error) {
 	case *Scan:
 		return &Pipeline{ID: -1, Source: t}, nil
 	case *Join:
-		switch t.Method {
+		method := t.Method
+		if d.bounded && len(t.Conds) > 0 {
+			method = HashJoin
+		}
+		switch method {
 		case HashJoin:
 			in, err := d.build(t.Inner)
 			if err != nil {
@@ -277,10 +295,17 @@ func (pl *Pipeline) Describe() string {
 		b.WriteString(" merge")
 	}
 	for _, op := range pl.Ops {
-		fmt.Fprintf(&b, " -> %s probe", describe(op))
+		// In a bounded decomposition a join with a condition probes a hash
+		// table; say so, and what the planner had named.
+		name, planned := describe(op), ""
+		if pl.bounded && op.Method != HashJoin && len(op.Conds) > 0 {
+			name, planned = fmt.Sprintf("HashJoin(%s)", op.Kind()), fmt.Sprintf(" [planned %s]", op.Method)
+		}
+		fmt.Fprintf(&b, " -> %s probe", name)
 		if len(op.Conds) > 0 {
 			fmt.Fprintf(&b, "(%s)", op.Conds[0].OuterCol)
 		}
+		b.WriteString(planned)
 	}
 	fmt.Fprintf(&b, " -> %s", pl.Sink)
 	if len(pl.Deps) > 0 {

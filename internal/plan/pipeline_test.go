@@ -83,6 +83,98 @@ func TestDecomposeMergeAndNestLoop(t *testing.T) {
 	}
 }
 
+// DecomposeBounded gives every join with a condition the hash join's layout,
+// keeps the nodes' identity, and says in the label what was planned.
+func TestDecomposeBoundedLaysJoinsOutAsHashJoins(t *testing.T) {
+	// HJ(NL(MJ(a, b), c), d), the hash join building a Bloom filter that a's
+	// scan applies; x is a cross join with e on top.
+	a := scanNode(0, "a")
+	a.ApplyBlooms = []int{7}
+	mj := &Join{Method: MergeJoin, JoinType: query.Inner,
+		Outer: a, Inner: scanNode(1, "b"),
+		Conds: []Cond{{OuterRel: 0, OuterCol: "x", InnerRel: 1, InnerCol: "x"}}}
+	nl := &Join{Method: NestLoopJoin, JoinType: query.Inner,
+		Outer: mj, Inner: scanNode(2, "c"),
+		Conds: []Cond{{OuterRel: 1, OuterCol: "y", InnerRel: 2, InnerCol: "y"}}}
+	hj := &Join{Method: HashJoin, JoinType: query.Inner,
+		Outer: nl, Inner: scanNode(3, "d"), BuildBlooms: []int{7},
+		Conds: []Cond{{OuterRel: 0, OuterCol: "z", InnerRel: 3, InnerCol: "z"}}}
+	cross := &Join{Method: NestLoopJoin, JoinType: query.Inner,
+		Outer: hj, Inner: scanNode(4, "e")}
+	p := &Plan{Root: cross}
+
+	pls, err := DecomposeBounded(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"P0: Scan e -> materialize",
+		"P1: Scan d -> hash-build",
+		"P2: Scan c -> hash-build",
+		"P3: Scan b -> hash-build",
+		"P4: Scan a -> HashJoin(inner) probe(x) [planned MergeJoin]" +
+			" -> HashJoin(inner) probe(y) [planned NestLoop]" +
+			" -> HashJoin(inner) probe(z) -> NestLoop(inner) probe -> result (after P3,P2,P1,P0)",
+	}
+	if len(pls) != len(want) {
+		t.Fatalf("pipelines = %d, want %d", len(pls), len(want))
+	}
+	for i, pl := range pls {
+		if got := pl.Describe(); got != want[i] {
+			t.Errorf("P%d describes as %q, want %q", i, got, want[i])
+		}
+		if pl.ID != i {
+			t.Errorf("pipeline at position %d has ID %d", i, pl.ID)
+		}
+		for _, d := range pl.Deps {
+			if d >= pl.ID {
+				t.Errorf("P%d has non-topological dep P%d", pl.ID, d)
+			}
+		}
+	}
+	// The zero-condition join keeps its planned breaker; the others feed the
+	// joins they were planned for.
+	for i, j := range []*Join{cross, hj, nl, mj} {
+		if pls[i].SinkJoin != j {
+			t.Errorf("P%d feeds %v, want %v", i, pls[i].SinkJoin, j)
+		}
+	}
+	if got := SummarizeDAG(pls).SpillableSinks; got != 3 {
+		t.Errorf("spillable sinks = %d, want the 3 hash builds", got)
+	}
+
+	// The Bloom build -> apply edge is the one the planned layout has: the
+	// pipeline that scans a waits for the one that builds filter 7.
+	planned, err := Decompose(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builderOf := func(pls []*Pipeline) (build int, applyDeps []int) {
+		for _, pl := range pls {
+			if pl.Sink == SinkHashBuild && pl.SinkJoin == hj {
+				build = pl.ID
+			}
+			if pl.Source == Node(a) {
+				applyDeps = pl.Deps
+			}
+		}
+		return build, applyDeps
+	}
+	for name, pls := range map[string][]*Pipeline{"planned": planned, "bounded": pls} {
+		build, deps := builderOf(pls)
+		found := false
+		for _, d := range deps {
+			found = found || d == build
+		}
+		if !found {
+			t.Errorf("%s: the scan applying BF#7 depends on %v, not on its builder P%d", name, deps, build)
+		}
+	}
+	if n := len(planned); n != 6 {
+		t.Errorf("planned layout has %d pipelines, want 6 (two sorts and a merge source)", n)
+	}
+}
+
 // TestExplainPipelines pins the one-line pipeline labels EXPLAIN ANALYZE
 // prints under "pipelines (n):".
 func TestExplainPipelines(t *testing.T) {

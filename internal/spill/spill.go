@@ -154,7 +154,6 @@ type Writer struct {
 	cols    int
 	path    string
 	rows    int64
-	bytes   int64
 	chunks  int64
 	scratch []byte
 	closed  bool
@@ -187,13 +186,6 @@ func (w *Writer) Rows() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.rows
-}
-
-// Bytes returns the total encoded bytes appended so far.
-func (w *Writer) Bytes() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.bytes
 }
 
 // Path returns the file path.
@@ -246,7 +238,6 @@ func (w *Writer) AppendChunk(cols [][]int32) error {
 		}
 	}
 	w.rows += int64(n)
-	w.bytes += int64(4 + 4*n*w.cols)
 	w.chunks++
 	return nil
 }

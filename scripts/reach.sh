@@ -1,0 +1,71 @@
+#!/usr/bin/env bash
+# reach.sh — the reachability ledger (ROADMAP item 8).
+#
+# Builds every product entry point — cmd/bfcbo, cmd/bench, cmd/tpchgen, the
+# two examples and the benchmark binary — with coverage over the whole root
+# module, runs a fixed list of invocations under one GOCOVERDIR, and prints
+# the functions `go tool covdata func` reports at 0 %: the code no entry
+# point executes. It prints; it gates nothing. Error paths are over-reported
+# (the list drives few failures), so read a name here as "look at it", not
+# "delete it".
+#
+#   scripts/reach.sh            # everything lands in .bench_build/reach
+#   REACH_OUT=/tmp/r REACH_ADDR=127.0.0.1:18924 scripts/reach.sh
+set -uo pipefail
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+out="${REACH_OUT:-$root/.bench_build/reach}"
+addr="${REACH_ADDR:-127.0.0.1:18923}"
+rm -rf "$out"
+mkdir -p "$out/bin" "$out/cov" "$out/work"
+cd "$root"
+
+cover=(-cover -coverpkg=bfcbo/...)
+go build "${cover[@]}" -o "$out/bin/" ./cmd/bfcbo ./cmd/bench ./cmd/tpchgen ./examples/quickstart ./examples/sql || exit 1
+(cd benchmark && go build "${cover[@]}" -o "$out/bin/benchmark" .) || exit 1
+export GOCOVERDIR="$out/cov"
+
+# run reports a failing invocation and goes on: the fault and shedding runs
+# are allowed to fail, and a ledger with a hole still says what it reached.
+run() {
+  echo "+ $*" >&2
+  "$@" >"$out/work/last.out" 2>&1 || echo "  exit $? (see $out/work/last.out)" >&2
+}
+bin="$out/bin"
+
+for w in tpch_power tpch_spill plan_heavy sql_streams; do
+  for trace in 0 1; do
+    run "$bin/benchmark" -out "$out/work" -workload "$w" -seed 1 -seconds 2 -trace "$trace"
+  done
+done
+run "$bin/bench" -experiment all -sf 0.005 -reps 1
+run "$bin/tpchgen" -sf 0.005 -stats
+run "$bin/quickstart"
+run "$bin/sql"
+run "$bin/bfcbo" -q 8 -mode bfcbo -sf 0.01 -dop 4
+run "$bin/bfcbo" -q 8 -mode nobf -sf 0.01 -dop 2 -trace-out "$out/work/trace.json"
+run "$bin/bfcbo" -q 12 -mode naive -sf 0.01
+run "$bin/bfcbo" -sf 0.01 -mode bfpost -sql "SELECT * FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND l.l_quantity > 45"
+run "$bin/bfcbo" -q 21 -sf 0.05 -dop 2 -mem-budget 1MB
+run "$bin/bfcbo" -q 9 -sf 0.02 -dop 2 -mem-budget 256KB -faults "seed=42,spill.write=0.01,mem.deny=0.2" -retries 3
+run "$bin/bfcbo" -q 12 -sf 0.01 -streams 6 -max-concurrent 2 -shed-queue-p95 1us -retries 2 -timeout 5s
+
+# The observability server keeps serving after its query until it is
+# interrupted; scrape every endpoint once, then stop it so it flushes its
+# counters.
+echo "+ $bin/bfcbo -q 3 -sf 0.01 -obs-listen $addr (scraped, then interrupted)" >&2
+"$bin/bfcbo" -q 3 -sf 0.01 -obs-listen "$addr" >"$out/work/obs.out" 2>&1 &
+srv=$!
+for _ in $(seq 50); do
+  curl -fsS -o /dev/null "http://$addr/metrics" 2>/dev/null && break
+  sleep 0.2
+done
+for path in /metrics /query /debug/queries /debug/queries/live "/debug/queries/kill?id=1" \
+  /debug/trace/1 /debug/workload "/debug/pprof/goroutine?debug=1"; do
+  curl -sS -o /dev/null "http://$addr$path" || true
+done
+kill -INT "$srv" 2>/dev/null
+wait "$srv" 2>/dev/null
+
+echo
+echo "functions no entry point reached (0 % of statements):"
+go tool covdata func -i="$GOCOVERDIR" | awk '$NF == "0.0%" { print "  " $1 " " $2; n++ } END { print n + 0, "functions" }'
