@@ -223,8 +223,7 @@ func run(rc runConfig) error {
 			mem.FormatBytes(eng.MemoryBroker().Peak()))
 	}
 	for _, bs := range out.BloomStats {
-		fmt.Printf("BF#%d [%s] inserted=%d tested=%d passed=%d saturation=%.3f\n",
-			bs.ID, bs.Strategy, bs.Inserted, bs.Tested, bs.Passed, bs.Saturation)
+		fmt.Println(bs)
 	}
 	if traceOut != "" {
 		if err := writeTrace(traceOut, traces); err != nil {

@@ -469,8 +469,7 @@ func (f *Figure) Print(w io.Writer) {
 		fmt.Fprintln(w, "observed rows per node (est -> actual):")
 		printActuals(w, qr.Plan.Root, qr.Actuals, 1)
 		for _, bs := range qr.Actuals.BloomStats {
-			fmt.Fprintf(w, "  BF#%d [%s] inserted=%d tested=%d passed=%d saturation=%.3f\n",
-				bs.ID, bs.Strategy, bs.Inserted, bs.Tested, bs.Passed, bs.Saturation)
+			fmt.Fprintf(w, "  %s\n", bs)
 		}
 		if len(qr.Actuals.Pipelines) > 0 {
 			fmt.Fprintf(w, "pipelines (last measured run):\n")

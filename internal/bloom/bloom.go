@@ -1,8 +1,8 @@
-// Package bloom implements the Bloom filter runtime used by the BF-CBO
-// executor: a flat bit-vector filter with exactly two hash functions (the
-// paper fixes the hash count at two for performance, §3.5), plus a
-// partitioned variant used by the partition-join streaming strategies of
-// §3.9 and a bit-vector union used to merge per-worker partial filters.
+// Package bloom implements the one Bloom filter the BF-CBO executor runs:
+// a flat bit-vector filter with exactly two hash functions (the paper fixes
+// the hash count at two for performance, §3.5), its vectorized probes, and
+// a bit-vector union used to merge per-worker partial filters. §3.9's
+// per-partition filters belong to a cluster; here a build side is one table.
 package bloom
 
 import (

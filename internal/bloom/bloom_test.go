@@ -174,65 +174,6 @@ func TestQuickUnionSuperset(t *testing.T) {
 	}
 }
 
-func TestPartitionedRouting(t *testing.T) {
-	p, err := NewPartitioned(8, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 5000; i++ {
-		p.Add(i)
-	}
-	for i := int64(0); i < 5000; i++ {
-		if !p.MayContain(i) {
-			t.Fatalf("partitioned false negative for %d", i)
-		}
-	}
-	if p.Inserted() != 5000 {
-		t.Fatalf("inserted = %d, want 5000", p.Inserted())
-	}
-}
-
-// TestPartitionedAlignedProbe pins the routing contract the executor's
-// parallel build relies on: a partition owner that inserts hash h straight
-// into Part(h mod n) and a probe that routes by the key itself must meet in
-// the same partial filter.
-func TestPartitionedAlignedProbe(t *testing.T) {
-	const n = 4
-	p, err := NewPartitioned(n, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 2000; i++ {
-		h := KeyHash(i)
-		p.Part(int(h % n)).AddHash(h)
-	}
-	for i := int64(0); i < 2000; i++ {
-		if !p.MayContain(i) {
-			t.Fatalf("owner-built partition lost key %d", i)
-		}
-	}
-}
-
-func TestPartitionedInvalidCount(t *testing.T) {
-	if _, err := NewPartitioned(0, 10); err == nil {
-		t.Fatal("expected error for zero partitions")
-	}
-	if _, err := NewPartitioned(-3, 10); err == nil {
-		t.Fatal("expected error for negative partitions")
-	}
-}
-
-func TestPartitionedSaturationBounded(t *testing.T) {
-	p, _ := NewPartitioned(4, 100)
-	for i := int64(0); i < 400; i++ {
-		p.Add(i)
-	}
-	s := p.Saturation()
-	if s <= 0 || s >= 1 {
-		t.Fatalf("saturation %v out of expected (0,1)", s)
-	}
-}
-
 func BenchmarkAdd(b *testing.B) {
 	f := NewForNDV(1 << 20)
 	b.ResetTimer()

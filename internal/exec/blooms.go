@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"bfcbo/internal/bloom"
-	"bfcbo/internal/cost"
 	"bfcbo/internal/plan"
 	"bfcbo/internal/storage"
 )
@@ -13,53 +12,35 @@ import (
 // BloomRuntime reports what one Bloom filter did at execution time.
 type BloomRuntime struct {
 	ID         int
-	Strategy   string // "single" or "partitioned"
+	Bits       uint64 // size of the filter's bit vector
 	Inserted   uint64
 	Tested     int64
 	Passed     int64
 	Saturation float64
 }
 
-// bloomHandle abstracts single and partitioned filters for probing. The
-// caller mixes the key once (bloom.KeyHash, the hash shared with the join
-// tables) and both filter probe positions derive from that one value.
-// FilterSelHashes is the vectorized form: it compacts a selection vector
-// by a batch of precomputed hashes; FilterSelHashesCarry additionally
-// compacts a second vector in lockstep (the scan's batch hash side channel
-// — calling with carry == hashes is safe).
-type bloomHandle interface {
-	MayContainHash(h uint64) bool
-	FilterSelHashes(hashes []uint64, sel []int32) []int32
-	FilterSelHashesCarry(hashes []uint64, sel []int32, carry []uint64) ([]int32, []uint64)
-}
-
-// bloomTarget is a filter under construction; *bloom.Filter and
-// *bloom.Partitioned both are one.
-type bloomTarget interface {
-	bloomHandle
-	Inserted() uint64
-	Saturation() float64
+// String is the one rendering of a filter's runtime line.
+func (b BloomRuntime) String() string {
+	return fmt.Sprintf("BF#%d bits=%d inserted=%d tested=%d passed=%d saturation=%.3f",
+		b.ID, b.Bits, b.Inserted, b.Tested, b.Passed, b.Saturation)
 }
 
 // bloomSet is one run's Bloom filter state: the plan's specs and, once
 // the hash join that builds them has its build side, the built filters
-// with their runtime records. build is the only place a filter's strategy
-// and size are decided, its stats taken and the filter published; the
-// engine and the reference interpreter both go through it, so the two
-// build bit-identical filters at the same dop.
+// with their runtime records. build is the only place a filter's size is
+// decided, its stats taken and the filter published; the engine and the
+// reference interpreter both go through it, so the two build bit-identical
+// filters, at every DOP.
 type bloomSet struct {
 	tables []*storage.Table
 	specs  map[int]plan.BloomSpec
-	// dop selects the strategy (see build); how many workers actually
-	// insert is the feeder's business.
-	dop int
 
 	mu    sync.Mutex // build sinks of independent joins publish concurrently
 	built map[int]*bloomBuild
 }
 
-func newBloomSet(tables []*storage.Table, specs []plan.BloomSpec, dop int) *bloomSet {
-	bs := &bloomSet{tables: tables, dop: dop,
+func newBloomSet(tables []*storage.Table, specs []plan.BloomSpec) *bloomSet {
+	bs := &bloomSet{tables: tables,
 		specs: make(map[int]plan.BloomSpec, len(specs)),
 		built: make(map[int]*bloomBuild, len(specs))}
 	for _, s := range specs {
@@ -71,15 +52,13 @@ func newBloomSet(tables []*storage.Table, specs []plan.BloomSpec, dop int) *bloo
 // bloomBuild is one filter of a hash join's build side: under
 // construction while the feeder runs, published afterwards.
 type bloomBuild struct {
-	bloomTarget
+	*bloom.Filter
 	bloomCols // of the build relation rel
 	rel       int
 	st        *BloomRuntime
-	ndv       uint64
 	// onJoinKey: the build column is the join's hash-key column, so the
 	// build sink's hash vector is this filter's hash vector too.
 	onJoinKey bool
-	scratch   []uint64 // insert's hash vector, reused across chunks
 }
 
 // bloomCols is one side of a filter — build or apply: its key column(s)
@@ -95,28 +74,18 @@ func (c bloomCols) hashOf(rid int32) uint64 {
 	return bloom.KeyHash(key)
 }
 
-// insert adds build rows to dst: b's own filter or a partial of it.
-// hashes, when non-nil, is the rows' precomputed KeyHash vector — the
-// inserts then never rehash; otherwise the rows ids are hashed into b's
-// scratch, so only one goroutine at a time may insert by ids.
-func (b *bloomBuild) insert(dst bloomTarget, ids []int32, hashes []uint64) {
+// insert adds the build rows lo..hi of ids to dst: b's own filter or a
+// partial of it. hashes, when non-nil, is ids' precomputed KeyHash vector
+// — the inserts then never rehash.
+func (b *bloomBuild) insert(dst *bloom.Filter, ids []int32, hashes []uint64, lo, hi int) {
 	if hashes == nil {
-		hashes = b.scratch[:0]
-		for _, rid := range ids {
-			hashes = append(hashes, b.hashOf(rid))
+		for _, rid := range ids[lo:hi] {
+			dst.AddHash(b.hashOf(rid))
 		}
-		b.scratch = hashes
+		return
 	}
-	// Concrete receivers: AddHash's two bit sets inline into the loops.
-	switch t := dst.(type) {
-	case *bloom.Filter:
-		for _, h := range hashes {
-			t.AddHash(h)
-		}
-	case *bloom.Partitioned:
-		for _, h := range hashes {
-			t.AddHash(h)
-		}
+	for _, h := range hashes[lo:hi] {
+		dst.AddHash(h)
 	}
 }
 
@@ -138,12 +107,10 @@ func (bs *bloomSet) keyCols(id, rel int, col, col2 string) (kc bloomCols, err er
 }
 
 // build populates and publishes the Bloom filters of hash join j, whose
-// build side holds rows rows. The §3.9 strategy follows the join's
-// streaming annotation: a serial run or a broadcast build side makes one
-// filter (the n broadcast copies are redundant, so one copy is inserted);
-// a redistributed build makes dop partial filters, one per partition,
-// probed by distributed lookup on the key. feed inserts the build rows
-// into every filter it is handed.
+// build side holds rows rows: one bloom.Filter per spec, whatever the
+// join's §3.9 streaming annotation says — the build side is one shared
+// table, so there is nothing to partition a filter by. feed inserts the
+// build rows into every filter it is handed.
 func (bs *bloomSet) build(j *plan.Join, rows int, feed func([]*bloomBuild) error) error {
 	if j.Method != plan.HashJoin {
 		return fmt.Errorf("exec: Bloom filters can only be built at hash joins, got %s", j.Method)
@@ -154,28 +121,20 @@ func (bs *bloomSet) build(j *plan.Join, rows int, feed func([]*bloomBuild) error
 		if !ok {
 			return fmt.Errorf("exec: join builds unknown Bloom filter %d", id)
 		}
-		b := &bloomBuild{st: &BloomRuntime{ID: id}, rel: spec.BuildRel, ndv: uint64(spec.EstBuildNDV)}
-		if b.ndv == 0 {
-			b.ndv = uint64(rows) + 1
+		ndv := uint64(spec.EstBuildNDV)
+		if ndv == 0 {
+			ndv = uint64(rows) + 1
 		}
+		// Twice the NDV estimate, 16 bits per estimated key: estimates
+		// run low, and at 8 the cheaper probe is paid back in false
+		// positives.
+		b := &bloomBuild{Filter: bloom.NewForNDV(2 * ndv), st: &BloomRuntime{ID: id}, rel: spec.BuildRel}
 		var err error
 		if b.bloomCols, err = bs.keyCols(id, spec.BuildRel, spec.BuildCol, spec.BuildCol2); err != nil {
 			return err
 		}
 		b.onJoinKey = spec.BuildCol2 == "" && len(j.Conds) > 0 &&
 			spec.BuildRel == j.Conds[0].InnerRel && spec.BuildCol == j.Conds[0].InnerCol
-		if bs.dop <= 1 || j.Streaming == cost.BroadcastInner {
-			b.bloomTarget, b.st.Strategy = bloom.NewForNDV(b.ndv), "single"
-		} else {
-			// Size each partition for a generous share of the NDV
-			// estimate: estimates run low and key skew concentrates
-			// values, so a tight ndv/dop budget would inflate the FPR.
-			pf, err := bloom.NewPartitioned(bs.dop, (2*b.ndv)/uint64(bs.dop)+16)
-			if err != nil {
-				return err
-			}
-			b.bloomTarget, b.st.Strategy = pf, "partitioned"
-		}
 		builds = append(builds, b)
 	}
 	if err := feed(builds); err != nil {
@@ -183,7 +142,7 @@ func (bs *bloomSet) build(j *plan.Join, rows int, feed func([]*bloomBuild) error
 	}
 	bs.mu.Lock()
 	for _, b := range builds {
-		b.st.Inserted, b.st.Saturation = b.Inserted(), b.Saturation()
+		b.st.Bits, b.st.Inserted, b.st.Saturation = b.NBits(), b.Inserted(), b.Saturation()
 		bs.built[b.st.ID] = b
 	}
 	bs.mu.Unlock()
@@ -194,10 +153,11 @@ func (bs *bloomSet) build(j *plan.Join, rows int, feed func([]*bloomBuild) error
 // set. joinHashes, when non-nil, is the KeyHash vector of the join's key
 // column over inner's rows — each build key is then mixed once, for the
 // Bloom bits, the partition routing and the join directory alike. Above
-// the breaker fan-out threshold the inserts run across workers goroutines;
-// bit-vector OR is commutative and Inserted counts sum, so the filters
-// come out the same for every workers value.
-func (bs *bloomSet) feedVector(inner *RowSet, joinHashes []uint64, workers int) func([]*bloomBuild) error {
+// the breaker fan-out threshold each of workers goroutines inserts its own
+// slice of the rows, the first into the filter itself and the others into
+// partials unioned afterwards; bit-vector OR is commutative and Inserted
+// counts sum, so the filters come out the same for every workers value.
+func feedVector(inner *RowSet, joinHashes []uint64, workers int) func([]*bloomBuild) error {
 	return func(builds []*bloomBuild) error {
 		for _, b := range builds {
 			ids, hashes := inner.Col(b.rel), joinHashes
@@ -208,42 +168,21 @@ func (bs *bloomSet) feedVector(inner *RowSet, joinHashes []uint64, workers int) 
 			// Weight 4: one key mix, one derived rehash and two bit sets
 			// per row, plus the final union.
 			if !parallelFinishThreshold(n, 4, workers) {
-				b.insert(b.bloomTarget, ids, hashes)
+				b.insert(b.Filter, ids, hashes, 0, n)
 				continue
 			}
-			if hashes == nil {
-				hashes = make([]uint64, n)
-				parallelFor(workers, func(c int) {
-					for i, hi := c*n/workers, (c+1)*n/workers; i < hi; i++ {
-						hashes[i] = b.hashOf(ids[i])
-					}
-				})
-			}
-			switch t := b.bloomTarget.(type) {
-			case *bloom.Filter:
-				// One filter from per-worker partials, unioned.
-				partials := make([]*bloom.Filter, workers)
-				parallelFor(workers, func(c int) {
-					partials[c] = bloom.NewForNDV(b.ndv)
-					b.insert(partials[c], nil, hashes[c*n/workers:(c+1)*n/workers])
-				})
-				for _, p := range partials {
-					if err := t.Union(p); err != nil {
-						return err
-					}
+			partials := make([]*bloom.Filter, workers)
+			partials[0] = b.Filter
+			parallelFor(workers, func(c int) {
+				if c > 0 {
+					partials[c] = bloom.New(b.NBits())
 				}
-			case *bloom.Partitioned:
-				// Each partition's owner inserts its share of the hashes, so
-				// no two goroutines touch one partial filter.
-				nparts := uint64(bs.dop)
-				parallelFor(bs.dop, func(part int) {
-					f := t.Part(part)
-					for _, h := range hashes {
-						if h%nparts == uint64(part) {
-							f.AddHash(h)
-						}
-					}
-				})
+				b.insert(partials[c], ids, hashes, c*n/workers, (c+1)*n/workers)
+			})
+			for _, p := range partials[1:] {
+				if err := b.Union(p); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
@@ -251,10 +190,12 @@ func (bs *bloomSet) feedVector(inner *RowSet, joinHashes []uint64, workers int) 
 }
 
 // bloomProbe is one built filter resolved against the scan that applies
-// it: the handle, the apply column(s) by base-table row id, and the
-// runtime record the scan's tested/passed tallies land in.
+// it: the filter, the apply column(s) by base-table row id, and the
+// runtime record the scan's tested/passed tallies land in. The caller
+// mixes the key once (bloom.KeyHash, the hash shared with the join tables)
+// and both filter probe positions derive from that one value.
 type bloomProbe struct {
-	h bloomHandle
+	h *bloom.Filter
 	bloomCols
 	col string // the filtered column (the first, for multi-column)
 	st  *BloomRuntime
@@ -274,7 +215,7 @@ func (bs *bloomSet) probesFor(s *plan.Scan) ([]bloomProbe, error) {
 			return nil, fmt.Errorf("exec: scan of %s requires Bloom filter %d which was never built (plan bug)", s.Alias, id)
 		}
 		spec := bs.specs[id]
-		p := bloomProbe{h: b.bloomTarget, col: spec.ApplyCol, st: b.st}
+		p := bloomProbe{h: b.Filter, col: spec.ApplyCol, st: b.st}
 		var err error
 		if p.bloomCols, err = bs.keyCols(id, s.Rel, spec.ApplyCol, spec.ApplyCol2); err != nil {
 			return nil, err

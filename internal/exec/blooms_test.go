@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -31,12 +32,15 @@ func stripBlooms(n plan.Node) plan.Node {
 // TestBloomBuildFeedersAgree: bloomSet.build has two feeders — the whole
 // build side as one vector (in-memory sink, reference) and a stream of
 // spill chunks (grace sink). For the Bloom-building joins of Q3/Q7/Q9,
-// one- and two-column specs, every DOP, with and without the join's hash
-// vector, and serial or parallel inserts, both must leave the same
-// strategy, the same Inserted count and the same bits.
+// one- and two-column specs, the serial vector build (the reference's) is
+// the yardstick: the chunk feeder and the vector feeder at 2, 4 and 8
+// workers, with and without the join's hash vector, must leave the same
+// Inserted count and the same bits — including on builds large enough
+// that the workers really fan out into per-worker partials.
 func TestBloomBuildFeedersAgree(t *testing.T) {
 	ds := equivalenceDataset(t)
 	cols := map[int]int{} // filter column count -> joins covered
+	fannedOut := 0        // builds above parallelFinishThreshold at 8 workers
 	for _, num := range []int{3, 7, 9} {
 		q, _ := tpch.Get(num)
 		block := q.Build(ds.Schema)
@@ -62,45 +66,46 @@ func TestBloomBuildFeedersAgree(t *testing.T) {
 			inner := side.Out
 			c0 := j.Conds[0]
 			joinHashes := hashtab.HashVec(keyColumn(inner, tables[c0.InnerRel], c0.InnerRel, c0.InnerCol), nil)
-			for _, dop := range []int{1, 2, 4} {
-				// The chunk feeder, through real partition files.
-				ex := &executor{tables: tables, spillParent: t.TempDir(), queryTag: "feeders", budget: 1}
-				g, err := ex.newGraceBuild(j, float64(inner.Len()), &spillCounters{})
-				if err != nil {
-					t.Fatal(err)
+			build := func(name string, feed func([]*bloomBuild) error, rows int) *bloomSet {
+				bs := newBloomSet(tables, res.Plan.Blooms)
+				if err := bs.build(j, rows, feed); err != nil {
+					t.Fatalf("Q%d %s: %v", num, name, err)
 				}
-				if err := g.routeBuild(inner); err != nil {
-					t.Fatal(err)
-				}
-				if err := g.finishBuild(); err != nil {
-					t.Fatal(err)
-				}
-				chunked := newBloomSet(tables, res.Plan.Blooms, dop)
-				if err := chunked.build(j, g.buildRows(), g.feedBuildChunks); err != nil {
-					t.Fatalf("Q%d dop %d: chunk feeder: %v", num, dop, err)
-				}
-				ex.cleanupSpill()
-				for _, v := range []struct {
-					name    string
-					hashes  []uint64
-					workers int
-				}{{"serial", nil, 1}, {"parallel", nil, dop}, {"parallel+hashes", joinHashes, dop}} {
-					vec := newBloomSet(tables, res.Plan.Blooms, dop)
-					if err := vec.build(j, inner.Len(), vec.feedVector(inner, v.hashes, v.workers)); err != nil {
-						t.Fatalf("Q%d dop %d %s: vector feeder: %v", num, dop, v.name, err)
+				return bs
+			}
+			serial := build("serial", feedVector(inner, nil, 1), inner.Len())
+			agree := func(name string, got *bloomSet) {
+				for _, id := range j.BuildBlooms {
+					a, b := got.built[id], serial.built[id]
+					if *a.st != *b.st || a.st.Inserted != uint64(inner.Len()) {
+						t.Errorf("Q%d %s: filter %d stats diverge: %+v, serial %+v (%d build rows)",
+							num, name, id, *a.st, *b.st, inner.Len())
 					}
-					for _, id := range j.BuildBlooms {
-						a, b := vec.built[id], chunked.built[id]
-						if a.st.Strategy != b.st.Strategy || a.st.Inserted != b.st.Inserted ||
-							a.st.Inserted != uint64(inner.Len()) {
-							t.Errorf("Q%d dop %d %s: filter %d stats diverge: vector %+v, chunks %+v (%d build rows)",
-								num, dop, v.name, id, *a.st, *b.st, inner.Len())
-						}
-						if !reflect.DeepEqual(a.bloomTarget, b.bloomTarget) {
-							t.Errorf("Q%d dop %d %s: filter %d bit arrays diverge", num, dop, v.name, id)
-						}
+					if !reflect.DeepEqual(a.Filter, b.Filter) {
+						t.Errorf("Q%d %s: filter %d bit arrays diverge from the serial build", num, name, id)
 					}
 				}
+			}
+			// The chunk feeder, through real partition files.
+			ex := &executor{tables: tables, spillParent: t.TempDir(), queryTag: "feeders", budget: 1}
+			g, err := ex.newGraceBuild(j, float64(inner.Len()), &spillCounters{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g.routeBuild(inner); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.finishBuild(); err != nil {
+				t.Fatal(err)
+			}
+			agree("chunks", build("chunks", g.feedBuildChunks, g.buildRows()))
+			ex.cleanupSpill()
+			for _, workers := range []int{2, 4, 8} {
+				agree(fmt.Sprintf("workers %d", workers), build("parallel", feedVector(inner, nil, workers), inner.Len()))
+				agree(fmt.Sprintf("workers %d + hashes", workers), build("parallel+hashes", feedVector(inner, joinHashes, workers), inner.Len()))
+			}
+			if parallelFinishThreshold(inner.Len(), 4, 8) {
+				fannedOut++
 			}
 			for _, id := range j.BuildBlooms {
 				n := 1
@@ -113,5 +118,46 @@ func TestBloomBuildFeedersAgree(t *testing.T) {
 	}
 	if cols[1] == 0 || cols[2] == 0 {
 		t.Fatalf("coverage: %d one-column and %d two-column filters; want both", cols[1], cols[2])
+	}
+	if fannedOut == 0 {
+		t.Fatal("coverage: no build side was large enough to fan out at 8 workers")
+	}
+}
+
+// TestBloomStatsIndependentOfDOP: a filter's bits, and so every figure of
+// its runtime record, are a function of (database, plan). The 22 TPC-H
+// blocks under the engine profile × {BF-Post, BF-CBO} report the same
+// BloomStats at DOP 1, 2, 4 and 8, and the reference reports them too.
+func TestBloomStatsIndependentOfDOP(t *testing.T) {
+	ds := equivalenceDataset(t)
+	filters := 0
+	for _, q := range tpch.All() {
+		block := q.Build(ds.Schema)
+		for _, mode := range []optimizer.Mode{optimizer.BFPost, optimizer.BFCBO} {
+			opts := optimizer.DefaultOptions(0.01)
+			opts.Mode = mode
+			res, err := optimizer.Optimize(block, opts)
+			if err != nil {
+				t.Fatalf("Q%d %s: optimize: %v", q.Num, mode, err)
+			}
+			ref, err := Run(ds.DB, block, res.Plan, Options{Legacy: true})
+			if err != nil {
+				t.Fatalf("Q%d %s: reference: %v", q.Num, mode, err)
+			}
+			filters += len(ref.BloomStats)
+			for _, dop := range []int{1, 2, 4, 8} {
+				r, err := Run(ds.DB, block, res.Plan, Options{DOP: dop})
+				if err != nil {
+					t.Fatalf("Q%d %s dop %d: %v", q.Num, mode, dop, err)
+				}
+				if !reflect.DeepEqual(r.BloomStats, ref.BloomStats) {
+					t.Errorf("Q%d %s dop %d: BloomStats diverge from the reference:\n engine    %v\n reference %v",
+						q.Num, mode, dop, r.BloomStats, ref.BloomStats)
+				}
+			}
+		}
+	}
+	if filters == 0 {
+		t.Fatal("coverage: no plan ran a Bloom filter")
 	}
 }

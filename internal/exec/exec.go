@@ -236,10 +236,9 @@ type Options struct {
 	// GOMAXPROCS capped at 8.
 	DOP int
 	// Legacy runs the reference interpreter (reference.go) instead of the
-	// engine: a serial pure function of the plan that reads DOP (to build
-	// the filters the engine would) and ignores every other option. It is
-	// the one implementation the equivalence tests and the benchmark's
-	// answer check diff the engine against.
+	// engine: a serial pure function of the plan that ignores every other
+	// option, DOP included. It is the one implementation the equivalence
+	// tests and the benchmark's answer check diff the engine against.
 	Legacy bool
 	// SpillDir is the parent directory for the run's spill files
 	// ("" = os.TempDir()). Each run creates — and always removes — its own
@@ -310,7 +309,7 @@ func Run(db *storage.Database, block *query.Block, p *plan.Plan, opts Options) (
 // ctx.Err().
 func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p *plan.Plan, opts Options) (res *Result, err error) {
 	if opts.Legacy {
-		return runReference(ctx, db, block, p, opts.DOP)
+		return runReference(ctx, db, block, p)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -445,7 +444,7 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	if ex.tables, err = resolveTables(db, block); err != nil {
 		return nil, err
 	}
-	ex.blooms = newBloomSet(ex.tables, p.Blooms, dop)
+	ex.blooms = newBloomSet(ex.tables, p.Blooms)
 	// Publish the run to the in-flight inspector. Planned morsel counts
 	// fix each pipeline's progress denominator up front: exact for scans
 	// (the shared cursor claims every morsel, even ones zone-maps skip),

@@ -42,8 +42,7 @@ func (r *Result) ExplainAnalyze(p *plan.Plan) string {
 		}
 	}
 	for _, bs := range r.BloomStats {
-		fmt.Fprintf(&b, "  BF#%d [%s] inserted=%d tested=%d passed=%d saturation=%.3f\n",
-			bs.ID, bs.Strategy, bs.Inserted, bs.Tested, bs.Passed, bs.Saturation)
+		fmt.Fprintf(&b, "  %s\n", bs)
 	}
 	if r.Sched != (sched.Stat{}) {
 		fmt.Fprintf(&b, "scheduler: queue-wait=%s slot-wait=%s slot-busy=%s handoffs=%d\n",

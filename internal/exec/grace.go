@@ -515,7 +515,7 @@ func (g *graceHashJoin) buildRows() int {
 }
 
 // feedBuildChunks is the Bloom build's chunk feeder — the out-of-memory
-// counterpart of bloomSet.feedVector: one streaming pass over the spilled
+// counterpart of feedVector: one streaming pass over the spilled
 // build partitions feeds every filter. Bloom bits are order-independent,
 // so the filters (and their Inserted counts) equal an in-memory build over
 // the same rows.
@@ -523,7 +523,8 @@ func (g *graceHashJoin) feedBuildChunks(builds []*bloomBuild) error {
 	for _, w := range g.build {
 		err := eachChunk(w, g.buildRec, func(cols [][]int32) error {
 			for _, b := range builds {
-				b.insert(b.bloomTarget, cols[g.buildRels.Rank(b.rel)], nil)
+				ids := cols[g.buildRels.Rank(b.rel)]
+				b.insert(b.Filter, ids, nil, 0, len(ids))
 			}
 			return nil
 		})

@@ -68,7 +68,7 @@ func newJoinSidesFixture(tb testing.TB, buildRows, dop int) *joinSidesFixture {
 	f := &joinSidesFixture{
 		ex: &executor{
 			dop: dop, morsel: DefaultMorselSize, tables: tables,
-			blooms: newBloomSet(tables, nil, dop),
+			blooms: newBloomSet(tables, nil),
 			builds: make(map[*plan.Join]*hashTable),
 			sorted: make(map[*plan.Join]*mergePair),
 			mats:   make(map[*plan.Join]*nlInner),
@@ -140,7 +140,7 @@ func (f *joinSidesFixture) breaker(kind plan.SinkKind, rel int, batches []*Batch
 // tested and every row passes (both probe positions are read).
 func (f *joinSidesFixture) buildBloom(scan *plan.Scan) error {
 	spec := plan.BloomSpec{ID: 1, ApplyRel: joinSidesProbeRel, ApplyCol: "fk", BuildRel: joinSidesBuildRel, BuildCol: "pk"}
-	f.ex.blooms = newBloomSet(f.ex.tables, []plan.BloomSpec{spec}, f.ex.dop)
+	f.ex.blooms = newBloomSet(f.ex.tables, []plan.BloomSpec{spec})
 	j := *f.j
 	j.BuildBlooms = []int{spec.ID}
 	inner := f.buildBatches[0].rows
@@ -148,7 +148,7 @@ func (f *joinSidesFixture) buildBloom(scan *plan.Scan) error {
 		inner.appendBatch(b.rows)
 	}
 	scan.ApplyBlooms = []int{spec.ID}
-	return f.ex.blooms.build(&j, inner.Len(), f.ex.blooms.feedVector(inner, nil, f.ex.dop))
+	return f.ex.blooms.build(&j, inner.Len(), feedVector(inner, nil, f.ex.dop))
 }
 
 // batchSource replays prepared batches: the probe operator's child.
@@ -192,7 +192,9 @@ func drain(op PhysicalOperator) (int, error) {
 //   - scan/plain: a row through a scan (CPUTupleCost, the unit);
 //     scan/pred and scan/bloom add one predicate kernel and one Bloom
 //     filter test per row, so their excess over scan/plain is
-//     CPUOperatorCost and BloomApplyCost;
+//     CPUOperatorCost and BloomApplyCost; scan/bloom/dop2 is the same
+//     scan worker over a filter built at the DOP the workloads run at —
+//     the same one filter, so the same figure;
 //
 //   - build: a row into a hash join's build side (HashBuildCost) — the
 //     real sink's consume and finish: part append, concat, key gather,
@@ -224,9 +226,10 @@ func BenchmarkJoinSides(b *testing.B) {
 	for _, sc := range []struct {
 		name        string
 		pred, bloom bool
-	}{{"plain", false, false}, {"pred", true, false}, {"bloom", false, true}} {
+		dop         int
+	}{{"plain", false, false, 1}, {"pred", true, false, 1}, {"bloom", false, true, 1}, {"bloom/dop2", false, true, 2}} {
 		b.Run("scan/"+sc.name, func(b *testing.B) {
-			f := newJoinSidesFixture(b, 1<<14, 1)
+			f := newJoinSidesFixture(b, 1<<14, sc.dop)
 			scan := *f.scan
 			if !sc.pred {
 				scan.Pred = nil

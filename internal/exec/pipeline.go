@@ -263,7 +263,7 @@ func (s *hashBuildSink) finish() error {
 			gatherWall := time.Since(start)
 			if len(s.j.BuildBlooms) > 0 {
 				start := time.Now()
-				if err := s.ex.blooms.build(s.j, totalRows, s.ex.blooms.feedVector(inner, ht.innerHashes, s.ex.dop)); err != nil {
+				if err := s.ex.blooms.build(s.j, totalRows, feedVector(inner, ht.innerHashes, s.ex.dop)); err != nil {
 					return err
 				}
 				s.ph.Bloom = time.Since(start)

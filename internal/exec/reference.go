@@ -16,7 +16,7 @@ import (
 // materializing every intermediate row set, and touches none of the
 // engine's machinery: no admission, worker slots, memory accounting,
 // spilling, metrics or live introspection. A result is a function of
-// (database, plan, dop) and nothing else.
+// (database, plan) and nothing else.
 
 type reference struct {
 	ctx     context.Context
@@ -25,10 +25,10 @@ type reference struct {
 	actuals []NodeActual
 }
 
-// runReference evaluates p serially. dop only selects the Bloom build
-// strategy, so the oracle builds the filters the engine would at that dop
-// and their tested/passed tallies stay comparable.
-func runReference(ctx context.Context, db *storage.Database, block *query.Block, p *plan.Plan, dop int) (*Result, error) {
+// runReference evaluates p serially. Its filters go through bloomSet.build,
+// so they are bit for bit the engine's and their tested/passed tallies stay
+// comparable.
+func runReference(ctx context.Context, db *storage.Database, block *query.Block, p *plan.Plan) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -36,7 +36,7 @@ func runReference(ctx context.Context, db *storage.Database, block *query.Block,
 	if err != nil {
 		return nil, err
 	}
-	r := &reference{ctx: ctx, tables: tables, blooms: newBloomSet(tables, p.Blooms, effectiveDOP(dop))}
+	r := &reference{ctx: ctx, tables: tables, blooms: newBloomSet(tables, p.Blooms)}
 	out, err := r.node(p.Root)
 	if err != nil {
 		return nil, err
@@ -111,7 +111,7 @@ func (r *reference) join(j *plan.Join) (*RowSet, error) {
 		return nil, err
 	}
 	if len(j.BuildBlooms) > 0 {
-		if err := r.blooms.build(j, inner.Len(), r.blooms.feedVector(inner, nil, 1)); err != nil {
+		if err := r.blooms.build(j, inner.Len(), feedVector(inner, nil, 1)); err != nil {
 			return nil, err
 		}
 	}

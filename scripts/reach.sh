@@ -5,9 +5,10 @@
 # two examples and the benchmark binary — with coverage over the whole root
 # module, runs a fixed list of invocations under one GOCOVERDIR, and prints
 # the functions `go tool covdata func` reports at 0 %: the code no entry
-# point executes. It prints; it gates nothing. Error paths are over-reported
-# (the list drives few failures), so read a name here as "look at it", not
-# "delete it".
+# point executes. The observability server is scraped twice: after its query
+# has finished, and while four streams are still running. It prints; it
+# gates nothing. Error paths are over-reported (the list drives few
+# failures), so read a name here as "look at it", not "delete it".
 #
 #   scripts/reach.sh            # everything lands in .bench_build/reach
 #   REACH_OUT=/tmp/r REACH_ADDR=127.0.0.1:18924 scripts/reach.sh
@@ -50,21 +51,43 @@ run "$bin/bfcbo" -q 9 -sf 0.02 -dop 2 -mem-budget 256KB -faults "seed=42,spill.w
 run "$bin/bfcbo" -q 12 -sf 0.01 -streams 6 -max-concurrent 2 -shed-queue-p95 1us -retries 2 -timeout 5s
 
 # The observability server keeps serving after its query until it is
-# interrupted; scrape every endpoint once, then stop it so it flushes its
-# counters.
-echo "+ $bin/bfcbo -q 3 -sf 0.01 -obs-listen $addr (scraped, then interrupted)" >&2
-"$bin/bfcbo" -q 3 -sf 0.01 -obs-listen "$addr" >"$out/work/obs.out" 2>&1 &
-srv=$!
-for _ in $(seq 50); do
-  curl -fsS -o /dev/null "http://$addr/metrics" 2>/dev/null && break
-  sleep 0.2
-done
+# interrupted. serve starts one in the background and waits for it to
+# answer; stop_serving interrupts it so it flushes its counters.
+serve() {
+  echo "+ $bin/bfcbo $* -obs-listen $addr (scraped, then interrupted)" >&2
+  "$bin/bfcbo" "$@" -obs-listen "$addr" >"$out/work/obs.out" 2>&1 &
+  srv=$!
+  for _ in $(seq 500); do
+    curl -fsS -o /dev/null "http://$addr/metrics" 2>/dev/null && break
+    sleep 0.02
+  done
+}
+stop_serving() {
+  kill -INT "$srv" 2>/dev/null
+  wait "$srv" 2>/dev/null
+}
+
+# After the query has finished: every endpoint once.
+serve -q 3 -sf 0.01
 for path in /metrics /query /debug/queries /debug/queries/live "/debug/queries/kill?id=1" \
   /debug/trace/1 /debug/workload "/debug/pprof/goroutine?debug=1"; do
   curl -sS -o /dev/null "http://$addr$path" || true
 done
-kill -INT "$srv" 2>/dev/null
-wait "$srv" 2>/dev/null
+stop_serving
+
+# While queries run (CI's live-scrape smoke): poll the live view until it
+# lists a query in flight, then kill that one.
+serve -q 9 -sf 0.01 -streams 4
+for _ in $(seq 200); do
+  id="$(curl -sS "http://$addr/debug/queries/live" 2>/dev/null | sed -n 's/.*"id": *\([0-9]*\).*/\1/p' | head -n 1)"
+  if [ -n "$id" ]; then
+    curl -sS -o /dev/null "http://$addr/debug/queries/kill?id=$id" || true
+    break
+  fi
+  kill -0 "$srv" 2>/dev/null || break
+done
+[ -n "$id" ] || echo "  the live view never listed a running query" >&2
+stop_serving
 
 echo
 echo "functions no entry point reached (0 % of statements):"
