@@ -234,9 +234,10 @@ func run(rc runConfig) error {
 	if obsAddr != "" {
 		// Keep serving until interrupted, then shut the server down
 		// gracefully — draining in-flight scrapes — instead of dying with
-		// the listener open.
-		fmt.Println("serving observability endpoints; Ctrl-C to exit")
+		// the listener open. The line is printed once the signals are
+		// caught, so a script that waits for it can signal safely.
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		fmt.Println("serving observability endpoints; Ctrl-C to exit")
 		<-ctx.Done()
 		stop()
 		fmt.Println("\nshutting down observability server")

@@ -102,22 +102,12 @@ func Paper() Params {
 //	                2.5 ns/swept row  CPUTupleCost  (a build row emitted)
 //	mirror/left     25.5 ns/key       HashProbeCost (probe, mark, emit pair)
 //	                1.3 ns/swept row  CPUTupleCost  (a build row passed over)
-//	merge/16Ki      9 ns/row·log₂n    (not charged: MergeSortCost is 5 ns)
-//	                21.5 ns/merged row (not charged: MergeScanCost is 12.5 ns)
-//	nl/16x16Ki      2.8 ns/pair       (not charged: NLPairCost is 50 ns)
 //
 // scan/bloom re-run after every filter became one bloom.Filter at 16 bits
 // per key, same host at a quieter hour: plain 1.9, pred 3.0, bloom 7.7,
 // bloom/dop2 (built by two workers, as the workloads do) 7.6 ns/row, and 7.7
 // at the commit before. A filter test is 3.05 scanned rows against the 3.2
 // charged: inside the band, nsBloomTest stays.
-//
-// The merge and nested-loop rows are measured on the same host and day and
-// charged to nothing yet: Engine keeps those three constants at the paper
-// profile's ratios to a hash probe, which prices a merge join at a little
-// over half of what it costs here and a nested-loop pair at eighteen times.
-// Charging the measured figures moves plans (a nested loop over a handful of
-// rows starts to win), so it is a change with its own benchmark runs.
 //
 // A mirrored join — a semi, anti or left join built on its preserve side —
 // is therefore priced as the hash join it is plus one scanned row per build
@@ -154,29 +144,23 @@ const (
 // a probe key, so the smaller input builds. With no transfer term every
 // parallel hash join is costed Redistribute (a broadcast only replicates
 // the build), a label the executor does not read: it builds one Bloom filter
-// per spec. DOP says only that there is more than one thread.
+// per spec. DOP says only that there is more than one thread. The executor
+// has one join operator, the hash join, so merge and nested-loop joins are
+// priced +Inf: the planner never names a method the engine does not run.
 func Engine() Params {
 	// Cost units per nanosecond: as in the paper profile, one scanned row
 	// is 0.01. Constant arithmetic, so the same bits on every host.
 	const unit = 0.01 / nsScanRow
-	const probe = nsProbeKey * unit
 	return Params{
 		Name:            "engine",
 		CPUTupleCost:    nsScanRow * unit,
 		CPUOperatorCost: nsPredRow * unit,
 		HashBuildCost:   nsBuildRow * unit,
-		HashProbeCost:   probe,
-		// Merge and nested-loop joins are measured (the table above) but
-		// not yet charged at what they measure: they keep the paper
-		// profile's price relative to a hash probe (0.2, 0.5 and 2 probes),
-		// so the choice of method does not move with the unit. The methods
-		// are in use: the paper profile picks merge joins for TPC-H Q2, Q5,
-		// Q7, Q8, Q9, Q11, Q20 and Q21, this profile for Q2 under BF-Post
-		// and in about a fifth of benchmark/'s sql_streams statements, and
-		// nested loops in three of plan_heavy's snowflakes.
-		MergeSortCost:  0.2 * probe,
-		MergeScanCost:  0.5 * probe,
-		NLPairCost:     2 * probe,
+		HashProbeCost:   nsProbeKey * unit,
+		// No such operator: internal/exec runs every join as a hash join.
+		MergeSortCost:  math.Inf(1),
+		MergeScanCost:  math.Inf(1),
+		NLPairCost:     math.Inf(1),
 		BloomApplyCost: nsBloomTest * unit,
 		BloomBuildCost: 0, // 0.8 ms of a 300 ms TPC-H pass: free, as in §3.5
 		TransferCost:   0,
@@ -278,7 +262,7 @@ func (p Params) MergeJoin(outerRows, innerRows float64) float64 {
 // MergeSorted is MergeJoin given each input's SortCost: an enumerator joins
 // one sub-plan many times and need take its logarithm only once.
 func (p Params) MergeSorted(outerSort, innerSort, outerRows, innerRows float64) float64 {
-	return outerSort + innerSort + (outerRows+innerRows)*p.MergeScanCost
+	return outerSort + innerSort + times(outerRows+innerRows, p.MergeScanCost)
 }
 
 // SortCost is the cost of sorting n rows for a merge join.
@@ -291,5 +275,15 @@ func (p Params) SortCost(n float64) float64 {
 
 // NestLoop costs a nested-loop join: every outer row scans the inner.
 func (p Params) NestLoop(outerRows, innerRows float64) float64 {
-	return outerRows * math.Max(innerRows, 1) * p.NLPairCost
+	return times(outerRows*math.Max(innerRows, 1), p.NLPairCost)
+}
+
+// times is n units at c each. A method the profile has no operator for is
+// priced c = +Inf, and so is every use of it, even of zero rows — where the
+// product would be NaN, and NaN compares false against every cost.
+func times(n, c float64) float64 {
+	if math.IsInf(c, 1) {
+		return c
+	}
+	return n * c
 }

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -161,8 +162,9 @@ func TestJoinMethodOrdering(t *testing.T) {
 	}
 }
 
+// The paper profile's merge join: the engine profile has none (below).
 func TestMergeJoinGrowsSuperlinearly(t *testing.T) {
-	p := Engine()
+	p := Paper()
 	small := p.MergeJoin(1000, 1000)
 	big := p.MergeJoin(10_000, 10_000)
 	if big <= 10*small {
@@ -170,6 +172,26 @@ func TestMergeJoinGrowsSuperlinearly(t *testing.T) {
 	}
 	if p.MergeJoin(1, 1) <= 0 {
 		t.Fatal("degenerate merge join must still have positive cost")
+	}
+}
+
+// The engine runs every join as a hash join, so its profile prices the other
+// two methods +Inf at every input size — never NaN, which compares false
+// against every cost and so could not lose a comparison either.
+func TestEngineHasNoMergeOrNestLoop(t *testing.T) {
+	p := Engine()
+	for _, o := range []float64{0, 0.5, 1, 2, 1e6} {
+		for _, i := range []float64{0, 0.5, 1, 2, 1e6} {
+			for name, c := range map[string]float64{
+				"MergeJoin": p.MergeJoin(o, i),
+				"NestLoop":  p.NestLoop(o, i),
+				"SortCost":  p.SortCost(o),
+			} {
+				if !math.IsInf(c, 1) {
+					t.Errorf("engine %s(%g, %g) = %g, want +Inf", name, o, i, c)
+				}
+			}
+		}
 	}
 }
 

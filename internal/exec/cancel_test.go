@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -166,9 +167,9 @@ func TestOpenFailureStillCloses(t *testing.T) {
 	}
 }
 
-// mergeJoinFixture builds a fact⋈dim plan forced through a merge join, so
-// decomposition yields two independent sort pipelines (P0, P1) feeding the
-// merge pipeline (P2).
+// mergeJoinFixture builds a fact⋈dim plan that names a merge join. The
+// engine lays it out as the hash join — P0 builds dim, P1 probes it with
+// fact — and the reference runs the merge it names.
 func mergeJoinFixture(t *testing.T) (*storage.Database, *query.Block, *plan.Plan) {
 	t.Helper()
 	db := storage.NewDatabase()
@@ -222,18 +223,18 @@ func mergeJoinFixture(t *testing.T) (*storage.Database, *query.Block, *plan.Plan
 }
 
 // The DAG scheduler must surface the injected error itself — never a
-// "never sorted/built (plan bug)" cascade from a dependent pipeline — and
-// must do so on every run.
+// "never built (plan bug)" cascade from a dependent pipeline — and must do
+// so on every run.
 func TestDAGSurfacesFirstErrorDeterministically(t *testing.T) {
 	db, b, p := mergeJoinFixture(t)
-	injected := errors.New("injected sort-pipeline failure")
+	injected := errors.New("injected build-pipeline failure")
 	for i := 0; i < 50; i++ {
 		opts := Options{DOP: 4, morselSize: 16}
 		opts.injectOp = func(pl *plan.Pipeline, worker int, op PhysicalOperator) PhysicalOperator {
 			var opens, closes, batches atomic.Int64
 			f := &faultOp{child: op, err: injected,
 				opens: &opens, closes: &closes, batches: &batches}
-			// Fail every worker of the first sort pipeline (P0).
+			// Fail every worker of the build pipeline (P0).
 			if pl.ID == 0 {
 				f.failBatch = true
 			}
@@ -246,10 +247,9 @@ func TestDAGSurfacesFirstErrorDeterministically(t *testing.T) {
 	}
 }
 
-// Sanity: the merge-join fixture executes correctly through the DAG
-// scheduler at several DOPs, agreeing with the legacy interpreter — this
-// pins the parallel sort sink (per-worker runs + multiway merge) and the
-// concurrent scheduling of its two sort pipelines.
+// Sanity: the merge-join fixture, run as the hash join through the DAG
+// scheduler at several DOPs and morsel sizes, returns the tuples of the
+// reference's merge join.
 func TestDAGMergeJoinMatchesLegacy(t *testing.T) {
 	db, b, p := mergeJoinFixture(t)
 	legacy, err := Run(db, b, p, Options{DOP: 1, Legacy: true})
@@ -262,83 +262,41 @@ func TestDAGMergeJoinMatchesLegacy(t *testing.T) {
 			if err != nil {
 				t.Fatalf("dop %d morsel %d: %v", dop, morsel, err)
 			}
-			if r.Rows != legacy.Rows {
-				t.Fatalf("dop %d morsel %d: rows = %d, want %d", dop, morsel, r.Rows, legacy.Rows)
-			}
+			sameTuples(t, fmt.Sprintf("dop %d morsel %d", dop, morsel), canonicalRows(r.Out), canonicalRows(legacy.Out))
 		}
 	}
 }
 
-// The sorted order produced by the parallel run-merge must be identical to
-// the serial sortByKey order, including tie-breaks by row index.
-func TestSortByKeyParMatchesSerial(t *testing.T) {
-	for _, n := range []int{0, 1, 5, 100, 5000, 50_000} {
-		keys := make([]int64, n)
-		for i := range keys {
-			// Heavy duplication exercises tie-breaking across runs.
-			keys[i] = int64((i * 2654435761) % 97)
-		}
-		for _, nruns := range []int{1, 2, 3, 8} {
-			bounds := make([]int, nruns+1)
-			for r := 1; r < nruns; r++ {
-				bounds[r] = r * n / nruns
-			}
-			bounds[nruns] = n
-			got := sortByKeyPar(keys, bounds, 4)
-			want := sortByKey(keys)
-			if len(got) != len(want) {
-				t.Fatalf("n=%d runs=%d: len %d vs %d", n, nruns, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d runs=%d: order diverges at %d: %d vs %d (keys %d vs %d)",
-						n, nruns, i, got[i], want[i], keys[got[i]], keys[want[i]])
-				}
-			}
-		}
-	}
-}
-
-// Bloom-applying scans must depend on the building pipeline even when the
-// structural breaker edges don't imply it (the scan sits under a sort
-// breaker on the probe side) — otherwise the DAG scheduler could start the
-// scan before its filter exists.
+// A scan that applies a Bloom filter must depend on the pipeline that builds
+// it even when no breaker edge implies it: here the scan of a sits on the
+// build side of a hash join inside the probe subtree of the join that builds
+// filter 7 — without the edge the DAG scheduler could start the scan before
+// its filter exists.
 func TestDecomposeBloomDeps(t *testing.T) {
-	mj := &plan.Join{Method: plan.MergeJoin, JoinType: query.Inner,
-		Outer: &plan.Scan{Rel: 0, Alias: "a", Table: "a", ApplyBlooms: []int{7}},
-		Inner: &plan.Scan{Rel: 1, Alias: "b", Table: "b"},
-		Conds: []plan.Cond{{OuterRel: 0, OuterCol: "x", InnerRel: 1, InnerCol: "x"}}}
+	inner := &plan.Join{Method: plan.HashJoin, JoinType: query.Inner,
+		Outer: &plan.Scan{Rel: 1, Alias: "b", Table: "b"},
+		Inner: &plan.Scan{Rel: 0, Alias: "a", Table: "a", ApplyBlooms: []int{7}},
+		Conds: []plan.Cond{{OuterRel: 1, OuterCol: "x", InnerRel: 0, InnerCol: "x"}}}
 	root := &plan.Join{Method: plan.HashJoin, JoinType: query.Inner,
-		Outer: mj, Inner: &plan.Scan{Rel: 2, Alias: "c", Table: "c"},
+		Outer: inner, Inner: &plan.Scan{Rel: 2, Alias: "c", Table: "c"},
 		Conds:       []plan.Cond{{OuterRel: 0, OuterCol: "y", InnerRel: 2, InnerCol: "y"}},
 		BuildBlooms: []int{7}}
 	pls, err := plan.Decompose(&plan.Plan{Root: root})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// P0: scan c -> hash-build (builds BF 7); P1: sort-inner b;
-	// P2: sort-outer a (applies BF 7, must depend on P0); P3: merge.
-	if len(pls) != 4 {
-		t.Fatalf("pipelines = %d, want 4", len(pls))
+	// P0: scan c -> hash-build (builds BF 7); P1: scan a -> hash-build
+	// (applies BF 7, must depend on P0); P2: scan b -> probe -> probe.
+	if len(pls) != 3 {
+		t.Fatalf("pipelines = %d, want 3", len(pls))
 	}
-	var sortOuter *plan.Pipeline
-	for _, pl := range pls {
-		if pl.Sink == plan.SinkSortOuter {
-			sortOuter = pl
-		}
+	applier := pls[1]
+	if applier.Source.Alias != "a" || applier.SinkJoin != inner {
+		t.Fatalf("P1 is %s, want the build of a", applier.Describe())
 	}
-	if sortOuter == nil {
-		t.Fatal("no sort-outer pipeline")
-	}
-	found := false
-	for _, d := range sortOuter.Deps {
-		if d == 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("sort-outer deps = %v, want a dependency on the Bloom-building P0\n%s",
-			sortOuter.Deps, fmt.Sprint(sortOuter.Describe()))
+	if !slices.Contains(applier.Deps, 0) {
+		t.Fatalf("P1 deps = %v, want a dependency on the Bloom-building P0\n%s",
+			applier.Deps, applier.Describe())
 	}
 	// Dep IDs must be topological (smaller than the pipeline's own ID).
 	for _, pl := range pls {

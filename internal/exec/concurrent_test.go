@@ -51,7 +51,8 @@ func (o *workerGauge) NextBatch() (*Batch, error) {
 }
 
 // concurrentMix is the TPC-H query mix of the stress tests: Bloom-heavy
-// joins with hash builds, a merge-join plan, and the Q21 wide join.
+// joins with hash builds, and Q21's wide join with its semi and anti
+// joins.
 func concurrentMix() []int { return []int{3, 5, 8, 12, 21} }
 
 // TestConcurrentQueriesMatchSerial runs N streams of mixed TPC-H queries

@@ -66,8 +66,7 @@ type Result struct {
 // filter sizing follows DOP (§3.9).
 type Work struct {
 	// Build is the rows inserted into hash-join build sides, in memory or
-	// through grace partitions. Build and Probe count the joins that ran as
-	// hash joins (OpStat.HashProbe), whatever method their nodes name.
+	// through grace partitions.
 	Build int64
 	// Probe is the keys looked up: rows entering hash-join probes.
 	Probe int64
@@ -91,10 +90,8 @@ func foldWork(r *Result) Work {
 		case *plan.Scan:
 			w.Scanned += st.RowsIn
 		case *plan.Join:
-			if st.HashProbe {
-				w.Probe += st.RowsIn
-				w.Build += int64(r.ActualFor(n.Inner))
-			}
+			w.Probe += st.RowsIn
+			w.Build += int64(r.ActualFor(n.Inner))
 		}
 	}
 	for _, sc := range r.Scans {
@@ -166,11 +163,10 @@ type executor struct {
 	tables []*storage.Table // by relation index
 	blooms *bloomSet
 
-	// Pipelined-execution state: breaker outputs keyed by their join, the
-	// per-operator stat registry, and the final output.
+	// Pipelined-execution state: hash builds keyed by their join (a table in
+	// memory, or the grace partitions it spilled to), the per-operator stat
+	// registry, and the final output.
 	builds map[*plan.Join]*hashTable
-	sorted map[*plan.Join]*mergePair
-	mats   map[*plan.Join]*nlInner
 	graces map[*plan.Join]*graceHashJoin
 	stats  []*opStats
 	pipes  []PipelineStat
@@ -246,11 +242,9 @@ type Options struct {
 	SpillDir string
 	// Broker, when non-nil, is the memory broker the run's per-query
 	// reservation draws from; its budget bounds the bytes of operator state
-	// held in RAM, shared with every other query on the same broker. Under
-	// a finite budget every join with a condition runs as a hash join,
-	// whatever method its plan node names (plan.DecomposeBounded), and a
-	// hash build whose grant is denied spills: the join runs as a grace hash
-	// join over partition files. The final result (and other mandatory
+	// held in RAM, shared with every other query on the same broker. A hash
+	// build whose grant is denied spills: the join runs as a grace hash join
+	// over partition files. The final result (and other mandatory
 	// allocations) are accounted but never denied. Nil means unlimited.
 	Broker *mem.Broker
 	// Sched, when non-nil, is the process-wide query scheduler the run is
@@ -329,16 +323,10 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	}
 	// Register the pipeline DAG with the scheduler and wait for admission.
 	// Decomposition happens before admission on purpose: it is cheap, needs
-	// no execution resources, and its summary (spillable breakers) sizes
-	// the minimum memory grant the admission gate checks. This is the one
-	// rule that keeps a join inside a budget: under one, every join with a
-	// condition is laid out as the hash join, the operator that spills;
-	// unlimited, every join runs as planned.
-	decompose := plan.Decompose
-	if broker.Budget() > 0 {
-		decompose = plan.DecomposeBounded
-	}
-	pipes, err := decompose(p)
+	// no execution resources, refuses a plan the executor cannot run before
+	// it holds anything, and its summary (spillable breakers) sizes the
+	// minimum memory grant the admission gate checks.
+	pipes, err := plan.Decompose(p)
 	if err != nil {
 		return nil, err
 	}
@@ -392,8 +380,6 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	ex := &executor{
 		dop: dop, morsel: morsel,
 		builds:      make(map[*plan.Join]*hashTable),
-		sorted:      make(map[*plan.Join]*mergePair),
-		mats:        make(map[*plan.Join]*nlInner),
 		graces:      make(map[*plan.Join]*graceHashJoin),
 		injectOp:    opts.injectOp,
 		pipeStats:   make(map[int][]*opStats),
@@ -446,21 +432,14 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	}
 	ex.blooms = newBloomSet(ex.tables, p.Blooms)
 	// Publish the run to the in-flight inspector. Planned morsel counts
-	// fix each pipeline's progress denominator up front: exact for scans
-	// (the shared cursor claims every morsel, even ones zone-maps skip),
-	// planner-estimated for merge sources — snapshot fractions cap below
-	// 1 until the sink finishes, so estimates cannot make progress
-	// retreat. Deregistration is deferred, covering every exit path.
+	// fix each pipeline's progress denominator up front, exactly: the
+	// shared cursor claims every morsel of its scan, even ones zone-maps
+	// skip. Deregistration is deferred, covering every exit path.
 	if opts.Inspector != nil {
 		lq := obs.NewLiveQuery(ticket.ID(), block.Name, ex.fpHex, p.Mode)
 		for _, pl := range pipes {
-			var planned, srcRows int64
-			if s, ok := pl.Source.(*plan.Scan); ok {
-				srcRows = int64(ex.tables[s.Rel].NumRows())
-				planned = (srcRows + int64(morsel) - 1) / int64(morsel)
-			} else {
-				planned = (int64(pl.Source.EstRows()) + int64(morsel) - 1) / int64(morsel)
-			}
+			srcRows := int64(ex.tables[pl.Source.Rel].NumRows())
+			planned := (srcRows + int64(morsel) - 1) / int64(morsel)
 			lq.AddPipeline(pl.ID, pl.Describe(), planned, int64(morsel), srcRows)
 		}
 		lq.OnKill(func() { ex.fail(fmt.Errorf("exec: %w", obs.ErrKilled)) })
@@ -547,7 +526,7 @@ func foldResultMetrics(m *obs.Metrics, r *Result) {
 		m.RowsZoneSkipped.Add(sc.ZoneSkippedRows)
 	}
 	for _, st := range r.OpStats {
-		if st.HashProbe {
+		if _, ok := st.Node.(*plan.Join); ok {
 			m.ProbeRows.Add(st.RowsIn)
 			m.HashCarried.Add(st.HashReusedKeys)
 		}

@@ -1,10 +1,14 @@
 package exec
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"bfcbo/internal/catalog"
 	"bfcbo/internal/cost"
+	"bfcbo/internal/mem"
 	"bfcbo/internal/optimizer"
 	"bfcbo/internal/plan"
 	"bfcbo/internal/query"
@@ -186,7 +190,10 @@ func TestScanActualsReflectBloomReduction(t *testing.T) {
 	}
 }
 
-// Merge join and nested loop must agree with hash join.
+// The engine has one join operator: a plan that names a merge or nested-loop
+// join runs in the same pipelines as the hash join, at every DOP and budget,
+// and returns the tuples the reference computes with the method the plan
+// names.
 func TestJoinMethodsAgree(t *testing.T) {
 	db, schema := fixture(t)
 	b := factDimBlock(schema, query.Inner)
@@ -197,7 +204,7 @@ func TestJoinMethodsAgree(t *testing.T) {
 	mkScan := func(rel int, alias, table string, pred query.Predicate) *plan.Scan {
 		return &plan.Scan{Rel: rel, Alias: alias, Table: table, Pred: pred, Rows: 1, Cost: 1}
 	}
-	counts := map[plan.JoinMethod]int{}
+	var layout []string
 	for _, m := range []plan.JoinMethod{plan.HashJoin, plan.MergeJoin, plan.NestLoopJoin} {
 		root := &plan.Join{
 			Method: m, JoinType: query.Inner,
@@ -206,19 +213,37 @@ func TestJoinMethodsAgree(t *testing.T) {
 			Conds: []plan.Cond{{OuterRel: 0, OuterCol: "fk", InnerRel: 1, InnerCol: "pk"}},
 		}
 		p := &plan.Plan{Root: root, Mode: "manual"}
-		r, err := Run(db, b, p, Options{DOP: 3})
+		ref, err := Run(db, b, p, Options{Legacy: true})
 		if err != nil {
-			t.Fatalf("%s: %v", m, err)
+			t.Fatalf("%s: reference: %v", m, err)
 		}
-		counts[m] = r.Out.Len()
-	}
-	if counts[plan.HashJoin] != 100 || counts[plan.MergeJoin] != 100 || counts[plan.NestLoopJoin] != 100 {
-		t.Fatalf("join methods disagree: %v", counts)
+		if ref.Rows != 100 {
+			t.Fatalf("%s: reference rows = %d, want 100", m, ref.Rows)
+		}
+		for _, dop := range []int{1, 4} {
+			for _, budget := range []int64{0, tinyBudget} {
+				what := fmt.Sprintf("%s dop %d budget %d", m, dop, budget)
+				r, err := Run(db, b, p, Options{DOP: dop, Broker: mem.NewBroker(budget), SpillDir: t.TempDir()})
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				sameTuples(t, what, canonicalRows(r.Out), canonicalRows(ref.Out))
+				var got []string
+				for _, ps := range r.Pipelines {
+					got = append(got, strings.ReplaceAll(ps.Label, fmt.Sprintf(" [planned %s]", m), ""))
+				}
+				if layout == nil {
+					layout = got
+				} else if !slices.Equal(got, layout) {
+					t.Errorf("%s: pipelines %q, want %q", what, got, layout)
+				}
+			}
+		}
 	}
 }
 
-// Duplicate keys on both sides: merge join must emit the full product of
-// equal-key runs, like hash join.
+// Duplicate keys on both sides: a join must emit the full product of
+// equal-key runs, whichever method its node names.
 func TestDuplicateKeyProduct(t *testing.T) {
 	db := storage.NewDatabase()
 	mk := func(name string, keys []int64) *storage.Table {

@@ -55,7 +55,7 @@ func (r *Result) ExplainAnalyze(p *plan.Plan) string {
 }
 
 // breakerSuffix renders the breaker finish phases of one pipeline, e.g.
-// " finish=1.2ms [merge=300µs sort=900µs]", plus any spill activity, e.g.
+// " finish=1.2ms [merge=300µs build=900µs]", plus any spill activity, e.g.
 // " spill[bytes=1.2MB parts=64 depth=1]"; empty when the finish was
 // immeasurably small and nothing spilled.
 func breakerSuffix(ps PipelineStat) string {
@@ -94,7 +94,7 @@ func (r *Result) explainNode(b *strings.Builder, n plan.Node, depth int) {
 		}
 	case *plan.Join:
 		head = fmt.Sprintf("%s(%s) %s", t.Method, t.Kind(), t.Streaming)
-		if st := r.StatFor(t); st != nil && st.HashProbe && t.Method != plan.HashJoin {
+		if st := r.StatFor(t); st != nil && t.Method != plan.HashJoin {
 			head = st.Label // what ran: "HashJoin(inner) probe [planned MergeJoin]"
 		}
 		if len(t.BuildBlooms) > 0 {

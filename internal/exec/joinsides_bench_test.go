@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"testing"
 	"time"
 
@@ -70,8 +69,6 @@ func newJoinSidesFixture(tb testing.TB, buildRows, dop int) *joinSidesFixture {
 			dop: dop, morsel: DefaultMorselSize, tables: tables,
 			blooms: newBloomSet(tables, nil),
 			builds: make(map[*plan.Join]*hashTable),
-			sorted: make(map[*plan.Join]*mergePair),
-			mats:   make(map[*plan.Join]*nlInner),
 			memq:   mem.NewBroker(0).NewQuery(),
 		},
 		scan: &plan.Scan{Rel: joinSidesProbeRel, Alias: "p", Table: "probe_side",
@@ -118,21 +115,6 @@ func (f *joinSidesFixture) build() (*hashTable, error) {
 		return nil, err
 	}
 	return f.ex.builds[f.j], nil
-}
-
-// breaker feeds batches to one of the join's unspillable breakers — a sort
-// sink of either side, or the nested-loop materialize sink — as build does
-// to the hash-build sink, and finishes it.
-func (f *joinSidesFixture) breaker(kind plan.SinkKind, rel int, batches []*Batch) error {
-	pl := &plan.Pipeline{Sink: kind, SinkJoin: f.j}
-	snk, err := f.ex.newSink(pl, query.NewRelSet(rel), f.ex.dop, &spillCounters{})
-	if err != nil {
-		return err
-	}
-	for i, b := range batches {
-		snk.consume(i%f.ex.dop, b)
-	}
-	return snk.finish()
 }
 
 // buildBloom builds, through bloomSet.build, a filter over the build
@@ -208,15 +190,6 @@ func drain(op PhysicalOperator) (int, error) {
 //     and a build row through the sweep that follows — what the planner
 //     prices as a probe key and as one more scanned row;
 //
-//   - merge: the same keys through a merge join — both sort sinks (64 Ki
-//     probe-side rows, 16 Ki build-side rows), per row and per doubling of
-//     the input as SortCost charges (MergeSortCost), then the merge source
-//     over the two sorted inputs, per input row (MergeScanCost);
-//
-//   - nl: 16 probe-side rows against the 16 Ki build-side rows through the
-//     nested-loop operator, per pair compared (NLPairCost). cost.Engine
-//     charges neither method what it measures here: see its table;
-//
 // the join sides at a cache-resident (16 Ki rows) and a memory-resident
 // (1 Mi rows) build side. One worker, so wall time is CPU time. The
 // figures are copied into internal/cost by hand (see cost.Engine): nothing
@@ -287,58 +260,6 @@ func BenchmarkJoinSides(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/joinSidesProbeRows, "ns/key")
 		})
 	}
-	b.Run("merge/16Ki", func(b *testing.B) {
-		const size, outerRows = 1 << 14, 1 << 16
-		f := newJoinSidesFixture(b, size, 1)
-		outer := f.probeBatches[:outerRows/f.ex.morsel]
-		// What SortCost multiplies MergeSortCost by, over both inputs.
-		sortUnits := outerRows*math.Log2(outerRows) + size*math.Log2(size)
-		var sorting, merging time.Duration
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			start := time.Now()
-			if err := f.breaker(plan.SinkSortInner, joinSidesBuildRel, f.buildBatches); err != nil {
-				b.Fatal(err)
-			}
-			if err := f.breaker(plan.SinkSortOuter, joinSidesProbeRel, outer); err != nil {
-				b.Fatal(err)
-			}
-			sorting += time.Since(start)
-			start = time.Now()
-			pair := f.ex.sorted[f.j]
-			src, err := f.ex.newMergeSource(f.j, pair.outer, pair.inner, &opStats{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rows, err := drain(&mergeSourceOp{src: src}); err != nil || rows != outerRows {
-				b.Fatalf("merge: %d rows, %v", rows, err)
-			}
-			merging += time.Since(start)
-		}
-		b.ReportMetric(float64(sorting.Nanoseconds())/float64(b.N)/sortUnits, "ns/row·log2n")
-		b.ReportMetric(float64(merging.Nanoseconds())/float64(b.N)/(outerRows+size), "ns/merged-row")
-	})
-	b.Run("nl/16x16Ki", func(b *testing.B) {
-		const size, outerRows = 1 << 14, 16
-		f := newJoinSidesFixture(b, size, 1)
-		if err := f.breaker(plan.SinkMaterialize, joinSidesBuildRel, f.buildBatches); err != nil {
-			b.Fatal(err)
-		}
-		sh, err := f.ex.newNLShared(f.j, f.ex.mats[f.j], query.NewRelSet(joinSidesProbeRel), &opStats{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		op := &nlProbeOp{sh: sh, child: &batchSource{batches: rowIDBatches(joinSidesProbeRel, outerRows, f.ex.morsel)}}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if rows, err := drain(op); err != nil || rows != outerRows {
-				b.Fatalf("nested loop: %d rows, %v", rows, err)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(outerRows*size), "ns/pair")
-	})
 	for _, jt := range []query.JoinType{query.Semi, query.Left} {
 		b.Run("mirror/"+jt.String(), func(b *testing.B) {
 			const size = 1 << 14

@@ -16,6 +16,7 @@ import (
 	"bfcbo/internal/optimizer"
 	"bfcbo/internal/plan"
 	"bfcbo/internal/query"
+	"bfcbo/internal/sched"
 	"bfcbo/internal/storage"
 	"bfcbo/internal/tpch"
 )
@@ -31,7 +32,7 @@ var memBudgetFull = flag.Bool("mem-budget-test", false,
 	"run the memory-budget equivalence suite over every TPC-H query instead of the quick subset")
 
 // tinyBudget is below any non-empty join build side (one row of one
-// relation is 4 bytes), so every join and sort spills.
+// relation is 4 bytes), so every join spills.
 const tinyBudget = 1
 
 // canonicalRows fingerprints a row set as a sorted multiset of tuples, so
@@ -252,24 +253,20 @@ func sameTuples(t *testing.T, what string, got, want []string) {
 	}
 }
 
-// Under a memory budget a merge join and a nested-loop join are laid out as
-// the hash join, so they spill the one way anything spills — grace
-// partitions — and return the unlimited run's tuples at every DOP. The
-// unlimited run is the planned operator: its pipelines sort or materialize.
+// A merge join and a nested-loop join are laid out as the hash join, so
+// under a memory budget they spill the one way anything spills — grace
+// partitions — and return the reference's tuples at every DOP.
 func TestBudgetedMergeAndNestLoopSpillAsGraceJoin(t *testing.T) {
 	for _, method := range []plan.JoinMethod{plan.MergeJoin, plan.NestLoopJoin} {
 		db, b, p := mergeJoinFixture(t)
 		root := p.Root.(*plan.Join)
 		root.Method = method
+		want, err := Run(db, b, p, Options{Legacy: true})
+		if err != nil {
+			t.Fatalf("%s: reference run: %v", method, err)
+		}
 		for _, dop := range []int{1, 4} {
 			what := fmt.Sprintf("%s dop %d", method, dop)
-			want, err := Run(db, b, p, Options{DOP: dop})
-			if err != nil {
-				t.Fatalf("%s: unlimited run: %v", what, err)
-			}
-			if st := want.StatFor(root); st == nil || st.HashProbe || want.TotalSpill().Spilled() {
-				t.Fatalf("%s: the unlimited run did not run the planned operator: %+v", what, st)
-			}
 			broker := mem.NewBroker(tinyBudget)
 			spillRoot := t.TempDir()
 			r, err := Run(db, b, p, Options{DOP: dop, Broker: broker, SpillDir: spillRoot})
@@ -278,13 +275,10 @@ func TestBudgetedMergeAndNestLoopSpillAsGraceJoin(t *testing.T) {
 			}
 			sameTuples(t, what, canonicalRows(r.Out), canonicalRows(want.Out))
 			if got := r.ActualFor(root); got != want.ActualFor(root) {
-				t.Errorf("%s: join actual %v under budget, %v unlimited", what, got, want.ActualFor(root))
+				t.Errorf("%s: join actual %v under budget, %v in the reference", what, got, want.ActualFor(root))
 			}
 			if s := r.TotalSpill(); s.Partitions == 0 || s.Bytes == 0 {
 				t.Errorf("%s: no grace partitions under the tiny budget: %+v", what, s)
-			}
-			if st := r.StatFor(root); st == nil || !st.HashProbe {
-				t.Errorf("%s: the budgeted run did not probe a hash table: %+v", what, st)
 			}
 			if err := Audit(AuditState{Broker: broker, SpillDir: spillRoot}); err != nil {
 				t.Errorf("%s: %v", what, err)
@@ -294,10 +288,11 @@ func TestBudgetedMergeAndNestLoopSpillAsGraceJoin(t *testing.T) {
 	}
 }
 
-// Every TPC-H block under the paper's cost profile — the one that picks
-// merge joins (Q2, Q5, Q7, Q8, Q9, Q11, Q20, Q21) — runs under a budget with
-// hash builds as its only join breakers, and returns the unlimited run's
-// tuples.
+// Every TPC-H block under the paper's cost profile — the one that plans
+// merge joins (Q2, Q5, Q7, Q8, Q9, Q11, Q20, Q21) — runs as hash joins at
+// DOP 1 and 4 under a budget that spills every join, and returns the
+// reference's tuples, the reference running the merge joins the plans name.
+// (TestExecutorEquivalenceTPCH covers the same plans with memory unlimited.)
 func TestBudgetedRunHasOneBreakerKind(t *testing.T) {
 	ds := equivalenceDataset(t)
 	planned := 0
@@ -315,25 +310,20 @@ func TestBudgetedRunHasOneBreakerKind(t *testing.T) {
 					planned++
 				}
 			}
-			what := fmt.Sprintf("Q%d %s", q.Num, mode)
-			want, err := Run(ds.DB, block, res.Plan, Options{DOP: 2})
+			want, err := Run(ds.DB, block, res.Plan, Options{Legacy: true})
 			if err != nil {
-				t.Fatalf("%s: unlimited run: %v", what, err)
+				t.Fatalf("Q%d %s: reference run: %v", q.Num, mode, err)
 			}
-			spillRoot := t.TempDir()
-			r, err := Run(ds.DB, block, res.Plan, Options{DOP: 2, Broker: mem.NewBroker(tinyBudget), SpillDir: spillRoot})
-			if err != nil {
-				t.Fatalf("%s: budgeted run: %v", what, err)
-			}
-			sameTuples(t, what, canonicalRows(r.Out), canonicalRows(want.Out))
-			for _, ps := range r.Pipelines {
-				for _, kind := range []string{"sort-outer", "sort-inner", "materialize"} {
-					if strings.Contains(ps.Label, kind) {
-						t.Errorf("%s: budgeted run has a %s breaker: %s", what, kind, ps.Label)
-					}
+			for _, dop := range []int{1, 4} {
+				what := fmt.Sprintf("Q%d %s dop %d", q.Num, mode, dop)
+				spillRoot := t.TempDir()
+				r, err := Run(ds.DB, block, res.Plan, Options{DOP: dop, Broker: mem.NewBroker(tinyBudget), SpillDir: spillRoot})
+				if err != nil {
+					t.Fatalf("%s: budgeted run: %v", what, err)
 				}
+				sameTuples(t, what, canonicalRows(r.Out), canonicalRows(want.Out))
+				assertNoSpillFiles(t, spillRoot)
 			}
-			assertNoSpillFiles(t, spillRoot)
 		}
 	}
 	if planned == 0 {
@@ -341,22 +331,30 @@ func TestBudgetedRunHasOneBreakerKind(t *testing.T) {
 	}
 }
 
-// A join with no condition has no hash key, so DecomposeBounded leaves it its
-// planned layout — and under a budget the breaker that layout needs is
-// refused with a typed error instead of running unbounded.
-func TestUnspillableBreakerUnderBudgetIsTyped(t *testing.T) {
+// A join with no condition has no key to hash on. Block.Validate refuses
+// the disconnected graphs that would need one, so only a hand-built plan
+// gets here, and it is refused as a plan bug before admission — at every
+// budget — leaving the broker, the scheduler and the spill directory clean.
+func TestCrossJoinFailsBeforeAdmission(t *testing.T) {
 	db, b, p := mergeJoinFixture(t)
 	root := p.Root.(*plan.Join)
 	root.Method, root.Conds = plan.NestLoopJoin, nil
-	if _, err := Run(db, b, p, Options{DOP: 2}); err != nil {
-		t.Fatalf("unlimited cross join: %v", err)
+	for _, budget := range []int64{0, tinyBudget} {
+		broker := mem.NewBroker(budget)
+		scheduler := sched.New(sched.Config{Slots: 2, Broker: broker})
+		spillRoot := t.TempDir()
+		_, err := Run(db, b, p, Options{DOP: 2, Broker: broker, Sched: scheduler, SpillDir: spillRoot})
+		if err == nil || !strings.Contains(err.Error(), "plan bug") {
+			t.Fatalf("budget %d: cross join error = %v, want a plan bug", budget, err)
+		}
+		if tot := scheduler.Totals(); tot.Admitted != 0 {
+			t.Errorf("budget %d: the cross join was admitted: %+v", budget, tot)
+		}
+		if err := Audit(AuditState{Broker: broker, Sched: scheduler, SpillDir: spillRoot}); err != nil {
+			t.Errorf("budget %d: %v", budget, err)
+		}
+		assertNoSpillFiles(t, spillRoot)
 	}
-	spillRoot := t.TempDir()
-	_, err := Run(db, b, p, Options{DOP: 2, Broker: mem.NewBroker(tinyBudget), SpillDir: spillRoot})
-	if !errors.Is(err, ErrUnspillableBreaker) {
-		t.Fatalf("budgeted cross join: error = %v, want ErrUnspillableBreaker", err)
-	}
-	assertNoSpillFiles(t, spillRoot)
 }
 
 // A worker failure in the middle of a spilling run must cancel cleanly:

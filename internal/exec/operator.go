@@ -18,7 +18,7 @@ const DefaultMorselSize = 1024
 // batch (a small RowSet in the usual late-materialization layout plus the
 // sel/hashes side channels — see Batch) or nil at end of
 // stream. Shared state behind the per-worker instances (the morsel
-// cursor, hash tables, sorted runs) is owned by the pipeline.
+// cursor, hash tables) is owned by the pipeline.
 type PhysicalOperator interface {
 	// Open prepares per-worker state before the first NextBatch.
 	Open() error
@@ -33,11 +33,8 @@ type PhysicalOperator interface {
 // opStats are the shared runtime counters of one plan operator, updated
 // with one atomic add per batch by every worker that runs an instance.
 type opStats struct {
-	label string
-	node  plan.Node
-	// hashProbe records what ran: set once, where runPipeline constructs
-	// the node's probeOp, whatever join method the node names.
-	hashProbe bool
+	label     string
+	node      plan.Node
 	rowsIn    atomic.Int64
 	rowsOut   atomic.Int64
 	batches   atomic.Int64
@@ -70,14 +67,12 @@ func (s *opStats) observePhases(gather, probe, emit time.Duration, reused int) {
 // raw material of EXPLAIN ANALYZE.
 type OpStat struct {
 	// Label names the operator, e.g. "Scan l" or "HashJoin(inner) probe".
+	// A join runs as a hash-join probe whatever method its node names:
+	// "HashJoin(inner) probe [planned MergeJoin]".
 	Label string
-	// Node is the plan node the operator implements.
+	// Node is the plan node the operator implements: a *plan.Scan, or the
+	// *plan.Join whose probe it is.
 	Node plan.Node
-	// HashProbe says the operator ran as a hash-join probe, over an
-	// in-memory table or grace partitions. Under a memory budget that
-	// includes merge and nested-loop nodes (plan.DecomposeBounded); the
-	// run's Work and probe metrics count by this, not by Node's Method.
-	HashProbe bool
 	// RowsIn / RowsOut are total input and output rows across all workers.
 	// For sources RowsIn counts rows scanned before filtering.
 	RowsIn, RowsOut int64
@@ -98,7 +93,6 @@ func (s *opStats) snapshot() OpStat {
 	return OpStat{
 		Label:          s.label,
 		Node:           s.node,
-		HashProbe:      s.hashProbe,
 		RowsIn:         s.rowsIn.Load(),
 		RowsOut:        s.rowsOut.Load(),
 		Batches:        s.batches.Load(),
@@ -117,8 +111,9 @@ func (s *opStats) snapshot() OpStat {
 type BreakerPhases struct {
 	// Merge is the time combining per-worker parts into one row set.
 	Merge time.Duration
-	// Sort is the time sorting merge-join inputs: per-worker sorted runs
-	// plus the parallel multiway merge.
+	// Sort is always zero: no breaker sorts. The field remains because
+	// benchmark/engine_traced.go reads it for exec.phase_ms.sort, and it
+	// goes when that metric does.
 	Sort time.Duration
 	// Build is the partitioned hash-table construction time.
 	Build time.Duration
@@ -136,7 +131,7 @@ func (p BreakerPhases) eachFinish(fn func(name string, d time.Duration)) {
 	for _, ph := range []struct {
 		name string
 		d    time.Duration
-	}{{"merge", p.Merge}, {"sort", p.Sort}, {"build", p.Build}, {"bloom", p.Bloom}} {
+	}{{"merge", p.Merge}, {"build", p.Build}, {"bloom", p.Bloom}} {
 		if ph.d > 0 {
 			fn(ph.name, ph.d)
 		}

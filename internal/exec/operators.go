@@ -924,224 +924,3 @@ func (o *probeOp) NextBatch() (*Batch, error) {
 		}
 	}
 }
-
-// ---------------------------------------------------------------------------
-// Nested-loop probe: quadratic fallback against a materialized inner.
-
-// nlInner is the materialized inner input of a nested-loop join with its
-// per-condition key arrays (indexed by inner row position).
-type nlInner struct {
-	rs   *RowSet
-	keys [][]int64
-}
-
-type nlShared struct {
-	j       *plan.Join
-	inner   *nlInner
-	outRels query.RelSet
-	wiring  *colWiring
-	// outerVals / outerRels as in probeShared, one entry per condition.
-	outerVals [][]int64
-	outerRels []int
-	stats     *opStats
-}
-
-func (ex *executor) newNLShared(j *plan.Join, inner *nlInner, inRels query.RelSet, stats *opStats) (*nlShared, error) {
-	if j.JoinType != query.Inner {
-		return nil, fmt.Errorf("exec: nested loop supports inner joins only, got %s", j.JoinType)
-	}
-	sh := &nlShared{
-		j: j, inner: inner,
-		outRels: inRels.Union(j.Inner.Rels()),
-		stats:   stats,
-	}
-	sh.wiring = newColWiring(sh.outRels, inRels, inner.rs.rels)
-	for _, c := range j.Conds {
-		col, err := ex.tables[c.OuterRel].Column(c.OuterCol)
-		if err != nil {
-			return nil, fmt.Errorf("exec: nested-loop column: %w", err)
-		}
-		sh.outerVals = append(sh.outerVals, col.Ints)
-		sh.outerRels = append(sh.outerRels, c.OuterRel)
-	}
-	return sh, nil
-}
-
-type nlProbeOp struct {
-	sh    *nlShared
-	child PhysicalOperator
-	out   Batch
-}
-
-func (o *nlProbeOp) Open() error  { return o.child.Open() }
-func (o *nlProbeOp) Close() error { return o.child.Close() }
-
-func (o *nlProbeOp) NextBatch() (*Batch, error) {
-	sh := o.sh
-	for {
-		b, err := o.child.NextBatch()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		in := b.rows
-		start := time.Now()
-		n := in.Len()
-		m := sh.inner.rs.Len()
-		out := NewRowSetCap(sh.outRels, n)
-		outerIDs := make([][]int32, len(sh.outerRels))
-		for e, rel := range sh.outerRels {
-			outerIDs[e] = in.Col(rel)
-		}
-		for oi := 0; oi < n; oi++ {
-			for ii := 0; ii < m; ii++ {
-				good := true
-				for e := range sh.outerVals {
-					if sh.outerVals[e][outerIDs[e][oi]] != sh.inner.keys[e][ii] {
-						good = false
-						break
-					}
-				}
-				if good {
-					out.appendJoined(sh.wiring, in, oi, sh.inner.rs, ii)
-				}
-			}
-		}
-		sh.stats.observe(n, out.Len(), time.Since(start))
-		if out.Len() > 0 {
-			o.out = Batch{rows: out}
-			return &o.out, nil
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Merge-join source: both inputs were sorted by breaker pipelines; a shared
-// serial merge hands out result batches under a mutex while the pipeline's
-// workers run the downstream operators on them in parallel.
-
-// sortedInput is one sorted, materialized merge-join input.
-type sortedInput struct {
-	rs *RowSet
-	// idx is the row order sorted by keys; keys/extras are indexed by raw
-	// row position (pre-sort).
-	idx    []int
-	keys   []int64
-	extras [][]int64
-}
-
-type mergeSource struct {
-	j       *plan.Join
-	outRels query.RelSet
-	wiring  *colWiring
-	morsel  int
-	stats   *opStats
-	stop    *atomic.Bool
-
-	mu           sync.Mutex
-	outer, inner *sortedInput
-	oi, ii       int // merge positions in sorted order
-	oe, ie       int // current equal-key run ends
-	a, b         int // product cursors within the run
-	inRun        bool
-	done         bool
-}
-
-func (ex *executor) newMergeSource(j *plan.Join, outer, inner *sortedInput, stats *opStats) (*mergeSource, error) {
-	if j.JoinType != query.Inner {
-		return nil, fmt.Errorf("exec: merge join supports inner joins only, got %s", j.JoinType)
-	}
-	if len(j.Conds) == 0 {
-		return nil, fmt.Errorf("exec: merge join with no conditions")
-	}
-	return &mergeSource{
-		j: j, outRels: j.Rels(), morsel: ex.morsel, stats: stats,
-		wiring: newColWiring(j.Rels(), outer.rs.rels, inner.rs.rels),
-		outer:  outer, inner: inner, stop: &ex.stop,
-	}, nil
-}
-
-type mergeSourceOp struct {
-	src *mergeSource
-	out Batch
-}
-
-func (o *mergeSourceOp) Open() error  { return nil }
-func (o *mergeSourceOp) Close() error { return nil }
-
-func (o *mergeSourceOp) NextBatch() (*Batch, error) {
-	m := o.src
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.done || (m.stop != nil && m.stop.Load()) {
-		return nil, nil
-	}
-	start := time.Now()
-	out := NewRowSetCap(m.outRels, m.morsel)
-	scanned := 0
-	for out.Len() < m.morsel {
-		if m.inRun {
-			// Emit the (a, b) candidate of the current equal-key run's
-			// cross product, verifying extra conditions.
-			oa, ib := m.outer.idx[m.a], m.inner.idx[m.b]
-			good := true
-			for e := range m.outer.extras {
-				if m.outer.extras[e][oa] != m.inner.extras[e][ib] {
-					good = false
-					break
-				}
-			}
-			if good {
-				out.appendJoined(m.wiring, m.outer.rs, oa, m.inner.rs, ib)
-			}
-			m.b++
-			if m.b == m.ie {
-				m.b = m.ii
-				m.a++
-				if m.a == m.oe {
-					m.inRun = false
-					m.oi, m.ii = m.oe, m.ie
-				}
-			}
-			continue
-		}
-		if m.oi >= len(m.outer.idx) || m.ii >= len(m.inner.idx) {
-			m.done = true
-			break
-		}
-		ok, ik := m.outer.keys[m.outer.idx[m.oi]], m.inner.keys[m.inner.idx[m.ii]]
-		switch {
-		case ok < ik:
-			m.oi++
-			scanned++
-		case ok > ik:
-			m.ii++
-			scanned++
-		default:
-			m.oe = m.oi
-			for m.oe < len(m.outer.idx) && m.outer.keys[m.outer.idx[m.oe]] == ok {
-				m.oe++
-			}
-			m.ie = m.ii
-			for m.ie < len(m.inner.idx) && m.inner.keys[m.inner.idx[m.ie]] == ik {
-				m.ie++
-			}
-			// Every input row of the run is consumed exactly once here,
-			// so RowsIn counts true merge input rows.
-			scanned += (m.oe - m.oi) + (m.ie - m.ii)
-			m.a, m.b = m.oi, m.ii
-			m.inRun = true
-		}
-	}
-	m.stats.observe(scanned, out.Len(), time.Since(start))
-	if out.Len() == 0 {
-		if !m.done {
-			// Batch filled nothing but the merge is not finished (cannot
-			// happen: an empty batch implies exhausted inputs) — guard
-			// against looping forever anyway.
-			m.done = true
-		}
-		return nil, nil
-	}
-	o.out = Batch{rows: out}
-	return &o.out, nil
-}

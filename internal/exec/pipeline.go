@@ -17,28 +17,21 @@ import (
 )
 
 // This file is the morsel-driven pipeline driver. Pipelines (decomposed by
-// internal/plan) form a DAG: a probe pipeline depends on its build / sort /
-// materialize producers and on the hash-build pipelines that populate the
-// Bloom filters its source scan applies — and nothing else. The scheduler
-// runs every ready pipeline concurrently under a global worker budget of
-// DOP slots shared across pipelines. Within a pipeline, workers each own a
-// private operator chain rooted at a shared morsel source and push batches
+// internal/plan) form a DAG: a probe pipeline depends on the hash builds it
+// probes and on the hash-build pipelines that populate the Bloom filters its
+// source scan applies — and nothing else. The scheduler runs every ready
+// pipeline concurrently under a global worker budget of DOP slots shared
+// across pipelines. Within a pipeline, workers each own a private operator
+// chain — a scan and the hash-join probes fused behind it — and push batches
 // into a thread-safe sink. Sinks are the pipeline breakers — hash-table
-// build (+ Bloom filter population), sort for merge join, nested-loop
-// materialization, result collection — and their finish phases are
-// themselves parallel, so the executor has no single-threaded breaker tail
-// (the Amdahl bottleneck §3.9's parallel build strategies are designed to
-// avoid).
+// build (+ Bloom filter population) and result collection — and their
+// finish phases are themselves parallel, so the executor has no
+// single-threaded breaker tail (the Amdahl bottleneck §3.9's parallel build
+// strategies are designed to avoid).
 
 // errCanceled marks a pipeline that wound down because another pipeline's
 // failure set the run-wide stop flag; it is never surfaced to callers.
 var errCanceled = errors.New("exec: run canceled by concurrent pipeline failure")
-
-// ErrUnspillableBreaker reports a sort or materialize breaker in a run under
-// a memory budget. RunContext lays such a run out with plan.DecomposeBounded,
-// which leaves one only at a merge or nested-loop join with no condition to
-// hash on — a plan the optimizer never emits.
-var ErrUnspillableBreaker = errors.New("exec: breaker cannot spill (plan bug)")
 
 // errSlotLost marks a worker whose yielded slot could not be re-acquired
 // because the run was canceled while it waited; the worker exits holding
@@ -77,11 +70,10 @@ type sink interface {
 }
 
 // partsSink accumulates per-worker row sets, merged on demand. It backs
-// every materializing sink and carries the breaker phase timings. When
-// forceRes is set (every sink but the hash build: their output cannot
-// spill), consumed bytes are force-accounted against the memory budget so
-// reports stay honest; the hash build overrides consume and leaves
-// forceRes nil.
+// both sinks and carries the breaker phase timings. When forceRes is set
+// (the result sink: the query's output cannot spill), consumed bytes are
+// force-accounted against the memory budget so reports stay honest; the
+// hash build overrides consume and leaves forceRes nil.
 type partsSink struct {
 	rels     query.RelSet
 	parts    []*RowSet
@@ -316,98 +308,6 @@ func (s *hashBuildSink) finish() error {
 	return nil
 }
 
-// mergePair holds both sorted inputs of one merge join.
-type mergePair struct {
-	outer, inner *sortedInput
-}
-
-// sortSink materializes and sorts one merge-join input on its first join
-// condition — the sort is the pipeline breaker. Each worker's part is a
-// contiguous range of the merged input, sorted as an independent run, and
-// the runs are combined by a parallel multiway merge — replacing the
-// single-threaded sortByKey tail. It cannot spill (the merge source
-// random-accesses the sorted input), so it exists only in unbudgeted runs:
-// see newSink.
-type sortSink struct {
-	partsSink
-	ex      *executor
-	j       *plan.Join
-	isInner bool
-}
-
-// side returns this sink's (relation, column) of join condition c.
-func (s *sortSink) side(c plan.Cond) (rel int, col string) {
-	if s.isInner {
-		return c.InnerRel, c.InnerCol
-	}
-	return c.OuterRel, c.OuterCol
-}
-
-func (s *sortSink) finish() error {
-	if s.j.JoinType != query.Inner {
-		return fmt.Errorf("exec: merge join supports inner joins only, got %s", s.j.JoinType)
-	}
-	if len(s.j.Conds) == 0 {
-		return fmt.Errorf("exec: merge join with no conditions")
-	}
-	// Per-worker ranges of the merged input sorted as independent runs,
-	// combined by the parallel multiway merge.
-	dop := s.ex.dop
-	_, offs := partOffsets(s.parts)
-	rs := s.mergedPar(dop)
-	s.forceRes.Force(batchBytes(rs) + 8*int64(rs.Len())) // merged copy + keys
-
-	start := time.Now()
-	in := &sortedInput{rs: rs}
-	for i, c := range s.j.Conds {
-		rel, col := s.side(c)
-		keys := keyColumnPar(rs, s.ex.tables[rel], rel, col, dop)
-		if i == 0 {
-			in.keys = keys
-			bounds := append(append(make([]int, 0, len(offs)+1), offs...), rs.Len())
-			in.idx = sortByKeyPar(keys, bounds, dop)
-		} else {
-			in.extras = append(in.extras, keys)
-		}
-	}
-	s.ph.Sort = time.Since(start)
-
-	s.ex.smu.Lock()
-	pair := s.ex.sorted[s.j]
-	if pair == nil {
-		pair = &mergePair{}
-		s.ex.sorted[s.j] = pair
-	}
-	if s.isInner {
-		pair.inner = in
-	} else {
-		pair.outer = in
-	}
-	s.ex.smu.Unlock()
-	return nil
-}
-
-// materializeSink materializes a nested-loop join's inner input with its
-// per-condition key arrays.
-type materializeSink struct {
-	partsSink
-	ex *executor
-	j  *plan.Join
-}
-
-func (s *materializeSink) finish() error {
-	rs := s.mergedPar(s.ex.dop)
-	mat := &nlInner{rs: rs}
-	for _, c := range s.j.Conds {
-		mat.keys = append(mat.keys,
-			keyColumn(rs, s.ex.tables[c.InnerRel], c.InnerRel, c.InnerCol))
-	}
-	s.ex.smu.Lock()
-	s.ex.mats[s.j] = mat
-	s.ex.smu.Unlock()
-	return nil
-}
-
 // runPipelined executes the decomposed pipeline DAG (already registered
 // with the scheduler at admission), then assembles the stat registries in
 // pipeline-ID order so reports stay deterministic regardless of the
@@ -426,11 +326,11 @@ func (ex *executor) runPipelined(pipes []*plan.Pipeline) error {
 }
 
 // runDAG schedules the pipelines: every pipeline whose dependencies have
-// completed starts immediately and runs concurrently with its peers (two
-// hash-build sides of independent joins, the two sort sides of one merge
-// join, ...). The first real error cancels the run — in-flight pipelines
-// stop at the next morsel, queued pipelines never start — and is the one
-// surfaced to the caller; cancellation casualties are not.
+// completed starts immediately and runs concurrently with its peers (the
+// hash-build sides of independent joins, ...). The first real error cancels
+// the run — in-flight pipelines stop at the next morsel, queued pipelines
+// never start — and is the one surfaced to the caller; cancellation
+// casualties are not.
 func (ex *executor) runDAG(pipes []*plan.Pipeline) error {
 	n := len(pipes)
 	children := make([][]int, n)
@@ -457,7 +357,7 @@ func (ex *executor) runDAG(pipes []*plan.Pipeline) error {
 		go func() {
 			defer wg.Done()
 			// Recover shim for the pipeline goroutine: a panic in setup or
-			// the breaker finish phase (merge, sort, build, bloom) converts
+			// the breaker finish phase (merge, build, bloom) converts
 			// to this query's typed error and cancels its siblings, instead
 			// of taking down the process.
 			err := func() (err error) {
@@ -515,90 +415,42 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 	// probe operators, snapshotted into the pipeline's stat at the end.
 	rec := &spillCounters{}
 
-	// Shared source state + per-worker source factory.
-	var newSource func() PhysicalOperator
-	var scanSrc *scanSource
-	var srcStats *opStats
-	switch t := pl.Source.(type) {
-	case *plan.Scan:
-		srcStats = reg(fmt.Sprintf("Scan %s", t.Alias), t)
-		src, err := ex.newScanSource(t, srcStats)
-		if err != nil {
-			return err
-		}
-		scanSrc = src
-		newSource = func() PhysicalOperator { return &scanOp{src: src} }
-	case *plan.Join:
-		if t.Method != plan.MergeJoin {
-			return fmt.Errorf("exec: join %s cannot source a pipeline (plan bug)", t.Method)
-		}
-		ex.smu.Lock()
-		pair := ex.sorted[t]
-		ex.smu.Unlock()
-		if pair == nil || pair.outer == nil || pair.inner == nil {
-			return fmt.Errorf("exec: merge join inputs were never sorted (plan bug)")
-		}
-		srcStats = reg(fmt.Sprintf("MergeJoin(%s) merge", t.JoinType), t)
-		src, err := ex.newMergeSource(t, pair.outer, pair.inner, srcStats)
-		if err != nil {
-			return err
-		}
-		newSource = func() PhysicalOperator { return &mergeSourceOp{src: src} }
-	default:
-		return fmt.Errorf("exec: unknown pipeline source %T", pl.Source)
+	// Shared source state.
+	s := pl.Source
+	srcStats := reg(fmt.Sprintf("Scan %s", s.Alias), s)
+	src, err := ex.newScanSource(s, srcStats)
+	if err != nil {
+		return err
 	}
 
-	// Shared operator state, in stream order.
-	var factories []func(child PhysicalOperator) PhysicalOperator
-	opStatsList := make([]*opStats, 0, len(pl.Ops))
-	inRels := pl.Source.Rels()
+	// Shared probe state, in stream order: each op probes the hash table its
+	// build pipeline published, or the grace partitions it spilled to.
+	var probes []*probeShared
+	inRels := s.Rels()
 	for _, j := range pl.Ops {
-		// What the inner side's breaker built decides the operator, not the
-		// method the plan names: under a memory budget merge and nested-loop
-		// joins are laid out as hash joins (plan.DecomposeBounded).
 		ex.smu.Lock()
-		ht, g, mat := ex.builds[j], ex.graces[j], ex.mats[j]
+		ht, g := ex.builds[j], ex.graces[j]
 		ex.smu.Unlock()
-		var st *opStats
-		var outRels query.RelSet
-		switch {
-		case ht != nil || g != nil:
-			label := fmt.Sprintf("HashJoin(%s) probe", j.Kind())
-			if j.Method != plan.HashJoin {
-				label += fmt.Sprintf(" [planned %s]", j.Method)
-			}
-			st = reg(label, j)
-			st.hashProbe = true
-			sh, err := ex.newProbeShared(j, ht, g, inRels, st, workers, rec)
-			if err != nil {
-				return err
-			}
-			factories = append(factories, func(c PhysicalOperator) PhysicalOperator {
-				return &probeOp{sh: sh, ex: ex, child: c}
-			})
-			outRels = sh.outRels
-		case mat != nil:
-			st = reg(fmt.Sprintf("NestLoop(%s) probe", j.JoinType), j)
-			sh, err := ex.newNLShared(j, mat, inRels, st)
-			if err != nil {
-				return err
-			}
-			factories = append(factories, func(c PhysicalOperator) PhysicalOperator {
-				return &nlProbeOp{sh: sh, child: c}
-			})
-			outRels = sh.outRels
-		default:
-			return fmt.Errorf("exec: inner side of %s was never built (plan bug)", j.Method)
+		if ht == nil && g == nil {
+			return fmt.Errorf("exec: build side of %s(%s) was never built (plan bug)", j.Method, j.Kind())
 		}
-		opStatsList = append(opStatsList, st)
-		inRels = outRels
+		label := fmt.Sprintf("HashJoin(%s) probe", j.Kind())
+		if j.Method != plan.HashJoin {
+			label += fmt.Sprintf(" [planned %s]", j.Method)
+		}
+		sh, err := ex.newProbeShared(j, ht, g, inRels, reg(label, j), workers, rec)
+		if err != nil {
+			return err
+		}
+		probes = append(probes, sh)
+		inRels = sh.outRels
 	}
 
-	// Batch side-channel request onto the scan source: the first hash
-	// probe keyed on a scan column can reuse the scan's Bloom hash vector.
-	if scanSrc != nil && len(pl.Ops) > 0 && opStatsList[0].hashProbe {
-		if c := pl.Ops[0].Conds[0]; c.OuterRel == scanSrc.s.Rel {
-			scanSrc.requestHashCarry(c.OuterCol)
+	// Batch side-channel request onto the scan source: the first probe keyed
+	// on a scan column can reuse the scan's Bloom hash vector.
+	if len(pl.Ops) > 0 {
+		if c := pl.Ops[0].Conds[0]; c.OuterRel == s.Rel {
+			src.requestHashCarry(c.OuterCol)
 		}
 	}
 
@@ -640,7 +492,7 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 					ex.fail(perr)
 				}
 			}()
-			pprof.Do(ex.pctx, labels, func(context.Context) { ex.workerLoop(pl, w, newSource, factories, snk, lp, srcStats, errs) })
+			pprof.Do(ex.pctx, labels, func(context.Context) { ex.workerLoop(pl, w, src, probes, snk, lp, errs) })
 		}(w)
 	}
 	wg.Wait()
@@ -652,13 +504,11 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 	if ex.stop.Load() {
 		return errCanceled
 	}
-	if scanSrc != nil {
-		scanSrc.flushBloomStats()
-		rt := scanSrc.runtime()
-		ex.smu.Lock()
-		ex.scanRt = append(ex.scanRt, rt)
-		ex.smu.Unlock()
-	}
+	src.flushBloomStats()
+	rt := src.runtime()
+	ex.smu.Lock()
+	ex.scanRt = append(ex.scanRt, rt)
+	ex.smu.Unlock()
 	finishStart := time.Now()
 	if err := snk.finish(); err != nil {
 		return err
@@ -669,13 +519,13 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 	}
 
 	// Per-node actuals: every plan node appears in exactly one pipeline
-	// position (scans and merge joins as sources, other joins as ops), so
-	// each is recorded exactly once.
-	ex.record(pl.Source, int(srcStats.rowsOut.Load()))
+	// position (scans as sources, joins as ops), so each is recorded exactly
+	// once.
+	ex.record(s, int(srcStats.rowsOut.Load()))
 	last := srcStats
-	for i, j := range pl.Ops {
-		ex.record(j, int(opStatsList[i].rowsOut.Load()))
-		last = opStatsList[i]
+	for _, sh := range probes {
+		ex.record(sh.j, int(sh.stats.rowsOut.Load()))
+		last = sh.stats
 	}
 	ps := PipelineStat{
 		ID:         pl.ID,
@@ -716,9 +566,8 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 // morsel boundary. It runs under the worker's pprof labels
 // (query/fingerprint/pipeline), so CPU samples attribute to the query.
 func (ex *executor) workerLoop(pl *plan.Pipeline, w int,
-	newSource func() PhysicalOperator,
-	factories []func(child PhysicalOperator) PhysicalOperator,
-	snk sink, lp *obs.PipeProgress, srcStats *opStats, errs []error) {
+	src *scanSource, probes []*probeShared,
+	snk sink, lp *obs.PipeProgress, errs []error) {
 	// Acquire one global worker slot — leased from the process-wide
 	// scheduler, so concurrently admitted queries cap their total
 	// running workers at the pool capacity, not at DOP each. A
@@ -732,9 +581,9 @@ func (ex *executor) workerLoop(pl *plan.Pipeline, w int,
 			ex.yieldSlot()
 		}
 	}()
-	op := newSource()
-	for _, f := range factories {
-		op = f(op)
+	var op PhysicalOperator = &scanOp{src: src}
+	for _, sh := range probes {
+		op = &probeOp{sh: sh, ex: ex, child: op}
 	}
 	if ex.injectOp != nil {
 		op = ex.injectOp(pl, w, op)
@@ -791,7 +640,7 @@ func (ex *executor) workerLoop(pl *plan.Pipeline, w int,
 			// Morsel-boundary progress fold: this batch's emitted rows plus
 			// the source's cumulative scanned total — two atomic adds and a
 			// max-publish per morsel, nothing per row, no allocation.
-			lp.Fold(int64(b.Len()), srcStats.rowsIn.Load())
+			lp.Fold(int64(b.Len()), src.stats.rowsIn.Load())
 		}
 		// Morsel-boundary preemption: hand the slot to a starved
 		// concurrent query when over fair share.
@@ -802,37 +651,20 @@ func (ex *executor) workerLoop(pl *plan.Pipeline, w int,
 	}
 }
 
-// newSink builds the pipeline's sink for its breaker kind. The hash build
-// (the one breaker that spills — see plan.SinkKind.Spillable) gets a memory
-// reservation it checks before growing state; every other sink
-// force-accounts its bytes, since its output must stay resident. The result
-// sink is accounted and never denied; sort and materialize sinks exist only
-// in unbudgeted runs.
+// newSink builds the pipeline's sink for its breaker kind. The hash build,
+// the one breaker that spills, gets a memory reservation it checks before
+// growing state; the result sink force-accounts its bytes: the query's
+// output is accounted and never denied.
 func (ex *executor) newSink(pl *plan.Pipeline, rels query.RelSet, workers int, rec *spillCounters) (sink, error) {
-	if j := pl.SinkJoin; j != nil && pl.Sink != plan.SinkHashBuild && len(j.BuildBlooms) > 0 {
-		return nil, fmt.Errorf("exec: Bloom filters can only be built at hash joins, got %s", j.Method)
-	}
 	base := newPartsSink(rels, workers)
 	res := ex.memq.Reserve()
-	if !pl.Sink.Spillable() {
-		base.forceRes = res
-	}
 	switch pl.Sink {
 	case plan.SinkResult:
+		base.forceRes = res
 		return &resultSink{partsSink: base, ex: ex}, nil
 	case plan.SinkHashBuild:
 		return &hashBuildSink{partsSink: base, ex: ex, j: pl.SinkJoin,
 			estRows: pl.EstSinkRows(), res: res, rec: rec}, nil
-	case plan.SinkSortOuter, plan.SinkSortInner, plan.SinkMaterialize:
-		if ex.budget > 0 {
-			return nil, fmt.Errorf("%w: %s for %s under a %d-byte budget",
-				ErrUnspillableBreaker, pl.Sink, pl.SinkJoin.Method, ex.budget)
-		}
-		if pl.Sink == plan.SinkMaterialize {
-			return &materializeSink{partsSink: base, ex: ex, j: pl.SinkJoin}, nil
-		}
-		return &sortSink{partsSink: base, ex: ex, j: pl.SinkJoin,
-			isInner: pl.Sink == plan.SinkSortInner}, nil
 	default:
 		return nil, fmt.Errorf("exec: unknown sink kind %v", pl.Sink)
 	}

@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"bfcbo/internal/hashtab"
 	"bfcbo/internal/plan"
@@ -283,6 +285,17 @@ func (pj *pairJoin) merge() {
 			oi, ii = oe, ie
 		}
 	}
+}
+
+// sortByKey returns row indices ordered by key, ties broken by row index so
+// the order is fully deterministic.
+func sortByKey(keys []int64) []int {
+	idx := make([]int, len(keys))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(a, b int) int { return cmp.Or(cmp.Compare(keys[a], keys[b]), cmp.Compare(a, b)) })
+	return idx
 }
 
 // nestLoop is the quadratic fallback: every pair, every condition.

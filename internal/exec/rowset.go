@@ -8,8 +8,6 @@ package exec
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 	"sync/atomic"
 
 	"bfcbo/internal/query"
@@ -150,7 +148,7 @@ func concat(rels query.RelSet, parts []*RowSet) *RowSet {
 // serial-vs-parallel finish decision, replacing the old hardcoded
 // 4096-row cutoffs. rows×cols approximates the phase's work in 4-byte
 // cell units (cols is the column count for copies/gathers, or a weight
-// for heavier per-row work like sorting or map inserts); fanning out
+// for heavier per-row work like hashing or map inserts); fanning out
 // costs roughly one goroutine spawn+join per worker, worth ~2048 cells
 // each. Parallel pays off once the total work amortizes that overhead
 // across the dop workers the phase would start.
@@ -258,182 +256,4 @@ func keyColumnPar(rs *RowSet, tbl *storage.Table, rel int, col string, dop int) 
 		}
 	})
 	return out
-}
-
-// keyIdx pairs a join key with its row index so the merge-join sort
-// compares contiguous memory instead of chasing keys[idx[a]] indirections
-// through an interface-based comparator.
-type keyIdx struct {
-	key int64
-	idx int32
-}
-
-// sortByKey returns row indices ordered by the given key column. This is
-// the hot path of merge join; the concrete pair sort via slices.SortFunc
-// avoids both the sort.Slice interface dispatch and the double indirection
-// of sorting an index permutation in place. Ties break by row index, which
-// also makes the order fully deterministic.
-func sortByKey(keys []int64) []int {
-	return sortKeyRange(keys, 0, len(keys))
-}
-
-// sortKeyRange sorts the row indices [lo, hi) by key, returning global
-// indices. It is one sorted run of the parallel sort: each worker's part of
-// a breaker input occupies a contiguous index range, sorted independently.
-func sortKeyRange(keys []int64, lo, hi int) []int {
-	pairs := make([]keyIdx, hi-lo)
-	for i := lo; i < hi; i++ {
-		pairs[i-lo] = keyIdx{key: keys[i], idx: int32(i)}
-	}
-	slices.SortFunc(pairs, func(a, b keyIdx) int {
-		switch {
-		case a.key < b.key:
-			return -1
-		case a.key > b.key:
-			return 1
-		case a.idx < b.idx:
-			return -1
-		case a.idx > b.idx:
-			return 1
-		default:
-			return 0
-		}
-	})
-	idx := make([]int, len(pairs))
-	for i, p := range pairs {
-		idx[i] = int(p.idx)
-	}
-	return idx
-}
-
-// sortByKeyPar produces the same index order as sortByKey using per-range
-// sorted runs merged by mergeRuns. bounds are the run boundaries (len+1
-// monotone offsets, e.g. per-worker part offsets plus the total).
-func sortByKeyPar(keys []int64, bounds []int, dop int) []int {
-	nruns := len(bounds) - 1
-	// Weight 16: comparison sorting is far heavier per row than a copy.
-	if nruns <= 1 || !parallelFinishThreshold(len(keys), 16, dop) {
-		return sortByKey(keys)
-	}
-	runs := make([][]int, nruns)
-	parallelFor(nruns, func(r int) {
-		runs[r] = sortKeyRange(keys, bounds[r], bounds[r+1])
-	})
-	return mergeRuns(keys, runs, dop)
-}
-
-// mergeRuns merges sorted runs of row indices into one fully sorted index,
-// in parallel: the key domain is split at sampled splitters, each output
-// segment k-way-merges its slice of every run independently, and segments
-// write into disjoint ranges of the output. Ties across runs resolve to the
-// lower run, which — because runs cover ascending disjoint index ranges —
-// reproduces exactly sortByKey's break-ties-by-row-index order.
-func mergeRuns(keys []int64, runs [][]int, dop int) []int {
-	live := runs[:0:len(runs)]
-	for _, r := range runs {
-		if len(r) > 0 {
-			live = append(live, r)
-		}
-	}
-	runs = live
-	if len(runs) == 0 {
-		return nil
-	}
-	if len(runs) == 1 {
-		return runs[0]
-	}
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	out := make([]int, total)
-	nseg := dop
-	// Weight 8: each merged row pays a k-way min scan, not just a copy.
-	if !parallelFinishThreshold(total, 8, nseg) {
-		mergeSegment(keys, runs, nil, nil, out)
-		return out
-	}
-
-	// Sample candidate splitters evenly from every run, then take segment
-	// quantiles of the sorted sample. Duplicates just yield empty segments.
-	var cands []int64
-	for _, r := range runs {
-		for s := 1; s < nseg; s++ {
-			cands = append(cands, keys[r[s*len(r)/nseg]])
-		}
-	}
-	slices.Sort(cands)
-	splits := make([]int64, nseg-1)
-	for s := 1; s < nseg; s++ {
-		splits[s-1] = cands[s*len(cands)/nseg]
-	}
-
-	// Per-run segment boundaries: bound[r][s] is the first position in run r
-	// whose key >= splits[s]; rows with key equal to a splitter land wholly
-	// in the segment the splitter opens, consistently across runs.
-	bound := make([][]int, len(runs))
-	for r, run := range runs {
-		b := make([]int, nseg+1)
-		b[nseg] = len(run)
-		for s, sp := range splits {
-			b[s+1] = sort.Search(len(run), func(i int) bool { return keys[run[i]] >= sp })
-		}
-		// Equal splitter values can make boundaries non-monotone only via
-		// Search ties; enforce monotonicity defensively.
-		for s := 1; s <= nseg; s++ {
-			if b[s] < b[s-1] {
-				b[s] = b[s-1]
-			}
-		}
-		bound[r] = b
-	}
-	segOff := make([]int, nseg+1)
-	for s := 1; s <= nseg; s++ {
-		segOff[s] = segOff[s-1]
-		for r := range runs {
-			segOff[s] += bound[r][s] - bound[r][s-1]
-		}
-	}
-
-	parallelFor(nseg, func(s int) {
-		if segOff[s] == segOff[s+1] {
-			return
-		}
-		lo := make([]int, len(runs))
-		hi := make([]int, len(runs))
-		for r := range runs {
-			lo[r], hi[r] = bound[r][s], bound[r][s+1]
-		}
-		mergeSegment(keys, runs, lo, hi, out[segOff[s]:segOff[s+1]])
-	})
-	return out
-}
-
-// mergeSegment k-way-merges runs[r][lo[r]:hi[r]] into dst (nil lo/hi mean
-// whole runs). With at most DOP runs a linear min scan beats a heap.
-func mergeSegment(keys []int64, runs [][]int, lo, hi []int, dst []int) {
-	pos := make([]int, len(runs))
-	end := make([]int, len(runs))
-	for r := range runs {
-		if lo != nil {
-			pos[r], end[r] = lo[r], hi[r]
-		} else {
-			pos[r], end[r] = 0, len(runs[r])
-		}
-	}
-	for i := range dst {
-		best := -1
-		var bestKey int64
-		for r := range runs {
-			if pos[r] == end[r] {
-				continue
-			}
-			k := keys[runs[r][pos[r]]]
-			if best < 0 || k < bestKey {
-				best, bestKey = r, k
-			}
-		}
-		dst[i] = runs[best][pos[best]]
-		pos[best]++
-	}
 }

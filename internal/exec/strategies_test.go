@@ -101,6 +101,8 @@ func TestLeftOuterJoinExecution(t *testing.T) {
 	}
 }
 
+// The reference's merge and nested-loop joins are inner joins only. (The
+// engine runs every join as the hash join, which takes every join type.)
 func TestMergeJoinRejectsNonInner(t *testing.T) {
 	db, schema := fixture(t)
 	b := factDimBlock(schema, query.Semi)
@@ -113,12 +115,12 @@ func TestMergeJoinRejectsNonInner(t *testing.T) {
 		Inner: &plan.Scan{Rel: 1, Alias: "d", Table: "dim"},
 		Conds: []plan.Cond{{OuterRel: 0, OuterCol: "fk", InnerRel: 1, InnerCol: "pk"}},
 	}
-	if _, err := Run(db, b, &plan.Plan{Root: root}, Options{DOP: 1}); err == nil {
-		t.Fatal("merge semi join should be rejected")
+	if _, err := Run(db, b, &plan.Plan{Root: root}, Options{Legacy: true}); err == nil {
+		t.Fatal("reference merge semi join should be rejected")
 	}
 	root.Method = plan.NestLoopJoin
-	if _, err := Run(db, b, &plan.Plan{Root: root}, Options{DOP: 1}); err == nil {
-		t.Fatal("nested-loop semi join should be rejected")
+	if _, err := Run(db, b, &plan.Plan{Root: root}, Options{Legacy: true}); err == nil {
+		t.Fatal("reference nested-loop semi join should be rejected")
 	}
 	root.Method = plan.HashJoin
 	root.JoinType = query.JoinType(99)

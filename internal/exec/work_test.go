@@ -71,9 +71,9 @@ func TestWorkIsExact(t *testing.T) {
 }
 
 // Work, the probe metrics and EXPLAIN ANALYZE report what ran, not what was
-// planned: a merge or nested-loop node builds and probes nothing when it
-// runs as planned, and under a budget — laid out as a hash join — builds its
-// inner rows and probes its outer rows.
+// planned: a merge or nested-loop node runs as the hash join at every
+// budget, builds its inner rows and probes its outer rows, and shows as
+// "HashJoin(inner) probe [planned ...]".
 func TestWorkCountsWhatRan(t *testing.T) {
 	for _, method := range []plan.JoinMethod{plan.MergeJoin, plan.NestLoopJoin} {
 		db, b, p := mergeJoinFixture(t)
@@ -85,18 +85,14 @@ func TestWorkCountsWhatRan(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s budget %d: %v", method, budget, err)
 			}
-			var wantBuild, wantProbe int64
-			head := fmt.Sprintf("%s(inner)", method)
-			if budget > 0 {
-				wantBuild, wantProbe = int64(r.ActualFor(root.Inner)), int64(r.ActualFor(root.Outer))
-				head = fmt.Sprintf("HashJoin(inner) probe [planned %s]", method)
-			}
-			if r.Work.Build != wantBuild || r.Work.Probe != wantProbe {
+			wantBuild, wantProbe := int64(r.ActualFor(root.Inner)), int64(r.ActualFor(root.Outer))
+			if r.Work.Build != wantBuild || r.Work.Probe != wantProbe || wantBuild == 0 || wantProbe == 0 {
 				t.Errorf("%s budget %d: Work %+v, want build %d probe %d", method, budget, r.Work, wantBuild, wantProbe)
 			}
 			if got := m.ProbeRows.Value(); got != wantProbe {
 				t.Errorf("%s budget %d: probe-rows metric %d, want %d", method, budget, got, wantProbe)
 			}
+			head := fmt.Sprintf("HashJoin(inner) probe [planned %s]", method)
 			if out := r.ExplainAnalyze(p); !strings.Contains(out, "  "+head+" ") {
 				t.Errorf("%s budget %d: EXPLAIN ANALYZE does not show the node as %q:\n%s", method, budget, head, out)
 			}

@@ -41,8 +41,7 @@ type PipeProgress struct {
 	ID    int
 	Label string
 	// MorselsPlanned is the number of morsels the shared cursor will hand
-	// out: exact for scans (every morsel is claimed even when zone-maps
-	// skip it), estimated from planner cardinality for merge sources.
+	// out: every morsel of the scan is claimed, even when zone-maps skip it.
 	MorselsPlanned int64
 	// MorselRows is the rows-per-morsel granularity, SourceRows the
 	// source's total row count (0 when only an estimate exists). Together
@@ -77,7 +76,7 @@ func (p *PipeProgress) Done()    { p.state.Store(pipeDone) }
 
 // fraction is the pipeline's completion estimate in [0,1]: exact 1 once
 // the sink finished, otherwise morsel progress against the planned total,
-// capped below 1 because planned totals for merge sources are estimates.
+// capped below 1 while the sink's finish is still to run.
 func (p *PipeProgress) fraction() float64 {
 	if p.state.Load() == pipeDone {
 		return 1

@@ -24,7 +24,7 @@ func TestPipeProgressFoldFraction(t *testing.T) {
 		t.Fatalf("fraction after 2/4 morsels = %v, want 0.5", got)
 	}
 	// The fraction stays below 1 until the sink finishes, even past the
-	// planned total (merge-source plans are estimates).
+	// planned total.
 	p.Fold(10, 4000)
 	p.Fold(10, 4000)
 	p.Fold(10, 4000)

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"bfcbo/internal/query"
@@ -28,16 +30,16 @@ func TestDecomposeHashChain(t *testing.T) {
 		t.Fatalf("pipelines = %d, want 3", len(pls))
 	}
 	// P0: scan c -> hash-build for j0 (root's build side first).
-	if s, ok := pls[0].Source.(*Scan); !ok || s.Alias != "c" || pls[0].Sink != SinkHashBuild || pls[0].SinkJoin != j0 {
+	if pls[0].Source.Alias != "c" || pls[0].Sink != SinkHashBuild || pls[0].SinkJoin != j0 {
 		t.Fatalf("P0 wrong: %s", pls[0].Describe())
 	}
 	// P1: scan b -> hash-build for j1.
-	if s, ok := pls[1].Source.(*Scan); !ok || s.Alias != "b" || pls[1].SinkJoin != j1 {
+	if pls[1].Source.Alias != "b" || pls[1].SinkJoin != j1 {
 		t.Fatalf("P1 wrong: %s", pls[1].Describe())
 	}
 	// P2: scan a -> probe j1 -> probe j0 -> result, after P0 and P1.
 	p2 := pls[2]
-	if s, ok := p2.Source.(*Scan); !ok || s.Alias != "a" || p2.Sink != SinkResult {
+	if p2.Source.Alias != "a" || p2.Sink != SinkResult {
 		t.Fatalf("P2 wrong: %s", p2.Describe())
 	}
 	if len(p2.Ops) != 2 || p2.Ops[0] != j1 || p2.Ops[1] != j0 {
@@ -51,71 +53,44 @@ func TestDecomposeHashChain(t *testing.T) {
 	}
 }
 
-func TestDecomposeMergeAndNestLoop(t *testing.T) {
-	// NL(MJ(s0, s1), s2): merge join breaks both inputs into sort
-	// pipelines and sources a new pipeline that carries the NL probe.
-	mj := &Join{Method: MergeJoin, JoinType: query.Inner,
-		Outer: scanNode(0, "a"), Inner: scanNode(1, "b"),
-		Conds: []Cond{{OuterRel: 0, OuterCol: "x", InnerRel: 1, InnerCol: "x"}}}
-	nl := &Join{Method: NestLoopJoin, JoinType: query.Inner,
-		Outer: mj, Inner: scanNode(2, "c"),
-		Conds: []Cond{{OuterRel: 1, OuterCol: "y", InnerRel: 2, InnerCol: "y"}}}
-	pls, err := Decompose(&Plan{Root: nl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// c materialize, b sort-inner, a sort-outer, merge -> NL probe -> result.
-	if len(pls) != 4 {
-		t.Fatalf("pipelines = %d, want 4", len(pls))
-	}
-	if pls[0].Sink != SinkMaterialize || pls[0].SinkJoin != nl {
-		t.Fatalf("P0 wrong: %s", pls[0].Describe())
-	}
-	if pls[1].Sink != SinkSortInner || pls[2].Sink != SinkSortOuter {
-		t.Fatalf("sort pipelines wrong: %s / %s", pls[1].Describe(), pls[2].Describe())
-	}
-	last := pls[3]
-	if last.Source != mj || len(last.Ops) != 1 || last.Ops[0] != nl || last.Sink != SinkResult {
-		t.Fatalf("final pipeline wrong: %s", last.Describe())
-	}
-	if len(last.Deps) != 3 {
-		t.Fatalf("final deps = %v, want three", last.Deps)
-	}
-}
-
-// DecomposeBounded gives every join with a condition the hash join's layout,
-// keeps the nodes' identity, and says in the label what was planned.
-func TestDecomposeBoundedLaysJoinsOutAsHashJoins(t *testing.T) {
-	// HJ(NL(MJ(a, b), c), d), the hash join building a Bloom filter that a's
-	// scan applies; x is a cross join with e on top.
+// methodTree is HJ(m2(m1(a, b), c), d), the hash join building a Bloom filter
+// that a's scan applies. It returns the plan, the joins in build order, and a.
+func methodTree(m1, m2 JoinMethod) (*Plan, []*Join, *Scan) {
 	a := scanNode(0, "a")
 	a.ApplyBlooms = []int{7}
-	mj := &Join{Method: MergeJoin, JoinType: query.Inner,
+	j1 := &Join{Method: m1, JoinType: query.Inner,
 		Outer: a, Inner: scanNode(1, "b"),
 		Conds: []Cond{{OuterRel: 0, OuterCol: "x", InnerRel: 1, InnerCol: "x"}}}
-	nl := &Join{Method: NestLoopJoin, JoinType: query.Inner,
-		Outer: mj, Inner: scanNode(2, "c"),
+	j2 := &Join{Method: m2, JoinType: query.Inner,
+		Outer: j1, Inner: scanNode(2, "c"),
 		Conds: []Cond{{OuterRel: 1, OuterCol: "y", InnerRel: 2, InnerCol: "y"}}}
 	hj := &Join{Method: HashJoin, JoinType: query.Inner,
-		Outer: nl, Inner: scanNode(3, "d"), BuildBlooms: []int{7},
+		Outer: j2, Inner: scanNode(3, "d"), BuildBlooms: []int{7},
 		Conds: []Cond{{OuterRel: 0, OuterCol: "z", InnerRel: 3, InnerCol: "z"}}}
-	cross := &Join{Method: NestLoopJoin, JoinType: query.Inner,
-		Outer: hj, Inner: scanNode(4, "e")}
-	p := &Plan{Root: cross}
+	return &Plan{Root: hj}, []*Join{hj, j2, j1}, a
+}
 
-	pls, err := DecomposeBounded(p)
+// methodTreeLayout is how Decompose lays out methodTree(MergeJoin, NestLoopJoin).
+var methodTreeLayout = []string{
+	"P0: Scan d -> hash-build",
+	"P1: Scan c -> hash-build",
+	"P2: Scan b -> hash-build",
+	"P3: Scan a -> HashJoin(inner) probe(x) [planned MergeJoin]" +
+		" -> HashJoin(inner) probe(y) [planned NestLoop]" +
+		" -> HashJoin(inner) probe(z) -> result (after P2,P1,P0)",
+}
+
+// Every join with a condition gets the hash join's layout — inner side into a
+// hash build, probe fused into the outer pipeline — keeps its node, and says in
+// the label what was planned. The name dates from when only budgeted runs used
+// this layout; it is now the only one.
+func TestDecomposeBoundedLaysJoinsOutAsHashJoins(t *testing.T) {
+	p, joins, a := methodTree(MergeJoin, NestLoopJoin)
+	pls, err := Decompose(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{
-		"P0: Scan e -> materialize",
-		"P1: Scan d -> hash-build",
-		"P2: Scan c -> hash-build",
-		"P3: Scan b -> hash-build",
-		"P4: Scan a -> HashJoin(inner) probe(x) [planned MergeJoin]" +
-			" -> HashJoin(inner) probe(y) [planned NestLoop]" +
-			" -> HashJoin(inner) probe(z) -> NestLoop(inner) probe -> result (after P3,P2,P1,P0)",
-	}
+	want := methodTreeLayout
 	if len(pls) != len(want) {
 		t.Fatalf("pipelines = %d, want %d", len(pls), len(want))
 	}
@@ -131,47 +106,69 @@ func TestDecomposeBoundedLaysJoinsOutAsHashJoins(t *testing.T) {
 				t.Errorf("P%d has non-topological dep P%d", pl.ID, d)
 			}
 		}
-	}
-	// The zero-condition join keeps its planned breaker; the others feed the
-	// joins they were planned for.
-	for i, j := range []*Join{cross, hj, nl, mj} {
-		if pls[i].SinkJoin != j {
-			t.Errorf("P%d feeds %v, want %v", i, pls[i].SinkJoin, j)
+		if i < len(joins) && (pl.Sink != SinkHashBuild || pl.SinkJoin != joins[i]) {
+			t.Errorf("P%d feeds %s %v, want the build of %v", i, pl.Sink, pl.SinkJoin, joins[i])
 		}
 	}
 	if got := SummarizeDAG(pls).SpillableSinks; got != 3 {
 		t.Errorf("spillable sinks = %d, want the 3 hash builds", got)
 	}
 
-	// The Bloom build -> apply edge is the one the planned layout has: the
-	// pipeline that scans a waits for the one that builds filter 7.
-	planned, err := Decompose(p)
-	if err != nil {
-		t.Fatal(err)
+	// The Bloom build -> apply edge: the pipeline that scans a waits for the
+	// one that builds filter 7.
+	build, found := -1, false
+	for _, pl := range pls {
+		if pl.Sink == SinkHashBuild && pl.SinkJoin == joins[0] {
+			build = pl.ID
+		}
 	}
-	builderOf := func(pls []*Pipeline) (build int, applyDeps []int) {
-		for _, pl := range pls {
-			if pl.Sink == SinkHashBuild && pl.SinkJoin == hj {
-				build = pl.ID
+	for _, pl := range pls {
+		if pl.Source == a {
+			for _, d := range pl.Deps {
+				found = found || d == build
 			}
-			if pl.Source == Node(a) {
-				applyDeps = pl.Deps
+		}
+	}
+	if !found {
+		t.Errorf("the scan applying BF#7 does not depend on its builder P%d", build)
+	}
+}
+
+// The layout is independent of Method: every assignment of methods lays out
+// the same pipelines, and only the labels say what was planned. A join with no
+// condition has no key to hash on and is refused as a plan bug.
+func TestDecomposeMergeAndNestLoop(t *testing.T) {
+	unlabel := func(s string) string {
+		for _, m := range []JoinMethod{MergeJoin, NestLoopJoin} {
+			s = strings.ReplaceAll(s, fmt.Sprintf(" [planned %s]", m), "")
+		}
+		return s
+	}
+	for _, m1 := range []JoinMethod{HashJoin, MergeJoin, NestLoopJoin} {
+		for _, m2 := range []JoinMethod{HashJoin, MergeJoin, NestLoopJoin} {
+			p, _, _ := methodTree(m1, m2)
+			got, err := Decompose(p)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", m1, m2, err)
+			}
+			if len(got) != len(methodTreeLayout) {
+				t.Fatalf("%s/%s: pipelines = %d, want %d", m1, m2, len(got), len(methodTreeLayout))
+			}
+			for i, pl := range got {
+				if unlabel(pl.Describe()) != unlabel(methodTreeLayout[i]) {
+					t.Errorf("%s/%s: P%d describes as %q", m1, m2, i, pl.Describe())
+				}
 			}
 		}
-		return build, applyDeps
 	}
-	for name, pls := range map[string][]*Pipeline{"planned": planned, "bounded": pls} {
-		build, deps := builderOf(pls)
-		found := false
-		for _, d := range deps {
-			found = found || d == build
+
+	// A cross join on top: no condition, no layout, whatever its method.
+	for _, m := range []JoinMethod{HashJoin, MergeJoin, NestLoopJoin} {
+		p, _, _ := methodTree(MergeJoin, NestLoopJoin)
+		p.Root = &Join{Method: m, JoinType: query.Inner, Outer: p.Root, Inner: scanNode(4, "e")}
+		if _, err := Decompose(p); err == nil || !strings.Contains(err.Error(), "plan bug") {
+			t.Errorf("%s with no condition: error = %v, want a plan bug", m, err)
 		}
-		if !found {
-			t.Errorf("%s: the scan applying BF#7 depends on %v, not on its builder P%d", name, deps, build)
-		}
-	}
-	if n := len(planned); n != 6 {
-		t.Errorf("planned layout has %d pipelines, want 6 (two sorts and a merge source)", n)
 	}
 }
 

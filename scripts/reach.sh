@@ -51,8 +51,12 @@ run "$bin/bfcbo" -q 9 -sf 0.02 -dop 2 -mem-budget 256KB -faults "seed=42,spill.w
 run "$bin/bfcbo" -q 12 -sf 0.01 -streams 6 -max-concurrent 2 -shed-queue-p95 1us -retries 2 -timeout 5s
 
 # The observability server keeps serving after its query until it is
-# interrupted. serve starts one in the background and waits for it to
-# answer; stop_serving interrupts it so it flushes its counters.
+# signalled. serve starts one in the background and waits for it to
+# answer; stop_serving waits until its query is done and its signal handler
+# installed (it says "serving observability endpoints"), then sends SIGTERM,
+# which it handles like an interrupt: it exits cleanly and flushes its
+# counters. (A background job of a non-interactive shell starts with SIGINT
+# ignored, and a signal that beats the handler kills the server unflushed.)
 serve() {
   echo "+ $bin/bfcbo $* -obs-listen $addr (scraped, then interrupted)" >&2
   "$bin/bfcbo" "$@" -obs-listen "$addr" >"$out/work/obs.out" 2>&1 &
@@ -62,13 +66,22 @@ serve() {
     sleep 0.02
   done
 }
+await_done() {
+  for _ in $(seq 500); do
+    grep -q "serving observability endpoints" "$out/work/obs.out" 2>/dev/null && break
+    kill -0 "$srv" 2>/dev/null || break
+    sleep 0.02
+  done
+}
 stop_serving() {
-  kill -INT "$srv" 2>/dev/null
+  await_done
+  kill -TERM "$srv" 2>/dev/null
   wait "$srv" 2>/dev/null
 }
 
 # After the query has finished: every endpoint once.
 serve -q 3 -sf 0.01
+await_done
 for path in /metrics /query /debug/queries /debug/queries/live "/debug/queries/kill?id=1" \
   /debug/trace/1 /debug/workload "/debug/pprof/goroutine?debug=1"; do
   curl -sS -o /dev/null "http://$addr$path" || true
