@@ -58,8 +58,7 @@ type Config struct {
 	// 0 defaults to 8.
 	DOP int
 	// MemBudget bounds the bytes of operator state the executor holds in
-	// RAM (0 = unlimited). Under a budget every join runs as a hash join,
-	// whatever method the plan names, and a hash build whose memory grant
+	// RAM (0 = unlimited). Under a budget a hash build whose memory grant
 	// is denied spills to temp files (grace hash join) and still returns
 	// exact results; spill activity is reported in Output.Spill and
 	// EXPLAIN ANALYZE. All queries of one engine draw

@@ -25,7 +25,7 @@ func TestTransientErrClassification(t *testing.T) {
 		want bool
 	}{
 		{nil, false},
-		{errors.New("exec: merge join supports inner joins only"), false},
+		{errors.New("exec: unsupported hash join type JoinType(99)"), false},
 		{context.Canceled, false},
 		{context.DeadlineExceeded, false},
 		{sched.ErrQueueTimeout, true},

@@ -105,9 +105,6 @@ func calibCell(qr *QueryRun) CalibCell {
 	engine := cost.Engine()
 	var sides []string
 	for _, j := range qr.Plan.Joins() {
-		if j.Method != plan.HashJoin {
-			continue
-		}
 		build, probe := qr.Actuals.ActualFor(j.Inner), qr.Actuals.ActualFor(j.Outer)
 		side := fmt.Sprintf("%s:%.0f", orderSig(j.Inner), build)
 		if j.JoinType != query.Inner {

@@ -489,7 +489,7 @@ func printActuals(w io.Writer, n plan.Node, r *exec.Result, depth int) {
 	case *plan.Scan:
 		fmt.Fprintf(w, "scan %-10s %12.0f -> %12.0f\n", t.Alias, t.EstRows(), r.ActualFor(n))
 	case *plan.Join:
-		fmt.Fprintf(w, "%s %-11s %12.0f -> %12.0f\n", t.Method, "("+t.Streaming.String()+")", t.EstRows(), r.ActualFor(n))
+		fmt.Fprintf(w, "HashJoin %-11s %12.0f -> %12.0f\n", "("+t.Streaming.String()+")", t.EstRows(), r.ActualFor(n))
 		printActuals(w, t.Outer, r, depth+1)
 		printActuals(w, t.Inner, r, depth+1)
 	}

@@ -1,16 +1,14 @@
 // Package cost implements the planner's cost model: per-row CPU costs for
-// scans, the three join methods, exchange (redistribute / broadcast)
-// streaming at a configurable degree of parallelism, and the Bloom filter
-// build/apply costs of §3.5 — apply is a constant k per probed row with
-// k smaller than a hash-table lookup, build is free. The constants come in
+// scans and the hash join (the one join method, as in the executor),
+// exchange (redistribute / broadcast) streaming at a configurable degree of
+// parallelism, and the Bloom filter build/apply costs of §3.5 — apply is a
+// constant k per probed row with k smaller than a hash-table lookup, build
+// is free. The constants come in
 // two named profiles: Paper, the environment the paper's figures are
 // about, and Engine, measured on the executor this repository runs.
 package cost
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Params are the cost-model constants. Units are abstract "cost units",
 // comparable only with each other (as in PostgreSQL) and only within one
@@ -28,12 +26,6 @@ type Params struct {
 	HashBuildCost float64
 	// HashProbeCost is charged per probe row (one lookup each).
 	HashProbeCost float64
-	// MergeSortCost scales the n·log2(n) term of sorting a join input.
-	MergeSortCost float64
-	// MergeScanCost is charged per row during the merge phase.
-	MergeScanCost float64
-	// NLPairCost is charged per (outer,inner) pair in a nested-loop join.
-	NLPairCost float64
 	// BloomApplyCost is the paper's k: per-row cost of testing a Bloom
 	// filter. Must be below HashProbeCost, else filtering never pays.
 	BloomApplyCost float64
@@ -63,9 +55,6 @@ func Paper() Params {
 		// there (FK probing an unfiltered PK, Heuristic 3).
 		HashBuildCost:  0.008,
 		HashProbeCost:  0.01,
-		MergeSortCost:  0.002,
-		MergeScanCost:  0.005,
-		NLPairCost:     0.02,
 		BloomApplyCost: 0.004,
 		BloomBuildCost: 0,
 		// Above HashProbeCost, so that shuffling a large input is dearer
@@ -144,9 +133,7 @@ const (
 // a probe key, so the smaller input builds. With no transfer term every
 // parallel hash join is costed Redistribute (a broadcast only replicates
 // the build), a label the executor does not read: it builds one Bloom filter
-// per spec. DOP says only that there is more than one thread. The executor
-// has one join operator, the hash join, so merge and nested-loop joins are
-// priced +Inf: the planner never names a method the engine does not run.
+// per spec. DOP says only that there is more than one thread.
 func Engine() Params {
 	// Cost units per nanosecond: as in the paper profile, one scanned row
 	// is 0.01. Constant arithmetic, so the same bits on every host.
@@ -157,14 +144,10 @@ func Engine() Params {
 		CPUOperatorCost: nsPredRow * unit,
 		HashBuildCost:   nsBuildRow * unit,
 		HashProbeCost:   nsProbeKey * unit,
-		// No such operator: internal/exec runs every join as a hash join.
-		MergeSortCost:  math.Inf(1),
-		MergeScanCost:  math.Inf(1),
-		NLPairCost:     math.Inf(1),
-		BloomApplyCost: nsBloomTest * unit,
-		BloomBuildCost: 0, // 0.8 ms of a 300 ms TPC-H pass: free, as in §3.5
-		TransferCost:   0,
-		DOP:            2,
+		BloomApplyCost:  nsBloomTest * unit,
+		BloomBuildCost:  0, // 0.8 ms of a 300 ms TPC-H pass: free, as in §3.5
+		TransferCost:    0,
+		DOP:             2,
 	}
 }
 
@@ -252,38 +235,4 @@ func (p Params) HashJoin(outerRows, innerRows float64) (float64, Streaming) {
 		return bc, BroadcastInner
 	}
 	return rd, Redistribute
-}
-
-// MergeJoin costs sorting both inputs plus a linear merge.
-func (p Params) MergeJoin(outerRows, innerRows float64) float64 {
-	return p.MergeSorted(p.SortCost(outerRows), p.SortCost(innerRows), outerRows, innerRows)
-}
-
-// MergeSorted is MergeJoin given each input's SortCost: an enumerator joins
-// one sub-plan many times and need take its logarithm only once.
-func (p Params) MergeSorted(outerSort, innerSort, outerRows, innerRows float64) float64 {
-	return outerSort + innerSort + times(outerRows+innerRows, p.MergeScanCost)
-}
-
-// SortCost is the cost of sorting n rows for a merge join.
-func (p Params) SortCost(n float64) float64 {
-	if n < 2 {
-		return p.MergeScanCost
-	}
-	return n * math.Log2(n) * p.MergeSortCost
-}
-
-// NestLoop costs a nested-loop join: every outer row scans the inner.
-func (p Params) NestLoop(outerRows, innerRows float64) float64 {
-	return times(outerRows*math.Max(innerRows, 1), p.NLPairCost)
-}
-
-// times is n units at c each. A method the profile has no operator for is
-// priced c = +Inf, and so is every use of it, even of zero rows — where the
-// product would be NaN, and NaN compares false against every cost.
-func times(n, c float64) float64 {
-	if math.IsInf(c, 1) {
-		return c
-	}
-	return n * c
 }

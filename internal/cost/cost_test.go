@@ -1,7 +1,6 @@
 package cost
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -28,7 +27,6 @@ func TestPaperProfilePinned(t *testing.T) {
 	want := Params{
 		Name: "paper", CPUTupleCost: 0.01, CPUOperatorCost: 0.0025,
 		HashBuildCost: 0.008, HashProbeCost: 0.01,
-		MergeSortCost: 0.002, MergeScanCost: 0.005, NLPairCost: 0.02,
 		BloomApplyCost: 0.004, BloomBuildCost: 0, TransferCost: 0.012, DOP: 48,
 	}
 	if got := Paper(); got != want {
@@ -145,56 +143,6 @@ func TestHashJoinStreamingChoice(t *testing.T) {
 	}
 }
 
-func TestJoinMethodOrdering(t *testing.T) {
-	p := Paper()
-	// For large equal inputs, hash join should beat nested loop by far.
-	hj, _ := p.HashJoin(100_000, 100_000)
-	nl := p.NestLoop(100_000, 100_000)
-	if hj >= nl {
-		t.Fatalf("hash join (%v) should beat nested loop (%v)", hj, nl)
-	}
-	// For a one-row inner, nested loop should be competitive (cheaper than
-	// paying hash build + full probe).
-	hj, _ = p.HashJoin(1000, 1)
-	nl = p.NestLoop(1000, 1)
-	if nl >= hj*2 {
-		t.Fatalf("tiny-inner NL (%v) should be near hash join (%v)", nl, hj)
-	}
-}
-
-// The paper profile's merge join: the engine profile has none (below).
-func TestMergeJoinGrowsSuperlinearly(t *testing.T) {
-	p := Paper()
-	small := p.MergeJoin(1000, 1000)
-	big := p.MergeJoin(10_000, 10_000)
-	if big <= 10*small {
-		t.Fatalf("merge join should grow superlinearly: %v vs %v", small, big)
-	}
-	if p.MergeJoin(1, 1) <= 0 {
-		t.Fatal("degenerate merge join must still have positive cost")
-	}
-}
-
-// The engine runs every join as a hash join, so its profile prices the other
-// two methods +Inf at every input size — never NaN, which compares false
-// against every cost and so could not lose a comparison either.
-func TestEngineHasNoMergeOrNestLoop(t *testing.T) {
-	p := Engine()
-	for _, o := range []float64{0, 0.5, 1, 2, 1e6} {
-		for _, i := range []float64{0, 0.5, 1, 2, 1e6} {
-			for name, c := range map[string]float64{
-				"MergeJoin": p.MergeJoin(o, i),
-				"NestLoop":  p.NestLoop(o, i),
-				"SortCost":  p.SortCost(o),
-			} {
-				if !math.IsInf(c, 1) {
-					t.Errorf("engine %s(%g, %g) = %g, want +Inf", name, o, i, c)
-				}
-			}
-		}
-	}
-}
-
 func TestBloomBuildDefaultFree(t *testing.T) {
 	for _, p := range profiles {
 		if p.BloomBuild(1e9, 5) != 0 {
@@ -227,9 +175,6 @@ func quickCostMonotone(t *testing.T, p Params) {
 		hj1, _ := p.HashJoin(a, b)
 		hj2, _ := p.HashJoin(a+1000, b)
 		if hj1 < 0 || hj2 < hj1 {
-			return false
-		}
-		if p.NestLoop(a, b) < 0 || p.MergeJoin(a, b) < 0 {
 			return false
 		}
 		return p.Scan(a, 1, 1) >= p.Scan(a, 0, 0)

@@ -112,9 +112,6 @@ func (bs *bloomSet) keyCols(id, rel int, col, col2 string) (kc bloomCols, err er
 // table, so there is nothing to partition a filter by. feed inserts the
 // build rows into every filter it is handed.
 func (bs *bloomSet) build(j *plan.Join, rows int, feed func([]*bloomBuild) error) error {
-	if j.Method != plan.HashJoin {
-		return fmt.Errorf("exec: Bloom filters can only be built at hash joins, got %s", j.Method)
-	}
 	builds := make([]*bloomBuild, 0, len(j.BuildBlooms))
 	for _, id := range j.BuildBlooms {
 		spec, ok := bs.specs[id]

@@ -167,10 +167,9 @@ func TestOpenFailureStillCloses(t *testing.T) {
 	}
 }
 
-// mergeJoinFixture builds a fact⋈dim plan that names a merge join. The
-// engine lays it out as the hash join — P0 builds dim, P1 probes it with
-// fact — and the reference runs the merge it names.
-func mergeJoinFixture(t *testing.T) (*storage.Database, *query.Block, *plan.Plan) {
+// factDimFixture builds a fact⋈dim hash join plan: P0 builds dim, P1 probes
+// it with fact.
+func factDimFixture(t *testing.T) (*storage.Database, *query.Block, *plan.Plan) {
 	t.Helper()
 	db := storage.NewDatabase()
 	n := 4000
@@ -214,10 +213,10 @@ func mergeJoinFixture(t *testing.T) (*storage.Database, *query.Block, *plan.Plan
 		},
 	}
 	p := &plan.Plan{Root: &plan.Join{
-		Method: plan.MergeJoin, JoinType: query.Inner,
-		Outer: &plan.Scan{Rel: 0, Alias: "f", Table: "mfact"},
-		Inner: &plan.Scan{Rel: 1, Alias: "d", Table: "mdim"},
-		Conds: []plan.Cond{{OuterRel: 0, OuterCol: "fk", InnerRel: 1, InnerCol: "pk"}},
+		JoinType: query.Inner,
+		Outer:    &plan.Scan{Rel: 0, Alias: "f", Table: "mfact"},
+		Inner:    &plan.Scan{Rel: 1, Alias: "d", Table: "mdim"},
+		Conds:    []plan.Cond{{OuterRel: 0, OuterCol: "fk", InnerRel: 1, InnerCol: "pk"}},
 	}}
 	return db, b, p
 }
@@ -226,7 +225,7 @@ func mergeJoinFixture(t *testing.T) (*storage.Database, *query.Block, *plan.Plan
 // "never built (plan bug)" cascade from a dependent pipeline — and must do
 // so on every run.
 func TestDAGSurfacesFirstErrorDeterministically(t *testing.T) {
-	db, b, p := mergeJoinFixture(t)
+	db, b, p := factDimFixture(t)
 	injected := errors.New("injected build-pipeline failure")
 	for i := 0; i < 50; i++ {
 		opts := Options{DOP: 4, morselSize: 16}
@@ -247,11 +246,10 @@ func TestDAGSurfacesFirstErrorDeterministically(t *testing.T) {
 	}
 }
 
-// Sanity: the merge-join fixture, run as the hash join through the DAG
-// scheduler at several DOPs and morsel sizes, returns the tuples of the
-// reference's merge join.
-func TestDAGMergeJoinMatchesLegacy(t *testing.T) {
-	db, b, p := mergeJoinFixture(t)
+// Sanity: the fact⋈dim fixture, run through the DAG scheduler at several
+// DOPs and morsel sizes, returns the reference's tuples.
+func TestDAGHashJoinMatchesLegacy(t *testing.T) {
+	db, b, p := factDimFixture(t)
 	legacy, err := Run(db, b, p, Options{DOP: 1, Legacy: true})
 	if err != nil {
 		t.Fatal(err)
@@ -273,11 +271,11 @@ func TestDAGMergeJoinMatchesLegacy(t *testing.T) {
 // filter 7 — without the edge the DAG scheduler could start the scan before
 // its filter exists.
 func TestDecomposeBloomDeps(t *testing.T) {
-	inner := &plan.Join{Method: plan.HashJoin, JoinType: query.Inner,
+	inner := &plan.Join{JoinType: query.Inner,
 		Outer: &plan.Scan{Rel: 1, Alias: "b", Table: "b"},
 		Inner: &plan.Scan{Rel: 0, Alias: "a", Table: "a", ApplyBlooms: []int{7}},
 		Conds: []plan.Cond{{OuterRel: 1, OuterCol: "x", InnerRel: 0, InnerCol: "x"}}}
-	root := &plan.Join{Method: plan.HashJoin, JoinType: query.Inner,
+	root := &plan.Join{JoinType: query.Inner,
 		Outer: inner, Inner: &plan.Scan{Rel: 2, Alias: "c", Table: "c"},
 		Conds:       []plan.Cond{{OuterRel: 0, OuterCol: "y", InnerRel: 2, InnerCol: "y"}},
 		BuildBlooms: []int{7}}

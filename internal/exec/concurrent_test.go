@@ -270,7 +270,7 @@ func TestConcurrentQueueTimeout(t *testing.T) {
 // than the budget queue behind the holder) — and both still produce exact
 // results in their own spill subdirectories.
 func TestConcurrentSpillingQueriesSerialize(t *testing.T) {
-	db, b, p := mergeJoinFixture(t)
+	db, b, p := factDimFixture(t)
 	want, err := Run(db, b, p, Options{DOP: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -16,8 +16,7 @@ import (
 // one bloom.Filter whose bits depend on neither DOP nor executor), for
 // every built-in TPC-H query under all four optimizer modes, at DOP 1 and
 // 4, under the engine cost profile and under the paper profile, whose plans
-// differ: they name merge joins, which the engine runs as hash joins and the
-// reference as merges.
+// differ: other join orders and other build sides.
 
 var (
 	eqOnce sync.Once

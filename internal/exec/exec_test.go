@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"testing"
 
 	"bfcbo/internal/catalog"
@@ -190,39 +189,36 @@ func TestScanActualsReflectBloomReduction(t *testing.T) {
 	}
 }
 
-// The engine has one join operator: a plan that names a merge or nested-loop
-// join runs in the same pipelines as the hash join, at every DOP and budget,
-// and returns the tuples the reference computes with the method the plan
-// names.
-func TestJoinMethodsAgree(t *testing.T) {
+// Every join type runs as the hash join in the same pipelines at every DOP
+// and budget, and returns the tuples the reference computes.
+func TestEveryJoinTypeMatchesReference(t *testing.T) {
 	db, schema := fixture(t)
-	b := factDimBlock(schema, query.Inner)
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Hand-build plans with forced methods over plain scans.
 	mkScan := func(rel int, alias, table string, pred query.Predicate) *plan.Scan {
 		return &plan.Scan{Rel: rel, Alias: alias, Table: table, Pred: pred, Rows: 1, Cost: 1}
 	}
-	var layout []string
-	for _, m := range []plan.JoinMethod{plan.HashJoin, plan.MergeJoin, plan.NestLoopJoin} {
+	for _, jt := range []query.JoinType{query.Inner, query.Semi, query.Anti, query.Left} {
+		b := factDimBlock(schema, jt)
+		if err := b.Validate(); err != nil {
+			t.Fatal(err)
+		}
 		root := &plan.Join{
-			Method: m, JoinType: query.Inner,
-			Outer: mkScan(0, "f", "fact", nil),
-			Inner: mkScan(1, "d", "dim", query.CmpInt{Col: "tag", Op: query.LT, Val: 10}),
-			Conds: []plan.Cond{{OuterRel: 0, OuterCol: "fk", InnerRel: 1, InnerCol: "pk"}},
+			JoinType: jt,
+			Outer:    mkScan(0, "f", "fact", nil),
+			Inner:    mkScan(1, "d", "dim", query.CmpInt{Col: "tag", Op: query.LT, Val: 10}),
+			Conds:    []plan.Cond{{OuterRel: 0, OuterCol: "fk", InnerRel: 1, InnerCol: "pk"}},
 		}
 		p := &plan.Plan{Root: root, Mode: "manual"}
 		ref, err := Run(db, b, p, Options{Legacy: true})
 		if err != nil {
-			t.Fatalf("%s: reference: %v", m, err)
+			t.Fatalf("%s: reference: %v", jt, err)
 		}
-		if ref.Rows != 100 {
-			t.Fatalf("%s: reference rows = %d, want 100", m, ref.Rows)
+		if jt == query.Inner && ref.Rows != 100 {
+			t.Fatalf("%s: reference rows = %d, want 100", jt, ref.Rows)
 		}
+		var layout []string
 		for _, dop := range []int{1, 4} {
 			for _, budget := range []int64{0, tinyBudget} {
-				what := fmt.Sprintf("%s dop %d budget %d", m, dop, budget)
+				what := fmt.Sprintf("%s dop %d budget %d", jt, dop, budget)
 				r, err := Run(db, b, p, Options{DOP: dop, Broker: mem.NewBroker(budget), SpillDir: t.TempDir()})
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
@@ -230,7 +226,7 @@ func TestJoinMethodsAgree(t *testing.T) {
 				sameTuples(t, what, canonicalRows(r.Out), canonicalRows(ref.Out))
 				var got []string
 				for _, ps := range r.Pipelines {
-					got = append(got, strings.ReplaceAll(ps.Label, fmt.Sprintf(" [planned %s]", m), ""))
+					got = append(got, ps.Label)
 				}
 				if layout == nil {
 					layout = got
@@ -243,7 +239,7 @@ func TestJoinMethodsAgree(t *testing.T) {
 }
 
 // Duplicate keys on both sides: a join must emit the full product of
-// equal-key runs, whichever method its node names.
+// equal-key runs, in the engine and in the reference.
 func TestDuplicateKeyProduct(t *testing.T) {
 	db := storage.NewDatabase()
 	mk := func(name string, keys []int64) *storage.Table {
@@ -274,19 +270,19 @@ func TestDuplicateKeyProduct(t *testing.T) {
 		Clauses: []query.JoinClause{{Type: query.Inner, LeftRel: 0, LeftCol: "k", RightRel: 1, RightCol: "k"}},
 	}
 	want := 2*1 + 3*2 // key 1: 2x1, key 3: 3x2
-	for _, m := range []plan.JoinMethod{plan.HashJoin, plan.MergeJoin} {
-		root := &plan.Join{
-			Method: m, JoinType: query.Inner,
-			Outer: &plan.Scan{Rel: 0, Alias: "a", Table: "a"},
-			Inner: &plan.Scan{Rel: 1, Alias: "b", Table: "b"},
-			Conds: []plan.Cond{{OuterRel: 0, OuterCol: "k", InnerRel: 1, InnerCol: "k"}},
-		}
-		r, err := Run(db, b, &plan.Plan{Root: root}, Options{DOP: 2})
+	root := &plan.Join{
+		JoinType: query.Inner,
+		Outer:    &plan.Scan{Rel: 0, Alias: "a", Table: "a"},
+		Inner:    &plan.Scan{Rel: 1, Alias: "b", Table: "b"},
+		Conds:    []plan.Cond{{OuterRel: 0, OuterCol: "k", InnerRel: 1, InnerCol: "k"}},
+	}
+	for _, opts := range []Options{{DOP: 2}, {Legacy: true}} {
+		r, err := Run(db, b, &plan.Plan{Root: root}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.Out.Len() != want {
-			t.Fatalf("%s: rows = %d, want %d", m, r.Out.Len(), want)
+			t.Fatalf("legacy %v: rows = %d, want %d", opts.Legacy, r.Out.Len(), want)
 		}
 	}
 }

@@ -93,10 +93,7 @@ func (r *Result) explainNode(b *strings.Builder, n plan.Node, depth int) {
 			head += fmt.Sprintf("  blooms=%v", t.ApplyBlooms)
 		}
 	case *plan.Join:
-		head = fmt.Sprintf("%s(%s) %s", t.Method, t.Kind(), t.Streaming)
-		if st := r.StatFor(t); st != nil && t.Method != plan.HashJoin {
-			head = st.Label // what ran: "HashJoin(inner) probe [planned MergeJoin]"
-		}
+		head = fmt.Sprintf("HashJoin(%s) %s", t.Kind(), t.Streaming)
 		if len(t.BuildBlooms) > 0 {
 			head += fmt.Sprintf("  buildBF=%v", t.BuildBlooms)
 		}

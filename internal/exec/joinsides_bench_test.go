@@ -75,10 +75,10 @@ func newJoinSidesFixture(tb testing.TB, buildRows, dop int) *joinSidesFixture {
 			Pred: query.CmpInt{Col: "fk", Op: query.GE, Val: 0}},
 	}
 	f.j = &plan.Join{
-		Method: plan.HashJoin, JoinType: query.Inner,
-		Outer: f.scan,
-		Inner: &plan.Scan{Rel: joinSidesBuildRel, Alias: "b", Table: "build_side"},
-		Conds: []plan.Cond{{OuterRel: joinSidesProbeRel, OuterCol: "fk", InnerRel: joinSidesBuildRel, InnerCol: "pk"}},
+		JoinType: query.Inner,
+		Outer:    f.scan,
+		Inner:    &plan.Scan{Rel: joinSidesBuildRel, Alias: "b", Table: "build_side"},
+		Conds:    []plan.Cond{{OuterRel: joinSidesProbeRel, OuterCol: "fk", InnerRel: joinSidesBuildRel, InnerCol: "pk"}},
 	}
 	f.buildBatches = rowIDBatches(joinSidesBuildRel, buildRows, f.ex.morsel)
 	f.probeBatches = rowIDBatches(joinSidesProbeRel, joinSidesProbeRows, f.ex.morsel)

@@ -209,10 +209,10 @@ func skewJoinFixture(t *testing.T, buildRows, probeRows int) (*storage.Database,
 		},
 	}
 	p := &plan.Plan{Root: &plan.Join{
-		Method: plan.HashJoin, JoinType: query.Inner,
-		Outer: &plan.Scan{Rel: 0, Alias: "f", Table: "sfact"},
-		Inner: &plan.Scan{Rel: 1, Alias: "d", Table: "sdim"},
-		Conds: []plan.Cond{{OuterRel: 0, OuterCol: "fk", InnerRel: 1, InnerCol: "pk"}},
+		JoinType: query.Inner,
+		Outer:    &plan.Scan{Rel: 0, Alias: "f", Table: "sfact"},
+		Inner:    &plan.Scan{Rel: 1, Alias: "d", Table: "sdim"},
+		Conds:    []plan.Cond{{OuterRel: 0, OuterCol: "fk", InnerRel: 1, InnerCol: "pk"}},
 	}}
 	return db, b, p
 }
@@ -253,49 +253,44 @@ func sameTuples(t *testing.T, what string, got, want []string) {
 	}
 }
 
-// A merge join and a nested-loop join are laid out as the hash join, so
-// under a memory budget they spill the one way anything spills — grace
-// partitions — and return the reference's tuples at every DOP.
+// The name dates from when the planner also named merge and nested-loop
+// joins, which ran as this hash join. Under a memory budget the fact⋈dim
+// hash join spills the one way anything spills — grace partitions — and
+// returns the reference's tuples at every DOP.
 func TestBudgetedMergeAndNestLoopSpillAsGraceJoin(t *testing.T) {
-	for _, method := range []plan.JoinMethod{plan.MergeJoin, plan.NestLoopJoin} {
-		db, b, p := mergeJoinFixture(t)
-		root := p.Root.(*plan.Join)
-		root.Method = method
-		want, err := Run(db, b, p, Options{Legacy: true})
+	db, b, p := factDimFixture(t)
+	root := p.Root.(*plan.Join)
+	want, err := Run(db, b, p, Options{Legacy: true})
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	for _, dop := range []int{1, 4} {
+		what := fmt.Sprintf("dop %d", dop)
+		broker := mem.NewBroker(tinyBudget)
+		spillRoot := t.TempDir()
+		r, err := Run(db, b, p, Options{DOP: dop, Broker: broker, SpillDir: spillRoot})
 		if err != nil {
-			t.Fatalf("%s: reference run: %v", method, err)
+			t.Fatalf("%s: budgeted run: %v", what, err)
 		}
-		for _, dop := range []int{1, 4} {
-			what := fmt.Sprintf("%s dop %d", method, dop)
-			broker := mem.NewBroker(tinyBudget)
-			spillRoot := t.TempDir()
-			r, err := Run(db, b, p, Options{DOP: dop, Broker: broker, SpillDir: spillRoot})
-			if err != nil {
-				t.Fatalf("%s: budgeted run: %v", what, err)
-			}
-			sameTuples(t, what, canonicalRows(r.Out), canonicalRows(want.Out))
-			if got := r.ActualFor(root); got != want.ActualFor(root) {
-				t.Errorf("%s: join actual %v under budget, %v in the reference", what, got, want.ActualFor(root))
-			}
-			if s := r.TotalSpill(); s.Partitions == 0 || s.Bytes == 0 {
-				t.Errorf("%s: no grace partitions under the tiny budget: %+v", what, s)
-			}
-			if err := Audit(AuditState{Broker: broker, SpillDir: spillRoot}); err != nil {
-				t.Errorf("%s: %v", what, err)
-			}
-			assertNoSpillFiles(t, spillRoot)
+		sameTuples(t, what, canonicalRows(r.Out), canonicalRows(want.Out))
+		if got := r.ActualFor(root); got != want.ActualFor(root) {
+			t.Errorf("%s: join actual %v under budget, %v in the reference", what, got, want.ActualFor(root))
 		}
+		if s := r.TotalSpill(); s.Partitions == 0 || s.Bytes == 0 {
+			t.Errorf("%s: no grace partitions under the tiny budget: %+v", what, s)
+		}
+		if err := Audit(AuditState{Broker: broker, SpillDir: spillRoot}); err != nil {
+			t.Errorf("%s: %v", what, err)
+		}
+		assertNoSpillFiles(t, spillRoot)
 	}
 }
 
-// Every TPC-H block under the paper's cost profile — the one that plans
-// merge joins (Q2, Q5, Q7, Q8, Q9, Q11, Q20, Q21) — runs as hash joins at
-// DOP 1 and 4 under a budget that spills every join, and returns the
-// reference's tuples, the reference running the merge joins the plans name.
+// Every TPC-H block under the paper's cost profile runs at DOP 1 and 4 under
+// a budget that spills every join, and returns the reference's tuples.
 // (TestExecutorEquivalenceTPCH covers the same plans with memory unlimited.)
 func TestBudgetedRunHasOneBreakerKind(t *testing.T) {
 	ds := equivalenceDataset(t)
-	planned := 0
 	for _, q := range tpch.All() {
 		block := q.Build(ds.Schema)
 		for _, mode := range []optimizer.Mode{optimizer.BFPost, optimizer.BFCBO} {
@@ -304,11 +299,6 @@ func TestBudgetedRunHasOneBreakerKind(t *testing.T) {
 			res, err := optimizer.Optimize(block, opts)
 			if err != nil {
 				t.Fatalf("Q%d %s: optimize: %v", q.Num, mode, err)
-			}
-			for _, j := range res.Plan.Joins() {
-				if j.Method != plan.HashJoin {
-					planned++
-				}
 			}
 			want, err := Run(ds.DB, block, res.Plan, Options{Legacy: true})
 			if err != nil {
@@ -326,9 +316,6 @@ func TestBudgetedRunHasOneBreakerKind(t *testing.T) {
 			}
 		}
 	}
-	if planned == 0 {
-		t.Error("the paper profile planned no merge or nested-loop join: the test lost its subject")
-	}
 }
 
 // A join with no condition has no key to hash on. Block.Validate refuses
@@ -336,9 +323,8 @@ func TestBudgetedRunHasOneBreakerKind(t *testing.T) {
 // gets here, and it is refused as a plan bug before admission — at every
 // budget — leaving the broker, the scheduler and the spill directory clean.
 func TestCrossJoinFailsBeforeAdmission(t *testing.T) {
-	db, b, p := mergeJoinFixture(t)
-	root := p.Root.(*plan.Join)
-	root.Method, root.Conds = plan.NestLoopJoin, nil
+	db, b, p := factDimFixture(t)
+	p.Root.(*plan.Join).Conds = nil
 	for _, budget := range []int64{0, tinyBudget} {
 		broker := mem.NewBroker(budget)
 		scheduler := sched.New(sched.Config{Slots: 2, Broker: broker})

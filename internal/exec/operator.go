@@ -67,8 +67,6 @@ func (s *opStats) observePhases(gather, probe, emit time.Duration, reused int) {
 // raw material of EXPLAIN ANALYZE.
 type OpStat struct {
 	// Label names the operator, e.g. "Scan l" or "HashJoin(inner) probe".
-	// A join runs as a hash-join probe whatever method its node names:
-	// "HashJoin(inner) probe [planned MergeJoin]".
 	Label string
 	// Node is the plan node the operator implements: a *plan.Scan, or the
 	// *plan.Join whose probe it is.

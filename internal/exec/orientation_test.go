@@ -30,7 +30,7 @@ func flipOrientation(p *plan.Plan) *plan.Plan {
 		case *plan.Join:
 			c := *t
 			c.Outer, c.Inner = flip(t.Outer), flip(t.Inner)
-			if c.Method == plan.HashJoin && c.JoinType != query.Inner {
+			if c.JoinType != query.Inner {
 				c.BuildPreserved = !c.BuildPreserved
 				c.Outer, c.Inner = c.Inner, c.Outer
 				c.Conds = make([]plan.Cond, len(t.Conds))
@@ -132,7 +132,7 @@ func handBuiltOrientationCases(t *testing.T) []orientationCase {
 					RightRel: 1, RightCol: cd.InnerCol, SubRels: query.NewRelSet(1)})
 			}
 			p := &plan.Plan{Root: &plan.Join{
-				Method: plan.HashJoin, JoinType: jt, Conds: conds,
+				JoinType: jt, Conds: conds,
 				Outer: &plan.Scan{Rel: 0, Alias: "p", Table: "pres", Pred: c.presPred},
 				Inner: &plan.Scan{Rel: 1, Alias: "u", Table: c.unit, Pred: c.unitPred},
 			}}

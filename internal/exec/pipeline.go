@@ -432,13 +432,9 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 		ht, g := ex.builds[j], ex.graces[j]
 		ex.smu.Unlock()
 		if ht == nil && g == nil {
-			return fmt.Errorf("exec: build side of %s(%s) was never built (plan bug)", j.Method, j.Kind())
+			return fmt.Errorf("exec: build side of HashJoin(%s) was never built (plan bug)", j.Kind())
 		}
-		label := fmt.Sprintf("HashJoin(%s) probe", j.Kind())
-		if j.Method != plan.HashJoin {
-			label += fmt.Sprintf(" [planned %s]", j.Method)
-		}
-		sh, err := ex.newProbeShared(j, ht, g, inRels, reg(label, j), workers, rec)
+		sh, err := ex.newProbeShared(j, ht, g, inRels, reg(fmt.Sprintf("HashJoin(%s) probe", j.Kind()), j), workers, rec)
 		if err != nil {
 			return err
 		}

@@ -97,10 +97,10 @@ func TestProbeRandomMatchesLegacy(t *testing.T) {
 				},
 			}
 			p := &plan.Plan{Root: &plan.Join{
-				Method: plan.HashJoin, JoinType: jt,
-				Outer: &plan.Scan{Rel: 0, Alias: "o", Table: "po", Pred: outerPred},
-				Inner: &plan.Scan{Rel: 1, Alias: "i", Table: "pi", Pred: innerPred},
-				Conds: conds,
+				JoinType: jt,
+				Outer:    &plan.Scan{Rel: 0, Alias: "o", Table: "po", Pred: outerPred},
+				Inner:    &plan.Scan{Rel: 1, Alias: "i", Table: "pi", Pred: innerPred},
+				Conds:    conds,
 			}}
 			for _, dop := range []int{1, 3} {
 				ref, err := Run(db, b, p, Options{DOP: dop, Legacy: true})
@@ -168,7 +168,7 @@ func benchProbeFixture(extras bool) (*probeShared, *hashTable, *Batch, *probeScr
 		outerKeys[i] = int64(i % 600) // ~85% hit rate
 	}
 	sh := &probeShared{
-		j:         &plan.Join{Method: plan.HashJoin, JoinType: query.Inner, Conds: conds},
+		j:         &plan.Join{JoinType: query.Inner, Conds: conds},
 		ht:        ht,
 		outRels:   query.NewRelSet(0, 1),
 		outerVals: [][]int64{outerKeys},

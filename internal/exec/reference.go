@@ -1,10 +1,8 @@
 package exec
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 
 	"bfcbo/internal/hashtab"
 	"bfcbo/internal/plan"
@@ -121,11 +119,11 @@ func (r *reference) join(j *plan.Join) (*RowSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(j.Conds) == 0 && j.Method != plan.NestLoopJoin {
-		return nil, fmt.Errorf("exec: %s with no conditions", j.Method)
+	if len(j.Conds) == 0 {
+		return nil, fmt.Errorf("exec: HashJoin(%s) with no conditions", j.Kind())
 	}
 	// Every condition's key values, per side, indexed by row position: the
-	// first condition drives the hash or the merge, the rest verify pairs.
+	// first condition drives the hash, the rest verify pairs.
 	conds := make([]condKeys, len(j.Conds))
 	for c, cond := range j.Conds {
 		conds[c] = condKeys{
@@ -139,18 +137,7 @@ func (r *reference) join(j *plan.Join) (*RowSet, error) {
 		wiring: newColWiring(rels, outer.rels, inner.rels),
 		outer:  outer, inner: inner, conds: conds,
 	}
-	switch {
-	case j.Method == plan.HashJoin:
-		err = pj.hash(j.JoinType, j.BuildPreserved)
-	case j.JoinType != query.Inner:
-		err = fmt.Errorf("exec: %s supports inner joins only, got %s", j.Method, j.JoinType)
-	case j.Method == plan.MergeJoin:
-		pj.merge()
-	case j.Method == plan.NestLoopJoin:
-		pj.nestLoop()
-	default:
-		err = fmt.Errorf("exec: unknown join method %v", j.Method)
-	}
+	err = pj.hash(j.JoinType, j.BuildPreserved)
 	return pj.out, err
 }
 
@@ -165,9 +152,10 @@ type pairJoin struct {
 	conds        []condKeys
 }
 
-// match verifies conditions from onward for outer row oi and inner row ii.
-func (pj *pairJoin) match(from, oi, ii int) bool {
-	for _, c := range pj.conds[from:] {
+// match verifies the conditions after the first, the one the hash table
+// matched on, for outer row oi and inner row ii.
+func (pj *pairJoin) match(oi, ii int) bool {
+	for _, c := range pj.conds[1:] {
 		if c.o[oi] != c.i[ii] {
 			return false
 		}
@@ -208,7 +196,7 @@ func (pj *pairJoin) hash(jt query.JoinType, buildPreserved bool) error {
 	for oi, key := range keys.o {
 		matched := false
 		for _, ii := range ht.Lookup(key, hashtab.Hash(key)) {
-			if !pj.match(1, oi, int(ii)) {
+			if !pj.match(oi, int(ii)) {
 				continue
 			}
 			matched = true
@@ -238,7 +226,7 @@ func (pj *pairJoin) hashMirrored(jt query.JoinType, ht *hashtab.JoinTable) {
 	marked := make([]bool, len(keys.i))
 	for oi, key := range keys.o {
 		for _, ii := range ht.Lookup(key, hashtab.Hash(key)) {
-			if !pj.match(1, oi, int(ii)) {
+			if !pj.match(oi, int(ii)) {
 				continue
 			}
 			marked[ii] = true
@@ -250,61 +238,6 @@ func (pj *pairJoin) hashMirrored(jt query.JoinType, ht *hashtab.JoinTable) {
 	for ii, m := range marked {
 		if m == (jt == query.Semi) {
 			pj.emit(-1, ii)
-		}
-	}
-}
-
-// merge sorts both inputs on the first condition and emits the product of
-// every equal-key run.
-func (pj *pairJoin) merge() {
-	ok, ik := pj.conds[0].o, pj.conds[0].i
-	oIdx, iIdx := sortByKey(ok), sortByKey(ik)
-	oi, ii := 0, 0
-	for oi < len(oIdx) && ii < len(iIdx) {
-		k := ok[oIdx[oi]]
-		switch {
-		case k < ik[iIdx[ii]]:
-			oi++
-		case k > ik[iIdx[ii]]:
-			ii++
-		default:
-			oe, ie := oi, ii
-			for oe < len(oIdx) && ok[oIdx[oe]] == k {
-				oe++
-			}
-			for ie < len(iIdx) && ik[iIdx[ie]] == k {
-				ie++
-			}
-			for _, a := range oIdx[oi:oe] {
-				for _, b := range iIdx[ii:ie] {
-					if pj.match(1, a, b) {
-						pj.emit(a, b)
-					}
-				}
-			}
-			oi, ii = oe, ie
-		}
-	}
-}
-
-// sortByKey returns row indices ordered by key, ties broken by row index so
-// the order is fully deterministic.
-func sortByKey(keys []int64) []int {
-	idx := make([]int, len(keys))
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortFunc(idx, func(a, b int) int { return cmp.Or(cmp.Compare(keys[a], keys[b]), cmp.Compare(a, b)) })
-	return idx
-}
-
-// nestLoop is the quadratic fallback: every pair, every condition.
-func (pj *pairJoin) nestLoop() {
-	for oi := 0; oi < pj.outer.Len(); oi++ {
-		for ii := 0; ii < pj.inner.Len(); ii++ {
-			if pj.match(0, oi, ii) {
-				pj.emit(oi, ii)
-			}
 		}
 	}
 }

@@ -15,8 +15,8 @@ func handPlan(streaming cost.Streaming) *plan.Plan {
 	scanD := &plan.Scan{Rel: 1, Alias: "d", Table: "dim",
 		Pred: query.CmpInt{Col: "tag", Op: query.LT, Val: 10}}
 	root := &plan.Join{
-		Method: plan.HashJoin, JoinType: query.Inner,
-		Outer: scanF, Inner: scanD,
+		JoinType: query.Inner,
+		Outer:    scanF, Inner: scanD,
 		Conds:       []plan.Cond{{OuterRel: 0, OuterCol: "fk", InnerRel: 1, InnerCol: "pk"}},
 		BuildBlooms: []int{0},
 		Streaming:   streaming,
@@ -74,8 +74,8 @@ func TestLeftOuterJoinExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := &plan.Join{
-		Method: plan.HashJoin, JoinType: query.Left,
-		Outer: &plan.Scan{Rel: 0, Alias: "f", Table: "fact"},
+		JoinType: query.Left,
+		Outer:    &plan.Scan{Rel: 0, Alias: "f", Table: "fact"},
 		Inner: &plan.Scan{Rel: 1, Alias: "d", Table: "dim",
 			Pred: query.CmpInt{Col: "tag", Op: query.LT, Val: 10}},
 		Conds: []plan.Cond{{OuterRel: 0, OuterCol: "fk", InnerRel: 1, InnerCol: "pk"}},
@@ -101,34 +101,9 @@ func TestLeftOuterJoinExecution(t *testing.T) {
 	}
 }
 
-// The reference's merge and nested-loop joins are inner joins only. (The
-// engine runs every join as the hash join, which takes every join type.)
-func TestMergeJoinRejectsNonInner(t *testing.T) {
-	db, schema := fixture(t)
-	b := factDimBlock(schema, query.Semi)
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	root := &plan.Join{
-		Method: plan.MergeJoin, JoinType: query.Semi,
-		Outer: &plan.Scan{Rel: 0, Alias: "f", Table: "fact"},
-		Inner: &plan.Scan{Rel: 1, Alias: "d", Table: "dim"},
-		Conds: []plan.Cond{{OuterRel: 0, OuterCol: "fk", InnerRel: 1, InnerCol: "pk"}},
-	}
-	if _, err := Run(db, b, &plan.Plan{Root: root}, Options{Legacy: true}); err == nil {
-		t.Fatal("reference merge semi join should be rejected")
-	}
-	root.Method = plan.NestLoopJoin
-	if _, err := Run(db, b, &plan.Plan{Root: root}, Options{Legacy: true}); err == nil {
-		t.Fatal("reference nested-loop semi join should be rejected")
-	}
-	root.Method = plan.HashJoin
-	root.JoinType = query.JoinType(99)
-	if _, err := Run(db, b, &plan.Plan{Root: root}, Options{DOP: 1}); err == nil {
-		t.Fatal("unknown join type should be rejected")
-	}
-}
-
+// A join with no condition has no key to hash on, and a join type the hash
+// join does not know has no rows to keep: the engine and the reference refuse
+// both.
 func TestHashJoinNoConds(t *testing.T) {
 	db, schema := fixture(t)
 	b := factDimBlock(schema, query.Inner)
@@ -136,12 +111,21 @@ func TestHashJoinNoConds(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := &plan.Join{
-		Method: plan.HashJoin, JoinType: query.Inner,
-		Outer: &plan.Scan{Rel: 0, Alias: "f", Table: "fact"},
-		Inner: &plan.Scan{Rel: 1, Alias: "d", Table: "dim"},
+		JoinType: query.Inner,
+		Outer:    &plan.Scan{Rel: 0, Alias: "f", Table: "fact"},
+		Inner:    &plan.Scan{Rel: 1, Alias: "d", Table: "dim"},
 	}
-	if _, err := Run(db, b, &plan.Plan{Root: root}, Options{DOP: 1}); err == nil {
-		t.Fatal("hash join without conditions should be rejected")
+	for _, opts := range []Options{{DOP: 1}, {Legacy: true}} {
+		if _, err := Run(db, b, &plan.Plan{Root: root}, opts); err == nil {
+			t.Fatalf("legacy %v: hash join without conditions should be rejected", opts.Legacy)
+		}
+	}
+	root.Conds = []plan.Cond{{OuterRel: 0, OuterCol: "fk", InnerRel: 1, InnerCol: "pk"}}
+	root.JoinType = query.JoinType(99)
+	for _, opts := range []Options{{DOP: 1}, {Legacy: true}} {
+		if _, err := Run(db, b, &plan.Plan{Root: root}, opts); err == nil {
+			t.Fatalf("legacy %v: unknown join type should be rejected", opts.Legacy)
+		}
 	}
 }
 
@@ -152,8 +136,8 @@ func TestEmptyBuildSide(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := &plan.Join{
-		Method: plan.HashJoin, JoinType: query.Inner,
-		Outer: &plan.Scan{Rel: 0, Alias: "f", Table: "fact", ApplyBlooms: []int{0}},
+		JoinType: query.Inner,
+		Outer:    &plan.Scan{Rel: 0, Alias: "f", Table: "fact", ApplyBlooms: []int{0}},
 		Inner: &plan.Scan{Rel: 1, Alias: "d", Table: "dim",
 			Pred: query.CmpInt{Col: "tag", Op: query.LT, Val: -1}}, // nothing survives
 		Conds:       []plan.Cond{{OuterRel: 0, OuterCol: "fk", InnerRel: 1, InnerCol: "pk"}},

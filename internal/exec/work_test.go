@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -70,32 +69,28 @@ func TestWorkIsExact(t *testing.T) {
 	}
 }
 
-// Work, the probe metrics and EXPLAIN ANALYZE report what ran, not what was
-// planned: a merge or nested-loop node runs as the hash join at every
-// budget, builds its inner rows and probes its outer rows, and shows as
-// "HashJoin(inner) probe [planned ...]".
+// Work, the probe metrics and EXPLAIN ANALYZE report what ran: at every
+// budget the join builds its inner rows, probes its outer rows, and shows as
+// the hash join it is.
 func TestWorkCountsWhatRan(t *testing.T) {
-	for _, method := range []plan.JoinMethod{plan.MergeJoin, plan.NestLoopJoin} {
-		db, b, p := mergeJoinFixture(t)
-		root := p.Root.(*plan.Join)
-		root.Method = method
-		for _, budget := range []int64{0, tinyBudget} {
-			m := obs.NewMetrics(obs.NewRegistry())
-			r, err := Run(db, b, p, Options{DOP: 2, Broker: mem.NewBroker(budget), SpillDir: t.TempDir(), Metrics: m})
-			if err != nil {
-				t.Fatalf("%s budget %d: %v", method, budget, err)
-			}
-			wantBuild, wantProbe := int64(r.ActualFor(root.Inner)), int64(r.ActualFor(root.Outer))
-			if r.Work.Build != wantBuild || r.Work.Probe != wantProbe || wantBuild == 0 || wantProbe == 0 {
-				t.Errorf("%s budget %d: Work %+v, want build %d probe %d", method, budget, r.Work, wantBuild, wantProbe)
-			}
-			if got := m.ProbeRows.Value(); got != wantProbe {
-				t.Errorf("%s budget %d: probe-rows metric %d, want %d", method, budget, got, wantProbe)
-			}
-			head := fmt.Sprintf("HashJoin(inner) probe [planned %s]", method)
-			if out := r.ExplainAnalyze(p); !strings.Contains(out, "  "+head+" ") {
-				t.Errorf("%s budget %d: EXPLAIN ANALYZE does not show the node as %q:\n%s", method, budget, head, out)
-			}
+	db, b, p := factDimFixture(t)
+	root := p.Root.(*plan.Join)
+	for _, budget := range []int64{0, tinyBudget} {
+		m := obs.NewMetrics(obs.NewRegistry())
+		r, err := Run(db, b, p, Options{DOP: 2, Broker: mem.NewBroker(budget), SpillDir: t.TempDir(), Metrics: m})
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		wantBuild, wantProbe := int64(r.ActualFor(root.Inner)), int64(r.ActualFor(root.Outer))
+		if r.Work.Build != wantBuild || r.Work.Probe != wantProbe || wantBuild == 0 || wantProbe == 0 {
+			t.Errorf("budget %d: Work %+v, want build %d probe %d", budget, r.Work, wantBuild, wantProbe)
+		}
+		if got := m.ProbeRows.Value(); got != wantProbe {
+			t.Errorf("budget %d: probe-rows metric %d, want %d", budget, got, wantProbe)
+		}
+		const head = "  HashJoin(inner) none  est="
+		if out := r.ExplainAnalyze(p); !strings.Contains(out, head) {
+			t.Errorf("budget %d: EXPLAIN ANALYZE does not show the node as %q:\n%s", budget, head, out)
 		}
 	}
 }

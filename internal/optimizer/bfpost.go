@@ -49,9 +49,6 @@ func (o *optimizer) postProcess(p *plan.Plan) {
 
 	added := false
 	for _, j := range p.Joins() {
-		if j.Method != plan.HashJoin {
-			continue
-		}
 		if !bloomMayFilterProbe(j.JoinType, j.BuildPreserved) {
 			continue
 		}

@@ -1,9 +1,6 @@
 package optimizer
 
-import (
-	"bfcbo/internal/plan"
-	"bfcbo/internal/query"
-)
+import "bfcbo/internal/plan"
 
 // This file implements the §3.1 strawman: Bloom filter sub-plans are created
 // up front with unknown δ, maintained uncosted, and re-costed by a recursive
@@ -60,7 +57,6 @@ func (o *optimizer) combineNaive(j *joinSite, pa, pb *subPlan, list *planList) {
 
 	var resolved, carried []pendingBF
 	var factors []naiveFactor
-	mustHash := jt != query.Inner
 	for _, p := range pa.pending {
 		if p.delta.Empty() { // unknown δ
 			if inner.Has(p.cand.buildRel) {
@@ -76,7 +72,6 @@ func (o *optimizer) combineNaive(j *joinSite, pa, pb *subPlan, list *planList) {
 				}
 				factors = append(factors, naiveFactor{applyRel: p.cand.applyRel, buildRel: p.cand.buildRel, factor: f})
 				resolved = append(resolved, pendingBF{cand: p.cand, delta: d, factor: f, bloomID: p.bloomID})
-				mustHash = true
 				continue
 			}
 			carried = append(carried, p)
@@ -86,7 +81,6 @@ func (o *optimizer) combineNaive(j *joinSite, pa, pb *subPlan, list *planList) {
 		switch {
 		case p.delta.SubsetOf(inner):
 			resolved = append(resolved, p)
-			mustHash = true
 		case p.delta.Overlaps(inner):
 			return
 		default:
@@ -118,7 +112,7 @@ func (o *optimizer) combineNaive(j *joinSite, pa, pb *subPlan, list *planList) {
 	hc, streaming := o.hashJoinCost(j.mirrored, paRows, pb.rows)
 	total := paCost + pb.cost + hc
 	node := &plan.Join{
-		Method: plan.HashJoin, JoinType: jt, BuildPreserved: j.mirrored, Outer: pa.node, Inner: pb.node,
+		JoinType: jt, BuildPreserved: j.mirrored, Outer: pa.node, Inner: pb.node,
 		Conds: conds, BuildBlooms: buildIDs, Streaming: streaming,
 		Rows: rows, Cost: total,
 	}
@@ -126,15 +120,6 @@ func (o *optimizer) combineNaive(j *joinSite, pa, pb *subPlan, list *planList) {
 	list.insert(&subPlan{
 		rows: rows, cost: total, node: node, uncosted: stillUncosted,
 		pending: carried, pendIDs: pendIDs, pendNeed: pendNeed,
-	})
-	if mustHash || stillUncosted {
-		return
-	}
-	mc := o.opts.Cost.MergeJoin(paRows, pb.rows)
-	list.insert(&subPlan{
-		rows: rows, cost: paCost + pb.cost + mc,
-		pending: carried, pendIDs: pendIDs, pendNeed: pendNeed,
-		node: &plan.Join{Method: plan.MergeJoin, JoinType: jt, Outer: pa.node, Inner: pb.node, Conds: conds, Rows: rows, Cost: paCost + pb.cost + mc},
 	})
 }
 
@@ -170,16 +155,8 @@ func (o *optimizer) recostNaive(n plan.Node, factors []naiveFactor) (float64, fl
 				rows *= f.factor
 			}
 		}
-		var mc float64
-		switch t.Method {
-		case plan.HashJoin:
-			mc, _ = o.hashJoinCost(t.BuildPreserved, ro, ri)
-		case plan.MergeJoin:
-			mc = o.opts.Cost.MergeJoin(ro, ri)
-		default:
-			mc = o.opts.Cost.NestLoop(ro, ri)
-		}
-		return rows, co + ci + mc
+		hc, _ := o.hashJoinCost(t.BuildPreserved, ro, ri)
+		return rows, co + ci + hc
 	default:
 		return 1, 0
 	}

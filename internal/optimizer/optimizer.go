@@ -654,9 +654,8 @@ type joinSite struct {
 
 // combine implements §3.6's sub-plan join rules for one (outer, inner)
 // sub-plan pair. It decides everything about the join — whether the pending
-// Bloom filters allow it, its rows, pending list and cheapest admissible
-// method — and asks the plan list whether such a plan would survive before
-// it allocates anything.
+// Bloom filters allow it, its rows, pending list and cost — and asks the
+// plan list whether such a plan would survive before it allocates anything.
 func (o *optimizer) combine(j *joinSite, pa, pb *subPlan, list *planList) {
 	// Inner-side pending filters must remain resolvable: their build
 	// relations may not already sit inside the joined set's outer half.
@@ -718,22 +717,9 @@ func (o *optimizer) combine(j *joinSite, pa, pb *subPlan, list *planList) {
 		rows *= p.factor
 	}
 
-	// The admissible methods share rows and pending, so only the cheapest
-	// can survive in the plan list; ties go to the first, as inserting
-	// all three in this order would have it. Hash join is always
-	// admissible, and mandatory when resolving a filter or non-inner.
-	inputs := pa.cost + pb.cost
 	hc, streaming := o.hashJoinCost(j.mirrored, pa.rows, pb.rows)
 	hc += o.opts.Cost.BloomBuild(pb.rows, len(resolved))
-	method, total := plan.HashJoin, inputs+hc
-	if j.joinType == query.Inner && len(resolved) == 0 {
-		if c := inputs + o.opts.Cost.MergeSorted(o.sortCost(pa), o.sortCost(pb), pa.rows, pb.rows); c < total {
-			method, total = plan.MergeJoin, c
-		}
-		if c := inputs + o.opts.Cost.NestLoop(pa.rows, pb.rows); c < total {
-			method, total = plan.NestLoopJoin, c
-		}
-	}
+	total := pa.cost + pb.cost + hc
 	if !list.admits(total, rows, pending, pendIDs) {
 		return
 	}
@@ -754,16 +740,13 @@ func (o *optimizer) combine(j *joinSite, pa, pb *subPlan, list *planList) {
 			owner: kept,
 		},
 		join: plan.Join{
-			Method: method, JoinType: j.joinType, BuildPreserved: j.mirrored,
+			JoinType: j.joinType, BuildPreserved: j.mirrored,
 			Outer: pa.node, Inner: pb.node,
-			Conds: j.conds, Rows: rows, Cost: total,
+			Conds: j.conds, Streaming: streaming, Rows: rows, Cost: total,
 		},
 	}
-	if method == plan.HashJoin {
-		kept.join.Streaming = streaming
-		if len(resolved) > 0 {
-			kept.join.BuildBlooms = slices.Clone(resolved)
-		}
+	if len(resolved) > 0 {
+		kept.join.BuildBlooms = slices.Clone(resolved)
 	}
 	if scratch {
 		kept.pending = slices.Clone(pending)
@@ -781,15 +764,6 @@ func (o *optimizer) hashJoinCost(mirrored bool, outerRows, innerRows float64) (f
 		c += innerRows * o.opts.Cost.CPUTupleCost
 	}
 	return c, streaming
-}
-
-// sortCost is the cost of sorting p's output for a merge join, computed
-// when p first becomes a join input and kept for the many joins after.
-func (o *optimizer) sortCost(p *subPlan) float64 {
-	if p.sortCost == 0 {
-		p.sortCost = o.opts.Cost.SortCost(p.rows)
-	}
-	return p.sortCost
 }
 
 // collectSpecs gathers the BloomSpecs referenced by the final tree.

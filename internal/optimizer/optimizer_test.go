@@ -525,7 +525,7 @@ func TestAntiJoinBloomOnlyWhenPreserveSideBuilds(t *testing.T) {
 			t.Fatalf("%s: %d candidates, want the one on the unit", c.name, res.Candidates)
 		}
 		joins := res.Plan.Joins()
-		if len(joins) != 1 || joins[0].JoinType != query.Anti || joins[0].Method != plan.HashJoin {
+		if len(joins) != 1 || joins[0].JoinType != query.Anti {
 			t.Fatalf("%s: unexpected join shape:\n%s", c.name, res.Plan.Explain())
 		}
 		j := joins[0]

@@ -61,8 +61,6 @@ type subPlan struct {
 	// their row estimate is not final and they are exempt from pruning,
 	// which is precisely what makes the naive approach explode (§3.1).
 	uncosted bool
-	// sortCost caches optimizer.sortCost; zero until first asked for.
-	sortCost float64
 	node     plan.Node
 	// owner is the joinPlan this sub-plan is the head of; nil for base
 	// plans and Naive-mode joins, which are never recycled.

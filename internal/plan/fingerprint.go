@@ -143,8 +143,8 @@ func blockShape(h *fpHash, b *query.Block) {
 	}
 }
 
-// nodeShape folds a plan subtree: operator kinds, join methods/types and
-// condition endpoints, scan relations, and how many Bloom filters attach
+// nodeShape folds a plan subtree: operator kinds, join types, orientations
+// and condition endpoints, scan relations, and how many Bloom filters attach
 // at each point. Cardinality and cost estimates are excluded — they vary
 // with stats, not with shape.
 func nodeShape(h *fpHash, n Node) {
@@ -155,7 +155,6 @@ func nodeShape(h *fpHash, n Node) {
 		h.int(len(t.ApplyBlooms))
 	case *Join:
 		h.str("j")
-		h.int(int(t.Method))
 		h.int(int(t.JoinType))
 		if t.BuildPreserved {
 			h.byte(1)

@@ -32,10 +32,9 @@ func fpPlan(mode string, blooms int) *Plan {
 	return &Plan{
 		Mode: mode,
 		Root: &Join{
-			Method: HashJoin,
-			Conds:  []Cond{{OuterRel: 0, OuterCol: "o_orderkey", InnerRel: 1, InnerCol: "l_orderkey"}},
-			Outer:  &Scan{Rel: 0},
-			Inner:  inner,
+			Conds: []Cond{{OuterRel: 0, OuterCol: "o_orderkey", InnerRel: 1, InnerCol: "l_orderkey"}},
+			Outer: &Scan{Rel: 0},
+			Inner: inner,
 		},
 	}
 }
@@ -121,15 +120,24 @@ func TestFingerprintSeparatesShapes(t *testing.T) {
 	if in2 == in3 {
 		t.Error("IN-list length not part of the fingerprint")
 	}
-	// The side a semi join builds is part of the shape: the same join with
-	// its preserve side building is another plan, with other costs.
-	semi := func(buildPreserved bool) uint64 {
+	// The join type is part of the shape, and so is the side a semi join
+	// builds: the same join with its preserve side building is another plan,
+	// with other costs.
+	join := func(jt query.JoinType, buildPreserved bool) uint64 {
 		p := fpPlan("bfcbo", 1)
 		j := p.Root.(*Join)
-		j.JoinType, j.BuildPreserved = query.Semi, buildPreserved
+		j.JoinType, j.BuildPreserved = jt, buildPreserved
 		return Fingerprint(fpBlock("q", "lineitem", nil), p)
 	}
-	if semi(false) == semi(true) {
+	types := map[uint64]query.JoinType{}
+	for _, jt := range []query.JoinType{query.Inner, query.Semi, query.Anti, query.Left} {
+		fp := join(jt, false)
+		if prev, dup := types[fp]; dup {
+			t.Errorf("join types %s and %s collide on %s", prev, jt, FingerprintHex(fp))
+		}
+		types[fp] = jt
+	}
+	if join(query.Semi, false) == join(query.Semi, true) {
 		t.Error("the build side of a semi join is not part of the fingerprint")
 	}
 	// Stability: the same inputs always produce the same fingerprint.

@@ -16,11 +16,8 @@ import (
 // also what guarantees every Bloom filter is fully built before any
 // probe-side scan that waits on it runs (§3.9).
 //
-// The hash join is the executor's one join operator, and its build the one
-// breaker that spills (the grace hash join). Every join is laid out as one,
-// whatever method the planner named: merge and nested-loop joins are inner
-// equi-joins, so the hash join computes the same rows. The nodes keep their
-// Method, and Describe says what was planned.
+// The hash join is the plan's one join method and the executor's one join
+// operator, and its build the one breaker that spills (the grace hash join).
 
 // SinkKind says where a pipeline's output goes.
 type SinkKind int
@@ -156,7 +153,7 @@ func (d *decomposer) build(n Node) (*Pipeline, error) {
 		return &Pipeline{ID: -1, Source: t}, nil
 	case *Join:
 		if len(t.Conds) == 0 {
-			return nil, fmt.Errorf("plan: %s(%s) has no join condition to hash on (plan bug)", t.Method, t.Kind())
+			return nil, fmt.Errorf("plan: HashJoin(%s) has no join condition to hash on (plan bug)", t.Kind())
 		}
 		in, err := d.build(t.Inner)
 		if err != nil {
@@ -203,16 +200,12 @@ func SummarizeDAG(pipes []*Pipeline) DAGStats {
 // Describe renders one pipeline as a single line, e.g.
 // "P2: Scan l -> HashJoin(inner) probe(l_orderkey) -> result (after P0,P1)".
 // Probe operators name their hash-key column so batch-level reports (hash
-// carry, probe sub-phases) can be read off the pipeline label, and a join
-// the planner named another method says so: "[planned MergeJoin]".
+// carry, probe sub-phases) can be read off the pipeline label.
 func (pl *Pipeline) Describe() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "P%d: Scan %s", pl.ID, pl.Source.Alias)
 	for _, op := range pl.Ops {
 		fmt.Fprintf(&b, " -> HashJoin(%s) probe(%s)", op.Kind(), op.Conds[0].OuterCol)
-		if op.Method != HashJoin {
-			fmt.Fprintf(&b, " [planned %s]", op.Method)
-		}
 	}
 	fmt.Fprintf(&b, " -> %s", pl.Sink)
 	if len(pl.Deps) > 0 {

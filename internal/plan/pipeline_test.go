@@ -16,10 +16,10 @@ func TestDecomposeHashChain(t *testing.T) {
 	// HJ(HJ(s0, s1), s2): the probe spine s0 runs fused through both
 	// probes; each build side is its own earlier pipeline, in the same
 	// inner-first order the legacy interpreter executed (s2, s1, s0).
-	j1 := &Join{Method: HashJoin, JoinType: query.Inner,
+	j1 := &Join{JoinType: query.Inner,
 		Outer: scanNode(0, "a"), Inner: scanNode(1, "b"),
 		Conds: []Cond{{OuterRel: 0, OuterCol: "x", InnerRel: 1, InnerCol: "x"}}}
-	j0 := &Join{Method: HashJoin, JoinType: query.Inner,
+	j0 := &Join{JoinType: query.Inner,
 		Outer: j1, Inner: scanNode(2, "c"),
 		Conds: []Cond{{OuterRel: 0, OuterCol: "y", InnerRel: 2, InnerCol: "y"}}}
 	pls, err := Decompose(&Plan{Root: j0})
@@ -53,44 +53,45 @@ func TestDecomposeHashChain(t *testing.T) {
 	}
 }
 
-// methodTree is HJ(m2(m1(a, b), c), d), the hash join building a Bloom filter
-// that a's scan applies. It returns the plan, the joins in build order, and a.
-func methodTree(m1, m2 JoinMethod) (*Plan, []*Join, *Scan) {
+// chainTree is HJ(HJ(HJ(a, b), c), d), the root building a Bloom filter that
+// a's scan applies. It returns the plan, the joins in build order, and a.
+func chainTree() (*Plan, []*Join, *Scan) {
 	a := scanNode(0, "a")
 	a.ApplyBlooms = []int{7}
-	j1 := &Join{Method: m1, JoinType: query.Inner,
+	j1 := &Join{JoinType: query.Inner,
 		Outer: a, Inner: scanNode(1, "b"),
 		Conds: []Cond{{OuterRel: 0, OuterCol: "x", InnerRel: 1, InnerCol: "x"}}}
-	j2 := &Join{Method: m2, JoinType: query.Inner,
+	j2 := &Join{JoinType: query.Inner,
 		Outer: j1, Inner: scanNode(2, "c"),
 		Conds: []Cond{{OuterRel: 1, OuterCol: "y", InnerRel: 2, InnerCol: "y"}}}
-	hj := &Join{Method: HashJoin, JoinType: query.Inner,
+	hj := &Join{JoinType: query.Inner,
 		Outer: j2, Inner: scanNode(3, "d"), BuildBlooms: []int{7},
 		Conds: []Cond{{OuterRel: 0, OuterCol: "z", InnerRel: 3, InnerCol: "z"}}}
 	return &Plan{Root: hj}, []*Join{hj, j2, j1}, a
 }
 
-// methodTreeLayout is how Decompose lays out methodTree(MergeJoin, NestLoopJoin).
-var methodTreeLayout = []string{
-	"P0: Scan d -> hash-build",
-	"P1: Scan c -> hash-build",
-	"P2: Scan b -> hash-build",
-	"P3: Scan a -> HashJoin(inner) probe(x) [planned MergeJoin]" +
-		" -> HashJoin(inner) probe(y) [planned NestLoop]" +
-		" -> HashJoin(inner) probe(z) -> result (after P2,P1,P0)",
+// chainTreeLayout is how Decompose lays out chainTree, given the kinds of its
+// two lower joins.
+func chainTreeLayout(k1, k2 string) []string {
+	return []string{
+		"P0: Scan d -> hash-build",
+		"P1: Scan c -> hash-build",
+		"P2: Scan b -> hash-build",
+		fmt.Sprintf("P3: Scan a -> HashJoin(%s) probe(x) -> HashJoin(%s) probe(y)"+
+			" -> HashJoin(inner) probe(z) -> result (after P2,P1,P0)", k1, k2),
+	}
 }
 
-// Every join with a condition gets the hash join's layout — inner side into a
-// hash build, probe fused into the outer pipeline — keeps its node, and says in
-// the label what was planned. The name dates from when only budgeted runs used
-// this layout; it is now the only one.
+// Every join gets the hash join's layout — inner side into a hash build, probe
+// fused into the outer pipeline — and keeps its node. The name dates from when
+// only budgeted runs used this layout; it is now the only one.
 func TestDecomposeBoundedLaysJoinsOutAsHashJoins(t *testing.T) {
-	p, joins, a := methodTree(MergeJoin, NestLoopJoin)
+	p, joins, a := chainTree()
 	pls, err := Decompose(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := methodTreeLayout
+	want := chainTreeLayout("inner", "inner")
 	if len(pls) != len(want) {
 		t.Fatalf("pipelines = %d, want %d", len(pls), len(want))
 	}
@@ -134,48 +135,49 @@ func TestDecomposeBoundedLaysJoinsOutAsHashJoins(t *testing.T) {
 	}
 }
 
-// The layout is independent of Method: every assignment of methods lays out
-// the same pipelines, and only the labels say what was planned. A join with no
-// condition has no key to hash on and is refused as a plan bug.
+// The name dates from when the planner also named merge and nested-loop
+// joins, laid out as hash joins. The layout is independent of a join's type
+// and orientation too: every assignment lays out the same pipelines, and only
+// the labels say which kind of hash join runs. A join with no condition has
+// no key to hash on and is refused as a plan bug.
 func TestDecomposeMergeAndNestLoop(t *testing.T) {
-	unlabel := func(s string) string {
-		for _, m := range []JoinMethod{MergeJoin, NestLoopJoin} {
-			s = strings.ReplaceAll(s, fmt.Sprintf(" [planned %s]", m), "")
-		}
-		return s
-	}
-	for _, m1 := range []JoinMethod{HashJoin, MergeJoin, NestLoopJoin} {
-		for _, m2 := range []JoinMethod{HashJoin, MergeJoin, NestLoopJoin} {
-			p, _, _ := methodTree(m1, m2)
+	kinds := []struct {
+		jt       query.JoinType
+		mirrored bool
+	}{{query.Inner, false}, {query.Semi, false}, {query.Anti, true}, {query.Left, true}}
+	for _, k1 := range kinds {
+		for _, k2 := range kinds {
+			p, joins, _ := chainTree()
+			joins[2].JoinType, joins[2].BuildPreserved = k1.jt, k1.mirrored
+			joins[1].JoinType, joins[1].BuildPreserved = k2.jt, k2.mirrored
+			want := chainTreeLayout(joins[2].Kind(), joins[1].Kind())
 			got, err := Decompose(p)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", m1, m2, err)
+				t.Fatalf("%v/%v: %v", k1, k2, err)
 			}
-			if len(got) != len(methodTreeLayout) {
-				t.Fatalf("%s/%s: pipelines = %d, want %d", m1, m2, len(got), len(methodTreeLayout))
+			if len(got) != len(want) {
+				t.Fatalf("%v/%v: pipelines = %d, want %d", k1, k2, len(got), len(want))
 			}
 			for i, pl := range got {
-				if unlabel(pl.Describe()) != unlabel(methodTreeLayout[i]) {
-					t.Errorf("%s/%s: P%d describes as %q", m1, m2, i, pl.Describe())
+				if pl.Describe() != want[i] {
+					t.Errorf("%v/%v: P%d describes as %q, want %q", k1, k2, i, pl.Describe(), want[i])
 				}
 			}
 		}
 	}
 
-	// A cross join on top: no condition, no layout, whatever its method.
-	for _, m := range []JoinMethod{HashJoin, MergeJoin, NestLoopJoin} {
-		p, _, _ := methodTree(MergeJoin, NestLoopJoin)
-		p.Root = &Join{Method: m, JoinType: query.Inner, Outer: p.Root, Inner: scanNode(4, "e")}
-		if _, err := Decompose(p); err == nil || !strings.Contains(err.Error(), "plan bug") {
-			t.Errorf("%s with no condition: error = %v, want a plan bug", m, err)
-		}
+	// A cross join on top: no condition, no layout.
+	p, _, _ := chainTree()
+	p.Root = &Join{JoinType: query.Inner, Outer: p.Root, Inner: scanNode(4, "e")}
+	if _, err := Decompose(p); err == nil || !strings.Contains(err.Error(), "plan bug") {
+		t.Errorf("a join with no condition: error = %v, want a plan bug", err)
 	}
 }
 
 // TestExplainPipelines pins the one-line pipeline labels EXPLAIN ANALYZE
 // prints under "pipelines (n):".
 func TestExplainPipelines(t *testing.T) {
-	j := &Join{Method: HashJoin, JoinType: query.Inner,
+	j := &Join{JoinType: query.Inner,
 		Outer: scanNode(0, "a"), Inner: scanNode(1, "b"),
 		Conds: []Cond{{OuterRel: 0, OuterCol: "x", InnerRel: 1, InnerCol: "x"}}}
 	pls, err := Decompose(&Plan{Root: j})

@@ -1,8 +1,7 @@
 // Package plan defines the physical plan trees the optimizer emits and the
-// executor interprets: scans (optionally applying Bloom filters), joins
-// (hash / merge / nested-loop, with streaming annotations and Bloom filter
-// build sites), and the Bloom filter specs that tie build sites to apply
-// sites.
+// executor interprets: scans (optionally applying Bloom filters), hash
+// joins (with streaming annotations and Bloom filter build sites), and the
+// Bloom filter specs that tie build sites to apply sites.
 package plan
 
 import (
@@ -12,28 +11,6 @@ import (
 	"bfcbo/internal/cost"
 	"bfcbo/internal/query"
 )
-
-// JoinMethod enumerates the physical join algorithms.
-type JoinMethod int
-
-const (
-	HashJoin JoinMethod = iota
-	MergeJoin
-	NestLoopJoin
-)
-
-func (m JoinMethod) String() string {
-	switch m {
-	case HashJoin:
-		return "HashJoin"
-	case MergeJoin:
-		return "MergeJoin"
-	case NestLoopJoin:
-		return "NestLoop"
-	default:
-		return fmt.Sprintf("JoinMethod(%d)", int(m))
-	}
-}
 
 // BloomSpec describes one planned Bloom filter: built from BuildRel.BuildCol
 // on the build side of some hash join, applied during the scan of ApplyRel.
@@ -96,11 +73,10 @@ func (s *Scan) Rels() query.RelSet { return query.NewRelSet(s.Rel) }
 func (s *Scan) EstRows() float64   { return s.Rows }
 func (s *Scan) EstCost() float64   { return s.Cost }
 
-// Join combines two subtrees. For HashJoin the Inner side is the build side
-// (the paper's convention: build/inner on the right) and the Outer side
-// probes, whatever the join type.
+// Join combines two subtrees with a hash join, the one join method: the
+// Inner side is the build side (the paper's convention: build/inner on the
+// right) and the Outer side probes, whatever the join type.
 type Join struct {
-	Method   JoinMethod
 	JoinType query.JoinType
 	// BuildPreserved marks the mirrored orientation of a semi, anti or left
 	// hash join: Inner — the build side — is the clause's row-preserving
@@ -238,7 +214,7 @@ func (p *Plan) explainNode(b *strings.Builder, n Node, depth int) {
 		if len(t.BuildBlooms) > 0 {
 			build = fmt.Sprintf("  buildBF=%v", t.BuildBlooms)
 		}
-		fmt.Fprintf(b, "%s%s(%s) %s  rows=%.0f%s\n", ind, t.Method, t.Kind(), t.Streaming, t.Rows, build)
+		fmt.Fprintf(b, "%sHashJoin(%s) %s  rows=%.0f%s\n", ind, t.Kind(), t.Streaming, t.Rows, build)
 		p.explainNode(b, t.Outer, depth+1)
 		p.explainNode(b, t.Inner, depth+1)
 	}

@@ -14,12 +14,12 @@ func samplePlan() *Plan {
 	scanB := &Scan{Rel: 1, Alias: "b", Table: "tb", Rows: 10, Cost: 1}
 	scanC := &Scan{Rel: 2, Alias: "c", Table: "tc", Rows: 5, Cost: 1}
 	lower := &Join{
-		Method: HashJoin, JoinType: query.Inner, Outer: scanA, Inner: scanB,
+		JoinType: query.Inner, Outer: scanA, Inner: scanB,
 		Conds:       []Cond{{OuterRel: 0, OuterCol: "x", InnerRel: 1, InnerCol: "y"}},
 		BuildBlooms: []int{1}, Streaming: cost.Redistribute, Rows: 50, Cost: 10,
 	}
 	root := &Join{
-		Method: MergeJoin, JoinType: query.Inner, Outer: lower, Inner: scanC,
+		JoinType: query.Semi, Outer: lower, Inner: scanC,
 		Conds: []Cond{{OuterRel: 1, OuterCol: "y", InnerRel: 2, InnerCol: "z"}},
 		Rows:  20, Cost: 30,
 	}
@@ -45,8 +45,8 @@ func TestPlanAccessors(t *testing.T) {
 		t.Fatalf("scans = %v", scans)
 	}
 	joins := p.Joins()
-	if len(joins) != 2 || joins[0].Method != MergeJoin || joins[1].Method != HashJoin {
-		t.Fatalf("joins order wrong: %v, %v", joins[0].Method, joins[1].Method)
+	if len(joins) != 2 || joins[0] != p.Root || joins[1] != p.Root.(*Join).Outer {
+		t.Fatalf("joins order wrong: %v, %v", joins[0].Kind(), joins[1].Kind())
 	}
 	if p.CountBlooms() != 1 {
 		t.Fatalf("blooms = %d", p.CountBlooms())
@@ -70,21 +70,12 @@ func TestExplainContent(t *testing.T) {
 	p := samplePlan()
 	exp := p.Explain()
 	for _, want := range []string{
-		"plan (test)", "MergeJoin", "HashJoin", "RD",
+		"plan (test)", "HashJoin(semi)", "HashJoin(inner) RD",
 		"Scan a (ta)", "filter: x < 5", "blooms=[1]", "buildBF=[1]",
 		"BF#1: build rel1.y",
 	} {
 		if !strings.Contains(exp, want) {
 			t.Fatalf("Explain missing %q:\n%s", want, exp)
 		}
-	}
-}
-
-func TestJoinMethodStrings(t *testing.T) {
-	if HashJoin.String() != "HashJoin" || MergeJoin.String() != "MergeJoin" || NestLoopJoin.String() != "NestLoop" {
-		t.Fatal("method labels wrong")
-	}
-	if JoinMethod(42).String() != "JoinMethod(42)" {
-		t.Fatal("unknown method label wrong")
 	}
 }
