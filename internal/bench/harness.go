@@ -69,11 +69,18 @@ func NewHarness(cfg Config) (*Harness, error) {
 // h7MaxSubPlans is the sub-plan cap Table 3 runs Heuristic 7 with.
 const h7MaxSubPlans = 4
 
-// options is the one place the harness gets optimizer options from. The
-// paper's claims are about the paper's environment, so every experiment
-// plans under the paper cost profile; calibrate alone swaps the profile.
+// options is where every experiment gets its optimizer options. The paper's
+// claims are about the paper's environment, so every experiment plans with
+// optimizer.PaperOptions; calibrate alone also plans as the engine does.
 func (h *Harness) options(mode optimizer.Mode) optimizer.Options {
-	opts := optimizer.PaperOptions(h.cfg.ScaleFactor)
+	return h.optionsFrom(optimizer.PaperOptions, mode)
+}
+
+// optionsFrom is the one place the harness gets optimizer options from:
+// base's (optimizer.PaperOptions or optimizer.DefaultOptions) at the
+// harness's scale factor, in mode.
+func (h *Harness) optionsFrom(base func(scaleFactor float64) optimizer.Options, mode optimizer.Mode) optimizer.Options {
+	opts := base(h.cfg.ScaleFactor)
 	opts.Mode = mode
 	if h.cfg.Heuristic7 {
 		opts.Heuristics.H7MaxSubPlans = h7MaxSubPlans

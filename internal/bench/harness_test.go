@@ -159,6 +159,13 @@ func TestCalibrationClaim(t *testing.T) {
 	if err := c.Check(); err != nil {
 		t.Fatal(err)
 	}
+	// The probe claim leaves out exactly the block that joins on a
+	// composite key, lineitem ⋈ partsupp.
+	for _, r := range c.Rows {
+		if r.CompositeKey != (r.Query == 9) {
+			t.Errorf("Q%d: CompositeKey %v", r.Query, r.CompositeKey)
+		}
+	}
 	// The same results with the profiles' labels exchanged must not pass:
 	// the claim is about which profile builds less.
 	swapped := &Calibration{}
@@ -171,7 +178,7 @@ func TestCalibrationClaim(t *testing.T) {
 	var buf bytes.Buffer
 	c.Print(&buf)
 	for _, want := range []string{"engine  BF-CBO", "paper   BF-Post", "hash build sides", "engine ÷ paper profile, BF-Post", "rho",
-		"[right semi]", "engine profile, semi/anti/left joins"} {
+		"[right semi]", "engine profile, semi/anti/left joins", "without a composite-key join (claim: <= 1), "} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("calibration report missing %q:\n%s", want, buf.String())
 		}
@@ -329,6 +336,11 @@ func TestChecksRejectDoctoredResults(t *testing.T) {
 			c.Rows[0].Engine.CBO.UnitBuild, c.Rows[0].Engine.CBO.UnitProbe = 300, 20
 			return c
 		}(), "build side of semi/anti/left joins: under the engine profile BF-CBO builds 300 rows to probe with 20 keys"},
+		{"engine profile probes more under BF-CBO", func() checker {
+			c := goodCalibration()
+			c.Rows[0].Engine.CBO.Work.Probe = c.Rows[0].Engine.Post.Work.Probe + 1
+			return c
+		}(), "probe work: under the engine profile BF-CBO probes 1 keys, above BF-Post's 0"},
 		{"a profile changes the answer", func() checker {
 			c := goodCalibration()
 			c.Rows[0].Engine.CBO.Rows++

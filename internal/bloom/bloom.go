@@ -39,17 +39,24 @@ func New(nbits uint64) *Filter {
 	}
 }
 
-// NewForNDV sizes a filter for an expected number of distinct values using
-// the paper's convention: the bit count is derived from an upper-bound NDV
-// estimate. With k=2 hash functions the FPR-optimal bits/key is
-// 2/ln(2) ≈ 2.885 per hash, i.e. m = k·n/ln2; we use m = 8·n rounded to a
-// power of two, which keeps FPR ≈ (1-e^(-2n/m))² ≈ 0.049 and matches the
-// "fits in L2" sizing discussed around Heuristic 5.
+// NewForNDV sizes a filter at 8 bits per expected distinct value, rounded
+// up to a power of two: FPR (1-e^(-2n/m))² ≈ 0.049 or lower, the design
+// ratio the planner's FPR model assumes (stats.ModelFPR). The executor does
+// not build this size; it builds New(BitsForNDV(ndv)).
 func NewForNDV(ndv uint64) *Filter {
 	if ndv == 0 {
 		ndv = 1
 	}
 	return New(8 * ndv)
+}
+
+// BitsForNDV is the size, in bits, of the filter the executor builds for
+// an estimated ndv distinct keys: 16 bits per key, rounded up to a power of
+// two (at least 64), so FPR ≈ 0.015 or lower. Estimates run low, and at 8
+// bits per key the cheaper probe is paid back in false positives. The
+// engine profile's Heuristic 5 prunes by the same size.
+func BitsForNDV(ndv uint64) uint64 {
+	return max(64, nextPow2(16*max(ndv, 1)))
 }
 
 // NBits reports the size of the bit vector in bits.

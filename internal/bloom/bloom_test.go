@@ -192,3 +192,14 @@ func BenchmarkMayContain(b *testing.B) {
 		f.MayContain(int64(i))
 	}
 }
+
+// BitsForNDV names the size the executor has built since every filter
+// became one bloom.Filter: NewForNDV at twice the NDV, 16 bits per key
+// rounded up to a power of two.
+func TestBitsForNDV(t *testing.T) {
+	for _, n := range []uint64{0, 1, 3, 4, 5, 1000, 11_471, 262_144, 262_145} {
+		if got, want := BitsForNDV(n), NewForNDV(2*max(n, 1)).NBits(); got != want {
+			t.Errorf("BitsForNDV(%d) = %d, want %d", n, got, want)
+		}
+	}
+}

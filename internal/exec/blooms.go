@@ -122,10 +122,7 @@ func (bs *bloomSet) build(j *plan.Join, rows int, feed func([]*bloomBuild) error
 		if ndv == 0 {
 			ndv = uint64(rows) + 1
 		}
-		// Twice the NDV estimate, 16 bits per estimated key: estimates
-		// run low, and at 8 the cheaper probe is paid back in false
-		// positives.
-		b := &bloomBuild{Filter: bloom.NewForNDV(2 * ndv), st: &BloomRuntime{ID: id}, rel: spec.BuildRel}
+		b := &bloomBuild{Filter: bloom.New(bloom.BitsForNDV(ndv)), st: &BloomRuntime{ID: id}, rel: spec.BuildRel}
 		var err error
 		if b.bloomCols, err = bs.keyCols(id, spec.BuildRel, spec.BuildCol, spec.BuildCol2); err != nil {
 			return err

@@ -119,9 +119,10 @@ func (f *joinSidesFixture) build() (*hashTable, error) {
 
 // buildBloom builds, through bloomSet.build, a filter over the build
 // table's keys and has scan apply it to the probe table's: every row is
-// tested and every row passes (both probe positions are read).
-func (f *joinSidesFixture) buildBloom(scan *plan.Scan) error {
-	spec := plan.BloomSpec{ID: 1, ApplyRel: joinSidesProbeRel, ApplyCol: "fk", BuildRel: joinSidesBuildRel, BuildCol: "pk"}
+// tested and every row passes (both probe positions are read). estNDV is
+// the spec's planned key count, which sizes the filter (0: the build rows).
+func (f *joinSidesFixture) buildBloom(scan *plan.Scan, estNDV float64) error {
+	spec := plan.BloomSpec{ID: 1, ApplyRel: joinSidesProbeRel, ApplyCol: "fk", BuildRel: joinSidesBuildRel, BuildCol: "pk", EstBuildNDV: estNDV}
 	f.ex.blooms = newBloomSet(f.ex.tables, []plan.BloomSpec{spec})
 	j := *f.j
 	j.BuildBlooms = []int{spec.ID}
@@ -176,7 +177,9 @@ func drain(op PhysicalOperator) (int, error) {
 //     filter test per row, so their excess over scan/plain is
 //     CPUOperatorCost and BloomApplyCost; scan/bloom/dop2 is the same
 //     scan worker over a filter built at the DOP the workloads run at —
-//     the same one filter, so the same figure;
+//     the same one filter, so the same figure; scan/bloom/16KiB … 4MiB
+//     sweep the filter's size, at 16 bits per key as the executor builds
+//     it, from L1 out past L2 (the engine profile's Heuristic 5 cap);
 //
 //   - build: a row into a hash join's build side (HashBuildCost) — the
 //     real sink's consume and finish: part append, concat, key gather,
@@ -196,20 +199,40 @@ func drain(op PhysicalOperator) (int, error) {
 // calibrates at run time, so a plan stays a pure function of its inputs.
 // CI runs this for its allocation ceiling only.
 func BenchmarkJoinSides(b *testing.B) {
-	for _, sc := range []struct {
+	type scanCase struct {
 		name        string
 		pred, bloom bool
 		dop         int
-	}{{"plain", false, false, 1}, {"pred", true, false, 1}, {"bloom", false, true, 1}, {"bloom/dop2", false, true, 2}} {
+		// bloomBytes, when set, is the filter's size: its build side and
+		// planned key count are bloomBytes/2 keys, 16 bits each.
+		bloomBytes int
+	}
+	scans := []scanCase{{"plain", false, false, 1, 0}, {"pred", true, false, 1, 0}, {"bloom", false, true, 1, 0}, {"bloom/dop2", false, true, 2, 0}}
+	for size := 16 << 10; size <= 4<<20; size <<= 1 {
+		name := fmt.Sprintf("bloom/%dKiB", size>>10)
+		if size >= 1<<20 {
+			name = fmt.Sprintf("bloom/%dMiB", size>>20)
+		}
+		scans = append(scans, scanCase{name, false, true, 1, size})
+	}
+	for _, sc := range scans {
 		b.Run("scan/"+sc.name, func(b *testing.B) {
-			f := newJoinSidesFixture(b, 1<<14, sc.dop)
+			buildRows, estNDV := 1<<14, 0.0
+			if sc.bloomBytes > 0 {
+				buildRows = sc.bloomBytes / 2
+				estNDV = float64(buildRows)
+			}
+			f := newJoinSidesFixture(b, buildRows, sc.dop)
 			scan := *f.scan
 			if !sc.pred {
 				scan.Pred = nil
 			}
 			if sc.bloom {
-				if err := f.buildBloom(&scan); err != nil {
+				if err := f.buildBloom(&scan, estNDV); err != nil {
 					b.Fatal(err)
+				}
+				if bits := f.ex.blooms.built[1].NBits(); sc.bloomBytes > 0 && bits != 8*uint64(sc.bloomBytes) {
+					b.Fatalf("filter has %d bits, want %d", bits, 8*sc.bloomBytes)
 				}
 			}
 			b.ReportAllocs()

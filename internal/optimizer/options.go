@@ -15,7 +15,9 @@ package optimizer
 
 import (
 	"fmt"
+	"sort"
 
+	"bfcbo/internal/bloom"
 	"bfcbo/internal/cost"
 )
 
@@ -60,7 +62,9 @@ type Heuristics struct {
 	// in this implementation and always on, as in the paper (§3.5).
 
 	// H5MaxBuildNDV removes sub-plans whose Bloom filter would hold more
-	// distinct values than this (§3.5; 2M at SF 100, sized for L2).
+	// distinct values than this (§3.5; 2M at SF 100, sized for L2). The
+	// engine profile sets it from the filter's size in bytes
+	// (engineBloomBytes), the paper profile scales it by SF.
 	H5MaxBuildNDV float64
 	// H6MaxKeepFraction removes Bloom filters expected to keep more than
 	// this fraction of rows (§3.5; the paper keeps filters removing at
@@ -88,7 +92,8 @@ type Heuristics struct {
 
 // DefaultHeuristics returns the paper's §4.1 settings, with the row and NDV
 // thresholds scaled from SF 100 to the given scale factor so that small
-// in-memory datasets behave like the paper's 100 GB one.
+// in-memory datasets behave like the paper's 100 GB one. PaperOptions plans
+// with exactly these; DefaultOptions replaces H5 with a byte cap.
 func DefaultHeuristics(scaleFactor float64) Heuristics {
 	scale := scaleFactor / 100
 	minRows := 10_000 * scale
@@ -126,25 +131,65 @@ type Options struct {
 	DisablePostPass bool
 }
 
+// engineBloomBytes is Heuristic 5 for the executor this repository runs: a
+// Bloom filter is planned only if the filter the executor builds for it
+// (bloom.BitsForNDV) holds at most this many bytes, at every scale factor.
+// The paper's reason for the cap is that a filter test must stay in cache
+// (§3.5, "sized for L2"); here the cache is measured, not scaled by SF. One
+// filter test per scanned row, medians of `go test ./internal/exec -run
+// '^$' -bench 'BenchmarkJoinSides/scan/(plain|bloom)' -benchtime 100x
+// -count 7` on a shared 2-vCPU Intel Xeon (48 KiB L1d and 2 MiB L2 per
+// core; KVM guest, linux/amd64, go1.24.0), 2026-10-15, one worker:
+//
+//	scan/bloom/<size>   ns/row   over scan/plain (1.9)
+//	16KiB               7.4      5.6
+//	32KiB               7.2      5.4
+//	64KiB               7.1      5.3
+//	128KiB              7.2      5.3
+//	256KiB              7.8      6.0
+//	512KiB              7.7      5.9
+//	1MiB                8.4      6.5
+//	2MiB                10.9     9.0
+//	4MiB                12.5     10.6
+//
+// Flat to 512 KiB; 1 MiB is the first step, and from 2 MiB, the L2 size, a
+// test costs half as much again. A 256 KiB cap ran the benchmark's
+// tpch_power the same, within run-to-run noise.
+const engineBloomBytes = 512 << 10
+
+// engineH5MaxBuildNDV is the largest estimated NDV whose filter, at the
+// size the executor builds, fits in engineBloomBytes: 262 144 keys.
+func engineH5MaxBuildNDV() float64 {
+	capBits := uint64(8 * engineBloomBytes)
+	return float64(sort.Search(int(capBits), func(n int) bool {
+		return bloom.BitsForNDV(uint64(n)+1) > capBits
+	}))
+}
+
 // DefaultOptions returns BF-CBO with paper-default heuristics at the given
-// scale factor, costed for the executor this repository runs
+// scale factor, except Heuristic 5, which caps each filter at
+// engineBloomBytes; costed for the executor this repository runs
 // (cost.Engine). It is what the engine, the CLI and the benchmark plan
 // with.
 func DefaultOptions(scaleFactor float64) Options {
+	h := DefaultHeuristics(scaleFactor)
+	h.H5MaxBuildNDV = engineH5MaxBuildNDV()
 	return Options{
 		Mode:           BFCBO,
 		Cost:           cost.Engine(),
-		Heuristics:     DefaultHeuristics(scaleFactor),
+		Heuristics:     h,
 		MaxPlansPerSet: 200_000,
 	}
 }
 
 // PaperOptions is DefaultOptions costed for the paper's environment
-// (cost.Paper): the reproduction — internal/bench, cmd/bench,
+// (cost.Paper) and planned under the paper's heuristics scaled by SF
+// (DefaultHeuristics): the reproduction — internal/bench, cmd/bench,
 // plans.golden, the Fig. 1/4/6 tests — plans with it, because those
 // claims are about that environment.
 func PaperOptions(scaleFactor float64) Options {
 	o := DefaultOptions(scaleFactor)
 	o.Cost = cost.Paper()
+	o.Heuristics = DefaultHeuristics(scaleFactor)
 	return o
 }

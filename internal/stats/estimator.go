@@ -256,7 +256,9 @@ func (e *Estimator) BuildNDV(buildRel int, buildCol string, delta query.RelSet) 
 // ratio rather than the power-of-two-rounded runtime size keeps the
 // estimate monotone in δ (a strictly better build side always yields a
 // strictly lower estimate); the runtime filter's true FPR is at or below
-// this value because rounding only adds bits.
+// this value because rounding only adds bits. The executor builds 16 bits
+// per key (bloom.BitsForNDV), not the 8 modelled here; closing that gap is
+// ROADMAP item 2(a), and until then this value stays.
 var ModelFPR = bloom.FPR(1000, 8000)
 
 // BloomKeptFraction is the planning-time reduction factor of a Bloom filter

@@ -180,7 +180,9 @@ func TestQ7PredicateTransfer(t *testing.T) {
 // order of magnitude more) under PaperOptions, where a build row is the
 // cheap one. By orientation: the semi, anti and left joins of Q4, Q13, Q21
 // and Q22 build their small preserve side under DefaultOptions, not the
-// table-sized subquery side the join type used to pin there.
+// table-sized subquery side the join type used to pin there. (Q21's semi
+// join sits below its join with orders, whose filter on l1 the engine's
+// Heuristic 5 keeps.)
 func TestEngineProfileBuildsSmallSide(t *testing.T) {
 	ds, err := datagen.Generate(datagen.Config{ScaleFactor: 0.05, Seed: 11})
 	if err != nil {
@@ -196,7 +198,7 @@ func TestEngineProfileBuildsSmallSide(t *testing.T) {
 		{3, optimizer.PaperOptions(0.05), "l", false},
 		{4, optimizer.DefaultOptions(0.05), "o", true},
 		{13, optimizer.DefaultOptions(0.05), "c", true},
-		{21, optimizer.DefaultOptions(0.05), "(o (l1 (s n)))", true},
+		{21, optimizer.DefaultOptions(0.05), "(l1 (s n))", true},
 		{22, optimizer.DefaultOptions(0.05), "c", true},
 	} {
 		q, _ := Get(c.query)
@@ -204,13 +206,20 @@ func TestEngineProfileBuildsSmallSide(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		top, ok := res.Plan.Root.(*plan.Join)
-		if !ok {
-			t.Fatalf("%s profile: Q%d's root is not a join:\n%s", c.opts.Cost.Name, c.query, res.Plan.Explain())
+		// The top join, or for a mirrored case the top semi, anti or left one.
+		var top *plan.Join
+		for _, j := range res.Plan.Joins() {
+			if !c.mirrored || j.JoinType != query.Inner {
+				top = j
+				break
+			}
+		}
+		if top == nil {
+			t.Fatalf("%s profile: Q%d has no such join:\n%s", c.opts.Cost.Name, c.query, res.Plan.Explain())
 		}
 		if got := (&plan.Plan{Root: top.Inner}).JoinOrderSignature(); got != c.build || top.BuildPreserved != c.mirrored {
-			t.Errorf("%s profile: Q%d's top hash join builds on %s (preserve side building: %v), want %s (%v):\n%s",
-				c.opts.Cost.Name, c.query, got, top.BuildPreserved, c.build, c.mirrored, res.Plan.Explain())
+			t.Errorf("%s profile: Q%d's %s hash join builds on %s (preserve side building: %v), want %s (%v):\n%s",
+				c.opts.Cost.Name, c.query, top.Kind(), got, top.BuildPreserved, c.build, c.mirrored, res.Plan.Explain())
 		}
 	}
 }
