@@ -1,13 +1,11 @@
 // Package bloom implements the one Bloom filter the BF-CBO executor runs:
 // a flat bit-vector filter with exactly two hash functions (the paper fixes
-// the hash count at two for performance, §3.5), its vectorized probes, and
-// a bit-vector union used to merge per-worker partial filters. §3.9's
-// per-partition filters belong to a cluster; here a build side is one table.
+// the hash count at two for performance, §3.5) and its vectorized probes.
+// §3.9's per-partition filters belong to a cluster; here a build side is
+// one table, and one goroutine populates its filter.
 package bloom
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"math/bits"
 
@@ -66,8 +64,8 @@ func (f *Filter) NBits() uint64 { return f.mask + 1 }
 func (f *Filter) Inserted() uint64 { return f.inserted }
 
 // KeyHash is the filter's primary key mixer — hashtab.Hash, the one
-// mixer shared with the executor's join and aggregation tables and its
-// in-memory partition routing. Batch operators hash a key once and feed
+// mixer shared with the executor's join and aggregation tables. Batch
+// operators hash a key once and feed
 // the same value to the Bloom probe (via MayContainHash) and the join
 // probe, instead of each path rehashing independently.
 func KeyHash(key int64) uint64 { return hashtab.Hash(key) }
@@ -167,22 +165,6 @@ func (f *Filter) FilterSelHashesCarry(hashes []uint64, sel []int32, carry []uint
 		n++
 	}
 	return sel[:n], carry[:n]
-}
-
-// Union ORs other into f. Both filters must have identical bit counts; the
-// executor builds one filter from per-worker partials this way.
-func (f *Filter) Union(other *Filter) error {
-	if other == nil {
-		return errors.New("bloom: union with nil filter")
-	}
-	if f.mask != other.mask {
-		return fmt.Errorf("bloom: union size mismatch: %d vs %d bits", f.NBits(), other.NBits())
-	}
-	for i, w := range other.bitsArr {
-		f.bitsArr[i] |= w
-	}
-	f.inserted += other.inserted
-	return nil
 }
 
 // Saturation reports the fraction of set bits in [0,1]. The paper's future

@@ -73,36 +73,6 @@ func TestNewRoundsToPowerOfTwo(t *testing.T) {
 	}
 }
 
-func TestUnionPreservesMembers(t *testing.T) {
-	a := New(1 << 14)
-	b := New(1 << 14)
-	for i := int64(0); i < 500; i++ {
-		a.Add(i)
-		b.Add(i + 10_000)
-	}
-	if err := a.Union(b); err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 500; i++ {
-		if !a.MayContain(i) || !a.MayContain(i+10_000) {
-			t.Fatalf("union lost key %d", i)
-		}
-	}
-	if a.Inserted() != 1000 {
-		t.Fatalf("union inserted count = %d, want 1000", a.Inserted())
-	}
-}
-
-func TestUnionErrors(t *testing.T) {
-	a := New(128)
-	if err := a.Union(nil); err == nil {
-		t.Fatal("expected error for nil union")
-	}
-	if err := a.Union(New(256)); err == nil {
-		t.Fatal("expected error for size mismatch")
-	}
-}
-
 func TestSaturationMonotone(t *testing.T) {
 	f := New(1 << 12)
 	prev := f.Saturation()
@@ -140,36 +110,6 @@ func TestQuickNoFalseNegatives(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Union(a, b) contains everything a and b contained.
-func TestQuickUnionSuperset(t *testing.T) {
-	prop := func(ka, kb []int64) bool {
-		a, b := New(1<<12), New(1<<12)
-		for _, k := range ka {
-			a.Add(k)
-		}
-		for _, k := range kb {
-			b.Add(k)
-		}
-		if err := a.Union(b); err != nil {
-			return false
-		}
-		for _, k := range ka {
-			if !a.MayContain(k) {
-				return false
-			}
-		}
-		for _, k := range kb {
-			if !a.MayContain(k) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

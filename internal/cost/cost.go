@@ -94,8 +94,8 @@ func Paper() Params {
 //
 // scan/bloom re-run after every filter became one bloom.Filter at 16 bits
 // per key, same host at a quieter hour: plain 1.9, pred 3.0, bloom 7.7,
-// bloom/dop2 (built by two workers, as the workloads do) 7.6 ns/row, and 7.7
-// at the commit before. A filter test is 3.05 scanned rows against the 3.2
+// 7.6 ns/row over a filter built by two workers (a case dropped once one
+// goroutine built every filter), and 7.7 at the commit before. A filter test is 3.05 scanned rows against the 3.2
 // charged: inside the band, nsBloomTest stays.
 //
 // A mirrored join — a semi, anti or left join built on its preserve side —
@@ -129,8 +129,8 @@ const (
 // row is ever moved between threads (workers pull morsels; the build side
 // is one shared table), so there is no transfer term; and a build row —
 // appended to a worker part, concatenated, its key gathered and hashed,
-// scattered to a partition and inserted in the directory — costs more than
-// a probe key, so the smaller input builds. With no transfer term every
+// and inserted in the directory — costs more than a probe key, so the
+// smaller input builds. With no transfer term every
 // parallel hash join is costed Redistribute (a broadcast only replicates
 // the build), a label the executor does not read: it builds one Bloom filter
 // per spec. DOP says only that there is more than one thread.

@@ -74,18 +74,17 @@ func (c bloomCols) hashOf(rid int32) uint64 {
 	return bloom.KeyHash(key)
 }
 
-// insert adds the build rows lo..hi of ids to dst: b's own filter or a
-// partial of it. hashes, when non-nil, is ids' precomputed KeyHash vector
-// — the inserts then never rehash.
-func (b *bloomBuild) insert(dst *bloom.Filter, ids []int32, hashes []uint64, lo, hi int) {
+// insert adds the build rows ids to b's filter. hashes, when non-nil, is
+// ids' precomputed KeyHash vector — the inserts then never rehash.
+func (b *bloomBuild) insert(ids []int32, hashes []uint64) {
 	if hashes == nil {
-		for _, rid := range ids[lo:hi] {
-			dst.AddHash(b.hashOf(rid))
+		for _, rid := range ids {
+			b.AddHash(b.hashOf(rid))
 		}
 		return
 	}
-	for _, h := range hashes[lo:hi] {
-		dst.AddHash(h)
+	for _, h := range hashes {
+		b.AddHash(h)
 	}
 }
 
@@ -110,7 +109,7 @@ func (bs *bloomSet) keyCols(id, rel int, col, col2 string) (kc bloomCols, err er
 // build side holds rows rows: one bloom.Filter per spec, whatever the
 // join's §3.9 streaming annotation says — the build side is one shared
 // table, so there is nothing to partition a filter by. feed inserts the
-// build rows into every filter it is handed.
+// build rows into every filter it is handed, on the caller's goroutine.
 func (bs *bloomSet) build(j *plan.Join, rows int, feed func([]*bloomBuild) error) error {
 	builds := make([]*bloomBuild, 0, len(j.BuildBlooms))
 	for _, id := range j.BuildBlooms {
@@ -146,38 +145,15 @@ func (bs *bloomSet) build(j *plan.Join, rows int, feed func([]*bloomBuild) error
 // feedVector is the in-memory feeder: the whole build side is one row
 // set. joinHashes, when non-nil, is the KeyHash vector of the join's key
 // column over inner's rows — each build key is then mixed once, for the
-// Bloom bits, the partition routing and the join directory alike. Above
-// the breaker fan-out threshold each of workers goroutines inserts its own
-// slice of the rows, the first into the filter itself and the others into
-// partials unioned afterwards; bit-vector OR is commutative and Inserted
-// counts sum, so the filters come out the same for every workers value.
-func feedVector(inner *RowSet, joinHashes []uint64, workers int) func([]*bloomBuild) error {
+// Bloom bits and the join directory alike.
+func feedVector(inner *RowSet, joinHashes []uint64) func([]*bloomBuild) error {
 	return func(builds []*bloomBuild) error {
 		for _, b := range builds {
-			ids, hashes := inner.Col(b.rel), joinHashes
+			hashes := joinHashes
 			if !b.onJoinKey {
 				hashes = nil
 			}
-			n := len(ids)
-			// Weight 4: one key mix, one derived rehash and two bit sets
-			// per row, plus the final union.
-			if !parallelFinishThreshold(n, 4, workers) {
-				b.insert(b.Filter, ids, hashes, 0, n)
-				continue
-			}
-			partials := make([]*bloom.Filter, workers)
-			partials[0] = b.Filter
-			parallelFor(workers, func(c int) {
-				if c > 0 {
-					partials[c] = bloom.New(b.NBits())
-				}
-				b.insert(partials[c], ids, hashes, c*n/workers, (c+1)*n/workers)
-			})
-			for _, p := range partials[1:] {
-				if err := b.Union(p); err != nil {
-					return err
-				}
-			}
+			b.insert(inner.Col(b.rel), hashes)
 		}
 		return nil
 	}

@@ -119,6 +119,46 @@ func TestInjectedWorkerPanicContained(t *testing.T) {
 	}
 }
 
+// TestBreakerFinishPanicContained: a panic inside a breaker finish — after
+// the pipeline's workers have joined, on the pipeline's own goroutine —
+// is caught by that pipeline's shim. Q3's BF-CBO plan with one filter
+// wired to build from its apply column makes the Bloom population ask the
+// build side for a relation it does not hold. The query fails with a
+// *PanicError for the pipeline, wrapping ErrInternal, and leaves no
+// goroutine, slot or broker byte behind.
+func TestBreakerFinishPanicContained(t *testing.T) {
+	ds := equivalenceDataset(t)
+	block, res := chaosPlan(t, 3)
+	if len(res.Plan.Blooms) == 0 {
+		t.Fatal("Q3's BF-CBO plan has no Bloom filter")
+	}
+	miswired := *res.Plan
+	miswired.Blooms = append([]plan.BloomSpec(nil), res.Plan.Blooms...)
+	spec := &miswired.Blooms[0]
+	spec.BuildRel, spec.BuildCol = spec.ApplyRel, spec.ApplyCol
+
+	before := runtime.NumGoroutine()
+	broker := mem.NewBroker(0)
+	scheduler := sched.New(sched.Config{Slots: 4})
+	_, err := RunContext(context.Background(), ds.DB, block, &miswired, Options{
+		DOP: 4, Sched: scheduler, Broker: broker,
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) || !errors.Is(err, ErrInternal) {
+		t.Fatalf("breaker panic not typed: %T %v", err, err)
+	}
+	if pe.Where != "pipeline P0" {
+		t.Fatalf("panic caught in %q, want the pipeline's own shim (\"pipeline P0\")", pe.Where)
+	}
+	if !strings.Contains(fmt.Sprint(pe.Value), "no relation") || !strings.Contains(string(pe.Stack), "feedVector") {
+		t.Fatalf("PanicError lost the panic site: value %v\n%s", pe.Value, pe.Stack)
+	}
+	waitGoroutines(t, before)
+	if aerr := Audit(AuditState{Broker: broker, Sched: scheduler}); aerr != nil {
+		t.Fatalf("post-panic audit: %v", aerr)
+	}
+}
+
 // TestInjectedWorkerErrorTyped: the plain-error site fails the query
 // with the *faults.Fault preserved in the chain (transient, so the
 // engine retry policy may pick it up) and no panic machinery involved.

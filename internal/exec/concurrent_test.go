@@ -28,9 +28,9 @@ import (
 // worker slot (slots are only yielded between batches and across the
 // grace barrier, which these unlimited-budget runs never take), so the
 // observed maximum bounds the scheduler's concurrently running *pipeline*
-// workers — the population the slot pool governs. Breaker finish phases
-// fan out goroutines outside the pool (see ROADMAP "slot-accounted
-// breaker finishes") and are deliberately outside this gauge.
+// workers — the population the slot pool governs. A breaker finish runs on
+// its pipeline's goroutine, which holds no slot (ROADMAP item 5), and is
+// deliberately outside this gauge.
 type workerGauge struct {
 	child    PhysicalOperator
 	cur, max *atomic.Int64

@@ -59,11 +59,10 @@ type Result struct {
 }
 
 // Work is what a run did, in rows: exact counts that repeat bit for bit at
-// a given DOP, whatever the schedule or the host — the deterministic
+// every DOP, whatever the schedule or the host — the deterministic
 // counterpart of the run's wall time, and what a cost profile is checked
-// against. Plans without Bloom filters do the same Work at every DOP; with
-// filters, Build, Probe and Tested follow the filters' false positives, and
-// filter sizing follows DOP (§3.9).
+// against. With Bloom filters, Build, Probe and Tested follow the filters'
+// false positives, and a filter's bits do not depend on DOP.
 type Work struct {
 	// Build is the rows inserted into hash-join build sides, in memory or
 	// through grace partitions.
@@ -396,9 +395,9 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 		ex.fpHex = plan.FingerprintHex(opts.Fingerprint)
 	}
 	// Top-level panic containment: anything that panics on this goroutine
-	// — rowset wiring guards, fork-join helpers rethrowing a trapped worker
-	// panic — becomes this query's typed
-	// *PanicError instead of a process abort. Registered before the
+	// — a rowset wiring guard, say — becomes this query's typed
+	// *PanicError instead of a process abort; pipelines and their workers
+	// carry shims of their own (runDAG, runPipeline). Registered before the
 	// resource defers below, so in unwind order the spill dir, memory
 	// account, and ticket are all released first, then the panic converts,
 	// then the metrics defer observes the error like any other failure.

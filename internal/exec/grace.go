@@ -19,13 +19,14 @@ import (
 // route their input batches to matching probe partition files instead of
 // probing; once every worker has finished writing, workers claim
 // partitions from a shared cursor and join each pair — loading the build
-// partition, building its table with the existing two-phase parallel
-// buildHashTable, and streaming the probe partition through the shared
-// probeBatch kernel, so all join types (inner/semi/anti/left) and extra
-// conditions work unchanged. A mirrored join marks and sweeps pair by pair:
-// equal keys share a partition, so a pair's build rows owe nothing to any
-// other pair's probe rows. A partition pair whose grant is denied again
-// repartitions recursively with a level-salted hash, up to graceMaxDepth.
+// partition, building its table with buildHashTable on the claiming
+// worker's own goroutine, and streaming the probe partition through the
+// shared probeBatch kernel, so all join types (inner/semi/anti/left) and
+// extra conditions work unchanged. A mirrored join marks and sweeps pair
+// by pair: equal keys share a partition, so a pair's build rows owe nothing
+// to any other pair's probe rows. A partition pair whose grant is denied
+// again repartitions recursively with a level-salted hash, up to
+// graceMaxDepth.
 
 // graceHashJoin is the shared state of one spilled hash join, created by
 // the build sink and completed by the probe pipeline.
@@ -432,7 +433,7 @@ func (g *graceHashJoin) startPair(p spillPair, w *graceProbeWorker) error {
 	// footprint; the active pair releases the adjusted figure when its
 	// probe stream drains.
 	exact := rowSetBytes(bRows, g.buildRels.Count()) +
-		ht.tableBytes() + 8*int64(bRows)*int64(1+len(ht.innerExtras))
+		ht.tab.Bytes() + 8*int64(bRows)*int64(1+len(ht.innerExtras))
 	var marks buildMarks
 	if g.j.BuildPreserved {
 		marks = newBuildMarks(bRows)
@@ -524,7 +525,7 @@ func (g *graceHashJoin) feedBuildChunks(builds []*bloomBuild) error {
 		err := eachChunk(w, g.buildRec, func(cols [][]int32) error {
 			for _, b := range builds {
 				ids := cols[g.buildRels.Rank(b.rel)]
-				b.insert(b.Filter, ids, nil, 0, len(ids))
+				b.insert(ids, nil)
 			}
 			return nil
 		})

@@ -33,7 +33,7 @@ const (
 	joinSidesProbeRows = 1 << 18
 )
 
-func newJoinSidesFixture(tb testing.TB, buildRows, dop int) *joinSidesFixture {
+func newJoinSidesFixture(tb testing.TB, buildRows int) *joinSidesFixture {
 	tb.Helper()
 	// xorshift: deterministic, and off the measured path.
 	x := uint64(88172645463325252)
@@ -66,7 +66,7 @@ func newJoinSidesFixture(tb testing.TB, buildRows, dop int) *joinSidesFixture {
 	tables := []*storage.Table{mk("probe_side", "fk", fk), mk("build_side", "pk", pk)}
 	f := &joinSidesFixture{
 		ex: &executor{
-			dop: dop, morsel: DefaultMorselSize, tables: tables,
+			dop: 1, morsel: DefaultMorselSize, tables: tables,
 			blooms: newBloomSet(tables, nil),
 			builds: make(map[*plan.Join]*hashTable),
 			memq:   mem.NewBroker(0).NewQuery(),
@@ -99,17 +99,17 @@ func rowIDBatches(rel, n, morsel int) []*Batch {
 	return out
 }
 
-// build runs the real hash-build sink over the build batches — consume by
-// the worker each batch would arrive on, then finish: concat, key gather,
-// hash, partition scatter, directory — and returns the published table.
+// build runs the real hash-build sink over the build batches — consume,
+// then finish: concat, key gather, hash, directory — and returns the
+// published table.
 func (f *joinSidesFixture) build() (*hashTable, error) {
 	snk := &hashBuildSink{
-		partsSink: newPartsSink(query.NewRelSet(joinSidesBuildRel), f.ex.dop),
+		partsSink: newPartsSink(query.NewRelSet(joinSidesBuildRel), 1),
 		ex:        f.ex, j: f.j, estRows: float64(f.ex.tables[joinSidesBuildRel].NumRows()),
 		res: f.ex.memq.Reserve(), rec: &spillCounters{},
 	}
-	for i, b := range f.buildBatches {
-		snk.consume(i%f.ex.dop, b)
+	for _, b := range f.buildBatches {
+		snk.consume(0, b)
 	}
 	if err := snk.finish(); err != nil {
 		return nil, err
@@ -131,7 +131,7 @@ func (f *joinSidesFixture) buildBloom(scan *plan.Scan, estNDV float64) error {
 		inner.appendBatch(b.rows)
 	}
 	scan.ApplyBlooms = []int{spec.ID}
-	return f.ex.blooms.build(&j, inner.Len(), feedVector(inner, nil, f.ex.dop))
+	return f.ex.blooms.build(&j, inner.Len(), feedVector(inner, nil))
 }
 
 // batchSource replays prepared batches: the probe operator's child.
@@ -175,15 +175,13 @@ func drain(op PhysicalOperator) (int, error) {
 //   - scan/plain: a row through a scan (CPUTupleCost, the unit);
 //     scan/pred and scan/bloom add one predicate kernel and one Bloom
 //     filter test per row, so their excess over scan/plain is
-//     CPUOperatorCost and BloomApplyCost; scan/bloom/dop2 is the same
-//     scan worker over a filter built at the DOP the workloads run at —
-//     the same one filter, so the same figure; scan/bloom/16KiB … 4MiB
-//     sweep the filter's size, at 16 bits per key as the executor builds
-//     it, from L1 out past L2 (the engine profile's Heuristic 5 cap);
+//     CPUOperatorCost and BloomApplyCost; scan/bloom/16KiB … 4MiB sweep
+//     the filter's size, at 16 bits per key as the executor builds it,
+//     from L1 out past L2 (the engine profile's Heuristic 5 cap);
 //
 //   - build: a row into a hash join's build side (HashBuildCost) — the
 //     real sink's consume and finish: part append, concat, key gather,
-//     hash, partition scatter, directory;
+//     hash, directory;
 //
 //   - probe: a key through the probe operator (HashProbeCost) — gather,
 //     directory probe and emit, one match per key, keys in random order;
@@ -202,18 +200,17 @@ func BenchmarkJoinSides(b *testing.B) {
 	type scanCase struct {
 		name        string
 		pred, bloom bool
-		dop         int
 		// bloomBytes, when set, is the filter's size: its build side and
 		// planned key count are bloomBytes/2 keys, 16 bits each.
 		bloomBytes int
 	}
-	scans := []scanCase{{"plain", false, false, 1, 0}, {"pred", true, false, 1, 0}, {"bloom", false, true, 1, 0}, {"bloom/dop2", false, true, 2, 0}}
+	scans := []scanCase{{"plain", false, false, 0}, {"pred", true, false, 0}, {"bloom", false, true, 0}}
 	for size := 16 << 10; size <= 4<<20; size <<= 1 {
 		name := fmt.Sprintf("bloom/%dKiB", size>>10)
 		if size >= 1<<20 {
 			name = fmt.Sprintf("bloom/%dMiB", size>>20)
 		}
-		scans = append(scans, scanCase{name, false, true, 1, size})
+		scans = append(scans, scanCase{name, false, true, size})
 	}
 	for _, sc := range scans {
 		b.Run("scan/"+sc.name, func(b *testing.B) {
@@ -222,7 +219,7 @@ func BenchmarkJoinSides(b *testing.B) {
 				buildRows = sc.bloomBytes / 2
 				estNDV = float64(buildRows)
 			}
-			f := newJoinSidesFixture(b, buildRows, sc.dop)
+			f := newJoinSidesFixture(b, buildRows)
 			scan := *f.scan
 			if !sc.pred {
 				scan.Pred = nil
@@ -252,7 +249,7 @@ func BenchmarkJoinSides(b *testing.B) {
 	for _, size := range []int{1 << 14, 1 << 20} {
 		name := fmt.Sprintf("%dKi", size>>10)
 		b.Run("build/"+name, func(b *testing.B) {
-			f := newJoinSidesFixture(b, size, 1)
+			f := newJoinSidesFixture(b, size)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -263,7 +260,7 @@ func BenchmarkJoinSides(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(size), "ns/row")
 		})
 		b.Run("probe/"+name, func(b *testing.B) {
-			f := newJoinSidesFixture(b, size, 1)
+			f := newJoinSidesFixture(b, size)
 			ht, err := f.build()
 			if err != nil {
 				b.Fatal(err)
@@ -286,7 +283,7 @@ func BenchmarkJoinSides(b *testing.B) {
 	for _, jt := range []query.JoinType{query.Semi, query.Left} {
 		b.Run("mirror/"+jt.String(), func(b *testing.B) {
 			const size = 1 << 14
-			f := newJoinSidesFixture(b, size, 1)
+			f := newJoinSidesFixture(b, size)
 			ht, err := f.build()
 			if err != nil {
 				b.Fatal(err)

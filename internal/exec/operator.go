@@ -102,10 +102,10 @@ func (s *opStats) snapshot() OpStat {
 	}
 }
 
-// BreakerPhases breaks a pipeline breaker's finish work into its parallel
-// phases. A field is zero when the sink has no such phase; all four are the
-// wall time of the phase itself (already parallel internally), so their sum
-// approximates the pipeline's serial tail under Amdahl's law.
+// BreakerPhases breaks a pipeline breaker's finish work into its phases. A
+// field is zero when the sink has no such phase. The phases run one after
+// another on the pipeline's goroutine once its workers have joined, so
+// their sum is the finish's wall time, less untimed bookkeeping.
 type BreakerPhases struct {
 	// Merge is the time combining per-worker parts into one row set.
 	Merge time.Duration
@@ -113,9 +113,10 @@ type BreakerPhases struct {
 	// benchmark/engine_traced.go reads it for exec.phase_ms.sort, and it
 	// goes when that metric does.
 	Sort time.Duration
-	// Build is the partitioned hash-table construction time.
+	// Build is the hash-table construction time: the key gather and hash
+	// plus the directory build.
 	Build time.Duration
-	// Bloom is the Bloom-filter population time (per-worker partials).
+	// Bloom is the Bloom-filter population time.
 	Bloom time.Duration
 	// Fold is always zero: no sink folds. The field remains because
 	// benchmark/engine_traced.go reads it for exec.phase_ms.fold, and it

@@ -318,36 +318,14 @@ func (o *scanOp) NextBatch() (*Batch, error) {
 // built by the join's build pipeline.
 
 // hashTable is the shared result of a hash-build sink: the materialized
-// build side, the gathered key columns, and the probe structure — flat
-// unchained hashtab.JoinTables, one per partition when the build ran
-// across workers (probes select the partition by key hash).
+// build side, the gathered key columns, and the probe structure — one flat
+// unchained hashtab.JoinTable over every build row.
 type hashTable struct {
 	inner       *RowSet
 	innerKeys   []int64
 	innerHashes []uint64 // hashtab.Hash of innerKeys, computed once per build
 	innerExtras [][]int64
-	tabs        []*hashtab.JoinTable
-}
-
-// lookup returns the build rows matching key; h is hashtab.Hash(key),
-// hashed once per probe batch by the caller and reused for partition
-// selection and the directory probe.
-func (ht *hashTable) lookup(key int64, h uint64) []int32 {
-	t := ht.tabs[0]
-	if len(ht.tabs) > 1 {
-		t = ht.tabs[h%uint64(len(ht.tabs))]
-	}
-	return t.Lookup(key, h)
-}
-
-// tableBytes reports the probe structure's exact heap footprint, for
-// broker accounting.
-func (ht *hashTable) tableBytes() int64 {
-	var b int64
-	for _, t := range ht.tabs {
-		b += t.Bytes()
-	}
-	return b
+	tab         *hashtab.JoinTable
 }
 
 // buildMarks is a mirrored join's match bitmap, one bit per build row. Each
@@ -362,27 +340,8 @@ func (m buildMarks) set(i int32)      { m[i>>6] |= 1 << (uint(i) & 63) }
 func (m buildMarks) has(i int32) bool { return m[i>>6]&(1<<(uint(i)&63)) != 0 }
 func (m buildMarks) bytes() int64     { return 8 * int64(len(m)) }
 
-// hashVecPar computes hashtab.Hash for every key, fanning the mix across dop
-// workers above the finish threshold. The vector is computed once per
-// build side and shared by Bloom population, partition routing, and the
-// directory build — the "hash once, use twice" contract.
-func hashVecPar(keys []int64, dop int) []uint64 {
-	n := len(keys)
-	// Weight 2: one multiply-shift mix per 8-byte write.
-	if !parallelFinishThreshold(n, 2, dop) {
-		return hashtab.HashVec(keys, nil)
-	}
-	out := make([]uint64, n)
-	parallelFor(dop, func(c int) {
-		for i, hi := c*n/dop, (c+1)*n/dop; i < hi; i++ {
-			out[i] = hashtab.Hash(keys[i])
-		}
-	})
-	return out
-}
-
 // gatherBuildKeys materializes the build side's key columns and hash
-// vector — split from buildHashTableFrom so the hash-build sink can feed
+// vector — split from buildDirectory so the hash-build sink can feed
 // the same keys and hashes to Bloom population before the table build.
 func gatherBuildKeys(ex *executor, j *plan.Join, inner *RowSet) (*hashTable, error) {
 	if len(j.Conds) == 0 {
@@ -394,100 +353,41 @@ func gatherBuildKeys(ex *executor, j *plan.Join, inner *RowSet) (*hashTable, err
 		return nil, fmt.Errorf("exec: unsupported hash join type %s", j.JoinType)
 	}
 	c0 := j.Conds[0]
-	dop := ex.dop
 	ht := &hashTable{
 		inner:     inner,
-		innerKeys: keyColumnPar(inner, ex.tables[c0.InnerRel], c0.InnerRel, c0.InnerCol, dop),
+		innerKeys: keyColumn(inner, ex.tables[c0.InnerRel], c0.InnerRel, c0.InnerCol),
 	}
 	if len(ht.innerKeys) > hashtab.MaxRows {
 		return nil, fmt.Errorf("exec: hash build side of %d rows exceeds the int32 row-id domain", len(ht.innerKeys))
 	}
-	ht.innerHashes = hashVecPar(ht.innerKeys, dop)
+	ht.innerHashes = hashtab.HashVec(ht.innerKeys, nil)
 	for _, c := range j.Conds[1:] {
-		ht.innerExtras = append(ht.innerExtras,
-			keyColumnPar(inner, ex.tables[c.InnerRel], c.InnerRel, c.InnerCol, dop))
+		ht.innerExtras = append(ht.innerExtras, keyColumn(inner, ex.tables[c.InnerRel], c.InnerRel, c.InnerCol))
 	}
 	return ht, nil
 }
 
-// buildHashTableFrom builds the probe structure over gathered keys. The
-// default is the flat unchained kernel: a count-then-scatter shuffle
-// over flat arrays distributes row ids into contiguous per-partition
-// segments (embarrassingly parallel, no per-partition maps, no append
-// growth), and each partition owner builds its JoinTable from its
-// segment. Every O(n) phase is parallel across dop workers, so the
-// breaker's finish time scales with DOP instead of being the executor's
-// serial tail. Payload order is ascending build-row id per key.
-func buildHashTableFrom(ex *executor, ht *hashTable) (*hashTable, error) {
-	n := len(ht.innerKeys)
-	nparts := ex.dop
-	// The hash vector is transient build state (probes hash per batch);
-	// release it once the directory is built.
-	defer func() { ht.innerHashes = nil }()
-	// Weight 12: directory inserts dominate; the shuffle only pays off
-	// once per-partition build work amortizes the goroutine fan-outs.
-	if nparts == 1 || !parallelFinishThreshold(n, 12, nparts) {
-		t, err := hashtab.Build(ht.innerKeys, ht.innerHashes, nil)
-		if err != nil {
-			return nil, err
-		}
-		ht.tabs = []*hashtab.JoinTable{t}
-		return ht, nil
-	}
-	// Count-then-scatter shuffle: producers count rows per partition,
-	// a prefix pass turns the (producer, partition) counts into disjoint
-	// cursors over one flat id buffer, and producers scatter row ids into
-	// their reserved ranges — each partition's segment stays in ascending
-	// row order because producers cover ascending ranges in order.
-	counts := make([]int32, nparts*nparts) // [producer][partition]
-	parallelFor(nparts, func(c int) {
-		row := counts[c*nparts : (c+1)*nparts]
-		for ii, hi := c*n/nparts, (c+1)*n/nparts; ii < hi; ii++ {
-			row[ht.innerHashes[ii]%uint64(nparts)]++
-		}
-	})
-	offs := make([]int32, nparts+1) // partition segment bounds in ids
-	cur := make([]int32, nparts*nparts)
-	var pos int32
-	for p := 0; p < nparts; p++ {
-		offs[p] = pos
-		for c := 0; c < nparts; c++ {
-			cur[c*nparts+p] = pos
-			pos += counts[c*nparts+p]
-		}
-	}
-	offs[nparts] = pos
-	ids := make([]int32, n)
-	parallelFor(nparts, func(c int) {
-		row := cur[c*nparts : (c+1)*nparts]
-		for ii, hi := c*n/nparts, (c+1)*n/nparts; ii < hi; ii++ {
-			p := ht.innerHashes[ii] % uint64(nparts)
-			ids[row[p]] = int32(ii)
-			row[p]++
-		}
-	})
-	ht.tabs = make([]*hashtab.JoinTable, nparts)
-	errs := make([]error, nparts)
-	parallelFor(nparts, func(p int) {
-		ht.tabs[p], errs[p] = hashtab.Build(ht.innerKeys, ht.innerHashes, ids[offs[p]:offs[p+1]])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return ht, nil
+// buildDirectory builds the flat join directory over the gathered keys and
+// their hash vector, then drops the vector: probes hash per batch. Payload
+// order is ascending build-row id per key.
+func (ht *hashTable) buildDirectory() error {
+	t, err := hashtab.Build(ht.innerKeys, ht.innerHashes, nil)
+	ht.tab, ht.innerHashes = t, nil
+	return err
 }
 
-// buildHashTable gathers the build keys and builds the probe structure
-// in one step — the path used by the grace drain, where Bloom filters
-// were already populated from the spill files.
+// buildHashTable gathers the build keys and builds the directory in one
+// step — the path used by the grace drain, where Bloom filters were already
+// populated from the spill files.
 func buildHashTable(ex *executor, j *plan.Join, inner *RowSet) (*hashTable, error) {
 	ht, err := gatherBuildKeys(ex, j, inner)
 	if err != nil {
 		return nil, err
 	}
-	return buildHashTableFrom(ex, ht)
+	if err := ht.buildDirectory(); err != nil {
+		return nil, err
+	}
+	return ht, nil
 }
 
 // probeShared is the per-pipeline state of one hash-probe operator. In
@@ -697,7 +597,7 @@ func (sh *probeShared) probeBatch(ht *hashTable, in *Batch, scr *probeScratch, m
 	switch {
 	case sh.j.BuildPreserved && sh.j.JoinType == query.Left:
 		for oi := 0; oi < n; oi++ {
-			for _, ii := range ht.lookup(keys[oi], hs[oi]) {
+			for _, ii := range ht.tab.Lookup(keys[oi], hs[oi]) {
 				candO = append(candO, int32(oi))
 				candI = append(candI, ii)
 			}
@@ -712,7 +612,7 @@ func (sh *probeShared) probeBatch(ht *hashTable, in *Batch, scr *probeScratch, m
 		// Semi and anti: every build row with a verified match gets its
 		// mark — no stopping at the first, the key's other rows match too.
 		for oi := 0; oi < n; oi++ {
-			for _, ii := range ht.lookup(keys[oi], hs[oi]) {
+			for _, ii := range ht.tab.Lookup(keys[oi], hs[oi]) {
 				if !marks.has(ii) && (!extras || sh.matchIn(ht, outerIDs, oi, ii)) {
 					marks.set(ii)
 				}
@@ -720,7 +620,7 @@ func (sh *probeShared) probeBatch(ht *hashTable, in *Batch, scr *probeScratch, m
 		}
 	case sh.j.JoinType == query.Inner:
 		for oi := 0; oi < n; oi++ {
-			for _, ii := range ht.lookup(keys[oi], hs[oi]) {
+			for _, ii := range ht.tab.Lookup(keys[oi], hs[oi]) {
 				candO = append(candO, int32(oi))
 				candI = append(candI, ii)
 			}
@@ -732,7 +632,7 @@ func (sh *probeShared) probeBatch(ht *hashTable, in *Batch, scr *probeScratch, m
 		// One output row per outer row with a passing match; the unit's
 		// columns are null, as after an anti join.
 		for oi := 0; oi < n; oi++ {
-			for _, ii := range ht.lookup(keys[oi], hs[oi]) {
+			for _, ii := range ht.tab.Lookup(keys[oi], hs[oi]) {
 				if extras && !sh.matchIn(ht, outerIDs, oi, ii) {
 					continue
 				}
@@ -744,7 +644,7 @@ func (sh *probeShared) probeBatch(ht *hashTable, in *Batch, scr *probeScratch, m
 	case sh.j.JoinType == query.Anti:
 		for oi := 0; oi < n; oi++ {
 			found := false
-			for _, ii := range ht.lookup(keys[oi], hs[oi]) {
+			for _, ii := range ht.tab.Lookup(keys[oi], hs[oi]) {
 				if !extras || sh.matchIn(ht, outerIDs, oi, ii) {
 					found = true
 					break
@@ -757,7 +657,7 @@ func (sh *probeShared) probeBatch(ht *hashTable, in *Batch, scr *probeScratch, m
 		}
 	case sh.j.JoinType == query.Left:
 		for oi := 0; oi < n; oi++ {
-			for _, ii := range ht.lookup(keys[oi], hs[oi]) {
+			for _, ii := range ht.tab.Lookup(keys[oi], hs[oi]) {
 				candO = append(candO, int32(oi))
 				candI = append(candI, ii)
 			}

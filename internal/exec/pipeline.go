@@ -24,10 +24,10 @@ import (
 // across pipelines. Within a pipeline, workers each own a private operator
 // chain — a scan and the hash-join probes fused behind it — and push batches
 // into a thread-safe sink. Sinks are the pipeline breakers — hash-table
-// build (+ Bloom filter population) and result collection — and their
-// finish phases are themselves parallel, so the executor has no
-// single-threaded breaker tail (the Amdahl bottleneck §3.9's parallel build
-// strategies are designed to avoid).
+// build (+ Bloom filter population) and result collection — and a sink's
+// finish runs once, serially, on the pipeline's goroutine after its workers
+// have joined. Forking the finish phases across DOP goroutines measured no
+// faster on the benchmark workloads, so there is one finish path.
 
 // errCanceled marks a pipeline that wound down because another pipeline's
 // failure set the run-wide stop flag; it is never surfaced to callers.
@@ -97,11 +97,11 @@ func (s *partsSink) consume(w int, b *Batch) {
 
 func (s *partsSink) phases() BreakerPhases { return s.ph }
 
-// mergedPar combines the per-worker parts in parallel (recording the merge
-// phase); a lone live part is returned directly without copying.
-func (s *partsSink) mergedPar(dop int) *RowSet {
+// merged combines the per-worker parts (recording the merge phase); a lone
+// live part is returned directly without copying.
+func (s *partsSink) merged() *RowSet {
 	start := time.Now()
-	rs := concatPar(s.rels, s.parts, dop)
+	rs := concat(s.rels, s.parts)
 	s.ph.Merge = time.Since(start)
 	return rs
 }
@@ -113,15 +113,15 @@ type resultSink struct {
 }
 
 func (s *resultSink) finish() error {
-	s.ex.out = s.mergedPar(s.ex.dop)
+	s.ex.out = s.merged()
 	return nil
 }
 
 // hashBuildSink materializes a hash join's build side, populates its Bloom
 // filters (bloomSet.build), and builds the shared hash table the probe
-// pipeline reads. Every finish phase — the part merge, the Bloom
-// population, the hash-table build — runs across DOP workers; there is no
-// intermediate serial merged() copy.
+// pipeline reads. The finish phases — the part merge, the key gather and
+// hash, the Bloom population, the directory build — run one after another
+// on the pipeline's goroutine, over one shared hash vector.
 //
 // Under a memory budget the sink is the grace hash join's entry point:
 // when a grant is denied, the worker's buffered part spills to hash
@@ -240,10 +240,7 @@ func (s *hashBuildSink) finish() error {
 		// spill — there is nothing to save.
 		extra := rowSetBytes(totalRows, s.rels.Count()) + int64(totalRows)*hashEntryBytes
 		if totalRows == 0 || (!s.unitOverBudget() && s.res.Grow(extra, nil)) {
-			if totalRows == 0 {
-				s.res.Force(extra)
-			}
-			inner := s.mergedPar(s.ex.dop)
+			inner := s.merged()
 			// Gather the build keys and hash them once; the same vector
 			// populates the Bloom filters (when a filter's build column is
 			// the hash-key column) and the flat join directory.
@@ -255,20 +252,20 @@ func (s *hashBuildSink) finish() error {
 			gatherWall := time.Since(start)
 			if len(s.j.BuildBlooms) > 0 {
 				start := time.Now()
-				if err := s.ex.blooms.build(s.j, totalRows, feedVector(inner, ht.innerHashes, s.ex.dop)); err != nil {
+				if err := s.ex.blooms.build(s.j, totalRows, feedVector(inner, ht.innerHashes)); err != nil {
 					return err
 				}
 				s.ph.Bloom = time.Since(start)
 			}
 			start = time.Now()
-			if _, err := buildHashTableFrom(s.ex, ht); err != nil {
+			if err := ht.buildDirectory(); err != nil {
 				return err
 			}
 			s.ph.Build = gatherWall + time.Since(start)
 			// Replace the hashEntryBytes estimate with the built table's
 			// exact footprint (directory + payload + gathered key columns)
 			// so budget reports track what is actually resident.
-			exact := ht.tableBytes() + 8*int64(totalRows)*int64(1+len(ht.innerExtras))
+			exact := ht.tab.Bytes() + 8*int64(totalRows)*int64(1+len(ht.innerExtras))
 			if est := int64(totalRows) * hashEntryBytes; exact > est {
 				s.res.Force(exact - est)
 			} else {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -94,5 +95,45 @@ func TestMorselSizeInvariance(t *testing.T) {
 		if r.Rows != 100 {
 			t.Fatalf("morsel %d: rows = %d, want 100", morsel, r.Rows)
 		}
+	}
+}
+
+// concat is every sink's merge. A worker that got no batch leaves a nil
+// part and one whose batches were all empty an empty one; both are
+// skipped, the live parts are copied in worker order, a lone live part is
+// returned as is, and no live part at all still yields a row set covering
+// the sink's relations.
+func TestConcatSkipsNilParts(t *testing.T) {
+	rels := query.NewRelSet(0, 2, 5)
+	parts := make([]*RowSet, 9)
+	want := make([][]int32, rels.Count())
+	next := int32(0)
+	for i := range parts {
+		switch i % 4 {
+		case 3:
+			continue // nil part
+		case 1:
+			parts[i] = NewRowSet(rels) // empty part
+			continue
+		}
+		parts[i] = NewRowSet(rels)
+		for r := 0; r < 700*(i+1); r++ {
+			for c := range parts[i].cols {
+				parts[i].cols[c] = append(parts[i].cols[c], next)
+				want[c] = append(want[c], next)
+				next++
+			}
+		}
+	}
+	got := concat(rels, parts)
+	if got.rels != rels || !reflect.DeepEqual(got.cols, want) {
+		t.Fatalf("concat of %d parts: %d rows over %s, want %d rows over %s", len(parts), got.Len(), got.rels, len(want[0]), rels)
+	}
+	lone := []*RowSet{nil, NewRowSet(rels), parts[0], nil}
+	if got := concat(rels, lone); got != parts[0] {
+		t.Fatal("a lone live part was copied")
+	}
+	if got := concat(rels, []*RowSet{nil, nil}); got.rels != rels || got.Len() != 0 || len(got.cols) != rels.Count() {
+		t.Fatalf("concat of nil parts: %d rows over %s, want an empty set over %s", got.Len(), got.rels, rels)
 	}
 }

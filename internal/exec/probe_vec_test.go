@@ -161,7 +161,7 @@ func benchProbeFixture(extras bool) (*probeShared, *hashTable, *Batch, *probeScr
 	if err != nil {
 		panic(err)
 	}
-	ht := &hashTable{inner: innerRS, innerKeys: buildKeys, tabs: []*hashtab.JoinTable{tab}}
+	ht := &hashTable{inner: innerRS, innerKeys: buildKeys, tab: tab}
 	conds := []plan.Cond{{OuterRel: 0, OuterCol: "k", InnerRel: 1, InnerCol: "k"}}
 	outerKeys := make([]int64, nProbe)
 	for i := range outerKeys {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync"
 )
 
 // ErrInternal is the sentinel under every recovered panic: a query that
@@ -45,84 +44,9 @@ func (e *PanicError) Unwrap() []error {
 	return []error{ErrInternal}
 }
 
-// trappedPanic is the value a panicTrap rethrows on the joining
-// goroutine: the helper goroutine's original panic value plus the stack
-// captured where it fired, so the converting shim reports the real
-// site, not the rethrow.
-type trappedPanic struct {
-	val   any
-	stack []byte
-}
-
-// panicTrap carries a panic out of forked helper goroutines back to the
-// fork-join caller: each helper defers catch(), the caller calls rethrow()
-// after the join. Only parallelFor uses it.
-type panicTrap struct {
-	once  sync.Once
-	val   any
-	stack []byte
-}
-
-// catch must be deferred first thing in each forked goroutine.
-func (t *panicTrap) catch() {
-	if v := recover(); v != nil {
-		t.once.Do(func() { t.val, t.stack = v, debug.Stack() })
-	}
-}
-
-// rethrow re-panics the first trapped value on the caller's goroutine;
-// no-op when no helper panicked. Call it after the join (the join's
-// happens-before makes the plain field reads safe).
-func (t *panicTrap) rethrow() {
-	if t.val != nil {
-		panic(&trappedPanic{val: t.val, stack: t.stack})
-	}
-}
-
-// parallelFor is the executor's one fork-join helper: it runs fn(0) …
-// fn(n-1), each on its own goroutine, and returns when all have. Every
-// breaker finish phase goes through it, so this is the single place that
-// spawns helper goroutines — and the single place they would lease
-// scheduler slots from.
-//
-// A panic in any body is trapped, the remaining bodies still run to
-// completion, and the first trapped panic is re-raised on the caller's
-// goroutine as a *trappedPanic carrying the original value and stack —
-// the caller sits under one of the executor's recover shims, which turns
-// it into the query's *PanicError. With n ≤ 1 the body runs inline on the
-// caller, where a panic reaches the same shim directly.
-func parallelFor(n int, fn func(i int)) {
-	if n <= 1 {
-		if n == 1 {
-			fn(0)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	var trap panicTrap
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			defer trap.catch()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
-	trap.rethrow()
-}
-
 // panicErr converts a recovered panic value into the query's typed
-// *PanicError, unwrapping a trap-carried panic to its original value
-// and stack.
+// *PanicError. It is called from the deferred recover, where the stack
+// still holds the panic site.
 func (ex *executor) panicErr(v any, where string) error {
-	val := v
-	var stack []byte
-	if tp, ok := v.(*trappedPanic); ok {
-		val, stack = tp.val, tp.stack
-	}
-	if stack == nil {
-		stack = debug.Stack()
-	}
-	return &PanicError{Query: ex.queryTag, Fingerprint: ex.fpHex, Where: where, Value: val, Stack: stack}
+	return &PanicError{Query: ex.queryTag, Fingerprint: ex.fpHex, Where: where, Value: v, Stack: debug.Stack()}
 }

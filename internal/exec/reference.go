@@ -111,7 +111,7 @@ func (r *reference) join(j *plan.Join) (*RowSet, error) {
 		return nil, err
 	}
 	if len(j.BuildBlooms) > 0 {
-		if err := r.blooms.build(j, inner.Len(), feedVector(inner, nil, 1)); err != nil {
+		if err := r.blooms.build(j, inner.Len(), feedVector(inner, nil)); err != nil {
 			return nil, err
 		}
 	}

@@ -1,14 +1,13 @@
 // Package exec is the SMP vectorized executor: it interprets physical plans
 // over the columnar store using late materialization (intermediate results
-// are tuples of base-table row ids), runs hash joins under the §3.9
-// streaming strategies with real Bloom filter builds and probes, and records
-// per-node actual cardinalities so experiments can compare the planner's
-// estimates against ground truth (the paper's MAE analysis).
+// are tuples of base-table row ids), runs every join as a morsel-driven hash
+// join with real Bloom filter builds and probes, and records per-node actual
+// cardinalities so experiments can compare the planner's estimates against
+// ground truth (the paper's MAE analysis).
 package exec
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"bfcbo/internal/query"
 	"bfcbo/internal/storage"
@@ -122,9 +121,10 @@ func (rs *RowSet) appendBatch(b *RowSet) {
 	}
 }
 
-// concat merges parts (all covering the same relations) into one row set.
-// When exactly one part holds rows — the common case at low DOP and for
-// small build sides — that part is returned directly instead of copied.
+// concat merges parts (all covering the same relations) into one row set;
+// a nil part is a worker that got no batch. When exactly one part holds
+// rows — the common case at low DOP and for small build sides — that part
+// is returned directly instead of copied.
 func concat(rels query.RelSet, parts []*RowSet) *RowSet {
 	if lone := loneLivePart(parts); lone != nil {
 		return lone
@@ -132,32 +132,20 @@ func concat(rels query.RelSet, parts []*RowSet) *RowSet {
 	out := NewRowSet(rels)
 	total := 0
 	for _, p := range parts {
-		total += p.Len()
+		if p != nil {
+			total += p.Len()
+		}
 	}
 	for pos := range out.cols {
 		col := make([]int32, 0, total)
 		for _, p := range parts {
-			col = append(col, p.cols[pos]...)
+			if p != nil {
+				col = append(col, p.cols[pos]...)
+			}
 		}
 		out.cols[pos] = col
 	}
 	return out
-}
-
-// parallelFinishThreshold is the cost model behind every breaker's
-// serial-vs-parallel finish decision, replacing the old hardcoded
-// 4096-row cutoffs. rows×cols approximates the phase's work in 4-byte
-// cell units (cols is the column count for copies/gathers, or a weight
-// for heavier per-row work like hashing or map inserts); fanning out
-// costs roughly one goroutine spawn+join per worker, worth ~2048 cells
-// each. Parallel pays off once the total work amortizes that overhead
-// across the dop workers the phase would start.
-func parallelFinishThreshold(rows, cols, dop int) bool {
-	const spawnCells = 2048
-	if dop < 2 {
-		return false
-	}
-	return rows*cols >= dop*spawnCells
 }
 
 // loneLivePart returns the single part holding rows, or nil when zero or
@@ -177,56 +165,6 @@ func loneLivePart(parts []*RowSet) *RowSet {
 	return live
 }
 
-// concatPar merges parts into one row set, copying every (relation, part)
-// column slice concurrently under the given parallelism. It is the breaker
-// sinks' merge phase: unlike the sequential concat it copies each part
-// directly into its final offset, so there is no intermediate grown buffer
-// and the copies proceed in parallel.
-func concatPar(rels query.RelSet, parts []*RowSet, dop int) *RowSet {
-	if lone := loneLivePart(parts); lone != nil {
-		return lone
-	}
-	live, offs := partOffsets(parts)
-	total := 0
-	for _, p := range live {
-		total += p.Len()
-	}
-	if !parallelFinishThreshold(total, rels.Count(), dop) {
-		return concat(rels, live)
-	}
-	out := NewRowSet(rels)
-	for pos := range out.cols {
-		out.cols[pos] = make([]int32, total)
-	}
-	// One copy task per (column, part), numbered column-major; at most dop
-	// copiers pull them from a shared cursor, so no more than dop copies
-	// are ever in flight.
-	ntasks := len(out.cols) * len(live)
-	var next atomic.Int64
-	parallelFor(min(dop, ntasks), func(int) {
-		for t := int(next.Add(1)) - 1; t < ntasks; t = int(next.Add(1)) - 1 {
-			pos, i := t/len(live), t%len(live)
-			copy(out.cols[pos][offs[i]:], live[i].cols[pos])
-		}
-	})
-	return out
-}
-
-// partOffsets returns the starting row of each live part in their
-// concatenation, parallel to the returned live slice.
-func partOffsets(parts []*RowSet) (live []*RowSet, offs []int) {
-	total := 0
-	for _, p := range parts {
-		if p == nil || p.Len() == 0 {
-			continue
-		}
-		live = append(live, p)
-		offs = append(offs, total)
-		total += p.Len()
-	}
-	return live, offs
-}
-
 // keyColumn materializes the int64 join-key values of rel.col for every row.
 func keyColumn(rs *RowSet, tbl *storage.Table, rel int, col string) []int64 {
 	ids := rs.Col(rel)
@@ -235,25 +173,5 @@ func keyColumn(rs *RowSet, tbl *storage.Table, rel int, col string) []int64 {
 	for i, id := range ids {
 		out[i] = vals[id]
 	}
-	return out
-}
-
-// keyColumnPar is keyColumn with the gather split across dop goroutines —
-// the breaker sinks materialize keys for millions of rows in their finish
-// phase, where this gather would otherwise be serial tail time.
-func keyColumnPar(rs *RowSet, tbl *storage.Table, rel int, col string, dop int) []int64 {
-	ids := rs.Col(rel)
-	n := len(ids)
-	// Weight 2: the gather reads 4-byte ids but writes 8-byte keys.
-	if !parallelFinishThreshold(n, 2, dop) {
-		return keyColumn(rs, tbl, rel, col)
-	}
-	vals := tbl.MustColumn(col).Ints
-	out := make([]int64, n)
-	parallelFor(dop, func(c int) {
-		for i, hi := c*n/dop, (c+1)*n/dop; i < hi; i++ {
-			out[i] = vals[ids[i]]
-		}
-	})
 	return out
 }

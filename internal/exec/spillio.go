@@ -27,8 +27,11 @@ const (
 	graceMinPartRows = 4096
 	// graceSubParts is the fan-out of one recursive repartition step.
 	graceSubParts = 8
-	// hashEntryBytes approximates the per-row overhead of the join hash
-	// table (map bucket + key + row-id slice entry) for grant sizing.
+	// hashEntryBytes is the per-row grant asked for a join hash table
+	// before it is built. It under-estimates the flat directory: the slot
+	// array is the power of two at or above twice the rows, 17 B a slot,
+	// so 34–68 B a row, plus 4 B of payload and 8 B of gathered key. The
+	// finish then Forces the difference (ROADMAP item 8).
 	hashEntryBytes = 32
 )
 

@@ -45,8 +45,7 @@ var ErrTooManyRows = errors.New("hashtab: build side exceeds 2^31-1 rows")
 
 // Hash is the shared 64-bit key mixer (splitmix64 finalizer over the
 // golden-ratio offset) used by the join directory, the aggregation
-// directory, in-memory partition routing, and — as its first hash — the
-// Bloom filter runtime. Sharing one mixer is what lets batch operators
+// directory and — as its first hash — the Bloom filter runtime. Sharing one mixer is what lets batch operators
 // hash each key once and feed the same value to every consumer.
 func Hash(k int64) uint64 {
 	x := uint64(k) + 0x9e3779b97f4a7c15
@@ -68,9 +67,8 @@ func HashVec(keys []int64, dst []uint64) []uint64 {
 }
 
 // tagOf derives the 8-bit directory tag from a hash. It reads bits
-// 24–31 — disjoint from both the directory index (top bits) and the
-// partition selector (h mod nparts, low bits) — and forces the high bit
-// so an occupied slot can never alias the 0 = empty marker.
+// 24–31 — disjoint from the directory index (top bits) — and forces the
+// high bit so an occupied slot can never alias the 0 = empty marker.
 func tagOf(h uint64) uint8 { return uint8(h>>24) | 0x80 }
 
 // dirSize returns the directory size for n distinct-key upper bound:
@@ -101,8 +99,8 @@ type JoinTable struct {
 
 // Build constructs a table over the given build rows. keys and hashes
 // are parallel (hashes[i] = Hash(keys[i]), typically precomputed once
-// per build and shared with Bloom population and partition routing).
-// ids selects the build-row subset (nil = all rows); payload entries are
+// per build and shared with Bloom population). ids selects the build-row
+// subset (nil = all rows, as the executor builds); payload entries are
 // the ids values themselves, emitted in ids order — callers pass
 // ascending ids, so a key's payload run is ascending, matching the
 // map-based reference kernels bit for bit.

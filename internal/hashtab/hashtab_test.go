@@ -89,8 +89,8 @@ func TestJoinTableRandom(t *testing.T) {
 			probes[i] = rng.Int63() - math.MaxInt64/2
 		}
 		checkAgainstRef(t, keys, nil, probes)
-		// Subset build (the partitioned path hands Build ascending id
-		// segments): every third row.
+		// Subset build (Build's ids argument, ascending): every third
+		// row.
 		var ids []int32
 		for i := 0; i < n; i += 3 {
 			ids = append(ids, int32(i))
