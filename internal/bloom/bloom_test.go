@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -19,31 +20,135 @@ func TestNoFalseNegatives(t *testing.T) {
 	}
 }
 
+// keyFamilies are the key shapes of the FPR contract: key(i) is the i-th
+// key of the family. Random keys are what FPR's formula assumes; the
+// others are the arithmetic shapes real join keys take and a multiply hash
+// must still spread: TPC-H's orderkeys (eight used keys out of every 32),
+// and strides that leave the low 10, 20 and 32 key bits constant or sparse.
+var keyFamilies = []struct {
+	name string
+	key  func(i int64) int64
+}{
+	{"random", func(i int64) int64 { return int64(splitmix(uint64(i))) }},
+	{"orderkey", func(i int64) int64 { return i/8*32 + i%8 + 1 }},
+	{"stride1000", func(i int64) int64 { return i * 1000 }},
+	{"stride2^20", func(i int64) int64 { return i << 20 }},
+	{"stride2^32", func(i int64) int64 { return i << 32 }},
+}
+
+func splitmix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// TestFalsePositiveRateNearTheory is the blocked layout's FPR contract at
+// the executor's 16 bits per key (BitsForNDV): over every key family and
+// build size, a filter holding keys 0..n-1 of the family is probed with
+// the next 200 000 keys of the same family, none of them members. The
+// measured rate stays within 1.5× FPR on random keys — a blocked filter
+// runs about 1.2× above it — and within 2.5× on every family. A broken
+// layout or hash (bits not spread within a word, words not spread over the
+// filter) misses both bounds by far.
 func TestFalsePositiveRateNearTheory(t *testing.T) {
-	const n = 50_000
-	f := NewForNDV(n)
-	rng := rand.New(rand.NewSource(1))
-	inserted := make(map[int64]bool, n)
-	for len(inserted) < n {
-		k := rng.Int63()
-		inserted[k] = true
-		f.Add(k)
-	}
-	theory := FPR(f.Inserted(), f.NBits())
-	probes, fps := 0, 0
-	for probes < 200_000 {
-		k := rng.Int63()
-		if inserted[k] {
-			continue
+	const probes = 200_000
+	for _, fam := range keyFamilies {
+		for _, n := range []int64{1000, 11_457, 28_964, 262_144} {
+			f := New(BitsForNDV(uint64(n)))
+			for i := int64(0); i < n; i++ {
+				f.Add(fam.key(i))
+			}
+			fps := 0
+			for i := n; i < n+probes; i++ {
+				if f.MayContain(fam.key(i)) {
+					fps++
+				}
+			}
+			theory := FPR(uint64(n), f.NBits())
+			ratio := float64(fps) / probes / theory
+			bound := 2.5
+			if fam.name == "random" {
+				bound = 1.5
+			}
+			t.Logf("%-10s n=%-7d bits/key=%4.1f FPR %.4f theory %.4f ratio %.2f",
+				fam.name, n, float64(f.NBits())/float64(n), float64(fps)/probes, theory, ratio)
+			if ratio > bound {
+				t.Errorf("%s, n=%d: measured FPR %.4f is %.2f× theory %.4f; bound %.1f×",
+					fam.name, n, float64(fps)/probes, ratio, theory, bound)
+			}
 		}
-		probes++
-		if f.MayContain(k) {
-			fps++
+	}
+}
+
+// TestFalsePositiveRateSmallDomains: the filters TPC-H builds on its
+// smallest tables hold a few keys of a small dense domain — nation keys
+// 0..24, say — and are probed with the rest of it. Per domain and subset
+// size, over many random subsets, the measured rate stays within 2.5× FPR.
+// A hash whose word or bit positions are correlated across consecutive
+// keys fails here long before the strided families notice.
+func TestFalsePositiveRateSmallDomains(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, c := range []struct{ domain, keys int }{{25, 2}, {25, 5}, {25, 10}, {150, 16}, {1000, 40}} {
+		probes, fps := 0, 0
+		for trial := 0; trial < 2000; trial++ {
+			perm := rng.Perm(c.domain)
+			f := New(BitsForNDV(uint64(c.keys)))
+			for _, k := range perm[:c.keys] {
+				f.Add(int64(k))
+			}
+			for _, k := range perm[c.keys:] {
+				probes++
+				if f.MayContain(int64(k)) {
+					fps++
+				}
+			}
+		}
+		theory := FPR(uint64(c.keys), BitsForNDV(uint64(c.keys)))
+		ratio := float64(fps) / float64(probes) / theory
+		t.Logf("%d of %d keys: FPR %.4f theory %.4f ratio %.2f", c.keys, c.domain, float64(fps)/float64(probes), theory, ratio)
+		if ratio > 2.5 {
+			t.Errorf("%d of %d keys: measured FPR %.4f is %.2f× theory %.4f; bound 2.5×",
+				c.keys, c.domain, float64(fps)/float64(probes), ratio, theory)
 		}
 	}
-	observed := float64(fps) / float64(probes)
-	if observed > 3*theory+0.01 {
-		t.Fatalf("observed FPR %.4f far above theoretical %.4f", observed, theory)
+}
+
+// Property: the three tests of one filter — the fused FilterSel over a key
+// column, FilterSelHashes over precomputed KeyHashes, and per-row
+// MayContain — keep the same rows of any selection.
+func TestFilterSelAgreesWithMayContain(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(5000)
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = rng.Int63n(int64(4 * n))
+		}
+		f := New(uint64(64 << rng.Intn(10)))
+		for _, v := range vals[:n/2] {
+			f.Add(v)
+		}
+		var sel []int32
+		for r := 0; r < n; r++ {
+			if rng.Intn(3) > 0 {
+				sel = append(sel, int32(r))
+			}
+		}
+		var want []int32
+		hashes := make([]uint64, len(sel))
+		for i, r := range sel {
+			if f.MayContain(vals[r]) {
+				want = append(want, r)
+			}
+			hashes[i] = KeyHash(vals[r])
+		}
+		got := f.FilterSel(vals, append([]int32(nil), sel...))
+		gotH := f.FilterSelHashes(hashes, append([]int32(nil), sel...))
+		if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(gotH) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: FilterSel kept %d rows, FilterSelHashes %d, MayContain %d",
+				trial, len(got), len(gotH), len(want))
+		}
 	}
 }
 
@@ -130,6 +235,46 @@ func BenchmarkMayContain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.MayContain(int64(i))
+	}
+}
+
+// BenchmarkFilterSel prices the scan's fused probe per tested row at the
+// workloads' pass rate: a filter of the given size holds, at 16 bits per
+// key, keys drawn from a domain 20 times larger, and one morsel of 4096
+// random keys from that domain is tested, so about 6 % of rows pass (5 %
+// members, the rest false positives). CI gates it on 0 allocs/op.
+func BenchmarkFilterSel(b *testing.B) {
+	const morsel = 4096
+	for _, bytes := range []int{16 << 10, 512 << 10, 4 << 20} {
+		name := fmt.Sprintf("%dKiB", bytes>>10)
+		if bytes >= 1<<20 {
+			name = fmt.Sprintf("%dMiB", bytes>>20)
+		}
+		b.Run(name, func(b *testing.B) {
+			keys := int64(bytes / 2) // 16 bits each
+			f := New(BitsForNDV(uint64(keys)))
+			rng := rand.New(rand.NewSource(1))
+			for i := int64(0); i < keys; i++ {
+				f.Add(rng.Int63n(20 * keys))
+			}
+			vals := make([]int64, 1<<16)
+			for i := range vals {
+				vals[i] = rng.Int63n(20 * keys)
+			}
+			sel := make([]int32, morsel)
+			kept := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := i * morsel % len(vals)
+				for k := range sel {
+					sel[k] = int32(lo + k)
+				}
+				kept += len(f.FilterSel(vals, sel))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/morsel, "ns/row")
+			b.ReportMetric(float64(kept)/float64(b.N)/morsel, "pass")
+		})
 	}
 }
 

@@ -98,6 +98,26 @@ func Paper() Params {
 // goroutine built every filter), and 7.7 at the commit before. A filter test is 3.05 scanned rows against the 3.2
 // charged: inside the band, nsBloomTest stays.
 //
+// scan/bloom re-run after the filter became register-blocked (both bits in
+// one word, one-multiply hash, one fused pass over the key column), same
+// host, 2026-10-16, five runs of each commit alternated in one hour (the
+// commit before: plain 2.4, bloom 10.8, 9.6–11.0 ns/row to 1 MiB, 15.1 at
+// 2 MiB, 15.9 at 4 MiB):
+//
+//	scan/plain            2.8 ns/row
+//	scan/pred             4.4 ns/row
+//	scan/bloom            6.3 ns/row   a test = 3.5 ns over plain
+//	scan/bloom/pass5pct   5.9 ns/row   a test = 3.1 ns over plain, 5.5 % pass
+//	scan/bloom/16KiB …    5.8–7.3 ns/row to 1 MiB, 10.7 at 2 MiB,
+//	  4MiB                10.5 at 4 MiB
+//
+// A test now costs 1.25 scanned rows at the full pass rate and 1.1 at the
+// workloads' (they pass about 7 % of tested rows), against the 3.2
+// charged: outside the band. nsBloomTest stays at 8 all the same. The
+// blocked filter is meant to move no plan, and lowering the charge would
+// shift H6's break-even (1 − BloomApplyCost/HashProbeCost) with it; the
+// two are re-derived together (ROADMAP item 3).
+//
 // A mirrored join — a semi, anti or left join built on its preserve side —
 // is therefore priced as the hash join it is plus one scanned row per build
 // row for the sweep that follows the probe (optimizer.hashJoinCost): no

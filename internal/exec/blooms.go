@@ -57,13 +57,15 @@ type bloomBuild struct {
 	rel       int
 	st        *BloomRuntime
 	// onJoinKey: the build column is the join's hash-key column, so the
-	// build sink's hash vector is this filter's hash vector too.
+	// build sink's gathered key column holds this filter's keys too.
 	onJoinKey bool
 }
 
 // bloomCols is one side of a filter — build or apply: its key column(s)
 // indexed by base-table row id (vals2 nil for a one-column filter). Both
-// sides must derive the key the same way, which hashOf guarantees.
+// sides must derive the key the same way: hashOf, or for a one-column
+// filter bloom.KeyHash of the key itself, which is the same value (and
+// what the scan's fused FilterSel computes).
 type bloomCols struct{ vals, vals2 []int64 }
 
 func (c bloomCols) hashOf(rid int32) uint64 {
@@ -74,17 +76,11 @@ func (c bloomCols) hashOf(rid int32) uint64 {
 	return bloom.KeyHash(key)
 }
 
-// insert adds the build rows ids to b's filter. hashes, when non-nil, is
-// ids' precomputed KeyHash vector — the inserts then never rehash.
-func (b *bloomBuild) insert(ids []int32, hashes []uint64) {
-	if hashes == nil {
-		for _, rid := range ids {
-			b.AddHash(b.hashOf(rid))
-		}
-		return
-	}
-	for _, h := range hashes {
-		b.AddHash(h)
+// insert adds the build rows ids to b's filter, reading their keys by row
+// id.
+func (b *bloomBuild) insert(ids []int32) {
+	for _, rid := range ids {
+		b.AddHash(b.hashOf(rid))
 	}
 }
 
@@ -143,17 +139,20 @@ func (bs *bloomSet) build(j *plan.Join, rows int, feed func([]*bloomBuild) error
 }
 
 // feedVector is the in-memory feeder: the whole build side is one row
-// set. joinHashes, when non-nil, is the KeyHash vector of the join's key
-// column over inner's rows — each build key is then mixed once, for the
-// Bloom bits and the join directory alike.
-func feedVector(inner *RowSet, joinHashes []uint64) func([]*bloomBuild) error {
+// set. joinKeys, when non-nil, is the join's key column over inner's rows,
+// already gathered by the build sink: a filter on the join key reads it in
+// order rather than gathering its keys again by row id, which misses
+// cache once per key.
+func feedVector(inner *RowSet, joinKeys []int64) func([]*bloomBuild) error {
 	return func(builds []*bloomBuild) error {
 		for _, b := range builds {
-			hashes := joinHashes
-			if !b.onJoinKey {
-				hashes = nil
+			if !b.onJoinKey || joinKeys == nil {
+				b.insert(inner.Col(b.rel))
+				continue
 			}
-			b.insert(inner.Col(b.rel), hashes)
+			for _, k := range joinKeys {
+				b.Add(k)
+			}
 		}
 		return nil
 	}
@@ -161,14 +160,11 @@ func feedVector(inner *RowSet, joinHashes []uint64) func([]*bloomBuild) error {
 
 // bloomProbe is one built filter resolved against the scan that applies
 // it: the filter, the apply column(s) by base-table row id, and the
-// runtime record the scan's tested/passed tallies land in. The caller
-// mixes the key once (bloom.KeyHash, the hash shared with the join tables)
-// and both filter probe positions derive from that one value.
+// runtime record the scan's tested/passed tallies land in.
 type bloomProbe struct {
 	h *bloom.Filter
 	bloomCols
-	col string // the filtered column (the first, for multi-column)
-	st  *BloomRuntime
+	st *BloomRuntime
 }
 
 // probesFor resolves the filters scan s applies. Per §3.9 the scan
@@ -185,7 +181,7 @@ func (bs *bloomSet) probesFor(s *plan.Scan) ([]bloomProbe, error) {
 			return nil, fmt.Errorf("exec: scan of %s requires Bloom filter %d which was never built (plan bug)", s.Alias, id)
 		}
 		spec := bs.specs[id]
-		p := bloomProbe{h: b.Filter, col: spec.ApplyCol, st: b.st}
+		p := bloomProbe{h: b.Filter, st: b.st}
 		var err error
 		if p.bloomCols, err = bs.keyCols(id, s.Rel, spec.ApplyCol, spec.ApplyCol2); err != nil {
 			return nil, err

@@ -527,7 +527,6 @@ func foldResultMetrics(m *obs.Metrics, r *Result) {
 	for _, st := range r.OpStats {
 		if _, ok := st.Node.(*plan.Join); ok {
 			m.ProbeRows.Add(st.RowsIn)
-			m.HashCarried.Add(st.HashReusedKeys)
 		}
 	}
 	sp := r.TotalSpill()

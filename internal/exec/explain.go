@@ -104,16 +104,12 @@ func (r *Result) explainNode(b *strings.Builder, n plan.Node, depth int) {
 	if st := r.StatFor(n); st != nil {
 		fmt.Fprintf(b, " actual=%d batches=%d wall=%s",
 			st.RowsOut, st.Batches, st.Wall.Round(time.Microsecond))
-		// Probe sub-phases and the hash-carry counter; all zero for
-		// non-join operators.
+		// Probe sub-phases; all zero for non-join operators.
 		if st.Gather > 0 || st.Probe > 0 || st.Emit > 0 {
 			fmt.Fprintf(b, " [gather=%s probe=%s emit=%s]",
 				st.Gather.Round(time.Microsecond),
 				st.Probe.Round(time.Microsecond),
 				st.Emit.Round(time.Microsecond))
-		}
-		if st.HashReusedKeys > 0 {
-			fmt.Fprintf(b, " hash-carried=%d", st.HashReusedKeys)
 		}
 	} else if a := r.ActualFor(n); a >= 0 {
 		fmt.Fprintf(b, " actual=%.0f", a)

@@ -317,7 +317,6 @@ func (o *probeOp) graceNext() (*Batch, error) {
 					scratch.cols[c] = scratch.cols[c][:0]
 				}
 				appendRawChunk(scratch, cols)
-				// Reloaded chunks carry no side channels: the probe re-hashes.
 				w.inBatch = Batch{rows: scratch}
 				out = sh.probeBatch(act.ht, &w.inBatch, &w.scr, act.marks)
 			case act.sweepAt < act.ht.inner.Len():
@@ -525,7 +524,7 @@ func (g *graceHashJoin) feedBuildChunks(builds []*bloomBuild) error {
 		err := eachChunk(w, g.buildRec, func(cols [][]int32) error {
 			for _, b := range builds {
 				ids := cols[g.buildRels.Rank(b.rel)]
-				b.insert(ids, nil)
+				b.insert(ids)
 			}
 			return nil
 		})

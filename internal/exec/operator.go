@@ -39,13 +39,11 @@ type opStats struct {
 	rowsOut   atomic.Int64
 	batches   atomic.Int64
 	wallNanos atomic.Int64
-	// Probe sub-phases (gather keys / probe directory / emit pair-driven
-	// output) and the number of input rows whose key hashes arrived
-	// precomputed on the batch. Zero for non-join operators.
+	// Probe sub-phases (gather and hash keys / probe directory / emit
+	// pair-driven output). Zero for non-join operators.
 	gatherNanos atomic.Int64
 	probeNanos  atomic.Int64
 	emitNanos   atomic.Int64
-	hashReused  atomic.Int64
 }
 
 func (s *opStats) observe(rowsIn, rowsOut int, d time.Duration) {
@@ -56,11 +54,10 @@ func (s *opStats) observe(rowsIn, rowsOut int, d time.Duration) {
 }
 
 // observePhases folds one vectorized probe batch's sub-timings in.
-func (s *opStats) observePhases(gather, probe, emit time.Duration, reused int) {
+func (s *opStats) observePhases(gather, probe, emit time.Duration) {
 	s.gatherNanos.Add(int64(gather))
 	s.probeNanos.Add(int64(probe))
 	s.emitNanos.Add(int64(emit))
-	s.hashReused.Add(int64(reused))
 }
 
 // OpStat is the exported snapshot of one operator's runtime counters, the
@@ -82,23 +79,24 @@ type OpStat struct {
 	// Gather/Probe/Emit split a join probe's wall time into its three
 	// kernel phases (all zero for other operators).
 	Gather, Probe, Emit time.Duration
-	// HashReusedKeys counts input rows whose join-key hash arrived
-	// precomputed on the batch (scan Bloom probe → join probe hash carry).
+	// HashReusedKeys is always 0: join probes hash their own keys, since the
+	// scan's Bloom filters hash differently and carry nothing downstream.
+	// The field remains because benchmark/engine_traced.go reads it for
+	// exec.hash_reused_keys, and it goes when that metric does.
 	HashReusedKeys int64
 }
 
 func (s *opStats) snapshot() OpStat {
 	return OpStat{
-		Label:          s.label,
-		Node:           s.node,
-		RowsIn:         s.rowsIn.Load(),
-		RowsOut:        s.rowsOut.Load(),
-		Batches:        s.batches.Load(),
-		Wall:           time.Duration(s.wallNanos.Load()),
-		Gather:         time.Duration(s.gatherNanos.Load()),
-		Probe:          time.Duration(s.probeNanos.Load()),
-		Emit:           time.Duration(s.emitNanos.Load()),
-		HashReusedKeys: s.hashReused.Load(),
+		Label:   s.label,
+		Node:    s.node,
+		RowsIn:  s.rowsIn.Load(),
+		RowsOut: s.rowsOut.Load(),
+		Batches: s.batches.Load(),
+		Wall:    time.Duration(s.wallNanos.Load()),
+		Gather:  time.Duration(s.gatherNanos.Load()),
+		Probe:   time.Duration(s.probeNanos.Load()),
+		Emit:    time.Duration(s.emitNanos.Load()),
 	}
 }
 
@@ -113,8 +111,8 @@ type BreakerPhases struct {
 	// benchmark/engine_traced.go reads it for exec.phase_ms.sort, and it
 	// goes when that metric does.
 	Sort time.Duration
-	// Build is the hash-table construction time: the key gather and hash
-	// plus the directory build.
+	// Build is the hash-table construction time: the key gather plus the
+	// directory's hash and build.
 	Build time.Duration
 	// Bloom is the Bloom-filter population time.
 	Bloom time.Duration

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bfcbo/internal/bloom"
 	"bfcbo/internal/hashtab"
 	"bfcbo/internal/plan"
 	"bfcbo/internal/query"
@@ -59,14 +58,6 @@ type scanSource struct {
 	zoneSkipped     atomic.Int64
 	zoneSkippedRows atomic.Int64
 	predIn, predOut []atomic.Int64 // one pair per kernel, compile order
-
-	// Batch side-channel request, set by runPipeline after construction
-	// (it depends on the pipeline's downstream operators). carryIdx names
-	// the Bloom probe whose per-batch hash vector doubles as the batch's
-	// hash channel — the first probe operator keys on the same column, so
-	// its HashVec pass becomes redundant.
-	carryIdx int // index into bfs, -1 when no hash carry
-	hashCol  string
 }
 
 func (ex *executor) newScanSource(s *plan.Scan, stats *opStats) (*scanSource, error) {
@@ -78,10 +69,9 @@ func (ex *executor) newScanSource(s *plan.Scan, stats *opStats) (*scanSource, er
 	src := &scanSource{
 		s: s, tbl: tbl, kernels: kernels,
 		n: tbl.NumRows(), morsel: ex.morsel, stats: stats,
-		stop:     &ex.stop,
-		carryIdx: -1,
-		predIn:   make([]atomic.Int64, len(kernels)),
-		predOut:  make([]atomic.Int64, len(kernels)),
+		stop:    &ex.stop,
+		predIn:  make([]atomic.Int64, len(kernels)),
+		predOut: make([]atomic.Int64, len(kernels)),
 	}
 	// Zone maps: each prunable conjunct pairs with its column's per-block
 	// bounds; a missing or type-mismatched map simply means no skipping
@@ -105,19 +95,6 @@ func (ex *executor) newScanSource(s *plan.Scan, stats *opStats) (*scanSource, er
 		src.bfs = append(src.bfs, &scanBloom{bloomProbe: p})
 	}
 	return src, nil
-}
-
-// requestHashCarry asks the scan to publish its per-batch Bloom hash
-// vector as the batch's hash side channel for col. It takes effect only
-// when a single-column Bloom probe on that column exists — the hashes are
-// then computed anyway, and keeping them costs one compaction at most.
-// The last matching probe wins: its vector needs no further compaction.
-func (src *scanSource) requestHashCarry(col string) {
-	for k, b := range src.bfs {
-		if b.vals2 == nil && b.col == col {
-			src.carryIdx, src.hashCol = k, col
-		}
-	}
 }
 
 // skipMorsel consults the zone maps covering rows [lo, hi): true when some
@@ -164,7 +141,7 @@ func (src *scanSource) runtime() ScanRuntime {
 }
 
 // scanOp is the per-worker operator over a shared scanSource. All scratch —
-// the selection vector, the Bloom key/hash gather buffers, the adaptive
+// the selection vector, the two-column filters' hash buffer, the adaptive
 // kernel chain and every tally — is per worker, allocated once in Open;
 // the steady-state batch loop allocates only its output rows. Tallies fold
 // into the source's atomics once per worker at Close (workers close before
@@ -173,11 +150,8 @@ type scanOp struct {
 	src   *scanSource
 	chain *query.Chain
 	sel   []int32
-	keys  *[]int64 // keyVecPool scratch for batched Bloom key gathers
-	hs    []uint64
-	carry []uint64 // hash side channel scratch (separate from hs: later
-	// Bloom probes overwrite hs, the carry must survive them)
-	out Batch // reused output batch header
+	hs    []uint64 // combined-key hashes of a two-column filter's test
+	out   Batch    // reused output batch header
 
 	localTested  []int64
 	localPassed  []int64
@@ -194,16 +168,11 @@ func (o *scanOp) Open() error {
 		o.chain = query.NewChain(src.kernels)
 	}
 	o.sel = make([]int32, src.morsel)
-	if len(src.bfs) > 0 {
-		kp := keyVecPool.Get().(*[]int64)
-		if cap(*kp) < src.morsel {
-			*kp = make([]int64, 0, src.morsel)
+	for _, b := range src.bfs {
+		if b.vals2 != nil {
+			o.hs = make([]uint64, src.morsel)
+			break
 		}
-		o.keys = kp
-		o.hs = make([]uint64, src.morsel)
-	}
-	if src.carryIdx >= 0 {
-		o.carry = make([]uint64, src.morsel)
 	}
 	return nil
 }
@@ -223,19 +192,14 @@ func (o *scanOp) Close() error {
 			src.predOut[i].Add(c.Out)
 		}
 	}
-	if o.keys != nil {
-		*o.keys = (*o.keys)[:0]
-		keyVecPool.Put(o.keys)
-		o.keys = nil
-	}
 	return nil
 }
 
 // NextBatch is the batch kernel path: claim a morsel, consult the zone
-// maps, run the adaptive kernel chain over the selection vector, then probe
-// the Bloom filters over gathered key batches hashed once per batch. When
-// the hash side channel was requested, the batch also carries the surviving
-// hash vector of the carry Bloom probe.
+// maps, run the adaptive kernel chain over the selection vector, then test
+// the Bloom filters in plan order, each in one fused pass over the
+// surviving rows' keys (bloom.Filter.FilterSel). A two-column filter first
+// hashes its combined keys into scratch.
 func (o *scanOp) NextBatch() (*Batch, error) {
 	src := o.src
 	for {
@@ -265,36 +229,18 @@ func (o *scanOp) NextBatch() (*Batch, error) {
 		if o.chain != nil {
 			sel = o.chain.EvalBatch(sel)
 		}
-		var carry []uint64
 		for k, b := range src.bfs {
 			if len(sel) == 0 {
 				break
 			}
 			o.localTested[k] += int64(len(sel))
-			keys := (*o.keys)[:len(sel)]
-			if b.vals2 != nil {
-				for i, r := range sel {
-					keys[i] = bloom.CombineKeys(b.vals[r], b.vals2[r])
-				}
+			if b.vals2 == nil {
+				sel = b.h.FilterSel(b.vals, sel)
 			} else {
+				hs := o.hs[:len(sel)]
 				for i, r := range sel {
-					keys[i] = b.vals[r]
+					hs[i] = b.hashOf(r)
 				}
-			}
-			// One shared mix per key: HashVec fills the batch hash vector
-			// and both filter probe positions derive from it.
-			switch {
-			case k == src.carryIdx:
-				// This probe's hashes become the batch's hash channel:
-				// hash into the carry buffer and compact it alongside sel.
-				hs := hashtab.HashVec(keys, o.carry)
-				sel, carry = b.h.FilterSelHashesCarry(hs, sel, hs)
-			case carry != nil:
-				// A later probe: compact the surviving carry in lockstep.
-				hs := hashtab.HashVec(keys, o.hs)
-				sel, carry = b.h.FilterSelHashesCarry(hs, sel, carry)
-			default:
-				hs := hashtab.HashVec(keys, o.hs)
 				sel = b.h.FilterSelHashes(hs, sel)
 			}
 			o.localPassed[k] += int64(len(sel))
@@ -306,9 +252,6 @@ func (o *scanOp) NextBatch() (*Batch, error) {
 		out := NewRowSetCap(query.NewRelSet(src.s.Rel), len(sel))
 		out.cols[0] = append(out.cols[0], sel...)
 		o.out = Batch{rows: out, sel: out.cols[0]}
-		if carry != nil {
-			o.out.hashes, o.out.hashRel, o.out.hashCol = carry, src.s.Rel, src.hashCol
-		}
 		return &o.out, nil
 	}
 }
@@ -323,7 +266,6 @@ func (o *scanOp) NextBatch() (*Batch, error) {
 type hashTable struct {
 	inner       *RowSet
 	innerKeys   []int64
-	innerHashes []uint64 // hashtab.Hash of innerKeys, computed once per build
 	innerExtras [][]int64
 	tab         *hashtab.JoinTable
 }
@@ -340,9 +282,9 @@ func (m buildMarks) set(i int32)      { m[i>>6] |= 1 << (uint(i) & 63) }
 func (m buildMarks) has(i int32) bool { return m[i>>6]&(1<<(uint(i)&63)) != 0 }
 func (m buildMarks) bytes() int64     { return 8 * int64(len(m)) }
 
-// gatherBuildKeys materializes the build side's key columns and hash
-// vector — split from buildDirectory so the hash-build sink can feed
-// the same keys and hashes to Bloom population before the table build.
+// gatherBuildKeys materializes the build side's key columns — split from
+// buildDirectory so the hash-build sink can feed the same keys to Bloom
+// population before the table build.
 func gatherBuildKeys(ex *executor, j *plan.Join, inner *RowSet) (*hashTable, error) {
 	if len(j.Conds) == 0 {
 		return nil, fmt.Errorf("exec: hash join with no conditions")
@@ -360,19 +302,18 @@ func gatherBuildKeys(ex *executor, j *plan.Join, inner *RowSet) (*hashTable, err
 	if len(ht.innerKeys) > hashtab.MaxRows {
 		return nil, fmt.Errorf("exec: hash build side of %d rows exceeds the int32 row-id domain", len(ht.innerKeys))
 	}
-	ht.innerHashes = hashtab.HashVec(ht.innerKeys, nil)
 	for _, c := range j.Conds[1:] {
 		ht.innerExtras = append(ht.innerExtras, keyColumn(inner, ex.tables[c.InnerRel], c.InnerRel, c.InnerCol))
 	}
 	return ht, nil
 }
 
-// buildDirectory builds the flat join directory over the gathered keys and
-// their hash vector, then drops the vector: probes hash per batch. Payload
-// order is ascending build-row id per key.
+// buildDirectory hashes the gathered keys and builds the flat join
+// directory over them; the hash vector is dropped, as probes hash per
+// batch. Payload order is ascending build-row id per key.
 func (ht *hashTable) buildDirectory() error {
-	t, err := hashtab.Build(ht.innerKeys, ht.innerHashes, nil)
-	ht.tab, ht.innerHashes = t, nil
+	t, err := hashtab.Build(ht.innerKeys, hashtab.HashVec(ht.innerKeys, nil), nil)
+	ht.tab = t
 	return err
 }
 
@@ -547,11 +488,10 @@ func (sh *probeShared) matchIn(ht *hashTable, outerIDs [][]int32, oi int, ii int
 //
 // The kernel runs in three phases. Gather: resolve the per-condition
 // outer row-id columns once, gather the key column through them into
-// scratch, and hash the whole vector once via HashVec — or reuse the
-// batch's carried hash vector when the scan's Bloom probe already mixed
-// this column. Probe: a tight monomorphic loop per JoinType walks the flat
-// directory and emits match-pair vectors (outer batch position, build row
-// id); extra non-hash conditions run as a vectorized post-filter, one
+// scratch, and hash the whole vector once via HashVec. Probe: a tight
+// monomorphic loop per JoinType walks the flat directory and emits
+// match-pair vectors (outer batch position, build row id); extra non-hash
+// conditions run as a vectorized post-filter, one
 // column loop per condition, over the pair vectors. Emit: bulk per-column
 // gathers driven by the pair vectors materialize the output columns
 // through the precomputed wiring. Output row order is ascending outer
@@ -579,16 +519,8 @@ func (sh *probeShared) probeBatch(ht *hashTable, in *Batch, scr *probeScratch, m
 	for oi := 0; oi < n; oi++ {
 		keys[oi] = keyVals[keyIDs[oi]]
 	}
-	reused := 0
-	hs := in.hashesFor(sh.outerRels[0], sh.j.Conds[0].OuterCol)
-	if hs != nil {
-		reused = n
-	} else {
-		if cap(scr.hashes) < n {
-			scr.hashes = make([]uint64, n)
-		}
-		hs = hashtab.HashVec(keys, scr.hashes)
-	}
+	hs := hashtab.HashVec(keys, scr.hashes)
+	scr.hashes = hs // keep a grown backing array
 	gatherWall := time.Since(gatherStart)
 
 	probeStart := time.Now()
@@ -714,7 +646,7 @@ func (sh *probeShared) probeBatch(ht *hashTable, in *Batch, scr *probeScratch, m
 		}
 	}
 	scr.outBatch = Batch{rows: out}
-	sh.stats.observePhases(gatherWall, probeWall, time.Since(emitStart), reused)
+	sh.stats.observePhases(gatherWall, probeWall, time.Since(emitStart))
 	return &scr.outBatch
 }
 

@@ -119,9 +119,9 @@ func (s *resultSink) finish() error {
 
 // hashBuildSink materializes a hash join's build side, populates its Bloom
 // filters (bloomSet.build), and builds the shared hash table the probe
-// pipeline reads. The finish phases — the part merge, the key gather and
-// hash, the Bloom population, the directory build — run one after another
-// on the pipeline's goroutine, over one shared hash vector.
+// pipeline reads. The finish phases — the part merge, the key gather, the
+// Bloom population, the directory's hash and build — run one after another
+// on the pipeline's goroutine, over one gathered key column.
 //
 // Under a memory budget the sink is the grace hash join's entry point:
 // when a grant is denied, the worker's buffered part spills to hash
@@ -241,9 +241,8 @@ func (s *hashBuildSink) finish() error {
 		extra := rowSetBytes(totalRows, s.rels.Count()) + int64(totalRows)*hashEntryBytes
 		if totalRows == 0 || (!s.unitOverBudget() && s.res.Grow(extra, nil)) {
 			inner := s.merged()
-			// Gather the build keys and hash them once; the same vector
-			// populates the Bloom filters (when a filter's build column is
-			// the hash-key column) and the flat join directory.
+			// Gather the build keys once: the same column populates the
+			// Bloom filters on the join key and the flat join directory.
 			start := time.Now()
 			ht, err := gatherBuildKeys(s.ex, s.j, inner)
 			if err != nil {
@@ -252,7 +251,7 @@ func (s *hashBuildSink) finish() error {
 			gatherWall := time.Since(start)
 			if len(s.j.BuildBlooms) > 0 {
 				start := time.Now()
-				if err := s.ex.blooms.build(s.j, totalRows, feedVector(inner, ht.innerHashes)); err != nil {
+				if err := s.ex.blooms.build(s.j, totalRows, feedVector(inner, ht.innerKeys)); err != nil {
 					return err
 				}
 				s.ph.Bloom = time.Since(start)
@@ -437,14 +436,6 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 		}
 		probes = append(probes, sh)
 		inRels = sh.outRels
-	}
-
-	// Batch side-channel request onto the scan source: the first probe keyed
-	// on a scan column can reuse the scan's Bloom hash vector.
-	if len(pl.Ops) > 0 {
-		if c := pl.Ops[0].Conds[0]; c.OuterRel == s.Rel {
-			src.requestHashCarry(c.OuterCol)
-		}
 	}
 
 	snk, err := ex.newSink(pl, inRels, workers, rec)

@@ -70,9 +70,10 @@ func spillPartitionCount(estRows float64, cols int, budget int64) int {
 	return n
 }
 
-// keyVecPool recycles the key-gather scratch of the spill routers: they
-// run on shared sink state across many workers and batches, so per-call
-// allocation would dominate the route path's steady state.
+// keyVecPool recycles the key-gather scratch of the grace build's router
+// (graceHashJoin.routeBuild), its one user: routing runs on shared sink
+// state across many workers and batches, so per-call allocation would
+// dominate the route path's steady state.
 var keyVecPool = sync.Pool{
 	New: func() any {
 		b := make([]int64, 0, spillChunkRows)

@@ -3,10 +3,9 @@
 // open-addressing aggregation table, both replacing Go's built-in maps on
 // every batch build/probe/aggregate loop.
 //
-// Both structures share one 64-bit key mixer (Hash), which is also the
-// first hash of the Bloom filter runtime — a key that flows through a
-// Bloom probe and then a join probe is mixed once and the value reused,
-// instead of each path rehashing independently.
+// Both structures share one 64-bit key mixer (Hash). The Bloom filters
+// hash with their own, cheaper function (bloom.KeyHash), so a key that
+// flows through a Bloom test and then a join probe is hashed by each.
 //
 // Join table layout ("unchained", after the SIGMOD '21/'24 line of
 // unchained in-memory join tables): the directory is a linear-probing
@@ -44,9 +43,8 @@ const MaxRows = math.MaxInt32
 var ErrTooManyRows = errors.New("hashtab: build side exceeds 2^31-1 rows")
 
 // Hash is the shared 64-bit key mixer (splitmix64 finalizer over the
-// golden-ratio offset) used by the join directory, the aggregation
-// directory and — as its first hash — the Bloom filter runtime. Sharing one mixer is what lets batch operators
-// hash each key once and feed the same value to every consumer.
+// golden-ratio offset) used by the join directory and the aggregation
+// directory, and inside bloom.CombineKeys to fold two-column keys.
 func Hash(k int64) uint64 {
 	x := uint64(k) + 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -98,8 +96,8 @@ type JoinTable struct {
 }
 
 // Build constructs a table over the given build rows. keys and hashes
-// are parallel (hashes[i] = Hash(keys[i]), typically precomputed once
-// per build and shared with Bloom population). ids selects the build-row
+// are parallel (hashes[i] = Hash(keys[i]), computed once per build by
+// HashVec). ids selects the build-row
 // subset (nil = all rows, as the executor builds); payload entries are
 // the ids values themselves, emitted in ids order — callers pass
 // ascending ids, so a key's payload run is ascending, matching the

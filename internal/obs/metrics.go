@@ -33,9 +33,8 @@ type Metrics struct {
 	MorselsSkipped  *Counter // morsels eliminated by zone-map bounds
 	RowsZoneSkipped *Counter // rows inside zone-skipped morsels
 
-	// Carry hit rates (numerator/denominator pairs; rates derived at read).
-	ProbeRows   *Counter // join-probe input rows
-	HashCarried *Counter // probe rows whose hash arrived on the batch
+	// Join probes.
+	ProbeRows *Counter // join-probe input rows
 
 	// Out-of-core activity.
 	SpillBytes     *Counter // encoded bytes written to spill files
@@ -70,8 +69,7 @@ func NewMetrics(reg *Registry) *Metrics {
 		MorselsSkipped:  reg.NewCounter("bfcbo_morsels_zone_skipped_total", "Morsels eliminated by zone-map bounds."),
 		RowsZoneSkipped: reg.NewCounter("bfcbo_rows_zone_skipped_total", "Rows inside zone-skipped morsels."),
 
-		ProbeRows:   reg.NewCounter("bfcbo_probe_rows_total", "Join-probe input rows."),
-		HashCarried: reg.NewCounter("bfcbo_probe_hash_carried_rows_total", "Probe rows with a batch-carried hash."),
+		ProbeRows: reg.NewCounter("bfcbo_probe_rows_total", "Join-probe input rows."),
 
 		SpillBytes:     reg.NewCounter("bfcbo_spill_bytes_total", "Encoded bytes written to spill files."),
 		SpillReadBytes: reg.NewCounter("bfcbo_spill_read_bytes_total", "Encoded bytes read back from spill files."),

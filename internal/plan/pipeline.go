@@ -199,8 +199,8 @@ func SummarizeDAG(pipes []*Pipeline) DAGStats {
 
 // Describe renders one pipeline as a single line, e.g.
 // "P2: Scan l -> HashJoin(inner) probe(l_orderkey) -> result (after P0,P1)".
-// Probe operators name their hash-key column so batch-level reports (hash
-// carry, probe sub-phases) can be read off the pipeline label.
+// Probe operators name their hash-key column so batch-level reports (probe
+// sub-phases) can be read off the pipeline label.
 func (pl *Pipeline) Describe() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "P%d: Scan %s", pl.ID, pl.Source.Alias)

@@ -200,9 +200,8 @@ func TestMetricsAgreeWithSchedStats(t *testing.T) {
 		t.Fatalf("/metrics output fails lint: %v", err)
 	}
 
-	// bfcbo_probe_rows_total is the denominator of the hash-carry hit rate:
-	// the hash-probe input rows, every join's, which is what the run's
-	// Work.Probe counts too.
+	// bfcbo_probe_rows_total counts the hash-probe input rows, every
+	// join's, which is what the run's Work.Probe counts too.
 	res, err := e.Plan(b, NoBF)
 	if err != nil {
 		t.Fatal(err)
