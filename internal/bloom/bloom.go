@@ -107,21 +107,17 @@ func hash2(key int64) uint64 {
 func (f *Filter) Add(key int64) { f.AddHash(KeyHash(key)) }
 
 // AddHash inserts a key by its hash: any 64-bit hash whose top bits are well
-// mixed, as long as the tests hash the same way (KeyHash for Add, MayContain
-// and FilterSel).
+// mixed, as long as the tests hash the same way (KeyHash for Add,
+// FilterSel and the MayContainHash of a key).
 func (f *Filter) AddHash(h uint64) {
 	h >>= f.shift
 	f.words[h>>12] |= 1<<(h&63) | 1<<(h>>6&63)
 	f.inserted++
 }
 
-// MayContain reports whether the key may have been inserted. False means
-// definitely absent; true may be a false positive.
-func (f *Filter) MayContain(key int64) bool {
-	return f.MayContainHash(KeyHash(key))
-}
-
-// MayContainHash is MayContain over a precomputed hash (see AddHash).
+// MayContainHash reports whether a key with hash h (see AddHash) may have
+// been inserted. False means definitely absent; true may be a false
+// positive.
 func (f *Filter) MayContainHash(h uint64) bool {
 	h >>= f.shift
 	m := uint64(1)<<(h&63) | 1<<(h>>6&63)

@@ -14,7 +14,7 @@ func TestNoFalseNegatives(t *testing.T) {
 		f.Add(i * 7)
 	}
 	for i := int64(0); i < 10_000; i++ {
-		if !f.MayContain(i * 7) {
+		if !f.MayContainHash(KeyHash(i * 7)) {
 			t.Fatalf("false negative for key %d", i*7)
 		}
 	}
@@ -61,7 +61,7 @@ func TestFalsePositiveRateNearTheory(t *testing.T) {
 			}
 			fps := 0
 			for i := n; i < n+probes; i++ {
-				if f.MayContain(fam.key(i)) {
+				if f.MayContainHash(KeyHash(fam.key(i))) {
 					fps++
 				}
 			}
@@ -99,7 +99,7 @@ func TestFalsePositiveRateSmallDomains(t *testing.T) {
 			}
 			for _, k := range perm[c.keys:] {
 				probes++
-				if f.MayContain(int64(k)) {
+				if f.MayContainHash(KeyHash(int64(k))) {
 					fps++
 				}
 			}
@@ -116,7 +116,7 @@ func TestFalsePositiveRateSmallDomains(t *testing.T) {
 
 // Property: the three tests of one filter — the fused FilterSel over a key
 // column, FilterSelHashes over precomputed KeyHashes, and per-row
-// MayContain — keep the same rows of any selection.
+// MayContainHash — keep the same rows of any selection.
 func TestFilterSelAgreesWithMayContain(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
@@ -138,7 +138,7 @@ func TestFilterSelAgreesWithMayContain(t *testing.T) {
 		var want []int32
 		hashes := make([]uint64, len(sel))
 		for i, r := range sel {
-			if f.MayContain(vals[r]) {
+			if f.MayContainHash(KeyHash(vals[r])) {
 				want = append(want, r)
 			}
 			hashes[i] = KeyHash(vals[r])
@@ -208,7 +208,7 @@ func TestQuickNoFalseNegatives(t *testing.T) {
 			f.Add(k)
 		}
 		for _, k := range keys {
-			if !f.MayContain(k) {
+			if !f.MayContainHash(KeyHash(k)) {
 				return false
 			}
 		}
@@ -234,7 +234,7 @@ func BenchmarkMayContain(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.MayContain(int64(i))
+		f.MayContainHash(KeyHash(int64(i)))
 	}
 }
 

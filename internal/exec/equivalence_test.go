@@ -92,9 +92,9 @@ func executorEquivalenceTPCH(t *testing.T, profile optimizer.Options, modes []op
 							q.Num, mode, dop, i, r.Rows)
 					}
 				}
-				// Same tuples, not just as many: scan kernels, zone-map
-				// skips, Bloom and hash carries, the flat tables and the
-				// pair-driven emit may reorder the output but never change it.
+				// Same tuples, not just as many: scan kernels, Bloom
+				// probes, the flat tables and the pair-driven emit may
+				// reorder the output but never change it.
 				want, got := canonicalRows(legacy.Out), canonicalRows(piped.Out)
 				for i := 0; i < len(want) && i < len(got); i++ {
 					if got[i] != want[i] {

@@ -40,8 +40,8 @@ type Result struct {
 	// order (empty for reference runs).
 	OpStats []OpStat
 	// Scans reports per-scan vectorized-execution counters — morsels
-	// claimed, zone-map skips, per-predicate selectivity — ordered by
-	// relation index (empty for reference runs).
+	// claimed, per-predicate selectivity — ordered by relation index
+	// (empty for reference runs).
 	Scans []ScanRuntime
 	// Pipelines reports each executed pipeline (empty for reference runs).
 	Pipelines []PipelineStat
@@ -71,8 +71,8 @@ type Work struct {
 	Probe int64
 	// Tested is the Bloom filter tests run inside scans.
 	Tested int64
-	// Scanned is the base-table rows scans read; morsels the zone maps
-	// skipped are not read.
+	// Scanned is the base-table rows scans read: every row of every
+	// morsel claimed.
 	Scanned int64
 }
 
@@ -92,9 +92,6 @@ func foldWork(r *Result) Work {
 			w.Probe += st.RowsIn
 			w.Build += int64(r.ActualFor(n.Inner))
 		}
-	}
-	for _, sc := range r.Scans {
-		w.Scanned -= sc.ZoneSkippedRows
 	}
 	for _, b := range r.BloomStats {
 		w.Tested += b.Tested
@@ -145,12 +142,12 @@ type PredRuntime struct {
 type ScanRuntime struct {
 	Rel   int
 	Alias string
-	// Morsels is the number of morsels claimed (including skipped ones);
-	// ZoneSkipped / ZoneSkippedRows count morsels (and their rows)
-	// eliminated by zone-map bounds before any row was touched.
-	Morsels         int64
-	ZoneSkipped     int64
-	ZoneSkippedRows int64
+	// Morsels is the number of morsels claimed; a scan reads every row
+	// of each one.
+	Morsels int64
+	// ZoneSkipped is always 0; it stays only because benchmark/ still
+	// reports it.
+	ZoneSkipped int64
 	// Preds is the per-kernel row flow in compile order.
 	Preds []PredRuntime
 }
@@ -432,8 +429,8 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	ex.blooms = newBloomSet(ex.tables, p.Blooms)
 	// Publish the run to the in-flight inspector. Planned morsel counts
 	// fix each pipeline's progress denominator up front, exactly: the
-	// shared cursor claims every morsel of its scan, even ones zone-maps
-	// skip. Deregistration is deferred, covering every exit path.
+	// shared cursor claims every morsel of its scan. Deregistration is
+	// deferred, covering every exit path.
 	if opts.Inspector != nil {
 		lq := obs.NewLiveQuery(ticket.ID(), block.Name, ex.fpHex, p.Mode)
 		for _, pl := range pipes {
@@ -521,8 +518,6 @@ func (ex *executor) maybeYield() bool  { return ex.ticket.MaybeYield(ex.stopCh) 
 func foldResultMetrics(m *obs.Metrics, r *Result) {
 	for _, sc := range r.Scans {
 		m.MorselsScanned.Add(sc.Morsels)
-		m.MorselsSkipped.Add(sc.ZoneSkipped)
-		m.RowsZoneSkipped.Add(sc.ZoneSkippedRows)
 	}
 	for _, st := range r.OpStats {
 		if _, ok := st.Node.(*plan.Join); ok {

@@ -31,8 +31,7 @@ func (r *Result) ExplainAnalyze(p *plan.Plan) string {
 		}
 	}
 	for _, sc := range r.Scans {
-		fmt.Fprintf(&b, "  scan %s morsels=%d zone-skipped=%d (%d rows)\n",
-			sc.Alias, sc.Morsels, sc.ZoneSkipped, sc.ZoneSkippedRows)
+		fmt.Fprintf(&b, "  scan %s morsels=%d\n", sc.Alias, sc.Morsels)
 		for _, pr := range sc.Preds {
 			pct := 100.0
 			if pr.In > 0 {

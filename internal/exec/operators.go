@@ -26,14 +26,6 @@ type scanBloom struct {
 	passed atomic.Int64
 }
 
-// scanZone is one morsel-skip test: a predicate-derived bound check paired
-// with the zone map of the column it constrains.
-type scanZone struct {
-	zm        *storage.ZoneMap
-	skipInt   func(min, max int64) bool
-	skipFloat func(min, max float64) bool
-}
-
 // scanSource is the shared state of a scan pipeline source. The predicate
 // is compiled once into kernels bound to the table's column slices; workers
 // share the immutable kernels and keep private adaptive chains. All runtime
@@ -42,7 +34,6 @@ type scanSource struct {
 	s       *plan.Scan
 	tbl     *storage.Table
 	kernels []query.Kernel
-	zones   []scanZone
 	bfs     []*scanBloom
 	n       int
 	morsel  int
@@ -55,8 +46,6 @@ type scanSource struct {
 	stop *atomic.Bool
 
 	morsels         atomic.Int64
-	zoneSkipped     atomic.Int64
-	zoneSkippedRows atomic.Int64
 	predIn, predOut []atomic.Int64 // one pair per kernel, compile order
 }
 
@@ -73,20 +62,6 @@ func (ex *executor) newScanSource(s *plan.Scan, stats *opStats) (*scanSource, er
 		predIn:  make([]atomic.Int64, len(kernels)),
 		predOut: make([]atomic.Int64, len(kernels)),
 	}
-	// Zone maps: each prunable conjunct pairs with its column's per-block
-	// bounds; a missing or type-mismatched map simply means no skipping
-	// for that conjunct.
-	for _, zp := range query.ZonePruners(s.Pred) {
-		zm := tbl.ZoneMap(zp.Col)
-		if zm == nil {
-			continue
-		}
-		if zp.SkipInt != nil && zm.IsInt() {
-			src.zones = append(src.zones, scanZone{zm: zm, skipInt: zp.SkipInt})
-		} else if zp.SkipFloat != nil && zm.IsFloat() {
-			src.zones = append(src.zones, scanZone{zm: zm, skipFloat: zp.SkipFloat})
-		}
-	}
 	probes, err := ex.blooms.probesFor(s)
 	if err != nil {
 		return nil, err
@@ -95,23 +70,6 @@ func (ex *executor) newScanSource(s *plan.Scan, stats *opStats) (*scanSource, er
 		src.bfs = append(src.bfs, &scanBloom{bloomProbe: p})
 	}
 	return src, nil
-}
-
-// skipMorsel consults the zone maps covering rows [lo, hi): true when some
-// conjunct cannot hold anywhere in the range.
-func (src *scanSource) skipMorsel(lo, hi int) bool {
-	for _, z := range src.zones {
-		if z.skipInt != nil {
-			if mn, mx := z.zm.IntBounds(lo, hi); z.skipInt(mn, mx) {
-				return true
-			}
-		} else {
-			if mn, mx := z.zm.FloatBounds(lo, hi); z.skipFloat(mn, mx) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // flushBloomStats folds the atomic tallies into the BloomRuntime records;
@@ -128,9 +86,7 @@ func (src *scanSource) flushBloomStats() {
 func (src *scanSource) runtime() ScanRuntime {
 	rt := ScanRuntime{
 		Rel: src.s.Rel, Alias: src.s.Alias,
-		Morsels:         src.morsels.Load(),
-		ZoneSkipped:     src.zoneSkipped.Load(),
-		ZoneSkippedRows: src.zoneSkippedRows.Load(),
+		Morsels: src.morsels.Load(),
 	}
 	for i, k := range src.kernels {
 		rt.Preds = append(rt.Preds, PredRuntime{
@@ -156,8 +112,6 @@ type scanOp struct {
 	localTested  []int64
 	localPassed  []int64
 	localMorsels int64
-	localZoneSk  int64
-	localZoneRow int64
 }
 
 func (o *scanOp) Open() error {
@@ -184,8 +138,6 @@ func (o *scanOp) Close() error {
 		b.passed.Add(o.localPassed[k])
 	}
 	src.morsels.Add(o.localMorsels)
-	src.zoneSkipped.Add(o.localZoneSk)
-	src.zoneSkippedRows.Add(o.localZoneRow)
 	if o.chain != nil {
 		for i, c := range o.chain.Counts() {
 			src.predIn[i].Add(c.In)
@@ -195,11 +147,11 @@ func (o *scanOp) Close() error {
 	return nil
 }
 
-// NextBatch is the batch kernel path: claim a morsel, consult the zone
-// maps, run the adaptive kernel chain over the selection vector, then test
-// the Bloom filters in plan order, each in one fused pass over the
-// surviving rows' keys (bloom.Filter.FilterSel). A two-column filter first
-// hashes its combined keys into scratch.
+// NextBatch is the batch kernel path: claim a morsel, run the adaptive
+// kernel chain over the selection vector, then test the Bloom filters in
+// plan order, each in one fused pass over the surviving rows' keys
+// (bloom.Filter.FilterSel). A two-column filter first hashes its combined
+// keys into scratch. This is the only way a scan drops rows.
 func (o *scanOp) NextBatch() (*Batch, error) {
 	src := o.src
 	for {
@@ -216,12 +168,6 @@ func (o *scanOp) NextBatch() (*Batch, error) {
 		}
 		start := time.Now()
 		o.localMorsels++
-		if len(src.zones) > 0 && src.skipMorsel(lo, hi) {
-			o.localZoneSk++
-			o.localZoneRow += int64(hi - lo)
-			src.stats.observe(hi-lo, 0, time.Since(start))
-			continue
-		}
 		sel := o.sel[:hi-lo]
 		for i := range sel {
 			sel[i] = int32(lo + i)

@@ -196,9 +196,6 @@ func (t *JoinTable) Lookup(key int64, h uint64) []int32 {
 	}
 }
 
-// Len reports the number of build rows in the payload.
-func (t *JoinTable) Len() int { return len(t.rows) }
-
 // Bytes reports the exact heap footprint of the directory and payload —
 // what the memory broker should account for this table.
 func (t *JoinTable) Bytes() int64 {

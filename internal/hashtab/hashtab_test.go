@@ -59,8 +59,8 @@ func checkAgainstRef(t *testing.T, keys []int64, ids []int32, probes []int64) {
 	if ids != nil {
 		n = len(ids)
 	}
-	if tab.Len() != n {
-		t.Fatalf("Len = %d, want %d", tab.Len(), n)
+	if len(tab.rows) != n {
+		t.Fatalf("rows = %d, want %d", len(tab.rows), n)
 	}
 	if n > 0 && tab.Bytes() <= 0 {
 		t.Fatalf("Bytes = %d on a non-empty table", tab.Bytes())

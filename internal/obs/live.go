@@ -41,7 +41,7 @@ type PipeProgress struct {
 	ID    int
 	Label string
 	// MorselsPlanned is the number of morsels the shared cursor will hand
-	// out: every morsel of the scan is claimed, even when zone-maps skip it.
+	// out: every morsel of the scan is claimed.
 	MorselsPlanned int64
 	// MorselRows is the rows-per-morsel granularity, SourceRows the
 	// source's total row count (0 when only an estimate exists). Together
@@ -195,8 +195,8 @@ type LiveSnapshot struct {
 
 // snapshot derives the query's full progress view. Per-pipeline
 // fractions are weighted by planned morsels — the denominator the
-// planner's cardinalities and the zone-map-backed row counts fix at
-// registration — so the total is monotone across polls too.
+// source tables' row counts fix at registration — so the total is
+// monotone across polls too.
 func (lq *LiveQuery) snapshot(now time.Time) LiveSnapshot {
 	s := LiveSnapshot{
 		ID: lq.ID, Label: lq.Label, Fingerprint: lq.Fingerprint, Mode: lq.Mode,
@@ -212,7 +212,7 @@ func (lq *LiveQuery) snapshot(now time.Time) LiveSnapshot {
 		scanned := p.rowsIn.Load()
 		if est := morsels * p.MorselRows; est > scanned {
 			// The morsel counter leads the per-batch stats fold; a claimed
-			// morsel's rows have all been examined (or zone-skipped).
+			// morsel's rows have all been examined.
 			scanned = est
 		}
 		if p.SourceRows > 0 && scanned > p.SourceRows {

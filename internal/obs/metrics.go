@@ -29,9 +29,7 @@ type Metrics struct {
 	RowsOut *Counter // rows delivered to query results
 
 	// Scan engine.
-	MorselsScanned  *Counter // morsels claimed by scan workers
-	MorselsSkipped  *Counter // morsels eliminated by zone-map bounds
-	RowsZoneSkipped *Counter // rows inside zone-skipped morsels
+	MorselsScanned *Counter // morsels claimed by scan workers
 
 	// Join probes.
 	ProbeRows *Counter // join-probe input rows
@@ -65,9 +63,7 @@ func NewMetrics(reg *Registry) *Metrics {
 
 		RowsOut: reg.NewCounter("bfcbo_rows_out_total", "Rows delivered to query results."),
 
-		MorselsScanned:  reg.NewCounter("bfcbo_morsels_scanned_total", "Morsels claimed by scan workers."),
-		MorselsSkipped:  reg.NewCounter("bfcbo_morsels_zone_skipped_total", "Morsels eliminated by zone-map bounds."),
-		RowsZoneSkipped: reg.NewCounter("bfcbo_rows_zone_skipped_total", "Rows inside zone-skipped morsels."),
+		MorselsScanned: reg.NewCounter("bfcbo_morsels_scanned_total", "Morsels claimed by scan workers."),
 
 		ProbeRows: reg.NewCounter("bfcbo_probe_rows_total", "Join-probe input rows."),
 

@@ -204,9 +204,6 @@ func (p *Plan) explainNode(b *strings.Builder, n Node, depth int) {
 		pred := ""
 		if t.Pred != nil {
 			pred = "  filter: " + t.Pred.String()
-			if cols := query.ZoneCols(t.Pred); len(cols) > 0 {
-				pred += fmt.Sprintf("  zonemap[%s]", strings.Join(cols, ","))
-			}
 		}
 		fmt.Fprintf(b, "%sScan %s (%s)  rows=%.0f%s%s\n", ind, t.Alias, t.Table, t.Rows, blooms, pred)
 	case *Join:

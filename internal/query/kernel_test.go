@@ -282,69 +282,6 @@ func TestCompileUnknownColumn(t *testing.T) {
 	}
 }
 
-// Zone-pruner soundness: whenever a pruner reports skip for a morsel's
-// zone-map bounds, no row in that morsel may satisfy the full predicate.
-func TestZonePrunersSound(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 40; trial++ {
-		rows := 1 + rng.Intn(4000)
-		tbl := kernelTable(t, rng, rows)
-		p := And{Ps: []Predicate{randLeaf(rng), randLeaf(rng)}}
-		for lo := 0; lo < rows; lo += storage.ZoneBlockRows {
-			hi := lo + storage.ZoneBlockRows
-			if hi > rows {
-				hi = rows
-			}
-			skipped := false
-			for _, zp := range ZonePruners(p) {
-				zm := tbl.ZoneMap(zp.Col)
-				if zm == nil {
-					continue
-				}
-				if zp.SkipInt != nil && zm.IsInt() {
-					if mn, mx := zm.IntBounds(lo, hi); zp.SkipInt(mn, mx) {
-						skipped = true
-					}
-				} else if zp.SkipFloat != nil && zm.IsFloat() {
-					if mn, mx := zm.FloatBounds(lo, hi); zp.SkipFloat(mn, mx) {
-						skipped = true
-					}
-				}
-			}
-			if !skipped {
-				continue
-			}
-			for i := lo; i < hi; i++ {
-				if p.Eval(tbl, i) {
-					t.Fatalf("unsound skip: pred %s skipped block [%d,%d) but row %d passes",
-						p.String(), lo, hi, i)
-				}
-			}
-		}
-	}
-}
-
-// ZoneCols lists each prunable column once, in order of appearance.
-func TestZoneCols(t *testing.T) {
-	p := And{Ps: []Predicate{
-		BetweenInt{Col: "d", Lo: 1, Hi: 2},
-		CmpFloat{Col: "x", Op: LT, Val: 1},
-		CmpInt{Col: "d", Op: GE, Val: 0},
-		StrEq{Col: "s", Val: "v"},
-		Or{Ps: []Predicate{CmpInt{Col: "q", Op: EQ, Val: 1}}}, // Or contributes nothing
-	}}
-	got := ZoneCols(p)
-	want := []string{"d", "x"}
-	if len(got) != len(want) {
-		t.Fatalf("ZoneCols = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ZoneCols = %v, want %v", got, want)
-		}
-	}
-}
-
 // FuzzKernelEquivalence drives the same property from fuzzed seeds: the
 // seed picks the table contents, predicate shape, and batch chunking.
 func FuzzKernelEquivalence(f *testing.F) {

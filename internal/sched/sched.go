@@ -72,9 +72,6 @@ func (e *OverloadError) Unwrap() []error {
 // policy and the HTTP Retry-After header both read it.
 func (e *OverloadError) RetryAfter() time.Duration { return e.After }
 
-// Transient marks shed queries as retry-eligible.
-func (e *OverloadError) Transient() bool { return true }
-
 // OverloadConfig parameterises the load-shedding controller; the zero
 // value disables shedding entirely.
 type OverloadConfig struct {
@@ -253,10 +250,6 @@ func (s *Scheduler) Totals() Totals {
 		Shed:     s.totShed.Load(),
 	}
 }
-
-// QueueWaitP95 exposes the overload controller's pressure signal (0
-// while the sample is cold) for metrics and diagnostics.
-func (s *Scheduler) QueueWaitP95() time.Duration { return s.waits.p95() }
 
 // retry-after bounds: never tell a caller to hammer back instantly,
 // never park it for more than 5s on one shed.

@@ -34,7 +34,7 @@ func TestInjectedWriteFaultUnwinds(t *testing.T) {
 	if !errors.As(err, &f) || f.Site != faults.SpillWrite {
 		t.Fatalf("fault not wrapped: %v", err)
 	}
-	if _, serr := os.Stat(w.Path()); !os.IsNotExist(serr) {
+	if _, serr := os.Stat(w.path); !os.IsNotExist(serr) {
 		t.Fatalf("partial run file survived the unwind: %v", serr)
 	}
 	if err2 := w.AppendChunk(chunk); !errors.Is(err2, ErrIO) {
@@ -76,7 +76,7 @@ func TestDiskFullTyped(t *testing.T) {
 	if errors.Is(werr, ErrIO) {
 		t.Fatalf("disk-full should not double as ErrIO: %v", werr)
 	}
-	if _, serr := os.Stat(w.Path()); !os.IsNotExist(serr) {
+	if _, serr := os.Stat(w.path); !os.IsNotExist(serr) {
 		t.Fatal("partial run file survived disk-full unwind")
 	}
 }
@@ -102,7 +102,7 @@ func TestInjectedSyncAndReadFaults(t *testing.T) {
 		t.Fatalf("Finish under sync fault = %v", err)
 	}
 	faults.Disable()
-	if _, serr := os.Stat(w.Path()); !os.IsNotExist(serr) {
+	if _, serr := os.Stat(w.path); !os.IsNotExist(serr) {
 		t.Fatal("sync-failed run file survived")
 	}
 
@@ -145,13 +145,13 @@ func TestRemovePropagatesTyped(t *testing.T) {
 		t.Fatalf("Remove under fault = %v, want ErrIO", err)
 	}
 	faults.Disable()
-	if _, serr := os.Stat(w.Path()); serr != nil {
+	if _, serr := os.Stat(w.path); serr != nil {
 		t.Fatalf("file should survive a failed remove: %v", serr)
 	}
 	if err := d.Cleanup(); err != nil {
 		t.Fatal(err)
 	}
-	if _, serr := os.Stat(w.Path()); !os.IsNotExist(serr) {
+	if _, serr := os.Stat(w.path); !os.IsNotExist(serr) {
 		t.Fatal("Cleanup left the file behind")
 	}
 }

@@ -93,9 +93,6 @@ func NewDirScoped(parent, scope string) (*Dir, error) {
 	return &Dir{path: path}, nil
 }
 
-// Path returns the directory path (for diagnostics and tests).
-func (d *Dir) Path() string { return d.path }
-
 // Cleanup removes the directory and every spill file in it, closing any
 // writer handles still open (a cancelled run abandons writers mid-route;
 // their descriptors must not linger until the GC finalizer). Idempotent;
@@ -187,9 +184,6 @@ func (w *Writer) Rows() int64 {
 	defer w.mu.Unlock()
 	return w.rows
 }
-
-// Path returns the file path.
-func (w *Writer) Path() string { return w.path }
 
 // AppendChunk writes one chunk: cols column slices of equal length. Empty
 // chunks are skipped.

@@ -143,7 +143,7 @@ func TestCleanupRemovesEverything(t *testing.T) {
 	if err := d.Cleanup(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(d.Path()); !os.IsNotExist(err) {
+	if _, err := os.Stat(d.path); !os.IsNotExist(err) {
 		t.Fatalf("spill dir still exists after Cleanup: %v", err)
 	}
 	ents, err := os.ReadDir(parent)
@@ -178,7 +178,7 @@ func TestWriterRemove(t *testing.T) {
 	if err := w.Remove(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(w.Path()); !os.IsNotExist(err) {
+	if _, err := os.Stat(w.path); !os.IsNotExist(err) {
 		t.Fatalf("file still exists after Remove: %v", err)
 	}
 }

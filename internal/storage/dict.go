@@ -21,9 +21,6 @@ type Dict struct {
 	Codes []int32
 }
 
-// NDV reports the number of distinct values.
-func (d *Dict) NDV() int { return len(d.Values) }
-
 // Code returns the code of v, or (0, false) when v does not occur in the
 // column — the caller then knows an equality predicate matches nothing.
 func (d *Dict) Code(v string) (int32, bool) {

@@ -1,8 +1,6 @@
 package storage
 
 import (
-	"math"
-	"math/rand"
 	"sort"
 	"testing"
 
@@ -39,8 +37,8 @@ func TestDictRoundTrip(t *testing.T) {
 	if !sort.StringsAreSorted(d.Values) {
 		t.Fatalf("dictionary values not sorted: %v", d.Values)
 	}
-	if d.NDV() != 4 {
-		t.Fatalf("NDV = %d, want 4", d.NDV())
+	if len(d.Values) != 4 {
+		t.Fatalf("NDV = %d, want 4", len(d.Values))
 	}
 	for i, s := range strs {
 		if got := d.Values[d.Codes[i]]; got != s {
@@ -70,103 +68,5 @@ func TestDictTypeErrors(t *testing.T) {
 	}
 	if _, err := tbl.Dict("missing"); err == nil {
 		t.Fatal("Dict over unknown column must error")
-	}
-}
-
-func TestZoneMapIntBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 3*ZoneBlockRows + 137
-	ints := make([]int64, n)
-	for i := range ints {
-		ints[i] = rng.Int63n(10000) - 5000
-	}
-	tbl := encTestTable(t, ints, nil, nil)
-	zm := tbl.ZoneMap("i")
-	if zm == nil || !zm.IsInt() || zm.IsFloat() {
-		t.Fatalf("expected int zone map, got %+v", zm)
-	}
-	if zm.NumBlocks() != 4 {
-		t.Fatalf("NumBlocks = %d, want 4", zm.NumBlocks())
-	}
-	// Bounds over arbitrary [lo, hi) must cover the true row min/max.
-	for trial := 0; trial < 200; trial++ {
-		lo := rng.Intn(n)
-		hi := lo + 1 + rng.Intn(n-lo)
-		mn, mx := zm.IntBounds(lo, hi)
-		truMin, truMax := ints[lo], ints[lo]
-		for _, v := range ints[lo:hi] {
-			if v < truMin {
-				truMin = v
-			}
-			if v > truMax {
-				truMax = v
-			}
-		}
-		if mn > truMin || mx < truMax {
-			t.Fatalf("[%d,%d): bounds (%d,%d) do not cover true (%d,%d)", lo, hi, mn, mx, truMin, truMax)
-		}
-	}
-	// Exactly block-aligned ranges are tight.
-	mn, mx := zm.IntBounds(ZoneBlockRows, 2*ZoneBlockRows)
-	truMin, truMax := ints[ZoneBlockRows], ints[ZoneBlockRows]
-	for _, v := range ints[ZoneBlockRows : 2*ZoneBlockRows] {
-		if v < truMin {
-			truMin = v
-		}
-		if v > truMax {
-			truMax = v
-		}
-	}
-	if mn != truMin || mx != truMax {
-		t.Fatalf("aligned block bounds (%d,%d) not tight, want (%d,%d)", mn, mx, truMin, truMax)
-	}
-	if zm2 := tbl.ZoneMap("i"); zm2 != zm {
-		t.Fatal("ZoneMap not cached")
-	}
-}
-
-func TestZoneMapFloatNaNPoisoning(t *testing.T) {
-	n := 2*ZoneBlockRows + 10
-	floats := make([]float64, n)
-	for i := range floats {
-		floats[i] = float64(i)
-	}
-	floats[ZoneBlockRows+3] = math.NaN() // poisons block 1 only
-	tbl := encTestTable(t, make([]int64, n), floats, nil)
-	zm := tbl.ZoneMap("f")
-	if zm == nil || !zm.IsFloat() {
-		t.Fatal("expected float zone map")
-	}
-	// Block 0 is clean and tight.
-	mn, mx := zm.FloatBounds(0, ZoneBlockRows)
-	if mn != 0 || mx != float64(ZoneBlockRows-1) {
-		t.Fatalf("block 0 bounds (%g,%g)", mn, mx)
-	}
-	// Block 1 is poisoned: NaN bounds, so every skip comparison is false.
-	mn, mx = zm.FloatBounds(ZoneBlockRows, 2*ZoneBlockRows)
-	if !math.IsNaN(mn) || !math.IsNaN(mx) {
-		t.Fatalf("poisoned block bounds (%g,%g), want NaN", mn, mx)
-	}
-	// Poison propagates through multi-block aggregation.
-	mn, mx = zm.FloatBounds(0, n)
-	if !math.IsNaN(mn) || !math.IsNaN(mx) {
-		t.Fatalf("aggregate over poisoned block = (%g,%g), want NaN", mn, mx)
-	}
-}
-
-func TestZoneMapUnsupportedColumns(t *testing.T) {
-	tbl := encTestTable(t, []int64{1}, []float64{1}, []string{"x"})
-	if tbl.ZoneMap("s") != nil {
-		t.Fatal("string column must have no zone map")
-	}
-	if tbl.ZoneMap("missing") != nil {
-		t.Fatal("unknown column must have no zone map")
-	}
-	empty, err := NewTable("empty", []Column{{Name: "i", Kind: catalog.Int64}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty.ZoneMap("i") != nil {
-		t.Fatal("empty column must have no zone map")
 	}
 }

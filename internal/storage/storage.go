@@ -43,14 +43,12 @@ type Table struct {
 
 	colIndex map[string]int
 
-	// Lazily built per-column encodings, cached on first use: string
-	// dictionaries (sorted distinct values + build-once code arrays) and
-	// zone maps (per-block min/max for int/float columns). Tables are
-	// immutable after load, so build-once-and-share is safe; encMu guards
-	// the cache maps against concurrent first builds.
+	// Lazily built string dictionaries (sorted distinct values +
+	// build-once code arrays), cached on first use. Tables are immutable
+	// after load, so build-once-and-share is safe; encMu guards the cache
+	// map against concurrent first builds.
 	encMu sync.Mutex
 	dicts map[string]*Dict
-	zones map[string]*ZoneMap
 }
 
 // NewTable assembles a table from columns, verifying equal lengths.
