@@ -71,21 +71,15 @@ type Config struct {
 	// other's temp files.
 	SpillDir string
 	// MaxConcurrent caps the queries the engine admits at once; further
-	// RunContext calls queue FIFO behind them. 0 means unlimited admission
+	// RunContext calls queue FIFO behind them until admitted or until
+	// their context is canceled or expires. 0 means unlimited admission
 	// (the DOP-sized worker-slot pool still bounds actual parallelism).
 	MaxConcurrent int
-	// QueueTimeout bounds how long a query may wait in the admission
-	// queue before failing with sched.ErrQueueTimeout; 0 means wait until
-	// the caller's context cancels.
-	QueueTimeout time.Duration
 	// SlowQueryLog sizes the engine's flight recorder — the ring of recent
 	// queries retained with full EXPLAIN ANALYZE, scheduler/memory/spill
 	// stats, and lifecycle trace (served at /debug/queries when the debug
 	// endpoints are enabled). 0 defaults to 32; negative disables recording.
 	SlowQueryLog int
-	// SlowQueryMin gates flight-recorder admission: queries faster than
-	// this are not retained. Zero records every query.
-	SlowQueryMin time.Duration
 	// WorkloadHistory sizes the engine's workload history store — the
 	// bounded per-fingerprint aggregate (exec count, p50/p95 latency,
 	// observed-vs-estimated operator rows, spill bytes) keyed by each
@@ -105,19 +99,14 @@ type Config struct {
 	// below MinFreeFraction — non-priority admissions fail fast with an
 	// error wrapping ErrOverloaded that carries a retry-after hint.
 	Overload OverloadConfig
-	// Retry is the engine's opt-in policy for transparently retrying
-	// queries that failed transiently (overload shedding, admission
-	// queue timeout, injected transient faults). The zero value disables
-	// retries. Deterministic failures — SQL errors, cancellation, kills,
-	// contained panics with non-error values — are never retried.
-	Retry RetryPolicy
-	// Audit, when set, runs the post-query invariant audit (broker holds
-	// zero bytes, scheduler shows no slots/admissions/waiters, no
-	// leftover spill files) after every query that finishes with no
-	// other query in flight, folding any violation into the returned
-	// error. Meant for tests and chaos runs. Spill files are audited
-	// only when SpillDir is set explicitly.
-	Audit bool
+	// MaxRetries is how many times the engine transparently re-runs a
+	// query that failed transiently (overload shedding, injected faults);
+	// 0 disables retrying. Deterministic failures — SQL errors,
+	// cancellation, kills, contained panics with non-error values — are
+	// never retried. Attempt n sleeps between d and 1.5·d first, where
+	// d = min(10ms·2ⁿ, 2s), raised to the scheduler's retry-after hint
+	// when the failure carries one.
+	MaxRetries int
 }
 
 // OverloadConfig re-exports the scheduler's overload-controller
@@ -128,24 +117,6 @@ type OverloadConfig = sched.OverloadConfig
 // manage their own retries can match it with errors.Is and read the
 // retry-after hint via sched.OverloadError.
 var ErrOverloaded = sched.ErrOverloaded
-
-// RetryPolicy bounds the engine's automatic retry of transient query
-// failures. Backoff is exponential with jitter: attempt n sleeps
-// between d and 1.5·d where d = min(BaseBackoff·2ⁿ, MaxBackoff), raised
-// to the scheduler's retry-after hint when the failure carries one.
-type RetryPolicy struct {
-	// MaxRetries is the number of re-attempts after the first failure
-	// (0 disables retrying).
-	MaxRetries int
-	// BaseBackoff is the first retry's nominal delay; 0 means 10ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth; 0 means 2s.
-	MaxBackoff time.Duration
-	// Budget caps the total time spent sleeping between retries; once
-	// the next backoff would exceed it, the last error is returned
-	// instead. 0 means no budget cap.
-	Budget time.Duration
-}
 
 // SchedStat is the per-query scheduling report: admission queue wait,
 // worker-slot waits and occupancy, and preempted-slot handoffs. See
@@ -189,7 +160,6 @@ func Open(cfg Config) (*Engine, error) {
 	sch := sched.New(sched.Config{
 		Slots:         cfg.DOP,
 		MaxConcurrent: cfg.MaxConcurrent,
-		QueueTimeout:  cfg.QueueTimeout,
 		Broker:        broker,
 		Overload:      cfg.Overload,
 	})
@@ -201,7 +171,6 @@ func Open(cfg Config) (*Engine, error) {
 			n = 32
 		}
 		rec = obs.NewFlightRecorder(n)
-		rec.MinLatency = cfg.SlowQueryMin
 	}
 	var work *obs.WorkloadStore
 	if cfg.WorkloadHistory >= 0 {
@@ -234,8 +203,6 @@ func registerEngineMetrics(reg *obs.Registry, sch *sched.Scheduler, broker *mem.
 		func() int64 { return sch.Totals().Admitted })
 	reg.NewCounterFunc("bfcbo_sched_finished_total", "Admitted queries finished since engine open.",
 		func() int64 { return sch.Totals().Finished })
-	reg.NewCounterFunc("bfcbo_sched_queue_timeouts_total", "Admissions failed by queue timeout.",
-		func() int64 { return sch.Totals().Timeouts })
 	reg.NewGaugeFunc("bfcbo_mem_budget_bytes", "Executor memory budget (0 = unlimited).",
 		func() float64 { return float64(broker.Budget()) })
 	reg.NewGaugeFunc("bfcbo_mem_used_bytes", "Bytes currently reserved from the broker.",
@@ -370,17 +337,17 @@ func (e *Engine) Run(b *query.Block, mode Mode) (*Output, error) {
 
 // RunContext is Run with admission control and cancellation: the query is
 // admitted through the engine's process-wide scheduler — queueing behind
-// Config.MaxConcurrent and the memory-broker admission gate, subject to
-// Config.QueueTimeout — and ctx cancellation or deadline expiry (queued
-// or mid-run) stops every pipeline at the next morsel and surfaces
-// ctx.Err(). Any number of RunContext calls may execute concurrently on
-// one Engine; they share the DOP-sized worker-slot pool and the memory
-// budget, and each gets its own spill subdirectory.
+// Config.MaxConcurrent and the memory-broker admission gate — and ctx
+// cancellation or deadline expiry (queued or mid-run) stops every
+// pipeline at the next morsel and surfaces ctx.Err(); ctx is the one
+// bound on a queued wait. Any number of RunContext calls may execute
+// concurrently on one Engine; they share the DOP-sized worker-slot pool
+// and the memory budget, and each gets its own spill subdirectory.
 //
-// Under Config.Retry, transient failures — overload sheds, admission
-// queue timeouts, injected transient faults — are retried with
-// exponential backoff before the error surfaces; each attempt is a full
-// re-execution with its own flight-recorder entry.
+// Under Config.MaxRetries, transient failures — overload sheds and
+// injected faults — are retried with exponential backoff before the
+// error surfaces; each attempt is a full re-execution with its own
+// flight-recorder entry.
 func (e *Engine) RunContext(ctx context.Context, b *query.Block, mode Mode) (*Output, error) {
 	res, err := e.Plan(b, mode)
 	if err != nil {
@@ -392,70 +359,49 @@ func (e *Engine) RunContext(ctx context.Context, b *query.Block, mode Mode) (*Ou
 	// workload history, and the workers' pprof labels.
 	fp := plan.Fingerprint(b, res.Plan)
 	out, err := e.runOnce(ctx, b, mode, res, fp)
-	var slept time.Duration
-	for retries := 0; err != nil && retries < e.cfg.Retry.MaxRetries && transientErr(err); retries++ {
-		d := e.cfg.Retry.backoff(retries, err)
-		if e.cfg.Retry.Budget > 0 && slept+d > e.cfg.Retry.Budget {
-			break
-		}
+	for retries := 0; err != nil && retries < e.cfg.MaxRetries && transientErr(err); retries++ {
 		select {
 		case <-ctx.Done():
 			return nil, errors.Join(err, ctx.Err())
-		case <-time.After(d):
+		case <-time.After(backoff(retries, err)):
 		}
-		slept += d
 		e.metrics.Retries.Inc()
 		out, err = e.runOnce(ctx, b, mode, res, fp)
-	}
-	if e.cfg.Audit && e.sched.Admitted() == 0 {
-		// Only audit spill files under an explicitly configured dir —
-		// a shared os.TempDir() can hold other processes' files.
-		if aerr := exec.Audit(exec.AuditState{
-			Broker: e.broker, Sched: e.sched, SpillDir: e.cfg.SpillDir,
-		}); aerr != nil {
-			err = errors.Join(err, aerr)
-			out = nil
-		}
 	}
 	return out, err
 }
 
 // transientErr reports whether a failed run may be retried: the failure
-// must be environmental (shedding, queue timeout, injected transient
-// fault), not a property of the query. Cancellation and kills are the
-// caller's decision and never retried; contained panics retry only when
-// the panic value itself was a transient injected fault.
+// must be environmental (shedding, an injected fault), not a property of
+// the query. Cancellation and kills are the caller's decision and never
+// retried; contained panics retry only when the panic value itself was
+// an injected fault.
 func transientErr(err error) bool {
 	if err == nil || errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, obs.ErrKilled) {
 		return false
 	}
-	if errors.Is(err, sched.ErrQueueTimeout) || errors.Is(err, sched.ErrOverloaded) {
-		return true
-	}
 	var f *faults.Fault
-	return errors.As(err, &f) && f.Transient()
+	return errors.Is(err, sched.ErrOverloaded) || errors.As(err, &f)
 }
 
+// The retry schedule: the first re-attempt's nominal delay, doubling up
+// to the cap.
+const (
+	retryBase = 10 * time.Millisecond
+	retryCap  = 2 * time.Second
+)
+
 // backoff computes the sleep before re-attempt n (0-based): exponential
-// from BaseBackoff capped at MaxBackoff, raised to the failure's
+// from retryBase capped at retryCap, raised to the failure's
 // retry-after hint when it carries one, plus up to 50% jitter so
 // concurrently shed queries don't re-arrive in lockstep.
-func (p RetryPolicy) backoff(n int, err error) time.Duration {
-	base, ceil := p.BaseBackoff, p.MaxBackoff
-	if base <= 0 {
-		base = 10 * time.Millisecond
-	}
-	if ceil <= 0 {
-		ceil = 2 * time.Second
-	}
-	d := base
-	for i := 0; i < n && d < ceil; i++ {
+func backoff(n int, err error) time.Duration {
+	d := retryBase
+	for i := 0; i < n && d < retryCap; i++ {
 		d *= 2
 	}
-	if d > ceil {
-		d = ceil
-	}
+	d = min(d, retryCap)
 	var ra interface{ RetryAfter() time.Duration }
 	if errors.As(err, &ra) && ra.RetryAfter() > d {
 		d = ra.RetryAfter()
@@ -479,9 +425,6 @@ func (e *Engine) runOnce(ctx context.Context, b *query.Block, mode Mode, res *op
 		var pe *exec.PanicError
 		if errors.As(err, &pe) {
 			e.metrics.PanicsRecovered.Inc()
-		}
-		if errors.Is(err, sched.ErrOverloaded) {
-			e.metrics.QueriesShed.Inc()
 		}
 		e.rec.Record(obs.QueryRecord{
 			ID: tr.QueryID, Label: tr.Label, Mode: mode.String(), CostProfile: res.Plan.CostProfile,

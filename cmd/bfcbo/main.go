@@ -28,75 +28,49 @@ import (
 )
 
 func main() {
-	var (
-		sf        = flag.Float64("sf", 0.01, "TPC-H scale factor")
-		seed      = flag.Uint64("seed", 0, "data generation seed (0 = default)")
-		dop       = flag.Int("dop", 8, "degree of parallelism")
-		qnum      = flag.Int("q", 0, "TPC-H query number (1-22)")
-		sql       = flag.String("sql", "", "SQL text (overrides -q)")
-		modeS     = flag.String("mode", "bfcbo", "optimizer mode: nobf | bfpost | bfcbo | naive")
-		budget    = flag.String("mem-budget", "", `executor memory budget, e.g. "64MB" (empty = unlimited); under a budget every join runs as a hash join, and one over budget spills to temp files`)
-		timeout   = flag.Duration("timeout", 0, "per-query deadline (0 = none); expiry cancels the run mid-pipeline")
-		streams   = flag.Int("streams", 1, "run the query this many times concurrently through the engine scheduler")
-		maxConc   = flag.Int("max-concurrent", 0, "admission cap on concurrent queries (0 = unlimited)")
-		obsAddr   = flag.String("obs-listen", "", `serve observability endpoints (/metrics, /query, /debug/queries[/live|/kill], /debug/trace/<id>, /debug/workload, /debug/pprof/) on this address, e.g. ":8080"; the process keeps serving after the query finishes until Ctrl-C, then shuts the server down gracefully`)
-		traceOut  = flag.String("trace-out", "", "write the run's query-lifecycle trace(s) as Chrome trace-event JSON to this file (open in chrome://tracing or Perfetto)")
-		faultSpec = flag.String("faults", "", `deterministic fault-injection spec, e.g. "seed=42,spill.write=0.01,exec.panic=0.005,spill.diskfull=64MB" (empty = injector off)`)
-		retries   = flag.Int("retries", 0, "retry transiently failed queries (shed/queue-timeout/injected) up to this many times with exponential backoff")
-		shedWait  = flag.Duration("shed-queue-p95", 0, "shed new admissions while queue-wait p95 exceeds this (0 = signal off)")
-		shedFree  = flag.Float64("shed-min-free", 0, "shed new admissions while the memory broker's free fraction is below this (0 = signal off)")
-	)
+	var cfg bfcbo.Config
+	flag.Float64Var(&cfg.ScaleFactor, "sf", 0.01, "TPC-H scale factor")
+	flag.Uint64Var(&cfg.Seed, "seed", 0, "data generation seed (0 = default)")
+	flag.IntVar(&cfg.DOP, "dop", 8, "degree of parallelism")
+	flag.IntVar(&cfg.MaxConcurrent, "max-concurrent", 0, "admission cap on concurrent queries (0 = unlimited)")
+	flag.StringVar(&cfg.Faults, "faults", "", `deterministic fault-injection spec, e.g. "seed=42,spill.write=0.01,exec.panic=0.005,spill.diskfull=64MB" (empty = injector off)`)
+	flag.IntVar(&cfg.MaxRetries, "retries", 0, "retry transiently failed queries (shed/injected) up to this many times with exponential backoff")
+	flag.DurationVar(&cfg.Overload.MaxQueueWaitP95, "shed-queue-p95", 0, "shed new admissions while queue-wait p95 exceeds this (0 = signal off)")
+	flag.Float64Var(&cfg.Overload.MinFreeFraction, "shed-min-free", 0, "shed new admissions while the memory broker's free fraction is below this (0 = signal off)")
+	var rf runFlags
+	flag.IntVar(&rf.qnum, "q", 0, "TPC-H query number (1-22)")
+	flag.StringVar(&rf.sql, "sql", "", "SQL text (overrides -q)")
+	flag.StringVar(&rf.mode, "mode", "bfcbo", "optimizer mode: nobf | bfpost | bfcbo | naive")
+	flag.StringVar(&rf.budget, "mem-budget", "", `executor memory budget, e.g. "64MB" (empty = unlimited); under a budget every join runs as a hash join, and one over budget spills to temp files`)
+	flag.DurationVar(&rf.timeout, "timeout", 0, "per-query deadline (0 = none); expiry cancels the run mid-pipeline")
+	flag.IntVar(&rf.streams, "streams", 1, "run the query this many times concurrently through the engine scheduler")
+	flag.StringVar(&rf.obsAddr, "obs-listen", "", `serve observability endpoints (/metrics, /query, /debug/queries[/live|/kill], /debug/trace/<id>, /debug/workload, /debug/pprof/) on this address, e.g. ":8080"; the process keeps serving after the query finishes until Ctrl-C, then shuts the server down gracefully`)
+	flag.StringVar(&rf.traceOut, "trace-out", "", "write the run's query-lifecycle trace(s) as Chrome trace-event JSON to this file (open in chrome://tracing or Perfetto)")
 	flag.Parse()
-	if err := run(runConfig{
-		sf: *sf, seed: *seed, dop: *dop, qnum: *qnum, sql: *sql, modeS: *modeS,
-		budget: *budget, timeout: *timeout, streams: *streams, maxConc: *maxConc,
-		obsAddr: *obsAddr, traceOut: *traceOut, faults: *faultSpec,
-		retries: *retries, shedWait: *shedWait, shedFree: *shedFree,
-	}); err != nil {
+	if err := run(cfg, rf); err != nil {
 		fmt.Fprintln(os.Stderr, "bfcbo:", err)
 		os.Exit(1)
 	}
 }
 
-// runConfig carries the parsed flags; the list outgrew a readable
-// positional signature.
-type runConfig struct {
-	sf                float64
-	seed              uint64
-	dop, qnum         int
-	sql, modeS        string
-	budget            string
+// runFlags are the flags that shape one run of the CLI rather than the
+// engine it opens.
+type runFlags struct {
+	qnum, streams     int
+	sql, mode, budget string
 	timeout           time.Duration
-	streams, maxConc  int
 	obsAddr, traceOut string
-	faults            string
-	retries           int
-	shedWait          time.Duration
-	shedFree          float64
 }
 
-func run(rc runConfig) error {
-	sf, seed, dop, qnum := rc.sf, rc.seed, rc.dop, rc.qnum
-	sql, modeS, budget := rc.sql, rc.modeS, rc.budget
-	timeout, streams, maxConc := rc.timeout, rc.streams, rc.maxConc
-	obsAddr, traceOut := rc.obsAddr, rc.traceOut
-	mode, err := parseMode(modeS)
+func run(cfg bfcbo.Config, rf runFlags) error {
+	mode, err := parseMode(rf.mode)
 	if err != nil {
 		return err
 	}
-	memBudget, err := mem.ParseBytes(budget)
-	if err != nil {
+	if cfg.MemBudget, err = mem.ParseBytes(rf.budget); err != nil {
 		return err
 	}
-	eng, err := bfcbo.Open(bfcbo.Config{
-		ScaleFactor: sf, Seed: seed, DOP: dop, MemBudget: memBudget,
-		MaxConcurrent: maxConc,
-		Faults:        rc.faults,
-		Retry:         bfcbo.RetryPolicy{MaxRetries: rc.retries},
-		Overload: bfcbo.OverloadConfig{
-			MaxQueueWaitP95: rc.shedWait, MinFreeFraction: rc.shedFree,
-		},
-	})
+	eng, err := bfcbo.Open(cfg)
 	if err != nil {
 		return err
 	}
@@ -106,7 +80,7 @@ func run(rc runConfig) error {
 	// scrapes with a timeout instead of leaking the listener.
 	var lnErr chan error
 	shutdown := func() error { return nil }
-	if obsAddr != "" {
+	if rf.obsAddr != "" {
 		h := &obs.Handler{
 			Registry: eng.MetricsRegistry(), Recorder: eng.FlightRecorder(),
 			Inspector: eng.Inspector(), Workload: eng.Workload(),
@@ -118,7 +92,7 @@ func run(rc runConfig) error {
 				return o.Rows, nil
 			},
 		}
-		srv := &http.Server{Addr: obsAddr, Handler: h}
+		srv := &http.Server{Addr: rf.obsAddr, Handler: h}
 		lnErr = make(chan error, 1)
 		go func() {
 			err := srv.ListenAndServe()
@@ -134,7 +108,7 @@ func run(rc runConfig) error {
 			}
 			return fmt.Errorf("obs-listen: %w", err)
 		case <-time.After(50 * time.Millisecond):
-			fmt.Printf("observability on http://%s/metrics\n", obsAddr)
+			fmt.Printf("observability on http://%s/metrics\n", rf.obsAddr)
 		}
 		var once sync.Once
 		var shutErr error
@@ -156,16 +130,16 @@ func run(rc runConfig) error {
 	}
 	runOne := func() (*bfcbo.Output, error) {
 		ctx := context.Background()
-		if timeout > 0 {
+		if rf.timeout > 0 {
 			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, timeout)
+			ctx, cancel = context.WithTimeout(ctx, rf.timeout)
 			defer cancel()
 		}
-		if sql != "" {
-			return eng.RunSQLContext(ctx, sql, mode)
+		if rf.sql != "" {
+			return eng.RunSQLContext(ctx, rf.sql, mode)
 		}
-		if qnum >= 1 && qnum <= 22 {
-			b, err := eng.TPCH(qnum)
+		if rf.qnum >= 1 && rf.qnum <= 22 {
+			b, err := eng.TPCH(rf.qnum)
 			if err != nil {
 				return nil, err
 			}
@@ -175,14 +149,14 @@ func run(rc runConfig) error {
 	}
 	var out *bfcbo.Output
 	var traces []*obs.Trace
-	if streams > 1 {
+	if rf.streams > 1 {
 		// Concurrency demo: the same query on every stream, sharing the
 		// engine's worker-slot pool and memory budget.
-		outs := make([]*bfcbo.Output, streams)
-		errs := make([]error, streams)
+		outs := make([]*bfcbo.Output, rf.streams)
+		errs := make([]error, rf.streams)
 		start := time.Now()
 		var wg sync.WaitGroup
-		for i := 0; i < streams; i++ {
+		for i := 0; i < rf.streams; i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
@@ -203,7 +177,7 @@ func run(rc runConfig) error {
 				o.Sched.SlotBusy.Round(time.Microsecond), o.Sched.Handoffs)
 		}
 		fmt.Printf("%d streams in %s (%.1f queries/s)\n",
-			streams, wall.Round(time.Microsecond), float64(streams)/wall.Seconds())
+			rf.streams, wall.Round(time.Microsecond), float64(rf.streams)/wall.Seconds())
 		out = outs[0]
 		for _, o := range outs {
 			traces = append(traces, o.Trace)
@@ -225,13 +199,13 @@ func run(rc runConfig) error {
 	for _, bs := range out.BloomStats {
 		fmt.Println(bs)
 	}
-	if traceOut != "" {
-		if err := writeTrace(traceOut, traces); err != nil {
+	if rf.traceOut != "" {
+		if err := writeTrace(rf.traceOut, traces); err != nil {
 			return err
 		}
-		fmt.Printf("trace written to %s (%d queries)\n", traceOut, len(traces))
+		fmt.Printf("trace written to %s (%d queries)\n", rf.traceOut, len(traces))
 	}
-	if obsAddr != "" {
+	if rf.obsAddr != "" {
 		// Keep serving until interrupted, then shut the server down
 		// gracefully — draining in-flight scrapes — instead of dying with
 		// the listener open. The line is printed once the signals are

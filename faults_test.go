@@ -14,9 +14,10 @@ import (
 	"bfcbo/internal/sched"
 )
 
-// Engine-level robustness: the retry policy's transient/deterministic
-// classification and backoff math, the Config.Faults installer, the
-// audit flag, and the fault/recovery metric series on /metrics.
+// Engine-level robustness: the retry path's transient/deterministic
+// classification and backoff schedule, the Config.Faults installer, the
+// post-query invariant audit, and the fault/recovery metric series on
+// /metrics.
 
 func TestTransientErrClassification(t *testing.T) {
 	ferr := &faults.Fault{Site: faults.ExecError, Seq: 3}
@@ -28,12 +29,11 @@ func TestTransientErrClassification(t *testing.T) {
 		{errors.New("exec: unsupported hash join type JoinType(99)"), false},
 		{context.Canceled, false},
 		{context.DeadlineExceeded, false},
-		{sched.ErrQueueTimeout, true},
 		{sched.ErrOverloaded, true},
 		{&sched.OverloadError{After: time.Second, Reason: "test"}, true},
 		{ferr, true},
-		// A contained panic is retryable only when the panic value was a
-		// transient injected fault; a string panic (the rowset paths) is
+		// A contained panic is retryable only when the panic value was an
+		// injected fault; a string panic (the rowset paths) is
 		// deterministic and must not be retried.
 		{&exec.PanicError{Query: "q1", Where: "worker", Value: ferr}, true},
 		{&exec.PanicError{Query: "q1", Where: "worker", Value: "no relation 3 in row set"}, false},
@@ -45,13 +45,14 @@ func TestTransientErrClassification(t *testing.T) {
 	}
 }
 
+// TestRetryBackoff: the schedule starts at 10ms, doubles per attempt up
+// to a 2s cap, and adds up to 50% jitter.
 func TestRetryBackoff(t *testing.T) {
-	p := RetryPolicy{BaseBackoff: 10 * time.Millisecond, MaxBackoff: 80 * time.Millisecond}
 	plain := errors.New("transient-ish")
-	for n, want := range []time.Duration{10, 20, 40, 80, 80} {
+	for n, want := range []time.Duration{10, 20, 40, 80, 160, 320, 640, 1280, 2000, 2000, 2000} {
 		want *= time.Millisecond
 		for trial := 0; trial < 16; trial++ {
-			d := p.backoff(n, plain)
+			d := backoff(n, plain)
 			if d < want || d > want+want/2 {
 				t.Fatalf("backoff(%d) = %s, want [%s, %s]", n, d, want, want+want/2)
 			}
@@ -60,7 +61,7 @@ func TestRetryBackoff(t *testing.T) {
 	// A shed query's retry-after hint raises the floor above the
 	// exponential schedule.
 	shed := &sched.OverloadError{After: 300 * time.Millisecond, Reason: "test"}
-	if d := p.backoff(0, shed); d < 300*time.Millisecond || d > 450*time.Millisecond {
+	if d := backoff(0, shed); d < 300*time.Millisecond || d > 450*time.Millisecond {
 		t.Fatalf("backoff with retry-after hint = %s, want [300ms, 450ms]", d)
 	}
 }
@@ -68,13 +69,12 @@ func TestRetryBackoff(t *testing.T) {
 // TestEngineRetriesExhaustTyped: with a 100%-probability injected worker
 // error every attempt fails, so the engine must burn exactly MaxRetries
 // re-attempts, surface the typed fault, count the retries on /metrics —
-// and the opt-in audit must still find the engine spotless.
+// and the invariant audit must still find the engine spotless.
 func TestEngineRetriesExhaustTyped(t *testing.T) {
 	spillDir := t.TempDir()
 	e, err := Open(Config{
 		ScaleFactor: 0.003, Seed: 9, DOP: 4, SpillDir: spillDir,
-		Retry: RetryPolicy{MaxRetries: 2, BaseBackoff: time.Millisecond},
-		Audit: true,
+		MaxRetries: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,6 +93,11 @@ func TestEngineRetriesExhaustTyped(t *testing.T) {
 	var f *faults.Fault
 	if !errors.As(err, &f) || f.Site != faults.ExecError {
 		t.Fatalf("exhausted retries surfaced an untyped error: %v", err)
+	}
+	if err := exec.Audit(exec.AuditState{
+		Broker: e.MemoryBroker(), Sched: e.Scheduler(), SpillDir: spillDir,
+	}); err != nil {
+		t.Fatalf("post-retry audit: %v", err)
 	}
 
 	// Scrape while the injector is still installed — the injected-fault
@@ -118,8 +123,9 @@ func TestEngineRetriesExhaustTyped(t *testing.T) {
 }
 
 // TestEngineShedMetricAndNoRetryWithoutPolicy: an injected admission
-// shed surfaces ErrOverloaded with a retry-after hint; without a retry
-// policy the engine gives up immediately and counts one shed query.
+// shed surfaces ErrOverloaded with a retry-after hint; with MaxRetries
+// unset the engine gives up immediately and the scheduler counts one
+// shed admission.
 func TestEngineShedMetricAndNoRetryWithoutPolicy(t *testing.T) {
 	e, err := Open(Config{ScaleFactor: 0.003, Seed: 9, DOP: 4})
 	if err != nil {
@@ -147,7 +153,6 @@ func TestEngineShedMetricAndNoRetryWithoutPolicy(t *testing.T) {
 	}
 	prom := buf.String()
 	for _, want := range []string{
-		"bfcbo_queries_shed_total 1",
 		"bfcbo_sched_shed_total 1",
 		"bfcbo_query_retries_total 0",
 	} {

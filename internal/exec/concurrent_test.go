@@ -236,12 +236,12 @@ func TestConcurrentDeadlineExpiry(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// TestConcurrentQueueTimeout: with the admission slot held, a queued
-// query must fail with sched.ErrQueueTimeout once Config.QueueTimeout
-// elapses.
-func TestConcurrentQueueTimeout(t *testing.T) {
+// TestConcurrentQueueDeadline: with the admission slot held, a queued
+// query must fail with context.DeadlineExceeded once its context deadline
+// expires, and leave no admission or queue entry behind.
+func TestConcurrentQueueDeadline(t *testing.T) {
 	db, b, p := bigScanFixture(t, 50_000)
-	scheduler := sched.New(sched.Config{Slots: 2, MaxConcurrent: 1, QueueTimeout: 20 * time.Millisecond})
+	scheduler := sched.New(sched.Config{Slots: 2, MaxConcurrent: 1})
 	release := make(chan struct{})
 	holderDone := make(chan error, 1)
 	go func() {
@@ -255,13 +255,21 @@ func TestConcurrentQueueTimeout(t *testing.T) {
 	for scheduler.Admitted() < 1 {
 		time.Sleep(time.Millisecond)
 	}
-	_, err := RunContext(context.Background(), db, b, p, Options{DOP: 1, Sched: scheduler})
-	if !errors.Is(err, sched.ErrQueueTimeout) {
-		t.Fatalf("error = %v, want sched.ErrQueueTimeout", err)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	_, err := RunContext(ctx, db, b, p, Options{DOP: 1, Sched: scheduler})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("error = %v, want context.DeadlineExceeded", err)
+	}
+	if scheduler.Admitted() != 1 || scheduler.Queued() != 0 {
+		t.Fatalf("expired waiter left state behind: admitted=%d queued=%d", scheduler.Admitted(), scheduler.Queued())
 	}
 	close(release)
 	if err := <-holderDone; err != nil {
 		t.Fatalf("holder query failed: %v", err)
+	}
+	if scheduler.Admitted() != 0 || scheduler.InUse() != 0 {
+		t.Fatalf("scheduler dirty: admitted=%d inUse=%d", scheduler.Admitted(), scheduler.InUse())
 	}
 }
 

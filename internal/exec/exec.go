@@ -244,8 +244,8 @@ type Options struct {
 	// allocations) are accounted but never denied. Nil means unlimited.
 	Broker *mem.Broker
 	// Sched, when non-nil, is the process-wide query scheduler the run is
-	// admitted through: admission control (max concurrent queries, queue
-	// timeout) plus the shared worker-slot pool all admitted queries lease
+	// admitted through: admission control (max concurrent queries, the
+	// memory gate) plus the shared worker-slot pool all admitted queries lease
 	// from. When nil, the run gets a private scheduler with DOP slots —
 	// the single-query behaviour of earlier versions.
 	Sched *sched.Scheduler
@@ -331,7 +331,7 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 		MinMemory: sched.MinMemoryFor(broker, plan.SummarizeDAG(pipes).SpillableSinks, minSpillableGrant),
 	})
 	if err != nil {
-		// A query turned away at admission (timeout, shed, cancel)
+		// A query turned away at admission (shed, cancel, deadline)
 		// still counts: its whole life was queue wait.
 		if opts.Metrics != nil {
 			wait := time.Since(admitStart)

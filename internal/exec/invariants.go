@@ -13,9 +13,8 @@ import (
 // This file is the post-query invariant audit: after a query ends —
 // cleanly, by error, by cancellation, or through the panic-containment
 // path — the shared engine state must show no trace of it. The checker
-// runs after every query in tests (and behind the engine's Audit flag),
-// which is what turns "the unwind looked right" into a checked
-// property under fault injection.
+// runs after queries in tests and chaos runs, which is what turns "the
+// unwind looked right" into a checked property under fault injection.
 
 // AuditState names the shared resources the audit inspects.
 type AuditState struct {

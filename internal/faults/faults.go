@@ -85,10 +85,6 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("faults: injected %s fault (seq %d)", f.Site, f.Seq)
 }
 
-// Transient marks injected faults as retry-eligible for the engine's
-// bounded-retry policy.
-func (f *Fault) Transient() bool { return true }
-
 // Injector holds one immutable fault schedule: per-site firing
 // probabilities plus per-site sequence counters that make each decision
 // deterministic. Install with Enable; a nil active injector disables

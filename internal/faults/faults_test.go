@@ -80,7 +80,7 @@ func TestDiskFullFiresAfterBudget(t *testing.T) {
 		t.Fatal("over budget did not fire")
 	} else {
 		var f *Fault
-		if !errors.As(err, &f) || f.Site != SpillDiskFull || !f.Transient() {
+		if !errors.As(err, &f) || f.Site != SpillDiskFull {
 			t.Fatalf("wrong fault: %v", err)
 		}
 	}

@@ -43,18 +43,14 @@ type QueryRecord struct {
 	Trace *Trace `json:"-"`
 }
 
-// FlightRecorder keeps the last N queries whose latency met a threshold —
-// a fixed-size ring with FIFO eviction (oldest admitted entry leaves
-// first), so "the N worst recent queries" means recent-first with a
-// latency gate, which keeps admission O(1) and eviction deterministic.
+// FlightRecorder keeps the last N finished queries — a fixed-size ring
+// with FIFO eviction (oldest entry leaves first), which keeps admission
+// O(1) and eviction deterministic.
 type FlightRecorder struct {
 	mu   sync.Mutex
 	ring []QueryRecord
 	head int // next write position
 	n    int // live entries
-
-	// MinLatency gates admission; zero records everything.
-	MinLatency time.Duration
 }
 
 // NewFlightRecorder returns a recorder retaining up to capacity records.
@@ -65,12 +61,9 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	return &FlightRecorder{ring: make([]QueryRecord, capacity)}
 }
 
-// Record admits one finished query (dropped if under MinLatency).
+// Record admits one finished query.
 func (fr *FlightRecorder) Record(rec QueryRecord) {
 	if fr == nil {
-		return
-	}
-	if rec.Latency < fr.MinLatency {
 		return
 	}
 	fr.mu.Lock()

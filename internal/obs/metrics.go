@@ -43,7 +43,6 @@ type Metrics struct {
 	// also exported live via a counter func against the injector (this
 	// one counts engine-observed typed failures folded per query).
 	PanicsRecovered *Counter // worker/pipeline panics contained to a query error
-	QueriesShed     *Counter // queries turned away by overload shedding
 	Retries         *Counter // transient-error retries by the engine's policy
 }
 
@@ -72,7 +71,6 @@ func NewMetrics(reg *Registry) *Metrics {
 		SpillParts:     reg.NewCounter("bfcbo_spill_partitions_total", "Spill files created."),
 
 		PanicsRecovered: reg.NewCounter("bfcbo_panics_recovered_total", "Worker panics contained to a typed per-query error."),
-		QueriesShed:     reg.NewCounter("bfcbo_queries_shed_total", "Queries turned away by overload shedding."),
 		Retries:         reg.NewCounter("bfcbo_query_retries_total", "Transient-error retries issued by the engine retry policy."),
 	}
 }

@@ -140,16 +140,6 @@ func TestFlightRecorderEviction(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderMinLatency(t *testing.T) {
-	fr := NewFlightRecorder(4)
-	fr.MinLatency = 10 * time.Millisecond
-	fr.Record(QueryRecord{ID: 1, Latency: 5 * time.Millisecond})
-	fr.Record(QueryRecord{ID: 2, Latency: 15 * time.Millisecond})
-	if fr.Len() != 1 || fr.Recent()[0].ID != 2 {
-		t.Fatalf("threshold not applied: %v", ids(fr.Recent()))
-	}
-}
-
 func ids(recs []QueryRecord) []int64 {
 	out := make([]int64, len(recs))
 	for i, r := range recs {

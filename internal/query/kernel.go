@@ -601,17 +601,6 @@ func (c *Chain) EvalBatch(sel []int32) []int32 {
 	return sel
 }
 
-// EvalRow evaluates the conjunction for one row in compile order (order
-// does not affect the boolean result).
-func (c *Chain) EvalRow(row int32) bool {
-	for _, k := range c.ks {
-		if !k.EvalRow(row) {
-			return false
-		}
-	}
-	return true
-}
-
 // Counts snapshots observed per-kernel row flow in compile order.
 func (c *Chain) Counts() []PredCount {
 	out := make([]PredCount, len(c.ks))

@@ -5,8 +5,8 @@
 // Admission: queries enter a FIFO queue and are admitted while the concurrency cap has room and — when a memory
 // broker with a finite budget is attached — while the sum of admitted
 // queries' minimum memory grants still fits the budget, so a query that
-// could only run by thrashing the spill path queues instead. Queued
-// queries time out after Config.QueueTimeout (or their context deadline).
+// could only run by thrashing the spill path queues instead. A queued
+// query waits until it is admitted or its context is canceled or expires.
 //
 // Slot leasing: the pool holds Config.Slots worker slots (the engine DOP).
 // Pipeline workers Acquire a slot before running and Release it when done;
@@ -34,9 +34,6 @@ import (
 )
 
 var (
-	// ErrQueueTimeout is returned by Admit when a queued query waited
-	// longer than Config.QueueTimeout.
-	ErrQueueTimeout = errors.New("sched: admission queue timeout")
 	// ErrOverloaded is the load-shedding sentinel: the overload controller
 	// (or the sched.admit fault site) turned the query away before it
 	// queued. The concrete error is an *OverloadError carrying a computed
@@ -133,16 +130,13 @@ type Config struct {
 	// MaxConcurrent caps the queries admitted at once; 0 means unlimited
 	// (the slot pool still bounds actual parallelism).
 	MaxConcurrent int
-	// QueueTimeout bounds how long a query may wait in the admission
-	// queue; 0 means wait until the caller's context cancels.
-	QueueTimeout time.Duration
 	// Broker, when non-nil and budgeted, coordinates admission with the
 	// memory broker: a query is only admitted while its QueryDesc.MinMemory
 	// fits what the budget can still grant.
 	Broker *mem.Broker
 	// Overload configures the load-shedding controller (zero disables):
 	// when a pressure signal trips, admissions fail fast
-	// with a typed *OverloadError instead of queueing into a timeout.
+	// with a typed *OverloadError instead of queueing.
 	Overload OverloadConfig
 }
 
@@ -175,8 +169,6 @@ type Stat struct {
 type Totals struct {
 	// Admitted / Finished count queries past admission and past Finish.
 	Admitted, Finished int64
-	// Timeouts counts admissions abandoned on queue timeout.
-	Timeouts int64
 	// Shed counts queries turned away by the overload controller (or the
 	// sched.admit fault site) with ErrOverloaded.
 	Shed int64
@@ -190,7 +182,6 @@ type Scheduler struct {
 	// Cumulative lifetime counters; see Totals.
 	totAdmitted atomic.Int64
 	totFinished atomic.Int64
-	totTimeouts atomic.Int64
 	totShed     atomic.Int64
 	waits       queueWaitRing
 	// nwait mirrors len(slotQ) so MaybeYield's per-batch fast path can
@@ -246,7 +237,6 @@ func (s *Scheduler) Totals() Totals {
 	return Totals{
 		Admitted: s.totAdmitted.Load(),
 		Finished: s.totFinished.Load(),
-		Timeouts: s.totTimeouts.Load(),
 		Shed:     s.totShed.Load(),
 	}
 }
@@ -351,8 +341,8 @@ func (q *Query) Held() int {
 	return q.held
 }
 
-// Admit registers a query and blocks until it is admitted, its context
-// cancels, or the queue timeout expires. The returned ticket must be
+// Admit registers a query and blocks until it is admitted or its context
+// is canceled or expires. The returned ticket must be
 // Finished when the query completes.
 func (s *Scheduler) Admit(ctx context.Context, d QueryDesc) (*Query, error) {
 	if ctx == nil {
@@ -380,12 +370,6 @@ func (s *Scheduler) Admit(ctx context.Context, d QueryDesc) (*Query, error) {
 	s.pumpLocked() // broker memory freed since the last event may admit the head
 	s.mu.Unlock()
 
-	var timeout <-chan time.Time
-	if s.cfg.QueueTimeout > 0 {
-		t := time.NewTimer(s.cfg.QueueTimeout)
-		defer t.Stop()
-		timeout = t.C
-	}
 	// While queued under a finite-budget broker, re-pump the admission
 	// queue periodically: the memory gate reads broker.Free(), which can
 	// grow mid-run (a spilling query releasing its build-side grants) with
@@ -407,11 +391,6 @@ func (s *Scheduler) Admit(ctx context.Context, d QueryDesc) (*Query, error) {
 			return q, nil
 		case <-ctx.Done():
 			return nil, s.abandonAdmit(w, ctx.Err())
-		case <-timeout:
-			s.totTimeouts.Add(1)
-			// A timed-out wait is the strongest congestion sample there is.
-			s.waits.record(s.cfg.QueueTimeout)
-			return nil, s.abandonAdmit(w, fmt.Errorf("%w after %s", ErrQueueTimeout, s.cfg.QueueTimeout))
 		case <-repumpC:
 			s.mu.Lock()
 			s.pumpLocked()

@@ -139,13 +139,19 @@ func TestConcurrentAdmissionFIFO(t *testing.T) {
 	r.q.Finish()
 }
 
-// QueueTimeout must surface ErrQueueTimeout; context cancellation must
-// surface the context error; both must drain the queue.
-func TestConcurrentQueueTimeoutAndCancel(t *testing.T) {
-	s := New(Config{Slots: 1, MaxConcurrent: 1, QueueTimeout: 20 * time.Millisecond})
+// A queued admission whose context deadline expires must surface
+// context.DeadlineExceeded; context cancellation must surface
+// context.Canceled; both must drain the queue.
+func TestConcurrentQueueDeadlineAndCancel(t *testing.T) {
+	s := New(Config{Slots: 1, MaxConcurrent: 1})
 	first := mustAdmit(t, s, QueryDesc{})
-	if _, err := s.Admit(context.Background(), QueryDesc{}); !errors.Is(err, ErrQueueTimeout) {
-		t.Fatalf("err = %v, want ErrQueueTimeout", err)
+	dctx, dcancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer dcancel()
+	if _, err := s.Admit(dctx, QueryDesc{}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if s.Queued() != 0 {
+		t.Fatalf("queue not drained after deadline: %d", s.Queued())
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
