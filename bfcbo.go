@@ -93,30 +93,15 @@ type Config struct {
 	// process-global — every engine in the process shares it — and stays
 	// installed until faults.Disable. Empty leaves the injector alone.
 	Faults string
-	// Overload sets the scheduler's overload-shedding thresholds; the
-	// zero value disables shedding. When either signal trips — admission
-	// queue-wait p95 above MaxQueueWaitP95, or broker free fraction
-	// below MinFreeFraction — non-priority admissions fail fast with an
-	// error wrapping ErrOverloaded that carries a retry-after hint.
-	Overload OverloadConfig
 	// MaxRetries is how many times the engine transparently re-runs a
-	// query that failed transiently (overload shedding, injected faults);
+	// query that failed transiently (an injected fault, including a
+	// refused admission);
 	// 0 disables retrying. Deterministic failures — SQL errors,
 	// cancellation, kills, contained panics with non-error values — are
 	// never retried. Attempt n sleeps between d and 1.5·d first, where
-	// d = min(10ms·2ⁿ, 2s), raised to the scheduler's retry-after hint
-	// when the failure carries one.
+	// d = min(10ms·2ⁿ, 2s).
 	MaxRetries int
 }
-
-// OverloadConfig re-exports the scheduler's overload-controller
-// thresholds for Config.Overload; see sched.OverloadConfig.
-type OverloadConfig = sched.OverloadConfig
-
-// ErrOverloaded is the sentinel wrapped by shed admissions; callers that
-// manage their own retries can match it with errors.Is and read the
-// retry-after hint via sched.OverloadError.
-var ErrOverloaded = sched.ErrOverloaded
 
 // SchedStat is the per-query scheduling report: admission queue wait,
 // worker-slot waits and occupancy, and preempted-slot handoffs. See
@@ -160,8 +145,6 @@ func Open(cfg Config) (*Engine, error) {
 	sch := sched.New(sched.Config{
 		Slots:         cfg.DOP,
 		MaxConcurrent: cfg.MaxConcurrent,
-		Broker:        broker,
-		Overload:      cfg.Overload,
 	})
 	reg := obs.NewRegistry()
 	var rec *obs.FlightRecorder
@@ -213,8 +196,6 @@ func registerEngineMetrics(reg *obs.Registry, sch *sched.Scheduler, broker *mem.
 		func() int64 { return broker.Denials() })
 	reg.NewCounterFunc("bfcbo_mem_spill_triggers_total", "Denied grows that triggered an operator spill.",
 		func() int64 { return broker.SpillTriggers() })
-	reg.NewCounterFunc("bfcbo_sched_shed_total", "Admissions shed by the overload controller.",
-		func() int64 { return sch.Totals().Shed })
 	reg.NewCounterFunc("bfcbo_faults_injected_total", "Faults fired by the process-wide injector (0 when disabled).",
 		faults.TotalFired)
 }
@@ -337,17 +318,18 @@ func (e *Engine) Run(b *query.Block, mode Mode) (*Output, error) {
 
 // RunContext is Run with admission control and cancellation: the query is
 // admitted through the engine's process-wide scheduler — queueing behind
-// Config.MaxConcurrent and the memory-broker admission gate — and ctx
-// cancellation or deadline expiry (queued or mid-run) stops every
-// pipeline at the next morsel and surfaces ctx.Err(); ctx is the one
-// bound on a queued wait. Any number of RunContext calls may execute
-// concurrently on one Engine; they share the DOP-sized worker-slot pool
-// and the memory budget, and each gets its own spill subdirectory.
+// Config.MaxConcurrent — and ctx cancellation or deadline expiry (queued
+// or mid-run) stops every pipeline at the next morsel and surfaces
+// ctx.Err(); ctx is the one bound on a queued wait. Memory never holds a
+// query back: any number of RunContext calls may execute concurrently on
+// one Engine; they share the DOP-sized worker-slot pool and the memory
+// budget (a hash build denied a grant spills), and each gets its own
+// spill subdirectory.
 //
-// Under Config.MaxRetries, transient failures — overload sheds and
-// injected faults — are retried with exponential backoff before the
-// error surfaces; each attempt is a full re-execution with its own
-// flight-recorder entry.
+// Under Config.MaxRetries, transient failures — injected faults,
+// including a refused admission — are retried with exponential backoff
+// before the error surfaces; each attempt is a full re-execution with
+// its own flight-recorder entry.
 func (e *Engine) RunContext(ctx context.Context, b *query.Block, mode Mode) (*Output, error) {
 	res, err := e.Plan(b, mode)
 	if err != nil {
@@ -363,7 +345,7 @@ func (e *Engine) RunContext(ctx context.Context, b *query.Block, mode Mode) (*Ou
 		select {
 		case <-ctx.Done():
 			return nil, errors.Join(err, ctx.Err())
-		case <-time.After(backoff(retries, err)):
+		case <-time.After(backoff(retries)):
 		}
 		e.metrics.Retries.Inc()
 		out, err = e.runOnce(ctx, b, mode, res, fp)
@@ -372,7 +354,7 @@ func (e *Engine) RunContext(ctx context.Context, b *query.Block, mode Mode) (*Ou
 }
 
 // transientErr reports whether a failed run may be retried: the failure
-// must be environmental (shedding, an injected fault), not a property of
+// must be environmental (an injected fault), not a property of
 // the query. Cancellation and kills are the caller's decision and never
 // retried; contained panics retry only when the panic value itself was
 // an injected fault.
@@ -382,7 +364,7 @@ func transientErr(err error) bool {
 		return false
 	}
 	var f *faults.Fault
-	return errors.Is(err, sched.ErrOverloaded) || errors.As(err, &f)
+	return errors.As(err, &f)
 }
 
 // The retry schedule: the first re-attempt's nominal delay, doubling up
@@ -393,19 +375,14 @@ const (
 )
 
 // backoff computes the sleep before re-attempt n (0-based): exponential
-// from retryBase capped at retryCap, raised to the failure's
-// retry-after hint when it carries one, plus up to 50% jitter so
-// concurrently shed queries don't re-arrive in lockstep.
-func backoff(n int, err error) time.Duration {
+// from retryBase capped at retryCap, plus up to 50% jitter so
+// concurrently failed queries don't re-arrive in lockstep.
+func backoff(n int) time.Duration {
 	d := retryBase
 	for i := 0; i < n && d < retryCap; i++ {
 		d *= 2
 	}
 	d = min(d, retryCap)
-	var ra interface{ RetryAfter() time.Duration }
-	if errors.As(err, &ra) && ra.RetryAfter() > d {
-		d = ra.RetryAfter()
-	}
 	return d + rand.N(d/2+1)
 }
 

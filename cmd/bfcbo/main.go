@@ -34,9 +34,7 @@ func main() {
 	flag.IntVar(&cfg.DOP, "dop", 8, "degree of parallelism")
 	flag.IntVar(&cfg.MaxConcurrent, "max-concurrent", 0, "admission cap on concurrent queries (0 = unlimited)")
 	flag.StringVar(&cfg.Faults, "faults", "", `deterministic fault-injection spec, e.g. "seed=42,spill.write=0.01,exec.panic=0.005,spill.diskfull=64MB" (empty = injector off)`)
-	flag.IntVar(&cfg.MaxRetries, "retries", 0, "retry transiently failed queries (shed/injected) up to this many times with exponential backoff")
-	flag.DurationVar(&cfg.Overload.MaxQueueWaitP95, "shed-queue-p95", 0, "shed new admissions while queue-wait p95 exceeds this (0 = signal off)")
-	flag.Float64Var(&cfg.Overload.MinFreeFraction, "shed-min-free", 0, "shed new admissions while the memory broker's free fraction is below this (0 = signal off)")
+	flag.IntVar(&cfg.MaxRetries, "retries", 0, "retry transiently failed queries (injected faults) up to this many times with exponential backoff")
 	var rf runFlags
 	flag.IntVar(&rf.qnum, "q", 0, "TPC-H query number (1-22)")
 	flag.StringVar(&rf.sql, "sql", "", "SQL text (overrides -q)")

@@ -29,7 +29,6 @@ func TestConfigSurface(t *testing.T) {
 	want := []string{
 		"ScaleFactor", "Seed", "DOP", "MemBudget", "SpillDir",
 		"MaxConcurrent", "SlowQueryLog", "WorkloadHistory", "Faults",
-		"Overload.MaxQueueWaitP95", "Overload.MinFreeFraction",
 		"MaxRetries",
 	}
 	if !slices.Equal(got, want) {

@@ -11,7 +11,6 @@ import (
 
 	"bfcbo/internal/exec"
 	"bfcbo/internal/faults"
-	"bfcbo/internal/sched"
 )
 
 // Engine-level robustness: the retry path's transient/deterministic
@@ -29,8 +28,6 @@ func TestTransientErrClassification(t *testing.T) {
 		{errors.New("exec: unsupported hash join type JoinType(99)"), false},
 		{context.Canceled, false},
 		{context.DeadlineExceeded, false},
-		{sched.ErrOverloaded, true},
-		{&sched.OverloadError{After: time.Second, Reason: "test"}, true},
 		{ferr, true},
 		// A contained panic is retryable only when the panic value was an
 		// injected fault; a string panic (the rowset paths) is
@@ -48,21 +45,14 @@ func TestTransientErrClassification(t *testing.T) {
 // TestRetryBackoff: the schedule starts at 10ms, doubles per attempt up
 // to a 2s cap, and adds up to 50% jitter.
 func TestRetryBackoff(t *testing.T) {
-	plain := errors.New("transient-ish")
 	for n, want := range []time.Duration{10, 20, 40, 80, 160, 320, 640, 1280, 2000, 2000, 2000} {
 		want *= time.Millisecond
 		for trial := 0; trial < 16; trial++ {
-			d := backoff(n, plain)
+			d := backoff(n)
 			if d < want || d > want+want/2 {
 				t.Fatalf("backoff(%d) = %s, want [%s, %s]", n, d, want, want+want/2)
 			}
 		}
-	}
-	// A shed query's retry-after hint raises the floor above the
-	// exponential schedule.
-	shed := &sched.OverloadError{After: 300 * time.Millisecond, Reason: "test"}
-	if d := backoff(0, shed); d < 300*time.Millisecond || d > 450*time.Millisecond {
-		t.Fatalf("backoff with retry-after hint = %s, want [300ms, 450ms]", d)
 	}
 }
 
@@ -108,7 +98,7 @@ func TestEngineRetriesExhaustTyped(t *testing.T) {
 	}
 	prom := buf.String()
 	if !strings.Contains(prom, "bfcbo_query_retries_total 2") {
-		t.Errorf("want 2 retries:\n%s", grepProm(prom, "retries|faults|shed|panics"))
+		t.Errorf("want 2 retries:\n%s", grepProm(prom, "retries|faults|panics"))
 	}
 	// At least one fault per attempt (concurrent workers may each fire
 	// one before the stop flag propagates, so the exact count varies).
@@ -122,11 +112,10 @@ func TestEngineRetriesExhaustTyped(t *testing.T) {
 	}
 }
 
-// TestEngineShedMetricAndNoRetryWithoutPolicy: an injected admission
-// shed surfaces ErrOverloaded with a retry-after hint; with MaxRetries
-// unset the engine gives up immediately and the scheduler counts one
-// shed admission.
-func TestEngineShedMetricAndNoRetryWithoutPolicy(t *testing.T) {
+// TestEngineAdmitFaultNoRetryWithoutPolicy: an injected admission
+// refusal surfaces the typed sched.admit fault; with MaxRetries unset
+// the engine gives up immediately and retries nothing.
+func TestEngineAdmitFaultNoRetryWithoutPolicy(t *testing.T) {
 	e, err := Open(Config{ScaleFactor: 0.003, Seed: 9, DOP: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -139,12 +128,9 @@ func TestEngineShedMetricAndNoRetryWithoutPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = e.Run(b, BFCBO)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("injected admission shed: err = %v, want ErrOverloaded", err)
-	}
-	var oe *sched.OverloadError
-	if !errors.As(err, &oe) || oe.RetryAfter() <= 0 {
-		t.Fatalf("shed error carries no retry-after: %v", err)
+	var f *faults.Fault
+	if !errors.As(err, &f) || f.Site != faults.SchedAdmit {
+		t.Fatalf("injected admission refusal: err = %v, want the sched.admit fault", err)
 	}
 
 	var buf bytes.Buffer
@@ -152,13 +138,8 @@ func TestEngineShedMetricAndNoRetryWithoutPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	prom := buf.String()
-	for _, want := range []string{
-		"bfcbo_sched_shed_total 1",
-		"bfcbo_query_retries_total 0",
-	} {
-		if !strings.Contains(prom, want) {
-			t.Errorf("metrics missing %q:\n%s", want, grepProm(prom, "retries|shed"))
-		}
+	if want := "bfcbo_query_retries_total 0"; !strings.Contains(prom, want) {
+		t.Errorf("metrics missing %q:\n%s", want, grepProm(prom, "retries"))
 	}
 }
 

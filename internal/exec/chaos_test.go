@@ -39,8 +39,7 @@ func typedFailure(err error) bool {
 	var pe *PanicError
 	return errors.As(err, &f) || errors.As(err, &pe) ||
 		errors.Is(err, ErrInternal) ||
-		errors.Is(err, spill.ErrIO) || errors.Is(err, spill.ErrDiskFull) ||
-		errors.Is(err, sched.ErrOverloaded)
+		errors.Is(err, spill.ErrIO) || errors.Is(err, spill.ErrDiskFull)
 }
 
 // chaosPlan plans one built-in TPC-H query under BF-CBO against the
@@ -272,7 +271,7 @@ func TestAuditDetectsViolations(t *testing.T) {
 // streams of the mixed TPC-H workload under a fault schedule hitting
 // every site family at once — spill I/O errors and disk-full, spurious
 // broker denials, injected worker errors and panics, slot delays, and
-// admission shedding — with a memory budget small enough that every
+// refused admissions — with a memory budget small enough that every
 // join spills. Every query must either succeed bit-identically to its
 // fault-free baseline or fail with a typed error, and the shared state
 // must audit clean once the storm passes.

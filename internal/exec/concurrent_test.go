@@ -273,18 +273,18 @@ func TestConcurrentQueueDeadline(t *testing.T) {
 	}
 }
 
-// TestConcurrentSpillingQueriesSerialize: under a tiny shared budget the
-// memory-admission gate serializes spilling queries (min grants larger
-// than the budget queue behind the holder) — and both still produce exact
-// results in their own spill subdirectories.
-func TestConcurrentSpillingQueriesSerialize(t *testing.T) {
+// TestConcurrentSpillingQueriesShareBudget: concurrent queries under one
+// tiny shared budget are all admitted at once and all spill — each
+// produces exact results in its own spill subdirectory, and the shared
+// state audits clean afterwards.
+func TestConcurrentSpillingQueriesShareBudget(t *testing.T) {
 	db, b, p := factDimFixture(t)
 	want, err := Run(db, b, p, Options{DOP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	broker := mem.NewBroker(tinyBudget)
-	scheduler := sched.New(sched.Config{Slots: 4, Broker: broker})
+	scheduler := sched.New(sched.Config{Slots: 4})
 	spillRoot := t.TempDir()
 	const streams = 4
 	var wg sync.WaitGroup
@@ -313,8 +313,47 @@ func TestConcurrentSpillingQueriesSerialize(t *testing.T) {
 			t.Fatalf("stream %d: rows = %d, want %d", i, rows[i], want.Rows)
 		}
 	}
-	if broker.Used() != 0 || scheduler.InUse() != 0 {
-		t.Fatalf("accounting dirty: broker=%d slots=%d", broker.Used(), scheduler.InUse())
+	if err := Audit(AuditState{Broker: broker, Sched: scheduler, SpillDir: spillRoot}); err != nil {
+		t.Fatal(err)
 	}
 	assertNoSpillFiles(t, spillRoot)
+}
+
+// TestMemoryNeverBlocksAdmission pins the admission contract: memory
+// never holds a query back, a denied grant spills. With another query
+// admitted and the whole shared budget already reserved, a spilling
+// query on the same scheduler and broker is admitted at once and
+// returns exact rows through the spill path well inside its deadline.
+func TestMemoryNeverBlocksAdmission(t *testing.T) {
+	db, b, p := factDimFixture(t)
+	want, err := Run(db, b, p, Options{DOP: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	broker := mem.NewBroker(tinyBudget)
+	scheduler := sched.New(sched.Config{Slots: 2})
+	holder, err := scheduler.Admit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	acct := broker.NewQuery()
+	acct.Reserve().Force(tinyBudget)
+
+	spillRoot := t.TempDir()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	r, err := RunContext(ctx, db, b, p, Options{DOP: 2, Sched: scheduler, Broker: broker, SpillDir: spillRoot})
+	if err != nil {
+		t.Fatalf("spilling query beside a full budget: %v", err)
+	}
+	sameTuples(t, "beside a full budget", canonicalRows(r.Out), canonicalRows(want.Out))
+	if !r.TotalSpill().Spilled() {
+		t.Fatal("the query ran without spilling under an exhausted budget")
+	}
+
+	acct.Close()
+	holder.Finish()
+	if err := Audit(AuditState{Broker: broker, Sched: scheduler, SpillDir: spillRoot}); err != nil {
+		t.Fatal(err)
+	}
 }

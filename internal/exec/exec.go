@@ -244,10 +244,10 @@ type Options struct {
 	// allocations) are accounted but never denied. Nil means unlimited.
 	Broker *mem.Broker
 	// Sched, when non-nil, is the process-wide query scheduler the run is
-	// admitted through: admission control (max concurrent queries, the
-	// memory gate) plus the shared worker-slot pool all admitted queries lease
-	// from. When nil, the run gets a private scheduler with DOP slots —
-	// the single-query behaviour of earlier versions.
+	// admitted through: admission control (max concurrent queries) plus
+	// the shared worker-slot pool all admitted queries lease from. When
+	// nil, the run gets a private scheduler with DOP slots — the
+	// single-query behaviour of earlier versions.
 	Sched *sched.Scheduler
 	// Metrics, when non-nil, receives the run's folded totals — latency,
 	// scheduler stats, scan/probe counters, spill bytes — in one cold
@@ -279,12 +279,6 @@ type Options struct {
 	morselSize int
 }
 
-// minSpillableGrant is the per-spillable-breaker memory floor used to
-// register a query's minimum grant with the scheduler: roughly the
-// partition-routing working set a grace join needs to make progress
-// instead of thrashing.
-const minSpillableGrant = 256 << 10
-
 // Run executes a physical plan over the database and returns the final row
 // set with per-node actuals and Bloom filter statistics.
 func Run(db *storage.Database, block *query.Block, p *plan.Plan, opts Options) (*Result, error) {
@@ -293,7 +287,7 @@ func Run(db *storage.Database, block *query.Block, p *plan.Plan, opts Options) (
 
 // RunContext is Run with admission control and cancellation: the query is
 // admitted through Options.Sched (queueing under the scheduler's
-// concurrency and memory policies) before executing, and ctx cancellation
+// concurrency cap) before executing, and ctx cancellation
 // or deadline expiry — while queued or mid-run — trips the run-wide stop
 // flag, winds every pipeline down at the next morsel, and surfaces
 // ctx.Err().
@@ -315,23 +309,19 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	}
 	scheduler := opts.Sched
 	if scheduler == nil {
-		scheduler = sched.New(sched.Config{Slots: dop, Broker: broker})
+		scheduler = sched.New(sched.Config{Slots: dop})
 	}
-	// Register the pipeline DAG with the scheduler and wait for admission.
 	// Decomposition happens before admission on purpose: it is cheap, needs
-	// no execution resources, refuses a plan the executor cannot run before
-	// it holds anything, and its summary (spillable breakers) sizes the
-	// minimum memory grant the admission gate checks.
+	// no execution resources, and refuses a plan the executor cannot run
+	// before it holds anything.
 	pipes, err := plan.Decompose(p)
 	if err != nil {
 		return nil, err
 	}
 	admitStart := time.Now()
-	ticket, err := scheduler.Admit(ctx, sched.QueryDesc{
-		MinMemory: sched.MinMemoryFor(broker, plan.SummarizeDAG(pipes).SpillableSinks, minSpillableGrant),
-	})
+	ticket, err := scheduler.Admit(ctx)
 	if err != nil {
-		// A query turned away at admission (shed, cancel, deadline)
+		// A query turned away at admission (refused, cancel, deadline)
 		// still counts: its whole life was queue wait.
 		if opts.Metrics != nil {
 			wait := time.Since(admitStart)

@@ -327,7 +327,7 @@ func TestCrossJoinFailsBeforeAdmission(t *testing.T) {
 	p.Root.(*plan.Join).Conds = nil
 	for _, budget := range []int64{0, tinyBudget} {
 		broker := mem.NewBroker(budget)
-		scheduler := sched.New(sched.Config{Slots: 2, Broker: broker})
+		scheduler := sched.New(sched.Config{Slots: 2})
 		spillRoot := t.TempDir()
 		_, err := Run(db, b, p, Options{DOP: 2, Broker: broker, Sched: scheduler, SpillDir: spillRoot})
 		if err == nil || !strings.Contains(err.Error(), "plan bug") {

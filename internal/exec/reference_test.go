@@ -32,7 +32,7 @@ func TestReferenceIsSerial(t *testing.T) {
 	}
 
 	s := sched.New(sched.Config{Slots: 1})
-	holder, err := s.Admit(context.Background(), sched.QueryDesc{})
+	holder, err := s.Admit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,8 @@ const (
 	// SchedSlot delays a worker-slot acquisition by the configured
 	// SlotDelay, perturbing morsel interleavings.
 	SchedSlot
-	// SchedAdmit perturbs admission: an admitted query is shed as if
-	// the overload controller had tripped.
+	// SchedAdmit refuses an admission: Admit returns the fault wrapped,
+	// and the engine's retries treat it as transient.
 	SchedAdmit
 	// ExecPanic panics a worker at a morsel boundary; containment must
 	// convert it to a per-query error.

@@ -10,7 +10,6 @@ package mem
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -42,9 +41,6 @@ func NewBroker(budget int64) *Broker {
 	return &Broker{budget: budget}
 }
 
-// Unlimited reports whether the broker grants every request.
-func (b *Broker) Unlimited() bool { return b.budget <= 0 }
-
 // Budget returns the configured byte budget (<= 0 means unlimited).
 func (b *Broker) Budget() int64 { return b.budget }
 
@@ -63,21 +59,6 @@ func (b *Broker) Denials() int64 { return b.denied.Load() }
 // can be denied with no callback attached, and a callback can free enough
 // for the retry to succeed, which never reaches Denials).
 func (b *Broker) SpillTriggers() int64 { return b.spillTriggers.Load() }
-
-// Free returns the bytes the broker could still grant without denial —
-// the admission hook the process-wide query scheduler consults so a query
-// whose minimum grant cannot fit queues instead of thrashing the spill
-// path. Unlimited brokers report MaxInt64; forced overage clamps to 0.
-func (b *Broker) Free() int64 {
-	if b.budget <= 0 {
-		return math.MaxInt64
-	}
-	free := b.budget - b.used.Load()
-	if free < 0 {
-		return 0
-	}
-	return free
-}
 
 // grant attempts to reserve n bytes; force bypasses the budget check.
 func (b *Broker) grant(n int64, force bool) bool {

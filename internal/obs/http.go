@@ -2,13 +2,11 @@ package obs
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	httppprof "net/http/pprof"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Handler serves the observability surface over HTTP:
@@ -26,10 +24,8 @@ import (
 // Registry, Recorder, Inspector, Workload and RunSQL may each be nil;
 // the matching endpoints then answer 404. Every response sets an
 // explicit Content-Type, and every error — unknown path, bad id,
-// missing subsystem, shed or failed query — carries a JSON body, so
-// scrapers never see an empty 200. Failed /query runs go through
-// WriteQueryError, which maps overload sheds to 429 with a Retry-After
-// header.
+// missing subsystem, failed query — carries a JSON body, so scrapers
+// never see an empty 200. A failed /query run answers 500.
 type Handler struct {
 	Registry  *Registry
 	Recorder  *FlightRecorder
@@ -37,7 +33,7 @@ type Handler struct {
 	Workload  *WorkloadStore
 	// RunSQL, when non-nil, enables the /query endpoint. The callback
 	// owns parsing, mode selection, and execution; it returns the result
-	// row count. Errors are mapped by WriteQueryError.
+	// row count; an error answers 500.
 	RunSQL func(ctx context.Context, sql string) (rows int, err error)
 }
 
@@ -46,29 +42,6 @@ func jsonError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)
 	fmt.Fprintf(w, "{\"error\":%q}\n", fmt.Sprintf(format, args...))
-}
-
-// WriteQueryError maps a query-execution failure to a structured JSON
-// HTTP response. Overload sheds — any error in the chain carrying a
-// RetryAfter() hint, like sched.OverloadError — answer 429 Too Many
-// Requests with a Retry-After header (whole seconds, rounded up) and
-// the hint in milliseconds in the body; every other failure answers
-// 500. Exported so non-obs HTTP frontends can reuse the mapping.
-func WriteQueryError(w http.ResponseWriter, err error) {
-	var ra interface{ RetryAfter() time.Duration }
-	if errors.As(err, &ra) {
-		after := ra.RetryAfter()
-		secs := int64((after + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		w.WriteHeader(http.StatusTooManyRequests)
-		fmt.Fprintf(w, "{\"error\":%q,\"retry_after_ms\":%d}\n", err.Error(), after.Milliseconds())
-		return
-	}
-	jsonError(w, http.StatusInternalServerError, "%s", err)
 }
 
 // ServeHTTP implements http.Handler.
@@ -124,7 +97,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		rows, err := h.RunSQL(r.Context(), sql)
 		if err != nil {
-			WriteQueryError(w, err)
+			jsonError(w, http.StatusInternalServerError, "%s", err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -180,7 +153,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "  /debug/trace/<id>            Chrome trace-event JSON for one query")
 		fmt.Fprintln(w, "  /debug/workload              per-fingerprint workload history")
 		fmt.Fprintln(w, "  /debug/pprof/                runtime profiles (query-labeled CPU samples)")
-		fmt.Fprintln(w, "  /query?sql=<stmt>            execute a query (404 unless wired; 429 + Retry-After when shed)")
+		fmt.Fprintln(w, "  /query?sql=<stmt>            execute a query (404 unless wired)")
 	default:
 		jsonError(w, http.StatusNotFound, "unknown path %q", r.URL.Path)
 	}

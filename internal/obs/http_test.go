@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -72,18 +71,8 @@ func TestHandlerLiveWorkloadKill(t *testing.T) {
 	}
 }
 
-// sheddedErr mimics sched.OverloadError without importing sched (obs
-// sits below sched in the layering): a wrapped error chain whose middle
-// link carries the RetryAfter hint.
-type sheddedErr struct{ after time.Duration }
-
-func (e *sheddedErr) Error() string             { return fmt.Sprintf("overloaded; retry after %s", e.after) }
-func (e *sheddedErr) RetryAfter() time.Duration { return e.after }
-
-// TestHandlerQueryEndpoint covers the /query wiring and the PR 10 error
-// mapping: success JSON, missing-sql 400, shed queries 429 with a
-// Retry-After header and the hint in the body, other failures 500 —
-// all with JSON bodies.
+// TestHandlerQueryEndpoint covers the /query wiring: success JSON,
+// missing-sql 400, failures 500, unwired 404 — all with JSON bodies.
 func TestHandlerQueryEndpoint(t *testing.T) {
 	var nextErr error
 	h := &Handler{RunSQL: func(_ context.Context, sql string) (int, error) {
@@ -104,23 +93,6 @@ func TestHandlerQueryEndpoint(t *testing.T) {
 	}
 	if w = get("/query"); w.Code != 400 {
 		t.Fatalf("/query without sql -> %d, want 400", w.Code)
-	}
-
-	nextErr = fmt.Errorf("admit: %w", &sheddedErr{after: 1500 * time.Millisecond})
-	w = get("/query?sql=SELECT")
-	if w.Code != 429 {
-		t.Fatalf("shed query -> %d, want 429", w.Code)
-	}
-	if ra := w.Header().Get("Retry-After"); ra != "2" {
-		t.Fatalf("Retry-After = %q, want %q (1.5s rounded up)", ra, "2")
-	}
-	var body struct {
-		Error        string `json:"error"`
-		RetryAfterMS int64  `json:"retry_after_ms"`
-	}
-	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil ||
-		body.Error == "" || body.RetryAfterMS != 1500 {
-		t.Fatalf("shed body: %v %s", err, w.Body.String())
 	}
 
 	nextErr = errors.New("exec: something deterministic")

@@ -173,30 +173,6 @@ func (d *decomposer) build(n Node) (*Pipeline, error) {
 	}
 }
 
-// DAGStats summarizes a decomposed pipeline DAG — the registration record
-// a process-wide scheduler needs to admit the query: how many breakers
-// participate in the memory-budget/spill subsystem (which sizes the
-// query's minimum memory grant).
-type DAGStats struct {
-	// SpillableSinks counts the hash-build pipelines, the one breaker that
-	// spills (denied a grant, it becomes a grace hash join; the result is
-	// accounted and never denied) — each needs a minimum grant to run
-	// usefully.
-	SpillableSinks int
-}
-
-// SummarizeDAG computes the scheduler registration record of a decomposed
-// plan.
-func SummarizeDAG(pipes []*Pipeline) DAGStats {
-	var d DAGStats
-	for _, pl := range pipes {
-		if pl.Sink == SinkHashBuild {
-			d.SpillableSinks++
-		}
-	}
-	return d
-}
-
 // Describe renders one pipeline as a single line, e.g.
 // "P2: Scan l -> HashJoin(inner) probe(l_orderkey) -> result (after P0,P1)".
 // Probe operators name their hash-key column so batch-level reports (probe

@@ -111,9 +111,6 @@ func TestDecomposeBoundedLaysJoinsOutAsHashJoins(t *testing.T) {
 			t.Errorf("P%d feeds %s %v, want the build of %v", i, pl.Sink, pl.SinkJoin, joins[i])
 		}
 	}
-	if got := SummarizeDAG(pls).SpillableSinks; got != 3 {
-		t.Errorf("spillable sinks = %d, want the 3 hash builds", got)
-	}
 
 	// The Bloom build -> apply edge: the pipeline that scans a waits for the
 	// one that builds filter 7.

@@ -2,11 +2,11 @@
 // front of the engine plus one global worker-slot pool shared by every
 // concurrently admitted query.
 //
-// Admission: queries enter a FIFO queue and are admitted while the concurrency cap has room and — when a memory
-// broker with a finite budget is attached — while the sum of admitted
-// queries' minimum memory grants still fits the budget, so a query that
-// could only run by thrashing the spill path queues instead. A queued
-// query waits until it is admitted or its context is canceled or expires.
+// Admission counts queries: they enter a FIFO queue and are admitted while
+// fewer than Config.MaxConcurrent are running. A queued query waits until
+// it is admitted or its context is canceled or expires. Memory plays no
+// part in admission: the memory broker bounds it, one grant at a time, and
+// a hash build denied a grant spills.
 //
 // Slot leasing: the pool holds Config.Slots worker slots (the engine DOP).
 // Pipeline workers Acquire a slot before running and Release it when done;
@@ -21,106 +21,14 @@ package sched
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"bfcbo/internal/faults"
-	"bfcbo/internal/mem"
 )
-
-var (
-	// ErrOverloaded is the load-shedding sentinel: the overload controller
-	// (or the sched.admit fault site) turned the query away before it
-	// queued. The concrete error is an *OverloadError carrying a computed
-	// retry-after; shed queries are safe to retry.
-	ErrOverloaded = errors.New("sched: overloaded, query shed")
-)
-
-// OverloadError is the typed load-shedding error: it unwraps to
-// ErrOverloaded and tells the caller when trying again is worthwhile.
-type OverloadError struct {
-	// After is the computed retry-after: roughly how long until the
-	// pressure signal that tripped the controller could have decayed.
-	After time.Duration
-	// Reason describes the tripped signal for diagnostics.
-	Reason string
-	cause  error // non-nil when the sched.admit fault site shed the query
-}
-
-func (e *OverloadError) Error() string {
-	return fmt.Sprintf("%v (%s; retry after %s)", ErrOverloaded, e.Reason, e.After)
-}
-
-// Unwrap exposes ErrOverloaded (and, for injected sheds, the fault) to
-// errors.Is/As.
-func (e *OverloadError) Unwrap() []error {
-	if e.cause != nil {
-		return []error{ErrOverloaded, e.cause}
-	}
-	return []error{ErrOverloaded}
-}
-
-// RetryAfter returns the computed backoff floor; the engine's retry
-// policy and the HTTP Retry-After header both read it.
-func (e *OverloadError) RetryAfter() time.Duration { return e.After }
-
-// OverloadConfig parameterises the load-shedding controller; the zero
-// value disables shedding entirely.
-type OverloadConfig struct {
-	// MaxQueueWaitP95: shed when the p95 of recent admission queue waits
-	// exceeds this (0 disables the signal).
-	MaxQueueWaitP95 time.Duration
-	// MinFreeFraction: shed when the broker's free budget falls below
-	// this fraction of the total (0 disables; needs a finite broker).
-	MinFreeFraction float64
-}
-
-func (c OverloadConfig) enabled() bool {
-	return c.MaxQueueWaitP95 > 0 || c.MinFreeFraction > 0
-}
-
-// queueWaitRing is the overload controller's pressure sample: the last
-// ringSize admission queue waits (immediate admissions record ~0, so the
-// p95 decays as load lightens). Its own mutex keeps it off s.mu.
-const ringSize = 64
-
-type queueWaitRing struct {
-	mu   sync.Mutex
-	buf  [ringSize]time.Duration
-	n    int // samples recorded, capped at ringSize
-	idx  int
-	sort [ringSize]time.Duration // scratch for p95
-}
-
-func (r *queueWaitRing) record(d time.Duration) {
-	r.mu.Lock()
-	r.buf[r.idx] = d
-	r.idx = (r.idx + 1) % ringSize
-	if r.n < ringSize {
-		r.n++
-	}
-	r.mu.Unlock()
-}
-
-// p95 returns the 95th percentile of the recorded waits, or 0 while
-// fewer than 8 samples exist (a cold controller never sheds off one
-// outlier).
-func (r *queueWaitRing) p95() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.n < 8 {
-		return 0
-	}
-	s := r.sort[:r.n]
-	copy(s, r.buf[:r.n])
-	slices.Sort(s)
-	return s[(r.n-1)*95/100]
-}
 
 // Config parameterises a scheduler.
 type Config struct {
@@ -130,21 +38,6 @@ type Config struct {
 	// MaxConcurrent caps the queries admitted at once; 0 means unlimited
 	// (the slot pool still bounds actual parallelism).
 	MaxConcurrent int
-	// Broker, when non-nil and budgeted, coordinates admission with the
-	// memory broker: a query is only admitted while its QueryDesc.MinMemory
-	// fits what the budget can still grant.
-	Broker *mem.Broker
-	// Overload configures the load-shedding controller (zero disables):
-	// when a pressure signal trips, admissions fail fast
-	// with a typed *OverloadError instead of queueing.
-	Overload OverloadConfig
-}
-
-// QueryDesc registers one query with the scheduler at admission time.
-type QueryDesc struct {
-	// MinMemory is the smallest broker grant the query needs to run
-	// without thrashing the spill path (0 = no memory requirement).
-	MinMemory int64
 }
 
 // Stat is the per-query scheduling report.
@@ -169,9 +62,6 @@ type Stat struct {
 type Totals struct {
 	// Admitted / Finished count queries past admission and past Finish.
 	Admitted, Finished int64
-	// Shed counts queries turned away by the overload controller (or the
-	// sched.admit fault site) with ErrOverloaded.
-	Shed int64
 }
 
 // Scheduler owns the admission queue and the worker-slot pool.
@@ -182,8 +72,6 @@ type Scheduler struct {
 	// Cumulative lifetime counters; see Totals.
 	totAdmitted atomic.Int64
 	totFinished atomic.Int64
-	totShed     atomic.Int64
-	waits       queueWaitRing
 	// nwait mirrors len(slotQ) so MaybeYield's per-batch fast path can
 	// skip the mutex while the pool is uncontended.
 	nwait atomic.Int32
@@ -192,7 +80,6 @@ type Scheduler struct {
 	free     int
 	seq      int64 // FIFO tie-break for slot waiters
 	admitted map[*Query]struct{}
-	memHeld  int64 // sum of admitted queries' MinMemory
 	slotQ    []*slotWaiter
 	admitQ   []*admitWaiter
 }
@@ -237,46 +124,7 @@ func (s *Scheduler) Totals() Totals {
 	return Totals{
 		Admitted: s.totAdmitted.Load(),
 		Finished: s.totFinished.Load(),
-		Shed:     s.totShed.Load(),
 	}
-}
-
-// retry-after bounds: never tell a caller to hammer back instantly,
-// never park it for more than 5s on one shed.
-const (
-	minRetryAfter = 25 * time.Millisecond
-	maxRetryAfter = 5 * time.Second
-)
-
-func clampRetry(d time.Duration) time.Duration {
-	return min(max(d, minRetryAfter), maxRetryAfter)
-}
-
-// shedCheck is the lock-free overload check: it returns a non-nil
-// *OverloadError when a pressure signal (or the sched.admit fault site)
-// says this admission should be shed.
-func (s *Scheduler) shedCheck() *OverloadError {
-	if fault := faults.Hit(faults.SchedAdmit); fault != nil {
-		return &OverloadError{After: clampRetry(0), Reason: "injected admission perturbation", cause: fault}
-	}
-	oc := s.cfg.Overload
-	if !oc.enabled() {
-		return nil
-	}
-	if oc.MaxQueueWaitP95 > 0 {
-		if p := s.waits.p95(); p > oc.MaxQueueWaitP95 {
-			// Retrying before roughly a p95 wait has passed would just
-			// rejoin the same congested queue.
-			return &OverloadError{After: clampRetry(p), Reason: fmt.Sprintf("queue-wait p95 %s > %s", p, oc.MaxQueueWaitP95)}
-		}
-	}
-	if oc.MinFreeFraction > 0 && s.cfg.Broker != nil && !s.cfg.Broker.Unlimited() {
-		frac := float64(s.cfg.Broker.Free()) / float64(s.cfg.Broker.Budget())
-		if frac < oc.MinFreeFraction {
-			return &OverloadError{After: clampRetry(100 * time.Millisecond), Reason: fmt.Sprintf("broker free fraction %.2f < %.2f", frac, oc.MinFreeFraction)}
-		}
-	}
-	return nil
 }
 
 type slotWaiter struct {
@@ -287,7 +135,6 @@ type slotWaiter struct {
 }
 
 type admitWaiter struct {
-	d     QueryDesc
 	ready chan *Query
 	q     *Query // set under s.mu when granted
 }
@@ -296,9 +143,8 @@ type admitWaiter struct {
 // slots from and the carrier of its scheduling stats. Finish must be
 // called exactly once when the query completes (idempotent).
 type Query struct {
-	s      *Scheduler
-	id     int64
-	minMem int64
+	s  *Scheduler
+	id int64
 
 	queueWait     time.Duration
 	slotWaitNanos atomic.Int64
@@ -343,59 +189,35 @@ func (q *Query) Held() int {
 
 // Admit registers a query and blocks until it is admitted or its context
 // is canceled or expires. The returned ticket must be
-// Finished when the query completes.
-func (s *Scheduler) Admit(ctx context.Context, d QueryDesc) (*Query, error) {
+// Finished when the query completes. The sched.admit fault site refuses
+// the admission with a wrapped *faults.Fault.
+func (s *Scheduler) Admit(ctx context.Context) (*Query, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err // already canceled/expired: never admit
 	}
-	if shed := s.shedCheck(); shed != nil {
-		s.totShed.Add(1)
-		return nil, shed
+	if fault := faults.Hit(faults.SchedAdmit); fault != nil {
+		return nil, fmt.Errorf("sched: admission refused: %w", fault)
 	}
 	start := time.Now()
 	s.mu.Lock()
-	if len(s.admitQ) == 0 && s.admissibleLocked(d) {
-		q := s.admitLocked(d)
+	if len(s.admitQ) == 0 && s.admissibleLocked() {
+		q := s.admitLocked()
 		s.mu.Unlock()
-		// An immediate admission is a ~zero queue wait: recording it is
-		// what lets the p95 decay once pressure lifts.
-		s.waits.record(time.Since(start))
 		return q, nil
 	}
-	w := &admitWaiter{d: d, ready: make(chan *Query, 1)}
+	w := &admitWaiter{ready: make(chan *Query, 1)}
 	s.admitQ = append(s.admitQ, w)
-	s.pumpLocked() // broker memory freed since the last event may admit the head
 	s.mu.Unlock()
 
-	// While queued under a finite-budget broker, re-pump the admission
-	// queue periodically: the memory gate reads broker.Free(), which can
-	// grow mid-run (a spilling query releasing its build-side grants) with
-	// no scheduler event to wake the queue — without this, a memory-gated
-	// waiter could sit on freed memory until the holder's Finish. Queues
-	// gated only by MaxConcurrent always drain on Finish, so they skip the
-	// ticker (a nil channel never fires).
-	var repumpC <-chan time.Time
-	if s.cfg.Broker != nil && !s.cfg.Broker.Unlimited() {
-		repump := time.NewTicker(10 * time.Millisecond)
-		defer repump.Stop()
-		repumpC = repump.C
-	}
-	for {
-		select {
-		case q := <-w.ready:
-			q.queueWait = time.Since(start)
-			s.waits.record(q.queueWait)
-			return q, nil
-		case <-ctx.Done():
-			return nil, s.abandonAdmit(w, ctx.Err())
-		case <-repumpC:
-			s.mu.Lock()
-			s.pumpLocked()
-			s.mu.Unlock()
-		}
+	select {
+	case q := <-w.ready:
+		q.queueWait = time.Since(start)
+		return q, nil
+	case <-ctx.Done():
+		return nil, s.abandonAdmit(w, ctx.Err())
 	}
 }
 
@@ -411,57 +233,30 @@ func (s *Scheduler) abandonAdmit(w *admitWaiter, err error) error {
 	}
 	if i := slices.Index(s.admitQ, w); i >= 0 {
 		s.admitQ = slices.Delete(s.admitQ, i, i+1)
-		s.pumpLocked() // the head may have been blocked behind this waiter
 	}
 	s.mu.Unlock()
 	return err
 }
 
 // admissibleLocked decides whether a query could be admitted right now.
-func (s *Scheduler) admissibleLocked(d QueryDesc) bool {
-	if s.cfg.MaxConcurrent > 0 && len(s.admitted) >= s.cfg.MaxConcurrent {
-		return false
-	}
-	b := s.cfg.Broker
-	// The first query always admits — an over-budget minimum must degrade
-	// to spilling, never deadlock the engine.
-	if len(s.admitted) == 0 || b == nil || b.Unlimited() || d.MinMemory <= 0 {
-		return true
-	}
-	// Available memory is the budget minus the larger of (a) the admitted
-	// queries' committed minimums and (b) what the broker has actually
-	// granted — (a) guards against admission stampedes before reservations
-	// land, (b) against reservations that outgrew their minimums.
-	avail := b.Free()
-	if headroom := b.Budget() - s.memHeld; headroom < avail {
-		avail = headroom
-	}
-	return d.MinMemory <= avail
+func (s *Scheduler) admissibleLocked() bool {
+	return s.cfg.MaxConcurrent <= 0 || len(s.admitted) < s.cfg.MaxConcurrent
 }
 
-func (s *Scheduler) admitLocked(d QueryDesc) *Query {
-	q := &Query{
-		s: s, id: s.nextID.Add(1),
-		minMem:     max(0, d.MinMemory),
-		lastChange: time.Now(),
-	}
+func (s *Scheduler) admitLocked() *Query {
+	q := &Query{s: s, id: s.nextID.Add(1), lastChange: time.Now()}
 	s.admitted[q] = struct{}{}
-	s.memHeld += q.minMem
 	s.totAdmitted.Add(1)
 	return q
 }
 
-// pumpLocked admits queued queries from the head while they fit. FIFO
-// head-of-line blocking is deliberate: it keeps a big-minimum query from
-// starving behind a stream of small ones.
+// pumpLocked admits queued queries from the head, FIFO, while the
+// concurrency cap has room.
 func (s *Scheduler) pumpLocked() {
-	for len(s.admitQ) > 0 {
+	for len(s.admitQ) > 0 && s.admissibleLocked() {
 		w := s.admitQ[0]
-		if !s.admissibleLocked(w.d) {
-			return
-		}
 		s.admitQ = s.admitQ[1:]
-		w.q = s.admitLocked(w.d)
+		w.q = s.admitLocked()
 		w.ready <- w.q
 	}
 }
@@ -482,7 +277,6 @@ func (q *Query) Finish() {
 		q.held = 0
 	}
 	delete(s.admitted, q)
-	s.memHeld -= q.minMem
 	s.totFinished.Add(1)
 	s.grantLocked()
 	s.pumpLocked()
@@ -676,16 +470,4 @@ func betterWaiter(a, b *slotWaiter) bool {
 		return a.q.held < b.q.held
 	}
 	return a.seq < b.seq
-}
-
-// MinMemoryFor is a helper for admission registration: the minimum grant
-// for a query with n spillable breakers (0 when the broker is unlimited).
-func MinMemoryFor(b *mem.Broker, n int, perBreaker int64) int64 {
-	if b == nil || b.Unlimited() || n <= 0 {
-		return 0
-	}
-	if perBreaker <= 0 || int64(n) > math.MaxInt64/perBreaker {
-		return 0
-	}
-	return int64(n) * perBreaker
 }

@@ -7,17 +7,17 @@ import (
 	"testing"
 	"time"
 
-	"bfcbo/internal/mem"
+	"bfcbo/internal/faults"
 )
 
 // never is a stop channel that never fires.
 var never = make(chan struct{})
 
-func mustAdmit(t *testing.T, s *Scheduler, d QueryDesc) *Query {
+func mustAdmit(t *testing.T, s *Scheduler) *Query {
 	t.Helper()
-	q, err := s.Admit(context.Background(), d)
+	q, err := s.Admit(context.Background())
 	if err != nil {
-		t.Fatalf("admit %+v: %v", d, err)
+		t.Fatalf("admit: %v", err)
 	}
 	return q
 }
@@ -26,7 +26,7 @@ func mustAdmit(t *testing.T, s *Scheduler, d QueryDesc) *Query {
 // fair share) and accounting must return to zero.
 func TestConcurrentSlotPoolWorkConserving(t *testing.T) {
 	s := New(Config{Slots: 4})
-	q := mustAdmit(t, s, QueryDesc{})
+	q := mustAdmit(t, s)
 	for i := 0; i < 4; i++ {
 		if !q.Acquire(never) {
 			t.Fatalf("acquire %d failed on an empty pool", i)
@@ -50,8 +50,8 @@ func TestConcurrentSlotPoolWorkConserving(t *testing.T) {
 // the handoffs must be counted.
 func TestConcurrentFairShareHandoff(t *testing.T) {
 	s := New(Config{Slots: 4})
-	a := mustAdmit(t, s, QueryDesc{})
-	b := mustAdmit(t, s, QueryDesc{})
+	a := mustAdmit(t, s)
+	b := mustAdmit(t, s)
 	for i := 0; i < 4; i++ {
 		a.Acquire(never)
 	}
@@ -104,7 +104,7 @@ func TestConcurrentFairShareHandoff(t *testing.T) {
 // MaxConcurrent must queue FIFO and admit on Finish.
 func TestConcurrentAdmissionFIFO(t *testing.T) {
 	s := New(Config{Slots: 2, MaxConcurrent: 1})
-	first := mustAdmit(t, s, QueryDesc{})
+	first := mustAdmit(t, s)
 	type res struct {
 		q   *Query
 		err error
@@ -112,7 +112,7 @@ func TestConcurrentAdmissionFIFO(t *testing.T) {
 	}
 	out := make(chan res, 2)
 	admit := func(tag string) {
-		q, err := s.Admit(context.Background(), QueryDesc{})
+		q, err := s.Admit(context.Background())
 		out <- res{q, err, tag}
 	}
 	go admit("second")
@@ -144,10 +144,10 @@ func TestConcurrentAdmissionFIFO(t *testing.T) {
 // context.Canceled; both must drain the queue.
 func TestConcurrentQueueDeadlineAndCancel(t *testing.T) {
 	s := New(Config{Slots: 1, MaxConcurrent: 1})
-	first := mustAdmit(t, s, QueryDesc{})
+	first := mustAdmit(t, s)
 	dctx, dcancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer dcancel()
-	if _, err := s.Admit(dctx, QueryDesc{}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := s.Admit(dctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	if s.Queued() != 0 {
@@ -156,7 +156,7 @@ func TestConcurrentQueueDeadlineAndCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.Admit(ctx, QueryDesc{})
+		_, err := s.Admit(ctx)
 		done <- err
 	}()
 	for s.Queued() < 1 {
@@ -172,32 +172,11 @@ func TestConcurrentQueueDeadlineAndCancel(t *testing.T) {
 	first.Finish()
 }
 
-// Memory coordination: a query whose minimum grant does not fit the
-// broker budget queues until the holder finishes; the first query always
-// admits even when its minimum exceeds the whole budget.
-func TestConcurrentMemoryAdmission(t *testing.T) {
-	b := mem.NewBroker(100)
-	s := New(Config{Slots: 2, Broker: b})
-	big := mustAdmit(t, s, QueryDesc{MinMemory: 1000}) // first always admits
-	done := make(chan *Query, 1)
-	go func() { done <- mustAdmit(t, s, QueryDesc{MinMemory: 50}) }()
-	select {
-	case <-done:
-		t.Fatal("second query admitted into exhausted memory")
-	case <-time.After(20 * time.Millisecond):
-	}
-	big.Finish()
-	q := <-done
-	// A third small query fits alongside (50 + 40 <= 100).
-	mustAdmit(t, s, QueryDesc{MinMemory: 40}).Finish()
-	q.Finish()
-}
-
 // Acquire must wake with false when the stop channel closes, and clean
 // its waiter up.
 func TestConcurrentAcquireCancel(t *testing.T) {
 	s := New(Config{Slots: 1})
-	a := mustAdmit(t, s, QueryDesc{})
+	a := mustAdmit(t, s)
 	a.Acquire(never)
 	stop := make(chan struct{})
 	done := make(chan bool, 1)
@@ -228,7 +207,7 @@ func TestConcurrentPoolStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			q := mustAdmit(t, s, QueryDesc{})
+			q := mustAdmit(t, s)
 			defer q.Finish()
 			for k := 0; k < 200; k++ {
 				if !q.Acquire(never) {
@@ -254,8 +233,8 @@ func TestConcurrentPoolStress(t *testing.T) {
 // SlotBusy; waiting must show up in SlotWait.
 func TestConcurrentStatsAccounting(t *testing.T) {
 	s := New(Config{Slots: 1})
-	a := mustAdmit(t, s, QueryDesc{})
-	b := mustAdmit(t, s, QueryDesc{})
+	a := mustAdmit(t, s)
+	b := mustAdmit(t, s)
 	a.Acquire(never)
 	done := make(chan struct{})
 	go func() {
@@ -277,4 +256,21 @@ func TestConcurrentStatsAccounting(t *testing.T) {
 	b.Release()
 	a.Finish()
 	b.Finish()
+}
+
+// TestInjectedAdmissionShed: the sched.admit fault site turns the query
+// away before it queues — Admit returns the wrapped *faults.Fault, which
+// the engine's retries treat as transient — and admits nothing.
+func TestInjectedAdmissionShed(t *testing.T) {
+	faults.Enable(faults.New(11, map[faults.Site]float64{faults.SchedAdmit: 1}))
+	defer faults.Disable()
+	s := New(Config{Slots: 1})
+	_, err := s.Admit(context.Background())
+	var f *faults.Fault
+	if !errors.As(err, &f) || f.Site != faults.SchedAdmit {
+		t.Fatalf("Admit = %v, want the wrapped sched.admit fault", err)
+	}
+	if tot := s.Totals(); tot.Admitted != 0 || s.Queued() != 0 {
+		t.Fatalf("refused admission left admitted=%d queued=%d", tot.Admitted, s.Queued())
+	}
 }

@@ -40,8 +40,8 @@ go build "${cover[@]}" -o "$out/bin/" ./cmd/bfcbo ./cmd/bench ./cmd/tpchgen ./ex
 (cd benchmark && go build "${cover[@]}" -o "$out/bin/benchmark" .) || exit 1
 export GOCOVERDIR="$out/cov"
 
-# run reports a failing invocation and goes on: the fault and shedding runs
-# are allowed to fail, and a ledger with a hole still says what it reached.
+# run reports a failing invocation and goes on: the fault runs are allowed
+# to fail, and a ledger with a hole still says what it reached.
 run() {
   echo "+ $*" >&2
   "$@" >"$out/work/last.out" 2>&1 || echo "  exit $? (see $out/work/last.out)" >&2
@@ -63,12 +63,10 @@ run "$bin/bfcbo" -q 12 -mode naive -sf 0.01
 run "$bin/bfcbo" -sf 0.01 -mode bfpost -sql "SELECT * FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND l.l_quantity > 45"
 run "$bin/bfcbo" -q 21 -sf 0.05 -dop 2 -mem-budget 1MB
 run "$bin/bfcbo" -q 9 -sf 0.02 -dop 2 -mem-budget 256KB -faults "seed=42,spill.write=0.01,mem.deny=0.2" -retries 3
-# Six streams with a 1 µs queue-wait p95 limit exercise the overload
-# controller's pressure signal (the queue-wait ring and its p95), but they
-# do not shed: each stream checks at launch, before the ring holds the 8
-# samples its p95 needs. The deterministic sched.admit fault site is what
-# sheds, so the typed shed error, its retry-after and the retries run below.
-run "$bin/bfcbo" -q 12 -sf 0.01 -streams 6 -max-concurrent 2 -shed-queue-p95 1us -retries 2 -timeout 5s
+# Six streams behind a cap of two queue at the scheduler's count gate.
+run "$bin/bfcbo" -q 12 -sf 0.01 -streams 6 -max-concurrent 2 -retries 2 -timeout 5s
+# The sched.admit fault site refuses half the admissions: the refused
+# admission's typed fault and the engine's retries of it run here.
 run "$bin/bfcbo" -q 12 -sf 0.01 -streams 6 -faults "seed=7,sched.admit=0.5" -retries 3
 
 # The observability server keeps serving after its query until it is
