@@ -54,8 +54,9 @@ type Config struct {
 	ScaleFactor float64
 	// Seed fixes data generation; 0 uses a built-in default.
 	Seed uint64
-	// DOP is the degree of parallelism for planning and execution;
-	// 0 defaults to 8.
+	// DOP is the degree of parallelism for execution: the workers each
+	// pipeline runs and the size of the worker-slot pool all queries
+	// share. Planning never reads it. 0 defaults to 8.
 	DOP int
 	// MemBudget bounds the bytes of operator state the executor holds in
 	// RAM (0 = unlimited). Under a budget a hash build whose memory grant
@@ -103,9 +104,8 @@ type Config struct {
 	MaxRetries int
 }
 
-// SchedStat is the per-query scheduling report: admission queue wait,
-// worker-slot waits and occupancy, and preempted-slot handoffs. See
-// sched.Stat for field semantics.
+// SchedStat is the per-query scheduling report: admission queue wait and
+// worker-slot waits and occupancy. See sched.Stat for field semantics.
 type SchedStat = sched.Stat
 
 // Engine bundles a generated database with planner, executor, and the
@@ -289,8 +289,7 @@ type Output struct {
 	// zero for unlimited-budget runs).
 	Spill exec.SpillStat
 	// Sched reports the query's trip through the process-wide scheduler:
-	// admission queue wait, worker-slot wait and occupancy, and
-	// preempted-slot handoffs to concurrent queries.
+	// admission queue wait and worker-slot wait and occupancy.
 	Sched SchedStat
 	// Trace is the query's lifecycle trace — admission queue, per-pipeline
 	// spans, breaker finish phases — exportable as Chrome trace-event JSON
@@ -427,7 +426,7 @@ func (e *Engine) runOnce(ctx context.Context, b *query.Block, mode Mode, res *op
 		Start:       start, Latency: execTime + r.Sched.QueueWait, Rows: r.Rows,
 		Explain:   analyzed,
 		QueueWait: r.Sched.QueueWait, SlotWait: r.Sched.SlotWait,
-		SlotBusy: r.Sched.SlotBusy, Handoffs: r.Sched.Handoffs,
+		SlotBusy:   r.Sched.SlotBusy,
 		MemPeak:    r.MemPeak,
 		SpillBytes: sp.Bytes, SpillRead: sp.BytesRead,
 		SpillParts: int64(sp.Partitions), SpillDepth: int64(sp.Depth),

@@ -169,10 +169,10 @@ func run(cfg bfcbo.Config, rf runFlags) error {
 			}
 		}
 		for i, o := range outs {
-			fmt.Printf("stream %d: rows=%d exec=%s queue-wait=%s slot-busy=%s handoffs=%d\n",
+			fmt.Printf("stream %d: rows=%d exec=%s queue-wait=%s slot-busy=%s\n",
 				i, o.Rows, o.ExecTime.Round(time.Microsecond),
 				o.Sched.QueueWait.Round(time.Microsecond),
-				o.Sched.SlotBusy.Round(time.Microsecond), o.Sched.Handoffs)
+				o.Sched.SlotBusy.Round(time.Microsecond))
 		}
 		fmt.Printf("%d streams in %s (%.1f queries/s)\n",
 			rf.streams, wall.Round(time.Microsecond), float64(rf.streams)/wall.Seconds())

@@ -1,12 +1,8 @@
 package exec
 
 // Batch is the unit of data flow between pipeline operators: a rowset
-// with one row-id column per covered relation, plus an optional selection
-// vector:
-//
-//   - sel: the scan's final selection vector over its base table. For
-//     scan-produced batches it aliases rows' single row-id column; after
-//     a join it is nil (the rowset then has one column per relation).
+// with one row-id column per covered relation. A scan's batch has one
+// column, the row ids its predicates and Bloom filters kept.
 //
 // Nothing else travels with a batch: a join probe gathers and hashes its
 // own keys (the scan's Bloom filters hash with the filter's own hash,
@@ -18,7 +14,6 @@ package exec
 // copy what they keep, so no batch ever escapes its worker.
 type Batch struct {
 	rows *RowSet
-	sel  []int32
 }
 
 // Len reports the number of rows in the batch (nil-safe).

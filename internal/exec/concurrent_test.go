@@ -25,12 +25,12 @@ import (
 
 // workerGauge wraps a worker's operator chain to measure how many workers
 // are inside NextBatch at once. A worker inside NextBatch always holds a
-// worker slot (slots are only yielded between batches and across the
-// grace barrier, which these unlimited-budget runs never take), so the
-// observed maximum bounds the scheduler's concurrently running *pipeline*
-// workers — the population the slot pool governs. A breaker finish runs on
-// its pipeline's goroutine, which holds no slot (ROADMAP item 5), and is
-// deliberately outside this gauge.
+// worker slot (it holds one from its first morsel to its last and yields
+// it only across the grace barrier, which these unlimited-budget runs
+// never take), so the observed maximum bounds the scheduler's
+// concurrently running *pipeline* workers — the population the slot pool
+// governs. A breaker finish runs on its pipeline's goroutine, which holds
+// no slot (ROADMAP item 5), and is deliberately outside this gauge.
 type workerGauge struct {
 	child    PhysicalOperator
 	cur, max *atomic.Int64

@@ -51,10 +51,9 @@ type Result struct {
 	// MemPeak is the high-water mark of the bytes this run held on its
 	// memory broker (zero for reference runs, which account nothing).
 	MemPeak int64
-	// Sched is the run's scheduling report: admission queue wait, worker
-	// slot occupancy and waits, and preempted-slot handoffs under
-	// concurrent queries (zero for reference runs, which are never
-	// admitted).
+	// Sched is the run's scheduling report: admission queue wait and
+	// worker slot occupancy and waits (zero for reference runs, which are
+	// never admitted).
 	Sched sched.Stat
 }
 
@@ -224,8 +223,9 @@ type executor struct {
 
 // Options configure execution.
 type Options struct {
-	// DOP is the degree of parallelism (goroutines per exchange); 0 means
-	// GOMAXPROCS capped at 8.
+	// DOP is the degree of parallelism: the workers each pipeline runs, and
+	// the slot pool's size when Sched is nil. 0 means GOMAXPROCS capped
+	// at 8.
 	DOP int
 	// Legacy runs the reference interpreter (reference.go) instead of the
 	// engine: a serial pure function of the plan that ignores every other
@@ -325,7 +325,7 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 		// still counts: its whole life was queue wait.
 		if opts.Metrics != nil {
 			wait := time.Since(admitStart)
-			opts.Metrics.ObserveQuery(wait, wait, 0, 0, 0, 0, true)
+			opts.Metrics.ObserveQuery(wait, wait, 0, 0, 0, true)
 		}
 		return nil, err
 	}
@@ -356,7 +356,7 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 					rows = res.Rows
 				}
 				opts.Metrics.ObserveQuery(time.Since(admitStart), st.QueueWait,
-					st.SlotWait, st.SlotBusy, st.Handoffs, rows, err != nil)
+					st.SlotWait, st.SlotBusy, rows, err != nil)
 				if res != nil {
 					foldResultMetrics(opts.Metrics, res)
 				}
@@ -432,7 +432,7 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 		lq.SetSchedFn(func() obs.LiveSched {
 			st := ticket.Stats()
 			return obs.LiveSched{Held: ticket.Held(), QueueWait: st.QueueWait,
-				SlotWait: st.SlotWait, SlotBusy: st.SlotBusy, Handoffs: st.Handoffs}
+				SlotWait: st.SlotWait, SlotBusy: st.SlotBusy}
 		})
 		lq.SetMemFn(ex.memq.Used)
 		ex.live = lq
@@ -494,12 +494,9 @@ func (ex *executor) record(n plan.Node, rows int) {
 // pipeline (the grace join's writer barrier) bracket the wait with these
 // so blocked workers never starve the workers they wait for out of the
 // pool — which, under the process-wide scheduler, they now share with
-// every other admitted query. maybeYield is the morsel-boundary
-// preemption point: under cross-query contention a worker over its
-// query's fair share hands its slot off and re-acquires.
+// every other admitted query.
 func (ex *executor) yieldSlot()        { ex.ticket.Release() }
 func (ex *executor) acquireSlot() bool { return ex.ticket.Acquire(ex.stopCh) }
-func (ex *executor) maybeYield() bool  { return ex.ticket.MaybeYield(ex.stopCh) }
 
 // foldResultMetrics lands one finished run's stat-struct totals in the
 // metrics registry. This is the whole per-query cost of the metrics layer:

@@ -44,11 +44,10 @@ func (r *Result) ExplainAnalyze(p *plan.Plan) string {
 		fmt.Fprintf(&b, "  %s\n", bs)
 	}
 	if r.Sched != (sched.Stat{}) {
-		fmt.Fprintf(&b, "scheduler: queue-wait=%s slot-wait=%s slot-busy=%s handoffs=%d\n",
+		fmt.Fprintf(&b, "scheduler: queue-wait=%s slot-wait=%s slot-busy=%s\n",
 			r.Sched.QueueWait.Round(time.Microsecond),
 			r.Sched.SlotWait.Round(time.Microsecond),
-			r.Sched.SlotBusy.Round(time.Microsecond),
-			r.Sched.Handoffs)
+			r.Sched.SlotBusy.Round(time.Microsecond))
 	}
 	return b.String()
 }

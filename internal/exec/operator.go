@@ -8,17 +8,16 @@ import (
 )
 
 // DefaultMorselSize is the number of source rows a worker claims per
-// NextBatch when Options.MorselSize is zero. Small enough that batches of
-// row ids stay cache-resident through a scan→probe→probe chain, large
-// enough that the shared cursor is not contended.
+// NextBatch. Small enough that batches of row ids stay cache-resident
+// through a scan→probe→probe chain, large enough that the shared cursor
+// is not contended.
 const DefaultMorselSize = 1024
 
 // PhysicalOperator is the morsel-driven execution interface. Each worker
 // of a pipeline owns a private operator chain; NextBatch pulls the next
-// batch (a small RowSet in the usual late-materialization layout plus the
-// sel/hashes side channels — see Batch) or nil at end of
-// stream. Shared state behind the per-worker instances (the morsel
-// cursor, hash tables) is owned by the pipeline.
+// batch (a small RowSet in the usual late-materialization layout — see
+// Batch) or nil at end of stream. Shared state behind the per-worker
+// instances (the morsel cursor, hash tables) is owned by the pipeline.
 type PhysicalOperator interface {
 	// Open prepares per-worker state before the first NextBatch.
 	Open() error

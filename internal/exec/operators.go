@@ -197,7 +197,7 @@ func (o *scanOp) NextBatch() (*Batch, error) {
 		}
 		out := NewRowSetCap(query.NewRelSet(src.s.Rel), len(sel))
 		out.cols[0] = append(out.cols[0], sel...)
-		o.out = Batch{rows: out, sel: out.cols[0]}
+		o.out = Batch{rows: out}
 		return &o.out, nil
 	}
 }
@@ -653,10 +653,10 @@ func (o *probeOp) NextBatch() (*Batch, error) {
 	}
 	sh := o.sh
 	for {
-		// Morsel-boundary stop/yield discipline, as in the scan sources: a
-		// highly selective probe can spin through many empty-output batches,
-		// so each iteration honors the run-wide stop flag and offers the
-		// worker slot back to the scheduler before claiming more input.
+		// Morsel-boundary stop discipline, as in the scan sources: a highly
+		// selective probe can spin through many empty-output batches, so
+		// each iteration honors the run-wide stop flag before claiming more
+		// input.
 		if o.ex != nil && o.ex.stop.Load() {
 			return nil, nil
 		}
@@ -696,9 +696,6 @@ func (o *probeOp) NextBatch() (*Batch, error) {
 		sh.stats.observe(rowsIn, out.Len(), time.Since(start))
 		if out.Len() > 0 {
 			return out, nil
-		}
-		if o.ex != nil && !o.ex.maybeYield() {
-			return nil, errSlotLost
 		}
 	}
 }

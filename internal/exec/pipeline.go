@@ -554,8 +554,9 @@ func (ex *executor) workerLoop(pl *plan.Pipeline, w int,
 	snk sink, lp *obs.PipeProgress, errs []error) {
 	// Acquire one global worker slot — leased from the process-wide
 	// scheduler, so concurrently admitted queries cap their total
-	// running workers at the pool capacity, not at DOP each. A
-	// false acquire means the run was canceled while queued.
+	// running workers at the pool capacity, not at DOP each. The worker
+	// holds it until its last morsel. A false acquire means the run was
+	// canceled while queued.
 	holding := ex.acquireSlot()
 	if !holding {
 		return
@@ -625,12 +626,6 @@ func (ex *executor) workerLoop(pl *plan.Pipeline, w int,
 			// the source's cumulative scanned total — two atomic adds and a
 			// max-publish per morsel, nothing per row, no allocation.
 			lp.Fold(int64(b.Len()), src.stats.rowsIn.Load())
-		}
-		// Morsel-boundary preemption: hand the slot to a starved
-		// concurrent query when over fair share.
-		if !ex.maybeYield() {
-			holding = false
-			return
 		}
 	}
 }

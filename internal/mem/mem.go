@@ -154,9 +154,6 @@ type Reservation struct {
 	held atomic.Int64
 }
 
-// Held returns the bytes the reservation currently holds.
-func (r *Reservation) Held() int64 { return r.held.Load() }
-
 // take books n granted bytes on the reservation and its query.
 func (r *Reservation) take(n int64) {
 	r.held.Add(n)

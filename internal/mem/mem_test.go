@@ -68,7 +68,7 @@ func TestSpillCallbackOnDenial(t *testing.T) {
 	if !ok {
 		t.Fatal("grant denied even after the callback freed room")
 	}
-	if got := r.Held(); got != 400 {
+	if got := r.held.Load(); got != 400 {
 		t.Fatalf("Held = %d, want 400", got)
 	}
 	// A callback that frees nothing leaves the request denied.

@@ -32,7 +32,6 @@ type QueryRecord struct {
 	QueueWait  time.Duration `json:"queue_wait"`
 	SlotWait   time.Duration `json:"slot_wait"`
 	SlotBusy   time.Duration `json:"slot_busy"`
-	Handoffs   int64         `json:"handoffs"`
 	MemPeak    int64         `json:"mem_peak,omitempty"`
 	SpillBytes int64         `json:"spill_bytes,omitempty"`
 	SpillRead  int64         `json:"spill_read_bytes,omitempty"`
@@ -73,13 +72,6 @@ func (fr *FlightRecorder) Record(rec QueryRecord) {
 		fr.n++
 	}
 	fr.mu.Unlock()
-}
-
-// Len returns the number of live records.
-func (fr *FlightRecorder) Len() int {
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	return fr.n
 }
 
 // Recent returns the live records oldest-first (admission order).

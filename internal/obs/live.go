@@ -98,7 +98,6 @@ type LiveSched struct {
 	QueueWait time.Duration
 	SlotWait  time.Duration
 	SlotBusy  time.Duration
-	Handoffs  int64
 }
 
 // LiveQuery is one in-flight run. The executor creates it after
@@ -188,7 +187,6 @@ type LiveSnapshot struct {
 	QueueWaitMS float64        `json:"queue_wait_ms"`
 	SlotWaitMS  float64        `json:"slot_wait_ms"`
 	SlotBusyMS  float64        `json:"slot_busy_ms"`
-	Handoffs    int64          `json:"handoffs"`
 	MemBytes    int64          `json:"mem_bytes"`
 	Pipelines   []PipeSnapshot `json:"pipelines"`
 }
@@ -261,7 +259,6 @@ func (lq *LiveQuery) snapshot(now time.Time) LiveSnapshot {
 		s.QueueWaitMS = float64(st.QueueWait) / 1e6
 		s.SlotWaitMS = float64(st.SlotWait) / 1e6
 		s.SlotBusyMS = float64(st.SlotBusy) / 1e6
-		s.Handoffs = st.Handoffs
 	}
 	if lq.memFn != nil {
 		s.MemBytes = lq.memFn()
@@ -299,16 +296,6 @@ func (in *Inspector) Deregister(id int64) {
 	in.mu.Lock()
 	delete(in.live, id)
 	in.mu.Unlock()
-}
-
-// Len reports the number of in-flight queries.
-func (in *Inspector) Len() int {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return len(in.live)
 }
 
 // Kill requests cancellation of a running query. It reports whether the

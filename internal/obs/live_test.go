@@ -72,11 +72,11 @@ func TestLiveSnapshotPhasesAndWeighting(t *testing.T) {
 	}
 	// Scheduler and memory callbacks feed the snapshot.
 	lq.SetSchedFn(func() LiveSched {
-		return LiveSched{Held: 3, QueueWait: 2 * time.Millisecond, Handoffs: 5}
+		return LiveSched{Held: 3, QueueWait: 2 * time.Millisecond}
 	})
 	lq.SetMemFn(func() int64 { return 1 << 20 })
 	s = lq.snapshot(now)
-	if s.SlotsHeld != 3 || s.QueueWaitMS != 2 || s.Handoffs != 5 || s.MemBytes != 1<<20 {
+	if s.SlotsHeld != 3 || s.QueueWaitMS != 2 || s.MemBytes != 1<<20 {
 		t.Fatalf("callback-backed fields wrong: %+v", s)
 	}
 }
@@ -104,7 +104,7 @@ func TestLiveSnapshotRowsScannedBounds(t *testing.T) {
 
 func TestInspectorRegisterKillDeregister(t *testing.T) {
 	in := NewInspector()
-	if in.Len() != 0 || in.Kill(1) {
+	if len(in.Snapshot()) != 0 || in.Kill(1) {
 		t.Fatal("empty inspector should hold nothing and kill nothing")
 	}
 	killed := 0
@@ -112,8 +112,8 @@ func TestInspectorRegisterKillDeregister(t *testing.T) {
 	lq.AddPipeline(0, "scan", 1, 1024, 0)
 	lq.OnKill(func() { killed++ })
 	in.Register(lq)
-	if in.Len() != 1 {
-		t.Fatalf("Len = %d after register, want 1", in.Len())
+	if n := len(in.Snapshot()); n != 1 {
+		t.Fatalf("%d live queries after register, want 1", n)
 	}
 	if in.Kill(41) {
 		t.Fatal("Kill of an unknown id reported success")
@@ -126,7 +126,7 @@ func TestInspectorRegisterKillDeregister(t *testing.T) {
 		t.Fatalf("second Kill skipped the hook (killed=%d)", killed)
 	}
 	in.Deregister(42)
-	if in.Len() != 0 || in.Kill(42) {
+	if len(in.Snapshot()) != 0 || in.Kill(42) {
 		t.Fatal("deregistered query still killable")
 	}
 
@@ -134,7 +134,7 @@ func TestInspectorRegisterKillDeregister(t *testing.T) {
 	var nilIn *Inspector
 	nilIn.Register(lq)
 	nilIn.Deregister(42)
-	if nilIn.Len() != 0 || nilIn.Kill(42) || nilIn.Snapshot() != nil {
+	if nilIn.Kill(42) || nilIn.Snapshot() != nil {
 		t.Fatal("nil inspector not inert")
 	}
 }

@@ -23,7 +23,6 @@ type Metrics struct {
 	// counters stay integers (allocation-free atomics); the exposition name
 	// says the unit.
 	SlotBusyNanos *Counter // time integral of held slots
-	SlotHandoffs  *Counter // fair-share morsel-boundary slot handoffs
 
 	// Data flow.
 	RowsOut *Counter // rows delivered to query results
@@ -58,7 +57,6 @@ func NewMetrics(reg *Registry) *Metrics {
 		PlanTime:     reg.NewHistogram("bfcbo_plan_seconds", "Optimizer latency per planned block.", LatencyBuckets),
 
 		SlotBusyNanos: reg.NewCounter("bfcbo_slot_busy_nanos_total", "Time integral of held worker slots, nanoseconds."),
-		SlotHandoffs:  reg.NewCounter("bfcbo_slot_handoffs_total", "Fair-share slot handoffs at morsel boundaries."),
 
 		RowsOut: reg.NewCounter("bfcbo_rows_out_total", "Rows delivered to query results."),
 
@@ -78,7 +76,7 @@ func NewMetrics(reg *Registry) *Metrics {
 // ObserveQuery folds one finished query's top-line numbers: latency plus
 // the scheduler stats every query carries. The executor adds the
 // scan/probe/spill totals itself from its stat structs.
-func (m *Metrics) ObserveQuery(latency, queueWait, slotWait, slotBusy time.Duration, handoffs int64, rows int, err bool) {
+func (m *Metrics) ObserveQuery(latency, queueWait, slotWait, slotBusy time.Duration, rows int, err bool) {
 	if m == nil {
 		return
 	}
@@ -90,6 +88,5 @@ func (m *Metrics) ObserveQuery(latency, queueWait, slotWait, slotBusy time.Durat
 	m.QueueWait.ObserveDuration(queueWait)
 	m.SlotWait.ObserveDuration(slotWait)
 	m.SlotBusyNanos.Add(slotBusy.Nanoseconds())
-	m.SlotHandoffs.Add(handoffs)
 	m.RowsOut.Add(int64(rows))
 }

@@ -72,7 +72,7 @@ func TestWritePromLints(t *testing.T) {
 	reg := NewRegistry()
 	m := NewMetrics(reg)
 	reg.NewGaugeFunc("bfcbo_worker_slots_in_use", "live slots", func() float64 { return 2 })
-	m.ObserveQuery(25*time.Millisecond, time.Millisecond, 0, 80*time.Millisecond, 1, 42, false)
+	m.ObserveQuery(25*time.Millisecond, time.Millisecond, 0, 80*time.Millisecond, 42, false)
 	m.SpillBytes.Add(1 << 20)
 	var buf bytes.Buffer
 	if err := reg.WriteProm(&buf); err != nil {
@@ -260,7 +260,7 @@ func TestHTTPHandler(t *testing.T) {
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	m := NewMetrics(reg)
-	m.ObserveQuery(time.Millisecond, 0, 0, time.Millisecond, 0, 1, false)
+	m.ObserveQuery(time.Millisecond, 0, 0, time.Millisecond, 1, false)
 	blob, err := json.Marshal(reg.Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +344,7 @@ func BenchmarkTraceAdd(b *testing.B) {
 func TestMetricsObserveQueryError(t *testing.T) {
 	reg := NewRegistry()
 	m := NewMetrics(reg)
-	m.ObserveQuery(time.Millisecond, 0, 0, 0, 0, 0, true)
+	m.ObserveQuery(time.Millisecond, 0, 0, 0, 0, true)
 	s := reg.Snapshot()
 	if s.Counters["bfcbo_query_errors_total"] != 1 {
 		t.Fatalf("error not counted: %v", s.Counters)

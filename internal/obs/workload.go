@@ -125,16 +125,6 @@ func (ws *WorkloadStore) evictLocked() {
 	delete(ws.m, victim)
 }
 
-// Len reports the number of distinct fingerprints retained.
-func (ws *WorkloadStore) Len() int {
-	if ws == nil {
-		return 0
-	}
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	return len(ws.m)
-}
-
 // WorkloadEntry is one fingerprint's aggregate as serialized by
 // /debug/workload, ordered by exec count.
 type WorkloadEntry struct {
@@ -207,20 +197,6 @@ func (ws *WorkloadStore) Snapshot() []WorkloadEntry {
 		return out[i].Fingerprint < out[j].Fingerprint
 	})
 	return out
-}
-
-// Find returns one fingerprint's aggregate.
-func (ws *WorkloadStore) Find(fp uint64) (WorkloadEntry, bool) {
-	if ws == nil {
-		return WorkloadEntry{}, false
-	}
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	r := ws.m[fp]
-	if r == nil {
-		return WorkloadEntry{}, false
-	}
-	return r.entry(fp), true
 }
 
 // WriteJSON serializes the store as /debug/workload does.

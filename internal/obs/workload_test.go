@@ -3,10 +3,21 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 )
+
+// findShape searches the store's snapshot for one fingerprint.
+func findShape(ws *WorkloadStore, fp uint64) (WorkloadEntry, bool) {
+	for _, e := range ws.Snapshot() {
+		if e.Fingerprint == fmt.Sprintf("%016x", fp) {
+			return e, true
+		}
+	}
+	return WorkloadEntry{}, false
+}
 
 func TestWorkloadStoreAggregates(t *testing.T) {
 	ws := NewWorkloadStore(8)
@@ -22,7 +33,7 @@ func TestWorkloadStoreAggregates(t *testing.T) {
 		Fingerprint: 0xabc, Label: "q12", Mode: "BF-CBO",
 		Latency: 30 * time.Millisecond, Failed: true,
 	})
-	e, ok := ws.Find(0xabc)
+	e, ok := findShape(ws, 0xabc)
 	if !ok {
 		t.Fatal("observed fingerprint missing")
 	}
@@ -44,18 +55,15 @@ func TestWorkloadStoreAggregates(t *testing.T) {
 
 	// Fingerprint 0 is the "none" sentinel and must be dropped.
 	ws.Observe(WorkloadObservation{Fingerprint: 0, Latency: time.Millisecond})
-	if ws.Len() != 1 {
-		t.Fatalf("Len = %d after a fingerprint-0 observation, want 1", ws.Len())
+	if n := len(ws.Snapshot()); n != 1 {
+		t.Fatalf("%d shapes after a fingerprint-0 observation, want 1", n)
 	}
 
 	// Nil-safety: a disabled store ignores everything.
 	var nilWS *WorkloadStore
 	nilWS.Observe(WorkloadObservation{Fingerprint: 1})
-	if nilWS.Len() != 0 || nilWS.Snapshot() != nil {
+	if nilWS.Snapshot() != nil {
 		t.Fatal("nil store not inert")
-	}
-	if _, ok := nilWS.Find(1); ok {
-		t.Fatal("nil store found an entry")
 	}
 }
 
@@ -66,14 +74,14 @@ func TestWorkloadStoreEviction(t *testing.T) {
 	// Touch 1 so 2 becomes the least-recently-observed shape.
 	ws.Observe(WorkloadObservation{Fingerprint: 1, Latency: time.Millisecond})
 	ws.Observe(WorkloadObservation{Fingerprint: 3, Latency: time.Millisecond})
-	if ws.Len() != 2 {
-		t.Fatalf("Len = %d after eviction, want 2", ws.Len())
+	if n := len(ws.Snapshot()); n != 2 {
+		t.Fatalf("%d shapes after eviction, want 2", n)
 	}
-	if _, ok := ws.Find(2); ok {
+	if _, ok := findShape(ws, 2); ok {
 		t.Fatal("least-recently-observed shape survived eviction")
 	}
 	for _, fp := range []uint64{1, 3} {
-		if _, ok := ws.Find(fp); !ok {
+		if _, ok := findShape(ws, fp); !ok {
 			t.Fatalf("fingerprint %d wrongly evicted", fp)
 		}
 	}

@@ -8,15 +8,13 @@
 // part in admission: the memory broker bounds it, one grant at a time, and
 // a hash build denied a grant spills.
 //
-// Slot leasing: the pool holds Config.Slots worker slots (the engine DOP).
-// Pipeline workers Acquire a slot before running and Release it when done;
-// the pool is work-conserving — a free slot is always granted immediately —
-// and fairness applies under contention: a freed slot goes to the waiting
-// query holding the fewest slots (FIFO tie-break),
-// and a worker of a query holding more than its fair share hands its slot
-// off at the next morsel boundary via MaybeYield. Because pipelines are
-// morsel-granular, this time-slices the pool across concurrent queries
-// without OS-level preemption.
+// Slot leasing: the pool is a counting semaphore of Config.Slots worker
+// slots (the engine DOP). A pipeline worker Acquires a slot before its
+// first morsel and Releases it after its last. A free slot goes out at
+// once; while the pool is exhausted, blocked workers are granted slots
+// first come, first served, whatever query they belong to. Nothing is
+// preempted: a worker gives its slot up only when it is done, or around
+// a wait on its own pipeline (the grace join's writer barrier).
 package sched
 
 import (
@@ -50,9 +48,8 @@ type Stat struct {
 	// SlotBusy is the slot occupancy: the time integral of held slots
 	// (two slots held for 1s = 2s), comparable across concurrent queries.
 	SlotBusy time.Duration
-	// Handoffs counts preempted-slot handoffs: slots this query's workers
-	// gave up at a morsel boundary because the pool was contended and the
-	// query held more than its fair share.
+	// Handoffs is always 0: the pool never preempts a worker's slot. The
+	// field stays for readers that still report it.
 	Handoffs int64
 }
 
@@ -69,18 +66,19 @@ type Scheduler struct {
 	cfg    Config
 	nextID atomic.Int64
 
+	// slots holds one token per leased worker slot: a send leases, a
+	// receive releases. Go queues blocked senders FIFO, and a freed slot
+	// goes straight to the longest-waiting one.
+	slots chan struct{}
+	// waiting counts workers blocked in Acquire.
+	waiting atomic.Int32
+
 	// Cumulative lifetime counters; see Totals.
 	totAdmitted atomic.Int64
 	totFinished atomic.Int64
-	// nwait mirrors len(slotQ) so MaybeYield's per-batch fast path can
-	// skip the mutex while the pool is uncontended.
-	nwait atomic.Int32
 
 	mu       sync.Mutex
-	free     int
-	seq      int64 // FIFO tie-break for slot waiters
-	admitted map[*Query]struct{}
-	slotQ    []*slotWaiter
+	admitted int
 	admitQ   []*admitWaiter
 }
 
@@ -89,24 +87,20 @@ func New(cfg Config) *Scheduler {
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
 	}
-	return &Scheduler{cfg: cfg, free: cfg.Slots, admitted: make(map[*Query]struct{})}
+	return &Scheduler{cfg: cfg, slots: make(chan struct{}, cfg.Slots)}
 }
 
 // Capacity returns the global worker-slot capacity.
-func (s *Scheduler) Capacity() int { return s.cfg.Slots }
+func (s *Scheduler) Capacity() int { return cap(s.slots) }
 
 // InUse returns the slots currently leased across all queries.
-func (s *Scheduler) InUse() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cfg.Slots - s.free
-}
+func (s *Scheduler) InUse() int { return len(s.slots) }
 
 // Admitted returns the number of currently admitted queries.
 func (s *Scheduler) Admitted() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.admitted)
+	return s.admitted
 }
 
 // Queued returns the length of the admission queue.
@@ -117,7 +111,7 @@ func (s *Scheduler) Queued() int {
 }
 
 // SlotWaiters returns the number of workers blocked waiting for a slot.
-func (s *Scheduler) SlotWaiters() int { return int(s.nwait.Load()) }
+func (s *Scheduler) SlotWaiters() int { return int(s.waiting.Load()) }
 
 // Totals snapshots the scheduler's cumulative lifetime counters.
 func (s *Scheduler) Totals() Totals {
@@ -125,13 +119,6 @@ func (s *Scheduler) Totals() Totals {
 		Admitted: s.totAdmitted.Load(),
 		Finished: s.totFinished.Load(),
 	}
-}
-
-type slotWaiter struct {
-	q       *Query
-	seq     int64
-	ready   chan struct{}
-	granted bool // written under s.mu before ready closes
 }
 
 type admitWaiter struct {
@@ -148,11 +135,9 @@ type Query struct {
 
 	queueWait     time.Duration
 	slotWaitNanos atomic.Int64
-	handoffs      atomic.Int64
 
-	// Guarded by s.mu.
+	mu         sync.Mutex
 	held       int
-	demand     int // workers blocked in Acquire
 	busy       time.Duration
 	lastChange time.Time
 	finished   bool
@@ -164,17 +149,16 @@ func (q *Query) ID() int64 { return q.id }
 
 // Stats snapshots the query's scheduling report.
 func (q *Query) Stats() Stat {
-	q.s.mu.Lock()
+	q.mu.Lock()
 	busy := q.busy
 	if q.held > 0 {
 		busy += time.Duration(q.held) * time.Since(q.lastChange)
 	}
-	q.s.mu.Unlock()
+	q.mu.Unlock()
 	return Stat{
 		QueueWait: q.queueWait,
 		SlotWait:  time.Duration(q.slotWaitNanos.Load()),
 		SlotBusy:  busy,
-		Handoffs:  q.handoffs.Load(),
 	}
 }
 
@@ -182,8 +166,8 @@ func (q *Query) Stats() Stat {
 // companion to Stats' occupancy integral, read by the in-flight query
 // inspector.
 func (q *Query) Held() int {
-	q.s.mu.Lock()
-	defer q.s.mu.Unlock()
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	return q.held
 }
 
@@ -240,12 +224,12 @@ func (s *Scheduler) abandonAdmit(w *admitWaiter, err error) error {
 
 // admissibleLocked decides whether a query could be admitted right now.
 func (s *Scheduler) admissibleLocked() bool {
-	return s.cfg.MaxConcurrent <= 0 || len(s.admitted) < s.cfg.MaxConcurrent
+	return s.cfg.MaxConcurrent <= 0 || s.admitted < s.cfg.MaxConcurrent
 }
 
 func (s *Scheduler) admitLocked() *Query {
 	q := &Query{s: s, id: s.nextID.Add(1), lastChange: time.Now()}
-	s.admitted[q] = struct{}{}
+	s.admitted++
 	s.totAdmitted.Add(1)
 	return q
 }
@@ -264,21 +248,23 @@ func (s *Scheduler) pumpLocked() {
 // Finish returns the query's admission (and any slots still held — a
 // defensive reclaim) to the scheduler. Idempotent.
 func (q *Query) Finish() {
-	s := q.s
-	s.mu.Lock()
+	q.mu.Lock()
 	if q.finished {
-		s.mu.Unlock()
+		q.mu.Unlock()
 		return
 	}
 	q.finished = true
 	q.tickLocked()
-	if q.held > 0 {
-		s.free += q.held
-		q.held = 0
+	held := q.held
+	q.held = 0
+	q.mu.Unlock()
+	s := q.s
+	for range held {
+		<-s.slots
 	}
-	delete(s.admitted, q)
+	s.mu.Lock()
+	s.admitted--
 	s.totFinished.Add(1)
-	s.grantLocked()
 	s.pumpLocked()
 	s.mu.Unlock()
 }
@@ -292,24 +278,9 @@ func (q *Query) tickLocked() {
 	q.lastChange = now
 }
 
-func (s *Scheduler) takeSlotLocked(q *Query) {
-	q.tickLocked()
-	q.held++
-	s.free--
-}
-
-func (s *Scheduler) releaseSlotLocked(q *Query) {
-	if q.held <= 0 {
-		return // double release is an exec bug; never corrupt the pool
-	}
-	q.tickLocked()
-	q.held--
-	s.free++
-	s.grantLocked()
-}
-
 // Acquire leases one worker slot, blocking while the pool is exhausted.
-// It returns false — holding no slot — when stop closes first.
+// It returns false — holding no slot — when stop closes first, or when
+// the query has finished.
 func (q *Query) Acquire(stop <-chan struct{}) bool {
 	s := q.s
 	// The sched.slot fault site stalls this acquisition, perturbing
@@ -320,154 +291,43 @@ func (q *Query) Acquire(stop <-chan struct{}) bool {
 		case <-stop:
 		}
 	}
-	s.mu.Lock()
-	if q.finished {
-		// A finished query can never lease (its reclaim already ran; a
-		// grant here would leak the slot) — grantLocked has the same guard.
-		s.mu.Unlock()
-		return false
-	}
-	if s.free > 0 {
-		// Work-conserving: a free slot is always granted immediately
-		// (waiters exist only while free == 0).
-		s.takeSlotLocked(q)
-		s.mu.Unlock()
-		return true
-	}
-	w := &slotWaiter{q: q, seq: s.seq, ready: make(chan struct{})}
-	s.seq++
-	s.slotQ = append(s.slotQ, w)
-	q.demand++
-	s.nwait.Add(1)
-	s.mu.Unlock()
-	start := time.Now()
 	select {
-	case <-w.ready:
-		q.slotWaitNanos.Add(int64(time.Since(start)))
-		return w.granted
-	case <-stop:
-		s.mu.Lock()
-		if w.granted {
-			// The grant raced the cancellation: hand the slot straight on.
-			s.releaseSlotLocked(q)
-		} else if i := slices.Index(s.slotQ, w); i >= 0 {
-			s.slotQ = slices.Delete(s.slotQ, i, i+1)
-			q.demand--
-			s.nwait.Add(-1)
+	case s.slots <- struct{}{}:
+	default:
+		s.waiting.Add(1)
+		start := time.Now()
+		var ok bool
+		select {
+		case s.slots <- struct{}{}:
+			ok = true
+		case <-stop:
 		}
-		s.mu.Unlock()
 		q.slotWaitNanos.Add(int64(time.Since(start)))
+		s.waiting.Add(-1)
+		if !ok {
+			return false
+		}
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.finished {
+		// Finish's reclaim already ran; keeping the slot would leak it.
+		<-s.slots
 		return false
 	}
+	q.tickLocked()
+	q.held++
+	return true
 }
 
 // Release returns one leased slot to the pool.
 func (q *Query) Release() {
-	s := q.s
-	s.mu.Lock()
-	s.releaseSlotLocked(q)
-	s.mu.Unlock()
-}
-
-// MaybeYield is the morsel-boundary preemption point: when the pool is
-// contended, another query is waiting, and this query holds more than its
-// fair share, the caller's slot is handed off and re-acquired (blocking).
-// Returns false — holding no slot — when stop closes during re-acquisition.
-func (q *Query) MaybeYield(stop <-chan struct{}) bool {
-	s := q.s
-	if s.nwait.Load() == 0 {
-		return true // uncontended fast path: no lock on the batch loop
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.held <= 0 {
+		return // double release is an exec bug; never corrupt the pool
 	}
-	s.mu.Lock()
-	if !s.shouldYieldLocked(q) {
-		s.mu.Unlock()
-		return true
-	}
-	s.releaseSlotLocked(q) // grants the slot to the best waiter
-	s.mu.Unlock()
-	q.handoffs.Add(1)
-	return q.Acquire(stop)
-}
-
-// shouldYieldLocked: yield only when over fair share and the freed slot
-// would actually go to another query. grantLocked picks fewest-held (as
-// held will stand after this release), FIFO on ties — if that winner is
-// one of q's own waiters, the handoff would be a no-op round-trip, so the
-// slot is kept.
-func (s *Scheduler) shouldYieldLocked(q *Query) bool {
-	if q.held <= s.shareLocked() {
-		return false
-	}
-	heldAfter := func(w *slotWaiter) int {
-		if w.q == q {
-			return q.held - 1
-		}
-		return w.q.held
-	}
-	var best *slotWaiter
-	for _, w := range s.slotQ {
-		switch {
-		case best == nil:
-			best = w
-		case heldAfter(w) != heldAfter(best):
-			if heldAfter(w) < heldAfter(best) {
-				best = w
-			}
-		case w.seq < best.seq:
-			best = w
-		}
-	}
-	return best != nil && best.q != q
-}
-
-// shareLocked is the per-query fair share: capacity split over the
-// queries that currently hold or want slots (min 1). Idle admitted
-// queries don't dilute the share — that is the work-conserving part.
-func (s *Scheduler) shareLocked() int {
-	active := 0
-	for q := range s.admitted {
-		if q.held+q.demand > 0 {
-			active++
-		}
-	}
-	if active < 1 {
-		active = 1
-	}
-	share := s.cfg.Slots / active
-	if share < 1 {
-		share = 1
-	}
-	return share
-}
-
-// grantLocked hands free slots to waiters: the query holding the fewest
-// slots (furthest below its share) first, FIFO on ties.
-func (s *Scheduler) grantLocked() {
-	for s.free > 0 && len(s.slotQ) > 0 {
-		best := -1
-		for i, w := range s.slotQ {
-			if best < 0 || betterWaiter(w, s.slotQ[best]) {
-				best = i
-			}
-		}
-		w := s.slotQ[best]
-		s.slotQ = slices.Delete(s.slotQ, best, best+1)
-		w.q.demand--
-		s.nwait.Add(-1)
-		if w.q.finished {
-			// The query unwound while queued; wake the worker empty-handed.
-			close(w.ready)
-			continue
-		}
-		w.granted = true
-		s.takeSlotLocked(w.q)
-		close(w.ready)
-	}
-}
-
-func betterWaiter(a, b *slotWaiter) bool {
-	if a.q.held != b.q.held {
-		return a.q.held < b.q.held
-	}
-	return a.seq < b.seq
+	q.tickLocked()
+	q.held--
+	<-q.s.slots
 }

@@ -3,7 +3,9 @@ package sched
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,8 +24,9 @@ func mustAdmit(t *testing.T, s *Scheduler) *Query {
 	return q
 }
 
-// The pool must be work-conserving (free slots grant immediately, beyond
-// fair share) and accounting must return to zero.
+// The pool must be work-conserving (a free slot is granted immediately,
+// however many the query already holds) and accounting must return to
+// zero.
 func TestConcurrentSlotPoolWorkConserving(t *testing.T) {
 	s := New(Config{Slots: 4})
 	q := mustAdmit(t, s)
@@ -44,60 +47,76 @@ func TestConcurrentSlotPoolWorkConserving(t *testing.T) {
 	}
 }
 
-// Under contention, MaybeYield must hand slots off until the hogging
-// query is down to its fair share — the yielding worker blocks in
-// re-acquisition (the time slice) until the other query releases — and
-// the handoffs must be counted.
-func TestConcurrentFairShareHandoff(t *testing.T) {
-	s := New(Config{Slots: 4})
-	a := mustAdmit(t, s)
-	b := mustAdmit(t, s)
-	for i := 0; i < 4; i++ {
-		a.Acquire(never)
-	}
-	// b's two workers queue up.
-	got := make(chan bool, 2)
-	for i := 0; i < 2; i++ {
-		go func() { got <- b.Acquire(never) }()
-	}
-	for s.SlotWaiters() < 2 {
+// queueWaiters waits, within a bound, until n workers are blocked in
+// Acquire, then gives the last one time to park in the pool's queue.
+func queueWaiters(t *testing.T, s *Scheduler, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.SlotWaiters() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("slot waiters = %d after 5s, want %d", s.SlotWaiters(), n)
+		}
 		time.Sleep(time.Millisecond)
 	}
-	// Two of a's workers hit the morsel boundary: a is over its share
-	// (4/2 = 2), so each hands its slot to b and blocks re-acquiring.
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if !a.MaybeYield(never) {
-				t.Error("MaybeYield lost the slot without cancellation")
-			}
-		}()
+	time.Sleep(10 * time.Millisecond)
+}
+
+// A freed slot goes to the longest-waiting worker, whatever its query
+// holds: first come, first served, and never a handoff. Every wait is
+// bounded, so a lost wake-up fails the test instead of hanging it.
+func TestConcurrentSlotGrantFIFO(t *testing.T) {
+	s := New(Config{Slots: 3})
+	a := mustAdmit(t, s)
+	b := mustAdmit(t, s)
+	a.Acquire(never)
+	a.Acquire(never)
+	b.Acquire(never)
+	type grant struct {
+		who string
+		ok  bool
 	}
-	for i := 0; i < 2; i++ {
-		if ok := <-got; !ok {
-			t.Fatal("b's acquire failed")
+	got := make(chan grant, 2)
+	wait := func(who string, q *Query) {
+		go func() { got <- grant{who, q.Acquire(never)} }()
+	}
+	next := func() grant {
+		t.Helper()
+		select {
+		case g := <-got:
+			if !g.ok {
+				t.Fatalf("%s's acquire failed without cancellation", g.who)
+			}
+			return g
+		case <-time.After(5 * time.Second):
+			t.Fatal("no slot granted within 5s")
+			return grant{}
 		}
 	}
-	// b finishes its batches and releases: a's blocked workers resume.
+	// a's waiter queues first, then b's; b frees a slot. a already holds
+	// two and b none, but a's waiter came first.
+	wait("a", a)
+	queueWaiters(t, s, 1)
+	wait("b", b)
+	queueWaiters(t, s, 2)
 	b.Release()
-	b.Release()
-	wg.Wait()
-	if st := a.Stats(); st.Handoffs != 2 {
-		t.Fatalf("handoffs = %d, want 2", st.Handoffs)
+	if g := next(); g.who != "a" {
+		t.Fatalf("freed slot went to %s's waiter, want a's (first in line)", g.who)
 	}
-	// Balanced again: nobody waits, MaybeYield keeps the slot.
-	if !a.MaybeYield(never) {
-		t.Fatal("MaybeYield yielded with no waiters")
+	a.Release()
+	if g := next(); g.who != "b" {
+		t.Fatalf("second freed slot went to %s's waiter, want b's", g.who)
 	}
-	for i := 0; i < 4; i++ {
+	if ha, hb := a.Stats().Handoffs, b.Stats().Handoffs; ha != 0 || hb != 0 {
+		t.Fatalf("handoffs = %d, %d, want 0", ha, hb)
+	}
+	for range a.Held() {
 		a.Release()
 	}
+	b.Release()
 	a.Finish()
 	b.Finish()
-	if s.InUse() != 0 {
-		t.Fatalf("InUse = %d after teardown", s.InUse())
+	if s.InUse() != 0 || s.SlotWaiters() != 0 {
+		t.Fatalf("pool dirty after teardown: inUse=%d waiters=%d", s.InUse(), s.SlotWaiters())
 	}
 }
 
@@ -198,10 +217,13 @@ func TestConcurrentAcquireCancel(t *testing.T) {
 	}
 }
 
-// Hammer the pool from many queries under -race: accounting must hold
-// (never above capacity — checked by construction — and zero at the end).
+// Hammer the pool from many queries under -race: the slots held at once,
+// counted from outside the pool, must never exceed Slots, and the
+// accounting must drain to zero.
 func TestConcurrentPoolStress(t *testing.T) {
-	s := New(Config{Slots: 3})
+	const slots = 3
+	s := New(Config{Slots: slots})
+	var held, maxHeld atomic.Int32
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
 		wg.Add(1)
@@ -214,15 +236,19 @@ func TestConcurrentPoolStress(t *testing.T) {
 					t.Error("acquire failed")
 					return
 				}
-				if !q.MaybeYield(never) {
-					t.Error("yield lost slot")
-					return
+				n := held.Add(1)
+				for m := maxHeld.Load(); n > m && !maxHeld.CompareAndSwap(m, n); m = maxHeld.Load() {
 				}
+				runtime.Gosched()
+				held.Add(-1)
 				q.Release()
 			}
 		}()
 	}
 	wg.Wait()
+	if m := maxHeld.Load(); m > slots {
+		t.Fatalf("%d slots held at once, want at most %d", m, slots)
+	}
 	if s.InUse() != 0 || s.Admitted() != 0 || s.SlotWaiters() != 0 {
 		t.Fatalf("pool dirty after stress: inUse=%d admitted=%d waiters=%d",
 			s.InUse(), s.Admitted(), s.SlotWaiters())

@@ -16,7 +16,7 @@ func TestInjectedWriteFaultUnwinds(t *testing.T) {
 	faults.Enable(faults.New(1, map[faults.Site]float64{faults.SpillWrite: 1}))
 	defer faults.Disable()
 
-	d, err := NewDir(t.TempDir())
+	d, err := NewDirScoped(t.TempDir(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestDiskFullTyped(t *testing.T) {
 	faults.Enable(inj)
 	defer faults.Disable()
 
-	d, err := NewDir(t.TempDir())
+	d, err := NewDirScoped(t.TempDir(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestDiskFullTyped(t *testing.T) {
 // TestInjectedSyncAndReadFaults covers the flush/close and read-back
 // sites: both surface typed ErrIO with the run-file path.
 func TestInjectedSyncAndReadFaults(t *testing.T) {
-	d, err := NewDir(t.TempDir())
+	d, err := NewDirScoped(t.TempDir(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestInjectedSyncAndReadFaults(t *testing.T) {
 // removal failure is no longer swallowed, and the file stays for
 // Dir.Cleanup to reclaim.
 func TestRemovePropagatesTyped(t *testing.T) {
-	d, err := NewDir(t.TempDir())
+	d, err := NewDirScoped(t.TempDir(), "")
 	if err != nil {
 		t.Fatal(err)
 	}

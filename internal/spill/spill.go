@@ -67,14 +67,10 @@ type Dir struct {
 	writers []*Writer
 }
 
-// NewDir creates a fresh spill directory under parent (""= os.TempDir()).
-func NewDir(parent string) (*Dir, error) {
-	return NewDirScoped(parent, "")
-}
-
-// NewDirScoped is NewDir with a scope tag embedded in the directory name
-// — the executor passes its scheduler query ID (e.g. "q17"), giving every
-// admitted query its own spill subdirectory under SpillDir. Uniqueness
+// NewDirScoped creates a fresh spill directory under parent
+// (""= os.TempDir()) with a scope tag, when non-empty, embedded in its
+// name — the executor passes its scheduler query ID (e.g. "q17"), giving
+// every admitted query its own spill subdirectory under SpillDir. Uniqueness
 // already comes from MkdirTemp; the scope makes the per-query ownership
 // explicit, so concurrent spilling queries can never race each other's
 // cleanup and leaked files are attributable.

@@ -7,7 +7,7 @@ import (
 )
 
 func TestWriteReadRoundtrip(t *testing.T) {
-	d, err := NewDir(t.TempDir())
+	d, err := NewDirScoped(t.TempDir(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestWriteReadRoundtrip(t *testing.T) {
 }
 
 func TestConcurrentAppendChunk(t *testing.T) {
-	d, err := NewDir(t.TempDir())
+	d, err := NewDirScoped(t.TempDir(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestConcurrentAppendChunk(t *testing.T) {
 
 func TestCleanupRemovesEverything(t *testing.T) {
 	parent := t.TempDir()
-	d, err := NewDir(parent)
+	d, err := NewDirScoped(parent, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestCleanupRemovesEverything(t *testing.T) {
 }
 
 func TestWriterRemove(t *testing.T) {
-	d, err := NewDir(t.TempDir())
+	d, err := NewDirScoped(t.TempDir(), "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestKillLandsWithinMorselBoundary(t *testing.T) {
 		if wound := time.Since(killAt); wound > time.Second {
 			t.Fatalf("kill took %v to land — not a morsel boundary", wound)
 		}
-		if n := e.Inspector().Len(); n != 0 {
+		if n := len(e.Inspector().Snapshot()); n != 0 {
 			t.Fatalf("%d queries still registered live after the kill", n)
 		}
 		// The engine keeps working after a kill.
@@ -188,7 +188,7 @@ func TestLiveProgressMonotonicUnderScrape(t *testing.T) {
 	if sawLive == 0 {
 		t.Fatal("sampler never observed an in-flight query")
 	}
-	if n := e.Inspector().Len(); n != 0 {
+	if n := len(e.Inspector().Snapshot()); n != 0 {
 		t.Fatalf("%d queries still registered live after all streams finished", n)
 	}
 }
@@ -259,14 +259,9 @@ func TestWorkloadHistoryAgreesWithRecorder(t *testing.T) {
 		if entry.Errors != 0 {
 			t.Fatalf("shape %s reports %d errors on an all-success workload", entry.Fingerprint, entry.Errors)
 		}
-		// The store's hex keys parse back to live fingerprints findable via
-		// the typed API.
-		fp, err := strconv.ParseUint(entry.Fingerprint, 16, 64)
-		if err != nil || fp == 0 {
+		// The store's hex keys parse back to live fingerprints.
+		if fp, err := strconv.ParseUint(entry.Fingerprint, 16, 64); err != nil || fp == 0 {
 			t.Fatalf("shape key %q does not parse", entry.Fingerprint)
-		}
-		if found, ok := e.Workload().Find(fp); !ok || found.Count != entry.Count {
-			t.Fatalf("Find(%s) disagrees with Snapshot", entry.Fingerprint)
 		}
 	}
 
@@ -279,7 +274,7 @@ func TestWorkloadHistoryAgreesWithRecorder(t *testing.T) {
 	if _, err := e.Run(b, BFCBO); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Workload().Len(); got != len(runs) {
+	if got := len(e.Workload().Snapshot()); got != len(runs) {
 		t.Fatalf("re-run minted a new fingerprint: %d shapes, want %d", got, len(runs))
 	}
 
@@ -287,7 +282,7 @@ func TestWorkloadHistoryAgreesWithRecorder(t *testing.T) {
 	if _, err := e.Run(b, NoBF); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Workload().Len(); got != len(runs)+1 {
+	if got := len(e.Workload().Snapshot()); got != len(runs)+1 {
 		t.Fatalf("mode change did not mint a new fingerprint: %d shapes, want %d",
 			got, len(runs)+1)
 	}

@@ -241,8 +241,8 @@ func TestFlightRecorderOnEngine(t *testing.T) {
 	if rec == nil {
 		t.Fatal("flight recorder disabled by default config")
 	}
-	if rec.Len() != 2 {
-		t.Fatalf("recorder has %d entries, want 2", rec.Len())
+	if n := len(rec.Recent()); n != 2 {
+		t.Fatalf("recorder has %d entries, want 2", n)
 	}
 	for _, qr := range rec.Recent() {
 		if qr.Explain == "" {
