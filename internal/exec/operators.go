@@ -98,10 +98,11 @@ func (src *scanSource) runtime() ScanRuntime {
 
 // scanOp is the per-worker operator over a shared scanSource. All scratch —
 // the selection vector, the two-column filters' hash buffer, the adaptive
-// kernel chain and every tally — is per worker, allocated once in Open;
-// the steady-state batch loop allocates only its output rows. Tallies fold
-// into the source's atomics once per worker at Close (workers close before
-// the pipeline joins them, so the fold always precedes the flush).
+// kernel chain (empty when the scan has no predicate) and every tally — is
+// per worker, allocated once in Open; the steady-state batch loop
+// allocates only its output rows. Tallies fold into the source's atomics
+// once per worker at Close (workers close before the pipeline joins them,
+// so the fold always precedes the flush).
 type scanOp struct {
 	src   *scanSource
 	chain *query.Chain
@@ -118,9 +119,7 @@ func (o *scanOp) Open() error {
 	src := o.src
 	o.localTested = make([]int64, len(src.bfs))
 	o.localPassed = make([]int64, len(src.bfs))
-	if len(src.kernels) > 0 {
-		o.chain = query.NewChain(src.kernels)
-	}
+	o.chain = query.NewChain(src.kernels)
 	o.sel = make([]int32, src.morsel)
 	for _, b := range src.bfs {
 		if b.vals2 != nil {
@@ -138,20 +137,21 @@ func (o *scanOp) Close() error {
 		b.passed.Add(o.localPassed[k])
 	}
 	src.morsels.Add(o.localMorsels)
-	if o.chain != nil {
-		for i, c := range o.chain.Counts() {
-			src.predIn[i].Add(c.In)
-			src.predOut[i].Add(c.Out)
-		}
+	for i, c := range o.chain.Counts() {
+		src.predIn[i].Add(c.In)
+		src.predOut[i].Add(c.Out)
 	}
 	return nil
 }
 
 // NextBatch is the batch kernel path: claim a morsel, run the adaptive
-// kernel chain over the selection vector, then test the Bloom filters in
-// plan order, each in one fused pass over the surviving rows' keys
-// (bloom.Filter.FilterSel). A two-column filter first hashes its combined
-// keys into scratch. This is the only way a scan drops rows.
+// kernel chain over its dense rows (query.Chain.EvalRange: the first
+// kernel reads its column over [lo, hi) and writes only the ids it keeps,
+// so no row-id vector is written first; with no predicate the chain just
+// writes the ids), then test the Bloom filters in plan order, each in one
+// fused pass over the surviving rows' keys (bloom.Filter.FilterSel). A
+// two-column filter first hashes its combined keys into scratch. This is
+// the only way a scan drops rows.
 func (o *scanOp) NextBatch() (*Batch, error) {
 	src := o.src
 	for {
@@ -168,13 +168,7 @@ func (o *scanOp) NextBatch() (*Batch, error) {
 		}
 		start := time.Now()
 		o.localMorsels++
-		sel := o.sel[:hi-lo]
-		for i := range sel {
-			sel[i] = int32(lo + i)
-		}
-		if o.chain != nil {
-			sel = o.chain.EvalBatch(sel)
-		}
+		sel := o.chain.EvalRange(lo, o.sel[:hi-lo])
 		for k, b := range src.bfs {
 			if len(sel) == 0 {
 				break

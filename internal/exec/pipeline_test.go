@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -74,26 +75,58 @@ func TestPipelinedOpStatsAndExplainAnalyze(t *testing.T) {
 }
 
 // Tiny morsels force many batches through a scan→probe chain; results must
-// not depend on the morsel granularity.
+// not depend on the morsel granularity. Every size but 1 and 100 000
+// leaves a partial last morsel on one of the scans (fact has 1 000 rows,
+// dim 100), and the predicate variants put each way a scan starts a
+// morsel under test: no predicate (the chain only writes the ids), a
+// column kernel reading its column directly, an Or or Not that fills the
+// ids and runs EvalBatch, and a chain whose later members compact what the
+// first kept. Every run must return the reference's tuples.
 func TestMorselSizeInvariance(t *testing.T) {
 	db, schema := fixture(t)
-	b := factDimBlock(schema, query.Inner)
-	res, err := optimizer.Optimize(b, optimizer.Options{
-		Mode: optimizer.BFCBO, Cost: cost.Paper(),
-		Heuristics: optimizer.Heuristics{H1LargerOnly: true, H2MinApplyRows: 10,
-			H3FKLosslessPK: true, H5MaxBuildNDV: 1e9, H6MaxKeepFraction: 0.9},
-		MaxPlansPerSet: 100_000,
-	})
-	if err != nil {
-		t.Fatal(err)
+	variants := []struct {
+		name      string
+		fact, dim query.Predicate
+		rows      int
+	}{
+		{"dim cmp", nil, query.CmpInt{Col: "tag", Op: query.LT, Val: 10}, 100},
+		{"dim or", nil, query.Or{Ps: []query.Predicate{
+			query.CmpInt{Col: "tag", Op: query.LT, Val: 5},
+			query.BetweenInt{Col: "tag", Lo: 90, Hi: 96},
+		}}, 120},
+		{"fact not", query.Not{P: query.BetweenInt{Col: "v", Lo: 100, Hi: 899}}, nil, 200},
+		{"fact chain", query.And{Ps: []query.Predicate{
+			query.BetweenInt{Col: "v", Lo: 3, Hi: 996},
+			query.CmpInt{Col: "fk", Op: query.NE, Val: 7},
+			query.Not{P: query.InInt{Col: "v", Vals: []int64{10, 20, 30}}},
+		}}, query.CmpInt{Col: "tag", Op: query.GE, Val: 50}, 497},
 	}
-	for _, morsel := range []int{1, 7, 64, 100_000} {
-		r, err := Run(db, b, res.Plan, Options{DOP: 3, morselSize: morsel})
+	for _, v := range variants {
+		b := factDimBlock(schema, query.Inner)
+		b.Relations[0].Pred, b.Relations[1].Pred = v.fact, v.dim
+		res, err := optimizer.Optimize(b, optimizer.Options{
+			Mode: optimizer.BFCBO, Cost: cost.Paper(),
+			Heuristics: optimizer.Heuristics{H1LargerOnly: true, H2MinApplyRows: 10,
+				H3FKLosslessPK: true, H5MaxBuildNDV: 1e9, H6MaxKeepFraction: 0.9},
+			MaxPlansPerSet: 100_000,
+		})
 		if err != nil {
-			t.Fatalf("morsel %d: %v", morsel, err)
+			t.Fatalf("%s: %v", v.name, err)
 		}
-		if r.Rows != 100 {
-			t.Fatalf("morsel %d: rows = %d, want 100", morsel, r.Rows)
+		ref, err := Run(db, b, res.Plan, Options{Legacy: true})
+		if err != nil {
+			t.Fatalf("%s: reference: %v", v.name, err)
+		}
+		if ref.Rows != v.rows {
+			t.Fatalf("%s: reference rows = %d, want %d", v.name, ref.Rows, v.rows)
+		}
+		want := canonicalRows(ref.Out)
+		for _, morsel := range []int{1, 7, 64, 999, 1000, 100_000} {
+			r, err := Run(db, b, res.Plan, Options{DOP: 3, morselSize: morsel})
+			if err != nil {
+				t.Fatalf("%s morsel %d: %v", v.name, morsel, err)
+			}
+			sameTuples(t, fmt.Sprintf("%s morsel %d", v.name, morsel), canonicalRows(r.Out), want)
 		}
 	}
 }

@@ -10,8 +10,11 @@ import (
 // Kernel is the vectorized form of one predicate, bound to a table's typed
 // column slices at compile time. EvalBatch filters a selection vector in
 // place — no per-row Column() lookups and no interface dispatch inside the
-// loop — and returns the surviving prefix. Kernels are immutable after
-// Compile and safe to share across scan workers.
+// loop — and returns the surviving prefix. Every loop compacts without a
+// branch on the outcome, the way bloom.Filter.FilterSel does: it stores
+// the row at the write index and advances the index only on a pass
+// (Ross, "Selection Conditions in Main Memory", TODS 2004). Kernels are
+// immutable after Compile and safe to share across scan workers.
 type Kernel interface {
 	// EvalBatch keeps the selected rows that satisfy the predicate,
 	// compacting sel in place and returning the kept prefix.
@@ -24,6 +27,17 @@ type Kernel interface {
 	Weight() float64
 	// Label is the predicate's display string for runtime counters.
 	Label() string
+}
+
+// rangeKernel is a kernel that can start a morsel: the column kernels
+// (cmp, between, cmpCols, dictEq, dictMatch). EvalRange is EvalBatch over
+// the dense rows lo … lo+len(sel)-1: it ignores sel's contents on entry,
+// reads the column at [lo, lo+len(sel)) in order and writes the kept ids
+// into sel's prefix, so the caller never writes the row ids it would read
+// back. The composite kernels (in, not, or, and) read no single column in
+// order; Chain.EvalRange fills their ids and runs EvalBatch.
+type rangeKernel interface {
+	EvalRange(lo int, sel []int32) []int32
 }
 
 // Compile lowers a predicate into a conjunction of kernels bound to t's
@@ -68,9 +82,30 @@ type number interface {
 	~int64 | ~float64
 }
 
-// cmpKernel compares a typed column against a constant. The comparison
-// forms mirror cmpHolds exactly — GT is !(v <= val) and GE is !(v < val)
-// so NaN floats pass GT/GE/NE just as the scalar Eval does.
+// splitOp writes a comparison as a base compare and whether to negate it:
+// NE is !EQ, GE is !LT and GT is !LE. These are cmpHolds's forms, so a NaN
+// float passes NE, GT and GE just as the scalar Eval decides.
+func splitOp(op CmpOp) (base CmpOp, neg bool) {
+	switch op {
+	case NE:
+		return EQ, true
+	case GE:
+		return LT, true
+	case GT:
+		return LE, true
+	}
+	return op, false
+}
+
+// fillRange writes the dense row ids lo … lo+len(sel)-1 into sel.
+func fillRange(lo int, sel []int32) []int32 {
+	for i := range sel {
+		sel[i] = int32(lo + i)
+	}
+	return sel
+}
+
+// cmpKernel compares a typed column against a constant.
 type cmpKernel[T number] struct {
 	kernelMeta
 	vals []T
@@ -80,49 +115,62 @@ type cmpKernel[T number] struct {
 
 func (k *cmpKernel[T]) EvalBatch(sel []int32) []int32 {
 	vals, val := k.vals, k.val
+	base, neg := splitOp(k.op)
 	n := 0
-	switch k.op {
+	switch base {
 	case EQ:
 		for _, r := range sel {
-			if vals[r] == val {
-				sel[n] = r
-				n++
-			}
-		}
-	case NE:
-		for _, r := range sel {
-			if vals[r] != val {
-				sel[n] = r
+			sel[n] = r
+			if (vals[r] == val) != neg {
 				n++
 			}
 		}
 	case LT:
 		for _, r := range sel {
-			if vals[r] < val {
-				sel[n] = r
+			sel[n] = r
+			if (vals[r] < val) != neg {
 				n++
 			}
 		}
 	case LE:
 		for _, r := range sel {
-			if vals[r] <= val {
-				sel[n] = r
+			sel[n] = r
+			if (vals[r] <= val) != neg {
 				n++
 			}
 		}
-	case GT:
-		for _, r := range sel {
-			if !(vals[r] <= val) {
-				sel[n] = r
+	}
+	return sel[:n]
+}
+
+func (k *cmpKernel[T]) EvalRange(lo int, sel []int32) []int32 {
+	vals, val := k.vals[lo:lo+len(sel)], k.val
+	base, neg := splitOp(k.op)
+	n, id := 0, int32(lo)
+	switch base {
+	case EQ:
+		for _, v := range vals {
+			sel[n] = id
+			if (v == val) != neg {
 				n++
 			}
+			id++
 		}
-	case GE:
-		for _, r := range sel {
-			if !(vals[r] < val) {
-				sel[n] = r
+	case LT:
+		for _, v := range vals {
+			sel[n] = id
+			if (v < val) != neg {
 				n++
 			}
+			id++
+		}
+	case LE:
+		for _, v := range vals {
+			sel[n] = id
+			if (v <= val) != neg {
+				n++
+			}
+			id++
 		}
 	}
 	return sel[:n]
@@ -133,28 +181,93 @@ func (k *cmpKernel[T]) EvalRow(row int32) bool {
 	return cmpHolds(k.op, v == k.val, v < k.val)
 }
 
-// betweenKernel keeps lo <= v <= hi; NaN fails both bounds, matching Eval.
-type betweenKernel[T number] struct {
+// betweenIntKernel keeps lo <= v <= hi as one unsigned compare,
+// uint64(v-lo) <= uint64(hi-lo), which wraps correctly over the whole
+// int64 range; it keeps nothing when lo > hi.
+type betweenIntKernel struct {
 	kernelMeta
-	vals   []T
-	lo, hi T
+	vals   []int64
+	lo, hi int64
 }
 
-func (k *betweenKernel[T]) EvalBatch(sel []int32) []int32 {
-	vals, lo, hi := k.vals, k.lo, k.hi
+func (k *betweenIntKernel) EvalBatch(sel []int32) []int32 {
+	if k.lo > k.hi {
+		return sel[:0]
+	}
+	vals, lo, width := k.vals, k.lo, uint64(k.hi-k.lo)
 	n := 0
 	for _, r := range sel {
-		if v := vals[r]; v >= lo && v <= hi {
-			sel[n] = r
+		sel[n] = r
+		if uint64(vals[r]-lo) <= width {
 			n++
 		}
 	}
 	return sel[:n]
 }
 
-func (k *betweenKernel[T]) EvalRow(row int32) bool {
+func (k *betweenIntKernel) EvalRange(lo int, sel []int32) []int32 {
+	if k.lo > k.hi {
+		return sel[:0]
+	}
+	vals, low, width := k.vals[lo:lo+len(sel)], k.lo, uint64(k.hi-k.lo)
+	n, id := 0, int32(lo)
+	for _, v := range vals {
+		sel[n] = id
+		if uint64(v-low) <= width {
+			n++
+		}
+		id++
+	}
+	return sel[:n]
+}
+
+func (k *betweenIntKernel) EvalRow(row int32) bool {
 	v := k.vals[row]
 	return v >= k.lo && v <= k.hi
+}
+
+// betweenFloatKernel keeps lo <= v <= hi. It adds the two comparison
+// flags' AND as an integer instead of branching on &&, and a NaN fails
+// both flags, matching Eval.
+type betweenFloatKernel struct {
+	kernelMeta
+	vals   []float64
+	lo, hi float64
+}
+
+func (k *betweenFloatKernel) EvalBatch(sel []int32) []int32 {
+	vals, lo, hi := k.vals, k.lo, k.hi
+	n := 0
+	for _, r := range sel {
+		v := vals[r]
+		sel[n] = r
+		n += b2i(v >= lo) & b2i(v <= hi)
+	}
+	return sel[:n]
+}
+
+func (k *betweenFloatKernel) EvalRange(lo int, sel []int32) []int32 {
+	vals, low, high := k.vals[lo:lo+len(sel)], k.lo, k.hi
+	n, id := 0, int32(lo)
+	for _, v := range vals {
+		sel[n] = id
+		n += b2i(v >= low) & b2i(v <= high)
+		id++
+	}
+	return sel[:n]
+}
+
+func (k *betweenFloatKernel) EvalRow(row int32) bool {
+	v := k.vals[row]
+	return v >= k.lo && v <= k.hi
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it as a SETcc.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // cmpColsKernel compares two int64 columns of the same relation.
@@ -166,49 +279,63 @@ type cmpColsKernel struct {
 
 func (k *cmpColsKernel) EvalBatch(sel []int32) []int32 {
 	a, b := k.a, k.b
+	base, neg := splitOp(k.op)
 	n := 0
-	switch k.op {
+	switch base {
 	case EQ:
 		for _, r := range sel {
-			if a[r] == b[r] {
-				sel[n] = r
-				n++
-			}
-		}
-	case NE:
-		for _, r := range sel {
-			if a[r] != b[r] {
-				sel[n] = r
+			sel[n] = r
+			if (a[r] == b[r]) != neg {
 				n++
 			}
 		}
 	case LT:
 		for _, r := range sel {
-			if a[r] < b[r] {
-				sel[n] = r
+			sel[n] = r
+			if (a[r] < b[r]) != neg {
 				n++
 			}
 		}
 	case LE:
 		for _, r := range sel {
-			if a[r] <= b[r] {
-				sel[n] = r
+			sel[n] = r
+			if (a[r] <= b[r]) != neg {
 				n++
 			}
 		}
-	case GT:
-		for _, r := range sel {
-			if a[r] > b[r] {
-				sel[n] = r
+	}
+	return sel[:n]
+}
+
+func (k *cmpColsKernel) EvalRange(lo int, sel []int32) []int32 {
+	a := k.a[lo : lo+len(sel)]
+	b := k.b[lo : lo+len(a)]
+	base, neg := splitOp(k.op)
+	n, id := 0, int32(lo)
+	switch base {
+	case EQ:
+		for i, x := range a {
+			sel[n] = id
+			if (x == b[i]) != neg {
 				n++
 			}
+			id++
 		}
-	case GE:
-		for _, r := range sel {
-			if a[r] >= b[r] {
-				sel[n] = r
+	case LT:
+		for i, x := range a {
+			sel[n] = id
+			if (x < b[i]) != neg {
 				n++
 			}
+			id++
+		}
+	case LE:
+		for i, x := range a {
+			sel[n] = id
+			if (x <= b[i]) != neg {
+				n++
+			}
+			id++
 		}
 	}
 	return sel[:n]
@@ -221,6 +348,7 @@ func (k *cmpColsKernel) EvalRow(row int32) bool {
 
 // inIntKernel keeps rows whose value appears in vals (linear membership,
 // matching the scalar path — IN lists here are a handful of constants).
+// Each row ORs every constant's match, so the loop has no early exit.
 type inIntKernel struct {
 	kernelMeta
 	col  []int64
@@ -231,14 +359,12 @@ func (k *inIntKernel) EvalBatch(sel []int32) []int32 {
 	col, vals := k.col, k.vals
 	n := 0
 	for _, r := range sel {
-		v := col[r]
+		v, hit := col[r], 0
 		for _, x := range vals {
-			if v == x {
-				sel[n] = r
-				n++
-				break
-			}
+			hit |= b2i(v == x)
 		}
+		sel[n] = r
+		n += hit
 	}
 	return sel[:n]
 }
@@ -271,22 +397,32 @@ func (k *dictEqKernel) EvalBatch(sel []int32) []int32 {
 		}
 		return sel[:0]
 	}
-	codes, code := k.codes, k.code
+	codes, code, neg := k.codes, k.code, k.neg
 	n := 0
-	if k.neg {
-		for _, r := range sel {
-			if codes[r] != code {
-				sel[n] = r
-				n++
-			}
+	for _, r := range sel {
+		sel[n] = r
+		if (codes[r] == code) != neg {
+			n++
 		}
-	} else {
-		for _, r := range sel {
-			if codes[r] == code {
-				sel[n] = r
-				n++
-			}
+	}
+	return sel[:n]
+}
+
+func (k *dictEqKernel) EvalRange(lo int, sel []int32) []int32 {
+	if !k.present {
+		if k.neg {
+			return fillRange(lo, sel)
 		}
+		return sel[:0]
+	}
+	codes, code, neg := k.codes[lo:lo+len(sel)], k.code, k.neg
+	n, id := 0, int32(lo)
+	for _, c := range codes {
+		sel[n] = id
+		if (c == code) != neg {
+			n++
+		}
+		id++
 	}
 	return sel[:n]
 }
@@ -312,10 +448,23 @@ func (k *dictMatchKernel) EvalBatch(sel []int32) []int32 {
 	codes, match := k.codes, k.match
 	n := 0
 	for _, r := range sel {
+		sel[n] = r
 		if match[codes[r]] {
-			sel[n] = r
 			n++
 		}
+	}
+	return sel[:n]
+}
+
+func (k *dictMatchKernel) EvalRange(lo int, sel []int32) []int32 {
+	codes, match := k.codes[lo:lo+len(sel)], k.match
+	n, id := 0, int32(lo)
+	for _, c := range codes {
+		sel[n] = id
+		if match[c] {
+			n++
+		}
+		id++
 	}
 	return sel[:n]
 }
@@ -333,8 +482,8 @@ type notKernel struct {
 func (k *notKernel) EvalBatch(sel []int32) []int32 {
 	n := 0
 	for _, r := range sel {
+		sel[n] = r
 		if !k.inner.EvalRow(r) {
-			sel[n] = r
 			n++
 		}
 	}
@@ -352,8 +501,8 @@ type orKernel struct {
 func (k *orKernel) EvalBatch(sel []int32) []int32 {
 	n := 0
 	for _, r := range sel {
+		sel[n] = r
 		if k.EvalRow(r) {
-			sel[n] = r
 			n++
 		}
 	}
@@ -424,13 +573,13 @@ func compileNode(p Predicate, t *storage.Table) (Kernel, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &betweenKernel[int64]{kernelMeta: meta(p, 1.1), vals: c.Ints, lo: q.Lo, hi: q.Hi}, nil
+		return &betweenIntKernel{kernelMeta: meta(p, 1.1), vals: c.Ints, lo: q.Lo, hi: q.Hi}, nil
 	case BetweenFloat:
 		c, err := t.Column(q.Col)
 		if err != nil {
 			return nil, err
 		}
-		return &betweenKernel[float64]{kernelMeta: meta(p, 1.1), vals: c.Floats, lo: q.Lo, hi: q.Hi}, nil
+		return &betweenFloatKernel{kernelMeta: meta(p, 1.1), vals: c.Floats, lo: q.Lo, hi: q.Hi}, nil
 	case InInt:
 		c, err := t.Column(q.Col)
 		if err != nil {
@@ -556,8 +705,10 @@ type PredCount struct {
 // adaptively reordering them by measured selectivity: every reorderEvery
 // batches the kernels are re-sorted ascending by weight/(1-passRate), so
 // cheap, selective predicates run first and expensive ones see fewer rows.
-// A Chain is per-worker state — not safe for concurrent use — while the
-// kernels it references are shared and immutable.
+// A scan enters through EvalRange, so a column kernel first in order reads
+// its column over the morsel's dense rows and the rest compact what it
+// kept. A Chain is per-worker state — not safe for concurrent use — while
+// the kernels it references are shared and immutable.
 type Chain struct {
 	ks      []Kernel
 	order   []int // evaluation order, indices into ks
@@ -584,8 +735,32 @@ func NewChain(ks []Kernel) *Chain {
 }
 
 // EvalBatch runs the chain over sel, compacting in place.
-func (c *Chain) EvalBatch(sel []int32) []int32 {
-	for _, i := range c.order {
+func (c *Chain) EvalBatch(sel []int32) []int32 { return c.evalFrom(0, sel) }
+
+// EvalRange runs the chain over the dense rows lo … lo+len(sel)-1 and
+// returns the kept ids in sel's prefix; sel's contents on entry are
+// ignored. A column kernel first in order runs its EvalRange, so no row-id
+// vector is written for it to read back; any other kernel gets the ids
+// filled in and runs EvalBatch. An empty chain keeps every row.
+func (c *Chain) EvalRange(lo int, sel []int32) []int32 {
+	if len(c.order) == 0 {
+		return fillRange(lo, sel)
+	}
+	first, n := c.order[0], len(sel)
+	if k, ok := c.ks[first].(rangeKernel); ok {
+		sel = k.EvalRange(lo, sel)
+	} else {
+		sel = c.ks[first].EvalBatch(fillRange(lo, sel))
+	}
+	c.in[first] += int64(n)
+	c.out[first] += int64(len(sel))
+	return c.evalFrom(1, sel)
+}
+
+// evalFrom runs the kernels from position j of the order over sel and
+// counts the batch toward the next reorder.
+func (c *Chain) evalFrom(j int, sel []int32) []int32 {
+	for _, i := range c.order[j:] {
 		if len(sel) == 0 {
 			break
 		}

@@ -1,34 +1,35 @@
 package query
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"bfcbo/internal/catalog"
+	"bfcbo/internal/storage"
 )
 
 // Steady-state filter-kernel benchmarks. CI gates on -benchmem reporting
-// 0 allocs/op for every BenchmarkEvalBatch*: the kernels, the adaptive
-// chain (including its periodic reorder), and the selection-vector
-// compaction must all run allocation-free once compiled.
+// 0 allocs/op for every BenchmarkEvalBatch* and BenchmarkEvalRange*: the
+// kernels through both entries (a filled selection vector and the dense
+// range a scan morsel starts with), the adaptive chain (including its
+// periodic reorder) and the selection-vector compaction must all run
+// allocation-free once compiled.
 
 const benchRows = 8192
 
-func benchChain(b *testing.B, p Predicate) (*Chain, []int32, []int32) {
+func benchChain(b *testing.B, tbl *storage.Table, p Predicate) (*Chain, []int32, []int32) {
 	b.Helper()
-	rng := rand.New(rand.NewSource(11))
-	tbl := kernelTable(b, rng, benchRows)
 	ks, err := Compile(p, tbl)
 	if err != nil {
 		b.Fatal(err)
 	}
-	template := make([]int32, benchRows)
-	for i := range template {
-		template[i] = int32(i)
-	}
-	return NewChain(ks), template, make([]int32, benchRows)
+	rows := tbl.NumRows()
+	return NewChain(ks), fillRange(0, make([]int32, rows)), make([]int32, rows)
 }
 
 func runEvalBatch(b *testing.B, p Predicate) {
-	chain, template, sel := benchChain(b, p)
+	chain, template, sel := benchChain(b, kernelTable(b, rand.New(rand.NewSource(11)), benchRows), p)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -38,33 +39,92 @@ func runEvalBatch(b *testing.B, p Predicate) {
 	b.SetBytes(benchRows * 8)
 }
 
-func BenchmarkEvalBatchCmpInt(b *testing.B) {
-	runEvalBatch(b, CmpInt{Col: "a", Op: LE, Val: 25})
+// runEvalRange is runEvalBatch through the dense entry: no template copy,
+// the first kernel writes the ids it keeps.
+func runEvalRange(b *testing.B, p Predicate) {
+	chain, _, sel := benchChain(b, kernelTable(b, rand.New(rand.NewSource(11)), benchRows), p)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		chain.EvalRange(0, sel)
+	}
+	b.SetBytes(benchRows * 8)
 }
 
-func BenchmarkEvalBatchQ6Shape(b *testing.B) {
-	// The Q6 filter shape: int range + float between + float compare.
-	runEvalBatch(b, And{Ps: []Predicate{
+var (
+	benchCmpInt  = CmpInt{Col: "a", Op: LE, Val: 25}
+	benchQ6Shape = And{Ps: []Predicate{
+		// The Q6 filter shape: int range + float between + float compare.
 		BetweenInt{Col: "a", Lo: 10, Hi: 30},
 		BetweenFloat{Col: "f", Lo: 0.05, Hi: 0.07},
 		CmpFloat{Col: "f", Op: LT, Val: 0.19},
-	}})
-}
-
-func BenchmarkEvalBatchDictString(b *testing.B) {
-	runEvalBatch(b, And{Ps: []Predicate{
+	}}
+	benchDictString = And{Ps: []Predicate{
 		StrIn{Col: "s", Vals: []string{"alpha", "gamma"}},
 		StrContains{Col: "s", Subs: []string{"a"}},
-	}})
-}
-
-func BenchmarkEvalBatchNested(b *testing.B) {
-	runEvalBatch(b, And{Ps: []Predicate{
+	}}
+	benchNested = And{Ps: []Predicate{
 		Not{P: StrPrefix{Col: "s", Prefix: "green"}},
 		Or{Ps: []Predicate{
 			CmpInt{Col: "a", Op: LT, Val: 10},
 			CmpCols{Col1: "a", Op: GT, Col2: "b"},
 		}},
 		InInt{Col: "b", Vals: []int64{3, 9, 27, 41}},
-	}})
+	}}
+)
+
+func BenchmarkEvalBatchCmpInt(b *testing.B)     { runEvalBatch(b, benchCmpInt) }
+func BenchmarkEvalBatchQ6Shape(b *testing.B)    { runEvalBatch(b, benchQ6Shape) }
+func BenchmarkEvalBatchDictString(b *testing.B) { runEvalBatch(b, benchDictString) }
+func BenchmarkEvalBatchNested(b *testing.B)     { runEvalBatch(b, benchNested) }
+func BenchmarkEvalRangeCmpInt(b *testing.B)     { runEvalRange(b, benchCmpInt) }
+func BenchmarkEvalRangeQ6Shape(b *testing.B)    { runEvalRange(b, benchQ6Shape) }
+func BenchmarkEvalRangeDictString(b *testing.B) { runEvalRange(b, benchDictString) }
+func BenchmarkEvalRangeNested(b *testing.B)     { runEvalRange(b, benchNested) }
+func BenchmarkEvalBatchPassRate(b *testing.B)   { passRateSweep(b, false) }
+func BenchmarkEvalRangePassRate(b *testing.B)   { passRateSweep(b, true) }
+
+// passRateSweep prices CmpInt and BetweenInt per row at 5, 50 and 95 %
+// pass rates over one 1 024-row morsel (the executor's default) of a
+// column drawn uniformly from [0, 100), through either entry. A kernel
+// that branches on each row's outcome pays a mispredict on about half the
+// rows at 50 %; a branch-free one costs the same at every rate.
+func passRateSweep(b *testing.B, dense bool) {
+	const morsel = 1024
+	rng := rand.New(rand.NewSource(5))
+	vals := make([]int64, benchRows)
+	for i := range vals {
+		vals[i] = rng.Int63n(100)
+	}
+	tbl, err := storage.NewTable("pr", []storage.Column{{Name: "a", Kind: catalog.Int64, Ints: vals}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, pct := range []int64{5, 50, 95} {
+		for _, c := range []struct {
+			name string
+			p    Predicate
+		}{
+			{"CmpInt", CmpInt{Col: "a", Op: LT, Val: pct}},
+			{"BetweenInt", BetweenInt{Col: "a", Lo: 50 - pct/2, Hi: 49 - pct/2 + pct}},
+		} {
+			b.Run(fmt.Sprintf("%s/pass%d", c.name, pct), func(b *testing.B) {
+				chain, template, sel := benchChain(b, tbl, c.p)
+				kept := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					lo := i * morsel % benchRows
+					if dense {
+						kept += len(chain.EvalRange(lo, sel[:morsel]))
+					} else {
+						copy(sel, template[lo:lo+morsel])
+						kept += len(chain.EvalBatch(sel[:morsel]))
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/morsel, "ns/row")
+				b.ReportMetric(float64(kept)/float64(b.N)/morsel, "pass")
+			})
+		}
+	}
 }

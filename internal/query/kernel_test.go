@@ -4,17 +4,20 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bfcbo/internal/catalog"
 	"bfcbo/internal/storage"
 )
 
-// The vectorized-kernel property suite: Compile/EvalBatch must agree with
-// the row-at-a-time Eval on every predicate type — including Not/Or
-// nesting, NaN floats (which pass NE/GT/GE under cmpHolds), dictionary
-// string predicates with constants absent from the column, and empty
-// selections — and the adaptive chain must keep agreeing across reorders.
+// The vectorized-kernel property suite: Compile/EvalBatch and the dense
+// entry EvalRange must agree with the row-at-a-time Eval on every
+// predicate type — including Not/Or nesting, NaN floats (which pass
+// NE/GT/GE under cmpHolds), ±Inf and −0, int64 values at both ends of the
+// range (where the unsigned BETWEEN wraps), dictionary string predicates
+// with constants absent from the column, and empty selections — and the
+// adaptive chain must keep agreeing across reorders.
 
 var kernelVocab = []string{
 	"alpha", "beta", "gamma", "green metallic", "forest green",
@@ -128,9 +131,10 @@ func randPred(rng *rand.Rand, depth int) Predicate {
 	}
 }
 
-// checkPredEquivalence asserts EvalBatch ≡ Eval and EvalRow ≡ Eval for one
-// (table, predicate) pair over full, chunked, random-subset and empty
-// selections, driving the chain far enough to cross reorder boundaries.
+// checkPredEquivalence asserts EvalBatch ≡ Eval, EvalRange ≡ Eval and
+// EvalRow ≡ Eval for one (table, predicate) pair over full, chunked,
+// random-subset and empty selections, driving the chain far enough to
+// cross reorder boundaries.
 func checkPredEquivalence(t *testing.T, tbl *storage.Table, p Predicate, rng *rand.Rand) {
 	t.Helper()
 	ks, err := Compile(p, tbl)
@@ -209,6 +213,85 @@ func checkPredEquivalence(t *testing.T, tbl *storage.Table, p Predicate, rng *ra
 		}
 		verify(sub, "subset")
 	}
+
+	// The dense entry, kernel by kernel (a column kernel through its own
+	// EvalRange, any other through the chain's fill): EvalRange over
+	// [lo, hi) keeps the rows of the range whose EvalRow holds, in order,
+	// whatever sel held on entry — over the whole table, a random range
+	// and empty ranges.
+	ranges := [][2]int{{0, rows}, {rows, rows}, {0, 0}}
+	if rows > 0 {
+		lo := rng.Intn(rows)
+		ranges = append(ranges, [2]int{lo, lo + 1 + rng.Intn(rows-lo)}, [2]int{lo, lo})
+	}
+	for _, k := range ks {
+		one := NewChain([]Kernel{k})
+		for _, r := range ranges {
+			got := one.EvalRange(r[0], scribble(sel[:r[1]-r[0]]))
+			checkRange(t, fmt.Sprintf("%s EvalRange[%d,%d)", k.Label(), r[0], r[1]), r[0], r[1], got, k.EvalRow)
+		}
+	}
+	// The dense entry through the chain, in morsels whose last one is
+	// partial, repeated past the reorder boundary so different kernels
+	// take the first place. A twin chain fed the same morsels as filled
+	// row ids through EvalBatch must keep the same rows and count the same
+	// per-kernel flow, so the scan's EXPLAIN ANALYZE counters do not
+	// depend on the entry.
+	morsel := 1 + rng.Intn(300)
+	for rows > 1 && rows%morsel == 0 {
+		morsel++
+	}
+	dense, twin := NewChain(ks), NewChain(ks)
+	evalRow := func(r int32) bool { return want[r] }
+	for batches := 0; batches < 2*reorderEvery+3 && rows > 0; {
+		for lo := 0; lo < rows; lo += morsel {
+			hi := min(lo+morsel, rows)
+			label := fmt.Sprintf("chain EvalRange[%d,%d)", lo, hi)
+			checkRange(t, label, lo, hi, dense.EvalRange(lo, scribble(sel[:hi-lo])), evalRow)
+			ids := make([]int32, hi-lo)
+			checkRange(t, label+" twin", lo, hi, twin.EvalBatch(fillRange(lo, ids)), evalRow)
+			batches++
+		}
+	}
+	if got, exp := dense.Counts(), twin.Counts(); !slices.Equal(got, exp) {
+		t.Fatalf("EvalRange counts %v, EvalBatch counts %v, pred %s", got, exp, p.String())
+	}
+}
+
+// The column kernels start a morsel from their column. One that lost
+// EvalRange would still be correct through the chain's fill, only slower,
+// so this is where the loss shows.
+var _ = []rangeKernel{
+	(*cmpKernel[int64])(nil), (*cmpKernel[float64])(nil), (*betweenIntKernel)(nil),
+	(*betweenFloatKernel)(nil), (*cmpColsKernel)(nil), (*dictEqKernel)(nil), (*dictMatchKernel)(nil),
+}
+
+// scribble fills sel with ids no range holds, so a kernel that reads sel
+// on the dense entry, or keeps a row it never wrote, fails the check.
+func scribble(sel []int32) []int32 {
+	for i := range sel {
+		sel[i] = -1
+	}
+	return sel
+}
+
+// checkRange asserts got is exactly the rows of [lo, hi) that keep
+// accepts, in ascending order.
+func checkRange(t *testing.T, label string, lo, hi int, got []int32, keep func(int32) bool) {
+	t.Helper()
+	n := 0
+	for r := int32(lo); r < int32(hi); r++ {
+		if !keep(r) {
+			continue
+		}
+		if n >= len(got) || got[n] != r {
+			t.Fatalf("%s: row %d missing or misplaced (kept %v)", label, r, got)
+		}
+		n++
+	}
+	if n != len(got) {
+		t.Fatalf("%s: kept %d rows, want %d (kept %v)", label, len(got), n, got)
+	}
 }
 
 func TestKernelsMatchEval(t *testing.T) {
@@ -244,6 +327,8 @@ func TestKernelsMatchEvalExhaustiveTypes(t *testing.T) {
 		BetweenInt{Col: "a", Lo: 10, Hi: 20},
 		BetweenFloat{Col: "f", Lo: 0.05, Hi: 0.07},
 		InInt{Col: "a", Vals: []int64{1, 4, 9, 16}},
+		InInt{Col: "a", Vals: []int64{4, 4, 9, 4}},
+		InInt{Col: "a", Vals: []int64{}},
 		InInt{Col: "a", Vals: nil},
 		StrEq{Col: "s", Val: "gamma"},
 		StrEq{Col: "s", Val: "absent"},
@@ -265,6 +350,81 @@ func TestKernelsMatchEvalExhaustiveTypes(t *testing.T) {
 			Not{P: InInt{Col: "b", Vals: []int64{7, 13}}},
 		}},
 	}
+	for _, p := range preds {
+		checkPredEquivalence(t, tbl, p, rng)
+	}
+}
+
+// extremesTable crosses every pair of int64 extremes (both ends of the
+// range and their neighbours, where v-lo wraps) in columns a and b, and
+// cycles floats through NaN, ±Inf, ±MaxFloat64, −0, +0 and the smallest
+// denormal in column f.
+func extremesTable(t testing.TB) *storage.Table {
+	var ints, ints2 []int64
+	var floats []float64
+	for _, x := range extremeInts {
+		for _, y := range extremeInts {
+			ints = append(ints, x)
+			ints2 = append(ints2, y)
+			floats = append(floats, extremeFloats[len(floats)%len(extremeFloats)])
+		}
+	}
+	tbl, err := storage.NewTable("xt", []storage.Column{
+		{Name: "a", Kind: catalog.Int64, Ints: ints},
+		{Name: "b", Kind: catalog.Int64, Ints: ints2},
+		{Name: "f", Kind: catalog.Float64, Floats: floats},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+var (
+	extremeInts = []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	// extremeFloats cycles through the table's 49 rows, so each value
+	// appears four or five times.
+	extremeFloats = []float64{
+		math.NaN(), math.Inf(-1), -math.MaxFloat64, -1, math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, 0.5, 1, math.MaxFloat64, math.Inf(1),
+	}
+)
+
+// The branch-free forms at the values that break naive ones: BETWEEN as
+// one unsigned compare with bounds at the int64 extremes and with Lo > Hi,
+// floats with NaN, ±Inf and −0 under BETWEEN and every compare (as
+// constants too), IN with duplicate constants and an empty list.
+func TestKernelsMatchEvalExtremes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tbl := extremesTable(t)
+	var preds []Predicate
+	for _, lo := range extremeInts {
+		for _, hi := range extremeInts {
+			preds = append(preds, BetweenInt{Col: "a", Lo: lo, Hi: hi})
+		}
+	}
+	floatConsts := []float64{math.NaN(), math.Inf(-1), math.Copysign(0, -1), 0, 1, math.Inf(1)}
+	for _, lo := range floatConsts {
+		for _, hi := range floatConsts {
+			preds = append(preds, BetweenFloat{Col: "f", Lo: lo, Hi: hi})
+		}
+	}
+	for op := EQ; op <= GE; op++ {
+		for _, v := range extremeInts {
+			preds = append(preds, CmpInt{Col: "a", Op: op, Val: v})
+		}
+		for _, v := range floatConsts {
+			preds = append(preds, CmpFloat{Col: "f", Op: op, Val: v})
+		}
+		preds = append(preds, CmpCols{Col1: "a", Op: op, Col2: "b"})
+	}
+	preds = append(preds,
+		InInt{Col: "a", Vals: []int64{0, 0, math.MaxInt64, math.MaxInt64, math.MinInt64}},
+		InInt{Col: "a", Vals: []int64{5, 5}},
+		InInt{Col: "a", Vals: []int64{}},
+		Not{P: BetweenInt{Col: "a", Lo: 1, Hi: -1}},
+		Not{P: BetweenFloat{Col: "f", Lo: math.Inf(-1), Hi: math.Inf(1)}},
+	)
 	for _, p := range preds {
 		checkPredEquivalence(t, tbl, p, rng)
 	}
