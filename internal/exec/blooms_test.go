@@ -203,7 +203,7 @@ func TestBloomBuildKeysPassScan(t *testing.T) {
 						for c := range b.cols {
 							b.cols[c] = inner.cols[c][lo:min(lo+morsel, inner.Len())]
 						}
-						snk.consume(w, &Batch{rows: b})
+						snk.consume(w, b)
 					}
 					if err := snk.finish(); err != nil {
 						t.Fatalf("Q%d: build sink: %v", q.Num, err)

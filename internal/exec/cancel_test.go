@@ -51,7 +51,7 @@ func (o *faultOp) Close() error {
 	return o.child.Close()
 }
 
-func (o *faultOp) NextBatch() (*Batch, error) {
+func (o *faultOp) NextBatch() (*RowSet, error) {
 	if o.failBatch {
 		return nil, o.err
 	}

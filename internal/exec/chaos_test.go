@@ -194,7 +194,7 @@ type rowsetPanicOp struct {
 
 func (o *rowsetPanicOp) Open() error  { return o.child.Open() }
 func (o *rowsetPanicOp) Close() error { return o.child.Close() }
-func (o *rowsetPanicOp) NextBatch() (*Batch, error) {
+func (o *rowsetPanicOp) NextBatch() (*RowSet, error) {
 	o.once.Do(func() {
 		var none query.RelSet
 		NewRowSet(none).Col(3)

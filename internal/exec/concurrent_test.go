@@ -38,7 +38,7 @@ type workerGauge struct {
 
 func (o *workerGauge) Open() error  { return o.child.Open() }
 func (o *workerGauge) Close() error { return o.child.Close() }
-func (o *workerGauge) NextBatch() (*Batch, error) {
+func (o *workerGauge) NextBatch() (*RowSet, error) {
 	n := o.cur.Add(1)
 	for {
 		m := o.max.Load()
@@ -203,7 +203,7 @@ type stallOp struct {
 
 func (o *stallOp) Open() error  { return o.child.Open() }
 func (o *stallOp) Close() error { return o.child.Close() }
-func (o *stallOp) NextBatch() (*Batch, error) {
+func (o *stallOp) NextBatch() (*RowSet, error) {
 	<-o.gate
 	return o.child.NextBatch()
 }

@@ -181,11 +181,10 @@ type spillPair struct {
 // build table plus an open probe reader. Join output is emitted one probe
 // chunk at a time, so the drain never buffers a pair's full result.
 type activePair struct {
-	ht      *hashTable
-	r       *spill.Reader
-	probe   *spill.Writer
-	est     int64
-	scratch *RowSet
+	ht    *hashTable
+	r     *spill.Reader
+	probe *spill.Writer
+	est   int64
 	// A mirrored join's pair also holds the marks of its build rows and,
 	// once the probe file is drained (sweepAt >= 0), the sweep's position.
 	marks   buildMarks
@@ -199,7 +198,7 @@ type graceProbeWorker struct {
 	g        *graceHashJoin
 	bufs     []*RowSet
 	scr      probeScratch // per-worker probe scratch for the drain
-	inBatch  Batch        // reused batch header wrapping reloaded chunks
+	in       RowSet       // reused header over the spill reader's chunk buffers
 	done     bool         // this worker finished writing (markDone sent)
 	draining bool
 	stack    []spillPair
@@ -207,7 +206,7 @@ type graceProbeWorker struct {
 }
 
 func newGraceProbeWorker(g *graceHashJoin) *graceProbeWorker {
-	return &graceProbeWorker{g: g, bufs: make([]*RowSet, g.nparts)}
+	return &graceProbeWorker{g: g, bufs: make([]*RowSet, g.nparts), in: RowSet{rels: g.probeRels}}
 }
 
 // closeActive releases the streaming pair's read handle; called from
@@ -285,8 +284,11 @@ func (w *graceProbeWorker) flushAll() error {
 // pairs. The drain is a streaming state machine — one probe chunk of the
 // active pair is joined and emitted per call, so the only drain-side
 // memory is the active pair's build table (broker-accounted) plus one
-// chunk; a pair's join output is never buffered whole.
-func (o *probeOp) graceNext() (*Batch, error) {
+// chunk; a pair's join output is never buffered whole. The probe reads
+// each chunk in place: the spill reader's buffers hold the probe row set's
+// columns in its order, because the router wrote them from it, and they
+// stay unchanged until the reader's next chunk.
+func (o *probeOp) graceNext() (*RowSet, error) {
 	w := o.gw
 	g := w.g
 	sh := o.sh
@@ -297,7 +299,7 @@ func (o *probeOp) graceNext() (*Batch, error) {
 		}
 		if act := w.act; act != nil {
 			start := time.Now()
-			var out *Batch
+			var out *RowSet
 			switch {
 			case act.sweepAt < 0:
 				cols, err := act.r.Next()
@@ -312,13 +314,8 @@ func (o *probeOp) graceNext() (*Batch, error) {
 					}
 					continue
 				}
-				scratch := act.scratch
-				for c := range scratch.cols {
-					scratch.cols[c] = scratch.cols[c][:0]
-				}
-				appendRawChunk(scratch, cols)
-				w.inBatch = Batch{rows: scratch}
-				out = sh.probeBatch(act.ht, &w.inBatch, &w.scr, act.marks)
+				w.in.cols = cols
+				out = sh.probeBatch(act.ht, &w.in, &w.scr, act.marks)
 			case act.sweepAt < act.ht.inner.Len():
 				out, act.sweepAt = sh.sweepBatch(act.ht, act.marks, act.sweepAt, &w.scr)
 			default:
@@ -376,7 +373,7 @@ func (o *probeOp) graceNext() (*Batch, error) {
 			continue
 		}
 		start := time.Now()
-		if err := w.route(in.rows); err != nil {
+		if err := w.route(in); err != nil {
 			return nil, err
 		}
 		sh.stats.observe(in.Len(), 0, time.Since(start))
@@ -449,7 +446,7 @@ func (g *graceHashJoin) startPair(p spillPair, w *graceProbeWorker) error {
 		g.res.Release(est)
 		return err
 	}
-	w.act = &activePair{ht: ht, r: r, probe: p.probe, est: est, scratch: NewRowSet(g.probeRels), marks: marks, sweepAt: -1}
+	w.act = &activePair{ht: ht, r: r, probe: p.probe, est: est, marks: marks, sweepAt: -1}
 	return nil
 }
 

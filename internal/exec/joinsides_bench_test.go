@@ -24,7 +24,7 @@ type joinSidesFixture struct {
 	scan *plan.Scan // of the probe table, with a predicate every row passes
 	// buildBatches and probeBatches are what the two sides' scans would
 	// hand downstream: morsel-sized batches of row ids.
-	buildBatches, probeBatches []*Batch
+	buildBatches, probeBatches []*RowSet
 }
 
 const (
@@ -87,14 +87,14 @@ func newJoinSidesFixture(tb testing.TB, buildRows int) *joinSidesFixture {
 
 // rowIDBatches cuts row ids 0..n-1 of relation rel into morsel-sized
 // batches, as an unfiltered scan emits them.
-func rowIDBatches(rel, n, morsel int) []*Batch {
-	var out []*Batch
+func rowIDBatches(rel, n, morsel int) []*RowSet {
+	var out []*RowSet
 	for lo := 0; lo < n; lo += morsel {
 		rs := NewRowSetCap(query.NewRelSet(rel), morsel)
 		for id := lo; id < min(lo+morsel, n); id++ {
 			rs.cols[0] = append(rs.cols[0], int32(id))
 		}
-		out = append(out, &Batch{rows: rs})
+		out = append(out, rs)
 	}
 	return out
 }
@@ -129,7 +129,7 @@ func (f *joinSidesFixture) buildBloom(scan *plan.Scan, estNDV float64, keep int)
 	j.BuildBlooms = []int{spec.ID}
 	inner := NewRowSet(query.NewRelSet(joinSidesBuildRel))
 	for _, b := range f.buildBatches {
-		inner.appendBatch(b.rows)
+		inner.appendBatch(b)
 	}
 	inner.cols[0] = inner.cols[0][:keep]
 	scan.ApplyBlooms = []int{spec.ID}
@@ -138,13 +138,13 @@ func (f *joinSidesFixture) buildBloom(scan *plan.Scan, estNDV float64, keep int)
 
 // batchSource replays prepared batches: the probe operator's child.
 type batchSource struct {
-	batches []*Batch
+	batches []*RowSet
 	next    int
 }
 
 func (s *batchSource) Open() error  { s.next = 0; return nil }
 func (s *batchSource) Close() error { return nil }
-func (s *batchSource) NextBatch() (*Batch, error) {
+func (s *batchSource) NextBatch() (*RowSet, error) {
 	if s.next == len(s.batches) {
 		return nil, nil
 	}
@@ -330,7 +330,7 @@ func BenchmarkJoinSides(b *testing.B) {
 				probing += time.Since(start)
 				start = time.Now()
 				for at := 0; at < size; {
-					var out *Batch
+					var out *RowSet
 					out, at = sh.sweepBatch(ht, marks, at, scr)
 					swept += out.Len()
 				}

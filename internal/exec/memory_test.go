@@ -386,7 +386,7 @@ type failAfterOp struct {
 
 func (o *failAfterOp) Open() error  { return o.child.Open() }
 func (o *failAfterOp) Close() error { return o.child.Close() }
-func (o *failAfterOp) NextBatch() (*Batch, error) {
+func (o *failAfterOp) NextBatch() (*RowSet, error) {
 	if o.seen >= o.after {
 		return nil, o.err
 	}

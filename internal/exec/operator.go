@@ -15,16 +15,22 @@ const DefaultMorselSize = 1024
 
 // PhysicalOperator is the morsel-driven execution interface. Each worker
 // of a pipeline owns a private operator chain; NextBatch pulls the next
-// batch (a small RowSet in the usual late-materialization layout — see
-// Batch) or nil at end of stream. Shared state behind the per-worker
-// instances (the morsel cursor, hash tables) is owned by the pipeline.
+// batch, a small RowSet in the usual late-materialization layout (one
+// row-id column per covered relation), or nil at end of stream. Shared
+// state behind the per-worker instances (the morsel cursor, hash tables)
+// is owned by the pipeline.
+//
+// Ownership: a returned row set and its columns belong to the producer
+// until the next NextBatch call on the same operator, which may overwrite
+// them — a scan hands out its selection vector, a probe its output
+// scratch, a grace drain the spill reader's buffers. A consumer that keeps
+// rows past that call copies them (the sinks append into their parts, the
+// grace router into its partition buffers), so no batch escapes its worker.
 type PhysicalOperator interface {
 	// Open prepares per-worker state before the first NextBatch.
 	Open() error
 	// NextBatch returns the next non-empty batch, or nil at end of stream.
-	// The returned batch is scratch owned by the operator, valid until its
-	// next NextBatch call.
-	NextBatch() (*Batch, error)
+	NextBatch() (*RowSet, error)
 	// Close releases per-worker state after the last NextBatch.
 	Close() error
 }

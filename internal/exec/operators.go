@@ -98,17 +98,17 @@ func (src *scanSource) runtime() ScanRuntime {
 
 // scanOp is the per-worker operator over a shared scanSource. All scratch —
 // the selection vector, the two-column filters' hash buffer, the adaptive
-// kernel chain (empty when the scan has no predicate) and every tally — is
-// per worker, allocated once in Open; the steady-state batch loop
-// allocates only its output rows. Tallies fold into the source's atomics
-// once per worker at Close (workers close before the pipeline joins them,
-// so the fold always precedes the flush).
+// kernel chain (empty when the scan has no predicate), the output row set
+// and every tally — is per worker, allocated once in Open; the
+// steady-state batch loop allocates nothing. Tallies fold into the
+// source's atomics once per worker at Close (workers close before the
+// pipeline joins them, so the fold always precedes the flush).
 type scanOp struct {
 	src   *scanSource
 	chain *query.Chain
 	sel   []int32
 	hs    []uint64 // combined-key hashes of a two-column filter's test
-	out   Batch    // reused output batch header
+	out   *RowSet  // one column, the surviving prefix of sel
 
 	localTested  []int64
 	localPassed  []int64
@@ -121,6 +121,7 @@ func (o *scanOp) Open() error {
 	o.localPassed = make([]int64, len(src.bfs))
 	o.chain = query.NewChain(src.kernels)
 	o.sel = make([]int32, src.morsel)
+	o.out = NewRowSet(query.NewRelSet(src.s.Rel))
 	for _, b := range src.bfs {
 		if b.vals2 != nil {
 			o.hs = make([]uint64, src.morsel)
@@ -151,8 +152,9 @@ func (o *scanOp) Close() error {
 // writes the ids), then test the Bloom filters in plan order, each in one
 // fused pass over the surviving rows' keys (bloom.Filter.FilterSel). A
 // two-column filter first hashes its combined keys into scratch. This is
-// the only way a scan drops rows.
-func (o *scanOp) NextBatch() (*Batch, error) {
+// the only way a scan drops rows. The batch's one column is the surviving
+// prefix of the worker's selection vector; nothing is copied.
+func (o *scanOp) NextBatch() (*RowSet, error) {
 	src := o.src
 	for {
 		if src.stop != nil && src.stop.Load() {
@@ -189,10 +191,8 @@ func (o *scanOp) NextBatch() (*Batch, error) {
 		if len(sel) == 0 {
 			continue
 		}
-		out := NewRowSetCap(query.NewRelSet(src.s.Rel), len(sel))
-		out.cols[0] = append(out.cols[0], sel...)
-		o.out = Batch{rows: out}
-		return &o.out, nil
+		o.out.cols[0] = sel
+		return o.out, nil
 	}
 }
 
@@ -341,9 +341,8 @@ func (sh *probeShared) retire(marks buildMarks) bool {
 // per-condition outer row-id columns, the gathered key and hash vectors,
 // the match-pair vectors, and the reused output row set — recycled across
 // morsels so the steady-state vectorized probe loop allocates nothing.
-// (Reusing the output is safe under the batch ownership contract: sinks
-// and downstream operators consume each batch before the worker's next
-// NextBatch on this operator.)
+// Reusing the output is PhysicalOperator's ownership rule: a consumer
+// copies what it keeps before the worker's next NextBatch on this operator.
 type probeScratch struct {
 	outerIDs [][]int32
 	keys     []int64
@@ -353,7 +352,6 @@ type probeScratch struct {
 	candO, candI []int32
 	outO, outI   []int32
 	out          *RowSet
-	outBatch     Batch
 }
 
 // ensureOut returns the reusable output row set sized to n rows.
@@ -424,7 +422,7 @@ func (sh *probeShared) matchIn(ht *hashTable, outerIDs [][]int32, oi int, ii int
 // returns the output batch. It is shared by the streaming NextBatch path
 // and the grace drain, which probes reloaded partition chunks through the
 // same code so every join type and extra condition behaves identically.
-// The returned batch is scr-backed scratch, valid until the next call.
+// The returned row set is scr-backed scratch, valid until the next call.
 //
 // The kernel runs in three phases. Gather: resolve the per-condition
 // outer row-id columns once, gather the key column through them into
@@ -441,15 +439,15 @@ func (sh *probeShared) matchIn(ht *hashTable, outerIDs [][]int32, oi int, ii int
 // records every verified match in marks, the caller's bitmap over ht's build
 // rows: its semi and anti forms emit nothing here, its left form the matched
 // pairs; sweepBatch emits the build rows afterwards.
-func (sh *probeShared) probeBatch(ht *hashTable, in *Batch, scr *probeScratch, marks buildMarks) *Batch {
-	n := in.rows.Len()
+func (sh *probeShared) probeBatch(ht *hashTable, in *RowSet, scr *probeScratch, marks buildMarks) *RowSet {
+	n := in.Len()
 	gatherStart := time.Now()
 	if cap(scr.outerIDs) < len(sh.outerRels) {
 		scr.outerIDs = make([][]int32, len(sh.outerRels))
 	}
 	outerIDs := scr.outerIDs[:len(sh.outerRels)]
 	for e, rel := range sh.outerRels {
-		outerIDs[e] = in.rows.Col(rel)
+		outerIDs[e] = in.Col(rel)
 	}
 	keyIDs, keyVals := outerIDs[0], sh.outerVals[0]
 	if cap(scr.keys) < n {
@@ -570,7 +568,7 @@ func (sh *probeShared) probeBatch(ht *hashTable, in *Batch, scr *probeScratch, m
 	for c := range out.cols {
 		dst := out.cols[c]
 		if w.fromOuter[c] {
-			src := in.rows.cols[w.srcPos[c]]
+			src := in.cols[w.srcPos[c]]
 			for k, oi := range pairO {
 				dst[k] = src[oi]
 			}
@@ -585,9 +583,8 @@ func (sh *probeShared) probeBatch(ht *hashTable, in *Batch, scr *probeScratch, m
 			}
 		}
 	}
-	scr.outBatch = Batch{rows: out}
 	sh.stats.observePhases(gatherWall, probeWall, time.Since(emitStart))
-	return &scr.outBatch
+	return out
 }
 
 // filterExtras is the vectorized post-filter for extra (non-hash equality)
@@ -612,8 +609,8 @@ func (sh *probeShared) filterExtras(ht *hashTable, outerIDs [][]int32, candO, ca
 // morsel of the build rows at or after position at that the join type keeps
 // — the marked ones of a semi join, the unmarked ones of an anti or left
 // join — with nulls in the probe side's columns, and returns the position
-// to resume from. The batch is scr-backed scratch, like probeBatch's.
-func (sh *probeShared) sweepBatch(ht *hashTable, marks buildMarks, at int, scr *probeScratch) (*Batch, int) {
+// to resume from. The row set is scr-backed scratch, like probeBatch's.
+func (sh *probeShared) sweepBatch(ht *hashTable, marks buildMarks, at int, scr *probeScratch) (*RowSet, int) {
 	wantMarked := sh.j.JoinType == query.Semi
 	sel := scr.candI[:0]
 	n := ht.inner.Len()
@@ -637,11 +634,10 @@ func (sh *probeShared) sweepBatch(ht *hashTable, marks buildMarks, at int, scr *
 			dst[k] = src[ii]
 		}
 	}
-	scr.outBatch = Batch{rows: out}
-	return &scr.outBatch, at
+	return out, at
 }
 
-func (o *probeOp) NextBatch() (*Batch, error) {
+func (o *probeOp) NextBatch() (*RowSet, error) {
 	if o.gw != nil {
 		return o.graceNext()
 	}
@@ -654,7 +650,7 @@ func (o *probeOp) NextBatch() (*Batch, error) {
 		if o.ex != nil && o.ex.stop.Load() {
 			return nil, nil
 		}
-		var in *Batch
+		var in *RowSet
 		if o.sweepAt < 0 {
 			var err error
 			if in, err = o.child.NextBatch(); err != nil {
@@ -677,7 +673,7 @@ func (o *probeOp) NextBatch() (*Batch, error) {
 			}
 		}
 		start := time.Now()
-		var out *Batch
+		var out *RowSet
 		rowsIn := 0
 		if in != nil {
 			rowsIn = in.Len()

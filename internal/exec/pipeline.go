@@ -60,11 +60,12 @@ func (ex *executor) runErr() error {
 
 // sink consumes a pipeline's output batches. consume is called
 // concurrently by workers (disjoint worker indices) and must finish with
-// the batch before returning — batches are operator-owned scratch (see
-// Batch); finish runs once after all workers complete; phases reports the
+// the batch before returning: the row set belongs to the operator that
+// produced it (see PhysicalOperator), so a sink copies every row it keeps.
+// finish runs once after all workers complete; phases reports the
 // breaker's measured finish-phase wall times after finish.
 type sink interface {
-	consume(worker int, b *Batch)
+	consume(worker int, b *RowSet)
 	finish() error
 	phases() BreakerPhases
 }
@@ -85,14 +86,14 @@ func newPartsSink(rels query.RelSet, workers int) partsSink {
 	return partsSink{rels: rels, parts: make([]*RowSet, workers)}
 }
 
-func (s *partsSink) consume(w int, b *Batch) {
+func (s *partsSink) consume(w int, b *RowSet) {
 	if s.forceRes != nil {
-		s.forceRes.Force(batchBytes(b.rows))
+		s.forceRes.Force(batchBytes(b))
 	}
 	if s.parts[w] == nil {
 		s.parts[w] = NewRowSet(s.rels)
 	}
-	s.parts[w].appendBatch(b.rows)
+	s.parts[w].appendBatch(b)
 }
 
 func (s *partsSink) phases() BreakerPhases { return s.ph }
@@ -181,8 +182,8 @@ func (s *hashBuildSink) spillWorker(w int) int64 {
 	return freed
 }
 
-func (s *hashBuildSink) consume(w int, b *Batch) {
-	delta := batchBytes(b.rows)
+func (s *hashBuildSink) consume(w int, b *RowSet) {
+	delta := batchBytes(b)
 	if s.res.Grow(delta, func(int64) int64 { return s.spillWorker(w) }) {
 		s.partsSink.consume(w, b)
 		return
@@ -193,7 +194,7 @@ func (s *hashBuildSink) consume(w int, b *Batch) {
 	if g == nil {
 		return // spill setup failed; the run is being cancelled
 	}
-	if err := g.routeBuild(b.rows); err != nil {
+	if err := g.routeBuild(b); err != nil {
 		s.spillErr.set(err)
 		s.ex.fail(err)
 	}

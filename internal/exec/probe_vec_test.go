@@ -129,7 +129,7 @@ func TestProbeRandomMatchesLegacy(t *testing.T) {
 // benchProbeFixture builds a standalone probe kernel: a 1024-row build
 // side keyed over 512 distinct values and a 1024-row probe batch, the
 // steady-state shape the CI 0-allocs gate measures.
-func benchProbeFixture(extras bool) (*probeShared, *hashTable, *Batch, *probeScratch) {
+func benchProbeFixture(extras bool) (*probeShared, *hashTable, *RowSet, *probeScratch) {
 	const nBuild, nProbe = 1024, 1024
 	innerRS := NewRowSet(query.NewRelSet(1))
 	ids := make([]int32, nBuild)
@@ -179,7 +179,7 @@ func benchProbeFixture(extras bool) (*probeShared, *hashTable, *Batch, *probeScr
 		col[i] = int32(i)
 	}
 	inRS.cols[0] = col
-	return sh, ht, &Batch{rows: inRS}, &probeScratch{}
+	return sh, ht, inRS, &probeScratch{}
 }
 
 // BenchmarkProbeBatch measures the steady-state probe kernel.

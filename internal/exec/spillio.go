@@ -151,13 +151,6 @@ func (ex *executor) cleanupSpill() {
 	}
 }
 
-// appendRawChunk appends one spill chunk (raw columns) to rs.
-func appendRawChunk(rs *RowSet, cols [][]int32) {
-	for c := range rs.cols {
-		rs.cols[c] = append(rs.cols[c], cols[c]...)
-	}
-}
-
 // eachChunk streams a finished spill file's chunks to fn in file order,
 // accounting the decoded bytes to rec and closing the reader however the
 // pass ends.
@@ -185,7 +178,9 @@ func eachChunk(w *spill.Writer, rec *spillCounters, fn func(cols [][]int32) erro
 func readSpill(w *spill.Writer, rels query.RelSet, rec *spillCounters) (*RowSet, error) {
 	rs := NewRowSetCap(rels, int(w.Rows()))
 	err := eachChunk(w, rec, func(cols [][]int32) error {
-		appendRawChunk(rs, cols)
+		for c := range rs.cols {
+			rs.cols[c] = append(rs.cols[c], cols[c]...)
+		}
 		return nil
 	})
 	return rs, err

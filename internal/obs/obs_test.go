@@ -38,17 +38,31 @@ func TestHistogram(t *testing.T) {
 	if math.Abs(h.Sum()-16.5) > 1e-9 {
 		t.Fatalf("sum = %g, want 16.5", h.Sum())
 	}
-	snap := reg.Snapshot().Histograms["lat"]
-	wantCounts := []int64{1, 2, 1, 1} // (≤1, ≤2, ≤4, +Inf)
-	for i, w := range wantCounts {
-		if snap.Counts[i] != w {
-			t.Fatalf("bucket %d = %d, want %d", i, snap.Counts[i], w)
+	prom := promText(t, reg)
+	for _, want := range []string{ // cumulative: ≤1, ≤2, ≤4, +Inf
+		`lat_bucket{le="1"} 1`,
+		`lat_bucket{le="2"} 3`,
+		`lat_bucket{le="4"} 4`,
+		`lat_bucket{le="+Inf"} 5`,
+	} {
+		if !strings.Contains(prom, want+"\n") {
+			t.Fatalf("exposition missing %q:\n%s", want, prom)
 		}
 	}
 	// Median falls in the (1,2] bucket.
-	if q := snap.Quantile(0.5); q < 1 || q > 2 {
+	if q := h.quantile(0.5); q < 1 || q > 2 {
 		t.Fatalf("p50 = %g, want in (1,2]", q)
 	}
+}
+
+// promText renders reg's /metrics exposition.
+func promText(t *testing.T, reg *Registry) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
 }
 
 func TestGaugeAndCounterFuncs(t *testing.T) {
@@ -57,14 +71,13 @@ func TestGaugeAndCounterFuncs(t *testing.T) {
 	reg.NewGaugeFunc("live", "live state", func() float64 { return live })
 	cum := int64(7)
 	reg.NewCounterFunc("cum_total", "cumulative elsewhere", func() int64 { return cum })
-	s := reg.Snapshot()
-	if s.Gauges["live"] != 3 || s.Counters["cum_total"] != 7 {
-		t.Fatalf("func metrics: got %v / %v", s.Gauges["live"], s.Counters["cum_total"])
+	if prom := promText(t, reg); !strings.Contains(prom, "\nlive 3\n") || !strings.Contains(prom, "\ncum_total 7\n") {
+		t.Fatalf("func metrics missing from the exposition:\n%s", prom)
 	}
 	// Rebinding (second engine in one process) wins.
 	reg.NewGaugeFunc("live", "live state", func() float64 { return 9 })
-	if got := reg.Snapshot().Gauges["live"]; got != 9 {
-		t.Fatalf("rebound gauge func = %g, want 9", got)
+	if prom := promText(t, reg); !strings.Contains(prom, "\nlive 9\n") {
+		t.Fatalf("rebound gauge func not exposed:\n%s", prom)
 	}
 }
 
@@ -257,26 +270,6 @@ func TestHTTPHandler(t *testing.T) {
 	}
 }
 
-func TestSnapshotJSONRoundTrip(t *testing.T) {
-	reg := NewRegistry()
-	m := NewMetrics(reg)
-	m.ObserveQuery(time.Millisecond, 0, 0, time.Millisecond, 1, false)
-	blob, err := json.Marshal(reg.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Snapshot
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Counters["bfcbo_queries_total"] != 1 {
-		t.Fatalf("round-trip lost counter: %s", blob)
-	}
-	if back.Histograms["bfcbo_query_latency_seconds"].Count != 1 {
-		t.Fatalf("round-trip lost histogram: %s", blob)
-	}
-}
-
 func TestConcurrentMetrics(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.NewCounter("c_total", "")
@@ -345,20 +338,22 @@ func TestMetricsObserveQueryError(t *testing.T) {
 	reg := NewRegistry()
 	m := NewMetrics(reg)
 	m.ObserveQuery(time.Millisecond, 0, 0, 0, 0, true)
-	s := reg.Snapshot()
-	if s.Counters["bfcbo_query_errors_total"] != 1 {
-		t.Fatalf("error not counted: %v", s.Counters)
+	if n := m.QueryErrors.Value(); n != 1 {
+		t.Fatalf("errors counted %d times, want 1", n)
 	}
 }
 
 func TestQuantileEdgeCases(t *testing.T) {
-	empty := HistSnapshot{}
-	if empty.Quantile(0.5) != 0 {
+	reg := NewRegistry()
+	h := reg.NewHistogram("q", "", []float64{1, 2})
+	if h.quantile(0.5) != 0 {
 		t.Fatal("empty histogram quantile should be 0")
 	}
 	// All mass in +Inf bucket reports the top bound.
-	h := HistSnapshot{Count: 3, Bounds: []float64{1, 2}, Counts: []int64{0, 0, 3}}
-	if q := h.Quantile(0.99); q != 2 {
+	for i := 0; i < 3; i++ {
+		h.Observe(5)
+	}
+	if q := h.quantile(0.99); q != 2 {
 		t.Fatalf("+Inf quantile = %g, want 2", q)
 	}
 }

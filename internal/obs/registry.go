@@ -106,6 +106,38 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
+// quantile estimates the q-quantile (0 < q < 1) by linear interpolation
+// within the winning bucket; returns 0 for an empty histogram. The +Inf
+// bucket reports its lower bound (the histogram cannot see past it).
+func (h *Histogram) quantile(q float64) float64 {
+	n := h.Count()
+	if n == 0 {
+		return 0
+	}
+	rank := q * float64(n)
+	var cum int64
+	for i := range h.counts {
+		c := h.counts[i].Load()
+		prev := cum
+		cum += c
+		if float64(cum) >= rank && c > 0 {
+			lo := 0.0
+			if i > 0 {
+				lo = h.bounds[i-1]
+			}
+			if i >= len(h.bounds) {
+				return lo // +Inf bucket
+			}
+			frac := (rank - float64(prev)) / float64(c)
+			return lo + (h.bounds[i]-lo)*frac
+		}
+	}
+	if len(h.bounds) > 0 {
+		return h.bounds[len(h.bounds)-1]
+	}
+	return 0
+}
+
 // LatencyBuckets is the default bound set for engine latencies, in seconds:
 // 100µs to ~100s in roughly 3× steps.
 var LatencyBuckets = []float64{
@@ -217,94 +249,6 @@ func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram 
 	}
 	r.add(&metric{name: name, help: help, kind: KindHistogram, hist: h})
 	return h
-}
-
-// HistSnapshot is the exported state of one histogram.
-type HistSnapshot struct {
-	Count  int64     `json:"count"`
-	Sum    float64   `json:"sum"`
-	Bounds []float64 `json:"bounds"`
-	// Counts are per-bucket (non-cumulative) counts, one per bound plus the
-	// final +Inf bucket.
-	Counts []int64 `json:"counts"`
-}
-
-// Quantile estimates the q-quantile (0 < q < 1) by linear interpolation
-// within the winning bucket; returns 0 for an empty histogram. The +Inf
-// bucket reports its lower bound (the histogram cannot see past it).
-func (h HistSnapshot) Quantile(q float64) float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	rank := q * float64(h.Count)
-	var cum int64
-	for i, c := range h.Counts {
-		prev := cum
-		cum += c
-		if float64(cum) >= rank && c > 0 {
-			lo := 0.0
-			if i > 0 {
-				lo = h.Bounds[i-1]
-			}
-			if i >= len(h.Bounds) {
-				return lo // +Inf bucket
-			}
-			hi := h.Bounds[i]
-			frac := (rank - float64(prev)) / float64(c)
-			return lo + (hi-lo)*frac
-		}
-	}
-	if len(h.Bounds) > 0 {
-		return h.Bounds[len(h.Bounds)-1]
-	}
-	return 0
-}
-
-// Snapshot is a point-in-time copy of every metric in a registry, the
-// in-process counterpart of the /metrics exposition (and the form bench
-// reports embed).
-type Snapshot struct {
-	Counters   map[string]int64        `json:"counters,omitempty"`
-	Gauges     map[string]float64      `json:"gauges,omitempty"`
-	Histograms map[string]HistSnapshot `json:"histograms,omitempty"`
-}
-
-// Snapshot captures the current value of every registered metric.
-func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	metrics := append([]*metric(nil), r.metrics...)
-	r.mu.Unlock()
-	s := Snapshot{
-		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]float64),
-		Histograms: make(map[string]HistSnapshot),
-	}
-	for _, m := range metrics {
-		switch m.kind {
-		case KindCounter:
-			switch {
-			case m.counter != nil:
-				s.Counters[m.name] = m.counter.Value()
-			case m.cfn != nil:
-				s.Counters[m.name] = m.cfn()
-			}
-		case KindGauge:
-			s.Gauges[m.name] = m.gfn()
-		case KindHistogram:
-			h := m.hist
-			hs := HistSnapshot{
-				Count:  h.Count(),
-				Sum:    h.Sum(),
-				Bounds: append([]float64(nil), h.bounds...),
-				Counts: make([]int64, len(h.counts)),
-			}
-			for i := range h.counts {
-				hs.Counts[i] = h.counts[i].Load()
-			}
-			s.Histograms[m.name] = hs
-		}
-	}
-	return s
 }
 
 // WriteProm writes the registry in the Prometheus text exposition format

@@ -159,15 +159,8 @@ func (r *workloadRec) entry(fp uint64) WorkloadEntry {
 	if r.count > 0 {
 		e.MeanMS = float64(r.sumLatNs) / float64(r.count) / 1e6
 	}
-	hs := HistSnapshot{
-		Count: r.lat.Count(), Sum: r.lat.Sum(),
-		Bounds: r.lat.bounds, Counts: make([]int64, len(r.lat.counts)),
-	}
-	for i := range r.lat.counts {
-		hs.Counts[i] = r.lat.counts[i].Load()
-	}
-	e.P50MS = hs.Quantile(0.5) * 1e3
-	e.P95MS = hs.Quantile(0.95) * 1e3
+	e.P50MS = r.lat.quantile(0.5) * 1e3
+	e.P95MS = r.lat.quantile(0.95) * 1e3
 	if r.ops > 0 {
 		e.MeanOpRowsActual = r.opsActual / float64(r.ops)
 		e.MeanOpRowsEst = r.opsEst / float64(r.ops)

@@ -115,7 +115,7 @@ func TestTraceSpanTreeDOP1(t *testing.T) {
 
 // TestMetricsAgreeWithSchedStats cross-checks the engine registry against
 // per-query ground truth: the queries counter and latency-histogram count
-// match the number of runs (bucket by bucket), the slot-busy counter
+// match the number of runs (and so does the exposition's +Inf bucket), the slot-busy counter
 // matches the summed SchedStat occupancy within 1%, the latency-histogram
 // sum is positive and no larger than the summed per-query walls (the
 // histogram's window is nested inside the engine's, so that holds by
@@ -147,57 +147,52 @@ func TestMetricsAgreeWithSchedStats(t *testing.T) {
 			}
 		}
 	}
-	snap := e.MetricsRegistry().Snapshot()
-	if got := snap.Counters["bfcbo_probe_rows_total"]; got != probeRows || got == 0 {
+	m := e.metrics
+	if got := m.ProbeRows.Value(); got != probeRows || got == 0 {
 		t.Fatalf("bfcbo_probe_rows_total = %d, hash probes read %d rows", got, probeRows)
 	}
-	if n := snap.Counters["bfcbo_queries_total"]; n != runs {
+	if n := m.Queries.Value(); n != runs {
 		t.Fatalf("bfcbo_queries_total = %d, want %d", n, runs)
 	}
-	lat, ok := snap.Histograms["bfcbo_query_latency_seconds"]
-	if !ok {
-		t.Fatal("latency histogram missing from snapshot")
-	}
-	if lat.Count != runs {
-		t.Fatalf("latency histogram count = %d, want %d", lat.Count, runs)
+	lat := m.QueryLatency
+	if lat.Count() != runs {
+		t.Fatalf("latency histogram count = %d, want %d", lat.Count(), runs)
 	}
 	relErr := func(a, b float64) float64 { return math.Abs(a-b) / b * 100 }
-	if busy := float64(snap.Counters["bfcbo_slot_busy_nanos_total"]); relErr(busy, float64(sumBusy)) > 1 {
+	if busy := float64(m.SlotBusyNanos.Value()); relErr(busy, float64(sumBusy)) > 1 {
 		t.Fatalf("slot-busy counter %.0fns vs summed SchedStat %dns: >1%% apart", busy, sumBusy)
 	}
-	if lat.Sum <= 0 || lat.Sum > sumWall.Seconds() {
+	if lat.Sum() <= 0 || lat.Sum() > sumWall.Seconds() {
 		t.Fatalf("latency histogram sum %.6fs outside (0, summed walls %.6fs]",
-			lat.Sum, sumWall.Seconds())
-	}
-	var inBuckets int64
-	for _, c := range lat.Counts {
-		inBuckets += c
-	}
-	if inBuckets != lat.Count {
-		t.Fatalf("latency bucket counts sum to %d, histogram count is %d", inBuckets, lat.Count)
+			lat.Sum(), sumWall.Seconds())
 	}
 	// Planning time sits beside query latency: one observation per plan.
-	if pl := snap.Histograms["bfcbo_plan_seconds"]; pl.Count != runs || relErr(pl.Sum, sumPlan.Seconds()) > 0.001 {
-		t.Fatalf("plan histogram count %d sum %.9fs, want %d and %.9fs", pl.Count, pl.Sum, runs, sumPlan.Seconds())
-	}
-	// Live gauges: an idle engine holds no slots but still reports capacity.
-	if got := snap.Gauges["bfcbo_sched_slots"]; got != 4 {
-		t.Fatalf("bfcbo_sched_slots = %v, want 4", got)
-	}
-	if got := snap.Gauges["bfcbo_sched_slots_in_use"]; got != 0 {
-		t.Fatalf("bfcbo_sched_slots_in_use = %v on an idle engine", got)
-	}
-	if got := snap.Counters["bfcbo_sched_finished_total"]; got != runs {
-		t.Fatalf("bfcbo_sched_finished_total = %d, want %d", got, runs)
+	if pl := m.PlanTime; pl.Count() != runs || relErr(pl.Sum(), sumPlan.Seconds()) > 0.001 {
+		t.Fatalf("plan histogram count %d sum %.9fs, want %d and %.9fs", pl.Count(), pl.Sum(), runs, sumPlan.Seconds())
 	}
 
-	// The exposition parses under the minimal Prometheus checker.
+	// The exposition parses under the minimal Prometheus checker, which
+	// also holds every histogram's +Inf bucket to its count.
 	var buf bytes.Buffer
 	if err := e.MetricsRegistry().WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
+	prom := buf.String()
 	if err := obs.LintProm(&buf); err != nil {
 		t.Fatalf("/metrics output fails lint: %v", err)
+	}
+	if got := promValue(t, prom, `bfcbo_query_latency_seconds_bucket{le="+Inf"}`); got != runs {
+		t.Fatalf("latency +Inf bucket = %d, want %d", got, runs)
+	}
+	// Live gauges: an idle engine holds no slots but still reports capacity.
+	if got := promValue(t, prom, "bfcbo_sched_slots"); got != 4 {
+		t.Fatalf("bfcbo_sched_slots = %v, want 4", got)
+	}
+	if got := promValue(t, prom, "bfcbo_sched_slots_in_use"); got != 0 {
+		t.Fatalf("bfcbo_sched_slots_in_use = %v on an idle engine", got)
+	}
+	if got := promValue(t, prom, "bfcbo_sched_finished_total"); got != runs {
+		t.Fatalf("bfcbo_sched_finished_total = %d, want %d", got, runs)
 	}
 
 	// bfcbo_probe_rows_total counts the hash-probe input rows, every
@@ -206,7 +201,7 @@ func TestMetricsAgreeWithSchedStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := e.MetricsRegistry().Snapshot().Counters["bfcbo_probe_rows_total"]
+	before := m.ProbeRows.Value()
 	out, err := e.runOnce(context.Background(), b, NoBF, res, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +209,7 @@ func TestMetricsAgreeWithSchedStats(t *testing.T) {
 	if out.Rows == 0 {
 		t.Fatal("the NoBF plan returned no rows")
 	}
-	got := e.MetricsRegistry().Snapshot().Counters["bfcbo_probe_rows_total"] - before
+	got := m.ProbeRows.Value() - before
 	if got != out.Work.Probe || got == 0 {
 		t.Fatalf("the run added %d to bfcbo_probe_rows_total, its Work.Probe is %d", got, out.Work.Probe)
 	}
