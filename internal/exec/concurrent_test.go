@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,12 +26,13 @@ import (
 
 // workerGauge wraps a worker's operator chain to measure how many workers
 // are inside NextBatch at once. A worker inside NextBatch always holds a
-// worker slot (it holds one from its first morsel to its last and yields
-// it only across the grace barrier, which these unlimited-budget runs
-// never take), so the observed maximum bounds the scheduler's
-// concurrently running *pipeline* workers — the population the slot pool
-// governs. A breaker finish runs on its pipeline's goroutine, which holds
-// no slot (ROADMAP item 5), and is deliberately outside this gauge.
+// worker slot — it acquires one before it builds its chain and releases it
+// after it closes the chain, and a spilled join's route and drain stages
+// each run workers of their own — so the observed maximum bounds the
+// scheduler's concurrently running *pipeline* workers, the population the
+// slot pool governs. A breaker finish and a route sink's flush run on the
+// pipeline's goroutine, which holds no slot (ROADMAP item 5), and are
+// deliberately outside this gauge.
 type workerGauge struct {
 	child    PhysicalOperator
 	cur, max *atomic.Int64
@@ -143,6 +145,74 @@ func TestConcurrentQueriesMatchSerial(t *testing.T) {
 		t.Fatalf("broker holds %d bytes after runs", broker.Used())
 	}
 	waitGoroutines(t, before)
+}
+
+// TestSlotCapHoldsUnderBudget runs the gauge over concurrent budgeted
+// runs: under a one-byte budget every hash build spills, so every probe
+// pipeline runs a route stage and a drain stage, and the running workers
+// still never exceed the pool's slots. Each run must return the
+// reference's tuples.
+func TestSlotCapHoldsUnderBudget(t *testing.T) {
+	ds := equivalenceDataset(t)
+	const slots, streams = 2, 4
+	type planned struct {
+		num   int
+		block *query.Block
+		plan  *plan.Plan
+		want  []string
+	}
+	var qs []planned
+	for _, num := range concurrentMix() {
+		q, _ := tpch.Get(num)
+		block := q.Build(ds.Schema)
+		opts := optimizer.DefaultOptions(0.01)
+		opts.Mode = optimizer.BFCBO
+		res, err := optimizer.Optimize(block, opts)
+		if err != nil {
+			t.Fatalf("Q%d: optimize: %v", num, err)
+		}
+		ref, err := Run(ds.DB, block, res.Plan, Options{Legacy: true})
+		if err != nil {
+			t.Fatalf("Q%d: reference: %v", num, err)
+		}
+		qs = append(qs, planned{num: num, block: block, plan: res.Plan, want: canonicalRows(ref.Out)})
+	}
+	scheduler := sched.New(sched.Config{Slots: slots})
+	broker := mem.NewBroker(tinyBudget)
+	spillRoot := t.TempDir()
+	var cur, maxGauge atomic.Int64
+	var wg sync.WaitGroup
+	for s := 0; s < streams; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for k := range qs {
+				pq := qs[(s+k)%len(qs)]
+				opts := Options{DOP: slots, Sched: scheduler, Broker: broker, SpillDir: spillRoot}
+				opts.injectOp = func(_ *plan.Pipeline, _ int, op PhysicalOperator) PhysicalOperator {
+					return &workerGauge{child: op, cur: &cur, max: &maxGauge}
+				}
+				r, err := RunContext(context.Background(), ds.DB, pq.block, pq.plan, opts)
+				if err != nil {
+					t.Errorf("stream %d Q%d: %v", s, pq.num, err)
+					return
+				}
+				if !r.TotalSpill().Spilled() {
+					t.Errorf("stream %d Q%d: the one-byte budget spilled nothing", s, pq.num)
+				}
+				if got := canonicalRows(r.Out); !slices.Equal(got, pq.want) {
+					t.Errorf("stream %d Q%d: %d tuples differ from the reference's %d", s, pq.num, len(got), len(pq.want))
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	if m := maxGauge.Load(); m > slots {
+		t.Fatalf("observed %d concurrently running workers, the pool has %d slots", m, slots)
+	}
+	if err := Audit(AuditState{Broker: broker, Sched: scheduler, SpillDir: spillRoot}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestConcurrentCancelWhileQueued parks a slow query in the single

@@ -188,8 +188,7 @@ type executor struct {
 	// (the Bloom filters sit behind bloomSet's own lock). stop is the
 	// run-wide cancellation flag set by the first worker error (or context
 	// cancellation) and checked by every morsel source; stopCh closes at
-	// the same moment, waking workers blocked on slot acquisition or the
-	// grace-join writer barrier.
+	// the same moment, waking workers blocked on slot acquisition.
 	smu       sync.Mutex
 	firstErr  error
 	stop      atomic.Bool
@@ -211,8 +210,8 @@ type executor struct {
 	trace *obs.Trace
 
 	// live, when non-nil, is this run's entry in the in-flight query
-	// inspector: per-pipeline progress cells the workers fold into at
-	// morsel boundaries, plus the kill hook routing Inspector.Kill into
+	// inspector: per-pipeline progress cells that read the operators'
+	// counters, plus the kill hook routing Inspector.Kill into
 	// fail(). pctx and fpHex feed the workers' pprof labels
 	// (query/fingerprint/pipeline) so CPU profiles attribute samples to
 	// queries.
@@ -262,8 +261,8 @@ type Options struct {
 	// inspector for the duration of execution: live per-pipeline progress
 	// (morsels, rows scanned/emitted, completion fraction), scheduler and
 	// memory-grant state, and a kill hook routed into the run-wide stop
-	// flag. Progress folds happen at morsel boundaries only — no per-row
-	// atomics, no allocation.
+	// flag. A snapshot reads the operators' own counters; the workers do
+	// nothing for it.
 	Inspector *obs.Inspector
 	// Fingerprint, when non-zero, is the query's normalized shape identity
 	// (plan.Fingerprint), shown by the inspector and stamped on the
@@ -368,7 +367,7 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 		builds:      make(map[*plan.Join]*hashTable),
 		graces:      make(map[*plan.Join]*graceHashJoin),
 		injectOp:    opts.injectOp,
-		pipeStats:   make(map[int][]*opStats),
+		pipeStats:   newPipeStats(pipes),
 		memq:        broker.NewQuery(),
 		budget:      broker.Budget(),
 		spillParent: opts.SpillDir,
@@ -419,14 +418,21 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	ex.blooms = newBloomSet(ex.tables, p.Blooms)
 	// Publish the run to the in-flight inspector. Planned morsel counts
 	// fix each pipeline's progress denominator up front, exactly: the
-	// shared cursor claims every morsel of its scan. Deregistration is
+	// shared cursor claims every morsel of its scan. A snapshot reads the
+	// scan's own counters (one batch per claimed morsel, every row of it
+	// scanned) and the last operator's output rows. Deregistration is
 	// deferred, covering every exit path.
 	if opts.Inspector != nil {
 		lq := obs.NewLiveQuery(ticket.ID(), block.Name, ex.fpHex, p.Mode)
 		for _, pl := range pipes {
+			st := ex.pipeStats[pl.ID]
+			scan, last := st[0], st[len(st)-1]
 			srcRows := int64(ex.tables[pl.Source.Rel].NumRows())
 			planned := (srcRows + int64(morsel) - 1) / int64(morsel)
-			lq.AddPipeline(pl.ID, pl.Describe(), planned, int64(morsel), srcRows)
+			lq.AddPipeline(pl.ID, pl.Describe(), planned, func() obs.PipeCounts {
+				return obs.PipeCounts{Morsels: scan.batches.Load(),
+					RowsScanned: scan.rowsIn.Load(), RowsEmitted: last.rowsOut.Load()}
+			})
 		}
 		lq.OnKill(func() { ex.fail(fmt.Errorf("exec: %w", obs.ErrKilled)) })
 		lq.SetSchedFn(func() obs.LiveSched {
@@ -487,16 +493,6 @@ func (ex *executor) record(n plan.Node, rows int) {
 	ex.actuals = append(ex.actuals, NodeActual{Node: n, Actual: float64(rows)})
 	ex.mu.Unlock()
 }
-
-// yieldSlot releases the caller's global worker slot; acquireSlot takes
-// one back (false when the run was canceled while waiting — the caller
-// then holds no slot). Operators that block on other workers of their
-// pipeline (the grace join's writer barrier) bracket the wait with these
-// so blocked workers never starve the workers they wait for out of the
-// pool — which, under the process-wide scheduler, they now share with
-// every other admitted query.
-func (ex *executor) yieldSlot()        { ex.ticket.Release() }
-func (ex *executor) acquireSlot() bool { return ex.ticket.Acquire(ex.stopCh) }
 
 // foldResultMetrics lands one finished run's stat-struct totals in the
 // metrics registry. This is the whole per-query cost of the metrics layer:

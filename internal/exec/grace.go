@@ -15,18 +15,20 @@ import (
 // This file is the grace hash join: when a hash-build sink's memory grant
 // is denied, both join sides hash-partition to spill files and the join
 // runs partition pair by partition pair. The build sink routes build rows
-// to nparts partition files (level-0 hash); the probe pipeline's workers
-// route their input batches to matching probe partition files instead of
-// probing; once every worker has finished writing, workers claim
-// partitions from a shared cursor and join each pair — loading the build
-// partition, building its table with buildHashTable on the claiming
+// to nparts partition files (level-0 hash). The probe pipeline splits in
+// two at the join (runPipeline): its first stage ends in a route sink that
+// routes every worker's input to the matching probe partition files
+// instead of probing, and its next stage starts from a drain: workers
+// claim partitions from a shared cursor and join each pair — loading the
+// build partition, building its table with buildHashTable on the claiming
 // worker's own goroutine, and streaming the probe partition through the
 // shared probeBatch kernel, so all join types (inner/semi/anti/left) and
-// extra conditions work unchanged. A mirrored join marks and sweeps pair
-// by pair: equal keys share a partition, so a pair's build rows owe nothing
-// to any other pair's probe rows. A partition pair whose grant is denied
-// again repartitions recursively with a level-salted hash, up to
-// graceMaxDepth.
+// extra conditions work unchanged. The stages' boundary is the barrier:
+// no drain starts before every probe row is on disk. A mirrored join
+// marks and sweeps pair by pair: equal keys share a partition, so a
+// pair's build rows owe nothing to any other pair's probe rows. A
+// partition pair whose grant is denied again repartitions recursively
+// with a level-salted hash, up to graceMaxDepth.
 
 // graceHashJoin is the shared state of one spilled hash join, created by
 // the build sink and completed by the probe pipeline.
@@ -43,7 +45,8 @@ type graceHashJoin struct {
 	build        []*spill.Writer
 	buildRec     *spillCounters
 
-	// Probe side, initialized when the probe pipeline opens.
+	// Probe side, initialized when the probe pipeline is set up; cursor
+	// hands out partitions to drain.
 	probeRels    query.RelSet
 	probeKeyRel  int
 	probeKeyPos  int
@@ -51,13 +54,7 @@ type graceHashJoin struct {
 	probe        []*spill.Writer
 	probeRec     *spillCounters
 	res          *mem.Reservation
-
-	// Drain coordination: writersLeft counts probe workers still routing;
-	// the channel closes when the last one finishes, and cursor hands out
-	// partitions to drain.
-	writersLeft atomic.Int32
-	writersDone chan struct{}
-	cursor      atomic.Int64
+	cursor       atomic.Int64
 }
 
 // newGraceBuild opens the build-side partition files for join j. estRows
@@ -121,54 +118,107 @@ func (g *graceHashJoin) finishBuild() error {
 	return nil
 }
 
-// initProbe attaches the probe side: partition files matching the build
-// fan-out, the probe-key gather, and the writer barrier sized to the probe
-// pipeline's worker count. Called once during probe-pipeline setup, before
-// any worker starts.
-func (g *graceHashJoin) initProbe(inRels query.RelSet, keyRel int, keyVals []int64,
-	workers int, rec *spillCounters, res *mem.Reservation) error {
+// newRouteSink attaches the probe side — partition files matching the
+// build fan-out and the probe-key gather — and returns the sink that ends
+// the probe pipeline's route stage. Called once during probe-pipeline
+// setup, before any worker starts.
+func (g *graceHashJoin) newRouteSink(sh *probeShared, inRels query.RelSet,
+	workers int, rec *spillCounters, res *mem.Reservation) (*routeSink, error) {
 	d, err := g.ex.spillFiles()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	g.probeRels = inRels
-	g.probeKeyRel = keyRel
-	g.probeKeyPos = inRels.Rank(keyRel)
-	g.probeKeyVals = keyVals
+	g.probeKeyRel = sh.outerRels[0]
+	g.probeKeyPos = inRels.Rank(g.probeKeyRel)
+	g.probeKeyVals = sh.outerVals[0]
 	if g.probe, err = partitionWriters(d, "probe", g.nparts, inRels.Count()); err != nil {
-		return err
+		return nil, err
 	}
 	g.probeRec = rec
 	g.res = res
-	g.writersLeft.Store(int32(workers))
-	g.writersDone = make(chan struct{})
 	rec.addParts(int64(g.nparts))
-	return nil
-}
-
-// markDone retires one probe writer; the last one opens the drain.
-func (g *graceHashJoin) markDone() {
-	if g.writersLeft.Add(-1) == 0 {
-		close(g.writersDone)
+	s := &routeSink{g: g, stats: sh.stats, bufs: make([][]*RowSet, workers)}
+	for w := range s.bufs {
+		s.bufs[w] = make([]*RowSet, g.nparts)
 	}
-}
-
-// waitWriters blocks until every probe worker finished routing, or the
-// run-wide stop channel cancels the wait. The caller must have yielded its
-// global worker slot: a worker blocked here holds no slot, so concurrent
-// grace pipelines — of this query or of any other admitted query sharing
-// the pool — cannot deadlock the slot pool against each other.
-func (g *graceHashJoin) waitWriters() bool {
-	select {
-	case <-g.writersDone:
-		return true
-	case <-g.ex.stopCh:
-		return false
-	}
+	return s, nil
 }
 
 // graceProbeBufRows bounds each worker's per-partition route buffer.
 const graceProbeBufRows = 1024
+
+// routeSink ends the route stage of a pipeline whose join spilled: each
+// worker hash-partitions its batches into per-partition buffers of its
+// own and appends a buffer that fills to the partition's probe file as
+// one chunk; finish flushes what is left. Routed rows are the join's
+// RowsIn; the drain adds its RowsOut. A failed write fails the run, so
+// finish never runs after one.
+type routeSink struct {
+	g     *graceHashJoin
+	stats *opStats
+	bufs  [][]*RowSet // [worker][partition]
+}
+
+func (s *routeSink) consume(w int, in *RowSet) {
+	start := time.Now()
+	if err := s.route(s.bufs[w], in); err != nil {
+		s.g.ex.fail(err)
+	}
+	s.stats.observe(in.Len(), 0, time.Since(start))
+}
+
+// route copies one input batch into a worker's partition buffers,
+// flushing any buffer that fills.
+func (s *routeSink) route(bufs []*RowSet, in *RowSet) error {
+	g := s.g
+	ids := in.Col(g.probeKeyRel)
+	for i := range ids {
+		key := g.probeKeyVals[ids[i]]
+		p := int(spillHash(key, 0) % uint64(g.nparts))
+		buf := bufs[p]
+		if buf == nil {
+			buf = NewRowSetCap(g.probeRels, graceProbeBufRows)
+			bufs[p] = buf
+		}
+		for c := range buf.cols {
+			buf.cols[c] = append(buf.cols[c], in.cols[c][i])
+		}
+		if buf.Len() >= graceProbeBufRows {
+			if err := s.flush(buf, p); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func (s *routeSink) flush(buf *RowSet, p int) error {
+	if buf == nil || buf.Len() == 0 {
+		return nil
+	}
+	if err := s.g.probe[p].AppendChunk(buf.cols); err != nil {
+		return err
+	}
+	s.g.probeRec.addBytes(int64(4 + 4*buf.Len()*len(buf.cols)))
+	for c := range buf.cols {
+		buf.cols[c] = buf.cols[c][:0]
+	}
+	return nil
+}
+
+// finish flushes every worker's partly filled buffers, on the pipeline's
+// goroutine once the route stage's workers have joined.
+func (s *routeSink) finish() error {
+	for _, bufs := range s.bufs {
+		for p, buf := range bufs {
+			if err := s.flush(buf, p); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
 
 // spillPair is one (build, probe) partition pair awaiting its join, with
 // the hash level its files were routed at.
@@ -191,113 +241,50 @@ type activePair struct {
 	sweepAt int
 }
 
-// graceProbeWorker is one probe worker's private grace state: route
-// buffers while writing, then a stack of partition pairs (repartitioning
-// pushes sub-pairs) and the pair currently streaming.
-type graceProbeWorker struct {
-	g        *graceHashJoin
-	bufs     []*RowSet
-	scr      probeScratch // per-worker probe scratch for the drain
-	in       RowSet       // reused header over the spill reader's chunk buffers
-	done     bool         // this worker finished writing (markDone sent)
-	draining bool
-	stack    []spillPair
-	act      *activePair
+// drainOp is the source of the stage after a route stage: one worker's
+// drain of the spilled join's partition pairs. It keeps a stack of pairs
+// (repartitioning pushes sub-pairs) and the pair it is streaming. The
+// drain is a streaming state machine — one probe chunk of the active pair
+// is joined and emitted per call, so the only drain-side memory is the
+// active pair's build table (broker-accounted) plus one chunk; a pair's
+// join output is never buffered whole. The probe reads each chunk in
+// place: the spill reader's buffers hold the probe row set's columns in
+// its order, because the route sink wrote them from it, and they stay
+// unchanged until the reader's next chunk.
+type drainOp struct {
+	sh    *probeShared
+	g     *graceHashJoin
+	scr   probeScratch // per-worker probe scratch
+	in    RowSet       // reused header over the spill reader's chunk buffers
+	stack []spillPair
+	act   *activePair
 }
 
-func newGraceProbeWorker(g *graceHashJoin) *graceProbeWorker {
-	return &graceProbeWorker{g: g, bufs: make([]*RowSet, g.nparts), in: RowSet{rels: g.probeRels}}
+func (o *drainOp) Open() error {
+	o.in.rels = o.g.probeRels
+	return nil
 }
 
-// closeActive releases the streaming pair's read handle; called from
-// Close so an erroring or cancelled worker leaks no descriptor (the file
-// itself is removed by the run's spill-dir cleanup, the reservation by
-// the query account's close).
-func (w *graceProbeWorker) closeActive() {
-	if w.act != nil {
-		w.g.probeRec.addBytesRead(w.act.r.BytesRead())
-		w.act.r.Close()
-		w.act = nil
-	}
-}
-
-// finishWriting retires this worker from the writer barrier. Idempotent;
-// also called from Close so an erroring worker cannot stall the barrier.
-func (w *graceProbeWorker) finishWriting() {
-	if !w.done {
-		w.done = true
-		w.g.markDone()
-	}
-}
-
-// route buffers one input batch into the per-partition buffers, flushing
-// any buffer that fills.
-func (w *graceProbeWorker) route(in *RowSet) error {
-	g := w.g
-	ids := in.Col(g.probeKeyRel)
-	for i := range ids {
-		key := g.probeKeyVals[ids[i]]
-		p := int(spillHash(key, 0) % uint64(g.nparts))
-		buf := w.bufs[p]
-		if buf == nil {
-			buf = NewRowSetCap(g.probeRels, graceProbeBufRows)
-			w.bufs[p] = buf
-		}
-		for c := range buf.cols {
-			buf.cols[c] = append(buf.cols[c], in.cols[c][i])
-		}
-		if buf.Len() >= graceProbeBufRows {
-			if err := w.flush(p); err != nil {
-				return err
-			}
-		}
+// Close releases the streaming pair's read handle, so an erroring or
+// cancelled worker leaks no descriptor (the file itself is removed by the
+// run's spill-dir cleanup, the reservation by the query account's close).
+func (o *drainOp) Close() error {
+	if o.act != nil {
+		o.g.probeRec.addBytesRead(o.act.r.BytesRead())
+		o.act.r.Close()
+		o.act = nil
 	}
 	return nil
 }
 
-func (w *graceProbeWorker) flush(p int) error {
-	buf := w.bufs[p]
-	if buf == nil || buf.Len() == 0 {
-		return nil
-	}
-	if err := w.g.probe[p].AppendChunk(buf.cols); err != nil {
-		return err
-	}
-	w.g.probeRec.addBytes(int64(4 + 4*buf.Len()*len(buf.cols)))
-	for c := range buf.cols {
-		buf.cols[c] = buf.cols[c][:0]
-	}
-	return nil
-}
-
-func (w *graceProbeWorker) flushAll() error {
-	for p := range w.bufs {
-		if err := w.flush(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// graceNext is probeOp.NextBatch in grace mode: route the child's stream
-// to the probe partitions, pass the writer barrier, then drain partition
-// pairs. The drain is a streaming state machine — one probe chunk of the
-// active pair is joined and emitted per call, so the only drain-side
-// memory is the active pair's build table (broker-accounted) plus one
-// chunk; a pair's join output is never buffered whole. The probe reads
-// each chunk in place: the spill reader's buffers hold the probe row set's
-// columns in its order, because the router wrote them from it, and they
-// stay unchanged until the reader's next chunk.
-func (o *probeOp) graceNext() (*RowSet, error) {
-	w := o.gw
-	g := w.g
-	sh := o.sh
+func (o *drainOp) NextBatch() (*RowSet, error) {
+	g, sh := o.g, o.sh
 	for {
 		if g.ex.stop.Load() {
-			w.closeActive()
+			o.Close()
 			return nil, nil
 		}
-		if act := w.act; act != nil {
+		if act := o.act; act != nil {
 			start := time.Now()
 			var out *RowSet
 			switch {
@@ -314,77 +301,42 @@ func (o *probeOp) graceNext() (*RowSet, error) {
 					}
 					continue
 				}
-				w.in.cols = cols
-				out = sh.probeBatch(act.ht, &w.in, &w.scr, act.marks)
+				o.in.cols = cols
+				out = sh.probeBatch(act.ht, &o.in, &o.scr, act.marks)
 			case act.sweepAt < act.ht.inner.Len():
-				out, act.sweepAt = sh.sweepBatch(act.ht, act.marks, act.sweepAt, &w.scr)
+				out, act.sweepAt = sh.sweepBatch(act.ht, act.marks, act.sweepAt, &o.scr)
 			default:
-				w.closeActive()
+				o.Close()
 				act.probe.Remove()
 				g.res.Release(act.est)
 				continue
 			}
-			// Probe rows were already counted as RowsIn while routing;
-			// the drain only adds output rows.
 			sh.stats.observe(0, out.Len(), time.Since(start))
 			if out.Len() > 0 {
 				return out, nil
 			}
 			continue
 		}
-		if len(w.stack) > 0 {
-			p := w.stack[len(w.stack)-1]
-			w.stack = w.stack[:len(w.stack)-1]
-			if err := g.startPair(p, w); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if w.draining {
+		if len(o.stack) == 0 {
 			p := g.cursor.Add(1) - 1
 			if p >= int64(g.nparts) {
 				return nil, nil
 			}
-			w.stack = append(w.stack, spillPair{build: g.build[p], probe: g.probe[p]})
-			continue
+			o.stack = append(o.stack, spillPair{build: g.build[p], probe: g.probe[p]})
 		}
-		in, err := o.child.NextBatch()
-		if err != nil {
+		p := o.stack[len(o.stack)-1]
+		o.stack = o.stack[:len(o.stack)-1]
+		if err := g.startPair(p, o); err != nil {
 			return nil, err
 		}
-		if in == nil {
-			if err := w.flushAll(); err != nil {
-				return nil, err
-			}
-			w.finishWriting()
-			// Yield the global worker slot across the barrier so waiting
-			// here can never starve the workers it is waiting for. A
-			// canceled run may fail to re-acquire: the worker then exits
-			// via errSlotLost, holding no slot.
-			g.ex.yieldSlot()
-			ok := g.waitWriters()
-			if !g.ex.acquireSlot() {
-				return nil, errSlotLost
-			}
-			if !ok {
-				return nil, nil // run cancelled while waiting
-			}
-			w.draining = true
-			continue
-		}
-		start := time.Now()
-		if err := w.route(in); err != nil {
-			return nil, err
-		}
-		sh.stats.observe(in.Len(), 0, time.Since(start))
 	}
 }
 
 // startPair opens one (build, probe) pair for streaming: skip it when it
 // cannot produce output, repartition it (pushing sub-pairs on the
-// worker's stack) when its grant is denied and splitting can help, or
+// drain's stack) when its grant is denied and splitting can help, or
 // load the build table and hand the probe file to the chunk streamer.
-func (g *graceHashJoin) startPair(p spillPair, w *graceProbeWorker) error {
+func (g *graceHashJoin) startPair(p spillPair, w *drainOp) error {
 	bRows, pRows := int(p.build.Rows()), int(p.probe.Rows())
 	jt := g.j.JoinType
 	preserved, unit := pRows, bRows
@@ -451,8 +403,8 @@ func (g *graceHashJoin) startPair(p spillPair, w *graceProbeWorker) error {
 }
 
 // repartition streams both files of a too-big pair into graceSubParts
-// sub-pairs hashed at the next level, pushed onto the worker's stack.
-func (g *graceHashJoin) repartition(p spillPair, w *graceProbeWorker) error {
+// sub-pairs hashed at the next level, pushed onto the drain's stack.
+func (g *graceHashJoin) repartition(p spillPair, w *drainOp) error {
 	bw, pw, level := p.build, p.probe, p.level
 	g.probeRec.bumpDepth(level + 1)
 	d, err := g.ex.spillFiles()

@@ -281,7 +281,7 @@ func BenchmarkJoinSides(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sh, err := f.ex.newProbeShared(f.j, ht, nil, query.NewRelSet(joinSidesProbeRel), &opStats{}, 1, nil)
+			sh, err := f.ex.newProbeShared(f.j, ht, query.NewRelSet(joinSidesProbeRel), &opStats{}, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -306,7 +306,7 @@ func BenchmarkJoinSides(b *testing.B) {
 			}
 			j := *f.j
 			j.JoinType, j.BuildPreserved = jt, true
-			sh, err := f.ex.newProbeShared(&j, ht, nil, query.NewRelSet(joinSidesProbeRel), &opStats{}, 1, nil)
+			sh, err := f.ex.newProbeShared(&j, ht, query.NewRelSet(joinSidesProbeRel), &opStats{}, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -22,10 +22,10 @@ const DefaultMorselSize = 1024
 //
 // Ownership: a returned row set and its columns belong to the producer
 // until the next NextBatch call on the same operator, which may overwrite
-// them — a scan hands out its selection vector, a probe its output
-// scratch, a grace drain the spill reader's buffers. A consumer that keeps
-// rows past that call copies them (the sinks append into their parts, the
-// grace router into its partition buffers), so no batch escapes its worker.
+// them — a scan hands out its selection vector, a probe or a grace drain
+// its output scratch. A consumer that keeps rows past that call copies
+// them (the sinks append into their parts, the grace route sink into its
+// partition buffers), so no batch escapes its worker.
 type PhysicalOperator interface {
 	// Open prepares per-worker state before the first NextBatch.
 	Open() error

@@ -45,7 +45,6 @@ type scanSource struct {
 	// draining the table.
 	stop *atomic.Bool
 
-	morsels         atomic.Int64
 	predIn, predOut []atomic.Int64 // one pair per kernel, compile order
 }
 
@@ -82,11 +81,12 @@ func (src *scanSource) flushBloomStats() {
 }
 
 // runtime snapshots the scan's execution counters; called after the
-// pipeline's workers folded their locals at Close.
+// pipeline's workers folded their locals at Close. The scan observes one
+// batch per morsel it claims, so its batch count is the morsel count.
 func (src *scanSource) runtime() ScanRuntime {
 	rt := ScanRuntime{
 		Rel: src.s.Rel, Alias: src.s.Alias,
-		Morsels: src.morsels.Load(),
+		Morsels: src.stats.batches.Load(),
 	}
 	for i, k := range src.kernels {
 		rt.Preds = append(rt.Preds, PredRuntime{
@@ -110,9 +110,8 @@ type scanOp struct {
 	hs    []uint64 // combined-key hashes of a two-column filter's test
 	out   *RowSet  // one column, the surviving prefix of sel
 
-	localTested  []int64
-	localPassed  []int64
-	localMorsels int64
+	localTested []int64
+	localPassed []int64
 }
 
 func (o *scanOp) Open() error {
@@ -137,7 +136,6 @@ func (o *scanOp) Close() error {
 		b.tested.Add(o.localTested[k])
 		b.passed.Add(o.localPassed[k])
 	}
-	src.morsels.Add(o.localMorsels)
 	for i, c := range o.chain.Counts() {
 		src.predIn[i].Add(c.In)
 		src.predOut[i].Add(c.Out)
@@ -169,7 +167,6 @@ func (o *scanOp) NextBatch() (*RowSet, error) {
 			hi = src.n
 		}
 		start := time.Now()
-		o.localMorsels++
 		sel := o.chain.EvalRange(lo, o.sel[:hi-lo])
 		for k, b := range src.bfs {
 			if len(sel) == 0 {
@@ -213,7 +210,7 @@ type hashTable struct {
 // buildMarks is a mirrored join's match bitmap, one bit per build row. Each
 // probe worker sets bits in a bitmap of its own, so the probe loop needs no
 // atomics; the bitmaps meet once, when a worker retires (probeShared.retire)
-// — or never, in grace mode, where a partition pair belongs to one worker.
+// — or never, in a grace drain, where a partition pair belongs to one worker.
 type buildMarks []uint64
 
 func newBuildMarks(rows int) buildMarks { return make(buildMarks, (rows+63)/64) }
@@ -271,13 +268,12 @@ func buildHashTable(ex *executor, j *plan.Join, inner *RowSet) (*hashTable, erro
 	return ht, nil
 }
 
-// probeShared is the per-pipeline state of one hash-probe operator. In
-// grace mode (the build side spilled) ht is nil and grace carries the
-// partition state instead.
+// probeShared is the per-pipeline state of one hash-probe operator. When
+// the build side spilled, ht is nil: the pipeline's route sink and drain
+// use the rest, and each drained pair brings its own table.
 type probeShared struct {
 	j       *plan.Join
 	ht      *hashTable
-	grace   *graceHashJoin
 	outRels query.RelSet
 	wiring  *colWiring
 	// outerVals[e] maps a base-table row id of the outer key relation to
@@ -295,8 +291,8 @@ type probeShared struct {
 	marks   buildMarks
 }
 
-func (ex *executor) newProbeShared(j *plan.Join, ht *hashTable, g *graceHashJoin,
-	inRels query.RelSet, stats *opStats, workers int, rec *spillCounters) (*probeShared, error) {
+func (ex *executor) newProbeShared(j *plan.Join, ht *hashTable,
+	inRels query.RelSet, stats *opStats, workers int) (*probeShared, error) {
 	sh := &probeShared{
 		j: j, ht: ht,
 		outRels: inRels.Union(j.Inner.Rels()),
@@ -311,12 +307,7 @@ func (ex *executor) newProbeShared(j *plan.Join, ht *hashTable, g *graceHashJoin
 		sh.outerVals = append(sh.outerVals, col.Ints)
 		sh.outerRels = append(sh.outerRels, c.OuterRel)
 	}
-	if g != nil {
-		if err := g.initProbe(inRels, sh.outerRels[0], sh.outerVals[0], workers, rec, ex.memq.Reserve()); err != nil {
-			return nil, err
-		}
-		sh.grace = g
-	} else if j.BuildPreserved {
+	if ht != nil && j.BuildPreserved {
 		sh.probing.Store(int32(workers))
 		sh.marks = newBuildMarks(ht.inner.Len())
 		// One bitmap per worker plus their union: they must stay resident.
@@ -369,14 +360,12 @@ func (scr *probeScratch) ensureOut(rels query.RelSet, n int) *RowSet {
 	return rs
 }
 
-// probeOp streams batches from child through the hash table (or, in grace
-// mode, through the partition files — see graceNext).
+// probeOp streams batches from child through the hash table.
 type probeOp struct {
 	sh    *probeShared
 	ex    *executor
 	child PhysicalOperator
 	scr   probeScratch
-	gw    *graceProbeWorker
 
 	// Mirrored join, in-memory table: this worker's marks (nil once it has
 	// retired them) and — for the one worker that sweeps — the next build
@@ -387,27 +376,16 @@ type probeOp struct {
 
 func (o *probeOp) Open() error {
 	o.sweepAt = -1
-	if o.sh.grace != nil {
-		o.gw = newGraceProbeWorker(o.sh.grace)
-	} else if o.sh.j.BuildPreserved {
+	if o.sh.j.BuildPreserved {
 		o.marks = newBuildMarks(o.sh.ht.inner.Len())
 	}
 	return o.child.Open()
 }
 
-func (o *probeOp) Close() error {
-	if o.gw != nil {
-		// An erroring or cancelled worker must still retire from the
-		// writer barrier, or sibling workers would wait forever — and
-		// must release its streaming pair's read handle.
-		o.gw.finishWriting()
-		o.gw.closeActive()
-	}
-	return o.child.Close()
-}
+func (o *probeOp) Close() error { return o.child.Close() }
 
 // matchIn verifies the extra (non-hash) conditions for one candidate pair
-// against the given hash table (grace mode probes per-partition tables,
+// against the given hash table (a grace drain probes per-partition tables,
 // so the table is a parameter rather than sh.ht).
 func (sh *probeShared) matchIn(ht *hashTable, outerIDs [][]int32, oi int, ii int32) bool {
 	for e := 1; e < len(sh.outerVals); e++ {
@@ -638,9 +616,6 @@ func (sh *probeShared) sweepBatch(ht *hashTable, marks buildMarks, at int, scr *
 }
 
 func (o *probeOp) NextBatch() (*RowSet, error) {
-	if o.gw != nil {
-		return o.graceNext()
-	}
 	sh := o.sh
 	for {
 		// Morsel-boundary stop discipline, as in the scan sources: a highly

@@ -28,19 +28,20 @@ import (
 // finish runs once, serially, on the pipeline's goroutine after its workers
 // have joined. Forking the finish phases across DOP goroutines measured no
 // faster on the benchmark workloads, so there is one finish path.
+//
+// A probe whose build spilled splits its pipeline into stages that run one
+// after another: the stage up to the join ends in the grace join's route
+// sink, and the next starts from its drain (grace.go). Each stage launches
+// its own workers, and the pipeline goroutine, which holds no slot, waits
+// for one stage's workers before it starts the next. So every worker holds
+// one slot from its first batch to its last and never waits on another.
 
 // errCanceled marks a pipeline that wound down because another pipeline's
 // failure set the run-wide stop flag; it is never surfaced to callers.
 var errCanceled = errors.New("exec: run canceled by concurrent pipeline failure")
 
-// errSlotLost marks a worker whose yielded slot could not be re-acquired
-// because the run was canceled while it waited; the worker exits holding
-// no slot and the error is never surfaced (stop is already set and the
-// first real error recorded).
-var errSlotLost = errors.New("exec: worker slot lost to run cancellation")
-
 // fail records the run's first real error, cancels every morsel source,
-// and wakes workers blocked on slot acquisition or spill barriers.
+// and wakes workers blocked on slot acquisition.
 func (ex *executor) fail(err error) {
 	ex.smu.Lock()
 	if ex.firstErr == nil {
@@ -58,16 +59,30 @@ func (ex *executor) runErr() error {
 	return ex.firstErr
 }
 
-// sink consumes a pipeline's output batches. consume is called
+// sink consumes a stage's output batches. consume is called
 // concurrently by workers (disjoint worker indices) and must finish with
 // the batch before returning: the row set belongs to the operator that
 // produced it (see PhysicalOperator), so a sink copies every row it keeps.
-// finish runs once after all workers complete; phases reports the
-// breaker's measured finish-phase wall times after finish.
+// finish runs once after all workers complete.
 type sink interface {
 	consume(worker int, b *RowSet)
 	finish() error
+}
+
+// breaker is the sink that ends a pipeline; phases reports its measured
+// finish-phase wall times after finish.
+type breaker interface {
+	sink
 	phases() BreakerPhases
+}
+
+// stage is what one launch of a pipeline's workers runs: each worker's
+// source operator — a scan, or the drain of a spilled join — the in-memory
+// probes fused behind it, and the sink they feed.
+type stage struct {
+	source func() PhysicalOperator
+	probes []*probeShared
+	snk    sink
 }
 
 // partsSink accumulates per-worker row sets, merged on demand. It backs
@@ -396,46 +411,50 @@ func (ex *executor) runDAG(pipes []*plan.Pipeline) error {
 // runPipeline schedules one pipeline across DOP workers pulling morsels
 // from the shared source, then finalizes its sink and records actuals.
 // Each worker holds one global budget slot while it runs, so concurrently
-// scheduled pipelines share DOP workers instead of multiplying them.
+// scheduled pipelines share DOP workers instead of multiplying them. A
+// pipeline with a spilled join runs its stages in turn, each with DOP
+// fresh workers; a route sink's flush runs here, between them.
 func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 	start := time.Now()
 	workers := ex.dop
+	pstats := ex.pipeStats[pl.ID]
 
-	var pstats []*opStats
-	reg := func(label string, n plan.Node) *opStats {
-		st := &opStats{label: label, node: n}
-		pstats = append(pstats, st)
-		return st
-	}
-
-	// Per-pipeline spill counters, shared by the sink and any grace-mode
-	// probe operators, snapshotted into the pipeline's stat at the end.
+	// Per-pipeline spill counters, shared by the sink and any spilled
+	// join's route sink and drain, snapshotted into the pipeline's stat.
 	rec := &spillCounters{}
 
 	// Shared source state.
-	s := pl.Source
-	srcStats := reg(fmt.Sprintf("Scan %s", s.Alias), s)
-	src, err := ex.newScanSource(s, srcStats)
+	src, err := ex.newScanSource(pl.Source, pstats[0])
 	if err != nil {
 		return err
 	}
+	cur := &stage{source: func() PhysicalOperator { return &scanOp{src: src} }}
+	stages := []*stage{cur}
 
 	// Shared probe state, in stream order: each op probes the hash table its
-	// build pipeline published, or the grace partitions it spilled to.
-	var probes []*probeShared
-	inRels := s.Rels()
-	for _, j := range pl.Ops {
+	// build pipeline published, or ends the stage at the grace partitions
+	// it spilled to.
+	inRels := pl.Source.Rels()
+	for i, j := range pl.Ops {
 		ex.smu.Lock()
 		ht, g := ex.builds[j], ex.graces[j]
 		ex.smu.Unlock()
 		if ht == nil && g == nil {
 			return fmt.Errorf("exec: build side of HashJoin(%s) was never built (plan bug)", j.Kind())
 		}
-		sh, err := ex.newProbeShared(j, ht, g, inRels, reg(fmt.Sprintf("HashJoin(%s) probe", j.Kind()), j), workers, rec)
+		sh, err := ex.newProbeShared(j, ht, inRels, pstats[i+1], workers)
 		if err != nil {
 			return err
 		}
-		probes = append(probes, sh)
+		if g == nil {
+			cur.probes = append(cur.probes, sh)
+		} else {
+			if cur.snk, err = g.newRouteSink(sh, inRels, workers, rec, ex.memq.Reserve()); err != nil {
+				return err
+			}
+			cur = &stage{source: func() PhysicalOperator { return &drainOp{sh: sh, g: g} }}
+			stages = append(stages, cur)
+		}
 		inRels = sh.outRels
 	}
 
@@ -443,10 +462,10 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 	if err != nil {
 		return err
 	}
+	cur.snk = snk
 
 	// Live-inspector cell for this pipeline (nil when the run is not
-	// registered). Workers fold morsel counts and row totals into it at
-	// batch boundaries — never per row, never allocating.
+	// registered); it reads the operator counters above.
 	var lp *obs.PipeProgress
 	if ex.live != nil {
 		if lp = ex.live.Pipeline(pl.ID); lp != nil {
@@ -458,36 +477,43 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 	labels := pprof.Labels("query", ex.queryTag,
 		"fingerprint", ex.fpHex, "pipeline", fmt.Sprintf("P%d", pl.ID))
 
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Per-worker recover shim: one poisoned worker (an operator
-			// invariant panic, an injected exec.panic fault) fails only its
-			// query — the error lands in errs[w], ex.fail stops sibling
-			// workers at the next morsel, and the workerLoop's own defers
-			// have already released the slot and closed the operator chain
-			// during unwind.
-			defer func() {
-				if v := recover(); v != nil {
-					perr := ex.panicErr(v, fmt.Sprintf("pipeline P%d worker %d", pl.ID, w))
-					errs[w] = perr
-					ex.fail(perr)
-				}
-			}()
-			pprof.Do(ex.pctx, labels, func(context.Context) { ex.workerLoop(pl, w, src, probes, snk, lp, errs) })
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	for _, st := range stages {
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				// Per-worker recover shim: one poisoned worker (an operator
+				// invariant panic, an injected exec.panic fault) fails only
+				// its query — the error lands in errs[w], ex.fail stops
+				// sibling workers at the next morsel, and the workerLoop's
+				// own defers have already released the slot and closed the
+				// operator chain during unwind.
+				defer func() {
+					if v := recover(); v != nil {
+						perr := ex.panicErr(v, fmt.Sprintf("pipeline P%d worker %d", pl.ID, w))
+						errs[w] = perr
+						ex.fail(perr)
+					}
+				}()
+				pprof.Do(ex.pctx, labels, func(context.Context) { ex.workerLoop(pl, w, st, errs) })
+			}(w)
 		}
-	}
-	if ex.stop.Load() {
-		return errCanceled
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		if ex.stop.Load() {
+			return errCanceled
+		}
+		if st != cur {
+			if err := st.snk.finish(); err != nil {
+				return err
+			}
+		}
 	}
 	src.flushBloomStats()
 	rt := src.runtime()
@@ -506,18 +532,15 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 	// Per-node actuals: every plan node appears in exactly one pipeline
 	// position (scans as sources, joins as ops), so each is recorded exactly
 	// once.
-	ex.record(s, int(srcStats.rowsOut.Load()))
-	last := srcStats
-	for _, sh := range probes {
-		ex.record(sh.j, int(sh.stats.rowsOut.Load()))
-		last = sh.stats
+	for _, st := range pstats {
+		ex.record(st.node, int(st.rowsOut.Load()))
 	}
 	ps := PipelineStat{
 		ID:         pl.ID,
 		Label:      pl.Describe(),
 		Workers:    workers,
 		Wall:       time.Since(start),
-		Rows:       last.rowsOut.Load(),
+		Rows:       pstats[len(pstats)-1].rowsOut.Load(),
 		FinishWall: finishWall,
 		Phases:     snk.phases(),
 		Spill:      rec.snapshot(),
@@ -539,36 +562,27 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 		}
 	}
 	ex.smu.Lock()
-	ex.pipeStats[pl.ID] = pstats
 	ex.pipes = append(ex.pipes, ps)
 	ex.smu.Unlock()
 	return nil
 }
 
-// workerLoop is one pipeline worker's life: lease a global slot, build
-// the private operator chain, pull batches until end of stream or the
-// run-wide stop, and fold live progress into the inspector cell at each
-// morsel boundary. It runs under the worker's pprof labels
+// workerLoop is one stage worker's life: lease a global slot, build the
+// private operator chain, and pull batches into the stage's sink until end
+// of stream or the run-wide stop. It runs under the worker's pprof labels
 // (query/fingerprint/pipeline), so CPU samples attribute to the query.
-func (ex *executor) workerLoop(pl *plan.Pipeline, w int,
-	src *scanSource, probes []*probeShared,
-	snk sink, lp *obs.PipeProgress, errs []error) {
+func (ex *executor) workerLoop(pl *plan.Pipeline, w int, st *stage, errs []error) {
 	// Acquire one global worker slot — leased from the process-wide
-	// scheduler, so concurrently admitted queries cap their total
-	// running workers at the pool capacity, not at DOP each. The worker
-	// holds it until its last morsel. A false acquire means the run was
-	// canceled while queued.
-	holding := ex.acquireSlot()
-	if !holding {
+	// scheduler, so concurrently admitted queries cap their total running
+	// workers at the pool capacity, not at DOP each. The worker holds it
+	// until it exits. A false acquire means the run was canceled while
+	// queued.
+	if !ex.ticket.Acquire(ex.stopCh) {
 		return
 	}
-	defer func() {
-		if holding {
-			ex.yieldSlot()
-		}
-	}()
-	var op PhysicalOperator = &scanOp{src: src}
-	for _, sh := range probes {
+	defer ex.ticket.Release()
+	op := st.source()
+	for _, sh := range st.probes {
 		op = &probeOp{sh: sh, ex: ex, child: op}
 	}
 	if ex.injectOp != nil {
@@ -609,33 +623,36 @@ func (ex *executor) workerLoop(pl *plan.Pipeline, w int,
 		}
 		b, err := op.NextBatch()
 		if err != nil {
-			if err == errSlotLost {
-				// The grace barrier yielded the slot and the run was
-				// canceled before it could be re-acquired.
-				holding = false
-				return
-			}
 			fail(err)
 			return
 		}
 		if b == nil {
 			return
 		}
-		snk.consume(w, b)
-		if lp != nil {
-			// Morsel-boundary progress fold: this batch's emitted rows plus
-			// the source's cumulative scanned total — two atomic adds and a
-			// max-publish per morsel, nothing per row, no allocation.
-			lp.Fold(int64(b.Len()), src.stats.rowsIn.Load())
-		}
+		st.snk.consume(w, b)
 	}
+}
+
+// newPipeStats registers every pipeline's operator counters before any
+// pipeline runs, in stream order: the source scan, then each probe. The
+// live inspector reads them while the pipeline runs.
+func newPipeStats(pipes []*plan.Pipeline) map[int][]*opStats {
+	m := make(map[int][]*opStats, len(pipes))
+	for _, pl := range pipes {
+		st := []*opStats{{label: fmt.Sprintf("Scan %s", pl.Source.Alias), node: pl.Source}}
+		for _, j := range pl.Ops {
+			st = append(st, &opStats{label: fmt.Sprintf("HashJoin(%s) probe", j.Kind()), node: j})
+		}
+		m[pl.ID] = st
+	}
+	return m
 }
 
 // newSink builds the pipeline's sink for its breaker kind. The hash build,
 // the one breaker that spills, gets a memory reservation it checks before
 // growing state; the result sink force-accounts its bytes: the query's
 // output is accounted and never denied.
-func (ex *executor) newSink(pl *plan.Pipeline, rels query.RelSet, workers int, rec *spillCounters) (sink, error) {
+func (ex *executor) newSink(pl *plan.Pipeline, rels query.RelSet, workers int, rec *spillCounters) (breaker, error) {
 	base := newPartsSink(rels, workers)
 	res := ex.memq.Reserve()
 	switch pl.Sink {

@@ -5,9 +5,13 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"bfcbo/internal/cost"
+	"bfcbo/internal/mem"
+	"bfcbo/internal/obs"
 	"bfcbo/internal/optimizer"
+	"bfcbo/internal/plan"
 	"bfcbo/internal/query"
 	"bfcbo/internal/tpch"
 )
@@ -169,4 +173,91 @@ func TestConcatSkipsNilParts(t *testing.T) {
 	if got := concat(rels, []*RowSet{nil, nil}); got.rels != rels || got.Len() != 0 || len(got.cols) != rels.Count() {
 		t.Fatalf("concat of nil parts: %d rows over %s, want an empty set over %s", got.Len(), got.rels, rels)
 	}
+}
+
+// TestLiveProgressCountsMorsels: the live view reads each pipeline's scan
+// counters, so a finished pipeline shows every morsel of its scan claimed
+// and every source row scanned — also the morsels its predicates, filters
+// or probes emptied, and whether or not its join spilled. The result
+// pipeline is held at its first batch while the snapshot is taken, so
+// every other pipeline has finished by then.
+func TestLiveProgressCountsMorsels(t *testing.T) {
+	ds := equivalenceDataset(t)
+	opts := optimizer.DefaultOptions(0.01)
+	opts.Mode = optimizer.BFCBO
+	for _, num := range []int{8, 16, 17} {
+		q, _ := tpch.Get(num)
+		block := q.Build(ds.Schema)
+		res, err := optimizer.Optimize(block, opts)
+		if err != nil {
+			t.Fatalf("Q%d: optimize: %v", num, err)
+		}
+		pipes, err := plan.Decompose(res.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range []int64{0, tinyBudget} {
+			name := fmt.Sprintf("Q%d budget %d", num, budget)
+			in := obs.NewInspector()
+			gate := make(chan struct{})
+			ropts := Options{DOP: 2, Broker: mem.NewBroker(budget), SpillDir: t.TempDir(), Inspector: in}
+			ropts.injectOp = func(pl *plan.Pipeline, _ int, op PhysicalOperator) PhysicalOperator {
+				if pl.Sink == plan.SinkResult {
+					return &stallOp{child: op, gate: gate}
+				}
+				return op
+			}
+			type outcome struct {
+				r   *Result
+				err error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				r, err := Run(ds.DB, block, res.Plan, ropts)
+				done <- outcome{r, err}
+			}()
+			snap := stalledSnapshot(t, in, pipes[len(pipes)-1].ID)
+			close(gate)
+			out := <-done
+			if out.err != nil {
+				t.Fatalf("%s: %v", name, out.err)
+			}
+			for _, pl := range pipes {
+				ps := snap.Pipelines[pl.ID]
+				if pl.Sink == plan.SinkResult {
+					continue
+				}
+				if ps.State != "done" {
+					t.Fatalf("%s: P%d is %s while the result pipeline runs", name, pl.ID, ps.State)
+				}
+				tbl, err := ds.DB.Table(block.Relations[pl.Source.Rel].Table.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows := int64(tbl.NumRows())
+				if ps.MorselsDone != ps.MorselsPlanned || ps.RowsScanned != rows {
+					t.Errorf("%s: done P%d shows %d of %d morsels and %d of %d rows scanned",
+						name, pl.ID, ps.MorselsDone, ps.MorselsPlanned, ps.RowsScanned, rows)
+				}
+				if want := out.r.Pipelines[pl.ID].Rows; ps.RowsEmitted != want {
+					t.Errorf("%s: done P%d shows %d rows emitted, its sink took %d", name, pl.ID, ps.RowsEmitted, want)
+				}
+			}
+		}
+	}
+}
+
+// stalledSnapshot polls the inspector until its one query's pipeline
+// result is running, and returns that snapshot.
+func stalledSnapshot(t *testing.T, in *obs.Inspector, result int) obs.LiveSnapshot {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if snaps := in.Snapshot(); len(snaps) == 1 && snaps[0].Pipelines[result].State == "running" {
+			return snaps[0]
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatal("the result pipeline never started")
+	return obs.LiveSnapshot{}
 }

@@ -14,7 +14,7 @@ import (
 // probe and the grace drain all hand out memory they overwrite on that
 // call. poisonOp makes the overwrite unconditional: when its consumer asks
 // for the next batch, it first sets every row id of the batch it handed
-// out before to -1. A sink, grace router or probe that kept a batch past
+// out before to -1. A sink, route sink or probe that kept a batch past
 // the next call then returns wrong tuples or fails.
 
 // poisonOp passes its child's batches through, poisoning each one as the

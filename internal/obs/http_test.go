@@ -17,7 +17,7 @@ func TestHandlerLiveWorkloadKill(t *testing.T) {
 	ws := NewWorkloadStore(0)
 	killed := 0
 	lq := NewLiveQuery(5, "q12", hex16(0xbeef), "BF-CBO")
-	lq.AddPipeline(0, "scan lineitem", 4, 1024, 4096)
+	lq.AddPipeline(0, "scan lineitem", 4, new(counter).read)
 	lq.OnKill(func() { killed++ })
 	in.Register(lq)
 	ws.Observe(WorkloadObservation{Fingerprint: 0xbeef, Label: "q12", Latency: time.Millisecond})

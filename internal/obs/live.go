@@ -12,12 +12,10 @@ import (
 
 // Live in-flight query inspector: the consumer-facing view of queries
 // *while they run*, as opposed to the flight recorder's view of queries
-// after they finish. The executor registers a LiveQuery per admitted run
-// and folds per-pipeline progress — morsels completed, rows scanned and
-// emitted — at morsel boundaries only: two atomic adds and one
-// max-publish per morsel, no per-row work, no allocation (the same
-// per-worker-locals discipline as the rest of the hot path; see the
-// package comment). Everything derived — completion fractions, phase
+// after they finish. The executor registers a LiveQuery per admitted run,
+// with a read function per pipeline over the counters its operators keep
+// anyway — morsels claimed, rows scanned and emitted — so the workers do
+// no extra work for it. Everything derived — completion fractions, phase
 // strings, JSON — is computed at snapshot time by the reader.
 //
 // ErrKilled is how an admin kill surfaces: Inspector.Kill routes into
@@ -32,9 +30,15 @@ const (
 	pipeDone
 )
 
-// PipeProgress is one pipeline's live progress cell. The executor folds
-// into it at morsel boundaries; snapshot readers only load. Planned
-// totals are fixed at registration, counters only grow, and state only
+// PipeCounts is one pipeline's progress as its operators count it: the
+// morsels its scan claimed, the rows those morsels held, and the rows the
+// pipeline's last operator emitted. Each only grows.
+type PipeCounts struct {
+	Morsels, RowsScanned, RowsEmitted int64
+}
+
+// PipeProgress is one pipeline's live progress cell. Planned totals are
+// fixed at registration, the counters read only grow, and state only
 // advances — so every derived fraction is monotone by construction.
 type PipeProgress struct {
 	// ID and Label identify the pipeline (plan.Pipeline.ID / Describe()).
@@ -43,31 +47,9 @@ type PipeProgress struct {
 	// MorselsPlanned is the number of morsels the shared cursor will hand
 	// out: every morsel of the scan is claimed.
 	MorselsPlanned int64
-	// MorselRows is the rows-per-morsel granularity, SourceRows the
-	// source's total row count (0 when only an estimate exists). Together
-	// they turn the morsel counter into a live rows-scanned reading.
-	MorselRows int64
-	SourceRows int64
 
-	morsels atomic.Int64
-	rowsIn  atomic.Int64 // max-published source rows scanned
-	rowsOut atomic.Int64 // rows delivered to the sink
-	state   atomic.Int32
-}
-
-// Fold records one completed morsel: the batch's emitted rows and the
-// source's cumulative scanned-rows reading (published as a running max,
-// since workers fold out of order). Allocation-free; called once per
-// morsel, never per row.
-func (p *PipeProgress) Fold(rowsOut, rowsScannedTotal int64) {
-	p.morsels.Add(1)
-	p.rowsOut.Add(rowsOut)
-	for {
-		cur := p.rowsIn.Load()
-		if rowsScannedTotal <= cur || p.rowsIn.CompareAndSwap(cur, rowsScannedTotal) {
-			return
-		}
-	}
+	read  func() PipeCounts
+	state atomic.Int32
 }
 
 // Running marks the pipeline launched; Done marks its sink finished.
@@ -77,14 +59,14 @@ func (p *PipeProgress) Done()    { p.state.Store(pipeDone) }
 // fraction is the pipeline's completion estimate in [0,1]: exact 1 once
 // the sink finished, otherwise morsel progress against the planned total,
 // capped below 1 while the sink's finish is still to run.
-func (p *PipeProgress) fraction() float64 {
+func (p *PipeProgress) fraction(morsels int64) float64 {
 	if p.state.Load() == pipeDone {
 		return 1
 	}
 	if p.MorselsPlanned <= 0 {
 		return 0
 	}
-	f := float64(p.morsels.Load()) / float64(p.MorselsPlanned)
+	f := float64(morsels) / float64(p.MorselsPlanned)
 	if f > 0.99 {
 		f = 0.99
 	}
@@ -127,21 +109,19 @@ func NewLiveQuery(id int64, label, fingerprint, mode string) *LiveQuery {
 	return &LiveQuery{ID: id, Label: label, Fingerprint: fingerprint, Mode: mode, Start: time.Now()}
 }
 
-// AddPipeline appends a progress cell. morselsPlanned/morselRows size the
-// completion estimate; sourceRows is the exact source total (0 = unknown,
-// estimates only).
-func (lq *LiveQuery) AddPipeline(id int, label string, morselsPlanned, morselRows, sourceRows int64) *PipeProgress {
+// AddPipeline appends a progress cell. morselsPlanned sizes the completion
+// estimate; read returns the pipeline's counters, at snapshot time.
+func (lq *LiveQuery) AddPipeline(id int, label string, morselsPlanned int64, read func() PipeCounts) *PipeProgress {
 	if morselsPlanned < 1 {
 		morselsPlanned = 1
 	}
-	p := &PipeProgress{ID: id, Label: label,
-		MorselsPlanned: morselsPlanned, MorselRows: morselRows, SourceRows: sourceRows}
+	p := &PipeProgress{ID: id, Label: label, MorselsPlanned: morselsPlanned, read: read}
 	lq.pipes = append(lq.pipes, p)
 	return p
 }
 
 // Pipeline returns the progress cell registered under pipeline id (nil
-// if unknown — callers treat a nil cell as "don't fold").
+// if unknown — callers treat a nil cell as "nothing to mark").
 func (lq *LiveQuery) Pipeline(id int) *PipeProgress {
 	for _, p := range lq.pipes {
 		if p.ID == id {
@@ -206,21 +186,12 @@ func (lq *LiveQuery) snapshot(now time.Time) LiveSnapshot {
 	var phase string
 	for _, p := range lq.pipes {
 		st := p.state.Load()
-		morsels := p.morsels.Load()
-		scanned := p.rowsIn.Load()
-		if est := morsels * p.MorselRows; est > scanned {
-			// The morsel counter leads the per-batch stats fold; a claimed
-			// morsel's rows have all been examined.
-			scanned = est
-		}
-		if p.SourceRows > 0 && scanned > p.SourceRows {
-			scanned = p.SourceRows
-		}
+		c := p.read()
 		ps := PipeSnapshot{
 			ID: p.ID, Label: p.Label,
-			MorselsPlanned: p.MorselsPlanned, MorselsDone: morsels,
-			RowsScanned: scanned, RowsEmitted: p.rowsOut.Load(),
-			Fraction: p.fraction(),
+			MorselsPlanned: p.MorselsPlanned, MorselsDone: c.Morsels,
+			RowsScanned: c.RowsScanned, RowsEmitted: c.RowsEmitted,
+			Fraction: p.fraction(c.Morsels),
 		}
 		switch st {
 		case pipeDone:

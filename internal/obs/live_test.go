@@ -8,31 +8,32 @@ import (
 	"time"
 )
 
-func TestPipeProgressFoldFraction(t *testing.T) {
+// counter is a test pipeline's progress counters, as a read function
+// hands them to AddPipeline.
+type counter struct{ PipeCounts }
+
+func (c *counter) read() PipeCounts { return c.PipeCounts }
+
+func TestPipeProgressFraction(t *testing.T) {
 	var lq LiveQuery
-	p := lq.AddPipeline(0, "scan", 4, 1024, 4000)
-	if got := p.fraction(); got != 0 {
+	var c counter
+	p := lq.AddPipeline(0, "scan", 4, c.read)
+	if got := p.fraction(c.Morsels); got != 0 {
 		t.Fatalf("fresh pipeline fraction = %v, want 0", got)
 	}
 	p.Running()
-	p.Fold(100, 1024)
-	p.Fold(50, 900) // out-of-order rows-scanned reading: max-publish keeps 1024
-	if got := p.rowsIn.Load(); got != 1024 {
-		t.Fatalf("rowsIn after out-of-order fold = %d, want 1024 (max-publish)", got)
-	}
-	if got := p.fraction(); got != 0.5 {
+	c.Morsels = 2
+	if got := p.fraction(c.Morsels); got != 0.5 {
 		t.Fatalf("fraction after 2/4 morsels = %v, want 0.5", got)
 	}
-	// The fraction stays below 1 until the sink finishes, even past the
+	// The fraction stays below 1 until the sink finishes, even at the
 	// planned total.
-	p.Fold(10, 4000)
-	p.Fold(10, 4000)
-	p.Fold(10, 4000)
-	if got := p.fraction(); got != 0.99 {
-		t.Fatalf("fraction past planned total = %v, want 0.99 cap", got)
+	c.Morsels = 4
+	if got := p.fraction(c.Morsels); got != 0.99 {
+		t.Fatalf("fraction at planned total = %v, want 0.99 cap", got)
 	}
 	p.Done()
-	if got := p.fraction(); got != 1 {
+	if got := p.fraction(c.Morsels); got != 1 {
 		t.Fatalf("fraction after Done = %v, want 1", got)
 	}
 }
@@ -43,8 +44,9 @@ func TestLiveSnapshotPhasesAndWeighting(t *testing.T) {
 	if got := lq.snapshot(now).Phase; got != "planning" {
 		t.Fatalf("no-pipeline phase = %q, want planning", got)
 	}
-	big := lq.AddPipeline(0, "scan lineitem", 9, 1024, 0)
-	small := lq.AddPipeline(1, "scan orders", 1, 1024, 1024)
+	var bigC, smallC counter
+	big := lq.AddPipeline(0, "scan lineitem", 9, bigC.read)
+	small := lq.AddPipeline(1, "scan orders", 1, smallC.read)
 	if got := lq.snapshot(now).Phase; got != "queued" {
 		t.Fatalf("all-pending phase = %q, want queued", got)
 	}
@@ -55,13 +57,15 @@ func TestLiveSnapshotPhasesAndWeighting(t *testing.T) {
 	}
 	// Weighted fraction: the 9-morsel pipeline at 3/9 dominates the
 	// untouched 1-morsel one — (9*(1/3) + 1*0) / 10.
-	big.Fold(0, 0)
-	big.Fold(0, 0)
-	big.Fold(0, 0)
+	bigC.PipeCounts = PipeCounts{Morsels: 3, RowsScanned: 3072, RowsEmitted: 17}
 	s = lq.snapshot(now)
 	want := (9.0 * (3.0 / 9.0)) / 10.0
 	if diff := s.Fraction - want; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("weighted fraction = %v, want %v", s.Fraction, want)
+	}
+	// The snapshot shows the counters as read, unadjusted.
+	if ps := s.Pipelines[0]; ps.MorselsDone != 3 || ps.RowsScanned != 3072 || ps.RowsEmitted != 17 {
+		t.Fatalf("pipeline snapshot = %+v, want the read counters", ps)
 	}
 	big.Done()
 	small.Running()
@@ -81,27 +85,6 @@ func TestLiveSnapshotPhasesAndWeighting(t *testing.T) {
 	}
 }
 
-func TestLiveSnapshotRowsScannedBounds(t *testing.T) {
-	lq := NewLiveQuery(1, "q", "", "")
-	p := lq.AddPipeline(0, "scan", 4, 1000, 3500)
-	p.Running()
-	// The morsel counter leads the per-batch stats fold: a claimed morsel
-	// counts as scanned even before the fold publishes rowsIn.
-	p.Fold(0, 0)
-	p.Fold(0, 0)
-	s := lq.snapshot(time.Now())
-	if got := s.Pipelines[0].RowsScanned; got != 2000 {
-		t.Fatalf("rows scanned from morsel floor = %d, want 2000", got)
-	}
-	// ...but never past the source's exact total.
-	p.Fold(0, 0)
-	p.Fold(0, 0)
-	s = lq.snapshot(time.Now())
-	if got := s.Pipelines[0].RowsScanned; got != 3500 {
-		t.Fatalf("rows scanned = %d, want capped at SourceRows 3500", got)
-	}
-}
-
 func TestInspectorRegisterKillDeregister(t *testing.T) {
 	in := NewInspector()
 	if len(in.Snapshot()) != 0 || in.Kill(1) {
@@ -109,7 +92,7 @@ func TestInspectorRegisterKillDeregister(t *testing.T) {
 	}
 	killed := 0
 	lq := NewLiveQuery(42, "q5", "", "BF-CBO")
-	lq.AddPipeline(0, "scan", 1, 1024, 0)
+	lq.AddPipeline(0, "scan", 1, new(counter).read)
 	lq.OnKill(func() { killed++ })
 	in.Register(lq)
 	if n := len(in.Snapshot()); n != 1 {
@@ -143,7 +126,7 @@ func TestInspectorSnapshotOrderAndJSON(t *testing.T) {
 	in := NewInspector()
 	for _, id := range []int64{9, 3, 17} {
 		lq := NewLiveQuery(id, "q", "", "")
-		lq.AddPipeline(0, "scan", 2, 1024, 0)
+		lq.AddPipeline(0, "scan", 2, new(counter).read)
 		in.Register(lq)
 	}
 	snaps := in.Snapshot()
@@ -172,18 +155,5 @@ func TestInspectorSnapshotOrderAndJSON(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"queries": []`) {
 		t.Fatalf("empty live view should be an empty array:\n%s", buf.String())
-	}
-}
-
-// BenchmarkProgressFold gates the morsel-boundary hot path: two atomic
-// adds and a max-publish, 0 allocs/op (checked in CI).
-func BenchmarkProgressFold(b *testing.B) {
-	var lq LiveQuery
-	p := lq.AddPipeline(0, "scan", int64(b.N)+1, 1024, 0)
-	p.Running()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Fold(1024, int64(i)*1024)
 	}
 }

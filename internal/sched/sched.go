@@ -13,8 +13,7 @@
 // first morsel and Releases it after its last. A free slot goes out at
 // once; while the pool is exhausted, blocked workers are granted slots
 // first come, first served, whatever query they belong to. Nothing is
-// preempted: a worker gives its slot up only when it is done, or around
-// a wait on its own pipeline (the grace join's writer barrier).
+// preempted: a worker gives its slot up only when it is done.
 package sched
 
 import (

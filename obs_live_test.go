@@ -144,7 +144,7 @@ func TestLiveProgressMonotonicUnderScrape(t *testing.T) {
 	}()
 
 	// Serializer: the exact read paths the HTTP handler exercises, racing
-	// against the executors' progress folds and registry updates.
+	// against the executors' operator counters and registry updates.
 	scrapers.Add(1)
 	go func() {
 		defer scrapers.Done()
