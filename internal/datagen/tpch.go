@@ -145,7 +145,7 @@ func genRegion(cfg Config) (*storage.Table, error) {
 	}
 	return storage.NewTable("region", []storage.Column{
 		{Name: "r_regionkey", Kind: catalog.Int64, Ints: keys},
-		{Name: "r_name", Kind: catalog.String, Strings: names},
+		storage.StringColumn("r_name", names),
 	})
 }
 
@@ -161,7 +161,7 @@ func genNation(cfg Config) (*storage.Table, error) {
 	}
 	return storage.NewTable("nation", []storage.Column{
 		{Name: "n_nationkey", Kind: catalog.Int64, Ints: keys},
-		{Name: "n_name", Kind: catalog.String, Strings: names},
+		storage.StringColumn("n_name", names),
 		{Name: "n_regionkey", Kind: catalog.Int64, Ints: regions},
 	})
 }
@@ -192,10 +192,10 @@ func genSupplier(cfg Config) (*storage.Table, error) {
 	}
 	return storage.NewTable("supplier", []storage.Column{
 		{Name: "s_suppkey", Kind: catalog.Int64, Ints: keys},
-		{Name: "s_name", Kind: catalog.String, Strings: names},
+		storage.StringColumn("s_name", names),
 		{Name: "s_nationkey", Kind: catalog.Int64, Ints: nations},
 		{Name: "s_acctbal", Kind: catalog.Float64, Floats: acctbal},
-		{Name: "s_comment", Kind: catalog.String, Strings: comments},
+		storage.StringColumn("s_comment", comments),
 	})
 }
 
@@ -216,10 +216,10 @@ func genCustomer(cfg Config) (*storage.Table, error) {
 	}
 	return storage.NewTable("customer", []storage.Column{
 		{Name: "c_custkey", Kind: catalog.Int64, Ints: keys},
-		{Name: "c_name", Kind: catalog.String, Strings: names},
+		storage.StringColumn("c_name", names),
 		{Name: "c_nationkey", Kind: catalog.Int64, Ints: nations},
 		{Name: "c_acctbal", Kind: catalog.Float64, Floats: acctbal},
-		{Name: "c_mktsegment", Kind: catalog.String, Strings: segments},
+		storage.StringColumn("c_mktsegment", segments),
 	})
 }
 
@@ -248,12 +248,12 @@ func genPart(cfg Config) (*storage.Table, error) {
 	}
 	return storage.NewTable("part", []storage.Column{
 		{Name: "p_partkey", Kind: catalog.Int64, Ints: keys},
-		{Name: "p_name", Kind: catalog.String, Strings: names},
-		{Name: "p_mfgr", Kind: catalog.String, Strings: mfgrs},
-		{Name: "p_brand", Kind: catalog.String, Strings: brands},
-		{Name: "p_type", Kind: catalog.String, Strings: types},
+		storage.StringColumn("p_name", names),
+		storage.StringColumn("p_mfgr", mfgrs),
+		storage.StringColumn("p_brand", brands),
+		storage.StringColumn("p_type", types),
 		{Name: "p_size", Kind: catalog.Int64, Ints: sizes},
-		{Name: "p_container", Kind: catalog.String, Strings: containers},
+		storage.StringColumn("p_container", containers),
 		{Name: "p_retailprice", Kind: catalog.Float64, Floats: retail},
 	})
 }
@@ -314,9 +314,9 @@ func genOrders(cfg Config) (*storage.Table, error) {
 	return storage.NewTable("orders", []storage.Column{
 		{Name: "o_orderkey", Kind: catalog.Int64, Ints: keys},
 		{Name: "o_custkey", Kind: catalog.Int64, Ints: custs},
-		{Name: "o_orderstatus", Kind: catalog.String, Strings: status},
+		storage.StringColumn("o_orderstatus", status),
 		{Name: "o_orderdate", Kind: catalog.Int64, Ints: dates},
-		{Name: "o_orderpriority", Kind: catalog.String, Strings: prios},
+		storage.StringColumn("o_orderpriority", prios),
 		{Name: "o_totalprice", Kind: catalog.Float64, Floats: totals},
 	})
 }
@@ -405,13 +405,13 @@ func genLineitem(cfg Config) (*storage.Table, error) {
 		{Name: "l_extendedprice", Kind: catalog.Float64, Floats: price},
 		{Name: "l_discount", Kind: catalog.Float64, Floats: disc},
 		{Name: "l_tax", Kind: catalog.Float64, Floats: tax},
-		{Name: "l_returnflag", Kind: catalog.String, Strings: retflag},
-		{Name: "l_linestatus", Kind: catalog.String, Strings: linestatus},
+		storage.StringColumn("l_returnflag", retflag),
+		storage.StringColumn("l_linestatus", linestatus),
 		{Name: "l_shipdate", Kind: catalog.Int64, Ints: shipdate},
 		{Name: "l_commitdate", Kind: catalog.Int64, Ints: commitdate},
 		{Name: "l_receiptdate", Kind: catalog.Int64, Ints: receiptdate},
-		{Name: "l_shipmode", Kind: catalog.String, Strings: shipmode},
-		{Name: "l_shipinstruct", Kind: catalog.String, Strings: shipinstr},
+		storage.StringColumn("l_shipmode", shipmode),
+		storage.StringColumn("l_shipinstruct", shipinstr),
 	})
 }
 

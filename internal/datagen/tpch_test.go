@@ -3,6 +3,8 @@ package datagen
 import (
 	"strings"
 	"testing"
+
+	"bfcbo/internal/catalog"
 )
 
 func small(t *testing.T) *Dataset {
@@ -199,11 +201,11 @@ func TestStatsPopulated(t *testing.T) {
 func TestValueDomains(t *testing.T) {
 	ds := small(t)
 	li, _ := ds.DB.Table("lineitem")
-	modes := make(map[string]bool)
-	for _, m := range li.MustColumn("l_shipmode").Strings {
-		modes[m] = true
+	modes, err := li.Dict("l_shipmode")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for m := range modes {
+	for _, m := range modes.Values {
 		found := false
 		for _, want := range ShipModes {
 			if m == want {
@@ -215,8 +217,12 @@ func TestValueDomains(t *testing.T) {
 		}
 	}
 	part, _ := ds.DB.Table("part")
-	for _, b := range part.MustColumn("p_brand").Strings[:50] {
-		if !strings.HasPrefix(b, "Brand#") {
+	brands, err := part.Dict("p_brand")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range brands.Codes[:50] {
+		if b := brands.Values[c]; !strings.HasPrefix(b, "Brand#") {
 			t.Fatalf("bad brand %q", b)
 		}
 	}
@@ -224,6 +230,56 @@ func TestValueDomains(t *testing.T) {
 		if s < 1 || s > 50 {
 			t.Fatalf("p_size %d out of [1,50]", s)
 		}
+	}
+}
+
+// TestStringColumnsAreDictionaries checks every string column of every
+// table: one code per row, strictly ascending distinct values, every code
+// in range and every value used, and the catalog's NDV the dictionary's
+// size.
+func TestStringColumnsAreDictionaries(t *testing.T) {
+	ds := small(t)
+	checked := 0
+	for _, name := range ds.DB.TableNames() {
+		tb, _ := ds.DB.Table(name)
+		meta := ds.Schema.MustTable(name)
+		for _, c := range tb.Columns {
+			if c.Kind != catalog.String {
+				continue
+			}
+			checked++
+			d := c.Dict
+			if len(d.Codes) != tb.NumRows() {
+				t.Errorf("%s.%s: %d codes for %d rows", name, c.Name, len(d.Codes), tb.NumRows())
+			}
+			for i := 1; i < len(d.Values); i++ {
+				if d.Values[i-1] >= d.Values[i] {
+					t.Errorf("%s.%s: values not strictly ascending at %d: %q, %q", name, c.Name, i, d.Values[i-1], d.Values[i])
+				}
+			}
+			used := make([]bool, len(d.Values))
+			for row, code := range d.Codes {
+				if code < 0 || int(code) >= len(d.Values) {
+					t.Fatalf("%s.%s: row %d code %d outside [0, %d)", name, c.Name, row, code, len(d.Values))
+				}
+				used[code] = true
+			}
+			for code, u := range used {
+				if !u {
+					t.Errorf("%s.%s: value %q is used by no row", name, c.Name, d.Values[code])
+				}
+			}
+			mc, err := meta.Column(c.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mc.Stats.NDV != float64(len(d.Values)) {
+				t.Errorf("%s.%s: catalog NDV %v, dictionary holds %d values", name, c.Name, mc.Stats.NDV, len(d.Values))
+			}
+		}
+	}
+	if checked != 17 {
+		t.Fatalf("checked %d string columns, want TPC-H's 17", checked)
 	}
 }
 

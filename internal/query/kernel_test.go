@@ -48,7 +48,7 @@ func kernelTable(t testing.TB, rng *rand.Rand, rows int) *storage.Table {
 		{Name: "a", Kind: catalog.Int64, Ints: ints},
 		{Name: "b", Kind: catalog.Int64, Ints: ints2},
 		{Name: "f", Kind: catalog.Float64, Floats: floats},
-		{Name: "s", Kind: catalog.String, Strings: strs},
+		storage.StringColumn("s", strs),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -139,6 +139,12 @@ func (p InInt) Eval(t *storage.Table, row int) bool {
 
 func (p InInt) String() string { return fmt.Sprintf("%s in %v", p.Col, p.Vals) }
 
+// strAt decodes row of the named string column through its dictionary.
+func strAt(t *storage.Table, col string, row int) string {
+	d := t.MustColumn(col).Dict
+	return d.Values[d.Codes[row]]
+}
+
 // StrEq keeps rows whose string column equals Val.
 type StrEq struct {
 	Col string
@@ -146,7 +152,7 @@ type StrEq struct {
 }
 
 func (p StrEq) Eval(t *storage.Table, row int) bool {
-	return t.MustColumn(p.Col).Strings[row] == p.Val
+	return strAt(t, p.Col, row) == p.Val
 }
 
 func (p StrEq) String() string { return fmt.Sprintf("%s = '%s'", p.Col, p.Val) }
@@ -158,7 +164,7 @@ type StrNE struct {
 }
 
 func (p StrNE) Eval(t *storage.Table, row int) bool {
-	return t.MustColumn(p.Col).Strings[row] != p.Val
+	return strAt(t, p.Col, row) != p.Val
 }
 
 func (p StrNE) String() string { return fmt.Sprintf("%s <> '%s'", p.Col, p.Val) }
@@ -170,7 +176,7 @@ type StrIn struct {
 }
 
 func (p StrIn) Eval(t *storage.Table, row int) bool {
-	v := t.MustColumn(p.Col).Strings[row]
+	v := strAt(t, p.Col, row)
 	for _, x := range p.Vals {
 		if v == x {
 			return true
@@ -190,7 +196,7 @@ type StrPrefix struct {
 }
 
 func (p StrPrefix) Eval(t *storage.Table, row int) bool {
-	return strings.HasPrefix(t.MustColumn(p.Col).Strings[row], p.Prefix)
+	return strings.HasPrefix(strAt(t, p.Col, row), p.Prefix)
 }
 
 func (p StrPrefix) String() string { return fmt.Sprintf("%s like '%s%%'", p.Col, p.Prefix) }
@@ -202,7 +208,7 @@ type StrContains struct {
 }
 
 func (p StrContains) Eval(t *storage.Table, row int) bool {
-	s := t.MustColumn(p.Col).Strings[row]
+	s := strAt(t, p.Col, row)
 	for _, sub := range p.Subs {
 		i := strings.Index(s, sub)
 		if i < 0 {

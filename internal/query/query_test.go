@@ -72,7 +72,7 @@ func predTable(t *testing.T) *storage.Table {
 		{Name: "a", Kind: catalog.Int64, Ints: []int64{1, 5, 10, 5}},
 		{Name: "b", Kind: catalog.Int64, Ints: []int64{2, 4, 10, 9}},
 		{Name: "f", Kind: catalog.Float64, Floats: []float64{0.1, 0.5, 0.9, 0.5}},
-		{Name: "s", Kind: catalog.String, Strings: []string{"AIR", "MAIL", "SHIP", "special AIR packages"}},
+		storage.StringColumn("s", []string{"AIR", "MAIL", "SHIP", "special AIR packages"}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestPredicates(t *testing.T) {
 
 func TestStrContainsOrdered(t *testing.T) {
 	tb, _ := storage.NewTable("t", []storage.Column{
-		{Name: "s", Kind: catalog.String, Strings: []string{"b then a", "a then b"}},
+		storage.StringColumn("s", []string{"b then a", "a then b"}),
 	})
 	p := StrContains{Col: "s", Subs: []string{"a", "b"}}
 	if p.Eval(tb, 0) {

@@ -2,17 +2,19 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bfcbo/internal/catalog"
 )
 
-// Dict is the dictionary encoding of one string column: the sorted
-// distinct values plus a per-row code array mapping each row to its
-// value's index in Values. String predicates compile against it so the
-// scan loop compares int32 codes instead of strings — an equality is one
-// integer compare, a LIKE '%sub%' scans only the distinct values once and
-// then matches codes.
+// Dict is how a string column is stored: the sorted distinct values plus
+// a per-row code array mapping each row to its value's index in Values.
+// Only Values holds pointers, one per distinct value, so the garbage
+// collector never scans a per-row string. String predicates compile
+// against it so the scan loop compares int32 codes instead of strings —
+// an equality is one integer compare, a LIKE '%sub%' scans only the
+// distinct values once and then matches codes.
 type Dict struct {
 	// Values holds the distinct column values in sorted order, so codes
 	// preserve the values' ordering and lookups are binary searches.
@@ -31,9 +33,7 @@ func (d *Dict) Code(v string) (int32, bool) {
 	return 0, false
 }
 
-// Dict returns the named string column's dictionary encoding, building
-// and caching it on first use (the build is one sort of the distinct
-// values plus one pass over the rows).
+// Dict returns the named string column's dictionary.
 func (t *Table) Dict(name string) (*Dict, error) {
 	c, err := t.Column(name)
 	if err != nil {
@@ -42,35 +42,31 @@ func (t *Table) Dict(name string) (*Dict, error) {
 	if c.Kind != catalog.String {
 		return nil, fmt.Errorf("storage: table %q column %q is %s, not a string column", t.Name, name, c.Kind)
 	}
-	t.encMu.Lock()
-	defer t.encMu.Unlock()
-	if d, ok := t.dicts[name]; ok {
-		return d, nil
-	}
-	d := buildDict(c.Strings)
-	if t.dicts == nil {
-		t.dicts = make(map[string]*Dict)
-	}
-	t.dicts[name] = d
-	return d, nil
+	return c.Dict, nil
 }
 
+// buildDict encodes vals in one pass that numbers the values as they
+// first appear, then renumbers the codes in sorted value order.
 func buildDict(vals []string) *Dict {
 	codeOf := make(map[string]int32, 256)
-	for _, v := range vals {
-		codeOf[v] = 0
-	}
-	uniq := make([]string, 0, len(codeOf))
-	for v := range codeOf {
-		uniq = append(uniq, v)
-	}
-	sort.Strings(uniq)
-	for i, v := range uniq {
-		codeOf[v] = int32(i)
-	}
+	var seen []string
 	codes := make([]int32, len(vals))
 	for i, v := range vals {
-		codes[i] = codeOf[v]
+		c, ok := codeOf[v]
+		if !ok {
+			c = int32(len(seen))
+			codeOf[v] = c
+			seen = append(seen, v)
+		}
+		codes[i] = c
 	}
-	return &Dict{Values: uniq, Codes: codes}
+	values := slices.Sorted(slices.Values(seen))
+	rank := make([]int32, len(seen))
+	for c, v := range seen {
+		rank[c] = int32(sort.SearchStrings(values, v))
+	}
+	for i, c := range codes {
+		codes[i] = rank[c]
+	}
+	return &Dict{Values: values, Codes: codes}
 }

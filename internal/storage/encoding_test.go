@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -19,7 +20,7 @@ func encTestTable(t *testing.T, ints []int64, floats []float64, strs []string) *
 	tbl, err := NewTable("enc", []Column{
 		{Name: "i", Kind: catalog.Int64, Ints: ints},
 		{Name: "f", Kind: catalog.Float64, Floats: floats},
-		{Name: "s", Kind: catalog.String, Strings: strs},
+		StringColumn("s", strs),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -28,36 +29,42 @@ func encTestTable(t *testing.T, ints []int64, floats []float64, strs []string) *
 }
 
 func TestDictRoundTrip(t *testing.T) {
-	strs := []string{"pear", "apple", "pear", "", "banana", "apple", "pear"}
-	tbl := encTestTable(t, make([]int64, len(strs)), nil, strs)
-	d, err := tbl.Dict("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sort.StringsAreSorted(d.Values) {
-		t.Fatalf("dictionary values not sorted: %v", d.Values)
-	}
-	if len(d.Values) != 4 {
-		t.Fatalf("NDV = %d, want 4", len(d.Values))
-	}
-	for i, s := range strs {
-		if got := d.Values[d.Codes[i]]; got != s {
-			t.Fatalf("row %d decodes to %q, want %q", i, got, s)
+	for _, strs := range [][]string{
+		{"pear", "apple", "pear", "", "banana", "apple", "pear"},
+		{},
+		{"only", "only", "only"},
+	} {
+		tbl := encTestTable(t, make([]int64, len(strs)), nil, strs)
+		d, err := tbl.Dict("s")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, s := range []string{"pear", "apple", "banana", ""} {
-		code, ok := d.Code(s)
-		if !ok || d.Values[code] != s {
-			t.Fatalf("Code(%q) = (%d, %v)", s, code, ok)
+		if !sort.StringsAreSorted(d.Values) {
+			t.Fatalf("dictionary values not sorted: %v", d.Values)
 		}
-	}
-	if _, ok := d.Code("kiwi"); ok {
-		t.Fatal("Code of absent value reported present")
-	}
-	// Cached: second call returns the same encoding.
-	d2, err := tbl.Dict("s")
-	if err != nil || d2 != d {
-		t.Fatalf("Dict not cached: %p vs %p (err=%v)", d, d2, err)
+		distinct := make(map[string]bool)
+		for _, s := range strs {
+			distinct[s] = true
+		}
+		if len(d.Values) != len(distinct) || len(d.Codes) != len(strs) {
+			t.Fatalf("%q: NDV = %d, codes = %d, want %d and %d", strs, len(d.Values), len(d.Codes), len(distinct), len(strs))
+		}
+		// The predicates' Evals decode through the dictionary, so this is
+		// the one check of the encoding against the input strings.
+		for i, s := range strs {
+			if got := d.Values[d.Codes[i]]; got != s {
+				t.Fatalf("row %d decodes to %q, want %q", i, got, s)
+			}
+		}
+		for s := range distinct {
+			code, ok := d.Code(s)
+			if !ok || d.Values[code] != s {
+				t.Fatalf("Code(%q) = (%d, %v)", s, code, ok)
+			}
+		}
+		if _, ok := d.Code("kiwi"); ok {
+			t.Fatal("Code of absent value reported present")
+		}
 	}
 }
 
@@ -68,5 +75,53 @@ func TestDictTypeErrors(t *testing.T) {
 	}
 	if _, err := tbl.Dict("missing"); err == nil {
 		t.Fatal("Dict over unknown column must error")
+	}
+}
+
+// TestStoredColumnsHoldNoPointerPerRow walks Column and the Dict it points
+// to: every slice must have a pointer-free element type, so the garbage
+// collector never scans the stored rows. Dict.Values, one entry per
+// distinct value, is the only exception.
+func TestStoredColumnsHoldNoPointerPerRow(t *testing.T) {
+	allowed := map[string]bool{"Dict.Values": true}
+	var walk func(st reflect.Type)
+	walk = func(st reflect.Type) {
+		for i := 0; i < st.NumField(); i++ {
+			f := st.Field(i)
+			switch f.Type.Kind() {
+			case reflect.Slice:
+				name := st.Name() + "." + f.Name
+				if hasPointers(f.Type.Elem()) && !allowed[name] {
+					t.Errorf("%s is a per-row slice of %s, which holds pointers", name, f.Type.Elem())
+				}
+			case reflect.Struct:
+				walk(f.Type)
+			case reflect.Pointer:
+				if f.Type.Elem().Kind() == reflect.Struct {
+					walk(f.Type.Elem())
+				}
+			}
+		}
+	}
+	walk(reflect.TypeOf(Column{}))
+}
+
+func hasPointers(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return hasPointers(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if hasPointers(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	default:
+		return true
 	}
 }

@@ -1,27 +1,35 @@
 // Package storage provides the in-memory columnar table store the executor
 // reads. It replaces the paper's GaussDB column store: each table is a set
 // of equally-sized typed column vectors; operators address rows through
-// selection vectors so filters and Bloom filters never copy data.
+// selection vectors so filters and Bloom filters never copy data. A string
+// column is stored only as its dictionary encoding (one int32 code per
+// row), so no per-row slice of the stored database holds a pointer for the
+// garbage collector to scan.
 package storage
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"bfcbo/internal/catalog"
 )
 
-// Column is one typed column vector. Exactly one of the data slices is
-// non-nil, matching Kind.
+// Column is one typed column vector. Exactly one of Ints, Floats and Dict
+// is set, matching Kind; StringColumn builds a string column's Dict.
 type Column struct {
 	Name string
 	Kind catalog.ColType
 
-	Ints    []int64
-	Floats  []float64
-	Strings []string
+	Ints   []int64
+	Floats []float64
+	Dict   *Dict
+}
+
+// StringColumn dictionary-encodes vals into a string column. The column
+// keeps no reference to the vals slice, which the caller may drop.
+func StringColumn(name string, vals []string) Column {
+	return Column{Name: name, Kind: catalog.String, Dict: buildDict(vals)}
 }
 
 // Len reports the number of rows in the column.
@@ -32,7 +40,7 @@ func (c *Column) Len() int {
 	case catalog.Float64:
 		return len(c.Floats)
 	default:
-		return len(c.Strings)
+		return len(c.Dict.Codes)
 	}
 }
 
@@ -42,16 +50,10 @@ type Table struct {
 	Columns []Column
 
 	colIndex map[string]int
-
-	// Lazily built string dictionaries (sorted distinct values +
-	// build-once code arrays), cached on first use. Tables are immutable
-	// after load, so build-once-and-share is safe; encMu guards the cache
-	// map against concurrent first builds.
-	encMu sync.Mutex
-	dicts map[string]*Dict
 }
 
-// NewTable assembles a table from columns, verifying equal lengths.
+// NewTable assembles a table from columns, verifying equal lengths and
+// that every string column carries its dictionary.
 func NewTable(name string, cols []Column) (*Table, error) {
 	t := &Table{Name: name, Columns: cols, colIndex: make(map[string]int, len(cols))}
 	n := -1
@@ -60,6 +62,9 @@ func NewTable(name string, cols []Column) (*Table, error) {
 			return nil, fmt.Errorf("storage: table %q duplicate column %q (positions %d and %d)", name, c.Name, prev, i)
 		}
 		t.colIndex[c.Name] = i
+		if c.Kind == catalog.String && c.Dict == nil {
+			return nil, fmt.Errorf("storage: table %q string column %q has no dictionary (build it with StringColumn)", name, c.Name)
+		}
 		if n == -1 {
 			n = c.Len()
 		} else if c.Len() != n {
@@ -132,8 +137,9 @@ func (d *Database) TableNames() []string {
 }
 
 // Analyze computes catalog statistics (row count, per-column NDV/min/max)
-// from the stored data, playing the role of ANALYZE. NDV is exact (hash set)
-// since tables are in memory; the estimator still treats it as an estimate.
+// from the stored data, playing the role of ANALYZE. NDV is exact (a hash
+// set, or a string column's dictionary size) since tables are in memory;
+// the estimator still treats it as an estimate.
 func Analyze(t *Table) *catalog.Table {
 	cols := make([]catalog.Column, len(t.Columns))
 	for i := range t.Columns {
@@ -145,7 +151,7 @@ func Analyze(t *Table) *catalog.Table {
 		case catalog.Float64:
 			cc.Stats = floatStats(c.Floats)
 		default:
-			cc.Stats = stringStats(c.Strings)
+			cc.Stats = catalog.ColumnStats{NDV: float64(len(c.Dict.Values))}
 		}
 		cols[i] = cc
 	}
@@ -156,7 +162,7 @@ func intStats(v []int64) catalog.ColumnStats {
 	if len(v) == 0 {
 		return catalog.ColumnStats{}
 	}
-	seen := make(map[int64]struct{}, len(v))
+	seen := make(map[int64]struct{})
 	mn, mx := v[0], v[0]
 	for _, x := range v {
 		seen[x] = struct{}{}
@@ -174,7 +180,7 @@ func floatStats(v []float64) catalog.ColumnStats {
 	if len(v) == 0 {
 		return catalog.ColumnStats{}
 	}
-	seen := make(map[float64]struct{}, len(v))
+	seen := make(map[float64]struct{})
 	mn, mx := math.Inf(1), math.Inf(-1)
 	for _, x := range v {
 		seen[x] = struct{}{}
@@ -186,12 +192,4 @@ func floatStats(v []float64) catalog.ColumnStats {
 		}
 	}
 	return catalog.ColumnStats{NDV: float64(len(seen)), Min: mn, Max: mx}
-}
-
-func stringStats(v []string) catalog.ColumnStats {
-	seen := make(map[string]struct{}, len(v))
-	for _, x := range v {
-		seen[x] = struct{}{}
-	}
-	return catalog.ColumnStats{NDV: float64(len(seen))}
 }

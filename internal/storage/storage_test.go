@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -12,7 +13,7 @@ func mkTable(t *testing.T) *Table {
 	tb, err := NewTable("t", []Column{
 		{Name: "k", Kind: catalog.Int64, Ints: []int64{1, 2, 3, 2}},
 		{Name: "v", Kind: catalog.Float64, Floats: []float64{0.5, 1.5, 2.5, 1.5}},
-		{Name: "s", Kind: catalog.String, Strings: []string{"a", "b", "c", "b"}},
+		StringColumn("s", []string{"a", "b", "c", "b"}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,6 +55,16 @@ func TestNewTableRejectsDuplicateColumns(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected duplicate column error")
+	}
+}
+
+func TestNewTableRejectsStringColumnWithoutDict(t *testing.T) {
+	_, err := NewTable("bad", []Column{
+		{Name: "k", Kind: catalog.Int64, Ints: []int64{1}},
+		{Name: "s", Kind: catalog.String},
+	})
+	if err == nil || !strings.Contains(err.Error(), "no dictionary") {
+		t.Fatalf("string column without a dictionary: err = %v", err)
 	}
 }
 
@@ -112,7 +123,7 @@ func TestAnalyzeEmptyColumns(t *testing.T) {
 	tb, err := NewTable("e", []Column{
 		{Name: "a", Kind: catalog.Int64},
 		{Name: "b", Kind: catalog.Float64},
-		{Name: "c", Kind: catalog.String},
+		StringColumn("c", nil),
 	})
 	if err != nil {
 		t.Fatal(err)
