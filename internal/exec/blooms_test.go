@@ -120,8 +120,13 @@ func TestBloomBuildFeedersAgree(t *testing.T) {
 // its runtime record, are a function of (database, plan). The 22 TPC-H
 // blocks under the engine profile × {BF-Post, BF-CBO} report the same
 // BloomStats at DOP 1, 2, 4 and 8, and the reference reports them too.
+// The scans' counters are exact counts as well: every DOP reports the
+// same morsels and the same per-predicate rows in and out. The morsels are
+// small, so each worker of a large scan runs many batches through its
+// predicate chain.
 func TestBloomStatsIndependentOfDOP(t *testing.T) {
 	ds := equivalenceDataset(t)
+	const morsel = 64
 	filters := 0
 	for _, q := range tpch.All() {
 		block := q.Build(ds.Schema)
@@ -137,14 +142,21 @@ func TestBloomStatsIndependentOfDOP(t *testing.T) {
 				t.Fatalf("Q%d %s: reference: %v", q.Num, mode, err)
 			}
 			filters += len(ref.BloomStats)
+			var scans []ScanRuntime
 			for _, dop := range []int{1, 2, 4, 8} {
-				r, err := Run(ds.DB, block, res.Plan, Options{DOP: dop})
+				r, err := Run(ds.DB, block, res.Plan, Options{DOP: dop, morselSize: morsel})
 				if err != nil {
 					t.Fatalf("Q%d %s dop %d: %v", q.Num, mode, dop, err)
 				}
 				if !reflect.DeepEqual(r.BloomStats, ref.BloomStats) {
 					t.Errorf("Q%d %s dop %d: BloomStats diverge from the reference:\n engine    %v\n reference %v",
 						q.Num, mode, dop, r.BloomStats, ref.BloomStats)
+				}
+				if scans == nil {
+					scans = r.Scans
+				} else if !reflect.DeepEqual(r.Scans, scans) {
+					t.Errorf("Q%d %s dop %d: scan counters diverge from dop 1:\n dop %d %v\n dop 1 %v",
+						q.Num, mode, dop, dop, r.Scans, scans)
 				}
 			}
 		}

@@ -130,8 +130,7 @@ func (r *Result) ActualFor(n plan.Node) float64 {
 }
 
 // PredRuntime is one scan predicate's observed row flow: In rows entered
-// the kernel, Out survived. In/Out ratios are the measured selectivities
-// the adaptive kernel chains reorder by.
+// the kernel, Out survived. Both are exact counts, the same at every DOP.
 type PredRuntime struct {
 	Pred    string
 	In, Out int64
@@ -147,7 +146,7 @@ type ScanRuntime struct {
 	// ZoneSkipped is always 0; it stays only because benchmark/ still
 	// reports it.
 	ZoneSkipped int64
-	// Preds is the per-kernel row flow in compile order.
+	// Preds is the per-kernel row flow in evaluation order.
 	Preds []PredRuntime
 }
 

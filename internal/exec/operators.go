@@ -27,9 +27,10 @@ type scanBloom struct {
 }
 
 // scanSource is the shared state of a scan pipeline source. The predicate
-// is compiled once into kernels bound to the table's column slices; workers
-// share the immutable kernels and keep private adaptive chains. All runtime
-// counters are folded from per-worker locals at operator Close.
+// is compiled once into kernels bound to the table's column slices, in the
+// order every worker evaluates them; workers share the immutable kernels
+// and keep private chains that count their rows. All runtime counters are
+// folded from per-worker locals at operator Close.
 type scanSource struct {
 	s       *plan.Scan
 	tbl     *storage.Table
@@ -45,7 +46,7 @@ type scanSource struct {
 	// draining the table.
 	stop *atomic.Bool
 
-	predIn, predOut []atomic.Int64 // one pair per kernel, compile order
+	predIn, predOut []atomic.Int64 // one pair per kernel, evaluation order
 }
 
 func (ex *executor) newScanSource(s *plan.Scan, stats *opStats) (*scanSource, error) {
@@ -97,8 +98,8 @@ func (src *scanSource) runtime() ScanRuntime {
 }
 
 // scanOp is the per-worker operator over a shared scanSource. All scratch —
-// the selection vector, the two-column filters' hash buffer, the adaptive
-// kernel chain (empty when the scan has no predicate), the output row set
+// the selection vector, the two-column filters' hash buffer, the kernel
+// chain's counters (empty when the scan has no predicate), the output row set
 // and every tally — is per worker, allocated once in Open; the
 // steady-state batch loop allocates nothing. Tallies fold into the
 // source's atomics once per worker at Close (workers close before the
@@ -143,8 +144,8 @@ func (o *scanOp) Close() error {
 	return nil
 }
 
-// NextBatch is the batch kernel path: claim a morsel, run the adaptive
-// kernel chain over its dense rows (query.Chain.EvalRange: the first
+// NextBatch is the batch kernel path: claim a morsel, run the kernel
+// chain over its dense rows (query.Chain.EvalRange: the first
 // kernel reads its column over [lo, hi) and writes only the ids it keeps,
 // so no row-id vector is written first; with no predicate the chain just
 // writes the ids), then test the Bloom filters in plan order, each in one

@@ -68,8 +68,8 @@ func (r *reference) node(n plan.Node) (*RowSet, error) {
 	return rs, nil
 }
 
-// scan reads a base table row by row, applying the local predicate and
-// then each Bloom filter in plan order.
+// scan runs the scan's compiled predicate chain over the whole table, then
+// tests each surviving row against each Bloom filter in plan order.
 func (r *reference) scan(s *plan.Scan) (*RowSet, error) {
 	tbl := r.tables[s.Rel]
 	kernels, err := query.Compile(s.Pred, tbl)
@@ -83,12 +83,7 @@ func (r *reference) scan(s *plan.Scan) (*RowSet, error) {
 	out := NewRowSet(query.NewRelSet(s.Rel))
 	var ids []int32
 rows:
-	for i, n := int32(0), int32(tbl.NumRows()); i < n; i++ {
-		for _, kn := range kernels {
-			if !kn.EvalRow(i) {
-				continue rows
-			}
-		}
+	for _, i := range query.NewChain(kernels).EvalRange(0, make([]int32, tbl.NumRows())) {
 		for _, p := range probes {
 			p.st.Tested++
 			if !p.h.MayContainHash(p.hashOf(i)) {

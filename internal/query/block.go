@@ -15,7 +15,7 @@ import (
 type JoinType int
 
 const (
-	// Inner is a plain equi-join; fully reorderable.
+	// Inner is a plain equi-join; the enumerator may join it in any order.
 	Inner JoinType = iota
 	// Semi keeps left rows with at least one right match (EXISTS / IN).
 	Semi
@@ -61,7 +61,7 @@ type JoinClause struct {
 	RightCol string
 	// SubRels marks, for non-inner clauses, the unit of relations forming
 	// the nullable/subquery side (always contains RightRel). The enumerator
-	// does not reorder across this boundary. Ignored for Inner.
+	// does not move a join across this boundary. Ignored for Inner.
 	SubRels RelSet
 	// Derived marks clauses added by transitive closure of equi-join
 	// equivalence; they enable extra join orders but are not counted twice

@@ -1,8 +1,11 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"bfcbo/internal/storage"
 )
@@ -13,20 +16,18 @@ import (
 // loop — and returns the surviving prefix. Every loop compacts without a
 // branch on the outcome, the way bloom.Filter.FilterSel does: it stores
 // the row at the write index and advances the index only on a pass
-// (Ross, "Selection Conditions in Main Memory", TODS 2004). Kernels are
-// immutable after Compile and safe to share across scan workers.
+// (Ross, "Selection Conditions in Main Memory", TODS 2004). A selection
+// vector holds distinct row ids, in any order. Kernels are immutable after
+// Compile and safe to share across scan workers.
 type Kernel interface {
 	// EvalBatch keeps the selected rows that satisfy the predicate,
-	// compacting sel in place and returning the kept prefix.
+	// compacting sel in place, in its order, and returning the kept prefix.
 	EvalBatch(sel []int32) []int32
-	// EvalRow reports whether one row satisfies the predicate. It is the
-	// bound scalar path: same data access as EvalBatch, one row at a time.
-	EvalRow(row int32) bool
-	// Weight is a static relative cost estimate used to seed chain order
-	// before pass rates are observed.
-	Weight() float64
 	// Label is the predicate's display string for runtime counters.
 	Label() string
+	// weight is a static relative cost per row, which Compile's rank
+	// divides by the rows the kernel eliminates.
+	weight() float64
 }
 
 // rangeKernel is a kernel that can start a morsel: the column kernels
@@ -41,42 +42,71 @@ type rangeKernel interface {
 }
 
 // Compile lowers a predicate into a conjunction of kernels bound to t's
-// columns. A top-level And flattens into one kernel per conjunct so the
-// chain can reorder them independently; any other predicate compiles to a
-// single kernel. String predicates compile against the column's dictionary
-// (built on first use) and run as int32 code compares.
+// columns, in the order a scan evaluates them. A top-level And flattens
+// into one kernel per conjunct, ordered once by rank; any other predicate
+// compiles to a single kernel. String predicates compile against the
+// column's dictionary, built at load, and run as int32 code compares.
 func Compile(p Predicate, t *storage.Table) ([]Kernel, error) {
-	if p == nil {
-		return nil, nil
-	}
-	if and, ok := p.(And); ok {
-		var ks []Kernel
-		for _, q := range and.Ps {
-			sub, err := Compile(q, t)
-			if err != nil {
-				return nil, err
-			}
-			ks = append(ks, sub...)
+	and, ok := p.(And)
+	if !ok {
+		if p == nil {
+			return nil, nil
 		}
-		return ks, nil
+		k, err := compileNode(p, t)
+		if err != nil {
+			return nil, err
+		}
+		return []Kernel{k}, nil
 	}
-	k, err := compileNode(p, t)
-	if err != nil {
-		return nil, err
+	var ks []Kernel
+	for _, q := range and.Ps {
+		sub, err := Compile(q, t)
+		if err != nil {
+			return nil, err
+		}
+		ks = append(ks, sub...)
 	}
-	return []Kernel{k}, nil
+	rank(ks, t.NumRows())
+	return ks, nil
 }
 
-// kernelMeta carries the shared Label/Weight implementation.
+// sampleRows is how many rows, spread evenly over the table, rank
+// measures each conjunct's pass rate on.
+const sampleRows = 1024
+
+// rank sorts ks stably by weight / max(1 − pass, 0.01), a kernel's cost
+// per row it eliminates, with its pass rate measured on up to sampleRows
+// rows spread evenly over the table's n rows: cheap, selective predicates
+// run first and expensive ones see fewer rows. The order is a function of
+// the table and the predicate, so every worker of a scan, at any DOP,
+// evaluates the same chain.
+func rank(ks []Kernel, n int) {
+	m := min(n, sampleRows)
+	if len(ks) < 2 || m == 0 {
+		return
+	}
+	sample, scratch := make([]int32, m), make([]int32, m)
+	for i := range sample {
+		sample[i] = int32(i * n / m)
+	}
+	cost := make(map[Kernel]float64, len(ks))
+	for _, k := range ks {
+		pass := float64(len(k.EvalBatch(append(scratch[:0], sample...)))) / float64(m)
+		cost[k] = k.weight() / max(1-pass, 0.01)
+	}
+	slices.SortStableFunc(ks, func(a, b Kernel) int { return cmp.Compare(cost[a], cost[b]) })
+}
+
+// kernelMeta carries the shared Label/weight implementation.
 type kernelMeta struct {
-	label  string
-	weight float64
+	label string
+	w     float64
 }
 
 func (m kernelMeta) Label() string   { return m.label }
-func (m kernelMeta) Weight() float64 { return m.weight }
+func (m kernelMeta) weight() float64 { return m.w }
 
-func meta(p Predicate, w float64) kernelMeta { return kernelMeta{label: p.String(), weight: w} }
+func meta(p Predicate, w float64) kernelMeta { return kernelMeta{label: p.String(), w: w} }
 
 type number interface {
 	~int64 | ~float64
@@ -176,11 +206,6 @@ func (k *cmpKernel[T]) EvalRange(lo int, sel []int32) []int32 {
 	return sel[:n]
 }
 
-func (k *cmpKernel[T]) EvalRow(row int32) bool {
-	v := k.vals[row]
-	return cmpHolds(k.op, v == k.val, v < k.val)
-}
-
 // betweenIntKernel keeps lo <= v <= hi as one unsigned compare,
 // uint64(v-lo) <= uint64(hi-lo), which wraps correctly over the whole
 // int64 range; it keeps nothing when lo > hi.
@@ -221,11 +246,6 @@ func (k *betweenIntKernel) EvalRange(lo int, sel []int32) []int32 {
 	return sel[:n]
 }
 
-func (k *betweenIntKernel) EvalRow(row int32) bool {
-	v := k.vals[row]
-	return v >= k.lo && v <= k.hi
-}
-
 // betweenFloatKernel keeps lo <= v <= hi. It adds the two comparison
 // flags' AND as an integer instead of branching on &&, and a NaN fails
 // both flags, matching Eval.
@@ -255,11 +275,6 @@ func (k *betweenFloatKernel) EvalRange(lo int, sel []int32) []int32 {
 		id++
 	}
 	return sel[:n]
-}
-
-func (k *betweenFloatKernel) EvalRow(row int32) bool {
-	v := k.vals[row]
-	return v >= k.lo && v <= k.hi
 }
 
 // b2i is 1 for true and 0 for false; the compiler emits it as a SETcc.
@@ -341,14 +356,9 @@ func (k *cmpColsKernel) EvalRange(lo int, sel []int32) []int32 {
 	return sel[:n]
 }
 
-func (k *cmpColsKernel) EvalRow(row int32) bool {
-	a, b := k.a[row], k.b[row]
-	return cmpHolds(k.op, a == b, a < b)
-}
-
-// inIntKernel keeps rows whose value appears in vals (linear membership,
-// matching the scalar path — IN lists here are a handful of constants).
-// Each row ORs every constant's match, so the loop has no early exit.
+// inIntKernel keeps rows whose value appears in vals by a linear scan of
+// the constants: IN lists here are a handful of them. Each row ORs every
+// constant's match, so the loop has no early exit.
 type inIntKernel struct {
 	kernelMeta
 	col  []int64
@@ -367,16 +377,6 @@ func (k *inIntKernel) EvalBatch(sel []int32) []int32 {
 		n += hit
 	}
 	return sel[:n]
-}
-
-func (k *inIntKernel) EvalRow(row int32) bool {
-	v := k.col[row]
-	for _, x := range k.vals {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // dictEqKernel is StrEq/StrNE over dictionary codes: one int32 compare per
@@ -427,13 +427,6 @@ func (k *dictEqKernel) EvalRange(lo int, sel []int32) []int32 {
 	return sel[:n]
 }
 
-func (k *dictEqKernel) EvalRow(row int32) bool {
-	if !k.present {
-		return k.neg
-	}
-	return (k.codes[row] == k.code) != k.neg
-}
-
 // dictMatchKernel evaluates an arbitrary string predicate as a code-table
 // lookup: the predicate ran once per distinct dictionary value at compile
 // time (the StrContains strategy from the issue — scan distinct entries,
@@ -469,57 +462,78 @@ func (k *dictMatchKernel) EvalRange(lo int, sel []int32) []int32 {
 	return sel[:n]
 }
 
-func (k *dictMatchKernel) EvalRow(row int32) bool { return k.match[k.codes[row]] }
-
-// notKernel negates an arbitrary inner kernel row-wise. Compile inverts
-// dictionary kernels directly instead, so this only wraps numeric and
-// composite predicates.
+// notKernel negates an arbitrary inner kernel: the inner kernel runs on a
+// copy of the selection, and the rows it kept are the ones dropped.
+// Compile inverts dictionary kernels directly instead, so this only wraps
+// numeric and composite predicates.
 type notKernel struct {
 	kernelMeta
 	inner Kernel
 }
 
 func (k *notKernel) EvalBatch(sel []int32) []int32 {
-	n := 0
-	for _, r := range sel {
-		sel[n] = r
-		if !k.inner.EvalRow(r) {
-			n++
-		}
-	}
-	return sel[:n]
+	buf := getScratch(len(sel) + 1)
+	sel = minus(sel, k.inner.EvalBatch(append((*buf)[:0], sel...)))
+	scratchPool.Put(buf)
+	return sel
 }
 
-func (k *notKernel) EvalRow(row int32) bool { return !k.inner.EvalRow(row) }
-
-// orKernel short-circuits a disjunction row-wise in declared order.
+// orKernel runs its members in declared order, each only on the rows no
+// earlier member kept, and drops the rows that are left at the end.
 type orKernel struct {
 	kernelMeta
 	ks []Kernel
 }
 
 func (k *orKernel) EvalBatch(sel []int32) []int32 {
-	n := 0
+	n := len(sel)
+	buf := getScratch(2*n + 2)
+	rest := append((*buf)[:0:n+1], sel...) // the rows no member kept yet
+	try := (*buf)[n+1 : n+1]
+	for _, sub := range k.ks {
+		if len(rest) == 0 {
+			break
+		}
+		rest = minus(rest, sub.EvalBatch(append(try, rest...)))
+	}
+	sel = minus(sel, rest)
+	scratchPool.Put(buf)
+	return sel
+}
+
+// scratchPool recycles the selection copies of the NOT and OR kernels.
+// The kernels are shared by every worker of a scan, so the copies cannot
+// live in them, and allocating one per batch would put the allocator in
+// the scan's loop.
+var scratchPool = sync.Pool{New: func() any { return new([]int32) }}
+
+// getScratch takes a pooled buffer of at least n ids from scratchPool.
+func getScratch(n int) *[]int32 {
+	buf := scratchPool.Get().(*[]int32)
+	if cap(*buf) < n {
+		*buf = make([]int32, n)
+	}
+	return buf
+}
+
+// minus compacts sel in place to the rows drop does not hold. drop is what
+// a kernel kept of a copy of sel, so its rows are a subsequence of sel's,
+// and sel's ids are distinct: one walk finds them, without a branch on the
+// outcome. drop must have room for one more id, a -1 that no row matches.
+func minus(sel, drop []int32) []int32 {
+	drop = append(drop, -1)
+	n, j := 0, 0
 	for _, r := range sel {
 		sel[n] = r
-		if k.EvalRow(r) {
-			n++
-		}
+		hit := b2i(drop[j] == r)
+		j += hit
+		n += 1 - hit
 	}
 	return sel[:n]
 }
 
-func (k *orKernel) EvalRow(row int32) bool {
-	for _, sub := range k.ks {
-		if sub.EvalRow(row) {
-			return true
-		}
-	}
-	return false
-}
-
-// andKernel is a nested conjunction (below a Not/Or); top-level Ands are
-// flattened by Compile instead so the chain can reorder them.
+// andKernel is a nested conjunction (below a Not/Or), ordered by Compile
+// as a top-level one is.
 type andKernel struct {
 	kernelMeta
 	ks []Kernel
@@ -533,15 +547,6 @@ func (k *andKernel) EvalBatch(sel []int32) []int32 {
 		sel = sub.EvalBatch(sel)
 	}
 	return sel
-}
-
-func (k *andKernel) EvalRow(row int32) bool {
-	for _, sub := range k.ks {
-		if !sub.EvalRow(row) {
-			return false
-		}
-	}
-	return true
 }
 
 func compileNode(p Predicate, t *storage.Table) (Kernel, error) {
@@ -625,16 +630,16 @@ func compileNode(p Predicate, t *storage.Table) (Kernel, error) {
 		}
 		switch ik := inner.(type) {
 		case *dictEqKernel:
-			return &dictEqKernel{kernelMeta: meta(p, ik.weight), codes: ik.codes,
+			return &dictEqKernel{kernelMeta: meta(p, ik.w), codes: ik.codes,
 				code: ik.code, present: ik.present, neg: !ik.neg}, nil
 		case *dictMatchKernel:
 			inv := make([]bool, len(ik.match))
 			for i, m := range ik.match {
 				inv[i] = !m
 			}
-			return &dictMatchKernel{kernelMeta: meta(p, ik.weight), codes: ik.codes, match: inv}, nil
+			return &dictMatchKernel{kernelMeta: meta(p, ik.w), codes: ik.codes, match: inv}, nil
 		default:
-			return &notKernel{kernelMeta: meta(p, inner.Weight()+0.2), inner: inner}, nil
+			return &notKernel{kernelMeta: meta(p, inner.weight()+0.2), inner: inner}, nil
 		}
 	case Or:
 		ks := make([]Kernel, len(q.Ps))
@@ -645,21 +650,17 @@ func compileNode(p Predicate, t *storage.Table) (Kernel, error) {
 				return nil, err
 			}
 			ks[i] = k
-			w += k.Weight()
+			w += k.weight()
 		}
 		return &orKernel{kernelMeta: meta(p, w), ks: ks}, nil
 	case And:
-		ks := make([]Kernel, 0, len(q.Ps))
-		w := 0.0
-		for _, sub := range q.Ps {
-			flat, err := Compile(sub, t)
-			if err != nil {
-				return nil, err
-			}
-			ks = append(ks, flat...)
+		ks, err := Compile(q, t)
+		if err != nil {
+			return nil, err
 		}
+		w := 0.0
 		for _, k := range ks {
-			w += k.Weight()
+			w += k.weight()
 		}
 		return &andKernel{kernelMeta: meta(p, w), ks: ks}, nil
 	default:
@@ -692,46 +693,27 @@ func containsOrdered(s string, subs []string) bool {
 	return true
 }
 
-// reorderEvery is how many batches a chain processes between reorders.
-const reorderEvery = 64
-
-// PredCount is one kernel's observed row flow, in compile order.
+// PredCount is one kernel's observed row flow, in evaluation order.
 type PredCount struct {
 	Pred    string
 	In, Out int64
 }
 
-// Chain evaluates a conjunction of kernels over selection vectors,
-// adaptively reordering them by measured selectivity: every reorderEvery
-// batches the kernels are re-sorted ascending by weight/(1-passRate), so
-// cheap, selective predicates run first and expensive ones see fewer rows.
-// A scan enters through EvalRange, so a column kernel first in order reads
-// its column over the morsel's dense rows and the rest compact what it
-// kept. A Chain is per-worker state — not safe for concurrent use — while
-// the kernels it references are shared and immutable.
+// Chain evaluates a conjunction of kernels over selection vectors in the
+// order it is given (Compile's), counting each kernel's rows in and out,
+// and breaks off as soon as the selection empties. A scan enters through
+// EvalRange, so a column kernel first in order reads its column over the
+// morsel's dense rows and the rest compact what it kept. A Chain's
+// counters are per-worker state, not safe for concurrent use; the kernels
+// it references are shared and immutable.
 type Chain struct {
 	ks      []Kernel
-	order   []int // evaluation order, indices into ks
 	in, out []int64
-	rank    []float64
-	batches int
 }
 
-// NewChain seeds the evaluation order cheapest-weight-first.
+// NewChain counts rows through ks in the order given.
 func NewChain(ks []Kernel) *Chain {
-	c := &Chain{
-		ks:    ks,
-		order: make([]int, len(ks)),
-		in:    make([]int64, len(ks)),
-		out:   make([]int64, len(ks)),
-		rank:  make([]float64, len(ks)),
-	}
-	for i := range ks {
-		c.order[i] = i
-		c.rank[i] = ks[i].Weight()
-	}
-	c.sortOrder()
-	return c
+	return &Chain{ks: ks, in: make([]int64, len(ks)), out: make([]int64, len(ks))}
 }
 
 // EvalBatch runs the chain over sel, compacting in place.
@@ -743,71 +725,36 @@ func (c *Chain) EvalBatch(sel []int32) []int32 { return c.evalFrom(0, sel) }
 // vector is written for it to read back; any other kernel gets the ids
 // filled in and runs EvalBatch. An empty chain keeps every row.
 func (c *Chain) EvalRange(lo int, sel []int32) []int32 {
-	if len(c.order) == 0 {
+	if len(c.ks) == 0 {
 		return fillRange(lo, sel)
 	}
-	first, n := c.order[0], len(sel)
-	if k, ok := c.ks[first].(rangeKernel); ok {
+	n := len(sel)
+	if k, ok := c.ks[0].(rangeKernel); ok {
 		sel = k.EvalRange(lo, sel)
 	} else {
-		sel = c.ks[first].EvalBatch(fillRange(lo, sel))
+		sel = c.ks[0].EvalBatch(fillRange(lo, sel))
 	}
-	c.in[first] += int64(n)
-	c.out[first] += int64(len(sel))
+	c.in[0] += int64(n)
+	c.out[0] += int64(len(sel))
 	return c.evalFrom(1, sel)
 }
 
-// evalFrom runs the kernels from position j of the order over sel and
-// counts the batch toward the next reorder.
+// evalFrom runs the kernels from position j on over sel.
 func (c *Chain) evalFrom(j int, sel []int32) []int32 {
-	for _, i := range c.order[j:] {
-		if len(sel) == 0 {
-			break
-		}
+	for i := j; i < len(c.ks) && len(sel) > 0; i++ {
 		n := len(sel)
 		sel = c.ks[i].EvalBatch(sel)
 		c.in[i] += int64(n)
 		c.out[i] += int64(len(sel))
 	}
-	c.batches++
-	if c.batches%reorderEvery == 0 {
-		c.reorder()
-	}
 	return sel
 }
 
-// Counts snapshots observed per-kernel row flow in compile order.
+// Counts snapshots observed per-kernel row flow in evaluation order.
 func (c *Chain) Counts() []PredCount {
 	out := make([]PredCount, len(c.ks))
 	for i, k := range c.ks {
 		out[i] = PredCount{Pred: k.Label(), In: c.in[i], Out: c.out[i]}
 	}
 	return out
-}
-
-func (c *Chain) reorder() {
-	for i, k := range c.ks {
-		pass := 0.5
-		if c.in[i] > 0 {
-			pass = float64(c.out[i]) / float64(c.in[i])
-		}
-		drop := 1 - pass
-		if drop < 0.01 {
-			drop = 0.01
-		}
-		c.rank[i] = k.Weight() / drop
-	}
-	c.sortOrder()
-}
-
-// sortOrder is an insertion sort over order by rank: tiny n, zero
-// allocations (sort.Slice would allocate in the scan hot path).
-func (c *Chain) sortOrder() {
-	for i := 1; i < len(c.order); i++ {
-		j := i
-		for j > 0 && c.rank[c.order[j]] < c.rank[c.order[j-1]] {
-			c.order[j], c.order[j-1] = c.order[j-1], c.order[j]
-			j--
-		}
-	}
 }

@@ -12,9 +12,9 @@ import (
 // Steady-state filter-kernel benchmarks. CI gates on -benchmem reporting
 // 0 allocs/op for every BenchmarkEvalBatch* and BenchmarkEvalRange*: the
 // kernels through both entries (a filled selection vector and the dense
-// range a scan morsel starts with), the adaptive chain (including its
-// periodic reorder) and the selection-vector compaction must all run
-// allocation-free once compiled.
+// range a scan morsel starts with), the chain, the NOT and OR kernels'
+// pooled selection copies and the selection-vector compaction must all
+// run allocation-free once compiled.
 
 const benchRows = 8192
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"bfcbo/internal/catalog"
@@ -16,8 +17,8 @@ import (
 // predicate type — including Not/Or nesting, NaN floats (which pass
 // NE/GT/GE under cmpHolds), ±Inf and −0, int64 values at both ends of the
 // range (where the unsigned BETWEEN wraps), dictionary string predicates
-// with constants absent from the column, and empty selections — and the
-// adaptive chain must keep agreeing across reorders.
+// with constants absent from the column, and empty and shuffled
+// selections — whatever order Compile ranks the conjuncts in.
 
 var kernelVocab = []string{
 	"alpha", "beta", "gamma", "green metallic", "forest green",
@@ -131,10 +132,9 @@ func randPred(rng *rand.Rand, depth int) Predicate {
 	}
 }
 
-// checkPredEquivalence asserts EvalBatch ≡ Eval, EvalRange ≡ Eval and
-// EvalRow ≡ Eval for one (table, predicate) pair over full, chunked,
-// random-subset and empty selections, driving the chain far enough to
-// cross reorder boundaries.
+// checkPredEquivalence asserts EvalBatch ≡ Eval and EvalRange ≡ Eval for
+// one (table, predicate) pair over full, chunked, random-subset, shuffled
+// and empty selections, through the chain and kernel by kernel.
 func checkPredEquivalence(t *testing.T, tbl *storage.Table, p Predicate, rng *rand.Rand) {
 	t.Helper()
 	ks, err := Compile(p, tbl)
@@ -145,19 +145,6 @@ func checkPredEquivalence(t *testing.T, tbl *storage.Table, p Predicate, rng *ra
 	want := make([]bool, rows)
 	for i := 0; i < rows; i++ {
 		want[i] = p.Eval(tbl, i)
-	}
-	// EvalRow per kernel: the conjunction of kernels is the predicate.
-	for i := 0; i < rows; i++ {
-		got := true
-		for _, k := range ks {
-			if !k.EvalRow(int32(i)) {
-				got = false
-				break
-			}
-		}
-		if got != want[i] {
-			t.Fatalf("EvalRow mismatch at row %d for %s: got %v want %v", i, p.String(), got, want[i])
-		}
 	}
 	chain := NewChain(ks)
 	sel := make([]int32, rows)
@@ -182,28 +169,15 @@ func checkPredEquivalence(t *testing.T, tbl *storage.Table, p Predicate, rng *ra
 	}
 	// Empty selection.
 	verify(nil, "empty")
-	// Chunked full scans, repeated past the reorder boundary so the chain
-	// re-sorts by observed pass rates at least twice mid-test.
+	// A chunked full scan.
 	chunk := 1 + rng.Intn(300)
-	full := make([]int32, rows)
-	for i := range full {
-		full[i] = int32(i)
+	full := fillRange(0, make([]int32, rows))
+	for lo := 0; lo < rows; lo += chunk {
+		hi := min(lo+chunk, rows)
+		verify(full[lo:hi], fmt.Sprintf("chunk[%d,%d)", lo, hi))
 	}
-	batches := 0
-	for batches < 2*reorderEvery+3 {
-		for lo := 0; lo < rows; lo += chunk {
-			hi := lo + chunk
-			if hi > rows {
-				hi = rows
-			}
-			verify(full[lo:hi], fmt.Sprintf("chunk[%d,%d)", lo, hi))
-			batches++
-		}
-		if rows == 0 {
-			break
-		}
-	}
-	// Random subsets (ascending, possibly with gaps and duplicates absent).
+	// Random subsets, ascending with gaps, then the same rows shuffled: a
+	// kernel keeps the selection's order, whatever it is.
 	for trial := 0; trial < 5; trial++ {
 		var sub []int32
 		for i := 0; i < rows; i++ {
@@ -212,29 +186,43 @@ func checkPredEquivalence(t *testing.T, tbl *storage.Table, p Predicate, rng *ra
 			}
 		}
 		verify(sub, "subset")
+		rng.Shuffle(len(sub), func(i, j int) { sub[i], sub[j] = sub[j], sub[i] })
+		verify(sub, "shuffled subset")
 	}
 
 	// The dense entry, kernel by kernel (a column kernel through its own
 	// EvalRange, any other through the chain's fill): EvalRange over
-	// [lo, hi) keeps the rows of the range whose EvalRow holds, in order,
-	// whatever sel held on entry — over the whole table, a random range
-	// and empty ranges.
+	// [lo, hi) keeps the rows of the range that the kernel's conjunct's
+	// Eval accepts, in order, whatever sel held on entry — over the whole
+	// table, a random range and empty ranges.
+	conj := conjunctsOf(p)
+	if len(ks) != len(conj) {
+		t.Fatalf("%s: %d kernels for %d conjuncts", p.String(), len(ks), len(conj))
+	}
+	byLabel := map[string]Predicate{}
+	for _, c := range conj {
+		byLabel[c.String()] = c
+	}
 	ranges := [][2]int{{0, rows}, {rows, rows}, {0, 0}}
 	if rows > 0 {
 		lo := rng.Intn(rows)
 		ranges = append(ranges, [2]int{lo, lo + 1 + rng.Intn(rows-lo)}, [2]int{lo, lo})
 	}
 	for _, k := range ks {
+		c, ok := byLabel[k.Label()]
+		if !ok {
+			t.Fatalf("%s: kernel %q matches no conjunct", p.String(), k.Label())
+		}
+		eval := func(r int32) bool { return c.Eval(tbl, int(r)) }
 		one := NewChain([]Kernel{k})
 		for _, r := range ranges {
 			got := one.EvalRange(r[0], scribble(sel[:r[1]-r[0]]))
-			checkRange(t, fmt.Sprintf("%s EvalRange[%d,%d)", k.Label(), r[0], r[1]), r[0], r[1], got, k.EvalRow)
+			checkRange(t, fmt.Sprintf("%s EvalRange[%d,%d)", k.Label(), r[0], r[1]), r[0], r[1], got, eval)
 		}
 	}
 	// The dense entry through the chain, in morsels whose last one is
-	// partial, repeated past the reorder boundary so different kernels
-	// take the first place. A twin chain fed the same morsels as filled
-	// row ids through EvalBatch must keep the same rows and count the same
+	// partial. A twin chain fed the same morsels as filled row ids
+	// through EvalBatch must keep the same rows and count the same
 	// per-kernel flow, so the scan's EXPLAIN ANALYZE counters do not
 	// depend on the entry.
 	morsel := 1 + rng.Intn(300)
@@ -243,19 +231,30 @@ func checkPredEquivalence(t *testing.T, tbl *storage.Table, p Predicate, rng *ra
 	}
 	dense, twin := NewChain(ks), NewChain(ks)
 	evalRow := func(r int32) bool { return want[r] }
-	for batches := 0; batches < 2*reorderEvery+3 && rows > 0; {
-		for lo := 0; lo < rows; lo += morsel {
-			hi := min(lo+morsel, rows)
-			label := fmt.Sprintf("chain EvalRange[%d,%d)", lo, hi)
-			checkRange(t, label, lo, hi, dense.EvalRange(lo, scribble(sel[:hi-lo])), evalRow)
-			ids := make([]int32, hi-lo)
-			checkRange(t, label+" twin", lo, hi, twin.EvalBatch(fillRange(lo, ids)), evalRow)
-			batches++
-		}
+	for lo := 0; lo < rows; lo += morsel {
+		hi := min(lo+morsel, rows)
+		label := fmt.Sprintf("chain EvalRange[%d,%d)", lo, hi)
+		checkRange(t, label, lo, hi, dense.EvalRange(lo, scribble(sel[:hi-lo])), evalRow)
+		ids := make([]int32, hi-lo)
+		checkRange(t, label+" twin", lo, hi, twin.EvalBatch(fillRange(lo, ids)), evalRow)
 	}
 	if got, exp := dense.Counts(), twin.Counts(); !slices.Equal(got, exp) {
 		t.Fatalf("EvalRange counts %v, EvalBatch counts %v, pred %s", got, exp, p.String())
 	}
+}
+
+// conjunctsOf flattens p's top-level Ands, as Compile does before it
+// ranks the conjuncts.
+func conjunctsOf(p Predicate) []Predicate {
+	and, ok := p.(And)
+	if !ok {
+		return []Predicate{p}
+	}
+	var out []Predicate
+	for _, q := range and.Ps {
+		out = append(out, conjunctsOf(q)...)
+	}
+	return out
 }
 
 // The column kernels start a morsel from their column. One that lost
@@ -439,6 +438,99 @@ func TestCompileUnknownColumn(t *testing.T) {
 	}
 	if _, err := Compile(StrEq{Col: "a", Val: "x"}, tbl); err == nil {
 		t.Fatal("expected error for string predicate over int column")
+	}
+}
+
+// TestSharedNotOrKernels: the kernels of one compiled predicate are
+// shared by every worker of a scan, and the NOT and OR kernels take their
+// selection copies from a shared pool. Six goroutines run one compiled
+// set at once, each over its own shuffled selections, and each must keep
+// exactly the rows Eval accepts; under -race this covers the pool.
+func TestSharedNotOrKernels(t *testing.T) {
+	const rows, workers = 3000, 6
+	tbl := kernelTable(t, rand.New(rand.NewSource(17)), rows)
+	p := And{Ps: []Predicate{
+		Not{P: BetweenInt{Col: "a", Lo: 10, Hi: 20}},
+		Or{Ps: []Predicate{
+			CmpFloat{Col: "f", Op: LT, Val: 0.05},
+			Not{P: CmpCols{Col1: "a", Op: LE, Col2: "b"}},
+			StrPrefix{Col: "s", Prefix: "g"},
+		}},
+		Not{P: Or{Ps: []Predicate{InInt{Col: "b", Vals: []int64{3, 9}}, CmpInt{Col: "a", Op: GT, Val: 45}}}},
+	}}
+	ks, err := Compile(p, tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			chain := NewChain(ks)
+			for trial := 0; trial < 200; trial++ {
+				sel := fillRange(0, make([]int32, rows))
+				rng.Shuffle(rows, func(i, j int) { sel[i], sel[j] = sel[j], sel[i] })
+				sel = sel[:rng.Intn(rows+1)]
+				var exp []int32
+				for _, r := range sel {
+					if p.Eval(tbl, int(r)) {
+						exp = append(exp, r)
+					}
+				}
+				if got := chain.EvalBatch(sel); !slices.Equal(got, exp) {
+					t.Errorf("worker %d trial %d: kept %d rows, Eval keeps %d", seed, trial, len(got), len(exp))
+					return
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+}
+
+// TestCompileRanksQ6Shape: Compile orders the conjuncts once, cheapest per
+// eliminated row first, on pass rates sampled from the table. Over
+// lineitem-like columns, Q6's filter written in the reverse order runs
+// shipdate (one year of seven), then discount (3 of 11 values), then
+// quantity (23 of 50), and every call returns that order.
+func TestCompileRanksQ6Shape(t *testing.T) {
+	const rows = 20000
+	rng := rand.New(rand.NewSource(6))
+	ship := make([]int64, rows)
+	disc := make([]float64, rows)
+	qty := make([]int64, rows)
+	for i := range ship {
+		ship[i] = 8035 + rng.Int63n(2526)
+		disc[i] = float64(rng.Intn(11)) / 100
+		qty[i] = 1 + rng.Int63n(50)
+	}
+	tbl, err := storage.NewTable("li", []storage.Column{
+		{Name: "l_shipdate", Kind: catalog.Int64, Ints: ship},
+		{Name: "l_discount", Kind: catalog.Float64, Floats: disc},
+		{Name: "l_quantity", Kind: catalog.Int64, Ints: qty},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q6 := And{Ps: []Predicate{
+		CmpInt{Col: "l_quantity", Op: LT, Val: 24},
+		BetweenFloat{Col: "l_discount", Lo: 0.05, Hi: 0.07},
+		BetweenInt{Col: "l_shipdate", Lo: 8766, Hi: 9130},
+	}}
+	want := []string{q6.Ps[2].String(), q6.Ps[1].String(), q6.Ps[0].String()}
+	for call := 0; call < 3; call++ {
+		ks, err := Compile(q6, tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, k := range ks {
+			got = append(got, k.Label())
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("call %d: order %q, want %q", call, got, want)
+		}
 	}
 }
 

@@ -61,6 +61,8 @@ run "$bin/bfcbo" -q 8 -mode bfcbo -sf 0.01 -dop 4
 run "$bin/bfcbo" -q 8 -mode nobf -sf 0.01 -dop 2 -trace-out "$out/work/trace.json"
 run "$bin/bfcbo" -q 12 -mode naive -sf 0.01
 run "$bin/bfcbo" -sf 0.01 -mode bfpost -sql "SELECT * FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND l.l_quantity > 45"
+# An OR group and a NOT over a numeric BETWEEN: the NOT and OR kernels.
+run "$bin/bfcbo" -sf 0.01 -sql "SELECT * FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND (l.l_quantity < 5 OR l.l_discount > 0.09) AND NOT l.l_tax BETWEEN 0.02 AND 0.06"
 run "$bin/bfcbo" -q 21 -sf 0.05 -dop 2 -mem-budget 1MB
 run "$bin/bfcbo" -q 9 -sf 0.02 -dop 2 -mem-budget 256KB -faults "seed=42,spill.write=0.01,mem.deny=0.2" -retries 3
 # Six streams behind a cap of two queue at the scheduler's count gate.
