@@ -116,7 +116,7 @@ func Paper() Params {
 // charged: outside the band. nsBloomTest stays at 8 all the same. The
 // blocked filter is meant to move no plan, and lowering the charge would
 // shift H6's break-even (1 − BloomApplyCost/HashProbeCost) with it; the
-// two are re-derived together (ROADMAP item 3).
+// two are re-derived together (ROADMAP item 2(b)).
 //
 // A mirrored join — a semi, anti or left join built on its preserve side —
 // is therefore priced as the hash join it is plus one scanned row per build

@@ -380,8 +380,7 @@ func (g *graceHashJoin) startPair(p spillPair, w *drainOp) error {
 	// Replace the hashEntryBytes estimate with the built table's exact
 	// footprint; the active pair releases the adjusted figure when its
 	// probe stream drains.
-	exact := rowSetBytes(bRows, g.buildRels.Count()) +
-		ht.tab.Bytes() + 8*int64(bRows)*int64(1+len(ht.innerExtras))
+	exact := rowSetBytes(bRows, g.buildRels.Count()) + ht.bytes()
 	var marks buildMarks
 	if g.j.BuildPreserved {
 		marks = newBuildMarks(bRows)

@@ -208,6 +208,12 @@ type hashTable struct {
 	tab         *hashtab.JoinTable
 }
 
+// bytes is the built table's footprint: the directory and payload plus the
+// gathered key and extra-condition columns, one int64 per build row each.
+func (ht *hashTable) bytes() int64 {
+	return ht.tab.Bytes() + 8*int64(len(ht.innerKeys))*int64(1+len(ht.innerExtras))
+}
+
 // buildMarks is a mirrored join's match bitmap, one bit per build row. Each
 // probe worker sets bits in a bitmap of its own, so the probe loop needs no
 // atomics; the bitmaps meet once, when a worker retires (probeShared.retire)
@@ -340,7 +346,7 @@ type probeScratch struct {
 	keys     []int64
 	hashes   []uint64
 	// candO/candI are the match-pair vectors of the probe phase; outO/outI
-	// hold the gap-filled pairs of a Left join after the extras filter.
+	// hold the gap walk's output of a left or anti join.
 	candO, candI []int32
 	outO, outI   []int32
 	out          *RowSet
@@ -385,18 +391,6 @@ func (o *probeOp) Open() error {
 
 func (o *probeOp) Close() error { return o.child.Close() }
 
-// matchIn verifies the extra (non-hash) conditions for one candidate pair
-// against the given hash table (a grace drain probes per-partition tables,
-// so the table is a parameter rather than sh.ht).
-func (sh *probeShared) matchIn(ht *hashTable, outerIDs [][]int32, oi int, ii int32) bool {
-	for e := 1; e < len(sh.outerVals); e++ {
-		if sh.outerVals[e][outerIDs[e][oi]] != ht.innerExtras[e-1][ii] {
-			return false
-		}
-	}
-	return true
-}
-
 // probeBatch is the probe kernel: it joins one input batch against ht and
 // returns the output batch. It is shared by the streaming NextBatch path
 // and the grace drain, which probes reloaded partition chunks through the
@@ -405,19 +399,22 @@ func (sh *probeShared) matchIn(ht *hashTable, outerIDs [][]int32, oi int, ii int
 //
 // The kernel runs in three phases. Gather: resolve the per-condition
 // outer row-id columns once, gather the key column through them into
-// scratch, and hash the whole vector once via HashVec. Probe: a tight
-// monomorphic loop per JoinType walks the flat directory and emits
-// match-pair vectors (outer batch position, build row id); extra non-hash
-// conditions run as a vectorized post-filter, one
-// column loop per condition, over the pair vectors. Emit: bulk per-column
-// gathers driven by the pair vectors materialize the output columns
-// through the precomputed wiring. Output row order is ascending outer
-// position, ascending build row id within a key (the payload order).
+// scratch, and hash the whole vector once via HashVec. Probe: one Lookup
+// loop, the same for every join type and orientation, collects the match
+// pairs (outer batch position, build row id) in ascending outer position;
+// filterExtras drops the pairs that fail an extra non-hash condition; one
+// short pass per form then turns the surviving pairs into output pairs:
+// inner keeps them, semi keeps each outer row's first with the unit null,
+// left keeps them and null-extends the outer rows with none, anti keeps
+// only those null extensions. Emit: bulk per-column gathers driven by the
+// output pairs materialize the output columns through the precomputed
+// wiring. Output row order is ascending outer position, ascending build row
+// id within a key (the payload order).
 //
 // A mirrored join (sh.j.BuildPreserved) probes with the unit's rows and
-// records every verified match in marks, the caller's bitmap over ht's build
-// rows: its semi and anti forms emit nothing here, its left form the matched
-// pairs; sweepBatch emits the build rows afterwards.
+// marks every surviving pair's build row in marks, the caller's bitmap over
+// ht's build rows: its semi and anti forms emit nothing here, its left form
+// the surviving pairs; sweepBatch emits the build rows afterwards.
 func (sh *probeShared) probeBatch(ht *hashTable, in *RowSet, scr *probeScratch, marks buildMarks) *RowSet {
 	n := in.Len()
 	gatherStart := time.Now()
@@ -441,98 +438,56 @@ func (sh *probeShared) probeBatch(ht *hashTable, in *RowSet, scr *probeScratch, 
 	gatherWall := time.Since(gatherStart)
 
 	probeStart := time.Now()
-	extras := len(sh.outerVals) > 1
 	candO, candI := scr.candO[:0], scr.candI[:0]
-	switch {
-	case sh.j.BuildPreserved && sh.j.JoinType == query.Left:
-		for oi := 0; oi < n; oi++ {
-			for _, ii := range ht.tab.Lookup(keys[oi], hs[oi]) {
-				candO = append(candO, int32(oi))
-				candI = append(candI, ii)
-			}
+	for oi := 0; oi < n; oi++ {
+		for _, ii := range ht.tab.Lookup(keys[oi], hs[oi]) {
+			candO = append(candO, int32(oi))
+			candI = append(candI, ii)
 		}
-		if extras {
-			candO, candI = sh.filterExtras(ht, outerIDs, candO, candI)
-		}
-		for _, ii := range candI {
-			marks.set(ii)
-		}
-	case sh.j.BuildPreserved:
-		// Semi and anti: every build row with a verified match gets its
-		// mark — no stopping at the first, the key's other rows match too.
-		for oi := 0; oi < n; oi++ {
-			for _, ii := range ht.tab.Lookup(keys[oi], hs[oi]) {
-				if !marks.has(ii) && (!extras || sh.matchIn(ht, outerIDs, oi, ii)) {
-					marks.set(ii)
-				}
-			}
-		}
-	case sh.j.JoinType == query.Inner:
-		for oi := 0; oi < n; oi++ {
-			for _, ii := range ht.tab.Lookup(keys[oi], hs[oi]) {
-				candO = append(candO, int32(oi))
-				candI = append(candI, ii)
-			}
-		}
-		if extras {
-			candO, candI = sh.filterExtras(ht, outerIDs, candO, candI)
-		}
-	case sh.j.JoinType == query.Semi:
-		// One output row per outer row with a passing match; the unit's
-		// columns are null, as after an anti join.
-		for oi := 0; oi < n; oi++ {
-			for _, ii := range ht.tab.Lookup(keys[oi], hs[oi]) {
-				if extras && !sh.matchIn(ht, outerIDs, oi, ii) {
-					continue
-				}
-				candO = append(candO, int32(oi))
-				candI = append(candI, nullRow)
-				break
-			}
-		}
-	case sh.j.JoinType == query.Anti:
-		for oi := 0; oi < n; oi++ {
-			found := false
-			for _, ii := range ht.tab.Lookup(keys[oi], hs[oi]) {
-				if !extras || sh.matchIn(ht, outerIDs, oi, ii) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				candO = append(candO, int32(oi))
-				candI = append(candI, nullRow)
-			}
-		}
-	case sh.j.JoinType == query.Left:
-		for oi := 0; oi < n; oi++ {
-			for _, ii := range ht.tab.Lookup(keys[oi], hs[oi]) {
-				candO = append(candO, int32(oi))
-				candI = append(candI, ii)
-			}
-		}
-		if extras {
-			candO, candI = sh.filterExtras(ht, outerIDs, candO, candI)
-		}
+	}
+	if len(sh.outerVals) > 1 {
+		candO, candI = sh.filterExtras(ht, outerIDs, candO, candI)
 	}
 	scr.candO, scr.candI = candO, candI // keep grown backing arrays
 	pairO, pairI := candO, candI
-	if sh.j.JoinType == query.Left && !sh.j.BuildPreserved {
-		// Gap fill: candO is ascending, so one merge walk emits every
-		// surviving match and null-extends outer rows with none.
+	switch jt := sh.j.JoinType; {
+	case sh.j.BuildPreserved:
+		// Every build row with a verified match gets its mark; only the
+		// left form emits the matched pairs here.
+		for _, ii := range candI {
+			marks.set(ii)
+		}
+		if jt != query.Left {
+			pairO, pairI = candO[:0], candI[:0]
+		}
+	case jt == query.Semi:
+		// One output row per outer row with a surviving pair (candO is
+		// ascending); the unit's columns are null, as after an anti join.
+		w, last := 0, int32(-1)
+		for _, oi := range candO {
+			if oi != last {
+				candO[w], candI[w] = oi, nullRow
+				w, last = w+1, oi
+			}
+		}
+		pairO, pairI = candO[:w], candI[:w]
+	case jt == query.Left, jt == query.Anti:
+		// Gap walk: candO is ascending, so one merge emits every surviving
+		// pair (left only) and null-extends the outer rows with none.
+		keep := jt == query.Left
 		outO, outI := scr.outO[:0], scr.outI[:0]
 		k := 0
-		for oi := 0; oi < n; oi++ {
-			had := false
-			for k < len(candO) && candO[k] == int32(oi) {
-				outO = append(outO, int32(oi))
-				outI = append(outI, candI[k])
+		for oi := int32(0); oi < int32(n); oi++ {
+			run := k
+			for k < len(candO) && candO[k] == oi {
 				k++
-				had = true
 			}
-			if !had {
-				outO = append(outO, int32(oi))
+			if k == run {
+				outO = append(outO, oi)
 				outI = append(outI, nullRow)
+			} else if keep {
+				outO = append(outO, candO[run:k]...)
+				outI = append(outI, candI[run:k]...)
 			}
 		}
 		scr.outO, scr.outI = outO, outI

@@ -280,7 +280,7 @@ func (s *hashBuildSink) finish() error {
 			// Replace the hashEntryBytes estimate with the built table's
 			// exact footprint (directory + payload + gathered key columns)
 			// so budget reports track what is actually resident.
-			exact := ht.tab.Bytes() + 8*int64(totalRows)*int64(1+len(ht.innerExtras))
+			exact := ht.bytes()
 			if est := int64(totalRows) * hashEntryBytes; exact > est {
 				s.res.Force(exact - est)
 			} else {

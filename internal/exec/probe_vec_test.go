@@ -128,8 +128,9 @@ func TestProbeRandomMatchesLegacy(t *testing.T) {
 
 // benchProbeFixture builds a standalone probe kernel: a 1024-row build
 // side keyed over 512 distinct values and a 1024-row probe batch, the
-// steady-state shape the CI 0-allocs gate measures.
-func benchProbeFixture(extras bool) (*probeShared, *hashTable, *RowSet, *probeScratch) {
+// steady-state shape the CI 0-allocs gate measures. A mirrored fixture
+// (the build side is the preserve side) also returns the worker's marks.
+func benchProbeFixture(jt query.JoinType, mirrored, extras bool) (*probeShared, *hashTable, *RowSet, *probeScratch, buildMarks) {
 	const nBuild, nProbe = 1024, 1024
 	innerRS := NewRowSet(query.NewRelSet(1))
 	ids := make([]int32, nBuild)
@@ -151,7 +152,7 @@ func benchProbeFixture(extras bool) (*probeShared, *hashTable, *RowSet, *probeSc
 		outerKeys[i] = int64(i % 600) // ~85% hit rate
 	}
 	sh := &probeShared{
-		j:         &plan.Join{JoinType: query.Inner, Conds: conds},
+		j:         &plan.Join{JoinType: jt, Conds: conds, BuildPreserved: mirrored},
 		ht:        ht,
 		outRels:   query.NewRelSet(0, 1),
 		outerVals: [][]int64{outerKeys},
@@ -179,30 +180,57 @@ func benchProbeFixture(extras bool) (*probeShared, *hashTable, *RowSet, *probeSc
 		col[i] = int32(i)
 	}
 	inRS.cols[0] = col
-	return sh, ht, inRS, &probeScratch{}
+	var marks buildMarks
+	if mirrored {
+		marks = newBuildMarks(nBuild)
+	}
+	return sh, ht, inRS, &probeScratch{}, marks
 }
 
-// BenchmarkProbeBatch measures the steady-state probe kernel.
-// CI gates on 0 allocs/op: the per-worker scratch must absorb every
-// batch after warm-up.
+// BenchmarkProbeBatch measures the steady-state probe kernel for every
+// join type in both orientations (a mirrored join probes with the unit and
+// marks build rows), with and without an extra condition. CI gates on
+// 0 allocs/op: the per-worker scratch must absorb every batch after
+// warm-up, whichever pass follows the probe loop.
 func BenchmarkProbeBatch(b *testing.B) {
-	for _, cfg := range []struct {
-		name   string
-		extras bool
-	}{{"hash-only", false}, {"extra-cond", true}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			sh, ht, in, scr := benchProbeFixture(cfg.extras)
-			if out := sh.probeBatch(ht, in, scr, nil); out.Len() == 0 {
-				b.Fatal("probe produced no rows")
+	forms := []struct {
+		name     string
+		jt       query.JoinType
+		mirrored bool
+	}{
+		{"inner", query.Inner, false},
+		{"semi", query.Semi, false},
+		{"anti", query.Anti, false},
+		{"left", query.Left, false},
+		{"mirror-semi", query.Semi, true},
+		{"mirror-anti", query.Anti, true},
+		{"mirror-left", query.Left, true},
+	}
+	for _, f := range forms {
+		for _, extras := range []bool{false, true} {
+			name := f.name + "/hash-only"
+			if extras {
+				name = f.name + "/extra-cond"
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out := sh.probeBatch(ht, in, scr, nil)
-				if out.Len() == 0 {
+			b.Run(name, func(b *testing.B) {
+				sh, ht, in, scr, marks := benchProbeFixture(f.jt, f.mirrored, extras)
+				// A mirrored semi or anti probe emits nothing; its work is
+				// the marks.
+				emits := !f.mirrored || f.jt == query.Left
+				if out := sh.probeBatch(ht, in, scr, marks); emits && out.Len() == 0 {
 					b.Fatal("probe produced no rows")
 				}
-			}
-		})
+				if f.mirrored && !marks.has(0) {
+					b.Fatal("probe marked no build rows")
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if out := sh.probeBatch(ht, in, scr, marks); emits && out.Len() == 0 {
+						b.Fatal("probe produced no rows")
+					}
+				}
+			})
+		}
 	}
 }

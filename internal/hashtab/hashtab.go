@@ -25,8 +25,8 @@
 //
 // The build is two passes over the input (count, then scatter), sized
 // exactly — no per-key append growth, no rehashing, and the payload
-// order is deterministic: ascending build-row id per key, matching the
-// map-based reference insert order, so results are bit-identical.
+// order is deterministic: ascending build-row id per key, so a probe emits
+// a key's matches in ascending build-row order.
 package hashtab
 
 import (
@@ -100,8 +100,8 @@ type JoinTable struct {
 // HashVec). ids selects the build-row
 // subset (nil = all rows, as the executor builds); payload entries are
 // the ids values themselves, emitted in ids order — callers pass
-// ascending ids, so a key's payload run is ascending, matching the
-// map-based reference kernels bit for bit.
+// ascending ids, so a key's payload run is ascending and a probe emits its
+// matches in ascending build-row order.
 func Build(keys []int64, hashes []uint64, ids []int32) (*JoinTable, error) {
 	n := len(keys)
 	if ids != nil {
