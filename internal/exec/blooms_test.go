@@ -123,7 +123,10 @@ func TestBloomBuildFeedersAgree(t *testing.T) {
 // The scans' counters are exact counts as well: every DOP reports the
 // same morsels and the same per-predicate rows in and out. The morsels are
 // small, so each worker of a large scan runs many batches through its
-// predicate chain.
+// predicate chain. Against a run at the default morsel size (DOP 2), whose
+// morsels and batches are 16 times larger, the filters, the predicates'
+// rows in and out and the Work vector are the same, and each scan claims
+// ceil(rows/morsel) morsels at either size.
 func TestBloomStatsIndependentOfDOP(t *testing.T) {
 	ds := equivalenceDataset(t)
 	const morsel = 64
@@ -143,6 +146,7 @@ func TestBloomStatsIndependentOfDOP(t *testing.T) {
 			}
 			filters += len(ref.BloomStats)
 			var scans []ScanRuntime
+			var work Work
 			for _, dop := range []int{1, 2, 4, 8} {
 				r, err := Run(ds.DB, block, res.Plan, Options{DOP: dop, morselSize: morsel})
 				if err != nil {
@@ -153,10 +157,44 @@ func TestBloomStatsIndependentOfDOP(t *testing.T) {
 						q.Num, mode, dop, r.BloomStats, ref.BloomStats)
 				}
 				if scans == nil {
-					scans = r.Scans
+					scans, work = r.Scans, r.Work
 				} else if !reflect.DeepEqual(r.Scans, scans) {
 					t.Errorf("Q%d %s dop %d: scan counters diverge from dop 1:\n dop %d %v\n dop 1 %v",
 						q.Num, mode, dop, dop, r.Scans, scans)
+				}
+			}
+			r, err := Run(ds.DB, block, res.Plan, Options{DOP: 2})
+			if err != nil {
+				t.Fatalf("Q%d %s default morsel: %v", q.Num, mode, err)
+			}
+			if !reflect.DeepEqual(r.BloomStats, ref.BloomStats) {
+				t.Errorf("Q%d %s default morsel: BloomStats diverge from the reference:\n engine    %v\n reference %v",
+					q.Num, mode, r.BloomStats, ref.BloomStats)
+			}
+			if r.Work != work {
+				t.Errorf("Q%d %s: Work %+v at the default morsel, %+v at morsel %d", q.Num, mode, r.Work, work, morsel)
+			}
+			if len(r.Scans) != len(scans) {
+				t.Fatalf("Q%d %s: %d scans at the default morsel, %d at morsel %d", q.Num, mode, len(r.Scans), len(scans), morsel)
+			}
+			tables := map[int]string{}
+			for _, s := range res.Plan.Scans() {
+				tables[s.Rel] = s.Table
+			}
+			for i, sc := range r.Scans {
+				tbl, err := ds.DB.Table(tables[sc.Rel])
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := int64(tbl.NumRows())
+				small := scans[i]
+				if sc.Morsels != (n+DefaultMorselSize-1)/DefaultMorselSize || small.Morsels != (n+morsel-1)/morsel {
+					t.Errorf("Q%d %s scan %s: %d and %d morsels of %d and %d rows over %d rows",
+						q.Num, mode, sc.Alias, sc.Morsels, small.Morsels, DefaultMorselSize, morsel, n)
+				}
+				if !reflect.DeepEqual(sc.Preds, small.Preds) {
+					t.Errorf("Q%d %s scan %s: predicate counters %v at the default morsel, %v at morsel %d",
+						q.Num, mode, sc.Alias, sc.Preds, small.Preds, morsel)
 				}
 			}
 		}

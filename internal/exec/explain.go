@@ -100,8 +100,11 @@ func (r *Result) explainNode(b *strings.Builder, n plan.Node, depth int) {
 	}
 	fmt.Fprintf(b, "%s%s  est=%.0f", ind, head, n.EstRows())
 	if st := r.StatFor(n); st != nil {
-		fmt.Fprintf(b, " actual=%d batches=%d wall=%s",
-			st.RowsOut, st.Batches, st.Wall.Round(time.Microsecond))
+		fmt.Fprintf(b, " actual=%d batches=%d", st.RowsOut, st.Batches)
+		if _, probe := n.(*plan.Join); probe && st.Batches > 0 {
+			fmt.Fprintf(b, " rows/batch=%d", st.RowsIn/st.Batches)
+		}
+		fmt.Fprintf(b, " wall=%s", st.Wall.Round(time.Microsecond))
 		// Probe sub-phases; all zero for non-join operators.
 		if st.Gather > 0 || st.Probe > 0 || st.Emit > 0 {
 			fmt.Fprintf(b, " [gather=%s probe=%s emit=%s]",

@@ -7,10 +7,12 @@ import (
 	"bfcbo/internal/plan"
 )
 
-// DefaultMorselSize is the number of source rows a worker claims per
-// NextBatch. Small enough that batches of row ids stay cache-resident
-// through a scan→probe→probe chain, large enough that the shared cursor
-// is not contended.
+// DefaultMorselSize is the number of source rows a worker claims from a
+// scan's shared cursor at a time, and the number of kept rows a scan fills
+// a batch to before it hands it out (claiming morsels until it holds that
+// many). Small enough that batches of row ids stay cache-resident through
+// a scan→probe→probe chain, large enough that the shared cursor is not
+// contended.
 const DefaultMorselSize = 1024
 
 // PhysicalOperator is the morsel-driven execution interface. Each worker
@@ -76,7 +78,9 @@ type OpStat struct {
 	// RowsIn / RowsOut are total input and output rows across all workers.
 	// For sources RowsIn counts rows scanned before filtering.
 	RowsIn, RowsOut int64
-	// Batches is the number of morsels/batches processed.
+	// Batches is, for a scan, the number of morsels it claimed (one batch
+	// it hands out may span several); for a probe, the number of input
+	// batches it processed, plus a mirrored join's sweep batches.
 	Batches int64
 	// Wall is the summed in-operator wall time across workers (it can
 	// exceed the pipeline's elapsed time under parallelism).

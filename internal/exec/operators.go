@@ -15,7 +15,8 @@ import (
 // ---------------------------------------------------------------------------
 // Scan source: workers pull morsels of base-table rows from a shared atomic
 // cursor, apply the residual predicate and Bloom probes, and emit batches of
-// qualifying row ids. This is the morsel-driven entry point of a pipeline.
+// qualifying row ids, each filled to a morsel's worth of rows. This is the
+// morsel-driven entry point of a pipeline.
 
 // scanBloom is one Bloom filter a scan probes, with shared atomic tallies.
 // Workers accumulate in per-worker locals and fold into the atomics once at
@@ -82,8 +83,9 @@ func (src *scanSource) flushBloomStats() {
 }
 
 // runtime snapshots the scan's execution counters; called after the
-// pipeline's workers folded their locals at Close. The scan observes one
-// batch per morsel it claims, so its batch count is the morsel count.
+// pipeline's workers folded their locals at Close. The scan observes once
+// per morsel it claims, not once per batch it hands out (a batch may span
+// morsels), so its batch count is the morsel count.
 func (src *scanSource) runtime() ScanRuntime {
 	rt := ScanRuntime{
 		Rel: src.s.Rel, Alias: src.s.Alias,
@@ -101,9 +103,11 @@ func (src *scanSource) runtime() ScanRuntime {
 // the selection vector, the two-column filters' hash buffer, the kernel
 // chain's counters (empty when the scan has no predicate), the output row set
 // and every tally — is per worker, allocated once in Open; the
-// steady-state batch loop allocates nothing. Tallies fold into the
-// source's atomics once per worker at Close (workers close before the
-// pipeline joins them, so the fold always precedes the flush).
+// steady-state batch loop allocates nothing. The selection vector holds two
+// morsels: a fill claims a morsel only while it holds fewer rows than one.
+// Tallies fold into the source's atomics once per worker at Close (workers
+// close before the pipeline joins them, so the fold always precedes the
+// flush).
 type scanOp struct {
 	src   *scanSource
 	chain *query.Chain
@@ -120,7 +124,7 @@ func (o *scanOp) Open() error {
 	o.localTested = make([]int64, len(src.bfs))
 	o.localPassed = make([]int64, len(src.bfs))
 	o.chain = query.NewChain(src.kernels)
-	o.sel = make([]int32, src.morsel)
+	o.sel = make([]int32, 2*src.morsel)
 	o.out = NewRowSet(query.NewRelSet(src.s.Rel))
 	for _, b := range src.bfs {
 		if b.vals2 != nil {
@@ -144,31 +148,38 @@ func (o *scanOp) Close() error {
 	return nil
 }
 
-// NextBatch is the batch kernel path: claim a morsel, run the kernel
-// chain over its dense rows (query.Chain.EvalRange: the first
-// kernel reads its column over [lo, hi) and writes only the ids it keeps,
-// so no row-id vector is written first; with no predicate the chain just
-// writes the ids), then test the Bloom filters in plan order, each in one
-// fused pass over the surviving rows' keys (bloom.Filter.FilterSel). A
-// two-column filter first hashes its combined keys into scratch. This is
-// the only way a scan drops rows. The batch's one column is the surviving
-// prefix of the worker's selection vector; nothing is copied.
+// NextBatch fills one batch: it keeps claiming morsels until the
+// selection vector holds at least a morsel's worth of rows or the table
+// ends, so every operator above a selective scan pays its per-batch cost
+// for a full vector rather than for the few rows one morsel keeps. Each
+// morsel runs the kernel chain over its dense rows into the vector's tail
+// (query.Chain.EvalRange: the first kernel reads its column over [lo, hi)
+// and writes only the ids it keeps, so no row-id vector is written first;
+// with no predicate the chain just writes the ids), then tests the Bloom
+// filters in plan order, each in one fused pass over the surviving rows'
+// keys (bloom.Filter.FilterSel). A two-column filter first hashes its
+// combined keys into scratch. This is the only way a scan drops rows.
+// Everything else stays per morsel: the stop check before each claim (a
+// stopped fill returns nil), the Bloom tallies and one observe. Row ids
+// are global, so a batch may span morsels; its one column is the kept
+// prefix of the worker's selection vector, and nothing is copied.
 func (o *scanOp) NextBatch() (*RowSet, error) {
 	src := o.src
-	for {
+	n := 0
+	for n < src.morsel {
 		if src.stop != nil && src.stop.Load() {
 			return nil, nil
 		}
 		lo := int(src.cursor.Add(int64(src.morsel))) - src.morsel
 		if lo >= src.n {
-			return nil, nil
+			break
 		}
 		hi := lo + src.morsel
 		if hi > src.n {
 			hi = src.n
 		}
 		start := time.Now()
-		sel := o.chain.EvalRange(lo, o.sel[:hi-lo])
+		sel := o.chain.EvalRange(lo, o.sel[n:n+hi-lo])
 		for k, b := range src.bfs {
 			if len(sel) == 0 {
 				break
@@ -186,12 +197,13 @@ func (o *scanOp) NextBatch() (*RowSet, error) {
 			o.localPassed[k] += int64(len(sel))
 		}
 		src.stats.observe(hi-lo, len(sel), time.Since(start))
-		if len(sel) == 0 {
-			continue
-		}
-		o.out.cols[0] = sel
-		return o.out, nil
+		n += len(sel)
 	}
+	if n == 0 {
+		return nil, nil
+	}
+	o.out.cols[0] = o.sel[:n]
+	return o.out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -288,6 +300,7 @@ type probeShared struct {
 	outerVals [][]int64
 	outerRels []int
 	stats     *opStats
+	morsel    int // rows per sweep batch: the executor's morsel size
 
 	// Mirrored joins over an in-memory table (j.BuildPreserved, ht != nil):
 	// probing counts the workers whose input is not yet exhausted, marks is
@@ -304,6 +317,7 @@ func (ex *executor) newProbeShared(j *plan.Join, ht *hashTable,
 		j: j, ht: ht,
 		outRels: inRels.Union(j.Inner.Rels()),
 		stats:   stats,
+		morsel:  ex.morsel,
 	}
 	sh.wiring = newColWiring(sh.outRels, inRels, j.Inner.Rels())
 	for _, c := range j.Conds {
@@ -539,16 +553,17 @@ func (sh *probeShared) filterExtras(ht *hashTable, outerIDs [][]int32, candO, ca
 	return candO, candI
 }
 
-// sweepBatch is the second half of a mirrored join: it emits up to one
-// morsel of the build rows at or after position at that the join type keeps
-// — the marked ones of a semi join, the unmarked ones of an anti or left
-// join — with nulls in the probe side's columns, and returns the position
-// to resume from. The row set is scr-backed scratch, like probeBatch's.
+// sweepBatch is the second half of a mirrored join: it emits up to a
+// morsel's worth of the build rows at or after position at that the join
+// type keeps — the marked ones of a semi join, the unmarked ones of an anti
+// or left join — with nulls in the probe side's columns, and returns the
+// position to resume from. The row set is scr-backed scratch, like
+// probeBatch's.
 func (sh *probeShared) sweepBatch(ht *hashTable, marks buildMarks, at int, scr *probeScratch) (*RowSet, int) {
 	wantMarked := sh.j.JoinType == query.Semi
 	sel := scr.candI[:0]
 	n := ht.inner.Len()
-	for ; at < n && len(sel) < DefaultMorselSize; at++ {
+	for ; at < n && len(sel) < sh.morsel; at++ {
 		if marks.has(int32(at)) == wantMarked {
 			sel = append(sel, int32(at))
 		}

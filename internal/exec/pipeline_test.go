@@ -133,6 +133,45 @@ func TestMorselSizeInvariance(t *testing.T) {
 			sameTuples(t, fmt.Sprintf("%s morsel %d", v.name, morsel), canonicalRows(r.Out), want)
 		}
 	}
+
+	// A mirrored semi or anti join emits only what its sweep emits, in
+	// batches of at most a morsel's worth of build rows: at tiny morsels
+	// the sweep of fact's 1 000 rows crosses many batch boundaries.
+	for _, jt := range []query.JoinType{query.Semi, query.Anti} {
+		b := factDimBlock(schema, jt)
+		p := flipOrientation(&plan.Plan{Root: &plan.Join{
+			JoinType: jt,
+			Conds:    []plan.Cond{{OuterRel: 0, OuterCol: "fk", InnerRel: 1, InnerCol: "pk"}},
+			Outer:    &plan.Scan{Rel: 0, Alias: "f", Table: "fact"},
+			Inner:    &plan.Scan{Rel: 1, Alias: "d", Table: "dim", Pred: b.Relations[1].Pred},
+		}})
+		ref, err := Run(db, b, p, Options{Legacy: true})
+		if err != nil {
+			t.Fatalf("mirrored %s: reference: %v", jt, err)
+		}
+		want := canonicalRows(ref.Out)
+		for _, morsel := range []int{7, 64, 1000} {
+			what := fmt.Sprintf("mirrored %s morsel %d", jt, morsel)
+			rec := &batchSizes{}
+			r, err := Run(db, b, p, Options{DOP: 3, morselSize: morsel, injectOp: func(_ *plan.Pipeline, _ int, op PhysicalOperator) PhysicalOperator {
+				if _, ok := op.(*probeOp); !ok {
+					return op
+				}
+				return rec.wrap(op)
+			}})
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			sameTuples(t, what, canonicalRows(r.Out), want)
+			var sizes []int
+			for _, op := range rec.ops {
+				sizes = append(sizes, op.sizes...)
+			}
+			if wantBatches := (len(want) + morsel - 1) / morsel; len(sizes) != wantBatches {
+				t.Errorf("%s: the sweep emitted %d batches %v; want %d", what, len(sizes), sizes, wantBatches)
+			}
+		}
+	}
 }
 
 // concat is every sink's merge. A worker that got no batch leaves a nil

@@ -1,10 +1,14 @@
 package exec
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"bfcbo/internal/catalog"
+	"bfcbo/internal/cost"
 	"bfcbo/internal/optimizer"
 	"bfcbo/internal/plan"
 	"bfcbo/internal/query"
@@ -88,23 +92,217 @@ func TestScanCountersSortedColumn(t *testing.T) {
 	}
 }
 
-// EXPLAIN ANALYZE surfaces the scan's morsel and selectivity counters.
+// sizeOp passes its child's batches through and records each one's size.
+type sizeOp struct {
+	child PhysicalOperator
+	sizes []int
+}
+
+func (o *sizeOp) Open() error  { return o.child.Open() }
+func (o *sizeOp) Close() error { return o.child.Close() }
+func (o *sizeOp) NextBatch() (*RowSet, error) {
+	b, err := o.child.NextBatch()
+	if b != nil {
+		o.sizes = append(o.sizes, b.Len())
+	}
+	return b, err
+}
+
+// batchSizes keeps the sizeOps it puts into workers' chains. Its hook, an
+// injectOp hook, puts one directly above every worker's scan, below any
+// probe; wrap puts one wherever a caller's own hook wants it.
+type batchSizes struct {
+	mu  sync.Mutex
+	ops []*sizeOp
+}
+
+func (s *batchSizes) hook(_ *plan.Pipeline, _ int, op PhysicalOperator) PhysicalOperator {
+	p, ok := op.(*probeOp)
+	if !ok {
+		return s.wrap(op)
+	}
+	for {
+		q, ok := p.child.(*probeOp)
+		if !ok {
+			p.child = s.wrap(p.child)
+			return op
+		}
+		p = q
+	}
+}
+
+// wrap puts a kept sizeOp above op.
+func (s *batchSizes) wrap(op PhysicalOperator) PhysicalOperator {
+	rec := &sizeOp{child: op}
+	s.mu.Lock()
+	s.ops = append(s.ops, rec)
+	s.mu.Unlock()
+	return rec
+}
+
+// A scan fills its batches: behind a 1 % predicate, and behind a Bloom
+// filter that passes about 1 % of its rows, every batch a worker's scan
+// hands out holds at least a morsel's worth of rows, except that worker's
+// last, at a tiny and at the default morsel size, at DOP 1 and 4. A batch
+// spans many morsels, and yet the tuples equal the reference's, and the
+// per-morsel counters do not move: each scan claims ceil(rows/morsel)
+// morsels, its predicates see the same rows in and out at every morsel
+// size and DOP, and the Bloom filters report the reference's BloomStats.
+func TestScanFillsBatches(t *testing.T) {
+	const nFact, nDim, keep = 1 << 20, 1 << 14, 164 // keep/nDim ≈ 1 %
+	keys := make([]int64, nFact)
+	for i := range keys {
+		keys[i] = int64(i * 7919 % nDim) // scattered over every morsel
+	}
+	pk := make([]int64, nDim)
+	for i := range pk {
+		pk[i] = int64(i)
+	}
+	db := storage.NewDatabase()
+	schema := catalog.NewSchema()
+	for _, c := range []struct {
+		name string
+		col  []int64
+	}{{"fact", keys}, {"dim", pk}} {
+		tbl, err := storage.NewTable(c.name, []storage.Column{{Name: "k", Kind: catalog.Int64, Ints: c.col}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.AddTable(tbl); err != nil {
+			t.Fatal(err)
+		}
+		meta := storage.Analyze(tbl)
+		if c.name == "dim" {
+			meta.PrimaryKey = "k"
+		}
+		if err := schema.AddTable(meta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	few := query.CmpInt{Col: "k", Op: query.LT, Val: keep}
+
+	predBlock := &query.Block{
+		Name:      "fill-pred",
+		Relations: []query.Relation{{Alias: "f", Table: schema.MustTable("fact")}},
+	}
+	predPlan := &plan.Plan{Root: &plan.Scan{Rel: 0, Alias: "f", Table: "fact", Pred: few}}
+	bloomBlock := &query.Block{
+		Name: "fill-bloom",
+		Relations: []query.Relation{
+			{Alias: "f", Table: schema.MustTable("fact")},
+			{Alias: "d", Table: schema.MustTable("dim"), Pred: few},
+		},
+		Clauses: []query.JoinClause{{Type: query.Inner, LeftRel: 0, LeftCol: "k", RightRel: 1, RightCol: "k"}},
+	}
+	res, err := optimizer.Optimize(bloomBlock, optimizer.Options{
+		Mode: optimizer.BFCBO, Cost: cost.Paper(),
+		Heuristics: optimizer.Heuristics{H1LargerOnly: true, H2MinApplyRows: 10,
+			H3FKLosslessPK: true, H5MaxBuildNDV: 1e9, H6MaxKeepFraction: 0.9},
+		MaxPlansPerSet: 100_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range res.Plan.Scans() {
+		if s.Table == "fact" && len(s.ApplyBlooms) == 0 {
+			t.Fatalf("the fact scan applies no Bloom filter:\n%s", res.Plan.Explain())
+		}
+	}
+
+	for _, c := range []struct {
+		name  string
+		block *query.Block
+		p     *plan.Plan
+	}{{"predicate", predBlock, predPlan}, {"bloom", bloomBlock, res.Plan}} {
+		ref, err := Run(db, c.block, c.p, Options{Legacy: true})
+		if err != nil {
+			t.Fatalf("%s: reference: %v", c.name, err)
+		}
+		want := canonicalRows(ref.Out)
+		var preds []PredRuntime
+		for _, morsel := range []int{64, DefaultMorselSize} {
+			var scans []ScanRuntime
+			for _, dop := range []int{1, 4} {
+				what := fmt.Sprintf("%s morsel %d dop %d", c.name, morsel, dop)
+				rec := &batchSizes{}
+				r, err := Run(db, c.block, c.p, Options{DOP: dop, morselSize: morsel, injectOp: rec.hook})
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				sameTuples(t, what, canonicalRows(r.Out), want)
+				full := 0
+				for _, op := range rec.ops {
+					for i, n := range op.sizes {
+						if i < len(op.sizes)-1 && n < morsel {
+							t.Fatalf("%s: a worker's batch %d of %d holds %d rows, below the morsel", what, i, len(op.sizes), n)
+						}
+						if n >= morsel {
+							full++
+						}
+					}
+				}
+				if full == 0 {
+					t.Fatalf("%s: no scan handed out a full batch: the test lost its subject", what)
+				}
+				if !reflect.DeepEqual(r.BloomStats, ref.BloomStats) {
+					t.Errorf("%s: BloomStats %v, the reference's %v", what, r.BloomStats, ref.BloomStats)
+				}
+				for _, sc := range r.Scans {
+					n := map[string]int64{"f": nFact, "d": nDim}[sc.Alias]
+					if sc.Morsels != (n+int64(morsel)-1)/int64(morsel) {
+						t.Errorf("%s: scan %s claimed %d morsels of its %d rows", what, sc.Alias, sc.Morsels, n)
+					}
+				}
+				if scans == nil {
+					scans = r.Scans
+				} else if !reflect.DeepEqual(r.Scans, scans) {
+					t.Errorf("%s: scan counters %v, dop 1's %v", what, r.Scans, scans)
+				}
+				var p []PredRuntime
+				for _, sc := range r.Scans {
+					p = append(p, sc.Preds...)
+				}
+				if preds == nil {
+					preds = p
+				} else if !reflect.DeepEqual(p, preds) {
+					t.Errorf("%s: predicate counters %v, morsel 64's %v", what, p, preds)
+				}
+			}
+		}
+	}
+}
+
+// EXPLAIN ANALYZE surfaces the scan's morsel and selectivity counters, and
+// each probe's input rows per batch.
 func TestExplainScanCounters(t *testing.T) {
 	ds := equivalenceDataset(t)
-	q, _ := tpch.Get(6)
-	block := q.Build(ds.Schema)
 	opts := optimizer.DefaultOptions(0.01)
 	opts.Mode = optimizer.BFCBO
-	res, err := optimizer.Optimize(block, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := Run(ds.DB, block, res.Plan, Options{DOP: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := r.ExplainAnalyze(res.Plan)
-	if !strings.Contains(out, "morsels=") || !strings.Contains(out, "pred ") {
-		t.Fatalf("explain analyze missing scan counters:\n%s", out)
+	for _, tc := range []struct {
+		num  int
+		want []string
+	}{
+		{6, []string{"morsels=", "pred "}},
+		{3, []string{"morsels=", "rows/batch="}},
+	} {
+		q, _ := tpch.Get(tc.num)
+		block := q.Build(ds.Schema)
+		res, err := optimizer.Optimize(block, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Run(ds.DB, block, res.Plan, Options{DOP: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := r.ExplainAnalyze(res.Plan)
+		for _, w := range tc.want {
+			if !strings.Contains(out, w) {
+				t.Fatalf("Q%d: explain analyze missing %q:\n%s", tc.num, w, out)
+			}
+		}
+		if joins := len(res.Plan.Joins()); strings.Count(out, "rows/batch=") != joins {
+			t.Fatalf("Q%d: %d rows/batch fields for %d probes:\n%s", tc.num, strings.Count(out, "rows/batch="), joins, out)
+		}
 	}
 }
