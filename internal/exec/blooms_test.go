@@ -93,13 +93,17 @@ func TestBloomBuildFeedersAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := g.routeBuild(inner); err != nil {
+			r := newRouters(&g.build, 1)[0]
+			if err := r.route(inner.cols); err != nil {
 				t.Fatal(err)
 			}
-			if err := g.finishBuild(); err != nil {
+			if err := r.flush(); err != nil {
 				t.Fatal(err)
 			}
-			agree("chunks", build("chunks", g.feedBuildChunks, g.buildRows()))
+			if err := g.build.finish(); err != nil {
+				t.Fatal(err)
+			}
+			agree("chunks", build("chunks", g.feedBuildChunks, g.build.rows()))
 			ex.cleanupSpill()
 			agree("keys", build("keys", feedVector(inner, joinKeys), inner.Len()))
 			for _, id := range j.BuildBlooms {

@@ -31,7 +31,7 @@ type Result struct {
 	Out *RowSet
 	// Rows is the final output row count (Out.Len()).
 	Rows int
-	// Actuals records observed output rows per plan node, in execution
+	// Actuals records observed output rows per plan node, in pipeline
 	// order, for estimate-vs-actual analysis (the paper's MAE metric).
 	Actuals []NodeActual
 	// BloomStats describes every Bloom filter that ran.
@@ -159,15 +159,15 @@ type executor struct {
 
 	// Pipelined-execution state: hash builds keyed by their join (a table in
 	// memory, or the grace partitions it spilled to), the per-operator stat
-	// registry, and the final output.
+	// registry, and the final output. pipes and scanRt are indexed by
+	// pipeline ID: each pipeline fills its own slots as it finishes, and
+	// scanRt is sorted by relation at the end.
 	builds map[*plan.Join]*hashTable
 	graces map[*plan.Join]*graceHashJoin
 	stats  []*opStats
 	pipes  []PipelineStat
-	out    *RowSet
-	// scanRt collects per-scan runtime counters; appended under smu as
-	// scan pipelines finish (concurrently), sorted by relation at the end.
 	scanRt []ScanRuntime
+	out    *RowSet
 
 	// Memory-budget state: the per-query account on the memory broker, the
 	// configured budget (for partition sizing), and the run's lazily
@@ -178,13 +178,10 @@ type executor struct {
 	spillMu     sync.Mutex
 	spillDir    *spill.Dir
 
-	mu      sync.Mutex
-	actuals []NodeActual
-
 	// DAG-scheduling state. Pipelines run concurrently once their
-	// dependencies complete, so the breaker-output maps above and the stat
-	// registries are written by concurrent finishes — smu guards them all
-	// (the Bloom filters sit behind bloomSet's own lock). stop is the
+	// dependencies complete, so the breaker-output maps above are written
+	// by concurrent finishes — smu guards them and the first error (the
+	// Bloom filters sit behind bloomSet's own lock). stop is the
 	// run-wide cancellation flag set by the first worker error (or context
 	// cancellation) and checked by every morsel source; stopCh closes at
 	// the same moment, waking workers blocked on slot acquisition.
@@ -367,6 +364,8 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 		graces:      make(map[*plan.Join]*graceHashJoin),
 		injectOp:    opts.injectOp,
 		pipeStats:   newPipeStats(pipes),
+		pipes:       make([]PipelineStat, len(pipes)),
+		scanRt:      make([]ScanRuntime, len(pipes)),
 		memq:        broker.NewQuery(),
 		budget:      broker.Budget(),
 		spillParent: opts.SpillDir,
@@ -448,19 +447,22 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	if err := ex.runPipelined(pipes); err != nil {
 		return nil, err
 	}
-	// Scan pipelines finish in DAG order, not relation order; sort the
-	// collected runtimes so reports are deterministic.
+	// One scan per pipeline, reported by relation.
 	sort.Slice(ex.scanRt, func(i, j int) bool { return ex.scanRt[i].Rel < ex.scanRt[j].Rel })
 	res = &Result{
-		Out: ex.out, Rows: ex.out.Len(), Actuals: ex.actuals,
+		Out: ex.out, Rows: ex.out.Len(),
 		Pipelines:  ex.pipes,
 		Scans:      ex.scanRt,
 		MemPeak:    ex.memq.Peak(),
 		Sched:      ticket.Stats(),
 		BloomStats: ex.blooms.stats(p.Blooms),
 	}
+	// Every plan node holds exactly one pipeline position (scans as
+	// sources, joins as probes), so each has one stat and one actual.
 	for _, st := range ex.stats {
-		res.OpStats = append(res.OpStats, st.snapshot())
+		op := st.snapshot()
+		res.OpStats = append(res.OpStats, op)
+		res.Actuals = append(res.Actuals, NodeActual{Node: op.Node, Actual: float64(op.RowsOut)})
 	}
 	res.Work = foldWork(res)
 	return res, nil
@@ -486,12 +488,6 @@ func resolveTables(db *storage.Database, block *query.Block) ([]*storage.Table, 
 		tables[i] = t
 	}
 	return tables, nil
-}
-
-func (ex *executor) record(n plan.Node, rows int) {
-	ex.mu.Lock()
-	ex.actuals = append(ex.actuals, NodeActual{Node: n, Actual: float64(rows)})
-	ex.mu.Unlock()
 }
 
 // foldResultMetrics lands one finished run's stat-struct totals in the

@@ -14,45 +14,81 @@ import (
 
 // This file is the grace hash join: when a hash-build sink's memory grant
 // is denied, both join sides hash-partition to spill files and the join
-// runs partition pair by partition pair. The build sink routes build rows
-// to nparts partition files (level-0 hash). The probe pipeline splits in
-// two at the join (runPipeline): its first stage ends in a route sink that
-// routes every worker's input to the matching probe partition files
-// instead of probing, and its next stage starts from a drain: workers
-// claim partitions from a shared cursor and join each pair — loading the
-// build partition, building its table with buildHashTable on the claiming
-// worker's own goroutine, and streaming the probe partition through the
-// shared probeBatch kernel, so all join types (inner/semi/anti/left) and
-// extra conditions work unchanged. The stages' boundary is the barrier:
-// no drain starts before every probe row is on disk. A mirrored join
-// marks and sweeps pair by pair: equal keys share a partition, so a
-// pair's build rows owe nothing to any other pair's probe rows. A
-// partition pair whose grant is denied again repartitions recursively
-// with a level-salted hash, up to graceMaxDepth.
+// runs partition pair by partition pair. Each side is a graceSide, and a
+// row of either side reaches its partition file one way, through a router
+// (spillio.go): the build sink's workers route their buffered parts
+// through routers of their own, the probe pipeline's route sink routes
+// every worker's input the same way, and a repartition step routes both
+// files of a pair at the next hash level. The probe pipeline splits in two
+// at the join (runPipeline): its first stage ends in the route sink, and
+// its next stage starts from a drain: workers claim partitions from a
+// shared cursor and join each pair — loading the build partition, building
+// its table with buildHashTable on the claiming worker's own goroutine,
+// and streaming the probe partition through the shared probeBatch kernel,
+// so all join types (inner/semi/anti/left) and extra conditions work
+// unchanged. The stages' boundary is the barrier: no drain starts before
+// every probe row is on disk. A mirrored join marks and sweeps pair by
+// pair: equal keys share a partition, so a pair's build rows owe nothing
+// to any other pair's probe rows. A partition pair whose grant is denied
+// again repartitions recursively with a level-salted hash, up to
+// graceMaxDepth.
+
+// graceSide is one side of a spilled join — its build side, its probe side,
+// or either side of a repartition step: the relations its rows cover, the
+// key relation's column position in the spill layout, the key values by
+// row id (keys are re-derived from the store, never spilled), its
+// partition files, and the pipeline counters its spill I/O lands in.
+type graceSide struct {
+	rels    query.RelSet
+	keyPos  int
+	keyVals []int64
+	parts   []*spill.Writer
+	rec     *spillCounters
+}
+
+// open returns the side over n new partition files, counted on rec.
+func (s graceSide) open(ex *executor, name string, n int, rec *spillCounters) (graceSide, error) {
+	d, err := ex.spillFiles()
+	if err != nil {
+		return s, err
+	}
+	s.parts, s.rec = make([]*spill.Writer, n), rec
+	for p := range s.parts {
+		if s.parts[p], err = d.NewWriter(name, s.rels.Count()); err != nil {
+			return s, err
+		}
+	}
+	rec.addParts(int64(n))
+	return s, nil
+}
+
+// finish flushes the side's partition files once its routing is done.
+func (s *graceSide) finish() error {
+	for _, w := range s.parts {
+		if err := w.Finish(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// rows is the side's row count across its partitions.
+func (s *graceSide) rows() int {
+	var n int64
+	for _, w := range s.parts {
+		n += w.Rows()
+	}
+	return int(n)
+}
 
 // graceHashJoin is the shared state of one spilled hash join, created by
-// the build sink and completed by the probe pipeline.
+// the build sink and completed by the probe pipeline, which attaches the
+// probe side, the drain's reservation and the cursor that hands out
+// partitions to drain.
 type graceHashJoin struct {
-	ex     *executor
-	j      *plan.Join
-	nparts int
-
-	// Build side: partition files plus the key gather (base-table column
-	// indexed by spilled row ids, so keys are re-derived, never stored).
-	buildRels    query.RelSet
-	buildKeyPos  int // column position of the key relation in the spill layout
-	buildKeyVals []int64
-	build        []*spill.Writer
-	buildRec     *spillCounters
-
-	// Probe side, initialized when the probe pipeline is set up; cursor
-	// hands out partitions to drain.
-	probeRels    query.RelSet
-	probeKeyRel  int
-	probeKeyPos  int
-	probeKeyVals []int64
-	probe        []*spill.Writer
-	probeRec     *spillCounters
+	ex           *executor
+	j            *plan.Join
+	build, probe graceSide
 	res          *mem.Reservation
 	cursor       atomic.Int64
 }
@@ -68,54 +104,13 @@ func (ex *executor) newGraceBuild(j *plan.Join, estRows float64, rec *spillCount
 	if err != nil {
 		return nil, fmt.Errorf("exec: grace build key: %w", err)
 	}
-	buildRels := j.Inner.Rels()
-	d, err := ex.spillFiles()
-	if err != nil {
+	rels := j.Inner.Rels()
+	build := graceSide{rels: rels, keyPos: rels.Rank(c0.InnerRel), keyVals: col.Ints}
+	n := spillPartitionCount(estRows, rels.Count(), ex.budget)
+	if build, err = build.open(ex, "build", n, rec); err != nil {
 		return nil, err
 	}
-	g := &graceHashJoin{
-		ex: ex, j: j,
-		nparts:       spillPartitionCount(estRows, buildRels.Count(), ex.budget),
-		buildRels:    buildRels,
-		buildKeyPos:  buildRels.Rank(c0.InnerRel),
-		buildKeyVals: col.Ints,
-		buildRec:     rec,
-	}
-	if g.build, err = partitionWriters(d, "build", g.nparts, buildRels.Count()); err != nil {
-		return nil, err
-	}
-	rec.addParts(int64(g.nparts))
-	return g, nil
-}
-
-// routeBuild partitions one build-side row set into the build files.
-// Safe for concurrent use (chunk appends are atomic per partition). The
-// key gather runs in pooled scratch: routing happens on shared sink
-// state across many workers and batches, so per-call allocation would
-// dominate the spill path's steady state.
-func (g *graceHashJoin) routeBuild(rs *RowSet) error {
-	ids := rs.Col(g.j.Conds[0].InnerRel)
-	kp := keyVecPool.Get().(*[]int64)
-	keys := (*kp)[:0]
-	for _, id := range ids {
-		keys = append(keys, g.buildKeyVals[id])
-	}
-	n, err := routeCols(rs.cols, keys, 0, g.build)
-	g.buildRec.addBytes(n)
-	*kp = keys[:0]
-	keyVecPool.Put(kp)
-	return err
-}
-
-// finishBuild flushes the build partition files; called once by the build
-// sink's finish after all routing is done.
-func (g *graceHashJoin) finishBuild() error {
-	for _, w := range g.build {
-		if err := w.Finish(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return &graceHashJoin{ex: ex, j: j, build: build}, nil
 }
 
 // newRouteSink attaches the probe side — partition files matching the
@@ -124,97 +119,40 @@ func (g *graceHashJoin) finishBuild() error {
 // setup, before any worker starts.
 func (g *graceHashJoin) newRouteSink(sh *probeShared, inRels query.RelSet,
 	workers int, rec *spillCounters, res *mem.Reservation) (*routeSink, error) {
-	d, err := g.ex.spillFiles()
-	if err != nil {
+	probe := graceSide{rels: inRels, keyPos: inRels.Rank(sh.outerRels[0]), keyVals: sh.outerVals[0]}
+	var err error
+	if g.probe, err = probe.open(g.ex, "probe", len(g.build.parts), rec); err != nil {
 		return nil, err
 	}
-	g.probeRels = inRels
-	g.probeKeyRel = sh.outerRels[0]
-	g.probeKeyPos = inRels.Rank(g.probeKeyRel)
-	g.probeKeyVals = sh.outerVals[0]
-	if g.probe, err = partitionWriters(d, "probe", g.nparts, inRels.Count()); err != nil {
-		return nil, err
-	}
-	g.probeRec = rec
 	g.res = res
-	rec.addParts(int64(g.nparts))
-	s := &routeSink{g: g, stats: sh.stats, bufs: make([][]*RowSet, workers)}
-	for w := range s.bufs {
-		s.bufs[w] = make([]*RowSet, g.nparts)
-	}
-	return s, nil
+	return &routeSink{ex: g.ex, stats: sh.stats, routers: newRouters(&g.probe, workers)}, nil
 }
 
-// graceProbeBufRows bounds each worker's per-partition route buffer.
-const graceProbeBufRows = 1024
-
 // routeSink ends the route stage of a pipeline whose join spilled: each
-// worker hash-partitions its batches into per-partition buffers of its
-// own and appends a buffer that fills to the partition's probe file as
-// one chunk; finish flushes what is left. Routed rows are the join's
-// RowsIn; the drain adds its RowsOut. A failed write fails the run, so
-// finish never runs after one.
+// worker routes its batches through a router of its own, and finish writes
+// what the routers still buffer. Routed rows are the join's RowsIn; the
+// drain adds its RowsOut. A failed write fails the run, so finish never
+// runs after one.
 type routeSink struct {
-	g     *graceHashJoin
-	stats *opStats
-	bufs  [][]*RowSet // [worker][partition]
+	ex      *executor
+	stats   *opStats
+	routers []router // by worker
 }
 
 func (s *routeSink) consume(w int, in *RowSet) {
 	start := time.Now()
-	if err := s.route(s.bufs[w], in); err != nil {
-		s.g.ex.fail(err)
+	if err := s.routers[w].route(in.cols); err != nil {
+		s.ex.fail(err)
 	}
 	s.stats.observe(in.Len(), 0, time.Since(start))
 }
 
-// route copies one input batch into a worker's partition buffers,
-// flushing any buffer that fills.
-func (s *routeSink) route(bufs []*RowSet, in *RowSet) error {
-	g := s.g
-	ids := in.Col(g.probeKeyRel)
-	for i := range ids {
-		key := g.probeKeyVals[ids[i]]
-		p := int(spillHash(key, 0) % uint64(g.nparts))
-		buf := bufs[p]
-		if buf == nil {
-			buf = NewRowSetCap(g.probeRels, graceProbeBufRows)
-			bufs[p] = buf
-		}
-		for c := range buf.cols {
-			buf.cols[c] = append(buf.cols[c], in.cols[c][i])
-		}
-		if buf.Len() >= graceProbeBufRows {
-			if err := s.flush(buf, p); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (s *routeSink) flush(buf *RowSet, p int) error {
-	if buf == nil || buf.Len() == 0 {
-		return nil
-	}
-	if err := s.g.probe[p].AppendChunk(buf.cols); err != nil {
-		return err
-	}
-	s.g.probeRec.addBytes(int64(4 + 4*buf.Len()*len(buf.cols)))
-	for c := range buf.cols {
-		buf.cols[c] = buf.cols[c][:0]
-	}
-	return nil
-}
-
-// finish flushes every worker's partly filled buffers, on the pipeline's
-// goroutine once the route stage's workers have joined.
+// finish flushes every worker's router, on the pipeline's goroutine once
+// the route stage's workers have joined.
 func (s *routeSink) finish() error {
-	for _, bufs := range s.bufs {
-		for p, buf := range bufs {
-			if err := s.flush(buf, p); err != nil {
-				return err
-			}
+	for w := range s.routers {
+		if err := s.routers[w].flush(); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -261,7 +199,7 @@ type drainOp struct {
 }
 
 func (o *drainOp) Open() error {
-	o.in.rels = o.g.probeRels
+	o.in.rels = o.g.probe.rels
 	return nil
 }
 
@@ -270,7 +208,7 @@ func (o *drainOp) Open() error {
 // run's spill-dir cleanup, the reservation by the query account's close).
 func (o *drainOp) Close() error {
 	if o.act != nil {
-		o.g.probeRec.addBytesRead(o.act.r.BytesRead())
+		o.g.probe.rec.addBytesRead(o.act.r.BytesRead())
 		o.act.r.Close()
 		o.act = nil
 	}
@@ -319,10 +257,10 @@ func (o *drainOp) NextBatch() (*RowSet, error) {
 		}
 		if len(o.stack) == 0 {
 			p := g.cursor.Add(1) - 1
-			if p >= int64(g.nparts) {
+			if p >= int64(len(g.build.parts)) {
 				return nil, nil
 			}
-			o.stack = append(o.stack, spillPair{build: g.build[p], probe: g.probe[p]})
+			o.stack = append(o.stack, spillPair{build: g.build.parts[p], probe: g.probe.parts[p]})
 		}
 		p := o.stack[len(o.stack)-1]
 		o.stack = o.stack[:len(o.stack)-1]
@@ -351,13 +289,10 @@ func (g *graceHashJoin) startPair(p spillPair, w *drainOp) error {
 		p.probe.Remove()
 		return nil
 	}
-	// An empty build side needs no memory — anti/left stream the probe
-	// rows against an empty table, so a denied budget must not trigger a
-	// pointless repartition pass.
-	est := rowSetBytes(bRows, g.buildRels.Count()) + int64(bRows)*hashEntryBytes
-	if bRows == 0 {
-		est = 0
-	}
+	// An empty build side asks for nothing, and a grant of nothing always
+	// succeeds — anti/left stream the probe rows against an empty table,
+	// so a denied budget must not trigger a pointless repartition pass.
+	est := buildGrant(bRows, g.build.rels.Count())
 	if !g.res.Grow(est, nil) {
 		if p.level < graceMaxDepth && (bRows > graceMinPartRows || pRows > graceMinPartRows) {
 			return g.repartition(p, w)
@@ -366,7 +301,7 @@ func (g *graceHashJoin) startPair(p spillPair, w *drainOp) error {
 		// partition): take the overage.
 		g.res.Force(est)
 	}
-	buildRS, err := readSpill(p.build, g.buildRels, g.probeRec)
+	buildRS, err := readSpill(p.build, g.build.rels, g.probe.rec)
 	if err != nil {
 		g.res.Release(est)
 		return err
@@ -380,18 +315,13 @@ func (g *graceHashJoin) startPair(p spillPair, w *drainOp) error {
 	// Replace the hashEntryBytes estimate with the built table's exact
 	// footprint; the active pair releases the adjusted figure when its
 	// probe stream drains.
-	exact := rowSetBytes(bRows, g.buildRels.Count()) + ht.bytes()
+	exact := rowSetBytes(bRows, g.build.rels.Count()) + ht.bytes()
 	var marks buildMarks
 	if g.j.BuildPreserved {
 		marks = newBuildMarks(bRows)
 		exact += marks.bytes()
 	}
-	if exact > est {
-		g.res.Force(exact - est)
-	} else {
-		g.res.Release(est - exact)
-	}
-	est = exact
+	est = settle(g.res, est, exact)
 	r, err := p.probe.Reader()
 	if err != nil {
 		g.res.Release(est)
@@ -404,62 +334,39 @@ func (g *graceHashJoin) startPair(p spillPair, w *drainOp) error {
 // repartition streams both files of a too-big pair into graceSubParts
 // sub-pairs hashed at the next level, pushed onto the drain's stack.
 func (g *graceHashJoin) repartition(p spillPair, w *drainOp) error {
-	bw, pw, level := p.build, p.probe, p.level
-	g.probeRec.bumpDepth(level + 1)
-	d, err := g.ex.spillFiles()
+	level, rec := p.level+1, g.probe.rec
+	rec.bumpDepth(level)
+	subB, err := g.build.open(g.ex, "gjb", graceSubParts, rec)
 	if err != nil {
 		return err
 	}
-	subB, err := partitionWriters(d, "gjb", graceSubParts, g.buildRels.Count())
+	subP, err := g.probe.open(g.ex, "gjp", graceSubParts, rec)
 	if err != nil {
 		return err
 	}
-	subP, err := partitionWriters(d, "gjp", graceSubParts, g.probeRels.Count())
-	if err != nil {
-		return err
-	}
-	g.probeRec.addParts(2 * graceSubParts)
-	route := func(src *spill.Writer, keyPos int, vals []int64, dst []*spill.Writer) error {
-		var keys []int64
-		err := eachChunk(src, g.probeRec, func(cols [][]int32) error {
-			keys = keys[:0]
-			for _, id := range cols[keyPos] {
-				keys = append(keys, vals[id])
-			}
-			written, err := routeCols(cols, keys, level+1, dst)
-			g.probeRec.addBytes(written)
+	route := func(src *spill.Writer, dst *graceSide) error {
+		r := router{side: dst, level: level, bufs: make([]*RowSet, graceSubParts)}
+		if err := eachChunk(src, rec, r.route); err != nil {
 			return err
-		})
-		if err != nil {
+		}
+		if err := r.flush(); err != nil {
+			return err
+		}
+		if err := dst.finish(); err != nil {
 			return err
 		}
 		return src.Remove()
 	}
-	if err := route(bw, g.buildKeyPos, g.buildKeyVals, subB); err != nil {
+	if err := route(p.build, &subB); err != nil {
 		return err
 	}
-	if err := route(pw, g.probeKeyPos, g.probeKeyVals, subP); err != nil {
+	if err := route(p.probe, &subP); err != nil {
 		return err
 	}
-	for i := 0; i < graceSubParts; i++ {
-		if err := subB[i].Finish(); err != nil {
-			return err
-		}
-		if err := subP[i].Finish(); err != nil {
-			return err
-		}
-		w.stack = append(w.stack, spillPair{build: subB[i], probe: subP[i], level: level + 1})
+	for i := range subB.parts {
+		w.stack = append(w.stack, spillPair{build: subB.parts[i], probe: subP.parts[i], level: level})
 	}
 	return nil
-}
-
-// buildRows is the build side's total row count across partitions.
-func (g *graceHashJoin) buildRows() int {
-	var n int64
-	for _, w := range g.build {
-		n += w.Rows()
-	}
-	return int(n)
 }
 
 // feedBuildChunks is the Bloom build's chunk feeder — the out-of-memory
@@ -468,10 +375,10 @@ func (g *graceHashJoin) buildRows() int {
 // so the filters (and their Inserted counts) equal an in-memory build over
 // the same rows.
 func (g *graceHashJoin) feedBuildChunks(builds []*bloomBuild) error {
-	for _, w := range g.build {
-		err := eachChunk(w, g.buildRec, func(cols [][]int32) error {
+	for _, w := range g.build.parts {
+		err := eachChunk(w, g.build.rec, func(cols [][]int32) error {
 			for _, b := range builds {
-				ids := cols[g.buildRels.Rank(b.rel)]
+				ids := cols[g.build.rels.Rank(b.rel)]
 				b.insert(ids)
 			}
 			return nil

@@ -240,6 +240,33 @@ func TestGraceJoinRecursionDepthCap(t *testing.T) {
 	assertNoSpillFiles(t, spillRoot)
 }
 
+// Once an in-memory hash build's finish returns, its reservation holds the
+// merged row set and the built table, and nothing more for the workers'
+// parts that the merge copied: with one worker the lone part is the merged
+// set, with four the merge copies the parts.
+func TestInMemoryBuildHoldsItsBytes(t *testing.T) {
+	const buildRows = 5000
+	for _, workers := range []int{1, 4} {
+		f := newJoinSidesFixture(t, buildRows)
+		snk := &hashBuildSink{
+			partsSink: newPartsSink(query.NewRelSet(joinSidesBuildRel), workers),
+			ex:        f.ex, j: f.j, estRows: buildRows,
+			res: f.ex.memq.Reserve(), rec: &spillCounters{},
+		}
+		for i, b := range f.buildBatches {
+			snk.consume(i%workers, b)
+		}
+		if err := snk.finish(); err != nil {
+			t.Fatal(err)
+		}
+		ht := f.ex.builds[f.j]
+		if want := rowSetBytes(buildRows, 1) + ht.bytes(); f.ex.memq.Used() != want {
+			t.Errorf("%d workers: the build holds %d B after finish, want its row set and table, %d B",
+				workers, f.ex.memq.Used(), want)
+		}
+	}
+}
+
 // sameTuples fails the test when two canonicalRows lists differ.
 func sameTuples(t *testing.T, what string, got, want []string) {
 	t.Helper()

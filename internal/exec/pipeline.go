@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/pprof"
-	"sort"
 	"sync"
 	"time"
 
@@ -152,65 +151,72 @@ type hashBuildSink struct {
 	res     *mem.Reservation
 	rec     *spillCounters
 
-	mu       sync.Mutex
-	g        *graceHashJoin
-	spillErr onceErr
+	// mu guards the switch to grace mode: g and the workers' routers into
+	// its build side, set once.
+	mu      sync.Mutex
+	g       *graceHashJoin
+	routers []router // by worker
 }
 
-// grace returns the grace-join state, creating the partition files on
-// first use. A setup failure (disk trouble) fails the run.
-func (s *hashBuildSink) grace() *graceHashJoin {
+// grace returns the grace-join state, creating the partition files and
+// the workers' routers on first use.
+func (s *hashBuildSink) grace() (*graceHashJoin, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.g == nil && s.spillErr.get() == nil {
+	if s.g == nil {
 		g, err := s.ex.newGraceBuild(s.j, s.estRows, s.rec)
 		if err != nil {
-			s.spillErr.set(err)
-			s.ex.fail(err)
-			return nil
+			return nil, err
 		}
-		s.g = g
+		s.g, s.routers = g, newRouters(&g.build, len(s.parts))
 	}
-	return s.g
+	return s.g, nil
 }
 
-// spillWorker routes worker w's buffered part to the spill partitions and
-// releases its bytes; it is the sink's spill callback, invoked on the
-// worker's own goroutine when its grant is denied.
-func (s *hashBuildSink) spillWorker(w int) int64 {
-	g := s.grace()
-	if g == nil {
-		return 0
+// route switches the join to grace mode and sends rs's rows (none when rs
+// is nil) to the build partitions through worker w's router, flushing it,
+// so no row stays buffered between calls.
+func (s *hashBuildSink) route(w int, rs *RowSet) error {
+	if _, err := s.grace(); err != nil || rs == nil {
+		return err
 	}
+	r := &s.routers[w]
+	if err := r.route(rs.cols); err != nil {
+		return err
+	}
+	return r.flush()
+}
+
+// spill moves worker w's buffered part to the build partitions and
+// releases its bytes, which it returns. It runs on the worker's own
+// goroutine when its grant is denied, and once a worker at a time in the
+// grace finish.
+func (s *hashBuildSink) spill(w int) (int64, error) {
 	part := s.parts[w]
-	if part == nil || part.Len() == 0 {
-		return 0
-	}
-	if err := g.routeBuild(part); err != nil {
-		s.spillErr.set(err)
-		s.ex.fail(err)
-		return 0
+	if err := s.route(w, part); err != nil || part == nil {
+		return 0, err
 	}
 	freed := batchBytes(part)
 	s.parts[w] = nil
 	s.res.Release(freed)
-	return freed
+	return freed, nil
 }
 
 func (s *hashBuildSink) consume(w int, b *RowSet) {
-	delta := batchBytes(b)
-	if s.res.Grow(delta, func(int64) int64 { return s.spillWorker(w) }) {
+	onDeny := func(int64) int64 {
+		freed, err := s.spill(w)
+		if err != nil {
+			s.ex.fail(err)
+		}
+		return freed
+	}
+	if s.res.Grow(batchBytes(b), onDeny) {
 		s.partsSink.consume(w, b)
 		return
 	}
 	// Even with this worker's part spilled the batch does not fit: route
 	// it straight to the partitions.
-	g := s.grace()
-	if g == nil {
-		return // spill setup failed; the run is being cancelled
-	}
-	if err := g.routeBuild(b); err != nil {
-		s.spillErr.set(err)
+	if err := s.route(w, b); err != nil {
 		s.ex.fail(err)
 	}
 }
@@ -233,17 +239,11 @@ func (s *hashBuildSink) unitOverBudget() bool {
 	for _, rel := range unit.Members() {
 		rows += s.ex.tables[rel].NumRows()
 	}
-	return rowSetBytes(rows, unit.Count())+int64(rows)*hashEntryBytes > s.ex.budget
+	return buildGrant(rows, unit.Count()) > s.ex.budget
 }
 
 func (s *hashBuildSink) finish() error {
-	if err := s.spillErr.get(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	g := s.g
-	s.mu.Unlock()
-	if g == nil {
+	if s.g == nil {
 		totalRows := 0
 		for _, p := range s.parts {
 			if p != nil {
@@ -254,9 +254,10 @@ func (s *hashBuildSink) finish() error {
 		// grant it up front, or spill the parts and go grace instead of
 		// blowing the budget on the table build. Empty build sides never
 		// spill — there is nothing to save.
-		extra := rowSetBytes(totalRows, s.rels.Count()) + int64(totalRows)*hashEntryBytes
-		if totalRows == 0 || (!s.unitOverBudget() && s.res.Grow(extra, nil)) {
+		if totalRows == 0 || (!s.unitOverBudget() && s.res.Grow(buildGrant(totalRows, s.rels.Count()), nil)) {
 			inner := s.merged()
+			// The merged copy holds the rows now: the parts' grant goes.
+			s.res.Release(rowSetBytes(totalRows, s.rels.Count()))
 			// Gather the build keys once: the same column populates the
 			// Bloom filters on the join key and the flat join directory.
 			start := time.Now()
@@ -280,36 +281,31 @@ func (s *hashBuildSink) finish() error {
 			// Replace the hashEntryBytes estimate with the built table's
 			// exact footprint (directory + payload + gathered key columns)
 			// so budget reports track what is actually resident.
-			exact := ht.bytes()
-			if est := int64(totalRows) * hashEntryBytes; exact > est {
-				s.res.Force(exact - est)
-			} else {
-				s.res.Release(est - exact)
-			}
+			settle(s.res, int64(totalRows)*hashEntryBytes, ht.bytes())
 			s.ex.smu.Lock()
 			s.ex.builds[s.j] = ht
 			s.ex.smu.Unlock()
 			return nil
 		}
-		if g = s.grace(); g == nil {
-			return s.spillErr.get()
-		}
 	}
-	// Grace finish: flush any parts still in memory, stream the Bloom
+	// Grace finish: spill the parts still in memory, stream the Bloom
 	// filters from the partition files, and publish the partition state
 	// for the probe pipeline.
-	for w := range s.parts {
-		s.spillWorker(w)
-	}
-	if err := s.spillErr.get(); err != nil {
+	g, err := s.grace()
+	if err != nil {
 		return err
 	}
-	if err := g.finishBuild(); err != nil {
+	for w := range s.parts {
+		if _, err := s.spill(w); err != nil {
+			return err
+		}
+	}
+	if err := g.build.finish(); err != nil {
 		return err
 	}
 	if len(s.j.BuildBlooms) > 0 {
 		start := time.Now()
-		if err := s.ex.blooms.build(s.j, g.buildRows(), g.feedBuildChunks); err != nil {
+		if err := s.ex.blooms.build(s.j, g.build.rows(), g.feedBuildChunks); err != nil {
 			return err
 		}
 		s.ph.Bloom = time.Since(start)
@@ -321,7 +317,7 @@ func (s *hashBuildSink) finish() error {
 }
 
 // runPipelined executes the decomposed pipeline DAG (already registered
-// with the scheduler at admission), then assembles the stat registries in
+// with the scheduler at admission), then assembles the operator stats in
 // pipeline-ID order so reports stay deterministic regardless of the
 // concurrent schedule. Worker slots come from the scheduler ticket, so
 // concurrently admitted queries share one DOP-sized pool instead of
@@ -330,7 +326,6 @@ func (ex *executor) runPipelined(pipes []*plan.Pipeline) error {
 	if err := ex.runDAG(pipes); err != nil {
 		return err
 	}
-	sort.Slice(ex.pipes, func(i, j int) bool { return ex.pipes[i].ID < ex.pipes[j].ID })
 	for _, pl := range pipes {
 		ex.stats = append(ex.stats, ex.pipeStats[pl.ID]...)
 	}
@@ -409,7 +404,8 @@ func (ex *executor) runDAG(pipes []*plan.Pipeline) error {
 }
 
 // runPipeline schedules one pipeline across DOP workers pulling morsels
-// from the shared source, then finalizes its sink and records actuals.
+// from the shared source, then finalizes its sink and fills the
+// pipeline's slots in the executor's stat slices.
 // Each worker holds one global budget slot while it runs, so concurrently
 // scheduled pipelines share DOP workers instead of multiplying them. A
 // pipeline with a spilled join runs its stages in turn, each with DOP
@@ -516,10 +512,7 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 		}
 	}
 	src.flushBloomStats()
-	rt := src.runtime()
-	ex.smu.Lock()
-	ex.scanRt = append(ex.scanRt, rt)
-	ex.smu.Unlock()
+	ex.scanRt[pl.ID] = src.runtime()
 	finishStart := time.Now()
 	if err := snk.finish(); err != nil {
 		return err
@@ -529,12 +522,6 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 		lp.Done()
 	}
 
-	// Per-node actuals: every plan node appears in exactly one pipeline
-	// position (scans as sources, joins as ops), so each is recorded exactly
-	// once.
-	for _, st := range pstats {
-		ex.record(st.node, int(st.rowsOut.Load()))
-	}
 	ps := PipelineStat{
 		ID:         pl.ID,
 		Label:      pl.Describe(),
@@ -561,9 +548,7 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 			})
 		}
 	}
-	ex.smu.Lock()
-	ex.pipes = append(ex.pipes, ps)
-	ex.smu.Unlock()
+	ex.pipes[pl.ID] = ps
 	return nil
 }
 

@@ -1,24 +1,25 @@
 package exec
 
 import (
-	"sync"
 	"sync/atomic"
 
+	"bfcbo/internal/mem"
 	"bfcbo/internal/query"
 	"bfcbo/internal/spill"
 )
 
-// This file is the executor-side glue over internal/spill: sizing
+// This file is the executor-side glue over internal/spill: the sizing
 // estimates the memory broker accounts in, the row-set <-> chunk
 // conversions (the spill format stores exactly the row-id columns of a
-// RowSet, in ascending relation order), partition routing by key hash, and
-// the per-pipeline spill counters that flow into PipelineStat and EXPLAIN
-// ANALYZE.
+// RowSet, in ascending relation order), the router — the one way a row
+// reaches a partition file — and the per-pipeline spill counters that flow
+// into PipelineStat and EXPLAIN ANALYZE.
 
 const (
-	// spillChunkRows is the target rows per spill chunk: big enough for
-	// sequential I/O, small enough that read-back buffers stay cache-sized.
-	spillChunkRows = 4096
+	// graceChunkRows bounds a spill chunk: a router writes a partition's
+	// buffer as one chunk when it reaches this many rows, and never a
+	// bigger one.
+	graceChunkRows = 1024
 	// graceMaxDepth caps grace-join repartition recursion; at the cap a
 	// partition is force-loaded (heavy key skew cannot be split by hashing).
 	graceMaxDepth = 6
@@ -41,6 +42,23 @@ func rowSetBytes(rows, cols int) int64 { return int64(rows) * int64(cols) * 4 }
 // batchBytes is rowSetBytes for one row set.
 func batchBytes(b *RowSet) int64 { return rowSetBytes(b.Len(), len(b.cols)) }
 
+// buildGrant is the grant asked for before a hash table over rows×cols is
+// built: the row set plus hashEntryBytes a row for the directory.
+func buildGrant(rows, cols int) int64 {
+	return rowSetBytes(rows, cols) + int64(rows)*hashEntryBytes
+}
+
+// settle replaces est granted bytes with the exact figure once it is
+// known, forcing the overage or releasing the slack, and returns exact.
+func settle(res *mem.Reservation, est, exact int64) int64 {
+	if exact > est {
+		res.Force(exact - est)
+	} else {
+		res.Release(est - exact)
+	}
+	return exact
+}
+
 // spillHash mixes a join key with the grace-recursion level so every level
 // partitions on independent bits (splitmix64 finalizer); level 0 must also
 // stay independent of hashtab.Hash (a splitmix stream at a different
@@ -62,7 +80,7 @@ func spillHash(k int64, level int) uint64 {
 func spillPartitionCount(estRows float64, cols int, budget int64) int {
 	n := 8
 	if budget > 0 {
-		est := rowSetBytes(int(estRows), cols) + int64(estRows)*hashEntryBytes
+		est := buildGrant(int(estRows), cols)
 		for n < 64 && est/int64(n) > budget/4 {
 			n *= 2
 		}
@@ -70,15 +88,77 @@ func spillPartitionCount(estRows float64, cols int, budget int64) int {
 	return n
 }
 
-// keyVecPool recycles the key-gather scratch of the grace build's router
-// (graceHashJoin.routeBuild), its one user: routing runs on shared sink
-// state across many workers and batches, so per-call allocation would
-// dominate the route path's steady state.
-var keyVecPool = sync.Pool{
-	New: func() any {
-		b := make([]int64, 0, spillChunkRows)
-		return &b
-	},
+// router is the one way a row reaches a partition file. It routes rows
+// into one graceSide's partitions by spillHash at one level: a row goes to
+// its partition's buffer, and a buffer that reaches graceChunkRows is
+// written as one chunk. A router belongs to one goroutine at a time, and
+// its buffers are reused across calls, so routing allocates nothing once
+// they exist; rows that one router writes keep their input order within a
+// partition.
+type router struct {
+	side  *graceSide
+	level int
+	bufs  []*RowSet // by partition; nil until a row lands there
+}
+
+// newRouters returns n level-0 routers into side, one per worker.
+func newRouters(side *graceSide, n int) []router {
+	rs := make([]router, n)
+	for i := range rs {
+		rs[i] = router{side: side, bufs: make([]*RowSet, len(side.parts))}
+	}
+	return rs
+}
+
+// route buffers the rows of cols, laid out as the side's spill files,
+// in their partitions, writing each buffer that fills.
+func (r *router) route(cols [][]int32) error {
+	s := r.side
+	n := uint64(len(s.parts))
+	for i, id := range cols[s.keyPos] {
+		p := spillHash(s.keyVals[id], r.level) % n
+		buf := r.bufs[p]
+		if buf == nil {
+			buf = NewRowSetCap(s.rels, graceChunkRows)
+			r.bufs[p] = buf
+		}
+		for c := range buf.cols {
+			buf.cols[c] = append(buf.cols[c], cols[c][i])
+		}
+		if buf.Len() >= graceChunkRows {
+			if err := r.write(int(p)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// flush writes every partly filled buffer.
+func (r *router) flush() error {
+	for p := range r.bufs {
+		if err := r.write(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// write appends partition p's buffer to its file as one chunk and empties
+// it.
+func (r *router) write(p int) error {
+	buf := r.bufs[p]
+	if buf == nil || buf.Len() == 0 {
+		return nil
+	}
+	if err := r.side.parts[p].AppendChunk(buf.cols); err != nil {
+		return err
+	}
+	r.side.rec.addBytes(int64(4 + 4*buf.Len()*len(buf.cols)))
+	for c := range buf.cols {
+		buf.cols[c] = buf.cols[c][:0]
+	}
+	return nil
 }
 
 // spillCounters are one pipeline's shared spill tallies, updated by
@@ -184,72 +264,4 @@ func readSpill(w *spill.Writer, rels query.RelSet, rec *spillCounters) (*RowSet,
 		return nil
 	})
 	return rs, err
-}
-
-// routeCols routes the rows of one chunk into per-partition writers by
-// key hash at the given level. keys is aligned with the chunk rows.
-// Returns the encoded bytes written.
-func routeCols(cols [][]int32, keys []int64, level int, ws []*spill.Writer) (int64, error) {
-	nparts := len(ws)
-	n := len(keys)
-	groups := make([][]int32, nparts) // partition -> row indices within cols
-	for i := 0; i < n; i++ {
-		p := int(spillHash(keys[i], level) % uint64(nparts))
-		groups[p] = append(groups[p], int32(i))
-	}
-	var written int64
-	out := make([][]int32, len(cols))
-	for p, idxs := range groups {
-		if len(idxs) == 0 {
-			continue
-		}
-		for c := range cols {
-			col := make([]int32, len(idxs))
-			for j, i := range idxs {
-				col[j] = cols[c][i]
-			}
-			out[c] = col
-		}
-		if err := ws[p].AppendChunk(out); err != nil {
-			return written, err
-		}
-		written += int64(4 + 4*len(idxs)*len(cols))
-	}
-	return written, nil
-}
-
-// partitionWriters creates one spill writer per partition.
-func partitionWriters(d *spill.Dir, name string, nparts, cols int) ([]*spill.Writer, error) {
-	ws := make([]*spill.Writer, nparts)
-	for p := range ws {
-		w, err := d.NewWriter(name, cols)
-		if err != nil {
-			return nil, err
-		}
-		ws[p] = w
-	}
-	return ws, nil
-}
-
-// onceErr latches the first error of a concurrent spill path.
-type onceErr struct {
-	mu  sync.Mutex
-	err error
-}
-
-func (o *onceErr) set(err error) {
-	if err == nil {
-		return
-	}
-	o.mu.Lock()
-	if o.err == nil {
-		o.err = err
-	}
-	o.mu.Unlock()
-}
-
-func (o *onceErr) get() error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.err
 }

@@ -213,9 +213,11 @@ func (w *Writer) AppendChunk(cols [][]int32) error {
 	if cap(w.scratch) < 4*n {
 		w.scratch = make([]byte, 4*n)
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(n))
-	if _, err := w.bw.Write(hdr[:]); err != nil {
+	// The header goes through the scratch too: a local array handed to
+	// the buffered writer would escape, one allocation a chunk.
+	hdr := w.scratch[:4]
+	binary.LittleEndian.PutUint32(hdr, uint32(n))
+	if _, err := w.bw.Write(hdr); err != nil {
 		return w.fail("write", err)
 	}
 	for _, c := range cols {
