@@ -212,7 +212,9 @@ func (o *scanOp) NextBatch() (*RowSet, error) {
 
 // hashTable is the shared result of a hash-build sink: the materialized
 // build side, the gathered key columns, and the probe structure — one flat
-// unchained hashtab.JoinTable over every build row.
+// unchained hashtab.JoinTable over every build row, whose 16-byte slots
+// hold a one-row key's build row inline, so a build on a unique key has no
+// payload and a probe hit reads one slot.
 type hashTable struct {
 	inner       *RowSet
 	innerKeys   []int64
@@ -413,9 +415,11 @@ func (o *probeOp) Close() error { return o.child.Close() }
 //
 // The kernel runs in three phases. Gather: resolve the per-condition
 // outer row-id columns once, gather the key column through them into
-// scratch, and hash the whole vector once via HashVec. Probe: one Lookup
-// loop, the same for every join type and orientation, collects the match
-// pairs (outer batch position, build row id) in ascending outer position;
+// scratch, and hash the whole vector once via HashVec. Probe: one
+// JoinTable.Probe call, the same for every join type and orientation,
+// collects the match pairs (outer batch position, build row id) in
+// ascending outer position — branch-free over a table in which no key
+// repeats, one run copy a hit otherwise;
 // filterExtras drops the pairs that fail an extra non-hash condition; one
 // short pass per form then turns the surviving pairs into output pairs:
 // inner keeps them, semi keeps each outer row's first with the unit null,
@@ -452,13 +456,7 @@ func (sh *probeShared) probeBatch(ht *hashTable, in *RowSet, scr *probeScratch, 
 	gatherWall := time.Since(gatherStart)
 
 	probeStart := time.Now()
-	candO, candI := scr.candO[:0], scr.candI[:0]
-	for oi := 0; oi < n; oi++ {
-		for _, ii := range ht.tab.Lookup(keys[oi], hs[oi]) {
-			candO = append(candO, int32(oi))
-			candI = append(candI, ii)
-		}
-	}
+	candO, candI := ht.tab.Probe(keys, hs, scr.candO[:0], scr.candI[:0])
 	if len(sh.outerVals) > 1 {
 		candO, candI = sh.filterExtras(ht, outerIDs, candO, candI)
 	}

@@ -3,8 +3,8 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
-	"bfcbo/internal/hashtab"
 	"bfcbo/internal/plan"
 	"bfcbo/internal/query"
 	"bfcbo/internal/storage"
@@ -180,17 +180,14 @@ func (pj *pairJoin) hash(jt query.JoinType, buildPreserved bool) error {
 		return fmt.Errorf("exec: unsupported hash join type %s", jt)
 	}
 	keys := pj.conds[0]
-	ht, err := hashtab.Build(keys.i, hashtab.HashVec(keys.i, nil), nil)
-	if err != nil {
-		return err
-	}
+	ix := newChainIndex(keys.i)
 	if buildPreserved {
-		pj.hashMirrored(jt, ht)
+		pj.hashMirrored(jt, ix)
 		return nil
 	}
 	for oi, key := range keys.o {
 		matched := false
-		for _, ii := range ht.Lookup(key, hashtab.Hash(key)) {
+		for ii := ix.first(key); ii >= 0; ii = ix.next(key, ii) {
 			if !pj.match(oi, int(ii)) {
 				continue
 			}
@@ -216,11 +213,11 @@ func (pj *pairJoin) hash(jt query.JoinType, buildPreserved bool) error {
 // pair — and once the outer side is exhausted the inner rows the type keeps
 // follow: the marked ones of a semi join, the unmarked ones of an anti join,
 // the unmarked ones null-extended of a left join.
-func (pj *pairJoin) hashMirrored(jt query.JoinType, ht *hashtab.JoinTable) {
+func (pj *pairJoin) hashMirrored(jt query.JoinType, ix *chainIndex) {
 	keys := pj.conds[0]
 	marked := make([]bool, len(keys.i))
 	for oi, key := range keys.o {
-		for _, ii := range ht.Lookup(key, hashtab.Hash(key)) {
+		for ii := ix.first(key); ii >= 0; ii = ix.next(key, ii) {
 			if !pj.match(oi, int(ii)) {
 				continue
 			}
@@ -235,4 +232,53 @@ func (pj *pairJoin) hashMirrored(jt query.JoinType, ht *hashtab.JoinTable) {
 			pj.emit(-1, ii)
 		}
 	}
+}
+
+// chainIndex is the reference join's own hash index over the build keys. It
+// shares no code with the engine's join table, so the equivalence suites
+// can catch a bug in that: a power-of-two bucket array of chain heads,
+// indexed by Fibonacci hashing, and one chain link a build row. Rows are
+// linked last to first, so every chain — and so every key's matches — runs
+// in ascending build row.
+type chainIndex struct {
+	shift uint
+	keys  []int64
+	head  []int32 // bucket -> its lowest build row, -1 for none
+	link  []int32 // build row -> the next row of its bucket, -1 at the end
+}
+
+func newChainIndex(keys []int64) *chainIndex {
+	lg := uint(bits.Len(uint(len(keys))))
+	ix := &chainIndex{shift: 64 - lg, keys: keys, head: make([]int32, 1<<lg), link: make([]int32, len(keys))}
+	for b := range ix.head {
+		ix.head[b] = -1
+	}
+	for r := len(keys) - 1; r >= 0; r-- {
+		b := ix.bucket(keys[r])
+		ix.link[r], ix.head[b] = ix.head[b], int32(r)
+	}
+	return ix
+}
+
+// bucket is Fibonacci hashing: the top bits of the key times 2^64/φ.
+func (ix *chainIndex) bucket(key int64) uint64 {
+	return uint64(key) * 0x9e3779b97f4a7c15 >> ix.shift
+}
+
+// first returns key's lowest build row, or -1.
+func (ix *chainIndex) first(key int64) int32 {
+	return ix.seek(key, ix.head[ix.bucket(key)])
+}
+
+// next returns key's next build row after r, or -1.
+func (ix *chainIndex) next(key int64, r int32) int32 {
+	return ix.seek(key, ix.link[r])
+}
+
+// seek walks the chain from r to the first row holding key.
+func (ix *chainIndex) seek(key int64, r int32) int32 {
+	for r >= 0 && ix.keys[r] != key {
+		r = ix.link[r]
+	}
+	return r
 }

@@ -30,9 +30,10 @@ const (
 	graceSubParts = 8
 	// hashEntryBytes is the per-row grant asked for a join hash table
 	// before it is built. It under-estimates the flat directory: the slot
-	// array is the power of two at or above twice the rows, 17 B a slot,
-	// so 34–68 B a row, plus 4 B of payload and 8 B of gathered key. The
-	// finish then Forces the difference (ROADMAP item 8).
+	// array is the power of two at or above twice the rows, 16 B a slot,
+	// so 32–64 B a row, plus 4 B of payload for each row of a repeated key
+	// and 8 B of gathered key. The finish then Forces the difference
+	// (ROADMAP item 8).
 	hashEntryBytes = 32
 )
 

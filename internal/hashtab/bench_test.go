@@ -47,32 +47,66 @@ func BenchmarkHashBuild(b *testing.B) {
 
 func BenchmarkHashProbe(b *testing.B) {
 	keys, hashes := benchKeys()
+	// The unique-key build a foreign key probes: benchKeyDom distinct keys,
+	// one row each, so the table has no payload.
+	uniq := make([]int64, benchKeyDom)
+	for i := range uniq {
+		uniq[i] = int64(i)
+	}
+	rand.New(rand.NewSource(3)).Shuffle(len(uniq), func(i, j int) { uniq[i], uniq[j] = uniq[j], uniq[i] })
 	rng := rand.New(rand.NewSource(2))
 	probes := make([]int64, benchRows)
 	for i := range probes {
 		// Half hits, half misses: exercises both the payload scan and
-		// the tag-prefilter rejection path.
+		// the empty-slot rejection path.
 		if i%2 == 0 {
 			probes[i] = keys[rng.Intn(len(keys))]
 		} else {
 			probes[i] = benchKeyDom + rng.Int63n(benchKeyDom)
 		}
 	}
-	b.Run("flat", func(b *testing.B) {
-		tab, err := Build(keys, hashes, nil)
+	for _, c := range []struct {
+		name   string
+		build  []int64
+		hashes []uint64
+	}{{"flat", keys, hashes}, {"flat-unique", uniq, HashVec(uniq, nil)}} {
+		tab, err := Build(c.build, c.hashes, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		var sink int
-		for i := 0; i < b.N; i++ {
-			for _, k := range probes {
-				sink += len(tab.Lookup(k, Hash(k)))
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var sink int
+			for i := 0; i < b.N; i++ {
+				for _, k := range probes {
+					sink += len(tab.Lookup(k, Hash(k)))
+				}
 			}
-		}
-		_ = sink
-	})
+			_ = sink
+		})
+		// The executor's form: each 1 024-key batch hashed by HashVec,
+		// then one Probe call into reused candidate slices.
+		b.Run(c.name+"-batch", func(b *testing.B) {
+			const batch = 1024
+			var hs []uint64
+			var candO, candI []int32
+			var sink int
+			pass := func() {
+				for lo := 0; lo < len(probes); lo += batch {
+					hs = HashVec(probes[lo:lo+batch], hs)
+					candO, candI = tab.Probe(probes[lo:lo+batch], hs, candO[:0], candI[:0])
+					sink += len(candO)
+				}
+			}
+			pass() // grows the scratch to its steady-state size
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pass()
+			}
+			_ = sink
+		})
+	}
 	b.Run("map", func(b *testing.B) {
 		m := buildRef(keys, nil)
 		b.ReportAllocs()

@@ -9,30 +9,41 @@
 //
 // Join table layout ("unchained", after the SIGMOD '21/'24 line of
 // unchained in-memory join tables): the directory is a linear-probing
-// array of fixed-width slots
+// array of 16-byte slots, one per distinct key,
 //
-//	tags []uint8   8-bit hash tag (0 = empty) — the prefilter
-//	keys []int64   full key for verification
-//	offs []uint32  end of the key's payload run
-//	cnts []uint32  payload run length
+//	key int64   the full key
+//	ref int32   the build-row id of a one-row key; else its run's start
+//	cnt int32   build rows with this key (0 = empty slot)
 //
-// and the payload is one contiguous rows []int32 array in which every
-// key's build-row ids sit back to back (ascending build order). A probe
-// hit therefore costs one directory touch — tag byte, key word — plus a
-// contiguous payload scan, where a Go map pays bucket-pointer chasing
-// plus a per-key []int32 slice header indirection. A probe miss is
-// usually rejected by the tag byte without ever loading the key.
+// and the payload is one contiguous rows []int32 array holding the runs
+// of the keys with two or more build rows, back to back (ascending build
+// order). A key with one build row keeps its row id in the slot, so a
+// table in which no key repeats — a build on a unique key, which is where
+// most foreign-key probes go — has no payload at all, and a hit reads one
+// slot, which never straddles a cache line. The unchained tables of
+// Birler, Schmidt, Fent and Neumann (*Simple, Efficient, and Robust Hash
+// Tables for Join Processing*, DaMoN 2024) keep one word a slot for the
+// same reason.
 //
-// The build is two passes over the input (count, then scatter), sized
-// exactly — no per-key append growth, no rehashing, and the payload
-// order is deterministic: ascending build-row id per key, so a probe emits
-// a key's matches in ascending build-row order.
+// Probe matches a whole batch of keys. Over a table without repeated keys
+// it writes one candidate per key without a branch — the miss slot's
+// count of 0 simply does not advance the write index — and otherwise it
+// copies each hit's run.
+//
+// The build is one pass over the input that claims the slots and counts
+// the rows a key, then — only if some key repeats — a scatter of the
+// repeated keys' rows into runs sized exactly: no per-key append growth,
+// no rehashing, and the payload order is deterministic: ascending
+// build-row id per key, so a probe emits a key's matches in ascending
+// build-row order.
 package hashtab
 
 import (
 	"errors"
 	"math"
 	"math/bits"
+	"slices"
+	"unsafe"
 )
 
 // MaxRows bounds a table build: payload row ids are int32, so a build
@@ -82,24 +93,33 @@ func dirSize(n int) uint64 {
 	return 1 << bits.Len64(d)
 }
 
+// slot is one directory entry: a distinct key, its build-row count (0 =
+// empty) and, for a key with one row, that row's id; for a key with more,
+// the start of its run in the payload.
+type slot struct {
+	key int64
+	ref int32
+	cnt int32
+}
+
+// slotBytes is one directory slot's footprint.
+const slotBytes = int64(unsafe.Sizeof(slot{}))
+
 // JoinTable is the flat join hash table: a linear-probing directory of
-// (tag, key, offset, count) slots over one contiguous payload of build
-// row ids. Immutable after Build; safe for concurrent probes.
+// 16-byte slots over one contiguous payload holding the row ids of the
+// repeated keys. Immutable after Build; safe for concurrent probes.
 type JoinTable struct {
 	shift uint
 	mask  uint64
-	tags  []uint8
-	keys  []int64
-	offs  []uint32 // end of the slot's payload run (start = end - cnt)
-	cnts  []uint32
-	rows  []int32
+	slots []slot
+	rows  []int32 // runs of the keys with ≥ 2 rows; empty when no key repeats
 }
 
 // Build constructs a table over the given build rows. keys and hashes
 // are parallel (hashes[i] = Hash(keys[i]), computed once per build by
 // HashVec). ids selects the build-row
-// subset (nil = all rows, as the executor builds); payload entries are
-// the ids values themselves, emitted in ids order — callers pass
+// subset (nil = all rows, as the executor builds); the table's row ids
+// are the ids values themselves, kept in ids order — callers pass
 // ascending ids, so a key's payload run is ascending and a probe emits its
 // matches in ascending build-row order.
 func Build(keys []int64, hashes []uint64, ids []int32) (*JoinTable, error) {
@@ -121,85 +141,143 @@ func Build(keys []int64, hashes []uint64, ids []int32) (*JoinTable, error) {
 	lg := uint(bits.TrailingZeros64(dir))
 	t.shift = 64 - lg
 	t.mask = dir - 1
-	t.tags = make([]uint8, dir)
-	t.keys = make([]int64, dir)
-	t.offs = make([]uint32, dir)
-	t.cnts = make([]uint32, dir)
-	t.rows = make([]int32, n)
+	t.slots = make([]slot, dir)
 
-	// Pass 1: claim directory slots and count payload runs, remembering
-	// each row's slot so the scatter never re-probes.
+	// Pass 1: claim a slot per distinct key, keeping its first row id, and
+	// count its rows, remembering each row's slot so the scatter never
+	// re-probes.
 	slotOf := make([]uint32, n)
+	distinct := 0
 	for j := 0; j < n; j++ {
 		i := j
 		if ids != nil {
 			i = int(ids[j])
 		}
-		k, h := keys[i], hashes[i]
-		tag := tagOf(h)
-		s := h >> t.shift
+		k := keys[i]
+		s := hashes[i] >> t.shift
 		for {
-			tg := t.tags[s]
-			if tg == 0 {
-				t.tags[s] = tag
-				t.keys[s] = k
-				t.cnts[s] = 1
+			sl := &t.slots[s]
+			if sl.cnt == 0 {
+				*sl = slot{key: k, ref: int32(i), cnt: 1}
+				distinct++
 				break
 			}
-			if tg == tag && t.keys[s] == k {
-				t.cnts[s]++
+			if sl.key == k {
+				sl.cnt++
 				break
 			}
 			s = (s + 1) & t.mask
 		}
 		slotOf[j] = uint32(s)
 	}
-	// Prefix-sum the counts into start offsets; the scatter advances
-	// offs to each run's end, which is what Lookup expects.
-	var off uint32
-	for s := range t.cnts {
-		t.offs[s] = off
-		off += t.cnts[s]
+	if distinct == n {
+		return t, nil
 	}
-	// Pass 2: scatter build-row ids into their runs, in input order.
-	for j := 0; j < n; j++ {
-		i := j
-		if ids != nil {
-			i = int(ids[j])
+	// Lay the repeated keys' runs out back to back: each such slot's ref
+	// becomes its run's start, and end[s] its run's end, which the scatter
+	// counts down. end stays 0 for the other slots.
+	end := make([]int32, dir)
+	var off int32
+	for s := range t.slots {
+		if sl := &t.slots[s]; sl.cnt > 1 {
+			sl.ref = off
+			off += sl.cnt
+			end[s] = off
 		}
+	}
+	// Pass 2: scatter the repeated keys' row ids into their runs, last
+	// row first, so each run ends up in input order.
+	t.rows = make([]int32, off)
+	for j := n - 1; j >= 0; j-- {
 		s := slotOf[j]
-		t.rows[t.offs[s]] = int32(i)
-		t.offs[s]++
+		if e := end[s]; e > 0 {
+			i := j
+			if ids != nil {
+				i = int(ids[j])
+			}
+			end[s] = e - 1
+			t.rows[e-1] = int32(i)
+		}
 	}
 	return t, nil
 }
 
-// Lookup returns the build-row ids matching key (h = Hash(key), hashed
-// once by the caller per batch). The returned slice aliases the payload
-// array: zero allocations, valid for the table's lifetime.
-func (t *JoinTable) Lookup(key int64, h uint64) []int32 {
-	if len(t.tags) == 0 {
-		return nil
-	}
-	tag := tagOf(h)
+// find returns key's slot (h = Hash(key)): its own, or the empty slot that
+// ends its probe sequence, whose cnt is 0. The directory is never full
+// (load ≤ 0.5), so the walk ends.
+func (t *JoinTable) find(key int64, h uint64) *slot {
 	s := h >> t.shift
 	for {
-		tg := t.tags[s]
-		if tg == 0 {
-			return nil
-		}
-		if tg == tag && t.keys[s] == key {
-			end := t.offs[s]
-			return t.rows[end-t.cnts[s] : end]
+		sl := &t.slots[s]
+		if sl.cnt == 0 || sl.key == key {
+			return sl
 		}
 		s = (s + 1) & t.mask
 	}
 }
 
+// Lookup returns the build-row ids matching key (h = Hash(key)). The
+// returned slice aliases the table — a one-row key's slot, or the
+// payload run of a repeated one — so it is read-only: zero allocations,
+// valid for the table's lifetime.
+func (t *JoinTable) Lookup(key int64, h uint64) []int32 {
+	if len(t.slots) == 0 {
+		return nil
+	}
+	switch sl := t.find(key, h); sl.cnt {
+	case 0:
+		return nil
+	case 1:
+		return unsafe.Slice(&sl.ref, 1)
+	default:
+		return t.rows[sl.ref : sl.ref+sl.cnt]
+	}
+}
+
+// Probe matches a batch of keys (hashes[p] = Hash(keys[p])) and appends
+// one (p, build row) pair to (candO, candI) per match, in ascending batch
+// position p and, within a key, ascending build row. It returns the
+// extended slices; they allocate only to grow.
+func (t *JoinTable) Probe(keys []int64, hashes []uint64, candO, candI []int32) ([]int32, []int32) {
+	if len(t.slots) == 0 {
+		return candO, candI
+	}
+	if len(t.rows) == 0 {
+		// No key repeats: at most one match a key, written whether or
+		// not it hits; a miss's empty slot has cnt 0 and the next key
+		// overwrites the pair.
+		n0 := len(candO)
+		candO = slices.Grow(candO, len(keys))[:n0+len(keys)]
+		candI = slices.Grow(candI, len(keys))[:n0+len(keys)]
+		o, in := candO[n0:], candI[n0:]
+		w := 0
+		for p, k := range keys {
+			sl := t.find(k, hashes[p])
+			o[w], in[w] = int32(p), sl.ref
+			w += int(sl.cnt)
+		}
+		return candO[:n0+w], candI[:n0+w]
+	}
+	for p, k := range keys {
+		switch sl := t.find(k, hashes[p]); sl.cnt {
+		case 0:
+		case 1:
+			candO = append(candO, int32(p))
+			candI = append(candI, sl.ref)
+		default:
+			for _, r := range t.rows[sl.ref : sl.ref+sl.cnt] {
+				candO = append(candO, int32(p))
+				candI = append(candI, r)
+			}
+		}
+	}
+	return candO, candI
+}
+
 // Bytes reports the exact heap footprint of the directory and payload —
 // what the memory broker should account for this table.
 func (t *JoinTable) Bytes() int64 {
-	return int64(len(t.tags))*(1+8+4+4) + int64(len(t.rows))*4
+	return int64(len(t.slots))*slotBytes + int64(len(t.rows))*4
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@ package hashtab
 
 import (
 	"encoding/binary"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -23,8 +25,11 @@ func buildRef(keys []int64, ids []int32) map[int64][]int32 {
 	return m
 }
 
-// checkAgainstRef probes every distinct key plus a sample of absent keys
-// and requires exact payload equality (values and order).
+// checkAgainstRef probes every distinct key plus a sample of absent keys,
+// one at a time through Lookup and as one batch through Probe, and
+// requires exact payload equality (values and order). It also pins the
+// table's layout: a payload of exactly the rows of repeated keys, and a
+// Bytes of 16 bytes a directory slot plus 4 a payload row.
 func checkAgainstRef(t *testing.T, keys []int64, ids []int32, probes []int64) {
 	t.Helper()
 	hashes := HashVec(keys, nil)
@@ -34,6 +39,7 @@ func checkAgainstRef(t *testing.T, keys []int64, ids []int32, probes []int64) {
 	}
 	ref := buildRef(keys, ids)
 	seen := map[int64]bool{}
+	repeated := 0
 	for k, want := range ref {
 		got := tab.Lookup(k, Hash(k))
 		if len(got) != len(want) {
@@ -46,6 +52,9 @@ func checkAgainstRef(t *testing.T, keys []int64, ids []int32, probes []int64) {
 			}
 		}
 		seen[k] = true
+		if len(want) > 1 {
+			repeated += len(want)
+		}
 	}
 	for _, k := range probes {
 		if seen[k] {
@@ -55,15 +64,58 @@ func checkAgainstRef(t *testing.T, keys []int64, ids []int32, probes []int64) {
 			t.Fatalf("absent key %d returned %v", k, got)
 		}
 	}
+	if len(tab.rows) != repeated {
+		t.Fatalf("payload = %d rows, want %d (the rows of repeated keys)", len(tab.rows), repeated)
+	}
 	n := len(keys)
 	if ids != nil {
 		n = len(ids)
 	}
-	if len(tab.rows) != n {
-		t.Fatalf("rows = %d, want %d", len(tab.rows), n)
+	wantBytes := int64(0)
+	if n > 0 {
+		wantBytes = 16*int64(dirSize(n)) + 4*int64(repeated)
 	}
-	if n > 0 && tab.Bytes() <= 0 {
-		t.Fatalf("Bytes = %d on a non-empty table", tab.Bytes())
+	if tab.Bytes() != wantBytes {
+		t.Fatalf("Bytes = %d, want %d (16 B a slot over %d slots, 4 B a payload row over %d)",
+			tab.Bytes(), wantBytes, dirSize(n), repeated)
+	}
+	checkProbe(t, tab, ref, append(slices.Sorted(maps.Keys(ref)), probes...))
+}
+
+// checkProbe runs batch through Probe twice — onto empty candidate slices
+// and appended to non-empty ones — and requires, in ascending batch
+// position, every build row of each key in ascending build order, with the
+// prefix left untouched.
+func checkProbe(t *testing.T, tab *JoinTable, ref map[int64][]int32, batch []int64) {
+	t.Helper()
+	var wantO, wantI []int32
+	for p, k := range batch {
+		for _, r := range ref[k] {
+			wantO = append(wantO, int32(p))
+			wantI = append(wantI, r)
+		}
+	}
+	hs := HashVec(batch, nil)
+	for _, prefix := range []int{0, 3} {
+		candO, candI := make([]int32, prefix, prefix+1), make([]int32, prefix, prefix+1)
+		for i := range prefix {
+			candO[i], candI[i] = -7, -9
+		}
+		candO, candI = tab.Probe(batch, hs, candO, candI)
+		if len(candO) != prefix+len(wantO) || len(candI) != len(candO) {
+			t.Fatalf("Probe (prefix %d): %d/%d pairs, want %d", prefix, len(candO)-prefix, len(candI)-prefix, len(wantO))
+		}
+		for i := range prefix {
+			if candO[i] != -7 || candI[i] != -9 {
+				t.Fatalf("Probe overwrote the prefix at %d", i)
+			}
+		}
+		for i := range wantO {
+			if candO[prefix+i] != wantO[i] || candI[prefix+i] != wantI[i] {
+				t.Fatalf("Probe (prefix %d) pair %d: (%d, %d), want (%d, %d)",
+					prefix, i, candO[prefix+i], candI[prefix+i], wantO[i], wantI[i])
+			}
+		}
 	}
 }
 
@@ -99,25 +151,69 @@ func TestJoinTableRandom(t *testing.T) {
 	}
 }
 
+// TestJoinTableProbeShapes checks Probe against buildRef on the three
+// shapes it has two loops for: a table in which no key repeats (the
+// branch-free loop, no payload), one mixing one-row and repeated keys, and
+// one in which every key repeats; each probed with hits, misses and
+// repeated probe keys in one batch.
+func TestJoinTableProbeShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n = 3000
+	for _, shape := range []struct {
+		name string
+		key  func(i int) int64
+	}{
+		{"unique", func(i int) int64 { return int64(i)*7919 - 5000 }},
+		{"mixed", func(i int) int64 { return int64(i % 2000) }},
+		{"duplicate", func(i int) int64 { return int64(i % 700) }},
+	} {
+		name := shape.name
+		keys := make([]int64, n)
+		for i := range keys {
+			keys[i] = shape.key(i)
+		}
+		rng.Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		tab, err := Build(keys, HashVec(keys, nil), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (name == "unique") != (len(tab.rows) == 0) {
+			t.Fatalf("%s: payload of %d rows", name, len(tab.rows))
+		}
+		batch := make([]int64, 1500)
+		for p := range batch {
+			if p%3 == 0 {
+				batch[p] = rng.Int63() // a miss, almost surely
+			} else {
+				batch[p] = keys[rng.Intn(n)]
+			}
+		}
+		ref := buildRef(keys, nil)
+		checkProbe(t, tab, ref, batch)
+		checkProbe(t, tab, ref, nil)
+	}
+}
+
 // TestJoinTableTagCollisions crafts distinct keys whose hashes share the
-// directory start slot AND the 8-bit tag, so the probe loop must fall
-// through to full key comparison to separate them.
+// directory start slot — the join directory keeps no tag, so a slot's key
+// word is the only thing that tells them apart — and the probe loop must
+// walk past the other keys' slots by full key comparison.
 func TestJoinTableTagCollisions(t *testing.T) {
 	const want = 8
 	base := Hash(12345)
 	dir := dirSize(want * 4)
 	shift := 64 - uint(len64(dir))
 	var keys []int64
-	for k := int64(0); int64(len(keys)) < want && k < 40_000_000; k++ {
-		h := Hash(k)
-		if h>>shift == base>>shift && tagOf(h) == tagOf(base) {
+	for k := int64(0); int64(len(keys)) < want && k < 1_000_000; k++ {
+		if k != 12345 && Hash(k)>>shift == base>>shift {
 			keys = append(keys, k)
 		}
 	}
-	if len(keys) < 2 {
-		t.Skip("could not craft enough colliding keys (hash changed?)")
+	if len(keys) < want {
+		t.Fatalf("crafted %d colliding keys, want %d", len(keys), want)
 	}
-	// Duplicate each colliding key so payload runs are exercised too.
+	// Unique first, then each key twice so payload runs are exercised too.
+	checkAgainstRef(t, keys, nil, []int64{12345})
 	keys = append(keys, keys...)
 	checkAgainstRef(t, keys, nil, []int64{12345})
 }
@@ -188,7 +284,8 @@ func TestAggTableNilSafety(t *testing.T) {
 }
 
 // FuzzJoinTable decodes the fuzz input as int64 keys and requires the
-// flat table to match the map reference on every present and absent key.
+// flat table to match the map reference on every present and absent key,
+// through Lookup and Probe.
 func FuzzJoinTable(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(make([]byte, 64))
@@ -198,27 +295,6 @@ func FuzzJoinTable(f *testing.F) {
 			keys = append(keys, int64(binary.LittleEndian.Uint64(data)))
 			data = data[8:]
 		}
-		hashes := HashVec(keys, nil)
-		tab, err := Build(keys, hashes, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := buildRef(keys, nil)
-		for k, want := range ref {
-			got := tab.Lookup(k, Hash(k))
-			if len(got) != len(want) {
-				t.Fatalf("key %d: %d rows, want %d", k, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("key %d row %d: %d, want %d", k, i, got[i], want[i])
-				}
-			}
-		}
-		for _, probe := range []int64{0, -1, math.MaxInt64} {
-			if _, present := ref[probe]; !present && tab.Lookup(probe, Hash(probe)) != nil {
-				t.Fatalf("absent key %d reported present", probe)
-			}
-		}
+		checkAgainstRef(t, keys, nil, []int64{0, -1, math.MaxInt64})
 	})
 }

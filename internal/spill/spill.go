@@ -294,6 +294,7 @@ type Reader struct {
 	br      *bufio.Reader
 	cols    int
 	path    string
+	hdr     [4]byte // a chunk's row count; a field, as a local escapes to io.ReadFull
 	scratch []byte
 	bufs    [][]int32
 	read    int64
@@ -323,14 +324,13 @@ func (r *Reader) Next() ([][]int32, error) {
 	if fault := faults.Hit(faults.SpillRead); fault != nil {
 		return nil, fmt.Errorf("spill: read %s: %w: %w", r.path, ErrIO, fault)
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
 		if err == io.EOF {
 			return nil, nil
 		}
 		return nil, fmt.Errorf("spill: read %s: %w: %w", r.path, ErrIO, err)
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(r.hdr[:]))
 	if cap(r.scratch) < 4*n {
 		r.scratch = make([]byte, 4*n)
 	}

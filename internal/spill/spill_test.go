@@ -69,6 +69,44 @@ func TestWriteReadRoundtrip(t *testing.T) {
 	}
 }
 
+// TestReaderNextAllocatesNothing pins a steady-state Next at 0
+// allocations: once the reader's scratch is as large as the chunks, a
+// chunk read — header included — touches no heap.
+func TestReaderNextAllocatesNothing(t *testing.T) {
+	d, err := NewDirScoped(t.TempDir(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Cleanup()
+	w, err := d.NewWriter("part", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunks, rows = 64, 256
+	cols := [][]int32{make([]int32, rows), make([]int32, rows)}
+	for range chunks {
+		if err := w.AppendChunk(cols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := w.Reader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.Next(); err != nil { // sizes the scratch
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(chunks-2, func() {
+		if got, err := r.Next(); err != nil || len(got[0]) != rows {
+			t.Fatalf("Next: %d rows, %v", len(got[0]), err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Next allocated %.1f times a chunk, want 0", allocs)
+	}
+}
+
 func TestConcurrentAppendChunk(t *testing.T) {
 	d, err := NewDirScoped(t.TempDir(), "")
 	if err != nil {
