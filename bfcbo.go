@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"time"
 
 	"bfcbo/internal/datagen"
@@ -87,21 +86,6 @@ type Config struct {
 	// query's normalized shape, served at /debug/workload. 0 defaults to
 	// obs.DefaultWorkloadShapes; negative disables the store.
 	WorkloadHistory int
-	// Faults, when non-empty, installs the process-wide deterministic
-	// fault injector from a spec like
-	// "seed=42,spill.write=0.01,exec.panic=0.005,spill.diskfull=64MB"
-	// (see internal/faults.Parse for the grammar). The injector is
-	// process-global — every engine in the process shares it — and stays
-	// installed until faults.Disable. Empty leaves the injector alone.
-	Faults string
-	// MaxRetries is how many times the engine transparently re-runs a
-	// query that failed transiently (an injected fault, including a
-	// refused admission);
-	// 0 disables retrying. Deterministic failures — SQL errors,
-	// cancellation, kills, contained panics with non-error values — are
-	// never retried. Attempt n sleeps between d and 1.5·d first, where
-	// d = min(10ms·2ⁿ, 2s).
-	MaxRetries int
 }
 
 // SchedStat is the per-query scheduling report: admission queue wait and
@@ -129,13 +113,6 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	if cfg.DOP <= 0 {
 		cfg.DOP = 8
-	}
-	if cfg.Faults != "" {
-		inj, err := faults.Parse(cfg.Faults)
-		if err != nil {
-			return nil, fmt.Errorf("bfcbo: Config.Faults: %w", err)
-		}
-		faults.Enable(inj)
 	}
 	ds, err := datagen.Generate(datagen.Config{ScaleFactor: cfg.ScaleFactor, Seed: cfg.Seed})
 	if err != nil {
@@ -324,11 +301,6 @@ func (e *Engine) Run(b *query.Block, mode Mode) (*Output, error) {
 // one Engine; they share the DOP-sized worker-slot pool and the memory
 // budget (a hash build denied a grant spills), and each gets its own
 // spill subdirectory.
-//
-// Under Config.MaxRetries, transient failures — injected faults,
-// including a refused admission — are retried with exponential backoff
-// before the error surfaces; each attempt is a full re-execution with
-// its own flight-recorder entry.
 func (e *Engine) RunContext(ctx context.Context, b *query.Block, mode Mode) (*Output, error) {
 	res, err := e.Plan(b, mode)
 	if err != nil {
@@ -339,55 +311,6 @@ func (e *Engine) RunContext(ctx context.Context, b *query.Block, mode Mode) (*Ou
 	// here and carried through the inspector, the flight recorder, the
 	// workload history, and the workers' pprof labels.
 	fp := plan.Fingerprint(b, res.Plan)
-	out, err := e.runOnce(ctx, b, mode, res, fp)
-	for retries := 0; err != nil && retries < e.cfg.MaxRetries && transientErr(err); retries++ {
-		select {
-		case <-ctx.Done():
-			return nil, errors.Join(err, ctx.Err())
-		case <-time.After(backoff(retries)):
-		}
-		e.metrics.Retries.Inc()
-		out, err = e.runOnce(ctx, b, mode, res, fp)
-	}
-	return out, err
-}
-
-// transientErr reports whether a failed run may be retried: the failure
-// must be environmental (an injected fault), not a property of
-// the query. Cancellation and kills are the caller's decision and never
-// retried; contained panics retry only when the panic value itself was
-// an injected fault.
-func transientErr(err error) bool {
-	if err == nil || errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, obs.ErrKilled) {
-		return false
-	}
-	var f *faults.Fault
-	return errors.As(err, &f)
-}
-
-// The retry schedule: the first re-attempt's nominal delay, doubling up
-// to the cap.
-const (
-	retryBase = 10 * time.Millisecond
-	retryCap  = 2 * time.Second
-)
-
-// backoff computes the sleep before re-attempt n (0-based): exponential
-// from retryBase capped at retryCap, plus up to 50% jitter so
-// concurrently failed queries don't re-arrive in lockstep.
-func backoff(n int) time.Duration {
-	d := retryBase
-	for i := 0; i < n && d < retryCap; i++ {
-		d *= 2
-	}
-	d = min(d, retryCap)
-	return d + rand.N(d/2+1)
-}
-
-// runOnce executes one attempt of an already-planned query: admission,
-// execution, metrics fold, flight-recorder and workload-history entries.
-func (e *Engine) runOnce(ctx context.Context, b *query.Block, mode Mode, res *optimizer.Result, fp uint64) (*Output, error) {
 	start := time.Now()
 	tr := obs.NewTrace(8)
 	r, err := exec.RunContext(ctx, e.ds.DB, b, res.Plan, exec.Options{

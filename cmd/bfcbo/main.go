@@ -12,6 +12,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -23,6 +24,7 @@ import (
 	"time"
 
 	"bfcbo"
+	"bfcbo/internal/faults"
 	"bfcbo/internal/mem"
 	"bfcbo/internal/obs"
 )
@@ -33,9 +35,8 @@ func main() {
 	flag.Uint64Var(&cfg.Seed, "seed", 0, "data generation seed (0 = default)")
 	flag.IntVar(&cfg.DOP, "dop", 8, "degree of parallelism")
 	flag.IntVar(&cfg.MaxConcurrent, "max-concurrent", 0, "admission cap on concurrent queries (0 = unlimited)")
-	flag.StringVar(&cfg.Faults, "faults", "", `deterministic fault-injection spec, e.g. "seed=42,spill.write=0.01,exec.panic=0.005,spill.diskfull=64MB" (empty = injector off)`)
-	flag.IntVar(&cfg.MaxRetries, "retries", 0, "retry transiently failed queries (injected faults) up to this many times with exponential backoff")
 	var rf runFlags
+	flag.StringVar(&rf.faults, "faults", "", `deterministic fault-injection spec, e.g. "seed=42,spill.write=0.01,exec.panic=0.005,spill.diskfull=64MB" (empty = injector off)`)
 	flag.IntVar(&rf.qnum, "q", 0, "TPC-H query number (1-22)")
 	flag.StringVar(&rf.sql, "sql", "", "SQL text (overrides -q)")
 	flag.StringVar(&rf.mode, "mode", "bfcbo", "optimizer mode: nobf | bfpost | bfcbo | naive")
@@ -54,10 +55,10 @@ func main() {
 // runFlags are the flags that shape one run of the CLI rather than the
 // engine it opens.
 type runFlags struct {
-	qnum, streams     int
-	sql, mode, budget string
-	timeout           time.Duration
-	obsAddr, traceOut string
+	qnum, streams             int
+	sql, mode, budget, faults string
+	timeout                   time.Duration
+	obsAddr, traceOut         string
 }
 
 func run(cfg bfcbo.Config, rf runFlags) error {
@@ -68,6 +69,13 @@ func run(cfg bfcbo.Config, rf runFlags) error {
 	if cfg.MemBudget, err = mem.ParseBytes(rf.budget); err != nil {
 		return err
 	}
+	// The injector is process-wide: installed here, it covers every
+	// query this process runs.
+	inj, err := faults.Parse(rf.faults)
+	if err != nil {
+		return err
+	}
+	faults.Enable(inj)
 	eng, err := bfcbo.Open(cfg)
 	if err != nil {
 		return err
@@ -158,15 +166,15 @@ func run(cfg bfcbo.Config, rf runFlags) error {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				outs[i], errs[i] = runOne()
+				if outs[i], errs[i] = runOne(); errs[i] != nil {
+					errs[i] = fmt.Errorf("stream %d: %w", i, errs[i])
+				}
 			}(i)
 		}
 		wg.Wait()
 		wall := time.Since(start)
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
+		if err := errors.Join(errs...); err != nil {
+			return err
 		}
 		for i, o := range outs {
 			fmt.Printf("stream %d: rows=%d exec=%s queue-wait=%s slot-busy=%s\n",

@@ -28,8 +28,7 @@ func TestConfigSurface(t *testing.T) {
 	walk("", reflect.TypeFor[Config]())
 	want := []string{
 		"ScaleFactor", "Seed", "DOP", "MemBudget", "SpillDir",
-		"MaxConcurrent", "SlowQueryLog", "WorkloadHistory", "Faults",
-		"MaxRetries",
+		"MaxConcurrent", "SlowQueryLog", "WorkloadHistory",
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("settable Config fields (%d):\n  %v\nwant (%d):\n  %v", len(got), got, len(want), want)

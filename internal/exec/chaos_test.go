@@ -96,7 +96,7 @@ func TestInjectedWorkerPanicContained(t *testing.T) {
 		t.Fatalf("PanicError missing context: query=%q stack=%d bytes", pe.Query, len(pe.Stack))
 	}
 	// The panic value was an injected fault — an error — so the chain
-	// stays inspectable and the failure counts as transient (retryable).
+	// stays inspectable and the failure reads as the injected fault.
 	var f *faults.Fault
 	if !errors.As(err, &f) {
 		t.Fatalf("injected fault not reachable through the panic chain: %v", err)
@@ -159,8 +159,8 @@ func TestBreakerFinishPanicContained(t *testing.T) {
 }
 
 // TestInjectedWorkerErrorTyped: the plain-error site fails the query
-// with the *faults.Fault preserved in the chain (transient, so the
-// engine retry policy may pick it up) and no panic machinery involved.
+// with the *faults.Fault preserved in the chain and no panic machinery
+// involved.
 func TestInjectedWorkerErrorTyped(t *testing.T) {
 	ds := equivalenceDataset(t)
 	block, res := chaosPlan(t, 12)
@@ -205,7 +205,7 @@ func (o *rowsetPanicOp) NextBatch() (*RowSet, error) {
 // TestRowsetPanicBecomesTypedError: the legacy rowset panics surface as
 // per-query *PanicError wrapping ErrInternal with the panic text and
 // plan context preserved — and, the value being a plain string, the
-// failure is NOT transient: the retry classifier must refuse it.
+// failure must not read as an injected fault.
 func TestRowsetPanicBecomesTypedError(t *testing.T) {
 	db, b, p := bigScanFixture(t, 4096)
 	before := runtime.NumGoroutine()

@@ -129,13 +129,6 @@ func (r *Result) ActualFor(n plan.Node) float64 {
 	return -1
 }
 
-// PredRuntime is one scan predicate's observed row flow: In rows entered
-// the kernel, Out survived. Both are exact counts, the same at every DOP.
-type PredRuntime struct {
-	Pred    string
-	In, Out int64
-}
-
 // ScanRuntime reports one scan source's vectorized-execution counters.
 type ScanRuntime struct {
 	Rel   int
@@ -146,8 +139,10 @@ type ScanRuntime struct {
 	// ZoneSkipped is always 0; it stays only because benchmark/ still
 	// reports it.
 	ZoneSkipped int64
-	// Preds is the per-kernel row flow in evaluation order.
-	Preds []PredRuntime
+	// Preds is the per-kernel row flow in evaluation order: In rows
+	// entered the kernel, Out survived. Both are exact counts, the same at
+	// every DOP.
+	Preds []query.PredCount
 }
 
 type executor struct {

@@ -92,7 +92,7 @@ func (src *scanSource) runtime() ScanRuntime {
 		Morsels: src.stats.batches.Load(),
 	}
 	for i, k := range src.kernels {
-		rt.Preds = append(rt.Preds, PredRuntime{
+		rt.Preds = append(rt.Preds, query.PredCount{
 			Pred: k.Label(), In: src.predIn[i].Load(), Out: src.predOut[i].Load(),
 		})
 	}

@@ -596,7 +596,7 @@ func (ex *executor) workerLoop(pl *plan.Pipeline, w int, st *stage, errs []error
 	// morsels instead of draining the source.
 	for !ex.stop.Load() {
 		// Morsel-boundary fault sites: exec.error fails this query with a
-		// typed transient error; exec.panic throws into the worker's
+		// typed error; exec.panic throws into the worker's
 		// recover shim, exercising the full containment path. Both fire
 		// between batches, never mid-operator, so no sink lock is held.
 		if ferr := faults.Hit(faults.ExecError); ferr != nil {

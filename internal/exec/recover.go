@@ -34,9 +34,9 @@ func (e *PanicError) Error() string {
 }
 
 // Unwrap exposes ErrInternal always, plus the panic value itself when
-// it was an error — so an injected panic fault keeps its transient
+// it was an error — so an injected panic fault keeps its *faults.Fault
 // identity through recovery while a real invariant violation (a string
-// panic) stays deterministic and non-retryable.
+// panic) carries none.
 func (e *PanicError) Unwrap() []error {
 	if cause, ok := e.Value.(error); ok {
 		return []error{ErrInternal, cause}

@@ -219,7 +219,7 @@ func TestScanFillsBatches(t *testing.T) {
 			t.Fatalf("%s: reference: %v", c.name, err)
 		}
 		want := canonicalRows(ref.Out)
-		var preds []PredRuntime
+		var preds []query.PredCount
 		for _, morsel := range []int{64, DefaultMorselSize} {
 			var scans []ScanRuntime
 			for _, dop := range []int{1, 4} {
@@ -258,7 +258,7 @@ func TestScanFillsBatches(t *testing.T) {
 				} else if !reflect.DeepEqual(r.Scans, scans) {
 					t.Errorf("%s: scan counters %v, dop 1's %v", what, r.Scans, scans)
 				}
-				var p []PredRuntime
+				var p []query.PredCount
 				for _, sc := range r.Scans {
 					p = append(p, sc.Preds...)
 				}

@@ -13,6 +13,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -42,12 +43,12 @@ const (
 	// SlotDelay, perturbing morsel interleavings.
 	SchedSlot
 	// SchedAdmit refuses an admission: Admit returns the fault wrapped,
-	// and the engine's retries treat it as transient.
+	// and the engine surfaces it as the query's error.
 	SchedAdmit
 	// ExecPanic panics a worker at a morsel boundary; containment must
 	// convert it to a per-query error.
 	ExecPanic
-	// ExecError injects a plain (transient) error at a morsel boundary.
+	// ExecError injects a plain error at a morsel boundary.
 	ExecError
 
 	numSites
@@ -73,9 +74,9 @@ func (s Site) String() string {
 	return fmt.Sprintf("faults.Site(%d)", uint8(s))
 }
 
-// Fault is the typed error returned by a firing site. It is transient
-// by construction: the fault models an environmental hiccup (I/O error,
-// scheduling delay), so retry policies may treat it as retryable.
+// Fault is the typed error returned by a firing site. It models an
+// environmental hiccup (I/O error, scheduling delay), not a property of
+// the query, so a caller can tell it apart from a real failure.
 type Fault struct {
 	Site Site
 	Seq  uint64 // per-site sequence number of the firing check
@@ -305,7 +306,7 @@ func Parse(spec string) (*Injector, error) {
 				return nil, fmt.Errorf("faults: unknown site %q", k)
 			}
 			p, err := strconv.ParseFloat(v, 64)
-			if err != nil || p < 0 || p > 1 {
+			if err != nil || !(p >= 0 && p <= 1) { // NaN fails both
 				return nil, fmt.Errorf("faults: %s wants a probability in [0,1], got %q", k, v)
 			}
 			probs[site] = p
@@ -330,7 +331,7 @@ func parseBytes(s string) (int64, error) {
 		}
 	}
 	n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("bad byte count")
 	}
 	return n * mult, nil

@@ -117,9 +117,10 @@ func TestParse(t *testing.T) {
 	if i2, err := Parse("  "); err != nil || i2 != nil {
 		t.Fatalf("empty spec: %v %v", i2, err)
 	}
-	for _, bad := range []string{"nope", "bogus.site=0.1", "spill.write=2", "seed=x", "spill.diskfull=-1"} {
+	for _, bad := range []string{"nope", "bogus.site=0.1", "spill.write=2", "seed=x", "spill.diskfull=-1",
+		"spill.diskfull=8589934592G", "spill.diskfull=17179869184GB", "exec.error=NaN"} {
 		if _, err := Parse(bad); err == nil {
-			t.Fatalf("Parse(%q) succeeded", bad)
+			t.Errorf("Parse(%q) succeeded", bad)
 		}
 	}
 }

@@ -10,6 +10,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -265,6 +266,9 @@ func ParseBytes(s string) (int64, error) {
 	}
 	if n < 0 {
 		return 0, fmt.Errorf("mem: negative byte size %q", s)
+	}
+	if n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("mem: byte size %q overflows int64", s)
 	}
 	return n * mult, nil
 }

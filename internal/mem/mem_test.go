@@ -165,6 +165,9 @@ func TestParseBytes(t *testing.T) {
 		{" 16 MB ", 16 << 20, false},
 		{"nope", 0, true},
 		{"-1", 0, true},
+		{"8589934591G", 8589934591 << 30, false},
+		{"8589934592G", 0, true},
+		{"17179869184GB", 0, true},
 	}
 	for _, c := range cases {
 		got, err := ParseBytes(c.in)

@@ -38,11 +38,9 @@ type Metrics struct {
 	SpillReadBytes *Counter // encoded bytes read back from spill files
 	SpillParts     *Counter // spill files created
 
-	// Robustness: fault injection and recovery events. FaultsInjected is
-	// also exported live via a counter func against the injector (this
-	// one counts engine-observed typed failures folded per query).
+	// Robustness: recovery events. Injected faults are exported by the
+	// engine as a counter func over the live injector.
 	PanicsRecovered *Counter // worker/pipeline panics contained to a query error
-	Retries         *Counter // transient-error retries by the engine's policy
 }
 
 // NewMetrics registers the engine metric set on reg (idempotent — a second
@@ -69,7 +67,6 @@ func NewMetrics(reg *Registry) *Metrics {
 		SpillParts:     reg.NewCounter("bfcbo_spill_partitions_total", "Spill files created."),
 
 		PanicsRecovered: reg.NewCounter("bfcbo_panics_recovered_total", "Worker panics contained to a typed per-query error."),
-		Retries:         reg.NewCounter("bfcbo_query_retries_total", "Transient-error retries issued by the engine retry policy."),
 	}
 }
 

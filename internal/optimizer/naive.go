@@ -62,14 +62,7 @@ func (o *optimizer) combineNaive(j *joinSite, pa, pb *subPlan, list *planList) {
 			if inner.Has(p.cand.buildRel) {
 				d := inner
 				f := o.keptFraction(p.cand, d)
-				o.specs[p.bloomID] = plan.BloomSpec{
-					ID:       p.bloomID,
-					ApplyRel: p.cand.applyRel, ApplyCol: p.cand.applyCol,
-					BuildRel: p.cand.buildRel, BuildCol: p.cand.buildCol,
-					ApplyCol2: p.cand.applyCol2, BuildCol2: p.cand.buildCol2,
-					Delta:       d,
-					EstBuildNDV: o.buildNDV(p.cand, d),
-				}
+				o.setBloomSpec(p.bloomID, p.cand, d)
 				factors = append(factors, naiveFactor{applyRel: p.cand.applyRel, buildRel: p.cand.buildRel, factor: f})
 				resolved = append(resolved, pendingBF{cand: p.cand, delta: d, factor: f, bloomID: p.bloomID})
 				continue

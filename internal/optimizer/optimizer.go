@@ -599,6 +599,12 @@ func (o *optimizer) appendBloomScans(bfPlans []*subPlan, rel int, rows float64, 
 func (o *optimizer) allocBloom(c *candidate, delta query.RelSet) int {
 	id := o.nextID
 	o.nextID++
+	o.setBloomSpec(id, c, delta)
+	return id
+}
+
+// setBloomSpec records filter id as candidate c built over delta.
+func (o *optimizer) setBloomSpec(id int, c *candidate, delta query.RelSet) {
 	o.specs[id] = plan.BloomSpec{
 		ID:       id,
 		ApplyRel: c.applyRel, ApplyCol: c.applyCol,
@@ -607,7 +613,6 @@ func (o *optimizer) allocBloom(c *candidate, delta query.RelSet) int {
 		Delta:       delta,
 		EstBuildNDV: o.buildNDV(c, delta),
 	}
-	return id
 }
 
 // ---------------------------------------------------------------------------

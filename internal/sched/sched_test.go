@@ -286,7 +286,7 @@ func TestConcurrentStatsAccounting(t *testing.T) {
 
 // TestInjectedAdmissionShed: the sched.admit fault site turns the query
 // away before it queues — Admit returns the wrapped *faults.Fault, which
-// the engine's retries treat as transient — and admits nothing.
+// the engine surfaces as the query's error — and admits nothing.
 func TestInjectedAdmissionShed(t *testing.T) {
 	faults.Enable(faults.New(11, map[faults.Site]float64{faults.SchedAdmit: 1}))
 	defer faults.Disable()

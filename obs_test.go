@@ -2,7 +2,6 @@ package bfcbo
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"strings"
 	"testing"
@@ -197,12 +196,8 @@ func TestMetricsAgreeWithSchedStats(t *testing.T) {
 
 	// bfcbo_probe_rows_total counts the hash-probe input rows, every
 	// join's, which is what the run's Work.Probe counts too.
-	res, err := e.Plan(b, NoBF)
-	if err != nil {
-		t.Fatal(err)
-	}
 	before := m.ProbeRows.Value()
-	out, err := e.runOnce(context.Background(), b, NoBF, res, 0)
+	out, err := e.Run(b, NoBF)
 	if err != nil {
 		t.Fatal(err)
 	}

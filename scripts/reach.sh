@@ -64,12 +64,12 @@ run "$bin/bfcbo" -sf 0.01 -mode bfpost -sql "SELECT * FROM orders o, lineitem l 
 # An OR group and a NOT over a numeric BETWEEN: the NOT and OR kernels.
 run "$bin/bfcbo" -sf 0.01 -sql "SELECT * FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND (l.l_quantity < 5 OR l.l_discount > 0.09) AND NOT l.l_tax BETWEEN 0.02 AND 0.06"
 run "$bin/bfcbo" -q 21 -sf 0.05 -dop 2 -mem-budget 1MB
-run "$bin/bfcbo" -q 9 -sf 0.02 -dop 2 -mem-budget 256KB -faults "seed=42,spill.write=0.01,mem.deny=0.2" -retries 3
+run "$bin/bfcbo" -q 9 -sf 0.02 -dop 2 -mem-budget 256KB -faults "seed=42,spill.write=0.01,mem.deny=0.2"
 # Six streams behind a cap of two queue at the scheduler's count gate.
-run "$bin/bfcbo" -q 12 -sf 0.01 -streams 6 -max-concurrent 2 -retries 2 -timeout 5s
-# The sched.admit fault site refuses half the admissions: the refused
-# admission's typed fault and the engine's retries of it run here.
-run "$bin/bfcbo" -q 12 -sf 0.01 -streams 6 -faults "seed=7,sched.admit=0.5" -retries 3
+run "$bin/bfcbo" -q 12 -sf 0.01 -streams 6 -max-concurrent 2 -timeout 5s
+# The sched.admit fault site refuses half the admissions: each refused
+# admission surfaces as its stream's typed fault.
+run "$bin/bfcbo" -q 12 -sf 0.01 -streams 6 -faults "seed=7,sched.admit=0.5"
 
 # The observability server keeps serving after its query until it is
 # signalled. serve starts one in the background and waits for it to
