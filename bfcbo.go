@@ -12,7 +12,7 @@
 //	                        WHERE o.o_orderkey = l.l_orderkey
 //	                          AND l.l_shipmode IN ('MAIL','SHIP')`)
 //	out, err := eng.Run(q, bfcbo.BFCBO)
-//	fmt.Println(out.Explain, out.Rows)
+//	fmt.Println(out.Explain(), out.Rows)
 package bfcbo
 
 import (
@@ -76,7 +76,8 @@ type Config struct {
 	// (the DOP-sized worker-slot pool still bounds actual parallelism).
 	MaxConcurrent int
 	// SlowQueryLog sizes the engine's flight recorder — the ring of recent
-	// queries retained with full EXPLAIN ANALYZE, scheduler/memory/spill
+	// queries retained with their EXPLAIN ANALYZE (rendered when read, from
+	// the plan and runtime stats the record keeps), scheduler/memory/spill
 	// stats, and lifecycle trace (served at /debug/queries when the debug
 	// endpoints are enabled). 0 defaults to 32; negative disables recording.
 	SlowQueryLog int
@@ -234,10 +235,6 @@ func (e *Engine) TPCH(num int) (*query.Block, error) {
 type Output struct {
 	// Rows is the number of result rows of the join block.
 	Rows int
-	// Explain is the physical plan rendered as text, followed by the
-	// EXPLAIN ANALYZE-style tree annotated with per-operator actual rows
-	// and wall times.
-	Explain string
 	// Blooms is the number of Bloom filters in the plan.
 	Blooms int
 	// PlanningTime and ExecTime are the measured phase latencies.
@@ -247,9 +244,6 @@ type Output struct {
 	JoinOrder string
 	// BloomStats reports what each filter did at runtime.
 	BloomStats []exec.BloomRuntime
-	// ExplainAnalyze is the plan annotated with observed per-operator rows,
-	// batch counts and wall times (EXPLAIN ANALYZE style).
-	ExplainAnalyze string
 	// OpStats are the raw per-operator runtime counters in pipeline
 	// execution order.
 	OpStats []exec.OpStat
@@ -272,6 +266,8 @@ type Output struct {
 	// spans, breaker finish phases — exportable as Chrome trace-event JSON
 	// via its WriteChrome (load in chrome://tracing or Perfetto).
 	Trace *obs.Trace
+
+	ex explained // behind Explain and ExplainAnalyze
 }
 
 // Plan optimizes a block without executing it, under the cost profile of
@@ -319,73 +315,77 @@ func (e *Engine) RunContext(ctx context.Context, b *query.Block, mode Mode) (*Ou
 		Metrics: e.metrics, Trace: tr,
 		Inspector: e.insp, Fingerprint: fp,
 	})
-	execTime := time.Since(start)
+	// One record a run, failed or not, feeds both the flight recorder and
+	// the run's shape in the workload history.
+	rec := obs.QueryRecord{
+		ID: tr.QueryID, Label: b.Name, Mode: mode.String(), CostProfile: res.Plan.CostProfile,
+		Fingerprint: plan.FingerprintHex(fp),
+		Start:       start, Latency: time.Since(start), Trace: tr,
+	}
 	if err != nil {
 		var pe *exec.PanicError
 		if errors.As(err, &pe) {
 			e.metrics.PanicsRecovered.Inc()
 		}
-		e.rec.Record(obs.QueryRecord{
-			ID: tr.QueryID, Label: tr.Label, Mode: mode.String(), CostProfile: res.Plan.CostProfile,
-			Fingerprint: plan.FingerprintHex(fp),
-			Start:       start, Latency: execTime, Err: err.Error(), Trace: tr,
-		})
-		e.work.Observe(obs.WorkloadObservation{
-			Fingerprint: fp, Label: b.Name, Mode: mode.String(),
-			Latency: execTime, Failed: true,
-		})
+		rec.Err = err.Error()
+		e.rec.Record(rec)
+		e.work.Observe(&rec)
 		return nil, err
 	}
-	// ExecTime reports execution, not admission: time queued behind other
-	// queries is broken out in Sched.QueueWait.
-	if execTime -= r.Sched.QueueWait; execTime < 0 {
-		execTime = 0
-	}
-	analyzed := r.ExplainAnalyze(res.Plan)
+	r.Out = nil // the caller gets Rows; the recorder keeps no row set
+	ex := explained{r: r, p: res.Plan}
 	sp := r.TotalSpill()
-	e.rec.Record(obs.QueryRecord{
-		ID: tr.QueryID, Label: tr.Label, Mode: mode.String(), CostProfile: res.Plan.CostProfile,
-		Fingerprint: plan.FingerprintHex(fp),
-		Start:       start, Latency: execTime + r.Sched.QueueWait, Rows: r.Rows,
-		Explain:   analyzed,
-		QueueWait: r.Sched.QueueWait, SlotWait: r.Sched.SlotWait,
-		SlotBusy:   r.Sched.SlotBusy,
-		MemPeak:    r.MemPeak,
-		SpillBytes: sp.Bytes, SpillRead: sp.BytesRead,
-		SpillParts: int64(sp.Partitions), SpillDepth: int64(sp.Depth),
-		Trace: tr,
-	})
-	// Fold the run into its shape's workload-history aggregate: the same
-	// latency the flight recorder stores, plus the observed-vs-estimated
-	// operator cardinalities the ROADMAP's feedback loop will consume.
-	var opsActual, opsEst float64
+	rec.Rows, rec.Explain = r.Rows, ex
+	rec.QueueWait, rec.SlotWait, rec.SlotBusy = r.Sched.QueueWait, r.Sched.SlotWait, r.Sched.SlotBusy
+	rec.MemPeak = r.MemPeak
+	rec.SpillBytes, rec.SpillRead = sp.Bytes, sp.BytesRead
+	rec.SpillParts, rec.SpillDepth = int64(sp.Partitions), int64(sp.Depth)
+	// Observed-vs-estimated operator cardinalities, for the workload
+	// history's feedback signal.
+	rec.Ops = int64(len(r.Actuals))
 	for _, a := range r.Actuals {
-		opsActual += a.Actual
-		opsEst += a.Node.EstRows()
+		rec.OpsActualRows += a.Actual
+		rec.OpsEstRows += a.Node.EstRows()
 	}
-	e.work.Observe(obs.WorkloadObservation{
-		Fingerprint: fp, Label: b.Name, Mode: mode.String(),
-		Latency: execTime + r.Sched.QueueWait, Rows: int64(r.Rows),
-		Ops: int64(len(r.Actuals)), OpsActualRows: opsActual, OpsEstRows: opsEst,
-		SpillBytes: sp.Bytes,
-	})
+	e.rec.Record(rec)
+	e.work.Observe(&rec)
 	return &Output{
-		Rows:           r.Rows,
-		Explain:        res.Plan.Explain() + analyzed,
-		Blooms:         res.Plan.CountBlooms(),
-		PlanningTime:   res.PlanningTime,
-		ExecTime:       execTime,
-		JoinOrder:      res.Plan.JoinOrderSignature(),
-		BloomStats:     r.BloomStats,
-		ExplainAnalyze: analyzed,
-		OpStats:        r.OpStats,
-		Pipelines:      r.Pipelines,
-		Work:           r.Work,
-		Spill:          sp,
-		Sched:          r.Sched,
-		Trace:          tr,
+		Rows:         r.Rows,
+		Blooms:       res.Plan.CountBlooms(),
+		PlanningTime: res.PlanningTime,
+		// ExecTime reports execution, not admission: time queued behind
+		// other queries is broken out in Sched.QueueWait.
+		ExecTime:   max(rec.Latency-r.Sched.QueueWait, 0),
+		JoinOrder:  res.Plan.JoinOrderSignature(),
+		BloomStats: r.BloomStats,
+		OpStats:    r.OpStats,
+		Pipelines:  r.Pipelines,
+		Work:       r.Work,
+		Spill:      sp,
+		Sched:      r.Sched,
+		Trace:      tr,
+		ex:         ex,
 	}, nil
 }
+
+// explained renders a finished run's EXPLAIN ANALYZE only when it is read
+// (String, or MarshalText in /debug/queries), so a run nobody inspects
+// renders nothing.
+type explained struct {
+	r *exec.Result // Out is nil: no row set is retained
+	p *plan.Plan
+}
+
+func (x explained) String() string { return x.r.ExplainAnalyze(x.p) }
+
+func (x explained) MarshalText() ([]byte, error) { return []byte(x.String()), nil }
+
+// Explain renders the physical plan followed by ExplainAnalyze.
+func (o *Output) Explain() string { return o.ex.p.Explain() + o.ExplainAnalyze() }
+
+// ExplainAnalyze renders the plan annotated with observed per-operator
+// rows, batch counts and wall times (EXPLAIN ANALYZE style).
+func (o *Output) ExplainAnalyze() string { return o.ex.String() }
 
 // RunSQL is the one-call convenience: parse, plan, execute.
 func (e *Engine) RunSQL(sql string, mode Mode) (*Output, error) {

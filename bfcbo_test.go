@@ -3,6 +3,7 @@ package bfcbo
 import (
 	"context"
 	"errors"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -44,7 +45,7 @@ func TestRunSQLAllModes(t *testing.T) {
 		} else if out.Rows != rows {
 			t.Fatalf("%s changed results: %d vs %d", mode, out.Rows, rows)
 		}
-		if out.Explain == "" || out.JoinOrder == "" {
+		if out.Explain() == "" || out.JoinOrder == "" {
 			t.Fatalf("%s: empty explain output", mode)
 		}
 	}
@@ -61,13 +62,13 @@ func TestTPCHAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.Blooms == 0 {
-		t.Fatalf("Q12 under BF-CBO should use Bloom filters:\n%s", out.Explain)
+		t.Fatalf("Q12 under BF-CBO should use Bloom filters:\n%s", out.Explain())
 	}
 	if len(out.BloomStats) == 0 {
 		t.Fatal("missing bloom runtime stats")
 	}
-	if !strings.Contains(out.Explain, "BF#") {
-		t.Fatalf("explain lacks Bloom annotations:\n%s", out.Explain)
+	if !strings.Contains(out.Explain(), "BF#") {
+		t.Fatalf("explain lacks Bloom annotations:\n%s", out.Explain())
 	}
 	if _, err := e.TPCH(23); err == nil {
 		t.Fatal("TPCH(23) should fail")
@@ -76,7 +77,8 @@ func TestTPCHAccess(t *testing.T) {
 
 // TestConcurrentEngineRuns drives one Engine from several goroutines
 // through RunContext: every stream must match the serial row count, the
-// scheduler must drain, and the Sched report must carry slot occupancy.
+// scheduler must drain, the Sched report must carry slot occupancy, and
+// the flight recorder renders recorded runs while others finish.
 func TestConcurrentEngineRuns(t *testing.T) {
 	e, err := Open(Config{ScaleFactor: 0.003, Seed: 9, DOP: 4, MaxConcurrent: 4})
 	if err != nil {
@@ -99,6 +101,10 @@ func TestConcurrentEngineRuns(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			outs[i], errs[i] = e.RunContext(context.Background(), b, BFCBO)
+			// Render every recorded run while other streams still record.
+			if err := e.FlightRecorder().WriteJSON(io.Discard); err != nil && errs[i] == nil {
+				errs[i] = err
+			}
 		}(i)
 	}
 	wg.Wait()

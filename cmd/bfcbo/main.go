@@ -193,7 +193,7 @@ func run(cfg bfcbo.Config, rf runFlags) error {
 	} else {
 		traces = append(traces, out.Trace)
 	}
-	fmt.Print(out.Explain)
+	fmt.Print(out.Explain())
 	fmt.Printf("join order: %s\n", out.JoinOrder)
 	fmt.Printf("rows=%d  blooms=%d  plan=%s  exec=%s\n",
 		out.Rows, out.Blooms, out.PlanningTime, out.ExecTime)

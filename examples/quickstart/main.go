@@ -28,7 +28,7 @@ func main() {
 			log.Fatalf("%s: %v", mode, err)
 		}
 		fmt.Printf("=== %s\n", mode)
-		fmt.Print(out.Explain)
+		fmt.Print(out.Explain())
 		fmt.Printf("rows=%d  blooms=%d  planning=%s  exec=%s\n\n",
 			out.Rows, out.Blooms, out.PlanningTime, out.ExecTime)
 	}

@@ -69,7 +69,9 @@ func TestEngineInjectedFaultTyped(t *testing.T) {
 }
 
 // TestEngineAdmitFaultNoRetryWithoutPolicy: an injected admission refusal
-// surfaces the typed sched.admit fault from the query's one attempt.
+// surfaces the typed sched.admit fault from the query's one attempt, and
+// the one record of that run reaches the flight recorder and the workload
+// history alike: labeled with the block, failed, one error in one run.
 func TestEngineAdmitFaultNoRetryWithoutPolicy(t *testing.T) {
 	e, err := Open(Config{ScaleFactor: 0.003, Seed: 9, DOP: 4})
 	if err != nil {
@@ -86,6 +88,16 @@ func TestEngineAdmitFaultNoRetryWithoutPolicy(t *testing.T) {
 	var f *faults.Fault
 	if !errors.As(err, &f) || f.Site != faults.SchedAdmit {
 		t.Fatalf("injected admission refusal: err = %v, want the sched.admit fault", err)
+	}
+	recs := e.FlightRecorder().Recent()
+	if len(recs) != 1 || recs[0].Label != b.Name || recs[0].Err == "" {
+		t.Fatalf("refused run's recorder entries: %+v, want one labeled %q with Err set", recs, b.Name)
+	}
+	shapes := e.Workload().Snapshot()
+	if len(shapes) != 1 || shapes[0].Fingerprint != recs[0].Fingerprint ||
+		shapes[0].Label != b.Name || shapes[0].Count != 1 || shapes[0].Errors != 1 {
+		t.Fatalf("refused run's workload shapes: %+v, want %s labeled %q with Count 1 and Errors 1",
+			shapes, recs[0].Fingerprint, b.Name)
 	}
 }
 

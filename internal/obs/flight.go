@@ -2,14 +2,16 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sort"
 	"sync"
 	"time"
 )
 
-// QueryRecord is one flight-recorder entry: everything needed to debug a
-// slow query after the fact without re-running it.
+// QueryRecord is one finished (or failed) run: a flight-recorder entry,
+// with everything needed to debug a slow query after the fact without
+// re-running it, and the workload store's input for the run's shape.
 type QueryRecord struct {
 	ID    int64  `json:"id"`
 	Label string `json:"label"`
@@ -25,8 +27,10 @@ type QueryRecord struct {
 	Rows        int           `json:"rows"`
 	Err         string        `json:"err,omitempty"`
 
-	// Explain is the full EXPLAIN ANALYZE text captured at finish.
-	Explain string `json:"explain,omitempty"`
+	// Explain renders the run's EXPLAIN ANALYZE when read; nil for a
+	// failed run. JSON carries its text when it is an
+	// encoding.TextMarshaler.
+	Explain fmt.Stringer `json:"explain,omitempty"`
 
 	// Scheduling/memory/spill picture, flattened from the per-query stats.
 	QueueWait  time.Duration `json:"queue_wait"`
@@ -40,6 +44,13 @@ type QueryRecord struct {
 
 	// Trace is the query's lifecycle trace, when tracing was on.
 	Trace *Trace `json:"-"`
+
+	// Ops counts the plan operators measured; OpsActualRows and OpsEstRows
+	// are their actual and planner-estimated output rows summed, which the
+	// workload history averages per operator.
+	Ops           int64   `json:"-"`
+	OpsActualRows float64 `json:"-"`
+	OpsEstRows    float64 `json:"-"`
 }
 
 // FlightRecorder keeps the last N finished queries — a fixed-size ring

@@ -16,11 +16,11 @@ func TestHandlerLiveWorkloadKill(t *testing.T) {
 	in := NewInspector()
 	ws := NewWorkloadStore(0)
 	killed := 0
-	lq := NewLiveQuery(5, "q12", hex16(0xbeef), "BF-CBO")
+	lq := NewLiveQuery(5, "q12", "000000000000beef", "BF-CBO")
 	lq.AddPipeline(0, "scan lineitem", 4, new(counter).read)
 	lq.OnKill(func() { killed++ })
 	in.Register(lq)
-	ws.Observe(WorkloadObservation{Fingerprint: 0xbeef, Label: "q12", Latency: time.Millisecond})
+	ws.Observe(&QueryRecord{Fingerprint: "000000000000beef", Label: "q12", Latency: time.Millisecond})
 	h := &Handler{Inspector: in, Workload: ws}
 
 	get := func(path string) *httptest.ResponseRecorder {
@@ -39,7 +39,7 @@ func TestHandlerLiveWorkloadKill(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &live); err != nil || len(live.Queries) != 1 {
 		t.Fatalf("live payload: %v %s", err, w.Body.String())
 	}
-	if q := live.Queries[0]; q.ID != 5 || q.Fingerprint != hex16(0xbeef) ||
+	if q := live.Queries[0]; q.ID != 5 || q.Fingerprint != "000000000000beef" ||
 		len(q.Pipelines) != 1 || q.Pipelines[0].MorselsPlanned != 4 {
 		t.Fatalf("live snapshot wrong: %+v", live.Queries[0])
 	}

@@ -153,6 +153,24 @@ func TestFlightRecorderEviction(t *testing.T) {
 	}
 }
 
+// BenchmarkFlightRecord gates admitting one run into a full ring: the
+// record is copied into the slot it evicts — 0 allocs/op (checked in CI).
+func BenchmarkFlightRecord(b *testing.B) {
+	fr := NewFlightRecorder(32)
+	rec := QueryRecord{
+		ID: 1, Label: "q12", Mode: "BF-CBO", Fingerprint: "000000000000feed",
+		Latency: 5 * time.Millisecond, Rows: 100, Trace: NewTrace(4),
+	}
+	for i := 0; i < 32; i++ {
+		fr.Record(rec)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fr.Record(rec)
+	}
+}
+
 func ids(recs []QueryRecord) []int64 {
 	out := make([]int64, len(recs))
 	for i, r := range recs {

@@ -6,40 +6,22 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Workload history: a bounded per-fingerprint aggregate over every query
 // the engine has executed, keyed by the normalized shape identity
-// (plan.Fingerprint). Where the flight recorder retains a few whole
-// queries, the workload store retains a little about *every* shape —
-// exec counts, a latency histogram (p50/p95), observed-vs-estimated
-// operator cardinalities, spill bytes — which is exactly the signal the
-// ROADMAP's plan cache and feedback-driven re-optimization consume.
+// (plan.Fingerprint, as plan.FingerprintHex renders it). Where the flight
+// recorder retains a few whole queries, the workload store retains a
+// little about *every* shape — exec counts, a latency histogram
+// (p50/p95), observed-vs-estimated operator cardinalities, spill bytes —
+// which is exactly the signal the ROADMAP's plan cache and
+// feedback-driven re-optimization consume.
 //
-// Observe for an already-seen fingerprint is the hot path: one mutex,
-// one map probe on a uint64 key, a handful of field adds and an
-// allocation-free histogram observe — 0 allocs/op (gated in CI). New
+// Observe for an already-seen fingerprint is the hot path: one mutex, one
+// map probe on the record's hex fingerprint, a handful of field adds and
+// an allocation-free histogram observe — 0 allocs/op (gated in CI). New
 // fingerprints allocate their record once; when the store is full the
 // least-recently-observed shape is evicted.
-
-// WorkloadObservation is one finished run's contribution, passed by
-// value so the call itself never allocates.
-type WorkloadObservation struct {
-	Fingerprint uint64
-	Label       string
-	Mode        string
-	Latency     time.Duration
-	Rows        int64
-	// Ops counts the plan operators measured this run; OpsActualRows and
-	// OpsEstRows are actual and planner-estimated output rows summed
-	// across them ("mean rows per operator vs estimate" divides by Ops).
-	Ops           int64
-	OpsActualRows float64
-	OpsEstRows    float64
-	SpillBytes    int64
-	Failed        bool
-}
 
 type workloadRec struct {
 	label     string
@@ -62,7 +44,7 @@ type WorkloadStore struct {
 	mu  sync.Mutex
 	cap int
 	seq atomic.Int64
-	m   map[uint64]*workloadRec
+	m   map[string]*workloadRec
 }
 
 // DefaultWorkloadShapes bounds the store when the caller passes 0.
@@ -74,13 +56,14 @@ func NewWorkloadStore(capacity int) *WorkloadStore {
 	if capacity <= 0 {
 		capacity = DefaultWorkloadShapes
 	}
-	return &WorkloadStore{cap: capacity, m: make(map[uint64]*workloadRec, capacity)}
+	return &WorkloadStore{cap: capacity, m: make(map[string]*workloadRec, capacity)}
 }
 
-// Observe folds one finished run into its fingerprint's aggregate.
-// Observations without a fingerprint are dropped.
-func (ws *WorkloadStore) Observe(o WorkloadObservation) {
-	if ws == nil || o.Fingerprint == 0 {
+// Observe folds one run's record into its fingerprint's aggregate; a
+// record with Err set counts as an error. Records without a fingerprint
+// are dropped.
+func (ws *WorkloadStore) Observe(o *QueryRecord) {
+	if ws == nil || o.Fingerprint == "" {
 		return
 	}
 	ws.mu.Lock()
@@ -99,12 +82,12 @@ func (ws *WorkloadStore) Observe(o WorkloadObservation) {
 		ws.m[o.Fingerprint] = r
 	}
 	r.count++
-	if o.Failed {
+	if o.Err != "" {
 		r.errs++
 	}
 	r.sumLatNs += int64(o.Latency)
 	r.lat.Observe(o.Latency.Seconds())
-	r.rows += o.Rows
+	r.rows += int64(o.Rows)
 	r.ops += o.Ops
 	r.opsActual += o.OpsActualRows
 	r.opsEst += o.OpsEstRows
@@ -115,7 +98,7 @@ func (ws *WorkloadStore) Observe(o WorkloadObservation) {
 
 // evictLocked drops the least-recently-observed fingerprint.
 func (ws *WorkloadStore) evictLocked() {
-	var victim uint64
+	var victim string
 	min := int64(1<<63 - 1)
 	for fp, r := range ws.m {
 		if r.lastSeq < min {
@@ -146,9 +129,9 @@ type WorkloadEntry struct {
 	SpillBytes       int64   `json:"spill_bytes,omitempty"`
 }
 
-func (r *workloadRec) entry(fp uint64) WorkloadEntry {
+func (r *workloadRec) entry(fp string) WorkloadEntry {
 	e := WorkloadEntry{
-		Fingerprint: hex16(fp),
+		Fingerprint: fp,
 		Label:       r.label,
 		Mode:        r.mode,
 		Count:       r.count,
@@ -204,14 +187,4 @@ func (ws *WorkloadStore) WriteJSON(w io.Writer) error {
 		Shapes  int             `json:"shapes"`
 		Entries []WorkloadEntry `json:"workload"`
 	}{len(entries), entries})
-}
-
-func hex16(v uint64) string {
-	const digits = "0123456789abcdef"
-	var buf [16]byte
-	for i := 15; i >= 0; i-- {
-		buf[i] = digits[v&0xf]
-		v >>= 4
-	}
-	return string(buf[:])
 }

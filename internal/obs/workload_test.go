@@ -3,16 +3,15 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
 )
 
 // findShape searches the store's snapshot for one fingerprint.
-func findShape(ws *WorkloadStore, fp uint64) (WorkloadEntry, bool) {
+func findShape(ws *WorkloadStore, fp string) (WorkloadEntry, bool) {
 	for _, e := range ws.Snapshot() {
-		if e.Fingerprint == fmt.Sprintf("%016x", fp) {
+		if e.Fingerprint == fp {
 			return e, true
 		}
 	}
@@ -22,18 +21,18 @@ func findShape(ws *WorkloadStore, fp uint64) (WorkloadEntry, bool) {
 func TestWorkloadStoreAggregates(t *testing.T) {
 	ws := NewWorkloadStore(8)
 	for i := 0; i < 4; i++ {
-		ws.Observe(WorkloadObservation{
-			Fingerprint: 0xabc, Label: "q12", Mode: "BF-CBO",
+		ws.Observe(&QueryRecord{
+			Fingerprint: "0000000000000abc", Label: "q12", Mode: "BF-CBO",
 			Latency: 10 * time.Millisecond, Rows: 100,
 			Ops: 2, OpsActualRows: 300, OpsEstRows: 200,
 			SpillBytes: 1 << 10,
 		})
 	}
-	ws.Observe(WorkloadObservation{
-		Fingerprint: 0xabc, Label: "q12", Mode: "BF-CBO",
-		Latency: 30 * time.Millisecond, Failed: true,
+	ws.Observe(&QueryRecord{
+		Fingerprint: "0000000000000abc", Label: "q12", Mode: "BF-CBO",
+		Latency: 30 * time.Millisecond, Err: "injected",
 	})
-	e, ok := findShape(ws, 0xabc)
+	e, ok := findShape(ws, "0000000000000abc")
 	if !ok {
 		t.Fatal("observed fingerprint missing")
 	}
@@ -53,15 +52,15 @@ func TestWorkloadStoreAggregates(t *testing.T) {
 		t.Fatalf("operator-cardinality aggregates wrong: %+v", e)
 	}
 
-	// Fingerprint 0 is the "none" sentinel and must be dropped.
-	ws.Observe(WorkloadObservation{Fingerprint: 0, Latency: time.Millisecond})
+	// A record without a fingerprint must be dropped.
+	ws.Observe(&QueryRecord{Latency: time.Millisecond})
 	if n := len(ws.Snapshot()); n != 1 {
-		t.Fatalf("%d shapes after a fingerprint-0 observation, want 1", n)
+		t.Fatalf("%d shapes after an unfingerprinted observation, want 1", n)
 	}
 
 	// Nil-safety: a disabled store ignores everything.
 	var nilWS *WorkloadStore
-	nilWS.Observe(WorkloadObservation{Fingerprint: 1})
+	nilWS.Observe(&QueryRecord{Fingerprint: "0000000000000001"})
 	if nilWS.Snapshot() != nil {
 		t.Fatal("nil store not inert")
 	}
@@ -69,20 +68,20 @@ func TestWorkloadStoreAggregates(t *testing.T) {
 
 func TestWorkloadStoreEviction(t *testing.T) {
 	ws := NewWorkloadStore(2)
-	ws.Observe(WorkloadObservation{Fingerprint: 1, Latency: time.Millisecond})
-	ws.Observe(WorkloadObservation{Fingerprint: 2, Latency: time.Millisecond})
+	ws.Observe(&QueryRecord{Fingerprint: "0000000000000001", Latency: time.Millisecond})
+	ws.Observe(&QueryRecord{Fingerprint: "0000000000000002", Latency: time.Millisecond})
 	// Touch 1 so 2 becomes the least-recently-observed shape.
-	ws.Observe(WorkloadObservation{Fingerprint: 1, Latency: time.Millisecond})
-	ws.Observe(WorkloadObservation{Fingerprint: 3, Latency: time.Millisecond})
+	ws.Observe(&QueryRecord{Fingerprint: "0000000000000001", Latency: time.Millisecond})
+	ws.Observe(&QueryRecord{Fingerprint: "0000000000000003", Latency: time.Millisecond})
 	if n := len(ws.Snapshot()); n != 2 {
 		t.Fatalf("%d shapes after eviction, want 2", n)
 	}
-	if _, ok := findShape(ws, 2); ok {
+	if _, ok := findShape(ws, "0000000000000002"); ok {
 		t.Fatal("least-recently-observed shape survived eviction")
 	}
-	for _, fp := range []uint64{1, 3} {
+	for _, fp := range []string{"0000000000000001", "0000000000000003"} {
 		if _, ok := findShape(ws, fp); !ok {
-			t.Fatalf("fingerprint %d wrongly evicted", fp)
+			t.Fatalf("fingerprint %s wrongly evicted", fp)
 		}
 	}
 }
@@ -90,9 +89,9 @@ func TestWorkloadStoreEviction(t *testing.T) {
 func TestWorkloadSnapshotOrderAndJSON(t *testing.T) {
 	ws := NewWorkloadStore(0)
 	for i := 0; i < 3; i++ {
-		ws.Observe(WorkloadObservation{Fingerprint: 5, Latency: time.Millisecond})
+		ws.Observe(&QueryRecord{Fingerprint: "0000000000000005", Latency: time.Millisecond})
 	}
-	ws.Observe(WorkloadObservation{Fingerprint: 9, Latency: time.Millisecond})
+	ws.Observe(&QueryRecord{Fingerprint: "0000000000000009", Latency: time.Millisecond})
 	snap := ws.Snapshot()
 	if len(snap) != 2 || snap[0].Count != 3 || snap[1].Count != 1 {
 		t.Fatalf("snapshot not count-descending: %+v", snap)
@@ -121,12 +120,12 @@ func TestWorkloadSnapshotOrderAndJSON(t *testing.T) {
 }
 
 // BenchmarkWorkloadObserve gates the per-query fold for an already-seen
-// fingerprint: one mutex, one uint64 map probe, field adds and an
-// allocation-free histogram observe — 0 allocs/op (checked in CI).
+// fingerprint: one mutex, one map probe on the hex fingerprint, field adds
+// and an allocation-free histogram observe — 0 allocs/op (checked in CI).
 func BenchmarkWorkloadObserve(b *testing.B) {
 	ws := NewWorkloadStore(0)
-	o := WorkloadObservation{
-		Fingerprint: 0xfeed, Label: "q12", Mode: "BF-CBO",
+	o := &QueryRecord{
+		Fingerprint: "000000000000feed", Label: "q12", Mode: "BF-CBO",
 		Latency: 5 * time.Millisecond, Rows: 100,
 		Ops: 3, OpsActualRows: 120, OpsEstRows: 100,
 	}

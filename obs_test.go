@@ -2,6 +2,8 @@ package bfcbo
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -235,7 +237,7 @@ func TestFlightRecorderOnEngine(t *testing.T) {
 		t.Fatalf("recorder has %d entries, want 2", n)
 	}
 	for _, qr := range rec.Recent() {
-		if qr.Explain == "" {
+		if qr.Explain == nil {
 			t.Fatalf("record %d has no EXPLAIN ANALYZE", qr.ID)
 		}
 		if qr.Trace == nil {
@@ -261,6 +263,65 @@ func TestFlightRecorderOnEngine(t *testing.T) {
 	}
 	if _, err := off.Run(b, BFCBO); err != nil {
 		t.Fatal(err) // nil recorder must not panic the run path
+	}
+}
+
+// TestRecordedRunRendersBothWays: a recorded run keeps no text, only what
+// renders it. /debug/queries serializes the same EXPLAIN ANALYZE that
+// Output.ExplainAnalyze renders, Output.Explain prefixes the plan to it,
+// the record retains no row set, and a failed run has no "explain" key.
+func TestRecordedRunRendersBothWays(t *testing.T) {
+	e, err := Open(Config{ScaleFactor: 0.003, Seed: 9, DOP: 2, SlowQueryLog: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := e.TPCH(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := e.Run(b, BFCBO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := e.RunContext(ctx, b, BFCBO); err == nil {
+		t.Fatal("a run under a canceled context succeeded")
+	}
+
+	recs := e.FlightRecorder().Recent()
+	if len(recs) != 2 {
+		t.Fatalf("recorder has %d entries, want 2", len(recs))
+	}
+	x, ok := recs[0].Explain.(explained)
+	if !ok {
+		t.Fatalf("recorded Explain is %T, want the engine's lazy renderer", recs[0].Explain)
+	}
+	if x.r.Out != nil {
+		t.Fatal("the recorder retains the run's row set")
+	}
+	if got, want := out.Explain(), x.p.Explain()+out.ExplainAnalyze(); got != want {
+		t.Fatalf("Output.Explain is not the plan followed by ExplainAnalyze:\n%s\nwant:\n%s", got, want)
+	}
+
+	var buf bytes.Buffer
+	if err := e.FlightRecorder().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var dump struct {
+		Queries []map[string]any `json:"queries"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &dump); err != nil || len(dump.Queries) != 2 {
+		t.Fatalf("/debug/queries payload: %v\n%s", err, buf.String())
+	}
+	for _, q := range dump.Queries {
+		if _, failed := q["err"]; failed {
+			if _, has := q["explain"]; has {
+				t.Fatalf("failed run serializes an explain: %v", q)
+			}
+		} else if q["explain"] != out.ExplainAnalyze() {
+			t.Fatalf("serialized explain differs from ExplainAnalyze:\n%v\nwant:\n%s", q["explain"], out.ExplainAnalyze())
+		}
 	}
 }
 
