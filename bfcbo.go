@@ -332,7 +332,7 @@ func (e *Engine) RunContext(ctx context.Context, b *query.Block, mode Mode) (*Ou
 		e.work.Observe(&rec)
 		return nil, err
 	}
-	r.Out = nil // the caller gets Rows; the recorder keeps no row set
+	r.ReleaseOut() // the caller gets Rows; the recorder keeps no row set
 	ex := explained{r: r, p: res.Plan}
 	sp := r.TotalSpill()
 	rec.Rows, rec.Explain = r.Rows, ex

@@ -9,6 +9,7 @@ import (
 
 	"bfcbo/internal/exec"
 	"bfcbo/internal/faults"
+	"bfcbo/internal/obs"
 )
 
 // Engine-level robustness: an injected fault surfaces as the typed
@@ -99,6 +100,45 @@ func TestEngineAdmitFaultNoRetryWithoutPolicy(t *testing.T) {
 		t.Fatalf("refused run's workload shapes: %+v, want %s labeled %q with Count 1 and Errors 1",
 			shapes, recs[0].Fingerprint, b.Name)
 	}
+}
+
+// TestRefusedRunsHaveDistinctIDs: a run refused at admission takes its
+// query ID on entering admission, so two refused runs are recorded under
+// two distinct non-zero IDs, and the flight recorder finds each by its ID.
+func TestRefusedRunsHaveDistinctIDs(t *testing.T) {
+	e, err := Open(Config{ScaleFactor: 0.003, Seed: 9, DOP: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.Enable(faults.New(5, map[faults.Site]float64{faults.SchedAdmit: 1}))
+	defer faults.Disable()
+	for _, q := range []int{12, 3} {
+		b, err := e.TPCH(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(b, BFCBO); err == nil {
+			t.Fatalf("Q%d ran; want the sched.admit fault", q)
+		}
+	}
+	recs := e.FlightRecorder().Recent()
+	if len(recs) != 2 || recs[0].ID == 0 || recs[1].ID == 0 || recs[0].ID == recs[1].ID {
+		t.Fatalf("refused runs recorded with IDs %v, want two distinct non-zero IDs", recordIDs(recs))
+	}
+	for _, want := range recs {
+		got, ok := e.FlightRecorder().Find(want.ID)
+		if !ok || got.Label != want.Label || got.Err == "" {
+			t.Errorf("Find(%d) = %q (found %v, err %q), want the refused run %q", want.ID, got.Label, ok, got.Err, want.Label)
+		}
+	}
+}
+
+func recordIDs(recs []obs.QueryRecord) []int64 {
+	ids := make([]int64, len(recs))
+	for i, r := range recs {
+		ids[i] = r.ID
+	}
+	return ids
 }
 
 // promValue extracts one counter's value from a Prometheus exposition.

@@ -144,6 +144,26 @@ func (f *Filter) FilterSel(vals []int64, sel []int32) []int32 {
 	return sel[:n]
 }
 
+// FilterRange is FilterSel over the dense rows lo … lo+len(sel)-1: it reads
+// vals[lo:lo+len(sel)] in order and stores only the ids it keeps in sel's
+// prefix, which it returns; sel's contents on entry are ignored. A scan
+// whose first test is a filter enters here, so no row-id vector is written
+// for the filter to read back. The compaction is FilterSel's, branch-free.
+func (f *Filter) FilterRange(vals []int64, lo int, sel []int32) []int32 {
+	words, shift := f.words, f.shift&63
+	vals = vals[lo : lo+len(sel)]
+	n := 0
+	for i, v := range vals {
+		h := KeyHash(v) >> shift
+		m := uint64(1)<<(h&63) | 1<<(h>>6&63)
+		sel[n] = int32(lo + i)
+		if words[h>>12]&m == m {
+			n++
+		}
+	}
+	return sel[:n]
+}
+
 // FilterSelHashes is FilterSel over precomputed hashes: hashes[i] is the
 // hash (see AddHash) of selected row sel[i]. The scan's two-column filters
 // hash their combined keys this way.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -152,6 +153,49 @@ func TestFilterSelAgreesWithMayContain(t *testing.T) {
 	}
 }
 
+// Property: FilterRange over the dense rows lo … hi-1 keeps, in ascending
+// order, exactly the rows whose per-row MayContainHash(KeyHash) is true:
+// from the column's start and from inside it, for a full morsel, a short
+// last one that ends at the column's end, and an empty range.
+func TestFilterRangeAgreesWithMayContain(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(5000)
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = rng.Int63n(int64(4 * n))
+		}
+		f := New(uint64(64 << rng.Intn(10)))
+		for _, v := range vals[:n/2] {
+			f.Add(v)
+		}
+		mid := rng.Intn(n)
+		for _, r := range []struct{ lo, hi int }{
+			{0, n},                 // lo = 0, the whole column
+			{0, 1 + rng.Intn(n)},   // lo = 0, a prefix
+			{mid, mid + (n-mid)/2}, // lo > 0, inside the column
+			{mid, n},               // a short last morsel
+			{mid, mid}, {n, n},     // empty ranges
+		} {
+			var want []int32
+			for i := r.lo; i < r.hi; i++ {
+				if f.MayContainHash(KeyHash(vals[i])) {
+					want = append(want, int32(i))
+				}
+			}
+			sel := make([]int32, r.hi-r.lo)
+			for i := range sel {
+				sel[i] = -7 // contents on entry are ignored
+			}
+			got := f.FilterRange(vals, r.lo, sel)
+			if !slices.Equal(got, want) || !slices.IsSorted(got) {
+				t.Fatalf("trial %d, rows [%d, %d): FilterRange kept %v, MayContain %v",
+					trial, r.lo, r.hi, got, want)
+			}
+		}
+	}
+}
+
 func TestFPRFormula(t *testing.T) {
 	// m = 8n with k = 2 gives (1 - e^{-1/4})^2 ≈ 0.0489.
 	got := FPR(1000, 8000)
@@ -242,40 +286,53 @@ func BenchmarkMayContain(b *testing.B) {
 // workloads' pass rate: a filter of the given size holds, at 16 bits per
 // key, keys drawn from a domain 20 times larger, and one morsel of 4096
 // random keys from that domain is tested, so about 6 % of rows pass (5 %
-// members, the rest false positives). CI gates it on 0 allocs/op.
+// members, the rest false positives). Each size fills the morsel's row ids
+// and runs FilterSel over them, as a scan with a predicate does; range is
+// FilterRange over the same morsels of the 512 KiB filter, the dense entry
+// of a scan whose first test is the filter. CI gates it on 0 allocs/op.
 func BenchmarkFilterSel(b *testing.B) {
-	const morsel = 4096
 	for _, bytes := range []int{16 << 10, 512 << 10, 4 << 20} {
 		name := fmt.Sprintf("%dKiB", bytes>>10)
 		if bytes >= 1<<20 {
 			name = fmt.Sprintf("%dMiB", bytes>>20)
 		}
 		b.Run(name, func(b *testing.B) {
-			keys := int64(bytes / 2) // 16 bits each
-			f := New(BitsForNDV(uint64(keys)))
-			rng := rand.New(rand.NewSource(1))
-			for i := int64(0); i < keys; i++ {
-				f.Add(rng.Int63n(20 * keys))
-			}
-			vals := make([]int64, 1<<16)
-			for i := range vals {
-				vals[i] = rng.Int63n(20 * keys)
-			}
-			sel := make([]int32, morsel)
-			kept := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lo := i * morsel % len(vals)
+			benchFilterMorsels(b, bytes, func(f *Filter, vals []int64, lo int, sel []int32) []int32 {
 				for k := range sel {
 					sel[k] = int32(lo + k)
 				}
-				kept += len(f.FilterSel(vals, sel))
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/morsel, "ns/row")
-			b.ReportMetric(float64(kept)/float64(b.N)/morsel, "pass")
+				return f.FilterSel(vals, sel)
+			})
 		})
 	}
+	b.Run("range", func(b *testing.B) {
+		benchFilterMorsels(b, 512<<10, (*Filter).FilterRange)
+	})
+}
+
+// benchFilterMorsels runs test over successive 4096-row morsels of a
+// random key column against a filter of the given size in bytes.
+func benchFilterMorsels(b *testing.B, bytes int, test func(f *Filter, vals []int64, lo int, sel []int32) []int32) {
+	const morsel = 4096
+	keys := int64(bytes / 2) // 16 bits each
+	f := New(BitsForNDV(uint64(keys)))
+	rng := rand.New(rand.NewSource(1))
+	for i := int64(0); i < keys; i++ {
+		f.Add(rng.Int63n(20 * keys))
+	}
+	vals := make([]int64, 1<<16)
+	for i := range vals {
+		vals[i] = rng.Int63n(20 * keys)
+	}
+	sel := make([]int32, morsel)
+	kept := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kept += len(test(f, vals, i*morsel%len(vals), sel))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/morsel, "ns/row")
+	b.ReportMetric(float64(kept)/float64(b.N)/morsel, "pass")
 }
 
 // BitsForNDV names the size the executor has built since every filter

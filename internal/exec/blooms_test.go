@@ -64,7 +64,7 @@ func TestBloomBuildFeedersAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Q%d: build side: %v", num, err)
 			}
-			inner := side.Out
+			inner := side.Out()
 			c0 := j.Conds[0]
 			joinKeys := keyColumn(inner, tables[c0.InnerRel], c0.InnerRel, c0.InnerCol)
 			build := func(name string, feed func([]*bloomBuild) error, rows int) *bloomSet {
@@ -244,12 +244,12 @@ func TestBloomBuildKeysPassScan(t *testing.T) {
 					if err != nil {
 						t.Fatalf("Q%d: build side: %v", q.Num, err)
 					}
-					inner := side.Out
+					inner := side.Out()
 					ex := &executor{dop: dop, morsel: morsel, tables: tables,
 						blooms: newBloomSet(tables, res.Plan.Blooms),
 						builds: make(map[*plan.Join]*hashTable),
 						memq:   mem.NewBroker(0).NewQuery()}
-					snk := &hashBuildSink{partsSink: newPartsSink(inner.rels, dop),
+					snk := &hashBuildSink{rels: inner.rels, parts: make([]*RowSet, dop),
 						ex: ex, j: j, estRows: float64(inner.Len()),
 						res: ex.memq.Reserve(), rec: &spillCounters{}}
 					for lo, w := 0, 0; lo < inner.Len(); lo, w = lo+morsel, (w+1)%dop {

@@ -260,7 +260,7 @@ func TestDAGHashJoinMatchesLegacy(t *testing.T) {
 			if err != nil {
 				t.Fatalf("dop %d morsel %d: %v", dop, morsel, err)
 			}
-			sameTuples(t, fmt.Sprintf("dop %d morsel %d", dop, morsel), canonicalRows(r.Out), canonicalRows(legacy.Out))
+			sameTuples(t, fmt.Sprintf("dop %d morsel %d", dop, morsel), canonicalRows(r.Out()), canonicalRows(legacy.Out()))
 		}
 	}
 }

@@ -293,7 +293,7 @@ func TestChaosSoak(t *testing.T) {
 		}
 		base = append(base, baseline{
 			block: block, plan: res,
-			want: canonicalRows(clean.Out),
+			want: canonicalRows(clean.Out()),
 		})
 	}
 
@@ -330,7 +330,7 @@ func TestChaosSoak(t *testing.T) {
 			}
 			return nil
 		}
-		got := canonicalRows(r.Out)
+		got := canonicalRows(r.Out())
 		if len(got) != len(b.want) {
 			return fmt.Errorf("row count diverged under faults: got %d want %d", len(got), len(b.want))
 		}

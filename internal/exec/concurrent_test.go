@@ -89,7 +89,7 @@ func TestConcurrentQueriesMatchSerial(t *testing.T) {
 		}
 		qs = append(qs, planned{
 			num: num, block: block, plan: res.Plan,
-			want: canonicalRows(serial.Out),
+			want: canonicalRows(serial.Out()),
 		})
 	}
 
@@ -115,7 +115,7 @@ func TestConcurrentQueriesMatchSerial(t *testing.T) {
 					errCh <- err
 					return
 				}
-				got := canonicalRows(r.Out)
+				got := canonicalRows(r.Out())
 				if len(got) != len(pq.want) {
 					t.Errorf("stream %d Q%d: %d tuples, want %d", s, pq.num, len(got), len(pq.want))
 					return
@@ -175,7 +175,7 @@ func TestSlotCapHoldsUnderBudget(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Q%d: reference: %v", num, err)
 		}
-		qs = append(qs, planned{num: num, block: block, plan: res.Plan, want: canonicalRows(ref.Out)})
+		qs = append(qs, planned{num: num, block: block, plan: res.Plan, want: canonicalRows(ref.Out())})
 	}
 	scheduler := sched.New(sched.Config{Slots: slots})
 	broker := mem.NewBroker(tinyBudget)
@@ -200,7 +200,7 @@ func TestSlotCapHoldsUnderBudget(t *testing.T) {
 				if !r.TotalSpill().Spilled() {
 					t.Errorf("stream %d Q%d: the one-byte budget spilled nothing", s, pq.num)
 				}
-				if got := canonicalRows(r.Out); !slices.Equal(got, pq.want) {
+				if got := canonicalRows(r.Out()); !slices.Equal(got, pq.want) {
 					t.Errorf("stream %d Q%d: %d tuples differ from the reference's %d", s, pq.num, len(got), len(pq.want))
 				}
 			}
@@ -416,7 +416,7 @@ func TestMemoryNeverBlocksAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatalf("spilling query beside a full budget: %v", err)
 	}
-	sameTuples(t, "beside a full budget", canonicalRows(r.Out), canonicalRows(want.Out))
+	sameTuples(t, "beside a full budget", canonicalRows(r.Out()), canonicalRows(want.Out()))
 	if !r.TotalSpill().Spilled() {
 		t.Fatal("the query ran without spilling under an exhausted budget")
 	}

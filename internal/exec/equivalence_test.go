@@ -87,7 +87,7 @@ func executorEquivalenceTPCH(t *testing.T, profile optimizer.Options, modes []op
 				rowsAtDOP[dop] = piped.Rows
 				// Every successful run materializes its rows.
 				for i, r := range []*Result{legacy, piped} {
-					if r.Out == nil || r.Out.Len() != r.Rows {
+					if r.Out() == nil || r.Out().Len() != r.Rows {
 						t.Fatalf("Q%d %s dop %d: run %d (legacy, pipelined): Out is nil or disagrees with Rows=%d",
 							q.Num, mode, dop, i, r.Rows)
 					}
@@ -95,7 +95,7 @@ func executorEquivalenceTPCH(t *testing.T, profile optimizer.Options, modes []op
 				// Same tuples, not just as many: scan kernels, Bloom
 				// probes, the flat tables and the pair-driven emit may
 				// reorder the output but never change it.
-				want, got := canonicalRows(legacy.Out), canonicalRows(piped.Out)
+				want, got := canonicalRows(legacy.Out()), canonicalRows(piped.Out())
 				for i := 0; i < len(want) && i < len(got); i++ {
 					if got[i] != want[i] {
 						t.Errorf("Q%d %s dop %d: tuple %d diverges: legacy=%q pipelined=%q",

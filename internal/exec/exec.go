@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -26,10 +27,10 @@ type NodeActual struct {
 
 // Result is the outcome of executing a plan.
 type Result struct {
-	// Out is the materialized final row set, non-nil on every successful
-	// run.
-	Out *RowSet
-	// Rows is the final output row count (Out.Len()).
+	// out holds the final rows as the result sink wrote them; Out merges
+	// them, and ReleaseOut drops them.
+	out *resultChunks
+	// Rows is the final output row count (Out().Len()).
 	Rows int
 	// Actuals records observed output rows per plan node, in pipeline
 	// order, for estimate-vs-actual analysis (the paper's MAE metric).
@@ -162,7 +163,7 @@ type executor struct {
 	stats  []*opStats
 	pipes  []PipelineStat
 	scanRt []ScanRuntime
-	out    *RowSet
+	out    *resultChunks
 
 	// Memory-budget state: the per-query account on the memory broker, the
 	// configured budget (for partition sizing), and the run's lazily
@@ -312,7 +313,12 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	ticket, err := scheduler.Admit(ctx)
 	if err != nil {
 		// A query turned away at admission (refused, cancel, deadline)
-		// still counts: its whole life was queue wait.
+		// still counts: its whole life was queue wait, under the ID it
+		// was given on entry.
+		var ae *sched.AdmitError
+		if opts.Trace != nil && errors.As(err, &ae) {
+			opts.Trace.QueryID = ae.ID
+		}
 		if opts.Metrics != nil {
 			wait := time.Since(admitStart)
 			opts.Metrics.ObserveQuery(wait, wait, 0, 0, 0, true)
@@ -445,7 +451,7 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	// One scan per pipeline, reported by relation.
 	sort.Slice(ex.scanRt, func(i, j int) bool { return ex.scanRt[i].Rel < ex.scanRt[j].Rel })
 	res = &Result{
-		Out: ex.out, Rows: ex.out.Len(),
+		out: ex.out, Rows: ex.out.rows,
 		Pipelines:  ex.pipes,
 		Scans:      ex.scanRt,
 		MemPeak:    ex.memq.Peak(),

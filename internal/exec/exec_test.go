@@ -110,8 +110,8 @@ func TestInnerJoinCorrectness(t *testing.T) {
 		for _, mode := range []optimizer.Mode{optimizer.NoBF, optimizer.BFPost, optimizer.BFCBO} {
 			_, r := optimizeAndRun(t, db, b, mode, dop)
 			// 10 surviving dim rows × 10 fact rows each.
-			if r.Out.Len() != 100 {
-				t.Fatalf("mode %s dop %d: join rows = %d, want 100", mode, dop, r.Out.Len())
+			if r.Out().Len() != 100 {
+				t.Fatalf("mode %s dop %d: join rows = %d, want 100", mode, dop, r.Out().Len())
 			}
 		}
 	}
@@ -123,8 +123,8 @@ func TestSemiJoinCorrectness(t *testing.T) {
 		b := factDimBlock(schema, query.Semi)
 		for _, mode := range []optimizer.Mode{optimizer.NoBF, optimizer.BFCBO} {
 			_, r := optimizeAndRun(t, db, b, mode, dop)
-			if r.Out.Len() != 100 {
-				t.Fatalf("mode %s dop %d: semi rows = %d, want 100", mode, dop, r.Out.Len())
+			if r.Out().Len() != 100 {
+				t.Fatalf("mode %s dop %d: semi rows = %d, want 100", mode, dop, r.Out().Len())
 			}
 		}
 	}
@@ -135,8 +135,8 @@ func TestAntiJoinCorrectness(t *testing.T) {
 	for _, dop := range []int{1, 4} {
 		b := factDimBlock(schema, query.Anti)
 		_, r := optimizeAndRun(t, db, b, optimizer.NoBF, dop)
-		if r.Out.Len() != 900 {
-			t.Fatalf("dop %d: anti rows = %d, want 900", dop, r.Out.Len())
+		if r.Out().Len() != 900 {
+			t.Fatalf("dop %d: anti rows = %d, want 900", dop, r.Out().Len())
 		}
 	}
 }
@@ -146,8 +146,8 @@ func TestBloomFilterDoesNotChangeResults(t *testing.T) {
 	base := factDimBlock(schema, query.Inner)
 	_, noBF := optimizeAndRun(t, db, base, optimizer.NoBF, 4)
 	pCBO, withBF := optimizeAndRun(t, db, factDimBlock(schema, query.Inner), optimizer.BFCBO, 4)
-	if noBF.Out.Len() != withBF.Out.Len() {
-		t.Fatalf("BF changed results: %d vs %d\n%s", noBF.Out.Len(), withBF.Out.Len(), pCBO.Explain())
+	if noBF.Out().Len() != withBF.Out().Len() {
+		t.Fatalf("BF changed results: %d vs %d\n%s", noBF.Out().Len(), withBF.Out().Len(), pCBO.Explain())
 	}
 	if pCBO.CountBlooms() == 0 {
 		t.Fatalf("expected a Bloom filter in this plan:\n%s", pCBO.Explain())
@@ -184,8 +184,8 @@ func TestScanActualsReflectBloomReduction(t *testing.T) {
 			t.Fatalf("bloom-filtered scan emitted %v rows of 1000", actual)
 		}
 	}
-	if r.ActualFor(p.Root) != float64(r.Out.Len()) {
-		t.Fatalf("root actual %v != output %d", r.ActualFor(p.Root), r.Out.Len())
+	if r.ActualFor(p.Root) != float64(r.Out().Len()) {
+		t.Fatalf("root actual %v != output %d", r.ActualFor(p.Root), r.Out().Len())
 	}
 }
 
@@ -223,7 +223,7 @@ func TestEveryJoinTypeMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
-				sameTuples(t, what, canonicalRows(r.Out), canonicalRows(ref.Out))
+				sameTuples(t, what, canonicalRows(r.Out()), canonicalRows(ref.Out()))
 				var got []string
 				for _, ps := range r.Pipelines {
 					got = append(got, ps.Label)
@@ -281,8 +281,8 @@ func TestDuplicateKeyProduct(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Out.Len() != want {
-			t.Fatalf("legacy %v: rows = %d, want %d", opts.Legacy, r.Out.Len(), want)
+		if r.Out().Len() != want {
+			t.Fatalf("legacy %v: rows = %d, want %d", opts.Legacy, r.Out().Len(), want)
 		}
 	}
 }

@@ -86,7 +86,7 @@ func TestGraceRoutesEveryRowOnce(t *testing.T) {
 		t.Cleanup(ex.cleanupSpill)
 
 		buildRels := query.NewRelSet(joinSidesBuildRel)
-		bs := &hashBuildSink{partsSink: newPartsSink(buildRels, dop), ex: ex, j: f.j,
+		bs := &hashBuildSink{rels: buildRels, parts: make([]*RowSet, dop), ex: ex, j: f.j,
 			estRows: buildRows, res: ex.memq.Reserve(), rec: &spillCounters{}}
 		consumeAll(bs, f.buildBatches, dop)
 		if err := bs.finish(); err != nil {

@@ -104,8 +104,8 @@ func rowIDBatches(rel, n, morsel int) []*RowSet {
 // published table.
 func (f *joinSidesFixture) build() (*hashTable, error) {
 	snk := &hashBuildSink{
-		partsSink: newPartsSink(query.NewRelSet(joinSidesBuildRel), 1),
-		ex:        f.ex, j: f.j, estRows: float64(f.ex.tables[joinSidesBuildRel].NumRows()),
+		rels: query.NewRelSet(joinSidesBuildRel), parts: make([]*RowSet, 1),
+		ex: f.ex, j: f.j, estRows: float64(f.ex.tables[joinSidesBuildRel].NumRows()),
 		res: f.ex.memq.Reserve(), rec: &spillCounters{},
 	}
 	for _, b := range f.buildBatches {

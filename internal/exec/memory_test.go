@@ -105,7 +105,7 @@ func TestExecutorEquivalenceMemBudget(t *testing.T) {
 			if s := baseline.TotalSpill(); s.Spilled() {
 				t.Errorf("Q%d dop %d: unlimited-budget run spilled: %+v", num, dop, s)
 			}
-			want := canonicalRows(baseline.Out)
+			want := canonicalRows(baseline.Out())
 			spillRoot := t.TempDir()
 			r, err := Run(ds.DB, block, res.Plan, Options{
 				DOP: dop, Broker: mem.NewBroker(tinyBudget), SpillDir: spillRoot,
@@ -116,7 +116,7 @@ func TestExecutorEquivalenceMemBudget(t *testing.T) {
 			if r.Rows != baseline.Rows {
 				t.Errorf("Q%d dop %d: rows = %d, want %d", num, dop, r.Rows, baseline.Rows)
 			}
-			got := canonicalRows(r.Out)
+			got := canonicalRows(r.Out())
 			if len(got) != len(want) {
 				t.Errorf("Q%d dop %d: %d tuples, want %d", num, dop, len(got), len(want))
 			} else {
@@ -249,8 +249,8 @@ func TestInMemoryBuildHoldsItsBytes(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		f := newJoinSidesFixture(t, buildRows)
 		snk := &hashBuildSink{
-			partsSink: newPartsSink(query.NewRelSet(joinSidesBuildRel), workers),
-			ex:        f.ex, j: f.j, estRows: buildRows,
+			rels: query.NewRelSet(joinSidesBuildRel), parts: make([]*RowSet, workers),
+			ex: f.ex, j: f.j, estRows: buildRows,
 			res: f.ex.memq.Reserve(), rec: &spillCounters{},
 		}
 		for i, b := range f.buildBatches {
@@ -299,7 +299,7 @@ func TestBudgetedMergeAndNestLoopSpillAsGraceJoin(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: budgeted run: %v", what, err)
 		}
-		sameTuples(t, what, canonicalRows(r.Out), canonicalRows(want.Out))
+		sameTuples(t, what, canonicalRows(r.Out()), canonicalRows(want.Out()))
 		if got := r.ActualFor(root); got != want.ActualFor(root) {
 			t.Errorf("%s: join actual %v under budget, %v in the reference", what, got, want.ActualFor(root))
 		}
@@ -338,7 +338,7 @@ func TestBudgetedRunHasOneBreakerKind(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: budgeted run: %v", what, err)
 				}
-				sameTuples(t, what, canonicalRows(r.Out), canonicalRows(want.Out))
+				sameTuples(t, what, canonicalRows(r.Out()), canonicalRows(want.Out()))
 				assertNoSpillFiles(t, spillRoot)
 			}
 		}

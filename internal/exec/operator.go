@@ -114,7 +114,9 @@ func (s *opStats) snapshot() OpStat {
 // another on the pipeline's goroutine once its workers have joined, so
 // their sum is the finish's wall time, less untimed bookkeeping.
 type BreakerPhases struct {
-	// Merge is the time combining per-worker parts into one row set.
+	// Merge is the time a hash build takes to combine its per-worker parts
+	// into one row set. Only builds merge: the result sink leaves its
+	// chunks as written, and Result.Out merges them when it is read.
 	Merge time.Duration
 	// Sort is always zero: no breaker sorts. The field remains because
 	// benchmark/engine_traced.go reads it for exec.phase_ms.sort, and it

@@ -46,6 +46,10 @@ type scanSource struct {
 	// and concurrently scheduled pipelines wind down promptly instead of
 	// draining the table.
 	stop *atomic.Bool
+	// rangeFirst: the scan has no predicate kernel and its first filter is
+	// single-column, so that filter is the morsel's dense entry
+	// (bloom.Filter.FilterRange) and the chain is not run.
+	rangeFirst bool
 
 	predIn, predOut []atomic.Int64 // one pair per kernel, evaluation order
 }
@@ -70,6 +74,7 @@ func (ex *executor) newScanSource(s *plan.Scan, stats *opStats) (*scanSource, er
 	for _, p := range probes {
 		src.bfs = append(src.bfs, &scanBloom{bloomProbe: p})
 	}
+	src.rangeFirst = len(kernels) == 0 && len(src.bfs) > 0 && src.bfs[0].vals2 == nil
 	return src, nil
 }
 
@@ -152,12 +157,14 @@ func (o *scanOp) Close() error {
 // selection vector holds at least a morsel's worth of rows or the table
 // ends, so every operator above a selective scan pays its per-batch cost
 // for a full vector rather than for the few rows one morsel keeps. Each
-// morsel runs the kernel chain over its dense rows into the vector's tail
-// (query.Chain.EvalRange: the first kernel reads its column over [lo, hi)
-// and writes only the ids it keeps, so no row-id vector is written first;
-// with no predicate the chain just writes the ids), then tests the Bloom
-// filters in plan order, each in one fused pass over the surviving rows'
-// keys (bloom.Filter.FilterSel). A two-column filter first hashes its
+// morsel's first test reads its dense rows [lo, hi) and writes only the
+// ids it keeps into the vector's tail, so no row-id vector is written for
+// it to read back: the kernel chain (query.Chain.EvalRange, whose first
+// kernel is dense; with no predicate and no filter it just writes the
+// ids), or, in a scan with no predicate whose first filter is
+// single-column, that filter (bloom.Filter.FilterRange). The remaining
+// filters follow in plan order, each in one fused pass over the surviving
+// rows' keys (bloom.Filter.FilterSel). A two-column filter first hashes its
 // combined keys into scratch. This is the only way a scan drops rows.
 // Everything else stays per morsel: the stop check before each claim (a
 // stopped fill returns nil), the Bloom tallies and one observe. Row ids
@@ -179,11 +186,19 @@ func (o *scanOp) NextBatch() (*RowSet, error) {
 			hi = src.n
 		}
 		start := time.Now()
-		sel := o.chain.EvalRange(lo, o.sel[n:n+hi-lo])
-		for k, b := range src.bfs {
-			if len(sel) == 0 {
-				break
-			}
+		window, k0 := o.sel[n:n+hi-lo], 0
+		var sel []int32
+		if src.rangeFirst {
+			b := src.bfs[0]
+			sel = b.h.FilterRange(b.vals, lo, window)
+			o.localTested[0] += int64(hi - lo)
+			o.localPassed[0] += int64(len(sel))
+			k0 = 1
+		} else {
+			sel = o.chain.EvalRange(lo, window)
+		}
+		for k := k0; k < len(src.bfs) && len(sel) > 0; k++ {
+			b := src.bfs[k]
 			o.localTested[k] += int64(len(sel))
 			if b.vals2 == nil {
 				sel = b.h.FilterSel(b.vals, sel)

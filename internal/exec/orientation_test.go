@@ -167,7 +167,7 @@ func TestJoinOrientationInvariant(t *testing.T) {
 		var want []string
 		check := func(what string, r *Result) {
 			t.Helper()
-			got := canonicalRows(r.Out)
+			got := canonicalRows(r.Out())
 			if want == nil {
 				want = got
 				return

@@ -84,53 +84,63 @@ type stage struct {
 	snk    sink
 }
 
-// partsSink accumulates per-worker row sets, merged on demand. It backs
-// both sinks and carries the breaker phase timings. When forceRes is set
-// (the result sink: the query's output cannot spill), consumed bytes are
-// force-accounted against the memory budget so reports stay honest; the
-// hash build overrides consume and leaves forceRes nil.
-type partsSink struct {
-	rels     query.RelSet
-	parts    []*RowSet
-	ph       BreakerPhases
-	forceRes *mem.Reservation
-}
-
-func newPartsSink(rels query.RelSet, workers int) partsSink {
-	return partsSink{rels: rels, parts: make([]*RowSet, workers)}
-}
-
-func (s *partsSink) consume(w int, b *RowSet) {
-	if s.forceRes != nil {
-		s.forceRes.Force(batchBytes(b))
-	}
-	if s.parts[w] == nil {
-		s.parts[w] = NewRowSet(s.rels)
-	}
-	s.parts[w].appendBatch(b)
-}
-
-func (s *partsSink) phases() BreakerPhases { return s.ph }
-
-// merged combines the per-worker parts (recording the merge phase); a lone
-// live part is returned directly without copying.
-func (s *partsSink) merged() *RowSet {
-	start := time.Now()
-	rs := concat(s.rels, s.parts)
-	s.ph.Merge = time.Since(start)
-	return rs
-}
-
-// resultSink collects the final query output.
+// resultSink collects the query's output, writing each row id once: every
+// worker appends its batches' rows to a list of chunks of its own. A
+// worker's first chunk is sized to its first batch, each next one doubles
+// the last up to resultChunkRows, and a full chunk is never grown or
+// copied. finish only counts the rows; Result.Out merges the chunks when a
+// caller reads them. The query's output cannot spill, so its bytes are
+// force-accounted against the memory budget and never denied.
 type resultSink struct {
-	partsSink
-	ex *executor
+	ex    *executor
+	rels  query.RelSet
+	parts [][]*RowSet // by worker: its chunks, in the order written
+	res   *mem.Reservation
+}
+
+// resultChunkRows caps a result chunk's rows at 64 morsels: past it,
+// doubling saves few allocations, and a worker's last chunk may leave up
+// to this many rows a column unused.
+const resultChunkRows = 64 * DefaultMorselSize
+
+func (s *resultSink) consume(w int, b *RowSet) {
+	s.res.Force(batchBytes(b))
+	chunks := s.parts[w]
+	for at := 0; at < b.Len(); {
+		var c *RowSet
+		if len(chunks) > 0 {
+			c = chunks[len(chunks)-1]
+		}
+		if c == nil || c.Len() == cap(c.cols[0]) {
+			size := min(b.Len(), resultChunkRows)
+			if c != nil {
+				size = min(2*cap(c.cols[0]), resultChunkRows)
+			}
+			c = NewRowSetCap(s.rels, size)
+			chunks = append(chunks, c)
+		}
+		k := min(b.Len()-at, cap(c.cols[0])-c.Len())
+		for i := range c.cols {
+			c.cols[i] = append(c.cols[i], b.cols[i][at:at+k]...)
+		}
+		at += k
+	}
+	s.parts[w] = chunks
 }
 
 func (s *resultSink) finish() error {
-	s.ex.out = s.merged()
+	out := &resultChunks{rels: s.rels, parts: s.parts}
+	for _, chunks := range s.parts {
+		for _, c := range chunks {
+			out.rows += c.Len()
+		}
+	}
+	s.ex.out = out
 	return nil
 }
+
+// phases is zero: the result sink has no finish work to time.
+func (s *resultSink) phases() BreakerPhases { return BreakerPhases{} }
 
 // hashBuildSink materializes a hash join's build side, populates its Bloom
 // filters (bloomSet.build), and builds the shared hash table the probe
@@ -144,7 +154,9 @@ func (s *resultSink) finish() error {
 // streams the Bloom filters from the spill files and publishes the
 // partition state for the probe pipeline instead of building a table.
 type hashBuildSink struct {
-	partsSink
+	rels    query.RelSet
+	parts   []*RowSet // by worker: its buffered rows, nil once spilled
+	ph      BreakerPhases
 	ex      *executor
 	j       *plan.Join
 	estRows float64
@@ -211,7 +223,10 @@ func (s *hashBuildSink) consume(w int, b *RowSet) {
 		return freed
 	}
 	if s.res.Grow(batchBytes(b), onDeny) {
-		s.partsSink.consume(w, b)
+		if s.parts[w] == nil {
+			s.parts[w] = NewRowSet(s.rels)
+		}
+		s.parts[w].appendBatch(b)
 		return
 	}
 	// Even with this worker's part spilled the batch does not fit: route
@@ -242,6 +257,8 @@ func (s *hashBuildSink) unitOverBudget() bool {
 	return buildGrant(rows, unit.Count()) > s.ex.budget
 }
 
+func (s *hashBuildSink) phases() BreakerPhases { return s.ph }
+
 func (s *hashBuildSink) finish() error {
 	if s.g == nil {
 		totalRows := 0
@@ -255,12 +272,14 @@ func (s *hashBuildSink) finish() error {
 		// blowing the budget on the table build. Empty build sides never
 		// spill — there is nothing to save.
 		if totalRows == 0 || (!s.unitOverBudget() && s.res.Grow(buildGrant(totalRows, s.rels.Count()), nil)) {
-			inner := s.merged()
+			start := time.Now()
+			inner := concat(s.rels, s.parts)
+			s.ph.Merge = time.Since(start)
 			// The merged copy holds the rows now: the parts' grant goes.
 			s.res.Release(rowSetBytes(totalRows, s.rels.Count()))
 			// Gather the build keys once: the same column populates the
 			// Bloom filters on the join key and the flat join directory.
-			start := time.Now()
+			start = time.Now()
 			ht, err := gatherBuildKeys(s.ex, s.j, inner)
 			if err != nil {
 				return err
@@ -638,14 +657,12 @@ func newPipeStats(pipes []*plan.Pipeline) map[int][]*opStats {
 // growing state; the result sink force-accounts its bytes: the query's
 // output is accounted and never denied.
 func (ex *executor) newSink(pl *plan.Pipeline, rels query.RelSet, workers int, rec *spillCounters) (breaker, error) {
-	base := newPartsSink(rels, workers)
 	res := ex.memq.Reserve()
 	switch pl.Sink {
 	case plan.SinkResult:
-		base.forceRes = res
-		return &resultSink{partsSink: base, ex: ex}, nil
+		return &resultSink{ex: ex, rels: rels, parts: make([][]*RowSet, workers), res: res}, nil
 	case plan.SinkHashBuild:
-		return &hashBuildSink{partsSink: base, ex: ex, j: pl.SinkJoin,
+		return &hashBuildSink{rels: rels, parts: make([]*RowSet, workers), ex: ex, j: pl.SinkJoin,
 			estRows: pl.EstSinkRows(), res: res, rec: rec}, nil
 	default:
 		return nil, fmt.Errorf("exec: unknown sink kind %v", pl.Sink)

@@ -29,8 +29,8 @@ func TestPipelinedOpStatsAndExplainAnalyze(t *testing.T) {
 	if root == nil {
 		t.Fatal("no OpStat for plan root")
 	}
-	if int(root.RowsOut) != r.Rows || r.Rows != r.Out.Len() {
-		t.Fatalf("root stat rows=%d, result rows=%d, out=%d", root.RowsOut, r.Rows, r.Out.Len())
+	if int(root.RowsOut) != r.Rows || r.Rows != r.Out().Len() {
+		t.Fatalf("root stat rows=%d, result rows=%d, out=%d", root.RowsOut, r.Rows, r.Out().Len())
 	}
 	// Every scan and join node has a stat.
 	for _, s := range p.Scans() {
@@ -124,13 +124,13 @@ func TestMorselSizeInvariance(t *testing.T) {
 		if ref.Rows != v.rows {
 			t.Fatalf("%s: reference rows = %d, want %d", v.name, ref.Rows, v.rows)
 		}
-		want := canonicalRows(ref.Out)
+		want := canonicalRows(ref.Out())
 		for _, morsel := range []int{1, 7, 64, 999, 1000, 100_000} {
 			r, err := Run(db, b, res.Plan, Options{DOP: 3, morselSize: morsel})
 			if err != nil {
 				t.Fatalf("%s morsel %d: %v", v.name, morsel, err)
 			}
-			sameTuples(t, fmt.Sprintf("%s morsel %d", v.name, morsel), canonicalRows(r.Out), want)
+			sameTuples(t, fmt.Sprintf("%s morsel %d", v.name, morsel), canonicalRows(r.Out()), want)
 		}
 	}
 
@@ -149,7 +149,7 @@ func TestMorselSizeInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mirrored %s: reference: %v", jt, err)
 		}
-		want := canonicalRows(ref.Out)
+		want := canonicalRows(ref.Out())
 		for _, morsel := range []int{7, 64, 1000} {
 			what := fmt.Sprintf("mirrored %s morsel %d", jt, morsel)
 			rec := &batchSizes{}
@@ -162,7 +162,7 @@ func TestMorselSizeInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
-			sameTuples(t, what, canonicalRows(r.Out), want)
+			sameTuples(t, what, canonicalRows(r.Out()), want)
 			var sizes []int
 			for _, op := range rec.ops {
 				sizes = append(sizes, op.sizes...)
@@ -211,6 +211,121 @@ func TestConcatSkipsNilParts(t *testing.T) {
 	}
 	if got := concat(rels, []*RowSet{nil, nil}); got.rels != rels || got.Len() != 0 || len(got.cols) != rels.Count() {
 		t.Fatalf("concat of nil parts: %d rows over %s, want an empty set over %s", got.Len(), got.rels, rels)
+	}
+}
+
+// TestResultSinkWritesChunksOnce: each worker's result rows land in chunks
+// whose capacities double from its first batch's rows up to
+// resultChunkRows; a chunk, once made, is never reallocated, only the last
+// one is ever short, finish counts every row without merging, and Out
+// merges worker by worker, each worker's rows in the order it consumed them.
+func TestResultSinkWritesChunksOnce(t *testing.T) {
+	rels := query.NewRelSet(1, 3)
+	const workers = 3
+	snk := &resultSink{ex: &executor{}, rels: rels, parts: make([][]*RowSet, workers),
+		res: mem.NewBroker(0).NewQuery().Reserve()}
+	var want [workers][][]int32
+	for w := range want {
+		want[w] = make([][]int32, rels.Count())
+	}
+	next := int32(0)
+	firsts := make([]*int32, workers) // each chunk's backing array, by worker
+	for i := 0; i < 400; i++ {
+		w := i % workers
+		size := 1000 + 37*w // worker 2 consumes nothing past its first batch
+		if w == 2 && i > 2 {
+			continue
+		}
+		b := NewRowSet(rels)
+		for r := 0; r < size; r++ {
+			for c := range b.cols {
+				b.cols[c] = append(b.cols[c], next)
+				want[w][c] = append(want[w][c], next)
+				next++
+			}
+		}
+		snk.consume(w, b)
+		if firsts[w] == nil {
+			firsts[w] = &snk.parts[w][0].cols[0][0]
+		}
+	}
+	if err := snk.finish(); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for w, chunks := range snk.parts {
+		if &chunks[0].cols[0][0] != firsts[w] {
+			t.Errorf("worker %d: its first chunk was reallocated", w)
+		}
+		capacity := 1000 + 37*w
+		for i, c := range chunks {
+			if got := cap(c.cols[0]); got != capacity {
+				t.Errorf("worker %d chunk %d: capacity %d, want %d", w, i, got, capacity)
+			}
+			if i < len(chunks)-1 && c.Len() != capacity {
+				t.Errorf("worker %d chunk %d of %d: %d of %d rows, only the last may be short", w, i, len(chunks), c.Len(), capacity)
+			}
+			capacity = min(2*capacity, resultChunkRows)
+			total += c.Len()
+		}
+	}
+	if n := len(snk.parts[0]); n < 8 || cap(snk.parts[0][n-1].cols[0]) != resultChunkRows {
+		t.Errorf("worker 0 wrote %d chunks, the last of %d rows; want the chunks to reach the %d-row cap",
+			n, cap(snk.parts[0][n-1].cols[0]), resultChunkRows)
+	}
+	r := &Result{out: snk.ex.out, Rows: snk.ex.out.rows}
+	if r.Rows != total || r.Rows != int(next)/rels.Count() {
+		t.Fatalf("finish counted %d rows; the chunks hold %d, the batches %d", r.Rows, total, int(next)/rels.Count())
+	}
+	merged := make([][]int32, rels.Count())
+	for w := range want {
+		for c := range merged {
+			merged[c] = append(merged[c], want[w][c]...)
+		}
+	}
+	if got := r.Out(); got.rels != rels || !reflect.DeepEqual(got.cols, merged) {
+		t.Fatalf("Out merged %d rows, not the workers' %d rows in worker-major order", got.Len(), len(merged[0]))
+	}
+	if r.ReleaseOut(); r.Out() != nil || r.Rows != total {
+		t.Fatalf("after ReleaseOut: Out() = %v, Rows = %d; want nil and %d", r.Out(), r.Rows, total)
+	}
+}
+
+// TestResultSpansChunks runs TPC-H blocks of thousands of output rows at
+// tiny morsels, so a worker's rows span several result chunks, at DOP 1
+// and 4 (which workers get rows is up to the schedule); the merged output
+// equals the reference's tuples.
+func TestResultSpansChunks(t *testing.T) {
+	ds := equivalenceDataset(t)
+	opts := optimizer.DefaultOptions(0.01)
+	opts.Mode = optimizer.BFCBO
+	for _, num := range []int{1, 13, 18} {
+		q, _ := tpch.Get(num)
+		block := q.Build(ds.Schema)
+		res, err := optimizer.Optimize(block, opts)
+		if err != nil {
+			t.Fatalf("Q%d: optimize: %v", num, err)
+		}
+		ref, err := Run(ds.DB, block, res.Plan, Options{Legacy: true})
+		if err != nil {
+			t.Fatalf("Q%d: reference: %v", num, err)
+		}
+		want := canonicalRows(ref.Out())
+		for _, dop := range []int{1, 4} {
+			what := fmt.Sprintf("Q%d dop %d", num, dop)
+			r, err := Run(ds.DB, block, res.Plan, Options{DOP: dop, morselSize: 8})
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			most := 0
+			for _, chunks := range r.out.parts {
+				most = max(most, len(chunks))
+			}
+			if most < 3 {
+				t.Errorf("%s: no worker wrote more than %d result chunks, want several", what, most)
+			}
+			sameTuples(t, what, canonicalRows(r.Out()), want)
+		}
 	}
 }
 

@@ -110,7 +110,7 @@ func TestProbeRandomMatchesLegacy(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d %s: pipelined dop %d: %v", trial, jt, dop, err)
 				}
-				want, have := canonicalRows(ref.Out), canonicalRows(got.Out)
+				want, have := canonicalRows(ref.Out()), canonicalRows(got.Out())
 				if len(have) != len(want) {
 					t.Fatalf("trial %d %s dop %d: rows diverge: pipelined=%d legacy=%d",
 						trial, jt, dop, len(have), len(want))

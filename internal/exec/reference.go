@@ -41,7 +41,10 @@ func runReference(ctx context.Context, db *storage.Database, block *query.Block,
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Out: out, Rows: out.Len(), Actuals: r.actuals, BloomStats: r.blooms.stats(p.Blooms)}, nil
+	return &Result{
+		out:  &resultChunks{rels: out.rels, parts: [][]*RowSet{{out}}, rows: out.Len()},
+		Rows: out.Len(), Actuals: r.actuals, BloomStats: r.blooms.stats(p.Blooms),
+	}, nil
 }
 
 // node evaluates one plan node and records its output cardinality.

@@ -74,7 +74,7 @@ func TestReferenceIsSerial(t *testing.T) {
 	if got.Sched != (sched.Stat{}) || len(got.Pipelines) != 0 {
 		t.Errorf("reference run reports engine state: sched %+v, %d pipelines", got.Sched, len(got.Pipelines))
 	}
-	w, g := canonicalRows(want.Out), canonicalRows(got.Out)
+	w, g := canonicalRows(want.Out()), canonicalRows(got.Out())
 	if got.Rows != want.Rows || len(g) != len(w) {
 		t.Fatalf("reference rows = %d (%d tuples), engine rows = %d (%d tuples)", got.Rows, len(g), want.Rows, len(w))
 	}

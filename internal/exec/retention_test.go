@@ -65,7 +65,7 @@ func TestBatchRetention(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Q%d: reference: %v", q.Num, err)
 		}
-		want := canonicalRows(ref.Out)
+		want := canonicalRows(ref.Out())
 		for _, dop := range []int{1, 4} {
 			for _, budget := range []int64{0, tinyBudget} {
 				r, err := Run(ds.DB, block, res.Plan, Options{
@@ -78,7 +78,7 @@ func TestBatchRetention(t *testing.T) {
 				if budget > 0 && len(res.Plan.Joins()) > 0 && !r.TotalSpill().Spilled() {
 					t.Errorf("Q%d dop %d: the tiny budget sent no build through grace", q.Num, dop)
 				}
-				got := canonicalRows(r.Out)
+				got := canonicalRows(r.Out())
 				if len(got) != len(want) {
 					t.Errorf("Q%d dop %d budget %d: %d tuples, the reference has %d", q.Num, dop, budget, len(got), len(want))
 					continue

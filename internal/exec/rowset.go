@@ -38,11 +38,13 @@ func NewRowSet(rels query.RelSet) *RowSet {
 
 // NewRowSetCap creates an empty row set covering rels with every column
 // pre-sized to the given capacity — joins and batch producers know a good
-// lower bound and avoid the append regrowth.
+// lower bound and avoid the append regrowth. The columns share one
+// allocation; a column appended past its capacity moves out on its own.
 func NewRowSetCap(rels query.RelSet, capacity int) *RowSet {
 	rs := NewRowSet(rels)
+	buf := make([]int32, len(rs.cols)*capacity)
 	for i := range rs.cols {
-		rs.cols[i] = make([]int32, 0, capacity)
+		rs.cols[i] = buf[i*capacity : i*capacity : (i+1)*capacity]
 	}
 	return rs
 }
@@ -120,6 +122,33 @@ func (rs *RowSet) appendBatch(b *RowSet) {
 		rs.cols[c] = append(rs.cols[c], b.cols[c]...)
 	}
 }
+
+// resultChunks is a run's output as it was written: by worker, the chunks
+// of rows that worker produced, in order, and their total row count.
+type resultChunks struct {
+	rels  query.RelSet
+	parts [][]*RowSet
+	rows  int
+}
+
+// Out merges the run's output rows into one row set: worker by worker,
+// each worker's rows in the order it produced them. Output held in one
+// chunk is returned as is; otherwise each call merges anew. After
+// ReleaseOut it returns nil.
+func (r *Result) Out() *RowSet {
+	if r.out == nil {
+		return nil
+	}
+	var chunks []*RowSet
+	for _, p := range r.out.parts {
+		chunks = append(chunks, p...)
+	}
+	return concat(r.out.rels, chunks)
+}
+
+// ReleaseOut drops the output rows, so a Result kept for its statistics
+// holds no row set; Rows still counts them.
+func (r *Result) ReleaseOut() { r.out = nil }
 
 // concat merges parts (all covering the same relations) into one row set;
 // a nil part is a worker that got no batch. When exactly one part holds

@@ -52,7 +52,7 @@ func TestScanCountersSortedColumn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := canonicalRows(ref.Out)
+		want := canonicalRows(ref.Out())
 		if len(want) != 201 {
 			t.Fatalf("dop %d: reference rows = %d, want 201", dop, len(want))
 		}
@@ -61,7 +61,7 @@ func TestScanCountersSortedColumn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := canonicalRows(r.Out)
+			got := canonicalRows(r.Out())
 			if len(got) != len(want) {
 				t.Fatalf("dop %d morsel %d: rows = %d, want %d", dop, morsel, len(got), len(want))
 			}
@@ -218,7 +218,7 @@ func TestScanFillsBatches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", c.name, err)
 		}
-		want := canonicalRows(ref.Out)
+		want := canonicalRows(ref.Out())
 		var preds []query.PredCount
 		for _, morsel := range []int{64, DefaultMorselSize} {
 			var scans []ScanRuntime
@@ -229,7 +229,7 @@ func TestScanFillsBatches(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
-				sameTuples(t, what, canonicalRows(r.Out), want)
+				sameTuples(t, what, canonicalRows(r.Out()), want)
 				full := 0
 				for _, op := range rec.ops {
 					for i, n := range op.sizes {

@@ -43,8 +43,8 @@ func TestStreamingStrategiesSection39(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s dop %d: %v", streaming, dop, err)
 			}
-			if r.Out.Len() != 100 {
-				t.Fatalf("%s dop %d: rows = %d, want 100", streaming, dop, r.Out.Len())
+			if r.Out().Len() != 100 {
+				t.Fatalf("%s dop %d: rows = %d, want 100", streaming, dop, r.Out().Len())
 			}
 			if len(r.BloomStats) != 1 {
 				t.Fatalf("%s dop %d: stats = %+v", streaming, dop, r.BloomStats)
@@ -86,11 +86,11 @@ func TestLeftOuterJoinExecution(t *testing.T) {
 			t.Fatal(err)
 		}
 		// All 1000 fact rows survive: 100 with a match, 900 null-extended.
-		if r.Out.Len() != 1000 {
-			t.Fatalf("dop %d: left join rows = %d, want 1000", dop, r.Out.Len())
+		if r.Out().Len() != 1000 {
+			t.Fatalf("dop %d: left join rows = %d, want 1000", dop, r.Out().Len())
 		}
 		nulls := 0
-		for _, id := range r.Out.Col(1) {
+		for _, id := range r.Out().Col(1) {
 			if id < 0 {
 				nulls++
 			}
@@ -150,8 +150,8 @@ func TestEmptyBuildSide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Out.Len() != 0 {
-		t.Fatalf("empty build side should produce 0 rows, got %d", r.Out.Len())
+	if r.Out().Len() != 0 {
+		t.Fatalf("empty build side should produce 0 rows, got %d", r.Out().Len())
 	}
 	// The empty filter rejects everything: the probe scan emits 0 rows.
 	if r.BloomStats[0].Passed != 0 {

@@ -150,8 +150,8 @@ func TestMultiColumnFilterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v\n%s", err, multi.Plan.Explain())
 	}
-	if rPlain.Out.Len() != rMulti.Out.Len() {
-		t.Fatalf("composite filter changed results: %d vs %d", rPlain.Out.Len(), rMulti.Out.Len())
+	if rPlain.Out().Len() != rMulti.Out().Len() {
+		t.Fatalf("composite filter changed results: %d vs %d", rPlain.Out().Len(), rMulti.Out().Len())
 	}
 	// The composite filter must be sharply selective: only ~5% of child
 	// rows reference a surviving pair.

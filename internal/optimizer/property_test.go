@@ -135,10 +135,10 @@ func TestPropertyModesAgreeOnRandomBlocks(t *testing.T) {
 				t.Fatalf("seed %d mode %s: exec: %v\n%s", seed, mode, err, res.Plan.Explain())
 			}
 			if i == 0 {
-				want = r.Out.Len()
-			} else if r.Out.Len() != want {
+				want = r.Out().Len()
+			} else if r.Out().Len() != want {
 				t.Fatalf("seed %d mode %s: %d rows, want %d\n%s",
-					seed, mode, r.Out.Len(), want, res.Plan.Explain())
+					seed, mode, r.Out().Len(), want, res.Plan.Explain())
 			}
 		}
 	}

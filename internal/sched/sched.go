@@ -122,6 +122,7 @@ func (s *Scheduler) Totals() Totals {
 
 type admitWaiter struct {
 	ready chan *Query
+	id    int64
 	q     *Query // set under s.mu when granted
 }
 
@@ -170,28 +171,41 @@ func (q *Query) Held() int {
 	return q.held
 }
 
+// AdmitError is Admit's refusal: the ID the query was given on entry and
+// why it was turned away (a *faults.Fault, or the context's error).
+type AdmitError struct {
+	ID  int64
+	Err error
+}
+
+func (e *AdmitError) Error() string { return e.Err.Error() }
+func (e *AdmitError) Unwrap() error { return e.Err }
+
 // Admit registers a query and blocks until it is admitted or its context
-// is canceled or expires. The returned ticket must be
-// Finished when the query completes. The sched.admit fault site refuses
-// the admission with a wrapped *faults.Fault.
+// is canceled or expires. The query takes its scheduler-unique ID on entry,
+// so a query refused or canceled while queued has one too: the returned
+// *AdmitError carries it. The returned ticket must be Finished when the
+// query completes. The sched.admit fault site refuses the admission with a
+// wrapped *faults.Fault.
 func (s *Scheduler) Admit(ctx context.Context) (*Query, error) {
+	id := s.nextID.Add(1)
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err // already canceled/expired: never admit
+		return nil, &AdmitError{ID: id, Err: err} // already canceled/expired: never admit
 	}
 	if fault := faults.Hit(faults.SchedAdmit); fault != nil {
-		return nil, fmt.Errorf("sched: admission refused: %w", fault)
+		return nil, &AdmitError{ID: id, Err: fmt.Errorf("sched: admission refused: %w", fault)}
 	}
 	start := time.Now()
 	s.mu.Lock()
 	if len(s.admitQ) == 0 && s.admissibleLocked() {
-		q := s.admitLocked()
+		q := s.admitLocked(id)
 		s.mu.Unlock()
 		return q, nil
 	}
-	w := &admitWaiter{ready: make(chan *Query, 1)}
+	w := &admitWaiter{ready: make(chan *Query, 1), id: id}
 	s.admitQ = append(s.admitQ, w)
 	s.mu.Unlock()
 
@@ -200,7 +214,7 @@ func (s *Scheduler) Admit(ctx context.Context) (*Query, error) {
 		q.queueWait = time.Since(start)
 		return q, nil
 	case <-ctx.Done():
-		return nil, s.abandonAdmit(w, ctx.Err())
+		return nil, &AdmitError{ID: id, Err: s.abandonAdmit(w, ctx.Err())}
 	}
 }
 
@@ -226,8 +240,8 @@ func (s *Scheduler) admissibleLocked() bool {
 	return s.cfg.MaxConcurrent <= 0 || s.admitted < s.cfg.MaxConcurrent
 }
 
-func (s *Scheduler) admitLocked() *Query {
-	q := &Query{s: s, id: s.nextID.Add(1), lastChange: time.Now()}
+func (s *Scheduler) admitLocked(id int64) *Query {
+	q := &Query{s: s, id: id, lastChange: time.Now()}
 	s.admitted++
 	s.totAdmitted.Add(1)
 	return q
@@ -239,7 +253,7 @@ func (s *Scheduler) pumpLocked() {
 	for len(s.admitQ) > 0 && s.admissibleLocked() {
 		w := s.admitQ[0]
 		s.admitQ = s.admitQ[1:]
-		w.q = s.admitLocked()
+		w.q = s.admitLocked(w.id)
 		w.ready <- w.q
 	}
 }

@@ -160,15 +160,28 @@ func TestConcurrentAdmissionFIFO(t *testing.T) {
 
 // A queued admission whose context deadline expires must surface
 // context.DeadlineExceeded; context cancellation must surface
-// context.Canceled; both must drain the queue.
+// context.Canceled; both must drain the queue. Each refusal is an
+// *AdmitError carrying the ID its query took on entry, distinct from every
+// other query's.
 func TestConcurrentQueueDeadlineAndCancel(t *testing.T) {
 	s := New(Config{Slots: 1, MaxConcurrent: 1})
 	first := mustAdmit(t, s)
+	ids := map[int64]bool{first.ID(): true}
+	refusedID := func(err error) {
+		t.Helper()
+		var ae *AdmitError
+		if !errors.As(err, &ae) || ae.ID == 0 || ids[ae.ID] {
+			t.Fatalf("refusal %v: want an *AdmitError with a fresh non-zero ID (taken: %v)", err, ids)
+		}
+		ids[ae.ID] = true
+	}
 	dctx, dcancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer dcancel()
-	if _, err := s.Admit(dctx); !errors.Is(err, context.DeadlineExceeded) {
+	_, err := s.Admit(dctx)
+	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
+	refusedID(err)
 	if s.Queued() != 0 {
 		t.Fatalf("queue not drained after deadline: %d", s.Queued())
 	}
@@ -182,9 +195,11 @@ func TestConcurrentQueueDeadlineAndCancel(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
+	err = <-done
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	refusedID(err)
 	if s.Queued() != 0 {
 		t.Fatalf("queue not drained after cancel: %d", s.Queued())
 	}

@@ -30,7 +30,7 @@ func TestQ9MultiColumnComposite(t *testing.T) {
 		if err != nil {
 			t.Fatalf("multi=%v: %v\n%s", multi, err, res.Plan.Explain())
 		}
-		return res, r.Out.Len()
+		return res, r.Out().Len()
 	}
 	single, rows1 := run(false)
 	multi, rows2 := run(true)

@@ -84,7 +84,7 @@ func TestAllQueriesPlanAndExecuteConsistently(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Q%d %s: exec: %v\n%s", q.Num, mode, err, res.Plan.Explain())
 			}
-			rows[mode] = r.Out.Len()
+			rows[mode] = r.Out().Len()
 		}
 		if rows[optimizer.NoBF] != rows[optimizer.BFPost] || rows[optimizer.NoBF] != rows[optimizer.BFCBO] {
 			t.Errorf("Q%d result rows differ across modes: %v", q.Num, rows)
