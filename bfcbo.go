@@ -32,6 +32,7 @@ import (
 	"bfcbo/internal/sched"
 	"bfcbo/internal/sqlparser"
 	"bfcbo/internal/tpch"
+	"bfcbo/internal/vec"
 )
 
 // Mode selects the optimizer strategy; see the package doc of
@@ -176,6 +177,13 @@ func registerEngineMetrics(reg *obs.Registry, sch *sched.Scheduler, broker *mem.
 		func() int64 { return broker.SpillTriggers() })
 	reg.NewCounterFunc("bfcbo_faults_injected_total", "Faults fired by the process-wide injector (0 when disabled).",
 		faults.TotalFired)
+	reg.NewGaugeFunc("bfcbo_scan_kernels_avx512", "1 when the scan's int64 predicates and Bloom-filter probes run their AVX-512 loops, 0 when they run in Go alone.",
+		func() float64 {
+			if vec.AVX512() {
+				return 1
+			}
+			return 0
+		})
 }
 
 // MemoryBroker exposes the engine's process-wide memory broker (budget,

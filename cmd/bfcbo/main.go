@@ -27,6 +27,7 @@ import (
 	"bfcbo/internal/faults"
 	"bfcbo/internal/mem"
 	"bfcbo/internal/obs"
+	"bfcbo/internal/vec"
 )
 
 func main() {
@@ -197,6 +198,11 @@ func run(cfg bfcbo.Config, rf runFlags) error {
 	fmt.Printf("join order: %s\n", out.JoinOrder)
 	fmt.Printf("rows=%d  blooms=%d  plan=%s  exec=%s\n",
 		out.Rows, out.Blooms, out.PlanningTime, out.ExecTime)
+	kernels := "go (no AVX-512)"
+	if vec.AVX512() {
+		kernels = "avx512"
+	}
+	fmt.Printf("scan kernels: %s\n", kernels)
 	if out.Spill.Spilled() {
 		fmt.Printf("spilled %s across %d partition/run files (recursion depth %d, peak memory %s)\n",
 			mem.FormatBytes(out.Spill.Bytes), out.Spill.Partitions, out.Spill.Depth,

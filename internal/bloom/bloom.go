@@ -11,6 +11,15 @@
 // bit positions. The price is a false positive rate about 1.2× the
 // classical one (FPR).
 //
+// FilterSel and FilterRange, the scan's two entries, have a vector form
+// (Lang et al. vectorize the same blocked test): on a CPU with AVX-512,
+// vec.BloomSel and vec.BloomRange hash eight keys at once, gather their
+// eight words, test them and write the kept row ids with one compress and
+// one store. Each entry runs its vector loop over whole blocks of eight
+// rows first and its Go loop from the first row that loop left; without
+// AVX-512, or on another architecture, the Go loop runs them all. Both
+// keep the same rows in the same order, so no tally depends on the CPU.
+//
 // §3.9's per-partition filters belong to a cluster; here a build side is
 // one table, and one goroutine populates its filter.
 package bloom
@@ -20,6 +29,7 @@ import (
 	"math/bits"
 
 	"bfcbo/internal/hashtab"
+	"bfcbo/internal/vec"
 )
 
 // NumHashFunctions is fixed at two, matching §3.5 of the paper: "The number
@@ -88,7 +98,9 @@ const keyMul = 0x9e3779b97f4a7c15
 // and this hash's 2.2×. The shift is not arbitrary: at 17, random subsets
 // of a 25-key domain (TPC-H's nation keys) ran at 7× FPR.
 // It is not the join tables' mixer (hashtab.Hash): a filter's hash serves
-// only the filter, so build and apply sides both hash through here.
+// only the filter, so build and apply sides both hash through here. The
+// vector loops in internal/vec compute it, and the word and bits it picks,
+// in assembly; the filter tests run every case on both paths.
 func KeyHash(key int64) uint64 {
 	h := uint64(key) * keyMul
 	return h ^ h<<38
@@ -124,6 +136,11 @@ func (f *Filter) MayContainHash(h uint64) bool {
 	return f.words[h>>12]&m == m
 }
 
+// vectorLoops lets FilterSel and FilterRange run their vec loops before
+// their Go loops; the tests turn it off (export_test.go) to run the Go
+// loops alone.
+var vectorLoops = true
+
 // FilterSel is the scan's fused probe: vals is the key column indexed by
 // row id, and sel the selected row ids. One loop reads each row's key,
 // hashes it, tests its word and compacts sel in place; it returns the kept
@@ -132,8 +149,11 @@ func (f *Filter) MayContainHash(h uint64) bool {
 // conditional move on amd64), so a 7 % pass rate costs no mispredictions.
 func (f *Filter) FilterSel(vals []int64, sel []int32) []int32 {
 	words, shift := f.words, f.shift&63 // the mask drops the shift's range check
-	n := 0
-	for _, r := range sel {
+	n, done := 0, 0
+	if vectorLoops {
+		n, done = vec.BloomSel(words, shift, vals, sel)
+	}
+	for _, r := range sel[done:] {
 		h := KeyHash(vals[r]) >> shift
 		m := uint64(1)<<(h&63) | 1<<(h>>6&63)
 		sel[n] = r
@@ -152,11 +172,14 @@ func (f *Filter) FilterSel(vals []int64, sel []int32) []int32 {
 func (f *Filter) FilterRange(vals []int64, lo int, sel []int32) []int32 {
 	words, shift := f.words, f.shift&63
 	vals = vals[lo : lo+len(sel)]
-	n := 0
-	for i, v := range vals {
+	n, done := 0, 0
+	if vectorLoops {
+		n, done = vec.BloomRange(words, shift, vals, int32(lo), sel)
+	}
+	for i, v := range vals[done:] {
 		h := KeyHash(v) >> shift
 		m := uint64(1)<<(h&63) | 1<<(h>>6&63)
-		sel[n] = int32(lo + i)
+		sel[n] = int32(lo + done + i)
 		if words[h>>12]&m == m {
 			n++
 		}

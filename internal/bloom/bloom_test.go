@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"bfcbo/internal/vec"
 )
 
 func TestNoFalseNegatives(t *testing.T) {
@@ -119,38 +121,40 @@ func TestFalsePositiveRateSmallDomains(t *testing.T) {
 // column, FilterSelHashes over precomputed KeyHashes, and per-row
 // MayContainHash — keep the same rows of any selection.
 func TestFilterSelAgreesWithMayContain(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(5000)
-		vals := make([]int64, n)
-		for i := range vals {
-			vals[i] = rng.Int63n(int64(4 * n))
-		}
-		f := New(uint64(64 << rng.Intn(10)))
-		for _, v := range vals[:n/2] {
-			f.Add(v)
-		}
-		var sel []int32
-		for r := 0; r < n; r++ {
-			if rng.Intn(3) > 0 {
-				sel = append(sel, int32(r))
+	bothLoops(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3))
+		for trial := 0; trial < 50; trial++ {
+			n := 1 + rng.Intn(5000)
+			vals := make([]int64, n)
+			for i := range vals {
+				vals[i] = rng.Int63n(int64(4 * n))
+			}
+			f := New(uint64(64 << rng.Intn(10)))
+			for _, v := range vals[:n/2] {
+				f.Add(v)
+			}
+			var sel []int32
+			for r := 0; r < n; r++ {
+				if rng.Intn(3) > 0 {
+					sel = append(sel, int32(r))
+				}
+			}
+			var want []int32
+			hashes := make([]uint64, len(sel))
+			for i, r := range sel {
+				if f.MayContainHash(KeyHash(vals[r])) {
+					want = append(want, r)
+				}
+				hashes[i] = KeyHash(vals[r])
+			}
+			got := f.FilterSel(vals, append([]int32(nil), sel...))
+			gotH := f.FilterSelHashes(hashes, append([]int32(nil), sel...))
+			if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(gotH) != fmt.Sprint(want) {
+				t.Fatalf("trial %d: FilterSel kept %d rows, FilterSelHashes %d, MayContain %d",
+					trial, len(got), len(gotH), len(want))
 			}
 		}
-		var want []int32
-		hashes := make([]uint64, len(sel))
-		for i, r := range sel {
-			if f.MayContainHash(KeyHash(vals[r])) {
-				want = append(want, r)
-			}
-			hashes[i] = KeyHash(vals[r])
-		}
-		got := f.FilterSel(vals, append([]int32(nil), sel...))
-		gotH := f.FilterSelHashes(hashes, append([]int32(nil), sel...))
-		if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(gotH) != fmt.Sprint(want) {
-			t.Fatalf("trial %d: FilterSel kept %d rows, FilterSelHashes %d, MayContain %d",
-				trial, len(got), len(gotH), len(want))
-		}
-	}
+	})
 }
 
 // Property: FilterRange over the dense rows lo … hi-1 keeps, in ascending
@@ -158,42 +162,44 @@ func TestFilterSelAgreesWithMayContain(t *testing.T) {
 // from the column's start and from inside it, for a full morsel, a short
 // last one that ends at the column's end, and an empty range.
 func TestFilterRangeAgreesWithMayContain(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(5000)
-		vals := make([]int64, n)
-		for i := range vals {
-			vals[i] = rng.Int63n(int64(4 * n))
-		}
-		f := New(uint64(64 << rng.Intn(10)))
-		for _, v := range vals[:n/2] {
-			f.Add(v)
-		}
-		mid := rng.Intn(n)
-		for _, r := range []struct{ lo, hi int }{
-			{0, n},                 // lo = 0, the whole column
-			{0, 1 + rng.Intn(n)},   // lo = 0, a prefix
-			{mid, mid + (n-mid)/2}, // lo > 0, inside the column
-			{mid, n},               // a short last morsel
-			{mid, mid}, {n, n},     // empty ranges
-		} {
-			var want []int32
-			for i := r.lo; i < r.hi; i++ {
-				if f.MayContainHash(KeyHash(vals[i])) {
-					want = append(want, int32(i))
+	bothLoops(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(4))
+		for trial := 0; trial < 50; trial++ {
+			n := 1 + rng.Intn(5000)
+			vals := make([]int64, n)
+			for i := range vals {
+				vals[i] = rng.Int63n(int64(4 * n))
+			}
+			f := New(uint64(64 << rng.Intn(10)))
+			for _, v := range vals[:n/2] {
+				f.Add(v)
+			}
+			mid := rng.Intn(n)
+			for _, r := range []struct{ lo, hi int }{
+				{0, n},                 // lo = 0, the whole column
+				{0, 1 + rng.Intn(n)},   // lo = 0, a prefix
+				{mid, mid + (n-mid)/2}, // lo > 0, inside the column
+				{mid, n},               // a short last morsel
+				{mid, mid}, {n, n},     // empty ranges
+			} {
+				var want []int32
+				for i := r.lo; i < r.hi; i++ {
+					if f.MayContainHash(KeyHash(vals[i])) {
+						want = append(want, int32(i))
+					}
+				}
+				sel := make([]int32, r.hi-r.lo)
+				for i := range sel {
+					sel[i] = -7 // contents on entry are ignored
+				}
+				got := f.FilterRange(vals, r.lo, sel)
+				if !slices.Equal(got, want) || !slices.IsSorted(got) {
+					t.Fatalf("trial %d, rows [%d, %d): FilterRange kept %v, MayContain %v",
+						trial, r.lo, r.hi, got, want)
 				}
 			}
-			sel := make([]int32, r.hi-r.lo)
-			for i := range sel {
-				sel[i] = -7 // contents on entry are ignored
-			}
-			got := f.FilterRange(vals, r.lo, sel)
-			if !slices.Equal(got, want) || !slices.IsSorted(got) {
-				t.Fatalf("trial %d, rows [%d, %d): FilterRange kept %v, MayContain %v",
-					trial, r.lo, r.hi, got, want)
-			}
 		}
-	}
+	})
 }
 
 func TestFPRFormula(t *testing.T) {
@@ -344,4 +350,103 @@ func TestBitsForNDV(t *testing.T) {
 			t.Errorf("BitsForNDV(%d) = %d, want %d", n, got, want)
 		}
 	}
+}
+
+// TestFilterLanes compares the vector loops' output with the Go loops',
+// id by id, at the lanes' edges: every length up to four blocks and a
+// bit, from rows that do and do not start a block, against filters that
+// pass every row, none and every other one. FilterRange reads the dense
+// rows; FilterSel reads them as ids and as ids three rows apart.
+func TestFilterLanes(t *testing.T) {
+	if !vec.AVX512() {
+		t.Skip("the CPU lacks AVX-512 F/DQ/VL: there is no vector output to compare")
+	}
+	const rows = 128
+	vals := make([]int64, rows)
+	alt := New(1 << 12)
+	for i := 0; i < rows; i += 2 {
+		vals[i] = int64(i)
+		alt.Add(vals[i])
+	}
+	next := int64(rows)
+	for i := 1; i < rows; i += 2 {
+		for alt.MayContainHash(KeyHash(next)) {
+			next++
+		}
+		vals[i], next = next, next+1
+	}
+	all := New(1 << 12)
+	for _, v := range vals {
+		all.Add(v)
+	}
+	filters := map[string]*Filter{"all": all, "none": New(1 << 12), "alternate": alt}
+	both := func(test func() []int32) (vector, scalar []int32) {
+		restore := setVectorLoops(true)
+		vector = slices.Clone(test())
+		restore()
+		defer setVectorLoops(false)()
+		return vector, test()
+	}
+	for name, f := range filters {
+		for _, lo := range []int{0, 1, 5, 8, 13, rows - 33} {
+			for n := 0; n <= 33; n++ {
+				ids := func(step int) []int32 {
+					sel := make([]int32, n)
+					for i := range sel {
+						sel[i] = int32((lo + step*i) % rows)
+					}
+					return sel
+				}
+				for _, c := range []struct {
+					entry string
+					test  func() []int32
+				}{
+					{"FilterRange", func() []int32 { return f.FilterRange(vals, lo, make([]int32, n)) }},
+					{"FilterSel", func() []int32 { return f.FilterSel(vals, ids(1)) }},
+					{"FilterSel step 3", func() []int32 { return f.FilterSel(vals, ids(3)) }},
+				} {
+					got, want := both(c.test)
+					for i := range max(len(got), len(want)) {
+						if i >= len(got) || i >= len(want) || got[i] != want[i] {
+							t.Fatalf("%s, %s filter, %d rows from %d: vector kept %v, Go kept %v; first difference at %d",
+								c.entry, name, n, lo, got, want, i)
+						}
+					}
+					if name == "alternate" && c.entry != "FilterSel step 3" {
+						for _, r := range got {
+							if r%2 != 0 {
+								t.Fatalf("%s: the alternate filter passed odd row %d", c.entry, r)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FilterSel panics on a row id outside the key column, wherever it sits
+// in a block of eight, as the Go loop alone does.
+func TestFilterSelPanicsOutsideVals(t *testing.T) {
+	bothLoops(t, func(t *testing.T) {
+		vals := make([]int64, 40)
+		f := New(1 << 10)
+		for _, bad := range []int32{40, -1} {
+			for pos := 0; pos < 24; pos++ {
+				sel := make([]int32, 24)
+				for i := range sel {
+					sel[i] = int32(i)
+				}
+				sel[pos] = bad
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("id %d at %d: FilterSel did not panic", bad, pos)
+						}
+					}()
+					f.FilterSel(vals, sel)
+				}()
+			}
+		}
+	})
 }

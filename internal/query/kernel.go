@@ -3,11 +3,13 @@ package query
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
 
 	"bfcbo/internal/storage"
+	"bfcbo/internal/vec"
 )
 
 // Kernel is the vectorized form of one predicate, bound to a table's typed
@@ -19,6 +21,15 @@ import (
 // (Ross, "Selection Conditions in Main Memory", TODS 2004). A selection
 // vector holds distinct row ids, in any order. Kernels are immutable after
 // Compile and safe to share across scan workers.
+//
+// Every int64 predicate on one column, BETWEEN and all six compares,
+// compiles to one kernel and one unsigned compare (intRangeKernel). Its
+// dense entry has a vector form: on a CPU with AVX-512, vec.KeepRange tests
+// eight rows an instruction and writes the kept ids with one compress and
+// one store, and the kernel's Go loop goes on from the first row it left,
+// a partial block at most. Without AVX-512, or on another architecture,
+// the Go loop runs the whole range. Both keep the same ids in the same
+// order, so no count depends on the CPU.
 type Kernel interface {
 	// EvalBatch keeps the selected rows that satisfy the predicate,
 	// compacting sel in place, in its order, and returning the kept prefix.
@@ -31,12 +42,13 @@ type Kernel interface {
 }
 
 // rangeKernel is a kernel that can start a morsel: the column kernels
-// (cmp, between, cmpCols, dictEq, dictMatch). EvalRange is EvalBatch over
-// the dense rows lo … lo+len(sel)-1: it ignores sel's contents on entry,
-// reads the column at [lo, lo+len(sel)) in order and writes the kept ids
-// into sel's prefix, so the caller never writes the row ids it would read
-// back. The composite kernels (in, not, or, and) read no single column in
-// order; Chain.EvalRange fills their ids and runs EvalBatch.
+// (intRange, cmpFloat, betweenFloat, cmpCols, dictEq, dictMatch).
+// EvalRange is EvalBatch over the dense rows lo … lo+len(sel)-1: it
+// ignores sel's contents on entry, reads the column at [lo, lo+len(sel))
+// in order and writes the kept ids into sel's prefix, so the caller never
+// writes the row ids it would read back. The composite kernels (in, not,
+// or, and) read no single column in order; Chain.EvalRange fills their ids
+// and runs EvalBatch.
 type rangeKernel interface {
 	EvalRange(lo int, sel []int32) []int32
 }
@@ -108,10 +120,6 @@ func (m kernelMeta) weight() float64 { return m.w }
 
 func meta(p Predicate, w float64) kernelMeta { return kernelMeta{label: p.String(), w: w} }
 
-type number interface {
-	~int64 | ~float64
-}
-
 // splitOp writes a comparison as a base compare and whether to negate it:
 // NE is !EQ, GE is !LT and GT is !LE. These are cmpHolds's forms, so a NaN
 // float passes NE, GT and GE just as the scalar Eval decides.
@@ -135,15 +143,85 @@ func fillRange(lo int, sel []int32) []int32 {
 	return sel
 }
 
-// cmpKernel compares a typed column against a constant.
-type cmpKernel[T number] struct {
+// vectorLoops lets EvalRange run vec.KeepRange before its Go loop; the
+// tests turn it off (export_test.go) to run the Go loops alone.
+var vectorLoops = true
+
+// intRangeKernel is every int64 predicate on one column: it keeps the rows
+// whose value v has uint64(v-low) <= width, or, with neg, the rows that
+// fail it. The one unsigned compare wraps correctly over the whole int64
+// range (intRange maps each predicate to its bounds).
+type intRangeKernel struct {
 	kernelMeta
-	vals []T
-	op   CmpOp
-	val  T
+	vals  []int64
+	low   int64
+	width uint64
+	neg   bool
 }
 
-func (k *cmpKernel[T]) EvalBatch(sel []int32) []int32 {
+// intRange writes lo <= v <= hi as intRangeKernel's bounds; lo > hi keeps
+// nothing, as the negation of a range that holds every value.
+func intRange(lo, hi int64) (low int64, width uint64, neg bool) {
+	if lo > hi {
+		return 0, math.MaxUint64, true
+	}
+	return lo, uint64(hi - lo), false
+}
+
+// intCmpRange writes v op c as intRangeKernel's bounds: EQ is [c, c], LE
+// is [MinInt64, c] and GE is [c, MaxInt64]; NE, GT and LT negate them.
+func intCmpRange(op CmpOp, c int64) (low int64, width uint64, neg bool) {
+	lo, hi := c, c
+	switch op {
+	case LE, GT:
+		lo = math.MinInt64
+	case GE, LT:
+		hi = math.MaxInt64
+	}
+	low, width, _ = intRange(lo, hi)
+	return low, width, op == NE || op == GT || op == LT
+}
+
+func (k *intRangeKernel) EvalBatch(sel []int32) []int32 {
+	vals, low, width, neg := k.vals, k.low, k.width, k.neg
+	n := 0
+	for _, r := range sel {
+		sel[n] = r
+		if (uint64(vals[r]-low) <= width) != neg {
+			n++
+		}
+	}
+	return sel[:n]
+}
+
+// EvalRange tests the whole blocks of eight rows with vec.KeepRange where
+// the CPU can, then the rest in Go.
+func (k *intRangeKernel) EvalRange(lo int, sel []int32) []int32 {
+	vals, low, width, neg := k.vals[lo:lo+len(sel)], k.low, k.width, k.neg
+	n, done := 0, 0
+	if vectorLoops {
+		n, done = vec.KeepRange(vals, int32(lo), low, width, neg, sel)
+	}
+	id := int32(lo + done)
+	for _, v := range vals[done:] {
+		sel[n] = id
+		if (uint64(v-low) <= width) != neg {
+			n++
+		}
+		id++
+	}
+	return sel[:n]
+}
+
+// cmpFloatKernel compares a float64 column against a constant.
+type cmpFloatKernel struct {
+	kernelMeta
+	vals []float64
+	op   CmpOp
+	val  float64
+}
+
+func (k *cmpFloatKernel) EvalBatch(sel []int32) []int32 {
 	vals, val := k.vals, k.val
 	base, neg := splitOp(k.op)
 	n := 0
@@ -173,7 +251,7 @@ func (k *cmpKernel[T]) EvalBatch(sel []int32) []int32 {
 	return sel[:n]
 }
 
-func (k *cmpKernel[T]) EvalRange(lo int, sel []int32) []int32 {
+func (k *cmpFloatKernel) EvalRange(lo int, sel []int32) []int32 {
 	vals, val := k.vals[lo:lo+len(sel)], k.val
 	base, neg := splitOp(k.op)
 	n, id := 0, int32(lo)
@@ -202,46 +280,6 @@ func (k *cmpKernel[T]) EvalRange(lo int, sel []int32) []int32 {
 			}
 			id++
 		}
-	}
-	return sel[:n]
-}
-
-// betweenIntKernel keeps lo <= v <= hi as one unsigned compare,
-// uint64(v-lo) <= uint64(hi-lo), which wraps correctly over the whole
-// int64 range; it keeps nothing when lo > hi.
-type betweenIntKernel struct {
-	kernelMeta
-	vals   []int64
-	lo, hi int64
-}
-
-func (k *betweenIntKernel) EvalBatch(sel []int32) []int32 {
-	if k.lo > k.hi {
-		return sel[:0]
-	}
-	vals, lo, width := k.vals, k.lo, uint64(k.hi-k.lo)
-	n := 0
-	for _, r := range sel {
-		sel[n] = r
-		if uint64(vals[r]-lo) <= width {
-			n++
-		}
-	}
-	return sel[:n]
-}
-
-func (k *betweenIntKernel) EvalRange(lo int, sel []int32) []int32 {
-	if k.lo > k.hi {
-		return sel[:0]
-	}
-	vals, low, width := k.vals[lo:lo+len(sel)], k.lo, uint64(k.hi-k.lo)
-	n, id := 0, int32(lo)
-	for _, v := range vals {
-		sel[n] = id
-		if uint64(v-low) <= width {
-			n++
-		}
-		id++
 	}
 	return sel[:n]
 }
@@ -556,13 +594,14 @@ func compileNode(p Predicate, t *storage.Table) (Kernel, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &cmpKernel[int64]{kernelMeta: meta(p, 1.0), vals: c.Ints, op: q.Op, val: q.Val}, nil
+		low, width, neg := intCmpRange(q.Op, q.Val)
+		return &intRangeKernel{kernelMeta: meta(p, 1.0), vals: c.Ints, low: low, width: width, neg: neg}, nil
 	case CmpFloat:
 		c, err := t.Column(q.Col)
 		if err != nil {
 			return nil, err
 		}
-		return &cmpKernel[float64]{kernelMeta: meta(p, 1.0), vals: c.Floats, op: q.Op, val: q.Val}, nil
+		return &cmpFloatKernel{kernelMeta: meta(p, 1.0), vals: c.Floats, op: q.Op, val: q.Val}, nil
 	case CmpCols:
 		a, err := t.Column(q.Col1)
 		if err != nil {
@@ -578,7 +617,8 @@ func compileNode(p Predicate, t *storage.Table) (Kernel, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &betweenIntKernel{kernelMeta: meta(p, 1.1), vals: c.Ints, lo: q.Lo, hi: q.Hi}, nil
+		low, width, neg := intRange(q.Lo, q.Hi)
+		return &intRangeKernel{kernelMeta: meta(p, 1.1), vals: c.Ints, low: low, width: width, neg: neg}, nil
 	case BetweenFloat:
 		c, err := t.Column(q.Col)
 		if err != nil {

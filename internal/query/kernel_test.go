@@ -10,6 +10,7 @@ import (
 
 	"bfcbo/internal/catalog"
 	"bfcbo/internal/storage"
+	"bfcbo/internal/vec"
 )
 
 // The vectorized-kernel property suite: Compile/EvalBatch and the dense
@@ -261,8 +262,7 @@ func conjunctsOf(p Predicate) []Predicate {
 // EvalRange would still be correct through the chain's fill, only slower,
 // so this is where the loss shows.
 var _ = []rangeKernel{
-	(*cmpKernel[int64])(nil), (*cmpKernel[float64])(nil), (*betweenIntKernel)(nil),
-	(*betweenFloatKernel)(nil), (*cmpColsKernel)(nil), (*dictEqKernel)(nil), (*dictMatchKernel)(nil),
+	(*intRangeKernel)(nil), (*cmpFloatKernel)(nil), (*betweenFloatKernel)(nil), (*cmpColsKernel)(nil), (*dictEqKernel)(nil), (*dictMatchKernel)(nil),
 }
 
 // scribble fills sel with ids no range holds, so a kernel that reads sel
@@ -294,64 +294,68 @@ func checkRange(t *testing.T, label string, lo, hi int, got []int32, keep func(i
 }
 
 func TestKernelsMatchEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 60; trial++ {
-		rows := []int{0, 1, 7, 100, 1500}[rng.Intn(5)]
-		tbl := kernelTable(t, rng, rows)
-		p := randPred(rng, 3)
-		checkPredEquivalence(t, tbl, p, rng)
-	}
+	bothLoops(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(61))
+		for trial := 0; trial < 60; trial++ {
+			rows := []int{0, 1, 7, 100, 1500}[rng.Intn(5)]
+			tbl := kernelTable(t, rng, rows)
+			p := randPred(rng, 3)
+			checkPredEquivalence(t, tbl, p, rng)
+		}
+	})
 }
 
 // Every concrete predicate type, deterministically, including the
 // dictionary edge cases (absent constant under = and <>, Not of each
 // dictionary kernel) and NaN-sensitive float comparisons.
 func TestKernelsMatchEvalExhaustiveTypes(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	tbl := kernelTable(t, rng, 800)
-	preds := []Predicate{
-		CmpInt{Col: "a", Op: EQ, Val: 3},
-		CmpInt{Col: "a", Op: NE, Val: 3},
-		CmpInt{Col: "a", Op: LT, Val: 25},
-		CmpInt{Col: "a", Op: LE, Val: 25},
-		CmpInt{Col: "a", Op: GT, Val: 25},
-		CmpInt{Col: "a", Op: GE, Val: 25},
-		CmpFloat{Col: "f", Op: EQ, Val: 0.05},
-		CmpFloat{Col: "f", Op: NE, Val: 0.05},
-		CmpFloat{Col: "f", Op: LT, Val: 0.05},
-		CmpFloat{Col: "f", Op: LE, Val: 0.05},
-		CmpFloat{Col: "f", Op: GT, Val: 0.05},
-		CmpFloat{Col: "f", Op: GE, Val: 0.05},
-		CmpCols{Col1: "a", Op: LT, Col2: "b"},
-		BetweenInt{Col: "a", Lo: 10, Hi: 20},
-		BetweenFloat{Col: "f", Lo: 0.05, Hi: 0.07},
-		InInt{Col: "a", Vals: []int64{1, 4, 9, 16}},
-		InInt{Col: "a", Vals: []int64{4, 4, 9, 4}},
-		InInt{Col: "a", Vals: []int64{}},
-		InInt{Col: "a", Vals: nil},
-		StrEq{Col: "s", Val: "gamma"},
-		StrEq{Col: "s", Val: "absent"},
-		StrNE{Col: "s", Val: "gamma"},
-		StrNE{Col: "s", Val: "absent"},
-		StrIn{Col: "s", Vals: []string{"alpha", "delta"}},
-		StrPrefix{Col: "s", Prefix: "green"},
-		StrContains{Col: "s", Subs: []string{"green"}},
-		StrContains{Col: "s", Subs: []string{"m", "green"}},
-		Not{P: StrEq{Col: "s", Val: "absent"}},
-		Not{P: StrNE{Col: "s", Val: "absent"}},
-		Not{P: StrPrefix{Col: "s", Prefix: "green"}},
-		Not{P: CmpFloat{Col: "f", Op: GT, Val: 0.05}},
-		Not{P: Not{P: CmpInt{Col: "a", Op: GE, Val: 12}}},
-		Or{Ps: []Predicate{CmpInt{Col: "a", Op: LT, Val: 5}, StrEq{Col: "s", Val: "beta"}}},
-		And{Ps: []Predicate{
-			BetweenInt{Col: "a", Lo: 5, Hi: 45},
-			Or{Ps: []Predicate{CmpFloat{Col: "f", Op: GE, Val: 0.1}, StrPrefix{Col: "s", Prefix: "g"}}},
-			Not{P: InInt{Col: "b", Vals: []int64{7, 13}}},
-		}},
-	}
-	for _, p := range preds {
-		checkPredEquivalence(t, tbl, p, rng)
-	}
+	bothLoops(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		tbl := kernelTable(t, rng, 800)
+		preds := []Predicate{
+			CmpInt{Col: "a", Op: EQ, Val: 3},
+			CmpInt{Col: "a", Op: NE, Val: 3},
+			CmpInt{Col: "a", Op: LT, Val: 25},
+			CmpInt{Col: "a", Op: LE, Val: 25},
+			CmpInt{Col: "a", Op: GT, Val: 25},
+			CmpInt{Col: "a", Op: GE, Val: 25},
+			CmpFloat{Col: "f", Op: EQ, Val: 0.05},
+			CmpFloat{Col: "f", Op: NE, Val: 0.05},
+			CmpFloat{Col: "f", Op: LT, Val: 0.05},
+			CmpFloat{Col: "f", Op: LE, Val: 0.05},
+			CmpFloat{Col: "f", Op: GT, Val: 0.05},
+			CmpFloat{Col: "f", Op: GE, Val: 0.05},
+			CmpCols{Col1: "a", Op: LT, Col2: "b"},
+			BetweenInt{Col: "a", Lo: 10, Hi: 20},
+			BetweenFloat{Col: "f", Lo: 0.05, Hi: 0.07},
+			InInt{Col: "a", Vals: []int64{1, 4, 9, 16}},
+			InInt{Col: "a", Vals: []int64{4, 4, 9, 4}},
+			InInt{Col: "a", Vals: []int64{}},
+			InInt{Col: "a", Vals: nil},
+			StrEq{Col: "s", Val: "gamma"},
+			StrEq{Col: "s", Val: "absent"},
+			StrNE{Col: "s", Val: "gamma"},
+			StrNE{Col: "s", Val: "absent"},
+			StrIn{Col: "s", Vals: []string{"alpha", "delta"}},
+			StrPrefix{Col: "s", Prefix: "green"},
+			StrContains{Col: "s", Subs: []string{"green"}},
+			StrContains{Col: "s", Subs: []string{"m", "green"}},
+			Not{P: StrEq{Col: "s", Val: "absent"}},
+			Not{P: StrNE{Col: "s", Val: "absent"}},
+			Not{P: StrPrefix{Col: "s", Prefix: "green"}},
+			Not{P: CmpFloat{Col: "f", Op: GT, Val: 0.05}},
+			Not{P: Not{P: CmpInt{Col: "a", Op: GE, Val: 12}}},
+			Or{Ps: []Predicate{CmpInt{Col: "a", Op: LT, Val: 5}, StrEq{Col: "s", Val: "beta"}}},
+			And{Ps: []Predicate{
+				BetweenInt{Col: "a", Lo: 5, Hi: 45},
+				Or{Ps: []Predicate{CmpFloat{Col: "f", Op: GE, Val: 0.1}, StrPrefix{Col: "s", Prefix: "g"}}},
+				Not{P: InInt{Col: "b", Vals: []int64{7, 13}}},
+			}},
+		}
+		for _, p := range preds {
+			checkPredEquivalence(t, tbl, p, rng)
+		}
+	})
 }
 
 // extremesTable crosses every pair of int64 extremes (both ends of the
@@ -394,39 +398,41 @@ var (
 // floats with NaN, ±Inf and −0 under BETWEEN and every compare (as
 // constants too), IN with duplicate constants and an empty list.
 func TestKernelsMatchEvalExtremes(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tbl := extremesTable(t)
-	var preds []Predicate
-	for _, lo := range extremeInts {
-		for _, hi := range extremeInts {
-			preds = append(preds, BetweenInt{Col: "a", Lo: lo, Hi: hi})
+	bothLoops(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3))
+		tbl := extremesTable(t)
+		var preds []Predicate
+		for _, lo := range extremeInts {
+			for _, hi := range extremeInts {
+				preds = append(preds, BetweenInt{Col: "a", Lo: lo, Hi: hi})
+			}
 		}
-	}
-	floatConsts := []float64{math.NaN(), math.Inf(-1), math.Copysign(0, -1), 0, 1, math.Inf(1)}
-	for _, lo := range floatConsts {
-		for _, hi := range floatConsts {
-			preds = append(preds, BetweenFloat{Col: "f", Lo: lo, Hi: hi})
+		floatConsts := []float64{math.NaN(), math.Inf(-1), math.Copysign(0, -1), 0, 1, math.Inf(1)}
+		for _, lo := range floatConsts {
+			for _, hi := range floatConsts {
+				preds = append(preds, BetweenFloat{Col: "f", Lo: lo, Hi: hi})
+			}
 		}
-	}
-	for op := EQ; op <= GE; op++ {
-		for _, v := range extremeInts {
-			preds = append(preds, CmpInt{Col: "a", Op: op, Val: v})
+		for op := EQ; op <= GE; op++ {
+			for _, v := range extremeInts {
+				preds = append(preds, CmpInt{Col: "a", Op: op, Val: v})
+			}
+			for _, v := range floatConsts {
+				preds = append(preds, CmpFloat{Col: "f", Op: op, Val: v})
+			}
+			preds = append(preds, CmpCols{Col1: "a", Op: op, Col2: "b"})
 		}
-		for _, v := range floatConsts {
-			preds = append(preds, CmpFloat{Col: "f", Op: op, Val: v})
+		preds = append(preds,
+			InInt{Col: "a", Vals: []int64{0, 0, math.MaxInt64, math.MaxInt64, math.MinInt64}},
+			InInt{Col: "a", Vals: []int64{5, 5}},
+			InInt{Col: "a", Vals: []int64{}},
+			Not{P: BetweenInt{Col: "a", Lo: 1, Hi: -1}},
+			Not{P: BetweenFloat{Col: "f", Lo: math.Inf(-1), Hi: math.Inf(1)}},
+		)
+		for _, p := range preds {
+			checkPredEquivalence(t, tbl, p, rng)
 		}
-		preds = append(preds, CmpCols{Col1: "a", Op: op, Col2: "b"})
-	}
-	preds = append(preds,
-		InInt{Col: "a", Vals: []int64{0, 0, math.MaxInt64, math.MaxInt64, math.MinInt64}},
-		InInt{Col: "a", Vals: []int64{5, 5}},
-		InInt{Col: "a", Vals: []int64{}},
-		Not{P: BetweenInt{Col: "a", Lo: 1, Hi: -1}},
-		Not{P: BetweenFloat{Col: "f", Lo: math.Inf(-1), Hi: math.Inf(1)}},
-	)
-	for _, p := range preds {
-		checkPredEquivalence(t, tbl, p, rng)
-	}
+	})
 }
 
 // Compiling a predicate over a missing column must fail, not panic.
@@ -535,46 +541,95 @@ func TestCompileRanksQ6Shape(t *testing.T) {
 }
 
 // FuzzKernelEquivalence drives the same property from fuzzed seeds: the
-// seed picks the table contents, predicate shape, and batch chunking.
+// seed picks the table contents, predicate shape, and batch chunking. Each
+// chunk goes through both entries, a filled selection (EvalBatch) and its
+// dense rows (EvalRange), with the vector loops on and off.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(int64(1), uint16(100))
 	f.Add(int64(42), uint16(0))
 	f.Add(int64(7), uint16(2000))
 	f.Add(int64(-3), uint16(1))
 	f.Fuzz(func(t *testing.T, seed int64, nrows uint16) {
-		rng := rand.New(rand.NewSource(seed))
-		rows := int(nrows) % 3000
-		tbl := kernelTable(t, rng, rows)
-		p := randPred(rng, 3)
+		bothLoops(t, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			rows := int(nrows) % 3000
+			tbl := kernelTable(t, rng, rows)
+			p := randPred(rng, 3)
+			ks, err := Compile(p, tbl)
+			if err != nil {
+				t.Fatalf("compile %s: %v", p.String(), err)
+			}
+			chain, dense := NewChain(ks), NewChain(ks)
+			chunk := 1 + rng.Intn(600)
+			sel := make([]int32, 0, chunk)
+			for lo := 0; lo < rows; lo += chunk {
+				hi := min(lo+chunk, rows)
+				sel = sel[:0]
+				for i := lo; i < hi; i++ {
+					sel = append(sel, int32(i))
+				}
+				keep := func(r int32) bool { return p.Eval(tbl, int(r)) }
+				label := fmt.Sprintf("%s [%d,%d)", p.String(), lo, hi)
+				checkRange(t, label+" EvalBatch", lo, hi, chain.EvalBatch(sel), keep)
+				checkRange(t, label+" EvalRange", lo, hi, dense.EvalRange(lo, scribble(sel[:hi-lo])), keep)
+			}
+		})
+	})
+}
+
+// TestIntRangeLanes compares the vector loop's output with the Go loop's,
+// id by id, at the lanes' edges: every length up to four blocks and a
+// bit, from rows that do and do not start a block, over a column that
+// alternates between the int64 extremes, with predicates that keep every
+// row, none and every other one, bounds at MinInt64 and MaxInt64, Lo > Hi
+// and NE.
+func TestIntRangeLanes(t *testing.T) {
+	if !vec.AVX512() {
+		t.Skip("the CPU lacks AVX-512 F/DQ/VL: there is no vector output to compare")
+	}
+	const rows = 64
+	alt := make([]int64, rows)
+	for i := range alt {
+		alt[i] = []int64{math.MinInt64, math.MaxInt64}[i%2]
+	}
+	tbl, err := storage.NewTable("lanes", []storage.Column{{Name: "a", Kind: catalog.Int64, Ints: alt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var preds []Predicate
+	for op := EQ; op <= GE; op++ {
+		for _, v := range []int64{math.MinInt64, math.MaxInt64, 0} {
+			preds = append(preds, CmpInt{Col: "a", Op: op, Val: v})
+		}
+	}
+	preds = append(preds,
+		BetweenInt{Col: "a", Lo: math.MinInt64, Hi: math.MaxInt64},
+		BetweenInt{Col: "a", Lo: math.MaxInt64, Hi: math.MinInt64},
+		BetweenInt{Col: "a", Lo: math.MinInt64, Hi: math.MinInt64},
+		BetweenInt{Col: "a", Lo: math.MaxInt64, Hi: math.MaxInt64},
+		BetweenInt{Col: "a", Lo: 1, Hi: -1},
+	)
+	for _, p := range preds {
 		ks, err := Compile(p, tbl)
 		if err != nil {
-			t.Fatalf("compile %s: %v", p.String(), err)
+			t.Fatal(err)
 		}
-		chain := NewChain(ks)
-		chunk := 1 + rng.Intn(600)
-		sel := make([]int32, 0, chunk)
-		for lo := 0; lo < rows; lo += chunk {
-			hi := lo + chunk
-			if hi > rows {
-				hi = rows
-			}
-			sel = sel[:0]
-			for i := lo; i < hi; i++ {
-				sel = append(sel, int32(i))
-			}
-			got := chain.EvalBatch(sel)
-			j := 0
-			for i := lo; i < hi; i++ {
-				if p.Eval(tbl, i) {
-					if j >= len(got) || got[j] != int32(i) {
-						t.Fatalf("batch [%d,%d): row %d missing/misplaced for %s", lo, hi, i, p.String())
+		k := ks[0].(rangeKernel)
+		for _, lo := range []int{0, 1, 5, 8, 13, rows - 33} {
+			for n := 0; n <= 33; n++ {
+				restore := setVectorLoops(true)
+				got := slices.Clone(k.EvalRange(lo, scribble(make([]int32, n))))
+				restore()
+				restore = setVectorLoops(false)
+				want := k.EvalRange(lo, scribble(make([]int32, n)))
+				restore()
+				for i := range max(len(got), len(want)) {
+					if i >= len(got) || i >= len(want) || got[i] != want[i] {
+						t.Fatalf("%s rows [%d,%d): vector kept %v, Go kept %v; first difference at %d",
+							p, lo, lo+n, got, want, i)
 					}
-					j++
 				}
 			}
-			if j != len(got) {
-				t.Fatalf("batch [%d,%d): %d extra rows kept for %s", lo, hi, len(got)-j, p.String())
-			}
 		}
-	})
+	}
 }

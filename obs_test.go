@@ -11,6 +11,7 @@ import (
 
 	"bfcbo/internal/obs"
 	"bfcbo/internal/plan"
+	"bfcbo/internal/vec"
 )
 
 // TestTraceSpanTreeDOP1 checks the lifecycle trace of a DOP-1 run: span
@@ -194,6 +195,10 @@ func TestMetricsAgreeWithSchedStats(t *testing.T) {
 	}
 	if got := promValue(t, prom, "bfcbo_sched_finished_total"); got != runs {
 		t.Fatalf("bfcbo_sched_finished_total = %d, want %d", got, runs)
+	}
+	// The scan-kernel gauge names the path this process runs.
+	if got, want := promValue(t, prom, "bfcbo_scan_kernels_avx512") == 1, vec.AVX512(); got != want {
+		t.Fatalf("bfcbo_scan_kernels_avx512 reads %v, vec.AVX512() is %v", got, want)
 	}
 
 	// bfcbo_probe_rows_total counts the hash-probe input rows, every
