@@ -11,7 +11,9 @@
 // bit positions. The price is a false positive rate about 1.2× the
 // classical one (FPR).
 //
-// FilterSel and FilterRange, the scan's two entries, have a vector form
+// A scan runs each filter as a member of one kernel chain (query.Filter):
+// FilterRange over a morsel's dense rows when the filter leads the chain,
+// else FilterSel over the rows kept before it. Both have a vector form
 // (Lang et al. vectorize the same blocked test): on a CPU with AVX-512,
 // vec.BloomSel and vec.BloomRange hash eight keys at once, gather their
 // eight words, test them and write the kept row ids with one compress and
@@ -166,8 +168,8 @@ func (f *Filter) FilterSel(vals []int64, sel []int32) []int32 {
 
 // FilterRange is FilterSel over the dense rows lo … lo+len(sel)-1: it reads
 // vals[lo:lo+len(sel)] in order and stores only the ids it keeps in sel's
-// prefix, which it returns; sel's contents on entry are ignored. A scan
-// whose first test is a filter enters here, so no row-id vector is written
+// prefix, which it returns; sel's contents on entry are ignored. A chain
+// that starts with a filter enters here, so no row-id vector is written
 // for the filter to read back. The compaction is FilterSel's, branch-free.
 func (f *Filter) FilterRange(vals []int64, lo int, sel []int32) []int32 {
 	words, shift := f.words, f.shift&63
@@ -188,8 +190,8 @@ func (f *Filter) FilterRange(vals []int64, lo int, sel []int32) []int32 {
 }
 
 // FilterSelHashes is FilterSel over precomputed hashes: hashes[i] is the
-// hash (see AddHash) of selected row sel[i]. The scan's two-column filters
-// hash their combined keys this way.
+// hash (see AddHash) of selected row sel[i], such as a combined two-column
+// key's.
 func (f *Filter) FilterSelHashes(hashes []uint64, sel []int32) []int32 {
 	words, shift := f.words, f.shift&63
 	n := 0

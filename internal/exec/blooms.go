@@ -63,9 +63,8 @@ type bloomBuild struct {
 
 // bloomCols is one side of a filter — build or apply: its key column(s)
 // indexed by base-table row id (vals2 nil for a one-column filter). Both
-// sides must derive the key the same way: hashOf, or for a one-column
-// filter bloom.KeyHash of the key itself, which is the same value (and
-// what the scan's fused FilterSel computes).
+// sides must derive the key the same way: hashOf, which is what the scan's
+// chain member (query.Filter) computes too.
 type bloomCols struct{ vals, vals2 []int64 }
 
 func (c bloomCols) hashOf(rid int32) uint64 {
@@ -160,7 +159,7 @@ func feedVector(inner *RowSet, joinKeys []int64) func([]*bloomBuild) error {
 
 // bloomProbe is one built filter resolved against the scan that applies
 // it: the filter, the apply column(s) by base-table row id, and the
-// runtime record the scan's tested/passed tallies land in.
+// runtime record the scan's rows in and out of the filter land in.
 type bloomProbe struct {
 	h *bloom.Filter
 	bloomCols

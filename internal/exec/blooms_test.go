@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"sync"
@@ -122,8 +123,10 @@ func TestBloomBuildFeedersAgree(t *testing.T) {
 
 // TestBloomStatsIndependentOfDOP: a filter's bits, and so every figure of
 // its runtime record, are a function of (database, plan). The 22 TPC-H
-// blocks under the engine profile × {BF-Post, BF-CBO} report the same
-// BloomStats at DOP 1, 2, 4 and 8, and the reference reports them too.
+// blocks under the engine profile × {BF-Post, BF-CBO}, with
+// Heuristics.MultiColumn off and on, report the same BloomStats at DOP 1,
+// 2, 4 and 8, and the reference, which tests each row by itself, reports
+// them too; at least one two-column filter must run.
 // The scans' counters are exact counts as well: every DOP reports the
 // same morsels and the same per-predicate rows in and out. The morsels are
 // small, so each worker of a large scan runs many batches through its
@@ -134,52 +137,63 @@ func TestBloomBuildFeedersAgree(t *testing.T) {
 func TestBloomStatsIndependentOfDOP(t *testing.T) {
 	ds := equivalenceDataset(t)
 	const morsel = 64
-	filters := 0
+	cols := map[int]int{} // filter column count -> filters run
 	for _, q := range tpch.All() {
 		block := q.Build(ds.Schema)
-		for _, mode := range []optimizer.Mode{optimizer.BFPost, optimizer.BFCBO} {
+		for _, c := range []struct {
+			mode  optimizer.Mode
+			multi bool
+		}{{optimizer.BFPost, false}, {optimizer.BFCBO, false}, {optimizer.BFPost, true}, {optimizer.BFCBO, true}} {
+			name := fmt.Sprintf("Q%d %s multi=%v", q.Num, c.mode, c.multi)
 			opts := optimizer.DefaultOptions(0.01)
-			opts.Mode = mode
+			opts.Mode = c.mode
+			opts.Heuristics.MultiColumn = c.multi
 			res, err := optimizer.Optimize(block, opts)
 			if err != nil {
-				t.Fatalf("Q%d %s: optimize: %v", q.Num, mode, err)
+				t.Fatalf("%s: optimize: %v", name, err)
 			}
 			ref, err := Run(ds.DB, block, res.Plan, Options{Legacy: true})
 			if err != nil {
-				t.Fatalf("Q%d %s: reference: %v", q.Num, mode, err)
+				t.Fatalf("%s: reference: %v", name, err)
 			}
-			filters += len(ref.BloomStats)
+			for _, b := range ref.BloomStats {
+				if res.Plan.BloomByID(b.ID).ApplyCol2 != "" {
+					cols[2]++
+				} else {
+					cols[1]++
+				}
+			}
 			var scans []ScanRuntime
 			var work Work
 			for _, dop := range []int{1, 2, 4, 8} {
 				r, err := Run(ds.DB, block, res.Plan, Options{DOP: dop, morselSize: morsel})
 				if err != nil {
-					t.Fatalf("Q%d %s dop %d: %v", q.Num, mode, dop, err)
+					t.Fatalf("%s dop %d: %v", name, dop, err)
 				}
 				if !reflect.DeepEqual(r.BloomStats, ref.BloomStats) {
-					t.Errorf("Q%d %s dop %d: BloomStats diverge from the reference:\n engine    %v\n reference %v",
-						q.Num, mode, dop, r.BloomStats, ref.BloomStats)
+					t.Errorf("%s dop %d: BloomStats diverge from the reference:\n engine    %v\n reference %v",
+						name, dop, r.BloomStats, ref.BloomStats)
 				}
 				if scans == nil {
 					scans, work = r.Scans, r.Work
 				} else if !reflect.DeepEqual(r.Scans, scans) {
-					t.Errorf("Q%d %s dop %d: scan counters diverge from dop 1:\n dop %d %v\n dop 1 %v",
-						q.Num, mode, dop, dop, r.Scans, scans)
+					t.Errorf("%s dop %d: scan counters diverge from dop 1:\n dop %d %v\n dop 1 %v",
+						name, dop, dop, r.Scans, scans)
 				}
 			}
 			r, err := Run(ds.DB, block, res.Plan, Options{DOP: 2})
 			if err != nil {
-				t.Fatalf("Q%d %s default morsel: %v", q.Num, mode, err)
+				t.Fatalf("%s default morsel: %v", name, err)
 			}
 			if !reflect.DeepEqual(r.BloomStats, ref.BloomStats) {
-				t.Errorf("Q%d %s default morsel: BloomStats diverge from the reference:\n engine    %v\n reference %v",
-					q.Num, mode, r.BloomStats, ref.BloomStats)
+				t.Errorf("%s default morsel: BloomStats diverge from the reference:\n engine    %v\n reference %v",
+					name, r.BloomStats, ref.BloomStats)
 			}
 			if r.Work != work {
-				t.Errorf("Q%d %s: Work %+v at the default morsel, %+v at morsel %d", q.Num, mode, r.Work, work, morsel)
+				t.Errorf("%s: Work %+v at the default morsel, %+v at morsel %d", name, r.Work, work, morsel)
 			}
 			if len(r.Scans) != len(scans) {
-				t.Fatalf("Q%d %s: %d scans at the default morsel, %d at morsel %d", q.Num, mode, len(r.Scans), len(scans), morsel)
+				t.Fatalf("%s: %d scans at the default morsel, %d at morsel %d", name, len(r.Scans), len(scans), morsel)
 			}
 			tables := map[int]string{}
 			for _, s := range res.Plan.Scans() {
@@ -193,18 +207,18 @@ func TestBloomStatsIndependentOfDOP(t *testing.T) {
 				n := int64(tbl.NumRows())
 				small := scans[i]
 				if sc.Morsels != (n+DefaultMorselSize-1)/DefaultMorselSize || small.Morsels != (n+morsel-1)/morsel {
-					t.Errorf("Q%d %s scan %s: %d and %d morsels of %d and %d rows over %d rows",
-						q.Num, mode, sc.Alias, sc.Morsels, small.Morsels, DefaultMorselSize, morsel, n)
+					t.Errorf("%s scan %s: %d and %d morsels of %d and %d rows over %d rows",
+						name, sc.Alias, sc.Morsels, small.Morsels, DefaultMorselSize, morsel, n)
 				}
 				if !reflect.DeepEqual(sc.Preds, small.Preds) {
-					t.Errorf("Q%d %s scan %s: predicate counters %v at the default morsel, %v at morsel %d",
-						q.Num, mode, sc.Alias, sc.Preds, small.Preds, morsel)
+					t.Errorf("%s scan %s: predicate counters %v at the default morsel, %v at morsel %d",
+						name, sc.Alias, sc.Preds, small.Preds, morsel)
 				}
 			}
 		}
 	}
-	if filters == 0 {
-		t.Fatal("coverage: no plan ran a Bloom filter")
+	if cols[1] == 0 || cols[2] == 0 {
+		t.Fatalf("coverage: %d one-column and %d two-column filters ran; want both", cols[1], cols[2])
 	}
 }
 

@@ -9,34 +9,26 @@ import (
 	"bfcbo/internal/hashtab"
 	"bfcbo/internal/plan"
 	"bfcbo/internal/query"
-	"bfcbo/internal/storage"
 )
 
 // ---------------------------------------------------------------------------
 // Scan source: workers pull morsels of base-table rows from a shared atomic
-// cursor, apply the residual predicate and Bloom probes, and emit batches of
-// qualifying row ids, each filled to a morsel's worth of rows. This is the
-// morsel-driven entry point of a pipeline.
-
-// scanBloom is one Bloom filter a scan probes, with shared atomic tallies.
-// Workers accumulate in per-worker locals and fold into the atomics once at
-// Close, so the probe loop itself performs no atomic operations.
-type scanBloom struct {
-	bloomProbe
-	tested atomic.Int64
-	passed atomic.Int64
-}
+// cursor, run each through the scan's kernel chain (its predicates, then its
+// Bloom filters), and emit batches of qualifying row ids, each filled to a
+// morsel's worth of rows. This is the morsel-driven entry point of a
+// pipeline.
 
 // scanSource is the shared state of a scan pipeline source. The predicate
 // is compiled once into kernels bound to the table's column slices, in the
-// order every worker evaluates them; workers share the immutable kernels
-// and keep private chains that count their rows. All runtime counters are
-// folded from per-worker locals at operator Close.
+// order every worker evaluates them; each Bloom filter the scan applies
+// follows as one more kernel (query.Filter), in plan order. Workers share
+// the immutable kernels and keep private chains that count their rows.
+// All runtime counters are folded from per-worker locals at operator Close.
 type scanSource struct {
 	s       *plan.Scan
-	tbl     *storage.Table
-	kernels []query.Kernel
-	bfs     []*scanBloom
+	kernels []query.Kernel // the predicates, then the filters
+	preds   int            // kernels[:preds] are the predicates
+	blooms  []*BloomRuntime
 	n       int
 	morsel  int
 	cursor  atomic.Int64
@@ -46,12 +38,8 @@ type scanSource struct {
 	// and concurrently scheduled pipelines wind down promptly instead of
 	// draining the table.
 	stop *atomic.Bool
-	// rangeFirst: the scan has no predicate kernel and its first filter is
-	// single-column, so that filter is the morsel's dense entry
-	// (bloom.Filter.FilterRange) and the chain is not run.
-	rangeFirst bool
 
-	predIn, predOut []atomic.Int64 // one pair per kernel, evaluation order
+	in, out []atomic.Int64 // one pair per kernel, evaluation order
 }
 
 func (ex *executor) newScanSource(s *plan.Scan, stats *opStats) (*scanSource, error) {
@@ -60,34 +48,26 @@ func (ex *executor) newScanSource(s *plan.Scan, stats *opStats) (*scanSource, er
 	if err != nil {
 		return nil, fmt.Errorf("exec: scan of %s: %w", s.Alias, err)
 	}
-	src := &scanSource{
-		s: s, tbl: tbl, kernels: kernels,
-		n: tbl.NumRows(), morsel: ex.morsel, stats: stats,
-		stop:    &ex.stop,
-		predIn:  make([]atomic.Int64, len(kernels)),
-		predOut: make([]atomic.Int64, len(kernels)),
-	}
 	probes, err := ex.blooms.probesFor(s)
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range probes {
-		src.bfs = append(src.bfs, &scanBloom{bloomProbe: p})
+	src := &scanSource{
+		s: s, kernels: kernels, preds: len(kernels),
+		n: tbl.NumRows(), morsel: ex.morsel, stats: stats,
+		stop: &ex.stop,
 	}
-	src.rangeFirst = len(kernels) == 0 && len(src.bfs) > 0 && src.bfs[0].vals2 == nil
+	for _, p := range probes {
+		// A filter's counts land in its BloomRuntime, so its label is unread.
+		src.kernels = append(src.kernels, query.Filter(p.h, p.vals, p.vals2, "bloom"))
+		src.blooms = append(src.blooms, p.st)
+	}
+	src.in, src.out = make([]atomic.Int64, len(src.kernels)), make([]atomic.Int64, len(src.kernels))
 	return src, nil
 }
 
-// flushBloomStats folds the atomic tallies into the BloomRuntime records;
-// called once, after the pipeline's workers have all finished.
-func (src *scanSource) flushBloomStats() {
-	for _, b := range src.bfs {
-		b.st.Tested += b.tested.Load()
-		b.st.Passed += b.passed.Load()
-	}
-}
-
-// runtime snapshots the scan's execution counters; called after the
+// runtime snapshots the scan's execution counters and adds its filters'
+// rows in and out to their BloomRuntime records; called once, after the
 // pipeline's workers folded their locals at Close. The scan observes once
 // per morsel it claims, not once per batch it hands out (a batch may span
 // morsels), so its batch count is the morsel count.
@@ -96,59 +76,46 @@ func (src *scanSource) runtime() ScanRuntime {
 		Rel: src.s.Rel, Alias: src.s.Alias,
 		Morsels: src.stats.batches.Load(),
 	}
-	for i, k := range src.kernels {
+	for i, k := range src.kernels[:src.preds] {
 		rt.Preds = append(rt.Preds, query.PredCount{
-			Pred: k.Label(), In: src.predIn[i].Load(), Out: src.predOut[i].Load(),
+			Pred: k.Label(), In: src.in[i].Load(), Out: src.out[i].Load(),
 		})
+	}
+	for i, st := range src.blooms {
+		st.Tested += src.in[src.preds+i].Load()
+		st.Passed += src.out[src.preds+i].Load()
 	}
 	return rt
 }
 
 // scanOp is the per-worker operator over a shared scanSource. All scratch —
-// the selection vector, the two-column filters' hash buffer, the kernel
-// chain's counters (empty when the scan has no predicate), the output row set
-// and every tally — is per worker, allocated once in Open; the
-// steady-state batch loop allocates nothing. The selection vector holds two
-// morsels: a fill claims a morsel only while it holds fewer rows than one.
-// Tallies fold into the source's atomics once per worker at Close (workers
-// close before the pipeline joins them, so the fold always precedes the
-// flush).
+// the selection vector, the kernel chain's counters (empty when the scan
+// has neither a predicate nor a filter) and the output row set — is per
+// worker, allocated once in Open; the steady-state batch loop allocates
+// nothing. The selection vector holds two morsels: a fill claims a morsel
+// only while it holds fewer rows than one. The chain's counters fold into
+// the source's atomics once per worker at Close (workers close before the
+// pipeline joins them, so the fold always precedes runtime).
 type scanOp struct {
 	src   *scanSource
 	chain *query.Chain
 	sel   []int32
-	hs    []uint64 // combined-key hashes of a two-column filter's test
-	out   *RowSet  // one column, the surviving prefix of sel
-
-	localTested []int64
-	localPassed []int64
+	out   *RowSet // one column, the surviving prefix of sel
 }
 
 func (o *scanOp) Open() error {
 	src := o.src
-	o.localTested = make([]int64, len(src.bfs))
-	o.localPassed = make([]int64, len(src.bfs))
 	o.chain = query.NewChain(src.kernels)
 	o.sel = make([]int32, 2*src.morsel)
 	o.out = NewRowSet(query.NewRelSet(src.s.Rel))
-	for _, b := range src.bfs {
-		if b.vals2 != nil {
-			o.hs = make([]uint64, src.morsel)
-			break
-		}
-	}
 	return nil
 }
 
 func (o *scanOp) Close() error {
 	src := o.src
-	for k, b := range src.bfs {
-		b.tested.Add(o.localTested[k])
-		b.passed.Add(o.localPassed[k])
-	}
 	for i, c := range o.chain.Counts() {
-		src.predIn[i].Add(c.In)
-		src.predOut[i].Add(c.Out)
+		src.in[i].Add(c.In)
+		src.out[i].Add(c.Out)
 	}
 	return nil
 }
@@ -157,19 +124,15 @@ func (o *scanOp) Close() error {
 // selection vector holds at least a morsel's worth of rows or the table
 // ends, so every operator above a selective scan pays its per-batch cost
 // for a full vector rather than for the few rows one morsel keeps. Each
-// morsel's first test reads its dense rows [lo, hi) and writes only the
-// ids it keeps into the vector's tail, so no row-id vector is written for
-// it to read back: the kernel chain (query.Chain.EvalRange, whose first
-// kernel is dense; with no predicate and no filter it just writes the
-// ids), or, in a scan with no predicate whose first filter is
-// single-column, that filter (bloom.Filter.FilterRange). The remaining
-// filters follow in plan order, each in one fused pass over the surviving
-// rows' keys (bloom.Filter.FilterSel). A two-column filter first hashes its
-// combined keys into scratch. This is the only way a scan drops rows.
-// Everything else stays per morsel: the stop check before each claim (a
-// stopped fill returns nil), the Bloom tallies and one observe. Row ids
-// are global, so a batch may span morsels; its one column is the kept
-// prefix of the worker's selection vector, and nothing is copied.
+// morsel goes through the kernel chain in one call (query.Chain.EvalRange):
+// the chain's first member reads the morsel's dense rows [lo, hi) and
+// writes only the ids it keeps into the vector's tail, and the members
+// after it, the rest of the predicates and then the Bloom filters, compact
+// those in place. This is the only way a scan drops rows. Everything else
+// stays per morsel: the stop check before each claim (a stopped fill
+// returns nil) and one observe. Row ids are global, so a batch may span
+// morsels; its one column is the kept prefix of the worker's selection
+// vector, and nothing is copied.
 func (o *scanOp) NextBatch() (*RowSet, error) {
 	src := o.src
 	n := 0
@@ -181,36 +144,9 @@ func (o *scanOp) NextBatch() (*RowSet, error) {
 		if lo >= src.n {
 			break
 		}
-		hi := lo + src.morsel
-		if hi > src.n {
-			hi = src.n
-		}
+		hi := min(lo+src.morsel, src.n)
 		start := time.Now()
-		window, k0 := o.sel[n:n+hi-lo], 0
-		var sel []int32
-		if src.rangeFirst {
-			b := src.bfs[0]
-			sel = b.h.FilterRange(b.vals, lo, window)
-			o.localTested[0] += int64(hi - lo)
-			o.localPassed[0] += int64(len(sel))
-			k0 = 1
-		} else {
-			sel = o.chain.EvalRange(lo, window)
-		}
-		for k := k0; k < len(src.bfs) && len(sel) > 0; k++ {
-			b := src.bfs[k]
-			o.localTested[k] += int64(len(sel))
-			if b.vals2 == nil {
-				sel = b.h.FilterSel(b.vals, sel)
-			} else {
-				hs := o.hs[:len(sel)]
-				for i, r := range sel {
-					hs[i] = b.hashOf(r)
-				}
-				sel = b.h.FilterSelHashes(hs, sel)
-			}
-			o.localPassed[k] += int64(len(sel))
-		}
+		sel := o.chain.EvalRange(lo, o.sel[n:n+hi-lo])
 		src.stats.observe(hi-lo, len(sel), time.Since(start))
 		n += len(sel)
 	}

@@ -530,7 +530,6 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 			}
 		}
 	}
-	src.flushBloomStats()
 	ex.scanRt[pl.ID] = src.runtime()
 	finishStart := time.Now()
 	if err := snk.finish(); err != nil {

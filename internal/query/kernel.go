@@ -42,7 +42,8 @@ type Kernel interface {
 }
 
 // rangeKernel is a kernel that can start a morsel: the column kernels
-// (intRange, cmpFloat, betweenFloat, cmpCols, dictEq, dictMatch).
+// (intRange, cmpFloat, betweenFloat, cmpCols, dictEq, dictMatch) and the
+// Bloom filter members (filterKernel).
 // EvalRange is EvalBatch over the dense rows lo … lo+len(sel)-1: it
 // ignores sel's contents on entry, reads the column at [lo, lo+len(sel))
 // in order and writes the kept ids into sel's prefix, so the caller never
@@ -740,12 +741,14 @@ type PredCount struct {
 }
 
 // Chain evaluates a conjunction of kernels over selection vectors in the
-// order it is given (Compile's), counting each kernel's rows in and out,
-// and breaks off as soon as the selection empties. A scan enters through
-// EvalRange, so a column kernel first in order reads its column over the
-// morsel's dense rows and the rest compact what it kept. A Chain's
-// counters are per-worker state, not safe for concurrent use; the kernels
-// it references are shared and immutable.
+// order it is given, counting each kernel's rows in and out, and breaks
+// off as soon as the selection empties. A scan's chain is Compile's ranked
+// predicates followed by its Bloom filters (Filter), in plan order and
+// never ranked: the filters are the chain's unranked tail. A scan enters
+// through EvalRange once per morsel, so the first member, a column kernel
+// or a filter, reads its column over the morsel's dense rows and the rest
+// compact what it kept. A Chain's counters are per-worker state, not safe
+// for concurrent use; the kernels it references are shared and immutable.
 type Chain struct {
 	ks      []Kernel
 	in, out []int64
@@ -761,9 +764,9 @@ func (c *Chain) EvalBatch(sel []int32) []int32 { return c.evalFrom(0, sel) }
 
 // EvalRange runs the chain over the dense rows lo … lo+len(sel)-1 and
 // returns the kept ids in sel's prefix; sel's contents on entry are
-// ignored. A column kernel first in order runs its EvalRange, so no row-id
-// vector is written for it to read back; any other kernel gets the ids
-// filled in and runs EvalBatch. An empty chain keeps every row.
+// ignored. A column kernel or filter first in order runs its EvalRange, so
+// no row-id vector is written for it to read back; any other kernel gets
+// the ids filled in and runs EvalBatch. An empty chain keeps every row.
 func (c *Chain) EvalRange(lo int, sel []int32) []int32 {
 	if len(c.ks) == 0 {
 		return fillRange(lo, sel)

@@ -82,7 +82,38 @@ func BenchmarkEvalRangeQ6Shape(b *testing.B)    { runEvalRange(b, benchQ6Shape) 
 func BenchmarkEvalRangeDictString(b *testing.B) { runEvalRange(b, benchDictString) }
 func BenchmarkEvalRangeNested(b *testing.B)     { runEvalRange(b, benchNested) }
 func BenchmarkEvalBatchPassRate(b *testing.B)   { passRateSweep(b, false) }
-func BenchmarkEvalRangePassRate(b *testing.B)   { passRateSweep(b, true) }
+
+// BenchmarkEvalRangeFilter runs a scan's chain with a Bloom filter member
+// through the dense entry: the filter alone (a scan with no predicate,
+// whose filter reads the morsel), and after a compare, with one and with
+// two key columns.
+func BenchmarkEvalRangeFilter(b *testing.B) {
+	tbl := kernelTable(b, rand.New(rand.NewSource(11)), benchRows)
+	preds, err := Compile(benchCmpInt, tbl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		pred, two bool
+	}{{"first", false, false}, {"after", true, false}, {"two", true, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			f, _ := filterFixture(b, tbl, c.two)
+			var ks []Kernel
+			if c.pred {
+				ks = append(ks, preds...)
+			}
+			chain, sel := NewChain(append(ks, f)), make([]int32, benchRows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				chain.EvalRange(0, sel)
+			}
+			b.SetBytes(benchRows * 8)
+		})
+	}
+}
+func BenchmarkEvalRangePassRate(b *testing.B) { passRateSweep(b, true) }
 
 // passRateSweep prices CmpInt and BetweenInt per row at 5, 50 and 95 %
 // pass rates over one 1 024-row morsel (the executor's default) of a
