@@ -754,9 +754,11 @@ type Chain struct {
 	in, out []int64
 }
 
-// NewChain counts rows through ks in the order given.
+// NewChain counts rows through ks in the order given. A scan makes one
+// per worker and run, so its counters share one allocation.
 func NewChain(ks []Kernel) *Chain {
-	return &Chain{ks: ks, in: make([]int64, len(ks)), out: make([]int64, len(ks))}
+	c := make([]int64, 2*len(ks))
+	return &Chain{ks: ks, in: c[:len(ks)], out: c[len(ks):]}
 }
 
 // EvalBatch runs the chain over sel, compacting in place.

@@ -82,6 +82,7 @@ func BenchmarkEvalRangeQ6Shape(b *testing.B)    { runEvalRange(b, benchQ6Shape) 
 func BenchmarkEvalRangeDictString(b *testing.B) { runEvalRange(b, benchDictString) }
 func BenchmarkEvalRangeNested(b *testing.B)     { runEvalRange(b, benchNested) }
 func BenchmarkEvalBatchPassRate(b *testing.B)   { passRateSweep(b, false) }
+func BenchmarkEvalRangePassRate(b *testing.B)   { passRateSweep(b, true) }
 
 // BenchmarkEvalRangeFilter runs a scan's chain with a Bloom filter member
 // through the dense entry: the filter alone (a scan with no predicate,
@@ -113,7 +114,6 @@ func BenchmarkEvalRangeFilter(b *testing.B) {
 		})
 	}
 }
-func BenchmarkEvalRangePassRate(b *testing.B) { passRateSweep(b, true) }
 
 // passRateSweep prices CmpInt and BetweenInt per row at 5, 50 and 95 %
 // pass rates over one 1 024-row morsel (the executor's default) of a
