@@ -118,13 +118,13 @@ func TestInjectedWorkerPanicContained(t *testing.T) {
 	}
 }
 
-// TestBreakerFinishPanicContained: a panic inside a breaker finish — after
-// the pipeline's workers have joined, on the pipeline's own goroutine —
-// is caught by that pipeline's shim. Q3's BF-CBO plan with one filter
-// wired to build from its apply column makes the Bloom population ask the
-// build side for a relation it does not hold. The query fails with a
-// *PanicError for the pipeline, wrapping ErrInternal, and leaves no
-// goroutine, slot or broker byte behind.
+// TestBreakerFinishPanicContained: a panic inside a breaker finish — on
+// the pipeline's last worker, inside its slot — is caught by that worker's
+// shim. Q3's BF-CBO plan with one filter wired to build from its apply
+// column makes the Bloom population ask the build side for a relation it
+// does not hold. The query fails with a *PanicError for a worker of the
+// pipeline, wrapping ErrInternal, and leaves no goroutine, slot or broker
+// byte behind.
 func TestBreakerFinishPanicContained(t *testing.T) {
 	ds := equivalenceDataset(t)
 	block, res := chaosPlan(t, 3)
@@ -146,8 +146,8 @@ func TestBreakerFinishPanicContained(t *testing.T) {
 	if !errors.As(err, &pe) || !errors.Is(err, ErrInternal) {
 		t.Fatalf("breaker panic not typed: %T %v", err, err)
 	}
-	if pe.Where != "pipeline P0" {
-		t.Fatalf("panic caught in %q, want the pipeline's own shim (\"pipeline P0\")", pe.Where)
+	if !strings.HasPrefix(pe.Where, "pipeline P0 worker ") {
+		t.Fatalf("panic caught in %q, want a P0 worker's shim (\"pipeline P0 worker <n>\")", pe.Where)
 	}
 	if !strings.Contains(fmt.Sprint(pe.Value), "no relation") || !strings.Contains(string(pe.Stack), "feedVector") {
 		t.Fatalf("PanicError lost the panic site: value %v\n%s", pe.Value, pe.Stack)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bfcbo/internal/mem"
+	"bfcbo/internal/obs"
 	"bfcbo/internal/optimizer"
 	"bfcbo/internal/plan"
 	"bfcbo/internal/query"
@@ -26,13 +27,13 @@ import (
 
 // workerGauge wraps a worker's operator chain to measure how many workers
 // are inside NextBatch at once. A worker inside NextBatch always holds a
-// worker slot — it acquires one before it builds its chain and releases it
-// after it closes the chain, and a spilled join's route and drain stages
-// each run workers of their own — so the observed maximum bounds the
-// scheduler's concurrently running *pipeline* workers, the population the
-// slot pool governs. A breaker finish and a route sink's flush run on the
-// pipeline's goroutine, which holds no slot (ROADMAP item 5), and are
-// deliberately outside this gauge.
+// worker slot — it acquires one before it builds its chain, and releases it
+// after it closes the chain and, when it ended its stage last, ran the
+// stage's finish; a spilled join's route and drain stages each run workers
+// of their own — so the observed maximum bounds the scheduler's
+// concurrently running workers, the population the slot pool governs. The
+// gauge does not see a finish itself: TestFinishHoldsASlot checks from
+// outside that no finish runs beside another pipeline's batch.
 type workerGauge struct {
 	child    PhysicalOperator
 	cur, max *atomic.Int64
@@ -50,6 +51,72 @@ func (o *workerGauge) NextBatch() (*RowSet, error) {
 	}
 	defer o.cur.Add(-1)
 	return o.child.NextBatch()
+}
+
+// batchClock wraps a worker's operator chain to record when each of its
+// NextBatch calls ran, tagged with the worker's pipeline.
+type batchClock struct {
+	child PhysicalOperator
+	pipe  int
+	mu    *sync.Mutex
+	spans *[]batchSpan
+}
+
+type batchSpan struct {
+	pipe       int
+	start, end time.Time
+}
+
+func (o *batchClock) Open() error  { return o.child.Open() }
+func (o *batchClock) Close() error { return o.child.Close() }
+func (o *batchClock) NextBatch() (*RowSet, error) {
+	start := time.Now()
+	b, err := o.child.NextBatch()
+	end := time.Now()
+	o.mu.Lock()
+	*o.spans = append(*o.spans, batchSpan{pipe: o.pipe, start: start, end: end})
+	o.mu.Unlock()
+	return b, err
+}
+
+// TestFinishHoldsASlot asserts from outside that a breaker finish runs
+// inside a worker slot, so that DOP caps finishes too. At DOP 1 the private
+// scheduler has one slot, so a finish that holds it leaves no room for any
+// batch of another pipeline: no "breaker" trace span may overlap one. The blocks
+// are those with independent hash builds, whose pipelines could run side by
+// side: Q2, Q5, Q7, Q8, Q9 and Q21.
+func TestFinishHoldsASlot(t *testing.T) {
+	ds := equivalenceDataset(t)
+	for _, num := range []int{2, 5, 7, 8, 9, 21} {
+		block, res := chaosPlan(t, num)
+		var mu sync.Mutex
+		var batches []batchSpan
+		tr := obs.NewTrace(0)
+		opts := Options{DOP: 1, Trace: tr}
+		opts.injectOp = func(pl *plan.Pipeline, _ int, op PhysicalOperator) PhysicalOperator {
+			return &batchClock{child: op, pipe: pl.ID, mu: &mu, spans: &batches}
+		}
+		if _, err := Run(ds.DB, block, res.Plan, opts); err != nil {
+			t.Fatalf("Q%d: %v", num, err)
+		}
+		finishes := 0
+		for _, sp := range tr.Spans() {
+			if sp.Cat != "breaker" {
+				continue
+			}
+			finishes++
+			end := sp.Start.Add(sp.Dur)
+			for _, b := range batches {
+				if b.pipe != sp.TID-1 && b.start.Before(end) && sp.Start.Before(b.end) {
+					t.Errorf("Q%d: P%d's finish (%v from %v) overlaps a batch of P%d (%v to %v)",
+						num, sp.TID-1, sp.Dur, sp.Start, b.pipe, b.start, b.end)
+				}
+			}
+		}
+		if finishes == 0 {
+			t.Fatalf("Q%d: the trace holds no breaker span", num)
+		}
+	}
 }
 
 // concurrentMix is the TPC-H query mix of the stress tests: Bloom-heavy

@@ -181,11 +181,17 @@ type executor struct {
 	// run-wide cancellation flag set by the first worker error (or context
 	// cancellation) and checked by every morsel source; stopCh closes at
 	// the same moment, waking workers blocked on slot acquisition.
+	// children[i] are the pipelines that depend on P<i>, pending[i] counts
+	// P<i>'s dependencies not yet finished, and wg the stage workers
+	// launched and not yet returned.
 	smu       sync.Mutex
 	firstErr  error
 	stop      atomic.Bool
 	stopCh    chan struct{}
 	stopOnce  sync.Once
+	children  [][]*plan.Pipeline
+	pending   []atomic.Int32
+	wg        sync.WaitGroup
 	pipeStats map[int][]*opStats
 	injectOp  func(pl *plan.Pipeline, worker int, op PhysicalOperator) PhysicalOperator
 
@@ -381,15 +387,15 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	}
 	// Top-level panic containment: anything that panics on this goroutine
 	// — a rowset wiring guard, say — becomes this query's typed
-	// *PanicError instead of a process abort; pipelines and their workers
-	// carry shims of their own (runDAG, runPipeline). Registered before the
-	// resource defers below, so in unwind order the spill dir, memory
-	// account, and ticket are all released first, then the panic converts,
-	// then the metrics defer observes the error like any other failure.
+	// *PanicError instead of a process abort. No worker runs then: runDAG
+	// sets up every root before it launches one, and the workers carry a
+	// shim of their own (launch). Registered before the resource defers
+	// below, so in unwind order the spill dir, memory account, and ticket
+	// are all released first, then the panic converts, then the metrics
+	// defer observes the error like any other failure.
 	defer func() {
 		if v := recover(); v != nil {
 			err = ex.panicErr(v, "query execution")
-			ex.fail(err) // stop any straggling helper between batches
 			res = nil
 		}
 	}()
@@ -398,19 +404,9 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	// never leak reserved bytes or temp files.
 	defer ex.memq.Close()
 	defer ex.cleanupSpill()
-	// Context cancellation and deadlines feed the run-wide stop flag; the
-	// watcher is released when the run returns.
-	if ctx.Done() != nil {
-		watchDone := make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				ex.fail(ctx.Err())
-			case <-watchDone:
-			}
-		}()
-		defer close(watchDone)
-	}
+	// Context cancellation and deadlines feed the run-wide stop flag until
+	// the run returns.
+	defer context.AfterFunc(ctx, func() { ex.fail(ctx.Err()) })()
 	if ex.tables, err = resolveTables(db, block); err != nil {
 		return nil, err
 	}

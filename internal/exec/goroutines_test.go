@@ -10,11 +10,12 @@ import (
 	"testing"
 )
 
-// The executor starts goroutines in exactly three places: RunContext's
-// context watcher, runDAG's pipeline launcher and runPipeline's DOP
-// workers. Every breaker finish runs on its pipeline's goroutine. A new
-// `go` statement anywhere in the package's non-test files fails this test,
-// so a fan-out has to be added here, in the open, with its reason.
+// The executor starts goroutines in exactly one place: launch, which starts
+// a stage's DOP workers. Every finish runs on the stage's last worker,
+// inside its slot, and context cancellation reaches the run through
+// context.AfterFunc. A new `go` statement anywhere in the package's non-test
+// files fails this test, so a fan-out has to be added here, in the open,
+// with its reason.
 func TestGoStatementSites(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -44,7 +45,7 @@ func TestGoStatementSites(t *testing.T) {
 			})
 		}
 	}
-	want := map[string]int{"RunContext": 1, "runDAG": 1, "runPipeline": 1}
+	want := map[string]int{"launch": 1}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("go statements by enclosing function: %v, want %v", got, want)
 	}

@@ -20,18 +20,18 @@ import (
 // through routers of their own, the probe pipeline's route sink routes
 // every worker's input the same way, and a repartition step routes both
 // files of a pair at the next hash level. The probe pipeline splits in two
-// at the join (runPipeline): its first stage ends in the route sink, and
+// at the join (newPipeRun): its first stage ends in the route sink, and
 // its next stage starts from a drain: workers claim partitions from a
 // shared cursor and join each pair — loading the build partition, building
 // its table with buildHashTable on the claiming worker's own goroutine,
 // and streaming the probe partition through the shared probeBatch kernel,
 // so all join types (inner/semi/anti/left) and extra conditions work
-// unchanged. The stages' boundary is the barrier: no drain starts before
-// every probe row is on disk. A mirrored join marks and sweeps pair by
-// pair: equal keys share a partition, so a pair's build rows owe nothing
-// to any other pair's probe rows. A partition pair whose grant is denied
-// again repartitions recursively with a level-salted hash, up to
-// graceMaxDepth.
+// unchanged. The stages' boundary is the barrier: the route stage's last
+// worker launches the drain once every probe row is on disk. A mirrored
+// join marks and sweeps pair by pair: equal keys share a partition, so a
+// pair's build rows owe nothing to any other pair's probe rows. A
+// partition pair whose grant is denied again repartitions recursively with
+// a level-salted hash, up to graceMaxDepth.
 
 // graceSide is one side of a spilled join — its build side, its probe side,
 // or either side of a repartition step: the relations its rows cover, the
@@ -147,8 +147,8 @@ func (s *routeSink) consume(w int, in *RowSet) {
 	s.stats.observe(in.Len(), 0, time.Since(start))
 }
 
-// finish flushes every worker's router, on the pipeline's goroutine once
-// the route stage's workers have joined.
+// finish flushes every worker's router, on the route stage's last worker
+// once every other worker has ended.
 func (s *routeSink) finish() error {
 	for w := range s.routers {
 		if err := s.routers[w].flush(); err != nil {

@@ -111,7 +111,7 @@ func (s *opStats) snapshot() OpStat {
 
 // BreakerPhases breaks a pipeline breaker's finish work into its phases. A
 // field is zero when the sink has no such phase. The phases run one after
-// another on the pipeline's goroutine once its workers have joined, so
+// another on the pipeline's last worker once the others have ended, so
 // their sum is the finish's wall time, less untimed bookkeeping.
 type BreakerPhases struct {
 	// Merge is the time a hash build takes to combine its per-worker parts

@@ -2,10 +2,10 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime/pprof"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bfcbo/internal/faults"
@@ -18,29 +18,28 @@ import (
 // This file is the morsel-driven pipeline driver. Pipelines (decomposed by
 // internal/plan) form a DAG: a probe pipeline depends on the hash builds it
 // probes and on the hash-build pipelines that populate the Bloom filters its
-// source scan applies — and nothing else. The scheduler runs every ready
-// pipeline concurrently under a global worker budget of DOP slots shared
-// across pipelines. Within a pipeline, workers each own a private operator
-// chain — a scan and the hash-join probes fused behind it — and push batches
-// into a thread-safe sink. Sinks are the pipeline breakers — hash-table
-// build (+ Bloom filter population) and result collection — and a sink's
-// finish runs once, serially, on the pipeline's goroutine after its workers
-// have joined. Forking the finish phases across DOP goroutines measured no
-// faster on the benchmark workloads, so there is one finish path.
+// source scan applies — and nothing else. Every ready pipeline runs
+// concurrently under a global worker budget of DOP slots shared across
+// pipelines. Within a pipeline, workers each own a private operator chain —
+// a scan and the hash-join probes fused behind it — and push batches into a
+// thread-safe sink. Sinks are the pipeline breakers — hash-table build
+// (+ Bloom filter population) and result collection — and a sink's finish
+// runs once, serially, on the pipeline's last worker, inside that worker's
+// slot. Forking the finish phases across DOP goroutines measured no faster
+// on the benchmark workloads, so there is one finish path.
 //
 // A probe whose build spilled splits its pipeline into stages that run one
 // after another: the stage up to the join ends in the grace join's route
 // sink, and the next starts from its drain (grace.go). Each stage launches
-// its own workers, and the pipeline goroutine, which holds no slot, waits
-// for one stage's workers before it starts the next. So every worker holds
-// one slot from its first batch to its last and never waits on another.
+// DOP workers of its own, and the worker that ends a stage last finishes
+// it: it flushes a route stage's routers and launches the next stage, or
+// finishes the last stage's breaker and starts the pipelines that waited on
+// it. So all of a run's work happens on the RunContext goroutine or on a
+// worker that holds one slot from its first batch to its last finish, and
+// no worker ever waits on another.
 
-// errCanceled marks a pipeline that wound down because another pipeline's
-// failure set the run-wide stop flag; it is never surfaced to callers.
-var errCanceled = errors.New("exec: run canceled by concurrent pipeline failure")
-
-// fail records the run's first real error, cancels every morsel source,
-// and wakes workers blocked on slot acquisition.
+// fail records the run's first error, cancels every morsel source, and
+// wakes workers blocked on slot acquisition.
 func (ex *executor) fail(err error) {
 	ex.smu.Lock()
 	if ex.firstErr == nil {
@@ -62,7 +61,7 @@ func (ex *executor) runErr() error {
 // concurrently by workers (disjoint worker indices) and must finish with
 // the batch before returning: the row set belongs to the operator that
 // produced it (see PhysicalOperator), so a sink copies every row it keeps.
-// finish runs once after all workers complete.
+// finish runs once, on the worker that completes last.
 type sink interface {
 	consume(worker int, b *RowSet)
 	finish() error
@@ -77,11 +76,27 @@ type breaker interface {
 
 // stage is what one launch of a pipeline's workers runs: each worker's
 // source operator — a scan, or the drain of a spilled join — the in-memory
-// probes fused behind it, and the sink they feed.
+// probes fused behind it, and the sink they feed. live counts the workers
+// still running it; the one that brings it to zero finishes the stage.
 type stage struct {
 	source func() PhysicalOperator
 	probes []*probeShared
 	snk    sink
+	next   *stage // the stage this one's finish launches; nil for the last
+	live   atomic.Int32
+}
+
+// pipeRun is one pipeline's run: its first stage, the breaker its last
+// stage feeds, and what that stage's finish records.
+type pipeRun struct {
+	pl     *plan.Pipeline
+	first  *stage
+	snk    breaker
+	src    *scanSource
+	rec    *spillCounters
+	lp     *obs.PipeProgress
+	labels pprof.LabelSet
+	start  time.Time
 }
 
 // resultSink collects the query's output, writing each row id once: every
@@ -146,7 +161,7 @@ func (s *resultSink) phases() BreakerPhases { return BreakerPhases{} }
 // filters (bloomSet.build), and builds the shared hash table the probe
 // pipeline reads. The finish phases — the part merge, the key gather, the
 // Bloom population, the directory's hash and build — run one after another
-// on the pipeline's goroutine, over one gathered key column.
+// on the pipeline's last worker, over one gathered key column.
 //
 // Under a memory budget the sink is the grace hash join's entry point:
 // when a grant is denied, the worker's buffered part spills to hash
@@ -351,16 +366,17 @@ func (ex *executor) runPipelined(pipes []*plan.Pipeline) error {
 	return nil
 }
 
-// runDAG schedules the pipelines: every pipeline whose dependencies have
-// completed starts immediately and runs concurrently with its peers (the
-// hash-build sides of independent joins, ...). The first real error cancels
-// the run — in-flight pipelines stop at the next morsel, queued pipelines
-// never start — and is the one surfaced to the caller; cancellation
-// casualties are not.
+// runDAG schedules the pipelines: each one starts once its last dependency
+// finishes, and runs concurrently with its peers (the hash-build sides of
+// independent joins, ...). It sets up every root before it launches the
+// first, so a fast root cannot start a child that this loop would start
+// again; every other pipeline is set up and launched by the worker that
+// finished its last dependency. The first error stops the run — running
+// stages stop at the next morsel, waiting pipelines never start — and is
+// the one surfaced to the caller.
 func (ex *executor) runDAG(pipes []*plan.Pipeline) error {
 	n := len(pipes)
-	children := make([][]int, n)
-	pending := make([]int, n)
+	ex.children, ex.pending = make([][]*plan.Pipeline, n), make([]atomic.Int32, n)
 	for i, pl := range pipes {
 		if pl.ID != i {
 			return fmt.Errorf("exec: pipeline ID %d at position %d (plan bug)", pl.ID, i)
@@ -369,82 +385,45 @@ func (ex *executor) runDAG(pipes []*plan.Pipeline) error {
 			if d < 0 || d >= i {
 				return fmt.Errorf("exec: pipeline P%d depends on P%d, not topological (plan bug)", i, d)
 			}
-			children[d] = append(children[d], i)
-			pending[i]++
+			ex.children[d] = append(ex.children[d], pl)
+			ex.pending[i].Add(1)
 		}
 	}
-	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
-	)
-	var launch func(id int)
-	launch = func(id int) { // caller holds mu
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Recover shim for the pipeline goroutine: a panic in setup or
-			// the breaker finish phase (merge, build, bloom) converts
-			// to this query's typed error and cancels its siblings, instead
-			// of taking down the process.
-			err := func() (err error) {
-				defer func() {
-					if v := recover(); v != nil {
-						err = ex.panicErr(v, fmt.Sprintf("pipeline P%d", id))
-					}
-				}()
-				return ex.runPipeline(pipes[id])
-			}()
-			if err != nil && err != errCanceled {
-				// Setup/finish errors bypass the worker loop's fail();
-				// record them here so the run cancels and surfaces them.
-				ex.fail(err)
-			}
-			mu.Lock()
-			defer mu.Unlock()
+	var roots []*pipeRun
+	for i, pl := range pipes {
+		if ex.pending[i].Load() == 0 {
+			run, err := ex.newPipeRun(pl)
 			if err != nil {
-				return // children of a failed pipeline never start
+				return err
 			}
-			for _, c := range children[id] {
-				if pending[c]--; pending[c] == 0 && !ex.stop.Load() {
-					launch(c)
-				}
-			}
-		}()
-	}
-	mu.Lock()
-	for i := range pipes {
-		if pending[i] == 0 {
-			launch(i)
+			roots = append(roots, run)
 		}
 	}
-	mu.Unlock()
-	wg.Wait()
+	for _, run := range roots {
+		ex.launch(run, run.first)
+	}
+	ex.wg.Wait()
 	return ex.runErr()
 }
 
-// runPipeline schedules one pipeline across DOP workers pulling morsels
-// from the shared source, then finalizes its sink and fills the
-// pipeline's slots in the executor's stat slices.
-// Each worker holds one global budget slot while it runs, so concurrently
-// scheduled pipelines share DOP workers instead of multiplying them. A
-// pipeline with a spilled join runs its stages in turn, each with DOP
-// fresh workers; a route sink's flush runs here, between them.
-func (ex *executor) runPipeline(pl *plan.Pipeline) error {
-	start := time.Now()
-	workers := ex.dop
-	pstats := ex.pipeStats[pl.ID]
-
+// newPipeRun sets up one pipeline: its shared scan source, a probe over
+// each table its builds published, and its sink. A probe whose build
+// spilled ends the stage at the grace partitions and starts the next from
+// their drain.
+func (ex *executor) newPipeRun(pl *plan.Pipeline) (*pipeRun, error) {
 	// Per-pipeline spill counters, shared by the sink and any spilled
 	// join's route sink and drain, snapshotted into the pipeline's stat.
-	rec := &spillCounters{}
+	run := &pipeRun{pl: pl, rec: &spillCounters{}, start: time.Now()}
+	pstats := ex.pipeStats[pl.ID]
 
 	// Shared source state.
 	src, err := ex.newScanSource(pl.Source, pstats[0])
 	if err != nil {
-		return err
+		return nil, err
 	}
+	run.src = src
 	cur := &stage{source: func() PhysicalOperator { return &scanOp{src: src} }}
-	stages := []*stage{cur}
+	run.first = cur
 
 	// Shared probe state, in stream order: each op probes the hash table its
 	// build pipeline published, or ends the stage at the grace partitions
@@ -455,135 +434,93 @@ func (ex *executor) runPipeline(pl *plan.Pipeline) error {
 		ht, g := ex.builds[j], ex.graces[j]
 		ex.smu.Unlock()
 		if ht == nil && g == nil {
-			return fmt.Errorf("exec: build side of HashJoin(%s) was never built (plan bug)", j.Kind())
+			return nil, fmt.Errorf("exec: build side of HashJoin(%s) was never built (plan bug)", j.Kind())
 		}
-		sh, err := ex.newProbeShared(j, ht, inRels, pstats[i+1], workers)
+		sh, err := ex.newProbeShared(j, ht, inRels, pstats[i+1], ex.dop)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if g == nil {
 			cur.probes = append(cur.probes, sh)
 		} else {
-			if cur.snk, err = g.newRouteSink(sh, inRels, workers, rec, ex.memq.Reserve()); err != nil {
-				return err
+			if cur.snk, err = g.newRouteSink(sh, inRels, ex.dop, run.rec, ex.memq.Reserve()); err != nil {
+				return nil, err
 			}
-			cur = &stage{source: func() PhysicalOperator { return &drainOp{sh: sh, g: g} }}
-			stages = append(stages, cur)
+			cur.next = &stage{source: func() PhysicalOperator { return &drainOp{sh: sh, g: g} }}
+			cur = cur.next
 		}
 		inRels = sh.outRels
 	}
 
-	snk, err := ex.newSink(pl, inRels, workers, rec)
-	if err != nil {
-		return err
+	if run.snk, err = ex.newSink(pl, inRels, ex.dop, run.rec); err != nil {
+		return nil, err
 	}
-	cur.snk = snk
+	cur.snk = run.snk
 
 	// Live-inspector cell for this pipeline (nil when the run is not
 	// registered); it reads the operator counters above.
-	var lp *obs.PipeProgress
 	if ex.live != nil {
-		if lp = ex.live.Pipeline(pl.ID); lp != nil {
-			lp.Running()
+		if run.lp = ex.live.Pipeline(pl.ID); run.lp != nil {
+			run.lp.Running()
 		}
 	}
 	// pprof labels attribute every worker's CPU samples to the query, its
 	// shape fingerprint, and this pipeline; set once per worker launch.
-	labels := pprof.Labels("query", ex.queryTag,
+	run.labels = pprof.Labels("query", ex.queryTag,
 		"fingerprint", ex.fpHex, "pipeline", fmt.Sprintf("P%d", pl.ID))
-
-	for _, st := range stages {
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				// Per-worker recover shim: one poisoned worker (an operator
-				// invariant panic, an injected exec.panic fault) fails only
-				// its query — the error lands in errs[w], ex.fail stops
-				// sibling workers at the next morsel, and the workerLoop's
-				// own defers have already released the slot and closed the
-				// operator chain during unwind.
-				defer func() {
-					if v := recover(); v != nil {
-						perr := ex.panicErr(v, fmt.Sprintf("pipeline P%d worker %d", pl.ID, w))
-						errs[w] = perr
-						ex.fail(perr)
-					}
-				}()
-				pprof.Do(ex.pctx, labels, func(context.Context) { ex.workerLoop(pl, w, st, errs) })
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		if ex.stop.Load() {
-			return errCanceled
-		}
-		if st != cur {
-			if err := st.snk.finish(); err != nil {
-				return err
-			}
-		}
-	}
-	ex.scanRt[pl.ID] = src.runtime()
-	finishStart := time.Now()
-	if err := snk.finish(); err != nil {
-		return err
-	}
-	finishWall := time.Since(finishStart)
-	if lp != nil {
-		lp.Done()
-	}
-
-	ps := PipelineStat{
-		ID:         pl.ID,
-		Label:      pl.Describe(),
-		Workers:    workers,
-		Wall:       time.Since(start),
-		Rows:       pstats[len(pstats)-1].rowsOut.Load(),
-		FinishWall: finishWall,
-		Phases:     snk.phases(),
-		Spill:      rec.snapshot(),
-	}
-	if ex.trace != nil {
-		// One span per pipeline plus its breaker finish and measured finish
-		// phases — each pipeline gets its own trace lane (tid). The finish
-		// phases run sequentially inside the breaker, so laying them
-		// end-to-end from finishStart reconstructs the real timeline.
-		tid := pl.ID + 1
-		ex.trace.Add(fmt.Sprintf("pipeline %d: %s", pl.ID, pl.Describe()), "pipeline", tid, start, ps.Wall)
-		if finishWall > 0 {
-			ex.trace.Add("finish", "breaker", tid, finishStart, finishWall)
-			at := finishStart
-			ps.Phases.eachFinish(func(name string, d time.Duration) {
-				ex.trace.Add(name, "phase", tid, at, d)
-				at = at.Add(d)
-			})
-		}
-	}
-	ex.pipes[pl.ID] = ps
-	return nil
+	return run, nil
 }
 
-// workerLoop is one stage worker's life: lease a global slot, build the
-// private operator chain, and pull batches into the stage's sink until end
-// of stream or the run-wide stop. It runs under the worker's pprof labels
-// (query/fingerprint/pipeline), so CPU samples attribute to the query.
-func (ex *executor) workerLoop(pl *plan.Pipeline, w int, st *stage, errs []error) {
+// launch starts st's DOP workers, counted in st.live and in ex.wg. Each
+// worker carries a recover shim: one poisoned worker (an operator invariant
+// panic, an injected exec.panic fault, a panic in a finish or a child's
+// setup it runs) fails only its query — ex.fail stops the other workers at
+// the next morsel, and workerLoop's own defers have already released the
+// slot and closed the operator chain during unwind.
+func (ex *executor) launch(run *pipeRun, st *stage) {
+	st.live.Store(int32(ex.dop))
+	ex.wg.Add(ex.dop)
+	for w := range ex.dop {
+		go func() {
+			defer ex.wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					ex.fail(ex.panicErr(v, fmt.Sprintf("pipeline P%d worker %d", run.pl.ID, w)))
+				}
+			}()
+			pprof.Do(ex.pctx, run.labels, func(context.Context) { ex.workerLoop(run, st, w) })
+		}()
+	}
+}
+
+// workerLoop is one stage worker's life: lease a global slot, run the
+// private operator chain, and — if it is the stage's last worker to end and
+// the run still stands — finish the stage before it releases the slot. It
+// runs under the worker's pprof labels (query/fingerprint/pipeline), so CPU
+// samples, a finish's included, attribute to the query.
+func (ex *executor) workerLoop(run *pipeRun, st *stage, w int) {
 	// Acquire one global worker slot — leased from the process-wide
 	// scheduler, so concurrently admitted queries cap their total running
-	// workers at the pool capacity, not at DOP each. The worker holds it
-	// until it exits. A false acquire means the run was canceled while
-	// queued.
+	// workers at the pool capacity, not at DOP each. A false acquire means
+	// the run was stopped while queued; its stage never finishes, so the
+	// worker leaves st.live as it is.
 	if !ex.ticket.Acquire(ex.stopCh) {
 		return
 	}
 	defer ex.ticket.Release()
+	ex.runChain(run.pl, st, w)
+	if st.live.Add(-1) == 0 && !ex.stop.Load() {
+		if err := ex.finishStage(run, st); err != nil {
+			ex.fail(err)
+		}
+	}
+}
+
+// runChain builds worker w's private operator chain and pulls batches into
+// the stage's sink until end of stream or the run-wide stop. The chain is
+// closed when it returns, so its counters are folded before the stage can
+// finish.
+func (ex *executor) runChain(pl *plan.Pipeline, st *stage, w int) {
 	op := st.source()
 	for _, sh := range st.probes {
 		op = &probeOp{sh: sh, ex: ex, child: op}
@@ -591,21 +528,17 @@ func (ex *executor) workerLoop(pl *plan.Pipeline, w int, st *stage, errs []error
 	if ex.injectOp != nil {
 		op = ex.injectOp(pl, w, op)
 	}
-	fail := func(err error) {
-		errs[w] = err
-		ex.fail(err)
-	}
 	// Open and Close always pair: a chain operator that opened its
 	// child must release it even when Open itself failed, a batch
 	// errored, or the run was canceled mid-stream.
 	if err := op.Open(); err != nil {
-		fail(err)
+		ex.fail(err)
 		op.Close()
 		return
 	}
 	defer func() {
-		if err := op.Close(); err != nil && errs[w] == nil {
-			fail(err)
+		if err := op.Close(); err != nil {
+			ex.fail(err)
 		}
 	}()
 	// The stop check makes the first error — anywhere in the run —
@@ -618,7 +551,7 @@ func (ex *executor) workerLoop(pl *plan.Pipeline, w int, st *stage, errs []error
 		// recover shim, exercising the full containment path. Both fire
 		// between batches, never mid-operator, so no sink lock is held.
 		if ferr := faults.Hit(faults.ExecError); ferr != nil {
-			fail(fmt.Errorf("exec: injected worker error (query %s, pipeline P%d): %w", ex.queryTag, pl.ID, ferr))
+			ex.fail(fmt.Errorf("exec: injected worker error (query %s, pipeline P%d): %w", ex.queryTag, pl.ID, ferr))
 			return
 		}
 		if ferr := faults.Hit(faults.ExecPanic); ferr != nil {
@@ -626,7 +559,7 @@ func (ex *executor) workerLoop(pl *plan.Pipeline, w int, st *stage, errs []error
 		}
 		b, err := op.NextBatch()
 		if err != nil {
-			fail(err)
+			ex.fail(err)
 			return
 		}
 		if b == nil {
@@ -634,6 +567,70 @@ func (ex *executor) workerLoop(pl *plan.Pipeline, w int, st *stage, errs []error
 		}
 		st.snk.consume(w, b)
 	}
+}
+
+// finishStage runs on the worker that ended st last, inside its slot. A
+// route stage flushes its routers and launches the drain stage. The last
+// stage finishes the breaker, records the pipeline's stat and trace spans,
+// then sets up and launches each child this pipeline was the last
+// dependency of. It never waits on another worker.
+func (ex *executor) finishStage(run *pipeRun, st *stage) error {
+	if st.next != nil {
+		if err := st.snk.finish(); err != nil {
+			return err
+		}
+		ex.launch(run, st.next)
+		return nil
+	}
+	pl := run.pl
+	ex.scanRt[pl.ID] = run.src.runtime()
+	finishStart := time.Now()
+	if err := run.snk.finish(); err != nil {
+		return err
+	}
+	finishWall := time.Since(finishStart)
+	if run.lp != nil {
+		run.lp.Done()
+	}
+
+	pstats := ex.pipeStats[pl.ID]
+	ps := PipelineStat{
+		ID:         pl.ID,
+		Label:      pl.Describe(),
+		Workers:    ex.dop,
+		Wall:       time.Since(run.start),
+		Rows:       pstats[len(pstats)-1].rowsOut.Load(),
+		FinishWall: finishWall,
+		Phases:     run.snk.phases(),
+		Spill:      run.rec.snapshot(),
+	}
+	if ex.trace != nil {
+		// One span per pipeline plus its breaker finish and measured finish
+		// phases — each pipeline gets its own trace lane (tid). The finish
+		// phases run sequentially inside the breaker, so laying them
+		// end-to-end from finishStart reconstructs the real timeline.
+		tid := pl.ID + 1
+		ex.trace.Add(fmt.Sprintf("pipeline %d: %s", pl.ID, pl.Describe()), "pipeline", tid, run.start, ps.Wall)
+		if finishWall > 0 {
+			ex.trace.Add("finish", "breaker", tid, finishStart, finishWall)
+			at := finishStart
+			ps.Phases.eachFinish(func(name string, d time.Duration) {
+				ex.trace.Add(name, "phase", tid, at, d)
+				at = at.Add(d)
+			})
+		}
+	}
+	ex.pipes[pl.ID] = ps
+	for _, c := range ex.children[pl.ID] {
+		if ex.pending[c.ID].Add(-1) == 0 && !ex.stop.Load() {
+			child, err := ex.newPipeRun(c)
+			if err != nil {
+				return err
+			}
+			ex.launch(child, child.first)
+		}
+	}
+	return nil
 }
 
 // newPipeStats registers every pipeline's operator counters before any
