@@ -204,9 +204,10 @@ func run(cfg bfcbo.Config, rf runFlags) error {
 	}
 	fmt.Printf("scan kernels: %s\n", kernels)
 	if out.Spill.Spilled() {
-		fmt.Printf("spilled %s across %d partition/run files (recursion depth %d, peak memory %s)\n",
-			mem.FormatBytes(out.Spill.Bytes), out.Spill.Partitions, out.Spill.Depth,
-			mem.FormatBytes(eng.MemoryBroker().Peak()))
+		fmt.Printf("spilled %s across %d partition/run files (rows written build/probe %d/%d, read %d/%d; recursion depth %d, peak memory %s)\n",
+			mem.FormatBytes(out.Spill.Bytes), out.Spill.Partitions,
+			out.Spill.BuildRowsWritten, out.Spill.ProbeRowsWritten, out.Spill.BuildRowsRead, out.Spill.ProbeRowsRead,
+			out.Spill.Depth, mem.FormatBytes(eng.MemoryBroker().Peak()))
 	}
 	for _, bs := range out.BloomStats {
 		fmt.Println(bs)

@@ -1,12 +1,14 @@
 // Package catalog holds the schema metadata and optimizer statistics for the
 // BF-CBO reproduction: table and column definitions, row counts, per-column
-// NDV / min / max, and primary-key / foreign-key constraints. It plays the
+// NDV / min / max, and primary-key / foreign-key constraints, single-column
+// or composite. It plays the
 // role of GaussDB's catalog plus ANALYZE output: the optimizer consumes only
 // this package, never raw data, so planning is decoupled from storage.
 package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -53,13 +55,36 @@ type Column struct {
 	Stats ColumnStats
 }
 
-// ForeignKey records that column Col of the owning table references the
-// primary key column RefCol of table RefTable. The optimizer uses these to
-// implement Heuristic 3 (no Bloom filter on an FK joining a lossless PK).
+// ForeignKey records that columns of the owning table reference the primary
+// key of table RefTable, column for column. Col and RefCol spell a
+// single-column key; a composite key lists its columns in Cols and RefCols
+// instead, RefCols in any order of the referenced key's columns and Cols[i]
+// referencing RefCols[i]. The optimizer uses these to implement Heuristic 3
+// (no Bloom filter on an FK joining a lossless PK), and the estimator to
+// price a join on every column of a composite key (lineitem's (l_partkey,
+// l_suppkey) → partsupp) as the foreign key it is.
 type ForeignKey struct {
 	Col      string
 	RefTable string
 	RefCol   string
+	Cols     []string
+	RefCols  []string
+}
+
+// Columns returns the referencing columns, in key order.
+func (fk ForeignKey) Columns() []string {
+	if fk.Col != "" {
+		return []string{fk.Col}
+	}
+	return fk.Cols
+}
+
+// RefColumns returns the referenced columns, in key order.
+func (fk ForeignKey) RefColumns() []string {
+	if fk.RefCol != "" {
+		return []string{fk.RefCol}
+	}
+	return fk.RefCols
 }
 
 // Table is the catalog entry for one base relation.
@@ -67,9 +92,12 @@ type Table struct {
 	Name     string
 	Columns  []Column
 	RowCount float64
-	// PrimaryKey names the single-column primary key, or "" if none.
-	PrimaryKey  string
-	ForeignKeys []ForeignKey
+	// PrimaryKey names a single-column primary key; PrimaryKeyCols lists a
+	// composite one's columns instead (partsupp's (ps_partkey, ps_suppkey)).
+	// At most one of the two is set; Key reads either as a column list.
+	PrimaryKey     string
+	PrimaryKeyCols []string
+	ForeignKeys    []ForeignKey
 
 	colIndex map[string]int
 }
@@ -108,19 +136,27 @@ func (t *Table) ColumnIndex(name string) int {
 // HasColumn reports whether the table defines the named column.
 func (t *Table) HasColumn(name string) bool { return t.ColumnIndex(name) >= 0 }
 
-// ForeignKeyOn returns the FK constraint on the named column, if any.
-func (t *Table) ForeignKeyOn(col string) (ForeignKey, bool) {
-	for _, fk := range t.ForeignKeys {
-		if fk.Col == col {
-			return fk, true
-		}
+// Key returns the primary key's columns, nil if the table has none.
+func (t *Table) Key() []string {
+	if t.PrimaryKey != "" {
+		return []string{t.PrimaryKey}
 	}
-	return ForeignKey{}, false
+	return t.PrimaryKeyCols
 }
 
-// IsPrimaryKey reports whether col is the table's primary key column.
-func (t *Table) IsPrimaryKey(col string) bool {
-	return t.PrimaryKey != "" && t.PrimaryKey == col
+// IsKey reports whether cols, in any order, are exactly the table's primary
+// key columns.
+func (t *Table) IsKey(cols []string) bool {
+	key := t.Key()
+	if len(key) == 0 || len(cols) != len(key) {
+		return false
+	}
+	for i, c := range cols {
+		if !slices.Contains(key, c) || slices.Contains(cols[:i], c) {
+			return false
+		}
+	}
+	return true
 }
 
 // Schema is a set of tables; the unit handed to the optimizer.
@@ -172,29 +208,49 @@ func (s *Schema) TableNames() []string {
 	return names
 }
 
-// Validate checks referential integrity of the metadata itself: every FK
-// references an existing table/column and that column is its table's PK.
+// Validate checks referential integrity of the metadata itself: every key
+// column exists, every FK pairs as many columns as it references, and those
+// are an existing table's primary key, all of it.
 func (s *Schema) Validate() error {
 	for _, name := range s.TableNames() {
 		t := s.tables[name]
-		if t.PrimaryKey != "" && !t.HasColumn(t.PrimaryKey) {
-			return fmt.Errorf("catalog: table %q primary key %q is not a column", t.Name, t.PrimaryKey)
+		if t.PrimaryKey != "" && len(t.PrimaryKeyCols) > 0 {
+			return fmt.Errorf("catalog: table %q declares both PrimaryKey and PrimaryKeyCols", t.Name)
+		}
+		for _, c := range t.Key() {
+			if !t.HasColumn(c) {
+				return fmt.Errorf("catalog: table %q primary key %q is not a column", t.Name, c)
+			}
+		}
+		if key := t.Key(); len(key) > 0 && !t.IsKey(key) {
+			return fmt.Errorf("catalog: table %q primary key %v repeats a column", t.Name, key)
 		}
 		for _, fk := range t.ForeignKeys {
-			if !t.HasColumn(fk.Col) {
-				return fmt.Errorf("catalog: table %q FK column %q missing", t.Name, fk.Col)
+			if (fk.Col != "" && len(fk.Cols) > 0) || (fk.RefCol != "" && len(fk.RefCols) > 0) {
+				return fmt.Errorf("catalog: table %q FK to %q sets both single and composite columns", t.Name, fk.RefTable)
+			}
+			cols, refCols := fk.Columns(), fk.RefColumns()
+			if len(cols) == 0 || len(cols) != len(refCols) {
+				return fmt.Errorf("catalog: table %q FK %v references %d columns of %q", t.Name, cols, len(refCols), fk.RefTable)
+			}
+			for _, c := range cols {
+				if !t.HasColumn(c) {
+					return fmt.Errorf("catalog: table %q FK column %q missing", t.Name, c)
+				}
 			}
 			ref, err := s.Table(fk.RefTable)
 			if err != nil {
 				return fmt.Errorf("catalog: table %q FK: %w", t.Name, err)
 			}
-			if !ref.HasColumn(fk.RefCol) {
-				return fmt.Errorf("catalog: table %q FK references missing column %s.%s",
-					t.Name, fk.RefTable, fk.RefCol)
+			for _, c := range refCols {
+				if !ref.HasColumn(c) {
+					return fmt.Errorf("catalog: table %q FK references missing column %s.%s",
+						t.Name, fk.RefTable, c)
+				}
 			}
-			if !ref.IsPrimaryKey(fk.RefCol) {
-				return fmt.Errorf("catalog: table %q FK references non-PK column %s.%s",
-					t.Name, fk.RefTable, fk.RefCol)
+			if !ref.IsKey(refCols) {
+				return fmt.Errorf("catalog: table %q FK references %s%v, not its primary key %v",
+					t.Name, fk.RefTable, refCols, ref.Key())
 			}
 		}
 	}

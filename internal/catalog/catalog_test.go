@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -51,18 +52,20 @@ func TestSchemaRoundTrip(t *testing.T) {
 func TestForeignKeyLookup(t *testing.T) {
 	s := sampleSchema(t)
 	tb := s.MustTable("supplier")
-	fk, ok := tb.ForeignKeyOn("s_nationkey")
-	if !ok || fk.RefTable != "nation" || fk.RefCol != "n_nationkey" {
-		t.Fatalf("ForeignKeyOn = %+v ok=%v", fk, ok)
+	if len(tb.ForeignKeys) != 1 {
+		t.Fatalf("ForeignKeys = %+v", tb.ForeignKeys)
 	}
-	if _, ok := tb.ForeignKeyOn("s_suppkey"); ok {
-		t.Fatal("unexpected FK on PK column")
+	fk := tb.ForeignKeys[0]
+	if cols, ref := fk.Columns(), fk.RefColumns(); !slices.Equal(cols, []string{"s_nationkey"}) ||
+		fk.RefTable != "nation" || !slices.Equal(ref, []string{"n_nationkey"}) {
+		t.Fatalf("FK columns %v -> %s%v", cols, fk.RefTable, ref)
 	}
-	if !s.MustTable("nation").IsPrimaryKey("n_nationkey") {
-		t.Fatal("n_nationkey should be PK")
+	nation := s.MustTable("nation")
+	if !slices.Equal(nation.Key(), []string{"n_nationkey"}) || !nation.IsKey([]string{"n_nationkey"}) {
+		t.Fatalf("nation key = %v, want n_nationkey", nation.Key())
 	}
-	if s.MustTable("nation").IsPrimaryKey("n_name") {
-		t.Fatal("n_name should not be PK")
+	if nation.IsKey([]string{"n_name"}) || nation.IsKey(nil) {
+		t.Fatal("n_name should not be the key")
 	}
 }
 
@@ -156,5 +159,65 @@ func TestColTypeString(t *testing.T) {
 	}
 	if ColType(99).String() != "ColType(99)" {
 		t.Fatal("unknown ColType label wrong")
+	}
+}
+
+// compositeSchema is partsupp and lineitem's composite key: pairs(x, y)
+// keyed on both columns, and child(cx, cy) referencing it through fk.
+func compositeSchema(t *testing.T, fk ForeignKey) *Schema {
+	t.Helper()
+	s := NewSchema()
+	pairs := NewTable("pairs", 4, []Column{{Name: "x", Type: Int64}, {Name: "y", Type: Int64}, {Name: "z", Type: Int64}})
+	pairs.PrimaryKeyCols = []string{"x", "y"}
+	child := NewTable("child", 8, []Column{{Name: "cx", Type: Int64}, {Name: "cy", Type: Int64}})
+	child.ForeignKeys = []ForeignKey{fk}
+	for _, tb := range []*Table{pairs, child} {
+		if err := s.AddTable(tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+func TestValidateCompositeKeys(t *testing.T) {
+	good := ForeignKey{Cols: []string{"cy", "cx"}, RefTable: "pairs", RefCols: []string{"y", "x"}}
+	s := compositeSchema(t, good)
+	if err := s.Validate(); err != nil {
+		t.Fatalf("a composite FK onto the whole key, in either column order: %v", err)
+	}
+	pairs := s.MustTable("pairs")
+	if !pairs.IsKey([]string{"y", "x"}) || pairs.IsKey([]string{"x"}) || pairs.IsKey([]string{"x", "x"}) {
+		t.Fatal("IsKey misread the composite key")
+	}
+	if got := good.Columns(); len(got) != 2 || got[0] != "cy" {
+		t.Fatalf("Columns() = %v", got)
+	}
+	for _, c := range []struct {
+		name string
+		fk   ForeignKey
+		want string
+	}{
+		{"arity", ForeignKey{Cols: []string{"cx", "cy"}, RefTable: "pairs", RefCols: []string{"x"}}, "references 1 columns"},
+		{"part of the key", ForeignKey{Cols: []string{"cx"}, RefTable: "pairs", RefCols: []string{"x"}}, "not its primary key"},
+		{"a column outside the key", ForeignKey{Cols: []string{"cx", "cy"}, RefTable: "pairs", RefCols: []string{"x", "z"}}, "not its primary key"},
+		{"a key column twice", ForeignKey{Cols: []string{"cx", "cy"}, RefTable: "pairs", RefCols: []string{"x", "x"}}, "not its primary key"},
+		{"single and composite at once", ForeignKey{Col: "cx", Cols: []string{"cx", "cy"}, RefTable: "pairs", RefCols: []string{"x", "y"}}, "both single and composite"},
+		{"missing referencing column", ForeignKey{Cols: []string{"cx", "ghost"}, RefTable: "pairs", RefCols: []string{"x", "y"}}, "FK column \"ghost\" missing"},
+	} {
+		err := compositeSchema(t, c.fk).Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+
+	both := compositeSchema(t, good)
+	both.MustTable("pairs").PrimaryKey = "x"
+	if err := both.Validate(); err == nil {
+		t.Error("Validate accepted a table declaring both a single and a composite key")
+	}
+	ghost := compositeSchema(t, good)
+	ghost.MustTable("pairs").PrimaryKeyCols = []string{"x", "ghost"}
+	if err := ghost.Validate(); err == nil {
+		t.Error("Validate accepted a composite key naming a missing column")
 	}
 }

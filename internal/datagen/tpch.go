@@ -102,7 +102,8 @@ func Generate(cfg Config) (*Dataset, error) {
 	return &Dataset{DB: db, Schema: schema, Config: cfg}, nil
 }
 
-// addConstraints attaches TPC-H primary and foreign keys to analyzed tables.
+// addConstraints attaches TPC-H primary and foreign keys to analyzed tables,
+// composite ones included.
 func addConstraints(t *catalog.Table) {
 	switch t.Name {
 	case "region":
@@ -119,6 +120,7 @@ func addConstraints(t *catalog.Table) {
 	case "part":
 		t.PrimaryKey = "p_partkey"
 	case "partsupp":
+		t.PrimaryKeyCols = []string{"ps_partkey", "ps_suppkey"}
 		t.ForeignKeys = []catalog.ForeignKey{
 			{Col: "ps_partkey", RefTable: "part", RefCol: "p_partkey"},
 			{Col: "ps_suppkey", RefTable: "supplier", RefCol: "s_suppkey"},
@@ -131,6 +133,7 @@ func addConstraints(t *catalog.Table) {
 			{Col: "l_orderkey", RefTable: "orders", RefCol: "o_orderkey"},
 			{Col: "l_partkey", RefTable: "part", RefCol: "p_partkey"},
 			{Col: "l_suppkey", RefTable: "supplier", RefCol: "s_suppkey"},
+			{Cols: []string{"l_partkey", "l_suppkey"}, RefTable: "partsupp", RefCols: []string{"ps_partkey", "ps_suppkey"}},
 		}
 	}
 }
@@ -422,7 +425,7 @@ func DescribeDataset(ds *Dataset) string {
 	for _, name := range ds.DB.TableNames() {
 		t, _ := ds.DB.Table(name)
 		meta := ds.Schema.MustTable(name)
-		fmt.Fprintf(&b, "  %-9s %10d rows  %2d cols  pk=%s\n", name, t.NumRows(), len(t.Columns), orDash(meta.PrimaryKey))
+		fmt.Fprintf(&b, "  %-9s %10d rows  %2d cols  pk=%s\n", name, t.NumRows(), len(t.Columns), orDash(strings.Join(meta.Key(), ",")))
 	}
 	return b.String()
 }

@@ -1,6 +1,8 @@
 package datagen
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -144,6 +146,57 @@ func TestLineitemSupplierConsistentWithPartsupp(t *testing.T) {
 	}
 }
 
+// Every declared key, single-column or composite, is unique in the
+// generated data, and every foreign key's values are a row of the key it
+// references: the estimator prices joins on these declarations.
+func TestDeclaredKeysHold(t *testing.T) {
+	ds := small(t)
+	tuples := func(table string, cols []string) []string {
+		tb, err := ds.DB.Table(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, tb.NumRows())
+		for _, c := range cols {
+			for i, v := range tb.MustColumn(c).Ints {
+				out[i] += fmt.Sprintf("%d,", v)
+			}
+		}
+		return out
+	}
+	keys := 0
+	for _, name := range ds.Schema.TableNames() {
+		meta := ds.Schema.MustTable(name)
+		if key := meta.Key(); len(key) > 0 {
+			seen := make(map[string]bool)
+			for i, k := range tuples(name, key) {
+				if seen[k] {
+					t.Fatalf("%s row %d repeats key %v = (%s)", name, i, key, k)
+				}
+				seen[k] = true
+			}
+			keys++
+		}
+		for _, fk := range meta.ForeignKeys {
+			ref := make(map[string]bool)
+			for _, k := range tuples(fk.RefTable, fk.RefColumns()) {
+				ref[k] = true
+			}
+			for i, k := range tuples(name, fk.Columns()) {
+				if !ref[k] {
+					t.Fatalf("%s row %d: %v = (%s) is not a key of %s", name, i, fk.Columns(), k, fk.RefTable)
+				}
+			}
+		}
+	}
+	if keys != 7 {
+		t.Fatalf("%d tables declare a primary key, want all but lineitem's 7", keys)
+	}
+	if key := ds.Schema.MustTable("partsupp").Key(); len(key) != 2 {
+		t.Fatalf("partsupp key = %v, want (ps_partkey, ps_suppkey)", key)
+	}
+}
+
 func TestDateOrderingInvariants(t *testing.T) {
 	ds := small(t)
 	li, _ := ds.DB.Table("lineitem")
@@ -192,9 +245,8 @@ func TestStatsPopulated(t *testing.T) {
 	if ord.PrimaryKey != "o_orderkey" {
 		t.Fatalf("orders PK = %q", ord.PrimaryKey)
 	}
-	fk, ok := ds.Schema.MustTable("lineitem").ForeignKeyOn("l_orderkey")
-	if !ok || fk.RefTable != "orders" {
-		t.Fatalf("lineitem FK missing: %+v ok=%v", fk, ok)
+	if i := slices.IndexFunc(li.ForeignKeys, func(fk catalog.ForeignKey) bool { return fk.Col == "l_orderkey" }); i < 0 || li.ForeignKeys[i].RefTable != "orders" {
+		t.Fatalf("lineitem FK on l_orderkey missing: %+v", li.ForeignKeys)
 	}
 }
 

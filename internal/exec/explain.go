@@ -54,7 +54,8 @@ func (r *Result) ExplainAnalyze(p *plan.Plan) string {
 
 // breakerSuffix renders the breaker finish phases of one pipeline, e.g.
 // " finish=1.2ms [merge=300µs build=900µs]", plus any spill activity, e.g.
-// " spill[bytes=1.2MB parts=64 depth=1]"; empty when the finish was
+// " spill[bytes=1.2MB parts=64 rows=5000/9000 depth=1]", rows being those
+// written from the build/probe side; empty when the finish was
 // immeasurably small and nothing spilled.
 func breakerSuffix(ps PipelineStat) string {
 	var b strings.Builder
@@ -69,7 +70,8 @@ func breakerSuffix(ps PipelineStat) string {
 		}
 	}
 	if ps.Spill.Spilled() {
-		fmt.Fprintf(&b, " spill[bytes=%s parts=%d", mem.FormatBytes(ps.Spill.Bytes), ps.Spill.Partitions)
+		fmt.Fprintf(&b, " spill[bytes=%s parts=%d rows=%d/%d", mem.FormatBytes(ps.Spill.Bytes), ps.Spill.Partitions,
+			ps.Spill.BuildRowsWritten, ps.Spill.ProbeRowsWritten)
 		if ps.Spill.BytesRead > 0 {
 			fmt.Fprintf(&b, " read=%s", mem.FormatBytes(ps.Spill.BytesRead))
 		}

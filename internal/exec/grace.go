@@ -37,8 +37,10 @@ import (
 // or either side of a repartition step: the relations its rows cover, the
 // key relation's column position in the spill layout, the key values by
 // row id (keys are re-derived from the store, never spilled), its
-// partition files, and the pipeline counters its spill I/O lands in.
+// partition files, the pipeline counters its spill I/O lands in, and the
+// join side its rows count as there (kind).
 type graceSide struct {
+	kind    sideKind
 	rels    query.RelSet
 	keyPos  int
 	keyVals []int64
@@ -105,7 +107,7 @@ func (ex *executor) newGraceBuild(j *plan.Join, estRows float64, rec *spillCount
 		return nil, fmt.Errorf("exec: grace build key: %w", err)
 	}
 	rels := j.Inner.Rels()
-	build := graceSide{rels: rels, keyPos: rels.Rank(c0.InnerRel), keyVals: col.Ints}
+	build := graceSide{kind: buildSide, rels: rels, keyPos: rels.Rank(c0.InnerRel), keyVals: col.Ints}
 	n := spillPartitionCount(estRows, rels.Count(), ex.budget)
 	if build, err = build.open(ex, "build", n, rec); err != nil {
 		return nil, err
@@ -119,7 +121,7 @@ func (ex *executor) newGraceBuild(j *plan.Join, estRows float64, rec *spillCount
 // setup, before any worker starts.
 func (g *graceHashJoin) newRouteSink(sh *probeShared, inRels query.RelSet,
 	workers int, rec *spillCounters, res *mem.Reservation) (*routeSink, error) {
-	probe := graceSide{rels: inRels, keyPos: inRels.Rank(sh.outerRels[0]), keyVals: sh.outerVals[0]}
+	probe := graceSide{kind: probeSide, rels: inRels, keyPos: inRels.Rank(sh.outerRels[0]), keyVals: sh.outerVals[0]}
 	var err error
 	if g.probe, err = probe.open(g.ex, "probe", len(g.build.parts), rec); err != nil {
 		return nil, err
@@ -208,7 +210,7 @@ func (o *drainOp) Open() error {
 // run's spill-dir cleanup, the reservation by the query account's close).
 func (o *drainOp) Close() error {
 	if o.act != nil {
-		o.g.probe.rec.addBytesRead(o.act.r.BytesRead())
+		o.g.probe.rec.readBack(probeSide, o.act.r)
 		o.act.r.Close()
 		o.act = nil
 	}
@@ -346,7 +348,7 @@ func (g *graceHashJoin) repartition(p spillPair, w *drainOp) error {
 	}
 	route := func(src *spill.Writer, dst *graceSide) error {
 		r := router{side: dst, level: level, bufs: make([]*RowSet, graceSubParts)}
-		if err := eachChunk(src, rec, r.route); err != nil {
+		if err := eachChunk(src, rec, dst.kind, r.route); err != nil {
 			return err
 		}
 		if err := r.flush(); err != nil {
@@ -376,7 +378,7 @@ func (g *graceHashJoin) repartition(p spillPair, w *drainOp) error {
 // the same rows.
 func (g *graceHashJoin) feedBuildChunks(builds []*bloomBuild) error {
 	for _, w := range g.build.parts {
-		err := eachChunk(w, g.build.rec, func(cols [][]int32) error {
+		err := eachChunk(w, g.build.rec, buildSide, func(cols [][]int32) error {
 			for _, b := range builds {
 				ids := cols[g.build.rels.Rank(b.rel)]
 				b.insert(ids)

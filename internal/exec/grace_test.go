@@ -32,7 +32,7 @@ func consumeAll(snk sink, batches []*RowSet, dop int) {
 func readPartition(t *testing.T, side *graceSide, w *spill.Writer, p, n, level int) []int32 {
 	t.Helper()
 	var ids []int32
-	err := eachChunk(w, &spillCounters{}, func(cols [][]int32) error {
+	err := eachChunk(w, &spillCounters{}, side.kind, func(cols [][]int32) error {
 		if len(cols[0]) > graceChunkRows {
 			t.Errorf("partition %d at level %d: a chunk of %d rows, bound %d", p, level, len(cols[0]), graceChunkRows)
 		}

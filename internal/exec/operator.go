@@ -158,6 +158,15 @@ type SpillStat struct {
 	// byte is counted once per pass on each side, so BytesRead > Bytes
 	// signals recursion, not double counting.
 	BytesRead int64
+	// BuildRowsWritten and ProbeRowsWritten count the rows written to
+	// spill files from the join's build and probe side, repartition passes
+	// included; BuildRowsRead and ProbeRowsRead the rows read back
+	// (partition loads and probe drains, repartition passes, spilled Bloom
+	// builds). Unlike the byte counts, which hold a header per chunk and so
+	// depend on which worker's router flushed a partition, these are exact:
+	// the same at every DOP.
+	BuildRowsWritten, ProbeRowsWritten int64
+	BuildRowsRead, ProbeRowsRead       int64
 	// Partitions counts the spill files created: grace-join partition
 	// files (both sides, all levels).
 	Partitions int
@@ -173,6 +182,10 @@ func (s SpillStat) Spilled() bool { return s.Bytes > 0 || s.Partitions > 0 }
 func (s SpillStat) add(o SpillStat) SpillStat {
 	s.Bytes += o.Bytes
 	s.BytesRead += o.BytesRead
+	s.BuildRowsWritten += o.BuildRowsWritten
+	s.ProbeRowsWritten += o.ProbeRowsWritten
+	s.BuildRowsRead += o.BuildRowsRead
+	s.ProbeRowsRead += o.ProbeRowsRead
 	s.Partitions += o.Partitions
 	if o.Depth > s.Depth {
 		s.Depth = o.Depth

@@ -155,7 +155,7 @@ func (r *router) write(p int) error {
 	if err := r.side.parts[p].AppendChunk(buf.cols); err != nil {
 		return err
 	}
-	r.side.rec.addBytes(int64(4 + 4*buf.Len()*len(buf.cols)))
+	r.side.rec.wrote(r.side.kind, int64(buf.Len()), int64(4+4*buf.Len()*len(buf.cols)))
 	for c := range buf.cols {
 		buf.cols[c] = buf.cols[c][:0]
 	}
@@ -167,23 +167,30 @@ func (r *router) write(p int) error {
 type spillCounters struct {
 	bytes     atomic.Int64
 	bytesRead atomic.Int64
+	rows      [2]struct{ written, read atomic.Int64 } // by sideKind
 	parts     atomic.Int64
 	depth     atomic.Int32
 }
 
-func (c *spillCounters) addBytes(n int64) {
-	if n > 0 {
-		c.bytes.Add(n)
-	}
+// sideKind says which side of a spilled join a spill file holds.
+type sideKind int
+
+const (
+	buildSide sideKind = iota
+	probeSide
+)
+
+// wrote accounts one chunk of rows written to a side's spill file.
+func (c *spillCounters) wrote(side sideKind, rows, bytes int64) {
+	c.rows[side].written.Add(rows)
+	c.bytes.Add(bytes)
 }
 
-// addBytesRead accounts encoded bytes decoded back from spill files —
-// callers report a reader's BytesRead once per file (or per drain), never
-// per row.
-func (c *spillCounters) addBytesRead(n int64) {
-	if n > 0 {
-		c.bytesRead.Add(n)
-	}
+// readBack accounts what a reader of a side's spill file decoded —
+// callers report it once per file (or per drain), never per row.
+func (c *spillCounters) readBack(side sideKind, r *spill.Reader) {
+	c.rows[side].read.Add(r.RowsRead())
+	c.bytesRead.Add(r.BytesRead())
 }
 
 func (c *spillCounters) addParts(n int64) { c.parts.Add(n) }
@@ -199,10 +206,14 @@ func (c *spillCounters) bumpDepth(d int) {
 
 func (c *spillCounters) snapshot() SpillStat {
 	return SpillStat{
-		Bytes:      c.bytes.Load(),
-		BytesRead:  c.bytesRead.Load(),
-		Partitions: int(c.parts.Load()),
-		Depth:      int(c.depth.Load()),
+		Bytes:            c.bytes.Load(),
+		BytesRead:        c.bytesRead.Load(),
+		BuildRowsWritten: c.rows[buildSide].written.Load(),
+		ProbeRowsWritten: c.rows[probeSide].written.Load(),
+		BuildRowsRead:    c.rows[buildSide].read.Load(),
+		ProbeRowsRead:    c.rows[probeSide].read.Load(),
+		Partitions:       int(c.parts.Load()),
+		Depth:            int(c.depth.Load()),
 	}
 }
 
@@ -232,16 +243,16 @@ func (ex *executor) cleanupSpill() {
 	}
 }
 
-// eachChunk streams a finished spill file's chunks to fn in file order,
-// accounting the decoded bytes to rec and closing the reader however the
-// pass ends.
-func eachChunk(w *spill.Writer, rec *spillCounters, fn func(cols [][]int32) error) error {
+// eachChunk streams a finished spill file of one side's chunks to fn in
+// file order, accounting what it decoded to rec and closing the reader
+// however the pass ends.
+func eachChunk(w *spill.Writer, rec *spillCounters, side sideKind, fn func(cols [][]int32) error) error {
 	r, err := w.Reader()
 	if err != nil {
 		return err
 	}
 	defer func() {
-		rec.addBytesRead(r.BytesRead())
+		rec.readBack(side, r)
 		r.Close()
 	}()
 	for {
@@ -255,10 +266,11 @@ func eachChunk(w *spill.Writer, rec *spillCounters, fn func(cols [][]int32) erro
 	}
 }
 
-// readSpill materializes a whole spill file as one row set covering rels.
+// readSpill materializes a whole build-side spill file as one row set
+// covering rels.
 func readSpill(w *spill.Writer, rels query.RelSet, rec *spillCounters) (*RowSet, error) {
 	rs := NewRowSetCap(rels, int(w.Rows()))
-	err := eachChunk(w, rec, func(cols [][]int32) error {
+	err := eachChunk(w, rec, buildSide, func(cols [][]int32) error {
 		for c := range rs.cols {
 			rs.cols[c] = append(rs.cols[c], cols[c]...)
 		}

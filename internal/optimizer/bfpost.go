@@ -70,7 +70,7 @@ func (o *optimizer) postProcess(p *plan.Plan) {
 			if h.H2MinApplyRows > 0 && o.est.BaseRows(c.OuterRel) <= h.H2MinApplyRows {
 				continue
 			}
-			if h.H3FKLosslessPK && o.est.LosslessPK(c.OuterRel, c.OuterCol, c.InnerRel, c.InnerCol, delta) {
+			if h.H3FKLosslessPK && o.est.LosslessPK(c.OuterRel, []string{c.OuterCol}, c.InnerRel, []string{c.InnerCol}, delta) {
 				continue
 			}
 			frac := o.est.SemiJoinFraction(c.OuterRel, c.OuterCol, c.InnerRel, c.InnerCol, delta)

@@ -174,7 +174,7 @@ func bloomMayFilterProbe(jt query.JoinType, mirrored bool) bool {
 func (o *optimizer) markCandidates() {
 	h := o.opts.Heuristics
 	seen := make(map[[2]int]map[[2]string]bool)
-	add := func(applyRel int, applyCol string, buildRel int, buildCol string, mirrored, fromH9 bool) {
+	add := func(applyRel int, applyCol string, buildRel int, buildCol string, mirrored, fromH9, equated bool) {
 		if h.H2MinApplyRows > 0 && o.est.BaseRows(applyRel) <= h.H2MinApplyRows {
 			return
 		}
@@ -191,7 +191,7 @@ func (o *optimizer) markCandidates() {
 			id:       len(o.cands),
 			applyRel: applyRel, applyCol: applyCol,
 			buildRel: buildRel, buildCol: buildCol,
-			mirrored: mirrored, fromH9: fromH9,
+			mirrored: mirrored, fromH9: fromH9, equated: equated,
 		})
 	}
 
@@ -218,7 +218,7 @@ func (o *optimizer) markCandidates() {
 				o.est.BaseRows(e.Rel) < o.est.BaseRows(smallest.Rel) {
 				continue
 			}
-			add(e.Rel, e.Col, smallest.Rel, smallest.Col, false, false)
+			add(e.Rel, e.Col, smallest.Rel, smallest.Col, false, false, true)
 		}
 	}
 
@@ -228,10 +228,10 @@ func (o *optimizer) markCandidates() {
 			// unit; whichever of the two a hash join builds on may filter
 			// the other, where bloomMayFilterProbe allows it.
 			if bloomMayFilterProbe(c.Type, false) {
-				add(c.LeftRel, c.LeftCol, c.RightRel, c.RightCol, false, false)
+				add(c.LeftRel, c.LeftCol, c.RightRel, c.RightCol, false, false, false)
 			}
 			if bloomMayFilterProbe(c.Type, true) {
-				add(c.RightRel, c.RightCol, c.LeftRel, c.LeftCol, true, false)
+				add(c.RightRel, c.RightCol, c.LeftRel, c.LeftCol, true, false, false)
 			}
 			continue
 		}
@@ -243,20 +243,20 @@ func (o *optimizer) markCandidates() {
 		}
 		lRows, rRows := o.est.BaseRows(c.LeftRel), o.est.BaseRows(c.RightRel)
 		if h.H9BothSides {
-			add(c.LeftRel, c.LeftCol, c.RightRel, c.RightCol, false, lRows < rRows)
-			add(c.RightRel, c.RightCol, c.LeftRel, c.LeftCol, false, rRows < lRows)
+			add(c.LeftRel, c.LeftCol, c.RightRel, c.RightCol, false, lRows < rRows, true)
+			add(c.RightRel, c.RightCol, c.LeftRel, c.LeftCol, false, rRows < lRows, true)
 			continue
 		}
 		if h.H1LargerOnly {
 			if lRows >= rRows {
-				add(c.LeftRel, c.LeftCol, c.RightRel, c.RightCol, false, false)
+				add(c.LeftRel, c.LeftCol, c.RightRel, c.RightCol, false, false, true)
 			} else {
-				add(c.RightRel, c.RightCol, c.LeftRel, c.LeftCol, false, false)
+				add(c.RightRel, c.RightCol, c.LeftRel, c.LeftCol, false, false, true)
 			}
 			continue
 		}
-		add(c.LeftRel, c.LeftCol, c.RightRel, c.RightCol, false, false)
-		add(c.RightRel, c.RightCol, c.LeftRel, c.LeftCol, false, false)
+		add(c.LeftRel, c.LeftCol, c.RightRel, c.RightCol, false, false, true)
+		add(c.RightRel, c.RightCol, c.LeftRel, c.LeftCol, false, false, true)
 	}
 
 	if h.MultiColumn {
@@ -386,8 +386,7 @@ func (o *optimizer) phase1() {
 			// Heuristic 3: an FK apply column referencing a PK build
 			// column that stays lossless under this δ will filter
 			// nothing — prune the δ.
-			if h.H3FKLosslessPK && c.applyCol2 == "" &&
-				o.est.LosslessPK(c.applyRel, c.applyCol, c.buildRel, c.buildCol, inner) {
+			if h.H3FKLosslessPK && o.losslessPK(c, inner) {
 				continue
 			}
 			// Heuristic 9's guard: only keep δs whose build side is
@@ -414,6 +413,15 @@ func (o *optimizer) applyHeuristic8() {
 
 // ---------------------------------------------------------------------------
 // Base plan construction, including Bloom filter sub-plan costing (§3.5).
+
+// losslessPK is the candidate-generic Heuristic 3 test: composite
+// candidates read the catalog's composite keys.
+func (o *optimizer) losslessPK(c *candidate, d query.RelSet) bool {
+	if c.applyCol2 != "" {
+		return o.est.LosslessPK(c.applyRel, []string{c.applyCol, c.applyCol2}, c.buildRel, []string{c.buildCol, c.buildCol2}, d)
+	}
+	return o.est.LosslessPK(c.applyRel, []string{c.applyCol}, c.buildRel, []string{c.buildCol}, d)
+}
 
 // keptFraction is the candidate-generic Bloom reduction factor: composite
 // candidates (the §5 multi-column extension) use the pair estimator.
@@ -717,9 +725,12 @@ func (o *optimizer) combine(j *joinSite, pa, pb *subPlan, list *planList) {
 		pending, scratch = pa.pending, false
 	}
 
+	// A filter that another pending filter implies enters once.
 	rows := j.card
-	for _, p := range pending {
-		rows *= p.factor
+	for i, p := range pending {
+		if !implied(pending, i) {
+			rows *= p.factor
+		}
 	}
 
 	hc, streaming := o.hashJoinCost(j.mirrored, pa.rows, pb.rows)

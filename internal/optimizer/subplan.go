@@ -27,6 +27,12 @@ type candidate struct {
 	mirrored bool
 	// fromH9 marks candidates produced by the permissive Heuristic 9.
 	fromH9 bool
+	// equated marks a single-column candidate from an inner clause or
+	// class, so its apply and build columns are in one inner equivalence
+	// class: any other such candidate from the same build column is applied
+	// to a column every join set holding both apply relations equates with
+	// its own (see implied).
+	equated bool
 	// deltas is Δ: the valid build-side relation sets observed in phase 1,
 	// each once, in visit order.
 	deltas []query.RelSet
@@ -43,6 +49,31 @@ type pendingBF struct {
 	factor float64
 	// bloomID is the plan.BloomSpec ID allocated for this application.
 	bloomID int
+}
+
+// implied reports whether another filter of pending implies pending[i], so
+// that pending[i]'s factor is already in the rows: one built from the same
+// column over a δ holding pending[i]'s (so its keys are a subset of
+// pending[i]'s), applied to a column of another relation that the joined
+// set equates with pending[i]'s. A row pair that joins on that column
+// passes both filters or neither. Of filters that imply each other (the
+// same δ), the one with the smallest factor, then the first, counts.
+func implied(pending []pendingBF, i int) bool {
+	p := pending[i]
+	if !p.cand.equated {
+		return false
+	}
+	for k, q := range pending {
+		if k == i || !q.cand.equated || q.cand.applyRel == p.cand.applyRel ||
+			q.cand.buildRel != p.cand.buildRel || q.cand.buildCol != p.cand.buildCol ||
+			!p.delta.SubsetOf(q.delta) {
+			continue
+		}
+		if q.delta != p.delta || q.factor < p.factor || (q.factor == p.factor && k < i) {
+			return true
+		}
+	}
+	return false
 }
 
 // subPlan is one entry in a relation set's plan-list: a costed physical

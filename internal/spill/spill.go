@@ -298,6 +298,7 @@ type Reader struct {
 	scratch []byte
 	bufs    [][]int32
 	read    int64
+	rows    int64
 }
 
 // Reader opens the writer's file for reading. Finish is implied.
@@ -351,12 +352,17 @@ func (r *Reader) Next() ([][]int32, error) {
 		}
 	}
 	r.read += int64(4 + 4*n*r.cols)
+	r.rows += int64(n)
 	return r.bufs, nil
 }
 
 // BytesRead returns the encoded bytes decoded so far — one add per chunk,
 // so read-back accounting costs nothing on the row path.
 func (r *Reader) BytesRead() int64 { return r.read }
+
+// RowsRead returns the rows decoded so far. Unlike BytesRead it does not
+// depend on how the writer cut its chunks.
+func (r *Reader) RowsRead() int64 { return r.rows }
 
 // Close releases the read handle.
 func (r *Reader) Close() error { return r.f.Close() }

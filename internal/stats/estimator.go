@@ -21,6 +21,32 @@ type Estimator struct {
 	baseRows []float64 // rows after local predicates, per relation
 	baseSel  []float64 // local predicate selectivity, per relation
 	joinCard map[query.RelSet]float64
+
+	// fks are the block's declared foreign keys, by referencing relation:
+	// each one the catalog declares onto the primary key of a table that is
+	// also a relation of the block.
+	fks [][]fkRef
+	// keyJoins are the relation pairs the block joins on every column of a
+	// composite key through a declared foreign key; keyClause marks, by
+	// clause index, the clauses that make them up. Both are nil in a block
+	// with no such pair.
+	keyJoins  []keyJoin
+	keyClause []bool
+}
+
+// fkRef is one declared foreign key between two relations of a block: the
+// referencing relation's cols (it is the fks index) reference keyCols, the
+// primary key of relation key, column for column.
+type fkRef struct {
+	key           int
+	cols, keyCols []string
+}
+
+// keyJoin is a relation pair joined on all of one side's composite key: the
+// pair's rows are the foreign-key side's, each matching exactly one key row.
+type keyJoin struct {
+	pair query.RelSet
+	sel  float64 // 1/|key side| before local predicates
 }
 
 // NewEstimator prepares an estimator for a validated block.
@@ -40,7 +66,63 @@ func NewEstimator(b *query.Block) *Estimator {
 		}
 		e.baseRows[i] = rows
 	}
+	e.indexKeys()
 	return e
+}
+
+// indexKeys reads the catalog's key declarations for the block: fks, and
+// the composite key joins among the block's own inner clauses. A
+// single-column foreign key keeps its clause's estimate.
+func (e *Estimator) indexKeys() {
+	rels := e.Block.Relations
+	e.fks = make([][]fkRef, len(rels))
+	for i, r := range rels {
+		for _, fk := range r.Table.ForeignKeys {
+			for k, ref := range rels {
+				if ref.Table.Name != fk.RefTable || !ref.Table.IsKey(fk.RefColumns()) {
+					continue
+				}
+				f := fkRef{key: k, cols: fk.Columns(), keyCols: fk.RefColumns()}
+				e.fks[i] = append(e.fks[i], f)
+				if len(f.cols) < 2 {
+					continue
+				}
+				if clauses := e.keyClauses(i, f); clauses != nil {
+					if e.keyClause == nil {
+						e.keyClause = make([]bool, len(e.Block.Clauses))
+					}
+					for _, c := range clauses {
+						e.keyClause[c] = true
+					}
+					e.keyJoins = append(e.keyJoins, keyJoin{
+						pair: query.NewRelSet(i, k),
+						sel:  1 / math.Max(ref.Table.RowCount, 1),
+					})
+				}
+			}
+		}
+	}
+}
+
+// keyClauses returns the indexes of the block's own inner clauses that join
+// relation rel to fk's key relation on each of fk's column pairs, or nil
+// if a pair has no such clause or its clause already makes up another key
+// join.
+func (e *Estimator) keyClauses(rel int, fk fkRef) []int {
+	clauses := make([]int, len(fk.cols))
+	for j, col := range fk.cols {
+		kc := fk.keyCols[j]
+		c := slices.IndexFunc(e.Block.Clauses, func(c query.JoinClause) bool {
+			return c.Type == query.Inner && !c.Derived &&
+				(c.LeftRel == rel && c.LeftCol == col && c.RightRel == fk.key && c.RightCol == kc ||
+					c.RightRel == rel && c.RightCol == col && c.LeftRel == fk.key && c.LeftCol == kc)
+		})
+		if c < 0 || (e.keyClause != nil && e.keyClause[c]) {
+			return nil
+		}
+		clauses[j] = c
+	}
+	return clauses
 }
 
 // BaseRows returns the estimated rows of relation i after local predicates.
@@ -110,10 +192,12 @@ func (e *Estimator) JoinCard(s query.RelSet) float64 {
 		rows *= e.baseRows[i]
 	}
 	// Inner clause selectivities among counted relations. Derived clauses
-	// are skipped so transitive closure does not double-count. Multiple
-	// clauses between the same relation pair (composite keys such as
-	// lineitem ⋈ partsupp on partkey AND suppkey) are highly correlated;
-	// assuming independence would underestimate by orders of magnitude, so
+	// are skipped so transitive closure does not double-count. A pair
+	// joined on every column of a declared composite key (lineitem ⋈
+	// partsupp on partkey AND suppkey) is a foreign-key join: its key
+	// clauses enter as one selectivity, 1/|key side|. Other clauses between
+	// the same relation pair may still be correlated, and assuming
+	// independence would underestimate by orders of magnitude, so
 	// selectivities beyond the most selective clause per pair enter with
 	// exponential backoff (s, √s, ∜s, ...), as SQL Server does. Pairs are
 	// kept in clause order: float multiplication is not associative, so a
@@ -123,8 +207,8 @@ func (e *Estimator) JoinCard(s query.RelSet) float64 {
 		sels []float64
 	}
 	var perPair []pairSels
-	for _, c := range e.Block.Clauses {
-		if c.Type != query.Inner || c.Derived {
+	for ci, c := range e.Block.Clauses {
+		if c.Type != query.Inner || c.Derived || (e.keyClause != nil && e.keyClause[ci]) {
 			continue
 		}
 		if counted.Has(c.LeftRel) && counted.Has(c.RightRel) {
@@ -135,6 +219,11 @@ func (e *Estimator) JoinCard(s query.RelSet) float64 {
 				perPair = append(perPair, pairSels{pair: pair})
 			}
 			perPair[i].sels = append(perPair[i].sels, e.ClauseSelectivity(c))
+		}
+	}
+	for _, k := range e.keyJoins {
+		if k.pair.SubsetOf(counted) {
+			rows *= k.sel
 		}
 	}
 	for _, p := range perPair {
@@ -275,10 +364,11 @@ func (e *Estimator) BloomKeptFraction(applyRel int, applyCol string, buildRel in
 
 // CompositeKeptFraction estimates the reduction of a multi-column Bloom
 // filter over the pair (applyRel.c1, applyRel.c2) = (buildRel.b1, b2) with
-// build side delta. Composite keys of a child table referencing a pair
-// table (lineitem -> partsupp) hit exactly one build pair per probe row, so
-// the kept fraction is the fraction of build pairs surviving within δ, plus
-// the filter's false-positive leakage (§5 future-work extension).
+// build side delta. The planner's one composite candidate in TPC-H is the
+// declared foreign key lineitem (l_partkey, l_suppkey) → partsupp's key:
+// each probe row hits exactly one build row, so the kept fraction is the
+// fraction of build rows surviving within δ, plus the filter's
+// false-positive leakage (§5 future-work extension).
 func (e *Estimator) CompositeKeptFraction(applyRel, buildRel int, delta query.RelSet) float64 {
 	base := math.Max(e.Block.Relations[buildRel].Table.RowCount, 1)
 	eff := e.baseRows[buildRel] * e.relKeptFraction(buildRel, delta, 0)
@@ -294,27 +384,41 @@ func (e *Estimator) CompositeKeptFraction(applyRel, buildRel int, delta query.Re
 }
 
 // CompositeBuildNDV estimates the distinct composite keys the build side
-// inserts: its surviving rows (pairs are near-unique in a pair table).
+// inserts: its surviving rows, since the pair is the build table's key.
 func (e *Estimator) CompositeBuildNDV(buildRel int, delta query.RelSet) float64 {
 	return e.baseRows[buildRel] * e.relKeptFraction(buildRel, delta, 0)
 }
 
-// FKToPK reports whether the clause applyRel.applyCol -> buildRel.buildCol
-// is a foreign key referencing that primary key, the precondition of
-// Heuristic 3.
-func (e *Estimator) FKToPK(applyRel int, applyCol string, buildRel int, buildCol string) bool {
-	at := e.Block.Relations[applyRel].Table
-	bt := e.Block.Relations[buildRel].Table
-	fk, ok := at.ForeignKeyOn(applyCol)
-	return ok && fk.RefTable == bt.Name && fk.RefCol == buildCol && bt.IsPrimaryKey(buildCol)
+// FKToPK reports whether applyRel's applyCols are a declared foreign key
+// onto buildCols, buildRel's primary key, column for column: the
+// precondition of Heuristic 3. A composite key's columns may come in any
+// order, each paired with the column it references.
+func (e *Estimator) FKToPK(applyRel int, applyCols []string, buildRel int, buildCols []string) bool {
+	for _, fk := range e.fks[applyRel] {
+		if fk.key != buildRel || len(fk.cols) != len(applyCols) || len(buildCols) != len(applyCols) {
+			continue
+		}
+		matched := true
+		for i, c := range applyCols {
+			j := slices.Index(fk.cols, c)
+			if j < 0 || fk.keyCols[j] != buildCols[i] {
+				matched = false
+				break
+			}
+		}
+		if matched {
+			return true
+		}
+	}
+	return false
 }
 
 // LosslessPK reports whether, for an FK→PK Bloom filter candidate, the
 // primary-key build side loses no keys under delta: no local predicate on
 // the build relation and no reduction from other delta members. In that
 // case the Bloom filter cannot remove any probe rows (Heuristic 3, §3.4).
-func (e *Estimator) LosslessPK(applyRel int, applyCol string, buildRel int, buildCol string, delta query.RelSet) bool {
-	if !e.FKToPK(applyRel, applyCol, buildRel, buildCol) {
+func (e *Estimator) LosslessPK(applyRel int, applyCols []string, buildRel int, buildCols []string, delta query.RelSet) bool {
+	if !e.FKToPK(applyRel, applyCols, buildRel, buildCols) {
 		return false
 	}
 	if e.baseSel[buildRel] < 0.999999 {

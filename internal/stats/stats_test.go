@@ -3,11 +3,14 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"bfcbo/internal/catalog"
+	"bfcbo/internal/datagen"
 	"bfcbo/internal/query"
+	"bfcbo/internal/tpch"
 )
 
 func statTable() *catalog.Table {
@@ -230,13 +233,13 @@ func TestSemiJoinFractionFKLossless(t *testing.T) {
 	if frac < 0.999 {
 		t.Fatalf("lossless PK semi-join fraction = %v, want 1", frac)
 	}
-	if !e.FKToPK(1, "c2", 2, "c1") {
+	if !e.FKToPK(1, []string{"c2"}, 2, []string{"c1"}) {
 		t.Fatal("FKToPK should hold for t2.c2 -> t3.c1")
 	}
-	if e.FKToPK(0, "c2", 1, "c1") {
+	if e.FKToPK(0, []string{"c2"}, 1, []string{"c1"}) {
 		t.Fatal("FKToPK should not hold for t1.c2 -> t2.c1 (no FK declared)")
 	}
-	if !e.LosslessPK(1, "c2", 2, "c1", query.NewRelSet(2)) {
+	if !e.LosslessPK(1, []string{"c2"}, 2, []string{"c1"}, query.NewRelSet(2)) {
 		t.Fatal("LosslessPK should hold: t3 unfiltered")
 	}
 }
@@ -246,7 +249,7 @@ func TestLosslessPKBrokenByFilter(t *testing.T) {
 	// Put a predicate on t3: now its PK is filtered, Bloom filter useful.
 	b.Relations[2].Pred = query.CmpInt{Col: "c1", Op: query.LT, Val: 500_000}
 	e := NewEstimator(b)
-	if e.LosslessPK(1, "c2", 2, "c1", query.NewRelSet(2)) {
+	if e.LosslessPK(1, []string{"c2"}, 2, []string{"c1"}, query.NewRelSet(2)) {
 		t.Fatal("LosslessPK should fail once the PK side is filtered")
 	}
 	frac := e.SemiJoinFraction(1, "c2", 2, "c1", query.NewRelSet(2))
@@ -387,4 +390,125 @@ func TestJoinCardBitStable(t *testing.T) {
 			t.Fatalf("estimator %d: JoinCard bits %#x, first estimator gave %#x", i, got, want)
 		}
 	}
+}
+
+// Q9 joins lineitem to partsupp on (partkey, suppkey), every column of
+// partsupp's composite key, through lineitem's declared foreign key: every
+// lineitem row matches exactly one partsupp row, so the estimate is
+// |lineitem|. Without the declaration the two clauses fall back to the
+// exponential backoff, which underestimates the pair tenfold.
+func TestJoinCardCompositeKey(t *testing.T) {
+	ds, err := datagen.Generate(datagen.Config{ScaleFactor: 0.02, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, _ := tpch.Get(9)
+	b := q.Build(ds.Schema)
+	l, ps := relIndex(t, b, "l"), relIndex(t, b, "ps")
+	pair := query.NewRelSet(l, ps)
+	lineitem := ds.Schema.MustTable("lineitem")
+	got := NewEstimator(b).JoinCard(pair)
+	if got < lineitem.RowCount/2 || got > 2*lineitem.RowCount {
+		t.Fatalf("JoinCard({l, ps}) = %.0f, want within 2x of |lineitem| = %.0f", got, lineitem.RowCount)
+	}
+
+	undeclared := *lineitem
+	undeclared.ForeignKeys = slices.DeleteFunc(slices.Clone(lineitem.ForeignKeys),
+		func(fk catalog.ForeignKey) bool { return len(fk.Cols) > 0 })
+	b.Relations[l].Table = &undeclared
+	if backoff := NewEstimator(b).JoinCard(pair); backoff > lineitem.RowCount/2 {
+		t.Fatalf("without the composite foreign key JoinCard({l, ps}) = %.0f; the declaration should be what moves it", backoff)
+	}
+}
+
+// A pair joined on a composite key plus a further clause keeps that
+// clause's selectivity on top of the key's; a pair joined on only part of
+// the key is not a key join.
+func TestJoinCardCompositeKeyPartial(t *testing.T) {
+	key := catalog.NewTable("k", 1000, []catalog.Column{
+		{Name: "a", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: 100}},
+		{Name: "b", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: 10}},
+		{Name: "v", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: 50}},
+	})
+	key.PrimaryKeyCols = []string{"a", "b"}
+	fk := catalog.NewTable("f", 1e5, []catalog.Column{
+		{Name: "fa", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: 100}},
+		{Name: "fb", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: 10}},
+		{Name: "fv", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: 50}},
+	})
+	fk.ForeignKeys = []catalog.ForeignKey{{Cols: []string{"fa", "fb"}, RefTable: "k", RefCols: []string{"a", "b"}}}
+	block := func(clauses ...query.JoinClause) *query.Block {
+		return &query.Block{Name: "fk", Relations: []query.Relation{{Alias: "f", Table: fk}, {Alias: "k", Table: key}}, Clauses: clauses}
+	}
+	a := query.JoinClause{Type: query.Inner, LeftRel: 0, LeftCol: "fa", RightRel: 1, RightCol: "a"}
+	bb := query.JoinClause{Type: query.Inner, LeftRel: 1, LeftCol: "b", RightRel: 0, RightCol: "fb"}
+	v := query.JoinClause{Type: query.Inner, LeftRel: 0, LeftCol: "fv", RightRel: 1, RightCol: "v"}
+	both := query.NewRelSet(0, 1)
+	if got := NewEstimator(block(a, bb)).JoinCard(both); math.Abs(got-1e5) > 1e-6 {
+		t.Fatalf("key join = %v, want |f| = 1e5", got)
+	}
+	if got := NewEstimator(block(a, bb, v)).JoinCard(both); math.Abs(got-1e5/50) > 1e-6 {
+		t.Fatalf("key join with a further clause = %v, want |f|/50 = 2000", got)
+	}
+	if got, want := NewEstimator(block(a, v)).JoinCard(both), 1e5*1000/100*math.Sqrt(1.0/50); math.Abs(got-want) > 1e-6*want {
+		t.Fatalf("join on part of the key = %v, want the backoff's %v", got, want)
+	}
+}
+
+// FKToPK and LosslessPK read a composite foreign key, its columns paired in
+// any order, and a multi-column Bloom filter onto that key keeps the key
+// side's surviving share.
+func TestCompositeForeignKeyReadsTheKey(t *testing.T) {
+	key := catalog.NewTable("k", 1000, []catalog.Column{
+		{Name: "a", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: 100, Min: 0, Max: 99}},
+		{Name: "b", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: 10, Min: 0, Max: 9}},
+	})
+	key.PrimaryKeyCols = []string{"a", "b"}
+	fk := catalog.NewTable("f", 1e5, []catalog.Column{
+		{Name: "fa", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: 100}},
+		{Name: "fb", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: 10}},
+	})
+	b := &query.Block{Name: "fk",
+		Relations: []query.Relation{{Alias: "f", Table: fk}, {Alias: "k", Table: key, Pred: query.CmpInt{Col: "a", Op: query.LT, Val: 10}}},
+		Clauses: []query.JoinClause{
+			{Type: query.Inner, LeftRel: 0, LeftCol: "fa", RightRel: 1, RightCol: "a"},
+			{Type: query.Inner, LeftRel: 0, LeftCol: "fb", RightRel: 1, RightCol: "b"},
+		},
+	}
+	e := NewEstimator(b)
+	apply, build, delta := []string{"fb", "fa"}, []string{"b", "a"}, query.NewRelSet(1)
+	if e.FKToPK(0, apply, 1, build) {
+		t.Fatal("FKToPK holds with no foreign key declared")
+	}
+	fk.ForeignKeys = []catalog.ForeignKey{{Cols: []string{"fa", "fb"}, RefTable: "k", RefCols: []string{"a", "b"}}}
+	e = NewEstimator(b)
+	if !e.FKToPK(0, apply, 1, build) {
+		t.Fatal("FKToPK should pair (fb, fa) with (b, a) in any column order")
+	}
+	if e.FKToPK(0, []string{"fa", "fb"}, 1, build) || e.FKToPK(0, []string{"fa"}, 1, []string{"a"}) {
+		t.Fatal("FKToPK holds on a mispaired or partial key")
+	}
+	want := 0.1 + 0.9*ModelFPR // the key side keeps a < 10: a tenth of its rows
+	if got := e.CompositeKeptFraction(0, 1, delta); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("kept %v, want %v", got, want)
+	}
+	if got := e.CompositeBuildNDV(1, delta); math.Abs(got-100) > 1e-9 {
+		t.Fatalf("CompositeBuildNDV = %v, want the key side's 100 surviving rows", got)
+	}
+	if e.LosslessPK(0, apply, 1, build, delta) {
+		t.Fatal("LosslessPK holds though the key side is filtered")
+	}
+	b.Relations[1].Pred = nil
+	if e = NewEstimator(b); !e.LosslessPK(0, apply, 1, build, delta) {
+		t.Fatal("LosslessPK should hold on an unfiltered composite key side")
+	}
+}
+
+func relIndex(t *testing.T, b *query.Block, alias string) int {
+	t.Helper()
+	i := slices.IndexFunc(b.Relations, func(r query.Relation) bool { return r.Alias == alias })
+	if i < 0 {
+		t.Fatalf("block %s has no relation %q", b.Name, alias)
+	}
+	return i
 }
