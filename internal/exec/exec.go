@@ -414,10 +414,11 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	// Publish the run to the in-flight inspector. Planned morsel counts
 	// fix each pipeline's progress denominator up front, exactly: the
 	// shared cursor claims every morsel of its scan. A snapshot reads the
-	// scan's own counters (one observation per claimed morsel, every row
-	// of it scanned, however many morsels a batch spans) and the last
-	// operator's output rows. Deregistration is deferred, covering every
-	// exit path.
+	// scan's own counters, which each batch folds once: the morsels it
+	// claimed and every row of them scanned, however many morsels it
+	// spans, so progress moves a batch at a time and ends at the planned
+	// count. It reads the last operator's output rows too. Deregistration
+	// is deferred, covering every exit path.
 	if opts.Inspector != nil {
 		lq := obs.NewLiveQuery(ticket.ID(), block.Name, ex.fpHex, p.Mode)
 		for _, pl := range pipes {

@@ -53,10 +53,16 @@ type opStats struct {
 	emitNanos   atomic.Int64
 }
 
-func (s *opStats) observe(rowsIn, rowsOut int, d time.Duration) {
+// observe folds one batch in.
+func (s *opStats) observe(rowsIn, rowsOut int, d time.Duration) { s.fold(1, rowsIn, rowsOut, d) }
+
+// fold adds batches batches, their rows and their wall time with one
+// atomic add a counter. A scan folds once per batch it hands out, with
+// the morsels the batch claimed as its batches.
+func (s *opStats) fold(batches, rowsIn, rowsOut int, d time.Duration) {
 	s.rowsIn.Add(int64(rowsIn))
 	s.rowsOut.Add(int64(rowsOut))
-	s.batches.Add(1)
+	s.batches.Add(int64(batches))
 	s.wallNanos.Add(int64(d))
 }
 
@@ -79,8 +85,9 @@ type OpStat struct {
 	// For sources RowsIn counts rows scanned before filtering.
 	RowsIn, RowsOut int64
 	// Batches is, for a scan, the number of morsels it claimed (one batch
-	// it hands out may span several); for a probe, the number of input
-	// batches it processed, plus a mirrored join's sweep batches.
+	// it hands out may span several, and it folds their count once per
+	// batch); for a probe, the number of input batches it processed, plus
+	// a mirrored join's sweep batches.
 	Batches int64
 	// Wall is the summed in-operator wall time across workers (it can
 	// exceed the pipeline's elapsed time under parallelism).

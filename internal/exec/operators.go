@@ -68,9 +68,9 @@ func (ex *executor) newScanSource(s *plan.Scan, stats *opStats) (*scanSource, er
 
 // runtime snapshots the scan's execution counters and adds its filters'
 // rows in and out to their BloomRuntime records; called once, after the
-// pipeline's workers folded their locals at Close. The scan observes once
-// per morsel it claims, not once per batch it hands out (a batch may span
-// morsels), so its batch count is the morsel count.
+// pipeline's workers folded their locals at Close. Each batch the scan
+// hands out folds the morsels it claimed as its batch count (a batch may
+// span morsels), so the scan's batch count is the morsel count.
 func (src *scanSource) runtime() ScanRuntime {
 	rt := ScanRuntime{
 		Rel: src.s.Rel, Alias: src.s.Alias,
@@ -128,29 +128,37 @@ func (o *scanOp) Close() error {
 // the chain's first member reads the morsel's dense rows [lo, hi) and
 // writes only the ids it keeps into the vector's tail, and the members
 // after it, the rest of the predicates and then the Bloom filters, compact
-// those in place. This is the only way a scan drops rows. Everything else
-// stays per morsel: the stop check before each claim (a stopped fill
-// returns nil) and one observe. Row ids are global, so a batch may span
-// morsels; its one column is the kept prefix of the worker's selection
-// vector, and nothing is copied.
+// those in place. This is the only way a scan drops rows. The stop check
+// stays per morsel, before each claim; the clock and the shared counters
+// are read once per batch: one fold adds the morsels the batch claimed,
+// their rows and the rows they kept, also when a stop cuts the batch short
+// (a stopped fill returns nil), so every total is what one observation per
+// morsel would sum to. Row ids are global, so a batch may span morsels;
+// its one column is the kept prefix of the worker's selection vector, and
+// nothing is copied.
 func (o *scanOp) NextBatch() (*RowSet, error) {
 	src := o.src
-	n := 0
+	start := time.Now()
+	n, morsels, rows := 0, 0, 0
+	stopped := false
 	for n < src.morsel {
 		if src.stop != nil && src.stop.Load() {
-			return nil, nil
+			stopped = true
+			break
 		}
 		lo := int(src.cursor.Add(int64(src.morsel))) - src.morsel
 		if lo >= src.n {
 			break
 		}
 		hi := min(lo+src.morsel, src.n)
-		start := time.Now()
-		sel := o.chain.EvalRange(lo, o.sel[n:n+hi-lo])
-		src.stats.observe(hi-lo, len(sel), time.Since(start))
-		n += len(sel)
+		n += len(o.chain.EvalRange(lo, o.sel[n:n+hi-lo]))
+		morsels++
+		rows += hi - lo
 	}
-	if n == 0 {
+	if morsels > 0 {
+		src.stats.fold(morsels, rows, n, time.Since(start))
+	}
+	if stopped || n == 0 {
 		return nil, nil
 	}
 	o.out.cols[0] = o.sel[:n]

@@ -3,8 +3,10 @@ package exec
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bfcbo/internal/catalog"
@@ -305,4 +307,148 @@ func TestExplainScanCounters(t *testing.T) {
 			t.Fatalf("Q%d: %d rows/batch fields for %d probes:\n%s", tc.num, strings.Count(out, "rows/batch="), joins, out)
 		}
 	}
+}
+
+// scanBatches records, per scan, the sizes of the batches its workers'
+// scans hand out, through batchSizes's hook.
+type scanBatches struct {
+	mu  sync.Mutex
+	ops map[*plan.Scan][]*sizeOp
+}
+
+func (s *scanBatches) hook(pl *plan.Pipeline, w int, op PhysicalOperator) PhysicalOperator {
+	var rec batchSizes
+	op = rec.hook(pl, w, op)
+	s.mu.Lock()
+	s.ops[pl.Source] = append(s.ops[pl.Source], rec.ops...)
+	s.mu.Unlock()
+	return op
+}
+
+// A scan folds its counters once per batch, and they stay exact: over
+// TPC-H blocks under BF-CBO, whose scans apply predicates and Bloom
+// filters, at DOP 1 and 4 and at a morsel size that makes batches span
+// many morsels, each scan's OpStat.Batches and ScanRuntime.Morsels are the
+// morsels it claimed, RowsIn its table's rows and RowsOut the rows of the
+// batches it handed out.
+func TestScanCountsExact(t *testing.T) {
+	ds := equivalenceDataset(t)
+	opts := optimizer.DefaultOptions(0.01)
+	opts.Mode = optimizer.BFCBO
+	for _, num := range []int{3, 6, 9, 19} {
+		q, _ := tpch.Get(num)
+		block := q.Build(ds.Schema)
+		res, err := optimizer.Optimize(block, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dop := range []int{1, 4} {
+			for _, morsel := range []int{64, DefaultMorselSize} {
+				what := fmt.Sprintf("Q%d dop %d morsel %d", num, dop, morsel)
+				rec := &scanBatches{ops: map[*plan.Scan][]*sizeOp{}}
+				r, err := Run(ds.DB, block, res.Plan, Options{DOP: dop, morselSize: morsel, injectOp: rec.hook})
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				for _, s := range res.Plan.Scans() {
+					st := r.StatFor(s)
+					if st == nil {
+						t.Fatalf("%s: no OpStat for scan %s", what, s.Alias)
+					}
+					var sc *ScanRuntime
+					for i := range r.Scans {
+						if r.Scans[i].Alias == s.Alias {
+							sc = &r.Scans[i]
+						}
+					}
+					tbl, err := ds.DB.Table(s.Table)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rows := int64(tbl.NumRows())
+					morsels := (rows + int64(morsel) - 1) / int64(morsel)
+					var kept int64
+					for _, op := range rec.ops[s] {
+						for _, n := range op.sizes {
+							kept += int64(n)
+						}
+					}
+					if sc == nil || st.Batches != morsels || sc.Morsels != morsels {
+						t.Errorf("%s: scan %s: Batches %d, ScanRuntime %+v, want %d morsels", what, s.Alias, st.Batches, sc, morsels)
+					}
+					if st.RowsIn != rows || st.RowsOut != kept {
+						t.Errorf("%s: scan %s: rows in %d out %d, want %d in and the %d rows of its batches out",
+							what, s.Alias, st.RowsIn, st.RowsOut, rows, kept)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A batch that the stop flag cuts short still folds the morsels it
+// evaluated: a scan whose predicate keeps one row in 8 192 fills a batch
+// of 64-row morsels only after 8 192 of them, and the stop flag, set once
+// the scan has claimed 64, ends the batch long before that. NextBatch
+// then returns no batch, and the scan's counters hold every morsel it
+// claimed, every row of them and the rows they kept.
+func TestScanStopFoldsItsMorsels(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the stop flag is set by a second goroutine while the scan runs")
+	}
+	const rows, morsel, every = 1 << 20, 64, 8192
+	vals := make([]int64, rows)
+	for i := 0; i < rows; i += every {
+		vals[i] = 1
+	}
+	tbl, err := storage.NewTable("stop", []storage.Column{{Name: "v", Kind: catalog.Int64, Ints: vals}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernels, err := query.Compile(query.CmpInt{Col: "v", Op: query.EQ, Val: 1}, tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for try := 0; try < 10; try++ {
+		var stop atomic.Bool
+		src := &scanSource{
+			s: &plan.Scan{Alias: "s", Table: "stop"}, kernels: kernels, preds: len(kernels),
+			n: rows, morsel: morsel, stats: &opStats{}, stop: &stop,
+			in: make([]atomic.Int64, len(kernels)), out: make([]atomic.Int64, len(kernels)),
+		}
+		op := &scanOp{src: src}
+		if err := op.Open(); err != nil {
+			t.Fatal(err)
+		}
+		ready := make(chan struct{})
+		go func() {
+			close(ready)
+			for src.cursor.Load() < 64*morsel {
+			}
+			stop.Store(true)
+		}()
+		<-ready
+		b, err := op.NextBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if b != nil {
+			continue // the stop came after the batch filled: try again
+		}
+		claimed := src.cursor.Load()
+		st, rt := src.stats.snapshot(), src.runtime()
+		keptRows := (claimed + every - 1) / every
+		if st.Batches != claimed/morsel || rt.Morsels != claimed/morsel || st.RowsIn != claimed || st.RowsOut != keptRows {
+			t.Fatalf("stopped after claiming %d rows: Batches %d, Morsels %d, rows in %d out %d; want %d morsels, %d rows in, %d out",
+				claimed, st.Batches, rt.Morsels, st.RowsIn, st.RowsOut, claimed/morsel, claimed, keptRows)
+		}
+		if p := rt.Preds[0]; p.In != claimed || p.Out != keptRows {
+			t.Fatalf("stopped after claiming %d rows: predicate counted %+v", claimed, p)
+		}
+		return
+	}
+	t.Fatal("the stop flag never cut a batch short in 10 tries")
 }

@@ -23,13 +23,16 @@ import (
 // Compile and safe to share across scan workers.
 //
 // Every int64 predicate on one column, BETWEEN and all six compares,
-// compiles to one kernel and one unsigned compare (intRangeKernel). Its
-// dense entry has a vector form: on a CPU with AVX-512, vec.KeepRange tests
-// eight rows an instruction and writes the kept ids with one compress and
-// one store, and the kernel's Go loop goes on from the first row it left,
-// a partial block at most. Without AVX-512, or on another architecture,
-// the Go loop runs the whole range. Both keep the same ids in the same
-// order, so no count depends on the CPU.
+// compiles to one kernel and one unsigned compare (intRangeKernel). The
+// dense entries of every column kernel but dictMatch, and the gather
+// entries of betweenFloat and cmpCols, have a vector form: on a CPU with
+// AVX-512, a vec loop tests eight rows an instruction (sixteen dictionary
+// codes in dictEq's) and writes the kept ids with one compress and one
+// store, and the kernel's Go loop goes on from the first row it left: a
+// partial block at most, or a gather's block that holds an id outside the
+// column. Without AVX-512, or on another architecture, the Go loop runs
+// every row. Both keep the same ids in the same order, so no count depends
+// on the CPU.
 type Kernel interface {
 	// EvalBatch keeps the selected rows that satisfy the predicate,
 	// compacting sel in place, in its order, and returning the kept prefix.
@@ -144,9 +147,12 @@ func fillRange(lo int, sel []int32) []int32 {
 	return sel
 }
 
-// vectorLoops lets EvalRange run vec.KeepRange before its Go loop; the
-// tests turn it off (export_test.go) to run the Go loops alone.
+// vectorLoops lets the kernels run their vec loop before their Go loop;
+// the tests turn it off (export_test.go) to run the Go loops alone.
 var vectorLoops = true
+
+// vecCmp is splitOp's base compare as vec's.
+var vecCmp = [...]vec.Cmp{EQ: vec.EQ, LT: vec.LT, LE: vec.LE}
 
 // intRangeKernel is every int64 predicate on one column: it keeps the rows
 // whose value v has uint64(v-low) <= width, or, with neg, the rows that
@@ -252,10 +258,16 @@ func (k *cmpFloatKernel) EvalBatch(sel []int32) []int32 {
 	return sel[:n]
 }
 
+// EvalRange tests the whole blocks of eight rows with vec.CmpFloat where
+// the CPU can, then the rest in Go.
 func (k *cmpFloatKernel) EvalRange(lo int, sel []int32) []int32 {
 	vals, val := k.vals[lo:lo+len(sel)], k.val
 	base, neg := splitOp(k.op)
-	n, id := 0, int32(lo)
+	n, done := 0, 0
+	if vectorLoops {
+		n, done = vec.CmpFloat(vals, int32(lo), vecCmp[base], val, neg, sel)
+	}
+	vals, id := vals[done:], int32(lo+done)
 	switch base {
 	case EQ:
 		for _, v := range vals {
@@ -294,10 +306,15 @@ type betweenFloatKernel struct {
 	lo, hi float64
 }
 
+// EvalBatch gathers and tests the whole blocks of eight selected rows with
+// vec.BetweenFloatSel where the CPU can, then the rest in Go.
 func (k *betweenFloatKernel) EvalBatch(sel []int32) []int32 {
 	vals, lo, hi := k.vals, k.lo, k.hi
-	n := 0
-	for _, r := range sel {
+	n, done := 0, 0
+	if vectorLoops {
+		n, done = vec.BetweenFloatSel(vals, lo, hi, sel)
+	}
+	for _, r := range sel[done:] {
 		v := vals[r]
 		sel[n] = r
 		n += b2i(v >= lo) & b2i(v <= hi)
@@ -305,10 +322,16 @@ func (k *betweenFloatKernel) EvalBatch(sel []int32) []int32 {
 	return sel[:n]
 }
 
+// EvalRange tests the whole blocks of eight rows with vec.BetweenFloat
+// where the CPU can, then the rest in Go.
 func (k *betweenFloatKernel) EvalRange(lo int, sel []int32) []int32 {
 	vals, low, high := k.vals[lo:lo+len(sel)], k.lo, k.hi
-	n, id := 0, int32(lo)
-	for _, v := range vals {
+	n, done := 0, 0
+	if vectorLoops {
+		n, done = vec.BetweenFloat(vals, int32(lo), low, high, sel)
+	}
+	id := int32(lo + done)
+	for _, v := range vals[done:] {
 		sel[n] = id
 		n += b2i(v >= low) & b2i(v <= high)
 		id++
@@ -331,27 +354,32 @@ type cmpColsKernel struct {
 	op   CmpOp
 }
 
+// EvalBatch gathers and compares the whole blocks of eight selected rows
+// with vec.CmpColsSel where the CPU can, then the rest in Go.
 func (k *cmpColsKernel) EvalBatch(sel []int32) []int32 {
 	a, b := k.a, k.b
 	base, neg := splitOp(k.op)
-	n := 0
+	n, done := 0, 0
+	if vectorLoops {
+		n, done = vec.CmpColsSel(a, b, vecCmp[base], neg, sel)
+	}
 	switch base {
 	case EQ:
-		for _, r := range sel {
+		for _, r := range sel[done:] {
 			sel[n] = r
 			if (a[r] == b[r]) != neg {
 				n++
 			}
 		}
 	case LT:
-		for _, r := range sel {
+		for _, r := range sel[done:] {
 			sel[n] = r
 			if (a[r] < b[r]) != neg {
 				n++
 			}
 		}
 	case LE:
-		for _, r := range sel {
+		for _, r := range sel[done:] {
 			sel[n] = r
 			if (a[r] <= b[r]) != neg {
 				n++
@@ -361,11 +389,17 @@ func (k *cmpColsKernel) EvalBatch(sel []int32) []int32 {
 	return sel[:n]
 }
 
+// EvalRange compares the whole blocks of eight rows with vec.CmpCols
+// where the CPU can, then the rest in Go.
 func (k *cmpColsKernel) EvalRange(lo int, sel []int32) []int32 {
 	a := k.a[lo : lo+len(sel)]
 	b := k.b[lo : lo+len(a)]
 	base, neg := splitOp(k.op)
-	n, id := 0, int32(lo)
+	n, done := 0, 0
+	if vectorLoops {
+		n, done = vec.CmpCols(a, b, int32(lo), vecCmp[base], neg, sel)
+	}
+	a, b, id := a[done:], b[done:], int32(lo+done)
 	switch base {
 	case EQ:
 		for i, x := range a {
@@ -447,6 +481,8 @@ func (k *dictEqKernel) EvalBatch(sel []int32) []int32 {
 	return sel[:n]
 }
 
+// EvalRange tests the whole blocks of sixteen codes with vec.EqCodes
+// where the CPU can, then the rest in Go.
 func (k *dictEqKernel) EvalRange(lo int, sel []int32) []int32 {
 	if !k.present {
 		if k.neg {
@@ -455,8 +491,12 @@ func (k *dictEqKernel) EvalRange(lo int, sel []int32) []int32 {
 		return sel[:0]
 	}
 	codes, code, neg := k.codes[lo:lo+len(sel)], k.code, k.neg
-	n, id := 0, int32(lo)
-	for _, c := range codes {
+	n, done := 0, 0
+	if vectorLoops {
+		n, done = vec.EqCodes(codes, int32(lo), code, neg, sel)
+	}
+	id := int32(lo + done)
+	for _, c := range codes[done:] {
 		sel[n] = id
 		if (c == code) != neg {
 			n++
@@ -467,9 +507,9 @@ func (k *dictEqKernel) EvalRange(lo int, sel []int32) []int32 {
 }
 
 // dictMatchKernel evaluates an arbitrary string predicate as a code-table
-// lookup: the predicate ran once per distinct dictionary value at compile
-// time (the StrContains strategy from the issue — scan distinct entries,
-// then match codes), so the per-row work is two array loads.
+// lookup: the predicate ran once per distinct dictionary value, the first
+// time any run compiled it (dictMatch), so the per-row work is two array
+// loads.
 type dictMatchKernel struct {
 	kernelMeta
 	codes []int32
@@ -589,6 +629,9 @@ func (k *andKernel) EvalBatch(sel []int32) []int32 {
 }
 
 func compileNode(p Predicate, t *storage.Table) (Kernel, error) {
+	if col, test, w, ok := strTest(p); ok {
+		return dictMatch(p, t, col, w, test)
+	}
 	switch q := p.(type) {
 	case CmpInt:
 		c, err := t.Column(q.Col)
@@ -647,23 +690,6 @@ func compileNode(p Predicate, t *storage.Table) (Kernel, error) {
 		}
 		code, ok := d.Code(q.Val)
 		return &dictEqKernel{kernelMeta: meta(p, 1.0), codes: d.Codes, code: code, present: ok, neg: true}, nil
-	case StrIn:
-		return dictMatch(p, t, q.Col, 1.1, func(s string) bool {
-			for _, x := range q.Vals {
-				if s == x {
-					return true
-				}
-			}
-			return false
-		})
-	case StrPrefix:
-		return dictMatch(p, t, q.Col, 1.1, func(s string) bool {
-			return strings.HasPrefix(s, q.Prefix)
-		})
-	case StrContains:
-		return dictMatch(p, t, q.Col, 1.2, func(s string) bool {
-			return containsOrdered(s, q.Subs)
-		})
 	case Not:
 		inner, err := compileNode(q.P, t)
 		if err != nil {
@@ -673,12 +699,6 @@ func compileNode(p Predicate, t *storage.Table) (Kernel, error) {
 		case *dictEqKernel:
 			return &dictEqKernel{kernelMeta: meta(p, ik.w), codes: ik.codes,
 				code: ik.code, present: ik.present, neg: !ik.neg}, nil
-		case *dictMatchKernel:
-			inv := make([]bool, len(ik.match))
-			for i, m := range ik.match {
-				inv[i] = !m
-			}
-			return &dictMatchKernel{kernelMeta: meta(p, ik.w), codes: ik.codes, match: inv}, nil
 		default:
 			return &notKernel{kernelMeta: meta(p, inner.weight()+0.2), inner: inner}, nil
 		}
@@ -709,18 +729,39 @@ func compileNode(p Predicate, t *storage.Table) (Kernel, error) {
 	}
 }
 
-// dictMatch builds a match table by running fn once per distinct
-// dictionary value, turning any string predicate into a code lookup.
-func dictMatch(p Predicate, t *storage.Table, col string, w float64, fn func(string) bool) (Kernel, error) {
+// dictMatch compiles p, a string predicate that strTest knows, into a
+// code lookup. Its match table, the test run once per distinct dictionary
+// value, is kept on the dictionary (storage.Dict.Match), so a predicate
+// is matched once per dictionary, not once per run. The table's key is
+// the predicate's Go syntax, which, unlike its label, names every
+// constant unambiguously: StrIn{Vals: ["a','b"]} and StrIn{Vals: ["a",
+// "b"]} print the same label.
+func dictMatch(p Predicate, t *storage.Table, col string, w float64, test func(string) bool) (Kernel, error) {
 	d, err := t.Dict(col)
 	if err != nil {
 		return nil, err
 	}
-	match := make([]bool, len(d.Values))
-	for i, v := range d.Values {
-		match[i] = fn(v)
-	}
+	match := d.Match(fmt.Sprintf("%#v", p), test)
 	return &dictMatchKernel{kernelMeta: meta(p, w), codes: d.Codes, match: match}, nil
+}
+
+// strTest is the test of one string value for the predicates that compile
+// to a dictMatchKernel: IN, the LIKE forms and a NOT of any of them. w is
+// the kernel's weight, ok false for any other predicate.
+func strTest(p Predicate) (col string, test func(string) bool, w float64, ok bool) {
+	switch q := p.(type) {
+	case StrIn:
+		return q.Col, func(s string) bool { return slices.Contains(q.Vals, s) }, 1.1, true
+	case StrPrefix:
+		return q.Col, func(s string) bool { return strings.HasPrefix(s, q.Prefix) }, 1.1, true
+	case StrContains:
+		return q.Col, func(s string) bool { return containsOrdered(s, q.Subs) }, 1.2, true
+	case Not:
+		if col, test, w, ok := strTest(q.P); ok {
+			return col, func(s string) bool { return !test(s) }, w, true
+		}
+	}
+	return "", nil, 0, false
 }
 
 func containsOrdered(s string, subs []string) bool {

@@ -7,6 +7,7 @@ import (
 
 	"bfcbo/internal/catalog"
 	"bfcbo/internal/storage"
+	"bfcbo/internal/vec"
 )
 
 // Steady-state filter-kernel benchmarks. CI gates on -benchmem reporting
@@ -83,6 +84,44 @@ func BenchmarkEvalRangeDictString(b *testing.B) { runEvalRange(b, benchDictStrin
 func BenchmarkEvalRangeNested(b *testing.B)     { runEvalRange(b, benchNested) }
 func BenchmarkEvalBatchPassRate(b *testing.B)   { passRateSweep(b, false) }
 func BenchmarkEvalRangePassRate(b *testing.B)   { passRateSweep(b, true) }
+
+// The kernels with vector loops besides intRange's, one predicate each
+// through the chain, with the vector loops on ("avx512", skipped on a CPU
+// without them) and with the Go loops alone ("go"), in ns a row of the
+// 8 192-row table: a < b and f < 0.1 pass about half the rows, f between
+// 0.05 and 0.15 about as many, and s = 'gamma' one in nine.
+var (
+	benchCmpCols      = CmpCols{Col1: "a", Op: LT, Col2: "b"}
+	benchCmpFloat     = CmpFloat{Col: "f", Op: LT, Val: 0.1}
+	benchBetweenFloat = BetweenFloat{Col: "f", Lo: 0.05, Hi: 0.15}
+	benchDictEq       = StrEq{Col: "s", Val: "gamma"}
+)
+
+func BenchmarkEvalRangeCmpCols(b *testing.B)      { bothBenchLoops(b, runEvalRange, benchCmpCols) }
+func BenchmarkEvalRangeCmpFloat(b *testing.B)     { bothBenchLoops(b, runEvalRange, benchCmpFloat) }
+func BenchmarkEvalRangeBetweenFloat(b *testing.B) { bothBenchLoops(b, runEvalRange, benchBetweenFloat) }
+func BenchmarkEvalRangeDictEq(b *testing.B)       { bothBenchLoops(b, runEvalRange, benchDictEq) }
+func BenchmarkEvalBatchCmpCols(b *testing.B)      { bothBenchLoops(b, runEvalBatch, benchCmpCols) }
+func BenchmarkEvalBatchBetweenFloat(b *testing.B) { bothBenchLoops(b, runEvalBatch, benchBetweenFloat) }
+
+// bothBenchLoops runs one entry's benchmark of p with the vector loops on
+// and off, and reports ns a row.
+func bothBenchLoops(b *testing.B, run func(*testing.B, Predicate), p Predicate) {
+	for _, on := range []bool{true, false} {
+		name := "go"
+		if on {
+			name = "avx512"
+		}
+		b.Run(name, func(b *testing.B) {
+			if on && !vec.AVX512() {
+				b.Skip("the CPU lacks AVX-512 F/DQ/VL: only the Go loops run here")
+			}
+			defer setVectorLoops(on)()
+			run(b, p)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchRows, "ns/row")
+		})
+	}
+}
 
 // BenchmarkEvalRangeFilter runs a scan's chain with a Bloom filter member
 // through the dense entry: the filter alone (a scan with no predicate,

@@ -325,9 +325,18 @@ func TestKernelsMatchEvalExhaustiveTypes(t *testing.T) {
 			CmpFloat{Col: "f", Op: LE, Val: 0.05},
 			CmpFloat{Col: "f", Op: GT, Val: 0.05},
 			CmpFloat{Col: "f", Op: GE, Val: 0.05},
+			CmpCols{Col1: "a", Op: EQ, Col2: "b"},
+			CmpCols{Col1: "a", Op: NE, Col2: "b"},
 			CmpCols{Col1: "a", Op: LT, Col2: "b"},
+			CmpCols{Col1: "a", Op: LE, Col2: "b"},
+			CmpCols{Col1: "a", Op: GT, Col2: "b"},
+			CmpCols{Col1: "a", Op: GE, Col2: "b"},
 			BetweenInt{Col: "a", Lo: 10, Hi: 20},
 			BetweenFloat{Col: "f", Lo: 0.05, Hi: 0.07},
+			BetweenFloat{Col: "f", Lo: 0.07, Hi: 0.05},
+			BetweenFloat{Col: "f", Lo: math.NaN(), Hi: 0.1},
+			CmpFloat{Col: "f", Op: LE, Val: math.NaN()},
+			CmpFloat{Col: "f", Op: GT, Val: math.NaN()},
 			InInt{Col: "a", Vals: []int64{1, 4, 9, 16}},
 			InInt{Col: "a", Vals: []int64{4, 4, 9, 4}},
 			InInt{Col: "a", Vals: []int64{}},
@@ -342,6 +351,9 @@ func TestKernelsMatchEvalExhaustiveTypes(t *testing.T) {
 			StrContains{Col: "s", Subs: []string{"m", "green"}},
 			Not{P: StrEq{Col: "s", Val: "absent"}},
 			Not{P: StrNE{Col: "s", Val: "absent"}},
+			Not{P: StrEq{Col: "s", Val: "gamma"}},
+			Not{P: StrNE{Col: "s", Val: ""}},
+			Not{P: Not{P: StrIn{Col: "s", Vals: []string{"beta", "absent"}}}},
 			Not{P: StrPrefix{Col: "s", Prefix: "green"}},
 			Not{P: CmpFloat{Col: "f", Op: GT, Val: 0.05}},
 			Not{P: Not{P: CmpInt{Col: "a", Op: GE, Val: 12}}},
@@ -631,5 +643,190 @@ func TestIntRangeLanes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestColumnKernelLanes compares the vector loops of the float, two-column
+// and dictionary kernels with their Go loops, id by id, through both
+// entries: the dense rows of every length up to four blocks of sixteen and
+// a bit, from rows that do and do not start a block, and the same rows as
+// a shuffled selection. The columns cycle through NaN, ±Inf and ±0, the
+// int64 extremes and a dictionary's codes, and the predicates cover
+// EQ/LT/LE with and without negation, lo > hi, and present and absent
+// codes.
+func TestColumnKernelLanes(t *testing.T) {
+	if !vec.AVX512() {
+		t.Skip("the CPU lacks AVX-512 F/DQ/VL: there is no vector output to compare")
+	}
+	const rows = 96
+	rng := rand.New(rand.NewSource(9))
+	a, b, f := make([]int64, rows), make([]int64, rows), make([]float64, rows)
+	strs := make([]string, rows)
+	for i := range a {
+		a[i] = extremeInts[rng.Intn(len(extremeInts))]
+		b[i] = extremeInts[rng.Intn(len(extremeInts))]
+		f[i] = extremeFloats[rng.Intn(len(extremeFloats))]
+		strs[i] = kernelVocab[rng.Intn(3)]
+	}
+	tbl, err := storage.NewTable("lanes", []storage.Column{
+		{Name: "a", Kind: catalog.Int64, Ints: a},
+		{Name: "b", Kind: catalog.Int64, Ints: b},
+		{Name: "f", Kind: catalog.Float64, Floats: f},
+		storage.StringColumn("s", strs),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var preds []Predicate
+	for op := EQ; op <= GE; op++ {
+		preds = append(preds, CmpCols{Col1: "a", Op: op, Col2: "b"}, CmpCols{Col1: "a", Op: op, Col2: "a"})
+		for _, v := range []float64{math.NaN(), math.Inf(-1), math.Copysign(0, -1), 1, math.Inf(1)} {
+			preds = append(preds, CmpFloat{Col: "f", Op: op, Val: v})
+		}
+	}
+	for _, r := range [][2]float64{{-1, 1}, {math.Inf(-1), math.Inf(1)}, {1, -1}, {0, math.Copysign(0, -1)}, {math.NaN(), 1}} {
+		preds = append(preds, BetweenFloat{Col: "f", Lo: r[0], Hi: r[1]})
+	}
+	for _, v := range []string{kernelVocab[0], kernelVocab[1], "absent"} {
+		preds = append(preds, StrEq{Col: "s", Val: v}, StrNE{Col: "s", Val: v})
+	}
+	// run evaluates the kernel one way with the vector loops on and off.
+	both := func(run func() []int32) (vector, goLoop []int32) {
+		restore := setVectorLoops(true)
+		vector = slices.Clone(run())
+		restore()
+		restore = setVectorLoops(false)
+		goLoop = run()
+		restore()
+		return vector, goLoop
+	}
+	for _, p := range preds {
+		ks, err := Compile(p, tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := ks[0]
+		for _, lo := range []int{0, 1, 5, 8, 13, rows - 49} {
+			for n := 0; n <= 49; n++ {
+				got, want := both(func() []int32 { return k.(rangeKernel).EvalRange(lo, scribble(make([]int32, n))) })
+				sameLanes(t, fmt.Sprintf("%s EvalRange [%d,%d)", p, lo, lo+n), got, want)
+				ids := rng.Perm(rows)[:n]
+				got, want = both(func() []int32 {
+					sel := make([]int32, n)
+					for i, r := range ids {
+						sel[i] = int32(r)
+					}
+					return k.EvalBatch(sel)
+				})
+				sameLanes(t, fmt.Sprintf("%s EvalBatch %v", p, ids), got, want)
+			}
+		}
+	}
+}
+
+// sameLanes asserts that the vector loops kept the Go loops' ids, in order.
+func sameLanes(t *testing.T, label string, got, want []int32) {
+	t.Helper()
+	for i := range max(len(got), len(want)) {
+		if i >= len(got) || i >= len(want) || got[i] != want[i] {
+			t.Fatalf("%s: vector kept %v, Go kept %v; first difference at %d", label, got, want, i)
+		}
+	}
+}
+
+// TestDictMatchMemoConcurrent: eight goroutines compile the same and
+// different LIKE, NOT LIKE and IN predicates over one dictionary at once,
+// in their own orders, more of them than the dictionary's memo holds, so
+// some tables are kept and some built on every compile. Two of the IN
+// lists print the same label, and both tables are kept. Every compiled
+// table must be the one Eval decides, value by value (each value occurs
+// in a row), and a predicate's later compiles must keep returning it.
+// Under -race this covers the memo's lock.
+func TestDictMatchMemoConcurrent(t *testing.T) {
+	const rows, workers = 256, 8
+	rng := rand.New(rand.NewSource(23))
+	vals := make([]string, rows)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("%s %d", kernelVocab[rng.Intn(len(kernelVocab))], i%64)
+	}
+	tbl, err := storage.NewTable("memo", []storage.Column{storage.StringColumn("s", vals)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two IN lists whose labels are the same string: s in ('X','Y').
+	// They come first, into the empty memo, so both tables are kept.
+	preds := []Predicate{
+		StrIn{Col: "s", Vals: []string{vals[0], vals[7]}},
+		StrIn{Col: "s", Vals: []string{vals[0] + "','" + vals[7]}},
+	}
+	if preds[0].String() != preds[1].String() {
+		t.Fatalf("labels %q and %q differ: the test lost its twin", preds[0], preds[1])
+	}
+	for _, sub := range []string{"green", "a", "metal", "1", "2 ", "xyz"} {
+		like := StrContains{Col: "s", Subs: []string{sub}}
+		preds = append(preds, like, Not{P: like})
+	}
+	for _, prefix := range []string{"g", "forest", "beta 3"} {
+		like := StrPrefix{Col: "s", Prefix: prefix}
+		preds = append(preds, like, Not{P: like})
+	}
+	preds = append(preds,
+		StrIn{Col: "s", Vals: []string{vals[1], "absent"}},
+		Not{P: StrIn{Col: "s", Vals: []string{vals[3]}}},
+	)
+	d, err := tbl.Dict("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]bool, len(preds))
+	for i, p := range preds {
+		want[i] = make([]bool, len(d.Values))
+		for r := range rows {
+			want[i][d.Codes[r]] = p.Eval(tbl, r)
+		}
+	}
+	for _, p := range preds[:2] {
+		if _, err := Compile(p, tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for round := 0; round < 20; round++ {
+				for _, i := range rng.Perm(len(preds)) {
+					ks, err := Compile(preds[i], tbl)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					k, ok := ks[0].(*dictMatchKernel)
+					if !ok {
+						t.Errorf("%s compiled to %T", preds[i], ks[0])
+						return
+					}
+					if !slices.Equal(k.match, want[i]) {
+						t.Errorf("worker %d: %s: table %v, Eval's %v", seed, preds[i], k.match, want[i])
+						return
+					}
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+	// A kept table is the same slice on every compile.
+	kept := 0
+	for _, p := range preds {
+		k1, _ := Compile(p, tbl)
+		k2, _ := Compile(p, tbl)
+		if &k1[0].(*dictMatchKernel).match[0] == &k2[0].(*dictMatchKernel).match[0] {
+			kept++
+		}
+	}
+	if kept == 0 || kept == len(preds) {
+		t.Fatalf("the memo kept %d of %d tables: the test lost half its subject", kept, len(preds))
 	}
 }

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"bfcbo/internal/catalog"
@@ -123,5 +125,54 @@ func hasPointers(typ reflect.Type) bool {
 		return false
 	default:
 		return true
+	}
+}
+
+// TestDictMatchMemoBound: Match keeps each key's table until the tables
+// and their keys would pass the Codes array's bytes; past that it builds
+// a table on every call and keeps none. Every table, kept or not, is the
+// test run over the values, and a kept one is the same slice on every
+// call.
+func TestDictMatchMemoBound(t *testing.T) {
+	for _, c := range []struct{ rows, distinct int }{{1, 1}, {10, 10}, {64, 16}, {4096, 1000}} {
+		vals := make([]string, c.rows)
+		for i := range vals {
+			vals[i] = fmt.Sprintf("v%04d", i%c.distinct)
+		}
+		d := StringColumn("s", vals).Dict
+		bound := 4 * len(d.Codes)
+		kept := 0
+		for k := 0; k < 40; k++ {
+			key := fmt.Sprintf("suffix %d", k)
+			suffix := fmt.Sprint(k)
+			builds := 0
+			test := func(s string) bool { builds++; return strings.HasSuffix(s, suffix) }
+			first := d.Match(key, test)
+			for i, v := range d.Values {
+				if first[i] != strings.HasSuffix(v, suffix) {
+					t.Fatalf("%d rows: key %q: entry %d (%q) is %v", c.rows, key, i, v, first[i])
+				}
+			}
+			if d.memoBytes > bound {
+				t.Fatalf("%d rows: memo holds %d bytes, bound %d", c.rows, d.memoBytes, bound)
+			}
+			again := d.Match(key, test)
+			_, isKept := d.memo[key]
+			switch {
+			case isKept && (builds != len(d.Values) || &again[0] != &first[0]):
+				t.Fatalf("%d rows: key %q is kept, yet the second call rebuilt its table", c.rows, key)
+			case !isKept && builds != 2*len(d.Values):
+				t.Fatalf("%d rows: key %q is not kept, yet the second call did not rebuild its table", c.rows, key)
+			}
+			if isKept {
+				kept++
+			}
+		}
+		if c.rows >= 10 && kept == 0 {
+			t.Fatalf("%d rows: no table kept", c.rows)
+		}
+		if c.rows >= 64 && kept == 40 {
+			t.Fatalf("%d rows: every table kept: the bound was never reached", c.rows)
+		}
 	}
 }

@@ -15,3 +15,27 @@ func bloomRange(words []uint64, shift uint, vals []int64, id int32, sel []int32)
 func bloomSel(words []uint64, shift uint, vals []int64, sel []int32) (n, done int) {
 	return 0, 0
 }
+
+func cmpFloat(vals []float64, id int32, c float64, lt, eq, flip uint8, sel []int32) (n, done int) {
+	return 0, 0
+}
+
+func betweenFloat(vals []float64, id int32, lo, hi float64, sel []int32) (n, done int) {
+	return 0, 0
+}
+
+func betweenFloatSel(vals []float64, lo, hi float64, sel []int32) (n, done int) {
+	return 0, 0
+}
+
+func cmpCols(a, b []int64, id int32, lt, eq, flip uint8, sel []int32) (n, done int) {
+	return 0, 0
+}
+
+func cmpColsSel(a, b []int64, lt, eq, flip uint8, sel []int32) (n, done int) {
+	return 0, 0
+}
+
+func eqCodes(codes []int32, id int32, code int32, neg bool, sel []int32) (n, done int) {
+	return 0, 0
+}

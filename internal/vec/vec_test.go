@@ -142,19 +142,238 @@ func TestBloomSelStopsAtOutsideID(t *testing.T) {
 	}
 }
 
+// goCmp is a Cmp and its negation, as the callers' Go loops decide it.
+func goCmp[T int64 | float64](cmp Cmp, neg bool, a, b T) bool {
+	return (cmp&LT != 0 && a < b || cmp&EQ != 0 && a == b) != neg
+}
+
+// sameIDs asserts that the loop kept exactly the ids want keeps of the
+// rows it took, one by one, having taken done rows of the rows, done a
+// multiple of block, and every whole block unless one holds an id outside
+// the columns (stop, the position of the first such id, or -1).
+func sameIDs(t *testing.T, label string, got []int32, done, rows, block, stop int, want []int32) {
+	t.Helper()
+	wantDone := rows &^ (block - 1)
+	if stop >= 0 {
+		wantDone = stop &^ (block - 1)
+	}
+	if done != wantDone {
+		t.Fatalf("%s: done %d of %d rows, want %d", label, done, rows, wantDone)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: kept %d ids %v, the Go loop %d %v", label, len(got), got, len(want), want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: id %d is %d, the Go loop's %d (kept %v, want %v)", label, i, got[i], want[i], got, want)
+		}
+	}
+}
+
+// floatsOf draws rows values from the specials, so lanes meet NaN, ±0 and
+// ±Inf next to ordinary values and the constants.
+func floatsOf(rng *rand.Rand, rows int) []float64 {
+	specials := []float64{math.NaN(), math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0, 1, -1, 0.5, 2}
+	vals := make([]float64, rows)
+	for i := range vals {
+		vals[i] = specials[rng.Intn(len(specials))]
+	}
+	return vals
+}
+
+// The dense float loops against goCmp and the Go BETWEEN, id by id, at
+// every length up to four blocks and a bit, with compares that keep every
+// row and none: a column of one value against it, and NaN constants.
+func TestFloatLanes(t *testing.T) {
+	needAVX512(t)
+	rng := rand.New(rand.NewSource(5))
+	consts := []float64{math.NaN(), math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0, 0.5, 1}
+	for rows := 0; rows <= 33; rows++ {
+		cols := [][]float64{floatsOf(rng, rows), make([]float64, rows)} // random, and all +0
+		for _, vals := range cols {
+			for _, c := range consts {
+				id := int32(rng.Intn(100))
+				for _, cmp := range []Cmp{LT, EQ, LE} {
+					for _, neg := range []bool{false, true} {
+						var want []int32
+						for i, v := range vals {
+							if goCmp(cmp, neg, v, c) {
+								want = append(want, id+int32(i))
+							}
+						}
+						sel := make([]int32, rows)
+						n, done := CmpFloat(vals, id, cmp, c, neg, sel)
+						sameIDs(t, fmt.Sprintf("CmpFloat %d rows %v cmp %d neg %v", rows, c, cmp, neg), sel[:n], done, rows, 8, -1, clip(want, id+int32(done)))
+					}
+				}
+				for _, hi := range consts {
+					var want []int32
+					for i, v := range vals {
+						if v >= c && v <= hi {
+							want = append(want, id+int32(i))
+						}
+					}
+					sel := make([]int32, rows)
+					n, done := BetweenFloat(vals, id, c, hi, sel)
+					sameIDs(t, fmt.Sprintf("BetweenFloat %d rows [%v, %v]", rows, c, hi), sel[:n], done, rows, 8, -1, clip(want, id+int32(done)))
+				}
+			}
+		}
+	}
+}
+
+// clip keeps the ids of want below end: what a loop that took the rows
+// up to end keeps.
+func clip(want []int32, end int32) []int32 {
+	return slices.DeleteFunc(slices.Clone(want), func(r int32) bool { return r >= end })
+}
+
+// CmpCols against goCmp, id by id, over columns that cross the int64
+// extremes, equal columns (EQ keeps all, LT none) and every length up to
+// four blocks and a bit.
+func TestCmpColsLanes(t *testing.T) {
+	needAVX512(t)
+	rng := rand.New(rand.NewSource(6))
+	ext := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64}
+	for rows := 0; rows <= 33; rows++ {
+		a, b := make([]int64, rows), make([]int64, rows)
+		for i := range a {
+			a[i], b[i] = ext[rng.Intn(len(ext))], ext[rng.Intn(len(ext))]
+		}
+		for _, bs := range [][]int64{b, a} {
+			for _, cmp := range []Cmp{LT, EQ, LE} {
+				for _, neg := range []bool{false, true} {
+					id := int32(rng.Intn(100))
+					var want []int32
+					for i := range a {
+						if goCmp(cmp, neg, a[i], bs[i]) {
+							want = append(want, id+int32(i))
+						}
+					}
+					sel := make([]int32, rows)
+					n, done := CmpCols(a, bs, id, cmp, neg, sel)
+					sameIDs(t, fmt.Sprintf("CmpCols %d rows cmp %d neg %v", rows, cmp, neg), sel[:n], done, rows, 8, -1, clip(want, id+int32(done)))
+				}
+			}
+		}
+	}
+}
+
+// EqCodes against the Go compare, id by id, at every length up to four
+// blocks of sixteen and a bit, with a present code, an absent one (none
+// pass, or all under neg) and a column of one code (all pass, or none).
+func TestEqCodesLanes(t *testing.T) {
+	needAVX512(t)
+	rng := rand.New(rand.NewSource(7))
+	for rows := 0; rows <= 49; rows++ {
+		codes := make([]int32, rows)
+		for i := range codes {
+			codes[i] = int32(rng.Intn(5))
+		}
+		for _, col := range [][]int32{codes, make([]int32, rows)} {
+			for _, code := range []int32{0, 3, 9, -1} {
+				for _, neg := range []bool{false, true} {
+					id := int32(rng.Intn(100))
+					var want []int32
+					for i, c := range col {
+						if (c == code) != neg {
+							want = append(want, id+int32(i))
+						}
+					}
+					sel := make([]int32, rows)
+					n, done := EqCodes(col, id, code, neg, sel)
+					sameIDs(t, fmt.Sprintf("EqCodes %d rows code %d neg %v", rows, code, neg), sel[:n], done, rows, 16, -1, clip(want, id+int32(done)))
+				}
+			}
+		}
+	}
+}
+
+// The gather loops against the Go loops over a selection, id by id: every
+// length up to four blocks and a bit, ids in a shuffled order, a compare
+// that keeps all and one that keeps none, and selections with an id
+// outside the columns at each position, before whose block the loop
+// stops.
+func TestSelLanes(t *testing.T) {
+	needAVX512(t)
+	rng := rand.New(rand.NewSource(8))
+	const cols = 40
+	fv := floatsOf(rng, cols)
+	a, b := make([]int64, cols), make([]int64, cols)
+	for i := range a {
+		a[i], b[i] = rng.Int63n(5)-2, rng.Int63n(5)-2
+	}
+	type loop struct {
+		name string
+		run  func(sel []int32) (n, done int)
+		keep func(r int32) bool
+	}
+	var loops []loop
+	for _, r := range [][2]float64{{-1, 1}, {math.Inf(-1), math.Inf(1)}, {1, -1}, {math.NaN(), 1}} {
+		lo, hi := r[0], r[1]
+		loops = append(loops, loop{fmt.Sprintf("BetweenFloatSel [%v, %v]", lo, hi),
+			func(sel []int32) (int, int) { return BetweenFloatSel(fv, lo, hi, sel) },
+			func(r int32) bool { return fv[r] >= lo && fv[r] <= hi }})
+	}
+	for _, bs := range [][]int64{b, a} {
+		for _, cmp := range []Cmp{LT, EQ, LE} {
+			for _, neg := range []bool{false, true} {
+				loops = append(loops, loop{fmt.Sprintf("CmpColsSel cmp %d neg %v", cmp, neg),
+					func(sel []int32) (int, int) { return CmpColsSel(a, bs, cmp, neg, sel) },
+					func(r int32) bool { return goCmp(cmp, neg, a[r], bs[r]) }})
+			}
+		}
+	}
+	for _, l := range loops {
+		for rows := 0; rows <= 33; rows++ {
+			ids := rng.Perm(cols)[:rows]
+			for bad := -1; bad < rows; bad++ {
+				sel := make([]int32, rows)
+				for i, r := range ids {
+					sel[i] = int32(r)
+				}
+				if bad >= 0 {
+					sel[bad] = []int32{cols, math.MaxInt32, -1, math.MinInt32}[rng.Intn(4)]
+				}
+				in := slices.Clone(sel)
+				n, done := l.run(sel)
+				var want []int32
+				for _, r := range in[:done] {
+					if l.keep(r) {
+						want = append(want, r)
+					}
+				}
+				stop := bad
+				if stop >= 0 && stop >= rows&^7 {
+					stop = -1 // in the partial block the loop never takes
+				}
+				sameIDs(t, fmt.Sprintf("%s %d rows, outside id at %d", l.name, rows, bad), sel[:n], done, rows, 8, stop, want)
+			}
+		}
+	}
+}
+
 // BenchmarkLoops prices each loop per row over 4096-row morsels of a
-// 64 Ki-row column: KeepRange at a 50 % pass rate, and the two Bloom
-// loops against a 512 KiB filter at about half its bits set. CI gates
-// them on 0 allocs/op.
+// 64 Ki-row column: KeepRange, the float, two-column and code compares at
+// about a 50 % pass rate, and the two Bloom loops against a 512 KiB
+// filter at about half its bits set. CI gates them on 0 allocs/op.
 func BenchmarkLoops(b *testing.B) {
 	const morsel, rows = 4096, 1 << 16
 	rng := rand.New(rand.NewSource(4))
-	vals, keys := make([]int64, rows), make([]int64, rows)
+	vals, keys, vals2 := make([]int64, rows), make([]int64, rows), make([]int64, rows)
+	floats, codes := make([]float64, rows), make([]int32, rows)
 	for i := range vals {
-		vals[i], keys[i] = rng.Int63n(100), rng.Int63()
+		vals[i], keys[i], vals2[i] = rng.Int63n(100), rng.Int63(), rng.Int63n(100)
+		floats[i], codes[i] = rng.Float64(), int32(rng.Intn(2))
 	}
+
 	words, shift := filterWords(rng, 16)
 	sel := make([]int32, morsel)
+	fill := func(lo int) {
+		for k := range sel {
+			sel[k] = int32(lo + k)
+		}
+	}
 	run := func(b *testing.B, loop func(lo int) (n, done int)) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -169,11 +388,26 @@ func BenchmarkLoops(b *testing.B) {
 		run(b, func(lo int) (int, int) { return BloomRange(words, shift, keys[lo:lo+morsel], int32(lo), sel) })
 	})
 	b.Run("bloom-sel", func(b *testing.B) {
+		run(b, func(lo int) (int, int) { fill(lo); return BloomSel(words, shift, keys, sel) })
+	})
+	b.Run("cmp-float", func(b *testing.B) {
+		run(b, func(lo int) (int, int) { return CmpFloat(floats[lo:lo+morsel], int32(lo), LT, 0.5, false, sel) })
+	})
+	b.Run("between-float", func(b *testing.B) {
+		run(b, func(lo int) (int, int) { return BetweenFloat(floats[lo:lo+morsel], int32(lo), 0.25, 0.75, sel) })
+	})
+	b.Run("between-float-sel", func(b *testing.B) {
+		run(b, func(lo int) (int, int) { fill(lo); return BetweenFloatSel(floats, 0.25, 0.75, sel) })
+	})
+	b.Run("cmp-cols", func(b *testing.B) {
 		run(b, func(lo int) (int, int) {
-			for k := range sel {
-				sel[k] = int32(lo + k)
-			}
-			return BloomSel(words, shift, keys, sel)
+			return CmpCols(vals[lo:lo+morsel], vals2[lo:lo+morsel], int32(lo), LT, false, sel)
 		})
+	})
+	b.Run("cmp-cols-sel", func(b *testing.B) {
+		run(b, func(lo int) (int, int) { fill(lo); return CmpColsSel(vals, vals2, LT, false, sel) })
+	})
+	b.Run("eq-codes", func(b *testing.B) {
+		run(b, func(lo int) (int, int) { return EqCodes(codes[lo:lo+morsel], int32(lo), 1, false, sel) })
 	})
 }
