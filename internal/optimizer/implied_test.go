@@ -21,7 +21,13 @@ func TestImpliedFiltersEnterOnce(t *testing.T) {
 	}
 	onL, onPS := cand(0, 1, "l_partkey", "p_partkey"), cand(1, 2, "ps_partkey", "p_partkey")
 	p, pl := query.NewRelSet(0), query.NewRelSet(0, 3)
+	// Each case's candidates are marked as markCandidates marks a block's.
 	counted := func(pending []pendingBF) []bool {
+		cands := make([]*candidate, len(pending))
+		for i, pf := range pending {
+			cands[i] = pf.cand
+		}
+		markImpliable(cands)
 		out := make([]bool, len(pending))
 		for i := range pending {
 			out[i] = !implied(pending, i)
@@ -44,6 +50,17 @@ func TestImpliedFiltersEnterOnce(t *testing.T) {
 		if got := counted(c.pending); !slices.Equal(got, c.want) {
 			t.Errorf("%s: counted %v, want %v", c.name, got, c.want)
 		}
+	}
+
+	// A candidate marked among candidates none of which could imply it is
+	// counted even beside one that would.
+	lone := cand(0, 1, "l_partkey", "p_partkey")
+	markImpliable([]*candidate{lone})
+	if lone.impliable {
+		t.Fatal("a candidate marked alone is impliable")
+	}
+	if implied([]pendingBF{{cand: lone, delta: p, factor: 0.2}, {cand: onPS, delta: p, factor: 0.1}}, 0) {
+		t.Error("implied holds for a candidate not marked impliable")
 	}
 }
 

@@ -34,7 +34,7 @@ func (o *optimizer) addNaiveBasePlans(rel int, l *planList) {
 		pending := make([]pendingBF, len(combo))
 		ids := make([]int, len(combo))
 		for i, c := range combo {
-			id := o.allocBloom(c, 0)
+			id := o.allocBloom(c, 0, o.buildNDV(c, 0))
 			pending[i] = pendingBF{cand: c, delta: 0, factor: 1, bloomID: id}
 			ids[i] = id
 		}
@@ -61,8 +61,8 @@ func (o *optimizer) combineNaive(j *joinSite, pa, pb *subPlan, list *planList) {
 		if p.delta.Empty() { // unknown δ
 			if inner.Has(p.cand.buildRel) {
 				d := inner
-				f := o.keptFraction(p.cand, d)
-				o.setBloomSpec(p.bloomID, p.cand, d)
+				_, f := o.fractions(p.cand, d)
+				o.setBloomSpec(p.bloomID, p.cand, d, o.buildNDV(p.cand, d))
 				factors = append(factors, naiveFactor{applyRel: p.cand.applyRel, buildRel: p.cand.buildRel, factor: f})
 				resolved = append(resolved, pendingBF{cand: p.cand, delta: d, factor: f, bloomID: p.bloomID})
 				continue

@@ -262,6 +262,7 @@ func (o *optimizer) markCandidates() {
 	if h.MultiColumn {
 		o.markCompositeCandidates()
 	}
+	markImpliable(o.cands)
 }
 
 // markCompositeCandidates adds one multi-column candidate per relation pair
@@ -423,21 +424,17 @@ func (o *optimizer) losslessPK(c *candidate, d query.RelSet) bool {
 	return o.est.LosslessPK(c.applyRel, []string{c.applyCol}, c.buildRel, []string{c.buildCol}, d)
 }
 
-// keptFraction is the candidate-generic Bloom reduction factor: composite
-// candidates (the §5 multi-column extension) use the pair estimator.
-func (o *optimizer) keptFraction(c *candidate, d query.RelSet) float64 {
+// fractions returns the FPR-free selectivity Heuristic 6 reads and the
+// Bloom reduction factor of candidate c under d. Composite candidates (the
+// §5 multi-column extension) use the pair estimator, whose estimate
+// includes the filter's leakage in both.
+func (o *optimizer) fractions(c *candidate, d query.RelSet) (semi, kept float64) {
 	if c.applyCol2 != "" {
-		return o.est.CompositeKeptFraction(c.applyRel, c.buildRel, d)
+		kept = o.est.CompositeKeptFraction(c.applyRel, c.buildRel, d)
+		return kept, kept
 	}
-	return o.est.BloomKeptFraction(c.applyRel, c.applyCol, c.buildRel, c.buildCol, d)
-}
-
-// semiFraction is the FPR-free selectivity used by Heuristic 6.
-func (o *optimizer) semiFraction(c *candidate, d query.RelSet) float64 {
-	if c.applyCol2 != "" {
-		return o.est.CompositeKeptFraction(c.applyRel, c.buildRel, d)
-	}
-	return o.est.SemiJoinFraction(c.applyRel, c.applyCol, c.buildRel, c.buildCol, d)
+	semi = o.est.SemiJoinFraction(c.applyRel, c.applyCol, c.buildRel, c.buildCol, d)
+	return semi, stats.BloomKept(semi)
 }
 
 // buildNDV is the candidate-generic filter sizing estimate (Heuristic 5).
@@ -490,33 +487,36 @@ func (o *optimizer) makeBasePlans(withBF, naive bool) {
 			continue
 		}
 
-		// Collect this relation's candidates and their surviving δs.
+		// Collect this relation's candidates and their surviving δs, each
+		// estimated once.
 		var choices []bloomChoice
 		for _, c := range o.cands {
 			if c.applyRel != rel || len(c.deltas) == 0 {
 				continue
 			}
-			var ok []query.RelSet
+			var ok []bloomDelta
 			for _, d := range c.deltas {
+				semi, kept := o.fractions(c, d)
 				// Heuristic 6: the filter must be selective enough.
-				if h.H6MaxKeepFraction > 0 && o.semiFraction(c, d) > h.H6MaxKeepFraction {
+				if h.H6MaxKeepFraction > 0 && semi > h.H6MaxKeepFraction {
 					continue
 				}
 				// Heuristic 5: the filter must fit the size budget.
-				if h.H5MaxBuildNDV > 0 && o.buildNDV(c, d) > h.H5MaxBuildNDV {
+				ndv := o.buildNDV(c, d)
+				if h.H5MaxBuildNDV > 0 && ndv > h.H5MaxBuildNDV {
 					continue
 				}
-				ok = append(ok, d)
+				ok = append(ok, bloomDelta{delta: d, kept: kept, ndv: ndv})
 			}
 			if len(ok) == 0 {
 				continue
 			}
 			// Strongest δ first, so capped enumeration keeps the best.
-			slices.SortFunc(ok, func(x, y query.RelSet) int {
-				if d := cmp.Compare(o.keptFraction(c, x), o.keptFraction(c, y)); d != 0 {
+			slices.SortFunc(ok, func(x, y bloomDelta) int {
+				if d := cmp.Compare(x.kept, y.kept); d != 0 {
 					return d
 				}
-				return cmp.Compare(x.Count(), y.Count())
+				return cmp.Compare(x.delta.Count(), y.delta.Count())
 			})
 			choices = append(choices, bloomChoice{c, ok})
 		}
@@ -556,7 +556,15 @@ func (o *optimizer) makeBasePlans(withBF, naive bool) {
 // Heuristics 5 and 6, strongest first.
 type bloomChoice struct {
 	cand   *candidate
-	deltas []query.RelSet
+	deltas []bloomDelta
+}
+
+// bloomDelta is one build side δ of a candidate with the filter's
+// estimates under it: its kept fraction and its build side's NDV.
+type bloomDelta struct {
+	delta query.RelSet
+	kept  float64
+	ndv   float64
 }
 
 // appendBloomScans appends one Bloom filter scan sub-plan of rel per
@@ -564,12 +572,12 @@ type bloomChoice struct {
 // in each.
 func (o *optimizer) appendBloomScans(bfPlans []*subPlan, rel int, rows float64, choices []bloomChoice) []*subPlan {
 	const maxCombos = 32
-	combos := [][]query.RelSet{nil}
+	combos := [][]bloomDelta{nil}
 	for _, ch := range choices {
-		var next [][]query.RelSet
+		var next [][]bloomDelta
 		for _, base := range combos {
 			for _, d := range ch.deltas {
-				next = append(next, append(append([]query.RelSet{}, base...), d))
+				next = append(next, append(append([]bloomDelta{}, base...), d))
 				if len(next) >= maxCombos {
 					break
 				}
@@ -586,10 +594,9 @@ func (o *optimizer) appendBloomScans(bfPlans []*subPlan, rel int, rows float64, 
 		ids := make([]int, len(choices))
 		for i, ch := range choices {
 			d := combo[i]
-			f := o.keptFraction(ch.cand, d)
-			id := o.allocBloom(ch.cand, d)
-			pending[i] = pendingBF{cand: ch.cand, delta: d, factor: f, bloomID: id}
-			prodRows *= f
+			id := o.allocBloom(ch.cand, d.delta, d.ndv)
+			pending[i] = pendingBF{cand: ch.cand, delta: d.delta, factor: d.kept, bloomID: id}
+			prodRows *= d.kept
 			ids[i] = id
 		}
 		sortPending(pending)
@@ -604,22 +611,25 @@ func (o *optimizer) appendBloomScans(bfPlans []*subPlan, rel int, rows float64, 
 	return bfPlans
 }
 
-func (o *optimizer) allocBloom(c *candidate, delta query.RelSet) int {
+// allocBloom records a new filter, candidate c built over delta to hold
+// ndv keys, and returns its id.
+func (o *optimizer) allocBloom(c *candidate, delta query.RelSet, ndv float64) int {
 	id := o.nextID
 	o.nextID++
-	o.setBloomSpec(id, c, delta)
+	o.setBloomSpec(id, c, delta, ndv)
 	return id
 }
 
-// setBloomSpec records filter id as candidate c built over delta.
-func (o *optimizer) setBloomSpec(id int, c *candidate, delta query.RelSet) {
+// setBloomSpec records filter id as candidate c built over delta to hold
+// ndv keys.
+func (o *optimizer) setBloomSpec(id int, c *candidate, delta query.RelSet, ndv float64) {
 	o.specs[id] = plan.BloomSpec{
 		ID:       id,
 		ApplyRel: c.applyRel, ApplyCol: c.applyCol,
 		BuildRel: c.buildRel, BuildCol: c.buildCol,
 		ApplyCol2: c.applyCol2, BuildCol2: c.buildCol2,
 		Delta:       delta,
-		EstBuildNDV: o.buildNDV(c, delta),
+		EstBuildNDV: ndv,
 	}
 }
 
@@ -728,7 +738,7 @@ func (o *optimizer) combine(j *joinSite, pa, pb *subPlan, list *planList) {
 	// A filter that another pending filter implies enters once.
 	rows := j.card
 	for i, p := range pending {
-		if !implied(pending, i) {
+		if !p.cand.impliable || !implied(pending, i) {
 			rows *= p.factor
 		}
 	}

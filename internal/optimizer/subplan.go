@@ -33,6 +33,10 @@ type candidate struct {
 	// to a column every join set holding both apply relations equates with
 	// its own (see implied).
 	equated bool
+	// impliable marks an equated candidate that another equated candidate
+	// from the same build column, applied to another relation, could imply
+	// (markImpliable); implied never needs to search for any other.
+	impliable bool
 	// deltas is Δ: the valid build-side relation sets observed in phase 1,
 	// each once, in visit order.
 	deltas []query.RelSet
@@ -60,7 +64,7 @@ type pendingBF struct {
 // same δ), the one with the smallest factor, then the first, counts.
 func implied(pending []pendingBF, i int) bool {
 	p := pending[i]
-	if !p.cand.equated {
+	if !p.cand.impliable {
 		return false
 	}
 	for k, q := range pending {
@@ -74,6 +78,16 @@ func implied(pending []pendingBF, i int) bool {
 		}
 	}
 	return false
+}
+
+// markImpliable sets the impliable flag of each of cands: whether another
+// of them meets implied's conditions on candidates.
+func markImpliable(cands []*candidate) {
+	for _, p := range cands {
+		p.impliable = p.equated && slices.ContainsFunc(cands, func(q *candidate) bool {
+			return q.equated && q.applyRel != p.applyRel && q.buildRel == p.buildRel && q.buildCol == p.buildCol
+		})
+	}
 }
 
 // subPlan is one entry in a relation set's plan-list: a costed physical

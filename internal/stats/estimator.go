@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -14,13 +15,23 @@ import (
 // the canonical estimate for a relation set is split-independent — the paper
 // relies on this when a resolved Bloom filter sub-plan's cardinality
 // "simply becomes the original cardinality estimate for the joined
-// relation" (§3.6).
+// relation" (§3.6). It also memoizes each relation's kept fraction under a
+// build side δ, which every Bloom filter estimate reads: an optimization
+// asks for the same (relation, δ) many times over. An Estimator is not safe
+// for concurrent use.
 type Estimator struct {
 	Block *query.Block
 
 	baseRows []float64 // rows after local predicates, per relation
 	baseSel  []float64 // local predicate selectivity, per relation
 	joinCard map[query.RelSet]float64
+	kept     map[keptKey]float64 // relKept's memo; nil until first asked
+
+	// pairs holds, per relation pair that inner clauses join, the factors
+	// those clauses contribute to a join estimate; units holds the non-inner
+	// clauses. Both are in clause order (see JoinCard).
+	pairs []pairFactors
+	units []query.JoinClause
 
 	// fks are the block's declared foreign keys, by referencing relation:
 	// each one the catalog declares onto the primary key of a table that is
@@ -32,6 +43,20 @@ type Estimator struct {
 	// with no such pair.
 	keyJoins  []keyJoin
 	keyClause []bool
+}
+
+// keptKey is one relKept question: relation rel under build side delta.
+type keptKey struct {
+	rel   int
+	delta query.RelSet
+}
+
+// pairFactors is one relation pair's part of a join estimate: the pair's
+// inner clause selectivities, ascending, each raised to its backoff
+// exponent.
+type pairFactors struct {
+	pair    query.RelSet
+	factors []float64
 }
 
 // fkRef is one declared foreign key between two relations of a block: the
@@ -67,6 +92,7 @@ func NewEstimator(b *query.Block) *Estimator {
 		e.baseRows[i] = rows
 	}
 	e.indexKeys()
+	e.indexClauses()
 	return e
 }
 
@@ -125,6 +151,45 @@ func (e *Estimator) keyClauses(rel int, fk fkRef) []int {
 	return clauses
 }
 
+// indexClauses computes what JoinCard reads of each clause once: the
+// non-inner clauses, and each relation pair's inner clause factors. Derived
+// clauses are skipped so transitive closure does not double-count. A pair
+// joined on every column of a declared composite key (lineitem ⋈ partsupp
+// on partkey AND suppkey) is a foreign-key join: its key clauses enter
+// through keyJoins instead. Other clauses between the same relation pair
+// may still be correlated, and assuming independence would underestimate
+// by orders of magnitude, so selectivities beyond the most selective clause
+// per pair enter with exponential backoff (s, √s, ∜s, ...), as SQL Server
+// does. Pairs are kept in clause order: float multiplication is not
+// associative, so a map's iteration order would show in the estimate's last
+// bits.
+func (e *Estimator) indexClauses() {
+	for ci, c := range e.Block.Clauses {
+		if c.Type != query.Inner {
+			e.units = append(e.units, c)
+			continue
+		}
+		if c.Derived || (e.keyClause != nil && e.keyClause[ci]) {
+			continue
+		}
+		pair := query.NewRelSet(c.LeftRel, c.RightRel)
+		i := slices.IndexFunc(e.pairs, func(p pairFactors) bool { return p.pair == pair })
+		if i < 0 {
+			i = len(e.pairs)
+			e.pairs = append(e.pairs, pairFactors{pair: pair})
+		}
+		e.pairs[i].factors = append(e.pairs[i].factors, e.ClauseSelectivity(c))
+	}
+	for _, p := range e.pairs {
+		sort.Float64s(p.factors)
+		exp := 1.0
+		for i, s := range p.factors {
+			p.factors[i] = math.Pow(s, exp)
+			exp /= 2
+		}
+	}
+}
+
 // BaseRows returns the estimated rows of relation i after local predicates.
 func (e *Estimator) BaseRows(i int) float64 { return e.baseRows[i] }
 
@@ -173,71 +238,36 @@ func (e *Estimator) JoinCard(s query.RelSet) float64 {
 	// Relations absorbed by a fully-contained non-inner unit contribute
 	// through the unit's selectivity, not their own cardinality.
 	absorbed := query.RelSet(0)
-	type unit struct {
-		clause query.JoinClause
-	}
-	var units []unit
-	for _, c := range e.Block.Clauses {
-		if c.Type == query.Inner {
-			continue
-		}
+	for _, c := range e.units {
 		if c.SubRels.SubsetOf(s) && s.Has(c.LeftRel) {
-			units = append(units, unit{c})
 			absorbed = absorbed.Union(c.SubRels)
 		}
 	}
 	rows := 1.0
 	counted := s.Minus(absorbed)
-	for _, i := range counted.Members() {
-		rows *= e.baseRows[i]
+	for m := uint64(counted); m != 0; m &= m - 1 {
+		rows *= e.baseRows[bits.TrailingZeros64(m)]
 	}
-	// Inner clause selectivities among counted relations. Derived clauses
-	// are skipped so transitive closure does not double-count. A pair
-	// joined on every column of a declared composite key (lineitem ⋈
-	// partsupp on partkey AND suppkey) is a foreign-key join: its key
-	// clauses enter as one selectivity, 1/|key side|. Other clauses between
-	// the same relation pair may still be correlated, and assuming
-	// independence would underestimate by orders of magnitude, so
-	// selectivities beyond the most selective clause per pair enter with
-	// exponential backoff (s, √s, ∜s, ...), as SQL Server does. Pairs are
-	// kept in clause order: float multiplication is not associative, so a
-	// map's iteration order would show in the estimate's last bits.
-	type pairSels struct {
-		pair query.RelSet
-		sels []float64
-	}
-	var perPair []pairSels
-	for ci, c := range e.Block.Clauses {
-		if c.Type != query.Inner || c.Derived || (e.keyClause != nil && e.keyClause[ci]) {
-			continue
-		}
-		if counted.Has(c.LeftRel) && counted.Has(c.RightRel) {
-			pair := query.NewRelSet(c.LeftRel, c.RightRel)
-			i := slices.IndexFunc(perPair, func(p pairSels) bool { return p.pair == pair })
-			if i < 0 {
-				i = len(perPair)
-				perPair = append(perPair, pairSels{pair: pair})
-			}
-			perPair[i].sels = append(perPair[i].sels, e.ClauseSelectivity(c))
-		}
-	}
+	// Inner clause selectivities among counted relations (see
+	// indexClauses): composite key joins first, then each pair's factors.
 	for _, k := range e.keyJoins {
 		if k.pair.SubsetOf(counted) {
 			rows *= k.sel
 		}
 	}
-	for _, p := range perPair {
-		sort.Float64s(p.sels)
-		exp := 1.0
-		for _, s := range p.sels {
-			rows *= math.Pow(s, exp)
-			exp /= 2
+	for _, p := range e.pairs {
+		if p.pair.SubsetOf(counted) {
+			for _, f := range p.factors {
+				rows *= f
+			}
 		}
 	}
 	// Non-inner units: multiply by the retained fraction of the preserve
 	// side's rows.
-	for _, u := range units {
-		c := u.clause
+	for _, c := range e.units {
+		if !c.SubRels.SubsetOf(s) || !s.Has(c.LeftRel) {
+			continue
+		}
 		frac := e.SemiJoinFraction(c.LeftRel, c.LeftCol, c.RightRel, c.RightCol, c.SubRels)
 		switch c.Type {
 		case query.Semi:
@@ -289,7 +319,7 @@ func (e *Estimator) relKeptFraction(rel int, delta query.RelSet, visited query.R
 		if visited.Has(other) {
 			continue
 		}
-		frac *= e.semiFracOneHop(rel, myCol, other, otherCol, delta, visited)
+		frac *= e.semiFracOneHop(rel, myCol, other, otherCol, e.relKeptFraction(other, delta, visited))
 	}
 	if frac > 1 {
 		frac = 1
@@ -300,11 +330,25 @@ func (e *Estimator) relKeptFraction(rel int, delta query.RelSet, visited query.R
 	return frac
 }
 
+// relKept is relKeptFraction(rel, delta, ∅), each (rel, delta) computed
+// once per estimator.
+func (e *Estimator) relKept(rel int, delta query.RelSet) float64 {
+	k := keptKey{rel, delta}
+	if frac, ok := e.kept[k]; ok {
+		return frac
+	}
+	frac := e.relKeptFraction(rel, delta, 0)
+	if e.kept == nil {
+		e.kept = make(map[keptKey]float64)
+	}
+	e.kept[k] = frac
+	return frac
+}
+
 // semiFracOneHop is the fraction of rel's rows whose myCol value appears in
 // other.otherCol after other has been reduced by its own local predicate and
-// by its neighbors inside delta.
-func (e *Estimator) semiFracOneHop(rel int, myCol string, other int, otherCol string, delta query.RelSet, visited query.RelSet) float64 {
-	otherKept := e.relKeptFraction(other, delta, visited)
+// by its neighbors inside delta, to otherKept of its rows.
+func (e *Estimator) semiFracOneHop(rel int, myCol string, other int, otherCol string, otherKept float64) float64 {
 	otherRowsBase := math.Max(e.Block.Relations[other].Table.RowCount, 1)
 	otherRowsEff := e.baseRows[other] * otherKept
 	dOther := NDVAfterFilter(e.colNDV(other, otherCol), otherRowsBase, otherRowsEff)
@@ -323,9 +367,17 @@ func (e *Estimator) semiFracOneHop(rel int, myCol string, other int, otherCol st
 // semi-join (equivalently, an ideal Bloom filter with zero false positives)
 // on the clause applyRel.applyCol = buildRel.buildCol, where the build side
 // is the joined set delta (which must contain buildRel).
+// The propagation inside delta never steps back onto applyRel unless delta
+// holds it, so outside that case the memoized kept fraction is the same
+// number.
 func (e *Estimator) SemiJoinFraction(applyRel int, applyCol string, buildRel int, buildCol string, delta query.RelSet) float64 {
-	visited := query.NewRelSet(applyRel)
-	return e.semiFracOneHop(applyRel, applyCol, buildRel, buildCol, delta, visited)
+	var kept float64
+	if delta.Has(applyRel) {
+		kept = e.relKeptFraction(buildRel, delta, query.NewRelSet(applyRel))
+	} else {
+		kept = e.relKept(buildRel, delta)
+	}
+	return e.semiFracOneHop(applyRel, applyCol, buildRel, buildCol, kept)
 }
 
 // BuildNDV estimates the number of distinct buildCol values the build side
@@ -333,7 +385,7 @@ func (e *Estimator) SemiJoinFraction(applyRel int, applyCol string, buildRel int
 // joined set delta. The optimizer uses it both to size the filter (and
 // enforce Heuristic 5) and to compute the false-positive rate.
 func (e *Estimator) BuildNDV(buildRel int, buildCol string, delta query.RelSet) float64 {
-	kept := e.relKeptFraction(buildRel, delta, 0)
+	kept := e.relKept(buildRel, delta)
 	base := math.Max(e.Block.Relations[buildRel].Table.RowCount, 1)
 	eff := e.baseRows[buildRel] * kept
 	return NDVAfterFilter(e.colNDV(buildRel, buildCol), base, eff)
@@ -354,7 +406,12 @@ var ModelFPR = bloom.FPR(1000, 8000)
 // applied to applyRel: the semi-join fraction plus leakage from the
 // filter's false-positive rate, |R ˆ⋉ δ| / |R| in the paper's notation.
 func (e *Estimator) BloomKeptFraction(applyRel int, applyCol string, buildRel int, buildCol string, delta query.RelSet) float64 {
-	frac := e.SemiJoinFraction(applyRel, applyCol, buildRel, buildCol, delta)
+	return BloomKept(e.SemiJoinFraction(applyRel, applyCol, buildRel, buildCol, delta))
+}
+
+// BloomKept is the kept fraction of a Bloom filter whose ideal semi-join
+// keeps frac of the rows: frac plus the false-positive leakage of the rest.
+func BloomKept(frac float64) float64 {
 	kept := frac + (1-frac)*ModelFPR
 	if kept > 1 {
 		kept = 1
@@ -371,7 +428,7 @@ func (e *Estimator) BloomKeptFraction(applyRel int, applyCol string, buildRel in
 // false-positive leakage (§5 future-work extension).
 func (e *Estimator) CompositeKeptFraction(applyRel, buildRel int, delta query.RelSet) float64 {
 	base := math.Max(e.Block.Relations[buildRel].Table.RowCount, 1)
-	eff := e.baseRows[buildRel] * e.relKeptFraction(buildRel, delta, 0)
+	eff := e.baseRows[buildRel] * e.relKept(buildRel, delta)
 	frac := eff / base
 	if frac > 1 {
 		frac = 1
@@ -386,7 +443,7 @@ func (e *Estimator) CompositeKeptFraction(applyRel, buildRel int, delta query.Re
 // CompositeBuildNDV estimates the distinct composite keys the build side
 // inserts: its surviving rows, since the pair is the build table's key.
 func (e *Estimator) CompositeBuildNDV(buildRel int, delta query.RelSet) float64 {
-	return e.baseRows[buildRel] * e.relKeptFraction(buildRel, delta, 0)
+	return e.baseRows[buildRel] * e.relKept(buildRel, delta)
 }
 
 // FKToPK reports whether applyRel's applyCols are a declared foreign key
@@ -424,5 +481,5 @@ func (e *Estimator) LosslessPK(applyRel int, applyCols []string, buildRel int, b
 	if e.baseSel[buildRel] < 0.999999 {
 		return false // local predicate filters the PK side
 	}
-	return e.relKeptFraction(buildRel, delta, 0) > 0.999999
+	return e.relKept(buildRel, delta) > 0.999999
 }
