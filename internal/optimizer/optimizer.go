@@ -746,7 +746,8 @@ func (o *optimizer) combine(j *joinSite, pa, pb *subPlan, list *planList) {
 	hc, streaming := o.hashJoinCost(j.mirrored, pa.rows, pb.rows)
 	hc += o.opts.Cost.BloomBuild(pb.rows, len(resolved))
 	total := pa.cost + pb.cost + hc
-	if !list.admits(total, rows, pending, pendIDs) {
+	from, ok := list.admits(total, rows, pending, pendIDs)
+	if !ok {
 		return
 	}
 
@@ -778,7 +779,7 @@ func (o *optimizer) combine(j *joinSite, pa, pb *subPlan, list *planList) {
 		kept.pending = slices.Clone(pending)
 	}
 	kept.node = &kept.join
-	list.add(&kept.subPlan, &o.free)
+	list.add(&kept.subPlan, from, &o.free)
 }
 
 // hashJoinCost prices a hash join of outerRows probing innerRows. A mirrored

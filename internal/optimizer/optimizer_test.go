@@ -676,6 +676,16 @@ func TestSubPlanDomination(t *testing.T) {
 	if l.insert(mk(30, 200, nil, false)) {
 		t.Fatal("dominated insert should be rejected")
 	}
+	// admits names the first stored plan an admitted one would evict.
+	if !l.insert(fewerRows) {
+		t.Fatal("an incomparable plan should be kept")
+	}
+	if from, ok := l.admits(15, 40, nil, 0); !ok || from != 1 {
+		t.Fatalf("admits(15, 40) = %d, %v; want 1 (it dominates the 20/50 plan, not the 10/100 one), true", from, ok)
+	}
+	if from, ok := l.admits(15, 60, nil, 0); !ok || from != l.len() {
+		t.Fatalf("admits(15, 60) = %d, %v; want %d (it dominates nothing), true", from, ok, l.len())
+	}
 }
 
 // combine builds a new plan in the joinPlan of a plan its list has evicted.
@@ -706,6 +716,13 @@ func TestRecycledPlansStayConsistent(t *testing.T) {
 				if p.node.EstRows() != p.rows || p.node.EstCost() != p.cost {
 					t.Fatalf("%s set %s: node says rows %g cost %g, plan list %g and %g",
 						c.name, o.graph.sets[i], p.node.EstRows(), p.node.EstCost(), p.rows, p.cost)
+				}
+				// admits stops at the first plan a new one dominates: that
+				// is only sound while no stored plan dominates another.
+				for _, q := range o.lists[i].plans {
+					if q != p && dominates(q, p) {
+						t.Fatalf("%s set %s: a stored plan dominates another", c.name, o.graph.sets[i])
+					}
 				}
 			}
 		}

@@ -180,28 +180,33 @@ type planList struct {
 
 // admits reports whether a costed plan with the given properties would be
 // kept: no stored plan dominates it. The enumerator asks before it
-// allocates the plan, which most of the time it then does not have to.
-func (l *planList) admits(cost, rows float64, pending []pendingBF, pendIDs uint64) bool {
-	for _, q := range l.plans {
-		if q.cost <= cost && q.rows <= rows && q.pendIDs&^pendIDs == 0 &&
-			!q.uncosted && pendingEasier(q.pending, pending) {
-			return false
+// allocates the plan, which most of the time it then does not have to. An
+// admitted plan's from is the first stored plan it dominates, or the
+// list's length: add evicts from there. Dominance is transitive and no
+// stored plan dominates another, so no plan after from can dominate it.
+func (l *planList) admits(cost, rows float64, pending []pendingBF, pendIDs uint64) (from int, ok bool) {
+	for i, q := range l.plans {
+		if q.uncosted {
+			continue
+		}
+		if q.cost <= cost && q.rows <= rows && q.pendIDs&^pendIDs == 0 && pendingEasier(q.pending, pending) {
+			return 0, false
+		}
+		if cost <= q.cost && rows <= q.rows && pendIDs&^q.pendIDs == 0 && pendingEasier(pending, q.pending) {
+			return i, true
 		}
 	}
-	return true
+	return len(l.plans), true
 }
 
-// add stores a plan the list admits, evicting the plans it dominates. The
-// evicted joinPlans go to free, when given, for the caller to build its next
-// plans in. That is safe while the list's set is still being enumerated:
-// only plans of larger sets, which come later, point at this list's.
-func (l *planList) add(p *subPlan, free *[]*joinPlan) {
+// add stores a plan the list admits, evicting the plans it dominates from
+// position from on. The evicted joinPlans go to free, when given, for the
+// caller to build its next plans in. That is safe while the list's set is
+// still being enumerated: only plans of larger sets, which come later,
+// point at this list's.
+func (l *planList) add(p *subPlan, from int, free *[]*joinPlan) {
 	plans := l.plans
-	// Most plans evict nothing: look before moving anything.
-	n := 0
-	for n < len(plans) && !dominates(p, plans[n]) {
-		n++
-	}
+	n := from
 	if n < len(plans) {
 		for _, q := range plans[n:] {
 			if !dominates(p, q) {
@@ -220,10 +225,14 @@ func (l *planList) add(p *subPlan, free *[]*joinPlan) {
 // insert adds p unless dominated; it evicts plans p dominates. Reports
 // whether p was kept.
 func (l *planList) insert(p *subPlan) bool {
-	if !p.uncosted && !l.admits(p.cost, p.rows, p.pending, p.pendIDs) {
-		return false
+	from := len(l.plans)
+	if !p.uncosted {
+		var ok bool
+		if from, ok = l.admits(p.cost, p.rows, p.pending, p.pendIDs); !ok {
+			return false
+		}
 	}
-	l.add(p, nil)
+	l.add(p, from, nil)
 	return true
 }
 
