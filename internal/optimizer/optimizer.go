@@ -574,10 +574,10 @@ func (o *optimizer) appendBloomScans(bfPlans []*subPlan, rel int, rows float64, 
 	const maxCombos = 32
 	combos := [][]bloomDelta{nil}
 	for _, ch := range choices {
-		var next [][]bloomDelta
+		next := make([][]bloomDelta, 0, min(maxCombos, len(combos)*len(ch.deltas)))
 		for _, base := range combos {
 			for _, d := range ch.deltas {
-				next = append(next, append(append([]bloomDelta{}, base...), d))
+				next = append(next, append(append(make([]bloomDelta, 0, len(base)+1), base...), d))
 				if len(next) >= maxCombos {
 					break
 				}
