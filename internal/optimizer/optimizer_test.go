@@ -270,8 +270,8 @@ func TestDeltaDependentCardinality(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := stats.NewEstimator(b)
-	small := e.BloomKeptFraction(0, "c2", 1, "c1", query.NewRelSet(1))
-	big := e.BloomKeptFraction(0, "c2", 1, "c1", query.NewRelSet(1, 2))
+	small := stats.BloomKept(e.SemiJoinFraction(0, "c2", 1, "c1", query.NewRelSet(1)))
+	big := stats.BloomKept(e.SemiJoinFraction(0, "c2", 1, "c1", query.NewRelSet(1, 2)))
 	if big >= small {
 		t.Fatalf("δ={t2,t3} (%v) should filter more than δ={t2} (%v)", big, small)
 	}

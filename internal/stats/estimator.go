@@ -155,8 +155,8 @@ func (e *Estimator) keyClauses(rel int, fk fkRef) []int {
 // non-inner clauses, and each relation pair's inner clause factors. Derived
 // clauses are skipped so transitive closure does not double-count. A pair
 // joined on every column of a declared composite key (lineitem ⋈ partsupp
-// on partkey AND suppkey) is a foreign-key join: its key clauses enter
-// through keyJoins instead. Other clauses between the same relation pair
+// on partkey AND suppkey) is a foreign-key join: its key clauses enter as
+// one selectivity, 1/|key side|, through keyJoins. Other clauses between the same relation pair
 // may still be correlated, and assuming independence would underestimate
 // by orders of magnitude, so selectivities beyond the most selective clause
 // per pair enter with exponential backoff (s, √s, ∜s, ...), as SQL Server
@@ -402,15 +402,10 @@ func (e *Estimator) BuildNDV(buildRel int, buildCol string, delta query.RelSet) 
 // ROADMAP item 2(a), and until then this value stays.
 var ModelFPR = bloom.FPR(1000, 8000)
 
-// BloomKeptFraction is the planning-time reduction factor of a Bloom filter
-// applied to applyRel: the semi-join fraction plus leakage from the
-// filter's false-positive rate, |R ˆ⋉ δ| / |R| in the paper's notation.
-func (e *Estimator) BloomKeptFraction(applyRel int, applyCol string, buildRel int, buildCol string, delta query.RelSet) float64 {
-	return BloomKept(e.SemiJoinFraction(applyRel, applyCol, buildRel, buildCol, delta))
-}
-
-// BloomKept is the kept fraction of a Bloom filter whose ideal semi-join
-// keeps frac of the rows: frac plus the false-positive leakage of the rest.
+// BloomKept is the planning-time reduction factor of a Bloom filter whose
+// ideal semi-join (SemiJoinFraction) keeps frac of the probe rows: frac
+// plus leakage from the filter's false-positive rate on the rest,
+// |R ˆ⋉ δ| / |R| in the paper's notation.
 func BloomKept(frac float64) float64 {
 	kept := frac + (1-frac)*ModelFPR
 	if kept > 1 {
@@ -433,11 +428,7 @@ func (e *Estimator) CompositeKeptFraction(applyRel, buildRel int, delta query.Re
 	if frac > 1 {
 		frac = 1
 	}
-	kept := frac + (1-frac)*ModelFPR
-	if kept > 1 {
-		kept = 1
-	}
-	return kept
+	return BloomKept(frac)
 }
 
 // CompositeBuildNDV estimates the distinct composite keys the build side

@@ -196,8 +196,8 @@ func TestEstimatorBaseRows(t *testing.T) {
 func TestDeltaEquivalenceExample33(t *testing.T) {
 	b := paperBlock()
 	e := NewEstimator(b)
-	f1 := e.BloomKeptFraction(0, "c2", 1, "c1", query.NewRelSet(1))
-	f2 := e.BloomKeptFraction(0, "c2", 1, "c1", query.NewRelSet(1, 2))
+	f1 := BloomKept(e.SemiJoinFraction(0, "c2", 1, "c1", query.NewRelSet(1)))
+	f2 := BloomKept(e.SemiJoinFraction(0, "c2", 1, "c1", query.NewRelSet(1, 2)))
 	if math.Abs(f1-f2) > 1e-9 {
 		t.Fatalf("kept fractions differ: δ={t2}: %v vs δ={t2,t3}: %v", f1, f2)
 	}
@@ -331,7 +331,7 @@ func TestBloomKeptFractionIncludesFPR(t *testing.T) {
 	b := paperBlock()
 	e := NewEstimator(b)
 	semi := e.SemiJoinFraction(0, "c2", 1, "c1", query.NewRelSet(1))
-	kept := e.BloomKeptFraction(0, "c2", 1, "c1", query.NewRelSet(1))
+	kept := BloomKept(semi)
 	if kept < semi {
 		t.Fatalf("Bloom kept %v below ideal semi-join %v", kept, semi)
 	}
