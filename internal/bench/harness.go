@@ -466,39 +466,13 @@ func (f *Figure) Check() error {
 	return errors.Join(errs...)
 }
 
-// Print renders plans and observed per-node input row counts for BF-Post
-// versus BF-CBO.
+// Print renders plans and their EXPLAIN ANALYZE for BF-Post versus BF-CBO.
 func (f *Figure) Print(w io.Writer) {
 	for _, qr := range []*QueryRun{f.Post, f.CBO} {
 		fmt.Fprintf(w, "=== Q%d  %s  latency=%s  planner=%s  blooms=%d\n",
 			qr.Query, qr.Mode, qr.Latency.Round(time.Microsecond), qr.PlannerTime.Round(time.Microsecond), qr.Blooms)
 		fmt.Fprint(w, qr.Plan.Explain())
-		fmt.Fprintln(w, "observed rows per node (est -> actual):")
-		printActuals(w, qr.Plan.Root, qr.Actuals, 1)
-		for _, bs := range qr.Actuals.BloomStats {
-			fmt.Fprintf(w, "  %s\n", bs)
-		}
-		if len(qr.Actuals.Pipelines) > 0 {
-			fmt.Fprintf(w, "pipelines (last measured run):\n")
-			for _, ps := range qr.Actuals.Pipelines {
-				fmt.Fprintf(w, "  %s  workers=%d rows=%d wall=%s\n",
-					ps.Label, ps.Workers, ps.Rows, ps.Wall.Round(time.Microsecond))
-			}
-		}
-	}
-}
-
-func printActuals(w io.Writer, n plan.Node, r *exec.Result, depth int) {
-	for i := 0; i < depth; i++ {
-		fmt.Fprint(w, "  ")
-	}
-	switch t := n.(type) {
-	case *plan.Scan:
-		fmt.Fprintf(w, "scan %-10s %12.0f -> %12.0f\n", t.Alias, t.EstRows(), r.ActualFor(n))
-	case *plan.Join:
-		fmt.Fprintf(w, "HashJoin %-11s %12.0f -> %12.0f\n", "("+t.Streaming.String()+")", t.EstRows(), r.ActualFor(n))
-		printActuals(w, t.Outer, r, depth+1)
-		printActuals(w, t.Inner, r, depth+1)
+		fmt.Fprint(w, qr.Actuals.ExplainAnalyze(qr.Plan))
 	}
 }
 

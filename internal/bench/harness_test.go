@@ -99,7 +99,7 @@ func TestFigureClaims(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		f.Print(&buf)
-		for _, want := range []string{"BF-Post", "BF-CBO", "observed rows"} {
+		for _, want := range []string{"BF-Post", "BF-CBO", "actual="} {
 			if !strings.Contains(buf.String(), want) {
 				t.Fatalf("figure report missing %q:\n%s", want, buf.String())
 			}

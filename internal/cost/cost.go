@@ -1,11 +1,11 @@
 // Package cost implements the planner's cost model: per-row CPU costs for
 // scans and the hash join (the one join method, as in the executor),
 // exchange (redistribute / broadcast) streaming at a configurable degree of
-// parallelism, and the Bloom filter build/apply costs of §3.5 — apply is a
-// constant k per probed row with k smaller than a hash-table lookup, build
-// is free. The constants come in
-// two named profiles: Paper, the environment the paper's figures are
-// about, and Engine, measured on the executor this repository runs.
+// parallelism, and §3.5's Bloom filter test, a constant k per tested row
+// smaller than a hash-table lookup; building a filter is free (§3.5) and
+// has no term. The constants come in two named profiles: Paper, the
+// environment the paper's figures are about, and Engine, measured on the
+// executor this repository runs.
 package cost
 
 import "fmt"
@@ -29,9 +29,6 @@ type Params struct {
 	// BloomApplyCost is the paper's k: per-row cost of testing a Bloom
 	// filter. Must be below HashProbeCost, else filtering never pays.
 	BloomApplyCost float64
-	// BloomBuildCost per build row; the paper measured it negligible and
-	// sets it to zero (§3.5).
-	BloomBuildCost float64
 	// TransferCost is charged per row moved between threads.
 	TransferCost float64
 	// DOP is the degree of parallelism used by streaming decisions.
@@ -56,7 +53,6 @@ func Paper() Params {
 		HashBuildCost:  0.008,
 		HashProbeCost:  0.01,
 		BloomApplyCost: 0.004,
-		BloomBuildCost: 0,
 		// Above HashProbeCost, so that shuffling a large input is dearer
 		// than probing it in place — under which the No-BF planner prefers
 		// building the big side in place and broadcasting the small probe
@@ -69,73 +65,28 @@ func Paper() Params {
 	}
 }
 
-// Per-row times of internal/exec's operators, in nanoseconds, rounded from
-// the medians of `go test ./internal/exec -run '^$' -bench
-// BenchmarkJoinSides -benchtime 20x -count 5` on a shared 2-vCPU Intel Xeon
-// @ 2.60 GHz (KVM guest, linux/amd64, go1.24.0), 2026-10-03, one worker;
-// run to run the medians move by about 15 %. Engine's constants are these
-// figures times a unit and nothing else. To recalibrate: rerun the
-// benchmark, replace the literals, regenerate plans_engine.golden
-// (`go test ./internal/optimizer -run TestGoldenPlans -update`) and read the
-// diff.
+// Per-row times of internal/exec's operators in nanoseconds, one worker,
+// from `go test ./internal/exec -run '^$' -bench BenchmarkJoinSides
+// -benchtime 20x` on a 2-vCPU Xeon @ 2.60 GHz (medians move run to run by
+// about 15 %). Engine's constants are these times a unit and nothing else;
+// after changing one, regenerate plans_engine.golden (`go test
+// ./internal/optimizer -run TestGoldenPlans -update`) and read the diff.
 //
-//	sub-benchmark   measured          charged as
-//	scan/plain      2.5 ns/row        CPUTupleCost
-//	scan/pred       3.8 ns/row        CPUOperatorCost = the 1.3 ns over plain
-//	scan/bloom      10.5 ns/row       BloomApplyCost  = the 8 ns over plain
-//	build/16Ki      45 ns/row         HashBuildCost
-//	probe/16Ki      25 ns/key         HashProbeCost
-//	build/1024Ki    65 ns/row         (not charged: see below)
-//	probe/1024Ki    145 ns/key        (not charged: see below)
-//	mirror/semi     23.5 ns/key       HashProbeCost (probe and mark)
-//	                2.5 ns/swept row  CPUTupleCost  (a build row emitted)
-//	mirror/left     25.5 ns/key       HashProbeCost (probe, mark, emit pair)
-//	                1.3 ns/swept row  CPUTupleCost  (a build row passed over)
+//	constant     charges                                     sub-benchmark
+//	nsScanRow    a row a scan reads (CPUTupleCost), and a    scan/plain
+//	             build row a mirrored join sweeps
+//	nsPredRow    a predicate on a row (CPUOperatorCost)      scan/pred − scan/plain
+//	nsBloomTest  a Bloom test on a row that passed the       scan/bloom − scan/plain
+//	             predicates (BloomApplyCost)
+//	nsBuildRow   a row inserted in a hash table              build/16Ki
+//	nsProbeKey   a probe key, a mirrored join's too          probe/16Ki, mirror/*
 //
-// scan/bloom re-run after every filter became one bloom.Filter at 16 bits
-// per key, same host at a quieter hour: plain 1.9, pred 3.0, bloom 7.7,
-// 7.6 ns/row over a filter built by two workers (a case dropped once one
-// goroutine built every filter), and 7.7 at the commit before. A filter test is 3.05 scanned rows against the 3.2
-// charged: inside the band, nsBloomTest stays.
-//
-// scan/bloom re-run after the filter became register-blocked (both bits in
-// one word, one-multiply hash, one fused pass over the key column), same
-// host, 2026-10-16, five runs of each commit alternated in one hour (the
-// commit before: plain 2.4, bloom 10.8, 9.6–11.0 ns/row to 1 MiB, 15.1 at
-// 2 MiB, 15.9 at 4 MiB):
-//
-//	scan/plain            2.8 ns/row
-//	scan/pred             4.4 ns/row
-//	scan/bloom            6.3 ns/row   a test = 3.5 ns over plain
-//	scan/bloom/pass5pct   5.9 ns/row   a test = 3.1 ns over plain, 5.5 % pass
-//	scan/bloom/16KiB …    5.8–7.3 ns/row to 1 MiB, 10.7 at 2 MiB,
-//	  4MiB                10.5 at 4 MiB
-//
-// A test now costs 1.25 scanned rows at the full pass rate and 1.1 at the
-// workloads' (they pass about 7 % of tested rows), against the 3.2
-// charged: outside the band. nsBloomTest stays at 8 all the same. The
-// blocked filter is meant to move no plan, and lowering the charge would
-// shift H6's break-even (1 − BloomApplyCost/HashProbeCost) with it; the
-// two are re-derived together (ROADMAP item 2(b)).
-//
-// A mirrored join — a semi, anti or left join built on its preserve side —
-// is therefore priced as the hash join it is plus one scanned row per build
-// row for the sweep that follows the probe (optimizer.hashJoinCost): no
-// constant of its own.
-//
-// benchmark/'s own kernels agree where they overlap: bloom.test_ns_per_key
-// 8.2 ns, query.filter_ns_per_row 6.6 ns for TPC-H's multi-conjunct
-// predicates, hashtab.probe_ns_per_key 12 (L2) to 27 ns (memory) for the
-// directory alone.
-//
-// The constants are flat, taken at the cache-resident size, which is where
-// the plans this profile picks put their build sides. A probe against a
-// 1 Mi-row table costs 5.8 times one against 16 Ki rows when the keys arrive
-// in random order, but there is no build side left for a step in the probe
-// term to move: the planner chooses the build side of semi, anti and left
-// joins too, and at SF 0.2 the largest table any of the 22 TPC-H plans
-// builds holds 69 689 rows (Q9; before, Q21's semi join pinned 1.2 M rows
-// of lineitem there). So there is no step.
+// The figures are flat, taken at the cache-resident size where this
+// profile's plans put their build sides (the largest a TPC-H pass builds at
+// SF 0.2 holds 69 689 rows), though probe/1024Ki costs 5.8 × probe/16Ki.
+// scan/bloom now reads 3.1–3.5 ns a test over scan/plain against the 8
+// charged: k and H6's break-even (1 − BloomApplyCost/HashProbeCost) are
+// re-derived together (ROADMAP item 2(b)). CHANGES.md holds the history.
 const (
 	nsScanRow   = 2.5
 	nsPredRow   = 1.3
@@ -165,7 +116,6 @@ func Engine() Params {
 		HashBuildCost:   nsBuildRow * unit,
 		HashProbeCost:   nsProbeKey * unit,
 		BloomApplyCost:  nsBloomTest * unit,
-		BloomBuildCost:  0, // 0.8 ms of a 300 ms TPC-H pass: free, as in §3.5
 		TransferCost:    0,
 		DOP:             2,
 	}
@@ -173,7 +123,7 @@ func Engine() Params {
 
 // Validate reports the first of the model's assumptions the parameters
 // violate, or nil.
-func (p Params) Validate() error {
+func (p *Params) Validate() error {
 	switch {
 	case p.DOP < 1:
 		return fmt.Errorf("cost: DOP %d: streaming is costed for at least one thread", p.DOP)
@@ -189,20 +139,14 @@ func (p Params) Validate() error {
 }
 
 // Scan returns the cost of scanning tableRows rows, evaluating predOps
-// predicate operators on each, and testing nBloom Bloom filters per row.
-// Bloom filters are tested against every input row (they execute inside the
-// scan, before rows are emitted), matching the paper's "k × 600M" example.
-func (p Params) Scan(tableRows float64, predOps int, nBloom int) float64 {
+// predicate operators on each, and testing nBloom Bloom filters on each of
+// the testedRows rows that pass the predicates: the filters run inside the
+// scan, after its predicates.
+func (p *Params) Scan(tableRows float64, predOps int, testedRows float64, nBloom int) float64 {
 	c := tableRows * p.CPUTupleCost
 	c += tableRows * float64(predOps) * p.CPUOperatorCost
-	c += tableRows * float64(nBloom) * p.BloomApplyCost
+	c += testedRows * float64(nBloom) * p.BloomApplyCost
 	return c
-}
-
-// BloomBuild returns the (by default zero) cost of inserting buildRows keys
-// into nFilters Bloom filters.
-func (p Params) BloomBuild(buildRows float64, nFilters int) float64 {
-	return buildRows * float64(nFilters) * p.BloomBuildCost
 }
 
 // Streaming identifies how join inputs are moved across threads (§3.9).
@@ -242,7 +186,7 @@ func (s Streaming) String() string {
 // naively it would build every large input in place, and the
 // dimension-table build sides the paper's baseline plans show would never
 // arise.
-func (p Params) HashJoin(outerRows, innerRows float64) (float64, Streaming) {
+func (p *Params) HashJoin(outerRows, innerRows float64) (float64, Streaming) {
 	build := innerRows * p.HashBuildCost
 	probe := outerRows * p.HashProbeCost
 	if p.DOP <= 1 {

@@ -27,7 +27,7 @@ func TestPaperProfilePinned(t *testing.T) {
 	want := Params{
 		Name: "paper", CPUTupleCost: 0.01, CPUOperatorCost: 0.0025,
 		HashBuildCost: 0.008, HashProbeCost: 0.01,
-		BloomApplyCost: 0.004, BloomBuildCost: 0, TransferCost: 0.012, DOP: 48,
+		BloomApplyCost: 0.004, TransferCost: 0.012, DOP: 48,
 	}
 	if got := Paper(); got != want {
 		t.Fatalf("Paper() = %+v, want %+v", got, want)
@@ -91,16 +91,17 @@ func TestValidateRejectsBadParams(t *testing.T) {
 
 func TestScanCostComposition(t *testing.T) {
 	p := Paper()
-	base := p.Scan(1000, 0, 0)
-	withPred := p.Scan(1000, 2, 0)
-	withBloom := p.Scan(1000, 2, 1)
+	base := p.Scan(1000, 0, 0, 0)
+	withPred := p.Scan(1000, 2, 0, 0)
+	withBloom := p.Scan(1000, 2, 300, 1)
 	if base != 1000*p.CPUTupleCost {
 		t.Fatalf("base scan cost = %v", base)
 	}
 	if withPred-base != 1000*2*p.CPUOperatorCost {
 		t.Fatalf("pred increment = %v", withPred-base)
 	}
-	if withBloom-withPred != 1000*p.BloomApplyCost {
+	// A filter tests only the rows that passed the predicates.
+	if withBloom != withPred+300*p.BloomApplyCost {
 		t.Fatalf("bloom increment = %v", withBloom-withPred)
 	}
 }
@@ -115,7 +116,7 @@ func bloomApplyCheaperThanProbe(t *testing.T, p Params) {
 	// Filtering 1M rows down to 100K before a hash probe must beat
 	// probing all 1M rows, when the filter is effective.
 	noBF, _ := p.HashJoin(1_000_000, 1000)
-	bfScanExtra := p.Scan(1_000_000, 0, 1) - p.Scan(1_000_000, 0, 0)
+	bfScanExtra := p.Scan(1_000_000, 0, 1_000_000, 1) - p.Scan(1_000_000, 0, 0, 0)
 	withBF, _ := p.HashJoin(100_000, 1000)
 	if bfScanExtra+withBF >= noBF {
 		t.Fatalf("%s: effective Bloom filter should pay off: %v + %v vs %v", p.Name, bfScanExtra, withBF, noBF)
@@ -143,19 +144,6 @@ func TestHashJoinStreamingChoice(t *testing.T) {
 	}
 }
 
-func TestBloomBuildDefaultFree(t *testing.T) {
-	for _, p := range profiles {
-		if p.BloomBuild(1e9, 5) != 0 {
-			t.Fatalf("%s: Bloom build cost should be zero (§3.5)", p.Name)
-		}
-	}
-	p := Paper()
-	p.BloomBuildCost = 0.001
-	if p.BloomBuild(1000, 2) != 2.0 {
-		t.Fatalf("BloomBuild = %v", p.BloomBuild(1000, 2))
-	}
-}
-
 func TestStreamingString(t *testing.T) {
 	if None.String() != "none" || BroadcastInner.String() != "BC" || Redistribute.String() != "RD" {
 		t.Fatal("streaming labels wrong")
@@ -177,7 +165,7 @@ func quickCostMonotone(t *testing.T, p Params) {
 		if hj1 < 0 || hj2 < hj1 {
 			return false
 		}
-		return p.Scan(a, 1, 1) >= p.Scan(a, 0, 0)
+		return p.Scan(a, 1, a, 1) >= p.Scan(a, 0, 0, 0)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)

@@ -1,11 +1,6 @@
 package optimizer
 
-import (
-	"cmp"
-	"slices"
-
-	"bfcbo/internal/plan"
-)
+import "bfcbo/internal/plan"
 
 // postProcess implements the traditional post-optimization Bloom filter
 // placement (the paper's BF-Post baseline, and the §3.7 pass retained after
@@ -14,15 +9,14 @@ import (
 // join's build side to the probe-side scan of the condition's outer
 // relation — pushed all the way down to the scan. Heuristics H2/H3/H5/H6
 // and the outer/anti-join correctness restrictions are re-asserted here,
-// exactly as the paper's post-processing "repeats the assertion that the
-// selectivity of the Bloom filter be larger than a threshold and several
-// other heuristics".
+// through the checks BF-CBO's candidates pass, exactly as the paper's
+// post-processing "repeats the assertion that the selectivity of the Bloom
+// filter be larger than a threshold and several other heuristics".
 //
 // Crucially, the pass does NOT update any cardinality estimates: that is
 // the defining weakness of BF-Post that BF-CBO fixes, and it is what makes
 // the estimated-vs-actual comparison of Table 2 (MAE) reproducible.
 func (o *optimizer) postProcess(p *plan.Plan) {
-	h := o.opts.Heuristics
 	scanByRel := make(map[int]*plan.Scan)
 	for _, s := range p.Scans() {
 		scanByRel[s.Rel] = s
@@ -40,15 +34,18 @@ func (o *optimizer) postProcess(p *plan.Plan) {
 	// constituent single-column filters would only re-test rows the pair
 	// filter has already cleared.
 	compositePair := make(map[[2]int]bool)
-	for _, b := range p.Blooms {
-		have[pairKey{b.ApplyRel, b.ApplyCol, b.BuildRel, b.BuildCol}] = true
-		if b.ApplyCol2 != "" {
-			compositePair[[2]int{b.ApplyRel, b.BuildRel}] = true
+	joins := p.Joins()
+	for _, j := range joins {
+		for _, id := range j.BuildBlooms {
+			c := o.blooms[id].cand
+			have[pairKey{c.applyRel, c.applyCol, c.buildRel, c.buildCol}] = true
+			if c.applyCol2 != "" {
+				compositePair[[2]int{c.applyRel, c.buildRel}] = true
+			}
 		}
 	}
 
-	added := false
-	for _, j := range p.Joins() {
+	for _, j := range joins {
 		if !bloomMayFilterProbe(j.JoinType, j.BuildPreserved) {
 			continue
 		}
@@ -66,38 +63,18 @@ func (o *optimizer) postProcess(p *plan.Plan) {
 			if have[k] || compositePair[[2]int{c.OuterRel, c.InnerRel}] {
 				continue
 			}
-			delta := innerRels
-			if h.H2MinApplyRows > 0 && o.est.BaseRows(c.OuterRel) <= h.H2MinApplyRows {
+			cand := &candidate{applyRel: c.OuterRel, applyCol: c.OuterCol, buildRel: c.InnerRel, buildCol: c.InnerCol}
+			if o.tooSmallToFilter(c.OuterRel) || (o.opts.Heuristics.H3FKLosslessPK && o.losslessPK(cand, innerRels)) {
 				continue
 			}
-			if h.H3FKLosslessPK && o.est.LosslessPK(c.OuterRel, []string{c.OuterCol}, c.InnerRel, []string{c.InnerCol}, delta) {
+			_, ndv, ok := o.admitDelta(cand, innerRels)
+			if !ok {
 				continue
 			}
-			frac := o.est.SemiJoinFraction(c.OuterRel, c.OuterCol, c.InnerRel, c.InnerCol, delta)
-			if h.H6MaxKeepFraction > 0 && frac > h.H6MaxKeepFraction {
-				continue
-			}
-			if h.H5MaxBuildNDV > 0 && o.est.BuildNDV(c.InnerRel, c.InnerCol, delta) > h.H5MaxBuildNDV {
-				continue
-			}
-			id := o.nextID
-			o.nextID++
-			spec := plan.BloomSpec{
-				ID:       id,
-				ApplyRel: c.OuterRel, ApplyCol: c.OuterCol,
-				BuildRel: c.InnerRel, BuildCol: c.InnerCol,
-				Delta:       delta,
-				EstBuildNDV: o.est.BuildNDV(c.InnerRel, c.InnerCol, delta),
-			}
-			o.specs[id] = spec
+			id := o.allocBloom(cand, innerRels, ndv)
 			have[k] = true
 			scan.ApplyBlooms = append(scan.ApplyBlooms, id)
 			j.BuildBlooms = append(j.BuildBlooms, id)
-			p.Blooms = append(p.Blooms, spec)
-			added = true
 		}
-	}
-	if added {
-		slices.SortFunc(p.Blooms, func(x, y plan.BloomSpec) int { return cmp.Compare(x.ID, y.ID) })
 	}
 }

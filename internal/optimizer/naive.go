@@ -34,7 +34,7 @@ func (o *optimizer) addNaiveBasePlans(rel int, l *planList) {
 		pending := make([]pendingBF, len(combo))
 		ids := make([]int, len(combo))
 		for i, c := range combo {
-			id := o.allocBloom(c, 0, o.buildNDV(c, 0))
+			id := o.allocBloom(c, 0, 0)
 			pending[i] = pendingBF{cand: c, delta: 0, factor: 1, bloomID: id}
 			ids[i] = id
 		}
@@ -52,6 +52,8 @@ func (o *optimizer) addNaiveBasePlans(rel int, l *planList) {
 // combineNaive joins two sub-plans at least one of which carries unknown-δ
 // Bloom filters. Resolution assigns δ = inner set and triggers the
 // "necessarily recursive" re-costing of the outer sub-plan tree (§3.1).
+// The filter's spec takes its δ from the join that builds it in the chosen
+// plan (collectSpecs): one filter id resolves in many plans.
 func (o *optimizer) combineNaive(j *joinSite, pa, pb *subPlan, list *planList) {
 	jt, conds, inner := j.joinType, j.conds, j.inner
 
@@ -62,7 +64,6 @@ func (o *optimizer) combineNaive(j *joinSite, pa, pb *subPlan, list *planList) {
 			if inner.Has(p.cand.buildRel) {
 				d := inner
 				_, f := o.fractions(p.cand, d)
-				o.setBloomSpec(p.bloomID, p.cand, d, o.buildNDV(p.cand, d))
 				factors = append(factors, naiveFactor{applyRel: p.cand.applyRel, buildRel: p.cand.buildRel, factor: f})
 				resolved = append(resolved, pendingBF{cand: p.cand, delta: d, factor: f, bloomID: p.bloomID})
 				continue

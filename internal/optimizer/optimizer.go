@@ -87,15 +87,14 @@ func Optimize(b *query.Block, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("optimizer: no complete plan found for block %q", b.Name)
 	}
 	p := &plan.Plan{Root: best.node, Mode: opts.Mode.String(), CostProfile: opts.Cost.Name}
-	o.collectSpecs(p)
 
 	// §3.7: the post-processing application of Bloom filters is retained
 	// for BF-Post (where it is the whole mechanism) and after BF-CBO
-	// (where it may add filters costing could not plan, and re-marks the
-	// ones costing chose).
+	// (where it may add filters costing could not plan).
 	if opts.Mode == BFPost || (opts.Mode == BFCBO && !opts.DisablePostPass) {
 		o.postProcess(p)
 	}
+	o.collectSpecs(p)
 
 	res := &Result{
 		Plan:          p,
@@ -121,9 +120,8 @@ type optimizer struct {
 	opts  Options
 
 	cands  []*candidate
-	lists  []planList // by set ordinal in graph.sets
-	specs  map[int]plan.BloomSpec
-	nextID int
+	lists  []planList   // by set ordinal in graph.sets
+	blooms []bloomAlloc // by Bloom filter id: every filter allocated
 
 	phase1Pairs   int
 	joinInputCard float64 // H8 accumulator
@@ -151,7 +149,6 @@ func newOptimizer(b *query.Block, opts Options) *optimizer {
 		est:   stats.NewEstimator(&closed),
 		opts:  opts,
 		lists: make([]planList, len(g.sets)),
-		specs: make(map[int]plan.BloomSpec),
 	}
 }
 
@@ -175,7 +172,7 @@ func (o *optimizer) markCandidates() {
 	h := o.opts.Heuristics
 	seen := make(map[[2]int]map[[2]string]bool)
 	add := func(applyRel int, applyCol string, buildRel int, buildCol string, mirrored, fromH9, equated bool) {
-		if h.H2MinApplyRows > 0 && o.est.BaseRows(applyRel) <= h.H2MinApplyRows {
+		if o.tooSmallToFilter(applyRel) {
 			return
 		}
 		rk := [2]int{applyRel, buildRel}
@@ -269,7 +266,6 @@ func (o *optimizer) markCandidates() {
 // joined on two or more inner clauses (the §5 extension). The composite key
 // covers the first two clauses; direction follows Heuristic 1.
 func (o *optimizer) markCompositeCandidates() {
-	h := o.opts.Heuristics
 	type pairCols struct{ lc, rc [2]string }
 	pairs := make(map[query.RelSet]*pairCols)
 	counts := make(map[query.RelSet]int)
@@ -314,7 +310,7 @@ func (o *optimizer) markCompositeCandidates() {
 			applyRel, buildRel = hiRel, loRel
 			applyCols, buildCols = p.rc, p.lc
 		}
-		if h.H2MinApplyRows > 0 && o.est.BaseRows(applyRel) <= h.H2MinApplyRows {
+		if o.tooSmallToFilter(applyRel) {
 			continue
 		}
 		// A pair filter is at least as selective as either constituent
@@ -338,6 +334,13 @@ func (o *optimizer) markCompositeCandidates() {
 			buildRel: buildRel, buildCol: buildCols[0], buildCol2: buildCols[1],
 		})
 	}
+}
+
+// tooSmallToFilter is Heuristic 2: a relation estimated at no more than
+// H2MinApplyRows rows is not worth filtering.
+func (o *optimizer) tooSmallToFilter(rel int) bool {
+	h2 := o.opts.Heuristics.H2MinApplyRows
+	return h2 > 0 && o.est.BaseRows(rel) <= h2
 }
 
 // candidateClasses returns the index's equivalence classes in the order
@@ -430,7 +433,7 @@ func (o *optimizer) losslessPK(c *candidate, d query.RelSet) bool {
 // includes the filter's leakage in both.
 func (o *optimizer) fractions(c *candidate, d query.RelSet) (semi, kept float64) {
 	if c.applyCol2 != "" {
-		kept = o.est.CompositeKeptFraction(c.applyRel, c.buildRel, d)
+		kept = o.est.CompositeKeptFraction(c.buildRel, d)
 		return kept, kept
 	}
 	semi = o.est.SemiJoinFraction(c.applyRel, c.applyCol, c.buildRel, c.buildCol, d)
@@ -445,17 +448,31 @@ func (o *optimizer) buildNDV(c *candidate, d query.RelSet) float64 {
 	return o.est.BuildNDV(c.buildRel, c.buildCol, d)
 }
 
-// scanCost prices a base scan: every stored row is touched, local predicate
-// operators run per row, and each Bloom filter costs k per surviving row.
+// admitDelta is Heuristics 6 and 5 for candidate c under build side d: the
+// filter must be selective enough and fit the size budget. It returns the
+// filter's kept fraction and build side NDV.
+func (o *optimizer) admitDelta(c *candidate, d query.RelSet) (kept, ndv float64, ok bool) {
+	h := o.opts.Heuristics
+	semi, kept := o.fractions(c, d)
+	if h.H6MaxKeepFraction > 0 && semi > h.H6MaxKeepFraction {
+		return 0, 0, false
+	}
+	ndv = o.buildNDV(c, d)
+	if h.H5MaxBuildNDV > 0 && ndv > h.H5MaxBuildNDV {
+		return 0, 0, false
+	}
+	return kept, ndv, true
+}
+
+// scanCost prices a base scan of rel that tests nBloom Bloom filters on the
+// rows its predicate keeps.
 func (o *optimizer) scanCost(rel int, nBloom int) float64 {
-	t := o.block.Relations[rel].Table
+	r := o.block.Relations[rel]
 	ops := 0
-	if o.block.Relations[rel].Pred != nil {
+	if r.Pred != nil {
 		ops = 1
 	}
-	c := o.opts.Cost.Scan(t.RowCount, ops, 0)
-	c += o.est.BaseRows(rel) * float64(nBloom) * o.opts.Cost.BloomApplyCost
-	return c
+	return o.opts.Cost.Scan(r.Table.RowCount, ops, o.est.BaseRows(rel), nBloom)
 }
 
 func (o *optimizer) newScanNode(rel int, rows, cst float64, bloomIDs []int) *plan.Scan {
@@ -473,11 +490,8 @@ func (o *optimizer) makeBasePlans(withBF, naive bool) {
 	h := o.opts.Heuristics
 	for rel := range o.block.Relations {
 		l := &o.lists[rel] // a relation's index is its singleton's ordinal
-		rows := o.est.BaseRows(rel)
-		l.insert(&subPlan{
-			rows: rows, cost: o.scanCost(rel, 0),
-			node: o.newScanNode(rel, rows, o.scanCost(rel, 0), nil),
-		})
+		rows, cst := o.est.BaseRows(rel), o.scanCost(rel, 0)
+		l.insert(&subPlan{rows: rows, cost: cst, node: o.newScanNode(rel, rows, cst, nil)})
 
 		if naive {
 			o.addNaiveBasePlans(rel, l)
@@ -494,31 +508,23 @@ func (o *optimizer) makeBasePlans(withBF, naive bool) {
 			if c.applyRel != rel || len(c.deltas) == 0 {
 				continue
 			}
-			var ok []bloomDelta
+			var ds []bloomDelta
 			for _, d := range c.deltas {
-				semi, kept := o.fractions(c, d)
-				// Heuristic 6: the filter must be selective enough.
-				if h.H6MaxKeepFraction > 0 && semi > h.H6MaxKeepFraction {
-					continue
+				if kept, ndv, ok := o.admitDelta(c, d); ok {
+					ds = append(ds, bloomDelta{delta: d, kept: kept, ndv: ndv})
 				}
-				// Heuristic 5: the filter must fit the size budget.
-				ndv := o.buildNDV(c, d)
-				if h.H5MaxBuildNDV > 0 && ndv > h.H5MaxBuildNDV {
-					continue
-				}
-				ok = append(ok, bloomDelta{delta: d, kept: kept, ndv: ndv})
 			}
-			if len(ok) == 0 {
+			if len(ds) == 0 {
 				continue
 			}
 			// Strongest δ first, so capped enumeration keeps the best.
-			slices.SortFunc(ok, func(x, y bloomDelta) int {
+			slices.SortFunc(ds, func(x, y bloomDelta) int {
 				if d := cmp.Compare(x.kept, y.kept); d != 0 {
 					return d
 				}
 				return cmp.Compare(x.delta.Count(), y.delta.Count())
 			})
-			choices = append(choices, bloomChoice{c, ok})
+			choices = append(choices, bloomChoice{c, ds})
 		}
 		if len(choices) == 0 {
 			continue
@@ -611,26 +617,20 @@ func (o *optimizer) appendBloomScans(bfPlans []*subPlan, rel int, rows float64, 
 	return bfPlans
 }
 
+// bloomAlloc is one allocated Bloom filter: candidate cand built over delta
+// to hold ndv keys. A Naive filter is allocated before its δ is known, with
+// delta zero.
+type bloomAlloc struct {
+	cand  *candidate
+	delta query.RelSet
+	ndv   float64
+}
+
 // allocBloom records a new filter, candidate c built over delta to hold
 // ndv keys, and returns its id.
 func (o *optimizer) allocBloom(c *candidate, delta query.RelSet, ndv float64) int {
-	id := o.nextID
-	o.nextID++
-	o.setBloomSpec(id, c, delta, ndv)
-	return id
-}
-
-// setBloomSpec records filter id as candidate c built over delta to hold
-// ndv keys.
-func (o *optimizer) setBloomSpec(id int, c *candidate, delta query.RelSet, ndv float64) {
-	o.specs[id] = plan.BloomSpec{
-		ID:       id,
-		ApplyRel: c.applyRel, ApplyCol: c.applyCol,
-		BuildRel: c.buildRel, BuildCol: c.buildCol,
-		ApplyCol2: c.applyCol2, BuildCol2: c.buildCol2,
-		Delta:       delta,
-		EstBuildNDV: ndv,
-	}
+	o.blooms = append(o.blooms, bloomAlloc{cand: c, delta: delta, ndv: ndv})
+	return len(o.blooms) - 1
 }
 
 // ---------------------------------------------------------------------------
@@ -744,7 +744,6 @@ func (o *optimizer) combine(j *joinSite, pa, pb *subPlan, list *planList) {
 	}
 
 	hc, streaming := o.hashJoinCost(j.mirrored, pa.rows, pb.rows)
-	hc += o.opts.Cost.BloomBuild(pb.rows, len(resolved))
 	total := pa.cost + pb.cost + hc
 	from, ok := list.admits(total, rows, pending, pendIDs)
 	if !ok {
@@ -793,18 +792,27 @@ func (o *optimizer) hashJoinCost(mirrored bool, outerRows, innerRows float64) (f
 	return c, streaming
 }
 
-// collectSpecs gathers the BloomSpecs referenced by the final tree.
+// collectSpecs records in p the spec of every filter its joins build, in id
+// order. A Naive filter, whose δ was unknown when it was allocated, takes
+// the inner side of the join that builds it.
 func (o *optimizer) collectSpecs(p *plan.Plan) {
-	ids := make(map[int]bool)
-	for _, s := range p.Scans() {
-		for _, id := range s.ApplyBlooms {
-			ids[id] = true
-		}
-	}
 	var specs []plan.BloomSpec
-	for id := range ids {
-		if sp, ok := o.specs[id]; ok {
-			specs = append(specs, sp)
+	for _, j := range p.Joins() {
+		for _, id := range j.BuildBlooms {
+			b := o.blooms[id]
+			c := b.cand
+			if b.delta.Empty() {
+				b.delta = j.Inner.Rels()
+				b.ndv = o.buildNDV(c, b.delta)
+			}
+			specs = append(specs, plan.BloomSpec{
+				ID:       id,
+				ApplyRel: c.applyRel, ApplyCol: c.applyCol,
+				BuildRel: c.buildRel, BuildCol: c.buildCol,
+				ApplyCol2: c.applyCol2, BuildCol2: c.buildCol2,
+				Delta:       b.delta,
+				EstBuildNDV: b.ndv,
+			})
 		}
 	}
 	slices.SortFunc(specs, func(x, y plan.BloomSpec) int { return cmp.Compare(x.ID, y.ID) })

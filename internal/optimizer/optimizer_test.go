@@ -387,6 +387,43 @@ func TestNaiveSearchSpaceCap(t *testing.T) {
 	}
 }
 
+// A filter's spec names as its δ the inner side of the join that builds it
+// in the chosen plan. In Naive mode one filter id resolves in many plans,
+// each over its own inner side; in BF-Post the pass builds every filter
+// from its join's inner side. BF-CBO is left out: under Fig. 3's exception
+// a filter's δ may reach past the inner side that builds it.
+func TestSpecDeltaIsBuildingJoinsInnerSide(t *testing.T) {
+	for _, mode := range []Mode{Naive, BFPost} {
+		filters := 0
+		for q := 1; q <= 22; q++ {
+			opts := PaperOptions(tpchSF)
+			opts.Mode = mode
+			opts.MaxPlansPerSet = 20_000
+			res, err := Optimize(tpchBlock(t, q), opts)
+			if errors.Is(err, ErrSearchSpaceExceeded) {
+				continue // Naive's blow-up (Q8)
+			}
+			if err != nil {
+				t.Fatalf("%s Q%d: %v", mode, q, err)
+			}
+			p := res.Plan
+			for _, j := range p.Joins() {
+				for _, id := range j.BuildBlooms {
+					filters++
+					spec, inner := p.BloomByID(id), j.Inner.Rels()
+					if spec == nil || spec.Delta != inner {
+						t.Errorf("%s Q%d: filter %d is built over %v, its spec is %+v", mode, q, id, inner, spec)
+					}
+				}
+			}
+		}
+		t.Logf("%s: %d filters", mode, filters)
+		if filters == 0 {
+			t.Fatalf("%s: no filter in any chosen plan", mode)
+		}
+	}
+}
+
 // chainedBlock builds a chain of n tables with descending sizes and a
 // filter on the last, so Bloom filters transfer backwards down the chain.
 func chainedBlock(n int, filterLast bool) *query.Block {

@@ -415,13 +415,13 @@ func BloomKept(frac float64) float64 {
 }
 
 // CompositeKeptFraction estimates the reduction of a multi-column Bloom
-// filter over the pair (applyRel.c1, applyRel.c2) = (buildRel.b1, b2) with
-// build side delta. The planner's one composite candidate in TPC-H is the
+// filter over a pair of apply columns = (buildRel.b1, b2) with build side
+// delta. The planner's one composite candidate in TPC-H is the
 // declared foreign key lineitem (l_partkey, l_suppkey) → partsupp's key:
 // each probe row hits exactly one build row, so the kept fraction is the
 // fraction of build rows surviving within δ, plus the filter's
 // false-positive leakage (§5 future-work extension).
-func (e *Estimator) CompositeKeptFraction(applyRel, buildRel int, delta query.RelSet) float64 {
+func (e *Estimator) CompositeKeptFraction(buildRel int, delta query.RelSet) float64 {
 	base := math.Max(e.Block.Relations[buildRel].Table.RowCount, 1)
 	eff := e.baseRows[buildRel] * e.relKept(buildRel, delta)
 	frac := eff / base

@@ -489,7 +489,7 @@ func TestCompositeForeignKeyReadsTheKey(t *testing.T) {
 		t.Fatal("FKToPK holds on a mispaired or partial key")
 	}
 	want := 0.1 + 0.9*ModelFPR // the key side keeps a < 10: a tenth of its rows
-	if got := e.CompositeKeptFraction(0, 1, delta); math.Abs(got-want) > 1e-9 {
+	if got := e.CompositeKeptFraction(1, delta); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("kept %v, want %v", got, want)
 	}
 	if got := e.CompositeBuildNDV(1, delta); math.Abs(got-100) > 1e-9 {

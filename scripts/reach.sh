@@ -64,6 +64,9 @@ run "$bin/bfcbo" -sf 0.01 -mode bfpost -sql "SELECT * FROM orders o, lineitem l 
 # An OR group and a NOT over a numeric BETWEEN: the NOT and OR kernels.
 run "$bin/bfcbo" -sf 0.01 -sql "SELECT * FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND (l.l_quantity < 5 OR l.l_discount > 0.09) AND NOT l.l_tax BETWEEN 0.02 AND 0.06"
 run "$bin/bfcbo" -q 21 -sf 0.05 -dop 2 -mem-budget 1MB
+# Under a 1-byte budget Q13's grace join at SF 0.2 repartitions a partition
+# once (spill depth 1).
+run "$bin/bfcbo" -q 13 -sf 0.2 -dop 2 -mem-budget 1B
 # One injected spill-write fault, at the 7th write: how many chunks a run
 # writes varies with the schedule, and Q9's plan writes too few for a lower
 # rate to fire every time with this seed.
