@@ -45,7 +45,6 @@ func (h *Harness) RunAblation(queries []int) (Ablation, error) {
 		{"H6 off (keep weak BFs)", func(o *optimizer.Options) { o.Heuristics.H6MaxKeepFraction = 0 }},
 		{"H7 on (cap=4)", func(o *optimizer.Options) { o.Heuristics.H7MaxSubPlans = 4 }},
 		{"H9 on (both sides, guarded)", func(o *optimizer.Options) { o.Heuristics.H9BothSides = true }},
-		{"multi-column BFs (§5 ext.)", func(o *optimizer.Options) { o.Heuristics.MultiColumn = true }},
 		{"no post-pass (§3.7 off)", func(o *optimizer.Options) { o.DisablePostPass = true }},
 	}
 	var out Ablation

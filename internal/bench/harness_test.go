@@ -130,8 +130,8 @@ func TestAblationClaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 10 {
-		t.Fatalf("ablation variants = %d, want 10", len(rows))
+	if len(rows) != 9 {
+		t.Fatalf("ablation variants = %d, want 9", len(rows))
 	}
 	if err := rows.Check(); err != nil {
 		t.Fatal(err)

@@ -30,7 +30,6 @@ import (
 	"math"
 	"math/bits"
 
-	"bfcbo/internal/hashtab"
 	"bfcbo/internal/vec"
 )
 
@@ -108,15 +107,6 @@ func KeyHash(key int64) uint64 {
 	return h ^ h<<38
 }
 
-// hash2 is an independent second mixer used only by CombineKeys, where
-// two columns must be folded through genuinely distinct functions.
-func hash2(key int64) uint64 {
-	x := uint64(key) + 0xc2b2ae3d27d4eb4f
-	x = (x ^ (x >> 33)) * 0xff51afd7ed558ccd
-	x = (x ^ (x >> 33)) * 0xc4ceb9fe1a85ec53
-	return x ^ (x >> 33)
-}
-
 // Add inserts a key into the filter.
 func (f *Filter) Add(key int64) { f.AddHash(KeyHash(key)) }
 
@@ -190,8 +180,7 @@ func (f *Filter) FilterRange(vals []int64, lo int, sel []int32) []int32 {
 }
 
 // FilterSelHashes is FilterSel over precomputed hashes: hashes[i] is the
-// hash (see AddHash) of selected row sel[i], such as a combined two-column
-// key's.
+// hash (see AddHash) of selected row sel[i].
 func (f *Filter) FilterSelHashes(hashes []uint64, sel []int32) []int32 {
 	words, shift := f.words, f.shift&63
 	n := 0
@@ -228,16 +217,6 @@ func FPR(n, m uint64) float64 {
 	}
 	p := 1 - math.Exp(-float64(NumHashFunctions)*float64(n)/float64(m))
 	return p * p
-}
-
-// CombineKeys folds a two-column composite join key into one 64-bit key
-// for multi-column Bloom filters (§5 future work: "support for
-// multi-column Bloom filters could be added"). Build and apply sides must
-// use the same combination, which this shared helper guarantees. Both
-// columns pass through a full mixer, so the combined key is well mixed
-// before KeyHash's multiply.
-func CombineKeys(a, b int64) int64 {
-	return int64(hashtab.Hash(a) ^ hash2(b))
 }
 
 func nextPow2(v uint64) uint64 {

@@ -53,51 +53,30 @@ func newBloomSet(tables []*storage.Table, specs []plan.BloomSpec) *bloomSet {
 // construction while the feeder runs, published afterwards.
 type bloomBuild struct {
 	*bloom.Filter
-	bloomCols // of the build relation rel
-	rel       int
-	st        *BloomRuntime
+	vals []int64 // the build relation rel's key column, by row id
+	rel  int
+	st   *BloomRuntime
 	// onJoinKey: the build column is the join's hash-key column, so the
 	// build sink's gathered key column holds this filter's keys too.
 	onJoinKey bool
-}
-
-// bloomCols is one side of a filter — build or apply: its key column(s)
-// indexed by base-table row id (vals2 nil for a one-column filter). Both
-// sides must derive the key the same way: hashOf, which is what the scan's
-// chain member (query.Filter) computes too.
-type bloomCols struct{ vals, vals2 []int64 }
-
-func (c bloomCols) hashOf(rid int32) uint64 {
-	key := c.vals[rid]
-	if c.vals2 != nil {
-		key = bloom.CombineKeys(key, c.vals2[rid])
-	}
-	return bloom.KeyHash(key)
 }
 
 // insert adds the build rows ids to b's filter, reading their keys by row
 // id.
 func (b *bloomBuild) insert(ids []int32) {
 	for _, rid := range ids {
-		b.AddHash(b.hashOf(rid))
+		b.Add(b.vals[rid])
 	}
 }
 
-// keyCols resolves one side of filter id: the key column of relation rel
-// and, for a two-column filter, the second one.
-func (bs *bloomSet) keyCols(id, rel int, col, col2 string) (kc bloomCols, err error) {
+// keyCol resolves one side of filter id, build or apply: the key column of
+// relation rel, by base-table row id.
+func (bs *bloomSet) keyCol(id, rel int, col string) ([]int64, error) {
 	c, err := bs.tables[rel].Column(col)
 	if err != nil {
-		return kc, fmt.Errorf("exec: bloom %d: %w", id, err)
+		return nil, fmt.Errorf("exec: bloom %d: %w", id, err)
 	}
-	kc.vals = c.Ints
-	if col2 != "" {
-		if c, err = bs.tables[rel].Column(col2); err != nil {
-			return kc, fmt.Errorf("exec: bloom %d: %w", id, err)
-		}
-		kc.vals2 = c.Ints
-	}
-	return kc, nil
+	return c.Ints, nil
 }
 
 // build populates and publishes the Bloom filters of hash join j, whose
@@ -118,10 +97,10 @@ func (bs *bloomSet) build(j *plan.Join, rows int, feed func([]*bloomBuild) error
 		}
 		b := &bloomBuild{Filter: bloom.New(bloom.BitsForNDV(ndv)), st: &BloomRuntime{ID: id}, rel: spec.BuildRel}
 		var err error
-		if b.bloomCols, err = bs.keyCols(id, spec.BuildRel, spec.BuildCol, spec.BuildCol2); err != nil {
+		if b.vals, err = bs.keyCol(id, spec.BuildRel, spec.BuildCol); err != nil {
 			return err
 		}
-		b.onJoinKey = spec.BuildCol2 == "" && len(j.Conds) > 0 &&
+		b.onJoinKey = len(j.Conds) > 0 &&
 			spec.BuildRel == j.Conds[0].InnerRel && spec.BuildCol == j.Conds[0].InnerCol
 		builds = append(builds, b)
 	}
@@ -158,12 +137,12 @@ func feedVector(inner *RowSet, joinKeys []int64) func([]*bloomBuild) error {
 }
 
 // bloomProbe is one built filter resolved against the scan that applies
-// it: the filter, the apply column(s) by base-table row id, and the
-// runtime record the scan's rows in and out of the filter land in.
+// it: the filter, the apply column by base-table row id, and the runtime
+// record the scan's rows in and out of the filter land in.
 type bloomProbe struct {
-	h *bloom.Filter
-	bloomCols
-	st *BloomRuntime
+	h    *bloom.Filter
+	vals []int64
+	st   *BloomRuntime
 }
 
 // probesFor resolves the filters scan s applies. Per §3.9 the scan
@@ -182,7 +161,7 @@ func (bs *bloomSet) probesFor(s *plan.Scan) ([]bloomProbe, error) {
 		spec := bs.specs[id]
 		p := bloomProbe{h: b.Filter, st: b.st}
 		var err error
-		if p.bloomCols, err = bs.keyCols(id, s.Rel, spec.ApplyCol, spec.ApplyCol2); err != nil {
+		if p.vals, err = bs.keyCol(id, s.Rel, spec.ApplyCol); err != nil {
 			return nil, err
 		}
 		out = append(out, p)

@@ -36,19 +36,17 @@ func stripBlooms(n plan.Node) plan.Node {
 // TestBloomBuildFeedersAgree: bloomSet.build has two feeders — the whole
 // build side as one vector (in-memory sink, reference) and a stream of
 // spill chunks (grace sink). For the Bloom-building joins of Q3/Q7/Q9,
-// one- and two-column specs, the vector build without a key column (the
-// reference's) is the yardstick: the chunk feeder and the vector feeder
+// the vector build without a key column (the reference's) is the yardstick: the chunk feeder and the vector feeder
 // handed the join's gathered key column (the in-memory sink's) must leave
 // the same Inserted count and the same bits.
 func TestBloomBuildFeedersAgree(t *testing.T) {
 	ds := equivalenceDataset(t)
-	cols := map[int]int{} // filter column count -> joins covered
+	filters := 0
 	for _, num := range []int{3, 7, 9} {
 		q, _ := tpch.Get(num)
 		block := q.Build(ds.Schema)
 		opts := optimizer.DefaultOptions(0.01)
 		opts.Mode = optimizer.BFCBO
-		opts.Heuristics.MultiColumn = true
 		res, err := optimizer.Optimize(block, opts)
 		if err != nil {
 			t.Fatalf("Q%d: optimize: %v", num, err)
@@ -107,26 +105,19 @@ func TestBloomBuildFeedersAgree(t *testing.T) {
 			agree("chunks", build("chunks", g.feedBuildChunks, g.build.rows()))
 			ex.cleanupSpill()
 			agree("keys", build("keys", feedVector(inner, joinKeys), inner.Len()))
-			for _, id := range j.BuildBlooms {
-				n := 1
-				if res.Plan.BloomByID(id).BuildCol2 != "" {
-					n = 2
-				}
-				cols[n]++
-			}
+			filters += len(j.BuildBlooms)
 		}
 	}
-	if cols[1] == 0 || cols[2] == 0 {
-		t.Fatalf("coverage: %d one-column and %d two-column filters; want both", cols[1], cols[2])
+	if filters == 0 {
+		t.Fatal("coverage: no filter was built")
 	}
 }
 
 // TestBloomStatsIndependentOfDOP: a filter's bits, and so every figure of
 // its runtime record, are a function of (database, plan). The 22 TPC-H
-// blocks under the engine profile × {BF-Post, BF-CBO}, with
-// Heuristics.MultiColumn off and on, report the same BloomStats at DOP 1,
-// 2, 4 and 8, and the reference, which tests each row by itself, reports
-// them too; at least one two-column filter must run.
+// blocks under the engine profile × {BF-Post, BF-CBO} report the same
+// BloomStats at DOP 1, 2, 4 and 8, and the reference, which tests each row
+// by itself, reports them too; at least one filter must run.
 // The scans' counters are exact counts as well: every DOP reports the
 // same morsels and the same per-predicate rows in and out. The morsels are
 // small, so each worker of a large scan runs many batches through its
@@ -137,17 +128,13 @@ func TestBloomBuildFeedersAgree(t *testing.T) {
 func TestBloomStatsIndependentOfDOP(t *testing.T) {
 	ds := equivalenceDataset(t)
 	const morsel = 64
-	cols := map[int]int{} // filter column count -> filters run
+	filters := 0
 	for _, q := range tpch.All() {
 		block := q.Build(ds.Schema)
-		for _, c := range []struct {
-			mode  optimizer.Mode
-			multi bool
-		}{{optimizer.BFPost, false}, {optimizer.BFCBO, false}, {optimizer.BFPost, true}, {optimizer.BFCBO, true}} {
-			name := fmt.Sprintf("Q%d %s multi=%v", q.Num, c.mode, c.multi)
+		for _, mode := range []optimizer.Mode{optimizer.BFPost, optimizer.BFCBO} {
+			name := fmt.Sprintf("Q%d %s", q.Num, mode)
 			opts := optimizer.DefaultOptions(0.01)
-			opts.Mode = c.mode
-			opts.Heuristics.MultiColumn = c.multi
+			opts.Mode = mode
 			res, err := optimizer.Optimize(block, opts)
 			if err != nil {
 				t.Fatalf("%s: optimize: %v", name, err)
@@ -156,13 +143,7 @@ func TestBloomStatsIndependentOfDOP(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: reference: %v", name, err)
 			}
-			for _, b := range ref.BloomStats {
-				if res.Plan.BloomByID(b.ID).ApplyCol2 != "" {
-					cols[2]++
-				} else {
-					cols[1]++
-				}
-			}
+			filters += len(ref.BloomStats)
 			var scans []ScanRuntime
 			var work Work
 			for _, dop := range []int{1, 2, 4, 8} {
@@ -217,106 +198,91 @@ func TestBloomStatsIndependentOfDOP(t *testing.T) {
 			}
 		}
 	}
-	if cols[1] == 0 || cols[2] == 0 {
-		t.Fatalf("coverage: %d one-column and %d two-column filters ran; want both", cols[1], cols[2])
+	if filters == 0 {
+		t.Fatal("coverage: no filter ran")
 	}
 }
 
 // TestBloomBuildKeysPassScan: the build and apply sides of every filter
-// hash alike, for one- and two-column filters. For each Bloom-building join
-// of the 22 TPC-H blocks under BF-CBO, with Heuristics.MultiColumn off and
-// on, at DOP 1 and 4, the real hash-build sink populates the join's filters
-// from the build side (as a run does: bloomSet.build, fed the sink's
-// gathered join keys), and the real scan kernel then tests a table whose
-// apply column(s) hold every build row's key(s). Every row must pass: a
+// hash alike. For each Bloom-building join of the 22 TPC-H blocks under
+// BF-CBO, at DOP 1 and 4, the real hash-build sink populates the join's
+// filters from the build side (as a run does: bloomSet.build, fed the
+// sink's gathered join keys), and the real scan kernel then tests a table
+// whose apply column holds every build row's key. Every row must pass: a
 // Bloom filter has no false negatives, and a mismatch between the two
 // sides' hashing shows up here as one.
 func TestBloomBuildKeysPassScan(t *testing.T) {
 	ds := equivalenceDataset(t)
 	const morsel = 256
-	cols := map[int]int{} // filter column count -> filters checked
+	filters := 0
 	for _, q := range tpch.All() {
 		block := q.Build(ds.Schema)
 		tables, err := resolveTables(ds.DB, block)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, multi := range []bool{false, true} {
-			opts := optimizer.DefaultOptions(0.01)
-			opts.Mode = optimizer.BFCBO
-			opts.Heuristics.MultiColumn = multi
-			res, err := optimizer.Optimize(block, opts)
-			if err != nil {
-				t.Fatalf("Q%d: optimize: %v", q.Num, err)
+		opts := optimizer.DefaultOptions(0.01)
+		opts.Mode = optimizer.BFCBO
+		res, err := optimizer.Optimize(block, opts)
+		if err != nil {
+			t.Fatalf("Q%d: optimize: %v", q.Num, err)
+		}
+		for _, j := range res.Plan.Joins() {
+			if len(j.BuildBlooms) == 0 {
+				continue
 			}
-			for _, j := range res.Plan.Joins() {
-				if len(j.BuildBlooms) == 0 {
-					continue
+			for _, dop := range []int{1, 4} {
+				side, err := Run(ds.DB, block, &plan.Plan{Root: stripBlooms(j.Inner)}, Options{DOP: dop})
+				if err != nil {
+					t.Fatalf("Q%d: build side: %v", q.Num, err)
 				}
-				for _, dop := range []int{1, 4} {
-					side, err := Run(ds.DB, block, &plan.Plan{Root: stripBlooms(j.Inner)}, Options{DOP: dop})
-					if err != nil {
-						t.Fatalf("Q%d: build side: %v", q.Num, err)
+				inner := side.Out()
+				ex := &executor{dop: dop, morsel: morsel, tables: tables,
+					blooms: newBloomSet(tables, res.Plan.Blooms),
+					builds: make(map[*plan.Join]*hashTable),
+					memq:   mem.NewBroker(0).NewQuery()}
+				snk := &hashBuildSink{rels: inner.rels, parts: make([]*RowSet, dop),
+					ex: ex, j: j, estRows: float64(inner.Len()),
+					res: ex.memq.Reserve(), rec: &spillCounters{}}
+				for lo, w := 0, 0; lo < inner.Len(); lo, w = lo+morsel, (w+1)%dop {
+					b := NewRowSet(inner.rels)
+					for c := range b.cols {
+						b.cols[c] = inner.cols[c][lo:min(lo+morsel, inner.Len())]
 					}
-					inner := side.Out()
-					ex := &executor{dop: dop, morsel: morsel, tables: tables,
-						blooms: newBloomSet(tables, res.Plan.Blooms),
-						builds: make(map[*plan.Join]*hashTable),
-						memq:   mem.NewBroker(0).NewQuery()}
-					snk := &hashBuildSink{rels: inner.rels, parts: make([]*RowSet, dop),
-						ex: ex, j: j, estRows: float64(inner.Len()),
-						res: ex.memq.Reserve(), rec: &spillCounters{}}
-					for lo, w := 0, 0; lo < inner.Len(); lo, w = lo+morsel, (w+1)%dop {
-						b := NewRowSet(inner.rels)
-						for c := range b.cols {
-							b.cols[c] = inner.cols[c][lo:min(lo+morsel, inner.Len())]
-						}
-						snk.consume(w, b)
+					snk.consume(w, b)
+				}
+				if err := snk.finish(); err != nil {
+					t.Fatalf("Q%d: build sink: %v", q.Num, err)
+				}
+				for _, id := range j.BuildBlooms {
+					spec := ex.blooms.specs[id]
+					if n := keysPassingScan(t, ex.blooms, spec, inner.Col(spec.BuildRel), dop); n != inner.Len() {
+						t.Errorf("Q%d dop %d: filter %d (%s.%s -> %s.%s) passed %d of its %d build keys",
+							q.Num, dop, id,
+							block.Relations[spec.BuildRel].Alias, spec.BuildCol,
+							block.Relations[spec.ApplyRel].Alias, spec.ApplyCol, n, inner.Len())
 					}
-					if err := snk.finish(); err != nil {
-						t.Fatalf("Q%d: build sink: %v", q.Num, err)
-					}
-					for _, id := range j.BuildBlooms {
-						spec := ex.blooms.specs[id]
-						if n := keysPassingScan(t, ex.blooms, spec, inner.Col(spec.BuildRel), dop); n != inner.Len() {
-							t.Errorf("Q%d multi=%v dop %d: filter %d (%s.%v -> %s.%v) passed %d of its %d build keys",
-								q.Num, multi, dop, id,
-								block.Relations[spec.BuildRel].Alias, []string{spec.BuildCol, spec.BuildCol2},
-								block.Relations[spec.ApplyRel].Alias, []string{spec.ApplyCol, spec.ApplyCol2}, n, inner.Len())
-						}
-						if spec.BuildCol2 != "" {
-							cols[2]++
-						} else {
-							cols[1]++
-						}
-					}
+					filters++
 				}
 			}
 		}
 	}
-	if cols[1] == 0 || cols[2] == 0 {
-		t.Fatalf("coverage: %d one-column and %d two-column filters; want both", cols[1], cols[2])
+	if filters == 0 {
+		t.Fatal("coverage: no filter was checked")
 	}
 }
 
 // keysPassingScan runs the build rows ids' keys of filter spec, placed in
-// the apply column(s) of a stand-in apply table, through dop concurrent
+// the apply column of a stand-in apply table, through dop concurrent
 // scan workers applying the built filter, and returns the rows that pass.
 func keysPassingScan(t *testing.T, bs *bloomSet, spec plan.BloomSpec, ids []int32, dop int) int {
 	t.Helper()
 	built := bs.built[spec.ID]
-	key1, key2 := make([]int64, len(ids)), make([]int64, len(ids))
+	keys := make([]int64, len(ids))
 	for i, rid := range ids {
-		key1[i] = built.vals[rid]
-		if built.vals2 != nil {
-			key2[i] = built.vals2[rid]
-		}
+		keys[i] = built.vals[rid]
 	}
-	cs := []storage.Column{{Name: spec.ApplyCol, Kind: catalog.Int64, Ints: key1}}
-	if spec.ApplyCol2 != "" {
-		cs = append(cs, storage.Column{Name: spec.ApplyCol2, Kind: catalog.Int64, Ints: key2})
-	}
-	tbl, err := storage.NewTable("apply", cs)
+	tbl, err := storage.NewTable("apply", []storage.Column{{Name: spec.ApplyCol, Kind: catalog.Int64, Ints: keys}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,13 +40,6 @@ func TestExecutorEquivalenceTPCH(t *testing.T) {
 	t.Run("engine", func(t *testing.T) {
 		executorEquivalenceTPCH(t, optimizer.DefaultOptions(0.01), modes, []int{1, 4})
 	})
-	// Two-column Bloom filters: BF-Post and BF-CBO plan them only with
-	// Heuristics.MultiColumn on, and no other result-level suite does.
-	t.Run("engine/multicolumn", func(t *testing.T) {
-		opts := optimizer.DefaultOptions(0.01)
-		opts.Heuristics.MultiColumn = true
-		executorEquivalenceTPCH(t, opts, modes[1:3], []int{1, 4})
-	})
 	// Without Naive: most of its searches abort at the cap, after seconds
 	// of planning, and what survives adds no operator.
 	t.Run("paper", func(t *testing.T) {

@@ -22,7 +22,7 @@ func (r *Result) ExplainAnalyze(p *plan.Plan) string {
 		fmt.Fprintf(&b, "  work[build=%d probe=%d tested=%d scanned=%d]", r.Work.Build, r.Work.Probe, r.Work.Tested, r.Work.Scanned)
 	}
 	b.WriteByte('\n')
-	r.explainNode(&b, p.Root, 1)
+	plan.WriteTree(&b, p.Root, r.explainNote)
 	if len(r.Pipelines) > 0 {
 		fmt.Fprintf(&b, "pipelines (%d):\n", len(r.Pipelines))
 		for _, ps := range r.Pipelines {
@@ -83,24 +83,10 @@ func breakerSuffix(ps PipelineStat) string {
 	return b.String()
 }
 
-func (r *Result) explainNode(b *strings.Builder, n plan.Node, depth int) {
-	ind := strings.Repeat("  ", depth)
-	head := ""
-	switch t := n.(type) {
-	case *plan.Scan:
-		head = fmt.Sprintf("Scan %s (%s)", t.Alias, t.Table)
-		if len(t.ApplyBlooms) > 0 {
-			head += fmt.Sprintf("  blooms=%v", t.ApplyBlooms)
-		}
-	case *plan.Join:
-		head = fmt.Sprintf("HashJoin(%s) %s", t.Kind(), t.Streaming)
-		if len(t.BuildBlooms) > 0 {
-			head += fmt.Sprintf("  buildBF=%v", t.BuildBlooms)
-		}
-	default:
-		head = fmt.Sprintf("%T", n)
-	}
-	fmt.Fprintf(b, "%s%s  est=%.0f", ind, head, n.EstRows())
+// explainNote is EXPLAIN ANALYZE's note on node n: the planner's estimate,
+// then what the run observed.
+func (r *Result) explainNote(b *strings.Builder, n plan.Node) {
+	fmt.Fprintf(b, "est=%.0f", n.EstRows())
 	if st := r.StatFor(n); st != nil {
 		fmt.Fprintf(b, " actual=%d batches=%d", st.RowsOut, st.Batches)
 		if _, probe := n.(*plan.Join); probe && st.Batches > 0 {
@@ -116,10 +102,5 @@ func (r *Result) explainNode(b *strings.Builder, n plan.Node, depth int) {
 		}
 	} else if a := r.ActualFor(n); a >= 0 {
 		fmt.Fprintf(b, " actual=%.0f", a)
-	}
-	b.WriteByte('\n')
-	if j, ok := n.(*plan.Join); ok {
-		r.explainNode(b, j.Outer, depth+1)
-		r.explainNode(b, j.Inner, depth+1)
 	}
 }

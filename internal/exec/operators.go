@@ -59,7 +59,7 @@ func (ex *executor) newScanSource(s *plan.Scan, stats *opStats) (*scanSource, er
 	}
 	for _, p := range probes {
 		// A filter's counts land in its BloomRuntime, so its label is unread.
-		src.kernels = append(src.kernels, query.Filter(p.h, p.vals, p.vals2, "bloom"))
+		src.kernels = append(src.kernels, query.Filter(p.h, p.vals, "bloom"))
 		src.blooms = append(src.blooms, p.st)
 	}
 	src.in, src.out = make([]atomic.Int64, len(src.kernels)), make([]atomic.Int64, len(src.kernels))

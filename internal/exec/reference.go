@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"bfcbo/internal/bloom"
 	"bfcbo/internal/plan"
 	"bfcbo/internal/query"
 	"bfcbo/internal/storage"
@@ -89,7 +90,7 @@ rows:
 	for _, i := range query.NewChain(kernels).EvalRange(0, make([]int32, tbl.NumRows())) {
 		for _, p := range probes {
 			p.st.Tested++
-			if !p.h.MayContainHash(p.hashOf(i)) {
+			if !p.h.MayContainHash(bloom.KeyHash(p.vals[i])) {
 				continue rows
 			}
 			p.st.Passed++

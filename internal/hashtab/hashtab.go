@@ -55,7 +55,7 @@ var ErrTooManyRows = errors.New("hashtab: build side exceeds 2^31-1 rows")
 
 // Hash is the shared 64-bit key mixer (splitmix64 finalizer over the
 // golden-ratio offset) used by the join directory and the aggregation
-// directory, and inside bloom.CombineKeys to fold two-column keys.
+// directory.
 func Hash(k int64) uint64 {
 	x := uint64(k) + 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

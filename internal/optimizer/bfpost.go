@@ -30,18 +30,11 @@ func (o *optimizer) postProcess(p *plan.Plan) {
 		buildCol string
 	}
 	have := make(map[pairKey]bool)
-	// Relation pairs already covered by a multi-column filter: adding the
-	// constituent single-column filters would only re-test rows the pair
-	// filter has already cleared.
-	compositePair := make(map[[2]int]bool)
 	joins := p.Joins()
 	for _, j := range joins {
 		for _, id := range j.BuildBlooms {
 			c := o.blooms[id].cand
 			have[pairKey{c.applyRel, c.applyCol, c.buildRel, c.buildCol}] = true
-			if c.applyCol2 != "" {
-				compositePair[[2]int{c.applyRel, c.buildRel}] = true
-			}
 		}
 	}
 
@@ -60,13 +53,14 @@ func (o *optimizer) postProcess(p *plan.Plan) {
 				continue
 			}
 			k := pairKey{c.OuterRel, c.OuterCol, c.InnerRel, c.InnerCol}
-			if have[k] || compositePair[[2]int{c.OuterRel, c.InnerRel}] {
+			if have[k] {
+				continue
+			}
+			if o.tooSmallToFilter(c.OuterRel) ||
+				(o.opts.Heuristics.H3FKLosslessPK && o.est.LosslessPK(c.OuterRel, c.OuterCol, c.InnerRel, c.InnerCol, innerRels)) {
 				continue
 			}
 			cand := &candidate{applyRel: c.OuterRel, applyCol: c.OuterCol, buildRel: c.InnerRel, buildCol: c.InnerCol}
-			if o.tooSmallToFilter(c.OuterRel) || (o.opts.Heuristics.H3FKLosslessPK && o.losslessPK(cand, innerRels)) {
-				continue
-			}
 			_, ndv, ok := o.admitDelta(cand, innerRels)
 			if !ok {
 				continue

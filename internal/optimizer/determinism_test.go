@@ -47,52 +47,6 @@ func planningIsDeterministic(t *testing.T, options func(sf float64) Options) {
 	}
 }
 
-// The multi-column extension renumbers candidates once per composite-key
-// relation pair; with two such pairs the numbering, and with it the Bloom
-// filter ids in EXPLAIN, must not depend on map order.
-func TestCompositeCandidatesDeterministic(t *testing.T) {
-	build := func() *query.Block {
-		// t0 joins t1 and t2 each on a two-column key.
-		g := newTestGraph("two-pairs", 9)
-		for i := 0; i < 3; i++ {
-			g.rel(g.logUniform(1e5, 1e7), true)
-		}
-		for child := 1; child <= 2; child++ {
-			for _, key := range []string{"a", "b"} {
-				fk := fmt.Sprintf("%s%d", key, child)
-				g.col(0, fk, 1000)
-				g.col(child, key, 1000)
-				g.clauses = append(g.clauses, query.JoinClause{
-					Type: query.Inner, LeftRel: 0, LeftCol: fk, RightRel: child, RightCol: key})
-			}
-		}
-		return g.block()
-	}
-	opts := DefaultOptions(100) // marking candidates reads no cost
-	opts.Heuristics.MultiColumn = true
-	var want string
-	for cycle := 0; cycle < 50; cycle++ {
-		o := newTestOptimizer(t, build(), opts)
-		o.markCandidates()
-		got := ""
-		composites := 0
-		for _, c := range o.cands {
-			got += fmt.Sprintf("%d:%d.%s+%s<-%d.%s+%s ", c.id, c.applyRel, c.applyCol, c.applyCol2, c.buildRel, c.buildCol, c.buildCol2)
-			if c.applyCol2 != "" {
-				composites++
-			}
-		}
-		if composites != 2 {
-			t.Fatalf("want 2 composite candidates, got %d: %s", composites, got)
-		}
-		if cycle == 0 {
-			want = got
-		} else if got != want {
-			t.Fatalf("cycle %d numbered candidates %s, first cycle %s", cycle, got, want)
-		}
-	}
-}
-
 // Optimize only reads its block, so goroutines may plan one block at once
 // (run under -race).
 func TestConcurrentOptimizeSameBlock(t *testing.T) {

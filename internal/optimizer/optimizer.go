@@ -256,84 +256,7 @@ func (o *optimizer) markCandidates() {
 		add(c.RightRel, c.RightCol, c.LeftRel, c.LeftCol, false, false, true)
 	}
 
-	if h.MultiColumn {
-		o.markCompositeCandidates()
-	}
 	markImpliable(o.cands)
-}
-
-// markCompositeCandidates adds one multi-column candidate per relation pair
-// joined on two or more inner clauses (the §5 extension). The composite key
-// covers the first two clauses; direction follows Heuristic 1.
-func (o *optimizer) markCompositeCandidates() {
-	type pairCols struct{ lc, rc [2]string }
-	pairs := make(map[query.RelSet]*pairCols)
-	counts := make(map[query.RelSet]int)
-	for _, c := range o.block.Clauses {
-		if c.Type != query.Inner || c.Derived {
-			continue
-		}
-		key := query.NewRelSet(c.LeftRel, c.RightRel)
-		n := counts[key]
-		counts[key] = n + 1
-		if n >= 2 {
-			continue
-		}
-		p := pairs[key]
-		if p == nil {
-			p = &pairCols{}
-			pairs[key] = p
-		}
-		// Orient columns so index 0 is the lower relation index.
-		lo, _ := c.LeftRel, c.RightRel
-		if key.First() == lo {
-			p.lc[n], p.rc[n] = c.LeftCol, c.RightCol
-		} else {
-			p.lc[n], p.rc[n] = c.RightCol, c.LeftCol
-		}
-	}
-	// Each pair renumbers the candidates, so pairs go in a fixed order.
-	keys := make([]query.RelSet, 0, len(counts))
-	for key, n := range counts {
-		if n >= 2 {
-			keys = append(keys, key)
-		}
-	}
-	slices.Sort(keys)
-	for _, key := range keys {
-		p := pairs[key]
-		m := key.Members()
-		loRel, hiRel := m[0], m[1]
-		applyRel, buildRel := loRel, hiRel
-		applyCols, buildCols := p.lc, p.rc
-		if o.est.BaseRows(hiRel) > o.est.BaseRows(loRel) {
-			applyRel, buildRel = hiRel, loRel
-			applyCols, buildCols = p.rc, p.lc
-		}
-		if o.tooSmallToFilter(applyRel) {
-			continue
-		}
-		// A pair filter is at least as selective as either constituent
-		// single-column filter and costs one probe per row instead of two,
-		// so it supersedes the pair's single-column candidates (otherwise
-		// Heuristic 4 would stack all three on the same scan).
-		kept := o.cands[:0]
-		for _, c := range o.cands {
-			if c.applyCol2 == "" && key == query.NewRelSet(c.applyRel, c.buildRel) {
-				continue
-			}
-			kept = append(kept, c)
-		}
-		o.cands = kept
-		for i, c := range o.cands {
-			c.id = i
-		}
-		o.cands = append(o.cands, &candidate{
-			id:       len(o.cands),
-			applyRel: applyRel, applyCol: applyCols[0], applyCol2: applyCols[1],
-			buildRel: buildRel, buildCol: buildCols[0], buildCol2: buildCols[1],
-		})
-	}
 }
 
 // tooSmallToFilter is Heuristic 2: a relation estimated at no more than
@@ -390,7 +313,7 @@ func (o *optimizer) phase1() {
 			// Heuristic 3: an FK apply column referencing a PK build
 			// column that stays lossless under this δ will filter
 			// nothing — prune the δ.
-			if h.H3FKLosslessPK && o.losslessPK(c, inner) {
+			if h.H3FKLosslessPK && o.est.LosslessPK(c.applyRel, c.applyCol, c.buildRel, c.buildCol, inner) {
 				continue
 			}
 			// Heuristic 9's guard: only keep δs whose build side is
@@ -418,34 +341,11 @@ func (o *optimizer) applyHeuristic8() {
 // ---------------------------------------------------------------------------
 // Base plan construction, including Bloom filter sub-plan costing (§3.5).
 
-// losslessPK is the candidate-generic Heuristic 3 test: composite
-// candidates read the catalog's composite keys.
-func (o *optimizer) losslessPK(c *candidate, d query.RelSet) bool {
-	if c.applyCol2 != "" {
-		return o.est.LosslessPK(c.applyRel, []string{c.applyCol, c.applyCol2}, c.buildRel, []string{c.buildCol, c.buildCol2}, d)
-	}
-	return o.est.LosslessPK(c.applyRel, []string{c.applyCol}, c.buildRel, []string{c.buildCol}, d)
-}
-
 // fractions returns the FPR-free selectivity Heuristic 6 reads and the
-// Bloom reduction factor of candidate c under d. Composite candidates (the
-// §5 multi-column extension) use the pair estimator, whose estimate
-// includes the filter's leakage in both.
+// Bloom reduction factor of candidate c under d.
 func (o *optimizer) fractions(c *candidate, d query.RelSet) (semi, kept float64) {
-	if c.applyCol2 != "" {
-		kept = o.est.CompositeKeptFraction(c.buildRel, d)
-		return kept, kept
-	}
 	semi = o.est.SemiJoinFraction(c.applyRel, c.applyCol, c.buildRel, c.buildCol, d)
 	return semi, stats.BloomKept(semi)
-}
-
-// buildNDV is the candidate-generic filter sizing estimate (Heuristic 5).
-func (o *optimizer) buildNDV(c *candidate, d query.RelSet) float64 {
-	if c.applyCol2 != "" {
-		return o.est.CompositeBuildNDV(c.buildRel, d)
-	}
-	return o.est.BuildNDV(c.buildRel, c.buildCol, d)
 }
 
 // admitDelta is Heuristics 6 and 5 for candidate c under build side d: the
@@ -457,7 +357,7 @@ func (o *optimizer) admitDelta(c *candidate, d query.RelSet) (kept, ndv float64,
 	if h.H6MaxKeepFraction > 0 && semi > h.H6MaxKeepFraction {
 		return 0, 0, false
 	}
-	ndv = o.buildNDV(c, d)
+	ndv = o.est.BuildNDV(c.buildRel, c.buildCol, d)
 	if h.H5MaxBuildNDV > 0 && ndv > h.H5MaxBuildNDV {
 		return 0, 0, false
 	}
@@ -803,13 +703,12 @@ func (o *optimizer) collectSpecs(p *plan.Plan) {
 			c := b.cand
 			if b.delta.Empty() {
 				b.delta = j.Inner.Rels()
-				b.ndv = o.buildNDV(c, b.delta)
+				b.ndv = o.est.BuildNDV(c.buildRel, c.buildCol, b.delta)
 			}
 			specs = append(specs, plan.BloomSpec{
 				ID:       id,
 				ApplyRel: c.applyRel, ApplyCol: c.applyCol,
 				BuildRel: c.buildRel, BuildCol: c.buildCol,
-				ApplyCol2: c.applyCol2, BuildCol2: c.buildCol2,
 				Delta:       b.delta,
 				EstBuildNDV: b.ndv,
 			})

@@ -82,12 +82,6 @@ type Heuristics struct {
 	// but only δs whose build side is smaller than the apply side are kept
 	// (§3.10).
 	H9BothSides bool
-	// MultiColumn enables the §5 future-work extension: relation pairs
-	// joined on two or more columns additionally get one multi-column
-	// Bloom filter candidate over the composite key, which is far more
-	// selective than the paper's per-column filters on composite-key joins
-	// (lineitem ⋈ partsupp).
-	MultiColumn bool
 }
 
 // DefaultHeuristics returns the paper's §4.1 settings, with the row and NDV

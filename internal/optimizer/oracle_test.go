@@ -41,7 +41,7 @@ func oracleConnectedSet(b *query.Block, s query.RelSet) bool {
 	if s.Single() {
 		return true
 	}
-	reach := query.NewRelSet(s.First())
+	reach := query.NewRelSet(s.Members()[0])
 	for changed := true; changed; {
 		changed = false
 		for _, c := range b.Clauses {
@@ -102,10 +102,10 @@ func subsetsByPopcount(universe query.RelSet, minSize int) []query.RelSet {
 // connected halves that are joinable (share a clause) and respect the
 // non-inner units.
 func oracleForEachSplit(blk *query.Block, s query.RelSet, fn func(a, b query.RelSet)) {
-	u := uint64(s)
+	u, lo := uint64(s), s.Members()[0]
 	for sub := (u - 1) & u; sub != 0; sub = (sub - 1) & u {
 		a := query.RelSet(sub)
-		if !a.Has(s.First()) {
+		if !a.Has(lo) {
 			continue
 		}
 		b := s.Minus(a)

@@ -17,10 +17,6 @@ type candidate struct {
 	applyCol string
 	buildRel int
 	buildCol string
-	// applyCol2/buildCol2 are set for multi-column candidates (the §5
-	// extension): the filter key is the composite of both columns.
-	applyCol2 string
-	buildCol2 string
 	// mirrored marks the candidate of a semi, anti or left clause that
 	// filters the clause's unit from its preserve side: it resolves only at
 	// the mirrored join, where the preserve side builds.

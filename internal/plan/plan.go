@@ -24,11 +24,6 @@ type BloomSpec struct {
 	// filter.
 	BuildRel int
 	BuildCol string
-	// ApplyCol2 / BuildCol2, when non-empty, make this a multi-column
-	// filter over the composite key (col, col2) — the §5 extension. The
-	// key is bloom.CombineKeys(col, col2) on both sides.
-	ApplyCol2 string
-	BuildCol2 string
 	// Delta is the set of build-side relations the filter's cardinality
 	// estimate assumed (δ in the paper); informational in the executor.
 	Delta query.RelSet
@@ -185,7 +180,7 @@ func (p *Plan) Explain() string {
 	}
 	fmt.Fprintf(&b, "plan (%s)%s  estRows=%.0f  estCost=%.0f  blooms=%d\n",
 		p.Mode, profile, p.Root.EstRows(), p.Root.EstCost(), len(p.Blooms))
-	p.explainNode(&b, p.Root, 1)
+	WriteTree(&b, p.Root, func(b *strings.Builder, n Node) { fmt.Fprintf(b, "rows=%.0f", n.EstRows()) })
 	for _, bf := range p.Blooms {
 		fmt.Fprintf(&b, "  BF#%d: build rel%d.%s (δ=%s, ndv≈%.0f) -> apply rel%d.%s\n",
 			bf.ID, bf.BuildRel, bf.BuildCol, bf.Delta, bf.EstBuildNDV, bf.ApplyRel, bf.ApplyCol)
@@ -193,28 +188,38 @@ func (p *Plan) Explain() string {
 	return b.String()
 }
 
-func (p *Plan) explainNode(b *strings.Builder, n Node, depth int) {
-	ind := strings.Repeat("  ", depth)
-	switch t := n.(type) {
-	case *Scan:
-		blooms := ""
-		if len(t.ApplyBlooms) > 0 {
-			blooms = fmt.Sprintf("  blooms=%v", t.ApplyBlooms)
+// WriteTree writes the tree under root one node a line, outer before inner,
+// indented two spaces a level: the node's head ("Scan alias (table)" or
+// "HashJoin(kind) streaming"), two spaces, what note writes for it, then
+// its Bloom filters (blooms= on a scan, buildBF= on a join) and a scan's
+// predicate. EXPLAIN and EXPLAIN ANALYZE differ only in their note.
+func WriteTree(b *strings.Builder, root Node, note func(*strings.Builder, Node)) {
+	var walk func(n Node, depth int)
+	walk = func(n Node, depth int) {
+		b.WriteString(strings.Repeat("  ", depth))
+		switch t := n.(type) {
+		case *Scan:
+			fmt.Fprintf(b, "Scan %s (%s)  ", t.Alias, t.Table)
+			note(b, n)
+			if len(t.ApplyBlooms) > 0 {
+				fmt.Fprintf(b, "  blooms=%v", t.ApplyBlooms)
+			}
+			if t.Pred != nil {
+				b.WriteString("  filter: " + t.Pred.String())
+			}
+			b.WriteByte('\n')
+		case *Join:
+			fmt.Fprintf(b, "HashJoin(%s) %s  ", t.Kind(), t.Streaming)
+			note(b, n)
+			if len(t.BuildBlooms) > 0 {
+				fmt.Fprintf(b, "  buildBF=%v", t.BuildBlooms)
+			}
+			b.WriteByte('\n')
+			walk(t.Outer, depth+1)
+			walk(t.Inner, depth+1)
 		}
-		pred := ""
-		if t.Pred != nil {
-			pred = "  filter: " + t.Pred.String()
-		}
-		fmt.Fprintf(b, "%sScan %s (%s)  rows=%.0f%s%s\n", ind, t.Alias, t.Table, t.Rows, blooms, pred)
-	case *Join:
-		build := ""
-		if len(t.BuildBlooms) > 0 {
-			build = fmt.Sprintf("  buildBF=%v", t.BuildBlooms)
-		}
-		fmt.Fprintf(b, "%sHashJoin(%s) %s  rows=%.0f%s\n", ind, t.Kind(), t.Streaming, t.Rows, build)
-		p.explainNode(b, t.Outer, depth+1)
-		p.explainNode(b, t.Inner, depth+1)
 	}
+	walk(root, 1)
 }
 
 // JoinOrderSignature returns a parenthesised string of scan aliases in tree

@@ -7,36 +7,19 @@ import "bfcbo/internal/bloom"
 // it; a scan appends its filters to the ranked predicates, in plan order.
 type filterKernel struct {
 	kernelMeta
-	f           *bloom.Filter
-	vals, vals2 []int64
+	f    *bloom.Filter
+	vals []int64
 }
 
 // Filter is the chain member that tests rows against f. vals is the key
-// column by row id; a two-column filter's second column is vals2 (nil for
-// one column), and a row's key is bloom.CombineKeys of the two, as the
-// build side inserts it.
-func Filter(f *bloom.Filter, vals, vals2 []int64, label string) Kernel {
-	return &filterKernel{kernelMeta: kernelMeta{label: label}, f: f, vals: vals, vals2: vals2}
+// column by row id.
+func Filter(f *bloom.Filter, vals []int64, label string) Kernel {
+	return &filterKernel{kernelMeta: kernelMeta{label: label}, f: f, vals: vals}
 }
 
-func (k *filterKernel) EvalBatch(sel []int32) []int32 {
-	if k.vals2 == nil {
-		return k.f.FilterSel(k.vals, sel)
-	}
-	f, a, b := k.f, k.vals, k.vals2
-	n := 0
-	for _, r := range sel {
-		sel[n] = r
-		n += b2i(f.MayContainHash(bloom.KeyHash(bloom.CombineKeys(a[r], b[r]))))
-	}
-	return sel[:n]
-}
+func (k *filterKernel) EvalBatch(sel []int32) []int32 { return k.f.FilterSel(k.vals, sel) }
 
-// EvalRange reads a one-column filter's keys in order (FilterRange). A
-// two-column filter, whose cost is its two mixers, tests the filled ids.
+// EvalRange reads the keys in order (FilterRange).
 func (k *filterKernel) EvalRange(lo int, sel []int32) []int32 {
-	if k.vals2 == nil {
-		return k.f.FilterRange(k.vals, lo, sel)
-	}
-	return k.EvalBatch(fillRange(lo, sel))
+	return k.f.FilterRange(k.vals, lo, sel)
 }

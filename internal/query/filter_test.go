@@ -11,71 +11,58 @@ import (
 )
 
 // filterFixture builds a filter over the keys of kernelTable's rows with
-// a < 20 (and b < 25, for two columns), so about half the rows pass, and
-// returns its chain member with the row-by-row oracle: the filter's own
-// MayContainHash of the row's key.
-func filterFixture(t testing.TB, tbl *storage.Table, two bool) (Kernel, func(int32) bool) {
+// a < 20, so about half the rows pass, and returns its chain member with
+// the row-by-row oracle: the filter's own MayContainHash of the row's key.
+func filterFixture(t testing.TB, tbl *storage.Table) (Kernel, func(int32) bool) {
 	a, err := tbl.Column("a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := tbl.Column("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vals2 []int64
-	hash := func(r int32) uint64 { return bloom.KeyHash(a.Ints[r]) }
-	if two {
-		vals2 = b.Ints
-		hash = func(r int32) uint64 { return bloom.KeyHash(bloom.CombineKeys(a.Ints[r], b.Ints[r])) }
-	}
 	f := bloom.New(1 << 12)
 	for r := range int32(tbl.NumRows()) {
-		if a.Ints[r] < 20 && (!two || b.Ints[r] < 25) {
-			f.AddHash(hash(r))
+		if a.Ints[r] < 20 {
+			f.Add(a.Ints[r])
 		}
 	}
-	return Filter(f, a.Ints, vals2, "bloom"), func(r int32) bool { return f.MayContainHash(hash(r)) }
+	return Filter(f, a.Ints, "bloom"), func(r int32) bool { return f.MayContainHash(bloom.KeyHash(a.Ints[r])) }
 }
 
 // TestFilterMatchesMayContain: a filter member keeps exactly the rows
-// whose key the filter may hold, for one- and two-column filters, through
-// both entries: EvalRange over dense ranges of 0–33 rows from several
-// starts, and EvalBatch over a shuffled selection, whose order it keeps.
+// whose key the filter may hold, through both entries: EvalRange over
+// dense ranges of 0–33 rows from several starts, and EvalBatch over a
+// shuffled selection, whose order it keeps.
 func TestFilterMatchesMayContain(t *testing.T) {
 	const rows = 1500
 	rng := rand.New(rand.NewSource(23))
 	tbl := kernelTable(t, rng, rows)
-	for _, two := range []bool{false, true} {
-		k, keep := filterFixture(t, tbl, two)
-		passed := 0
-		for r := range int32(rows) {
-			if keep(r) {
-				passed++
-			}
+	k, keep := filterFixture(t, tbl)
+	passed := 0
+	for r := range int32(rows) {
+		if keep(r) {
+			passed++
 		}
-		if passed == 0 || passed == rows {
-			t.Fatalf("two=%v: %d of %d rows pass; the fixture must drop some and keep some", two, passed, rows)
+	}
+	if passed == 0 || passed == rows {
+		t.Fatalf("%d of %d rows pass; the fixture must drop some and keep some", passed, rows)
+	}
+	for _, lo := range []int{0, 1, 5, 8, 13, rows - 33} {
+		for n := 0; n <= 33; n++ {
+			got := k.(rangeKernel).EvalRange(lo, scribble(make([]int32, n)))
+			checkRange(t, fmt.Sprintf("EvalRange [%d,%d)", lo, lo+n), lo, lo+n, got, keep)
 		}
-		for _, lo := range []int{0, 1, 5, 8, 13, rows - 33} {
-			for n := 0; n <= 33; n++ {
-				got := k.(rangeKernel).EvalRange(lo, scribble(make([]int32, n)))
-				checkRange(t, fmt.Sprintf("two=%v EvalRange [%d,%d)", two, lo, lo+n), lo, lo+n, got, keep)
-			}
+	}
+	sel := make([]int32, rows)
+	for i, r := range rng.Perm(rows) {
+		sel[i] = int32(r)
+	}
+	var want []int32
+	for _, r := range sel {
+		if keep(r) {
+			want = append(want, r)
 		}
-		sel := make([]int32, rows)
-		for i, r := range rng.Perm(rows) {
-			sel[i] = int32(r)
-		}
-		var want []int32
-		for _, r := range sel {
-			if keep(r) {
-				want = append(want, r)
-			}
-		}
-		got := k.EvalBatch(sel)
-		if !slices.Equal(got, want) {
-			t.Fatalf("two=%v EvalBatch: kept %d rows, the oracle %d, or in another order", two, len(got), len(want))
-		}
+	}
+	got := k.EvalBatch(sel)
+	if !slices.Equal(got, want) {
+		t.Fatalf("EvalBatch: kept %d rows, the oracle %d, or in another order", len(got), len(want))
 	}
 }

@@ -125,8 +125,7 @@ func bothBenchLoops(b *testing.B, run func(*testing.B, Predicate), p Predicate) 
 
 // BenchmarkEvalRangeFilter runs a scan's chain with a Bloom filter member
 // through the dense entry: the filter alone (a scan with no predicate,
-// whose filter reads the morsel), and after a compare, with one and with
-// two key columns.
+// whose filter reads the morsel), and after a compare.
 func BenchmarkEvalRangeFilter(b *testing.B) {
 	tbl := kernelTable(b, rand.New(rand.NewSource(11)), benchRows)
 	preds, err := Compile(benchCmpInt, tbl)
@@ -134,11 +133,11 @@ func BenchmarkEvalRangeFilter(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, c := range []struct {
-		name      string
-		pred, two bool
-	}{{"first", false, false}, {"after", true, false}, {"two", true, true}} {
+		name string
+		pred bool
+	}{{"first", false}, {"after", true}} {
 		b.Run(c.name, func(b *testing.B) {
-			f, _ := filterFixture(b, tbl, c.two)
+			f, _ := filterFixture(b, tbl)
 			var ks []Kernel
 			if c.pred {
 				ks = append(ks, preds...)

@@ -61,14 +61,6 @@ func (s RelSet) Rank(i int) int {
 // Single reports whether the set has exactly one member.
 func (s RelSet) Single() bool { return s != 0 && s&(s-1) == 0 }
 
-// First returns the lowest relation index in the set (or -1 if empty).
-func (s RelSet) First() int {
-	if s == 0 {
-		return -1
-	}
-	return bits.TrailingZeros64(uint64(s))
-}
-
 // Members returns the indices in ascending order.
 func (s RelSet) Members() []int {
 	m := make([]int, 0, s.Count())

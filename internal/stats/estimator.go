@@ -414,47 +414,12 @@ func BloomKept(frac float64) float64 {
 	return kept
 }
 
-// CompositeKeptFraction estimates the reduction of a multi-column Bloom
-// filter over a pair of apply columns = (buildRel.b1, b2) with build side
-// delta. The planner's one composite candidate in TPC-H is the
-// declared foreign key lineitem (l_partkey, l_suppkey) → partsupp's key:
-// each probe row hits exactly one build row, so the kept fraction is the
-// fraction of build rows surviving within δ, plus the filter's
-// false-positive leakage (§5 future-work extension).
-func (e *Estimator) CompositeKeptFraction(buildRel int, delta query.RelSet) float64 {
-	base := math.Max(e.Block.Relations[buildRel].Table.RowCount, 1)
-	eff := e.baseRows[buildRel] * e.relKept(buildRel, delta)
-	frac := eff / base
-	if frac > 1 {
-		frac = 1
-	}
-	return BloomKept(frac)
-}
-
-// CompositeBuildNDV estimates the distinct composite keys the build side
-// inserts: its surviving rows, since the pair is the build table's key.
-func (e *Estimator) CompositeBuildNDV(buildRel int, delta query.RelSet) float64 {
-	return e.baseRows[buildRel] * e.relKept(buildRel, delta)
-}
-
-// FKToPK reports whether applyRel's applyCols are a declared foreign key
-// onto buildCols, buildRel's primary key, column for column: the
-// precondition of Heuristic 3. A composite key's columns may come in any
-// order, each paired with the column it references.
-func (e *Estimator) FKToPK(applyRel int, applyCols []string, buildRel int, buildCols []string) bool {
+// FKToPK reports whether applyRel.applyCol is a declared one-column
+// foreign key onto buildRel.buildCol, buildRel's primary key: the
+// precondition of Heuristic 3. One column of a composite foreign key is not.
+func (e *Estimator) FKToPK(applyRel int, applyCol string, buildRel int, buildCol string) bool {
 	for _, fk := range e.fks[applyRel] {
-		if fk.key != buildRel || len(fk.cols) != len(applyCols) || len(buildCols) != len(applyCols) {
-			continue
-		}
-		matched := true
-		for i, c := range applyCols {
-			j := slices.Index(fk.cols, c)
-			if j < 0 || fk.keyCols[j] != buildCols[i] {
-				matched = false
-				break
-			}
-		}
-		if matched {
+		if fk.key == buildRel && len(fk.cols) == 1 && fk.cols[0] == applyCol && fk.keyCols[0] == buildCol {
 			return true
 		}
 	}
@@ -465,8 +430,8 @@ func (e *Estimator) FKToPK(applyRel int, applyCols []string, buildRel int, build
 // primary-key build side loses no keys under delta: no local predicate on
 // the build relation and no reduction from other delta members. In that
 // case the Bloom filter cannot remove any probe rows (Heuristic 3, §3.4).
-func (e *Estimator) LosslessPK(applyRel int, applyCols []string, buildRel int, buildCols []string, delta query.RelSet) bool {
-	if !e.FKToPK(applyRel, applyCols, buildRel, buildCols) {
+func (e *Estimator) LosslessPK(applyRel int, applyCol string, buildRel int, buildCol string, delta query.RelSet) bool {
+	if !e.FKToPK(applyRel, applyCol, buildRel, buildCol) {
 		return false
 	}
 	if e.baseSel[buildRel] < 0.999999 {

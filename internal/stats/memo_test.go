@@ -88,7 +88,7 @@ func connectedSets(b *query.Block) []query.RelSet {
 	}
 	var sets []query.RelSet
 	for s := query.RelSet(1); s <= b.AllRels(); s++ {
-		reached := query.NewRelSet(s.First())
+		reached := query.NewRelSet(s.Members()[0])
 		for grown := true; grown; {
 			grown = false
 			for _, r := range reached.Members() {

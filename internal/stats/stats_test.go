@@ -233,13 +233,13 @@ func TestSemiJoinFractionFKLossless(t *testing.T) {
 	if frac < 0.999 {
 		t.Fatalf("lossless PK semi-join fraction = %v, want 1", frac)
 	}
-	if !e.FKToPK(1, []string{"c2"}, 2, []string{"c1"}) {
+	if !e.FKToPK(1, "c2", 2, "c1") {
 		t.Fatal("FKToPK should hold for t2.c2 -> t3.c1")
 	}
-	if e.FKToPK(0, []string{"c2"}, 1, []string{"c1"}) {
+	if e.FKToPK(0, "c2", 1, "c1") {
 		t.Fatal("FKToPK should not hold for t1.c2 -> t2.c1 (no FK declared)")
 	}
-	if !e.LosslessPK(1, []string{"c2"}, 2, []string{"c1"}, query.NewRelSet(2)) {
+	if !e.LosslessPK(1, "c2", 2, "c1", query.NewRelSet(2)) {
 		t.Fatal("LosslessPK should hold: t3 unfiltered")
 	}
 }
@@ -249,7 +249,7 @@ func TestLosslessPKBrokenByFilter(t *testing.T) {
 	// Put a predicate on t3: now its PK is filtered, Bloom filter useful.
 	b.Relations[2].Pred = query.CmpInt{Col: "c1", Op: query.LT, Val: 500_000}
 	e := NewEstimator(b)
-	if e.LosslessPK(1, []string{"c2"}, 2, []string{"c1"}, query.NewRelSet(2)) {
+	if e.LosslessPK(1, "c2", 2, "c1", query.NewRelSet(2)) {
 		t.Fatal("LosslessPK should fail once the PK side is filtered")
 	}
 	frac := e.SemiJoinFraction(1, "c2", 2, "c1", query.NewRelSet(2))
@@ -455,9 +455,8 @@ func TestJoinCardCompositeKeyPartial(t *testing.T) {
 	}
 }
 
-// FKToPK and LosslessPK read a composite foreign key, its columns paired in
-// any order, and a multi-column Bloom filter onto that key keeps the key
-// side's surviving share.
+// One column of a composite foreign key is not FK→PK, so Heuristic 3 never
+// prunes a one-column filter onto part of a composite key.
 func TestCompositeForeignKeyReadsTheKey(t *testing.T) {
 	key := catalog.NewTable("k", 1000, []catalog.Column{
 		{Name: "a", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: 100, Min: 0, Max: 99}},
@@ -468,39 +467,20 @@ func TestCompositeForeignKeyReadsTheKey(t *testing.T) {
 		{Name: "fa", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: 100}},
 		{Name: "fb", Type: catalog.Int64, Stats: catalog.ColumnStats{NDV: 10}},
 	})
+	fk.ForeignKeys = []catalog.ForeignKey{{Cols: []string{"fa", "fb"}, RefTable: "k", RefCols: []string{"a", "b"}}}
 	b := &query.Block{Name: "fk",
-		Relations: []query.Relation{{Alias: "f", Table: fk}, {Alias: "k", Table: key, Pred: query.CmpInt{Col: "a", Op: query.LT, Val: 10}}},
+		Relations: []query.Relation{{Alias: "f", Table: fk}, {Alias: "k", Table: key}},
 		Clauses: []query.JoinClause{
 			{Type: query.Inner, LeftRel: 0, LeftCol: "fa", RightRel: 1, RightCol: "a"},
 			{Type: query.Inner, LeftRel: 0, LeftCol: "fb", RightRel: 1, RightCol: "b"},
 		},
 	}
 	e := NewEstimator(b)
-	apply, build, delta := []string{"fb", "fa"}, []string{"b", "a"}, query.NewRelSet(1)
-	if e.FKToPK(0, apply, 1, build) {
-		t.Fatal("FKToPK holds with no foreign key declared")
+	if e.FKToPK(0, "fa", 1, "a") || e.FKToPK(0, "fb", 1, "b") {
+		t.Fatal("FKToPK holds on one column of a composite key")
 	}
-	fk.ForeignKeys = []catalog.ForeignKey{{Cols: []string{"fa", "fb"}, RefTable: "k", RefCols: []string{"a", "b"}}}
-	e = NewEstimator(b)
-	if !e.FKToPK(0, apply, 1, build) {
-		t.Fatal("FKToPK should pair (fb, fa) with (b, a) in any column order")
-	}
-	if e.FKToPK(0, []string{"fa", "fb"}, 1, build) || e.FKToPK(0, []string{"fa"}, 1, []string{"a"}) {
-		t.Fatal("FKToPK holds on a mispaired or partial key")
-	}
-	want := 0.1 + 0.9*ModelFPR // the key side keeps a < 10: a tenth of its rows
-	if got := e.CompositeKeptFraction(1, delta); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("kept %v, want %v", got, want)
-	}
-	if got := e.CompositeBuildNDV(1, delta); math.Abs(got-100) > 1e-9 {
-		t.Fatalf("CompositeBuildNDV = %v, want the key side's 100 surviving rows", got)
-	}
-	if e.LosslessPK(0, apply, 1, build, delta) {
-		t.Fatal("LosslessPK holds though the key side is filtered")
-	}
-	b.Relations[1].Pred = nil
-	if e = NewEstimator(b); !e.LosslessPK(0, apply, 1, build, delta) {
-		t.Fatal("LosslessPK should hold on an unfiltered composite key side")
+	if e.LosslessPK(0, "fa", 1, "a", query.NewRelSet(1)) {
+		t.Fatal("LosslessPK holds on one column of an unfiltered composite key")
 	}
 }
 

@@ -360,10 +360,10 @@ func TestSelLanes(t *testing.T) {
 func BenchmarkLoops(b *testing.B) {
 	const morsel, rows = 4096, 1 << 16
 	rng := rand.New(rand.NewSource(4))
-	vals, keys, vals2 := make([]int64, rows), make([]int64, rows), make([]int64, rows)
+	vals, keys, other := make([]int64, rows), make([]int64, rows), make([]int64, rows)
 	floats, codes := make([]float64, rows), make([]int32, rows)
 	for i := range vals {
-		vals[i], keys[i], vals2[i] = rng.Int63n(100), rng.Int63(), rng.Int63n(100)
+		vals[i], keys[i], other[i] = rng.Int63n(100), rng.Int63(), rng.Int63n(100)
 		floats[i], codes[i] = rng.Float64(), int32(rng.Intn(2))
 	}
 
@@ -401,11 +401,11 @@ func BenchmarkLoops(b *testing.B) {
 	})
 	b.Run("cmp-cols", func(b *testing.B) {
 		run(b, func(lo int) (int, int) {
-			return CmpCols(vals[lo:lo+morsel], vals2[lo:lo+morsel], int32(lo), LT, false, sel)
+			return CmpCols(vals[lo:lo+morsel], other[lo:lo+morsel], int32(lo), LT, false, sel)
 		})
 	})
 	b.Run("cmp-cols-sel", func(b *testing.B) {
-		run(b, func(lo int) (int, int) { fill(lo); return CmpColsSel(vals, vals2, LT, false, sel) })
+		run(b, func(lo int) (int, int) { fill(lo); return CmpColsSel(vals, other, LT, false, sel) })
 	})
 	b.Run("eq-codes", func(b *testing.B) {
 		run(b, func(lo int) (int, int) { return EqCodes(codes[lo:lo+morsel], int32(lo), 1, false, sel) })
