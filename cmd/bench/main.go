@@ -54,15 +54,14 @@ func main() {
 // returns the outcome of its check.
 type experiment struct {
 	name string
-	h7   bool // plan with the Heuristic 7 sub-plan cap (Table 3)
 	run  func(w io.Writer, h *bench.Harness) error
 }
 
 var experiments = []experiment{
-	{name: "table2", run: table(func(t *bench.Table2, w io.Writer) {
+	{name: "table2", run: table((*bench.Harness).RunTable2, func(t *bench.Table2, w io.Writer) {
 		t.Print(w, "Table 2 / Figure 5 — normalized TPC-H latencies")
 	})},
-	{name: "table3", h7: true, run: table(func(t *bench.Table2, w io.Writer) {
+	{name: "table3", run: table((*bench.Harness).RunTable3, func(t *bench.Table2, w io.Writer) {
 		t.Print(w, "Table 3 — Heuristic 7 enabled")
 	})},
 	{name: "fig1", run: figure(12, "Figure 1 — TPC-H Q12 join order with/without BF-CBO")},
@@ -76,7 +75,7 @@ var experiments = []experiment{
 		rows.Print(w)
 		return rows.Check()
 	}},
-	{name: "mae", run: table((*bench.Table2).PrintMAE)},
+	{name: "mae", run: table((*bench.Harness).RunTable2, (*bench.Table2).PrintMAE)},
 	{name: "ablation", run: func(w io.Writer, h *bench.Harness) error {
 		rows, err := h.RunAblation(nil)
 		if err != nil {
@@ -95,11 +94,11 @@ var experiments = []experiment{
 	}},
 }
 
-// table runs the three-mode comparison; Tables 2 and 3 and the MAE
-// listing are three prints of it.
-func table(render func(*bench.Table2, io.Writer)) func(io.Writer, *bench.Harness) error {
+// table runs a three-mode comparison; Tables 2 and 3 and the MAE listing
+// are prints of it.
+func table(compare func(*bench.Harness, []int) (*bench.Table2, error), render func(*bench.Table2, io.Writer)) func(io.Writer, *bench.Harness) error {
 	return func(w io.Writer, h *bench.Harness) error {
-		t, err := h.RunTable2(nil)
+		t, err := compare(h, nil)
 		if err != nil {
 			return err
 		}
@@ -121,7 +120,9 @@ func figure(q int, title string) func(io.Writer, *bench.Harness) error {
 }
 
 // run executes the named experiment, or every one under "all" — there it
-// keeps going past a failed claim so one run reports them all.
+// keeps going past a failed claim so one run reports them all. The
+// experiments share one harness: one dataset, and each (query, options)
+// cell measured once.
 func run(w io.Writer, cfg bench.Config, exp string) error {
 	var selected []experiment
 	for _, e := range experiments {
@@ -134,13 +135,12 @@ func run(w io.Writer, cfg bench.Config, exp string) error {
 	}
 	fmt.Fprintf(w, "SF %g, seed %d, DOP %d, %d rep(s) per query; plans costed under the paper profile (calibrate: under both)\n\n",
 		cfg.ScaleFactor, cfg.Seed, cfg.DOP, cfg.Reps)
+	h, err := bench.NewHarness(cfg)
+	if err != nil {
+		return err
+	}
 	var errs []error
 	for _, e := range selected {
-		cfg.Heuristic7 = e.h7
-		h, err := bench.NewHarness(cfg)
-		if err != nil {
-			return err
-		}
 		if err := e.run(w, h); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", e.name, err))
 		}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"bfcbo/internal/exec"
 	"bfcbo/internal/optimizer"
 	"bfcbo/internal/tpch"
 )
@@ -27,7 +26,8 @@ type Ablation []AblationRow
 
 // RunAblation toggles each search-space heuristic individually and reports
 // total suite latency, planner time and Bloom filter counts — the tuning
-// trade-off the paper's §5 flags as future work.
+// trade-off the paper's §5 flags as future work. The baseline row reads
+// Table 2's BF-CBO cells and the "H7 on" row Table 3's.
 func (h *Harness) RunAblation(queries []int) (Ablation, error) {
 	if len(queries) == 0 {
 		queries = tpch.Analyzed()
@@ -43,7 +43,7 @@ func (h *Harness) RunAblation(queries []int) (Ablation, error) {
 		{"H3 off (keep lossless-PK BFs)", func(o *optimizer.Options) { o.Heuristics.H3FKLosslessPK = false }},
 		{"H5 off (no size cap)", func(o *optimizer.Options) { o.Heuristics.H5MaxBuildNDV = 0 }},
 		{"H6 off (keep weak BFs)", func(o *optimizer.Options) { o.Heuristics.H6MaxKeepFraction = 0 }},
-		{"H7 on (cap=4)", func(o *optimizer.Options) { o.Heuristics.H7MaxSubPlans = 4 }},
+		{"H7 on (cap=4)", func(o *optimizer.Options) { o.Heuristics.H7MaxSubPlans = h7MaxSubPlans }},
 		{"H9 on (both sides, guarded)", func(o *optimizer.Options) { o.Heuristics.H9BothSides = true }},
 		{"no post-pass (§3.7 off)", func(o *optimizer.Options) { o.DisablePostPass = true }},
 	}
@@ -51,26 +51,16 @@ func (h *Harness) RunAblation(queries []int) (Ablation, error) {
 	for _, v := range variants {
 		row := AblationRow{Name: v.name}
 		for _, num := range queries {
-			q, ok := tpch.Get(num)
-			if !ok {
-				return nil, fmt.Errorf("bench: unknown query %d", num)
-			}
 			opts := h.options(optimizer.BFCBO)
 			v.mut(&opts)
-			block := q.Build(h.ds.Schema)
-			res, err := optimizer.Optimize(block, opts)
+			qr, err := h.runQuery(num, opts)
 			if err != nil {
-				return nil, fmt.Errorf("bench: ablation %q Q%d: %w", v.name, num, err)
+				return nil, fmt.Errorf("bench: ablation %q: %w", v.name, err)
 			}
-			row.TotalPlannerMS += res.PlanningTime.Seconds() * 1000
-			row.TotalBlooms += res.Plan.CountBlooms()
-			start := time.Now()
-			r, err := exec.Run(h.ds.DB, block, res.Plan, exec.Options{DOP: h.cfg.DOP})
-			if err != nil {
-				return nil, fmt.Errorf("bench: ablation %q Q%d exec: %w", v.name, num, err)
-			}
-			row.TotalLatency += time.Since(start)
-			row.TotalRows += r.Rows
+			row.TotalLatency += qr.ExecTime
+			row.TotalPlannerMS += qr.PlannerTime.Seconds() * 1000
+			row.TotalBlooms += qr.Blooms
+			row.TotalRows += qr.OutputRows
 		}
 		out = append(out, row)
 	}

@@ -34,13 +34,12 @@ import (
 type Config struct {
 	ScaleFactor float64
 	Seed        uint64
-	// DOP for both the cost model and the executor.
+	// DOP is the executor's degree of parallelism; the cost model plans
+	// at its profile's own DOP.
 	DOP int
 	// Repetitions per query; the first is discarded as warm-up when > 1
 	// (the paper averages the last four of five runs).
 	Reps int
-	// Heuristic7 enables the sub-plan cap of Table 3.
-	Heuristic7 bool
 }
 
 // DefaultConfig is sized to finish in seconds on a laptop.
@@ -48,10 +47,21 @@ func DefaultConfig() Config {
 	return Config{ScaleFactor: 0.02, Seed: 20_25, DOP: 8, Reps: 3}
 }
 
-// Harness owns a generated dataset and runs experiments against it.
+// Harness owns a generated dataset and runs experiments against it. Every
+// experiment is a view over its cells: a (query, options) pair is planned
+// and executed once, and every experiment that asks for it reads the same
+// QueryRun.
 type Harness struct {
-	cfg Config
-	ds  *datagen.Dataset
+	cfg   Config
+	ds    *datagen.Dataset
+	cells map[cell]*QueryRun
+}
+
+// cell names one measurement: a TPC-H block planned with one set of
+// optimizer options.
+type cell struct {
+	query int
+	opts  optimizer.Options
 }
 
 // NewHarness generates the dataset.
@@ -63,7 +73,7 @@ func NewHarness(cfg Config) (*Harness, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Harness{cfg: cfg, ds: ds}, nil
+	return &Harness{cfg: cfg, ds: ds, cells: make(map[cell]*QueryRun)}, nil
 }
 
 // h7MaxSubPlans is the sub-plan cap Table 3 runs Heuristic 7 with.
@@ -82,13 +92,10 @@ func (h *Harness) options(mode optimizer.Mode) optimizer.Options {
 func (h *Harness) optionsFrom(base func(scaleFactor float64) optimizer.Options, mode optimizer.Mode) optimizer.Options {
 	opts := base(h.cfg.ScaleFactor)
 	opts.Mode = mode
-	if h.cfg.Heuristic7 {
-		opts.Heuristics.H7MaxSubPlans = h7MaxSubPlans
-	}
 	return opts
 }
 
-// QueryRun is the measured outcome of one (query, mode) cell.
+// QueryRun is the measured outcome of one (query, options) cell.
 type QueryRun struct {
 	Query       int
 	Mode        optimizer.Mode
@@ -107,7 +114,8 @@ type QueryRun struct {
 	MAE float64
 	// Plan retains the physical plan for figure-style reporting.
 	Plan *plan.Plan
-	// Actuals maps plan nodes to observed cardinalities.
+	// Actuals maps plan nodes to observed cardinalities; its output rows
+	// are released.
 	Actuals *exec.Result
 }
 
@@ -117,7 +125,13 @@ func (h *Harness) RunQuery(num int, mode optimizer.Mode) (*QueryRun, error) {
 	return h.runQuery(num, h.options(mode))
 }
 
+// runQuery returns the cell (num, opts), planning and executing it on its
+// first request.
 func (h *Harness) runQuery(num int, opts optimizer.Options) (*QueryRun, error) {
+	key := cell{query: num, opts: opts}
+	if qr, ok := h.cells[key]; ok {
+		return qr, nil
+	}
 	q, ok := tpch.Get(num)
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown TPC-H query %d", num)
@@ -161,6 +175,8 @@ func (h *Harness) runQuery(num int, opts optimizer.Options) (*QueryRun, error) {
 		Actuals:      r,
 	}
 	qr.MAE = meanAbsError(res.Plan, r)
+	r.ReleaseOut() // the harness reads statistics, never rows
+	h.cells[key] = qr
 	return qr, nil
 }
 
@@ -226,7 +242,7 @@ func (h *Harness) planRows() ([]PlanRow, error) {
 	for _, q := range tpch.All() {
 		optimize := func(mode optimizer.Mode, h7Cap int) (*optimizer.Result, error) {
 			opts := h.options(mode)
-			opts.Heuristics.H7MaxSubPlans = h7Cap // both settings, whatever h.cfg.Heuristic7 says
+			opts.Heuristics.H7MaxSubPlans = h7Cap
 			res, err := optimizer.Optimize(q.Build(h.ds.Schema), opts)
 			if err != nil {
 				return nil, fmt.Errorf("bench: Q%d %s: %w", q.Num, mode, err)
@@ -272,10 +288,25 @@ type Table2 struct {
 // RunTable2 runs the full three-mode comparison over the analyzed queries
 // (or a custom subset).
 func (h *Harness) RunTable2(queries []int) (*Table2, error) {
+	return h.runTable(queries, h.options(optimizer.BFCBO))
+}
+
+// RunTable3 is Table 2 with BF-CBO planned under Heuristic 7 (cap
+// h7MaxSubPlans). The heuristic prunes BF-CBO's Bloom filter sub-plans
+// only, so the No-BF and BF-Post columns are Table 2's cells.
+func (h *Harness) RunTable3(queries []int) (*Table2, error) {
+	cbo := h.options(optimizer.BFCBO)
+	cbo.Heuristics.H7MaxSubPlans = h7MaxSubPlans
+	return h.runTable(queries, cbo)
+}
+
+// runTable compares No-BF, BF-Post and BF-CBO, the last planned with
+// cboOpts, over queries.
+func (h *Harness) runTable(queries []int, cboOpts optimizer.Options) (*Table2, error) {
 	if len(queries) == 0 {
 		queries = tpch.Analyzed()
 	}
-	t := &Table2{Profile: h.options(optimizer.BFCBO).Cost.Name}
+	t := &Table2{Profile: cboOpts.Cost.Name}
 	var err error
 	if t.Plans, err = h.planRows(); err != nil {
 		return nil, err
@@ -291,7 +322,7 @@ func (h *Harness) RunTable2(queries []int) (*Table2, error) {
 		if err != nil {
 			return nil, err
 		}
-		cbo, err := h.RunQuery(num, optimizer.BFCBO)
+		cbo, err := h.runQuery(num, cboOpts)
 		if err != nil {
 			return nil, err
 		}

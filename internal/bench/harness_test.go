@@ -2,22 +2,32 @@ package bench
 
 import (
 	"bytes"
+	"maps"
 	"math"
 	"strings"
 	"testing"
 
 	"bfcbo/internal/exec"
 	"bfcbo/internal/optimizer"
+	"bfcbo/internal/tpch"
 )
+
+// newCells reports how many cells h measured since before, a copy of its
+// cells: new (query, options) pairs, and old pairs measured again.
+func newCells(h *Harness, before map[cell]*QueryRun) (added, again int) {
+	for c, qr := range h.cells {
+		if old, ok := before[c]; !ok {
+			added++
+		} else if old != qr {
+			again++
+		}
+	}
+	return added, again
+}
 
 func tinyHarness(t *testing.T) *Harness {
 	t.Helper()
-	return tinyHarnessH7(t, false)
-}
-
-func tinyHarnessH7(t *testing.T, h7 bool) *Harness {
-	t.Helper()
-	h, err := NewHarness(Config{ScaleFactor: 0.004, Seed: 5, DOP: 4, Reps: 1, Heuristic7: h7})
+	h, err := NewHarness(Config{ScaleFactor: 0.004, Seed: 5, DOP: 4, Reps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,18 +78,51 @@ func TestTable2SubsetRuns(t *testing.T) {
 // Tables 2 and 3 and the MAE comparison: BF-CBO's plan is never costlier
 // than BF-Post's on any of the 22 blocks, Heuristic 7 never keeps more
 // sub-plans than the default, and BF-CBO's mean estimate error over the
-// analyzed queries is below BF-Post's.
+// analyzed queries is below BF-Post's. One harness runs every experiment
+// that reads these cells: the MAE listing and Figures 1 and 4 measure
+// nothing Table 2 did not, and Table 3 adds only its BF-CBO cells.
 func TestTable2Claims(t *testing.T) {
-	for _, h7 := range []bool{false, true} {
-		tbl, err := tinyHarnessH7(t, h7).RunTable2(nil)
-		if err != nil {
+	h := tinyHarness(t)
+	tbl, err := h.RunTable2(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Plans) != 22 {
+		t.Fatalf("plan comparison covers %d blocks, want all 22", len(tbl.Plans))
+	}
+	if err := tbl.Check(); err != nil {
+		t.Fatalf("Table 2: %v", err)
+	}
+	if want := 3 * len(tpch.Analyzed()); len(h.cells) != want {
+		t.Fatalf("Table 2 measured %d cells, want %d", len(h.cells), want)
+	}
+	table2 := maps.Clone(h.cells)
+
+	if _, err := h.RunTable2(nil); err != nil { // mae
+		t.Fatal(err)
+	}
+	for range 2 { // fig1, fig4
+		if _, err := h.RunFigure(12); err != nil {
 			t.Fatal(err)
 		}
-		if len(tbl.Plans) != 22 {
-			t.Fatalf("plan comparison covers %d blocks, want all 22", len(tbl.Plans))
-		}
-		if err := tbl.Check(); err != nil {
-			t.Fatalf("Heuristic7=%v: %v", h7, err)
+	}
+	if added, again := newCells(h, table2); added+again != 0 {
+		t.Fatalf("mae, fig1 and fig4 after Table 2 measured %d new cells and %d again, want none", added, again)
+	}
+
+	tbl3, err := h.RunTable3(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl3.Check(); err != nil {
+		t.Fatalf("Table 3: %v", err)
+	}
+	if added, again := newCells(h, table2); added != len(tpch.Analyzed()) || again != 0 {
+		t.Fatalf("Table 3 after Table 2 measured %d new cells and %d again, want %d new", added, again, len(tpch.Analyzed()))
+	}
+	for c := range h.cells {
+		if _, ok := table2[c]; !ok && (c.opts.Mode != optimizer.BFCBO || c.opts.Heuristics.H7MaxSubPlans != h7MaxSubPlans) {
+			t.Errorf("Q%d: Table 3 measured a %s cell with H7MaxSubPlans %d", c.query, c.opts.Mode, c.opts.Heuristics.H7MaxSubPlans)
 		}
 	}
 }
@@ -125,16 +168,43 @@ func TestNaiveBlowupClaim(t *testing.T) {
 	}
 }
 
+// The ablation's baseline row reads Table 2's BF-CBO cells: it measures
+// none of its own, and its Bloom filter and row totals are that column's
+// sums.
 func TestAblationClaim(t *testing.T) {
-	rows, err := tinyHarness(t).RunAblation([]int{12, 3})
+	h := tinyHarness(t)
+	queries := []int{12, 3}
+	tbl, err := h.RunTable2(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table2 := maps.Clone(h.cells)
+	rows, err := h.RunAblation(queries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 9 {
 		t.Fatalf("ablation variants = %d, want 9", len(rows))
 	}
+	if added, again := newCells(h, table2); added != (len(rows)-1)*len(queries) || again != 0 {
+		t.Fatalf("ablation after Table 2 measured %d new cells and %d again, want %d new (none for the baseline)",
+			added, again, (len(rows)-1)*len(queries))
+	}
 	if err := rows.Check(); err != nil {
 		t.Fatal(err)
+	}
+	var blooms, outRows int
+	for _, r := range tbl.Rows {
+		blooms += r.BloomsCBO
+		cbo, err := h.RunQuery(r.Query, optimizer.BFCBO)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outRows += cbo.OutputRows
+	}
+	if base := rows[0]; base.TotalBlooms != blooms || base.TotalRows != outRows {
+		t.Fatalf("ablation baseline: %d Bloom filters and %d rows, Table 2's BF-CBO %d and %d",
+			base.TotalBlooms, base.TotalRows, blooms, outRows)
 	}
 	var buf bytes.Buffer
 	rows.Print(&buf)

@@ -109,9 +109,8 @@ type Query struct {
 	used atomic.Int64
 	peak atomic.Int64
 
-	mu   sync.Mutex
-	res  []*Reservation
-	done bool
+	mu  sync.Mutex
+	res []*Reservation
 }
 
 // NewQuery opens a per-query account drawing from the broker's budget.
@@ -140,7 +139,7 @@ func (q *Query) Reserve() *Reservation {
 func (q *Query) Close() {
 	q.mu.Lock()
 	res := q.res
-	q.res, q.done = nil, true
+	q.res = nil
 	q.mu.Unlock()
 	for _, r := range res {
 		r.Free()

@@ -57,38 +57,22 @@ func (o *optimizer) addNaiveBasePlans(rel int, l *planList) {
 func (o *optimizer) combineNaive(j *joinSite, pa, pb *subPlan, list *planList) {
 	jt, conds, inner := j.joinType, j.conds, j.inner
 
-	var resolved, carried []pendingBF
+	// Every pending filter here has unknown δ: addNaiveBasePlans allocates
+	// them so, and a join carries only those it does not resolve.
+	var carried []pendingBF
 	var factors []naiveFactor
+	var buildIDs []int
 	for _, p := range pa.pending {
-		if p.delta.Empty() { // unknown δ
-			if inner.Has(p.cand.buildRel) {
-				d := inner
-				_, f := o.fractions(p.cand, d)
-				factors = append(factors, naiveFactor{applyRel: p.cand.applyRel, buildRel: p.cand.buildRel, factor: f})
-				resolved = append(resolved, pendingBF{cand: p.cand, delta: d, factor: f, bloomID: p.bloomID})
-				continue
-			}
+		if !inner.Has(p.cand.buildRel) {
 			carried = append(carried, p)
 			continue
 		}
-		// Already-resolved-δ pendings behave as in the two-phase path.
-		switch {
-		case p.delta.SubsetOf(inner):
-			resolved = append(resolved, p)
-		case p.delta.Overlaps(inner):
-			return
-		default:
-			carried = append(carried, p)
-		}
+		_, f := o.fractions(p.cand, inner)
+		factors = append(factors, naiveFactor{applyRel: p.cand.applyRel, buildRel: p.cand.buildRel, factor: f})
+		buildIDs = append(buildIDs, p.bloomID)
 	}
 	carried = append(carried, pb.pending...)
 	sortPending(carried)
-	stillUncosted := false
-	for _, p := range carried {
-		if p.delta.Empty() {
-			stillUncosted = true
-		}
-	}
 
 	// The recursive re-cost: walk the outer tree applying the now-known
 	// reduction factors at its leaf scans and recomputing every
@@ -99,10 +83,6 @@ func (o *optimizer) combineNaive(j *joinSite, pa, pb *subPlan, list *planList) {
 	}
 
 	rows := j.card
-	var buildIDs []int
-	for _, p := range resolved {
-		buildIDs = append(buildIDs, p.bloomID)
-	}
 	hc, streaming := o.hashJoinCost(j.mirrored, paRows, pb.rows)
 	total := paCost + pb.cost + hc
 	node := &plan.Join{
@@ -112,7 +92,7 @@ func (o *optimizer) combineNaive(j *joinSite, pa, pb *subPlan, list *planList) {
 	}
 	pendIDs, pendNeed := summarizePending(carried)
 	list.insert(&subPlan{
-		rows: rows, cost: total, node: node, uncosted: stillUncosted,
+		rows: rows, cost: total, node: node, uncosted: len(carried) > 0,
 		pending: carried, pendIDs: pendIDs, pendNeed: pendNeed,
 	})
 }
