@@ -340,7 +340,6 @@ func (e *Engine) RunContext(ctx context.Context, b *query.Block, mode Mode) (*Ou
 		e.work.Observe(&rec)
 		return nil, err
 	}
-	r.ReleaseOut() // the caller gets Rows; the recorder keeps no row set
 	ex := explained{r: r, p: res.Plan}
 	sp := r.TotalSpill()
 	rec.Rows, rec.Explain = r.Rows, ex
@@ -350,10 +349,10 @@ func (e *Engine) RunContext(ctx context.Context, b *query.Block, mode Mode) (*Ou
 	rec.SpillParts, rec.SpillDepth = int64(sp.Partitions), int64(sp.Depth)
 	// Observed-vs-estimated operator cardinalities, for the workload
 	// history's feedback signal.
-	rec.Ops = int64(len(r.Actuals))
-	for _, a := range r.Actuals {
-		rec.OpsActualRows += a.Actual
-		rec.OpsEstRows += a.Node.EstRows()
+	rec.Ops = int64(len(r.OpStats))
+	for _, op := range r.OpStats {
+		rec.OpsActualRows += float64(op.RowsOut)
+		rec.OpsEstRows += op.Node.EstRows()
 	}
 	e.rec.Record(rec)
 	e.work.Observe(&rec)
@@ -380,7 +379,7 @@ func (e *Engine) RunContext(ctx context.Context, b *query.Block, mode Mode) (*Ou
 // (String, or MarshalText in /debug/queries), so a run nobody inspects
 // renders nothing.
 type explained struct {
-	r *exec.Result // Out is nil: no row set is retained
+	r *exec.Result
 	p *plan.Plan
 }
 

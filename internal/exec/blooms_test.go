@@ -59,11 +59,10 @@ func TestBloomBuildFeedersAgree(t *testing.T) {
 			if len(j.BuildBlooms) == 0 {
 				continue
 			}
-			side, err := Run(ds.DB, block, &plan.Plan{Root: stripBlooms(j.Inner)}, Options{DOP: 1})
+			_, inner, err := runRows(ds.DB, block, &plan.Plan{Root: stripBlooms(j.Inner)}, Options{DOP: 1})
 			if err != nil {
 				t.Fatalf("Q%d: build side: %v", num, err)
 			}
-			inner := side.Out()
 			c0 := j.Conds[0]
 			joinKeys := keyColumn(inner, tables[c0.InnerRel], c0.InnerRel, c0.InnerCol)
 			build := func(name string, feed func([]*bloomBuild) error, rows int) *bloomSet {
@@ -232,11 +231,10 @@ func TestBloomBuildKeysPassScan(t *testing.T) {
 				continue
 			}
 			for _, dop := range []int{1, 4} {
-				side, err := Run(ds.DB, block, &plan.Plan{Root: stripBlooms(j.Inner)}, Options{DOP: dop})
+				_, inner, err := runRows(ds.DB, block, &plan.Plan{Root: stripBlooms(j.Inner)}, Options{DOP: dop})
 				if err != nil {
 					t.Fatalf("Q%d: build side: %v", q.Num, err)
 				}
-				inner := side.Out()
 				ex := &executor{dop: dop, morsel: morsel, tables: tables,
 					blooms: newBloomSet(tables, res.Plan.Blooms),
 					builds: make(map[*plan.Join]*hashTable),

@@ -119,7 +119,7 @@ func TestWorkerErrorCancelsSiblings(t *testing.T) {
 	injected := errors.New("injected mid-pipeline failure")
 	var opens, closes, batches atomic.Int64
 	opts := Options{DOP: 8, morselSize: 1}
-	opts.injectOp = func(pl *plan.Pipeline, worker int, op PhysicalOperator) PhysicalOperator {
+	opts.injectOp = func(pl *plan.Pipeline, worker int, _ bool, op PhysicalOperator) PhysicalOperator {
 		f := &faultOp{child: op, err: injected,
 			opens: &opens, closes: &closes, batches: &batches,
 			batchDelay: 200 * time.Microsecond}
@@ -152,7 +152,7 @@ func TestOpenFailureStillCloses(t *testing.T) {
 	injected := errors.New("injected open failure")
 	var opens, closes, batches atomic.Int64
 	opts := Options{DOP: 4, morselSize: 8}
-	opts.injectOp = func(pl *plan.Pipeline, worker int, op PhysicalOperator) PhysicalOperator {
+	opts.injectOp = func(pl *plan.Pipeline, worker int, _ bool, op PhysicalOperator) PhysicalOperator {
 		return &faultOp{child: op, err: injected, failOpen: true,
 			opens: &opens, closes: &closes, batches: &batches}
 	}
@@ -229,7 +229,7 @@ func TestDAGSurfacesFirstErrorDeterministically(t *testing.T) {
 	injected := errors.New("injected build-pipeline failure")
 	for i := 0; i < 50; i++ {
 		opts := Options{DOP: 4, morselSize: 16}
-		opts.injectOp = func(pl *plan.Pipeline, worker int, op PhysicalOperator) PhysicalOperator {
+		opts.injectOp = func(pl *plan.Pipeline, worker int, _ bool, op PhysicalOperator) PhysicalOperator {
 			var opens, closes, batches atomic.Int64
 			f := &faultOp{child: op, err: injected,
 				opens: &opens, closes: &closes, batches: &batches}
@@ -250,17 +250,17 @@ func TestDAGSurfacesFirstErrorDeterministically(t *testing.T) {
 // DOPs and morsel sizes, returns the reference's tuples.
 func TestDAGHashJoinMatchesLegacy(t *testing.T) {
 	db, b, p := factDimFixture(t)
-	legacy, err := Run(db, b, p, Options{DOP: 1, Legacy: true})
+	_, legacy, err := runRows(db, b, p, Options{DOP: 1, Legacy: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, dop := range []int{1, 2, 4, 8} {
 		for _, morsel := range []int{1, 37, 4096} {
-			r, err := Run(db, b, p, Options{DOP: dop, morselSize: morsel})
+			_, rows, err := runRows(db, b, p, Options{DOP: dop, morselSize: morsel})
 			if err != nil {
 				t.Fatalf("dop %d morsel %d: %v", dop, morsel, err)
 			}
-			sameTuples(t, fmt.Sprintf("dop %d morsel %d", dop, morsel), canonicalRows(r.Out()), canonicalRows(legacy.Out()))
+			sameTuples(t, fmt.Sprintf("dop %d morsel %d", dop, morsel), canonicalRows(rows), canonicalRows(legacy))
 		}
 	}
 }

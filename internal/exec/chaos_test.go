@@ -210,7 +210,7 @@ func TestRowsetPanicBecomesTypedError(t *testing.T) {
 	db, b, p := bigScanFixture(t, 4096)
 	before := runtime.NumGoroutine()
 	opts := Options{DOP: 4}
-	opts.injectOp = func(_ *plan.Pipeline, _ int, op PhysicalOperator) PhysicalOperator {
+	opts.injectOp = func(_ *plan.Pipeline, _ int, _ bool, op PhysicalOperator) PhysicalOperator {
 		return &rowsetPanicOp{child: op}
 	}
 	_, err := Run(db, b, p, opts)
@@ -287,13 +287,13 @@ func TestChaosSoak(t *testing.T) {
 	var base []baseline
 	for _, num := range concurrentMix() {
 		block, res := chaosPlan(t, num)
-		clean, err := Run(ds.DB, block, res.Plan, Options{DOP: 4})
+		_, clean, err := runRows(ds.DB, block, res.Plan, Options{DOP: 4})
 		if err != nil {
 			t.Fatalf("Q%d baseline: %v", num, err)
 		}
 		base = append(base, baseline{
 			block: block, plan: res,
-			want: canonicalRows(clean.Out()),
+			want: canonicalRows(clean),
 		})
 	}
 
@@ -301,18 +301,12 @@ func TestChaosSoak(t *testing.T) {
 	broker := mem.NewBroker(64 << 10)
 	scheduler := sched.New(sched.Config{Slots: 4, MaxConcurrent: 4})
 	spillRoot := t.TempDir()
-	inj := faults.New(chaosSeed, map[faults.Site]float64{
-		faults.SpillWrite:  0.02,
-		faults.SpillRead:   0.02,
-		faults.SpillSync:   0.01,
-		faults.SpillRemove: 0.01,
-		faults.MemDeny:     0.10,
-		faults.ExecError:   0.002,
-		faults.ExecPanic:   0.001,
-		faults.SchedAdmit:  0.05,
-		faults.SchedSlot:   0.01,
-	})
-	inj.SetSlotDelay(200 * time.Microsecond)
+	inj, err := faults.Parse(fmt.Sprintf("seed=%d,spill.write=0.02,spill.read=0.02,spill.sync=0.01,"+
+		"spill.remove=0.01,mem.deny=0.10,exec.error=0.002,exec.panic=0.001,sched.admit=0.05,sched.slot=0.01,"+
+		"slotdelay=200us", chaosSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
 	faults.Enable(inj)
 	defer faults.Disable()
 
@@ -321,7 +315,7 @@ func TestChaosSoak(t *testing.T) {
 		// stalled this long fails the soak rather than hanging it.
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		r, err := RunContext(ctx, ds.DB, b.block, b.plan.Plan, Options{
+		_, rows, err := runRowsContext(ctx, ds.DB, b.block, b.plan.Plan, Options{
 			DOP: 4, Sched: scheduler, Broker: broker, SpillDir: spillRoot,
 		})
 		if err != nil {
@@ -330,7 +324,7 @@ func TestChaosSoak(t *testing.T) {
 			}
 			return nil
 		}
-		got := canonicalRows(r.Out())
+		got := canonicalRows(rows)
 		if len(got) != len(b.want) {
 			return fmt.Errorf("row count diverged under faults: got %d want %d", len(got), len(b.want))
 		}

@@ -93,7 +93,7 @@ func TestFinishHoldsASlot(t *testing.T) {
 		var batches []batchSpan
 		tr := obs.NewTrace(0)
 		opts := Options{DOP: 1, Trace: tr}
-		opts.injectOp = func(pl *plan.Pipeline, _ int, op PhysicalOperator) PhysicalOperator {
+		opts.injectOp = func(pl *plan.Pipeline, _ int, _ bool, op PhysicalOperator) PhysicalOperator {
 			return &batchClock{child: op, pipe: pl.ID, mu: &mu, spans: &batches}
 		}
 		if _, err := Run(ds.DB, block, res.Plan, opts); err != nil {
@@ -150,13 +150,13 @@ func TestConcurrentQueriesMatchSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Q%d: optimize: %v", num, err)
 		}
-		serial, err := Run(ds.DB, block, res.Plan, Options{DOP: dop})
+		_, serial, err := runRows(ds.DB, block, res.Plan, Options{DOP: dop})
 		if err != nil {
 			t.Fatalf("Q%d: serial run: %v", num, err)
 		}
 		qs = append(qs, planned{
 			num: num, block: block, plan: res.Plan,
-			want: canonicalRows(serial.Out()),
+			want: canonicalRows(serial),
 		})
 	}
 
@@ -174,15 +174,15 @@ func TestConcurrentQueriesMatchSerial(t *testing.T) {
 			for k := 0; k < len(qs); k++ {
 				pq := qs[(s+k)%len(qs)]
 				opts := Options{DOP: dop, Sched: scheduler, Broker: broker}
-				opts.injectOp = func(pl *plan.Pipeline, worker int, op PhysicalOperator) PhysicalOperator {
+				opts.injectOp = func(pl *plan.Pipeline, worker int, _ bool, op PhysicalOperator) PhysicalOperator {
 					return &workerGauge{child: op, cur: &cur, max: &maxGauge}
 				}
-				r, err := RunContext(context.Background(), ds.DB, pq.block, pq.plan, opts)
+				_, rows, err := runRows(ds.DB, pq.block, pq.plan, opts)
 				if err != nil {
 					errCh <- err
 					return
 				}
-				got := canonicalRows(r.Out())
+				got := canonicalRows(rows)
 				if len(got) != len(pq.want) {
 					t.Errorf("stream %d Q%d: %d tuples, want %d", s, pq.num, len(got), len(pq.want))
 					return
@@ -238,11 +238,11 @@ func TestSlotCapHoldsUnderBudget(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Q%d: optimize: %v", num, err)
 		}
-		ref, err := Run(ds.DB, block, res.Plan, Options{Legacy: true})
+		_, ref, err := runRows(ds.DB, block, res.Plan, Options{Legacy: true})
 		if err != nil {
 			t.Fatalf("Q%d: reference: %v", num, err)
 		}
-		qs = append(qs, planned{num: num, block: block, plan: res.Plan, want: canonicalRows(ref.Out())})
+		qs = append(qs, planned{num: num, block: block, plan: res.Plan, want: canonicalRows(ref)})
 	}
 	scheduler := sched.New(sched.Config{Slots: slots})
 	broker := mem.NewBroker(tinyBudget)
@@ -256,10 +256,10 @@ func TestSlotCapHoldsUnderBudget(t *testing.T) {
 			for k := range qs {
 				pq := qs[(s+k)%len(qs)]
 				opts := Options{DOP: slots, Sched: scheduler, Broker: broker, SpillDir: spillRoot}
-				opts.injectOp = func(_ *plan.Pipeline, _ int, op PhysicalOperator) PhysicalOperator {
+				opts.injectOp = func(_ *plan.Pipeline, _ int, _ bool, op PhysicalOperator) PhysicalOperator {
 					return &workerGauge{child: op, cur: &cur, max: &maxGauge}
 				}
-				r, err := RunContext(context.Background(), ds.DB, pq.block, pq.plan, opts)
+				r, rows, err := runRows(ds.DB, pq.block, pq.plan, opts)
 				if err != nil {
 					t.Errorf("stream %d Q%d: %v", s, pq.num, err)
 					return
@@ -267,7 +267,7 @@ func TestSlotCapHoldsUnderBudget(t *testing.T) {
 				if !r.TotalSpill().Spilled() {
 					t.Errorf("stream %d Q%d: the one-byte budget spilled nothing", s, pq.num)
 				}
-				if got := canonicalRows(r.Out()); !slices.Equal(got, pq.want) {
+				if got := canonicalRows(rows); !slices.Equal(got, pq.want) {
 					t.Errorf("stream %d Q%d: %d tuples differ from the reference's %d", s, pq.num, len(got), len(pq.want))
 				}
 			}
@@ -295,7 +295,7 @@ func TestConcurrentCancelWhileQueued(t *testing.T) {
 	holderDone := make(chan error, 1)
 	go func() {
 		opts := Options{DOP: 2, morselSize: 4, Sched: scheduler}
-		opts.injectOp = func(pl *plan.Pipeline, worker int, op PhysicalOperator) PhysicalOperator {
+		opts.injectOp = func(pl *plan.Pipeline, worker int, _ bool, op PhysicalOperator) PhysicalOperator {
 			return &stallOp{child: op, gate: release}
 		}
 		_, err := RunContext(context.Background(), db, b, p, opts)
@@ -355,7 +355,7 @@ func TestConcurrentDeadlineExpiry(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	opts := Options{DOP: 4, morselSize: 1, Sched: scheduler}
-	opts.injectOp = func(pl *plan.Pipeline, worker int, op PhysicalOperator) PhysicalOperator {
+	opts.injectOp = func(pl *plan.Pipeline, worker int, _ bool, op PhysicalOperator) PhysicalOperator {
 		return &faultOp{child: op, batchDelay: 200 * time.Microsecond,
 			opens: new(atomic.Int64), closes: new(atomic.Int64), batches: new(atomic.Int64)}
 	}
@@ -383,7 +383,7 @@ func TestConcurrentQueueDeadline(t *testing.T) {
 	holderDone := make(chan error, 1)
 	go func() {
 		opts := Options{DOP: 1, morselSize: 4, Sched: scheduler}
-		opts.injectOp = func(pl *plan.Pipeline, worker int, op PhysicalOperator) PhysicalOperator {
+		opts.injectOp = func(pl *plan.Pipeline, worker int, _ bool, op PhysicalOperator) PhysicalOperator {
 			return &stallOp{child: op, gate: release}
 		}
 		_, err := RunContext(context.Background(), db, b, p, opts)
@@ -463,7 +463,7 @@ func TestConcurrentSpillingQueriesShareBudget(t *testing.T) {
 // returns exact rows through the spill path well inside its deadline.
 func TestMemoryNeverBlocksAdmission(t *testing.T) {
 	db, b, p := factDimFixture(t)
-	want, err := Run(db, b, p, Options{DOP: 2})
+	_, want, err := runRows(db, b, p, Options{DOP: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,11 +479,11 @@ func TestMemoryNeverBlocksAdmission(t *testing.T) {
 	spillRoot := t.TempDir()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	r, err := RunContext(ctx, db, b, p, Options{DOP: 2, Sched: scheduler, Broker: broker, SpillDir: spillRoot})
+	r, rows, err := runRowsContext(ctx, db, b, p, Options{DOP: 2, Sched: scheduler, Broker: broker, SpillDir: spillRoot})
 	if err != nil {
 		t.Fatalf("spilling query beside a full budget: %v", err)
 	}
-	sameTuples(t, "beside a full budget", canonicalRows(r.Out()), canonicalRows(want.Out()))
+	sameTuples(t, "beside a full budget", canonicalRows(rows), canonicalRows(want))
 	if !r.TotalSpill().Spilled() {
 		t.Fatal("the query ran without spilling under an exhausted budget")
 	}

@@ -12,11 +12,11 @@ import (
 // The executor-equivalence suite: the pipelined morsel-driven executor and
 // the legacy operator-at-a-time interpreter — the engine's one reference
 // implementation — must produce the same result tuples, the same per-node
-// row counts, and identical Bloom filter runtime records (every spec is
-// one bloom.Filter whose bits depend on neither DOP nor executor), for
-// every built-in TPC-H query under all four optimizer modes, at DOP 1 and
-// 4, under the engine cost profile and under the paper profile, whose plans
-// differ: other join orders and other build sides.
+// rows in and out, the same Work, and identical Bloom filter runtime
+// records (every spec is one bloom.Filter whose bits depend on neither DOP
+// nor executor), for every built-in TPC-H query under all four optimizer
+// modes, at DOP 1 and 4, under the engine cost profile and under the paper
+// profile, whose plans differ: other join orders and other build sides.
 
 var (
 	eqOnce sync.Once
@@ -70,13 +70,13 @@ func executorEquivalenceTPCH(t *testing.T, profile optimizer.Options, modes []op
 				t.Fatalf("Q%d %s: optimize: %v", q.Num, mode, err)
 			}
 			// The reference ignores DOP: one run serves every DOP.
-			legacy, err := Run(ds.DB, block, res.Plan, Options{Legacy: true})
+			legacy, legacyRows, err := runRows(ds.DB, block, res.Plan, Options{Legacy: true})
 			if err != nil {
 				t.Fatalf("Q%d %s: legacy exec: %v", q.Num, mode, err)
 			}
 			rowsAtDOP := map[int]int{}
 			for _, dop := range dops {
-				piped, err := Run(ds.DB, block, res.Plan, Options{DOP: dop})
+				piped, pipedRows, err := runRows(ds.DB, block, res.Plan, Options{DOP: dop})
 				if err != nil {
 					t.Fatalf("Q%d %s dop %d: pipelined exec: %v", q.Num, mode, dop, err)
 				}
@@ -85,17 +85,15 @@ func executorEquivalenceTPCH(t *testing.T, profile optimizer.Options, modes []op
 						q.Num, mode, dop, legacy.Rows, piped.Rows)
 				}
 				rowsAtDOP[dop] = piped.Rows
-				// Every successful run materializes its rows.
-				for i, r := range []*Result{legacy, piped} {
-					if r.Out() == nil || r.Out().Len() != r.Rows {
-						t.Fatalf("Q%d %s dop %d: run %d (legacy, pipelined): Out is nil or disagrees with Rows=%d",
-							q.Num, mode, dop, i, r.Rows)
-					}
+				// Rows counts what the run returned.
+				if pipedRows.Len() != piped.Rows {
+					t.Fatalf("Q%d %s dop %d: the result pipeline returned %d rows, Rows=%d",
+						q.Num, mode, dop, pipedRows.Len(), piped.Rows)
 				}
 				// Same tuples, not just as many: scan kernels, Bloom
 				// probes, the flat tables and the pair-driven emit may
 				// reorder the output but never change it.
-				want, got := canonicalRows(legacy.Out()), canonicalRows(piped.Out())
+				want, got := canonicalRows(legacyRows), canonicalRows(pipedRows)
 				for i := 0; i < len(want) && i < len(got); i++ {
 					if got[i] != want[i] {
 						t.Errorf("Q%d %s dop %d: tuple %d diverges: legacy=%q pipelined=%q",
@@ -103,12 +101,22 @@ func executorEquivalenceTPCH(t *testing.T, profile optimizer.Options, modes []op
 						break
 					}
 				}
-				// Per-node actuals must agree (both record every node once).
-				for _, na := range legacy.Actuals {
-					if got := piped.ActualFor(na.Node); got != na.Actual {
-						t.Errorf("Q%d %s dop %d: node actual diverges: legacy=%v pipelined=%v",
-							q.Num, mode, dop, na.Actual, got)
+				// Per-node rows must agree (both record every node once),
+				// and so must the work they add up to.
+				if len(legacy.OpStats) != len(piped.OpStats) {
+					t.Errorf("Q%d %s dop %d: %d nodes recorded by the reference, %d by the engine",
+						q.Num, mode, dop, len(legacy.OpStats), len(piped.OpStats))
+				}
+				for _, l := range legacy.OpStats {
+					p := piped.StatFor(l.Node)
+					if p == nil || p.Label != l.Label || p.RowsIn != l.RowsIn || p.RowsOut != l.RowsOut {
+						t.Errorf("Q%d %s dop %d: node stat diverges: legacy=%+v pipelined=%+v",
+							q.Num, mode, dop, l, p)
 					}
+				}
+				if legacy.Work != piped.Work {
+					t.Errorf("Q%d %s dop %d: work diverges: legacy=%+v pipelined=%+v",
+						q.Num, mode, dop, legacy.Work, piped.Work)
 				}
 				// Bloom runtime records are deterministic: the same filter
 				// bits are built (bit-vector union is order independent)

@@ -19,26 +19,18 @@ import (
 	"bfcbo/internal/storage"
 )
 
-// NodeActual pairs a plan node with its observed output cardinality.
-type NodeActual struct {
-	Node   plan.Node
-	Actual float64
-}
-
 // Result is the outcome of executing a plan.
 type Result struct {
-	// out holds the final rows as the result sink wrote them; Out merges
-	// them, and ReleaseOut drops them.
-	out *resultChunks
-	// Rows is the final output row count (Out().Len()).
+	// Rows is the number of rows the run returned. A run counts them and
+	// keeps none: callers read the count and the statistics below.
 	Rows int
-	// Actuals records observed output rows per plan node, in pipeline
-	// order, for estimate-vs-actual analysis (the paper's MAE metric).
-	Actuals []NodeActual
 	// BloomStats describes every Bloom filter that ran.
 	BloomStats []BloomRuntime
-	// OpStats reports per-operator runtime counters in pipeline execution
-	// order (empty for reference runs).
+	// OpStats records one entry per plan node, in pipeline execution order
+	// (a reference run: in evaluation order), with the node's observed
+	// rows in and out for estimate-vs-actual analysis (the paper's MAE
+	// metric). A reference run records only Label, Node, RowsIn and
+	// RowsOut.
 	OpStats []OpStat
 	// Scans reports per-scan vectorized-execution counters — morsels
 	// claimed, per-predicate selectivity — ordered by relation index
@@ -47,7 +39,7 @@ type Result struct {
 	// Pipelines reports each executed pipeline (empty for reference runs).
 	Pipelines []PipelineStat
 	// Work totals the rows the run pushed through each kind of operator
-	// the cost model prices (zero for reference runs).
+	// the cost model prices.
 	Work Work
 	// MemPeak is the high-water mark of the bytes this run held on its
 	// memory broker (zero for reference runs, which account nothing).
@@ -99,8 +91,7 @@ func foldWork(r *Result) Work {
 	return w
 }
 
-// StatFor returns the runtime counters recorded for a plan node, or nil
-// (reference runs record no operator stats).
+// StatFor returns the runtime counters recorded for a plan node, or nil.
 func (r *Result) StatFor(n plan.Node) *OpStat {
 	for i := range r.OpStats {
 		if r.OpStats[i].Node == n {
@@ -122,10 +113,8 @@ func (r *Result) TotalSpill() SpillStat {
 
 // ActualFor returns the observed cardinality for a node (or -1).
 func (r *Result) ActualFor(n plan.Node) float64 {
-	for _, a := range r.Actuals {
-		if a.Node == n {
-			return a.Actual
-		}
+	if st := r.StatFor(n); st != nil {
+		return float64(st.RowsOut)
 	}
 	return -1
 }
@@ -163,7 +152,7 @@ type executor struct {
 	stats  []*opStats
 	pipes  []PipelineStat
 	scanRt []ScanRuntime
-	out    *resultChunks
+	out    int // the rows the result sink counted
 
 	// Memory-budget state: the per-query account on the memory broker, the
 	// configured budget (for partition sizing), and the run's lazily
@@ -193,7 +182,7 @@ type executor struct {
 	pending   []atomic.Int32
 	wg        sync.WaitGroup
 	pipeStats map[int][]*opStats
-	injectOp  func(pl *plan.Pipeline, worker int, op PhysicalOperator) PhysicalOperator
+	injectOp  func(pl *plan.Pipeline, worker int, last bool, op PhysicalOperator) PhysicalOperator
 
 	// Inter-query scheduling state: ticket is this run's admission into
 	// the process-wide scheduler and the handle its workers lease slots
@@ -237,8 +226,9 @@ type Options struct {
 	// reservation draws from; its budget bounds the bytes of operator state
 	// held in RAM, shared with every other query on the same broker. A hash
 	// build whose grant is denied spills: the join runs as a grace hash join
-	// over partition files. The final result (and other mandatory
-	// allocations) are accounted but never denied. Nil means unlimited.
+	// over partition files. Mandatory allocations (a mirrored join's
+	// marks, a grace pair's table) are accounted but never denied; the
+	// result rows are counted, not kept. Nil means unlimited.
 	Broker *mem.Broker
 	// Sched, when non-nil, is the process-wide query scheduler the run is
 	// admitted through: admission control (max concurrent queries) plus
@@ -268,16 +258,18 @@ type Options struct {
 	Fingerprint uint64
 
 	// injectOp, when set (tests only), wraps each worker's operator chain
-	// of every pipeline — the failure-injection hook for cancellation and
-	// error-propagation tests.
-	injectOp func(pl *plan.Pipeline, worker int, op PhysicalOperator) PhysicalOperator
+	// of every stage of every pipeline — the failure-injection hook for
+	// cancellation and error-propagation tests. last is true for the chain
+	// of the pipeline's last stage, the one that feeds its breaker; a
+	// spilled join's route stage is not last.
+	injectOp func(pl *plan.Pipeline, worker int, last bool, op PhysicalOperator) PhysicalOperator
 	// morselSize, when positive (tests only), overrides DefaultMorselSize:
 	// tiny morsels force many batches through short inputs.
 	morselSize int
 }
 
-// Run executes a physical plan over the database and returns the final row
-// set with per-node actuals and Bloom filter statistics.
+// Run executes a physical plan over the database and returns its row count
+// with per-node actuals and Bloom filter statistics.
 func Run(db *storage.Database, block *query.Block, p *plan.Plan, opts Options) (*Result, error) {
 	return RunContext(context.Background(), db, block, p, opts)
 }
@@ -290,7 +282,8 @@ func Run(db *storage.Database, block *query.Block, p *plan.Plan, opts Options) (
 // ctx.Err().
 func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p *plan.Plan, opts Options) (res *Result, err error) {
 	if opts.Legacy {
-		return runReference(ctx, db, block, p)
+		res, _, err = runReference(ctx, db, block, p)
+		return res, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -448,7 +441,7 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 	// One scan per pipeline, reported by relation.
 	sort.Slice(ex.scanRt, func(i, j int) bool { return ex.scanRt[i].Rel < ex.scanRt[j].Rel })
 	res = &Result{
-		out: ex.out, Rows: ex.out.rows,
+		Rows:       ex.out,
 		Pipelines:  ex.pipes,
 		Scans:      ex.scanRt,
 		MemPeak:    ex.memq.Peak(),
@@ -456,11 +449,9 @@ func RunContext(ctx context.Context, db *storage.Database, block *query.Block, p
 		BloomStats: ex.blooms.stats(p.Blooms),
 	}
 	// Every plan node holds exactly one pipeline position (scans as
-	// sources, joins as probes), so each has one stat and one actual.
+	// sources, joins as probes), so each has one stat.
 	for _, st := range ex.stats {
-		op := st.snapshot()
-		res.OpStats = append(res.OpStats, op)
-		res.Actuals = append(res.Actuals, NodeActual{Node: op.Node, Actual: float64(op.RowsOut)})
+		res.OpStats = append(res.OpStats, st.snapshot())
 	}
 	res.Work = foldWork(res)
 	return res, nil

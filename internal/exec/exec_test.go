@@ -110,8 +110,8 @@ func TestInnerJoinCorrectness(t *testing.T) {
 		for _, mode := range []optimizer.Mode{optimizer.NoBF, optimizer.BFPost, optimizer.BFCBO} {
 			_, r := optimizeAndRun(t, db, b, mode, dop)
 			// 10 surviving dim rows × 10 fact rows each.
-			if r.Out().Len() != 100 {
-				t.Fatalf("mode %s dop %d: join rows = %d, want 100", mode, dop, r.Out().Len())
+			if r.Rows != 100 {
+				t.Fatalf("mode %s dop %d: join rows = %d, want 100", mode, dop, r.Rows)
 			}
 		}
 	}
@@ -123,8 +123,8 @@ func TestSemiJoinCorrectness(t *testing.T) {
 		b := factDimBlock(schema, query.Semi)
 		for _, mode := range []optimizer.Mode{optimizer.NoBF, optimizer.BFCBO} {
 			_, r := optimizeAndRun(t, db, b, mode, dop)
-			if r.Out().Len() != 100 {
-				t.Fatalf("mode %s dop %d: semi rows = %d, want 100", mode, dop, r.Out().Len())
+			if r.Rows != 100 {
+				t.Fatalf("mode %s dop %d: semi rows = %d, want 100", mode, dop, r.Rows)
 			}
 		}
 	}
@@ -135,8 +135,8 @@ func TestAntiJoinCorrectness(t *testing.T) {
 	for _, dop := range []int{1, 4} {
 		b := factDimBlock(schema, query.Anti)
 		_, r := optimizeAndRun(t, db, b, optimizer.NoBF, dop)
-		if r.Out().Len() != 900 {
-			t.Fatalf("dop %d: anti rows = %d, want 900", dop, r.Out().Len())
+		if r.Rows != 900 {
+			t.Fatalf("dop %d: anti rows = %d, want 900", dop, r.Rows)
 		}
 	}
 }
@@ -146,8 +146,8 @@ func TestBloomFilterDoesNotChangeResults(t *testing.T) {
 	base := factDimBlock(schema, query.Inner)
 	_, noBF := optimizeAndRun(t, db, base, optimizer.NoBF, 4)
 	pCBO, withBF := optimizeAndRun(t, db, factDimBlock(schema, query.Inner), optimizer.BFCBO, 4)
-	if noBF.Out().Len() != withBF.Out().Len() {
-		t.Fatalf("BF changed results: %d vs %d\n%s", noBF.Out().Len(), withBF.Out().Len(), pCBO.Explain())
+	if noBF.Rows != withBF.Rows {
+		t.Fatalf("BF changed results: %d vs %d\n%s", noBF.Rows, withBF.Rows, pCBO.Explain())
 	}
 	if pCBO.CountBlooms() == 0 {
 		t.Fatalf("expected a Bloom filter in this plan:\n%s", pCBO.Explain())
@@ -184,8 +184,8 @@ func TestScanActualsReflectBloomReduction(t *testing.T) {
 			t.Fatalf("bloom-filtered scan emitted %v rows of 1000", actual)
 		}
 	}
-	if r.ActualFor(p.Root) != float64(r.Out().Len()) {
-		t.Fatalf("root actual %v != output %d", r.ActualFor(p.Root), r.Out().Len())
+	if r.ActualFor(p.Root) != float64(r.Rows) {
+		t.Fatalf("root actual %v != output %d", r.ActualFor(p.Root), r.Rows)
 	}
 }
 
@@ -208,7 +208,7 @@ func TestEveryJoinTypeMatchesReference(t *testing.T) {
 			Conds:    []plan.Cond{{OuterRel: 0, OuterCol: "fk", InnerRel: 1, InnerCol: "pk"}},
 		}
 		p := &plan.Plan{Root: root, Mode: "manual"}
-		ref, err := Run(db, b, p, Options{Legacy: true})
+		ref, refRows, err := runRows(db, b, p, Options{Legacy: true})
 		if err != nil {
 			t.Fatalf("%s: reference: %v", jt, err)
 		}
@@ -219,11 +219,11 @@ func TestEveryJoinTypeMatchesReference(t *testing.T) {
 		for _, dop := range []int{1, 4} {
 			for _, budget := range []int64{0, tinyBudget} {
 				what := fmt.Sprintf("%s dop %d budget %d", jt, dop, budget)
-				r, err := Run(db, b, p, Options{DOP: dop, Broker: mem.NewBroker(budget), SpillDir: t.TempDir()})
+				r, rows, err := runRows(db, b, p, Options{DOP: dop, Broker: mem.NewBroker(budget), SpillDir: t.TempDir()})
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
-				sameTuples(t, what, canonicalRows(r.Out()), canonicalRows(ref.Out()))
+				sameTuples(t, what, canonicalRows(rows), canonicalRows(refRows))
 				var got []string
 				for _, ps := range r.Pipelines {
 					got = append(got, ps.Label)
@@ -281,8 +281,8 @@ func TestDuplicateKeyProduct(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Out().Len() != want {
-			t.Fatalf("legacy %v: rows = %d, want %d", opts.Legacy, r.Out().Len(), want)
+		if r.Rows != want {
+			t.Fatalf("legacy %v: rows = %d, want %d", opts.Legacy, r.Rows, want)
 		}
 	}
 }

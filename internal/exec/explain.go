@@ -14,7 +14,7 @@ import (
 // actual rows next to the planner's estimates, plus batch counts and
 // in-operator wall time from the pipelined executor — followed by the
 // per-pipeline schedule and Bloom filter runtime. For reference runs (no
-// operator stats) it falls back to est→actual rows only.
+// pipelines) it renders est→actual rows only.
 func (r *Result) ExplainAnalyze(p *plan.Plan) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "executed (%s)  rows=%d  blooms=%d", p.Mode, r.Rows, len(p.Blooms))
@@ -87,20 +87,24 @@ func breakerSuffix(ps PipelineStat) string {
 // then what the run observed.
 func (r *Result) explainNote(b *strings.Builder, n plan.Node) {
 	fmt.Fprintf(b, "est=%.0f", n.EstRows())
-	if st := r.StatFor(n); st != nil {
-		fmt.Fprintf(b, " actual=%d batches=%d", st.RowsOut, st.Batches)
-		if _, probe := n.(*plan.Join); probe && st.Batches > 0 {
-			fmt.Fprintf(b, " rows/batch=%d", st.RowsIn/st.Batches)
-		}
-		fmt.Fprintf(b, " wall=%s", st.Wall.Round(time.Microsecond))
-		// Probe sub-phases; all zero for non-join operators.
-		if st.Gather > 0 || st.Probe > 0 || st.Emit > 0 {
-			fmt.Fprintf(b, " [gather=%s probe=%s emit=%s]",
-				st.Gather.Round(time.Microsecond),
-				st.Probe.Round(time.Microsecond),
-				st.Emit.Round(time.Microsecond))
-		}
-	} else if a := r.ActualFor(n); a >= 0 {
-		fmt.Fprintf(b, " actual=%.0f", a)
+	st := r.StatFor(n)
+	if st == nil {
+		return
+	}
+	fmt.Fprintf(b, " actual=%d", st.RowsOut)
+	if len(r.Pipelines) == 0 {
+		return // a reference run neither batches nor times
+	}
+	fmt.Fprintf(b, " batches=%d", st.Batches)
+	if _, probe := n.(*plan.Join); probe && st.Batches > 0 {
+		fmt.Fprintf(b, " rows/batch=%d", st.RowsIn/st.Batches)
+	}
+	fmt.Fprintf(b, " wall=%s", st.Wall.Round(time.Microsecond))
+	// Probe sub-phases; all zero for non-join operators.
+	if st.Gather > 0 || st.Probe > 0 || st.Emit > 0 {
+		fmt.Fprintf(b, " [gather=%s probe=%s emit=%s]",
+			st.Gather.Round(time.Microsecond),
+			st.Probe.Round(time.Microsecond),
+			st.Emit.Round(time.Microsecond))
 	}
 }

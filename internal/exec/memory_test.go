@@ -142,16 +142,16 @@ func TestExecutorEquivalenceMemBudget(t *testing.T) {
 			// The baseline runs unlimited at the same DOP: Bloom filter
 			// strategy — and so false-positive rate and intermediate
 			// actuals — legitimately varies with DOP.
-			baseline, err := Run(ds.DB, block, res.Plan, Options{DOP: dop})
+			baseline, baseRows, err := runRows(ds.DB, block, res.Plan, Options{DOP: dop})
 			if err != nil {
 				t.Fatalf("Q%d dop %d: unlimited run: %v", num, dop, err)
 			}
 			if s := baseline.TotalSpill(); s.Spilled() {
 				t.Errorf("Q%d dop %d: unlimited-budget run spilled: %+v", num, dop, s)
 			}
-			want := canonicalRows(baseline.Out())
+			want := canonicalRows(baseRows)
 			spillRoot := t.TempDir()
-			r, err := Run(ds.DB, block, res.Plan, Options{
+			r, rows, err := runRows(ds.DB, block, res.Plan, Options{
 				DOP: dop, Broker: mem.NewBroker(tinyBudget), SpillDir: spillRoot,
 			})
 			if err != nil {
@@ -160,7 +160,7 @@ func TestExecutorEquivalenceMemBudget(t *testing.T) {
 			if r.Rows != baseline.Rows {
 				t.Errorf("Q%d dop %d: rows = %d, want %d", num, dop, r.Rows, baseline.Rows)
 			}
-			got := canonicalRows(r.Out())
+			got := canonicalRows(rows)
 			if len(got) != len(want) {
 				t.Errorf("Q%d dop %d: %d tuples, want %d", num, dop, len(got), len(want))
 			} else {
@@ -173,10 +173,10 @@ func TestExecutorEquivalenceMemBudget(t *testing.T) {
 			}
 			// Per-node actuals are deterministic row counts; they must
 			// survive spilling unchanged.
-			for _, na := range baseline.Actuals {
-				if got := r.ActualFor(na.Node); got != na.Actual {
-					t.Errorf("Q%d dop %d: node actual diverges under budget: %v vs %v",
-						num, dop, na.Actual, got)
+			for _, op := range baseline.OpStats {
+				if got := r.ActualFor(op.Node); got != float64(op.RowsOut) {
+					t.Errorf("Q%d dop %d: node actual diverges under budget: %d vs %v",
+						num, dop, op.RowsOut, got)
 				}
 			}
 			// Every query with a join must spill under the tiny budget; a
@@ -311,6 +311,38 @@ func TestInMemoryBuildHoldsItsBytes(t *testing.T) {
 	}
 }
 
+// A run counts its result rows and keeps none, so a block of one relation,
+// which builds no hash table, holds nothing on its broker: Q1 under a
+// budget peaks at 0 bytes at DOP 1 and 4.
+func TestResultRowsHoldNoMemory(t *testing.T) {
+	ds := equivalenceDataset(t)
+	q, _ := tpch.Get(1)
+	block := q.Build(ds.Schema)
+	opts := optimizer.DefaultOptions(0.01)
+	opts.Mode = optimizer.BFCBO
+	res, err := optimizer.Optimize(block, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.Plan.Joins()); n != 0 {
+		t.Fatalf("Q1 plans %d joins, want none", n)
+	}
+	for _, dop := range []int{1, 4} {
+		broker := mem.NewBroker(16 << 20)
+		r, err := Run(ds.DB, block, res.Plan, Options{DOP: dop, Broker: broker, SpillDir: t.TempDir()})
+		if err != nil {
+			t.Fatalf("dop %d: %v", dop, err)
+		}
+		if r.Rows == 0 {
+			t.Fatalf("dop %d: Q1 returned no rows", dop)
+		}
+		if r.MemPeak != 0 || broker.Peak() != 0 {
+			t.Errorf("dop %d: %d result rows peaked at %d B on the query, %d B on the broker; want 0",
+				dop, r.Rows, r.MemPeak, broker.Peak())
+		}
+	}
+}
+
 // sameTuples fails the test when two canonicalRows lists differ.
 func sameTuples(t *testing.T, what string, got, want []string) {
 	t.Helper()
@@ -331,7 +363,7 @@ func sameTuples(t *testing.T, what string, got, want []string) {
 func TestBudgetedMergeAndNestLoopSpillAsGraceJoin(t *testing.T) {
 	db, b, p := factDimFixture(t)
 	root := p.Root.(*plan.Join)
-	want, err := Run(db, b, p, Options{Legacy: true})
+	want, wantRows, err := runRows(db, b, p, Options{Legacy: true})
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -339,11 +371,11 @@ func TestBudgetedMergeAndNestLoopSpillAsGraceJoin(t *testing.T) {
 		what := fmt.Sprintf("dop %d", dop)
 		broker := mem.NewBroker(tinyBudget)
 		spillRoot := t.TempDir()
-		r, err := Run(db, b, p, Options{DOP: dop, Broker: broker, SpillDir: spillRoot})
+		r, rows, err := runRows(db, b, p, Options{DOP: dop, Broker: broker, SpillDir: spillRoot})
 		if err != nil {
 			t.Fatalf("%s: budgeted run: %v", what, err)
 		}
-		sameTuples(t, what, canonicalRows(r.Out()), canonicalRows(want.Out()))
+		sameTuples(t, what, canonicalRows(rows), canonicalRows(wantRows))
 		if got := r.ActualFor(root); got != want.ActualFor(root) {
 			t.Errorf("%s: join actual %v under budget, %v in the reference", what, got, want.ActualFor(root))
 		}
@@ -371,18 +403,18 @@ func TestBudgetedRunHasOneBreakerKind(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Q%d %s: optimize: %v", q.Num, mode, err)
 			}
-			want, err := Run(ds.DB, block, res.Plan, Options{Legacy: true})
+			_, want, err := runRows(ds.DB, block, res.Plan, Options{Legacy: true})
 			if err != nil {
 				t.Fatalf("Q%d %s: reference run: %v", q.Num, mode, err)
 			}
 			for _, dop := range []int{1, 4} {
 				what := fmt.Sprintf("Q%d %s dop %d", q.Num, mode, dop)
 				spillRoot := t.TempDir()
-				r, err := Run(ds.DB, block, res.Plan, Options{DOP: dop, Broker: mem.NewBroker(tinyBudget), SpillDir: spillRoot})
+				_, rows, err := runRows(ds.DB, block, res.Plan, Options{DOP: dop, Broker: mem.NewBroker(tinyBudget), SpillDir: spillRoot})
 				if err != nil {
 					t.Fatalf("%s: budgeted run: %v", what, err)
 				}
-				sameTuples(t, what, canonicalRows(r.Out()), canonicalRows(want.Out()))
+				sameTuples(t, what, canonicalRows(rows), canonicalRows(want))
 				assertNoSpillFiles(t, spillRoot)
 			}
 		}
@@ -430,7 +462,7 @@ func TestCancelMidSpillLeavesNoTempFiles(t *testing.T) {
 	injected := errors.New("injected mid-spill failure")
 	spillRoot := t.TempDir()
 	ropts := Options{DOP: 4, Broker: mem.NewBroker(tinyBudget), SpillDir: spillRoot}
-	ropts.injectOp = func(pl *plan.Pipeline, worker int, op PhysicalOperator) PhysicalOperator {
+	ropts.injectOp = func(pl *plan.Pipeline, worker int, _ bool, op PhysicalOperator) PhysicalOperator {
 		// Fail the result pipeline's workers: by then the hash builds have
 		// spilled their partitions and the probe side is mid-flight.
 		if pl.Sink == plan.SinkResult {

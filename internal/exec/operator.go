@@ -26,8 +26,8 @@ const DefaultMorselSize = 1024
 // until the next NextBatch call on the same operator, which may overwrite
 // them — a scan hands out its selection vector, a probe or a grace drain
 // its output scratch. A consumer that keeps rows past that call copies
-// them (the sinks append into their parts, the grace route sink into its
-// partition buffers), so no batch escapes its worker.
+// them (the hash build appends into its parts, the grace route sink into
+// its partition buffers), so no batch escapes its worker.
 type PhysicalOperator interface {
 	// Open prepares per-worker state before the first NextBatch.
 	Open() error
@@ -122,8 +122,7 @@ func (s *opStats) snapshot() OpStat {
 // their sum is the finish's wall time, less untimed bookkeeping.
 type BreakerPhases struct {
 	// Merge is the time a hash build takes to combine its per-worker parts
-	// into one row set. Only builds merge: the result sink leaves its
-	// chunks as written, and Result.Out merges them when it is read.
+	// into one row set. Only builds merge: the result sink keeps no rows.
 	Merge time.Duration
 	// Sort is always zero: no breaker sorts. The field remains because
 	// benchmark/engine_traced.go reads it for exec.phase_ms.sort, and it

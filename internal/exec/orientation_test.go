@@ -165,9 +165,9 @@ func TestJoinOrientationInvariant(t *testing.T) {
 	mirroredRuns, graceMirrored := 0, 0
 	for _, c := range cases {
 		var want []string
-		check := func(what string, r *Result) {
+		check := func(what string, rows *RowSet) {
 			t.Helper()
-			got := canonicalRows(r.Out())
+			got := canonicalRows(rows)
 			if want == nil {
 				want = got
 				return
@@ -188,7 +188,7 @@ func TestJoinOrientationInvariant(t *testing.T) {
 			}
 			side := map[bool]string{false: "preserve side probing", true: "preserve side building"}[mirrored]
 			for _, dop := range []int{1, 4} {
-				ref, err := Run(c.db, c.block, p, Options{DOP: dop, Legacy: true})
+				_, ref, err := runRows(c.db, c.block, p, Options{DOP: dop, Legacy: true})
 				if err != nil {
 					t.Fatalf("%s %s: reference dop %d: %v\n%s", c.name, side, dop, err, p.Explain())
 				}
@@ -196,11 +196,11 @@ func TestJoinOrientationInvariant(t *testing.T) {
 				for _, budget := range []int64{0, tinyBudget} {
 					broker := mem.NewBroker(budget)
 					spillRoot := t.TempDir()
-					r, err := Run(c.db, c.block, p, Options{DOP: dop, Broker: broker, SpillDir: spillRoot, morselSize: 256})
+					r, rows, err := runRows(c.db, c.block, p, Options{DOP: dop, Broker: broker, SpillDir: spillRoot, morselSize: 256})
 					if err != nil {
 						t.Fatalf("%s %s: engine dop %d budget %d: %v\n%s", c.name, side, dop, budget, err, p.Explain())
 					}
-					check(fmt.Sprintf("%s, engine dop %d budget %d", side, dop, budget), r)
+					check(fmt.Sprintf("%s, engine dop %d budget %d", side, dop, budget), rows)
 					if err := Audit(AuditState{Broker: broker, SpillDir: spillRoot}); err != nil {
 						t.Errorf("%s %s: engine dop %d budget %d: %v", c.name, side, dop, budget, err)
 					}

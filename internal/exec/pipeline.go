@@ -23,7 +23,7 @@ import (
 // pipelines. Within a pipeline, workers each own a private operator chain —
 // a scan and the hash-join probes fused behind it — and push batches into a
 // thread-safe sink. Sinks are the pipeline breakers — hash-table build
-// (+ Bloom filter population) and result collection — and a sink's finish
+// (+ Bloom filter population) and result counting — and a sink's finish
 // runs once, serially, on the pipeline's last worker, inside that worker's
 // slot. Forking the finish phases across DOP goroutines measured no faster
 // on the benchmark workloads, so there is one finish path.
@@ -99,58 +99,19 @@ type pipeRun struct {
 	start  time.Time
 }
 
-// resultSink collects the query's output, writing each row id once: every
-// worker appends its batches' rows to a list of chunks of its own. A
-// worker's first chunk is sized to its first batch, each next one doubles
-// the last up to resultChunkRows, and a full chunk is never grown or
-// copied. finish only counts the rows; Result.Out merges the chunks when a
-// caller reads them. The query's output cannot spill, so its bytes are
-// force-accounted against the memory budget and never denied.
+// resultSink counts the query's output rows and keeps none: every worker
+// adds its batches' rows to a count of its own, and finish sums them.
 type resultSink struct {
-	ex    *executor
-	rels  query.RelSet
-	parts [][]*RowSet // by worker: its chunks, in the order written
-	res   *mem.Reservation
+	ex     *executor
+	counts []int // by worker
 }
 
-// resultChunkRows caps a result chunk's rows at 64 morsels: past it,
-// doubling saves few allocations, and a worker's last chunk may leave up
-// to this many rows a column unused.
-const resultChunkRows = 64 * DefaultMorselSize
-
-func (s *resultSink) consume(w int, b *RowSet) {
-	s.res.Force(batchBytes(b))
-	chunks := s.parts[w]
-	for at := 0; at < b.Len(); {
-		var c *RowSet
-		if len(chunks) > 0 {
-			c = chunks[len(chunks)-1]
-		}
-		if c == nil || c.Len() == cap(c.cols[0]) {
-			size := min(b.Len(), resultChunkRows)
-			if c != nil {
-				size = min(2*cap(c.cols[0]), resultChunkRows)
-			}
-			c = NewRowSetCap(s.rels, size)
-			chunks = append(chunks, c)
-		}
-		k := min(b.Len()-at, cap(c.cols[0])-c.Len())
-		for i := range c.cols {
-			c.cols[i] = append(c.cols[i], b.cols[i][at:at+k]...)
-		}
-		at += k
-	}
-	s.parts[w] = chunks
-}
+func (s *resultSink) consume(w int, b *RowSet) { s.counts[w] += b.Len() }
 
 func (s *resultSink) finish() error {
-	out := &resultChunks{rels: s.rels, parts: s.parts}
-	for _, chunks := range s.parts {
-		for _, c := range chunks {
-			out.rows += c.Len()
-		}
+	for _, n := range s.counts {
+		s.ex.out += n
 	}
-	s.ex.out = out
 	return nil
 }
 
@@ -526,7 +487,7 @@ func (ex *executor) runChain(pl *plan.Pipeline, st *stage, w int) {
 		op = &probeOp{sh: sh, ex: ex, child: op}
 	}
 	if ex.injectOp != nil {
-		op = ex.injectOp(pl, w, op)
+		op = ex.injectOp(pl, w, st.next == nil, op)
 	}
 	// Open and Close always pair: a chain operator that opened its
 	// child must release it even when Open itself failed, a batch
@@ -639,27 +600,31 @@ func (ex *executor) finishStage(run *pipeRun, st *stage) error {
 func newPipeStats(pipes []*plan.Pipeline) map[int][]*opStats {
 	m := make(map[int][]*opStats, len(pipes))
 	for _, pl := range pipes {
-		st := []*opStats{{label: fmt.Sprintf("Scan %s", pl.Source.Alias), node: pl.Source}}
+		st := []*opStats{{label: scanLabel(pl.Source), node: pl.Source}}
 		for _, j := range pl.Ops {
-			st = append(st, &opStats{label: fmt.Sprintf("HashJoin(%s) probe", j.Kind()), node: j})
+			st = append(st, &opStats{label: probeLabel(j), node: j})
 		}
 		m[pl.ID] = st
 	}
 	return m
 }
 
+// scanLabel and probeLabel name a plan node's operator in its OpStat.
+func scanLabel(s *plan.Scan) string { return "Scan " + s.Alias }
+
+func probeLabel(j *plan.Join) string { return fmt.Sprintf("HashJoin(%s) probe", j.Kind()) }
+
 // newSink builds the pipeline's sink for its breaker kind. The hash build,
-// the one breaker that spills, gets a memory reservation it checks before
-// growing state; the result sink force-accounts its bytes: the query's
-// output is accounted and never denied.
+// the one breaker that holds rows, gets a memory reservation it checks
+// before growing state, and spills when it is denied; the result sink only
+// counts.
 func (ex *executor) newSink(pl *plan.Pipeline, rels query.RelSet, workers int, rec *spillCounters) (breaker, error) {
-	res := ex.memq.Reserve()
 	switch pl.Sink {
 	case plan.SinkResult:
-		return &resultSink{ex: ex, rels: rels, parts: make([][]*RowSet, workers), res: res}, nil
+		return &resultSink{ex: ex, counts: make([]int, workers)}, nil
 	case plan.SinkHashBuild:
 		return &hashBuildSink{rels: rels, parts: make([]*RowSet, workers), ex: ex, j: pl.SinkJoin,
-			estRows: pl.EstSinkRows(), res: res, rec: rec}, nil
+			estRows: pl.EstSinkRows(), res: ex.memq.Reserve(), rec: rec}, nil
 	default:
 		return nil, fmt.Errorf("exec: unknown sink kind %v", pl.Sink)
 	}

@@ -24,13 +24,13 @@ func TestPipelinedOpStatsAndExplainAnalyze(t *testing.T) {
 	if len(r.OpStats) == 0 || len(r.Pipelines) == 0 {
 		t.Fatalf("pipelined run recorded no stats: ops=%d pipelines=%d", len(r.OpStats), len(r.Pipelines))
 	}
-	// The root join's stat must agree with the recorded actual and output.
+	// The root join's stat must agree with the counted output.
 	root := r.StatFor(p.Root)
 	if root == nil {
 		t.Fatal("no OpStat for plan root")
 	}
-	if int(root.RowsOut) != r.Rows || r.Rows != r.Out().Len() {
-		t.Fatalf("root stat rows=%d, result rows=%d, out=%d", root.RowsOut, r.Rows, r.Out().Len())
+	if int(root.RowsOut) != r.Rows {
+		t.Fatalf("root stat rows=%d, result rows=%d", root.RowsOut, r.Rows)
 	}
 	// Every scan and join node has a stat.
 	for _, s := range p.Scans() {
@@ -44,7 +44,8 @@ func TestPipelinedOpStatsAndExplainAnalyze(t *testing.T) {
 			t.Fatalf("ExplainAnalyze missing %q:\n%s", want, ea)
 		}
 	}
-	// Legacy runs fall back to est→actual without operator stats.
+	// Legacy runs record one OpStat a node, but no pipeline: EXPLAIN
+	// ANALYZE renders est→actual only.
 	res, err := optimizer.Optimize(factDimBlock(schema, query.Inner), optimizer.Options{
 		Mode: optimizer.NoBF, Cost: cost.Paper(), MaxPlansPerSet: 100_000,
 	})
@@ -55,11 +56,11 @@ func TestPipelinedOpStatsAndExplainAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lr.OpStats) != 0 || len(lr.Pipelines) != 0 {
-		t.Fatalf("legacy run recorded pipeline stats: %+v", lr.Pipelines)
+	if len(lr.OpStats) != len(res.Plan.Scans())+len(res.Plan.Joins()) || len(lr.Pipelines) != 0 {
+		t.Fatalf("legacy run recorded %d node stats and pipelines %+v", len(lr.OpStats), lr.Pipelines)
 	}
-	if !strings.Contains(lr.ExplainAnalyze(res.Plan), "actual=") {
-		t.Fatal("legacy ExplainAnalyze missing actuals")
+	if lea := lr.ExplainAnalyze(res.Plan); !strings.Contains(lea, "actual=") || strings.Contains(lea, "batches=") {
+		t.Fatalf("legacy ExplainAnalyze renders no actuals, or batches it never ran:\n%s", lea)
 	}
 	// No sink folds or carries dictionary codes: a TPC-H block's rendering
 	// has no aggregation suffix on any pipeline line.
@@ -117,20 +118,20 @@ func TestMorselSizeInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}
-		ref, err := Run(db, b, res.Plan, Options{Legacy: true})
+		ref, refRows, err := runRows(db, b, res.Plan, Options{Legacy: true})
 		if err != nil {
 			t.Fatalf("%s: reference: %v", v.name, err)
 		}
 		if ref.Rows != v.rows {
 			t.Fatalf("%s: reference rows = %d, want %d", v.name, ref.Rows, v.rows)
 		}
-		want := canonicalRows(ref.Out())
+		want := canonicalRows(refRows)
 		for _, morsel := range []int{1, 7, 64, 999, 1000, 100_000} {
-			r, err := Run(db, b, res.Plan, Options{DOP: 3, morselSize: morsel})
+			_, rows, err := runRows(db, b, res.Plan, Options{DOP: 3, morselSize: morsel})
 			if err != nil {
 				t.Fatalf("%s morsel %d: %v", v.name, morsel, err)
 			}
-			sameTuples(t, fmt.Sprintf("%s morsel %d", v.name, morsel), canonicalRows(r.Out()), want)
+			sameTuples(t, fmt.Sprintf("%s morsel %d", v.name, morsel), canonicalRows(rows), want)
 		}
 	}
 
@@ -145,15 +146,15 @@ func TestMorselSizeInvariance(t *testing.T) {
 			Outer:    &plan.Scan{Rel: 0, Alias: "f", Table: "fact"},
 			Inner:    &plan.Scan{Rel: 1, Alias: "d", Table: "dim", Pred: b.Relations[1].Pred},
 		}})
-		ref, err := Run(db, b, p, Options{Legacy: true})
+		_, ref, err := runRows(db, b, p, Options{Legacy: true})
 		if err != nil {
 			t.Fatalf("mirrored %s: reference: %v", jt, err)
 		}
-		want := canonicalRows(ref.Out())
+		want := canonicalRows(ref)
 		for _, morsel := range []int{7, 64, 1000} {
 			what := fmt.Sprintf("mirrored %s morsel %d", jt, morsel)
 			rec := &batchSizes{}
-			r, err := Run(db, b, p, Options{DOP: 3, morselSize: morsel, injectOp: func(_ *plan.Pipeline, _ int, op PhysicalOperator) PhysicalOperator {
+			_, rows, err := runRows(db, b, p, Options{DOP: 3, morselSize: morsel, injectOp: func(_ *plan.Pipeline, _ int, _ bool, op PhysicalOperator) PhysicalOperator {
 				if _, ok := op.(*probeOp); !ok {
 					return op
 				}
@@ -162,7 +163,7 @@ func TestMorselSizeInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
-			sameTuples(t, what, canonicalRows(r.Out()), want)
+			sameTuples(t, what, canonicalRows(rows), want)
 			var sizes []int
 			for _, op := range rec.ops {
 				sizes = append(sizes, op.sizes...)
@@ -214,87 +215,10 @@ func TestConcatSkipsNilParts(t *testing.T) {
 	}
 }
 
-// TestResultSinkWritesChunksOnce: each worker's result rows land in chunks
-// whose capacities double from its first batch's rows up to
-// resultChunkRows; a chunk, once made, is never reallocated, only the last
-// one is ever short, finish counts every row without merging, and Out
-// merges worker by worker, each worker's rows in the order it consumed them.
-func TestResultSinkWritesChunksOnce(t *testing.T) {
-	rels := query.NewRelSet(1, 3)
-	const workers = 3
-	snk := &resultSink{ex: &executor{}, rels: rels, parts: make([][]*RowSet, workers),
-		res: mem.NewBroker(0).NewQuery().Reserve()}
-	var want [workers][][]int32
-	for w := range want {
-		want[w] = make([][]int32, rels.Count())
-	}
-	next := int32(0)
-	firsts := make([]*int32, workers) // each chunk's backing array, by worker
-	for i := 0; i < 400; i++ {
-		w := i % workers
-		size := 1000 + 37*w // worker 2 consumes nothing past its first batch
-		if w == 2 && i > 2 {
-			continue
-		}
-		b := NewRowSet(rels)
-		for r := 0; r < size; r++ {
-			for c := range b.cols {
-				b.cols[c] = append(b.cols[c], next)
-				want[w][c] = append(want[w][c], next)
-				next++
-			}
-		}
-		snk.consume(w, b)
-		if firsts[w] == nil {
-			firsts[w] = &snk.parts[w][0].cols[0][0]
-		}
-	}
-	if err := snk.finish(); err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for w, chunks := range snk.parts {
-		if &chunks[0].cols[0][0] != firsts[w] {
-			t.Errorf("worker %d: its first chunk was reallocated", w)
-		}
-		capacity := 1000 + 37*w
-		for i, c := range chunks {
-			if got := cap(c.cols[0]); got != capacity {
-				t.Errorf("worker %d chunk %d: capacity %d, want %d", w, i, got, capacity)
-			}
-			if i < len(chunks)-1 && c.Len() != capacity {
-				t.Errorf("worker %d chunk %d of %d: %d of %d rows, only the last may be short", w, i, len(chunks), c.Len(), capacity)
-			}
-			capacity = min(2*capacity, resultChunkRows)
-			total += c.Len()
-		}
-	}
-	if n := len(snk.parts[0]); n < 8 || cap(snk.parts[0][n-1].cols[0]) != resultChunkRows {
-		t.Errorf("worker 0 wrote %d chunks, the last of %d rows; want the chunks to reach the %d-row cap",
-			n, cap(snk.parts[0][n-1].cols[0]), resultChunkRows)
-	}
-	r := &Result{out: snk.ex.out, Rows: snk.ex.out.rows}
-	if r.Rows != total || r.Rows != int(next)/rels.Count() {
-		t.Fatalf("finish counted %d rows; the chunks hold %d, the batches %d", r.Rows, total, int(next)/rels.Count())
-	}
-	merged := make([][]int32, rels.Count())
-	for w := range want {
-		for c := range merged {
-			merged[c] = append(merged[c], want[w][c]...)
-		}
-	}
-	if got := r.Out(); got.rels != rels || !reflect.DeepEqual(got.cols, merged) {
-		t.Fatalf("Out merged %d rows, not the workers' %d rows in worker-major order", got.Len(), len(merged[0]))
-	}
-	if r.ReleaseOut(); r.Out() != nil || r.Rows != total {
-		t.Fatalf("after ReleaseOut: Out() = %v, Rows = %d; want nil and %d", r.Out(), r.Rows, total)
-	}
-}
-
 // TestResultSpansChunks runs TPC-H blocks of thousands of output rows at
-// tiny morsels, so a worker's rows span several result chunks, at DOP 1
-// and 4 (which workers get rows is up to the schedule); the merged output
-// equals the reference's tuples.
+// tiny morsels, so every worker hands the result sink many batches, at DOP
+// 1 and 4 (which workers get rows is up to the schedule); the rows the
+// result pipeline returns equal the reference's tuples.
 func TestResultSpansChunks(t *testing.T) {
 	ds := equivalenceDataset(t)
 	opts := optimizer.DefaultOptions(0.01)
@@ -306,25 +230,18 @@ func TestResultSpansChunks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Q%d: optimize: %v", num, err)
 		}
-		ref, err := Run(ds.DB, block, res.Plan, Options{Legacy: true})
+		_, ref, err := runRows(ds.DB, block, res.Plan, Options{Legacy: true})
 		if err != nil {
 			t.Fatalf("Q%d: reference: %v", num, err)
 		}
-		want := canonicalRows(ref.Out())
+		want := canonicalRows(ref)
 		for _, dop := range []int{1, 4} {
 			what := fmt.Sprintf("Q%d dop %d", num, dop)
-			r, err := Run(ds.DB, block, res.Plan, Options{DOP: dop, morselSize: 8})
+			_, rows, err := runRows(ds.DB, block, res.Plan, Options{DOP: dop, morselSize: 8})
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
-			most := 0
-			for _, chunks := range r.out.parts {
-				most = max(most, len(chunks))
-			}
-			if most < 3 {
-				t.Errorf("%s: no worker wrote more than %d result chunks, want several", what, most)
-			}
-			sameTuples(t, what, canonicalRows(r.Out()), want)
+			sameTuples(t, what, canonicalRows(rows), want)
 		}
 	}
 }
@@ -355,7 +272,7 @@ func TestLiveProgressCountsMorsels(t *testing.T) {
 			in := obs.NewInspector()
 			gate := make(chan struct{})
 			ropts := Options{DOP: 2, Broker: mem.NewBroker(budget), SpillDir: t.TempDir(), Inspector: in}
-			ropts.injectOp = func(pl *plan.Pipeline, _ int, op PhysicalOperator) PhysicalOperator {
+			ropts.injectOp = func(pl *plan.Pipeline, _ int, _ bool, op PhysicalOperator) PhysicalOperator {
 				if pl.Sink == plan.SinkResult {
 					return &stallOp{child: op, gate: gate}
 				}

@@ -102,15 +102,15 @@ func TestProbeRandomMatchesLegacy(t *testing.T) {
 				Conds:    conds,
 			}}
 			for _, dop := range []int{1, 3} {
-				ref, err := Run(db, b, p, Options{DOP: dop, Legacy: true})
+				_, ref, err := runRows(db, b, p, Options{DOP: dop, Legacy: true})
 				if err != nil {
 					t.Fatalf("trial %d %s: legacy dop %d: %v", trial, jt, dop, err)
 				}
-				got, err := Run(db, b, p, Options{DOP: dop, morselSize: morsel})
+				_, got, err := runRows(db, b, p, Options{DOP: dop, morselSize: morsel})
 				if err != nil {
 					t.Fatalf("trial %d %s: pipelined dop %d: %v", trial, jt, dop, err)
 				}
-				want, have := canonicalRows(ref.Out()), canonicalRows(got.Out())
+				want, have := canonicalRows(ref), canonicalRows(got)
 				if len(have) != len(want) {
 					t.Fatalf("trial %d %s dop %d: rows diverge: pipelined=%d legacy=%d",
 						trial, jt, dop, len(have), len(want))

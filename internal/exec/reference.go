@@ -20,55 +20,59 @@ import (
 // (database, plan) and nothing else.
 
 type reference struct {
-	ctx     context.Context
-	tables  []*storage.Table
-	blooms  *bloomSet
-	actuals []NodeActual
+	ctx    context.Context
+	tables []*storage.Table
+	blooms *bloomSet
+	ops    []OpStat
 }
 
-// runReference evaluates p serially. Its filters go through bloomSet.build,
-// so they are bit for bit the engine's and their tested/passed tallies stay
-// comparable.
-func runReference(ctx context.Context, db *storage.Database, block *query.Block, p *plan.Plan) (*Result, error) {
+// runReference evaluates p serially and returns its result with the output
+// rows. Its filters go through bloomSet.build, so they are bit for bit the
+// engine's and their tested/passed tallies stay comparable.
+func runReference(ctx context.Context, db *storage.Database, block *query.Block, p *plan.Plan) (*Result, *RowSet, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	tables, err := resolveTables(db, block)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	r := &reference{ctx: ctx, tables: tables, blooms: newBloomSet(tables, p.Blooms)}
 	out, err := r.node(p.Root)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &Result{
-		out:  &resultChunks{rels: out.rels, parts: [][]*RowSet{{out}}, rows: out.Len()},
-		Rows: out.Len(), Actuals: r.actuals, BloomStats: r.blooms.stats(p.Blooms),
-	}, nil
+	res := &Result{Rows: out.Len(), OpStats: r.ops, BloomStats: r.blooms.stats(p.Blooms)}
+	res.Work = foldWork(res)
+	return res, out, nil
 }
 
-// node evaluates one plan node and records its output cardinality.
-// Cancellation is node-granular: an expired context surfaces between
-// operator evaluations.
+// node evaluates one plan node and records its rows in and out, labelled
+// as the engine labels the node's operator: a scan's rows in are its
+// table's, a join's its outer side's. Cancellation is node-granular: an
+// expired context surfaces between operator evaluations.
 func (r *reference) node(n plan.Node) (*RowSet, error) {
 	if err := r.ctx.Err(); err != nil {
 		return nil, err
 	}
 	var rs *RowSet
 	var err error
+	st := OpStat{Node: n}
 	switch t := n.(type) {
 	case *plan.Scan:
+		st.Label, st.RowsIn = scanLabel(t), int64(r.tables[t.Rel].NumRows())
 		rs, err = r.scan(t)
 	case *plan.Join:
-		rs, err = r.join(t)
+		st.Label = probeLabel(t)
+		rs, st.RowsIn, err = r.join(t)
 	default:
 		return nil, fmt.Errorf("exec: unknown plan node %T", n)
 	}
 	if err != nil {
 		return nil, err
 	}
-	r.actuals = append(r.actuals, NodeActual{Node: n, Actual: float64(rs.Len())})
+	st.RowsOut = int64(rs.Len())
+	r.ops = append(r.ops, st)
 	return rs, nil
 }
 
@@ -103,23 +107,23 @@ rows:
 
 // join evaluates the inner (build) side first, which is what guarantees a
 // join's Bloom filters are complete before any outer-side scan that
-// applies them runs.
-func (r *reference) join(j *plan.Join) (*RowSet, error) {
+// applies them runs. It returns the join's rows and the outer rows it probed with.
+func (r *reference) join(j *plan.Join) (*RowSet, int64, error) {
 	inner, err := r.node(j.Inner)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if len(j.BuildBlooms) > 0 {
 		if err := r.blooms.build(j, inner.Len(), feedVector(inner, nil)); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 	outer, err := r.node(j.Outer)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if len(j.Conds) == 0 {
-		return nil, fmt.Errorf("exec: HashJoin(%s) with no conditions", j.Kind())
+		return nil, 0, fmt.Errorf("exec: HashJoin(%s) with no conditions", j.Kind())
 	}
 	// Every condition's key values, per side, indexed by row position: the
 	// first condition drives the hash, the rest verify pairs.
@@ -137,7 +141,7 @@ func (r *reference) join(j *plan.Join) (*RowSet, error) {
 		outer:  outer, inner: inner, conds: conds,
 	}
 	err = pj.hash(j.JoinType, j.BuildPreserved)
-	return pj.out, err
+	return pj.out, int64(outer.Len()), err
 }
 
 type condKeys struct{ o, i []int64 }

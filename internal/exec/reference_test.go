@@ -26,7 +26,7 @@ func TestReferenceIsSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(ds.DB, block, res.Plan, Options{DOP: 4})
+	want, wantRows, err := runRows(ds.DB, block, res.Plan, Options{DOP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,12 @@ func TestReferenceIsSerial(t *testing.T) {
 		}
 	}()
 	before := runtime.NumGoroutine()
-	got, err := RunContext(ctx, ds.DB, block, res.Plan, Options{Legacy: true, DOP: 4, Sched: s})
+	ropts := Options{Legacy: true, DOP: 4, Sched: s}
+	got, err := RunContext(ctx, ds.DB, block, res.Plan, ropts)
+	var gotRows *RowSet
+	if err == nil {
+		_, gotRows, err = runRowsContext(ctx, ds.DB, block, res.Plan, ropts)
+	}
 	close(stop)
 	during := <-peak
 	if err != nil {
@@ -74,7 +79,7 @@ func TestReferenceIsSerial(t *testing.T) {
 	if got.Sched != (sched.Stat{}) || len(got.Pipelines) != 0 {
 		t.Errorf("reference run reports engine state: sched %+v, %d pipelines", got.Sched, len(got.Pipelines))
 	}
-	w, g := canonicalRows(want.Out()), canonicalRows(got.Out())
+	w, g := canonicalRows(wantRows), canonicalRows(gotRows)
 	if got.Rows != want.Rows || len(g) != len(w) {
 		t.Fatalf("reference rows = %d (%d tuples), engine rows = %d (%d tuples)", got.Rows, len(g), want.Rows, len(w))
 	}

@@ -14,8 +14,9 @@ import (
 // probe and the grace drain all hand out memory they overwrite on that
 // call. poisonOp makes the overwrite unconditional: when its consumer asks
 // for the next batch, it first sets every row id of the batch it handed
-// out before to -1. A sink, route sink or probe that kept a batch past
-// the next call then returns wrong tuples or fails.
+// out before to -1. A hash build, route sink or probe that kept a batch
+// past the next call then returns wrong tuples or fails. (The result sink
+// keeps nothing; runRows copies each result batch before the next call.)
 
 // poisonOp passes its child's batches through, poisoning each one as the
 // next is requested.
@@ -42,7 +43,7 @@ func (o *poisonOp) NextBatch() (*RowSet, error) {
 // poisonChain is an injectOp hook that puts a poisonOp on every edge of a
 // worker's chain: above each probe's input and above the chain's top, which
 // feeds the sink.
-func poisonChain(_ *plan.Pipeline, _ int, op PhysicalOperator) PhysicalOperator {
+func poisonChain(_ *plan.Pipeline, _ int, _ bool, op PhysicalOperator) PhysicalOperator {
 	for p, ok := op.(*probeOp); ok; {
 		child := p.child
 		p.child = &poisonOp{child: child}
@@ -61,14 +62,14 @@ func TestBatchRetention(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Q%d: optimize: %v", q.Num, err)
 		}
-		ref, err := Run(ds.DB, block, res.Plan, Options{Legacy: true})
+		_, ref, err := runRows(ds.DB, block, res.Plan, Options{Legacy: true})
 		if err != nil {
 			t.Fatalf("Q%d: reference: %v", q.Num, err)
 		}
-		want := canonicalRows(ref.Out())
+		want := canonicalRows(ref)
 		for _, dop := range []int{1, 4} {
 			for _, budget := range []int64{0, tinyBudget} {
-				r, err := Run(ds.DB, block, res.Plan, Options{
+				r, rows, err := runRows(ds.DB, block, res.Plan, Options{
 					DOP: dop, Broker: mem.NewBroker(budget), SpillDir: t.TempDir(),
 					injectOp: poisonChain,
 				})
@@ -78,7 +79,7 @@ func TestBatchRetention(t *testing.T) {
 				if budget > 0 && len(res.Plan.Joins()) > 0 && !r.TotalSpill().Spilled() {
 					t.Errorf("Q%d dop %d: the tiny budget sent no build through grace", q.Num, dop)
 				}
-				got := canonicalRows(r.Out())
+				got := canonicalRows(rows)
 				if len(got) != len(want) {
 					t.Errorf("Q%d dop %d budget %d: %d tuples, the reference has %d", q.Num, dop, budget, len(got), len(want))
 					continue

@@ -123,33 +123,6 @@ func (rs *RowSet) appendBatch(b *RowSet) {
 	}
 }
 
-// resultChunks is a run's output as it was written: by worker, the chunks
-// of rows that worker produced, in order, and their total row count.
-type resultChunks struct {
-	rels  query.RelSet
-	parts [][]*RowSet
-	rows  int
-}
-
-// Out merges the run's output rows into one row set: worker by worker,
-// each worker's rows in the order it produced them. Output held in one
-// chunk is returned as is; otherwise each call merges anew. After
-// ReleaseOut it returns nil.
-func (r *Result) Out() *RowSet {
-	if r.out == nil {
-		return nil
-	}
-	var chunks []*RowSet
-	for _, p := range r.out.parts {
-		chunks = append(chunks, p...)
-	}
-	return concat(r.out.rels, chunks)
-}
-
-// ReleaseOut drops the output rows, so a Result kept for its statistics
-// holds no row set; Rows still counts them.
-func (r *Result) ReleaseOut() { r.out = nil }
-
 // concat merges parts (all covering the same relations) into one row set;
 // a nil part is a worker that got no batch. When exactly one part holds
 // rows — the common case at low DOP and for small build sides — that part

@@ -50,20 +50,20 @@ func TestScanCountersSortedColumn(t *testing.T) {
 	}
 	p := &plan.Plan{Root: &plan.Scan{Rel: 0, Alias: "z", Table: "ztab", Pred: pred}}
 	for _, dop := range []int{1, 4} {
-		ref, err := Run(db, b, p, Options{DOP: dop, Legacy: true})
+		_, ref, err := runRows(db, b, p, Options{DOP: dop, Legacy: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := canonicalRows(ref.Out())
+		want := canonicalRows(ref)
 		if len(want) != 201 {
 			t.Fatalf("dop %d: reference rows = %d, want 201", dop, len(want))
 		}
 		for _, morsel := range []int{0, 64, 1500, 5000} {
-			r, err := Run(db, b, p, Options{DOP: dop, morselSize: morsel})
+			r, rows, err := runRows(db, b, p, Options{DOP: dop, morselSize: morsel})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := canonicalRows(r.Out())
+			got := canonicalRows(rows)
 			if len(got) != len(want) {
 				t.Fatalf("dop %d morsel %d: rows = %d, want %d", dop, morsel, len(got), len(want))
 			}
@@ -118,7 +118,7 @@ type batchSizes struct {
 	ops []*sizeOp
 }
 
-func (s *batchSizes) hook(_ *plan.Pipeline, _ int, op PhysicalOperator) PhysicalOperator {
+func (s *batchSizes) hook(_ *plan.Pipeline, _ int, _ bool, op PhysicalOperator) PhysicalOperator {
 	p, ok := op.(*probeOp)
 	if !ok {
 		return s.wrap(op)
@@ -216,22 +216,22 @@ func TestScanFillsBatches(t *testing.T) {
 		block *query.Block
 		p     *plan.Plan
 	}{{"predicate", predBlock, predPlan}, {"bloom", bloomBlock, res.Plan}} {
-		ref, err := Run(db, c.block, c.p, Options{Legacy: true})
+		ref, refRows, err := runRows(db, c.block, c.p, Options{Legacy: true})
 		if err != nil {
 			t.Fatalf("%s: reference: %v", c.name, err)
 		}
-		want := canonicalRows(ref.Out())
+		want := canonicalRows(refRows)
 		var preds []query.PredCount
 		for _, morsel := range []int{64, DefaultMorselSize} {
 			var scans []ScanRuntime
 			for _, dop := range []int{1, 4} {
 				what := fmt.Sprintf("%s morsel %d dop %d", c.name, morsel, dop)
 				rec := &batchSizes{}
-				r, err := Run(db, c.block, c.p, Options{DOP: dop, morselSize: morsel, injectOp: rec.hook})
+				r, rows, err := runRows(db, c.block, c.p, Options{DOP: dop, morselSize: morsel, injectOp: rec.hook})
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
-				sameTuples(t, what, canonicalRows(r.Out()), want)
+				sameTuples(t, what, canonicalRows(rows), want)
 				full := 0
 				for _, op := range rec.ops {
 					for i, n := range op.sizes {
@@ -316,9 +316,9 @@ type scanBatches struct {
 	ops map[*plan.Scan][]*sizeOp
 }
 
-func (s *scanBatches) hook(pl *plan.Pipeline, w int, op PhysicalOperator) PhysicalOperator {
+func (s *scanBatches) hook(pl *plan.Pipeline, w int, last bool, op PhysicalOperator) PhysicalOperator {
 	var rec batchSizes
-	op = rec.hook(pl, w, op)
+	op = rec.hook(pl, w, last, op)
 	s.mu.Lock()
 	s.ops[pl.Source] = append(s.ops[pl.Source], rec.ops...)
 	s.mu.Unlock()

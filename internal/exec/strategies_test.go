@@ -43,8 +43,8 @@ func TestStreamingStrategiesSection39(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s dop %d: %v", streaming, dop, err)
 			}
-			if r.Out().Len() != 100 {
-				t.Fatalf("%s dop %d: rows = %d, want 100", streaming, dop, r.Out().Len())
+			if r.Rows != 100 {
+				t.Fatalf("%s dop %d: rows = %d, want 100", streaming, dop, r.Rows)
 			}
 			if len(r.BloomStats) != 1 {
 				t.Fatalf("%s dop %d: stats = %+v", streaming, dop, r.BloomStats)
@@ -81,16 +81,16 @@ func TestLeftOuterJoinExecution(t *testing.T) {
 		Conds: []plan.Cond{{OuterRel: 0, OuterCol: "fk", InnerRel: 1, InnerCol: "pk"}},
 	}
 	for _, dop := range []int{1, 4} {
-		r, err := Run(db, b, &plan.Plan{Root: root}, Options{DOP: dop})
+		r, rows, err := runRows(db, b, &plan.Plan{Root: root}, Options{DOP: dop})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// All 1000 fact rows survive: 100 with a match, 900 null-extended.
-		if r.Out().Len() != 1000 {
-			t.Fatalf("dop %d: left join rows = %d, want 1000", dop, r.Out().Len())
+		if r.Rows != 1000 || rows.Len() != 1000 {
+			t.Fatalf("dop %d: left join rows = %d (%d returned), want 1000", dop, r.Rows, rows.Len())
 		}
 		nulls := 0
-		for _, id := range r.Out().Col(1) {
+		for _, id := range rows.Col(1) {
 			if id < 0 {
 				nulls++
 			}
@@ -150,8 +150,8 @@ func TestEmptyBuildSide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Out().Len() != 0 {
-		t.Fatalf("empty build side should produce 0 rows, got %d", r.Out().Len())
+	if r.Rows != 0 {
+		t.Fatalf("empty build side should produce 0 rows, got %d", r.Rows)
 	}
 	// The empty filter rejects everything: the probe scan emits 0 rows.
 	if r.BloomStats[0].Passed != 0 {

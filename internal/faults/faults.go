@@ -244,12 +244,6 @@ func New(seed uint64, probs map[Site]float64) *Injector {
 	return inj
 }
 
-// SetSlotDelay configures the SchedSlot stall duration.
-func (inj *Injector) SetSlotDelay(d time.Duration) { inj.slotDelay = d }
-
-// SetDiskLimit configures the ENOSPC budget in bytes.
-func (inj *Injector) SetDiskLimit(n int64) { inj.diskLimit = n }
-
 // Parse builds an injector from a flag-style spec:
 //
 //	seed=42,spill.write=0.01,exec.panic=0.005,mem.deny=0.1,

@@ -69,8 +69,10 @@ func TestDisabledPathsReturnNil(t *testing.T) {
 }
 
 func TestDiskFullFiresAfterBudget(t *testing.T) {
-	inj := New(3, nil)
-	inj.SetDiskLimit(1000)
+	inj, err := Parse("seed=3,spill.diskfull=1000")
+	if err != nil {
+		t.Fatal(err)
+	}
 	Enable(inj)
 	defer Disable()
 	if err := ChargeSpillBytes(600); err != nil {
@@ -91,8 +93,10 @@ func TestDiskFullFiresAfterBudget(t *testing.T) {
 }
 
 func TestSlotDelay(t *testing.T) {
-	inj := New(9, map[Site]float64{SchedSlot: 1})
-	inj.SetSlotDelay(5 * time.Millisecond)
+	inj, err := Parse("seed=9,sched.slot=1,slotdelay=5ms")
+	if err != nil {
+		t.Fatal(err)
+	}
 	Enable(inj)
 	defer Disable()
 	if d := SlotDelay(); d != 5*time.Millisecond {

@@ -66,7 +66,7 @@ func oracleNonInnerUnitOK(b *query.Block, s query.RelSet) bool {
 		if c.Type == query.Inner {
 			continue
 		}
-		inter := s.Intersect(c.SubRels)
+		inter := s & c.SubRels
 		if inter.Empty() || inter == c.SubRels || s.SubsetOf(c.SubRels) {
 			continue
 		}

@@ -2,11 +2,13 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"bfcbo/internal/catalog"
 	"bfcbo/internal/cost"
 	"bfcbo/internal/exec"
+	"bfcbo/internal/plan"
 	"bfcbo/internal/query"
 	"bfcbo/internal/storage"
 )
@@ -135,10 +137,10 @@ func TestPropertyModesAgreeOnRandomBlocks(t *testing.T) {
 				t.Fatalf("seed %d mode %s: exec: %v\n%s", seed, mode, err, res.Plan.Explain())
 			}
 			if i == 0 {
-				want = r.Out().Len()
-			} else if r.Out().Len() != want {
+				want = r.Rows
+			} else if r.Rows != want {
 				t.Fatalf("seed %d mode %s: %d rows, want %d\n%s",
-					seed, mode, r.Out().Len(), want, res.Plan.Explain())
+					seed, mode, r.Rows, want, res.Plan.Explain())
 			}
 		}
 	}
@@ -232,10 +234,11 @@ func propertyBloomPlacementSound(t *testing.T, profile cost.Params) {
 				t.Fatalf("seed %d: inner join marked build-preserved:\n%s", seed, p.Explain())
 			}
 			for _, id := range j.BuildBlooms {
-				spec := p.BloomByID(id)
-				if spec == nil {
+				i := slices.IndexFunc(p.Blooms, func(s plan.BloomSpec) bool { return s.ID == id })
+				if i < 0 {
 					t.Fatalf("seed %d: join builds unknown filter %d", seed, id)
 				}
+				spec := p.Blooms[i]
 				if !j.Inner.Rels().Has(spec.BuildRel) {
 					t.Fatalf("seed %d: filter %d built at join whose inner %s lacks build rel %d",
 						seed, id, j.Inner.Rels(), spec.BuildRel)

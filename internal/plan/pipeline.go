@@ -3,8 +3,6 @@ package plan
 import (
 	"fmt"
 	"strings"
-
-	"bfcbo/internal/query"
 )
 
 // This file decomposes a physical plan tree into an ordered DAG of
@@ -60,14 +58,6 @@ type Pipeline struct {
 	// pipelines are emitted in a topological order — which is what lets the
 	// executor schedule the DAG without cycle detection.
 	Deps []int
-}
-
-// Rels reports the relations covered by the pipeline's output batches.
-func (pl *Pipeline) Rels() query.RelSet {
-	if len(pl.Ops) > 0 {
-		return pl.Ops[len(pl.Ops)-1].Rels()
-	}
-	return pl.Source.Rels()
 }
 
 // EstSinkRows is the planner's estimate of the rows this pipeline delivers

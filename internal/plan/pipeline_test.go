@@ -48,7 +48,7 @@ func TestDecomposeHashChain(t *testing.T) {
 	if len(p2.Deps) != 2 {
 		t.Fatalf("P2 deps = %v, want two", p2.Deps)
 	}
-	if got := p2.Rels(); got != query.NewRelSet(0, 1, 2) {
+	if got := p2.Ops[len(p2.Ops)-1].Rels(); got != query.NewRelSet(0, 1, 2) {
 		t.Fatalf("P2 rels = %s", got)
 	}
 }

@@ -125,16 +125,6 @@ type Plan struct {
 	PlanningTime float64
 }
 
-// BloomByID returns the spec for id, or nil.
-func (p *Plan) BloomByID(id int) *BloomSpec {
-	for i := range p.Blooms {
-		if p.Blooms[i].ID == id {
-			return &p.Blooms[i]
-		}
-	}
-	return nil
-}
-
 // Scans returns all scan nodes in the plan, outer-first.
 func (p *Plan) Scans() []*Scan {
 	var out []*Scan

@@ -51,12 +51,6 @@ func TestPlanAccessors(t *testing.T) {
 	if p.CountBlooms() != 1 {
 		t.Fatalf("blooms = %d", p.CountBlooms())
 	}
-	if bf := p.BloomByID(1); bf == nil || bf.BuildCol != "y" {
-		t.Fatalf("BloomByID = %+v", bf)
-	}
-	if p.BloomByID(99) != nil {
-		t.Fatal("BloomByID(99) should be nil")
-	}
 }
 
 func TestJoinOrderSignature(t *testing.T) {

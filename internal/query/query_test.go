@@ -44,16 +44,16 @@ func TestQuickRelSetAlgebra(t *testing.T) {
 		if x.Union(y) != y.Union(x) {
 			return false
 		}
-		if x.Intersect(y).Count() > x.Count() {
+		if (x & y).Count() > x.Count() {
 			return false
 		}
-		if !x.Intersect(y).SubsetOf(x) {
+		if !(x & y).SubsetOf(x) {
 			return false
 		}
 		if x.Minus(y).Overlaps(y) {
 			return false
 		}
-		return x.Minus(y).Union(x.Intersect(y)) == x
+		return x.Minus(y).Union(x&y) == x
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)

@@ -33,9 +33,6 @@ func (s RelSet) Add(i int) RelSet { return s | 1<<uint(i) }
 // Union returns s ∪ o.
 func (s RelSet) Union(o RelSet) RelSet { return s | o }
 
-// Intersect returns s ∩ o.
-func (s RelSet) Intersect(o RelSet) RelSet { return s & o }
-
 // Minus returns s \ o.
 func (s RelSet) Minus(o RelSet) RelSet { return s &^ o }
 

@@ -51,8 +51,10 @@ func TestInjectedWriteFaultUnwinds(t *testing.T) {
 // TestDiskFullTyped proves the ENOSPC site maps to ErrDiskFull and the
 // unwind removes the partial file.
 func TestDiskFullTyped(t *testing.T) {
-	inj := faults.New(2, nil)
-	inj.SetDiskLimit(100)
+	inj, err := faults.Parse("seed=2,spill.diskfull=100")
+	if err != nil {
+		t.Fatal(err)
+	}
 	faults.Enable(inj)
 	defer faults.Disable()
 

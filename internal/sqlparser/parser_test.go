@@ -116,7 +116,7 @@ func TestParsedQueryMatchesProgrammaticQ12(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Out().Len() == 0 {
+	if r.Rows == 0 {
 		t.Fatal("parsed Q12 returned no rows; expected some matches")
 	}
 	if res.Plan.CountBlooms() == 0 {

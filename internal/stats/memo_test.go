@@ -92,7 +92,7 @@ func connectedSets(b *query.Block) []query.RelSet {
 		for grown := true; grown; {
 			grown = false
 			for _, r := range reached.Members() {
-				if next := reached.Union(adj[r].Intersect(s)); next != reached {
+				if next := reached.Union(adj[r] & s); next != reached {
 					reached, grown = next, true
 				}
 			}

@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"slices"
 	"testing"
 
 	"bfcbo/internal/cost"
@@ -84,7 +85,7 @@ func TestAllQueriesPlanAndExecuteConsistently(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Q%d %s: exec: %v\n%s", q.Num, mode, err, res.Plan.Explain())
 			}
-			rows[mode] = r.Out().Len()
+			rows[mode] = r.Rows
 		}
 		if rows[optimizer.NoBF] != rows[optimizer.BFPost] || rows[optimizer.NoBF] != rows[optimizer.BFCBO] {
 			t.Errorf("Q%d result rows differ across modes: %v", q.Num, rows)
@@ -272,7 +273,7 @@ func TestQ16Q22NoAntiBloom(t *testing.T) {
 		}
 		for _, j := range res.Plan.Joins() {
 			for _, id := range j.BuildBlooms {
-				bf := res.Plan.BloomByID(id)
+				bf := res.Plan.Blooms[slices.IndexFunc(res.Plan.Blooms, func(s plan.BloomSpec) bool { return s.ID == id })]
 				for _, c := range b.Clauses {
 					if c.Type != query.Anti {
 						continue
@@ -280,7 +281,7 @@ func TestQ16Q22NoAntiBloom(t *testing.T) {
 					intoPreserve := !c.SubRels.Has(bf.ApplyRel) && c.SubRels.Has(bf.BuildRel)
 					intoUnit := c.SubRels.Has(bf.ApplyRel) && !c.SubRels.Has(bf.BuildRel)
 					if intoPreserve || (intoUnit && !j.BuildPreserved) {
-						t.Errorf("Q%d: Bloom filter crosses anti join: %+v\n%s", num, *bf, res.Plan.Explain())
+						t.Errorf("Q%d: Bloom filter crosses anti join: %+v\n%s", num, bf, res.Plan.Explain())
 					}
 				}
 			}
