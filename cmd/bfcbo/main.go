@@ -41,7 +41,7 @@ func main() {
 	flag.IntVar(&rf.qnum, "q", 0, "TPC-H query number (1-22)")
 	flag.StringVar(&rf.sql, "sql", "", "SQL text (overrides -q)")
 	flag.StringVar(&rf.mode, "mode", "bfcbo", "optimizer mode: nobf | bfpost | bfcbo | naive")
-	flag.StringVar(&rf.budget, "mem-budget", "", `executor memory budget, e.g. "64MB" (empty = unlimited); under a budget every join runs as a hash join, and one over budget spills to temp files`)
+	flag.StringVar(&rf.budget, "mem-budget", "", `executor memory budget, e.g. "64MB" (empty = unlimited); a hash join whose build side is over budget spills to temp files`)
 	flag.DurationVar(&rf.timeout, "timeout", 0, "per-query deadline (0 = none); expiry cancels the run mid-pipeline")
 	flag.IntVar(&rf.streams, "streams", 1, "run the query this many times concurrently through the engine scheduler")
 	flag.StringVar(&rf.obsAddr, "obs-listen", "", `serve observability endpoints (/metrics, /query, /debug/queries[/live|/kill], /debug/trace/<id>, /debug/workload, /debug/pprof/) on this address, e.g. ":8080"; the process keeps serving after the query finishes until Ctrl-C, then shuts the server down gracefully`)

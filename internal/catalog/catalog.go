@@ -44,8 +44,6 @@ type ColumnStats struct {
 	NDV float64
 	// Min and Max bound Int64/Float64 columns (as float64 for uniformity).
 	Min, Max float64
-	// NullFrac is the fraction of NULL entries in [0,1].
-	NullFrac float64
 }
 
 // Column describes one column of a table.

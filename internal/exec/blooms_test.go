@@ -35,8 +35,8 @@ func stripBlooms(n plan.Node) plan.Node {
 
 // TestBloomBuildFeedersAgree: bloomSet.build has two feeders — the whole
 // build side as one vector (in-memory sink, reference) and a stream of
-// spill chunks (grace sink). For the Bloom-building joins of Q3/Q7/Q9,
-// the vector build without a key column (the reference's) is the yardstick: the chunk feeder and the vector feeder
+// spill-file blocks (grace sink). For the Bloom-building joins of Q3/Q7/Q9,
+// the vector build without a key column (the reference's) is the yardstick: the block feeder and the vector feeder
 // handed the join's gathered key column (the in-memory sink's) must leave
 // the same Inserted count and the same bits.
 func TestBloomBuildFeedersAgree(t *testing.T) {
@@ -85,7 +85,7 @@ func TestBloomBuildFeedersAgree(t *testing.T) {
 					}
 				}
 			}
-			// The chunk feeder, through real partition files.
+			// The block feeder, through real partition files.
 			ex := &executor{tables: tables, spillParent: t.TempDir(), queryTag: "feeders", budget: 1}
 			g, err := ex.newGraceBuild(j, float64(inner.Len()), &spillCounters{})
 			if err != nil {
@@ -95,13 +95,10 @@ func TestBloomBuildFeedersAgree(t *testing.T) {
 			if err := r.route(inner.cols); err != nil {
 				t.Fatal(err)
 			}
-			if err := r.flush(); err != nil {
-				t.Fatal(err)
-			}
 			if err := g.build.finish(); err != nil {
 				t.Fatal(err)
 			}
-			agree("chunks", build("chunks", g.feedBuildChunks, g.build.rows()))
+			agree("blocks", build("blocks", g.feedBuildBlocks, g.build.rows()))
 			ex.cleanupSpill()
 			agree("keys", build("keys", feedVector(inner, joinKeys), inner.Len()))
 			filters += len(j.BuildBlooms)

@@ -16,20 +16,22 @@ import (
 // is denied, both join sides hash-partition to spill files and the join
 // runs partition pair by partition pair. Each side is a graceSide, and a
 // row of either side reaches its partition file one way, through a router
-// (spillio.go): the build sink's workers route their buffered parts
-// through routers of their own, the probe pipeline's route sink routes
-// every worker's input the same way, and a repartition step routes both
-// files of a pair at the next hash level. The probe pipeline splits in two
-// at the join (newPipeRun): its first stage ends in the route sink, and
-// its next stage starts from a drain: workers claim partitions from a
-// shared cursor and join each pair — loading the build partition, building
-// its table with buildHashTable on the claiming worker's own goroutine,
-// and streaming the probe partition through the shared probeBatch kernel,
-// so all join types (inner/semi/anti/left) and extra conditions work
-// unchanged. The stages' boundary is the barrier: the route stage's last
-// worker launches the drain once every probe row is on disk. A mirrored
-// join marks and sweeps pair by pair: equal keys share a partition, so a
-// pair's build rows owe nothing to any other pair's probe rows. A
+// (spillio.go), which writes each call's rows before it returns: the build
+// sink's workers route their buffered parts through routers of their own,
+// the probe pipeline's route sink routes every worker's input the same
+// way, and a repartition step routes both files of a pair at the next hash
+// level. The probe pipeline splits in two at the join (newPipeRun): its
+// first stage ends in the route sink, and its next stage starts from a
+// drain: workers claim partitions from a shared cursor and join each pair
+// — loading the build partition, building its table with buildHashTable
+// on the claiming worker's own goroutine, and streaming the probe
+// partition, a block of at most spill.ReadRows rows at a time, through the
+// shared probeBatch kernel, so all join types (inner/semi/anti/left) and
+// extra conditions work unchanged. The stages' boundary is the barrier:
+// the route stage's last worker launches the drain once every probe row is
+// on disk. A mirrored join marks and sweeps pair by pair: equal keys share
+// a partition, so a pair's build rows owe nothing to any other pair's
+// probe rows. A
 // partition pair whose grant is denied again repartitions recursively with
 // a level-salted hash, up to graceMaxDepth.
 
@@ -131,10 +133,10 @@ func (g *graceHashJoin) newRouteSink(sh *probeShared, inRels query.RelSet,
 }
 
 // routeSink ends the route stage of a pipeline whose join spilled: each
-// worker routes its batches through a router of its own, and finish writes
-// what the routers still buffer. Routed rows are the join's RowsIn; the
-// drain adds its RowsOut. A failed write fails the run, so finish never
-// runs after one.
+// worker routes its batches through a router of its own, which writes them
+// before consume returns, so finish has nothing left to do. Routed rows
+// are the join's RowsIn; the drain adds its RowsOut. A failed write fails
+// the run.
 type routeSink struct {
 	ex      *executor
 	stats   *opStats
@@ -149,16 +151,7 @@ func (s *routeSink) consume(w int, in *RowSet) {
 	s.stats.observe(in.Len(), 0, time.Since(start))
 }
 
-// finish flushes every worker's router, on the route stage's last worker
-// once every other worker has ended.
-func (s *routeSink) finish() error {
-	for w := range s.routers {
-		if err := s.routers[w].flush(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (s *routeSink) finish() error { return nil }
 
 // spillPair is one (build, probe) partition pair awaiting its join, with
 // the hash level its files were routed at.
@@ -169,7 +162,7 @@ type spillPair struct {
 
 // activePair is the pair a worker is currently streaming: the loaded
 // build table plus an open probe reader. Join output is emitted one probe
-// chunk at a time, so the drain never buffers a pair's full result.
+// block at a time, so the drain never buffers a pair's full result.
 type activePair struct {
 	ht    *hashTable
 	r     *spill.Reader
@@ -184,18 +177,18 @@ type activePair struct {
 // drainOp is the source of the stage after a route stage: one worker's
 // drain of the spilled join's partition pairs. It keeps a stack of pairs
 // (repartitioning pushes sub-pairs) and the pair it is streaming. The
-// drain is a streaming state machine — one probe chunk of the active pair
+// drain is a streaming state machine — one probe block of the active pair
 // is joined and emitted per call, so the only drain-side memory is the
-// active pair's build table (broker-accounted) plus one chunk; a pair's
-// join output is never buffered whole. The probe reads each chunk in
+// active pair's build table (broker-accounted) plus one block; a pair's
+// join output is never buffered whole. The probe reads each block in
 // place: the spill reader's buffers hold the probe row set's columns in
 // its order, because the route sink wrote them from it, and they stay
-// unchanged until the reader's next chunk.
+// unchanged until the reader's next block.
 type drainOp struct {
 	sh    *probeShared
 	g     *graceHashJoin
 	scr   probeScratch // per-worker probe scratch
-	in    RowSet       // reused header over the spill reader's chunk buffers
+	in    RowSet       // reused header over the spill reader's block buffers
 	stack []spillPair
 	act   *activePair
 }
@@ -275,7 +268,7 @@ func (o *drainOp) NextBatch() (*RowSet, error) {
 // startPair opens one (build, probe) pair for streaming: skip it when it
 // cannot produce output, repartition it (pushing sub-pairs on the
 // drain's stack) when its grant is denied and splitting can help, or
-// load the build table and hand the probe file to the chunk streamer.
+// load the build table and hand the probe file to the block streamer.
 func (g *graceHashJoin) startPair(p spillPair, w *drainOp) error {
 	bRows, pRows := int(p.build.Rows()), int(p.probe.Rows())
 	jt := g.j.JoinType
@@ -347,11 +340,8 @@ func (g *graceHashJoin) repartition(p spillPair, w *drainOp) error {
 		return err
 	}
 	route := func(src *spill.Writer, dst *graceSide) error {
-		r := router{side: dst, level: level, bufs: make([]*RowSet, graceSubParts)}
-		if err := eachChunk(src, rec, dst.kind, r.route); err != nil {
-			return err
-		}
-		if err := r.flush(); err != nil {
+		r := router{side: dst, level: level}
+		if err := eachBlock(src, rec, dst.kind, r.route); err != nil {
 			return err
 		}
 		if err := dst.finish(); err != nil {
@@ -371,14 +361,14 @@ func (g *graceHashJoin) repartition(p spillPair, w *drainOp) error {
 	return nil
 }
 
-// feedBuildChunks is the Bloom build's chunk feeder — the out-of-memory
+// feedBuildBlocks is the Bloom build's block feeder — the out-of-memory
 // counterpart of feedVector: one streaming pass over the spilled
-// build partitions feeds every filter. Bloom bits are order-independent,
-// so the filters (and their Inserted counts) equal an in-memory build over
-// the same rows.
-func (g *graceHashJoin) feedBuildChunks(builds []*bloomBuild) error {
+// build partitions, a block at a time, feeds every filter. Bloom bits are
+// order-independent, so the filters (and their Inserted counts) equal an
+// in-memory build over the same rows.
+func (g *graceHashJoin) feedBuildBlocks(builds []*bloomBuild) error {
 	for _, w := range g.build.parts {
-		err := eachChunk(w, g.build.rec, buildSide, func(cols [][]int32) error {
+		err := eachBlock(w, g.build.rec, buildSide, func(cols [][]int32) error {
 			for _, b := range builds {
 				ids := cols[g.build.rels.Rank(b.rel)]
 				b.insert(ids)

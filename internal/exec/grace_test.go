@@ -26,15 +26,16 @@ func consumeAll(snk sink, batches []*RowSet, dop int) {
 	wg.Wait()
 }
 
-// readPartition reads one partition file of side back. Every chunk must
-// keep the router's bound and every row must hash, at level, to partition
-// p of n; it returns the row ids of the side's key relation in file order.
+// readPartition reads one partition file of side back. Every read block
+// must keep the reader's bound and every row must hash, at level, to
+// partition p of n; it returns the row ids of the side's key relation in
+// file order.
 func readPartition(t *testing.T, side *graceSide, w *spill.Writer, p, n, level int) []int32 {
 	t.Helper()
 	var ids []int32
-	err := eachChunk(w, &spillCounters{}, side.kind, func(cols [][]int32) error {
-		if len(cols[0]) > graceChunkRows {
-			t.Errorf("partition %d at level %d: a chunk of %d rows, bound %d", p, level, len(cols[0]), graceChunkRows)
+	err := eachBlock(w, &spillCounters{}, side.kind, func(cols [][]int32) error {
+		if len(cols[0]) > spill.ReadRows {
+			t.Errorf("partition %d at level %d: a block of %d rows, bound %d", p, level, len(cols[0]), spill.ReadRows)
 		}
 		for _, id := range cols[side.keyPos] {
 			if got := int(spillHash(side.keyVals[id], level) % uint64(n)); got != p {
@@ -71,9 +72,9 @@ func onceEach(t *testing.T, what string, ids, want []int32) {
 // its build side, at DOP 1 and 4: the build sink's workers route their
 // parts (when their grants are denied and in the grace finish), the route
 // sink routes the probe side, and one repartition splits the first pair.
-// Read back, every partition file holds rows that hash to it at its level
-// in chunks of at most graceChunkRows rows, and every input row sits in
-// exactly one partition.
+// Read back, a block of at most spill.ReadRows rows at a time, every
+// partition file holds rows that hash to it at its level, and every input
+// row sits in exactly one partition.
 func TestGraceRoutesEveryRowOnce(t *testing.T) {
 	const buildRows = 200_000
 	for _, dop := range []int{1, 4} {
@@ -97,8 +98,8 @@ func TestGraceRoutesEveryRowOnce(t *testing.T) {
 			t.Fatalf("dop %d: the build did not spill", dop)
 		}
 		n := len(g.build.parts)
-		if buildRows <= n*graceChunkRows {
-			t.Fatalf("dop %d: %d build rows fit %d partitions' single chunks", dop, buildRows, n)
+		if buildRows <= n*spill.ReadRows {
+			t.Fatalf("dop %d: %d build rows fit %d partitions' single read blocks", dop, buildRows, n)
 		}
 		probeRels := query.NewRelSet(joinSidesProbeRel)
 		sh, err := ex.newProbeShared(f.j, nil, probeRels, &opStats{}, dop)
@@ -158,7 +159,7 @@ func TestGraceRoutesEveryRowOnce(t *testing.T) {
 // BenchmarkGraceRoute routes a fixed three-column row set into 16
 // partition files through one reused router, the way every spilled row
 // reaches its partition. CI gates it at 0 allocs/op: once a router's
-// buffers exist, routing allocates nothing. The files are replaced every
+// scratch exists, routing allocates nothing. The files are replaced every
 // 256 routes, off the timer, so a long run does not fill the disk.
 func BenchmarkGraceRoute(b *testing.B) {
 	const rows, nparts = 4096, 16
@@ -171,19 +172,12 @@ func BenchmarkGraceRoute(b *testing.B) {
 	ex := &executor{spillParent: b.TempDir(), queryTag: "route"}
 	defer ex.cleanupSpill()
 	side := graceSide{rels: query.NewRelSet(0, 1, 2), keyVals: keys}
-	full := [][]int32{cols[0][:graceChunkRows], cols[1][:graceChunkRows], cols[2][:graceChunkRows]}
-	// fresh moves side onto new files, each written one full chunk so its
-	// encode scratch fits any chunk a router writes, and removes the old.
+	// fresh moves side onto new files and removes the old.
 	fresh := func() {
 		old := side.parts
 		var err error
 		if side, err = side.open(ex, "route", nparts, &spillCounters{}); err != nil {
 			b.Fatal(err)
-		}
-		for _, w := range side.parts {
-			if err := w.AppendChunk(full); err != nil {
-				b.Fatal(err)
-			}
 		}
 		for _, w := range old {
 			if err := w.Remove(); err != nil {
@@ -197,11 +191,8 @@ func BenchmarkGraceRoute(b *testing.B) {
 		if err := r.route(cols); err != nil {
 			b.Fatal(err)
 		}
-		if err := r.flush(); err != nil {
-			b.Fatal(err)
-		}
 	}
-	route() // sizes the router's buffers
+	route() // sizes the router's scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -26,8 +26,9 @@ const DefaultMorselSize = 1024
 // until the next NextBatch call on the same operator, which may overwrite
 // them — a scan hands out its selection vector, a probe or a grace drain
 // its output scratch. A consumer that keeps rows past that call copies
-// them (the hash build appends into its parts, the grace route sink into
-// its partition buffers), so no batch escapes its worker.
+// them (the hash build appends into its parts, the grace route sink's
+// router into its partition files before it returns), so no batch escapes
+// its worker.
 type PhysicalOperator interface {
 	// Open prepares per-worker state before the first NextBatch.
 	Open() error
@@ -155,22 +156,22 @@ func (p BreakerPhases) eachFinish(fn func(name string, d time.Duration)) {
 // SpillStat reports one pipeline's spill activity under a memory budget.
 // All zero when the pipeline's reservations were never denied.
 type SpillStat struct {
-	// Bytes is the encoded bytes written to spill files (build/probe
-	// partitions, recursive repartition passes).
+	// Bytes is the bytes written to spill files (build/probe partitions,
+	// recursive repartition passes): 4 a row id, with nothing else in a
+	// file, so like the row counts below it is the same at every DOP.
 	Bytes int64
-	// BytesRead is the encoded bytes read back from spill files: grace
+	// BytesRead is the bytes read back from spill files, 4 a row id: grace
 	// partition loads and probe drains, repartition passes (which read a
-	// level to write the next), and spilled Bloom builds. A repartitioned
-	// byte is counted once per pass on each side, so BytesRead > Bytes
-	// signals recursion, not double counting.
+	// level to write the next), and spilled Bloom builds. A probe
+	// pipeline's figure includes the build partitions its join's build
+	// pipeline wrote, and a repartitioned byte is counted once per pass on
+	// each side.
 	BytesRead int64
 	// BuildRowsWritten and ProbeRowsWritten count the rows written to
 	// spill files from the join's build and probe side, repartition passes
 	// included; BuildRowsRead and ProbeRowsRead the rows read back
 	// (partition loads and probe drains, repartition passes, spilled Bloom
-	// builds). Unlike the byte counts, which hold a header per chunk and so
-	// depend on which worker's router flushed a partition, these are exact:
-	// the same at every DOP.
+	// builds). Exact counts: the same at every DOP.
 	BuildRowsWritten, ProbeRowsWritten int64
 	BuildRowsRead, ProbeRowsRead       int64
 	// Partitions counts the spill files created: grace-join partition

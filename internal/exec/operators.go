@@ -368,7 +368,7 @@ func (o *probeOp) Close() error { return o.child.Close() }
 
 // probeBatch is the probe kernel: it joins one input batch against ht and
 // returns the output batch. It is shared by the streaming NextBatch path
-// and the grace drain, which probes reloaded partition chunks through the
+// and the grace drain, which probes reloaded partition blocks through the
 // same code so every join type and extra condition behaves identically.
 // The returned row set is scr-backed scratch, valid until the next call.
 //

@@ -32,11 +32,12 @@ import (
 // after another: the stage up to the join ends in the grace join's route
 // sink, and the next starts from its drain (grace.go). Each stage launches
 // DOP workers of its own, and the worker that ends a stage last finishes
-// it: it flushes a route stage's routers and launches the next stage, or
-// finishes the last stage's breaker and starts the pipelines that waited on
-// it. So all of a run's work happens on the RunContext goroutine or on a
-// worker that holds one slot from its first batch to its last finish, and
-// no worker ever waits on another.
+// it: it launches a route stage's next stage (the routers wrote every row
+// as it came, so there is nothing to flush), or finishes the last stage's
+// breaker and starts the pipelines that waited on it. So all of a run's
+// work happens on the RunContext goroutine or on a worker that holds one
+// slot from its first batch to its last finish, and no worker ever waits
+// on another.
 
 // fail records the run's first error, cancels every morsel source, and
 // wakes workers blocked on slot acquisition.
@@ -161,18 +162,13 @@ func (s *hashBuildSink) grace() (*graceHashJoin, error) {
 	return s.g, nil
 }
 
-// route switches the join to grace mode and sends rs's rows (none when rs
-// is nil) to the build partitions through worker w's router, flushing it,
-// so no row stays buffered between calls.
+// route switches the join to grace mode and writes rs's rows (none when
+// rs is nil) to the build partitions through worker w's router.
 func (s *hashBuildSink) route(w int, rs *RowSet) error {
 	if _, err := s.grace(); err != nil || rs == nil {
 		return err
 	}
-	r := &s.routers[w]
-	if err := r.route(rs.cols); err != nil {
-		return err
-	}
-	return r.flush()
+	return s.routers[w].route(rs.cols)
 }
 
 // spill moves worker w's buffered part to the build partitions and
@@ -300,7 +296,7 @@ func (s *hashBuildSink) finish() error {
 	}
 	if len(s.j.BuildBlooms) > 0 {
 		start := time.Now()
-		if err := s.ex.blooms.build(s.j, g.build.rows(), g.feedBuildChunks); err != nil {
+		if err := s.ex.blooms.build(s.j, g.build.rows(), g.feedBuildBlocks); err != nil {
 			return err
 		}
 		s.ph.Bloom = time.Since(start)
@@ -531,10 +527,10 @@ func (ex *executor) runChain(pl *plan.Pipeline, st *stage, w int) {
 }
 
 // finishStage runs on the worker that ended st last, inside its slot. A
-// route stage flushes its routers and launches the drain stage. The last
-// stage finishes the breaker, records the pipeline's stat and trace spans,
-// then sets up and launches each child this pipeline was the last
-// dependency of. It never waits on another worker.
+// route stage launches the drain stage. The last stage finishes the
+// breaker, records the pipeline's stat and trace spans, then sets up and
+// launches each child this pipeline was the last dependency of. It never
+// waits on another worker.
 func (ex *executor) finishStage(run *pipeRun, st *stage) error {
 	if st.next != nil {
 		if err := st.snk.finish(); err != nil {

@@ -9,17 +9,13 @@ import (
 )
 
 // This file is the executor-side glue over internal/spill: the sizing
-// estimates the memory broker accounts in, the row-set <-> chunk
-// conversions (the spill format stores exactly the row-id columns of a
-// RowSet, in ascending relation order), the router — the one way a row
-// reaches a partition file — and the per-pipeline spill counters that flow
-// into PipelineStat and EXPLAIN ANALYZE.
+// estimates the memory broker accounts in (a spill file stores exactly the
+// row-id columns of a RowSet, in ascending relation order, so a spilled
+// row costs the same bytes on disk as in memory), the router — the one way
+// a row reaches a partition file — the block readers, and the per-pipeline
+// spill counters that flow into PipelineStat and EXPLAIN ANALYZE.
 
 const (
-	// graceChunkRows bounds a spill chunk: a router writes a partition's
-	// buffer as one chunk when it reaches this many rows, and never a
-	// bigger one.
-	graceChunkRows = 1024
 	// graceMaxDepth caps grace-join repartition recursion; at the cap a
 	// partition is force-loaded (heavy key skew cannot be split by hashing).
 	graceMaxDepth = 6
@@ -90,74 +86,79 @@ func spillPartitionCount(estRows float64, cols int, budget int64) int {
 }
 
 // router is the one way a row reaches a partition file. It routes rows
-// into one graceSide's partitions by spillHash at one level: a row goes to
-// its partition's buffer, and a buffer that reaches graceChunkRows is
-// written as one chunk. A router belongs to one goroutine at a time, and
-// its buffers are reused across calls, so routing allocates nothing once
-// they exist; rows that one router writes keep their input order within a
-// partition.
+// into one graceSide's partitions by spillHash at one level, at most
+// spill.ReadRows rows at a time: it groups them by partition in its
+// scratch, keeping their input order, and appends each partition's share
+// to its file in one write. So it keeps no row between calls, and what a
+// side writes is a function of its rows alone. A router belongs to one
+// goroutine at a time, and its scratch is reused across calls, so routing
+// allocates nothing once the scratch exists.
 type router struct {
 	side  *graceSide
 	level int
-	bufs  []*RowSet // by partition; nil until a row lands there
+	part  []uint32  // each row's partition
+	at    []int     // by partition, where its share starts in cols
+	cols  [][]int32 // the rows, grouped by partition
+	share [][]int32 // one partition's share of cols
 }
 
 // newRouters returns n level-0 routers into side, one per worker.
 func newRouters(side *graceSide, n int) []router {
 	rs := make([]router, n)
 	for i := range rs {
-		rs[i] = router{side: side, bufs: make([]*RowSet, len(side.parts))}
+		rs[i].side = side
 	}
 	return rs
 }
 
-// route buffers the rows of cols, laid out as the side's spill files,
-// in their partitions, writing each buffer that fills.
+// route writes the rows of cols, laid out as the side's spill files, to
+// their partitions.
 func (r *router) route(cols [][]int32) error {
 	s := r.side
-	n := uint64(len(s.parts))
-	for i, id := range cols[s.keyPos] {
-		p := spillHash(s.keyVals[id], r.level) % n
-		buf := r.bufs[p]
-		if buf == nil {
-			buf = NewRowSetCap(s.rels, graceChunkRows)
-			r.bufs[p] = buf
+	nparts := len(s.parts)
+	if r.cols == nil {
+		r.part, r.at = make([]uint32, spill.ReadRows), make([]int, nparts)
+		r.cols, r.share = make([][]int32, len(cols)), make([][]int32, len(cols))
+		for c := range r.cols {
+			r.cols[c] = make([]int32, spill.ReadRows)
 		}
-		for c := range buf.cols {
-			buf.cols[c] = append(buf.cols[c], cols[c][i])
+	}
+	for lo := 0; lo < len(cols[0]); lo += spill.ReadRows {
+		hi := min(lo+spill.ReadRows, len(cols[0]))
+		// A counting sort: count each partition's rows, turn the counts
+		// into end offsets, then place the rows last to first.
+		clear(r.at)
+		for i, id := range cols[s.keyPos][lo:hi] {
+			p := uint32(spillHash(s.keyVals[id], r.level) % uint64(nparts))
+			r.part[i] = p
+			r.at[p]++
 		}
-		if buf.Len() >= graceChunkRows {
-			if err := r.write(int(p)); err != nil {
-				return err
+		for p := 1; p < nparts; p++ {
+			r.at[p] += r.at[p-1]
+		}
+		for i := hi - lo - 1; i >= 0; i-- {
+			p := r.part[i]
+			r.at[p]--
+			for c, col := range cols {
+				r.cols[c][r.at[p]] = col[lo+i]
 			}
 		}
-	}
-	return nil
-}
-
-// flush writes every partly filled buffer.
-func (r *router) flush() error {
-	for p := range r.bufs {
-		if err := r.write(p); err != nil {
-			return err
+		for p, from := range r.at {
+			to := hi - lo
+			if p+1 < nparts {
+				to = r.at[p+1]
+			}
+			if from == to {
+				continue
+			}
+			for c := range r.cols {
+				r.share[c] = r.cols[c][from:to]
+			}
+			if err := s.parts[p].Append(r.share); err != nil {
+				return err
+			}
+			s.rec.wrote(s.kind, int64(to-from), rowSetBytes(to-from, len(cols)))
 		}
-	}
-	return nil
-}
-
-// write appends partition p's buffer to its file as one chunk and empties
-// it.
-func (r *router) write(p int) error {
-	buf := r.bufs[p]
-	if buf == nil || buf.Len() == 0 {
-		return nil
-	}
-	if err := r.side.parts[p].AppendChunk(buf.cols); err != nil {
-		return err
-	}
-	r.side.rec.wrote(r.side.kind, int64(buf.Len()), int64(4+4*buf.Len()*len(buf.cols)))
-	for c := range buf.cols {
-		buf.cols[c] = buf.cols[c][:0]
 	}
 	return nil
 }
@@ -180,7 +181,7 @@ const (
 	probeSide
 )
 
-// wrote accounts one chunk of rows written to a side's spill file.
+// wrote accounts rows written to a side's spill file.
 func (c *spillCounters) wrote(side sideKind, rows, bytes int64) {
 	c.rows[side].written.Add(rows)
 	c.bytes.Add(bytes)
@@ -243,10 +244,10 @@ func (ex *executor) cleanupSpill() {
 	}
 }
 
-// eachChunk streams a finished spill file of one side's chunks to fn in
-// file order, accounting what it decoded to rec and closing the reader
-// however the pass ends.
-func eachChunk(w *spill.Writer, rec *spillCounters, side sideKind, fn func(cols [][]int32) error) error {
+// eachBlock streams a finished spill file of one side to fn in file
+// order, at most spill.ReadRows rows a call, accounting what it decoded to
+// rec and closing the reader however the pass ends.
+func eachBlock(w *spill.Writer, rec *spillCounters, side sideKind, fn func(cols [][]int32) error) error {
 	r, err := w.Reader()
 	if err != nil {
 		return err
@@ -270,7 +271,7 @@ func eachChunk(w *spill.Writer, rec *spillCounters, side sideKind, fn func(cols 
 // covering rels.
 func readSpill(w *spill.Writer, rels query.RelSet, rec *spillCounters) (*RowSet, error) {
 	rs := NewRowSetCap(rels, int(w.Rows()))
-	err := eachChunk(w, rec, buildSide, func(cols [][]int32) error {
+	err := eachBlock(w, rec, buildSide, func(cols [][]int32) error {
 		for c := range rs.cols {
 			rs.cols[c] = append(rs.cols[c], cols[c]...)
 		}

@@ -25,10 +25,10 @@ func TestInjectedWriteFaultUnwinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunk := [][]int32{{1, 2}, {3, 4}}
-	err = w.AppendChunk(chunk)
+	rows := [][]int32{{1, 2}, {3, 4}}
+	err = w.Append(rows)
 	if !errors.Is(err, ErrIO) {
-		t.Fatalf("AppendChunk = %v, want ErrIO", err)
+		t.Fatalf("Append = %v, want ErrIO", err)
 	}
 	var f *faults.Fault
 	if !errors.As(err, &f) || f.Site != faults.SpillWrite {
@@ -37,8 +37,8 @@ func TestInjectedWriteFaultUnwinds(t *testing.T) {
 	if _, serr := os.Stat(w.path); !os.IsNotExist(serr) {
 		t.Fatalf("partial run file survived the unwind: %v", serr)
 	}
-	if err2 := w.AppendChunk(chunk); !errors.Is(err2, ErrIO) {
-		t.Fatalf("poisoned writer accepted a chunk: %v", err2)
+	if err2 := w.Append(rows); !errors.Is(err2, ErrIO) {
+		t.Fatalf("poisoned writer accepted an append: %v", err2)
 	}
 	if err2 := w.Finish(); !errors.Is(err2, ErrIO) {
 		t.Fatalf("Finish after write error = %v, want ErrIO", err2)
@@ -70,7 +70,7 @@ func TestDiskFullTyped(t *testing.T) {
 	big := make([]int32, 64)
 	var werr error
 	for i := 0; i < 10 && werr == nil; i++ {
-		werr = w.AppendChunk([][]int32{big})
+		werr = w.Append([][]int32{big})
 	}
 	if !errors.Is(werr, ErrDiskFull) {
 		t.Fatalf("want ErrDiskFull, got %v", werr)
@@ -96,7 +96,7 @@ func TestInjectedSyncAndReadFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendChunk([][]int32{{1}}); err != nil {
+	if err := w.Append([][]int32{{1}}); err != nil {
 		t.Fatal(err)
 	}
 	faults.Enable(faults.New(3, map[faults.Site]float64{faults.SpillSync: 1}))
@@ -112,7 +112,7 @@ func TestInjectedSyncAndReadFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.AppendChunk([][]int32{{7}}); err != nil {
+	if err := w2.Append([][]int32{{7}}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := w2.Reader()
@@ -139,7 +139,7 @@ func TestRemovePropagatesTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendChunk([][]int32{{1}}); err != nil {
+	if err := w.Append([][]int32{{1}}); err != nil {
 		t.Fatal(err)
 	}
 	faults.Enable(faults.New(5, map[faults.Site]float64{faults.SpillRemove: 1}))

@@ -1,13 +1,17 @@
-// Package spill is the executor's spill-file subsystem: columnar run files
-// whose format matches the executor's late-materialization row sets (a
-// fixed number of int32 row-id columns per file, written and read in
-// chunks), plus the temp-directory lifecycle that guarantees a run —
-// successful, failed, or cancelled — leaves no files behind.
+// Package spill is the executor's spill-file subsystem: run files whose
+// format matches the executor's late-materialization row sets (a fixed
+// number of int32 row-id columns per file), plus the temp-directory
+// lifecycle that guarantees a run — successful, failed, or cancelled —
+// leaves no files behind.
 //
-// File format: a sequence of chunks, each
+// File format: the file's rows back to back, each
 //
-//	uint32  rows in the chunk (little-endian)
-//	int32 × cols × rows, column-major
+//	int32 × cols (little-endian), one row id per column
+//
+// with no header, framing or row count, so a file of r rows is exactly
+// 4·r·cols bytes however its writes were cut. Append writes one call's
+// rows contiguously; Reader.Next reads them back at most ReadRows at a
+// time, as columns.
 //
 // The column count is fixed per file and agreed between writer and reader
 // (it is the relation count of the spilled row set, in ascending relation
@@ -30,6 +34,9 @@ import (
 
 	"bfcbo/internal/faults"
 )
+
+// ReadRows is the most rows one Reader.Next returns.
+const ReadRows = 1024
 
 // Typed spill failures. Every I/O error leaving this package wraps one
 // of these sentinels (plus the run-file path and the underlying cause),
@@ -107,7 +114,7 @@ func (d *Dir) Cleanup() error {
 	return os.RemoveAll(d.path)
 }
 
-// NewWriter creates a spill file for chunks of cols columns. The name
+// NewWriter creates a spill file for rows of cols columns. The name
 // fragment is embedded in the file name for debuggability.
 func (d *Dir) NewWriter(name string, cols int) (*Writer, error) {
 	if cols <= 0 {
@@ -137,20 +144,18 @@ func (d *Dir) NewWriter(name string, cols int) (*Writer, error) {
 	return w, nil
 }
 
-// Writer appends chunks to one spill file. AppendChunk is safe for
-// concurrent use — chunks are the atomic unit of the format, so workers of
-// one pipeline may interleave whole chunks into a shared partition file.
+// Writer appends rows to one spill file. Append is safe for concurrent
+// use: one call's rows go to the file contiguously, under the writer's
+// lock, so workers of one pipeline may share a partition file.
 type Writer struct {
-	mu      sync.Mutex
-	f       *os.File
-	bw      *bufio.Writer
-	cols    int
-	path    string
-	rows    int64
-	chunks  int64
-	scratch []byte
-	closed  bool
-	werr    error // first write/flush error; poisons the writer
+	mu     sync.Mutex
+	f      *os.File
+	bw     *bufio.Writer
+	cols   int
+	path   string
+	rows   int64
+	closed bool
+	werr   error // first write/flush error; poisons the writer
 }
 
 // fail poisons the writer after a write-path error. A partial run file
@@ -181,11 +186,11 @@ func (w *Writer) Rows() int64 {
 	return w.rows
 }
 
-// AppendChunk writes one chunk: cols column slices of equal length. Empty
-// chunks are skipped.
-func (w *Writer) AppendChunk(cols [][]int32) error {
+// Append writes the rows of cols, cols column slices of equal length,
+// one after another. An empty call writes nothing.
+func (w *Writer) Append(cols [][]int32) error {
 	if len(cols) != w.cols {
-		return fmt.Errorf("spill: chunk has %d columns, file %s has %d", len(cols), w.path, w.cols)
+		return fmt.Errorf("spill: append of %d columns to %s, which has %d", len(cols), w.path, w.cols)
 	}
 	n := len(cols[0])
 	if n == 0 {
@@ -193,7 +198,7 @@ func (w *Writer) AppendChunk(cols [][]int32) error {
 	}
 	for _, c := range cols[1:] {
 		if len(c) != n {
-			return fmt.Errorf("spill: ragged chunk (%d vs %d rows) for %s", len(c), n, w.path)
+			return fmt.Errorf("spill: ragged append (%d vs %d rows) to %s", len(c), n, w.path)
 		}
 	}
 	w.mu.Lock()
@@ -207,30 +212,30 @@ func (w *Writer) AppendChunk(cols [][]int32) error {
 	if fault := faults.Hit(faults.SpillWrite); fault != nil {
 		return w.fail("write", fault)
 	}
-	if fault := faults.ChargeSpillBytes(int64(4 + 4*n*w.cols)); fault != nil {
+	if fault := faults.ChargeSpillBytes(int64(4 * n * w.cols)); fault != nil {
 		return w.fail("write", fault)
 	}
-	if cap(w.scratch) < 4*n {
-		w.scratch = make([]byte, 4*n)
-	}
-	// The header goes through the scratch too: a local array handed to
-	// the buffered writer would escape, one allocation a chunk.
-	hdr := w.scratch[:4]
-	binary.LittleEndian.PutUint32(hdr, uint32(n))
-	if _, err := w.bw.Write(hdr); err != nil {
-		return w.fail("write", err)
-	}
-	for _, c := range cols {
-		buf := w.scratch[:4*n]
-		for i, v := range c {
-			binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
+	// Rows are encoded straight into the buffered writer's free space,
+	// as many whole rows as it holds at a time.
+	rowBytes := 4 * w.cols
+	for i := 0; i < n; {
+		buf := w.bw.AvailableBuffer()
+		if cap(buf) < rowBytes {
+			if err := w.bw.Flush(); err != nil {
+				return w.fail("write", err)
+			}
+			continue
+		}
+		for ; i < n && len(buf)+rowBytes <= cap(buf); i++ {
+			for _, c := range cols {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(c[i]))
+			}
 		}
 		if _, err := w.bw.Write(buf); err != nil {
 			return w.fail("write", err)
 		}
 	}
 	w.rows += int64(n)
-	w.chunks++
 	return nil
 }
 
@@ -288,16 +293,15 @@ func (w *Writer) abandon() {
 	}
 }
 
-// Reader streams the chunks of a finished spill file in write order.
+// Reader streams the rows of a finished spill file in write order, at
+// most ReadRows at a time.
 type Reader struct {
 	f       *os.File
 	br      *bufio.Reader
 	cols    int
 	path    string
-	hdr     [4]byte // a chunk's row count; a field, as a local escapes to io.ReadFull
 	scratch []byte
 	bufs    [][]int32
-	read    int64
 	rows    int64
 }
 
@@ -309,7 +313,7 @@ func (w *Writer) Reader() (*Reader, error) {
 	return OpenReader(w.path, w.cols)
 }
 
-// OpenReader opens a spill file holding chunks of cols columns.
+// OpenReader opens a spill file holding rows of cols columns.
 func OpenReader(path string, cols int) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -318,50 +322,45 @@ func OpenReader(path string, cols int) (*Reader, error) {
 	return &Reader{f: f, br: bufio.NewReaderSize(f, 1<<16), cols: cols, path: path}, nil
 }
 
-// Next returns the columns of the next chunk, or (nil, nil) at end of
-// file. The returned slices are reused by the following Next call; callers
-// that retain rows must copy them out (appending into a RowSet copies).
+// Next returns the columns of the next rows, at most ReadRows of them, or
+// (nil, nil) at end of file. A file that ends mid-row fails. The returned
+// slices are reused by the following Next call; callers that retain rows
+// must copy them out (appending into a RowSet copies).
 func (r *Reader) Next() ([][]int32, error) {
 	if fault := faults.Hit(faults.SpillRead); fault != nil {
 		return nil, fmt.Errorf("spill: read %s: %w: %w", r.path, ErrIO, fault)
 	}
-	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, nil
+	rowBytes := 4 * r.cols
+	if r.bufs == nil {
+		r.scratch = make([]byte, ReadRows*rowBytes)
+		r.bufs = make([][]int32, r.cols)
+		for c := range r.bufs {
+			r.bufs[c] = make([]int32, ReadRows)
 		}
+	}
+	got, err := io.ReadFull(r.br, r.scratch)
+	if err == io.EOF {
+		return nil, nil
+	}
+	if err != nil && (err != io.ErrUnexpectedEOF || got%rowBytes != 0) {
 		return nil, fmt.Errorf("spill: read %s: %w: %w", r.path, ErrIO, err)
 	}
-	n := int(binary.LittleEndian.Uint32(r.hdr[:]))
-	if cap(r.scratch) < 4*n {
-		r.scratch = make([]byte, 4*n)
-	}
-	if r.bufs == nil {
-		r.bufs = make([][]int32, r.cols)
-	}
-	for c := 0; c < r.cols; c++ {
-		if cap(r.bufs[c]) < n {
-			r.bufs[c] = make([]int32, n)
+	n := got / rowBytes
+	for c := range r.bufs {
+		col := r.bufs[c][:n]
+		for i := range col {
+			col[i] = int32(binary.LittleEndian.Uint32(r.scratch[i*rowBytes+4*c:]))
 		}
-		r.bufs[c] = r.bufs[c][:n]
-		buf := r.scratch[:4*n]
-		if _, err := io.ReadFull(r.br, buf); err != nil {
-			return nil, fmt.Errorf("spill: read %s (truncated chunk): %w: %w", r.path, ErrIO, err)
-		}
-		for i := range r.bufs[c] {
-			r.bufs[c][i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
+		r.bufs[c] = col
 	}
-	r.read += int64(4 + 4*n*r.cols)
 	r.rows += int64(n)
 	return r.bufs, nil
 }
 
-// BytesRead returns the encoded bytes decoded so far — one add per chunk,
-// so read-back accounting costs nothing on the row path.
-func (r *Reader) BytesRead() int64 { return r.read }
+// BytesRead returns the encoded bytes decoded so far: 4 a row id.
+func (r *Reader) BytesRead() int64 { return 4 * r.rows * int64(r.cols) }
 
-// RowsRead returns the rows decoded so far. Unlike BytesRead it does not
-// depend on how the writer cut its chunks.
+// RowsRead returns the rows decoded so far.
 func (r *Reader) RowsRead() int64 { return r.rows }
 
 // Close releases the read handle.
