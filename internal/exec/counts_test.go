@@ -101,11 +101,11 @@ func spillLines(name string, r *Result) []string {
 }
 
 // TestCountsGoldenBudget pins what the grace join spills under a 1-byte
-// budget, where every join with a non-empty build side spills: the 22
-// TPC-H blocks (BF-CBO, engine profile) at SF 0.02, whose pairs all fit
-// at depth 0, and Q13 and Q22 at SF 0.2, whose grace joins repartition to
-// depth 1. DOP 1 and DOP 4 must render the same
-// testdata/counts_budget.golden. Regenerate it with
+// budget, where every join with a non-empty build side spills and a block
+// with joins writes rows on both sides: the 22 TPC-H blocks (BF-CBO,
+// engine profile) at SF 0.02, whose pairs all fit at depth 0, and Q13 and
+// Q22 at SF 0.2, whose grace joins repartition to depth 1. DOP 1 and DOP 4
+// must render the same testdata/counts_budget.golden. Regenerate it with
 // `go test ./internal/exec -run TestCountsGoldenBudget -update`.
 func TestCountsGoldenBudget(t *testing.T) {
 	got := map[int][]string{}
@@ -127,6 +127,11 @@ func TestCountsGoldenBudget(t *testing.T) {
 				r, err := Run(ds.DB, block, p, Options{DOP: dop, Broker: mem.NewBroker(tinyBudget), SpillDir: t.TempDir()})
 				if err != nil {
 					t.Fatalf("Q%d sf %g dop %d: %v", q.Num, part.sf, dop, err)
+				}
+				// A pair that cannot produce output is removed unread, so
+				// only the rows written are bound to be there.
+				if s := r.TotalSpill(); len(p.Joins()) > 0 && (s.BuildRowsWritten == 0 || s.ProbeRowsWritten == 0) {
+					t.Errorf("Q%d sf %g dop %d: its joins spilled under a 1-byte budget but wrote no rows on a side: %+v", q.Num, part.sf, dop, s)
 				}
 				got[dop] = append(got[dop], spillLines(fmt.Sprintf("tpch_q%d sf=%g", q.Num, part.sf), r)...)
 			}

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -71,45 +70,6 @@ func assertNoSpillFiles(t *testing.T, root string) {
 	})
 	if len(leftover) > 0 {
 		t.Errorf("spill files leaked under %s: %v", root, leftover)
-	}
-}
-
-// Under a 1-byte budget every join spills, and what it spills depends on
-// the data and the plan, not on the schedule: each pipeline's bytes and
-// rows written and read back on each side, its partitions and its depth
-// are equal at DOP 1 and DOP 4, on all 22 blocks.
-func TestSpillCountsScheduleFree(t *testing.T) {
-	ds := equivalenceDataset(t)
-	for _, q := range tpch.All() {
-		block := q.Build(ds.Schema)
-		opts := optimizer.DefaultOptions(0.01)
-		opts.Mode = optimizer.BFCBO
-		res, err := optimizer.Optimize(block, opts)
-		if err != nil {
-			t.Fatalf("Q%d: optimize: %v", q.Num, err)
-		}
-		var runs [2][]SpillStat
-		for i, dop := range []int{1, 4} {
-			r, err := Run(ds.DB, block, res.Plan, Options{DOP: dop, Broker: mem.NewBroker(tinyBudget), SpillDir: t.TempDir()})
-			if err != nil {
-				t.Fatalf("Q%d dop %d: %v", q.Num, dop, err)
-			}
-			for _, ps := range r.Pipelines {
-				runs[i] = append(runs[i], ps.Spill)
-			}
-		}
-		if !slices.Equal(runs[0], runs[1]) {
-			t.Errorf("Q%d: spill counts by pipeline differ with the schedule:\n dop 1 %+v\n dop 4 %+v", q.Num, runs[0], runs[1])
-		}
-		var total SpillStat
-		for _, s := range runs[0] {
-			total = total.add(s)
-		}
-		// A pair that cannot produce output is removed unread, so only
-		// the rows written are bound to be there.
-		if len(res.Plan.Joins()) > 0 && (total.BuildRowsWritten == 0 || total.ProbeRowsWritten == 0) {
-			t.Errorf("Q%d: its joins spilled under a 1-byte budget but wrote no rows on a side: %+v", q.Num, total)
-		}
 	}
 }
 

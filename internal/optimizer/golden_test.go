@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -71,9 +72,33 @@ func goldenLine(name, mode string, res *Result) string {
 		res.PlansKept, res.Phase1Pairs, res.Candidates, res.Plan.CountBlooms())
 }
 
+// naiveGoldenLines renders Naive's record of each TPC-H block under the
+// paper profile with a 20 000-plan cap: its plan and search-space size, or
+// the cap's error where the block blows up (§3.1). Naive's plan counts
+// are what the paper's blow-up figure measures.
+func naiveGoldenLines(t *testing.T) []string {
+	var lines []string
+	for _, c := range goldenCases()[:22] {
+		opts := PaperOptions(c.sf)
+		opts.Mode = Naive
+		opts.MaxPlansPerSet = 20_000
+		res, err := Optimize(c.build(t), opts)
+		switch {
+		case errors.Is(err, ErrSearchSpaceExceeded):
+			lines = append(lines, fmt.Sprintf("%s naive error=%q", c.name, err))
+		case err != nil:
+			t.Fatalf("%s naive: %v", c.name, err)
+		default:
+			lines = append(lines, goldenLine(c.name, "naive", res))
+		}
+	}
+	return lines
+}
+
 // TestGoldenPlans pins every plan the enumerator picks — and the size of
-// the search it ran to pick it — under both cost profiles. Regenerate both
-// files with `go test ./internal/optimizer -run TestGoldenPlans -update`.
+// the search it ran to pick it — under both cost profiles, and Naive's
+// under the paper profile. Regenerate both files with
+// `go test ./internal/optimizer -run TestGoldenPlans -update`.
 func TestGoldenPlans(t *testing.T) {
 	for _, p := range goldenProfiles {
 		t.Run(p.name, func(t *testing.T) {
@@ -89,6 +114,9 @@ func TestGoldenPlans(t *testing.T) {
 					}
 					got = append(got, goldenLine(c.name, m.name, res))
 				}
+			}
+			if p.name == "paper" {
+				got = append(got, naiveGoldenLines(t)...)
 			}
 			path := filepath.Join("testdata", p.file)
 			if *updateGolden {

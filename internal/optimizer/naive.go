@@ -54,7 +54,7 @@ func (o *optimizer) addNaiveBasePlans(rel int, l *planList) {
 // "necessarily recursive" re-costing of the outer sub-plan tree (§3.1).
 // The filter's spec takes its δ from the join that builds it in the chosen
 // plan (collectSpecs): one filter id resolves in many plans.
-func (o *optimizer) combineNaive(j *joinSite, pa, pb *subPlan, list *planList) {
+func (o *optimizer) combineNaive(j *joinSite, pa, pb *subPlan, list *planList) error {
 	jt, conds, inner := j.joinType, j.conds, j.inner
 
 	// Every pending filter here has unknown δ: addNaiveBasePlans allocates
@@ -95,6 +95,7 @@ func (o *optimizer) combineNaive(j *joinSite, pa, pb *subPlan, list *planList) {
 		rows: rows, cost: total, node: node, uncosted: len(carried) > 0,
 		pending: carried, pendIDs: pendIDs, pendNeed: pendNeed,
 	})
+	return o.overCap(list)
 }
 
 // naiveFactor is one resolved Bloom reduction: it shrinks every subtree

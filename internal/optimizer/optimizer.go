@@ -65,20 +65,7 @@ func Optimize(b *query.Block, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("optimizer: invalid cost parameters: %w", err)
 	}
 	o := newOptimizer(b, opts)
-
-	switch opts.Mode {
-	case BFCBO:
-		o.markCandidates()
-		o.phase1()
-		o.applyHeuristic8()
-		o.makeBasePlans(true, false)
-	case Naive:
-		o.markCandidates()
-		o.makeBasePlans(false, true)
-	default:
-		o.makeBasePlans(false, false)
-	}
-
+	o.seedPlans()
 	if err := o.enumerate(); err != nil {
 		return nil, err
 	}
@@ -127,10 +114,8 @@ type optimizer struct {
 	joinInputCard float64 // H8 accumulator
 
 	// pending is combine's scratch buffer for a join's merged pending
-	// list, resolved the one for the Bloom filter ids the join would
-	// build; enumerate sizes both for the longest list possible.
-	pending  []pendingBF
-	resolved []int
+	// list; enumerate sizes it for the longest list possible.
+	pending []pendingBF
 	// free holds the joinPlans the plan lists have evicted, for combine to
 	// build its next plans in.
 	free []*joinPlan
@@ -149,6 +134,24 @@ func newOptimizer(b *query.Block, opts Options) *optimizer {
 		est:   stats.NewEstimator(&closed),
 		opts:  opts,
 		lists: make([]planList, len(g.sets)),
+	}
+}
+
+// seedPlans runs what comes before the bottom-up pass in the options' mode:
+// candidate marking, BF-CBO's phase 1 and Heuristic 8, and the single
+// relations' plan lists.
+func (o *optimizer) seedPlans() {
+	switch o.opts.Mode {
+	case BFCBO:
+		o.markCandidates()
+		o.phase1()
+		o.applyHeuristic8()
+		o.makeBasePlans(true, false)
+	case Naive:
+		o.markCandidates()
+		o.makeBasePlans(false, true)
+	default:
+		o.makeBasePlans(false, false)
 	}
 }
 
@@ -538,26 +541,46 @@ func (o *optimizer) allocBloom(c *candidate, delta query.RelSet, ndv float64) in
 // §3.6).
 
 // enumerate runs one bottom-up pass over the index's pair list, costing
-// every sub-plan combination of every legal ordered pair.
+// every combination of sub-plans that can join, in the same order as a
+// walk over all of them: per pair it picks the usable inner plans once,
+// and per outer plan it classifies the pending filters once.
 func (o *optimizer) enumerate() error {
 	g := o.graph
 	o.pending = make([]pendingBF, 0, len(o.cands))
-	o.resolved = make([]int, 0, len(o.cands))
+	var usable []*subPlan
 	site := joinSite{set: -1}
 	for i := range g.pairs {
 		p := &g.pairs[i]
+		site.outer, site.inner = g.sets[p.outer], g.sets[p.inner]
+		// Inner-side pending filters must remain resolvable: their build
+		// relations may not already sit inside the joined set's outer half.
+		usable = usable[:0]
+		for _, pb := range o.lists[p.inner].plans {
+			if !pb.pendNeed.Overlaps(site.outer) {
+				usable = append(usable, pb)
+			}
+		}
+		if len(usable) == 0 {
+			continue
+		}
 		if p.set != site.set {
 			site.set = p.set
 			site.card = o.est.JoinCard(g.sets[p.set])
 		}
-		site.outer, site.inner = g.sets[p.outer], g.sets[p.inner]
 		site.joinType, site.mirrored, site.conds = p.joinType, p.mirrored, g.pairConds(p)
 		list := &o.lists[p.set]
 		for _, pa := range o.lists[p.outer].plans {
-			for _, pb := range o.lists[p.inner].plans {
-				o.combine(&site, pa, pb, list)
-				if list.len() > o.opts.MaxPlansPerSet {
-					return ErrSearchSpaceExceeded
+			out, legal := o.classify(&site, pa)
+			for _, pb := range usable {
+				var err error
+				switch {
+				case pa.uncosted || pb.uncosted:
+					err = o.combineNaive(&site, pa, pb, list)
+				case legal && out.require.SubsetOf(pb.pendNeed):
+					err = o.combine(&site, &out, pb, list)
+				}
+				if err != nil {
+					return err
 				}
 			}
 		}
@@ -575,65 +598,89 @@ type joinSite struct {
 	card         float64 // the estimator's canonical cardinality of the joined set
 }
 
-// combine implements §3.6's sub-plan join rules for one (outer, inner)
-// sub-plan pair. It decides everything about the join — whether the pending
-// Bloom filters allow it, its rows, pending list and cost — and asks the
-// plan list whether such a plan would survive before it allocates anything.
-func (o *optimizer) combine(j *joinSite, pa, pb *subPlan, list *planList) {
-	// Inner-side pending filters must remain resolvable: their build
-	// relations may not already sit inside the joined set's outer half.
-	if pb.pendNeed.Overlaps(j.outer) {
-		return
-	}
-	if pa.uncosted || pb.uncosted {
-		o.combineNaive(j, pa, pb, list)
-		return
-	}
+// outerSide is a costed outer plan's pending Bloom filters classified
+// against a join pair's inner set, once for all the inner plans it meets.
+type outerSide struct {
+	plan *subPlan
+	// carried counts the filters the join passes upwards (see carries);
+	// ids and need summarise them.
+	carried int
+	ids     uint64
+	need    query.RelSet
+	// require is what partial overlaps leave outstanding: the inner plan's
+	// own pending filters must promise these relations.
+	require query.RelSet
+}
 
-	// Classify the outer side's pending Bloom filters: resolved here, or
-	// carried upwards, merged in candidate order with the inner side's
-	// (both lists are sorted already). A plan holds at most one pending
-	// filter per candidate, so the scratch buffers never grow.
-	merged, resolved := o.pending[:0], o.resolved[:0]
-	carried := 0
-	pendIDs, pendNeed := pb.pendIDs, pb.pendNeed
-	rest := pb.pending
+// classify sorts a costed outer plan's pending filters, whose δs are all
+// known, into those the join carries and those it resolves, and reports
+// false when a partial overlap makes the join illegal whatever the inner
+// plan (or pa is uncosted: combineNaive takes those).
+func (o *optimizer) classify(j *joinSite, pa *subPlan) (out outerSide, legal bool) {
+	if pa.uncosted {
+		return out, false
+	}
+	if !pa.pendNeed.Overlaps(j.inner) {
+		// Nothing resolves here: the join carries every filter.
+		return outerSide{plan: pa, carried: len(pa.pending), ids: pa.pendIDs, need: pa.pendNeed}, true
+	}
+	out.plan = pa
 	for _, p := range pa.pending {
 		switch {
+		case carries(p, j.inner):
+			out.carried++
+			out.ids |= 1 << (uint(p.cand.id) & 63)
+			out.need = out.need.Union(p.delta)
 		case p.delta.SubsetOf(j.inner):
 			// Fully resolvable here; this join builds the filter.
-			resolved = append(resolved, p.bloomID)
-		case p.delta.Overlaps(j.inner):
+		default:
 			// Partial overlap: only legal under the Fig. 3 exception —
 			// the build relation itself must be on this build side (its
 			// column populates the filter here), and the outstanding δ
 			// relations must be promised by the inner side's own pending
 			// filters. Otherwise Fig. 3(b): an illegal combination.
-			if !j.inner.Has(p.cand.buildRel) || !p.delta.Minus(j.inner).SubsetOf(pb.pendNeed) {
-				return
+			if !j.inner.Has(p.cand.buildRel) {
+				return out, false
 			}
-			resolved = append(resolved, p.bloomID)
-		default:
+			out.require = out.require.Union(p.delta.Minus(j.inner))
+		}
+	}
+	return out, true
+}
+
+// carries reports whether a join with the given inner side passes p, a
+// costed plan's filter, upwards: p's δ lies wholly outside it.
+func carries(p pendingBF, inner query.RelSet) bool { return !p.delta.Overlaps(inner) }
+
+// combine implements §3.6's sub-plan join rules for a classified outer plan
+// and an inner plan that can join it: it works out the join's rows, pending
+// list and cost, and asks the plan list whether such a plan would survive
+// before it allocates anything.
+func (o *optimizer) combine(j *joinSite, out *outerSide, pb *subPlan, list *planList) error {
+	// Pending lists are immutable, so a join that carries one side's list
+	// unchanged shares it; only a real merge, in candidate order into the
+	// scratch buffer (a plan holds at most one pending filter per
+	// candidate, so it never grows), needs a copy, if kept.
+	pa := out.plan
+	pending, scratch := pb.pending, false
+	switch {
+	case out.carried == 0:
+	case len(pb.pending) == 0 && out.carried == len(pa.pending):
+		pending = pa.pending
+	default:
+		merged, rest := o.pending[:0], pb.pending
+		for _, p := range pa.pending {
+			if !carries(p, j.inner) {
+				continue
+			}
 			for len(rest) > 0 && rest[0].cand.id < p.cand.id {
 				merged, rest = append(merged, rest[0]), rest[1:]
 			}
 			merged = append(merged, p)
-			carried++
-			pendIDs |= 1 << (uint(p.cand.id) & 63)
-			pendNeed = pendNeed.Union(p.delta)
 		}
+		pending, scratch = append(merged, rest...), true
 	}
-	merged = append(merged, rest...)
-
-	// Pending lists are immutable, so a join that carries one side's list
-	// unchanged shares it; only a real merge needs a copy, if kept.
-	pending, scratch := merged, true
-	switch {
-	case carried == 0:
-		pending, scratch = pb.pending, false
-	case len(pb.pending) == 0 && carried == len(pa.pending):
-		pending, scratch = pa.pending, false
-	}
+	pendIDs, pendNeed := pb.pendIDs|out.ids, pb.pendNeed.Union(out.need)
 
 	// A filter that another pending filter implies enters once.
 	rows := j.card
@@ -647,7 +694,7 @@ func (o *optimizer) combine(j *joinSite, pa, pb *subPlan, list *planList) {
 	total := pa.cost + pb.cost + hc
 	from, ok := list.admits(total, rows, pending, pendIDs)
 	if !ok {
-		return
+		return nil
 	}
 
 	// The sub-plan and its plan node are one allocation, and a plan this
@@ -671,14 +718,31 @@ func (o *optimizer) combine(j *joinSite, pa, pb *subPlan, list *planList) {
 			Conds: j.conds, Streaming: streaming, Rows: rows, Cost: total,
 		},
 	}
-	if len(resolved) > 0 {
-		kept.join.BuildBlooms = slices.Clone(resolved)
+	// The join builds every filter of the outer plan it does not carry.
+	if n := len(pa.pending) - out.carried; n > 0 {
+		kept.join.BuildBlooms = make([]int, 0, n)
+		for _, p := range pa.pending {
+			if !carries(p, j.inner) {
+				kept.join.BuildBlooms = append(kept.join.BuildBlooms, p.bloomID)
+			}
+		}
 	}
 	if scratch {
 		kept.pending = slices.Clone(pending)
 	}
 	kept.node = &kept.join
 	list.add(&kept.subPlan, from, &o.free)
+	return o.overCap(list)
+}
+
+// overCap reports ErrSearchSpaceExceeded once a plan list has outgrown
+// Options.MaxPlansPerSet. It is asked right after a list grows, the only
+// time a list can first outgrow it.
+func (o *optimizer) overCap(l *planList) error {
+	if l.len() > o.opts.MaxPlansPerSet {
+		return ErrSearchSpaceExceeded
+	}
+	return nil
 }
 
 // hashJoinCost prices a hash join of outerRows probing innerRows. A mirrored

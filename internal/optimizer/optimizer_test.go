@@ -385,11 +385,7 @@ func TestNaiveSearchSpaceCap(t *testing.T) {
 	b := chainedBlock(7, true)
 	opts := chainOptions(Naive)
 	opts.MaxPlansPerSet = 200
-	_, err := Optimize(b, opts)
-	if err == nil {
-		t.Skip("7-table naive stayed under a 200-plan cap; acceptable")
-	}
-	if !errors.Is(err, ErrSearchSpaceExceeded) {
+	if _, err := Optimize(b, opts); !errors.Is(err, ErrSearchSpaceExceeded) {
 		t.Fatalf("want ErrSearchSpaceExceeded, got %v", err)
 	}
 }

@@ -141,18 +141,18 @@ func sortPending(ps []pendingBF) {
 // b's: every pending filter of a appears in b for the same candidate with a
 // superset δ. A plan with easier constraints can be used in every join where
 // the harder one can (and more), so it may dominate (§3.5's pruning rule).
+// Both lists are sorted by candidate id with at most one filter per
+// candidate, so one merge walk decides it.
 func pendingEasier(a, b []pendingBF) bool {
+	k := 0
 	for _, pa := range a {
-		found := false
-		for _, pb := range b {
-			if pa.cand.id == pb.cand.id && pa.delta.SubsetOf(pb.delta) {
-				found = true
-				break
-			}
+		for k < len(b) && b[k].cand.id < pa.cand.id {
+			k++
 		}
-		if !found {
+		if k == len(b) || b[k].cand.id != pa.cand.id || !pa.delta.SubsetOf(b[k].delta) {
 			return false
 		}
+		k++
 	}
 	return true
 }
