@@ -23,9 +23,10 @@ import (
 // Compile and safe to share across scan workers.
 //
 // Every int64 predicate on one column, BETWEEN and all six compares,
-// compiles to one kernel and one unsigned compare (intRangeKernel). The
-// dense entries of every column kernel but dictMatch, and the gather
-// entries of betweenFloat and cmpCols, have a vector form: on a CPU with
+// compiles to one kernel and one unsigned compare (intRangeKernel), and
+// every float64 one to one kernel and one range test (floatRangeKernel).
+// The dense entries of every column kernel but dictMatch, and the gather
+// entries of floatRange and cmpCols, have a vector form: on a CPU with
 // AVX-512, a vec loop tests eight rows an instruction (sixteen dictionary
 // codes in dictEq's) and writes the kept ids with one compress and one
 // store, and the kernel's Go loop goes on from the first row it left: a
@@ -45,8 +46,8 @@ type Kernel interface {
 }
 
 // rangeKernel is a kernel that can start a morsel: the column kernels
-// (intRange, cmpFloat, betweenFloat, cmpCols, dictEq, dictMatch) and the
-// Bloom filter members (filterKernel).
+// (intRange, floatRange, cmpCols, dictEq, dictMatch) and the Bloom filter
+// members (filterKernel).
 // EvalRange is EvalBatch over the dense rows lo … lo+len(sel)-1: it
 // ignores sel's contents on entry, reads the column at [lo, lo+len(sel))
 // in order and writes the kept ids into sel's prefix, so the caller never
@@ -220,121 +221,97 @@ func (k *intRangeKernel) EvalRange(lo int, sel []int32) []int32 {
 	return sel[:n]
 }
 
-// cmpFloatKernel compares a float64 column against a constant.
-type cmpFloatKernel struct {
-	kernelMeta
-	vals []float64
-	op   CmpOp
-	val  float64
-}
-
-func (k *cmpFloatKernel) EvalBatch(sel []int32) []int32 {
-	vals, val := k.vals, k.val
-	base, neg := splitOp(k.op)
-	n := 0
-	switch base {
-	case EQ:
-		for _, r := range sel {
-			sel[n] = r
-			if (vals[r] == val) != neg {
-				n++
-			}
-		}
-	case LT:
-		for _, r := range sel {
-			sel[n] = r
-			if (vals[r] < val) != neg {
-				n++
-			}
-		}
-	case LE:
-		for _, r := range sel {
-			sel[n] = r
-			if (vals[r] <= val) != neg {
-				n++
-			}
-		}
-	}
-	return sel[:n]
-}
-
-// EvalRange tests the whole blocks of eight rows with vec.CmpFloat where
-// the CPU can, then the rest in Go.
-func (k *cmpFloatKernel) EvalRange(lo int, sel []int32) []int32 {
-	vals, val := k.vals[lo:lo+len(sel)], k.val
-	base, neg := splitOp(k.op)
-	n, done := 0, 0
-	if vectorLoops {
-		n, done = vec.CmpFloat(vals, int32(lo), vecCmp[base], val, neg, sel)
-	}
-	vals, id := vals[done:], int32(lo+done)
-	switch base {
-	case EQ:
-		for _, v := range vals {
-			sel[n] = id
-			if (v == val) != neg {
-				n++
-			}
-			id++
-		}
-	case LT:
-		for _, v := range vals {
-			sel[n] = id
-			if (v < val) != neg {
-				n++
-			}
-			id++
-		}
-	case LE:
-		for _, v := range vals {
-			sel[n] = id
-			if (v <= val) != neg {
-				n++
-			}
-			id++
-		}
-	}
-	return sel[:n]
-}
-
-// betweenFloatKernel keeps lo <= v <= hi. It adds the two comparison
-// flags' AND as an integer instead of branching on &&, and a NaN fails
-// both flags, matching Eval.
-type betweenFloatKernel struct {
+// floatRangeKernel is every float64 predicate on one column: it keeps the
+// rows whose value v has lo <= v <= hi, or, with neg, the rows that fail
+// it, so a NaN passes only a negated range, as cmpHolds decides
+// (floatCmpRange). Its Go loops test v <= hi alone when lo is -Inf (every
+// compare but EQ and NE) and give a negated range, NE's, a loop of its
+// own: flipping every outcome slowed the plain range loop by a sixth.
+type floatRangeKernel struct {
 	kernelMeta
 	vals   []float64
 	lo, hi float64
+	neg    bool
+}
+
+// floatCmpRange writes v op c as floatRangeKernel's bounds: EQ is [c, c],
+// LE is [-Inf, c] and LT is [-Inf, c's predecessor], or the empty range
+// when c is -Inf; NE, GT and GE negate them.
+func floatCmpRange(op CmpOp, c float64) (lo, hi float64, neg bool) {
+	base, neg := splitOp(op)
+	switch {
+	case base == EQ:
+		return c, c, neg
+	case base == LE:
+		return math.Inf(-1), c, neg
+	case math.IsInf(c, -1):
+		return math.Inf(1), math.Inf(-1), neg
+	}
+	return math.Inf(-1), math.Nextafter(c, math.Inf(-1)), neg
 }
 
 // EvalBatch gathers and tests the whole blocks of eight selected rows with
 // vec.BetweenFloatSel where the CPU can, then the rest in Go.
-func (k *betweenFloatKernel) EvalBatch(sel []int32) []int32 {
-	vals, lo, hi := k.vals, k.lo, k.hi
+func (k *floatRangeKernel) EvalBatch(sel []int32) []int32 {
+	vals, lo, hi, neg := k.vals, k.lo, k.hi, k.neg
 	n, done := 0, 0
 	if vectorLoops {
-		n, done = vec.BetweenFloatSel(vals, lo, hi, sel)
+		n, done = vec.BetweenFloatSel(vals, lo, hi, neg, sel)
 	}
-	for _, r := range sel[done:] {
-		v := vals[r]
-		sel[n] = r
-		n += b2i(v >= lo) & b2i(v <= hi)
+	switch {
+	case math.IsInf(lo, -1):
+		for _, r := range sel[done:] {
+			sel[n] = r
+			if (vals[r] <= hi) != neg {
+				n++
+			}
+		}
+	case neg:
+		for _, r := range sel[done:] {
+			v := vals[r]
+			sel[n] = r
+			n += 1 - b2i(v >= lo)&b2i(v <= hi)
+		}
+	default:
+		for _, r := range sel[done:] {
+			v := vals[r]
+			sel[n] = r
+			n += b2i(v >= lo) & b2i(v <= hi)
+		}
 	}
 	return sel[:n]
 }
 
 // EvalRange tests the whole blocks of eight rows with vec.BetweenFloat
 // where the CPU can, then the rest in Go.
-func (k *betweenFloatKernel) EvalRange(lo int, sel []int32) []int32 {
-	vals, low, high := k.vals[lo:lo+len(sel)], k.lo, k.hi
+func (k *floatRangeKernel) EvalRange(lo int, sel []int32) []int32 {
+	vals, low, high, neg := k.vals[lo:lo+len(sel)], k.lo, k.hi, k.neg
 	n, done := 0, 0
 	if vectorLoops {
-		n, done = vec.BetweenFloat(vals, int32(lo), low, high, sel)
+		n, done = vec.BetweenFloat(vals, int32(lo), low, high, neg, sel)
 	}
 	id := int32(lo + done)
-	for _, v := range vals[done:] {
-		sel[n] = id
-		n += b2i(v >= low) & b2i(v <= high)
-		id++
+	switch {
+	case math.IsInf(low, -1):
+		for _, v := range vals[done:] {
+			sel[n] = id
+			if (v <= high) != neg {
+				n++
+			}
+			id++
+		}
+	case neg:
+		for _, v := range vals[done:] {
+			sel[n] = id
+			n += 1 - b2i(v >= low)&b2i(v <= high)
+			id++
+		}
+	default:
+		for _, v := range vals[done:] {
+			sel[n] = id
+			n += b2i(v >= low) & b2i(v <= high)
+			id++
+		}
 	}
 	return sel[:n]
 }
@@ -645,7 +622,8 @@ func compileNode(p Predicate, t *storage.Table) (Kernel, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &cmpFloatKernel{kernelMeta: meta(p, 1.0), vals: c.Floats, op: q.Op, val: q.Val}, nil
+		lo, hi, neg := floatCmpRange(q.Op, q.Val)
+		return &floatRangeKernel{kernelMeta: meta(p, 1.0), vals: c.Floats, lo: lo, hi: hi, neg: neg}, nil
 	case CmpCols:
 		a, err := t.Column(q.Col1)
 		if err != nil {
@@ -668,7 +646,7 @@ func compileNode(p Predicate, t *storage.Table) (Kernel, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &betweenFloatKernel{kernelMeta: meta(p, 1.1), vals: c.Floats, lo: q.Lo, hi: q.Hi}, nil
+		return &floatRangeKernel{kernelMeta: meta(p, 1.1), vals: c.Floats, lo: q.Lo, hi: q.Hi}, nil
 	case InInt:
 		c, err := t.Column(q.Col)
 		if err != nil {

@@ -102,6 +102,7 @@ func BenchmarkEvalRangeCmpFloat(b *testing.B)     { bothBenchLoops(b, runEvalRan
 func BenchmarkEvalRangeBetweenFloat(b *testing.B) { bothBenchLoops(b, runEvalRange, benchBetweenFloat) }
 func BenchmarkEvalRangeDictEq(b *testing.B)       { bothBenchLoops(b, runEvalRange, benchDictEq) }
 func BenchmarkEvalBatchCmpCols(b *testing.B)      { bothBenchLoops(b, runEvalBatch, benchCmpCols) }
+func BenchmarkEvalBatchCmpFloat(b *testing.B)     { bothBenchLoops(b, runEvalBatch, benchCmpFloat) }
 func BenchmarkEvalBatchBetweenFloat(b *testing.B) { bothBenchLoops(b, runEvalBatch, benchBetweenFloat) }
 
 // bothBenchLoops runs one entry's benchmark of p with the vector loops on

@@ -262,7 +262,7 @@ func conjunctsOf(p Predicate) []Predicate {
 // EvalRange would still be correct through the chain's fill, only slower,
 // so this is where the loss shows.
 var _ = []rangeKernel{
-	(*intRangeKernel)(nil), (*cmpFloatKernel)(nil), (*betweenFloatKernel)(nil), (*cmpColsKernel)(nil), (*dictEqKernel)(nil), (*dictMatchKernel)(nil),
+	(*intRangeKernel)(nil), (*floatRangeKernel)(nil), (*cmpColsKernel)(nil), (*dictEqKernel)(nil), (*dictMatchKernel)(nil),
 }
 
 // scribble fills sel with ids no range holds, so a kernel that reads sel
@@ -408,7 +408,9 @@ var (
 // The branch-free forms at the values that break naive ones: BETWEEN as
 // one unsigned compare with bounds at the int64 extremes and with Lo > Hi,
 // floats with NaN, ±Inf and −0 under BETWEEN and every compare (as
-// constants too), IN with duplicate constants and an empty list.
+// constants too, with ±MaxFloat64 and the smallest denormals, where a
+// compare's range bound steps across zero or stops short of infinity), IN
+// with duplicate constants and an empty list.
 func TestKernelsMatchEvalExtremes(t *testing.T) {
 	bothLoops(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
@@ -419,7 +421,10 @@ func TestKernelsMatchEvalExtremes(t *testing.T) {
 				preds = append(preds, BetweenInt{Col: "a", Lo: lo, Hi: hi})
 			}
 		}
-		floatConsts := []float64{math.NaN(), math.Inf(-1), math.Copysign(0, -1), 0, 1, math.Inf(1)}
+		floatConsts := []float64{
+			math.NaN(), math.Inf(-1), -math.MaxFloat64, -math.SmallestNonzeroFloat64, math.Copysign(0, -1),
+			0, math.SmallestNonzeroFloat64, 1, math.MaxFloat64, math.Inf(1),
+		}
 		for _, lo := range floatConsts {
 			for _, hi := range floatConsts {
 				preds = append(preds, BetweenFloat{Col: "f", Lo: lo, Hi: hi})

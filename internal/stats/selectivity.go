@@ -8,6 +8,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 
 	"bfcbo/internal/catalog"
 	"bfcbo/internal/query"
@@ -60,13 +61,13 @@ func PredicateSelectivity(t *catalog.Table, p query.Predicate) float64 {
 	case query.BetweenFloat:
 		return clampSel(rangeFraction(t, q.Col, q.Lo, q.Hi))
 	case query.InInt:
-		return clampSel(float64(len(q.Vals)) * eqSelectivity(t, q.Col))
+		return clampSel(float64(distinct(q.Vals)) * eqSelectivity(t, q.Col))
 	case query.StrEq:
 		return clampSel(eqSelectivity(t, q.Col))
 	case query.StrNE:
 		return clampSel(1 - eqSelectivity(t, q.Col))
 	case query.StrIn:
-		return clampSel(float64(len(q.Vals)) * eqSelectivity(t, q.Col))
+		return clampSel(float64(distinct(q.Vals)) * eqSelectivity(t, q.Col))
 	case query.StrPrefix:
 		return clampSel(defaultPrefSel)
 	case query.StrContains:
@@ -89,6 +90,19 @@ func PredicateSelectivity(t *catalog.Table, p query.Predicate) float64 {
 	default:
 		return clampSel(defaultEqSel)
 	}
+}
+
+// distinct counts the distinct constants of an IN list. The parser keeps
+// a repeated one, and x IN (5, 5) matches the rows x = 5 does. The lists
+// are a handful of constants, so the quadratic walk allocates nothing.
+func distinct[T comparable](vals []T) int {
+	n := 0
+	for i, v := range vals {
+		if !slices.Contains(vals[:i], v) {
+			n++
+		}
+	}
+	return n
 }
 
 // eqSelectivity is 1/NDV for an equality against an arbitrary constant.

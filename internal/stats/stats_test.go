@@ -37,6 +37,10 @@ func TestPredicateSelectivity(t *testing.T) {
 	approx("between all", query.BetweenInt{Col: "k", Lo: -10, Hi: 1000}, 1, 1e-9)
 	approx("between none", query.BetweenInt{Col: "k", Lo: 200, Hi: 300}, 0, minSel)
 	approx("in 3", query.InInt{Col: "k", Vals: []int64{1, 2, 3}}, 0.03, 1e-9)
+	// A repeated constant matches no more rows: x IN (5, 5) is x = 5.
+	approx("in 5, 5", query.InInt{Col: "k", Vals: []int64{5, 5}}, 0.01, 1e-9)
+	approx("in 1, 2, 1, 3, 2", query.InInt{Col: "k", Vals: []int64{1, 2, 1, 3, 2}}, 0.03, 1e-9)
+	approx("strin a, a", query.StrIn{Col: "s", Vals: []string{"a", "a"}}, 0.25, 1e-9)
 	approx("streq", query.StrEq{Col: "s", Val: "x"}, 0.25, 1e-9)
 	approx("strin", query.StrIn{Col: "s", Vals: []string{"a", "b"}}, 0.5, 1e-9)
 	// 50 values over [0, 10]: 49/50 of the uniform half plus the endpoint.
@@ -78,7 +82,12 @@ func TestDiscreteRangeSelectivity(t *testing.T) {
 
 func TestSelectivityBounds(t *testing.T) {
 	tb := statTable()
+	many := make([]int64, 500) // 500 distinct constants: 5 × 1/NDV before the clamp
+	for i := range many {
+		many[i] = int64(i)
+	}
 	preds := []query.Predicate{
+		query.InInt{Col: "k", Vals: many},
 		query.CmpInt{Col: "k", Op: query.LT, Val: -100},
 		query.CmpInt{Col: "k", Op: query.GT, Val: 1e9},
 		query.InInt{Col: "k", Vals: make([]int64, 500)},

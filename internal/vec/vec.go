@@ -10,12 +10,12 @@
 // output and every tally are the same on either path.
 //
 // The dense loops read a morsel's rows in order and write their ids:
-// KeepRange (every int64 predicate on one column), CmpFloat and
-// BetweenFloat (the float64 compares, ordered and quiet, so NaN fails
-// every compare as Go's does), CmpCols (two int64 columns), EqCodes
-// (dictionary codes, sixteen rows an iteration) and BloomRange. The
-// gather loops compact a selection in place, reading each row's values by
-// its id: BetweenFloatSel, CmpColsSel and BloomSel. A gather loop stops
+// KeepRange (every int64 predicate on one column), BetweenFloat (every
+// float64 one, a range or its negation, compared ordered and quiet as Go
+// compares), CmpCols (two int64 columns), EqCodes (dictionary codes,
+// sixteen rows an iteration) and BloomRange. The gather loops compact a
+// selection in place, reading each row's values by its id:
+// BetweenFloatSel, CmpColsSel and BloomSel. A gather loop stops
 // before the first block that holds an id outside its columns, so the
 // caller's Go loop meets that id and panics on it as it would without the
 // vector loop.
@@ -70,8 +70,8 @@ func BloomSel(words []uint64, shift uint, vals []int64, sel []int32) (n, done in
 func idLimit(n int) int { return min(n, 1<<31) }
 
 // Cmp is a compare of a value a with b: LT keeps a < b, EQ keeps a == b
-// and LE, both of them, a <= b. Every compare a scan kernel runs is one
-// of these or the negation of one (a != b, a >= b, a > b).
+// and LE, both of them, a <= b. Every two-column compare a scan kernel
+// runs is one of these or the negation of one (a != b, a >= b, a > b).
 type Cmp uint8
 
 const (
@@ -96,36 +96,25 @@ func masks(cmp Cmp, neg bool) (lt, eq, flip uint8) {
 	return lt, eq, flip
 }
 
-// CmpFloat keeps the dense rows whose value v has v cmp c (with neg, the
-// rows that fail it): row i of vals has id id+i. The compares are ordered,
-// as Go's are, so a NaN on either side fails LT, EQ and LE and passes
-// their negations, and -0 equals +0. sel must have room for len(vals) ids.
-func CmpFloat(vals []float64, id int32, cmp Cmp, c float64, neg bool, sel []int32) (n, done int) {
+// BetweenFloat keeps the dense rows whose value v has lo <= v <= hi (with
+// neg, the rows that fail it): row i of vals has id id+i. The compares are
+// ordered, as Go's are, so a NaN on either side fails the range and passes
+// its negation. sel must have room for len(vals) ids.
+func BetweenFloat(vals []float64, id int32, lo, hi float64, neg bool, sel []int32) (n, done int) {
 	if !avx512 || len(vals) < 8 {
 		return 0, 0
 	}
-	lt, eq, flip := masks(cmp, neg)
-	return cmpFloat(vals, id, c, lt, eq, flip, sel[:len(vals)])
-}
-
-// BetweenFloat keeps the dense rows whose value v has lo <= v <= hi, so a
-// NaN, on either side, fails: row i of vals has id id+i. sel must have
-// room for len(vals) ids.
-func BetweenFloat(vals []float64, id int32, lo, hi float64, sel []int32) (n, done int) {
-	if !avx512 || len(vals) < 8 {
-		return 0, 0
-	}
-	return betweenFloat(vals, id, lo, hi, sel[:len(vals)])
+	return betweenFloat(vals, id, lo, hi, neg, sel[:len(vals)])
 }
 
 // BetweenFloatSel is BetweenFloat over the selected rows sel, whose values
 // it gathers from vals by row id; it compacts sel in place. It stops
 // before the first block of eight that holds an id outside vals.
-func BetweenFloatSel(vals []float64, lo, hi float64, sel []int32) (n, done int) {
+func BetweenFloatSel(vals []float64, lo, hi float64, neg bool, sel []int32) (n, done int) {
 	if !avx512 || len(sel) < 8 {
 		return 0, 0
 	}
-	return betweenFloatSel(vals[:idLimit(len(vals))], lo, hi, sel)
+	return betweenFloatSel(vals[:idLimit(len(vals))], lo, hi, neg, sel)
 }
 
 // CmpCols keeps the dense rows whose values have a[i] cmp b[i], compared

@@ -36,13 +36,10 @@ func bloomRange(words []uint64, shift uint, vals []int64, id int32, sel []int32)
 func bloomSel(words []uint64, shift uint, vals []int64, sel []int32) (n, done int)
 
 //go:noescape
-func cmpFloat(vals []float64, id int32, c float64, lt, eq, flip uint8, sel []int32) (n, done int)
+func betweenFloat(vals []float64, id int32, lo, hi float64, neg bool, sel []int32) (n, done int)
 
 //go:noescape
-func betweenFloat(vals []float64, id int32, lo, hi float64, sel []int32) (n, done int)
-
-//go:noescape
-func betweenFloatSel(vals []float64, lo, hi float64, sel []int32) (n, done int)
+func betweenFloatSel(vals []float64, lo, hi float64, neg bool, sel []int32) (n, done int)
 
 //go:noescape
 func cmpCols(a, b []int64, id int32, lt, eq, flip uint8, sel []int32) (n, done int)

@@ -59,28 +59,28 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVBLZX flip, AX; \
 	KMOVB   AX, K7
 
-// CMP_FLOAT sets K1 to the lanes of Z0 that pass the float64 compare
-// against Z4 under CMP_MASKS: v < c (LT_OQ) where K4 holds, or v == c
-// (EQ_OQ) where K5 holds, flipped where K7 holds. The compares are
-// ordered and quiet, so a NaN fails both. Clobbers K6.
-#define CMP_FLOAT \
-	VCMPPD $0x11, Z4, Z0, K4, K1; \
-	VCMPPD $0x00, Z4, Z0, K5, K6; \
-	KORB   K6, K1, K1; \
-	KXORB  K7, K1, K1
-
-// CMP_INTS is CMP_FLOAT for the signed int64 lanes of Z0 against Z1.
+// CMP_INTS sets K1 to the signed int64 lanes of Z0 that pass the compare
+// against Z1 under CMP_MASKS: a < b where K4 holds, or a == b where K5
+// holds, flipped where K7 holds. Clobbers K6.
 #define CMP_INTS \
 	VPCMPQ $1, Z1, Z0, K4, K1; \
 	VPCMPQ $0, Z1, Z0, K5, K6; \
 	KORB   K6, K1, K1; \
 	KXORB  K7, K1, K1
 
+// NEG_MASK sets K7 to all eight lanes when the bool neg is set, else to
+// none: the lanes whose outcome flips.
+#define NEG_MASK(neg) \
+	MOVBLZX neg, AX; \
+	NEGL    AX; \
+	KMOVB   AX, K7
+
 // BETWEEN_FLOAT sets K1 to the lanes of Z0 with Z4 <= v <= Z5 (GE_OQ
-// and LE_OQ, so a NaN fails).
+// and LE_OQ, so a NaN fails), flipped where K7 holds.
 #define BETWEEN_FLOAT \
 	VCMPPD $0x1d, Z4, Z0, K1; \
-	VCMPPD $0x12, Z5, Z0, K1, K1
+	VCMPPD $0x12, Z5, Z0, K1, K1; \
+	KXORB  K7, K1, K1
 
 // SEL_IDS loads the eight row ids at sel[CX] into Y2 and jumps to end
 // when one of them is at or above Y13, unsigned: outside the columns.
@@ -132,15 +132,10 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VPANDQ     Z6, Z7, Z7; \
 	VPCMPEQQ   Z6, Z7, K1
 
-// KEEP writes the ids in Y2 that K1 selects to sel[DX], DX on, eight ids
-// wide, adds their count to DX and moves Y2 on to the next block.
+// KEEP is SEL_KEEP, then moves Y2 on to the next block's ids.
 #define KEEP \
-	VPCOMPRESSD Y2, K1, Y1; \
-	VMOVDQU32   Y1, (DI)(DX*4); \
-	KMOVB       K1, AX; \
-	POPCNTL     AX, AX; \
-	ADDQ        AX, DX; \
-	VPADDD      Y3, Y2, Y2
+	SEL_KEEP; \
+	VPADDD Y3, Y2, Y2
 
 // func keepRange(vals []int64, id int32, low int64, width uint64, neg bool, sel []int32) (n, done int)
 TEXT ·keepRange(SB), NOSPLIT, $0-96
@@ -151,11 +146,9 @@ TEXT ·keepRange(SB), NOSPLIT, $0-96
 	IDS(id+24(FP))
 	VPBROADCASTQ low+32(FP), Z4
 	VPBROADCASTQ width+40(FP), Z5
-	MOVBLZX neg+48(FP), AX
-	NEGL    AX
-	KMOVB   AX, K2                  // all eight lanes flip under neg
-	XORQ    CX, CX
-	XORQ    DX, DX
+	NEG_MASK(neg+48(FP))
+	XORQ CX, CX
+	XORQ DX, DX
 
 keepLoop:
 	CMPQ      CX, BX
@@ -163,7 +156,7 @@ keepLoop:
 	VMOVDQU64 (SI)(CX*8), Z0
 	VPSUBQ    Z4, Z0, Z0
 	VPCMPUQ   $2, Z5, Z0, K1        // uint64(v-low) <= width
-	KXORB     K2, K1, K1
+	KXORB     K7, K1, K1
 	KEEP
 	ADDQ      $8, CX
 	JMP       keepLoop
@@ -231,42 +224,16 @@ selEnd:
 	VZEROUPPER
 	RET
 
-// func cmpFloat(vals []float64, id int32, c float64, lt, eq, flip uint8, sel []int32) (n, done int)
-TEXT ·cmpFloat(SB), NOSPLIT, $0-88
+// func betweenFloat(vals []float64, id int32, lo, hi float64, neg bool, sel []int32) (n, done int)
+TEXT ·betweenFloat(SB), NOSPLIT, $0-96
 	MOVQ vals_base+0(FP), SI
 	MOVQ vals_len+8(FP), BX
 	ANDQ $-8, BX
-	MOVQ sel_base+48(FP), DI
-	IDS(id+24(FP))
-	VBROADCASTSD c+32(FP), Z4
-	CMP_MASKS(lt+40(FP), eq+41(FP), flip+42(FP))
-	XORQ CX, CX
-	XORQ DX, DX
-
-cmpFloatLoop:
-	CMPQ    CX, BX
-	JAE     cmpFloatEnd
-	VMOVUPD (SI)(CX*8), Z0
-	CMP_FLOAT
-	KEEP
-	ADDQ    $8, CX
-	JMP     cmpFloatLoop
-
-cmpFloatEnd:
-	MOVQ DX, n+72(FP)
-	MOVQ CX, done+80(FP)
-	VZEROUPPER
-	RET
-
-// func betweenFloat(vals []float64, id int32, lo, hi float64, sel []int32) (n, done int)
-TEXT ·betweenFloat(SB), NOSPLIT, $0-88
-	MOVQ vals_base+0(FP), SI
-	MOVQ vals_len+8(FP), BX
-	ANDQ $-8, BX
-	MOVQ sel_base+48(FP), DI
+	MOVQ sel_base+56(FP), DI
 	IDS(id+24(FP))
 	VBROADCASTSD lo+32(FP), Z4
 	VBROADCASTSD hi+40(FP), Z5
+	NEG_MASK(neg+48(FP))
 	XORQ CX, CX
 	XORQ DX, DX
 
@@ -280,19 +247,20 @@ betweenLoop:
 	JMP     betweenLoop
 
 betweenEnd:
-	MOVQ DX, n+72(FP)
-	MOVQ CX, done+80(FP)
+	MOVQ DX, n+80(FP)
+	MOVQ CX, done+88(FP)
 	VZEROUPPER
 	RET
 
-// func betweenFloatSel(vals []float64, lo, hi float64, sel []int32) (n, done int)
-TEXT ·betweenFloatSel(SB), NOSPLIT, $0-80
+// func betweenFloatSel(vals []float64, lo, hi float64, neg bool, sel []int32) (n, done int)
+TEXT ·betweenFloatSel(SB), NOSPLIT, $0-88
 	MOVQ         vals_base+0(FP), SI
-	MOVQ         sel_base+40(FP), DI
-	MOVQ         sel_len+48(FP), BX
+	MOVQ         sel_base+48(FP), DI
+	MOVQ         sel_len+56(FP), BX
 	ANDQ         $-8, BX
 	VBROADCASTSD lo+24(FP), Z4
 	VBROADCASTSD hi+32(FP), Z5
+	NEG_MASK(neg+40(FP))
 	MOVQ         vals_len+8(FP), AX
 	VPBROADCASTD AX, Y13            // ids at or above it are outside vals
 	XORQ         CX, CX
@@ -310,8 +278,8 @@ betweenSelLoop:
 	JMP        betweenSelLoop
 
 betweenSelEnd:
-	MOVQ DX, n+64(FP)
-	MOVQ CX, done+72(FP)
+	MOVQ DX, n+72(FP)
+	MOVQ CX, done+80(FP)
 	VZEROUPPER
 	RET
 

@@ -16,15 +16,11 @@ func bloomSel(words []uint64, shift uint, vals []int64, sel []int32) (n, done in
 	return 0, 0
 }
 
-func cmpFloat(vals []float64, id int32, c float64, lt, eq, flip uint8, sel []int32) (n, done int) {
+func betweenFloat(vals []float64, id int32, lo, hi float64, neg bool, sel []int32) (n, done int) {
 	return 0, 0
 }
 
-func betweenFloat(vals []float64, id int32, lo, hi float64, sel []int32) (n, done int) {
-	return 0, 0
-}
-
-func betweenFloatSel(vals []float64, lo, hi float64, sel []int32) (n, done int) {
+func betweenFloatSel(vals []float64, lo, hi float64, neg bool, sel []int32) (n, done int) {
 	return 0, 0
 }
 

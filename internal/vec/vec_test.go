@@ -143,7 +143,7 @@ func TestBloomSelStopsAtOutsideID(t *testing.T) {
 }
 
 // goCmp is a Cmp and its negation, as the callers' Go loops decide it.
-func goCmp[T int64 | float64](cmp Cmp, neg bool, a, b T) bool {
+func goCmp(cmp Cmp, neg bool, a, b int64) bool {
 	return (cmp&LT != 0 && a < b || cmp&EQ != 0 && a == b) != neg
 }
 
@@ -181,9 +181,10 @@ func floatsOf(rng *rand.Rand, rows int) []float64 {
 	return vals
 }
 
-// The dense float loops against goCmp and the Go BETWEEN, id by id, at
-// every length up to four blocks and a bit, with compares that keep every
-// row and none: a column of one value against it, and NaN constants.
+// The dense float loop against the Go range test, id by id, at every
+// length up to four blocks and a bit, with both values of neg and ranges
+// that keep every row and none: a column of one value against it, lo > hi
+// and NaN bounds.
 func TestFloatLanes(t *testing.T) {
 	needAVX512(t)
 	rng := rand.New(rand.NewSource(5))
@@ -191,31 +192,20 @@ func TestFloatLanes(t *testing.T) {
 	for rows := 0; rows <= 33; rows++ {
 		cols := [][]float64{floatsOf(rng, rows), make([]float64, rows)} // random, and all +0
 		for _, vals := range cols {
-			for _, c := range consts {
-				id := int32(rng.Intn(100))
-				for _, cmp := range []Cmp{LT, EQ, LE} {
+			for _, lo := range consts {
+				for _, hi := range consts {
 					for _, neg := range []bool{false, true} {
+						id := int32(rng.Intn(100))
 						var want []int32
 						for i, v := range vals {
-							if goCmp(cmp, neg, v, c) {
+							if (v >= lo && v <= hi) != neg {
 								want = append(want, id+int32(i))
 							}
 						}
 						sel := make([]int32, rows)
-						n, done := CmpFloat(vals, id, cmp, c, neg, sel)
-						sameIDs(t, fmt.Sprintf("CmpFloat %d rows %v cmp %d neg %v", rows, c, cmp, neg), sel[:n], done, rows, 8, -1, clip(want, id+int32(done)))
+						n, done := BetweenFloat(vals, id, lo, hi, neg, sel)
+						sameIDs(t, fmt.Sprintf("BetweenFloat %d rows [%v, %v] neg %v", rows, lo, hi, neg), sel[:n], done, rows, 8, -1, clip(want, id+int32(done)))
 					}
-				}
-				for _, hi := range consts {
-					var want []int32
-					for i, v := range vals {
-						if v >= c && v <= hi {
-							want = append(want, id+int32(i))
-						}
-					}
-					sel := make([]int32, rows)
-					n, done := BetweenFloat(vals, id, c, hi, sel)
-					sameIDs(t, fmt.Sprintf("BetweenFloat %d rows [%v, %v]", rows, c, hi), sel[:n], done, rows, 8, -1, clip(want, id+int32(done)))
 				}
 			}
 		}
@@ -291,7 +281,8 @@ func TestEqCodesLanes(t *testing.T) {
 
 // The gather loops against the Go loops over a selection, id by id: every
 // length up to four blocks and a bit, ids in a shuffled order, a compare
-// that keeps all and one that keeps none, and selections with an id
+// that keeps all and one that keeps none, each with and without neg, and
+// selections with an id
 // outside the columns at each position, before whose block the loop
 // stops.
 func TestSelLanes(t *testing.T) {
@@ -309,11 +300,13 @@ func TestSelLanes(t *testing.T) {
 		keep func(r int32) bool
 	}
 	var loops []loop
-	for _, r := range [][2]float64{{-1, 1}, {math.Inf(-1), math.Inf(1)}, {1, -1}, {math.NaN(), 1}} {
+	for _, r := range [][2]float64{{-1, 1}, {math.Inf(-1), math.Inf(1)}, {1, -1}, {math.NaN(), 1}, {math.Inf(-1), 0}} {
 		lo, hi := r[0], r[1]
-		loops = append(loops, loop{fmt.Sprintf("BetweenFloatSel [%v, %v]", lo, hi),
-			func(sel []int32) (int, int) { return BetweenFloatSel(fv, lo, hi, sel) },
-			func(r int32) bool { return fv[r] >= lo && fv[r] <= hi }})
+		for _, neg := range []bool{false, true} {
+			loops = append(loops, loop{fmt.Sprintf("BetweenFloatSel [%v, %v] neg %v", lo, hi, neg),
+				func(sel []int32) (int, int) { return BetweenFloatSel(fv, lo, hi, neg, sel) },
+				func(r int32) bool { return (fv[r] >= lo && fv[r] <= hi) != neg }})
+		}
 	}
 	for _, bs := range [][]int64{b, a} {
 		for _, cmp := range []Cmp{LT, EQ, LE} {
@@ -354,8 +347,8 @@ func TestSelLanes(t *testing.T) {
 }
 
 // BenchmarkLoops prices each loop per row over 4096-row morsels of a
-// 64 Ki-row column: KeepRange, the float, two-column and code compares at
-// about a 50 % pass rate, and the two Bloom loops against a 512 KiB
+// 64 Ki-row column: KeepRange, the float range (and its negation, both
+// entries), the two-column and code compares at about a 50 % pass rate, and the two Bloom loops against a 512 KiB
 // filter at about half its bits set. CI gates them on 0 allocs/op.
 func BenchmarkLoops(b *testing.B) {
 	const morsel, rows = 4096, 1 << 16
@@ -390,15 +383,18 @@ func BenchmarkLoops(b *testing.B) {
 	b.Run("bloom-sel", func(b *testing.B) {
 		run(b, func(lo int) (int, int) { fill(lo); return BloomSel(words, shift, keys, sel) })
 	})
-	b.Run("cmp-float", func(b *testing.B) {
-		run(b, func(lo int) (int, int) { return CmpFloat(floats[lo:lo+morsel], int32(lo), LT, 0.5, false, sel) })
-	})
-	b.Run("between-float", func(b *testing.B) {
-		run(b, func(lo int) (int, int) { return BetweenFloat(floats[lo:lo+morsel], int32(lo), 0.25, 0.75, sel) })
-	})
-	b.Run("between-float-sel", func(b *testing.B) {
-		run(b, func(lo int) (int, int) { fill(lo); return BetweenFloatSel(floats, 0.25, 0.75, sel) })
-	})
+	for _, neg := range []bool{false, true} {
+		suffix := ""
+		if neg {
+			suffix = "-neg"
+		}
+		b.Run("between-float"+suffix, func(b *testing.B) {
+			run(b, func(lo int) (int, int) { return BetweenFloat(floats[lo:lo+morsel], int32(lo), 0.25, 0.75, neg, sel) })
+		})
+		b.Run("between-float-sel"+suffix, func(b *testing.B) {
+			run(b, func(lo int) (int, int) { fill(lo); return BetweenFloatSel(floats, 0.25, 0.75, neg, sel) })
+		})
+	}
 	b.Run("cmp-cols", func(b *testing.B) {
 		run(b, func(lo int) (int, int) {
 			return CmpCols(vals[lo:lo+morsel], other[lo:lo+morsel], int32(lo), LT, false, sel)
